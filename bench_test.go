@@ -391,22 +391,32 @@ func BenchmarkFigure6ScoringUDFs(b *testing.B) {
 }
 
 // Micro-benchmarks of the core kernel: the per-row cost the aggregate
-// UDF pays, for each matrix type (the paper's operation-count story).
+// UDF pays, swept over d for each matrix type (the paper's
+// operation-count story). GFLOP/s counts the Q update alone — one
+// multiply and one add per maintained slot: d, d(d+1)/2 or d² slots —
+// which is the bound the perf ledger's core.update_gflops is read
+// against.
 func BenchmarkNLQUpdate(b *testing.B) {
-	x := make([]float64, 64)
-	for i := range x {
-		x[i] = float64(i) * 1.1
-	}
-	for _, mt := range []MatrixType{Diagonal, Triangular, Full} {
-		b.Run(mt.String(), func(b *testing.B) {
-			s := core.MustNLQ(64, mt)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := s.Update(x); err != nil {
-					b.Fatal(err)
+	for _, d := range []int{8, 32, 64} {
+		x := make([]float64, d)
+		for i := range x {
+			x[i] = float64(i) * 1.1
+		}
+		for _, mt := range []MatrixType{Diagonal, Triangular, Full} {
+			slots := map[MatrixType]int{Diagonal: d, Triangular: d * (d + 1) / 2, Full: d * d}[mt]
+			b.Run(fmt.Sprintf("d=%d/%s", d, mt), func(b *testing.B) {
+				s := core.MustNLQ(d, mt)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := s.Update(x); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+				nsPerPoint := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+				b.ReportMetric(nsPerPoint, "ns/point")
+				b.ReportMetric(2*float64(slots)/nsPerPoint, "GFLOP/s")
+			})
+		}
 	}
 }
 

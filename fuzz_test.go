@@ -15,7 +15,7 @@ func FuzzImportCSV(f *testing.F) {
 	f.Add("1,2.5,x\n2,3.5,y\n", false)
 	f.Add("a,b\n1,\n,2\n", true)
 	f.Add("h\n\"quoted,comma\"\n", true)
-	f.Add("a,b\n1\n", true)       // ragged row: must error cleanly
+	f.Add("a,b\n1\n", true)         // ragged row: must error cleanly
 	f.Add("a,b\n1,notint\n", false) // type drift after inference
 	f.Add("", true)
 	d, err := Open(Options{Partitions: 2})

@@ -121,13 +121,14 @@ func (s *NLQ) Update(x []float64) error {
 		return fmt.Errorf("core: point has %d dimensions, want %d", len(x), s.D)
 	}
 	s.N++
+	l, mn, mx := s.L[:len(x)], s.Min[:len(x)], s.Max[:len(x)]
 	for a, v := range x {
-		s.L[a] += v
-		if v < s.Min[a] {
-			s.Min[a] = v
+		l[a] += v
+		if v < mn[a] {
+			mn[a] = v
 		}
-		if v > s.Max[a] {
-			s.Max[a] = v
+		if v > mx[a] {
+			mx[a] = v
 		}
 	}
 	switch s.Type {
@@ -136,23 +137,82 @@ func (s *NLQ) Update(x []float64) error {
 			s.Q[a*s.D+a] += v * v
 		}
 	case Triangular:
-		for a := 0; a < s.D; a++ {
-			va := x[a]
-			row := s.Q[a*s.D:]
-			for b := 0; b <= a; b++ {
-				row[b] += va * x[b]
-			}
-		}
+		addOuterLower(s.Q, x)
 	case Full:
-		for a := 0; a < s.D; a++ {
-			va := x[a]
-			row := s.Q[a*s.D:]
-			for b := 0; b < s.D; b++ {
-				row[b] += va * x[b]
-			}
-		}
+		AddOuter(s.Q, x, x)
 	}
 	return nil
+}
+
+// The Q ← Q + x·xᵀ kernels below are register-tiled: four accumulator
+// rows advance together, so each x[b] is loaded once for four
+// multiply-adds instead of once per multiply-add. Tiling only reorders
+// *which slot* is touched next; every slot still receives exactly one
+// `+= x[a]*x[b]` per point (a separate multiply and add, never fused),
+// so the result is bitwise what the plain double loop produces and the
+// row == columnar == cluster identity is untouched. The reslicing to a
+// common length is what lets the compiler drop the bounds checks.
+
+// addRows4 adds x0·xs … x3·xs into four rows at least as long as xs.
+func addRows4(r0, r1, r2, r3, xs []float64, x0, x1, x2, x3 float64) {
+	r0, r1, r2, r3 = r0[:len(xs)], r1[:len(xs)], r2[:len(xs)], r3[:len(xs)]
+	for b, xb := range xs {
+		r0[b] += x0 * xb
+		r1[b] += x1 * xb
+		r2[b] += x2 * xb
+		r3[b] += x3 * xb
+	}
+}
+
+// AddOuter adds the outer product xr·xcᵀ into q, a len(xr)×len(xc)
+// row-major matrix: the Full update (xr = xc = x) and the rectangular
+// block update of the blocked high-d strategy.
+func AddOuter(q, xr, xc []float64) {
+	w := len(xc)
+	q = q[:len(xr)*w]
+	a := 0
+	for ; a+4 <= len(xr); a += 4 {
+		t := q[a*w : (a+4)*w]
+		addRows4(t[:w], t[w:2*w], t[2*w:3*w], t[3*w:], xc, xr[a], xr[a+1], xr[a+2], xr[a+3])
+	}
+	for ; a < len(xr); a++ {
+		va, row := xr[a], q[a*w:(a+1)*w]
+		for b, xb := range xc {
+			row[b] += va * xb
+		}
+	}
+}
+
+// addOuterLower adds the lower triangle (col ≤ row) of x·xᵀ into the
+// d×d row-major q. A tile of four rows a..a+3 shares columns 0..a-1;
+// the 4×4 block on the diagonal contributes its own lower triangle,
+// written out explicitly.
+func addOuterLower(q, x []float64) {
+	d := len(x)
+	q = q[:d*d]
+	a := 0
+	for ; a+4 <= d; a += 4 {
+		x0, x1, x2, x3 := x[a], x[a+1], x[a+2], x[a+3]
+		r0, r1, r2, r3 := q[a*d:], q[(a+1)*d:], q[(a+2)*d:], q[(a+3)*d:]
+		addRows4(r0, r1, r2, r3, x[:a], x0, x1, x2, x3)
+		t0, t1, t2, t3 := r0[a:a+1], r1[a:a+2], r2[a:a+3], r3[a:a+4]
+		t0[0] += x0 * x0
+		t1[0] += x1 * x0
+		t1[1] += x1 * x1
+		t2[0] += x2 * x0
+		t2[1] += x2 * x1
+		t2[2] += x2 * x2
+		t3[0] += x3 * x0
+		t3[1] += x3 * x1
+		t3[2] += x3 * x2
+		t3[3] += x3 * x3
+	}
+	for ; a < d; a++ {
+		va, row := x[a], q[a*d:a*d+a+1]
+		for b, xb := range x[:a+1] {
+			row[b] += va * xb
+		}
+	}
 }
 
 // UpdateBlock folds a column-wise batch of points into the summaries:

@@ -256,60 +256,119 @@ func TestComputeNLQFromSource(t *testing.T) {
 	}
 }
 
-// TestUpdateBlockBitIdentical: the block kernel must produce *bit
-// identical* state to row-at-a-time Update over the valid rows — the
+// requireSameBits fails unless two accumulators hold bit-identical
+// state.
+func requireSameBits(t *testing.T, got, want *NLQ) {
+	t.Helper()
+	if got.D != want.D || got.Type != want.Type {
+		t.Fatalf("shape (%d,%v) != (%d,%v)", got.D, got.Type, want.D, want.Type)
+	}
+	if math.Float64bits(got.N) != math.Float64bits(want.N) {
+		t.Fatalf("%v d=%d: N %v != %v", got.Type, got.D, got.N, want.N)
+	}
+	for _, v := range []struct {
+		name      string
+		got, want []float64
+	}{{"L", got.L, want.L}, {"Min", got.Min, want.Min}, {"Max", got.Max, want.Max}, {"Q", got.Q, want.Q}} {
+		for i := range v.want {
+			if math.Float64bits(v.got[i]) != math.Float64bits(v.want[i]) {
+				t.Fatalf("%v d=%d: %s[%d] %v != %v", got.Type, got.D, v.name, i, v.got[i], v.want[i])
+			}
+		}
+	}
+}
+
+// plainUpdate is the straightforward triple loop the tiled kernels
+// replaced, kept as the reference they are checked against.
+func plainUpdate(s *NLQ, x []float64) {
+	s.N++
+	for a, v := range x {
+		s.L[a] += v
+		if v < s.Min[a] {
+			s.Min[a] = v
+		}
+		if v > s.Max[a] {
+			s.Max[a] = v
+		}
+		lo, hi := 0, s.D
+		switch s.Type {
+		case Diagonal:
+			lo, hi = a, a+1
+		case Triangular:
+			hi = a + 1
+		}
+		for b := lo; b < hi; b++ {
+			s.Q[a*s.D+b] += v * x[b]
+		}
+	}
+}
+
+// TestUpdateBitIdentical: three ways of folding the same rows must leave
+// *bit identical* state — the register-tiled Update, the plain triple
+// loop it replaced, and the block kernel over the valid rows (dense and
+// masked) — at every tile-remainder shape. Update == UpdateBlock is the
 // property that makes columnar partials merge byte-for-byte with
 // row-path partials in the coordinator's push-down algebra.
-func TestUpdateBlockBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, mt := range []MatrixType{Diagonal, Triangular, Full} {
-		for trial := 0; trial < 20; trial++ {
-			d := 1 + rng.Intn(6)
-			rows := rng.Intn(300)
-			cols := make([][]float64, d)
-			for a := range cols {
-				cols[a] = make([]float64, rows)
-				for r := range cols[a] {
-					cols[a][r] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
-				}
+func TestUpdateBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, d := range []int{1, 2, 3, 4, 5, 6, 7, 8, 31, 32, 33, 64} {
+		rows := rng.Intn(300)
+		cols := make([][]float64, d)
+		for a := range cols {
+			cols[a] = make([]float64, rows)
+			for r := range cols[a] {
+				cols[a][r] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
 			}
-			valid := make([]bool, rows)
-			for r := range valid {
-				valid[r] = rng.Float64() > 0.3
-			}
-			blk := MustNLQ(d, mt)
-			if err := blk.UpdateBlock(cols, valid); err != nil {
-				t.Fatal(err)
-			}
-			seq := MustNLQ(d, mt)
-			x := make([]float64, d)
-			for r := 0; r < rows; r++ {
-				if !valid[r] {
-					continue
+		}
+		dense, masked := make([]bool, rows), make([]bool, rows)
+		for r := range dense {
+			dense[r], masked[r] = true, rng.Float64() > 0.3
+		}
+		for _, mt := range []MatrixType{Diagonal, Triangular, Full} {
+			for _, valid := range [][]bool{dense, masked} {
+				tiled, plain, blk := MustNLQ(d, mt), MustNLQ(d, mt), MustNLQ(d, mt)
+				x := make([]float64, d)
+				for r := 0; r < rows; r++ {
+					if !valid[r] {
+						continue
+					}
+					for a := range x {
+						x[a] = cols[a][r]
+					}
+					if err := tiled.Update(x); err != nil {
+						t.Fatal(err)
+					}
+					plainUpdate(plain, x)
 				}
-				for a := range x {
-					x[a] = cols[a][r]
-				}
-				if err := seq.Update(x); err != nil {
+				if err := blk.UpdateBlock(cols, valid); err != nil {
 					t.Fatal(err)
 				}
+				requireSameBits(t, tiled, plain)
+				requireSameBits(t, tiled, blk)
 			}
-			if math.Float64bits(blk.N) != math.Float64bits(seq.N) {
-				t.Fatalf("%v d=%d: N %v != %v", mt, d, blk.N, seq.N)
+		}
+	}
+}
+
+// TestAddOuterRectangular covers the blocked strategy's rw×cw update at
+// shapes where neither side is a multiple of the tile.
+func TestAddOuterRectangular(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, shape := range [][2]int{{1, 1}, {3, 9}, {4, 4}, {6, 5}, {9, 3}, {64, 37}} {
+		rw, cw := shape[0], shape[1]
+		got, want := make([]float64, rw*cw), make([]float64, rw*cw)
+		for range [50]struct{}{} {
+			xr, xc := randPoints(rng, 1, rw)[0], randPoints(rng, 1, cw)[0]
+			AddOuter(got, xr, xc)
+			for a, va := range xr {
+				for c, vc := range xc {
+					want[a*cw+c] += va * vc
+				}
 			}
-			for i := range blk.L {
-				if math.Float64bits(blk.L[i]) != math.Float64bits(seq.L[i]) {
-					t.Fatalf("%v d=%d: L[%d] %v != %v", mt, d, i, blk.L[i], seq.L[i])
-				}
-				if math.Float64bits(blk.Min[i]) != math.Float64bits(seq.Min[i]) ||
-					math.Float64bits(blk.Max[i]) != math.Float64bits(seq.Max[i]) {
-					t.Fatalf("%v d=%d: min/max dim %d diverge", mt, d, i)
-				}
-			}
-			for i := range blk.Q {
-				if math.Float64bits(blk.Q[i]) != math.Float64bits(seq.Q[i]) {
-					t.Fatalf("%v d=%d: Q[%d] %v != %v", mt, d, i, blk.Q[i], seq.Q[i])
-				}
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%dx%d: slot %d %v != %v", rw, cw, i, got[i], want[i])
 			}
 		}
 	}

@@ -132,6 +132,11 @@ func runAggregate(ctx context.Context, sel *sqlparser.Select, items []sqlparser.
 		var keyBuf strings.Builder
 		argBuf := make([]sqltypes.Value, 8)
 		var accCalls int64 // aggregate-protocol Accumulate calls, flushed once
+		// Without GROUP BY every row lands in groups[""]; once the first
+		// qualifying row has created it the key build and map lookup are
+		// skipped. (Created lazily, as before: a partition with no
+		// qualifying row contributes no group to the merge.)
+		var global *groupState
 
 		ps, serr := first.ScanPartitionStats(ctx, p, func(r sqltypes.Row) error {
 			for _, t := range tail {
@@ -146,28 +151,34 @@ func runAggregate(ctx context.Context, sel *sqlparser.Select, items []sqlparser.
 						continue
 					}
 				}
-				// Group key.
-				keyBuf.Reset()
-				for i, ev := range groupEvs {
-					v, err := ev.Eval(flat)
-					if err != nil {
-						return err
+				g := global
+				if g == nil {
+					// Group key.
+					keyBuf.Reset()
+					for i, ev := range groupEvs {
+						v, err := ev.Eval(flat)
+						if err != nil {
+							return err
+						}
+						keyVals[i] = v
+						s := v.String()
+						keyBuf.WriteString(strconv.Itoa(len(s)))
+						keyBuf.WriteByte(':')
+						keyBuf.WriteString(s)
 					}
-					keyVals[i] = v
-					s := v.String()
-					keyBuf.WriteString(strconv.Itoa(len(s)))
-					keyBuf.WriteByte(':')
-					keyBuf.WriteString(s)
-				}
-				key := keyBuf.String()
-				g, ok := groups[key]
-				if !ok {
-					ng, gerr := newGroupState(keyVals, specs)
-					if gerr != nil {
-						return gerr
+					key := keyBuf.String()
+					var ok bool
+					if g, ok = groups[key]; !ok {
+						ng, gerr := newGroupState(keyVals, specs)
+						if gerr != nil {
+							return gerr
+						}
+						g = ng
+						groups[key] = g
 					}
-					g = ng
-					groups[key] = g
+					if len(groupEvs) == 0 {
+						global = g
+					}
 				}
 				// Accumulate each aggregate.
 				for i, s := range specs {

@@ -187,8 +187,12 @@ func TestColumnarProjectionMatchesRow(t *testing.T) {
 			cat := memCatalog{}
 			cat["x"] = mixedTable(t, "x", dir, 3, 400)
 			queries := []string{
-				// ORDER BY pins a deterministic result order; a is unique.
-				"SELECT a, b, a * b + 1 FROM x ORDER BY 1",
+				// ORDER BY pins the result order, so it must be total over
+				// the output: a is unique except where it is NULL, and
+				// those rows differ in b — without the second key they
+				// tie and come out in partition-completion order, which
+				// differs between the two paths.
+				"SELECT a, b, a * b + 1 FROM x ORDER BY 1, 2",
 				"SELECT a + b FROM x ORDER BY 1",
 				"SELECT a FROM x WHERE b > 0 AND a < 300 ORDER BY 1",
 				"SELECT a, -b FROM x WHERE a IS NOT NULL ORDER BY 1",

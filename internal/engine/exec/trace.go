@@ -23,8 +23,8 @@ type Span struct {
 	// by the db layer when the finished tree is stamped with its
 	// statement's TraceID; empty until then. The executor itself knows
 	// nothing about trace propagation.
-	ID    string    `json:"span_id,omitempty"`
-	Start time.Time `json:"start"`
+	ID       string    `json:"span_id,omitempty"`
+	Start    time.Time `json:"start"`
 	End      time.Time `json:"end"`
 	Rows     int64     `json:"rows,omitempty"`
 	Bytes    int64     `json:"bytes,omitempty"`

@@ -9,12 +9,12 @@
 package storage
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"strings"
 
 	"repro/internal/engine/sqltypes"
 )
@@ -78,17 +78,79 @@ func encodeRow(buf []byte, row sqltypes.Row) ([]byte, error) {
 	return buf, nil
 }
 
-// rowReader decodes consecutive rows of fixed arity from a byte stream,
-// counting the encoded bytes it consumes (for scan statistics).
+// maxFixedLen is the longest encoding of a fixed-width value: the tag
+// byte plus an 8-byte payload.
+const maxFixedLen = 9
+
+// rowBufSize is the row reader's buffer: large enough that refills are
+// rare, small enough that a scan's footprint does not depend on the
+// partition's size.
+const rowBufSize = 1 << 16
+
+// rowReader decodes consecutive rows of fixed arity from a byte stream.
+// It reads the stream into one fixed-size buffer and decodes each value
+// by indexing that buffer in place; the buffer is topped up only when
+// it holds less than a whole row of fixed-width values, so the common
+// all-numeric row decodes without a call per value.
+//
+// Contracts: next returns a bare io.EOF only when the stream ends on a
+// row boundary; every other failure — a stream that ends (or a read
+// that fails) inside a row, an unknown tag, a VARCHAR length above
+// maxVarCharLen — wraps ErrCorrupt. bytes counts the encoded bytes of
+// the values decoded so far, never the read-ahead, so it is exact after
+// every row and tells a failed scan how far it got.
 type rowReader struct {
-	r     *bufio.Reader
+	r     io.Reader
 	arity int
-	bytes int64
-	buf   [8]byte
+	buf   []byte // buf[pos:end] is read but not yet decoded
+	pos   int
+	end   int
+	off   int64 // stream offset of buf[0]
+	err   error // first error r returned (io.EOF included); no reads follow it
 }
 
 func newRowReader(r io.Reader, arity int) *rowReader {
-	return &rowReader{r: bufio.NewReaderSize(r, 1<<16), arity: arity}
+	return &rowReader{r: r, arity: arity, buf: make([]byte, max(rowBufSize, arity*maxFixedLen))}
+}
+
+// bytes is the count of encoded bytes decoded so far.
+func (rr *rowReader) bytes() int64 { return rr.off + int64(rr.pos) }
+
+// fill tops the buffer up until it holds n undecoded bytes (n ≤
+// len(buf)) or the stream has ended, and reports whether it holds n.
+func (rr *rowReader) fill(n int) bool {
+	if rr.end-rr.pos >= n {
+		return true
+	}
+	if rr.err != nil {
+		return false
+	}
+	if rr.pos > 0 {
+		rr.off += int64(rr.pos)
+		rr.end = copy(rr.buf, rr.buf[rr.pos:rr.end])
+		rr.pos = 0
+	}
+	for empty := 0; rr.end < n && rr.err == nil; {
+		m, err := rr.r.Read(rr.buf[rr.end:])
+		rr.end += m
+		rr.err = err
+		if m > 0 || err != nil {
+			empty = 0
+		} else if empty++; empty == 100 {
+			rr.err = io.ErrNoProgress
+		}
+	}
+	return rr.end >= n
+}
+
+// truncated builds the error for a stream that ended (or failed)
+// inside a row; what names the piece that was cut short.
+func (rr *rowReader) truncated(what string) error {
+	cause := rr.err
+	if cause == io.EOF {
+		cause = io.ErrUnexpectedEOF
+	}
+	return corruptf("storage: %s: %w", what, cause)
 }
 
 // next decodes one row into dst (reused across calls when it has
@@ -98,47 +160,83 @@ func (rr *rowReader) next(dst sqltypes.Row) (sqltypes.Row, error) {
 		dst = make(sqltypes.Row, rr.arity)
 	}
 	dst = dst[:rr.arity]
-	for i := 0; i < rr.arity; i++ {
-		tag, err := rr.r.ReadByte()
-		if err != nil {
-			if err == io.EOF && i == 0 {
+	// With a whole row of fixed-width values buffered (or the stream
+	// ended), running out of bytes below can only mean truncation.
+	rr.fill(rr.arity * maxFixedLen)
+	b := rr.buf[rr.pos:rr.end]
+	for i := range dst {
+		if len(b) == 0 {
+			rr.pos = rr.end
+			if i == 0 && rr.err == io.EOF {
 				return nil, io.EOF
 			}
-			return nil, corruptf("storage: row truncated after %d of %d values: %w", i, rr.arity, err)
+			return nil, rr.truncated(fmt.Sprintf("row truncated after %d of %d values", i, rr.arity))
 		}
-		rr.bytes++
-		switch tag {
+		switch tag := b[0]; tag {
 		case tagNull:
 			dst[i] = sqltypes.Null
-		case tagDouble:
-			if _, err := io.ReadFull(rr.r, rr.buf[:8]); err != nil {
-				return nil, corruptf("storage: truncated double: %w", err)
+			b = b[1:]
+		case tagDouble, tagBigInt:
+			if len(b) < maxFixedLen {
+				rr.pos = rr.end - len(b)
+				return nil, rr.truncated("truncated 8-byte value")
 			}
-			rr.bytes += 8
-			dst[i] = sqltypes.NewDouble(math.Float64frombits(binary.LittleEndian.Uint64(rr.buf[:8])))
-		case tagBigInt:
-			if _, err := io.ReadFull(rr.r, rr.buf[:8]); err != nil {
-				return nil, corruptf("storage: truncated bigint: %w", err)
+			u := binary.LittleEndian.Uint64(b[1:maxFixedLen])
+			if tag == tagDouble {
+				dst[i] = sqltypes.NewDouble(math.Float64frombits(u))
+			} else {
+				dst[i] = sqltypes.NewBigInt(int64(u))
 			}
-			rr.bytes += 8
-			dst[i] = sqltypes.NewBigInt(int64(binary.LittleEndian.Uint64(rr.buf[:8])))
+			b = b[maxFixedLen:]
 		case tagVarChar:
-			if _, err := io.ReadFull(rr.r, rr.buf[:4]); err != nil {
-				return nil, corruptf("storage: truncated varchar length: %w", err)
+			rr.pos = rr.end - len(b)
+			if len(b) < 5 {
+				return nil, rr.truncated("truncated varchar length")
 			}
-			n := binary.LittleEndian.Uint32(rr.buf[:4])
+			n := binary.LittleEndian.Uint32(b[1:5])
 			if n > maxVarCharLen {
 				return nil, corruptf("storage: varchar length %d exceeds the %d-byte codec limit", n, maxVarCharLen)
 			}
-			s := make([]byte, n)
-			if _, err := io.ReadFull(rr.r, s); err != nil {
-				return nil, corruptf("storage: truncated varchar: %w", err)
+			s, err := rr.varchar(int(n))
+			if err != nil {
+				return nil, err
 			}
-			rr.bytes += 4 + int64(n)
-			dst[i] = sqltypes.NewVarChar(string(s))
+			dst[i] = sqltypes.NewVarChar(s)
+			// The string may have used up the bytes buffered for the
+			// rest of the row.
+			rr.fill((rr.arity - i - 1) * maxFixedLen)
+			b = rr.buf[rr.pos:rr.end]
 		default:
+			rr.pos = rr.end - len(b)
 			return nil, corruptf("storage: bad value tag %d", tag)
 		}
 	}
+	rr.pos = rr.end - len(b)
 	return dst, nil
+}
+
+// varchar decodes the n-byte VARCHAR whose tag is at buf[pos] and whose
+// length prefix is buffered, copying the payload exactly once: straight
+// out of the buffer when it is all there, otherwise through a builder
+// fed by successive refills (the buffer itself never grows).
+func (rr *rowReader) varchar(n int) (string, error) {
+	rr.pos += 5
+	if n <= len(rr.buf) && rr.fill(n) {
+		s := string(rr.buf[rr.pos : rr.pos+n])
+		rr.pos += n
+		return s, nil
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for {
+		m := min(n-sb.Len(), rr.end-rr.pos)
+		sb.Write(rr.buf[rr.pos : rr.pos+m])
+		rr.pos += m
+		if sb.Len() == n {
+			return sb.String(), nil
+		}
+		if !rr.fill(1) {
+			return "", rr.truncated("truncated varchar")
+		}
+	}
 }

@@ -675,7 +675,7 @@ func (t *Table) ScanPartitionStats(ctx context.Context, p int, fn func(sqltypes.
 	var decoded int64
 	for {
 		row, err = rr.next(row)
-		st.Bytes = rr.bytes
+		st.Bytes = rr.bytes()
 		if err == io.EOF {
 			// A file truncated exactly at a row boundary decodes cleanly
 			// but short — without this cross-check against the partition

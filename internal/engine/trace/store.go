@@ -77,7 +77,7 @@ type Store struct {
 	classCap int
 
 	mu    sync.Mutex
-	seen  uint64              // healthy traces observed, for 1-in-N
+	seen  uint64               // healthy traces observed, for 1-in-N
 	rings map[string][]*Record // per-class FIFO, oldest first
 	index map[string]*Record   // TraceID -> retained record
 }

@@ -51,6 +51,11 @@ func Register(d *db.DB) error {
 type nlqState struct {
 	nlq *core.NLQ // created lazily on the first row, d ≤ MaxD
 	buf []float64 // scratch for unpacking a row vector
+	// hdr is the (d, mtype) argument pair nlq was built from. The pair
+	// is a constant of the call, so a row whose header arguments
+	// compare equal (==: same type, same payload) to these skips
+	// re-parsing them; anything else goes through header() as before.
+	hdr [2]sqltypes.Value
 }
 
 type nlqAgg struct {
@@ -100,19 +105,23 @@ func header(args []sqltypes.Value) (int, core.MatrixType, error) {
 
 func (a *nlqAgg) Accumulate(s udf.State, args []sqltypes.Value) error {
 	st := s.(*nlqState)
-	d, mt, err := header(args)
-	if err != nil {
-		return err
-	}
-	if st.nlq == nil {
-		st.nlq, err = core.NewNLQ(d, mt)
+	if st.nlq == nil || args[0] != st.hdr[0] || args[1] != st.hdr[1] {
+		d, mt, err := header(args)
 		if err != nil {
 			return err
 		}
-	} else if st.nlq.D != d || st.nlq.Type != mt {
-		return fmt.Errorf("nlqudf: inconsistent (d, mtype) across rows: (%d,%v) vs (%d,%v)",
-			d, mt, st.nlq.D, st.nlq.Type)
+		if st.nlq == nil {
+			st.nlq, err = core.NewNLQ(d, mt)
+			if err != nil {
+				return err
+			}
+			st.hdr = [2]sqltypes.Value{args[0], args[1]}
+		} else if st.nlq.D != d || st.nlq.Type != mt {
+			return fmt.Errorf("nlqudf: inconsistent (d, mtype) across rows: (%d,%v) vs (%d,%v)",
+				d, mt, st.nlq.D, st.nlq.Type)
+		}
 	}
+	d := st.nlq.D
 
 	x := st.buf[:0]
 	if a.packed {
@@ -252,8 +261,7 @@ func (b *blockAgg) Accumulate(s udf.State, args []sqltypes.Value) error {
 		xc = x[rw:]
 	}
 	st.res.N++
-	for a := 0; a < rw; a++ {
-		v := xr[a]
+	for a, v := range xr {
 		st.res.L[a] += v
 		if v < st.res.Min[a] {
 			st.res.Min[a] = v
@@ -261,11 +269,8 @@ func (b *blockAgg) Accumulate(s udf.State, args []sqltypes.Value) error {
 		if v > st.res.Max[a] {
 			st.res.Max[a] = v
 		}
-		row := st.res.Q[a*cw:]
-		for c := 0; c < cw; c++ {
-			row[c] += v * xc[c]
-		}
 	}
+	core.AddOuter(st.res.Q, xr, xc)
 	return nil
 }
 

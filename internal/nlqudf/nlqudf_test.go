@@ -225,6 +225,49 @@ func TestUDFArgumentErrors(t *testing.T) {
 	}
 }
 
+// TestHeaderChecksSurviveCaching: (d, mtype) is parsed once and then
+// recognised by value, but a row whose header differs is still parsed
+// and still rejected — and an equivalent spelling is still accepted.
+func TestHeaderChecksSurviveCaching(t *testing.T) {
+	agg := &nlqAgg{name: "nlq_list"}
+	call := func(d sqltypes.Value, mt string, xs ...float64) []sqltypes.Value {
+		args := []sqltypes.Value{d, sqltypes.NewVarChar(mt)}
+		for _, x := range xs {
+			args = append(args, sqltypes.NewDouble(x))
+		}
+		return args
+	}
+	two := sqltypes.NewBigInt(2)
+	st, err := agg.Init(udf.NewHeap(udf.SegmentSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ok := range [][]sqltypes.Value{
+		call(two, "triang", 1, 2),
+		call(two, "triang", 3, 4),                   // the cached pair
+		call(two, "TRIANGULAR", 5, 6),               // same header, other spelling
+		call(sqltypes.NewDouble(2), "triang", 7, 8), // same d, other type
+		call(two, "triang", 9, 10),
+	} {
+		if err := agg.Accumulate(st, ok); err != nil {
+			t.Fatalf("%v: %v", ok, err)
+		}
+	}
+	if n := st.(*nlqState).nlq.N; n != 5 {
+		t.Fatalf("accumulated %v rows, want 5", n)
+	}
+	for _, bad := range [][]sqltypes.Value{
+		call(two, "full", 1, 2),
+		call(sqltypes.NewBigInt(3), "triang", 1, 2, 3),
+		call(sqltypes.Null, "triang", 1, 2),
+		call(two, "sparse", 1, 2),
+	} {
+		if err := agg.Accumulate(st, bad); err == nil {
+			t.Fatalf("%v must be rejected after a (2, triang) row", bad)
+		}
+	}
+}
+
 func TestUDFNullRowsSkipped(t *testing.T) {
 	d := db.Open(db.Options{Partitions: 2})
 	if err := Register(d); err != nil {

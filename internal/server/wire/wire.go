@@ -82,14 +82,14 @@ const (
 	MsgClosePrepared byte = 0x08 // release a prepared handle
 	MsgSummary       byte = 0x09 // n/L/Q summary request (protocol >= 3)
 
-	MsgWelcome  byte = 0x81 // session id, server version
-	MsgSchema   byte = 0x82 // result schema (precedes batches)
-	MsgBatch    byte = 0x83 // a run of result rows
-	MsgDone     byte = 0x84 // statement finished: affected count, stats JSON
-	MsgError    byte = 0x85 // typed error: code + message
-	MsgPong     byte = 0x86 // ping reply
-	MsgGoodbye  byte = 0x87 // close acknowledgement
-	MsgPrepared byte = 0x88 // prepare reply: handle + parameter count
+	MsgWelcome       byte = 0x81 // session id, server version
+	MsgSchema        byte = 0x82 // result schema (precedes batches)
+	MsgBatch         byte = 0x83 // a run of result rows
+	MsgDone          byte = 0x84 // statement finished: affected count, stats JSON
+	MsgError         byte = 0x85 // typed error: code + message
+	MsgPong          byte = 0x86 // ping reply
+	MsgGoodbye       byte = 0x87 // close acknowledgement
+	MsgPrepared      byte = 0x88 // prepare reply: handle + parameter count
 	MsgSummaryResult byte = 0x89 // summary reply: cache hit flag + packed NLQ (protocol >= 3)
 )
 

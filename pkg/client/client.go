@@ -369,24 +369,28 @@ func watchCtx(ctx context.Context, nc net.Conn) (stop func() bool) {
 		return func() bool { return false }
 	}
 	stopped := make(chan struct{})
-	fired := make(chan struct{})
+	exited := make(chan struct{})
+	fired := false // written by the watcher before it closes exited
 	go func() {
+		defer close(exited)
 		select {
 		case <-ctx.Done():
 			nc.SetDeadline(time.Now())
-			close(fired)
+			fired = true
 		case <-stopped:
 		}
 	}()
 	return func() bool {
 		close(stopped)
-		select {
-		case <-fired:
-			return true
-		default:
+		// Wait the watcher out: with both channels ready its select may
+		// still pick ctx.Done(), and a deadline it sets after this
+		// function cleared it would poison a connection that is by then
+		// back in the pool.
+		<-exited
+		if !fired {
 			nc.SetDeadline(time.Time{})
-			return false
 		}
+		return fired
 	}
 }
 

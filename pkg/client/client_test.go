@@ -199,6 +199,35 @@ func TestCancelledCallDoesNotPoisonPool(t *testing.T) {
 	}
 }
 
+// TestCancelAfterSuccessDoesNotPoisonPool is the regression for the
+// watcher's late-deadline race: a context cancelled right after its
+// call succeeded could still make the (already stopped) watcher move
+// the deadline of a connection that was back in the pool, so the next
+// statement on it failed with an instant i/o timeout. The follow-up
+// statement is an INSERT because writes are never retried.
+func TestCancelAfterSuccessDoesNotPoisonPool(t *testing.T) {
+	srv := startServerAt(t, "127.0.0.1:0")
+	p, err := Open(Config{Addr: srv.Addr(), User: "c", PoolSize: 1, HealthCheckAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if _, err := p.Exec(context.Background(), "CREATE TABLE W (i BIGINT)"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err := p.Query(ctx, "SELECT i FROM T")
+		cancel()
+		if err != nil {
+			t.Fatalf("iteration %d: query: %v", i, err)
+		}
+		if _, err := p.Exec(context.Background(), "INSERT INTO W VALUES (1)"); err != nil {
+			t.Fatalf("iteration %d: statement on the pooled connection: %v", i, err)
+		}
+	}
+}
+
 func TestQueryContextCancel(t *testing.T) {
 	srv := startServerAt(t, "127.0.0.1:0")
 	p, err := Open(Config{Addr: srv.Addr(), User: "c", PoolSize: 1})
