@@ -259,33 +259,106 @@ func (d *DB) Exec(sql string) (*exec.Result, error) {
 }
 
 // ExecContext parses and runs one SQL statement; cancelling ctx stops
-// in-flight partition scans between rows. Parameter-free SELECT text
-// reads through the LRU plan cache: a hit skips parse, sema, view
-// expansion and compilation entirely.
+// in-flight partition scans between rows.
 func (d *DB) ExecContext(ctx context.Context, sql string) (*exec.Result, error) {
-	if p := d.plans.lookup(sql, d.epoch.Load()); p != nil {
-		res, err := p.ExecuteContext(ctx)
+	return d.query(ctx, sql, nil)
+}
+
+// query is the one dispatch for statement text, behind Exec and
+// QueryStream alike (a nil sink materializes). SELECT text reads
+// through the LRU plan cache: a hit skips parse, sema, view expansion
+// and compilation entirely. A miss — or a hit that lost a race with DDL
+// between lookup and execute — is parsed and planned by runSelect;
+// every other statement kind goes to run.
+func (d *DB) query(ctx context.Context, sql string, sink exec.RowSink) (*exec.Result, error) {
+	if p := d.plans.lookup(sql, d.epoch.Load()); p != nil && (sink == nil || p.Streamable()) {
+		res, err := p.execute(ctx, sink, nil)
 		if !errors.Is(err, ErrPlanStale) {
 			return res, err
 		}
-		// Lost a race with DDL between lookup and execute: re-plan below.
 	}
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	if sel, ok := stmt.(*sqlparser.Select); ok && sqlparser.CountParams(sel) == 0 {
-		if p, perr := d.prepareParsed(sql, sel, true); perr == nil {
-			d.plans.add(p)
-			res, err := p.ExecuteContext(ctx)
-			if !errors.Is(err, ErrPlanStale) {
-				return res, err
-			}
-		}
-		// Prepare errors fall through to the ad-hoc path so the failure
-		// surfaces with the same message and is query-ring-logged.
+	if sel, ok := stmt.(*sqlparser.Select); ok {
+		return d.runSelect(ctx, sql, sel, sink, true)
+	}
+	if sink != nil {
+		return nil, fmt.Errorf("db: QueryStream requires a SELECT")
 	}
 	return d.run(ctx, sql, stmt)
+}
+
+// runSelect plans sel, executes it once and records it in the query
+// ring: the path of every SELECT no existing plan serves. A statement
+// that arrived as parameter-free text over user tables leaves its plan
+// in the cache for the next sighting; sys.* reads, parameterized text
+// and pre-parsed statements (Run, ExecScript) are planned, run and
+// dropped. The plan runs without a staleness check — it was bound to
+// the catalog a moment ago, which is all an unprepared statement ever
+// promised.
+func (d *DB) runSelect(ctx context.Context, sql string, sel *sqlparser.Select, sink exec.RowSink, text bool) (*exec.Result, error) {
+	start := time.Now()
+	epoch := d.epoch.Load()
+	ps, sysRef, err := d.planSelect(sel)
+	if err != nil {
+		return d.finish(ctx, sql, start, nil, err)
+	}
+	var p *Prepared
+	if text && sysRef == "" && ps.NumParams() == 0 {
+		p = d.register(&Prepared{sql: sql, epoch: epoch, sel: ps, cached: true})
+		d.plans.add(p)
+	}
+	res, err := executeSelect(ctx, ps, nil, sink)
+	if err == nil && p != nil {
+		p.execs.Add(1)
+	}
+	return d.finish(ctx, sql, start, res, err)
+}
+
+// planSelect view-expands sel and plans it. sysRef names a FROM entry
+// under the reserved sys. prefix, if any: system tables are
+// materialized fresh for every statement, so such a plan holds one
+// snapshot — good for one execution, never for reuse.
+func (d *DB) planSelect(sel *sqlparser.Select) (ps *exec.PreparedSelect, sysRef string, err error) {
+	expanded, err := d.expandViews(sel, 0)
+	if err != nil {
+		return nil, "", err
+	}
+	for _, ref := range expanded.From {
+		if strings.HasPrefix(strings.ToLower(ref.Name), sysPrefix) {
+			sysRef = ref.Name
+		}
+	}
+	ps, err = exec.PrepareSelect(expanded, d.env())
+	return ps, sysRef, err
+}
+
+// executeSelect runs a planned SELECT, materializing when sink is nil;
+// a streamed Result carries the schema and stats but no rows.
+func executeSelect(ctx context.Context, ps *exec.PreparedSelect, args []sqltypes.Value, sink exec.RowSink) (*exec.Result, error) {
+	if sink == nil {
+		return ps.ExecuteContext(ctx, args)
+	}
+	schema, st, err := ps.ExecuteStreamContext(ctx, args, sink)
+	return &exec.Result{Schema: schema, Stats: st}, err
+}
+
+// finish records a completed statement in the recent-query ring — with
+// the partial stats of one that failed mid-scan, which the executor
+// hands back in an otherwise empty Result — and keeps that Result from
+// the caller. Every dispatch path ends here, once per statement.
+func (d *DB) finish(ctx context.Context, sql string, start time.Time, res *exec.Result, err error) (*exec.Result, error) {
+	var st *exec.Stats
+	if res != nil {
+		st = res.Stats
+	}
+	d.noteQuery(ctx, sql, start, st, err)
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // ExecScript runs a semicolon-separated statement sequence, returning
@@ -324,16 +397,15 @@ func (d *DB) RunContext(ctx context.Context, stmt sqlparser.Statement) (*exec.Re
 	return d.run(ctx, stmtText(stmt), stmt)
 }
 
-// run dispatches a statement and records it in the recent-query ring.
+// run dispatches a parsed statement and records it in the recent-query
+// ring.
 func (d *DB) run(ctx context.Context, sql string, stmt sqlparser.Statement) (*exec.Result, error) {
+	if sel, ok := stmt.(*sqlparser.Select); ok {
+		return d.runSelect(ctx, sql, sel, nil, false)
+	}
 	start := time.Now()
 	res, err := d.runContext(ctx, stmt)
-	var st *exec.Stats
-	if res != nil {
-		st = res.Stats
-	}
-	d.noteQuery(ctx, sql, start, st, err)
-	return res, err
+	return d.finish(ctx, sql, start, res, err)
 }
 
 // stmtText renders a pre-parsed statement for the query log: the
@@ -352,8 +424,6 @@ func stmtText(stmt sqlparser.Statement) string {
 
 func (d *DB) runContext(ctx context.Context, stmt sqlparser.Statement) (*exec.Result, error) {
 	switch st := stmt.(type) {
-	case *sqlparser.Select:
-		return d.runSelectWithViews(ctx, st)
 	case *sqlparser.Insert:
 		if st.Query != nil {
 			expanded, err := d.expandViews(st.Query, 0)
@@ -399,39 +469,11 @@ func (d *DB) QueryStream(sql string, sink exec.RowSink) (*sqltypes.Schema, error
 // execution statistics so callers streaming to a remote client can
 // report them without racing on LastStats.
 func (d *DB) QueryStreamContext(ctx context.Context, sql string, sink exec.RowSink) (*sqltypes.Schema, *exec.Stats, error) {
-	if p := d.plans.lookup(sql, d.epoch.Load()); p != nil && p.Streamable() {
-		schema, stats, err := p.ExecuteStreamContext(ctx, sink)
-		if !errors.Is(err, ErrPlanStale) {
-			return schema, stats, err
-		}
-	}
-	stmt, err := sqlparser.Parse(sql)
+	res, err := d.query(ctx, sql, sink)
 	if err != nil {
 		return nil, nil, err
 	}
-	sel, ok := stmt.(*sqlparser.Select)
-	if !ok {
-		return nil, nil, fmt.Errorf("db: QueryStream requires a SELECT")
-	}
-	if sqlparser.CountParams(sel) == 0 {
-		if p, perr := d.prepareParsed(sql, sel, true); perr == nil {
-			d.plans.add(p)
-			if p.Streamable() {
-				schema, stats, err := p.ExecuteStreamContext(ctx, sink)
-				if !errors.Is(err, ErrPlanStale) {
-					return schema, stats, err
-				}
-			}
-		}
-	}
-	expanded, err := d.expandViews(sel, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	start := time.Now()
-	schema, stats, err := exec.SelectStream(ctx, expanded, d.env(), sink)
-	d.noteQuery(ctx, sql, start, stats, err)
-	return schema, stats, err
+	return res.Schema, res.Stats, nil
 }
 
 func (d *DB) runCreate(st *sqlparser.CreateTable) (*exec.Result, error) {

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine/sqlparser"
 	"repro/internal/engine/sqltypes"
+	"repro/internal/engine/storage"
 )
 
 func newTestDB(t *testing.T, opts Options) *DB {
@@ -268,4 +271,108 @@ func httpGet(t *testing.T, url string) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// TestFailedScanKeepsPartialStats: a statement that fails mid-scan
+// records how far it got — rows scanned, per-partition rows, the scan
+// span — in the query ring on every dispatch path and from both scan
+// sources, not only on the streamed row path. One worker scans the
+// partitions in order, so the counts are exact: z's only zero sits at
+// local row 5 of partition 0, where the row source stops after
+// delivering 6 rows and the block source after the partition's one
+// 20-row block; partitions 1 and 2 are never opened.
+func TestFailedScanKeepsPartialStats(t *testing.T) {
+	const divide = "SELECT 1.0 / a FROM z"
+	for _, columnar := range []bool{false, true} {
+		d := Open(Options{Partitions: 3, Workers: 1, Columnar: columnar})
+		mustExec(t, d, "CREATE TABLE z (a DOUBLE)")
+		mustExec(t, d, "CREATE TABLE sink (v DOUBLE)")
+		vals := make([]string, 60)
+		for i := range vals {
+			vals[i] = fmt.Sprintf("(%d.0)", i+1)
+		}
+		vals[15] = "(0.0)"
+		mustExec(t, d, "INSERT INTO z VALUES "+strings.Join(vals, ", "))
+		prep, err := d.Prepare(divide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		discard := func(sqltypes.Row) error { return nil }
+		projected := int64(6)
+		if columnar {
+			projected = 20
+		}
+		cases := []struct {
+			name  string
+			sql   string
+			fault *storage.Fault
+			want  int64
+			run   func() error
+		}{
+			{"Exec", divide, nil, projected, func() error { _, err := d.Exec(divide + " /* text */"); return err }},
+			{"QueryStream", divide, nil, projected, func() error { _, err := d.QueryStream(divide+" /* stream */", discard); return err }},
+			{"Run", divide, nil, projected, func() error {
+				stmt, err := sqlparser.Parse(divide)
+				if err != nil {
+					return err
+				}
+				_, err = d.Run(stmt)
+				return err
+			}},
+			{"Prepared.Execute", divide, nil, projected, func() error { _, err := prep.Execute(); return err }},
+			{"Prepared.ExecuteStream", divide, nil, projected, func() error {
+				_, _, err := prep.ExecuteStreamContext(context.Background(), discard)
+				return err
+			}},
+			{"plan cache hit", divide, nil, projected, func() error { _, err := d.Exec(divide + " /* text */"); return err }},
+			{"INSERT SELECT", "INSERT", nil, projected, func() error { _, err := d.Exec("INSERT INTO sink " + divide); return err }},
+			{"aggregate", "SELECT sum(a)", &storage.Fault{Partition: 0, ScanAfterRows: 4}, 4, func() error {
+				_, err := d.Exec("SELECT sum(a) FROM z WHERE a > 0")
+				return err
+			}},
+		}
+		for _, tc := range cases {
+			name := fmt.Sprintf("columnar=%v %s", columnar, tc.name)
+			tab, err := d.Table("z")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab.SetFault(tc.fault)
+			err = tc.run()
+			tab.SetFault(nil)
+			if err == nil {
+				t.Fatalf("%s: statement succeeded", name)
+			}
+			rec := d.RecentQueries()[0]
+			if rec.Err == "" || !strings.HasPrefix(rec.SQL, tc.sql) {
+				t.Fatalf("%s: newest record is %q (error %q)", name, rec.SQL, rec.Err)
+			}
+			st := rec.Stats
+			if st == nil {
+				t.Fatalf("%s: failed statement recorded no stats", name)
+			}
+			if st.RowsScanned != tc.want || len(st.PartitionRows) != 3 || st.PartitionRows[0] != tc.want || st.PartitionRows[1]+st.PartitionRows[2] != 0 {
+				t.Errorf("%s: scanned %d %v, want %d in partition 0 only", name, st.RowsScanned, st.PartitionRows, tc.want)
+			}
+			if st.Scan <= 0 || st.Total < st.Scan || st.Root == nil || st.Root.SpanByName("scan") == nil {
+				t.Errorf("%s: phase times missing: scan %v total %v", name, st.Scan, st.Total)
+			}
+			if tid := rec.TraceID; tid == "" || st.TraceID != tid {
+				t.Errorf("%s: stats trace id %q, record %q", name, st.TraceID, tid)
+			}
+		}
+		// sys.queries serves the same records.
+		res, err := d.Exec("SELECT rows_scanned FROM sys.queries WHERE sql_text = '" + divide + "' AND error <> ''")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) == 0 {
+			t.Fatalf("columnar=%v: sys.queries lists no failed %q", columnar, divide)
+		}
+		for _, r := range res.Rows {
+			if r[0].Int() != projected {
+				t.Errorf("columnar=%v: sys.queries rows_scanned = %d, want %d", columnar, r[0].Int(), projected)
+			}
+		}
+	}
 }

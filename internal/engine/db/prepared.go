@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,9 +29,9 @@ var ErrPlanStale = errors.New("db: prepared plan is stale (catalog changed since
 const defaultPlanCacheSize = 256
 
 // Prepared is a statement planned once for repeated execution: parsed,
-// sema-checked, view-expanded and (for the point-scoring SELECT shape)
-// compiled to closures at prepare time. Execute binds `?` parameter
-// values and runs. A Prepared is safe for concurrent use; executions
+// sema-checked, view-expanded and (SELECTs of every shape) compiled to
+// closures at prepare time. Execute binds `?` parameter values and
+// runs. A Prepared is safe for concurrent use; executions
 // that race a CREATE/DROP either use the pre-DDL plan consistently or
 // fail with ErrPlanStale.
 type Prepared struct {
@@ -67,7 +66,7 @@ func (d *DB) PrepareContext(ctx context.Context, sql string) (*Prepared, error) 
 	if err != nil {
 		return nil, err
 	}
-	p, err := d.prepareParsed(sql, stmt, false)
+	p, err := d.prepareParsed(sql, stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -79,33 +78,18 @@ func (d *DB) PrepareContext(ctx context.Context, sql string) (*Prepared, error) 
 // epoch is loaded before planning: if a DDL lands while we plan, the
 // recorded epoch is already behind and the first Execute fails stale
 // instead of running a half-old plan.
-func (d *DB) prepareParsed(sql string, stmt sqlparser.Statement, cached bool) (*Prepared, error) {
-	p := &Prepared{
-		db:      d,
-		sql:     sql,
-		epoch:   d.epoch.Load(),
-		created: time.Now(),
-		cached:  cached,
-	}
+func (d *DB) prepareParsed(sql string, stmt sqlparser.Statement) (*Prepared, error) {
+	p := &Prepared{sql: sql, epoch: d.epoch.Load()}
 	switch st := stmt.(type) {
 	case *sqlparser.Select:
-		expanded, err := d.expandViews(st, 0)
+		ps, sysRef, err := d.planSelect(st)
 		if err != nil {
 			return nil, err
 		}
-		// System tables are materialized fresh for every statement; a
-		// plan would capture one snapshot and replay it forever (a
-		// cached "SELECT * FROM sys.metrics" that never moves). Refuse,
-		// so dispatch falls back to the ad-hoc path and clients learn
-		// the statement is not preparable.
-		for _, ref := range expanded.From {
-			if strings.HasPrefix(strings.ToLower(ref.Name), sysPrefix) {
-				return nil, fmt.Errorf("db: cannot prepare %q: system tables are materialized per statement", ref.Name)
-			}
-		}
-		ps, err := exec.PrepareSelect(expanded, d.env())
-		if err != nil {
-			return nil, err
+		// A plan over a system table would replay one snapshot forever (a
+		// prepared "SELECT * FROM sys.metrics" that never moves).
+		if sysRef != "" {
+			return nil, fmt.Errorf("db: cannot prepare %q: system tables are materialized per statement", sysRef)
 		}
 		p.sel = ps
 		p.numParams = ps.NumParams()
@@ -128,12 +112,19 @@ func (d *DB) prepareParsed(sql string, stmt sqlparser.Statement, cached bool) (*
 	default:
 		return nil, fmt.Errorf("db: cannot prepare %s; only SELECT and INSERT are preparable", stmtText(stmt))
 	}
+	return d.register(p), nil
+}
+
+// register gives a planned statement its identity and lists it in
+// sys.prepared until it is closed.
+func (d *DB) register(p *Prepared) *Prepared {
+	p.db, p.created = d, time.Now()
 	d.prepMu.Lock()
 	d.prepID++
 	p.id = d.prepID
 	d.preps[p.id] = p
 	d.prepMu.Unlock()
-	return p, nil
+	return p
 }
 
 // SQL returns the statement text the plan was prepared from.
@@ -167,6 +158,25 @@ func (p *Prepared) Execute(args ...sqltypes.Value) (*exec.Result, error) {
 // ExecuteContext binds args and runs the prepared statement; like
 // every other dispatch path it is recorded in the recent-query ring.
 func (p *Prepared) ExecuteContext(ctx context.Context, args ...sqltypes.Value) (*exec.Result, error) {
+	return p.execute(ctx, nil, args)
+}
+
+// ExecuteStreamContext binds args and streams result rows to sink;
+// only prepared SELECTs without ORDER BY/LIMIT can stream.
+func (p *Prepared) ExecuteStreamContext(ctx context.Context, sink exec.RowSink, args ...sqltypes.Value) (*sqltypes.Schema, *exec.Stats, error) {
+	if p.sel == nil {
+		return nil, nil, fmt.Errorf("db: ExecuteStream requires a prepared SELECT")
+	}
+	res, err := p.execute(ctx, sink, args)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res.Schema, res.Stats, nil
+}
+
+// execute gates on ready, runs the plan (a nil sink materializes) and
+// records the statement.
+func (p *Prepared) execute(ctx context.Context, sink exec.RowSink, args []sqltypes.Value) (*exec.Result, error) {
 	if err := p.ready(); err != nil {
 		return nil, err
 	}
@@ -174,37 +184,14 @@ func (p *Prepared) ExecuteContext(ctx context.Context, args ...sqltypes.Value) (
 	var res *exec.Result
 	var err error
 	if p.sel != nil {
-		res, err = p.sel.ExecuteContext(ctx, args)
+		res, err = executeSelect(ctx, p.sel, args, sink)
 	} else {
 		res, err = p.executeInsert(ctx, args)
 	}
-	var st *exec.Stats
-	if res != nil {
-		st = res.Stats
-	}
-	p.db.noteQuery(ctx, p.sql, start, st, err)
 	if err == nil {
 		p.execs.Add(1)
 	}
-	return res, err
-}
-
-// ExecuteStreamContext binds args and streams result rows to sink;
-// only prepared SELECTs without ORDER BY/LIMIT can stream.
-func (p *Prepared) ExecuteStreamContext(ctx context.Context, sink exec.RowSink, args ...sqltypes.Value) (*sqltypes.Schema, *exec.Stats, error) {
-	if err := p.ready(); err != nil {
-		return nil, nil, err
-	}
-	if p.sel == nil {
-		return nil, nil, fmt.Errorf("db: ExecuteStream requires a prepared SELECT")
-	}
-	start := time.Now()
-	schema, stats, err := p.sel.ExecuteStreamContext(ctx, args, sink)
-	p.db.noteQuery(ctx, p.sql, start, stats, err)
-	if err == nil {
-		p.execs.Add(1)
-	}
-	return schema, stats, err
+	return p.db.finish(ctx, p.sql, start, res, err)
 }
 
 // Streamable reports whether ExecuteStreamContext can run this plan.

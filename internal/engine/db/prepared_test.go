@@ -379,3 +379,87 @@ func TestPreparedDDLRace(t *testing.T) {
 	close(stop)
 	churn.Wait()
 }
+
+// TestPreparedAggregateConcurrentArgs: a prepared aggregate compiles
+// its worker and finalize evaluator sets once and pools them, so
+// concurrent executions with different arguments must never read each
+// other's `?` values (run under -race). The oracle is the same
+// statement with literals, executed serially.
+func TestPreparedAggregateConcurrentArgs(t *testing.T) {
+	d := preparedFixture(t)
+	p, err := d.Prepare("SELECT i % 3, sum(x * ?) FROM pts GROUP BY i % 3 HAVING count(*) > ? ORDER BY 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	const goroutines = 8
+	want := make([][][]string, goroutines)
+	for g := range want {
+		want[g] = query(t, d, fmt.Sprintf("SELECT i %% 3, sum(x * %d) FROM pts GROUP BY i %% 3 HAVING count(*) > %d ORDER BY 1", g+1, g%4))
+	}
+	if len(want[0]) != 3 || len(want[3]) != 1 || len(want[7]) != 1 {
+		t.Fatalf("fixture: HAVING thresholds select %d/%d/%d groups, want 3/1/1", len(want[0]), len(want[3]), len(want[7]))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				res, err := p.Execute(sqltypes.NewBigInt(int64(g+1)), sqltypes.NewBigInt(int64(g%4)))
+				if err != nil {
+					t.Errorf("goroutine %d: %v", g, err)
+					return
+				}
+				got := make([][]string, len(res.Rows))
+				for r, row := range res.Rows {
+					for _, v := range row {
+						got[r] = append(got[r], v.String())
+					}
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want[g]) {
+					t.Errorf("goroutine %d: got %v, want %v", g, got, want[g])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestPreparedAggregateStaleAfterRecreate: prepared aggregates capture
+// their table handles at prepare (they used to re-resolve by name on
+// every EXECUTE), so a DROP/CREATE between executions must surface
+// ErrPlanStale on the handle and a transparent re-plan on cached text —
+// never a sum over the dropped table.
+func TestPreparedAggregateStaleAfterRecreate(t *testing.T) {
+	d := preparedFixture(t)
+	const q = "SELECT sum(x), count(*) FROM pts"
+	p, err := d.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	before := query(t, d, q) // plans and caches the text
+	if res, err := p.Execute(); err != nil || res.Rows[0][1].Int() != 10 {
+		t.Fatalf("before DDL: %v %v", res, err)
+	}
+	mustExec(t, d, "DROP TABLE pts")
+	mustExec(t, d, "CREATE TABLE pts (i BIGINT, x DOUBLE, s VARCHAR)")
+	mustExec(t, d, "INSERT INTO pts VALUES (1, 100.0, 'new')")
+	if _, err := p.Execute(); !errors.Is(err, ErrPlanStale) {
+		t.Fatalf("after DROP/CREATE: err = %v, want ErrPlanStale", err)
+	}
+	after := query(t, d, q)
+	if fmt.Sprint(after) != "[[100 1]]" || fmt.Sprint(after) == fmt.Sprint(before) {
+		t.Fatalf("cached text after DROP/CREATE = %v (before %v), want the new table's [[100 1]]", after, before)
+	}
+	p2, err := d.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	if res, err := p2.Execute(); err != nil || res.Rows[0][1].Int() != 1 {
+		t.Fatalf("re-prepared: %v %v", res, err)
+	}
+}

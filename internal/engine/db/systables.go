@@ -252,6 +252,7 @@ func (d *DB) sysSpans() (*storage.Table, error) {
 		{Name: "duration_ms", Type: sqltypes.TypeDouble},
 		{Name: "rows_processed", Type: sqltypes.TypeBigInt},
 		{Name: "bytes", Type: sqltypes.TypeBigInt},
+		{Name: "source", Type: sqltypes.TypeVarChar},
 	}
 	var rows []sqltypes.Row
 	for _, r := range d.traces.Snapshot() {
@@ -265,6 +266,7 @@ func (d *DB) sysSpans() (*storage.Table, error) {
 				sqltypes.NewDouble(float64(sp.Duration) / float64(time.Millisecond)),
 				sqltypes.NewBigInt(sp.Rows),
 				sqltypes.NewBigInt(sp.Bytes),
+				sqltypes.NewVarChar(sp.Source),
 			})
 		}
 	}

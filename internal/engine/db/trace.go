@@ -71,6 +71,7 @@ func flattenSpans(sp *exec.Span, parent string, out []trace.SpanRecord) []trace.
 		Duration: sp.Duration(),
 		Rows:     sp.Rows,
 		Bytes:    sp.Bytes,
+		Source:   sp.Source,
 	})
 	for _, c := range sp.Children {
 		out = flattenSpans(c, sp.ID, out)

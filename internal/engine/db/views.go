@@ -1,11 +1,9 @@
 package db
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
-	"repro/internal/engine/exec"
 	"repro/internal/engine/sqlparser"
 )
 
@@ -366,13 +364,4 @@ func outerItemName(item sqlparser.SelectItem) string {
 		return cr.Name
 	}
 	return ""
-}
-
-// runSelectWithViews expands views then executes.
-func (d *DB) runSelectWithViews(ctx context.Context, sel *sqlparser.Select) (*exec.Result, error) {
-	expanded, err := d.expandViews(sel, 0)
-	if err != nil {
-		return nil, err
-	}
-	return exec.Select(ctx, expanded, d.env())
 }

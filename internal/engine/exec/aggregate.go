@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"fmt"
 	"runtime/debug"
 	"strconv"
@@ -25,207 +24,176 @@ type groupState struct {
 	seen    []map[string]sqltypes.Row // per-spec DISTINCT sets, nil when not distinct
 }
 
-// runAggregate executes an aggregate SELECT: per-partition hash
-// aggregation (phases 1-2 of the UDF protocol), a master merge
-// (phase 3), then finalization and post-aggregation expression
-// evaluation (phase 4). Each phase's wall time and the per-partition
-// scan volumes are recorded in st; every per-partition state is local
-// to its worker goroutine until the single-threaded merge.
-func runAggregate(ctx context.Context, sel *sqlparser.Select, items []sqlparser.SelectItem, b *binding, env *Env, sink RowSink, st *Stats) (_ *sqltypes.Schema, err error) {
-	// Scan-phase panics are contained per partition by RunParallel; this
-	// guard covers the merge and finalize phases, which run UDF code
-	// (Merge, Finalize) on the coordinating goroutine.
+// aggPlan is the prepare-time half of an aggregate SELECT: the
+// aggregate calls collected into specs, and the select items and HAVING
+// rewritten over the post-aggregation row [group keys..., aggregate
+// results...].
+type aggPlan struct {
+	specs   []aggSpec
+	groupBy []sqlparser.Expr
+	items   []sqlparser.Expr
+	having  sqlparser.Expr // nil when absent
+}
+
+// planAggregate rewrites the select list (and HAVING) of an aggregate
+// statement, collecting its aggregate specs.
+func planAggregate(sel *sqlparser.Select, exprs []sqlparser.Expr, aggs *udf.Registry) (*aggPlan, error) {
+	a := &aggPlan{groupBy: sel.GroupBy, items: make([]sqlparser.Expr, len(exprs))}
+	var err error
+	for i, e := range exprs {
+		if a.items[i], a.specs, err = rewriteAggregates(e, sel.GroupBy, a.specs, aggs); err != nil {
+			return nil, err
+		}
+		// Rewritten items may only reference $grp/$agg columns.
+		if err := onlyGroupRefs(a.items[i], "column"); err != nil {
+			return nil, fmt.Errorf("%w (select item %d)", err, i+1)
+		}
+	}
+	if sel.Having != nil {
+		if a.having, a.specs, err = rewriteAggregates(sel.Having, sel.GroupBy, a.specs, aggs); err != nil {
+			return nil, err
+		}
+		if err := onlyGroupRefs(a.having, "HAVING column"); err != nil {
+			return nil, err
+		}
+	}
+	return a, nil
+}
+
+func onlyGroupRefs(e sqlparser.Expr, what string) error {
+	var bad error
+	walkRefs(e, func(cr *sqlparser.ColumnRef) {
+		if cr.Table != grpQualifier && cr.Table != aggQualifier && bad == nil {
+			bad = fmt.Errorf("exec: %s %s must appear in GROUP BY or inside an aggregate", what, cr)
+		}
+	})
+	return bad
+}
+
+// resolve maps the synthetic $grp.k / $agg.k references of rewritten
+// expressions to ordinals of the post-aggregation row.
+func (a *aggPlan) resolve(table, col string) (int, error) {
+	k, err := strconv.Atoi(col)
+	if err != nil {
+		return 0, fmt.Errorf("exec: internal: bad synthetic column %s.%s", table, col)
+	}
+	switch table {
+	case grpQualifier:
+		return k, nil
+	case aggQualifier:
+		return len(a.groupBy) + k, nil
+	}
+	return 0, fmt.Errorf("exec: internal: unexpected qualifier %q", table)
+}
+
+// aggWorker is the aggregate half of a selectWorker: per-partition hash
+// aggregation, phases 1-2 of the UDF protocol. The evaluators and
+// buffers are pooled with the worker; groups is the partition's output
+// and belongs to this worker alone until the single-threaded merge.
+type aggWorker struct {
+	groupEvs []expr.Evaluator
+	argEvs   [][]expr.Evaluator
+	keyVals  sqltypes.Row
+	keyBuf   strings.Builder
+	argBuf   []sqltypes.Value
+
+	groups map[string]*groupState
+	// Without GROUP BY every row lands in groups[""]; once the first
+	// qualifying row has created it the key build and map lookup are
+	// skipped. (Created lazily: a partition with no qualifying row
+	// contributes no group to the merge.)
+	global   *groupState
+	accCalls int64 // aggregate-protocol Accumulate calls, flushed at release
+}
+
+func (a *aggPlan) newWorker(resolve expr.Resolver, compile compileFn) (*aggWorker, error) {
+	w := &aggWorker{keyVals: make(sqltypes.Row, len(a.groupBy)), argEvs: make([][]expr.Evaluator, len(a.specs))}
+	var err error
+	if w.groupEvs, err = compileAll(a.groupBy, resolve, compile); err != nil {
+		return nil, err
+	}
+	for i, s := range a.specs {
+		if w.argEvs[i], err = compileAll(s.args, resolve, compile); err != nil {
+			return nil, err
+		}
+		if len(s.args) > len(w.argBuf) {
+			w.argBuf = make([]sqltypes.Value, len(s.args))
+		}
+	}
+	return w, nil
+}
+
+// accumulate folds one qualifying flat row into its group's states.
+func (w *aggWorker) accumulate(specs []aggSpec, flat sqltypes.Row) error {
+	g := w.global
+	if g == nil {
+		w.keyBuf.Reset()
+		for i, ev := range w.groupEvs {
+			v, err := ev.Eval(flat)
+			if err != nil {
+				return err
+			}
+			w.keyVals[i] = v
+			s := v.String()
+			w.keyBuf.WriteString(strconv.Itoa(len(s)))
+			w.keyBuf.WriteByte(':')
+			w.keyBuf.WriteString(s)
+		}
+		key := w.keyBuf.String()
+		var ok bool
+		if g, ok = w.groups[key]; !ok {
+			ng, err := newGroupState(w.keyVals, specs)
+			if err != nil {
+				return err
+			}
+			g = ng
+			w.groups[key] = g
+		}
+		if len(w.groupEvs) == 0 {
+			w.global = g
+		}
+	}
+	for i, s := range specs {
+		var args []sqltypes.Value
+		if !s.star {
+			args = w.argBuf[:len(w.argEvs[i])]
+			for j, ev := range w.argEvs[i] {
+				v, err := ev.Eval(flat)
+				if err != nil {
+					return err
+				}
+				args[j] = v
+			}
+		}
+		if g.seen[i] != nil {
+			k := distinctKey(args)
+			if _, dup := g.seen[i][k]; !dup {
+				saved := make(sqltypes.Row, len(args))
+				copy(saved, args)
+				g.seen[i][k] = saved
+			}
+			continue // accumulated after the global set union
+		}
+		if err := s.agg.Accumulate(g.states[i], args); err != nil {
+			return err
+		}
+		w.accCalls++
+	}
+	return nil
+}
+
+// mergeFinalize is phases 3-4 of the UDF protocol: the master merge of
+// the per-partition partials, then finalization, HAVING and the
+// post-aggregation select items, one output row per group. Scan-phase
+// panics are contained per partition by RunParallel; the guard here
+// covers Merge and Finalize, which run UDF code on the coordinating
+// goroutine.
+func (a *aggPlan) mergeFinalize(partGroups []map[string]*groupState, ss *stmtSet, sink RowSink, st *Stats) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("exec: panic during aggregation: %v\n%s", r, debug.Stack())
 		}
 	}()
-	st.hasMerge = true
-	plan := st.ensureRoot().child("plan")
-	// Rewrite the select list, collecting aggregate specs.
-	rewritten := make([]sqlparser.Expr, len(items))
-	var specs []aggSpec
-	for i, item := range items {
-		rewritten[i], specs, err = rewriteAggregates(item.Expr, sel.GroupBy, specs, env.Aggs)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// HAVING is evaluated over the same post-aggregation row.
-	var having sqlparser.Expr
-	if sel.Having != nil {
-		having, specs, err = rewriteAggregates(sel.Having, sel.GroupBy, specs, env.Aggs)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Validate: rewritten items may only reference $grp/$agg columns.
-	for i, re := range rewritten {
-		var bad error
-		walkRefs(re, func(cr *sqlparser.ColumnRef) {
-			if cr.Table != grpQualifier && cr.Table != aggQualifier && bad == nil {
-				bad = fmt.Errorf("exec: column %s must appear in GROUP BY or inside an aggregate", cr)
-			}
-		})
-		if bad != nil {
-			return nil, fmt.Errorf("%w (select item %d)", bad, i+1)
-		}
-	}
-
-	tail, residual, err := joinTail(ctx, b, sel.Where, env.Funcs)
-	if err != nil {
-		return nil, err
-	}
-
-	first := b.tables[0].table
-	nparts := first.Partitions()
-	partGroups := make([]map[string]*groupState, nparts)
-	st.Partitions = nparts
-	st.Workers = scanWorkers(env, nparts)
-	st.PartitionRows = make([]int64, nparts)
-	st.Plan = plan.finish()
-
-	scanSpan := st.Root.child("scan")
-	partSpans := make([]*Span, nparts)
-	err = RunParallel(ctx, st.Workers, nparts, func(ctx context.Context, p int) error {
-		span := newSpan(fmt.Sprintf("scan[p%d]", p))
-		partSpans[p] = span
-		// Everything below — evaluators, group states, errors — is
-		// local to this partition's worker; partGroups[p] is this
-		// worker's own slot. Nothing here may write enclosing-scope
-		// variables (the old code shared `err` across workers, the
-		// data race this layer exists to prevent).
-		groups := make(map[string]*groupState)
-		partGroups[p] = groups
-
-		var where expr.Evaluator
-		if residual != nil {
-			w, cerr := expr.Compile(residual, b.resolve, env.Funcs)
-			if cerr != nil {
-				return cerr
-			}
-			where = w
-		}
-		groupEvs := make([]expr.Evaluator, len(sel.GroupBy))
-		for i, g := range sel.GroupBy {
-			ev, cerr := expr.Compile(g, b.resolve, env.Funcs)
-			if cerr != nil {
-				return cerr
-			}
-			groupEvs[i] = ev
-		}
-		argEvs := make([][]expr.Evaluator, len(specs))
-		for i, s := range specs {
-			argEvs[i] = make([]expr.Evaluator, len(s.args))
-			for j, a := range s.args {
-				ev, cerr := expr.Compile(a, b.resolve, env.Funcs)
-				if cerr != nil {
-					return cerr
-				}
-				argEvs[i][j] = ev
-			}
-		}
-
-		flat := make(sqltypes.Row, b.width)
-		keyVals := make(sqltypes.Row, len(groupEvs))
-		var keyBuf strings.Builder
-		argBuf := make([]sqltypes.Value, 8)
-		var accCalls int64 // aggregate-protocol Accumulate calls, flushed once
-		// Without GROUP BY every row lands in groups[""]; once the first
-		// qualifying row has created it the key build and map lookup are
-		// skipped. (Created lazily, as before: a partition with no
-		// qualifying row contributes no group to the merge.)
-		var global *groupState
-
-		ps, serr := first.ScanPartitionStats(ctx, p, func(r sqltypes.Row) error {
-			for _, t := range tail {
-				copy(flat, r)
-				copy(flat[len(r):], t)
-				if where != nil {
-					keep, err := where.Eval(flat)
-					if err != nil {
-						return err
-					}
-					if keep.IsNull() || !keep.Bool() {
-						continue
-					}
-				}
-				g := global
-				if g == nil {
-					// Group key.
-					keyBuf.Reset()
-					for i, ev := range groupEvs {
-						v, err := ev.Eval(flat)
-						if err != nil {
-							return err
-						}
-						keyVals[i] = v
-						s := v.String()
-						keyBuf.WriteString(strconv.Itoa(len(s)))
-						keyBuf.WriteByte(':')
-						keyBuf.WriteString(s)
-					}
-					key := keyBuf.String()
-					var ok bool
-					if g, ok = groups[key]; !ok {
-						ng, gerr := newGroupState(keyVals, specs)
-						if gerr != nil {
-							return gerr
-						}
-						g = ng
-						groups[key] = g
-					}
-					if len(groupEvs) == 0 {
-						global = g
-					}
-				}
-				// Accumulate each aggregate.
-				for i, s := range specs {
-					var args []sqltypes.Value
-					if !s.star {
-						if cap(argBuf) < len(argEvs[i]) {
-							argBuf = make([]sqltypes.Value, len(argEvs[i]))
-						}
-						args = argBuf[:len(argEvs[i])]
-						for j, ev := range argEvs[i] {
-							v, err := ev.Eval(flat)
-							if err != nil {
-								return err
-							}
-							args[j] = v
-						}
-					}
-					if g.seen[i] != nil {
-						k := distinctKey(args)
-						if _, dup := g.seen[i][k]; !dup {
-							saved := make(sqltypes.Row, len(args))
-							copy(saved, args)
-							g.seen[i][k] = saved
-						}
-						continue // accumulated after the global set union
-					}
-					if err := s.agg.Accumulate(g.states[i], args); err != nil {
-						return err
-					}
-					accCalls++
-				}
-			}
-			return nil
-		})
-		st.PartitionRows[p] = ps.Rows
-		span.Rows, span.Bytes = ps.Rows, ps.Bytes
-		span.finish()
-		obs.UDFCalls.Add(accCalls)
-		return serr
-	})
-	st.Scan = scanSpan.finish()
-	finishScanSpan(scanSpan, partSpans, st)
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 3: master merge of per-partition partials.
 	mergeSpan := st.Root.child("merge")
 	merged := partGroups[0]
 	for _, pg := range partGroups[1:] {
@@ -235,7 +203,7 @@ func runAggregate(ctx context.Context, sel *sqlparser.Select, items []sqlparser.
 				merged[key] = src
 				continue
 			}
-			for i, s := range specs {
+			for i, s := range a.specs {
 				if dst.seen[i] != nil {
 					for k, v := range src.seen[i] {
 						dst.seen[i][k] = v
@@ -243,108 +211,65 @@ func runAggregate(ctx context.Context, sel *sqlparser.Select, items []sqlparser.
 					continue
 				}
 				if err := s.agg.Merge(dst.states[i], src.states[i]); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
 	}
-
 	st.Merge = mergeSpan.finish()
 
 	// Global aggregate over an empty input still yields one row.
-	if len(sel.GroupBy) == 0 && len(merged) == 0 {
-		g, err := newGroupState(nil, specs)
+	if len(a.groupBy) == 0 && len(merged) == 0 {
+		g, err := newGroupState(nil, a.specs)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		merged[""] = g
 	}
 
-	// Phase 4: finalize and evaluate post-aggregation expressions.
 	finalizeSpan := st.Root.child("finalize")
 	defer func() { st.Finalize = finalizeSpan.finish() }()
-	outSchema := &sqltypes.Schema{Columns: make([]sqltypes.Column, len(items))}
-	for i, item := range items {
-		outSchema.Columns[i] = sqltypes.Column{Name: itemName(item, i), Type: sqltypes.TypeDouble}
-	}
-	resolve := func(table, col string) (int, error) {
-		k, err := strconv.Atoi(col)
-		if err != nil {
-			return 0, fmt.Errorf("exec: internal: bad synthetic column %s.%s", table, col)
-		}
-		switch table {
-		case grpQualifier:
-			return k, nil
-		case aggQualifier:
-			return len(sel.GroupBy) + k, nil
-		}
-		return 0, fmt.Errorf("exec: internal: unexpected qualifier %q", table)
-	}
-	itemEvs := make([]expr.Evaluator, len(rewritten))
-	for i, re := range rewritten {
-		ev, err := expr.Compile(re, resolve, env.Funcs)
-		if err != nil {
-			return nil, err
-		}
-		itemEvs[i] = ev
-	}
-	var havingEv expr.Evaluator
-	if having != nil {
-		var bad error
-		walkRefs(having, func(cr *sqlparser.ColumnRef) {
-			if cr.Table != grpQualifier && cr.Table != aggQualifier && bad == nil {
-				bad = fmt.Errorf("exec: HAVING column %s must appear in GROUP BY or inside an aggregate", cr)
-			}
-		})
-		if bad != nil {
-			return nil, bad
-		}
-		if havingEv, err = expr.Compile(having, resolve, env.Funcs); err != nil {
-			return nil, err
-		}
-	}
-
-	groupRow := make(sqltypes.Row, len(sel.GroupBy)+len(specs))
-	outRow := make(sqltypes.Row, len(items))
+	groupRow := make(sqltypes.Row, len(a.groupBy)+len(a.specs))
+	outRow := make(sqltypes.Row, len(ss.items))
 	for _, g := range merged {
 		copy(groupRow, g.keyVals)
-		for i, s := range specs {
+		for i, s := range a.specs {
 			if g.seen[i] != nil {
 				// Fold the (now global) distinct set into the state.
 				for _, args := range g.seen[i] {
 					if err := s.agg.Accumulate(g.states[i], args); err != nil {
-						return nil, err
+						return err
 					}
 				}
 				obs.UDFCalls.Add(int64(len(g.seen[i])))
 			}
 			v, err := s.agg.Finalize(g.states[i])
 			if err != nil {
-				return nil, err
+				return err
 			}
-			groupRow[len(sel.GroupBy)+i] = v
+			groupRow[len(a.groupBy)+i] = v
 		}
-		if havingEv != nil {
-			keep, err := havingEv.Eval(groupRow)
+		if ss.having != nil {
+			keep, err := ss.having.Eval(groupRow)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if keep.IsNull() || !keep.Bool() {
 				continue
 			}
 		}
-		for i, ev := range itemEvs {
+		for i, ev := range ss.items {
 			v, err := ev.Eval(groupRow)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			outRow[i] = v
 		}
 		if err := sink(outRow); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return outSchema, nil
+	return nil
 }
 
 func newGroupState(keyVals sqltypes.Row, specs []aggSpec) (*groupState, error) {

@@ -1,13 +1,9 @@
 package exec
 
 import (
-	"context"
 	"errors"
-	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/engine/expr"
-	"repro/internal/engine/obs"
 	"repro/internal/engine/sqlparser"
 	"repro/internal/engine/sqltypes"
 	"repro/internal/engine/storage"
@@ -21,87 +17,45 @@ import (
 // back to the row path, counted by engine_columnar_fallbacks_total, so
 // turning the flag on can change performance but never results.
 
-// nlqBlocksEligible reports whether the summary scan over cols can use
-// block kernels: every selected column must be numeric *by schema
-// type*. The row path's Value.Float() succeeds on numeric-looking
-// VARCHAR values, so a VARCHAR column would contribute operands on the
-// row path that segment blocks don't carry — such scans stay row-wise.
-func nlqBlocksEligible(t *storage.Table, cols []int) bool {
-	schema := t.Schema()
-	for _, c := range cols {
-		if c < 0 || c >= schema.Len() || !storage.NumericColumn(schema.Columns[c]) {
-			return false
-		}
-	}
-	return true
-}
-
-// computeNLQBlocks accumulates partition p of t into s block-wise.
-// seen counts every delivered row — including rows masked out for NULL
-// values — exactly like the row path's pre-skip counts[p]++, so the
-// summary cache's validity stamps are identical in both modes. The
-// bool result reports whether the block path ran: a stale segment
-// returns (false, nil) before any row is accumulated and the caller
-// reruns the partition row-wise.
-func computeNLQBlocks(ctx context.Context, t *storage.Table, p int, cols []int, s *core.NLQ, seen *int64) (bool, error) {
-	rowValid := make([]bool, 0, 4096)
-	_, err := t.ScanPartitionBlocks(ctx, p, cols, func(b *storage.Block) error {
-		*seen += int64(b.Rows)
-		// AND the per-column validity lanes column-major: each pass is a
-		// sequential sweep instead of a strided gather per row.
-		rowValid = rowValid[:0]
-		if len(b.Valid) == 0 {
-			for r := 0; r < b.Rows; r++ {
-				rowValid = append(rowValid, true)
-			}
-		} else {
-			rowValid = append(rowValid, b.Valid[0][:b.Rows]...)
-			for _, v := range b.Valid[1:] {
-				for r, ok := range v[:b.Rows] {
-					if !ok {
-						rowValid[r] = false
-					}
-				}
-			}
-		}
-		return s.UpdateBlock(b.Cols, rowValid)
-	})
-	if errors.Is(err, storage.ErrSegmentStale) {
-		return false, nil
-	}
-	return err == nil, err
-}
-
 // errNotVectorizable marks projections the vector path declines (shape
 // restrictions beyond CompileVector's, e.g. constant-only items).
 var errNotVectorizable = errors.New("exec: projection not vectorizable")
 
-// vecProjection is the plan for a vectorized single-table projection:
-// the expressions to recompile per worker plus the union of referenced
-// column ordinals, with each program's columns mapped to union slots.
-type vecProjection struct {
-	items    []sqlparser.SelectItem
+// vecPlan is the block form of a single-table projection: the
+// expressions every worker compiles to vector programs, plus the union
+// of referenced column ordinals — the scan's block columns — with each
+// ordinal's slot in the delivered block.
+type vecPlan struct {
+	exprs    []sqlparser.Expr
 	residual sqlparser.Expr
-	b        *binding
-	vec      func(int) bool
-	cols     []int // union of referenced schema ordinals
+	resolve  expr.Resolver
+	numeric  func(int) bool
+	cols     []int
 	slot     map[int]int
 }
 
-// planVecProjection validates that a single-table projection can run
-// on the vector path: every select item compiles to a numeric vector
-// program referencing at least one column (constant-only items keep
-// their scalar typing — SELECT 1+1 must stay a BIGINT), and the WHERE
+// planVec validates that a single-table projection can run on the
+// vector path: every select item compiles to a numeric vector program
+// referencing at least one column (constant-only items keep their
+// scalar typing — SELECT 1+1 must stay a BIGINT), and the WHERE
 // residual, if any, compiles to a predicate program. Only DOUBLE
 // columns are vectorizable here: projecting a BIGINT column through
 // float64 blocks would retype the output.
-func planVecProjection(items []sqlparser.SelectItem, residual sqlparser.Expr, b *binding) (*vecProjection, error) {
+func planVec(exprs []sqlparser.Expr, residual sqlparser.Expr, b *binding) (*vecPlan, error) {
 	schema := b.tables[0].table.Schema()
-	vec := func(ord int) bool {
+	vp := &vecPlan{exprs: exprs, residual: residual, resolve: b.resolve, slot: map[int]int{}}
+	vp.numeric = func(ord int) bool {
 		return ord >= 0 && ord < schema.Len() && schema.Columns[ord].Type == sqltypes.TypeDouble
 	}
-	vp := &vecProjection{items: items, residual: residual, b: b, vec: vec, slot: map[int]int{}}
-	add := func(p *expr.VectorProgram) {
+	v, err := vp.compile()
+	if err != nil {
+		return nil, err
+	}
+	progs := v.items
+	if v.where != nil {
+		progs = append([]*expr.VectorProgram{v.where}, progs...)
+	}
+	for _, p := range progs {
 		for _, c := range p.Cols() {
 			if _, ok := vp.slot[c]; !ok {
 				vp.slot[c] = len(vp.cols)
@@ -109,200 +63,121 @@ func planVecProjection(items []sqlparser.SelectItem, residual sqlparser.Expr, b 
 			}
 		}
 	}
-	if residual != nil {
-		p, err := expr.CompileVector(residual, b.resolve, vec)
+	return vp, nil
+}
+
+// vecPrograms is one worker's compiled block form. Programs carry
+// evaluation buffers, like the row source's evaluators, so every worker
+// compiles its own.
+type vecPrograms struct {
+	plan  *vecPlan
+	where *expr.VectorProgram // nil when no residual predicate
+	items []*expr.VectorProgram
+	// Per-program views of the union block, in the program's column order.
+	whereView vecView
+	itemViews []vecView
+	mask      []bool
+	vals      [][]float64
+	valid     [][]bool
+	out       sqltypes.Row
+	ops       int64 // vector ops since the last release
+}
+
+type vecView struct {
+	cols  [][]float64
+	valid [][]bool
+}
+
+func newVecView(p *expr.VectorProgram) vecView {
+	n := len(p.Cols())
+	return vecView{cols: make([][]float64, n), valid: make([][]bool, n)}
+}
+
+func (vp *vecPlan) compile() (*vecPrograms, error) {
+	v := &vecPrograms{plan: vp}
+	if vp.residual != nil {
+		w, err := expr.CompileVector(vp.residual, vp.resolve, vp.numeric)
 		if err != nil {
 			return nil, err
 		}
-		if !p.IsBool() {
+		if !w.IsBool() {
 			return nil, errNotVectorizable
 		}
-		add(p)
+		v.where, v.whereView = w, newVecView(w)
 	}
-	for _, item := range items {
-		p, err := expr.CompileVector(item.Expr, b.resolve, vec)
+	for _, e := range vp.exprs {
+		p, err := expr.CompileVector(e, vp.resolve, vp.numeric)
 		if err != nil {
 			return nil, err
 		}
 		if p.IsBool() || len(p.Cols()) == 0 {
 			return nil, errNotVectorizable
 		}
-		add(p)
+		v.items = append(v.items, p)
+		v.itemViews = append(v.itemViews, newVecView(p))
 	}
-	return vp, nil
+	n := len(v.items)
+	v.vals, v.valid, v.out = make([][]float64, n), make([][]bool, n), make(sqltypes.Row, n)
+	return v, nil
 }
 
-// run executes the vectorized projection scan with the same worker
-// discipline, spans and stats as the row path. Partitions whose
-// segments are stale rerun row-wise (counted as fallbacks); results
-// are identical either way.
-func (vp *vecProjection) run(ctx context.Context, env *Env, sink RowSink, st *Stats) error {
-	first := vp.b.tables[0].table
-	// Best-effort: rebuild stale segments up front so the cold path
-	// pays one rebuild instead of per-query row fallbacks. Failures are
-	// not fatal — stale partitions fall back below, and genuine row-log
-	// corruption resurfaces loudly from the row scan.
-	_ = first.EnsureSegments()
-	nparts := first.Partitions()
-	scan := st.Root.child("scan")
-	partSpans := make([]*Span, nparts)
-	err := RunParallel(ctx, st.Workers, nparts, func(ctx context.Context, p int) error {
-		span := newSpan(fmt.Sprintf("scan[p%d]", p))
-		partSpans[p] = span
-		ps, serr := vp.scanPartition(ctx, p, env, sink)
-		if errors.Is(serr, storage.ErrSegmentStale) {
-			obs.ColumnarFallbacks.Inc()
-			ps, serr = vp.rowScanPartition(ctx, p, env, sink)
-		}
-		st.PartitionRows[p] = ps.Rows
-		span.Rows, span.Bytes = ps.Rows, ps.Bytes
-		span.finish()
-		return serr
-	})
-	st.Scan = scan.finish()
-	finishScanSpan(scan, partSpans, st)
-	return err
+// fill points a program's view at its columns of blk.
+func (v *vecPrograms) fill(p *expr.VectorProgram, blk *storage.Block, view vecView) {
+	for i, ord := range p.Cols() {
+		s := v.plan.slot[ord]
+		view.cols[i] = blk.Cols[s][:blk.Rows]
+		view.valid[i] = blk.Valid[s][:blk.Rows]
+	}
 }
 
-// scanPartition runs the block path over one partition. Programs are
-// compiled per call: they carry evaluation buffers, like the row
-// path's per-worker evaluators.
-func (vp *vecProjection) scanPartition(ctx context.Context, p int, env *Env, sink RowSink) (storage.ScanStats, error) {
-	var whereProg *expr.VectorProgram
-	if vp.residual != nil {
-		w, err := expr.CompileVector(vp.residual, vp.b.resolve, vp.vec)
+// block is the projection consumer over the block source: filter the
+// block with the predicate program, evaluate every item program over
+// the surviving lanes, emit row by row.
+func (w *selectWorker) block(blk *storage.Block) error {
+	v := w.vec
+	if v.where != nil {
+		v.fill(v.where, blk, v.whereView)
+		truth, err := v.where.EvalBool(v.whereView.cols, v.whereView.valid, blk.Rows, nil)
 		if err != nil {
-			return storage.ScanStats{}, err
+			return err
 		}
-		whereProg = w
+		v.ops += v.where.Ops()
+		if cap(v.mask) < blk.Rows {
+			v.mask = make([]bool, blk.Rows)
+		}
+		v.mask = v.mask[:blk.Rows]
+		any := false
+		for r := range v.mask {
+			v.mask[r] = truth[r] == expr.TruthTrue
+			any = any || v.mask[r]
+		}
+		if !any {
+			return nil
+		}
 	}
-	progs := make([]*expr.VectorProgram, len(vp.items))
-	for i, item := range vp.items {
-		prog, err := expr.CompileVector(item.Expr, vp.b.resolve, vp.vec)
+	for i, p := range v.items {
+		v.fill(p, blk, v.itemViews[i])
+		vals, ok, err := p.EvalNum(v.itemViews[i].cols, v.itemViews[i].valid, blk.Rows, v.mask)
 		if err != nil {
-			return storage.ScanStats{}, err
+			return err
 		}
-		progs[i] = prog
+		v.ops += p.Ops()
+		v.vals[i], v.valid[i] = vals, ok
 	}
-	// Per-program views of the union block, in the program's slot order.
-	view := func(prog *expr.VectorProgram) ([][]float64, [][]bool) {
-		refs := prog.Cols()
-		return make([][]float64, len(refs)), make([][]bool, len(refs))
-	}
-	fill := func(prog *expr.VectorProgram, blk *storage.Block, cols [][]float64, valid [][]bool) {
-		for i, ord := range prog.Cols() {
-			s := vp.slot[ord]
-			cols[i] = blk.Cols[s][:blk.Rows]
-			valid[i] = blk.Valid[s][:blk.Rows]
+	for r := 0; r < blk.Rows; r++ {
+		if v.mask != nil && !v.mask[r] {
+			continue
+		}
+		for i := range v.items {
+			if v.valid[i][r] {
+				v.out[i] = sqltypes.NewDouble(v.vals[i][r])
+			} else {
+				v.out[i] = sqltypes.Null
+			}
+		}
+		if err := w.sink(v.out); err != nil {
+			return err
 		}
 	}
-	var whereCols [][]float64
-	var whereValid [][]bool
-	if whereProg != nil {
-		whereCols, whereValid = view(whereProg)
-	}
-	itemCols := make([][][]float64, len(progs))
-	itemValid := make([][][]bool, len(progs))
-	for i, prog := range progs {
-		itemCols[i], itemValid[i] = view(prog)
-	}
-	var (
-		mask  []bool
-		ops   int64
-		out   = make(sqltypes.Row, len(progs))
-		vals  = make([][]float64, len(progs))
-		valid = make([][]bool, len(progs))
-	)
-	defer func() { obs.ColumnarVectorOps.Add(ops) }()
-	return vp.b.tables[0].table.ScanPartitionBlocks(ctx, p, vp.cols, func(blk *storage.Block) error {
-		if whereProg != nil {
-			fill(whereProg, blk, whereCols, whereValid)
-			truth, err := whereProg.EvalBool(whereCols, whereValid, blk.Rows, nil)
-			if err != nil {
-				return err
-			}
-			ops += whereProg.Ops()
-			if cap(mask) < blk.Rows {
-				mask = make([]bool, blk.Rows)
-			}
-			mask = mask[:blk.Rows]
-			any := false
-			for r := range mask {
-				mask[r] = truth[r] == expr.TruthTrue
-				any = any || mask[r]
-			}
-			if !any {
-				return nil
-			}
-		} else {
-			mask = nil
-		}
-		for i, prog := range progs {
-			fill(prog, blk, itemCols[i], itemValid[i])
-			v, ok, err := prog.EvalNum(itemCols[i], itemValid[i], blk.Rows, mask)
-			if err != nil {
-				return err
-			}
-			ops += prog.Ops()
-			vals[i], valid[i] = v, ok
-		}
-		for r := 0; r < blk.Rows; r++ {
-			if mask != nil && !mask[r] {
-				continue
-			}
-			for i := range progs {
-				if valid[i][r] {
-					out[i] = sqltypes.NewDouble(vals[i][r])
-				} else {
-					out[i] = sqltypes.Null
-				}
-			}
-			if err := sink(out); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// rowScanPartition is the per-partition row fallback: the scalar
-// equivalent of scanPartition for a single-table projection (the flat
-// row is the table row itself).
-func (vp *vecProjection) rowScanPartition(ctx context.Context, p int, env *Env, sink RowSink) (storage.ScanStats, error) {
-	evals := make([]expr.Evaluator, len(vp.items))
-	for i, item := range vp.items {
-		ev, err := expr.Compile(item.Expr, vp.b.resolve, env.Funcs)
-		if err != nil {
-			return storage.ScanStats{}, err
-		}
-		evals[i] = ev
-	}
-	var where expr.Evaluator
-	if vp.residual != nil {
-		w, err := expr.Compile(vp.residual, vp.b.resolve, env.Funcs)
-		if err != nil {
-			return storage.ScanStats{}, err
-		}
-		where = w
-	}
-	out := make(sqltypes.Row, len(evals))
-	return vp.b.tables[0].table.ScanPartitionStats(ctx, p, func(r sqltypes.Row) error {
-		if where != nil {
-			keep, err := where.Eval(r)
-			if err != nil {
-				return err
-			}
-			if keep.IsNull() || !keep.Bool() {
-				return nil
-			}
-		}
-		for i, ev := range evals {
-			v, err := ev.Eval(r)
-			if err != nil {
-				return err
-			}
-			out[i] = v
-		}
-		return sink(out)
-	})
+	return nil
 }

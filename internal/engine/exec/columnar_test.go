@@ -3,8 +3,14 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -136,22 +142,272 @@ func TestComputeTableNLQVarcharFallsBack(t *testing.T) {
 	}
 }
 
-// selectBoth runs sql in both modes and returns the materialized rows.
+// selectBoth runs sql through the Select wrapper in both modes and
+// returns the materialized rows: two cells of the path matrix below.
 func selectBoth(t *testing.T, cat memCatalog, sql string) (rowRes, colRes *Result) {
 	t.Helper()
 	rowEnv := &Env{Catalog: cat, Funcs: expr.NewRegistry(), Aggs: udf.NewRegistry()}
 	colEnv := *rowEnv
 	colEnv.Columnar = true
+	q := pathQuery{sql: sql}
 	var err error
-	rowRes, err = Select(context.Background(), sel(t, sql), rowEnv)
-	if err != nil {
+	if rowRes, err = pathSelect(t, rowEnv, q); err != nil {
 		t.Fatalf("row mode %q: %v", sql, err)
 	}
-	colRes, err = Select(context.Background(), sel(t, sql), &colEnv)
-	if err != nil {
+	if colRes, err = pathSelect(t, &colEnv, q); err != nil {
 		t.Fatalf("columnar mode %q: %v", sql, err)
 	}
 	return rowRes, colRes
+}
+
+// pathQuery is one statement of the path matrix: sql with literals,
+// and optionally the same statement with some literals as `?` slots.
+type pathQuery struct {
+	sql   string
+	param string
+	args  []sqltypes.Value
+}
+
+// The four ways a SELECT reaches the scan operator. Each returns the
+// materialized result, or (nil, nil) when the path does not apply to q.
+var selectPaths = []struct {
+	name string
+	run  func(t *testing.T, env *Env, q pathQuery) (*Result, error)
+}{
+	{"select", pathSelect},
+	{"prepared-literals", func(t *testing.T, env *Env, q pathQuery) (*Result, error) {
+		p, err := PrepareSelect(sel(t, q.sql), env)
+		if err != nil {
+			return nil, err
+		}
+		// Twice: the second execution runs on pooled worker sets.
+		if _, err := p.ExecuteContext(context.Background(), nil); err != nil {
+			return nil, err
+		}
+		return p.ExecuteContext(context.Background(), nil)
+	}},
+	{"prepared-params", func(t *testing.T, env *Env, q pathQuery) (*Result, error) {
+		if q.param == "" {
+			return nil, nil
+		}
+		p, err := PrepareSelect(sel(t, q.param), env)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := p.ExecuteContext(context.Background(), q.args); err != nil {
+			return nil, err
+		}
+		return p.ExecuteContext(context.Background(), q.args)
+	}},
+	{"stream", func(t *testing.T, env *Env, q pathQuery) (*Result, error) {
+		// Streaming rejects ORDER BY/LIMIT: an ordered statement streams
+		// without its ORDER BY, a limited one not at all.
+		sql := q.sql
+		if strings.Contains(sql, "LIMIT") {
+			return nil, nil
+		}
+		if i := strings.Index(sql, " ORDER BY"); i >= 0 {
+			sql = sql[:i]
+		}
+		col := &collector{}
+		schema, st, err := SelectStream(context.Background(), sel(t, sql), env, col.sink)
+		return &Result{Schema: schema, Rows: col.rows, Stats: st}, err
+	}},
+}
+
+func pathSelect(t *testing.T, env *Env, q pathQuery) (*Result, error) {
+	return Select(context.Background(), sel(t, q.sql), env)
+}
+
+// canonRows renders every value with its type and exact bits, so equal
+// strings mean bit-identical rows; sorted unless the order is part of
+// the result.
+func canonRows(rows []sqltypes.Row, ordered bool) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		var b strings.Builder
+		for _, v := range r {
+			if f, ok := v.Float(); ok && v.Type() == sqltypes.TypeDouble {
+				fmt.Fprintf(&b, "D%016x|", math.Float64bits(f))
+			} else {
+				fmt.Fprintf(&b, "%v:%s|", v.Type(), v)
+			}
+		}
+		out[i] = b.String()
+	}
+	if !ordered {
+		sort.Strings(out)
+	}
+	return out
+}
+
+// staleSegmentDir returns a table directory in which partition 1 of a
+// table called name can neither mirror its segment nor rebuild it:
+// non-empty directories (NewTable removes what it can) squat on the
+// segment's path and on the rebuild's temporary path, so the partition
+// stays stale however often a scan calls EnsureSegments.
+func staleSegmentDir(t *testing.T, name string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, suffix := range []string{".seg", ".seg.tmp"} {
+		if err := os.MkdirAll(filepath.Join(dir, name+".p001"+suffix, "squat"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+var projectionQueries = []string{
+	// ORDER BY pins the result order, so it must be total over
+	// the output: a is unique except where it is NULL, and
+	// those rows differ in b — without the second key they
+	// tie and come out in partition-completion order, which
+	// differs between the two paths.
+	"SELECT a, b, a * b + 1 FROM x ORDER BY 1, 2",
+	"SELECT a + b FROM x ORDER BY 1",
+	"SELECT a FROM x WHERE b > 0 AND a < 300 ORDER BY 1",
+	"SELECT a, -b FROM x WHERE a IS NOT NULL ORDER BY 1",
+	"SELECT a FROM x WHERE b IS NULL ORDER BY 1",
+	"SELECT a / 2.5, a % 7.5 FROM x ORDER BY 1",
+	// Guarded division: zero-lanes are masked off by the WHERE.
+	"SELECT 10.0 / b FROM x WHERE b <> 0 ORDER BY 1",
+	// Fallback shapes must stay correct under the flag.
+	"SELECT power(a, 2) FROM x ORDER BY 1",
+	"SELECT a, s FROM x ORDER BY 1",
+	"SELECT j + 1 FROM x ORDER BY 1, a",
+}
+
+// TestSelectPathMatrix runs every statement through every way of
+// reaching the scan operator, over the row source, the block source and
+// the block source with one partition falling back, and demands
+// bit-identical rows and identical scan accounting from all of them.
+func TestSelectPathMatrix(t *testing.T) {
+	big := func(n int64) sqltypes.Value { return sqltypes.NewBigInt(n) }
+	queries := []pathQuery{
+		{sql: "SELECT a, b, a * b + 1 FROM x ORDER BY 1, 2", param: "SELECT a, b, a * b + ? FROM x ORDER BY 1, 2", args: []sqltypes.Value{big(1)}},
+		{sql: "SELECT a FROM x WHERE b > 0 AND a < 300 ORDER BY 1", param: "SELECT a FROM x WHERE b > ? AND a < ? ORDER BY 1", args: []sqltypes.Value{big(0), big(300)}},
+		{sql: "SELECT a / 2.5, a % 7.5 FROM x ORDER BY 1", param: "SELECT a / ?, a % ? FROM x ORDER BY 1", args: []sqltypes.Value{sqltypes.NewDouble(2.5), sqltypes.NewDouble(7.5)}},
+		// Join-tail scoring: the model table is filtered down to one row
+		// per alias before the product is formed.
+		{sql: "SELECT a * m1.v + b * m2.v FROM x CROSS JOIN m m1 CROSS JOIN m m2 WHERE m1.j = 1 AND m2.j = 2",
+			param: "SELECT a * m1.v + b * m2.v FROM x CROSS JOIN m m1 CROSS JOIN m m2 WHERE m1.j = ? AND m2.j = ?", args: []sqltypes.Value{big(1), big(2)}},
+		{sql: "SELECT x.j, a * m.v FROM x CROSS JOIN m WHERE m.j = 3 AND x.j = 5",
+			param: "SELECT x.j, a * m.v FROM x CROSS JOIN m WHERE m.j = ? AND x.j = ?", args: []sqltypes.Value{big(3), big(5)}},
+		// Aggregates.
+		{sql: "SELECT sum(a), min(b), max(b), count(*) FROM x WHERE b > 0", param: "SELECT sum(a), min(b), max(b), count(*) FROM x WHERE b > ?", args: []sqltypes.Value{big(0)}},
+		{sql: "SELECT j, count(*), sum(a), avg(b) FROM x GROUP BY j"},
+		{sql: "SELECT j, sum(a * 2) FROM x GROUP BY j HAVING count(*) > 30", param: "SELECT j, sum(a * ?) FROM x GROUP BY j HAVING count(*) > ?", args: []sqltypes.Value{big(2), big(30)}},
+		{sql: "SELECT sum(a * 2), sum(a * 3) FROM x", param: "SELECT sum(a * ?), sum(a * ?) FROM x", args: []sqltypes.Value{big(2), big(3)}},
+		{sql: "SELECT count(DISTINCT j), count(DISTINCT s) FROM x"},
+		{sql: "SELECT sum(x.a * m.v) FROM x CROSS JOIN m WHERE m.j < 3"},
+		// ORDER BY keys outside the output, and LIMIT.
+		{sql: "SELECT a FROM x WHERE a IS NOT NULL ORDER BY b DESC, a LIMIT 7"},
+		{sql: "SELECT a FROM x WHERE a < 50 ORDER BY b * 2, a", param: "SELECT a FROM x WHERE a < ? ORDER BY b * ?, a", args: []sqltypes.Value{big(50), big(2)}},
+		{sql: "SELECT j FROM x GROUP BY j ORDER BY sum(a) DESC LIMIT 3"},
+		{sql: "SELECT 1 + 2, 'k'", param: "SELECT ? + 2, 'k'", args: []sqltypes.Value{big(1)}},
+	}
+	for _, sql := range projectionQueries {
+		queries = append(queries, pathQuery{sql: sql})
+	}
+
+	const nparts, n = 3, 400
+	model := func() *storage.Table {
+		return newTable(t, "m", []sqltypes.Column{icol("j"), dcol("v")},
+			sqltypes.Row{big(1), sqltypes.NewDouble(0.5)}, sqltypes.Row{big(2), sqltypes.NewDouble(-1.25)}, sqltypes.Row{big(3), sqltypes.NewDouble(3)})
+	}
+	env := func(x *storage.Table, columnar bool) *Env {
+		return &Env{Catalog: memCatalog{"x": x, "m": model()}, Funcs: expr.NewRegistry(), Aggs: udf.NewRegistry(), Columnar: columnar}
+	}
+	stale := mixedTable(t, "x", staleSegmentDir(t, "x"), nparts, n)
+	modes := []struct {
+		name string
+		env  *Env
+	}{
+		{"row", env(mixedTable(t, "x", t.TempDir(), nparts, n), false)},
+		{"columnar", env(mixedTable(t, "x", t.TempDir(), nparts, n), true)},
+		{"columnar-stale", env(stale, true)},
+	}
+	for _, q := range queries {
+		ordered := strings.Contains(q.sql, "ORDER BY")
+		ref, err := pathSelect(t, modes[0].env, q)
+		if err != nil {
+			t.Fatalf("%q: %v", q.sql, err)
+		}
+		for _, m := range modes {
+			for _, path := range selectPaths {
+				got, err := path.run(t, m.env, q)
+				if err != nil {
+					t.Fatalf("%s/%s %q: %v", m.name, path.name, q.sql, err)
+				}
+				if got == nil {
+					continue
+				}
+				inOrder := ordered && path.name != "stream"
+				want, have := canonRows(ref.Rows, inOrder), canonRows(got.Rows, inOrder)
+				if !reflect.DeepEqual(want, have) {
+					t.Fatalf("%s/%s %q: rows differ from the row-mode Select\nwant %v\n got %v", m.name, path.name, q.sql, want, have)
+				}
+				if got.Stats.RowsScanned != ref.Stats.RowsScanned || got.Stats.RowsEmitted != ref.Stats.RowsEmitted ||
+					!reflect.DeepEqual(got.Stats.PartitionRows, ref.Stats.PartitionRows) {
+					t.Fatalf("%s/%s %q: scanned %d %v emitted %d, want %d %v %d", m.name, path.name, q.sql,
+						got.Stats.RowsScanned, got.Stats.PartitionRows, got.Stats.RowsEmitted,
+						ref.Stats.RowsScanned, ref.Stats.PartitionRows, ref.Stats.RowsEmitted)
+				}
+			}
+		}
+	}
+	if segs := stale.Segments(); segs[0].Rows < 0 || segs[1].Rows >= 0 || segs[2].Rows < 0 {
+		t.Fatalf("stale fixture: segments %+v, want only partition 1 invalid", segs)
+	}
+}
+
+// TestScanSpanSource: every scan[pN] span says which source fed it. A
+// table with one stale partition reads block, row, block and counts
+// exactly one fallback.
+func TestScanSpanSource(t *testing.T) {
+	tab := mixedTable(t, "x", staleSegmentDir(t, "x"), 3, 90)
+	env := &Env{Catalog: memCatalog{"x": tab}, Funcs: expr.NewRegistry(), Aggs: udf.NewRegistry(), Columnar: true, Workers: 1}
+	before := obs.ColumnarFallbacks.Value()
+	res, err := Select(context.Background(), sel(t, "SELECT a + b FROM x"), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.ColumnarFallbacks.Value() - before; got != 1 {
+		t.Fatalf("one stale partition counted %d fallbacks, want 1", got)
+	}
+	var sources []string
+	for _, sp := range res.Stats.Root.SpanByName("scan").Children {
+		sources = append(sources, sp.Source)
+	}
+	if want := []string{"block", "row", "block"}; !reflect.DeepEqual(sources, want) {
+		t.Fatalf("scan sources = %v, want %v", sources, want)
+	}
+	tree := res.Stats.Root.RenderTree()
+	for _, want := range []string{"scan[p0]", "source=block", "source=row"} {
+		if !strings.Contains(tree, want) {
+			t.Fatalf("EXPLAIN ANALYZE tree lacks %q:\n%s", want, tree)
+		}
+	}
+	// The row engine reads every partition from the row log; an aggregate
+	// under the columnar flag does too, without counting a fallback.
+	env.Columnar = false
+	res, err = Select(context.Background(), sel(t, "SELECT a + b FROM x"), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range res.Stats.Root.SpanByName("scan").Children {
+		if sp.Source != "row" {
+			t.Fatalf("row engine span %s has source %q", sp.Name, sp.Source)
+		}
+	}
+	env.Columnar = true
+	before = obs.ColumnarFallbacks.Value()
+	if _, err := PrepareSelect(sel(t, "SELECT sum(a) FROM x"), env); err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.ColumnarFallbacks.Value() - before; got != 0 {
+		t.Fatalf("preparing an aggregate under Columnar counted %d fallbacks", got)
+	}
 }
 
 func resultsEqual(t *testing.T, sql string, a, b *Result) {
@@ -186,26 +442,7 @@ func TestColumnarProjectionMatchesRow(t *testing.T) {
 			}
 			cat := memCatalog{}
 			cat["x"] = mixedTable(t, "x", dir, 3, 400)
-			queries := []string{
-				// ORDER BY pins the result order, so it must be total over
-				// the output: a is unique except where it is NULL, and
-				// those rows differ in b — without the second key they
-				// tie and come out in partition-completion order, which
-				// differs between the two paths.
-				"SELECT a, b, a * b + 1 FROM x ORDER BY 1, 2",
-				"SELECT a + b FROM x ORDER BY 1",
-				"SELECT a FROM x WHERE b > 0 AND a < 300 ORDER BY 1",
-				"SELECT a, -b FROM x WHERE a IS NOT NULL ORDER BY 1",
-				"SELECT a FROM x WHERE b IS NULL ORDER BY 1",
-				"SELECT a / 2.5, a % 7.5 FROM x ORDER BY 1",
-				// Guarded division: zero-lanes are masked off by the WHERE.
-				"SELECT 10.0 / b FROM x WHERE b <> 0 ORDER BY 1",
-				// Fallback shapes must stay correct under the flag.
-				"SELECT power(a, 2) FROM x ORDER BY 1",
-				"SELECT a, s FROM x ORDER BY 1",
-				"SELECT j + 1 FROM x ORDER BY 1, a",
-			}
-			for _, q := range queries {
+			for _, q := range projectionQueries {
 				r, c := selectBoth(t, cat, q)
 				resultsEqual(t, q, r, c)
 			}

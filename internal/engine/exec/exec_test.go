@@ -77,6 +77,20 @@ func TestSplitConjuncts(t *testing.T) {
 	}
 }
 
+// joinTail plans, compiles and scans the cross-join tail the way a
+// prepared statement does, returning the tail rows and the residual.
+func joinTail(ctx context.Context, b *binding, where sqlparser.Expr, funcs *expr.Registry) ([]sqltypes.Row, sqlparser.Expr, error) {
+	tp := planTail(b, where)
+	filters, err := tp.compileFilters(b, func(e sqlparser.Expr, r expr.Resolver) (expr.Evaluator, error) {
+		return expr.Compile(e, r, funcs)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	tail, err := tp.scan(ctx, b, filters)
+	return tail, tp.residual, err
+}
+
 func TestJoinTailPushdown(t *testing.T) {
 	env, cat := testEnv(t)
 	cat["x"] = newTable(t, "x", []sqltypes.Column{dcol("a")}, drow(1))

@@ -12,7 +12,8 @@ import (
 
 // Insert executes INSERT..VALUES or INSERT..SELECT. For INSERT..SELECT
 // the subquery's scan observes ctx cancellation and its execution
-// stats are attached to the result.
+// stats are attached to the result — when the subquery fails part-way,
+// to a Result that carries nothing else.
 func Insert(ctx context.Context, ins *sqlparser.Insert, env *Env) (*Result, error) {
 	if err := analyze(ins, env); err != nil {
 		return nil, err
@@ -112,11 +113,11 @@ func Insert(ctx context.Context, ins *sqlparser.Insert, env *Env) (*Result, erro
 		return nil
 	}
 	_, stats, err := SelectStream(ctx, ins.Query, env, sink)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = flush()
 	}
-	if err := flush(); err != nil {
-		return nil, err
+	if err != nil {
+		return &Result{Stats: stats}, err
 	}
 	return &Result{Affected: count, Stats: stats}, nil
 }

@@ -20,69 +20,91 @@ import (
 // with, since it must match the table's row count exactly.
 //
 // With columnar set, eligible scans (all selected columns numeric by
-// schema type) run block-wise over column segments via UpdateBlock.
-// The per-slot accumulation order is identical to the row path's, so
-// the partials are byte-for-byte the same in both modes — including
-// seen, which counts NULL-masked block rows exactly like the row
-// path's pre-skip increment. Ineligible scans and stale-segment
-// partitions fall back to the row path (counted as fallbacks).
+// schema type) take the block source and run UpdateBlock over column
+// segments. The per-slot accumulation order is identical to the row
+// source's, so the partials are byte-for-byte the same in both modes —
+// including seen: both sources count every delivered row, NULL-masked
+// block rows like the row source's skipped ones. Ineligible scans
+// (counted as one fallback) and stale-segment partitions take the row
+// source.
 func ComputeTableNLQ(ctx context.Context, t *storage.Table, cols []int, mt core.MatrixType, workers int, columnar bool) (partials []*core.NLQ, seen int64, err error) {
-	n := t.Partitions()
-	partials = make([]*core.NLQ, n)
-	counts := make([]int64, n)
+	var blockCols []int
 	if columnar {
 		if nlqBlocksEligible(t, cols) {
-			// Best-effort: a failed rebuild leaves stale partitions that
-			// fall back below; true row-log corruption fails the row scan.
-			_ = t.EnsureSegments()
+			blockCols = cols
 		} else {
-			columnar = false
 			obs.ColumnarFallbacks.Inc()
 		}
 	}
-	err = RunParallel(ctx, workers, n, func(ctx context.Context, p int) error {
+	partials = make([]*core.NLQ, t.Partitions())
+	var st Stats
+	err = scanPartitions(ctx, t, workers, blockCols, &st, func(p int) (scanWorker, error) {
 		s, err := core.NewNLQ(len(cols), mt)
 		if err != nil {
-			return err
-		}
-		if columnar {
-			ran, err := computeNLQBlocks(ctx, t, p, cols, s, &counts[p])
-			if err != nil {
-				return err
-			}
-			if ran {
-				partials[p] = s
-				return nil
-			}
-			// Stale segment: nothing was delivered or accumulated, but
-			// reset defensively and rerun the partition row-wise.
-			obs.ColumnarFallbacks.Inc()
-			s.Reset()
-			counts[p] = 0
-		}
-		x := make([]float64, len(cols))
-		err = t.ScanPartition(ctx, p, func(r sqltypes.Row) error {
-			counts[p]++
-			for i, c := range cols {
-				f, ok := r[c].Float()
-				if !ok {
-					return nil
-				}
-				x[i] = f
-			}
-			return s.Update(x)
-		})
-		if err != nil {
-			return err
+			return nil, err
 		}
 		partials[p] = s
-		return nil
+		return &nlqWorker{cols: cols, s: s, x: make([]float64, len(cols))}, nil
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	for _, c := range counts {
-		seen += c
-	}
-	return partials, seen, nil
+	return partials, st.RowsScanned, nil
 }
+
+// nlqBlocksEligible reports whether the summary scan over cols can use
+// block kernels: every selected column must be numeric *by schema
+// type*. The row path's Value.Float() succeeds on numeric-looking
+// VARCHAR values, so a VARCHAR column would contribute operands on the
+// row path that segment blocks don't carry — such scans stay row-wise.
+func nlqBlocksEligible(t *storage.Table, cols []int) bool {
+	schema := t.Schema()
+	for _, c := range cols {
+		if c < 0 || c >= schema.Len() || !storage.NumericColumn(schema.Columns[c]) {
+			return false
+		}
+	}
+	return true
+}
+
+// nlqWorker is the n/L/Q scanWorker: it folds one partition into s.
+type nlqWorker struct {
+	cols     []int
+	s        *core.NLQ
+	x        []float64
+	rowValid []bool
+}
+
+func (w *nlqWorker) row(r sqltypes.Row) error {
+	for i, c := range w.cols {
+		f, ok := r[c].Float()
+		if !ok {
+			return nil
+		}
+		w.x[i] = f
+	}
+	return w.s.Update(w.x)
+}
+
+func (w *nlqWorker) block(b *storage.Block) error {
+	// AND the per-column validity lanes column-major: each pass is a
+	// sequential sweep instead of a strided gather per row.
+	w.rowValid = w.rowValid[:0]
+	if len(b.Valid) == 0 {
+		for r := 0; r < b.Rows; r++ {
+			w.rowValid = append(w.rowValid, true)
+		}
+	} else {
+		w.rowValid = append(w.rowValid, b.Valid[0][:b.Rows]...)
+		for _, v := range b.Valid[1:] {
+			for r, ok := range v[:b.Rows] {
+				if !ok {
+					w.rowValid[r] = false
+				}
+			}
+		}
+	}
+	return w.s.UpdateBlock(b.Cols, w.rowValid)
+}
+
+func (w *nlqWorker) release() {}

@@ -12,56 +12,74 @@ import (
 	"repro/internal/engine/sqltypes"
 )
 
-// PreparedSelect is a SELECT planned once for repeated execution: the
-// statement is sema-checked, FROM is bound to concrete table handles,
-// stars are expanded, the join-tail push-down is decided and the
-// projection's expression trees compile to closures — all at prepare
-// time. Each EXECUTE then binds parameter values and scans.
+// PreparedSelect is a SELECT of any shape planned once for repeated
+// execution. Prepare sema-checks the statement, binds FROM to concrete
+// table handles, expands stars, appends ORDER BY keys that are not
+// output columns as hidden items, decides the join-tail push-down,
+// rewrites aggregate calls into specs, decides whether the scan may use
+// the block source, and compiles every expression to closures reading
+// `?` slots from a parameter box. Execute points the boxes at the
+// arguments and runs the one partition scan (scanPartitions) with a
+// pooled worker per partition; aggregates then merge and finalize, and
+// ORDER BY/LIMIT/hidden-key stripping run as one post-step over the
+// materialized rows.
 //
-// The point-scoring shape (non-aggregate, FROM-ful, no ORDER BY or
-// LIMIT) takes a fast path whose evaluator sets are pooled across
-// executions; other shapes fall back to binding parameters as literals
-// into a copy of the statement and running the general executor.
-//
-// The fast path's table handles are captured at prepare, so an
-// execution that races a DROP/CREATE sees the pre-DDL tables
-// consistently; the db layer's catalog epoch decides when the plan as
-// a whole is stale. Tail (model) tables are re-scanned per EXECUTE, so
-// freshly inserted model rows are always visible.
+// Table handles are captured at prepare, so an execution that races a
+// DROP/CREATE sees the pre-DDL tables consistently; the db layer's
+// catalog epoch decides when the plan as a whole is stale. Tail (model)
+// tables are re-scanned per EXECUTE, so freshly inserted model rows are
+// always visible. A PreparedSelect is safe for concurrent use.
 type PreparedSelect struct {
 	env       *Env
-	sel       *sqlparser.Select
 	numParams int
-
-	// fast-path plan (nil/zero when fall-back)
-	fast   bool
-	b      *binding
-	items  []sqlparser.SelectItem
+	// schema is the output incl. hidden keys. A FROM-less select takes
+	// only its column names from it: its types follow the values.
 	schema *sqltypes.Schema
-	tail   *tailPlan
-	vp     *vecProjection // non-nil when columnar mode planned a block scan
 
-	scanPool sync.Pool // *scanEvalSet
-	tailPool sync.Pool // *tailEvalSet
+	// exprs are the select-list expressions a projection worker (or the
+	// one evaluation of a FROM-less select) computes.
+	exprs []sqlparser.Expr
+
+	b    *binding  // nil for FROM-less selects
+	tail *tailPlan // join-tail push-down and the residual WHERE
+	agg  *aggPlan  // non-nil for aggregate / GROUP BY statements
+	vec  *vecPlan  // non-nil when the projection may scan blocks
+
+	// Post-step: ORDER BY with hidden keys rewritten to their synthetic
+	// names, LIMIT, and how many trailing hidden columns to strip.
+	order  []sqlparser.OrderItem
+	limit  *int64
+	hidden int
+
+	workers sync.Pool // *selectWorker
+	stmts   sync.Pool // *stmtSet
 }
 
-// scanEvalSet is one partition worker's compiled state: the projection
-// and residual-WHERE evaluators (which carry scratch buffers and read
-// `?` slots from params) plus the flattened-row buffers. A set is used
-// by one goroutine at a time and pooled across executions.
-type scanEvalSet struct {
-	params []sqltypes.Value
-	evals  []expr.Evaluator
-	where  expr.Evaluator // nil when no residual predicate
-	flat   sqltypes.Row
-	out    sqltypes.Row
+// compileFn compiles one expression of a prepared statement against a
+// resolver; each pooled set supplies one bound to its own `?` box.
+type compileFn func(sqlparser.Expr, expr.Resolver) (expr.Evaluator, error)
+
+func compileAll(es []sqlparser.Expr, r expr.Resolver, compile compileFn) ([]expr.Evaluator, error) {
+	evs := make([]expr.Evaluator, len(es))
+	for i, e := range es {
+		ev, err := compile(e, r)
+		if err != nil {
+			return nil, err
+		}
+		evs[i] = ev
+	}
+	return evs, nil
 }
 
-// tailEvalSet holds the compiled push-down filters for the tail scan,
-// which runs serially once per EXECUTE.
-type tailEvalSet struct {
+// stmtSet is the compiled state one execution uses serially: the tail
+// push-down filters, and the evaluators that run per statement rather
+// than per scanned row — post-aggregation select items and HAVING, or
+// the whole select list of a FROM-less statement.
+type stmtSet struct {
 	params  []sqltypes.Value
 	filters [][]expr.Evaluator
+	items   []expr.Evaluator
+	having  expr.Evaluator
 }
 
 // PrepareSelect plans sel (already view-expanded) against env.
@@ -69,314 +87,363 @@ func PrepareSelect(sel *sqlparser.Select, env *Env) (*PreparedSelect, error) {
 	if err := analyze(sel, env); err != nil {
 		return nil, err
 	}
-	p := &PreparedSelect{env: env, sel: sel, numParams: sqlparser.CountParams(sel)}
-
-	isAgg := len(sel.GroupBy) > 0
-	if !isAgg {
-		aggNames := env.Aggs.Names()
-		for _, item := range sel.Items {
-			if !item.Star && expr.ContainsAggregate(item.Expr, aggNames) {
-				isAgg = true
-				break
+	p := &PreparedSelect{env: env, numParams: sqlparser.CountParams(sel), limit: sel.Limit}
+	items := sel.Items
+	if len(sel.OrderBy) > 0 {
+		items = p.planOrder(sel)
+	}
+	if len(sel.From) == 0 {
+		if len(sel.GroupBy) > 0 || sel.Where != nil {
+			return nil, fmt.Errorf("exec: WHERE/GROUP BY require a FROM clause")
+		}
+		for _, item := range items {
+			if item.Star {
+				return nil, fmt.Errorf("exec: * requires a FROM clause")
 			}
 		}
+	} else {
+		b, err := bindFrom(sel.From, env.Catalog)
+		if err != nil {
+			return nil, err
+		}
+		if items, err = expandStars(items, b); err != nil {
+			return nil, err
+		}
+		p.b, p.tail = b, planTail(b, sel.Where)
+	}
+	isAgg := len(sel.GroupBy) > 0
+	aggNames := env.Aggs.Names()
+	cols := make([]sqltypes.Column, len(items))
+	for i, item := range items {
+		p.exprs = append(p.exprs, item.Expr)
+		cols[i] = sqltypes.Column{Name: itemName(item, i), Type: sqltypes.TypeDouble}
+		isAgg = isAgg || expr.ContainsAggregate(item.Expr, aggNames)
 	}
 	if sel.Having != nil && !isAgg {
 		return nil, fmt.Errorf("exec: HAVING requires GROUP BY or aggregates")
 	}
-	p.fast = !isAgg && len(sel.From) > 0 && len(sel.OrderBy) == 0 && sel.Limit == nil
-	if !p.fast {
-		return p, nil
-	}
-
-	b, err := bindFrom(sel.From, env.Catalog)
-	if err != nil {
-		return nil, err
-	}
-	items, err := expandStars(sel.Items, b)
-	if err != nil {
-		return nil, err
-	}
-	p.b, p.items = b, items
-	p.tail = planTail(b, sel.Where)
-
-	cols := make([]sqltypes.Column, len(items))
-	for i, item := range items {
-		cols[i] = sqltypes.Column{Name: itemName(item, i), Type: sqltypes.TypeDouble}
-		if cr, ok := item.Expr.(*sqlparser.ColumnRef); ok {
-			if idx, err := b.resolve(cr.Table, cr.Name); err == nil {
-				cols[i].Type = flatColumnType(b, idx)
+	p.schema = &sqltypes.Schema{Columns: cols}
+	switch {
+	case p.b == nil:
+		// Nothing to scan: the select list is evaluated once per execute.
+	case isAgg:
+		var err error
+		if p.agg, err = planAggregate(sel, p.exprs, env.Aggs); err != nil {
+			return nil, err
+		}
+	default:
+		// A bare column keeps its declared type; computed items are DOUBLE.
+		for i, e := range p.exprs {
+			if cr, ok := e.(*sqlparser.ColumnRef); ok {
+				if idx, err := p.b.resolve(cr.Table, cr.Name); err == nil {
+					cols[i].Type = flatColumnType(p.b, idx)
+				}
+			}
+		}
+		// Columnar mode: a parameter-free single-table projection whose
+		// items and residual WHERE compile to vector programs scans
+		// blocks. A rejected shape counts one fallback here, at prepare.
+		if env.Columnar && p.numParams == 0 && len(p.b.tables) == 1 {
+			if vp, err := planVec(p.exprs, p.tail.residual, p.b); err == nil {
+				p.vec = vp
+			} else {
+				obs.ColumnarFallbacks.Inc()
 			}
 		}
 	}
-	p.schema = &sqltypes.Schema{Columns: cols}
-
-	// Columnar mode: a parameter-free single-table projection whose
-	// items and residual WHERE compile to vector programs executes
-	// block-wise on every EXECUTE. Rejected shapes count one fallback
-	// at prepare time (not per execution) and keep the pooled scalar
-	// path below.
-	if env.Columnar && p.numParams == 0 && len(b.tables) == 1 {
-		if vp, verr := planVecProjection(items, p.tail.residual, b); verr == nil {
-			p.vp = vp
-		} else {
-			obs.ColumnarFallbacks.Inc()
-		}
-	}
-
 	// Compile one set of each kind eagerly so compile errors surface at
 	// prepare time, then seed the pools with them.
-	ss, err := p.newScanSet()
+	ss, err := p.newStmtSet()
 	if err != nil {
 		return nil, err
 	}
-	p.scanPool.Put(ss)
-	ts, err := p.newTailSet()
-	if err != nil {
-		return nil, err
+	p.stmts.Put(ss)
+	if p.b != nil {
+		w, err := p.newWorker()
+		if err != nil {
+			return nil, err
+		}
+		p.workers.Put(w)
 	}
-	p.tailPool.Put(ts)
 	return p, nil
+}
+
+// planOrder returns sel's items with every ORDER BY key that cannot be
+// evaluated against the output appended as a hidden `$orderN` item, and
+// records the keys — hidden ones rewritten to those names — for the
+// post-step.
+func (p *PreparedSelect) planOrder(sel *sqlparser.Select) []sqlparser.SelectItem {
+	outNames := outputNames(sel)
+	items := append([]sqlparser.SelectItem(nil), sel.Items...)
+	p.order = append([]sqlparser.OrderItem(nil), sel.OrderBy...)
+	for i, o := range sel.OrderBy {
+		if orderKeyInOutput(o.Expr, outNames) {
+			continue
+		}
+		alias := fmt.Sprintf("$order%d", p.hidden)
+		items = append(items, sqlparser.SelectItem{Expr: o.Expr, Alias: alias})
+		p.order[i].Expr = &sqlparser.ColumnRef{Name: alias}
+		p.hidden++
+	}
+	return items
 }
 
 // NumParams reports how many `?` slots the statement has.
 func (p *PreparedSelect) NumParams() int { return p.numParams }
 
-// Schema returns the output schema when it is known at prepare time
-// (fast path); nil otherwise.
-func (p *PreparedSelect) Schema() *sqltypes.Schema {
-	if p.fast {
-		return p.schema
-	}
-	return nil
-}
-
 // Streamable reports whether ExecuteStreamContext can run the
 // statement (ORDER BY/LIMIT require materialization).
-func (p *PreparedSelect) Streamable() bool {
-	return len(p.sel.OrderBy) == 0 && p.sel.Limit == nil
-}
+func (p *PreparedSelect) Streamable() bool { return p.order == nil && p.limit == nil }
 
-func (p *PreparedSelect) newScanSet() (*scanEvalSet, error) {
-	s := &scanEvalSet{}
+func (p *PreparedSelect) newStmtSet() (*stmtSet, error) {
+	s := &stmtSet{}
 	compile := func(e sqlparser.Expr, r expr.Resolver) (expr.Evaluator, error) {
 		return expr.CompileWithParams(e, r, p.env.Funcs, &s.params)
 	}
-	s.evals = make([]expr.Evaluator, len(p.items))
-	for i, item := range p.items {
-		ev, err := compile(item.Expr, p.b.resolve)
-		if err != nil {
+	var err error
+	switch {
+	case p.b == nil:
+		s.items, err = compileAll(p.exprs, nil, compile)
+		return s, err
+	case p.agg != nil:
+		if s.items, err = compileAll(p.agg.items, p.agg.resolve, compile); err != nil {
 			return nil, err
 		}
-		s.evals[i] = ev
-	}
-	if p.tail.residual != nil {
-		w, err := compile(p.tail.residual, p.b.resolve)
-		if err != nil {
-			return nil, err
+		if p.agg.having != nil {
+			if s.having, err = compile(p.agg.having, p.agg.resolve); err != nil {
+				return nil, err
+			}
 		}
-		s.where = w
 	}
-	s.flat = make(sqltypes.Row, p.b.width)
-	s.out = make(sqltypes.Row, len(p.items))
-	return s, nil
+	s.filters, err = p.tail.compileFilters(p.b, compile)
+	return s, err
 }
 
-func (p *PreparedSelect) newTailSet() (*tailEvalSet, error) {
-	s := &tailEvalSet{}
-	filters, err := p.tail.compileFilters(p.b, func(e sqlparser.Expr, r expr.Resolver) (expr.Evaluator, error) {
-		return expr.CompileWithParams(e, r, p.env.Funcs, &s.params)
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.filters = filters
-	return s, nil
-}
-
-func (p *PreparedSelect) getScanSet() (*scanEvalSet, error) {
-	if s, ok := p.scanPool.Get().(*scanEvalSet); ok && s != nil {
+func (p *PreparedSelect) getStmtSet() (*stmtSet, error) {
+	if s, ok := p.stmts.Get().(*stmtSet); ok {
 		return s, nil
 	}
-	return p.newScanSet()
+	return p.newStmtSet()
 }
 
-func (p *PreparedSelect) getTailSet() (*tailEvalSet, error) {
-	if s, ok := p.tailPool.Get().(*tailEvalSet); ok && s != nil {
-		return s, nil
-	}
-	return p.newTailSet()
-}
-
-// ExecuteContext binds args and materializes the result.
+// ExecuteContext binds args and materializes the result. When the
+// statement fails after its scan began, the returned Result is non-nil
+// and carries only the Stats gathered up to the failure.
 func (p *PreparedSelect) ExecuteContext(ctx context.Context, args []sqltypes.Value) (*Result, error) {
-	schema, rows, stats, err := p.run(ctx, args, nil)
+	col := &collector{}
+	schema, st, err := p.execute(ctx, args, col.sink)
 	if err != nil {
-		return nil, err
+		return &Result{Stats: st}, err
 	}
-	return &Result{Schema: schema, Rows: rows, Stats: stats}, nil
+	rows := col.rows
+	if p.order != nil {
+		if err := sortRows(p.order, schema, rows, p.env.Funcs, &args); err != nil {
+			return &Result{Stats: st}, err
+		}
+	}
+	if p.limit != nil && int64(len(rows)) > *p.limit {
+		rows = rows[:*p.limit]
+	}
+	if p.hidden > 0 {
+		keep := schema.Len() - p.hidden
+		schema = &sqltypes.Schema{Columns: schema.Columns[:keep]}
+		for i, r := range rows {
+			rows[i] = r[:keep]
+		}
+	}
+	return &Result{Schema: schema, Rows: rows, Stats: st}, nil
 }
 
-// ExecuteStreamContext binds args and streams result rows to sink.
+// ExecuteStreamContext binds args and streams result rows to sink
+// (concurrently, from the partition workers). The Stats are returned
+// also when the scan fails part-way.
 func (p *PreparedSelect) ExecuteStreamContext(ctx context.Context, args []sqltypes.Value, sink RowSink) (*sqltypes.Schema, *Stats, error) {
 	if !p.Streamable() {
 		return nil, nil, fmt.Errorf("exec: ORDER BY/LIMIT not supported in streaming mode")
 	}
-	schema, _, stats, err := p.run(ctx, args, sink)
-	return schema, stats, err
+	return p.execute(ctx, args, sink)
 }
 
-func (p *PreparedSelect) run(ctx context.Context, args []sqltypes.Value, sink RowSink) (*sqltypes.Schema, []sqltypes.Row, *Stats, error) {
+// execute runs the statement once, delivering unordered rows (hidden
+// keys included) to sink.
+func (p *PreparedSelect) execute(ctx context.Context, args []sqltypes.Value, sink RowSink) (*sqltypes.Schema, *Stats, error) {
 	if len(args) != p.numParams {
-		return nil, nil, nil, fmt.Errorf("exec: prepared statement expects %d parameter(s), got %d", p.numParams, len(args))
+		return nil, nil, fmt.Errorf("exec: statement has %d parameter(s), got %d argument(s)", p.numParams, len(args))
 	}
-	if !p.fast {
-		return p.runFallback(ctx, args, sink)
+	ss, err := p.getStmtSet()
+	if err != nil {
+		return nil, nil, err
 	}
+	ss.params = args
+	defer func() {
+		ss.params = nil
+		p.stmts.Put(ss)
+	}()
 
-	var col *collector
-	if sink == nil {
-		col = &collector{}
-		sink = col.sink
-	}
 	st := &Stats{Workers: 1}
 	finish := beginSelectObs(st)
 	defer finish()
+	// Count emitted rows in a local atomic shared by the workers'
+	// concurrent sink calls, published to the plain Stats field after
+	// they join (and before finish reads it — deferred last, runs first).
 	emitted := new(atomic.Int64)
 	defer func() { st.RowsEmitted = emitted.Load() }()
 	sink = countedSink(emitted, sink)
 
-	plan := st.ensureRoot().child("plan")
-	if p.vp != nil {
-		// Block path: single table, no tail scan to stage.
-		first := p.b.tables[0].table
-		nparts := first.Partitions()
-		st.Partitions = nparts
-		st.Workers = scanWorkers(p.env, nparts)
-		st.PartitionRows = make([]int64, nparts)
-		st.Plan = plan.finish()
-		err := p.vp.run(ctx, p.env, sink, st)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		var rows []sqltypes.Row
-		if col != nil {
-			rows = col.rows
-		}
-		return p.schema, rows, st, nil
+	if p.b == nil {
+		schema, err := p.constRow(ss, sink)
+		return schema, st, err
 	}
-	ts, err := p.getTailSet()
+	plan := st.Root.child("plan")
+	tail, err := p.tail.scan(ctx, p.b, ss.filters)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, st, err
 	}
-	ts.params = args
-	tail, err := p.tail.scan(ctx, p.b, ts.filters)
-	ts.params = nil
-	p.tailPool.Put(ts)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
 	first := p.b.tables[0].table
-	nparts := first.Partitions()
-	st.Partitions = nparts
-	st.Workers = scanWorkers(p.env, nparts)
-	st.PartitionRows = make([]int64, nparts)
+	var groups []map[string]*groupState
+	if p.agg != nil {
+		st.hasMerge = true
+		groups = make([]map[string]*groupState, first.Partitions())
+	}
 	st.Plan = plan.finish()
 
-	scan := st.Root.child("scan")
-	partSpans := make([]*Span, nparts)
-	err = RunParallel(ctx, st.Workers, nparts, func(ctx context.Context, part int) error {
-		span := newSpan(fmt.Sprintf("scan[p%d]", part))
-		partSpans[part] = span
-		set, serr := p.getScanSet()
-		if serr != nil {
-			return serr
-		}
-		set.params = args
-		defer func() {
-			set.params = nil
-			p.scanPool.Put(set)
-		}()
-		ps, serr := first.ScanPartitionStats(ctx, part, func(r sqltypes.Row) error {
-			for _, t := range tail {
-				copy(set.flat, r)
-				copy(set.flat[len(r):], t)
-				if set.where != nil {
-					keep, err := set.where.Eval(set.flat)
-					if err != nil {
-						return err
-					}
-					if keep.IsNull() || !keep.Bool() {
-						continue
-					}
-				}
-				for i, ev := range set.evals {
-					v, err := ev.Eval(set.flat)
-					if err != nil {
-						return err
-					}
-					set.out[i] = v
-				}
-				if err := sink(set.out); err != nil {
-					return err
-				}
+	var blockCols []int
+	if p.vec != nil {
+		blockCols = p.vec.cols
+	}
+	err = scanPartitions(ctx, first, p.env.Workers, blockCols, st, func(part int) (scanWorker, error) {
+		w, ok := p.workers.Get().(*selectWorker)
+		if !ok {
+			var err error
+			if w, err = p.newWorker(); err != nil {
+				return nil, err
 			}
-			return nil
-		})
-		st.PartitionRows[part] = ps.Rows
-		span.Rows, span.Bytes = ps.Rows, ps.Bytes
-		span.finish()
-		return serr
-	})
-	st.Scan = scan.finish()
-	finishScanSpan(scan, partSpans, st)
-	var rows []sqltypes.Row
-	if col != nil {
-		rows = col.rows
-	}
-	return p.schema, rows, st, err
-}
-
-// runFallback binds args as literal expressions into a deep copy of
-// the statement and runs the general executor (aggregates, ORDER BY,
-// LIMIT, FROM-less selects). The copy re-resolves tables by name, so
-// it is always catalog-fresh; parse and view expansion are still
-// amortized by the prepare.
-func (p *PreparedSelect) runFallback(ctx context.Context, args []sqltypes.Value, sink RowSink) (*sqltypes.Schema, []sqltypes.Row, *Stats, error) {
-	bound, err := bindArgs(p.sel, args)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if sink == nil {
-		res, err := Select(ctx, bound, p.env)
-		if err != nil {
-			return nil, nil, nil, err
 		}
-		return res.Schema, res.Rows, res.Stats, nil
+		w.params, w.tail, w.sink = args, tail, sink
+		if w.agg != nil {
+			// This worker's own slot: nothing else touches it until the
+			// single-threaded merge.
+			groups[part] = make(map[string]*groupState)
+			w.agg.groups = groups[part]
+		}
+		return w, nil
+	})
+	if err == nil && p.agg != nil {
+		err = p.agg.mergeFinalize(groups, ss, sink, st)
 	}
-	schema, stats, err := SelectStream(ctx, bound, p.env, sink)
-	return schema, nil, stats, err
+	return p.schema, st, err
 }
 
-// bindArgs deep-copies sel with each `?` replaced by its argument as a
-// literal expression.
-func bindArgs(sel *sqlparser.Select, args []sqltypes.Value) (*sqlparser.Select, error) {
-	lits := make([]sqlparser.Expr, len(args))
-	for i, v := range args {
-		lits[i] = literalExpr(v)
+// constRow evaluates a FROM-less select list once.
+func (p *PreparedSelect) constRow(ss *stmtSet, sink RowSink) (*sqltypes.Schema, error) {
+	cols := make([]sqltypes.Column, len(ss.items))
+	row := make(sqltypes.Row, len(ss.items))
+	for i, ev := range ss.items {
+		v, err := ev.Eval(nil)
+		if err != nil {
+			return nil, err
+		}
+		row[i] = v
+		cols[i] = sqltypes.Column{Name: p.schema.Columns[i].Name, Type: v.Type()}
 	}
-	stmt, err := sqlparser.BindParams(sel, lits)
-	if err != nil {
+	return &sqltypes.Schema{Columns: cols}, sink(row)
+}
+
+// selectWorker is a SELECT's scanWorker: one partition worker's
+// compiled evaluators (which carry scratch buffers and read `?` slots
+// from params) and row buffers, pooled across partitions and
+// executions. Each driving-table row is flattened against every tail
+// row and filtered by the residual WHERE; what survives is projected to
+// the sink or accumulated into the partition's group states.
+type selectWorker struct {
+	ps     *PreparedSelect
+	params []sqltypes.Value
+	where  expr.Evaluator // nil when no residual predicate
+	flat   sqltypes.Row
+	tail   []sqltypes.Row
+	sink   RowSink
+
+	items []expr.Evaluator // projection
+	out   sqltypes.Row
+	vec   *vecPrograms // the projection's block form; nil unless ps.vec
+
+	agg *aggWorker // nil for projections
+}
+
+func (p *PreparedSelect) newWorker() (*selectWorker, error) {
+	w := &selectWorker{ps: p, flat: make(sqltypes.Row, p.b.width)}
+	compile := func(e sqlparser.Expr, r expr.Resolver) (expr.Evaluator, error) {
+		return expr.CompileWithParams(e, r, p.env.Funcs, &w.params)
+	}
+	var err error
+	if p.tail.residual != nil {
+		if w.where, err = compile(p.tail.residual, p.b.resolve); err != nil {
+			return nil, err
+		}
+	}
+	if p.agg != nil {
+		w.agg, err = p.agg.newWorker(p.b.resolve, compile)
+		return w, err
+	}
+	if w.items, err = compileAll(p.exprs, p.b.resolve, compile); err != nil {
 		return nil, err
 	}
-	return stmt.(*sqlparser.Select), nil
+	w.out = make(sqltypes.Row, len(w.items))
+	if p.vec != nil {
+		w.vec, err = p.vec.compile()
+	}
+	return w, err
+}
+
+func (w *selectWorker) row(r sqltypes.Row) error {
+	for _, t := range w.tail {
+		copy(w.flat, r)
+		copy(w.flat[len(r):], t)
+		if w.where != nil {
+			keep, err := w.where.Eval(w.flat)
+			if err != nil {
+				return err
+			}
+			if keep.IsNull() || !keep.Bool() {
+				continue
+			}
+		}
+		if w.agg != nil {
+			if err := w.agg.accumulate(w.ps.agg.specs, w.flat); err != nil {
+				return err
+			}
+			continue
+		}
+		for i, ev := range w.items {
+			v, err := ev.Eval(w.flat)
+			if err != nil {
+				return err
+			}
+			w.out[i] = v
+		}
+		if err := w.sink(w.out); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (w *selectWorker) release() {
+	if w.vec != nil {
+		obs.ColumnarVectorOps.Add(w.vec.ops)
+		w.vec.ops = 0
+	}
+	if w.agg != nil {
+		obs.UDFCalls.Add(w.agg.accCalls)
+		w.agg.groups, w.agg.global, w.agg.accCalls = nil, nil, 0
+	}
+	w.params, w.tail, w.sink = nil, nil, nil
+	w.ps.workers.Put(w)
 }
 
 // BindStatementArgs deep-copies stmt with every `?` slot bound to the
 // corresponding argument as a literal expression; the db layer's
-// prepared-INSERT path executes the bound copy through the general
-// executor.
+// prepared-INSERT path executes the bound copy through Insert.
 func BindStatementArgs(stmt sqlparser.Statement, args []sqltypes.Value) (sqlparser.Statement, error) {
 	lits := make([]sqlparser.Expr, len(args))
 	for i, v := range args {

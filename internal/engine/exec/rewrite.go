@@ -33,14 +33,14 @@ const (
 // returned specs slice extends the one passed in (deduplicated).
 func rewriteAggregates(e sqlparser.Expr, groupBy []sqlparser.Expr, specs []aggSpec, aggs *udf.Registry) (sqlparser.Expr, []aggSpec, error) {
 	for k, g := range groupBy {
-		if e.String() == g.String() {
+		if matchKey(e) == matchKey(g) {
 			return &sqlparser.ColumnRef{Table: grpQualifier, Name: strconv.Itoa(k)}, specs, nil
 		}
 	}
 	if fc, ok := e.(*sqlparser.FuncCall); ok {
 		name := strings.ToLower(fc.Name)
 		if agg, found := aggs.Lookup(name); found && (expr.AggregateNames[name] || !isScalarOnly(name)) {
-			key := fc.String()
+			key := matchKey(fc)
 			for k, s := range specs {
 				if s.key == key {
 					return &sqlparser.ColumnRef{Table: aggQualifier, Name: strconv.Itoa(k)}, specs, nil
@@ -132,6 +132,22 @@ func rewriteAggregates(e sqlparser.Expr, groupBy []sqlparser.Expr, specs []aggSp
 		// Literals and column refs pass through unchanged.
 		return e, specs, nil
 	}
+}
+
+// matchKey is the text two expressions are compared by. Every `?` is
+// its own slot although all of them print as "?", so each slot's index
+// is appended: an expression holding a parameter equals only itself.
+func matchKey(e sqlparser.Expr) string {
+	key := e.String()
+	if !strings.Contains(key, "?") {
+		return key
+	}
+	sqlparser.WalkExprs(e, func(x sqlparser.Expr) {
+		if pr, ok := x.(*sqlparser.ParamRef); ok {
+			key += "?" + strconv.Itoa(pr.Index)
+		}
+	})
+	return key
 }
 
 // isScalarOnly reports whether name should never be treated as an

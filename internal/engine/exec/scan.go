@@ -1,0 +1,101 @@
+package exec
+
+import (
+	"context"
+	"errors"
+	"fmt"
+
+	"repro/internal/engine/obs"
+	"repro/internal/engine/sqltypes"
+	"repro/internal/engine/storage"
+)
+
+// scanWorker is the consumer side of one partition scan: the aggregate
+// protocol's phases 1-2 (init + accumulate) for whatever the statement
+// computes — projected rows, group states, an n/L/Q partial. A worker
+// is used by one goroutine at a time. Merge and finalize (phases 3-4)
+// belong to the caller, after scanPartitions has joined its workers.
+type scanWorker interface {
+	// row consumes one driving-table row; r is reused between calls.
+	row(r sqltypes.Row) error
+	// block consumes one block of the scan's block columns. Only scans
+	// given block columns call it.
+	block(b *storage.Block) error
+	// release ends the partition scan: flush counters, return pooled
+	// state.
+	release()
+}
+
+// scanPartitions is the engine's one partition-scan loop: every SELECT
+// shape and the summary rebuild run through it. It fans the partitions
+// of t out over at most workers goroutines (RunParallel: first failure
+// cancels the siblings, panics are contained per partition), opens one
+// consumer per partition, feeds it from the block source when the plan
+// supplied block columns and the partition's segment is fresh, and from
+// the row source otherwise, and records the scan[pN] spans, their
+// source, per-partition rows and the scan totals in st — also when the
+// scan fails part-way, so a failed statement still reports how far it
+// got.
+func scanPartitions(ctx context.Context, t *storage.Table, workers int, blockCols []int, st *Stats, open func(p int) (scanWorker, error)) error {
+	nparts := t.Partitions()
+	st.Partitions = nparts
+	st.Workers = nparts
+	if workers > 0 && workers < nparts {
+		st.Workers = workers
+	}
+	st.PartitionRows = make([]int64, nparts)
+	if blockCols != nil {
+		// Best-effort: rebuild stale segments up front so a cold table
+		// pays one rebuild instead of a row fallback per scan. A failed
+		// rebuild leaves stale partitions that fall back below; genuine
+		// row-log corruption resurfaces loudly from the row scan.
+		_ = t.EnsureSegments()
+	}
+	scan := st.ensureRoot().child("scan")
+	partSpans := make([]*Span, nparts)
+	err := RunParallel(ctx, st.Workers, nparts, func(ctx context.Context, p int) error {
+		span := newSpan(fmt.Sprintf("scan[p%d]", p))
+		partSpans[p] = span
+		defer span.finish()
+		w, err := open(p)
+		if err != nil {
+			return err
+		}
+		defer w.release()
+		var ps storage.ScanStats
+		span.Source, ps, err = scanPartition(ctx, t, p, blockCols, w)
+		st.PartitionRows[p] = ps.Rows
+		span.Rows, span.Bytes = ps.Rows, ps.Bytes
+		return err
+	})
+	st.Scan = scan.finish()
+	// The workers have joined, so the per-span numbers are stable and the
+	// Stats fields stay plain. Partitions never started before a
+	// cancellation have no span.
+	for _, ps := range partSpans {
+		if ps != nil {
+			scan.Children = append(scan.Children, ps)
+			st.RowsScanned += ps.Rows
+			st.BytesRead += ps.Bytes
+		}
+	}
+	scan.sortChildren()
+	scan.Rows, scan.Bytes = st.RowsScanned, st.BytesRead
+	return err
+}
+
+// scanPartition picks partition p's source. A block scan refuses a
+// stale segment before delivering anything, so the consumer is
+// untouched when the partition reruns row-wise; that rerun is the
+// fallback engine_columnar_fallbacks_total counts per partition.
+func scanPartition(ctx context.Context, t *storage.Table, p int, blockCols []int, w scanWorker) (source string, ps storage.ScanStats, err error) {
+	if blockCols != nil {
+		ps, err = t.ScanPartitionBlocks(ctx, p, blockCols, w.block)
+		if !errors.Is(err, storage.ErrSegmentStale) {
+			return "block", ps, err
+		}
+		obs.ColumnarFallbacks.Inc()
+	}
+	ps, err = t.ScanPartitionStats(ctx, p, w.row)
+	return "row", ps, err
+}

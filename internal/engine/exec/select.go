@@ -28,67 +28,28 @@ type Env struct {
 	Columnar bool
 }
 
-// Select runs a SELECT and materializes the result, applying ORDER BY
-// and LIMIT. ORDER BY keys that are not output columns are computed as
-// hidden trailing columns and stripped after sorting. Cancelling ctx
-// (nil is treated as background) stops the partition scans between
-// rows.
+// Select plans sel and executes it once, materializing the result
+// with ORDER BY and LIMIT applied: the entry point for callers that
+// keep no plan (the cluster gather path). Cancelling ctx (nil is treated as background) stops the
+// partition scans between rows. As with ExecuteContext, a failure after
+// the scan began returns a Result carrying only the partial Stats.
 func Select(ctx context.Context, sel *sqlparser.Select, env *Env) (*Result, error) {
-	if err := analyze(sel, env); err != nil {
-		return nil, err
-	}
-	run := sel
-	hidden := 0
-	if len(sel.OrderBy) > 0 {
-		outNames := outputNames(sel)
-		var extra []sqlparser.SelectItem
-		for _, o := range sel.OrderBy {
-			if orderKeyInOutput(o.Expr, outNames) {
-				continue
-			}
-			extra = append(extra, sqlparser.SelectItem{
-				Expr:  o.Expr,
-				Alias: fmt.Sprintf("$order%d", len(extra)),
-			})
-		}
-		if len(extra) > 0 {
-			clone := *sel
-			clone.Items = append(append([]sqlparser.SelectItem{}, sel.Items...), extra...)
-			run = &clone
-			hidden = len(extra)
-		}
-	}
-	schema, rows, stats, err := runSelect(ctx, run, env, nil)
+	p, err := PrepareSelect(sel, env)
 	if err != nil {
 		return nil, err
 	}
-	if len(sel.OrderBy) > 0 {
-		// Rewrite hidden keys to their synthetic aliases for sorting.
-		order := make([]sqlparser.OrderItem, len(sel.OrderBy))
-		outNames := outputNames(sel)
-		next := 0
-		for i, o := range sel.OrderBy {
-			order[i] = o
-			if !orderKeyInOutput(o.Expr, outNames) {
-				order[i].Expr = &sqlparser.ColumnRef{Name: fmt.Sprintf("$order%d", next)}
-				next++
-			}
-		}
-		if err := sortRows(order, schema, rows, env); err != nil {
-			return nil, err
-		}
+	return p.ExecuteContext(ctx, nil)
+}
+
+// SelectStream plans sel and executes it once, streaming rows to sink
+// (concurrently); INSERT ... SELECT runs its subquery this way. ORDER BY and LIMIT are rejected in streaming mode.
+// The returned Stats describe the scan, completed or not.
+func SelectStream(ctx context.Context, sel *sqlparser.Select, env *Env, sink RowSink) (*sqltypes.Schema, *Stats, error) {
+	p, err := PrepareSelect(sel, env)
+	if err != nil {
+		return nil, nil, err
 	}
-	if sel.Limit != nil && int64(len(rows)) > *sel.Limit {
-		rows = rows[:*sel.Limit]
-	}
-	if hidden > 0 {
-		keep := schema.Len() - hidden
-		schema = &sqltypes.Schema{Columns: schema.Columns[:keep]}
-		for i, r := range rows {
-			rows[i] = r[:keep]
-		}
-	}
-	return &Result{Schema: schema, Rows: rows, Stats: stats}, nil
+	return p.ExecuteStreamContext(ctx, nil, sink)
 }
 
 // outputNames collects the visible output column names of a select.
@@ -119,82 +80,9 @@ func orderKeyInOutput(e sqlparser.Expr, outNames map[string]bool) bool {
 	return ok
 }
 
-// SelectStream runs a SELECT, streaming rows to sink (concurrently).
-// ORDER BY and LIMIT are rejected in streaming mode. The returned
-// Stats describe the completed scan.
-func SelectStream(ctx context.Context, sel *sqlparser.Select, env *Env, sink RowSink) (*sqltypes.Schema, *Stats, error) {
-	if len(sel.OrderBy) > 0 || sel.Limit != nil {
-		return nil, nil, fmt.Errorf("exec: ORDER BY/LIMIT not supported in streaming mode")
-	}
-	if err := analyze(sel, env); err != nil {
-		return nil, nil, err
-	}
-	schema, _, stats, err := runSelect(ctx, sel, env, sink)
-	return schema, stats, err
-}
-
-// runSelect plans and executes; when sink is nil rows are materialized
-// and returned, otherwise they stream to sink.
-func runSelect(ctx context.Context, sel *sqlparser.Select, env *Env, sink RowSink) (*sqltypes.Schema, []sqltypes.Row, *Stats, error) {
-	var col *collector
-	if sink == nil {
-		col = &collector{}
-		sink = col.sink
-	}
-	emitRows := func() []sqltypes.Row {
-		if col == nil {
-			return nil
-		}
-		return col.rows
-	}
-	st := &Stats{Workers: 1}
-	finish := beginSelectObs(st)
-	defer finish()
-	// Count emitted rows in a local atomic shared by the aggregate and
-	// projection paths' concurrent sink calls, published to the plain
-	// Stats field after the workers join (and before finish reads it —
-	// deferred last, runs first).
-	emitted := new(atomic.Int64)
-	defer func() { st.RowsEmitted = emitted.Load() }()
-	sink = countedSink(emitted, sink)
-
-	// Table-less SELECT of constants.
-	if len(sel.From) == 0 {
-		schema, err := constSelect(sel, env, sink)
-		return schema, emitRows(), st, err
-	}
-
-	b, err := bindFrom(sel.From, env.Catalog)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	items, err := expandStars(sel.Items, b)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	aggNames := env.Aggs.Names()
-	isAgg := len(sel.GroupBy) > 0
-	for _, item := range items {
-		if expr.ContainsAggregate(item.Expr, aggNames) {
-			isAgg = true
-		}
-	}
-	if sel.Having != nil && !isAgg {
-		return nil, nil, nil, fmt.Errorf("exec: HAVING requires GROUP BY or aggregates")
-	}
-
-	if isAgg {
-		schema, err := runAggregate(ctx, sel, items, b, env, sink, st)
-		return schema, emitRows(), st, err
-	}
-	schema, err := runProjection(ctx, sel, items, b, env, sink, st)
-	return schema, emitRows(), st, err
-}
-
 // beginSelectObs starts the root span and the engine-level query
 // gauges/histograms for one SELECT execution; the returned finish
-// function completes them. Shared by the ad-hoc and prepared paths.
+// function completes them.
 func beginSelectObs(st *Stats) func() {
 	root := st.ensureRoot()
 	obs.ActiveQueries.Inc()
@@ -231,68 +119,19 @@ func countedSink(emitted *atomic.Int64, sink RowSink) RowSink {
 	}
 }
 
-// scanWorkers resolves the worker-pool bound for n partitions.
-func scanWorkers(env *Env, n int) int {
-	if env.Workers > 0 && env.Workers < n {
-		return env.Workers
-	}
-	return n
-}
-
-// constSelect evaluates a FROM-less select list once.
-func constSelect(sel *sqlparser.Select, env *Env, sink RowSink) (*sqltypes.Schema, error) {
-	if len(sel.GroupBy) > 0 || sel.Where != nil {
-		return nil, fmt.Errorf("exec: WHERE/GROUP BY require a FROM clause")
-	}
-	cols := make([]sqltypes.Column, len(sel.Items))
-	row := make(sqltypes.Row, len(sel.Items))
-	for i, item := range sel.Items {
-		if item.Star {
-			return nil, fmt.Errorf("exec: * requires a FROM clause")
-		}
-		ev, err := expr.Compile(item.Expr, nil, env.Funcs)
-		if err != nil {
-			return nil, err
-		}
-		v, err := ev.Eval(nil)
-		if err != nil {
-			return nil, err
-		}
-		row[i] = v
-		cols[i] = sqltypes.Column{Name: itemName(item, i), Type: v.Type()}
-	}
-	return &sqltypes.Schema{Columns: cols}, sink(row)
-}
-
-// joinTail materializes the cross product of all FROM tables after the
-// first, pushing down the WHERE conjuncts that reference a single tail
-// table so selective filters (the scoring queries' `l1.j = 1 AND ...`)
-// apply before the product is formed — the aliased k-way cross joins of
-// §3.5 stay k rows wide instead of exploding combinatorially. It
-// returns the tail rows and the residual WHERE that still has to run
-// per joined row. A sanity cap catches genuinely large-large joins.
+// maxJoinTailRows is a sanity cap on the materialized cross product of
+// the tail tables; it catches genuinely large-large joins.
 const maxJoinTailRows = 1 << 20
 
-func joinTail(ctx context.Context, b *binding, where sqlparser.Expr, funcs *expr.Registry) ([]sqltypes.Row, sqlparser.Expr, error) {
-	tp := planTail(b, where)
-	filters, err := tp.compileFilters(b, func(e sqlparser.Expr, r expr.Resolver) (expr.Evaluator, error) {
-		return expr.Compile(e, r, funcs)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	tail, err := tp.scan(ctx, b, filters)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tail, tp.residual, nil
-}
-
-// tailPlan is the data-independent half of a cross-join tail: which
-// WHERE conjuncts push down to which tail table, and the residual
-// predicate that still runs per joined row. A prepared statement keeps
-// one tailPlan and re-scans the (small) tail tables each EXECUTE, so
-// inserts into model tables are always visible.
+// tailPlan is the data-independent half of a cross-join tail (all FROM
+// tables after the first): which WHERE conjuncts push down to which
+// tail table, and the residual predicate that still runs per joined
+// row. Pushing single-table conjuncts down applies selective filters
+// (the scoring queries' `l1.j = 1 AND ...`) before the product is
+// formed, so the aliased k-way cross joins of §3.5 stay k rows wide
+// instead of exploding combinatorially. A statement keeps one tailPlan
+// and re-scans the (small) tail tables each EXECUTE, so inserts into
+// model tables are always visible.
 type tailPlan struct {
 	splits   [][]sqlparser.Expr // per FROM index: conjuncts pushed to that table
 	residual sqlparser.Expr
@@ -327,23 +166,19 @@ func planTail(b *binding, where sqlparser.Expr) *tailPlan {
 	return tp
 }
 
-// compileFilters compiles the pushed-down conjuncts with the given
-// compile hook (plain Compile for ad-hoc queries, CompileWithParams
-// for prepared ones).
-func (tp *tailPlan) compileFilters(b *binding, compile func(sqlparser.Expr, expr.Resolver) (expr.Evaluator, error)) ([][]expr.Evaluator, error) {
+// compileFilters compiles the pushed-down conjuncts, each against its
+// own table's rows.
+func (tp *tailPlan) compileFilters(b *binding, compile compileFn) ([][]expr.Evaluator, error) {
 	filters := make([][]expr.Evaluator, len(tp.splits))
 	for ti, split := range tp.splits {
 		if len(split) == 0 {
 			continue
 		}
-		resolve := tableResolver(b, ti)
-		for _, c := range split {
-			ev, err := compile(c, resolve)
-			if err != nil {
-				return nil, err
-			}
-			filters[ti] = append(filters[ti], ev)
+		evs, err := compileAll(split, tableResolver(b, ti), compile)
+		if err != nil {
+			return nil, err
 		}
+		filters[ti] = evs
 	}
 	return filters, nil
 }
@@ -432,123 +267,6 @@ func tableResolver(b *binding, ti int) expr.Resolver {
 	}
 }
 
-// runProjection executes a scalar (non-aggregate) SELECT: scan the
-// first table in parallel, cross-join the tail, filter, project.
-func runProjection(ctx context.Context, sel *sqlparser.Select, items []sqlparser.SelectItem, b *binding, env *Env, sink RowSink, st *Stats) (*sqltypes.Schema, error) {
-	plan := st.ensureRoot().child("plan")
-	tail, residual, err := joinTail(ctx, b, sel.Where, env.Funcs)
-	if err != nil {
-		return nil, err
-	}
-	cols := make([]sqltypes.Column, len(items))
-	for i, item := range items {
-		cols[i] = sqltypes.Column{Name: itemName(item, i), Type: sqltypes.TypeDouble}
-	}
-	// Infer output types from a compile-time pass on column refs.
-	for i, item := range items {
-		if cr, ok := item.Expr.(*sqlparser.ColumnRef); ok {
-			if idx, err := b.resolve(cr.Table, cr.Name); err == nil {
-				cols[i].Type = flatColumnType(b, idx)
-			}
-		}
-	}
-	schema := &sqltypes.Schema{Columns: cols}
-
-	first := b.tables[0].table
-	nparts := first.Partitions()
-	st.Partitions = nparts
-	st.Workers = scanWorkers(env, nparts)
-	st.PartitionRows = make([]int64, nparts)
-	st.Plan = plan.finish()
-
-	// Columnar mode: a single-table projection whose items and WHERE all
-	// compile to vector programs runs block-wise; any other shape counts
-	// a fallback and takes the row path below.
-	if env.Columnar && len(b.tables) == 1 {
-		if vp, verr := planVecProjection(items, residual, b); verr == nil {
-			return schema, vp.run(ctx, env, sink, st)
-		}
-		obs.ColumnarFallbacks.Inc()
-	}
-
-	scan := st.Root.child("scan")
-	partSpans := make([]*Span, nparts)
-	err = RunParallel(ctx, st.Workers, nparts, func(ctx context.Context, p int) error {
-		span := newSpan(fmt.Sprintf("scan[p%d]", p))
-		partSpans[p] = span
-		// Per-partition compiled evaluators (evaluators carry buffers).
-		evals := make([]expr.Evaluator, len(items))
-		for i, item := range items {
-			ev, cerr := expr.Compile(item.Expr, b.resolve, env.Funcs)
-			if cerr != nil {
-				return cerr
-			}
-			evals[i] = ev
-		}
-		var where expr.Evaluator
-		if residual != nil {
-			w, cerr := expr.Compile(residual, b.resolve, env.Funcs)
-			if cerr != nil {
-				return cerr
-			}
-			where = w
-		}
-		flat := make(sqltypes.Row, b.width)
-		out := make(sqltypes.Row, len(items))
-		ps, serr := first.ScanPartitionStats(ctx, p, func(r sqltypes.Row) error {
-			for _, t := range tail {
-				copy(flat, r)
-				copy(flat[len(r):], t)
-				if where != nil {
-					keep, err := where.Eval(flat)
-					if err != nil {
-						return err
-					}
-					if keep.IsNull() || !keep.Bool() {
-						continue
-					}
-				}
-				for i, ev := range evals {
-					v, err := ev.Eval(flat)
-					if err != nil {
-						return err
-					}
-					out[i] = v
-				}
-				if err := sink(out); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		st.PartitionRows[p] = ps.Rows
-		span.Rows, span.Bytes = ps.Rows, ps.Bytes
-		span.finish()
-		return serr
-	})
-	st.Scan = scan.finish()
-	finishScanSpan(scan, partSpans, st)
-	return schema, err
-}
-
-// finishScanSpan attaches the per-partition child spans (skipping
-// partitions never started before a cancellation) and totals their
-// volume into the parent span and the scan counters. It runs after the
-// partition workers have joined, so the per-span numbers are stable
-// and the Stats fields can stay plain (no atomics needed).
-func finishScanSpan(scan *Span, partSpans []*Span, st *Stats) {
-	for _, ps := range partSpans {
-		if ps != nil {
-			scan.Children = append(scan.Children, ps)
-			st.RowsScanned += ps.Rows
-			st.BytesRead += ps.Bytes
-		}
-	}
-	scan.sortChildren()
-	scan.Rows = st.RowsScanned
-	scan.Bytes = st.BytesRead
-}
-
 func flatColumnType(b *binding, idx int) sqltypes.Type {
 	for _, bt := range b.tables {
 		n := bt.table.Schema().Len()
@@ -562,7 +280,7 @@ func flatColumnType(b *binding, idx int) sqltypes.Type {
 // sortRows applies ORDER BY over the materialized output. Keys may be
 // output column names/aliases, 1-based ordinals, or expressions over
 // the output schema.
-func sortRows(order []sqlparser.OrderItem, schema *sqltypes.Schema, rows []sqltypes.Row, env *Env) error {
+func sortRows(order []sqlparser.OrderItem, schema *sqltypes.Schema, rows []sqltypes.Row, funcs *expr.Registry, params *[]sqltypes.Value) error {
 	type key struct {
 		ev   expr.Evaluator
 		desc bool
@@ -583,7 +301,7 @@ func sortRows(order []sqlparser.OrderItem, schema *sqltypes.Schema, rows []sqlty
 			keys[i] = key{ev: ordinalEval(ord - 1), desc: o.Desc}
 			continue
 		}
-		ev, err := expr.Compile(o.Expr, resolve, env.Funcs)
+		ev, err := expr.CompileWithParams(o.Expr, resolve, funcs, params)
 		if err != nil {
 			return err
 		}

@@ -59,8 +59,7 @@ type Stats struct {
 	hasMerge bool
 }
 
-// ensureRoot returns the statement span, creating it for Stats built
-// outside runSelect.
+// ensureRoot returns the statement span, creating it on first use.
 func (s *Stats) ensureRoot() *Span {
 	if s.Root == nil {
 		s.Root = newSpan("statement")

@@ -23,12 +23,16 @@ type Span struct {
 	// by the db layer when the finished tree is stamped with its
 	// statement's TraceID; empty until then. The executor itself knows
 	// nothing about trace propagation.
-	ID       string    `json:"span_id,omitempty"`
-	Start    time.Time `json:"start"`
-	End      time.Time `json:"end"`
-	Rows     int64     `json:"rows,omitempty"`
-	Bytes    int64     `json:"bytes,omitempty"`
-	Children []*Span   `json:"children,omitempty"`
+	ID    string    `json:"span_id,omitempty"`
+	Start time.Time `json:"start"`
+	End   time.Time `json:"end"`
+	Rows  int64     `json:"rows,omitempty"`
+	Bytes int64     `json:"bytes,omitempty"`
+	// Source is set on scan[pN] spans only: "block" when the partition
+	// was read from its column segment, "row" when it was read from the
+	// row log (the plan had no block form, or the segment was stale).
+	Source   string  `json:"source,omitempty"`
+	Children []*Span `json:"children,omitempty"`
 }
 
 // Duration is the span's wall time.
@@ -64,8 +68,8 @@ func (sp *Span) sortChildren() {
 //	statement (1.23ms) rows=42
 //	├─ plan (0.02ms)
 //	├─ scan (1.08ms) rows=100000 bytes=2.3 MB
-//	│  ├─ scan[p0] (1.01ms) rows=50000
-//	│  └─ scan[p1] (0.99ms) rows=50000
+//	│  ├─ scan[p0] (1.01ms) rows=50000 source=row
+//	│  └─ scan[p1] (0.99ms) rows=50000 source=row
 //	├─ merge (0.05ms)
 //	└─ finalize (0.08ms)
 func (sp *Span) RenderTree() string {
@@ -83,6 +87,9 @@ func (sp *Span) render(b *strings.Builder, indent, branch, childIndent string) {
 	}
 	if sp.Bytes > 0 {
 		fmt.Fprintf(b, " bytes=%s", formatBytes(sp.Bytes))
+	}
+	if sp.Source != "" {
+		fmt.Fprintf(b, " source=%s", sp.Source)
 	}
 	b.WriteByte('\n')
 	for i, c := range sp.Children {

@@ -433,11 +433,10 @@ func (s *Server) handshake(nc net.Conn, wc *wire.Conn) (*session, error) {
 		s.sendError(nc, wc, err)
 		return nil, err
 	}
-	sess := s.sessions.add(hello.User, nc.RemoteAddr().String())
 	// The session speaks the client's offered version: a v1 client gets
 	// exact v1 frames (its strict decoder rejects trailing bytes), a v2
 	// client gets trace headers and Done trace IDs.
-	sess.proto = hello.Version
+	sess := s.sessions.add(hello.User, nc.RemoteAddr().String(), hello.Version)
 	if err := s.send(nc, wc, wire.MsgWelcome, wire.EncodeWelcome(wire.Welcome{SessionID: sess.id, Server: Version, Proto: sess.proto})); err != nil {
 		s.sessions.remove(sess.id)
 		return nil, err

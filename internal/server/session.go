@@ -18,7 +18,7 @@ type session struct {
 	started    time.Time
 	// proto is the handshake-negotiated protocol version; trace
 	// headers and Done trace IDs flow only on proto >= 2 sessions.
-	// Written once during the handshake, before any statement runs.
+	// Set before the registry publishes the session; never written again.
 	proto uint32
 
 	mu         sync.Mutex
@@ -59,11 +59,11 @@ func newSessionRegistry() *sessionRegistry {
 	return &sessionRegistry{m: make(map[int64]*session)}
 }
 
-func (r *sessionRegistry) add(user, remoteAddr string) *session {
+func (r *sessionRegistry) add(user, remoteAddr string, proto uint32) *session {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.next++
-	s := &session{id: r.next, user: user, remoteAddr: remoteAddr, started: time.Now()}
+	s := &session{id: r.next, user: user, remoteAddr: remoteAddr, started: time.Now(), proto: proto}
 	r.m[s.id] = s
 	return s
 }

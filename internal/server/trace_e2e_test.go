@@ -83,17 +83,22 @@ func TestRemoteQueryTraceEndToEnd(t *testing.T) {
 // span nested under the server span.
 func assertServerSpanTree(t *testing.T, eng *db.DB, tid string) {
 	t.Helper()
-	rec, ok := eng.Traces().Get(tid)
-	if !ok {
-		t.Fatalf("trace %s not retained server-side", tid)
-	}
+	// The server attaches its span after the Done frame went out, so the
+	// client can get here first: wait for the span, not for a duration.
+	var rec trace.Record
 	var serverSpan, stmtParent, serverParent string
-	for _, sp := range rec.Spans {
-		switch sp.Name {
-		case "server":
-			serverSpan, serverParent = sp.SpanID, sp.ParentID
-		case "statement":
-			stmtParent = sp.ParentID
+	for deadline := time.Now().Add(5 * time.Second); serverSpan == "" && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		var ok bool
+		if rec, ok = eng.Traces().Get(tid); !ok {
+			t.Fatalf("trace %s not retained server-side", tid)
+		}
+		for _, sp := range rec.Spans {
+			switch sp.Name {
+			case "server":
+				serverSpan, serverParent = sp.SpanID, sp.ParentID
+			case "statement":
+				stmtParent = sp.ParentID
+			}
 		}
 	}
 	if serverSpan == "" {
