@@ -12,7 +12,7 @@
 //     logical partition space of which each shard owns one contiguous
 //     range (the ShardMap). Rows never move after insert.
 //   - Model builds push the scan down: the coordinator sends each shard
-//     the same aggregate statement (or a protocol-3 Summary frame that
+//     the same aggregate statement (or a Summary frame that
 //     reuses the shard's summary-cache read path) and merges the
 //     finalized partials exactly as the in-process merge phase does —
 //     n/L/Q merge additively, COUNT/SUM sum, MIN/MAX compare, AVG is
@@ -46,7 +46,6 @@ import (
 	"repro/internal/engine/db"
 	"repro/internal/engine/exec"
 	"repro/internal/engine/sqlparser"
-	"repro/internal/engine/sqltypes"
 	"repro/internal/engine/trace"
 	"repro/internal/server/wire"
 	"repro/pkg/client"
@@ -190,26 +189,17 @@ func (c *Coordinator) ExecScriptContext(ctx context.Context, sql string) (*exec.
 	return last, nil
 }
 
-// QueryStreamContext materializes the statement through the cluster
-// dispatch and replays its rows into sink. The coordinator merges
-// whole partials rather than streaming rows, so "streaming" here is a
-// replay — result sets crossing the coordinator are small by design
-// (aggregates and scored rows, never base-table scans).
-func (c *Coordinator) QueryStreamContext(ctx context.Context, sql string, sink exec.RowSink) (*sqltypes.Schema, *exec.Stats, error) {
+// QueryContext parses one statement and runs it through the cluster
+// dispatch. The coordinator merges whole partials rather than streaming
+// rows, so sink goes unused and the rows come back in the Result —
+// result sets crossing the coordinator are small by design (aggregates
+// and scored rows, never base-table scans).
+func (c *Coordinator) QueryContext(ctx context.Context, sql string, _ exec.RowSink) (*exec.Result, error) {
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	res, err := c.RunContext(ctx, stmt)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, r := range res.Rows {
-		if err := sink(r); err != nil {
-			return nil, nil, err
-		}
-	}
-	return res.Schema, res.Stats, nil
+	return c.RunContext(ctx, stmt)
 }
 
 // RunContext dispatches one parsed statement.
@@ -275,7 +265,7 @@ func (c *Coordinator) runDDL(ctx context.Context, stmt sqlparser.Statement) (*ex
 	return res, nil
 }
 
-// SummaryNLQ fans the protocol-3 Summary frame out to every shard —
+// SummaryNLQ fans the Summary frame out to every shard —
 // each serves its local cache-first n/L/Q read path — and merges the
 // partials additively. hit reports whether every shard answered from
 // its cache (zero scans fleet-wide).

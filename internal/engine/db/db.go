@@ -245,14 +245,6 @@ func (d *DB) env() *exec.Env {
 	return &exec.Env{Catalog: d, Funcs: d.funcs, Aggs: d.aggs, Workers: d.opts.Workers, Columnar: d.opts.Columnar}
 }
 
-// LastStats returns the execution statistics of the most recent
-// statement that performed a scan (nil before any such statement).
-// Shells and benchmarks read it after Exec to report rows scanned,
-// bytes read, partition skew and phase times. It is a view over the
-// recent-query ring, so INSERT ... SELECT and streamed queries are
-// covered like plain SELECTs.
-func (d *DB) LastStats() *exec.Stats { return d.qlog.lastStats() }
-
 // Exec parses and runs one SQL statement.
 func (d *DB) Exec(sql string) (*exec.Result, error) {
 	return d.ExecContext(context.Background(), sql)
@@ -261,18 +253,20 @@ func (d *DB) Exec(sql string) (*exec.Result, error) {
 // ExecContext parses and runs one SQL statement; cancelling ctx stops
 // in-flight partition scans between rows.
 func (d *DB) ExecContext(ctx context.Context, sql string) (*exec.Result, error) {
-	return d.query(ctx, sql, nil)
+	return d.QueryContext(ctx, sql, nil)
 }
 
-// query is the one dispatch for statement text, behind Exec and
-// QueryStream alike (a nil sink materializes). SELECT text reads
-// through the LRU plan cache: a hit skips parse, sema, view expansion
-// and compilation entirely. A miss — or a hit that lost a race with DDL
-// between lookup and execute — is parsed and planned by runSelect;
-// every other statement kind goes to run.
-func (d *DB) query(ctx context.Context, sql string, sink exec.RowSink) (*exec.Result, error) {
-	if p := d.plans.lookup(sql, d.epoch.Load()); p != nil && (sink == nil || p.Streamable()) {
-		res, err := p.execute(ctx, sink, nil)
+// QueryContext is the one dispatch for statement text, behind Exec,
+// QueryStream and the network server alike. A SELECT's rows go to sink
+// when one is given (the Result then carries schema and stats only) and
+// into the Result otherwise; statements that produce no rows ignore
+// the sink. SELECT text reads through the LRU plan cache: a hit skips
+// parse, sema, view expansion and compilation entirely. A miss — or a
+// hit that lost a race with DDL between lookup and execute — is parsed
+// and planned by runSelect; every other statement kind goes to run.
+func (d *DB) QueryContext(ctx context.Context, sql string, sink exec.RowSink) (*exec.Result, error) {
+	if p := d.plans.lookup(sql, d.epoch.Load()); p != nil {
+		res, err := p.QueryContext(ctx, sink)
 		if !errors.Is(err, ErrPlanStale) {
 			return res, err
 		}
@@ -283,9 +277,6 @@ func (d *DB) query(ctx context.Context, sql string, sink exec.RowSink) (*exec.Re
 	}
 	if sel, ok := stmt.(*sqlparser.Select); ok {
 		return d.runSelect(ctx, sql, sel, sink, true)
-	}
-	if sink != nil {
-		return nil, fmt.Errorf("db: QueryStream requires a SELECT")
 	}
 	return d.run(ctx, sql, stmt)
 }
@@ -336,13 +327,25 @@ func (d *DB) planSelect(sel *sqlparser.Select) (ps *exec.PreparedSelect, sysRef 
 }
 
 // executeSelect runs a planned SELECT, materializing when sink is nil;
-// a streamed Result carries the schema and stats but no rows.
+// a streamed Result carries the schema and stats but no rows. ORDER BY
+// and LIMIT need the whole result before the first row can leave, so
+// such a plan materializes here and replays into sink in order.
 func executeSelect(ctx context.Context, ps *exec.PreparedSelect, args []sqltypes.Value, sink exec.RowSink) (*exec.Result, error) {
-	if sink == nil {
-		return ps.ExecuteContext(ctx, args)
+	if sink != nil && ps.Streamable() {
+		schema, st, err := ps.ExecuteStreamContext(ctx, args, sink)
+		return &exec.Result{Schema: schema, Stats: st}, err
 	}
-	schema, st, err := ps.ExecuteStreamContext(ctx, args, sink)
-	return &exec.Result{Schema: schema, Stats: st}, err
+	res, err := ps.ExecuteContext(ctx, args)
+	if err != nil || sink == nil {
+		return res, err
+	}
+	for _, r := range res.Rows {
+		if err := sink(r); err != nil {
+			return &exec.Result{Stats: res.Stats}, err
+		}
+	}
+	res.Rows = nil
+	return res, nil
 }
 
 // finish records a completed statement in the recent-query ring — with
@@ -457,7 +460,7 @@ func (d *DB) runContext(ctx context.Context, stmt sqlparser.Statement) (*exec.Re
 	}
 }
 
-// QueryStream parses a SELECT and streams its rows to sink; used for
+// QueryStream runs a SELECT and streams its rows to sink; used for
 // scoring large data sets without materializing them.
 func (d *DB) QueryStream(sql string, sink exec.RowSink) (*sqltypes.Schema, error) {
 	schema, _, err := d.QueryStreamContext(context.Background(), sql, sink)
@@ -466,10 +469,9 @@ func (d *DB) QueryStream(sql string, sink exec.RowSink) (*sqltypes.Schema, error
 
 // QueryStreamContext is QueryStream under a context; cancelling ctx
 // stops the partition scans between rows. It also returns the scan's
-// execution statistics so callers streaming to a remote client can
-// report them without racing on LastStats.
+// execution statistics.
 func (d *DB) QueryStreamContext(ctx context.Context, sql string, sink exec.RowSink) (*sqltypes.Schema, *exec.Stats, error) {
-	res, err := d.query(ctx, sql, sink)
+	res, err := d.QueryContext(ctx, sql, sink)
 	if err != nil {
 		return nil, nil, err
 	}

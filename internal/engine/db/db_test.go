@@ -1,6 +1,7 @@
 package db
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -472,8 +473,21 @@ func TestQueryStream(t *testing.T) {
 	if got[0] != 10 || got[9] != 100 {
 		t.Fatalf("got = %v", got)
 	}
-	if _, err := d.QueryStream("SELECT i FROM X ORDER BY i", func(sqltypes.Row) error { return nil }); err == nil {
-		t.Fatal("ORDER BY must be rejected in streaming mode")
+	// ORDER BY/LIMIT cannot stream from the scan: the engine materializes
+	// and replays into the sink in order, leaving no rows in the result.
+	var ordered []int64
+	res, err := d.QueryContext(context.Background(), "SELECT i FROM X ORDER BY i DESC LIMIT 3", func(r sqltypes.Row) error {
+		ordered = append(ordered, r[0].Int())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ordered) != 3 || ordered[0] != 10 || ordered[1] != 9 || ordered[2] != 8 {
+		t.Fatalf("ordered replay = %v, want [10 9 8]", ordered)
+	}
+	if len(res.Rows) != 0 || res.Schema == nil || res.Stats == nil {
+		t.Fatalf("sunk result = %d rows, schema %v, stats %v; want no rows beside schema and stats", len(res.Rows), res.Schema, res.Stats)
 	}
 }
 

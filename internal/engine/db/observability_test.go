@@ -41,7 +41,8 @@ func TestRecentQueriesRingRecordsAllPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Streamed queries must land in the ring too.
-	if _, err := d.QueryStream("SELECT v FROM x", func(sqltypes.Row) error { return nil }); err != nil {
+	_, streamStats, err := d.QueryStreamContext(context.Background(), "SELECT v FROM x", func(sqltypes.Row) error { return nil })
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -74,10 +75,9 @@ func TestRecentQueriesRingRecordsAllPaths(t *testing.T) {
 		}
 	}
 
-	// LastStats is a view over the ring: it must reflect the newest
-	// record that carries stats (the streamed SELECT).
-	if st := d.LastStats(); st == nil || st != recs[0].Stats {
-		t.Errorf("LastStats() = %p, want the newest recorded stats %p", st, recs[0].Stats)
+	// The ring records the very Stats the call handed its caller.
+	if streamStats == nil || streamStats != recs[0].Stats {
+		t.Errorf("streamed call returned stats %p, ring recorded %p", streamStats, recs[0].Stats)
 	}
 }
 

@@ -158,25 +158,26 @@ func (p *Prepared) Execute(args ...sqltypes.Value) (*exec.Result, error) {
 // ExecuteContext binds args and runs the prepared statement; like
 // every other dispatch path it is recorded in the recent-query ring.
 func (p *Prepared) ExecuteContext(ctx context.Context, args ...sqltypes.Value) (*exec.Result, error) {
-	return p.execute(ctx, nil, args)
+	return p.QueryContext(ctx, nil, args...)
 }
 
-// ExecuteStreamContext binds args and streams result rows to sink;
-// only prepared SELECTs without ORDER BY/LIMIT can stream.
+// ExecuteStreamContext binds args and streams a prepared SELECT's
+// result rows to sink.
 func (p *Prepared) ExecuteStreamContext(ctx context.Context, sink exec.RowSink, args ...sqltypes.Value) (*sqltypes.Schema, *exec.Stats, error) {
 	if p.sel == nil {
 		return nil, nil, fmt.Errorf("db: ExecuteStream requires a prepared SELECT")
 	}
-	res, err := p.execute(ctx, sink, args)
+	res, err := p.QueryContext(ctx, sink, args...)
 	if err != nil {
 		return nil, nil, err
 	}
 	return res.Schema, res.Stats, nil
 }
 
-// execute gates on ready, runs the plan (a nil sink materializes) and
-// records the statement.
-func (p *Prepared) execute(ctx context.Context, sink exec.RowSink, args []sqltypes.Value) (*exec.Result, error) {
+// QueryContext is the one execution entry, the prepared counterpart of
+// DB.QueryContext with the same sink contract: it gates on ready, binds
+// args, runs the plan and records the statement.
+func (p *Prepared) QueryContext(ctx context.Context, sink exec.RowSink, args ...sqltypes.Value) (*exec.Result, error) {
 	if err := p.ready(); err != nil {
 		return nil, err
 	}
@@ -192,11 +193,6 @@ func (p *Prepared) execute(ctx context.Context, sink exec.RowSink, args []sqltyp
 		p.execs.Add(1)
 	}
 	return p.db.finish(ctx, p.sql, start, res, err)
-}
-
-// Streamable reports whether ExecuteStreamContext can run this plan.
-func (p *Prepared) Streamable() bool {
-	return p.sel != nil && p.sel.Streamable()
 }
 
 func (p *Prepared) executeInsert(ctx context.Context, args []sqltypes.Value) (*exec.Result, error) {

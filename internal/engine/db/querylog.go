@@ -106,18 +106,6 @@ func (l *queryLog) recent() []QueryRecord {
 	return out
 }
 
-// lastStats returns the newest record's Stats that is non-nil.
-func (l *queryLog) lastStats() *exec.Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i := 1; i <= l.n; i++ {
-		if st := l.buf[(l.pos-i+queryRingSize)%queryRingSize].Stats; st != nil {
-			return st
-		}
-	}
-	return nil
-}
-
 // ObserveStatement records an externally executed statement in this
 // instance's query ring, trace store and counters, exactly as the
 // in-process dispatch paths do. The cluster coordinator runs

@@ -42,10 +42,11 @@ func runExecutorStats(cfg Config) ([]*Table, error) {
 		{"projection", "SELECT i, X1 + X2 FROM X WHERE X1 > 0"},
 	}
 	for _, q := range queries {
-		if _, err := d.Exec(q.sql); err != nil {
+		res, err := d.Exec(q.sql)
+		if err != nil {
 			return nil, err
 		}
-		s := d.LastStats()
+		s := res.Stats
 		if s == nil {
 			return nil, fmt.Errorf("harness: no stats recorded for %s", q.label)
 		}

@@ -22,14 +22,15 @@ var (
 	admissionRejections = obs.Default.Counter("engine_server_admission_rejections_total",
 		"Statements rejected by admission control (busy errors).")
 	// BytesSent/BytesReceived count wire-protocol frame bytes, flushed
-	// once per statement rather than per frame.
+	// once per request frame (with everything it was answered by).
 	bytesSent = obs.Default.Counter("engine_server_bytes_sent_total",
 		"Wire-protocol bytes written to clients.")
 	bytesReceived = obs.Default.Counter("engine_server_bytes_received_total",
 		"Wire-protocol bytes read from clients.")
-	// StatementSeconds is the server-side statement latency: admission
-	// wait + execution + result transmission (the full wire round trip
-	// minus client-side network time).
+	// StatementSeconds is the server-side latency of every request that
+	// executes (Query, Exec, ExecPrepared, Summary): admission wait +
+	// execution + result transmission (the full wire round trip minus
+	// client-side network time).
 	statementSeconds = obs.Default.Histogram("engine_server_statement_seconds",
 		"Server-side statement latency including admission wait and result transmission.",
 		obs.DurationBuckets)

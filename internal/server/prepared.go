@@ -4,11 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
-	"time"
 
 	"repro/internal/engine/db"
+	"repro/internal/engine/exec"
 	"repro/internal/engine/sqltypes"
 	"repro/internal/server/wire"
 )
@@ -85,157 +84,56 @@ func (ps *preparedSet) closeAll() {
 
 // handlePrepare plans one statement and returns its handle. Prepares
 // skip admission control — they never scan — but respect draining.
-func (s *Server) handlePrepare(ctx context.Context, nc net.Conn, wc *wire.Conn, sess *session, payload []byte) error {
+func (s *Server) handlePrepare(ctx context.Context, l link, sess *session, payload []byte) error {
 	sql, err := wire.DecodePrepare(payload)
 	if err != nil {
-		s.sendError(nc, wc, &wire.Error{Code: wire.CodeProtocol, Message: err.Error()})
-		return err
+		return l.protocolError(err)
 	}
 	if s.draining.Load() {
-		return s.sendError(nc, wc, &wire.Error{Code: wire.CodeShutdown, Message: "server shutting down"})
+		return l.sendError(errShutdown)
 	}
 	p, err := s.db.PrepareContext(ctx, sql)
 	if err != nil {
-		return s.sendError(nc, wc, classify(err))
+		return l.sendError(classify(err))
 	}
 	h, err := sess.preps.put(p)
 	if err != nil {
 		p.Close()
-		return s.sendError(nc, wc, &wire.Error{Code: wire.CodeInternal, Message: err.Error()})
+		return l.sendError(&wire.Error{Code: wire.CodeInternal, Message: err.Error()})
 	}
-	return s.send(nc, wc, wire.MsgPrepared, wire.EncodePrepared(wire.PreparedInfo{Handle: h, NumParams: p.NumParams()}))
+	return l.send(wire.MsgPrepared, wire.EncodePrepared(wire.PreparedInfo{Handle: h, NumParams: p.NumParams()}))
 }
 
 // handleClosePrepared releases one handle; closing an unknown handle is
 // a no-op (the client may race a session teardown), acknowledged with
 // an empty Done either way.
-func (s *Server) handleClosePrepared(nc net.Conn, wc *wire.Conn, sess *session, payload []byte) error {
+func (s *Server) handleClosePrepared(l link, sess *session, payload []byte) error {
 	h, err := wire.DecodeClosePrepared(payload)
 	if err != nil {
-		s.sendError(nc, wc, &wire.Error{Code: wire.CodeProtocol, Message: err.Error()})
-		return err
+		return l.protocolError(err)
 	}
 	if p := sess.preps.take(h); p != nil {
 		p.Close()
 	}
-	return s.send(nc, wc, wire.MsgDone, wire.EncodeDone(wire.Done{}, sess.proto))
+	return l.send(wire.MsgDone, wire.EncodeDone(wire.Done{}))
 }
 
-// handleExecPrepared executes a handle under admission control,
-// streaming rows like MsgQuery. A plan staled by DDL is transparently
-// re-prepared once from its SQL text; if the fresh plan is immediately
-// stale again (DDL churn) the client gets the typed stale_plan error
-// and decides.
-func (s *Server) handleExecPrepared(ctx context.Context, nc net.Conn, wc *wire.Conn, sess *session, payload []byte) error {
-	h, args, th, err := wire.DecodeExecPreparedTrace(payload)
+// execPrepared executes handle h's plan p. A plan staled by DDL is
+// transparently re-prepared once from its SQL text — the epoch check
+// fires before any row is produced, so nothing has reached sink yet; if
+// the fresh plan is immediately stale again (DDL churn) the client gets
+// the typed stale_plan error and decides.
+func (s *Server) execPrepared(ctx context.Context, sess *session, h int64, p *db.Prepared, args []sqltypes.Value, sink exec.RowSink) (*exec.Result, error) {
+	res, err := p.QueryContext(ctx, sink, args...)
+	if !errors.Is(err, db.ErrPlanStale) {
+		return res, err
+	}
+	np, err := s.db.PrepareContext(ctx, p.SQL())
 	if err != nil {
-		s.sendError(nc, wc, &wire.Error{Code: wire.CodeProtocol, Message: err.Error()})
-		return err
+		return nil, err
 	}
-	p := sess.preps.get(h)
-	if p == nil {
-		return s.sendError(nc, wc, &wire.Error{Code: wire.CodeStalePlan, Message: fmt.Sprintf("unknown prepared handle %d (server restarted or handle closed?)", h)})
+	if old := sess.preps.replace(h, np); old != nil {
+		old.Close()
 	}
-
-	start := time.Now()
-	defer func() {
-		statementSeconds.Observe(time.Since(start).Seconds())
-		bytesSent.Add(wc.BytesWritten.Swap(0))
-		bytesReceived.Add(wc.BytesRead.Swap(0))
-	}()
-	if s.draining.Load() {
-		return s.sendError(nc, wc, &wire.Error{Code: wire.CodeShutdown, Message: "server shutting down"})
-	}
-	if err := s.adm.acquire(ctx); err != nil {
-		return s.sendError(nc, wc, classify(err))
-	}
-	defer s.adm.release()
-	statementsInflight.Inc()
-	defer statementsInflight.Dec()
-	sess.begin(p.SQL())
-	defer sess.end()
-
-	ctx, tid, finish := s.beginStmtTrace(ctx, sess, th)
-	defer finish()
-
-	werr, err := s.runPrepared(ctx, nc, wc, sess, tid, p, args)
-	if errors.Is(err, db.ErrPlanStale) && werr == nil {
-		// The epoch check fires before any row is produced, so nothing
-		// has been sent yet: safe to re-prepare from the SQL and retry.
-		np, perr := s.db.PrepareContext(ctx, p.SQL())
-		if perr != nil {
-			return s.sendError(nc, wc, classify(perr))
-		}
-		if old := sess.preps.replace(h, np); old != nil {
-			old.Close()
-		}
-		werr, err = s.runPrepared(ctx, nc, wc, sess, tid, np, args)
-	}
-	if err != nil {
-		if werr != nil {
-			return werr // connection is gone; nothing to report to
-		}
-		return s.sendError(nc, wc, classify(err))
-	}
-	return werr
-}
-
-// runPrepared executes one prepared plan and streams its result. The
-// first return is a wire write failure (ends the session); the second
-// is the execution error (reported to the client by the caller).
-func (s *Server) runPrepared(ctx context.Context, nc net.Conn, wc *wire.Conn, sess *session, tid string, p *db.Prepared, args []sqltypes.Value) (werr, err error) {
-	if !p.Streamable() {
-		res, err := p.ExecuteContext(ctx, args...)
-		if err != nil {
-			return nil, err
-		}
-		return s.sendResult(nc, wc, sess, tid, res), nil
-	}
-	var (
-		mu    sync.Mutex
-		batch []sqltypes.Row
-		sent  int64
-		wfail error
-	)
-	flushLocked := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		pl, err := wire.EncodeBatch(batch)
-		if err != nil {
-			return err
-		}
-		batch = batch[:0]
-		return s.send(nc, wc, wire.MsgBatch, pl)
-	}
-	sink := func(r sqltypes.Row) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if wfail != nil {
-			return wfail
-		}
-		batch = append(batch, r.Clone())
-		sent++
-		if len(batch) >= s.cfg.BatchRows {
-			if wfail = flushLocked(); wfail != nil {
-				return wfail
-			}
-		}
-		return nil
-	}
-	schema, stats, err := p.ExecuteStreamContext(ctx, sink, args...)
-	if err != nil {
-		return wfail, err
-	}
-	mu.Lock()
-	ferr := flushLocked()
-	rows := sent
-	mu.Unlock()
-	if ferr != nil {
-		return ferr, nil
-	}
-	if werr := s.send(nc, wc, wire.MsgSchema, wire.EncodeSchema(schema)); werr != nil {
-		return werr, nil
-	}
-	return s.send(nc, wc, wire.MsgDone, wire.EncodeDone(wire.Done{Rows: rows, StatsJSON: statsJSON(stats), TraceID: tid}, sess.proto)), nil
+	return np.QueryContext(ctx, sink, args...)
 }

@@ -1,13 +1,16 @@
 package server_test
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"testing"
 
+	"repro/internal/engine/obs"
 	"repro/internal/engine/sqltypes"
 	"repro/internal/server"
 	"repro/internal/server/wire"
+	"repro/pkg/client"
 )
 
 // dialWire opens a raw protocol connection with the handshake done.
@@ -56,7 +59,7 @@ func prepareWire(t *testing.T, wc *wire.Conn, sql string) wire.PreparedInfo {
 // row count or the wire error.
 func execWire(t *testing.T, wc *wire.Conn, handle int64, args ...sqltypes.Value) (int, *wire.Error) {
 	t.Helper()
-	payload, err := wire.EncodeExecPrepared(handle, args)
+	payload, err := wire.EncodeExecPrepared(handle, args, wire.TraceHeader{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,4 +282,42 @@ func TestPreparedClosedOnDisconnect(t *testing.T) {
 	nc.Close()
 	waitFor(t, "handles released on disconnect", func() bool { return countPrepared() == 0 })
 
+}
+
+// TestOrderedQueryServedFromPlanCache: an ad-hoc ORDER BY/LIMIT query
+// over the wire takes the same text entry as the in-process Exec, so
+// its second sighting is a plan-cache hit (no parse, no planning) and
+// sys.prepared lists the cached plan with both executions on it.
+func TestOrderedQueryServedFromPlanCache(t *testing.T) {
+	eng, srv := startServer(t, server.Config{})
+	if _, err := eng.ExecScript("CREATE TABLE T (i BIGINT); INSERT INTO T VALUES (3), (1), (2)"); err != nil {
+		t.Fatal(err)
+	}
+	p, err := client.Open(client.Config{Addr: srv.Addr(), User: "adhoc", PoolSize: 1, AutoPrepareAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	const sql = "SELECT i FROM T ORDER BY i DESC LIMIT 2"
+	hits := obs.PlanCacheHits.Value()
+	for run := 1; run <= 2; run++ {
+		rows, err := p.Query(context.Background(), sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows.Rows) != 2 || rows.Rows[0][0].Int() != 3 || rows.Rows[1][0].Int() != 2 {
+			t.Fatalf("run %d: rows = %v, want [[3] [2]]", run, rows.Rows)
+		}
+	}
+	if got := obs.PlanCacheHits.Value() - hits; got != 1 {
+		t.Errorf("engine_plan_cache_hits moved by %d over two sightings, want 1", got)
+	}
+	res, err := eng.Exec("SELECT executions FROM sys.prepared WHERE cached AND sql_text = '" + sql + "'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 2 {
+		t.Errorf("sys.prepared rows for the cached plan = %v, want one with 2 executions", res.Rows)
+	}
 }

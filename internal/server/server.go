@@ -29,7 +29,6 @@ import (
 	"repro/internal/engine/db"
 	"repro/internal/engine/exec"
 	"repro/internal/engine/sema"
-	"repro/internal/engine/sqlparser"
 	"repro/internal/engine/sqltypes"
 	"repro/internal/engine/trace"
 	"repro/internal/server/wire"
@@ -37,11 +36,16 @@ import (
 
 // Defaults for Config's zero values.
 const (
-	defaultMaxStatements    = 64
-	defaultIdleTimeout      = 5 * time.Minute
-	defaultWriteTimeout     = 30 * time.Second
-	defaultHandshakeTimeout = 10 * time.Second
-	defaultBatchRows        = 256
+	defaultMaxStatements = 64
+	defaultIdleTimeout   = 5 * time.Minute
+	defaultBatchRows     = 256
+)
+
+const (
+	// writeTimeout is the per-frame write deadline.
+	writeTimeout = 30 * time.Second
+	// handshakeTimeout bounds the Hello/Welcome exchange.
+	handshakeTimeout = 10 * time.Second
 )
 
 // Version is the server banner sent in the Welcome frame.
@@ -55,18 +59,22 @@ type Engine interface {
 	// RegisterSysTable installs an instance-specific sys.* virtual
 	// table (the server registers sys.sessions at Start).
 	RegisterSysTable(name string, fn db.SysTableFunc) error
-	// ExecScriptContext runs a semicolon-separated script.
+	// QueryContext runs one statement from its text. A SELECT's rows go
+	// to sink — streamed from the scan when the plan allows, replayed in
+	// order when ORDER BY/LIMIT had to materialize first — and the
+	// Result carries the schema, stats and affected count. An engine
+	// that materializes every result anyway (the coordinator) may leave
+	// the rows in the Result instead.
+	QueryContext(ctx context.Context, sql string, sink exec.RowSink) (*exec.Result, error)
+	// ExecScriptContext runs a semicolon-separated script and returns
+	// the last statement's materialized result.
 	ExecScriptContext(ctx context.Context, sql string) (*exec.Result, error)
-	// RunContext runs one parsed statement.
-	RunContext(ctx context.Context, stmt sqlparser.Statement) (*exec.Result, error)
-	// QueryStreamContext streams a SELECT's rows through sink.
-	QueryStreamContext(ctx context.Context, sql string, sink exec.RowSink) (*sqltypes.Schema, *exec.Stats, error)
 	// PrepareContext plans one statement for repeated execution. An
 	// engine that cannot prepare (the coordinator) returns a typed
 	// *wire.Error; pooled clients fall back to plain queries.
 	PrepareContext(ctx context.Context, sql string) (*db.Prepared, error)
 	// SummaryNLQ serves the n/L/Q summary read path (cache-first) for
-	// the protocol-3 push-down Summary frame.
+	// the push-down Summary frame.
 	SummaryNLQ(ctx context.Context, table string, cols []string, mt core.MatrixType) (*core.NLQ, bool, error)
 	// Traces is the trace store session/server spans attach to.
 	Traces() *trace.Store
@@ -87,10 +95,6 @@ type Config struct {
 	// IdleTimeout closes connections with no statement and no traffic
 	// for this long. Default 5m.
 	IdleTimeout time.Duration
-	// WriteTimeout is the per-frame write deadline. Default 30s.
-	WriteTimeout time.Duration
-	// HandshakeTimeout bounds the Hello/Welcome exchange. Default 10s.
-	HandshakeTimeout time.Duration
 	// BatchRows is the number of result rows per wire batch. Default 256.
 	BatchRows int
 }
@@ -107,12 +111,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = defaultIdleTimeout
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = defaultWriteTimeout
-	}
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = defaultHandshakeTimeout
 	}
 	if c.BatchRows <= 0 {
 		c.BatchRows = defaultBatchRows
@@ -325,15 +323,12 @@ func (s *Server) handleConn(nc net.Conn) {
 	sessionsActive.Inc()
 	defer sessionsActive.Dec()
 
-	wc := wire.NewConn(nc)
-	defer func() {
-		// Account any bytes not yet flushed by a statement
-		// (handshake, pings, the final close exchange).
-		bytesSent.Add(wc.BytesWritten.Swap(0))
-		bytesReceived.Add(wc.BytesRead.Swap(0))
-	}()
+	l := link{nc: nc, wc: wire.NewConn(nc)}
+	// Whatever no dispatched frame billed: a handshake that went no
+	// further, the shutdown notice.
+	defer l.flushBytes()
 
-	sess, err := s.handshake(nc, wc)
+	sess, err := s.handshake(l)
 	if err != nil {
 		return
 	}
@@ -349,7 +344,7 @@ func (s *Server) handleConn(nc net.Conn) {
 
 	clock := newIdleClock(nc, s.cfg.IdleTimeout)
 	frames := make(chan incoming, 1)
-	go s.readLoop(ctx, wc, frames, cancel, clock)
+	go s.readLoop(ctx, l.wc, frames, cancel, clock)
 
 	for {
 		select {
@@ -357,7 +352,7 @@ func (s *Server) handleConn(nc net.Conn) {
 			if in.err != nil {
 				return // disconnect, idle timeout or unreadable frame
 			}
-			err := s.dispatch(ctx, nc, wc, sess, in.f)
+			err := s.dispatch(ctx, l, sess, in.f)
 			clock.end()
 			if err != nil {
 				return
@@ -368,7 +363,7 @@ func (s *Server) handleConn(nc net.Conn) {
 			// reader whose terminal error was dropped — because a frame
 			// was already buffered — still unwinds the session.
 			if s.baseCtx.Err() != nil {
-				s.sendError(nc, wc, &wire.Error{Code: wire.CodeShutdown, Message: "server shutting down"})
+				l.sendError(errShutdown)
 			}
 			return
 		}
@@ -411,300 +406,270 @@ func (s *Server) readLoop(ctx context.Context, wc *wire.Conn, frames chan<- inco
 	}
 }
 
+// link is one session's connection: the socket, for deadlines, and its
+// framed view.
+type link struct {
+	nc net.Conn
+	wc *wire.Conn
+}
+
+// send writes one frame under the write deadline.
+func (l link) send(typ byte, payload []byte) error {
+	l.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
+	return l.wc.Send(typ, payload)
+}
+
+// sendError reports a failure to the client; its non-nil return is a
+// wire write failure, not the reported error.
+func (l link) sendError(e *wire.Error) error {
+	return l.send(wire.MsgError, wire.EncodeError(e))
+}
+
+// protocolError reports a frame the server could not decode and returns
+// the decode error, which ends the session: after a malformed frame the
+// two ends no longer agree where the next one starts.
+func (l link) protocolError(err error) error {
+	l.sendError(&wire.Error{Code: wire.CodeProtocol, Message: err.Error()})
+	return err
+}
+
+// flushBytes moves the connection's byte counts into the server
+// metrics.
+func (l link) flushBytes() {
+	bytesSent.Add(l.wc.BytesWritten.Swap(0))
+	bytesReceived.Add(l.wc.BytesRead.Swap(0))
+}
+
+var errShutdown = &wire.Error{Code: wire.CodeShutdown, Message: "server shutting down"}
+
 // handshake performs the Hello/Welcome exchange under its own deadline
 // and registers the session.
-func (s *Server) handshake(nc net.Conn, wc *wire.Conn) (*session, error) {
-	nc.SetReadDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
-	f, err := wc.Recv()
+func (s *Server) handshake(l link) (*session, error) {
+	l.nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
+	f, err := l.wc.Recv()
 	if err != nil {
 		return nil, err
 	}
 	if f.Type != wire.MsgHello {
-		s.sendError(nc, wc, &wire.Error{Code: wire.CodeProtocol, Message: fmt.Sprintf("expected Hello, got frame type %#x", f.Type)})
-		return nil, errors.New("server: no hello")
+		return nil, l.protocolError(fmt.Errorf("expected Hello, got frame type %#x", f.Type))
 	}
 	hello, err := wire.DecodeHello(f.Payload)
 	if err != nil {
-		s.sendError(nc, wc, &wire.Error{Code: wire.CodeProtocol, Message: err.Error()})
-		return nil, err
+		return nil, l.protocolError(err)
 	}
-	if hello.Version < wire.MinProtocolVersion || hello.Version > wire.ProtocolVersion {
-		err := &wire.Error{Code: wire.CodeProtocol, Message: fmt.Sprintf("protocol version %d not supported (server speaks %d through %d)", hello.Version, wire.MinProtocolVersion, wire.ProtocolVersion)}
-		s.sendError(nc, wc, err)
-		return nil, err
+	if hello.Version != wire.ProtocolVersion {
+		return nil, l.protocolError(fmt.Errorf("protocol version %d not supported (server speaks %d)", hello.Version, wire.ProtocolVersion))
 	}
-	// The session speaks the client's offered version: a v1 client gets
-	// exact v1 frames (its strict decoder rejects trailing bytes), a v2
-	// client gets trace headers and Done trace IDs.
-	sess := s.sessions.add(hello.User, nc.RemoteAddr().String(), hello.Version)
-	if err := s.send(nc, wc, wire.MsgWelcome, wire.EncodeWelcome(wire.Welcome{SessionID: sess.id, Server: Version, Proto: sess.proto})); err != nil {
+	sess := s.sessions.add(hello.User, l.nc.RemoteAddr().String())
+	if err := l.send(wire.MsgWelcome, wire.EncodeWelcome(wire.Welcome{SessionID: sess.id, Server: Version, Proto: wire.ProtocolVersion})); err != nil {
 		s.sessions.remove(sess.id)
 		return nil, err
 	}
 	return sess, nil
 }
 
-// beginStmtTrace establishes the statement's trace position: it adopts
-// the client's TraceID off the wire header (or starts a fresh trace for
-// v1 clients and header-less frames), wraps ctx so the engine's
-// statement span parents at a new server span, and returns a finish
-// func that attaches that server span — parented at the client's
-// roundtrip span when one was sent — to the trace store. Attach is a
-// no-op when tail sampling dropped the trace.
-func (s *Server) beginStmtTrace(ctx context.Context, sess *session, th *wire.TraceHeader) (context.Context, string, func()) {
-	var tid trace.TraceID
-	var parent trace.SpanID
-	if th != nil {
-		tid, parent = th.TraceID, th.SpanID
+// dispatch handles one request frame. A non-nil return ends the
+// session.
+func (s *Server) dispatch(ctx context.Context, l link, sess *session, f wire.Frame) error {
+	// Every frame is billed for the bytes it moved, statement or not.
+	defer l.flushBytes()
+	switch f.Type {
+	case wire.MsgPing:
+		return l.send(wire.MsgPong, nil)
+	case wire.MsgClose:
+		l.send(wire.MsgGoodbye, nil)
+		return errCloseSession
+	case wire.MsgQuery, wire.MsgExec:
+		sql, th, err := wire.DecodeStatement(f.Payload)
+		if err != nil {
+			return l.protocolError(err)
+		}
+		return s.statement(ctx, l, sess, sql, th, func(ctx context.Context, w *resultWriter) error {
+			if f.Type == wire.MsgExec {
+				return w.result(s.db.ExecScriptContext(ctx, sql))
+			}
+			return w.result(s.db.QueryContext(ctx, sql, w.sink))
+		})
+	case wire.MsgExecPrepared:
+		h, args, th, err := wire.DecodeExecPrepared(f.Payload)
+		if err != nil {
+			return l.protocolError(err)
+		}
+		p := sess.preps.get(h)
+		if p == nil {
+			return l.sendError(&wire.Error{Code: wire.CodeStalePlan, Message: fmt.Sprintf("unknown prepared handle %d (server restarted or handle closed?)", h)})
+		}
+		return s.statement(ctx, l, sess, p.SQL(), th, func(ctx context.Context, w *resultWriter) error {
+			return w.result(s.execPrepared(ctx, sess, h, p, args, w.sink))
+		})
+	case wire.MsgSummary:
+		// What a coordinator sends each shard for a model build: the
+		// shard does its one local scan (or a zero-scan cache hit) and
+		// ships back a packed partial the size of a d×d matrix, never
+		// the rows.
+		req, err := wire.DecodeSummary(f.Payload)
+		if err != nil {
+			return l.protocolError(err)
+		}
+		mt := core.MatrixType(req.Matrix)
+		if mt != core.Diagonal && mt != core.Triangular && mt != core.Full {
+			return l.sendError(&wire.Error{Code: wire.CodeProtocol, Message: fmt.Sprintf("bad matrix type %d", req.Matrix)})
+		}
+		return s.statement(ctx, l, sess, "SUMMARY "+req.Table, wire.TraceHeader{}, func(ctx context.Context, w *resultWriter) error {
+			nlq, hit, err := s.db.SummaryNLQ(ctx, req.Table, req.Columns, mt)
+			if err != nil {
+				return err
+			}
+			res := wire.SummaryResult{Hit: hit}
+			if nlq != nil && nlq.N > 0 {
+				res.Packed = nlq.Pack()
+			}
+			return w.send(wire.MsgSummaryResult, wire.EncodeSummaryResult(res))
+		})
+	case wire.MsgPrepare:
+		return s.handlePrepare(ctx, l, sess, f.Payload)
+	case wire.MsgClosePrepared:
+		return s.handleClosePrepared(l, sess, f.Payload)
+	default:
+		return l.protocolError(fmt.Errorf("unexpected frame type %#x", f.Type))
 	}
+}
+
+// statement is the envelope every request that executes runs inside —
+// Query, Exec, ExecPrepared and Summary alike: the draining check,
+// admission control, the in-flight gauge, the session's current
+// statement, the server span (parented at the client's roundtrip span
+// when th names one, a fresh trace otherwise) and the latency
+// histogram, which therefore covers admission wait, execution and
+// result transmission. run executes the request and writes its reply
+// through w; the error it returns is the statement's, reported to the
+// client as a typed error frame. A non-nil return from statement is a
+// wire write failure, which ends the session immediately — a dead
+// client's reads may never error (see readLoop), so the writer cannot
+// rely on the reader to notice.
+func (s *Server) statement(ctx context.Context, l link, sess *session, label string, th wire.TraceHeader, run func(context.Context, *resultWriter) error) error {
+	start := time.Now()
+	defer func() { statementSeconds.Observe(time.Since(start).Seconds()) }()
+
+	if s.draining.Load() {
+		return l.sendError(errShutdown)
+	}
+	if err := s.adm.acquire(ctx); err != nil {
+		return l.sendError(classify(err))
+	}
+	defer s.adm.release()
+	statementsInflight.Inc()
+	defer statementsInflight.Dec()
+	sess.begin(label)
+	defer sess.end()
+
+	tid := trace.TraceID(th.TraceID)
 	if tid.IsZero() {
 		tid = trace.NewTraceID()
 	}
-	serverSpan := trace.NewSpanID()
-	ctx = trace.NewContext(ctx, trace.SpanContext{TraceID: tid, SpanID: serverSpan})
-	start := time.Now()
-	finish := func() {
-		rec := trace.SpanRecord{
-			SpanID:   serverSpan.String(),
-			Name:     "server",
-			Start:    start,
-			Duration: time.Since(start),
-		}
-		if !parent.IsZero() {
+	w := &resultWriter{l: l, batchRows: s.cfg.BatchRows, tid: tid.String()}
+	span, spanStart := trace.NewSpanID(), time.Now()
+	// Attach is a no-op when tail sampling dropped the trace.
+	defer func() {
+		rec := trace.SpanRecord{SpanID: span.String(), Name: "server", Start: spanStart, Duration: time.Since(spanStart)}
+		if parent := trace.SpanID(th.SpanID); !parent.IsZero() {
 			rec.ParentID = parent.String()
 		}
-		s.db.Traces().Attach(tid.String(), sess.id, rec)
-	}
-	return ctx, tid.String(), finish
-}
-
-// dispatch handles one request frame. A non-nil return ends the
-// session.
-func (s *Server) dispatch(ctx context.Context, nc net.Conn, wc *wire.Conn, sess *session, f wire.Frame) error {
-	switch f.Type {
-	case wire.MsgPing:
-		return s.send(nc, wc, wire.MsgPong, nil)
-	case wire.MsgClose:
-		s.send(nc, wc, wire.MsgGoodbye, nil)
-		return errCloseSession
-	case wire.MsgQuery, wire.MsgExec:
-		sql, th, err := wire.DecodeStatementTrace(f.Payload)
-		if err != nil {
-			s.sendError(nc, wc, &wire.Error{Code: wire.CodeProtocol, Message: err.Error()})
-			return err
-		}
-		return s.runStatement(ctx, nc, wc, sess, sql, f.Type == wire.MsgExec, th)
-	case wire.MsgPrepare:
-		return s.handlePrepare(ctx, nc, wc, sess, f.Payload)
-	case wire.MsgExecPrepared:
-		return s.handleExecPrepared(ctx, nc, wc, sess, f.Payload)
-	case wire.MsgClosePrepared:
-		return s.handleClosePrepared(nc, wc, sess, f.Payload)
-	case wire.MsgSummary:
-		return s.handleSummary(ctx, nc, wc, sess, f.Payload)
-	default:
-		err := &wire.Error{Code: wire.CodeProtocol, Message: fmt.Sprintf("unexpected frame type %#x", f.Type)}
-		s.sendError(nc, wc, err)
-		return err
-	}
-}
-
-// runStatement executes one statement under admission control and
-// streams its result. Execution errors go back to the client as typed
-// error frames and return nil; a non-nil return is a wire write
-// failure, which ends the session immediately — a dead client's reads
-// may never error (see readLoop), so the writer cannot rely on the
-// reader to notice.
-func (s *Server) runStatement(ctx context.Context, nc net.Conn, wc *wire.Conn, sess *session, sql string, script bool, th *wire.TraceHeader) error {
-	start := time.Now()
-	defer func() {
-		statementSeconds.Observe(time.Since(start).Seconds())
-		bytesSent.Add(wc.BytesWritten.Swap(0))
-		bytesReceived.Add(wc.BytesRead.Swap(0))
+		s.db.Traces().Attach(w.tid, sess.id, rec)
 	}()
+	ctx = trace.NewContext(ctx, trace.SpanContext{TraceID: tid, SpanID: span})
 
-	if s.draining.Load() {
-		return s.sendError(nc, wc, &wire.Error{Code: wire.CodeShutdown, Message: "server shutting down"})
+	err := run(ctx, w)
+	if w.werr != nil {
+		return w.werr // connection is gone; nothing to report to
 	}
-	if err := s.adm.acquire(ctx); err != nil {
-		return s.sendError(nc, wc, classify(err))
-	}
-	defer s.adm.release()
-	statementsInflight.Inc()
-	defer statementsInflight.Dec()
-	sess.begin(sql)
-	defer sess.end()
-
-	ctx, tid, finish := s.beginStmtTrace(ctx, sess, th)
-	defer finish()
-
-	if script {
-		res, err := s.db.ExecScriptContext(ctx, sql)
-		if err != nil {
-			return s.sendError(nc, wc, classify(err))
-		}
-		return s.sendResult(nc, wc, sess, tid, res)
-	}
-
-	// Single statement: SELECTs without ORDER BY/LIMIT stream straight
-	// from the partition scans to the wire; everything else (DDL,
-	// INSERT, ordered SELECTs) executes materialized.
-	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
-		return s.sendError(nc, wc, classify(err))
+		return l.sendError(classify(err))
 	}
-	if sel, ok := stmt.(*sqlparser.Select); ok && len(sel.OrderBy) == 0 && sel.Limit == nil {
-		return s.streamQuery(ctx, nc, wc, sess, tid, sql)
-	}
-	res, err := s.db.RunContext(ctx, stmt)
-	if err != nil {
-		return s.sendError(nc, wc, classify(err))
-	}
-	return s.sendResult(nc, wc, sess, tid, res)
+	return nil
 }
 
-// streamQuery runs a streamable SELECT, flushing result batches as
-// they fill. The schema frame follows the batches — the streaming
-// executor (like the in-process QueryStream) reports the schema when
-// the scan completes, and batches are self-describing. A non-nil
-// return is a wire write failure that ends the session.
-func (s *Server) streamQuery(ctx context.Context, nc net.Conn, wc *wire.Conn, sess *session, tid string, sql string) error {
-	var (
-		mu    sync.Mutex
-		batch []sqltypes.Row
-		sent  int64
-		werr  error // first wire write error; stops the sink
-	)
-	flushLocked := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		p, err := wire.EncodeBatch(batch)
-		if err != nil {
-			return err
-		}
-		batch = batch[:0]
-		return s.send(nc, wc, wire.MsgBatch, p)
+// resultWriter is the one way a reply leaves a statement: rows gather
+// into Batch frames — from the engine's partition workers concurrently,
+// or replayed from a materialized Result — then Schema when the
+// statement has one, then Done. The schema follows the batches because
+// a streamed scan reports it only on completion; batches are
+// self-describing. The first wire write failure sticks in werr and
+// fails every later write, which stops the scan feeding the sink.
+type resultWriter struct {
+	l         link
+	batchRows int
+	tid       string
+
+	mu    sync.Mutex
+	batch []sqltypes.Row
+	rows  int64
+	werr  error
+}
+
+// sink is the exec.RowSink handed to the engine; the executor reuses
+// its row buffer, so each row is cloned.
+func (w *resultWriter) sink(r sqltypes.Row) error { return w.add(r.Clone()) }
+
+func (w *resultWriter) add(r sqltypes.Row) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.werr != nil {
+		return w.werr
 	}
-	sink := func(r sqltypes.Row) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if werr != nil {
-			return werr
-		}
-		batch = append(batch, r.Clone())
-		sent++
-		if len(batch) >= s.cfg.BatchRows {
-			if werr = flushLocked(); werr != nil {
-				return werr
-			}
-		}
+	w.batch = append(w.batch, r)
+	w.rows++
+	if len(w.batch) >= w.batchRows {
+		return w.flushLocked()
+	}
+	return nil
+}
+
+func (w *resultWriter) flushLocked() error {
+	if len(w.batch) == 0 {
 		return nil
 	}
-	schema, stats, err := s.db.QueryStreamContext(ctx, sql, sink)
-	if err != nil {
-		if werr != nil {
-			return werr // connection is gone; nothing to report to
-		}
-		return s.sendError(nc, wc, classify(err))
-	}
-	mu.Lock()
-	err = flushLocked()
-	rows := sent
-	mu.Unlock()
+	p, err := wire.EncodeBatch(w.batch)
 	if err != nil {
 		return err
 	}
-	if err := s.send(nc, wc, wire.MsgSchema, wire.EncodeSchema(schema)); err != nil {
-		return err
-	}
-	return s.send(nc, wc, wire.MsgDone, wire.EncodeDone(wire.Done{Rows: rows, StatsJSON: statsJSON(stats), TraceID: tid}, sess.proto))
+	w.batch = w.batch[:0]
+	return w.send(wire.MsgBatch, p)
 }
 
-// sendResult streams a materialized result: Schema (when the statement
-// produced one), row batches, Done. A non-nil return is a wire write
-// failure that ends the session.
-func (s *Server) sendResult(nc net.Conn, wc *wire.Conn, sess *session, tid string, res *exec.Result) error {
+// send writes one frame unless an earlier write already failed.
+func (w *resultWriter) send(typ byte, payload []byte) error {
+	if w.werr == nil {
+		w.werr = w.l.send(typ, payload)
+	}
+	return w.werr
+}
+
+// result finishes a statement from the engine's return values: err
+// passes through to the envelope; otherwise rows the engine returned
+// rather than sank are batched, the last batch goes out, and Schema
+// and Done close the reply.
+func (w *resultWriter) result(res *exec.Result, err error) error {
+	if err != nil {
+		return err
+	}
+	for _, r := range res.Rows {
+		if err := w.add(r); err != nil {
+			return err
+		}
+	}
+	w.mu.Lock()
+	err = w.flushLocked()
+	w.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	if res.Schema != nil {
-		if err := s.send(nc, wc, wire.MsgSchema, wire.EncodeSchema(res.Schema)); err != nil {
+		if err := w.send(wire.MsgSchema, wire.EncodeSchema(res.Schema)); err != nil {
 			return err
 		}
 	}
-	for off := 0; off < len(res.Rows); off += s.cfg.BatchRows {
-		end := off + s.cfg.BatchRows
-		if end > len(res.Rows) {
-			end = len(res.Rows)
-		}
-		p, err := wire.EncodeBatch(res.Rows[off:end])
-		if err != nil {
-			return s.sendError(nc, wc, classify(err))
-		}
-		if err := s.send(nc, wc, wire.MsgBatch, p); err != nil {
-			return err
-		}
-	}
-	return s.send(nc, wc, wire.MsgDone, wire.EncodeDone(wire.Done{
-		Affected:  res.Affected,
-		Rows:      int64(len(res.Rows)),
-		StatsJSON: statsJSON(res.Stats),
-		TraceID:   tid,
-	}, sess.proto))
-}
-
-// handleSummary serves the protocol-3 push-down summary request: the
-// engine's cache-first n/L/Q read path over the wire. This is what a
-// coordinator sends each shard for a model build — the shard does its
-// one local scan (or a zero-scan cache hit) and ships back a packed
-// partial the size of a d×d matrix, never the rows.
-func (s *Server) handleSummary(ctx context.Context, nc net.Conn, wc *wire.Conn, sess *session, payload []byte) error {
-	if sess.proto < wire.ProtocolV3 {
-		err := &wire.Error{Code: wire.CodeProtocol, Message: fmt.Sprintf("Summary frames need protocol >= %d (session negotiated %d)", wire.ProtocolV3, sess.proto)}
-		s.sendError(nc, wc, err)
-		return err
-	}
-	req, err := wire.DecodeSummary(payload)
-	if err != nil {
-		s.sendError(nc, wc, &wire.Error{Code: wire.CodeProtocol, Message: err.Error()})
-		return err
-	}
-	mt := core.MatrixType(req.Matrix)
-	if mt != core.Diagonal && mt != core.Triangular && mt != core.Full {
-		s.sendError(nc, wc, &wire.Error{Code: wire.CodeProtocol, Message: fmt.Sprintf("bad matrix type %d", req.Matrix)})
-		return nil
-	}
-	if s.draining.Load() {
-		return s.sendError(nc, wc, &wire.Error{Code: wire.CodeShutdown, Message: "server shutting down"})
-	}
-	if err := s.adm.acquire(ctx); err != nil {
-		return s.sendError(nc, wc, classify(err))
-	}
-	defer s.adm.release()
-	statementsInflight.Inc()
-	defer statementsInflight.Dec()
-	sess.begin("SUMMARY " + req.Table)
-	defer sess.end()
-
-	nlq, hit, err := s.db.SummaryNLQ(ctx, req.Table, req.Columns, mt)
-	if err != nil {
-		return s.sendError(nc, wc, classify(err))
-	}
-	res := wire.SummaryResult{Hit: hit}
-	if nlq != nil && nlq.N > 0 {
-		res.Packed = nlq.Pack()
-	}
-	return s.send(nc, wc, wire.MsgSummaryResult, wire.EncodeSummaryResult(res))
-}
-
-// send writes one frame under the configured write deadline.
-func (s *Server) send(nc net.Conn, wc *wire.Conn, typ byte, payload []byte) error {
-	nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	return wc.Send(typ, payload)
-}
-
-// sendError reports a statement failure to the client; its non-nil
-// return is a wire write failure, not the statement error.
-func (s *Server) sendError(nc net.Conn, wc *wire.Conn, e *wire.Error) error {
-	return s.send(nc, wc, wire.MsgError, wire.EncodeError(e))
+	return w.send(wire.MsgDone, wire.EncodeDone(wire.Done{Affected: res.Affected, Rows: w.rows, StatsJSON: statsJSON(res.Stats), TraceID: w.tid}))
 }
 
 // statsJSON marshals executor stats for the Done frame ("" when the

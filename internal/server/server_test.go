@@ -386,7 +386,7 @@ func TestCancelOnDisconnect(t *testing.T) {
 		t.Fatalf("handshake: %v %v", f, err)
 	}
 	stmt := "SELECT block1(v) FROM T"
-	if err := wc.Send(wire.MsgQuery, wire.EncodeStatement(stmt)); err != nil {
+	if err := wc.Send(wire.MsgQuery, wire.EncodeStatement(stmt, wire.TraceHeader{})); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "statement to park in the UDF", func() bool { return entered.Load() >= 1 })
@@ -436,10 +436,10 @@ func TestSessionUnwindsOnAbruptDisconnect(t *testing.T) {
 	}
 	// The first request parks in the UDF; the second sits buffered in
 	// the server's frames channel when the disconnect error arrives.
-	if err := wc.Send(wire.MsgQuery, wire.EncodeStatement("SELECT block1(v) FROM T")); err != nil {
+	if err := wc.Send(wire.MsgQuery, wire.EncodeStatement("SELECT block1(v) FROM T", wire.TraceHeader{})); err != nil {
 		t.Fatal(err)
 	}
-	if err := wc.Send(wire.MsgQuery, wire.EncodeStatement("SELECT v FROM T")); err != nil {
+	if err := wc.Send(wire.MsgQuery, wire.EncodeStatement("SELECT v FROM T", wire.TraceHeader{})); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "statement to park in the UDF", func() bool { return entered.Load() >= 1 })

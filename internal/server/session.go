@@ -16,10 +16,6 @@ type session struct {
 	user       string
 	remoteAddr string
 	started    time.Time
-	// proto is the handshake-negotiated protocol version; trace
-	// headers and Done trace IDs flow only on proto >= 2 sessions.
-	// Set before the registry publishes the session; never written again.
-	proto uint32
 
 	mu         sync.Mutex
 	statements int64     // statements completed
@@ -59,11 +55,11 @@ func newSessionRegistry() *sessionRegistry {
 	return &sessionRegistry{m: make(map[int64]*session)}
 }
 
-func (r *sessionRegistry) add(user, remoteAddr string, proto uint32) *session {
+func (r *sessionRegistry) add(user, remoteAddr string) *session {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.next++
-	s := &session{id: r.next, user: user, remoteAddr: remoteAddr, started: time.Now(), proto: proto}
+	s := &session{id: r.next, user: user, remoteAddr: remoteAddr, started: time.Now()}
 	r.m[s.id] = s
 	return s
 }
@@ -97,7 +93,6 @@ func (r *sessionRegistry) sysSessions() ([]sqltypes.Column, []sqltypes.Row, erro
 		{Name: "statements", Type: sqltypes.TypeBigInt},
 		{Name: "current_sql", Type: sqltypes.TypeVarChar},
 		{Name: "statement_ms", Type: sqltypes.TypeDouble},
-		{Name: "proto", Type: sqltypes.TypeBigInt},
 	}
 	sessions := r.snapshot()
 	rows := make([]sqltypes.Row, 0, len(sessions))
@@ -117,7 +112,6 @@ func (r *sessionRegistry) sysSessions() ([]sqltypes.Column, []sqltypes.Row, erro
 			sqltypes.NewBigInt(statements),
 			sqltypes.NewVarChar(current),
 			sqltypes.NewDouble(runningMS),
-			sqltypes.NewBigInt(int64(s.proto)),
 		})
 	}
 	return cols, rows, nil

@@ -115,44 +115,50 @@ func assertServerSpanTree(t *testing.T, eng *db.DB, tid string) {
 	}
 }
 
-// TestOldClientNewServer speaks raw protocol 1 at a v2 server: the
-// handshake must negotiate down and every response frame must be exact
-// v1 — no trailing proto in Welcome, no trace id in Done.
-func TestOldClientNewServer(t *testing.T) {
+// TestHandshakeRejectsOtherVersions: the server speaks exactly one
+// protocol version. A Hello naming any other — older or newer — gets
+// the typed protocol error and no session.
+func TestHandshakeRejectsOtherVersions(t *testing.T) {
+	_, srv := startTracedServer(t)
+	for _, v := range []uint32{0, 1, 2, 3, wire.ProtocolVersion - 1, wire.ProtocolVersion + 1} {
+		nc, err := net.DialTimeout("tcp", srv.Addr(), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nc.SetDeadline(time.Now().Add(10 * time.Second))
+		wc := wire.NewConn(nc)
+		if err := wc.Send(wire.MsgHello, wire.EncodeHello(wire.Hello{Version: v, User: "other"})); err != nil {
+			t.Fatal(err)
+		}
+		f, err := wc.Recv()
+		if err != nil {
+			t.Fatalf("version %d: %v", v, err)
+		}
+		if f.Type != wire.MsgError {
+			t.Fatalf("version %d hello got frame type %#x, want Error", v, f.Type)
+		}
+		we, err := wire.DecodeError(f.Payload)
+		if err != nil || we.Code != wire.CodeProtocol {
+			t.Fatalf("version %d hello got %v (%v), want the typed %q error", v, we, err, wire.CodeProtocol)
+		}
+		// The server hangs up: there is no session to send frames on.
+		if _, err := wc.Recv(); err == nil {
+			t.Fatalf("version %d: connection still open after the rejection", v)
+		}
+		nc.Close()
+	}
+}
+
+// TestZeroTraceHeaderStartsServerTrace: a raw client with no trace
+// context sends the zero header; the server starts a trace of its own,
+// retains it like any other and echoes its id in Done.
+func TestZeroTraceHeaderStartsServerTrace(t *testing.T) {
 	eng, srv := startTracedServer(t)
 	if _, err := eng.Exec("CREATE TABLE T (i BIGINT)"); err != nil {
 		t.Fatal(err)
 	}
-
-	nc, err := net.DialTimeout("tcp", srv.Addr(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(10 * time.Second))
-	wc := wire.NewConn(nc)
-
-	if err := wc.Send(wire.MsgHello, wire.EncodeHello(wire.Hello{Version: wire.ProtocolV1, User: "legacy"})); err != nil {
-		t.Fatal(err)
-	}
-	f, err := wc.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Type != wire.MsgWelcome {
-		t.Fatalf("v1 hello got frame type %#x, want Welcome", f.Type)
-	}
-	w, err := wire.DecodeWelcome(f.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Proto != wire.ProtocolV1 {
-		t.Fatalf("negotiated proto %d for a v1 client, want 1", w.Proto)
-	}
-
-	// A v1 statement (no trace header) must run, and the Done frame must
-	// be byte-exact v1: the lenient decoder sees no trace id.
-	if err := wc.Send(wire.MsgQuery, wire.EncodeStatement("SELECT count(*) FROM T")); err != nil {
+	wc := dialWire(t, srv.Addr())
+	if err := wc.Send(wire.MsgQuery, wire.EncodeStatement("SELECT count(*) FROM T", wire.TraceHeader{})); err != nil {
 		t.Fatal(err)
 	}
 	for {
@@ -168,21 +174,26 @@ func TestOldClientNewServer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d.TraceID != "" {
-				t.Fatalf("v1 Done frame carried trace id %q", d.TraceID)
+			if _, err := trace.ParseTraceID(d.TraceID); err != nil {
+				t.Fatalf("Done trace id %q does not parse: %v", d.TraceID, err)
 			}
-			// The statement is still traced server-side: a fresh TraceID
-			// with the server span, just not echoed to the old client.
-			found := false
-			for _, rec := range eng.Traces().Snapshot() {
-				if rec.SQL == "SELECT count(*) FROM T" {
-					found = true
+			// The server span lands after Done went out: wait for it.
+			for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				rec, ok := eng.Traces().Get(d.TraceID)
+				if !ok {
+					t.Fatalf("trace %s not retained server-side", d.TraceID)
+				}
+				for _, sp := range rec.Spans {
+					if sp.Name != "server" {
+						continue
+					}
+					if sp.ParentID != "" {
+						t.Errorf("server span parent = %q, want none: the client named no span", sp.ParentID)
+					}
+					return
 				}
 			}
-			if !found {
-				t.Error("v1 client statement missing from the trace store")
-			}
-			return
+			t.Fatalf("trace %s never got its server span", d.TraceID)
 		case wire.MsgError:
 			we, _ := wire.DecodeError(f.Payload)
 			t.Fatalf("statement failed: %v", we)

@@ -37,11 +37,11 @@ func TestExecPreparedRoundTrip(t *testing.T) {
 		sqltypes.NewBool(true),
 		sqltypes.Null,
 	}
-	p, err := EncodeExecPrepared(7, args)
+	p, err := EncodeExecPrepared(7, args, TraceHeader{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, got, err := DecodeExecPrepared(p)
+	h, got, _, err := DecodeExecPrepared(p)
 	if err != nil || h != 7 {
 		t.Fatalf("handle %d err %v", h, err)
 	}
@@ -54,11 +54,11 @@ func TestExecPreparedRoundTrip(t *testing.T) {
 		}
 	}
 	// Zero args is a legitimate execute.
-	p, err = EncodeExecPrepared(3, nil)
+	p, err = EncodeExecPrepared(3, nil, TraceHeader{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h, got, err := DecodeExecPrepared(p); err != nil || h != 3 || len(got) != 0 {
+	if h, got, _, err := DecodeExecPrepared(p); err != nil || h != 3 || len(got) != 0 {
 		t.Fatalf("empty execute: %d %v %v", h, got, err)
 	}
 }
@@ -74,7 +74,7 @@ func TestClosePreparedRoundTrip(t *testing.T) {
 // error (or, for string-ish frames, a shorter valid decode) — never a
 // panic or an over-read.
 func TestPreparedFramesTruncated(t *testing.T) {
-	ep, err := EncodeExecPrepared(7, []sqltypes.Value{sqltypes.NewBigInt(1), sqltypes.NewVarChar("abc")})
+	ep, err := EncodeExecPrepared(7, []sqltypes.Value{sqltypes.NewBigInt(1), sqltypes.NewVarChar("abc")}, TraceHeader{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestDecodeExecPreparedRejectsForgedCount(t *testing.T) {
 	for _, n := range []uint32{math.MaxUint32, 1 << 30, 1 << 16} {
 		p := binary.LittleEndian.AppendUint64(nil, 7)
 		p = binary.LittleEndian.AppendUint32(p, n)
-		if _, _, err := DecodeExecPrepared(p); err == nil {
+		if _, _, _, err := DecodeExecPrepared(p); err == nil {
 			t.Errorf("DecodeExecPrepared accepted forged count %d with no payload", n)
 		}
 	}
@@ -123,20 +123,20 @@ func TestPreparedFramesRejectTrailingBytes(t *testing.T) {
 	if _, err := DecodePrepared(append(EncodePrepared(PreparedInfo{Handle: 1}), 0xFF)); err == nil {
 		t.Error("DecodePrepared accepted trailing bytes")
 	}
-	ep, err := EncodeExecPrepared(1, nil)
+	ep, err := EncodeExecPrepared(1, nil, TraceHeader{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecodeExecPrepared(append(ep, 0xFF)); err == nil {
+	if _, _, _, err := DecodeExecPrepared(append(ep, 0xFF)); err == nil {
 		t.Error("DecodeExecPrepared accepted trailing bytes")
 	}
 }
 
-// FuzzDecodePreparedFrames throws arbitrary bytes at the three new
-// decoders: error or succeed, never panic, and a successful
+// FuzzDecodePreparedFrames throws arbitrary bytes at the prepared-
+// statement decoders: error or succeed, never panic, and a successful
 // ExecPrepared decode must re-encode.
 func FuzzDecodePreparedFrames(f *testing.F) {
-	ep, _ := EncodeExecPrepared(9, []sqltypes.Value{sqltypes.NewDouble(2.5), sqltypes.Null})
+	ep, _ := EncodeExecPrepared(9, []sqltypes.Value{sqltypes.NewDouble(2.5), sqltypes.Null}, testHeader())
 	f.Add(EncodePrepared(PreparedInfo{Handle: 3, NumParams: 1}))
 	f.Add(ep)
 	f.Add(EncodeClosePrepared(4))
@@ -147,8 +147,8 @@ func FuzzDecodePreparedFrames(f *testing.F) {
 		DecodePrepare(data)
 		DecodePrepared(data)
 		DecodeClosePrepared(data)
-		if h, args, err := DecodeExecPrepared(data); err == nil {
-			if _, err := EncodeExecPrepared(h, args); err != nil {
+		if h, args, th, err := DecodeExecPrepared(data); err == nil {
+			if _, err := EncodeExecPrepared(h, args, th); err != nil {
 				t.Fatalf("decoded exec-prepared failed to re-encode: %v", err)
 			}
 		}

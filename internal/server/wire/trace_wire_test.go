@@ -1,13 +1,14 @@
 package wire
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/engine/sqltypes"
 )
 
-func testHeader() *TraceHeader {
-	th := &TraceHeader{}
+func testHeader() TraceHeader {
+	var th TraceHeader
 	for i := range th.TraceID {
 		th.TraceID[i] = byte(i + 1)
 	}
@@ -17,143 +18,95 @@ func testHeader() *TraceHeader {
 	return th
 }
 
-func TestWelcomeProtoNegotiation(t *testing.T) {
-	// A v1 welcome is byte-identical to the pre-versioning encoding: no
-	// trailing proto, decoded as ProtocolV1.
-	v1 := Welcome{SessionID: 7, Server: "twmd/1"}
-	got, err := DecodeWelcome(EncodeWelcome(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Proto != ProtocolV1 {
-		t.Fatalf("v1 welcome decoded proto %d, want %d", got.Proto, ProtocolV1)
-	}
-
-	v2 := Welcome{SessionID: 7, Server: "twmd/1", Proto: ProtocolV2}
-	got, err = DecodeWelcome(EncodeWelcome(v2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != v2 {
-		t.Fatalf("v2 welcome round trip: got %+v want %+v", got, v2)
-	}
-	if e1, e2 := EncodeWelcome(v1), EncodeWelcome(v2); len(e2) != len(e1)+4 {
-		t.Fatalf("v2 welcome must add exactly the trailing u32: v1=%d v2=%d bytes", len(e1), len(e2))
-	}
-}
-
 func TestDoneTraceID(t *testing.T) {
-	d := Done{Rows: 3, StatsJSON: "{}", TraceID: "0102030405060708090a0b0c0d0e0f10"}
-
-	// On a v2 session the trace ID rides the Done frame.
-	got, err := DecodeDone(EncodeDone(d, ProtocolV2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != d {
-		t.Fatalf("v2 done round trip: got %+v want %+v", got, d)
-	}
-
-	// On a v1 session the encoder must drop it — the v1 decoder rejects
-	// trailing bytes.
-	got, err = DecodeDone(EncodeDone(d, ProtocolV1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TraceID != "" {
-		t.Fatalf("v1 done carried trace id %q", got.TraceID)
-	}
-}
-
-func TestStatementTraceRoundTrip(t *testing.T) {
-	th := testHeader()
-	sql := "SELECT sum(v) FROM x"
-
-	p := EncodeStatementTrace(sql, th)
-	gotSQL, gotTH, err := DecodeStatementTrace(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotSQL != sql || gotTH == nil || *gotTH != *th {
-		t.Fatalf("round trip: sql=%q th=%+v", gotSQL, gotTH)
-	}
-
-	// Headerless form is byte-identical to v1 and decodes with nil header.
-	p1 := EncodeStatementTrace(sql, nil)
-	if string(p1) != string(EncodeStatement(sql)) {
-		t.Fatal("headerless EncodeStatementTrace differs from v1 EncodeStatement")
-	}
-	if _, gotTH, err = DecodeStatementTrace(p1); err != nil || gotTH != nil {
-		t.Fatalf("headerless decode: th=%+v err=%v", gotTH, err)
-	}
-
-	// The strict v1 decoder must reject the extended payload rather than
-	// silently mis-parse it.
-	if _, err := DecodeStatement(p); err == nil {
-		t.Fatal("v1 DecodeStatement accepted a trace-extended payload")
-	}
-
-	// Truncated or padded headers are protocol errors.
-	for _, bad := range [][]byte{p[:len(p)-1], append(append([]byte(nil), p...), 0)} {
-		if _, _, err := DecodeStatementTrace(bad); err == nil {
-			t.Fatalf("DecodeStatementTrace accepted a %d-byte header remainder", len(bad)-len(p1))
+	for _, d := range []Done{
+		{Rows: 3, StatsJSON: "{}", TraceID: "0102030405060708090a0b0c0d0e0f10"},
+		{}, // the ClosePrepared acknowledgement: empty, but still present
+	} {
+		p := EncodeDone(d)
+		got, err := DecodeDone(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != d {
+			t.Fatalf("done round trip: got %+v want %+v", got, d)
+		}
+		// The trace id is not optional: a payload that stops after the
+		// stats string is truncated, not an older dialect.
+		if _, err := DecodeDone(p[:len(p)-4-len(d.TraceID)]); err == nil {
+			t.Fatal("DecodeDone accepted a payload without the trace id field")
 		}
 	}
 }
 
-func TestExecPreparedTraceRoundTrip(t *testing.T) {
+func TestStatementRoundTrip(t *testing.T) {
 	th := testHeader()
-	args := []sqltypes.Value{sqltypes.NewBigInt(9), sqltypes.NewVarChar("k")}
+	sql := "SELECT sum(v) FROM x"
 
-	p, err := EncodeExecPreparedTrace(42, args, th)
+	p := EncodeStatement(sql, th)
+	gotSQL, gotTH, err := DecodeStatement(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, gotArgs, gotTH, err := DecodeExecPreparedTrace(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h != 42 || len(gotArgs) != 2 || gotTH == nil || *gotTH != *th {
-		t.Fatalf("round trip: h=%d args=%v th=%+v", h, gotArgs, gotTH)
+	if gotSQL != sql || gotTH != th {
+		t.Fatalf("round trip: sql=%q th=%+v", gotSQL, gotTH)
 	}
 
-	// Strict v1 decoder rejects the extension; trace decoder accepts the
-	// v1 form with a nil header.
-	if _, _, err := DecodeExecPrepared(p); err == nil {
-		t.Fatal("v1 DecodeExecPrepared accepted a trace-extended payload")
+	// A client with no trace context sends the zero header, same size.
+	p0 := EncodeStatement(sql, TraceHeader{})
+	if len(p0) != len(p) {
+		t.Fatalf("zero header changes the payload size: %d vs %d", len(p0), len(p))
 	}
-	p1, err := EncodeExecPrepared(42, args)
-	if err != nil {
-		t.Fatal(err)
+	if _, gotTH, err = DecodeStatement(p0); err != nil || gotTH != (TraceHeader{}) {
+		t.Fatalf("zero header decode: th=%+v err=%v", gotTH, err)
 	}
-	if _, _, gotTH, err := DecodeExecPreparedTrace(p1); err != nil || gotTH != nil {
-		t.Fatalf("v1 payload through trace decoder: th=%+v err=%v", gotTH, err)
+
+	// A missing, truncated or padded header is a protocol error.
+	for _, bad := range [][]byte{AppendString(nil, sql), p[:len(p)-1], append(append([]byte(nil), p...), 0)} {
+		if _, _, err := DecodeStatement(bad); err == nil {
+			t.Fatalf("DecodeStatement accepted a %d-byte payload (well-formed is %d)", len(bad), len(p))
+		}
 	}
 }
 
-// FuzzDecodeStatementTrace throws arbitrary bytes at the trace-extended
-// statement decoder: it must error or succeed, never panic, and any
-// successful decode must survive a re-encode/re-decode round trip
-// (byte identity isn't required — reserved flag bits are ignored on
-// decode and normalized on encode).
-func FuzzDecodeStatementTrace(f *testing.F) {
-	f.Add(EncodeStatementTrace("SELECT 1", nil))
-	f.Add(EncodeStatementTrace("SELECT sum(v) FROM x", testHeader()))
-	f.Add(EncodeStatementTrace("", &TraceHeader{}))
+func TestExecPreparedTraceHeader(t *testing.T) {
+	th := testHeader()
+	args := []sqltypes.Value{sqltypes.NewBigInt(9), sqltypes.NewVarChar("k")}
+
+	p, err := EncodeExecPrepared(42, args, th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, gotArgs, gotTH, err := DecodeExecPrepared(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h != 42 || len(gotArgs) != 2 || gotTH != th {
+		t.Fatalf("round trip: h=%d args=%v th=%+v", h, gotArgs, gotTH)
+	}
+	if _, _, _, err := DecodeExecPrepared(p[:len(p)-len(th.TraceID)-len(th.SpanID)]); err == nil {
+		t.Fatal("DecodeExecPrepared accepted a payload without the trace header")
+	}
+}
+
+// FuzzDecodeStatement throws arbitrary bytes at the statement decoder:
+// it must error or succeed, never panic, and any successful decode must
+// re-encode to the bytes it came from.
+func FuzzDecodeStatement(f *testing.F) {
+	f.Add(EncodeStatement("SELECT 1", TraceHeader{}))
+	f.Add(EncodeStatement("SELECT sum(v) FROM x", testHeader()))
+	f.Add(EncodeStatement("", TraceHeader{}))
+	f.Add(AppendString(nil, "SELECT 1"))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sql, th, err := DecodeStatementTrace(data)
+		sql, th, err := DecodeStatement(data)
 		if err != nil {
 			return
 		}
-		sql2, th2, err := DecodeStatementTrace(EncodeStatementTrace(sql, th))
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if sql2 != sql || (th == nil) != (th2 == nil) || (th != nil && *th != *th2) {
-			t.Fatalf("round trip drift: sql %q->%q th %+v->%+v", sql, sql2, th, th2)
+		if again := EncodeStatement(sql, th); !bytes.Equal(again, data) {
+			t.Fatalf("round trip drift: %x -> %x", data, again)
 		}
 	})
 }

@@ -12,10 +12,11 @@
 // on the wire as it does on disk.
 //
 // A conversation is strictly request/response: the client sends Hello
-// and reads Welcome, then loops sending Query/Exec/Ping and reading
-// the response (Schema? Batch* Done | Error for statements, Pong for
-// pings). Close/Goodbye end the session. Clients must not pipeline;
-// the server reads ahead only to detect disconnects.
+// and reads Welcome, then loops sending one request and reading its
+// response (Batch* Schema? Done | Error for Query/Exec/ExecPrepared,
+// Prepared, SummaryResult or Pong for the others). Close/Goodbye end
+// the session. Clients must not pipeline; the server reads ahead only
+// to detect disconnects.
 package wire
 
 import (
@@ -30,34 +31,11 @@ import (
 	"repro/internal/engine/sqltypes"
 )
 
-// Protocol versions. The handshake negotiates: the client offers the
-// highest version it speaks in Hello, the server replies with
-// min(offer, own max) in Welcome, and both sides hold to the
-// negotiated version for the session. Version 2 added the optional
-// trace header on Query/Exec/ExecPrepared payloads and the TraceID
-// echoed in Done; every v2 payload extension is trailing bytes a v1
-// peer never sees, because encoders gate them on the negotiated
-// version.
-const (
-	// ProtocolV1 is the original protocol: no trace context.
-	ProtocolV1 = 1
-	// ProtocolV2 adds trace-context propagation (trace header on
-	// statement frames, TraceID in Done, negotiated version in Welcome).
-	ProtocolV2 = 2
-	// ProtocolV3 adds the cluster push-down vocabulary: the Summary
-	// request/result pair (a shard serves its local n/L/Q summary-cache
-	// read path over the wire) and the shard_unavailable error code a
-	// coordinator raises when a shard is marked down. Like v2, every
-	// addition is either a new frame type (unknown types already fail
-	// loudly) or a new error code string, so v1/v2 peers are unaffected.
-	ProtocolV3 = 3
-	// ProtocolVersion is the highest version this build speaks — what a
-	// client offers in Hello.
-	ProtocolVersion = ProtocolV3
-	// MinProtocolVersion is the lowest version the server still
-	// accepts; older Hellos get the typed protocol error.
-	MinProtocolVersion = ProtocolV1
-)
+// ProtocolVersion is the one protocol version this build speaks. The
+// client states it in Hello, the server answers any other value with
+// the typed protocol error and echoes it in Welcome; it moves whenever
+// a frame's layout does.
+const ProtocolVersion = 4
 
 // Magic opens every Hello payload, so a server can fail fast when an
 // HTTP client or a stray port scan connects.
@@ -80,7 +58,7 @@ const (
 	MsgPrepare       byte = 0x06 // plan one statement; MsgPrepared returns a handle
 	MsgExecPrepared  byte = 0x07 // handle + args; rows stream back like MsgQuery
 	MsgClosePrepared byte = 0x08 // release a prepared handle
-	MsgSummary       byte = 0x09 // n/L/Q summary request (protocol >= 3)
+	MsgSummary       byte = 0x09 // n/L/Q summary request
 
 	MsgWelcome       byte = 0x81 // session id, server version
 	MsgSchema        byte = 0x82 // result schema (precedes batches)
@@ -90,7 +68,7 @@ const (
 	MsgPong          byte = 0x86 // ping reply
 	MsgGoodbye       byte = 0x87 // close acknowledgement
 	MsgPrepared      byte = 0x88 // prepare reply: handle + parameter count
-	MsgSummaryResult byte = 0x89 // summary reply: cache hit flag + packed NLQ (protocol >= 3)
+	MsgSummaryResult byte = 0x89 // summary reply: cache hit flag + packed NLQ
 )
 
 // Error codes carried by MsgError frames. The code survives the wire
@@ -340,9 +318,7 @@ func DecodeHello(p []byte) (Hello, error) {
 type Welcome struct {
 	SessionID int64
 	Server    string
-	// Proto is the negotiated protocol version. Encoded as trailing
-	// bytes only when >= 2, so a v1 client (whose decoder rejects
-	// trailing bytes) sees the exact v1 payload; absent means 1.
+	// Proto is the protocol version the session speaks.
 	Proto uint32
 }
 
@@ -350,130 +326,68 @@ type Welcome struct {
 func EncodeWelcome(w Welcome) []byte {
 	b := AppendUint64(nil, uint64(w.SessionID))
 	b = AppendString(b, w.Server)
-	if w.Proto >= ProtocolV2 {
-		b = binary.LittleEndian.AppendUint32(b, w.Proto)
-	}
-	return b
+	return binary.LittleEndian.AppendUint32(b, w.Proto)
 }
 
-// DecodeWelcome parses a MsgWelcome payload; a missing trailing
-// version means the server negotiated (or only speaks) protocol 1.
+// DecodeWelcome parses a MsgWelcome payload.
 func DecodeWelcome(p []byte) (Welcome, error) {
 	r := &reader{b: p}
 	id, err := r.uint64()
 	if err != nil {
 		return Welcome{}, err
 	}
-	srv, err := r.string()
-	if err != nil {
+	w := Welcome{SessionID: int64(id)}
+	if w.Server, err = r.string(); err != nil {
 		return Welcome{}, err
 	}
-	w := Welcome{SessionID: int64(id), Server: srv, Proto: ProtocolV1}
-	if r.off < len(r.b) {
-		if w.Proto, err = r.uint32(); err != nil {
-			return Welcome{}, err
-		}
-		if w.Proto < ProtocolV2 {
-			return Welcome{}, fmt.Errorf("wire: implausible negotiated version %d in extended welcome", w.Proto)
-		}
+	if w.Proto, err = r.uint32(); err != nil {
+		return Welcome{}, err
 	}
 	return w, r.done()
 }
 
-// EncodeStatement builds a MsgQuery/MsgExec payload: just the SQL
-// (the protocol-1 form, and the protocol-2 form when the client has no
-// trace context).
-func EncodeStatement(sql string) []byte { return AppendString(nil, sql) }
-
-// DecodeStatement parses a MsgQuery/MsgExec payload, rejecting a
-// trailing trace header (the strict v1 form; servers use
-// DecodeStatementTrace).
-func DecodeStatement(p []byte) (string, error) {
-	r := &reader{b: p}
-	sql, err := r.string()
-	if err != nil {
-		return "", err
-	}
-	return sql, r.done()
-}
-
-// TraceHeader is the optional trace context a protocol-2 client
-// appends to Query/Exec/ExecPrepared payloads: the statement's
-// TraceID and the client-side span the server's session span should
-// parent under. The server adopts the TraceID so the client and
-// server halves of the trace share one identity.
+// TraceHeader is the trace context that closes every Query, Exec and
+// ExecPrepared payload: the statement's TraceID and the client-side
+// span the server's span should parent under. The server adopts the
+// TraceID so the client and server halves of the trace share one
+// identity; a zero TraceID asks the server to start a trace of its own.
 type TraceHeader struct {
 	TraceID [16]byte
 	SpanID  [8]byte
 }
 
-// traceFlagHasTrace marks a well-formed trace header; the remaining
-// flag bits are reserved (ignored on decode) for future extensions.
-const traceFlagHasTrace byte = 0x01
-
-// traceHeaderLen is the encoded size: flags byte + trace id + span id.
-const traceHeaderLen = 1 + 16 + 8
-
-// appendTraceHeader appends th's fixed-size encoding.
-func appendTraceHeader(b []byte, th *TraceHeader) []byte {
-	b = append(b, traceFlagHasTrace)
+func appendTraceHeader(b []byte, th TraceHeader) []byte {
 	b = append(b, th.TraceID[:]...)
 	return append(b, th.SpanID[:]...)
 }
 
-// decodeTraceHeader consumes an optional trailing trace header: nil
-// when the payload is already exhausted (a v1 peer, or a v2 client
-// without trace context).
-func decodeTraceHeader(r *reader) (*TraceHeader, error) {
-	if r.off >= len(r.b) {
-		return nil, nil
-	}
-	if rest := len(r.b) - r.off; rest != traceHeaderLen {
-		return nil, fmt.Errorf("wire: trace header is %d bytes, want %d", rest, traceHeaderLen)
-	}
-	flags, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	if flags&traceFlagHasTrace == 0 {
-		return nil, fmt.Errorf("wire: bad trace header flags %#x", flags)
-	}
+func decodeTraceHeader(r *reader) (TraceHeader, error) {
 	var th TraceHeader
-	tb, err := r.take(len(th.TraceID))
+	b, err := r.take(len(th.TraceID) + len(th.SpanID))
 	if err != nil {
-		return nil, err
+		return th, err
 	}
-	copy(th.TraceID[:], tb)
-	sb, err := r.take(len(th.SpanID))
-	if err != nil {
-		return nil, err
-	}
-	copy(th.SpanID[:], sb)
-	return &th, nil
+	n := copy(th.TraceID[:], b)
+	copy(th.SpanID[:], b[n:])
+	return th, nil
 }
 
-// EncodeStatementTrace builds a MsgQuery/MsgExec payload carrying a
-// trace header. Only protocol-2 sessions may send it: a v1 server's
-// strict decoder rejects the trailing bytes.
-func EncodeStatementTrace(sql string, th *TraceHeader) []byte {
-	b := AppendString(nil, sql)
-	if th != nil {
-		b = appendTraceHeader(b, th)
-	}
-	return b
+// EncodeStatement builds a MsgQuery/MsgExec payload: the SQL, then the
+// trace header.
+func EncodeStatement(sql string, th TraceHeader) []byte {
+	return appendTraceHeader(AppendString(nil, sql), th)
 }
 
-// DecodeStatementTrace parses a MsgQuery/MsgExec payload with an
-// optional trailing trace header (nil when absent).
-func DecodeStatementTrace(p []byte) (string, *TraceHeader, error) {
+// DecodeStatement parses a MsgQuery/MsgExec payload.
+func DecodeStatement(p []byte) (string, TraceHeader, error) {
 	r := &reader{b: p}
 	sql, err := r.string()
 	if err != nil {
-		return "", nil, err
+		return "", TraceHeader{}, err
 	}
 	th, err := decodeTraceHeader(r)
 	if err != nil {
-		return "", nil, err
+		return "", TraceHeader{}, err
 	}
 	return sql, th, r.done()
 }
@@ -675,26 +589,20 @@ type Done struct {
 	StatsJSON string
 	// TraceID is the statement's trace identity as the server adopted
 	// or assigned it (32 hex digits), echoed so the client can link its
-	// roundtrip span to the server-side trace. Protocol >= 2 only;
-	// empty on v1 sessions.
+	// roundtrip span to the server-side trace; empty on replies that
+	// close no statement (the ClosePrepared acknowledgement).
 	TraceID string
 }
 
-// EncodeDone builds a MsgDone payload for a session negotiated at
-// proto. The TraceID rides as trailing bytes gated on proto >= 2 — a
-// v1 client's strict decoder must see the exact v1 payload.
-func EncodeDone(d Done, proto uint32) []byte {
+// EncodeDone builds a MsgDone payload.
+func EncodeDone(d Done) []byte {
 	b := AppendUint64(nil, uint64(d.Affected))
 	b = AppendUint64(b, uint64(d.Rows))
 	b = AppendString(b, d.StatsJSON)
-	if proto >= ProtocolV2 && d.TraceID != "" {
-		b = AppendString(b, d.TraceID)
-	}
-	return b
+	return AppendString(b, d.TraceID)
 }
 
-// DecodeDone parses a MsgDone payload; the trailing TraceID is
-// optional (absent from v1 servers and untraced statements).
+// DecodeDone parses a MsgDone payload.
 func DecodeDone(p []byte) (Done, error) {
 	r := &reader{b: p}
 	affected, err := r.uint64()
@@ -705,15 +613,12 @@ func DecodeDone(p []byte) (Done, error) {
 	if err != nil {
 		return Done{}, err
 	}
-	stats, err := r.string()
-	if err != nil {
+	d := Done{Affected: int64(affected), Rows: int64(rows)}
+	if d.StatsJSON, err = r.string(); err != nil {
 		return Done{}, err
 	}
-	d := Done{Affected: int64(affected), Rows: int64(rows), StatsJSON: stats}
-	if r.off < len(r.b) {
-		if d.TraceID, err = r.string(); err != nil {
-			return Done{}, err
-		}
+	if d.TraceID, err = r.string(); err != nil {
+		return Done{}, err
 	}
 	return d, r.done()
 }
@@ -722,7 +627,14 @@ func DecodeDone(p []byte) (Done, error) {
 func EncodePrepare(sql string) []byte { return AppendString(nil, sql) }
 
 // DecodePrepare parses a MsgPrepare payload.
-func DecodePrepare(p []byte) (string, error) { return DecodeStatement(p) }
+func DecodePrepare(p []byte) (string, error) {
+	r := &reader{b: p}
+	sql, err := r.string()
+	if err != nil {
+		return "", err
+	}
+	return sql, r.done()
+}
 
 // PreparedInfo is the server's MsgPrepared reply: the session-scoped
 // handle EXECUTE frames name, and the statement's `?` slot count.
@@ -755,8 +667,9 @@ func DecodePrepared(p []byte) (PreparedInfo, error) {
 }
 
 // EncodeExecPrepared builds a MsgExecPrepared payload: handle, arg
-// count, then one tagged value per `?` slot (the result-row codec).
-func EncodeExecPrepared(handle int64, args []sqltypes.Value) ([]byte, error) {
+// count, one tagged value per `?` slot (the result-row codec), then the
+// trace header.
+func EncodeExecPrepared(handle int64, args []sqltypes.Value, th TraceHeader) ([]byte, error) {
 	b := AppendUint64(nil, uint64(handle))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(args)))
 	var err error
@@ -765,67 +678,36 @@ func EncodeExecPrepared(handle int64, args []sqltypes.Value) ([]byte, error) {
 			return nil, err
 		}
 	}
-	return b, nil
+	return appendTraceHeader(b, th), nil
 }
 
-// EncodeExecPreparedTrace is EncodeExecPrepared plus a trailing trace
-// header (protocol >= 2 only).
-func EncodeExecPreparedTrace(handle int64, args []sqltypes.Value, th *TraceHeader) ([]byte, error) {
-	b, err := EncodeExecPrepared(handle, args)
-	if err != nil {
-		return nil, err
-	}
-	if th != nil {
-		b = appendTraceHeader(b, th)
-	}
-	return b, nil
-}
-
-// DecodeExecPrepared parses a MsgExecPrepared payload (strict v1 form:
-// a trailing trace header is an error; servers use
-// DecodeExecPreparedTrace).
-func DecodeExecPrepared(p []byte) (int64, []sqltypes.Value, error) {
-	h, args, th, err := DecodeExecPreparedTrace(p)
-	if err != nil {
-		return 0, nil, err
-	}
-	if th != nil {
-		return 0, nil, fmt.Errorf("wire: %d trailing payload bytes", traceHeaderLen)
-	}
-	return h, args, nil
-}
-
-// DecodeExecPreparedTrace parses a MsgExecPrepared payload with an
-// optional trailing trace header (nil when absent).
-func DecodeExecPreparedTrace(p []byte) (int64, []sqltypes.Value, *TraceHeader, error) {
+// DecodeExecPrepared parses a MsgExecPrepared payload.
+func DecodeExecPrepared(p []byte) (int64, []sqltypes.Value, TraceHeader, error) {
 	r := &reader{b: p}
 	h, err := r.uint64()
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, TraceHeader{}, err
 	}
 	n, err := r.uint32()
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, TraceHeader{}, err
 	}
 	// Every value costs at least its 1-byte tag; reject forged counts
 	// before the slice allocation trusts n.
 	if uint64(n) > uint64(len(p)-r.off) {
-		return 0, nil, nil, fmt.Errorf("wire: implausible argument count %d in %d payload bytes", n, len(p)-r.off)
+		return 0, nil, TraceHeader{}, fmt.Errorf("wire: implausible argument count %d in %d payload bytes", n, len(p)-r.off)
 	}
 	args := make([]sqltypes.Value, n)
 	for i := range args {
 		if args[i], err = decodeValue(r); err != nil {
-			return 0, nil, nil, err
+			return 0, nil, TraceHeader{}, err
 		}
 	}
 	th, err := decodeTraceHeader(r)
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, TraceHeader{}, err
 	}
-	if err := r.done(); err != nil {
-		return 0, nil, nil, err
-	}
-	return int64(h), args, th, nil
+	return int64(h), args, th, r.done()
 }
 
 // EncodeClosePrepared builds a MsgClosePrepared payload.
@@ -866,9 +748,9 @@ func DecodeError(p []byte) (*Error, error) {
 	return &Error{Code: code, Message: msg}, nil
 }
 
-// Summary is the protocol-3 push-down request a coordinator sends a
-// shard: compute (or serve from the shard's incremental summary cache)
-// the n/L/Q sufficient statistics over the named columns of one local
+// Summary is the push-down request a coordinator sends a shard:
+// compute (or serve from the shard's incremental summary cache) the
+// n/L/Q sufficient statistics over the named columns of one local
 // table. The reply is a SummaryResult whose packed NLQ merges
 // additively with the other shards' partials — the 4-phase aggregate
 // protocol's merge step, run across processes instead of goroutines.

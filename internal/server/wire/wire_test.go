@@ -78,13 +78,13 @@ func TestHelloRoundTrip(t *testing.T) {
 }
 
 func TestWelcomeDoneErrorRoundTrip(t *testing.T) {
-	w := Welcome{SessionID: 42, Server: "twmd/1", Proto: ProtocolV1}
+	w := Welcome{SessionID: 42, Server: "twmd/1", Proto: ProtocolVersion}
 	gw, err := DecodeWelcome(EncodeWelcome(w))
 	if err != nil || gw != w {
 		t.Fatalf("welcome round trip: %+v, %v", gw, err)
 	}
 	d := Done{Affected: 12, Rows: 99, StatsJSON: `{"rows_scanned":5}`}
-	gd, err := DecodeDone(EncodeDone(d, ProtocolV1))
+	gd, err := DecodeDone(EncodeDone(d))
 	if err != nil || gd != d {
 		t.Fatalf("done round trip: %+v, %v", gd, err)
 	}
@@ -231,7 +231,7 @@ func TestDecodeBatchRejectsForgedHeaders(t *testing.T) {
 func FuzzDecodeFrameStream(f *testing.F) {
 	var seed bytes.Buffer
 	WriteFrame(&seed, MsgHello, EncodeHello(Hello{Version: 1, User: "u"}))
-	WriteFrame(&seed, MsgDone, EncodeDone(Done{Affected: 3}, ProtocolV1))
+	WriteFrame(&seed, MsgDone, EncodeDone(Done{Affected: 3}))
 	b, _ := EncodeBatch([]sqltypes.Row{{sqltypes.NewDouble(1.5), sqltypes.NewVarChar("a")}})
 	WriteFrame(&seed, MsgBatch, b)
 	f.Add(seed.Bytes())

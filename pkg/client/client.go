@@ -106,16 +106,16 @@ type Rows struct {
 	// StatsJSON is the server-side executor statistics for the
 	// statement, JSON-encoded ("" when the statement did not scan).
 	StatsJSON string
-	// TraceID identifies the statement's server-side trace ("" on a
-	// protocol-1 session). Look it up in the server's sys.traces /
-	// sys.spans to see the full span tree this roundtrip produced.
+	// TraceID identifies the statement's server-side trace. Look it up in
+	// the server's sys.traces / sys.spans to see the full span tree this
+	// roundtrip produced.
 	TraceID string
 
 	// prepared carries a MsgPrepared acknowledgement when the exchange
 	// was a PREPARE rather than a statement.
 	prepared *wire.PreparedInfo
 	// summary carries a MsgSummaryResult reply when the exchange was a
-	// protocol-3 Summary request.
+	// Summary request.
 	summary *wire.SummaryResult
 }
 
@@ -150,7 +150,6 @@ type conn struct {
 	nc       net.Conn
 	wc       *wire.Conn
 	session  int64
-	proto    uint32 // negotiated protocol version
 	idleFrom time.Time
 	// prepared maps SQL text to the server-side handle this connection
 	// holds for it. Handles are session-scoped: a fresh connection (and
@@ -164,21 +163,8 @@ type conn struct {
 	broken bool
 }
 
-// dial establishes and handshakes one connection. It offers the
-// newest protocol the client speaks; an old server that rejects the
-// offer gets one redial speaking protocol 1 (no trace headers, v1
-// frames throughout).
+// dial establishes and handshakes one connection.
 func (p *Pool) dial(ctx context.Context) (*conn, error) {
-	c, err := p.dialVersion(ctx, wire.ProtocolVersion)
-	var we *wire.Error
-	if err != nil && errors.As(err, &we) && we.Code == wire.CodeProtocol && strings.Contains(we.Message, "protocol version") {
-		downgradesTotal.Inc()
-		return p.dialVersion(ctx, wire.ProtocolV1)
-	}
-	return c, err
-}
-
-func (p *Pool) dialVersion(ctx context.Context, version uint32) (*conn, error) {
 	d := net.Dialer{Timeout: p.cfg.DialTimeout}
 	nc, err := d.DialContext(ctx, "tcp", p.cfg.Addr)
 	if err != nil {
@@ -186,7 +172,7 @@ func (p *Pool) dialVersion(ctx context.Context, version uint32) (*conn, error) {
 	}
 	nc.SetDeadline(time.Now().Add(p.cfg.DialTimeout))
 	wc := wire.NewConn(nc)
-	if err := wc.Send(wire.MsgHello, wire.EncodeHello(wire.Hello{Version: version, User: p.cfg.User})); err != nil {
+	if err := wc.Send(wire.MsgHello, wire.EncodeHello(wire.Hello{Version: wire.ProtocolVersion, User: p.cfg.User})); err != nil {
 		nc.Close()
 		return nil, err
 	}
@@ -208,32 +194,26 @@ func (p *Pool) dialVersion(ctx context.Context, version uint32) (*conn, error) {
 		return nil, fmt.Errorf("client: expected Welcome, got frame type %#x", f.Type)
 	}
 	w, err := wire.DecodeWelcome(f.Payload)
+	if err == nil && w.Proto != wire.ProtocolVersion {
+		err = fmt.Errorf("client: server welcomed protocol version %d, want %d", w.Proto, wire.ProtocolVersion)
+	}
 	if err != nil {
 		nc.Close()
 		return nil, err
 	}
 	nc.SetDeadline(time.Time{})
-	proto := w.Proto
-	if proto > version {
-		proto = version // never speak newer than we offered
-	}
-	return &conn{nc: nc, wc: wc, session: w.SessionID, proto: proto, prepared: make(map[string]wire.PreparedInfo)}, nil
+	return &conn{nc: nc, wc: wc, session: w.SessionID, prepared: make(map[string]wire.PreparedInfo)}, nil
 }
 
-// traceHeader builds the statement's wire trace context on a
-// protocol-2 session: the TraceID (adopted from ctx when the caller
-// already carries one) plus a fresh roundtrip span ID for the server's
-// session span to parent under. Nil on v1 sessions — a v1 server's
-// strict decoder rejects trailing bytes.
-func (c *conn) traceHeader(ctx context.Context) *wire.TraceHeader {
-	if c.proto < wire.ProtocolV2 {
-		return nil
-	}
+// traceHeader builds the statement's wire trace context: the TraceID
+// (adopted from ctx when the caller already carries one) plus a fresh
+// roundtrip span ID for the server's span to parent under.
+func traceHeader(ctx context.Context) wire.TraceHeader {
 	sc, ok := trace.FromContext(ctx)
 	if !ok || sc.TraceID.IsZero() {
 		sc.TraceID = trace.NewTraceID()
 	}
-	return &wire.TraceHeader{TraceID: sc.TraceID, SpanID: trace.NewSpanID()}
+	return wire.TraceHeader{TraceID: sc.TraceID, SpanID: trace.NewSpanID()}
 }
 
 // get checks a connection out of the pool, dialing when the pool has
@@ -396,7 +376,7 @@ func watchCtx(ctx context.Context, nc net.Conn) (stop func() bool) {
 
 // roundTrip sends one statement and collects the full response.
 func (c *conn) roundTrip(ctx context.Context, msgType byte, sql string, sink func(sqltypes.Row) error) (*Rows, error) {
-	return c.exchange(ctx, msgType, wire.EncodeStatementTrace(sql, c.traceHeader(ctx)), sink)
+	return c.exchange(ctx, msgType, wire.EncodeStatement(sql, traceHeader(ctx)), sink)
 }
 
 // exchange sends one request frame and collects the full response.
@@ -662,18 +642,14 @@ func (p *Pool) Exec(ctx context.Context, sql string) (*Rows, error) {
 }
 
 // Summary requests the server's n/L/Q sufficient statistics for one
-// table over the protocol-3 push-down frame: the cache-first read path
-// a model build uses in-process, served over the wire. hit reports
+// table over the push-down Summary frame: the cache-first read path a
+// model build uses in-process, served over the wire. hit reports
 // whether the server's summary cache avoided a scan; a nil NLQ with a
 // nil error means the table has no qualifying rows. The request is
-// idempotent and retried like a SELECT. Servers negotiated below
-// protocol 3 cannot serve it.
+// idempotent and retried like a SELECT.
 func (p *Pool) Summary(ctx context.Context, table string, columns []string, mt core.MatrixType) (*core.NLQ, bool, error) {
 	req := wire.EncodeSummary(wire.Summary{Table: table, Columns: columns, Matrix: byte(mt)})
 	rows, err := p.withRetry(ctx, true, func(c *conn) (*Rows, error) {
-		if c.proto < wire.ProtocolV3 {
-			return nil, &wire.Error{Code: wire.CodeProtocol, Message: fmt.Sprintf("server negotiated protocol %d; Summary needs >= %d", c.proto, wire.ProtocolV3)}
-		}
 		return c.exchange(ctx, wire.MsgSummary, req, nil)
 	})
 	if err != nil {

@@ -19,11 +19,6 @@ var (
 	// after connection loss.
 	retriesTotal = obs.Default.Counter("engine_client_retries_total",
 		"Statements automatically retried after connection loss.")
-	// DowngradesTotal counts handshakes redialed at protocol 1 after a
-	// server rejected the newer offer — a nonzero value means an old
-	// server is in the fleet and traces stop at the client.
-	downgradesTotal = obs.Default.Counter("engine_client_protocol_downgrades_total",
-		"Handshakes redialed at protocol 1 after the server rejected the v2 offer.")
 
 	// Per-code counters for server-reported statement errors. One
 	// counter per typed wire code, pre-registered with a literal name

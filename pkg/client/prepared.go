@@ -122,7 +122,7 @@ func (c *conn) execPrepared(ctx context.Context, sql string, args []sqltypes.Val
 		if len(args) != pi.NumParams {
 			return nil, fmt.Errorf("client: statement expects %d parameter(s), got %d", pi.NumParams, len(args))
 		}
-		payload, err := wire.EncodeExecPreparedTrace(pi.Handle, args, c.traceHeader(ctx))
+		payload, err := wire.EncodeExecPrepared(pi.Handle, args, traceHeader(ctx))
 		if err != nil {
 			return nil, err
 		}

@@ -177,12 +177,6 @@ func (d *DB) ExecContext(ctx context.Context, sql string) (*Result, error) {
 	return d.eng.ExecContext(ctx, sql)
 }
 
-// LastStats returns the execution statistics of the most recent
-// statement that performed a scan: rows scanned and emitted, bytes
-// read, per-partition row counts (skew), and the four-phase aggregate
-// protocol timings. Nil before any scanning statement.
-func (d *DB) LastStats() *Stats { return d.eng.LastStats() }
-
 // ExecScript runs a semicolon-separated script, returning the last
 // result.
 func (d *DB) ExecScript(sql string) (*Result, error) { return d.eng.ExecScript(sql) }
