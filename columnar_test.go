@@ -1,8 +1,14 @@
 package statsudf
 
 import (
+	"encoding/binary"
+	"io/fs"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -239,5 +245,98 @@ func TestColumnarSummaryStampsMatch(t *testing.T) {
 					i, c, rr.Rows[i][c].String(), cr.Rows[i][c].String())
 			}
 		}
+	}
+}
+
+// segmentFiles lists every segment file (and rebuild temporary) under
+// dir, with each file's chunk count read off its chunk headers:
+// "SEG1" | u32 rows | u32 ncols | u32 bodyLen | body.
+func segmentFiles(t *testing.T, dir string) map[string]int {
+	t.Helper()
+	out := map[string]int{}
+	err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+		if err != nil || !(strings.HasSuffix(path, ".seg") || strings.HasSuffix(path, ".seg.tmp")) {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		chunks := 0
+		for len(data) >= 16 && string(data[:4]) == "SEG1" {
+			data = data[16+binary.LittleEndian.Uint32(data[12:16]):]
+			chunks++
+		}
+		if len(data) != 0 {
+			t.Fatalf("%s: %d trailing bytes after %d chunks", path, len(data), chunks)
+		}
+		out[filepath.Base(path)] = chunks
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// A write touches only the row log. A row-mode database therefore never
+// creates a segment file, whatever loads, reads or drops its tables; a
+// columnar one derives them on its first block scan, in full chunks
+// however small the inserts that brought the rows were.
+func TestSegmentsAreDerivedNotWritten(t *testing.T) {
+	rowDir := t.TempDir()
+	rowDB, err := Open(Options{Dir: rowDir, Partitions: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rowDB.Close()
+	if _, err := rowDB.ExecScript(`CREATE TABLE t (a DOUBLE, b DOUBLE);
+		INSERT INTO t VALUES (1, 2), (3, 4), (5, 6), (7, 8);
+		INSERT INTO t VALUES (9, 10)`); err != nil {
+		t.Fatal(err)
+	}
+	if err := rowDB.Generate("X", MixtureConfig{N: 5000, D: 3, K: 2, Seed: 5}); err != nil { // BulkLoader
+		t.Fatal(err)
+	}
+	if _, err := rowDB.ImportCSV("c", strings.NewReader("u,v\n1,2.5\n2,3.5\n3,4.5\n"), true); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []SummaryMethod{ViaCache, ViaUDF} {
+		if _, err := rowDB.Summary("X", DimColumns(3), SummaryOptions{Method: m}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := rowDB.ExecScript(`SELECT X1 + X2 FROM X WHERE X3 > 0; SELECT u * v FROM c; DROP TABLE t`); err != nil {
+		t.Fatal(err)
+	}
+	if segs := segmentFiles(t, rowDir); len(segs) != 0 {
+		t.Fatalf("row-mode database created segment files: %v", segs)
+	}
+
+	const n, parts = 5000, 1
+	colDir := t.TempDir()
+	colDB, err := Open(Options{Dir: colDir, Partitions: parts, Columnar: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer colDB.Close()
+	if _, err := colDB.Exec("CREATE TABLE s (a DOUBLE, b DOUBLE)"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := colDB.Exec("INSERT INTO s VALUES (" + strconv.Itoa(i) + ", 0.5)"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if segs := segmentFiles(t, colDir); len(segs) != 0 {
+		t.Fatalf("inserts created segment files: %v", segs)
+	}
+	res, err := colDB.Exec("SELECT a + b FROM s")
+	if err != nil || len(res.Rows) != n {
+		t.Fatalf("block scan: %d rows, err %v", len(res.Rows), err)
+	}
+	want := map[string]int{"s.p000.seg": (n/parts + 4095) / 4096}
+	if segs := segmentFiles(t, colDir); !reflect.DeepEqual(segs, want) {
+		t.Fatalf("segments after one block scan = %v, want %v (file: chunks)", segs, want)
 	}
 }

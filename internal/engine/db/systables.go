@@ -339,9 +339,12 @@ func (d *DB) sysSummaries() (*storage.Table, error) {
 }
 
 // sysSegments reports the columnar segment cache, one row per on-disk
-// partition: how many rows the sibling .seg file covers (-1 while
-// invalidated, pending a lazy rebuild) and its size. In-memory tables
-// synthesize blocks from resident rows and report no segments.
+// partition: how many rows of the row log the sibling .seg file is a
+// snapshot of (0 with no file until a block scan first derives it, -1
+// for a file of a reattached table that nothing has verified yet), its
+// size, and whether it is fresh — behind after every write until the
+// next block scan rebuilds it. In-memory tables synthesize blocks from
+// resident rows and report no segments.
 func (d *DB) sysSegments() (*storage.Table, error) {
 	cols := []sqltypes.Column{
 		{Name: "table_name", Type: sqltypes.TypeVarChar},

@@ -28,6 +28,14 @@ func vcol(n string) sqltypes.Column { return sqltypes.Column{Name: n, Type: sqlt
 // on-disk depending on dir.
 func mixedTable(t *testing.T, name, dir string, nparts, n int) *storage.Table {
 	t.Helper()
+	return mixedTableWrittenAfterBuild(t, name, dir, nparts, n, n)
+}
+
+// mixedTableWrittenAfterBuild is mixedTable with the same n rows
+// arriving in two inserts and the segments built between them, so every
+// partition's segment is behind its row log when the first query runs.
+func mixedTableWrittenAfterBuild(t *testing.T, name, dir string, nparts, built, n int) *storage.Table {
+	t.Helper()
 	schema := &sqltypes.Schema{Columns: []sqltypes.Column{dcol("a"), dcol("b"), icol("j"), vcol("s")}}
 	tab, err := storage.NewTable(name, schema, dir, nparts)
 	if err != nil {
@@ -50,8 +58,16 @@ func mixedTable(t *testing.T, name, dir string, nparts, n int) *storage.Table {
 		}
 		rows[i] = r
 	}
-	if err := tab.Insert(rows...); err != nil {
+	if err := tab.Insert(rows[:built]...); err != nil {
 		t.Fatal(err)
+	}
+	if built < n {
+		if err := tab.EnsureSegments(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.Insert(rows[built:]...); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return tab
 }
@@ -242,10 +258,10 @@ func canonRows(rows []sqltypes.Row, ordered bool) []string {
 }
 
 // staleSegmentDir returns a table directory in which partition 1 of a
-// table called name can neither mirror its segment nor rebuild it:
-// non-empty directories (NewTable removes what it can) squat on the
-// segment's path and on the rebuild's temporary path, so the partition
-// stays stale however often a scan calls EnsureSegments.
+// table called name can never build its segment: non-empty directories
+// (NewTable removes what it can) squat on the segment's path and on the
+// rebuild's temporary path, so the partition stays stale however often
+// a scan calls EnsureSegments, while its siblings build normally.
 func staleSegmentDir(t *testing.T, name string) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -278,8 +294,9 @@ var projectionQueries = []string{
 }
 
 // TestSelectPathMatrix runs every statement through every way of
-// reaching the scan operator, over the row source, the block source and
-// the block source with one partition falling back, and demands
+// reaching the scan operator, over the row source, the block source,
+// the block source with one partition falling back and the block source
+// over a table written since its segments were built, and demands
 // bit-identical rows and identical scan accounting from all of them.
 func TestSelectPathMatrix(t *testing.T) {
 	big := func(n int64) sqltypes.Value { return sqltypes.NewBigInt(n) }
@@ -319,23 +336,29 @@ func TestSelectPathMatrix(t *testing.T) {
 		return &Env{Catalog: memCatalog{"x": x, "m": model()}, Funcs: expr.NewRegistry(), Aggs: udf.NewRegistry(), Columnar: columnar}
 	}
 	stale := mixedTable(t, "x", staleSegmentDir(t, "x"), nparts, n)
+	fixed := func(e *Env) func() *Env { return func() *Env { return e } }
+	// A new table per statement: the first block scan rebuilds.
+	written := func() *Env {
+		return env(mixedTableWrittenAfterBuild(t, "x", t.TempDir(), nparts, n/2, n), true)
+	}
 	modes := []struct {
 		name string
-		env  *Env
+		env  func() *Env
 	}{
-		{"row", env(mixedTable(t, "x", t.TempDir(), nparts, n), false)},
-		{"columnar", env(mixedTable(t, "x", t.TempDir(), nparts, n), true)},
-		{"columnar-stale", env(stale, true)},
+		{"row", fixed(env(mixedTable(t, "x", t.TempDir(), nparts, n), false))},
+		{"columnar", fixed(env(mixedTable(t, "x", t.TempDir(), nparts, n), true))},
+		{"columnar-stale", fixed(env(stale, true))},
+		{"columnar-written", written},
 	}
 	for _, q := range queries {
 		ordered := strings.Contains(q.sql, "ORDER BY")
-		ref, err := pathSelect(t, modes[0].env, q)
+		ref, err := pathSelect(t, modes[0].env(), q)
 		if err != nil {
 			t.Fatalf("%q: %v", q.sql, err)
 		}
 		for _, m := range modes {
 			for _, path := range selectPaths {
-				got, err := path.run(t, m.env, q)
+				got, err := path.run(t, m.env(), q)
 				if err != nil {
 					t.Fatalf("%s/%s %q: %v", m.name, path.name, q.sql, err)
 				}
@@ -356,34 +379,76 @@ func TestSelectPathMatrix(t *testing.T) {
 			}
 		}
 	}
-	if segs := stale.Segments(); segs[0].Rows < 0 || segs[1].Rows >= 0 || segs[2].Rows < 0 {
-		t.Fatalf("stale fixture: segments %+v, want only partition 1 invalid", segs)
+	fresh := func(tab *storage.Table) (out []bool) {
+		counts := tab.PartitionRowCounts()
+		for _, si := range tab.Segments() {
+			out = append(out, si.Rows == counts[si.Partition])
+		}
+		return out
+	}
+	if got := fresh(stale); !reflect.DeepEqual(got, []bool{true, false, true}) {
+		t.Fatalf("stale fixture: fresh segments %v, want only partition 1 behind", got)
+	}
+	// The written-after-build fixture is behind in every partition until
+	// a block scan rebuilds it.
+	wenv := written()
+	tab, _ := wenv.Catalog.Table("x")
+	if got := fresh(tab); !reflect.DeepEqual(got, []bool{false, false, false}) {
+		t.Fatalf("written-after-build fixture: fresh segments %v before any scan", got)
+	}
+	if _, err := pathSelect(t, wenv, pathQuery{sql: "SELECT a + b FROM x"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh(tab); !reflect.DeepEqual(got, []bool{true, true, true}) {
+		t.Fatalf("written-after-build fixture: fresh segments %v after a block scan", got)
 	}
 }
 
-// TestScanSpanSource: every scan[pN] span says which source fed it. A
-// table with one stale partition reads block, row, block and counts
-// exactly one fallback.
+// TestScanSpanSource: every scan[pN] span says which source fed it,
+// and a scan with block columns times its EnsureSegments step in an
+// "ensure" span ahead of them — where the first scan after a write
+// shows its rebuild. A table with one unbuildable partition reads
+// block, row, block and counts exactly one fallback per scan.
 func TestScanSpanSource(t *testing.T) {
 	tab := mixedTable(t, "x", staleSegmentDir(t, "x"), 3, 90)
 	env := &Env{Catalog: memCatalog{"x": tab}, Funcs: expr.NewRegistry(), Aggs: udf.NewRegistry(), Columnar: true, Workers: 1}
-	before := obs.ColumnarFallbacks.Value()
-	res, err := Select(context.Background(), sel(t, "SELECT a + b FROM x"), env)
-	if err != nil {
+	blockScan := func() *Result {
+		t.Helper()
+		before := obs.ColumnarFallbacks.Value()
+		res, err := Select(context.Background(), sel(t, "SELECT a + b FROM x"), env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := obs.ColumnarFallbacks.Value() - before; got != 1 {
+			t.Fatalf("one stale partition counted %d fallbacks, want 1", got)
+		}
+		var names, sources []string
+		for _, sp := range res.Stats.Root.SpanByName("scan").Children {
+			names = append(names, sp.Name)
+			sources = append(sources, sp.Source)
+		}
+		if want := []string{"ensure", "scan[p0]", "scan[p1]", "scan[p2]"}; !reflect.DeepEqual(names, want) {
+			t.Fatalf("scan children = %v, want %v", names, want)
+		}
+		if want := []string{"", "block", "row", "block"}; !reflect.DeepEqual(sources, want) {
+			t.Fatalf("scan sources = %v, want %v", sources, want)
+		}
+		return res
+	}
+	// Nothing has built a segment yet: this scan's ensure span is the
+	// rebuild of partitions 0 and 2. So is the one after an insert.
+	tree := blockScan().Stats.Root.RenderTree()
+	if err := tab.Insert(sqltypes.Row{sqltypes.NewDouble(1), sqltypes.NewDouble(2), sqltypes.NewBigInt(3), sqltypes.NewVarChar("4")}); err != nil {
 		t.Fatal(err)
 	}
-	if got := obs.ColumnarFallbacks.Value() - before; got != 1 {
-		t.Fatalf("one stale partition counted %d fallbacks, want 1", got)
+	if segs := tab.Segments(); segs[0].Rows == tab.PartitionRowCounts()[0] {
+		t.Fatalf("insert kept partition 0's segment fresh: %+v", segs[0])
 	}
-	var sources []string
-	for _, sp := range res.Stats.Root.SpanByName("scan").Children {
-		sources = append(sources, sp.Source)
+	blockScan()
+	if segs := tab.Segments(); segs[0].Rows != tab.PartitionRowCounts()[0] {
+		t.Fatalf("block scan after an insert left partition 0 stale: %+v", segs[0])
 	}
-	if want := []string{"block", "row", "block"}; !reflect.DeepEqual(sources, want) {
-		t.Fatalf("scan sources = %v, want %v", sources, want)
-	}
-	tree := res.Stats.Root.RenderTree()
-	for _, want := range []string{"scan[p0]", "source=block", "source=row"} {
+	for _, want := range []string{"ensure (", "scan[p0]", "source=block", "source=row"} {
 		if !strings.Contains(tree, want) {
 			t.Fatalf("EXPLAIN ANALYZE tree lacks %q:\n%s", want, tree)
 		}
@@ -391,17 +456,17 @@ func TestScanSpanSource(t *testing.T) {
 	// The row engine reads every partition from the row log; an aggregate
 	// under the columnar flag does too, without counting a fallback.
 	env.Columnar = false
-	res, err = Select(context.Background(), sel(t, "SELECT a + b FROM x"), env)
+	res, err := Select(context.Background(), sel(t, "SELECT a + b FROM x"), env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sp := range res.Stats.Root.SpanByName("scan").Children {
 		if sp.Source != "row" {
-			t.Fatalf("row engine span %s has source %q", sp.Name, sp.Source)
+			t.Fatalf("row engine span %s has source %q (a row-mode scan has no ensure step)", sp.Name, sp.Source)
 		}
 	}
 	env.Columnar = true
-	before = obs.ColumnarFallbacks.Value()
+	before := obs.ColumnarFallbacks.Value()
 	if _, err := PrepareSelect(sel(t, "SELECT sum(a) FROM x"), env); err != nil {
 		t.Fatal(err)
 	}

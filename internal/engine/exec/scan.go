@@ -44,14 +44,17 @@ func scanPartitions(ctx context.Context, t *storage.Table, workers int, blockCol
 		st.Workers = workers
 	}
 	st.PartitionRows = make([]int64, nparts)
+	scan := st.ensureRoot().child("scan")
 	if blockCols != nil {
-		// Best-effort: rebuild stale segments up front so a cold table
-		// pays one rebuild instead of a row fallback per scan. A failed
+		// Best-effort: derive the segments a write left behind up front,
+		// so the first block scan after a write pays one rebuild (its
+		// time is this span) instead of a row fallback per scan. A failed
 		// rebuild leaves stale partitions that fall back below; genuine
 		// row-log corruption resurfaces loudly from the row scan.
+		ensure := scan.child("ensure")
 		_ = t.EnsureSegments()
+		ensure.finish()
 	}
-	scan := st.ensureRoot().child("scan")
 	partSpans := make([]*Span, nparts)
 	err := RunParallel(ctx, st.Workers, nparts, func(ctx context.Context, p int) error {
 		span := newSpan(fmt.Sprintf("scan[p%d]", p))

@@ -3,6 +3,8 @@ package storage
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -131,4 +133,18 @@ func TestParentWrittenTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	blocksMatchRows(t, tab, []int{0, 1})
+	// The segments the rebuild derives are pinned too: these are the
+	// bytes the parent of the arena rebuild wrote from the same files.
+	for p, want := range []string{
+		"2ab9f0efaa41d09de9b603214cf0446b981fb9c22d77bafe39899c75f371471b",
+		"be2389340e7cfd5057178005f7cbb0150f208ac8f26fd67f6bb246b57bf515d2",
+	} {
+		seg, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("golden.p%03d.seg", p)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(seg)); got != want {
+			t.Fatalf("partition %d: rebuilt segment hashes to %s, want %s", p, got, want)
+		}
+	}
 }

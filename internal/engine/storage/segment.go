@@ -15,13 +15,17 @@ import (
 	"repro/internal/engine/sqltypes"
 )
 
-// Columnar segments are a derived cache of the row log: each on-disk
+// Columnar segments are a cache derived from the row log: an on-disk
 // partition may carry a sibling `.seg` file holding the same rows
 // re-encoded column-wise, so the batch execution path decodes only the
 // columns a query references and hands them to vector kernels as
-// []float64 slices. The row log remains the single source of truth —
-// any rollback, truncate or corruption simply invalidates the segment
-// (segRows = -1) and EnsureSegments lazily rebuilds it from the rows.
+// []float64 slices. The row log is the single source of truth and the
+// only thing a write touches: Insert and BulkLoader leave segRows
+// behind rows, and EnsureSegments — called by the executor ahead of a
+// block scan — is the one place a segment file is created, re-deriving
+// each stale partition's segment whole from its row log (no tail
+// catch-up: a rebuild costs a bounded multiple of the scan that
+// triggers it, and an engine that never block-scans never pays it).
 //
 // File layout: a sequence of chunks, each
 //
@@ -49,8 +53,10 @@ const (
 // EnsureSegments to rebuild).
 var ErrSegmentStale = errors.New("storage: segment stale")
 
-// segInvalid marks a partition whose segment can no longer be trusted.
-const segInvalid = -1
+// segUnverified is the segRows of a partition OpenTable just attached:
+// the first EnsureSegments adopts or replaces the file a previous
+// process left. Inside one process a segment is only ever behind.
+const segUnverified = -1
 
 // Block is one decoded batch of column data delivered to block-scan
 // callbacks. Slices are reused between callbacks; callers must copy
@@ -82,76 +88,64 @@ func (t *Table) segPathLocked(p int) string {
 	return strings.TrimSuffix(t.parts[p].path, ".dat") + ".seg"
 }
 
-// invalidateSegLocked marks partition p's segment untrusted; the stale
-// file (if any) is left behind and replaced wholesale on rebuild.
-func (t *Table) invalidateSegLocked(p int) {
-	t.parts[p].segRows = segInvalid
-}
-
-// appendSegChunks encodes rows as one or more chunks appended to w.
-func appendSegChunks(w io.Writer, schema *sqltypes.Schema, rows []sqltypes.Row, scratch []byte) ([]byte, error) {
-	for len(rows) > 0 {
-		n := len(rows)
-		if n > segChunkRows {
-			n = segChunkRows
-		}
-		scratch = encodeSegChunk(scratch[:0], schema, rows[:n])
-		if _, err := w.Write(scratch); err != nil {
-			return scratch, fmt.Errorf("storage: %w", err)
-		}
-		rows = rows[n:]
-	}
-	return scratch, nil
-}
-
-// encodeSegChunk appends one chunk (≤ segChunkRows rows) to buf.
+// encodeSegChunk appends one chunk (≤ segChunkRows rows) to buf. The
+// column blocks are laid out first and filled row by row, so the rows
+// are read once, in order, however many columns there are.
 func encodeSegChunk(buf []byte, schema *sqltypes.Schema, rows []sqltypes.Row) []byte {
 	nrows := len(rows)
 	bmLen := (nrows + 7) / 8
+	type colBlock struct {
+		at      int // offset of the block's bitmap in the body
+		numeric bool
+		mn, mx  float64
+	}
+	cols := make([]colBlock, schema.Len())
+	bodyLen := 0
+	for c, col := range schema.Columns {
+		cols[c] = colBlock{at: bodyLen + 1, numeric: colNumeric(col), mn: math.Inf(1), mx: math.Inf(-1)}
+		bodyLen += 1 + bmLen
+		if cols[c].numeric {
+			bodyLen += 16 + 8*nrows // min/max, then the values
+		}
+	}
 	buf = append(buf, segMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(nrows))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(schema.Len()))
-	lenAt := len(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // bodyLen, patched below
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(cols)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(bodyLen))
 	bodyStart := len(buf)
-	for c, col := range schema.Columns {
-		if !colNumeric(col) {
-			buf = append(buf, 0)
-			bm := len(buf)
-			buf = append(buf, make([]byte, bmLen)...)
-			for r, row := range rows {
-				if !row[c].IsNull() {
-					buf[bm+r/8] |= 1 << (r % 8)
+	buf = append(buf, make([]byte, bodyLen)...) // invalid lanes stay zero
+	body := buf[bodyStart:]
+	for r, row := range rows {
+		bit := byte(1) << (r % 8)
+		for c := range cols {
+			cb := &cols[c]
+			v := row[c]
+			if v.IsNull() {
+				continue
+			}
+			if !cb.numeric {
+				body[cb.at+r/8] |= bit
+				continue
+			}
+			if f, ok := v.Float(); ok {
+				body[cb.at+r/8] |= bit
+				binary.LittleEndian.PutUint64(body[cb.at+bmLen+16+8*r:], math.Float64bits(f))
+				if f < cb.mn {
+					cb.mn = f
+				}
+				if f > cb.mx {
+					cb.mx = f
 				}
 			}
-			continue
 		}
-		buf = append(buf, 1)
-		bm := len(buf)
-		buf = append(buf, make([]byte, bmLen)...)
-		mn, mx := math.Inf(1), math.Inf(-1)
-		statAt := len(buf)
-		buf = append(buf, make([]byte, 16)...) // min/max, patched below
-		for r, row := range rows {
-			var f float64
-			if v := row[c]; !v.IsNull() {
-				if fv, ok := v.Float(); ok {
-					f = fv
-					buf[bm+r/8] |= 1 << (r % 8)
-					if f < mn {
-						mn = f
-					}
-					if f > mx {
-						mx = f
-					}
-				}
-			}
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-		}
-		binary.LittleEndian.PutUint64(buf[statAt:], math.Float64bits(mn))
-		binary.LittleEndian.PutUint64(buf[statAt+8:], math.Float64bits(mx))
 	}
-	binary.LittleEndian.PutUint32(buf[lenAt:], uint32(len(buf)-bodyStart))
+	for _, cb := range cols {
+		if cb.numeric {
+			body[cb.at-1] = 1
+			binary.LittleEndian.PutUint64(body[cb.at+bmLen:], math.Float64bits(cb.mn))
+			binary.LittleEndian.PutUint64(body[cb.at+bmLen+8:], math.Float64bits(cb.mx))
+		}
+	}
 	return buf
 }
 
@@ -327,53 +321,23 @@ func countSegRows(path string, schema *sqltypes.Schema) (int64, error) {
 	}
 }
 
-// appendSegLocked mirrors freshly appended row groups into the segment
-// files of the partitions that still have a valid segment. Segment
-// writes are best-effort: a failure invalidates that partition's
-// segment (to be lazily rebuilt) and never fails the insert.
-func (t *Table) appendSegLocked(groups [][]sqltypes.Row) {
-	if t.dir == "" {
-		return
-	}
-	var scratch []byte
-	for p, g := range groups {
-		if len(g) == 0 || t.parts[p].segRows == segInvalid {
-			continue
-		}
-		f, err := os.OpenFile(t.segPathLocked(p), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			t.invalidateSegLocked(p)
-			continue
-		}
-		w := bufio.NewWriterSize(f, 1<<16)
-		scratch, err = appendSegChunks(w, t.schema, g, scratch)
-		if err == nil {
-			err = w.Flush()
-		}
-		if cerr := f.Close(); err == nil && cerr != nil {
-			err = cerr
-		}
-		if err != nil {
-			t.invalidateSegLocked(p)
-			continue
-		}
-		t.parts[p].segRows += int64(len(g))
-	}
-}
-
 // EnsureSegments makes every partition's segment file cover its current
-// rows, adopting a structurally intact file left by a previous process
-// or rebuilding from the row log otherwise. It holds the write lock for
-// the duration (rebuilds read the row log and rewrite the segment
-// atomically via rename), so it must not be called from scan callbacks.
-// In-memory tables need no segments — blocks are synthesized from the
-// resident rows.
+// rows: a segment behind its row log is rebuilt from it, and a partition
+// OpenTable attached adopts the file a previous process left when it is
+// structurally intact and holds exactly the partition's row count (a
+// segment is only ever written as a snapshot of its own row log). A
+// partition that cannot be rebuilt stays stale — block scans fall back
+// to its row log — and the first failure is returned once the others
+// have been tried. It holds the write lock throughout (the segment is
+// replaced atomically via rename), so it must not be called from scan
+// callbacks. In-memory tables synthesize blocks and need no segments.
 func (t *Table) EnsureSegments() error {
 	if t.dir == "" {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	var first error
 	for p := range t.parts {
 		if t.parts[p].corrupt != nil {
 			continue // row scans of this partition fail loudly already
@@ -381,21 +345,22 @@ func (t *Table) EnsureSegments() error {
 		if t.parts[p].segRows == t.parts[p].rows {
 			continue
 		}
-		if t.parts[p].segRows == segInvalid {
+		if t.parts[p].segRows == segUnverified {
 			if n, err := countSegRows(t.segPathLocked(p), t.schema); err == nil && n == t.parts[p].rows {
 				t.parts[p].segRows = n
 				continue
 			}
 		}
-		if err := t.rebuildSegLocked(p); err != nil {
-			t.invalidateSegLocked(p)
-			return err
+		if err := t.rebuildSegLocked(p); err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
+	return first
 }
 
-// rebuildSegLocked re-derives partition p's segment from its row log.
+// rebuildSegLocked re-derives partition p's segment from its row log,
+// the only place a segment file is written. Rows are decoded a chunk at
+// a time into one arena that every chunk reuses.
 func (t *Table) rebuildSegLocked(p int) error {
 	src, err := os.Open(t.parts[p].path)
 	if err != nil {
@@ -407,59 +372,50 @@ func (t *Table) rebuildSegLocked(p int) error {
 	if err != nil {
 		return fmt.Errorf("storage: %w", err)
 	}
+	defer os.Remove(tmp) // fails harmlessly once the rename below has happened
+	defer dst.Close()
 	w := bufio.NewWriterSize(dst, 1<<18)
-	rr := newRowReader(src, t.schema.Len())
+	arity := t.schema.Len()
+	rr := newRowReader(src, arity)
+	arena := make([]sqltypes.Value, min(segChunkRows, max(t.parts[p].rows, 1))*int64(arity))
+	chunk := make([]sqltypes.Row, 0, len(arena)/arity)
 	var (
-		pend    []sqltypes.Row
 		scratch []byte
 		total   int64
 		row     sqltypes.Row
 	)
-	flush := func() error {
-		if len(pend) == 0 {
-			return nil
+	for err == nil {
+		chunk = chunk[:0]
+		for len(chunk) < cap(chunk) {
+			at := len(chunk) * arity
+			if row, err = rr.next(arena[at : at+arity : at+arity]); err != nil {
+				break
+			}
+			chunk = append(chunk, row)
 		}
-		scratch, err = appendSegChunks(w, t.schema, pend, scratch)
-		pend = pend[:0]
-		return err
-	}
-	fail := func(err error) error {
-		dst.Close()
-		os.Remove(tmp)
-		return err
-	}
-	for {
-		row, err = rr.next(row)
-		if err == io.EOF {
+		if err != nil && err != io.EOF {
+			return err
+		}
+		if len(chunk) == 0 {
 			break
 		}
-		if err != nil {
-			return fail(err)
+		total += int64(len(chunk))
+		scratch = encodeSegChunk(scratch[:0], t.schema, chunk)
+		if _, werr := w.Write(scratch); werr != nil {
+			return fmt.Errorf("storage: %w", werr)
 		}
-		pend = append(pend, row.Clone())
-		total++
-		if len(pend) == segChunkRows {
-			if err := flush(); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return fail(err)
 	}
 	if total != t.parts[p].rows {
-		return fail(corruptf("storage: table %q partition %d row log decoded %d rows but accounting says %d",
-			t.name, p, total, t.parts[p].rows))
+		return corruptf("storage: table %q partition %d row log decoded %d rows but accounting says %d",
+			t.name, p, total, t.parts[p].rows)
 	}
 	if err := w.Flush(); err != nil {
-		return fail(fmt.Errorf("storage: %w", err))
+		return fmt.Errorf("storage: %w", err)
 	}
 	if err := dst.Close(); err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("storage: %w", err)
 	}
 	if err := os.Rename(tmp, t.segPathLocked(p)); err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("storage: %w", err)
 	}
 	t.parts[p].segRows = total
@@ -601,7 +557,7 @@ func (t *Table) scanMemBlocksLocked(p int, cols []int, deliver func(*Block) erro
 // serves it.
 type SegmentInfo struct {
 	Partition int
-	Rows      int64 // rows covered; -1 when invalid/unbuilt
+	Rows      int64 // rows covered; -1 while unverified after OpenTable
 	Bytes     int64 // on-disk segment size (0 when absent)
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/engine/sqltypes"
@@ -103,8 +104,8 @@ func TestBlockScanMatchesRowScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			insertMixed(t, tab, 500)
-			// Insert keeps segments fresh, so EnsureSegments is a no-op
-			// here — but it must not hurt.
+			// Inserts write the row log only; EnsureSegments derives the
+			// segments (and is a no-op for the in-memory table).
 			if err := tab.EnsureSegments(); err != nil {
 				t.Fatal(err)
 			}
@@ -116,8 +117,22 @@ func TestBlockScanMatchesRowScan(t *testing.T) {
 	}
 }
 
-func TestBulkLoadWritesSegments(t *testing.T) {
-	tab, err := NewTable("x", testSchema(), t.TempDir(), 2)
+func noSegmentFiles(t *testing.T, dir string) {
+	t.Helper()
+	for _, pat := range []string{"*.seg", "*.seg.tmp"} {
+		if m, _ := filepath.Glob(filepath.Join(dir, pat)); len(m) != 0 {
+			t.Fatalf("a write left segment files behind: %v", m)
+		}
+	}
+}
+
+// TestWritesTouchOnlyTheRowLog is the converse of the write-time mirror
+// this package used to keep: Insert and BulkLoader create no segment
+// file and leave segRows behind, and the segments EnsureSegments then
+// derives hold ⌈rows/4096⌉ chunks however the rows arrived.
+func TestWritesTouchOnlyTheRowLog(t *testing.T) {
+	dir := t.TempDir()
+	tab, err := NewTable("x", testSchema(), dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,13 +149,70 @@ func TestBulkLoadWritesSegments(t *testing.T) {
 	if err := bl.Close(); err != nil {
 		t.Fatal(err)
 	}
+	insertMixed(t, tab, 300) // one Insert call per row
+	noSegmentFiles(t, dir)
 	for _, si := range tab.Segments() {
-		if si.Rows != tab.PartitionRowCounts()[si.Partition] {
-			t.Fatalf("partition %d segment covers %d rows, want %d", si.Partition, si.Rows, tab.PartitionRowCounts()[si.Partition])
+		if si.Rows != 0 || si.Bytes != 0 {
+			t.Fatalf("partition %d has segment state %+v before any EnsureSegments", si.Partition, si)
 		}
-		if si.Bytes <= 0 {
-			t.Fatalf("partition %d segment has no bytes", si.Partition)
+	}
+	if _, err := tab.ScanPartitionBlocks(nil, 0, []int{1}, func(*Block) error { return nil }); !errors.Is(err, ErrSegmentStale) {
+		t.Fatalf("block scan of an unbuilt segment: err = %v, want ErrSegmentStale", err)
+	}
+	if err := tab.EnsureSegments(); err != nil {
+		t.Fatal(err)
+	}
+	counts := tab.PartitionRowCounts()
+	for _, si := range tab.Segments() {
+		if si.Rows != counts[si.Partition] || si.Bytes <= 0 {
+			t.Fatalf("partition %d segment %+v, want %d rows", si.Partition, si, counts[si.Partition])
 		}
+		chunks := int64(0) // one block is delivered per chunk
+		if _, err := tab.ScanPartitionBlocks(nil, si.Partition, []int{0}, func(*Block) error { chunks++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if want := (si.Rows + segChunkRows - 1) / segChunkRows; chunks != want {
+			t.Fatalf("partition %d segment has %d chunks, want %d", si.Partition, chunks, want)
+		}
+	}
+	blocksMatchRows(t, tab, []int{0, 1})
+	if m, _ := filepath.Glob(filepath.Join(dir, "*.seg.tmp")); len(m) != 0 {
+		t.Fatalf("rebuild left temporaries behind: %v", m)
+	}
+}
+
+// TestRolledBackLoadNeverReachesBlockScans: a bulk load whose partition
+// fails to flush is rolled back in the row log; no later block scan may
+// serve its rows. (The write-time mirror flushed them to the segment
+// before the rollback, and EnsureSegments re-adopted that file as soon
+// as a second load brought the row count back to match.)
+func TestRolledBackLoadNeverReachesBlockScans(t *testing.T) {
+	tab, err := NewTable("x", testSchema(), t.TempDir(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(base int64) error {
+		bl, err := tab.NewBulkLoader()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < 40; i++ {
+			if err := bl.Add(row(base+i, float64(base+i), "v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return bl.Close()
+	}
+	tab.SetFault(&Fault{Partition: 1, FlushClose: true})
+	if err := load(0); err == nil {
+		t.Fatal("faulted load succeeded")
+	}
+	tab.SetFault(nil)
+	if err := load(1000); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.EnsureSegments(); err != nil {
+		t.Fatal(err)
 	}
 	blocksMatchRows(t, tab, []int{0, 1})
 }
@@ -152,11 +224,14 @@ func TestEnsureSegmentsRebuildsAfterInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	insertMixed(t, tab, 100)
-	// Simulate a rollback: invalidate and scribble on the segment file.
-	tab.mu.Lock()
-	tab.invalidateSegLocked(0)
+	if err := tab.EnsureSegments(); err != nil {
+		t.Fatal(err)
+	}
+	// A write leaves the segment behind; scribble on the file as well.
+	insertMixed(t, tab, 10)
+	tab.mu.RLock()
 	seg0 := tab.segPathLocked(0)
-	tab.mu.Unlock()
+	tab.mu.RUnlock()
 	if err := os.WriteFile(seg0, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -178,6 +253,9 @@ func TestOpenTableAdoptsOrRebuildsSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	insertMixed(t, t1, 64)
+	if err := t1.EnsureSegments(); err != nil {
+		t.Fatal(err)
+	}
 	// Reattach: segments on disk are intact, EnsureSegments adopts them.
 	t2, err := OpenTable("x", testSchema(), dir, 2)
 	if err != nil {
@@ -211,6 +289,9 @@ func TestTruncateDropResetSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	insertMixed(t, tab, 50)
+	if err := tab.EnsureSegments(); err != nil {
+		t.Fatal(err)
+	}
 	if err := tab.Truncate(); err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +300,21 @@ func TestTruncateDropResetSegments(t *testing.T) {
 			t.Fatalf("truncate left segment state: %+v", si)
 		}
 	}
-	insertMixed(t, tab, 20)
+	// As many rows again as the removed segments held: nothing of them
+	// may be served.
+	for i := 0; i < 50; i++ {
+		if err := tab.Insert(row(int64(1000+i), float64(i)*-2, "new")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tab.EnsureSegments(); err != nil {
+		t.Fatal(err)
+	}
 	blocksMatchRows(t, tab, []int{0, 1})
 	if err := tab.Drop(); err != nil {
 		t.Fatal(err)
 	}
+	noSegmentFiles(t, dir)
 }
 
 func TestSegmentDecoderRejectsCorruption(t *testing.T) {

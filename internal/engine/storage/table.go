@@ -19,7 +19,9 @@ const DefaultPartitions = 20
 
 // Table is a horizontally partitioned relation. Rows are distributed
 // round-robin across partitions (the paper: "data sets were
-// horizontally partitioned evenly among threads").
+// horizontally partitioned evenly among threads"). An on-disk partition
+// is one append-only row log, the only thing a write touches; columnar
+// segments are a cache EnsureSegments derives from it (segment.go).
 //
 // The guards directive below lets statlint's lockreent analyzer prove,
 // over the whole program, that nothing re-enters mu: observer
@@ -52,10 +54,10 @@ type partition struct {
 	path string         // on-disk file, when dir != ""
 	mem  []sqltypes.Row // in-memory rows otherwise
 	rows int64
-	// segRows is how many rows the partition's columnar segment file
-	// covers: equal to rows when the segment is usable, segInvalid (-1)
-	// when it must be rebuilt from the row log (see segment.go). The
-	// segment is a derived cache, never a source of truth.
+	// segRows says the partition's segment file is a snapshot of the
+	// first segRows rows of this row log (no file needed at 0): fresh
+	// iff segRows == rows. Writes never touch it, so it only ever falls
+	// behind; EnsureSegments alone moves it forward (see segment.go).
 	segRows int64
 	// corrupt records why this partition's file can no longer be
 	// trusted (a failed rollback truncate left torn bytes); scans of a
@@ -125,7 +127,7 @@ func OpenTable(name string, schema *sqltypes.Schema, dir string, partitions int)
 		t.parts[p].rows = count
 		// A segment left behind by the previous process is unverified
 		// until EnsureSegments walks (and adopts) or rebuilds it.
-		t.parts[p].segRows = segInvalid
+		t.parts[p].segRows = segUnverified
 		t.rows.Add(count)
 	}
 	return t, nil
@@ -279,10 +281,6 @@ func (t *Table) Insert(rows ...sqltypes.Row) error {
 		}
 		done = append(done, undo{p: p, size: st.Size(), rows: prevRows})
 	}
-	// All row-log appends landed; mirror the groups into the columnar
-	// segments (best-effort — a failure invalidates that partition's
-	// segment, never the insert).
-	t.appendSegLocked(groups)
 	t.publishLocked(int64(len(checked)), groups)
 	return nil
 }
@@ -309,8 +307,6 @@ func (t *Table) publishLocked(added int64, groups [][]sqltypes.Row) {
 // the epoch is bumped, observers are invalidated, and every later scan
 // of the partition returns the recorded corruption error.
 func (t *Table) truncateLocked(p int, size int64) error {
-	// Any rollback leaves the segment behind the row log; rebuild lazily.
-	t.invalidateSegLocked(p)
 	err := os.Truncate(t.parts[p].path, size)
 	if flt := t.fault; err == nil && flt.matches(p) && flt.TruncateFail {
 		err = flt.err()
@@ -326,7 +322,6 @@ func (t *Table) truncateLocked(p int, size int64) error {
 // markCorruptLocked records that a partition's on-disk state can no
 // longer be trusted and invalidates every observer.
 func (t *Table) markCorruptLocked(p int, err error) {
-	t.invalidateSegLocked(p)
 	t.parts[p].corrupt = err
 	t.epoch.Add(1)
 	t.notifyInvalidateLocked()
@@ -363,7 +358,9 @@ func (t *Table) appendFile(p int, rows []sqltypes.Row) error {
 }
 
 // BulkLoader streams large row sets into a table with one open file per
-// partition; used by the synthetic data generator and CSV import.
+// partition; used by the synthetic data generator and CSV import. Like
+// Insert it writes the row log only: segments fall behind and the next
+// EnsureSegments re-derives them.
 type BulkLoader struct {
 	t         *Table
 	files     []*bufio.Writer
@@ -374,15 +371,6 @@ type BulkLoader struct {
 	next      int64
 	loaded    int64
 	one       [1]sqltypes.Row // scratch for per-row observer notification
-
-	// Columnar mirror: loaded rows are buffered per partition and
-	// flushed to the segment files in full chunks. Segment writes are
-	// best-effort; a failure marks that partition's segment for lazy
-	// rebuild and never fails the load.
-	segW       []*bufio.Writer
-	segClosers []io.Closer
-	segPend    [][]sqltypes.Row
-	segScratch []byte
 }
 
 // NewBulkLoader opens a loader. The caller must Close it; rows become
@@ -410,23 +398,6 @@ func (t *Table) NewBulkLoader() (*BulkLoader, error) {
 		}
 	}
 	t.mu.Lock() // held until Close; bulk load is exclusive
-	if t.dir != "" {
-		bl.segW = make([]*bufio.Writer, len(t.parts))
-		bl.segClosers = make([]io.Closer, len(t.parts))
-		bl.segPend = make([][]sqltypes.Row, len(t.parts))
-		for i := range t.parts {
-			if t.parts[i].segRows == segInvalid {
-				continue // already needs a rebuild; don't mirror
-			}
-			f, err := os.OpenFile(t.segPathLocked(i), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-			if err != nil {
-				t.invalidateSegLocked(i)
-				continue
-			}
-			bl.segW[i] = bufio.NewWriterSize(f, 1<<18)
-			bl.segClosers[i] = f
-		}
-	}
 	bl.next = t.rows.Load()
 	return bl, nil
 }
@@ -459,33 +430,8 @@ func (bl *BulkLoader) Add(row sqltypes.Row) error {
 		return fmt.Errorf("storage: %w", err)
 	}
 	bl.added[p]++
-	if bl.segW[p] != nil {
-		bl.segPend[p] = append(bl.segPend[p], r)
-		if len(bl.segPend[p]) == segChunkRows {
-			bl.flushSegPend(p)
-		}
-	}
 	bl.notify(p, r)
 	return nil
-}
-
-// flushSegPend writes partition p's pending rows as one segment chunk;
-// a failure stops mirroring that partition and marks its segment for
-// lazy rebuild.
-//
-//statlint:locked Table.mu
-func (bl *BulkLoader) flushSegPend(p int) {
-	if len(bl.segPend[p]) == 0 {
-		return
-	}
-	var err error
-	bl.segScratch, err = appendSegChunks(bl.segW[p], bl.t.schema, bl.segPend[p], bl.segScratch)
-	bl.segPend[p] = bl.segPend[p][:0]
-	if err != nil {
-		bl.t.invalidateSegLocked(p)
-		bl.segClosers[p].Close()
-		bl.segW[p], bl.segClosers[p] = nil, nil
-	}
 }
 
 // notify streams one loaded row to the table's observers.
@@ -531,7 +477,7 @@ func (bl *BulkLoader) Close() error {
 			err = fmt.Errorf("storage: %w", cerr)
 		}
 		if err != nil {
-			_ = t.truncateLocked(i, bl.origSizes[i]) // drop torn rows; invalidates the segment too
+			_ = t.truncateLocked(i, bl.origSizes[i]) // drop torn rows
 			if first == nil {
 				first = err
 			}
@@ -540,27 +486,6 @@ func (bl *BulkLoader) Close() error {
 		t.parts[i].rows += bl.added[i]
 		t.rows.Add(bl.added[i])
 		obs.RowsInserted.Add(bl.added[i])
-	}
-	// Settle the segment mirrors: flush the partial tail chunk and the
-	// buffered writer; only partitions whose row log published and whose
-	// segment writes all succeeded advance segRows.
-	for i := range bl.segW {
-		if bl.segW[i] == nil {
-			continue
-		}
-		bl.flushSegPend(i)
-		if bl.segW[i] == nil { // tail-chunk flush failed and closed the writer
-			continue
-		}
-		err := bl.segW[i].Flush()
-		if cerr := bl.segClosers[i].Close(); err == nil {
-			err = cerr
-		}
-		if err != nil || t.parts[i].segRows == segInvalid {
-			t.invalidateSegLocked(i)
-			continue
-		}
-		t.parts[i].segRows += bl.added[i]
 	}
 	t.epoch.Add(1)
 	if first != nil {
@@ -578,11 +503,6 @@ func (bl *BulkLoader) abort() {
 	for i := range bl.closers {
 		if bl.closers[i] != nil {
 			bl.closers[i].Close()
-		}
-	}
-	for i := range bl.segClosers {
-		if bl.segClosers[i] != nil {
-			bl.segClosers[i].Close()
 		}
 	}
 }
@@ -720,10 +640,11 @@ func (t *Table) ScanContext(ctx context.Context, fn func(sqltypes.Row) error) er
 	return nil
 }
 
-// Truncate removes all rows. A partition whose file cannot be
-// rewritten keeps its rows (and its count), so per-partition accounting
-// stays consistent even on a partial truncate; rewriting the file empty
-// also clears any corruption marker, since the torn bytes are gone.
+// Truncate removes all rows. A partition whose segment cannot be
+// removed or whose file cannot be rewritten keeps its rows (and its
+// count), so per-partition accounting stays consistent even on a
+// partial truncate; rewriting the file empty also clears any corruption
+// marker, since the torn bytes are gone.
 func (t *Table) Truncate() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -731,16 +652,18 @@ func (t *Table) Truncate() error {
 	var first error
 	for i := range t.parts {
 		if t.dir != "" {
-			if err := os.WriteFile(t.parts[i].path, nil, 0o644); err != nil {
+			// The segment goes first: a file that outlived its row log
+			// would pass for a snapshot of whatever is inserted next.
+			err := os.Remove(t.segPathLocked(i))
+			if err == nil || os.IsNotExist(err) {
+				t.parts[i].segRows = 0
+				err = os.WriteFile(t.parts[i].path, nil, 0o644)
+			}
+			if err != nil {
 				if first == nil {
 					first = fmt.Errorf("storage: %w", err)
 				}
 				continue
-			}
-			if err := os.Remove(t.segPathLocked(i)); err != nil && !os.IsNotExist(err) {
-				t.parts[i].segRows = segInvalid
-			} else {
-				t.parts[i].segRows = 0
 			}
 		}
 		removed += t.parts[i].rows
@@ -772,7 +695,6 @@ func (t *Table) Drop() error {
 			first = fmt.Errorf("storage: %w", err)
 		}
 		_ = os.Remove(t.segPathLocked(i))
-		t.parts[i].segRows = segInvalid
 	}
 	return first
 }
