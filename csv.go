@@ -70,10 +70,11 @@ func (d *DB) ImportCSV(table string, r io.Reader, header bool) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// A failed import must not leave a half-loaded table behind: close
-	// the loader (releasing the table lock), then drop the table.
+	// A failed import publishes nothing and leaves no table behind:
+	// abort the load (releasing the table lock), then drop the table
+	// this import created.
 	fail := func(err error) (int64, error) {
-		bl.Close()
+		bl.Abort()
 		_ = d.eng.DropTable(table)
 		return 0, err
 	}
@@ -109,8 +110,7 @@ func (d *DB) ImportCSV(table string, r io.Reader, header bool) (int64, error) {
 		}
 	}
 	if err := bl.Close(); err != nil {
-		_ = d.eng.DropTable(table)
-		return 0, err
+		return fail(err)
 	}
 	return count, nil
 }

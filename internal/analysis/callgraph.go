@@ -135,7 +135,7 @@ func resolveCallee(pkg *Package, call *ast.CallExpr) (*types.Func, bool) {
 // Reaches computes the set of declared functions that can reach, via
 // static calls, a callee accepted by isBase. For every reaching
 // function the returned map holds a human-readable call chain ending
-// in the base reason, e.g. "Insert → appendFile → PartitionRowCounts
+// in the base reason, e.g. "Insert → commit → PartitionRowCounts
 // (acquires storage.Table.mu)". isBase is consulted for every callee,
 // so cross-package base members (known only through facts) work the
 // same as local ones. Recursion converges because a function's chain

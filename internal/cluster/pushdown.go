@@ -70,22 +70,6 @@ var mergeableAgg = map[string]mergeKind{
 	"nlq_str":  mergeNLQ,
 }
 
-// finalName replicates the executor's output-column naming so a
-// push-down result is label-identical to the single-node one.
-func finalName(item sqlparser.SelectItem, ordinal int) string {
-	if item.Alias != "" {
-		return item.Alias
-	}
-	if cr, ok := item.Expr.(*sqlparser.ColumnRef); ok {
-		return cr.Name
-	}
-	s := item.Expr.String()
-	if len(s) <= 40 {
-		return s
-	}
-	return fmt.Sprintf("col%d", ordinal+1)
-}
-
 // planPushdown classifies a select. Push-down needs a single user
 // table and none of the operators whose semantics span shards (GROUP
 // BY, HAVING, ORDER BY, LIMIT, star expansion): then either every item
@@ -141,7 +125,7 @@ func (c *Coordinator) planPushdown(sel *sqlparser.Select) (*pushPlan, bool) {
 	plan := &pushPlan{}
 	for i, item := range sel.Items {
 		fc := item.Expr.(*sqlparser.FuncCall)
-		pi := pushItem{name: finalName(item, i), lo: plan.nPushed}
+		pi := pushItem{name: exec.ItemName(item, i), lo: plan.nPushed}
 		switch kind := mergeableAgg[strings.ToLower(fc.Name)]; kind {
 		case mergeAvg:
 			// AVG(e) → SUM(e), COUNT(e); the coordinator divides.

@@ -108,7 +108,7 @@ func validateViewBody(q *sqlparser.Select) error {
 		if exprHasAggregate(item.Expr) {
 			return fmt.Errorf("views may not contain aggregates")
 		}
-		name := strings.ToLower(viewItemName(item, i))
+		name := strings.ToLower(viewItemName(item))
 		if name == "" {
 			return fmt.Errorf("view output column %d needs an alias", i+1)
 		}
@@ -169,7 +169,9 @@ func exprHasAggregate(e sqlparser.Expr) bool {
 	return found
 }
 
-func viewItemName(item sqlparser.SelectItem, ordinal int) string {
+// viewItemName is the name a select item has without looking at its
+// expression text — its alias or bare column name — or "".
+func viewItemName(item sqlparser.SelectItem) string {
 	if item.Alias != "" {
 		return item.Alias
 	}
@@ -253,11 +255,11 @@ func (d *DB) expandViews(sel *sqlparser.Select, depth int) (*sqlparser.Select, e
 			return nil, false
 		}
 		var outputs []sqlparser.SelectItem
-		for i, item := range body.Items {
+		for _, item := range body.Items {
 			rewritten := sqlparser.SubstituteColumns(item.Expr, realias)
-			name := strings.ToLower(viewItemName(item, i))
+			name := strings.ToLower(viewItemName(item))
 			subs[colKey{refName, name}] = rewritten
-			outputs = append(outputs, sqlparser.SelectItem{Expr: rewritten, Alias: viewItemName(item, i)})
+			outputs = append(outputs, sqlparser.SelectItem{Expr: rewritten, Alias: viewItemName(item)})
 		}
 		viewRefs[refName] = outputs
 		if body.Where != nil {
@@ -324,7 +326,7 @@ func (d *DB) expandViews(sel *sqlparser.Select, depth int) (*sqlparser.Select, e
 			// Preserve the user-visible output name through
 			// substitution: the pre-expansion text, as the executor
 			// would have named it.
-			if name := outerItemName(items[i]); name != "" {
+			if name := viewItemName(items[i]); name != "" {
 				items[i].Alias = name
 			} else if s := items[i].Expr.String(); len(s) <= 40 {
 				items[i].Alias = s
@@ -354,14 +356,4 @@ func (d *DB) expandViews(sel *sqlparser.Select, depth int) (*sqlparser.Select, e
 		out.OrderBy[i].Expr = sqlparser.SubstituteColumns(o.Expr, substitute)
 	}
 	return out, nil
-}
-
-func outerItemName(item sqlparser.SelectItem) string {
-	if item.Alias != "" {
-		return item.Alias
-	}
-	if cr, ok := item.Expr.(*sqlparser.ColumnRef); ok {
-		return cr.Name
-	}
-	return ""
 }

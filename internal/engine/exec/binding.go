@@ -125,8 +125,10 @@ func expandStars(items []sqlparser.SelectItem, b *binding) ([]sqlparser.SelectIt
 	return out, nil
 }
 
-// itemName picks the output column name for a select item.
-func itemName(item sqlparser.SelectItem, ordinal int) string {
+// ItemName picks the output column name for the select item at
+// ordinal; the coordinator labels push-down results with it so they are
+// label-identical to single-node ones.
+func ItemName(item sqlparser.SelectItem, ordinal int) string {
 	if item.Alias != "" {
 		return item.Alias
 	}

@@ -226,7 +226,7 @@ var selectPaths = []struct {
 			sql = sql[:i]
 		}
 		col := &collector{}
-		schema, st, err := SelectStream(context.Background(), sel(t, sql), env, col.sink)
+		schema, st, err := selectStream(context.Background(), sel(t, sql), env, col.sink)
 		return &Result{Schema: schema, Rows: col.rows, Stats: st}, err
 	}},
 }

@@ -250,11 +250,21 @@ func TestResultValueShapes(t *testing.T) {
 	}
 }
 
+// selectStream plans sel and streams it once, as INSERT ... SELECT runs
+// its subquery.
+func selectStream(ctx context.Context, sel *sqlparser.Select, env *Env, sink RowSink) (*sqltypes.Schema, *Stats, error) {
+	p, err := PrepareSelect(sel, env)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.ExecuteStreamContext(ctx, nil, sink)
+}
+
 func TestSelectStreamRejectsOrderBy(t *testing.T) {
 	env, cat := testEnv(t)
 	cat["x"] = newTable(t, "x", []sqltypes.Column{dcol("a")}, drow(1))
 	s := sel(t, "SELECT a FROM x ORDER BY a")
-	if _, _, err := SelectStream(context.Background(), s, env, func(sqltypes.Row) error { return nil }); err == nil {
+	if _, _, err := selectStream(context.Background(), s, env, func(sqltypes.Row) error { return nil }); err == nil {
 		t.Fatal("ORDER BY in streaming mode must fail")
 	}
 }
@@ -293,7 +303,7 @@ func TestItemNaming(t *testing.T) {
 	}
 	for _, c := range cases {
 		s := sel(t, c.sql)
-		if got := itemName(s.Items[0], 0); got != c.want {
+		if got := ItemName(s.Items[0], 0); got != c.want {
 			t.Errorf("%s → %q, want %q", c.sql, got, c.want)
 		}
 	}

@@ -84,21 +84,28 @@ func Insert(ctx context.Context, ins *sqlparser.Insert, env *Env) (*Result, erro
 		return &Result{Affected: int64(len(rows))}, nil
 	}
 
-	// INSERT .. SELECT: stream the subquery into the table.
-	var mu sync.Mutex
-	var count int64
-	var batch []sqltypes.Row
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		if err := t.Insert(batch...); err != nil {
-			return err
-		}
-		count += int64(len(batch))
-		batch = batch[:0]
-		return nil
+	// INSERT .. SELECT streams the subquery into one bulk load, which
+	// holds the target's write lock (lock order: target write, then source
+	// reads) until it commits every row or, on any error or cancellation,
+	// aborts and leaves the target untouched. A subquery that reads the
+	// target cannot scan under that lock: its rows — the target's
+	// pre-statement snapshot — are collected and inserted after the scan.
+	p, err := PrepareSelect(ins.Query, env)
+	if err != nil {
+		return nil, err
 	}
+	var collected []sqltypes.Row
+	add := func(row sqltypes.Row) error { collected = append(collected, row); return nil }
+	commit := func() error { return t.Insert(collected...) }
+	if !p.reads(t) {
+		bl, err := t.NewBulkLoader()
+		if err != nil {
+			return nil, err
+		}
+		defer bl.Abort() // a no-op once Close has committed
+		add, commit = bl.Add, bl.Close
+	}
+	var mu sync.Mutex
 	sink := func(r sqltypes.Row) error {
 		row, err := buildRow(r)
 		if err != nil {
@@ -106,18 +113,14 @@ func Insert(ctx context.Context, ins *sqlparser.Insert, env *Env) (*Result, erro
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		batch = append(batch, row)
-		if len(batch) >= 1024 {
-			return flush()
-		}
-		return nil
+		return add(row)
 	}
-	_, stats, err := SelectStream(ctx, ins.Query, env, sink)
+	_, stats, err := p.ExecuteStreamContext(ctx, nil, sink)
 	if err == nil {
-		err = flush()
+		err = commit()
 	}
 	if err != nil {
 		return &Result{Stats: stats}, err
 	}
-	return &Result{Affected: count, Stats: stats}, nil
+	return &Result{Affected: stats.RowsEmitted, Stats: stats}, nil
 }

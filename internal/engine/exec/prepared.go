@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/engine/obs"
 	"repro/internal/engine/sqlparser"
 	"repro/internal/engine/sqltypes"
+	"repro/internal/engine/storage"
 )
 
 // PreparedSelect is a SELECT of any shape planned once for repeated
@@ -116,7 +118,7 @@ func PrepareSelect(sel *sqlparser.Select, env *Env) (*PreparedSelect, error) {
 	cols := make([]sqltypes.Column, len(items))
 	for i, item := range items {
 		p.exprs = append(p.exprs, item.Expr)
-		cols[i] = sqltypes.Column{Name: itemName(item, i), Type: sqltypes.TypeDouble}
+		cols[i] = sqltypes.Column{Name: ItemName(item, i), Type: sqltypes.TypeDouble}
 		isAgg = isAgg || expr.ContainsAggregate(item.Expr, aggNames)
 	}
 	if sel.Having != nil && !isAgg {
@@ -166,6 +168,12 @@ func PrepareSelect(sel *sqlparser.Select, env *Env) (*PreparedSelect, error) {
 		p.workers.Put(w)
 	}
 	return p, nil
+}
+
+// reads reports whether the statement scans t, as its driving table or
+// in its join tail.
+func (p *PreparedSelect) reads(t *storage.Table) bool {
+	return p.b != nil && slices.ContainsFunc(p.b.tables, func(bt boundTable) bool { return bt.table == t })
 }
 
 // planOrder returns sel's items with every ORDER BY key that cannot be

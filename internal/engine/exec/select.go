@@ -41,17 +41,6 @@ func Select(ctx context.Context, sel *sqlparser.Select, env *Env) (*Result, erro
 	return p.ExecuteContext(ctx, nil)
 }
 
-// SelectStream plans sel and executes it once, streaming rows to sink
-// (concurrently); INSERT ... SELECT runs its subquery this way. ORDER BY and LIMIT are rejected in streaming mode.
-// The returned Stats describe the scan, completed or not.
-func SelectStream(ctx context.Context, sel *sqlparser.Select, env *Env, sink RowSink) (*sqltypes.Schema, *Stats, error) {
-	p, err := PrepareSelect(sel, env)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p.ExecuteStreamContext(ctx, nil, sink)
-}
-
 // outputNames collects the visible output column names of a select.
 func outputNames(sel *sqlparser.Select) map[string]bool {
 	out := make(map[string]bool)
@@ -59,7 +48,7 @@ func outputNames(sel *sqlparser.Select) map[string]bool {
 		if item.Star {
 			continue // star outputs resolve by name at sort time anyway
 		}
-		out[strings.ToLower(itemName(item, i))] = true
+		out[strings.ToLower(ItemName(item, i))] = true
 	}
 	return out
 }

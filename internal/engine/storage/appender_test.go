@@ -1,0 +1,197 @@
+package storage
+
+import (
+	"fmt"
+	"regexp"
+	"strings"
+	"testing"
+
+	"repro/internal/engine/sqltypes"
+)
+
+// eventObserver records the order of the callbacks a table fires: one
+// 'a' per OnAppend, 'P' per OnPublish, 'I' per OnInvalidate.
+type eventObserver struct{ events strings.Builder }
+
+func (o *eventObserver) OnAppend(int, []sqltypes.Row) { o.events.WriteByte('a') }
+func (o *eventObserver) OnPublish(int64, int64)       { o.events.WriteByte('P') }
+func (o *eventObserver) OnInvalidate()                { o.events.WriteByte('I') }
+
+// TestWriteFaultMatrix pins the one failure rule of the write path:
+// whichever way rows arrive and whatever goes wrong, the write lands
+// completely or leaves the table — counts, files, scans — as it found
+// it, the observers see their streamed rows followed by exactly one
+// publish or one invalidation, and the table takes the next write.
+func TestWriteFaultMatrix(t *testing.T) {
+	const (
+		parts  = 4
+		seeded = 10 // rows before the write
+		n      = 8  // rows the write carries: two per partition
+		faultP = 2  // the partition the flush faults hit
+	)
+	writers := []string{"Insert", "BulkLoader+Close", "BulkLoader+Abort"}
+	faults := []string{"none", "bad last row", "flush fault", "flush fault + TruncateFail"}
+	sequence := regexp.MustCompile(`^a*(P|I)$`)
+	for _, writer := range writers {
+		for _, fault := range faults {
+			for _, disk := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/disk=%v", writer, fault, disk), func(t *testing.T) {
+					dir := ""
+					if disk {
+						dir = t.TempDir()
+					}
+					tab, err := NewTable("x", testSchema(), dir, parts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fill(t, tab, seeded)
+					beforeParts := tab.PartitionRowCounts()
+					beforeSize, _ := tab.SizeBytes()
+					var o eventObserver
+					tab.Observe(&o)
+
+					batch := make([]sqltypes.Row, n)
+					for i := range batch {
+						batch[i] = row(int64(100+i), 0, "new")
+					}
+					// A flush fault needs a file to flush: in memory it cannot fire.
+					fires := false
+					switch fault {
+					case "bad last row":
+						batch[n-1] = sqltypes.Row{sqltypes.NewBigInt(1)}
+						fires = true
+					case "flush fault":
+						tab.SetFault(&Fault{Partition: faultP, FlushClose: true})
+						fires = disk
+					case "flush fault + TruncateFail":
+						tab.SetFault(&Fault{Partition: faultP, FlushClose: true, TruncateFail: true})
+						fires = disk
+					}
+					lands := !fires && writer != "BulkLoader+Abort"
+					corrupt := disk && fault == "flush fault + TruncateFail"
+
+					if writer == "Insert" {
+						err = tab.Insert(batch...)
+					} else {
+						bl, lerr := tab.NewBulkLoader()
+						if lerr != nil {
+							t.Fatal(lerr)
+						}
+						var addErr error
+						for _, r := range batch {
+							if addErr = bl.Add(r); addErr != nil {
+								break
+							}
+						}
+						if (addErr != nil) != (fault == "bad last row") {
+							t.Fatalf("Add: %v", addErr)
+						}
+						if writer == "BulkLoader+Close" {
+							err = bl.Close()
+							if addErr != nil && err != addErr {
+								t.Fatalf("Close after a failed Add returned %v, want %v", err, addErr)
+							}
+						} else {
+							bl.Abort()
+							bl.Abort() // a second Abort is a no-op
+							err = nil
+						}
+					}
+					if (err != nil) != (fires && writer != "BulkLoader+Abort") {
+						t.Fatalf("write returned %v (fault fires: %v)", err, fires)
+					}
+					tab.SetFault(nil)
+
+					want := int64(seeded)
+					wantParts := append([]int64(nil), beforeParts...)
+					if lands {
+						want += n
+						for p := range wantParts {
+							wantParts[p] += n / parts
+						}
+					}
+					if got := tab.NumRows(); got != want {
+						t.Fatalf("NumRows = %d, want %d", got, want)
+					}
+					if got := tab.PartitionRowCounts(); fmt.Sprint(got) != fmt.Sprint(wantParts) {
+						t.Fatalf("partition counts %v, want %v", got, wantParts)
+					}
+					if size, _ := tab.SizeBytes(); (size != beforeSize) != (lands && disk) {
+						t.Fatalf("SizeBytes %d → %d, write landed: %v", beforeSize, size, lands)
+					}
+					for p := 0; p < parts; p++ {
+						var c int64
+						err := tab.ScanPartition(nil, p, func(sqltypes.Row) error { c++; return nil })
+						if corrupt && p == faultP {
+							if err == nil || !strings.Contains(err.Error(), "corrupt") {
+								t.Fatalf("scan of the torn partition: %v", err)
+							}
+							continue
+						}
+						if err != nil || c != wantParts[p] {
+							t.Fatalf("partition %d scans %d rows (%v), want %d", p, c, err, wantParts[p])
+						}
+					}
+					events := o.events.String()
+					switch {
+					case writer == "Insert" && fault == "bad last row":
+						// Validation precedes begin: nothing was staged.
+						if events != "" {
+							t.Fatalf("observer saw %q from an insert that never began", events)
+						}
+					case !sequence.MatchString(events) || strings.HasSuffix(events, "P") != lands:
+						t.Fatalf("observer saw %q, write landed: %v", events, lands)
+					}
+
+					// The next write lands — after a TRUNCATE when a torn
+					// partition made the table refuse it.
+					if corrupt {
+						if err := tab.Insert(batch[0]); err == nil || !strings.Contains(err.Error(), "corrupt") {
+							t.Fatalf("insert into a table with a torn partition: %v", err)
+						}
+						if err := tab.Truncate(); err != nil {
+							t.Fatal(err)
+						}
+						want = 0
+					}
+					fill(t, tab, n)
+					if got := tab.NumRows(); got != want+n {
+						t.Fatalf("NumRows = %d after the next write, want %d", got, want+n)
+					}
+					if got := collect(t, tab); int64(len(got)) != want+n {
+						t.Fatalf("scan sees %d rows after the next write, want %d", len(got), want+n)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestAppenderBufferPolicy: a write opens only the partitions it routes
+// rows to and buffers only what it stages.
+func TestAppenderBufferPolicy(t *testing.T) {
+	tab, err := NewTable("x", testSchema(), t.TempDir(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := tab.begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.abort()
+	r, err := tab.validate(row(1, 1, "a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.add(r); err != nil {
+		t.Fatal(err)
+	}
+	for p, s := range a.parts {
+		if (s.f != nil) != (p == 0) {
+			t.Fatalf("partition %d: open=%v after one row routed to partition 0", p, s.f != nil)
+		}
+	}
+	if c := cap(a.parts[0].buf); c >= appendFlushSize/16 {
+		t.Fatalf("a one-row write holds a %d-byte buffer", c)
+	}
+}

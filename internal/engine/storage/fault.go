@@ -4,7 +4,7 @@ import "fmt"
 
 // Fault is a fault-injection hook for tests: it makes the storage
 // layer's failure paths — a partition that cannot be opened, a scan
-// that dies mid-stream, an append that fails after writing — reachable
+// that dies mid-stream, a write that fails after writing — reachable
 // deterministically, so the executor's cancellation and rollback
 // behavior can be asserted rather than hoped for. Production code
 // never installs one.
@@ -18,12 +18,11 @@ type Fault struct {
 	// ScanAfterRows > 0 fails a scan of the partition after it has
 	// delivered that many rows to the callback.
 	ScanAfterRows int64
-	// AppendAfter makes Insert's per-partition file append write its
-	// rows and then report failure, exercising the rollback path.
-	AppendAfter bool
-	// FlushClose makes BulkLoader.Close fail flushing the partition.
+	// FlushClose makes a write's commit (Insert's, BulkLoader.Close's)
+	// fail on the partition after its rows are written, exercising the
+	// rollback path.
 	FlushClose bool
-	// TruncateFail makes the rollback truncate of a failed append itself
+	// TruncateFail makes the rollback truncate of a failed write itself
 	// fail, leaving torn trailing bytes on disk; exercises the
 	// corruption-marking path (the partition must refuse later scans).
 	TruncateFail bool

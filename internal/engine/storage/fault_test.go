@@ -21,21 +21,6 @@ func fill(t *testing.T, tab *Table, n int) {
 	}
 }
 
-// partitionCounts scans each partition and returns its row count,
-// checking file contents stay decodable.
-func partitionCounts(t *testing.T, tab *Table) []int64 {
-	t.Helper()
-	out := make([]int64, tab.Partitions())
-	for p := range out {
-		var c int64
-		if err := tab.ScanPartition(nil, p, func(sqltypes.Row) error { c++; return nil }); err != nil {
-			t.Fatalf("partition %d: %v", p, err)
-		}
-		out[p] = c
-	}
-	return out
-}
-
 func TestFaultScanOpen(t *testing.T) {
 	tab, _ := NewTable("x", testSchema(), "", 4)
 	fill(t, tab, 8)
@@ -97,117 +82,6 @@ func TestScanContextCancellation(t *testing.T) {
 	// the full scan.
 	if n >= 1000 {
 		t.Fatalf("scan ran to completion (%d rows) despite cancellation", n)
-	}
-}
-
-func TestInsertAppendFaultRollsBack(t *testing.T) {
-	tab, err := NewTable("x", testSchema(), t.TempDir(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fill(t, tab, 10)
-	before := tab.NumRows()
-	beforeParts := partitionCounts(t, tab)
-	sizeBefore, err := tab.SizeBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Partition 2's append writes its rows and then reports failure;
-	// partitions 0 and 1 have already been appended by then.
-	tab.SetFault(&Fault{Partition: 2, AppendAfter: true})
-	batch := make([]sqltypes.Row, 8)
-	for i := range batch {
-		batch[i] = row(int64(100+i), 0, "new")
-	}
-	if err := tab.Insert(batch...); err == nil || !strings.Contains(err.Error(), "injected") {
-		t.Fatalf("want injected append failure, got %v", err)
-	}
-	tab.SetFault(nil)
-
-	if got := tab.NumRows(); got != before {
-		t.Fatalf("NumRows = %d after failed insert, want %d", got, before)
-	}
-	if size, _ := tab.SizeBytes(); size != sizeBefore {
-		t.Fatalf("on-disk size %d after rollback, want %d", size, sizeBefore)
-	}
-	afterParts := partitionCounts(t, tab)
-	var total int64
-	for p := range afterParts {
-		if afterParts[p] != beforeParts[p] {
-			t.Fatalf("partition %d has %d rows after rollback, want %d", p, afterParts[p], beforeParts[p])
-		}
-		total += afterParts[p]
-	}
-	if total != before {
-		t.Fatalf("partition counts sum to %d, table says %d", total, before)
-	}
-
-	// The table keeps working: the same batch lands cleanly now.
-	if err := tab.Insert(batch...); err != nil {
-		t.Fatal(err)
-	}
-	if got := tab.NumRows(); got != before+int64(len(batch)) {
-		t.Fatalf("NumRows = %d after retry, want %d", got, before+int64(len(batch)))
-	}
-	if got := collect(t, tab); int64(len(got)) != tab.NumRows() {
-		t.Fatalf("scan sees %d rows, counter says %d", len(got), tab.NumRows())
-	}
-}
-
-func TestBulkLoaderCloseFaultPublishesOnlyFlushed(t *testing.T) {
-	tab, err := NewTable("x", testSchema(), t.TempDir(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab.SetFault(&Fault{Partition: 1, FlushClose: true})
-	bl, err := tab.NewBulkLoader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 40 // 10 per partition
-	for i := 0; i < n; i++ {
-		if err := bl.Add(row(int64(i), float64(i), "bulk")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bl.Close(); err == nil || !strings.Contains(err.Error(), "injected") {
-		t.Fatalf("want injected flush failure, got %v", err)
-	}
-	tab.SetFault(nil)
-
-	// Partition 1's rows were dropped; the other partitions' rows are
-	// published and the counter matches what scans deliver.
-	want := int64(n - n/4)
-	if got := tab.NumRows(); got != want {
-		t.Fatalf("NumRows = %d, want %d", got, want)
-	}
-	rows := collect(t, tab)
-	if int64(len(rows)) != want {
-		t.Fatalf("scan sees %d rows, want %d", len(rows), want)
-	}
-	counts := partitionCounts(t, tab)
-	if counts[1] != 0 {
-		t.Fatalf("failed partition still has %d rows", counts[1])
-	}
-	// A later load into the same table still works.
-	bl2, err := tab.NewBulkLoader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := bl2.Add(row(int64(1000+i), 0, "again")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bl2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := tab.NumRows(); got != want+4 {
-		t.Fatalf("NumRows = %d after second load, want %d", got, want+4)
-	}
-	if got := collect(t, tab); int64(len(got)) != want+4 {
-		t.Fatalf("scan sees %d rows after second load", len(got))
 	}
 }
 

@@ -14,12 +14,10 @@ import "repro/internal/engine/sqltypes"
 // Epoch are safe), and must not retain the row slices they are handed
 // — rows are only valid for the duration of the call.
 type Observer interface {
-	// OnAppend delivers rows newly written to partition p. For
-	// Table.Insert it fires after all partition files are written, just
-	// before the mutation publishes; for a BulkLoader it fires during
-	// the load, before Close publishes (or retracts) the batch. An
-	// append that is later rolled back is followed by OnInvalidate, not
-	// OnPublish, so folding rows eagerly is safe.
+	// OnAppend delivers rows a write in progress has staged for partition
+	// p, before the write commits. Every write ends in exactly one
+	// OnPublish (it committed) or OnInvalidate (it was rolled back, the
+	// rows retracted), so folding rows eagerly is safe.
 	OnAppend(p int, rows []sqltypes.Row)
 	// OnPublish marks a committed mutation with the table's new row
 	// count and epoch — the validity stamp observers compare their own

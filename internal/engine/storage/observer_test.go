@@ -98,26 +98,22 @@ func TestObserverRollbackInvalidates(t *testing.T) {
 	var o recordingObserver
 	tab.Observe(&o)
 	sentinel := errors.New("injected append failure")
-	tab.SetFault(&Fault{Partition: 1, AppendAfter: true, Err: sentinel})
+	tab.SetFault(&Fault{Partition: 1, FlushClose: true, Err: sentinel})
 	err = tab.Insert(row(10, 1, "a"), row(11, 2, "b"), row(12, 3, "c"))
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("want injected append error, got %v", err)
 	}
-	// The failed insert rolled back cleanly: no publish, no appended rows
-	// visible... but the appends the observer saw before the failure were
-	// never published, so nothing needs invalidating either — the
-	// observer's accounting is reconciled at the next publish. What must
-	// hold: the table still has 4 rows and scans stay clean.
+	// The failed insert rolled back cleanly and published nothing; the
+	// rows the observer was streamed before the failure were retracted,
+	// so it was invalidated instead.
 	tab.SetFault(nil)
 	if tab.NumRows() != 4 {
 		t.Fatalf("rows after rollback = %d, want 4", tab.NumRows())
 	}
-	if o.publishes != 0 {
-		t.Fatalf("failed insert published: %d", o.publishes)
+	if o.publishes != 0 || o.invalidates != 1 {
+		t.Fatalf("failed insert: publishes=%d invalidates=%d, want 0 and 1", o.publishes, o.invalidates)
 	}
-	// A subsequent successful insert publishes a stamp that exposes the
-	// mismatch (observer folded rows that were retracted); the summary
-	// layer uses exactly this to demote itself.
+	// The table keeps working and the next insert publishes its stamp.
 	if err := tab.Insert(row(20, 5, "d")); err != nil {
 		t.Fatal(err)
 	}
@@ -136,9 +132,9 @@ func TestTruncateFailMarksPartitionCorrupt(t *testing.T) {
 	var o recordingObserver
 	tab.Observe(&o)
 	sentinel := errors.New("injected truncate failure")
-	// The append to partition 1 fails after writing, and the rollback
+	// The write to partition 1 fails after writing, and the rollback
 	// truncate fails too: torn bytes stay on disk.
-	tab.SetFault(&Fault{Partition: 1, AppendAfter: true, TruncateFail: true, Err: sentinel})
+	tab.SetFault(&Fault{Partition: 1, FlushClose: true, TruncateFail: true, Err: sentinel})
 	if err := tab.Insert(row(10, 1, "a"), row(11, 2, "b")); !errors.Is(err, sentinel) {
 		t.Fatalf("want injected error, got %v", err)
 	}
@@ -157,8 +153,7 @@ func TestTruncateFailMarksPartitionCorrupt(t *testing.T) {
 	if err := tab.ScanPartition(context.Background(), 0, func(sqltypes.Row) error { return nil }); err != nil {
 		t.Fatalf("healthy partition refused: %v", err)
 	}
-	// Later inserts touching the corrupt partition are refused before
-	// writing anything.
+	// Later inserts are refused before writing anything.
 	err = tab.Insert(row(20, 5, "c"), row(21, 6, "d"))
 	if err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("insert into corrupt partition: %v", err)

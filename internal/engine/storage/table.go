@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -203,308 +202,6 @@ func (t *Table) validate(row sqltypes.Row) (sqltypes.Row, error) {
 		out[i] = v
 	}
 	return out, nil
-}
-
-// Insert appends rows, distributing them round-robin over partitions.
-// It is safe for concurrent use.
-func (t *Table) Insert(rows ...sqltypes.Row) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	checked := make([]sqltypes.Row, len(rows))
-	for i, r := range rows {
-		v, err := t.validate(r)
-		if err != nil {
-			return err
-		}
-		checked[i] = v
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	// Group per partition up front; the groups drive both the appends
-	// and the observer notifications after the insert publishes.
-	groups := make([][]sqltypes.Row, len(t.parts))
-	base := t.rows.Load()
-	for i, r := range checked {
-		p := int((base + int64(i)) % int64(len(t.parts)))
-		groups[p] = append(groups[p], r)
-	}
-	if t.dir == "" {
-		for p, g := range groups {
-			t.parts[p].mem = append(t.parts[p].mem, g...)
-			t.parts[p].rows += int64(len(g))
-		}
-		t.publishLocked(int64(len(checked)), groups)
-		return nil
-	}
-	// Append each file once. A failed append rolls every
-	// already-appended partition (and any partial write in the failing
-	// one) back to its pre-insert size, so the files, the per-partition
-	// counts, and the table count always agree: the insert either lands
-	// completely or not at all. A partition whose rollback truncate
-	// itself fails keeps torn trailing bytes on disk; it is marked
-	// corrupt so later scans refuse it loudly instead of decoding
-	// garbage rows.
-	for p, g := range groups {
-		if len(g) > 0 && t.parts[p].corrupt != nil {
-			return fmt.Errorf("storage: table %q partition %d is corrupt: %w", t.name, p, t.parts[p].corrupt)
-		}
-	}
-	type undo struct {
-		p    int
-		size int64
-		rows int64
-	}
-	var done []undo
-	rollback := func() {
-		for _, u := range done {
-			if err := t.truncateLocked(u.p, u.size); err != nil {
-				continue // truncateLocked marked the partition corrupt
-			}
-			t.parts[u.p].rows = u.rows
-		}
-	}
-	for p, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		st, err := os.Stat(t.parts[p].path)
-		if err != nil {
-			rollback()
-			return fmt.Errorf("storage: %w", err)
-		}
-		prevRows := t.parts[p].rows
-		if err := t.appendFile(p, g); err != nil {
-			_ = t.truncateLocked(p, st.Size()) // drop the partial write; marks corrupt on failure
-			rollback()
-			return err
-		}
-		done = append(done, undo{p: p, size: st.Size(), rows: prevRows})
-	}
-	t.publishLocked(int64(len(checked)), groups)
-	return nil
-}
-
-// publishLocked commits an insert: the table row count and epoch are
-// advanced and observers see the appended rows followed by the publish
-// stamp, all inside the same critical section — so an observer's view
-// is never ahead of or behind what scans can deliver.
-func (t *Table) publishLocked(added int64, groups [][]sqltypes.Row) {
-	t.rows.Add(added)
-	t.epoch.Add(1)
-	obs.RowsInserted.Add(added)
-	for p, g := range groups {
-		if len(g) > 0 {
-			t.notifyAppendLocked(p, g)
-		}
-	}
-	t.notifyPublishLocked()
-}
-
-// truncateLocked shrinks a partition file back to size, the rollback
-// primitive. A truncate that fails (or is failed by the TruncateFail
-// fault) leaves torn bytes on disk, so the partition is marked corrupt:
-// the epoch is bumped, observers are invalidated, and every later scan
-// of the partition returns the recorded corruption error.
-func (t *Table) truncateLocked(p int, size int64) error {
-	err := os.Truncate(t.parts[p].path, size)
-	if flt := t.fault; err == nil && flt.matches(p) && flt.TruncateFail {
-		err = flt.err()
-	}
-	if err != nil {
-		t.markCorruptLocked(p, fmt.Errorf("storage: rollback truncate of table %q partition %d to %d bytes failed: %w",
-			t.name, p, size, err))
-		return err
-	}
-	return nil
-}
-
-// markCorruptLocked records that a partition's on-disk state can no
-// longer be trusted and invalidates every observer.
-func (t *Table) markCorruptLocked(p int, err error) {
-	t.parts[p].corrupt = err
-	t.epoch.Add(1)
-	t.notifyInvalidateLocked()
-}
-
-func (t *Table) appendFile(p int, rows []sqltypes.Row) error {
-	f, err := os.OpenFile(t.parts[p].path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	w := bufio.NewWriterSize(f, 1<<16)
-	var buf []byte
-	for _, r := range rows {
-		buf, err = encodeRow(buf[:0], r)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		if _, err := w.Write(buf); err != nil {
-			f.Close()
-			return fmt.Errorf("storage: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("storage: %w", err)
-	}
-	if flt := t.fault; flt.matches(p) && flt.AppendAfter {
-		f.Close()
-		return flt.err()
-	}
-	t.parts[p].rows += int64(len(rows))
-	return f.Close()
-}
-
-// BulkLoader streams large row sets into a table with one open file per
-// partition; used by the synthetic data generator and CSV import. Like
-// Insert it writes the row log only: segments fall behind and the next
-// EnsureSegments re-derives them.
-type BulkLoader struct {
-	t         *Table
-	files     []*bufio.Writer
-	closers   []io.Closer
-	origSizes []int64 // on-disk partition sizes before the load
-	added     []int64 // rows written per partition, published on Close
-	buf       []byte
-	next      int64
-	loaded    int64
-	one       [1]sqltypes.Row // scratch for per-row observer notification
-}
-
-// NewBulkLoader opens a loader. The caller must Close it; rows become
-// visible to scans only after Close.
-func (t *Table) NewBulkLoader() (*BulkLoader, error) {
-	bl := &BulkLoader{t: t, added: make([]int64, len(t.parts))}
-	if t.dir != "" {
-		bl.files = make([]*bufio.Writer, len(t.parts))
-		bl.closers = make([]io.Closer, len(t.parts))
-		bl.origSizes = make([]int64, len(t.parts))
-		for i := range t.parts {
-			st, err := os.Stat(t.parts[i].path)
-			if err != nil {
-				bl.abort()
-				return nil, fmt.Errorf("storage: %w", err)
-			}
-			bl.origSizes[i] = st.Size()
-			f, err := os.OpenFile(t.parts[i].path, os.O_APPEND|os.O_WRONLY, 0o644)
-			if err != nil {
-				bl.abort()
-				return nil, fmt.Errorf("storage: %w", err)
-			}
-			bl.files[i] = bufio.NewWriterSize(f, 1<<18)
-			bl.closers[i] = f
-		}
-	}
-	t.mu.Lock() // held until Close; bulk load is exclusive
-	bl.next = t.rows.Load()
-	return bl, nil
-}
-
-// Add appends one row to the load. Observers see the row immediately
-// (still under the table lock the loader holds), but the loader's
-// pending flag keeps their state unservable until Close publishes —
-// or retracts — the load.
-//
-//statlint:locked Table.mu
-func (bl *BulkLoader) Add(row sqltypes.Row) error {
-	r, err := bl.t.validate(row)
-	if err != nil {
-		return err
-	}
-	p := int(bl.next % int64(len(bl.t.parts)))
-	bl.next++
-	bl.loaded++
-	if bl.t.dir == "" {
-		bl.t.parts[p].mem = append(bl.t.parts[p].mem, r)
-		bl.t.parts[p].rows++
-		bl.notify(p, r)
-		return nil
-	}
-	bl.buf, err = encodeRow(bl.buf[:0], r)
-	if err != nil {
-		return err
-	}
-	if _, err := bl.files[p].Write(bl.buf); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	bl.added[p]++
-	bl.notify(p, r)
-	return nil
-}
-
-// notify streams one loaded row to the table's observers.
-func (bl *BulkLoader) notify(p int, r sqltypes.Row) {
-	if len(bl.t.watchers) == 0 {
-		return
-	}
-	bl.one[0] = r
-	bl.t.notifyAppendLocked(p, bl.one[:])
-}
-
-// Close flushes every partition and publishes only the successfully
-// flushed rows: a partition whose flush or close fails is truncated
-// back to its pre-load size and contributes nothing to the row counts,
-// so the in-memory accounting never disagrees with the files. The
-// first failure is returned.
-//
-//statlint:locked Table.mu
-func (bl *BulkLoader) Close() error {
-	t := bl.t
-	defer t.mu.Unlock()
-	if t.dir == "" {
-		t.rows.Add(bl.loaded)
-		t.epoch.Add(1)
-		obs.RowsInserted.Add(bl.loaded)
-		t.notifyPublishLocked()
-		return nil
-	}
-	flt := t.fault
-	var first error
-	for i := range bl.files {
-		if bl.files[i] == nil {
-			continue
-		}
-		err := bl.files[i].Flush()
-		if err != nil {
-			err = fmt.Errorf("storage: %w", err)
-		}
-		if err == nil && flt.matches(i) && flt.FlushClose {
-			err = flt.err()
-		}
-		if cerr := bl.closers[i].Close(); err == nil && cerr != nil {
-			err = fmt.Errorf("storage: %w", cerr)
-		}
-		if err != nil {
-			_ = t.truncateLocked(i, bl.origSizes[i]) // drop torn rows
-			if first == nil {
-				first = err
-			}
-			continue
-		}
-		t.parts[i].rows += bl.added[i]
-		t.rows.Add(bl.added[i])
-		obs.RowsInserted.Add(bl.added[i])
-	}
-	t.epoch.Add(1)
-	if first != nil {
-		// Rows streamed to observers during Add were retracted (or left
-		// torn) for the failed partitions; their state must be rebuilt.
-		t.notifyInvalidateLocked()
-	}
-	t.notifyPublishLocked()
-	return first
-}
-
-// abort closes any files opened by a loader that failed to set up;
-// nothing has been published yet, so no counts need adjusting.
-func (bl *BulkLoader) abort() {
-	for i := range bl.closers {
-		if bl.closers[i] != nil {
-			bl.closers[i].Close()
-		}
-	}
 }
 
 // ScanStats reports what one partition scan consumed.

@@ -304,12 +304,14 @@ func TestCorruptFileDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt the partition file by appending a bogus tag.
-	bl, err := tab.NewBulkLoader()
+	f, err := os.OpenFile(tab.parts[0].path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bl.files[0].Write([]byte{0xFF})
-	if err := bl.Close(); err != nil {
+	if _, err := f.Write([]byte{0xFF}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	err = tab.Scan(func(sqltypes.Row) error { return nil })

@@ -204,10 +204,11 @@ func TestBulkLoadMaintainsSummary(t *testing.T) {
 	requireClose(t, s, want, 1e-9)
 }
 
-// TestCleanRollbackKeepsEntryFresh: an insert that fails and rolls
-// back cleanly publishes nothing, so a warm entry must stay warm and
-// unchanged.
-func TestCleanRollbackKeepsEntryFresh(t *testing.T) {
+// TestRollbackNeverServesRetractedRows: an insert that fails and rolls
+// back cleanly publishes nothing, but the entry was streamed its rows
+// before the failure. It is invalidated rather than left holding them:
+// the next read rebuilds and equals the summary from before the insert.
+func TestRollbackNeverServesRetractedRows(t *testing.T) {
 	tab, err := storage.NewTable("x", testSchema(), t.TempDir(), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -221,18 +222,21 @@ func TestCleanRollbackKeepsEntryFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sentinel := errors.New("injected append failure")
-	tab.SetFault(&storage.Fault{Partition: 1, AppendAfter: true, Err: sentinel})
+	sentinel := errors.New("injected flush failure")
+	tab.SetFault(&storage.Fault{Partition: 1, FlushClose: true, Err: sentinel})
 	if err := tab.Insert(testRow(3, 7, 8, 9), testRow(4, 10, 11, 12)); !errors.Is(err, sentinel) {
 		t.Fatalf("want injected error, got %v", err)
 	}
 	tab.SetFault(nil)
+	if infos := cat.Snapshot(); len(infos) != 1 || infos[0].State != "cold" {
+		t.Fatalf("snapshot after rollback: %+v", infos)
+	}
 	after, hit, err := cat.NLQ(ctx, tab, testCols, core.Triangular)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit {
-		t.Fatal("clean rollback demoted the entry")
+	if hit {
+		t.Fatal("entry that folded retracted rows was served from cache")
 	}
 	requireClose(t, after, before, 0)
 }
@@ -254,7 +258,7 @@ func TestRollbackCorruptionInvalidates(t *testing.T) {
 	if _, _, err := cat.NLQ(ctx, tab, testCols, core.Triangular); err != nil {
 		t.Fatal(err)
 	}
-	tab.SetFault(&storage.Fault{Partition: 1, AppendAfter: true, TruncateFail: true})
+	tab.SetFault(&storage.Fault{Partition: 1, FlushClose: true, TruncateFail: true})
 	if err := tab.Insert(testRow(3, 7, 8, 9), testRow(4, 10, 11, 12)); err == nil {
 		t.Fatal("faulted insert succeeded")
 	}

@@ -10,7 +10,10 @@
 # exit. A storage leg then runs a daemon over a data directory twice:
 # row mode must never create a segment file, and a restart with
 # -columnar must derive fresh segments on the first block scan after
-# attach and after every insert, without a single fallback.
+# attach and after every insert, without a single fallback. The
+# row-mode daemon also takes the write leg: a self INSERT ... SELECT
+# terminates and doubles the table, and a failing INSERT ... SELECT
+# reports its error and leaves its target exactly as it was.
 set -euo pipefail
 
 ADDR="${TWMD_ADDR:-127.0.0.1:7791}"
@@ -117,6 +120,36 @@ test "$(echo "$SEGS" | grep -c ' | 0$')" -eq 3 # no partition has a built segmen
 if ls "$DIR"/*.seg "$DIR"/*.seg.tmp >/dev/null 2>&1; then
   echo "row-mode daemon created segment files:"; ls "$DIR"; exit 1
 fi
+
+echo "== writes: a self INSERT ... SELECT terminates and doubles the table =="
+# timeout: a statement that deadlocks on its own table's lock must fail
+# the job in seconds, not hang it.
+sqlt() { timeout 20 /tmp/smoke-sqlsh -connect "$ADDR" -user ci "$@"; }
+count() { sql -c "SELECT count(*) FROM $1" | sed -n 3p; }
+sql -c "CREATE TABLE W (i BIGINT, v DOUBLE)"
+sql -c "INSERT INTO W VALUES (0, 1), (1, 2), (2, 3), (3, 4)"
+N=4
+while [ "$N" -lt 4096 ]; do # the last statement copies 2 048 rows
+  sqlt -c "INSERT INTO W SELECT i + $N, v FROM W" >/dev/null
+  N=$((N * 2))
+  test "$(count W)" -eq "$N"
+done
+
+echo "== writes: a failing INSERT ... SELECT leaves its target untouched =="
+sql -c "CREATE TABLE W2 (i BIGINT, v DOUBLE)"
+sql -c "INSERT INTO W2 VALUES (-1, 0), (-2, 0), (-3, 0), (-4, 0), (-5, 0)"
+parts_of_w2() { sql -c "SELECT partition, num_rows FROM sys.partitions WHERE table_name = 'w2' ORDER BY partition"; }
+BEFORE="$(parts_of_w2)"
+# i runs 0..4095, so only the last row divides by zero.
+if OUT="$(sqlt -c "INSERT INTO W2 SELECT i, 1 / (i - 4095) FROM W" 2>&1)"; then
+  echo "failing INSERT ... SELECT succeeded: $OUT"; exit 1
+fi
+echo "$OUT"
+echo "$OUT" | grep -q "division by zero"
+test "$(count W2)" -eq 5
+diff <(echo "$BEFORE") <(parts_of_w2)
+sqlt -c "INSERT INTO W2 SELECT i, v FROM W" >/dev/null # and the target still takes a write
+test "$(count W2)" -eq 4101
 kill -TERM "$TWMD_PID"
 wait "$TWMD_PID"
 
