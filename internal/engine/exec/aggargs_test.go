@@ -1,0 +1,59 @@
+// The aggregate UDFs live above this package (nlqudf imports db, db
+// imports exec), so what sizes the scan → argument plan → Accumulate
+// path with the real nlq_list is an external test.
+package exec_test
+
+import (
+	"testing"
+
+	statsudf "repro"
+	"repro/internal/core"
+	"repro/internal/sqlgen"
+)
+
+// buildUDFStatement loads X(i, X1..X32) with n rows into a fresh on-disk
+// database and returns the ledger's build_udf statement over it:
+// nlq_list with 34 arguments, two literals and 32 bare columns.
+func buildUDFStatement(tb testing.TB, n, partitions int) (*statsudf.DB, string) {
+	tb.Helper()
+	d, err := statsudf.Open(statsudf.Options{Dir: tb.TempDir(), Partitions: partitions})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { d.Close() })
+	if err := d.Generate("X", statsudf.MixtureConfig{N: n, D: 32, Seed: 1}); err != nil {
+		tb.Fatal(err)
+	}
+	return d, sqlgen.NLQUDFQuery("X", statsudf.DimColumns(32), core.Triangular, sqlgen.ListStyle)
+}
+
+func BenchmarkAggregateArgs34(b *testing.B) {
+	d, sql := buildUDFStatement(b, 16384, 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.Exec(sql); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestAccumulateDoesNotAllocatePerRow scans one partition of 2 000 and
+// one of 16 000 rows: row decode, the argument plan and nlq_list reuse
+// their buffers, so a statement allocates the same whatever it scans.
+func TestAccumulateDoesNotAllocatePerRow(t *testing.T) {
+	allocs := func(n int) float64 {
+		d, sql := buildUDFStatement(t, n, 1)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := d.Exec(sql); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(2000), allocs(16000)
+	// The slack covers pool refills after a GC, not rows: one allocation
+	// per row would be 14 000 apart.
+	if large > small+50 {
+		t.Fatalf("%v allocations over 16 000 rows, %v over 2 000", large, small)
+	}
+	t.Logf("allocations per statement: %v at 2 000 rows, %v at 16 000", small, large)
+}

@@ -92,10 +92,10 @@ func (a *aggPlan) resolve(table, col string) (int, error) {
 // and belongs to this worker alone until the single-threaded merge.
 type aggWorker struct {
 	groupEvs []expr.Evaluator
-	argEvs   [][]expr.Evaluator
+	args     []argPlan // one per spec
+	width    int       // of the flat row the gather ordinals index
 	keyVals  sqltypes.Row
 	keyBuf   strings.Builder
-	argBuf   []sqltypes.Value
 
 	groups map[string]*groupState
 	// Without GROUP BY every row lands in groups[""]; once the first
@@ -106,18 +106,68 @@ type aggWorker struct {
 	accCalls int64 // aggregate-protocol Accumulate calls, flushed at release
 }
 
-func (a *aggPlan) newWorker(resolve expr.Resolver, compile compileFn) (*aggWorker, error) {
-	w := &aggWorker{keyVals: make(sqltypes.Row, len(a.groupBy)), argEvs: make([][]expr.Evaluator, len(a.specs))}
+// argPlan is how one aggregate call's argument list is filled per row.
+// Every slot of vals is in exactly one class, decided once from the
+// AST: a literal was evaluated into vals when the worker was built and
+// is never written again; a bare column reference is a gather entry, its
+// ordinal resolved and range-checked against the flat-row width then, so
+// the per-row step is an indexed copy; anything else (`?`, arithmetic,
+// function calls) is an evaluator entry. Any of the lists may be empty.
+type argPlan struct {
+	vals []sqltypes.Value // what Accumulate receives; nil for count(*)
+	cols []argCol
+	evs  []argEval
+}
+
+type argCol struct{ slot, ord int }
+
+type argEval struct {
+	slot int
+	ev   expr.Evaluator
+}
+
+func planArgs(args []sqlparser.Expr, width int, resolve expr.Resolver, compile compileFn) (argPlan, error) {
+	ap := argPlan{vals: make([]sqltypes.Value, len(args))}
+	for slot, e := range args {
+		if cr, ok := e.(*sqlparser.ColumnRef); ok {
+			ord, err := resolve(cr.Table, cr.Name)
+			if err != nil {
+				return ap, err
+			}
+			if ord < 0 || ord >= width {
+				return ap, fmt.Errorf("exec: internal: column %s resolved to ordinal %d outside a row of width %d", cr, ord, width)
+			}
+			ap.cols = append(ap.cols, argCol{slot, ord})
+			continue
+		}
+		ev, err := compile(e, resolve)
+		if err != nil {
+			return ap, err
+		}
+		switch e.(type) {
+		case *sqlparser.NumberLit, *sqlparser.StringLit, *sqlparser.NullLit, *sqlparser.BoolLit:
+			if ap.vals[slot], err = ev.Eval(nil); err != nil {
+				return ap, err
+			}
+		default:
+			ap.evs = append(ap.evs, argEval{slot, ev})
+		}
+	}
+	return ap, nil
+}
+
+func (a *aggPlan) newWorker(width int, resolve expr.Resolver, compile compileFn) (*aggWorker, error) {
+	w := &aggWorker{keyVals: make(sqltypes.Row, len(a.groupBy)), args: make([]argPlan, len(a.specs)), width: width}
 	var err error
 	if w.groupEvs, err = compileAll(a.groupBy, resolve, compile); err != nil {
 		return nil, err
 	}
 	for i, s := range a.specs {
-		if w.argEvs[i], err = compileAll(s.args, resolve, compile); err != nil {
-			return nil, err
+		if s.star {
+			continue
 		}
-		if len(s.args) > len(w.argBuf) {
-			w.argBuf = make([]sqltypes.Value, len(s.args))
+		if w.args[i], err = planArgs(s.args, width, resolve, compile); err != nil {
+			return nil, err
 		}
 	}
 	return w, nil
@@ -125,6 +175,9 @@ func (a *aggPlan) newWorker(resolve expr.Resolver, compile compileFn) (*aggWorke
 
 // accumulate folds one qualifying flat row into its group's states.
 func (w *aggWorker) accumulate(specs []aggSpec, flat sqltypes.Row) error {
+	if len(flat) < w.width {
+		return fmt.Errorf("exec: row of width %d, want %d", len(flat), w.width)
+	}
 	g := w.global
 	if g == nil {
 		w.keyBuf.Reset()
@@ -154,16 +207,17 @@ func (w *aggWorker) accumulate(specs []aggSpec, flat sqltypes.Row) error {
 		}
 	}
 	for i, s := range specs {
-		var args []sqltypes.Value
-		if !s.star {
-			args = w.argBuf[:len(w.argEvs[i])]
-			for j, ev := range w.argEvs[i] {
-				v, err := ev.Eval(flat)
-				if err != nil {
-					return err
-				}
-				args[j] = v
+		ap := &w.args[i]
+		args := ap.vals
+		for _, c := range ap.cols {
+			args[c.slot] = flat[c.ord]
+		}
+		for _, e := range ap.evs {
+			v, err := e.ev.Eval(flat)
+			if err != nil {
+				return err
 			}
+			args[e.slot] = v
 		}
 		if g.seen[i] != nil {
 			k := distinctKey(args)

@@ -360,14 +360,15 @@ func (p *PreparedSelect) constRow(ss *stmtSet, sink RowSink) (*sqltypes.Schema, 
 // selectWorker is a SELECT's scanWorker: one partition worker's
 // compiled evaluators (which carry scratch buffers and read `?` slots
 // from params) and row buffers, pooled across partitions and
-// executions. Each driving-table row is flattened against every tail
-// row and filtered by the residual WHERE; what survives is projected to
-// the sink or accumulated into the partition's group states.
+// executions. A single-table statement consumes each driving-table row
+// in place; with a join tail the row is flattened against every tail
+// row first. What passes the residual WHERE is projected to the sink or
+// accumulated into the partition's group states.
 type selectWorker struct {
 	ps     *PreparedSelect
 	params []sqltypes.Value
 	where  expr.Evaluator // nil when no residual predicate
-	flat   sqltypes.Row
+	flat   sqltypes.Row   // the flatten buffer; nil for a single table
 	tail   []sqltypes.Row
 	sink   RowSink
 
@@ -379,7 +380,10 @@ type selectWorker struct {
 }
 
 func (p *PreparedSelect) newWorker() (*selectWorker, error) {
-	w := &selectWorker{ps: p, flat: make(sqltypes.Row, p.b.width)}
+	w := &selectWorker{ps: p}
+	if len(p.b.tables) > 1 {
+		w.flat = make(sqltypes.Row, p.b.width)
+	}
 	compile := func(e sqlparser.Expr, r expr.Resolver) (expr.Evaluator, error) {
 		return expr.CompileWithParams(e, r, p.env.Funcs, &w.params)
 	}
@@ -390,7 +394,7 @@ func (p *PreparedSelect) newWorker() (*selectWorker, error) {
 		}
 	}
 	if p.agg != nil {
-		w.agg, err = p.agg.newWorker(p.b.resolve, compile)
+		w.agg, err = p.agg.newWorker(p.b.width, p.b.resolve, compile)
 		return w, err
 	}
 	if w.items, err = compileAll(p.exprs, p.b.resolve, compile); err != nil {
@@ -403,12 +407,20 @@ func (p *PreparedSelect) newWorker() (*selectWorker, error) {
 	return w, err
 }
 
+// row consumes one driving-table row under scanWorker's contract: a
+// single-table statement (whose tail is the one empty row) reads r in
+// place, and everything downstream copies the values it keeps (group
+// keys, DISTINCT sets, the projection's output row).
 func (w *selectWorker) row(r sqltypes.Row) error {
 	for _, t := range w.tail {
-		copy(w.flat, r)
-		copy(w.flat[len(r):], t)
+		flat := r
+		if w.flat != nil {
+			flat = w.flat
+			copy(flat, r)
+			copy(flat[len(r):], t)
+		}
 		if w.where != nil {
-			keep, err := w.where.Eval(w.flat)
+			keep, err := w.where.Eval(flat)
 			if err != nil {
 				return err
 			}
@@ -417,13 +429,13 @@ func (w *selectWorker) row(r sqltypes.Row) error {
 			}
 		}
 		if w.agg != nil {
-			if err := w.agg.accumulate(w.ps.agg.specs, w.flat); err != nil {
+			if err := w.agg.accumulate(w.ps.agg.specs, flat); err != nil {
 				return err
 			}
 			continue
 		}
 		for i, ev := range w.items {
-			v, err := ev.Eval(w.flat)
+			v, err := ev.Eval(flat)
 			if err != nil {
 				return err
 			}

@@ -16,7 +16,11 @@ import (
 // is used by one goroutine at a time. Merge and finalize (phases 3-4)
 // belong to the caller, after scanPartitions has joined its workers.
 type scanWorker interface {
-	// row consumes one driving-table row; r is reused between calls.
+	// row consumes one driving-table row. r is read-only and must not be
+	// retained: for a table on disk it is the decoder's buffer, which the
+	// next row overwrites, and for a table in memory it is the stored row
+	// itself. A consumer copies the values it keeps and never writes
+	// through r.
 	row(r sqltypes.Row) error
 	// block consumes one block of the scan's block columns. Only scans
 	// given block columns call it.

@@ -227,9 +227,11 @@ func (t *Table) ScanPartition(ctx context.Context, p int, fn func(sqltypes.Row) 
 // still report how far they got.
 func (t *Table) ScanPartitionStats(ctx context.Context, p int, fn func(sqltypes.Row) error) (ScanStats, error) {
 	var st ScanStats
-	// One pair of atomic adds per partition scan (not per row) keeps
+	// One set of atomic adds per partition scan (not per row: the
+	// partition workers share these cache lines) keeps the table's and
 	// the process-wide counters current at near-zero overhead.
 	defer func() {
+		t.scanned.Add(st.Rows)
 		obs.RowsScanned.Add(st.Rows)
 		obs.BytesRead.Add(st.Bytes)
 	}()
@@ -271,7 +273,6 @@ func (t *Table) ScanPartitionStats(ctx context.Context, p int, fn func(sqltypes.
 			return flt.err()
 		}
 		st.Rows++
-		t.scanned.Add(1)
 		return fn(r)
 	}
 	if t.dir == "" {

@@ -22,13 +22,16 @@ func (m *Dense) Inverse() (*Dense, error) {
 	n := m.rows
 	a := m.Clone()
 	inv := Identity(n)
+	// The elimination works on row views of the two backing arrays: at
+	// (d+1)² elements per pivot, a checked accessor call per element is
+	// most of the cost.
 	const eps = 1e-12
 	for col := 0; col < n; col++ {
 		// Partial pivot: largest magnitude in this column at/below diag.
 		pivot := col
-		best := math.Abs(a.At(col, col))
+		best := math.Abs(a.data[col*n+col])
 		for r := col + 1; r < n; r++ {
-			if v := math.Abs(a.At(r, col)); v > best {
+			if v := math.Abs(a.data[r*n+col]); v > best {
 				best, pivot = v, r
 			}
 		}
@@ -39,31 +42,41 @@ func (m *Dense) Inverse() (*Dense, error) {
 			a.swapRows(col, pivot)
 			inv.swapRows(col, pivot)
 		}
-		p := a.At(col, col)
-		for j := 0; j < n; j++ {
-			a.Set(col, j, a.At(col, j)/p)
-			inv.Set(col, j, inv.At(col, j)/p)
+		// (Re-slicing the other three rows to len(ac) is what lets the
+		// compiler drop the bounds checks from the loops below.)
+		ac := a.rowView(col)
+		ic := inv.rowView(col)[:len(ac)]
+		p := ac[col]
+		for j := range ac {
+			ac[j] /= p
+			ic[j] /= p
 		}
 		for r := 0; r < n; r++ {
 			if r == col {
 				continue
 			}
-			f := a.At(r, col)
+			ar, ir := a.rowView(r)[:len(ac)], inv.rowView(r)[:len(ac)]
+			f := ar[col]
 			if f == 0 {
 				continue
 			}
-			for j := 0; j < n; j++ {
-				a.Add(r, j, -f*a.At(col, j))
-				inv.Add(r, j, -f*inv.At(col, j))
+			// The conversions round each product before the add, as the
+			// accessor call this replaces did: no fused multiply-add, so
+			// the inverse is the same bits on every architecture.
+			for j := range ac {
+				ar[j] += float64(-f * ac[j])
+				ir[j] += float64(-f * ic[j])
 			}
 		}
 	}
 	return inv, nil
 }
 
+// rowView returns row i of the backing array itself, not a copy.
+func (m *Dense) rowView(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
+
 func (m *Dense) swapRows(i, j int) {
-	ri := m.data[i*m.cols : (i+1)*m.cols]
-	rj := m.data[j*m.cols : (j+1)*m.cols]
+	ri, rj := m.rowView(i), m.rowView(j)
 	for k := range ri {
 		ri[k], rj[k] = rj[k], ri[k]
 	}

@@ -84,7 +84,7 @@ func (a *nlqAgg) Init(h *udf.Heap) (udf.State, error) {
 	if err := h.Alloc(8 * (core.MaxD*core.MaxD + 3*core.MaxD + 2)); err != nil {
 		return nil, err
 	}
-	return &nlqState{buf: make([]float64, 0, core.MaxD)}, nil
+	return &nlqState{buf: make([]float64, core.MaxD)}, nil
 }
 
 // header parses the (d, mtype) leading arguments shared by both styles.
@@ -123,7 +123,7 @@ func (a *nlqAgg) Accumulate(s udf.State, args []sqltypes.Value) error {
 	}
 	d := st.nlq.D
 
-	x := st.buf[:0]
+	var x []float64
 	if a.packed {
 		// String style: parse the packed vector (the per-row O(d)
 		// number-formatting overhead the paper measures).
@@ -142,19 +142,33 @@ func (a *nlqAgg) Accumulate(s udf.State, args []sqltypes.Value) error {
 		if len(args) != d+2 {
 			return fmt.Errorf("nlqudf: got %d vector arguments, want d=%d", len(args)-2, d)
 		}
-		for _, v := range args[2:] {
-			if v.IsNull() {
-				return nil // rows with NULL dimensions are skipped
-			}
-			f, ok := v.Float()
-			if !ok {
-				return fmt.Errorf("nlqudf: non-numeric dimension value %v", v)
-			}
-			x = append(x, f)
+		x = st.buf[:d]
+		if skip, err := unboxDims(x, args[2:]); skip || err != nil {
+			return err
 		}
-		st.buf = x[:0]
 	}
 	return st.nlq.Update(x)
+}
+
+// unboxDims is the list style's argument unboxing: it copies the
+// dimension values vs into x (of the same length). All-DOUBLE rows — a
+// table's usual case — are one sqltypes.UnboxDoubles pass; from the
+// first other value on, each goes through the general rules: a NULL
+// skips the row like SQL aggregates do, BIGINT widens, a numeric VARCHAR
+// parses, anything else is an error.
+func unboxDims(x []float64, vs []sqltypes.Value) (skip bool, err error) {
+	for i := sqltypes.UnboxDoubles(x, vs); i < len(vs); i++ {
+		v := vs[i]
+		if v.IsNull() {
+			return true, nil
+		}
+		f, ok := v.Float()
+		if !ok {
+			return false, fmt.Errorf("nlqudf: non-numeric dimension value %v", v)
+		}
+		x[i] = f
+	}
+	return false, nil
 }
 
 func (a *nlqAgg) Merge(dst, src udf.State) error {
@@ -244,16 +258,9 @@ func (b *blockAgg) Accumulate(s udf.State, args []sqltypes.Value) error {
 	} else if st.blk != blk {
 		return fmt.Errorf("nlqudf: inconsistent block ranges across rows")
 	}
-	x := st.buf[:0]
-	for _, v := range args[4:] {
-		if v.IsNull() {
-			return nil
-		}
-		f, ok := v.Float()
-		if !ok {
-			return fmt.Errorf("nlqudf: non-numeric dimension value %v", v)
-		}
-		x = append(x, f)
+	x := st.buf
+	if skip, err := unboxDims(x, args[4:]); skip || err != nil {
+		return err
 	}
 	xr := x[:rw]
 	xc := xr
