@@ -233,7 +233,7 @@ func (c *Coordinator) observed(ctx context.Context, stmt sqlparser.Statement, fn
 	if res != nil {
 		st = res.Stats
 	}
-	c.local.ObserveStatement(ctx, stmtText(stmt), start, st, err)
+	c.local.ObserveStatement(ctx, sqlparser.StatementText(stmt), start, st, err)
 	return res, err
 }
 
@@ -248,7 +248,7 @@ func (c *Coordinator) runDDL(ctx context.Context, stmt sqlparser.Statement) (*ex
 	if err != nil {
 		return nil, err
 	}
-	sql := stmtText(stmt)
+	sql := sqlparser.StatementText(stmt)
 	if _, err := c.fanout(ctx, "ddl broadcast", func(ctx context.Context, i int) (int64, error) {
 		_, err := c.shards.pool(i).Exec(ctx, sql)
 		return 0, err
@@ -337,63 +337,4 @@ func (c *Coordinator) runSelect(ctx context.Context, sel *sqlparser.Select) (*ex
 		return res, err
 	}
 	return c.runGather(ctx, sel)
-}
-
-// stmtText renders a statement back to SQL, preferring the original
-// source when the parser recorded it. Only the statement kinds the
-// coordinator dispatches need synthetic rendering.
-func stmtText(stmt sqlparser.Statement) string {
-	if src := sqlparser.StatementSource(stmt); src != "" {
-		return src
-	}
-	switch st := stmt.(type) {
-	case *sqlparser.Select:
-		return st.String()
-	case *sqlparser.CreateTable:
-		var b strings.Builder
-		b.WriteString("CREATE TABLE ")
-		if st.IfNotExists {
-			b.WriteString("IF NOT EXISTS ")
-		}
-		b.WriteString(st.Name + " (")
-		for i, col := range st.Columns {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(col.Name + " " + col.Type)
-		}
-		b.WriteString(")")
-		return b.String()
-	case *sqlparser.DropTable:
-		if st.IfExists {
-			return "DROP TABLE IF EXISTS " + st.Name
-		}
-		return "DROP TABLE " + st.Name
-	case *sqlparser.Insert:
-		var b strings.Builder
-		b.WriteString("INSERT INTO " + st.Table)
-		if len(st.Columns) > 0 {
-			b.WriteString(" (" + strings.Join(st.Columns, ", ") + ")")
-		}
-		if st.Query != nil {
-			b.WriteString(" " + st.Query.String())
-			return b.String()
-		}
-		b.WriteString(" VALUES ")
-		for i, row := range st.Rows {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString("(")
-			for j, e := range row {
-				if j > 0 {
-					b.WriteString(", ")
-				}
-				b.WriteString(e.String())
-			}
-			b.WriteString(")")
-		}
-		return b.String()
-	}
-	return fmt.Sprintf("<%T>", stmt)
 }

@@ -84,13 +84,10 @@ func (c *Coordinator) planPushdown(sel *sqlparser.Select) (*pushPlan, bool) {
 		return nil, false
 	}
 	aggNames := c.local.Aggregates().Names()
-	allAgg, anyAgg := true, false
+	allAgg := true
 	for _, item := range sel.Items {
 		if item.Star {
 			return nil, false
-		}
-		if expr.ContainsAggregate(item.Expr, aggNames) {
-			anyAgg = true
 		}
 		fc, ok := item.Expr.(*sqlparser.FuncCall)
 		if !ok || fc.Distinct {
@@ -109,10 +106,10 @@ func (c *Coordinator) planPushdown(sel *sqlparser.Select) (*pushPlan, bool) {
 			}
 		}
 	}
-	if !anyAgg {
+	if !expr.IsAggregateQuery(sel, aggNames) {
 		// Pure projection: every shard runs the original statement and
 		// the coordinator concatenates rows in shard order.
-		return &pushPlan{sql: stmtText(sel)}, true
+		return &pushPlan{sql: sqlparser.StatementText(sel)}, true
 	}
 	if !allAgg {
 		return nil, false
@@ -125,7 +122,7 @@ func (c *Coordinator) planPushdown(sel *sqlparser.Select) (*pushPlan, bool) {
 	plan := &pushPlan{}
 	for i, item := range sel.Items {
 		fc := item.Expr.(*sqlparser.FuncCall)
-		pi := pushItem{name: exec.ItemName(item, i), lo: plan.nPushed}
+		pi := pushItem{name: sqlparser.OutputName(item, i), lo: plan.nPushed}
 		switch kind := mergeableAgg[strings.ToLower(fc.Name)]; kind {
 		case mergeAvg:
 			// AVG(e) → SUM(e), COUNT(e); the coordinator divides.

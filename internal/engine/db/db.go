@@ -397,7 +397,7 @@ func (d *DB) Run(stmt sqlparser.Statement) (*exec.Result, error) {
 
 // RunContext executes a parsed statement under a context.
 func (d *DB) RunContext(ctx context.Context, stmt sqlparser.Statement) (*exec.Result, error) {
-	return d.run(ctx, stmtText(stmt), stmt)
+	return d.run(ctx, sqlparser.StatementText(stmt), stmt)
 }
 
 // run dispatches a parsed statement and records it in the recent-query
@@ -409,20 +409,6 @@ func (d *DB) run(ctx context.Context, sql string, stmt sqlparser.Statement) (*ex
 	start := time.Now()
 	res, err := d.runContext(ctx, stmt)
 	return d.finish(ctx, sql, start, res, err)
-}
-
-// stmtText renders a pre-parsed statement for the query log: the
-// original SQL slice when the parser recorded one, otherwise SELECTs
-// print back as SQL and remaining statement kinds as a short tag
-// (synthetic statements built by planners or tests have no source).
-func stmtText(stmt sqlparser.Statement) string {
-	if src := sqlparser.StatementSource(stmt); src != "" {
-		return src
-	}
-	if s, ok := stmt.(*sqlparser.Select); ok {
-		return s.String()
-	}
-	return fmt.Sprintf("<%s>", strings.TrimPrefix(fmt.Sprintf("%T", stmt), "*sqlparser."))
 }
 
 func (d *DB) runContext(ctx context.Context, stmt sqlparser.Statement) (*exec.Result, error) {

@@ -81,6 +81,40 @@ func TestRecentQueriesRingRecordsAllPaths(t *testing.T) {
 	}
 }
 
+// TestSyntheticStatementsLogAsSQL: a statement handed to Run without
+// source text is logged as the SQL it prints to (every kind, not a
+// `<Insert>`-style tag), and that SQL parses back to the same statement.
+func TestSyntheticStatementsLogAsSQL(t *testing.T) {
+	d := newTestDB(t, Options{Partitions: 2})
+	num := func(n int64) sqlparser.Expr { return &sqlparser.NumberLit{IsInt: true, Int: n, Float: float64(n)} }
+	for _, c := range []struct {
+		stmt sqlparser.Statement
+		want string
+	}{
+		{&sqlparser.CreateTable{Name: "syn", IfNotExists: true, Columns: []sqlparser.ColumnDef{{Name: "a", Type: "DOUBLE"}}},
+			"CREATE TABLE IF NOT EXISTS syn (a DOUBLE)"},
+		{&sqlparser.Insert{Table: "syn", Columns: []string{"a"}, Rows: [][]sqlparser.Expr{{num(1)}, {num(2)}}},
+			"INSERT INTO syn (a) VALUES (1), (2)"},
+		{&sqlparser.CreateView{Name: "synv", Query: &sqlparser.Select{
+			Items: []sqlparser.SelectItem{{Expr: &sqlparser.ColumnRef{Name: "a"}, Alias: "b"}},
+			From:  []sqlparser.TableRef{{Name: "syn"}}}},
+			"CREATE VIEW synv AS SELECT a AS b FROM syn"},
+		{&sqlparser.DropView{Name: "synv", IfExists: true}, "DROP VIEW IF EXISTS synv"},
+		{&sqlparser.DropTable{Name: "syn"}, "DROP TABLE syn"},
+	} {
+		if _, err := d.Run(c.stmt); err != nil {
+			t.Fatalf("%s: %v", c.want, err)
+		}
+		if got := d.RecentQueries()[0].SQL; got != c.want {
+			t.Errorf("%T logged as %q, want %q", c.stmt, got, c.want)
+		}
+		back, err := sqlparser.Parse(c.want)
+		if err != nil || back.String() != c.want {
+			t.Errorf("%q does not parse back to itself: %v, %v", c.want, back, err)
+		}
+	}
+}
+
 func TestRecentQueriesRingBounded(t *testing.T) {
 	d := newTestDB(t, Options{Partitions: 2})
 	for i := 0; i < queryRingSize+10; i++ {

@@ -110,7 +110,7 @@ func (d *DB) prepareParsed(sql string, stmt sqlparser.Statement) (*Prepared, err
 		p.ins = ins
 		p.numParams = sqlparser.CountParams(ins)
 	default:
-		return nil, fmt.Errorf("db: cannot prepare %s; only SELECT and INSERT are preparable", stmtText(stmt))
+		return nil, fmt.Errorf("db: cannot prepare %s; only SELECT and INSERT are preparable", sqlparser.StatementText(stmt))
 	}
 	return d.register(p), nil
 }

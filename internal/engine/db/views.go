@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/engine/expr"
 	"repro/internal/engine/sqlparser"
 )
 
@@ -26,7 +27,7 @@ const maxViewDepth = 16
 
 // CreateView validates and registers a view definition.
 func (d *DB) CreateView(name string, query *sqlparser.Select) error {
-	if err := validateViewBody(query); err != nil {
+	if err := validateViewBody(query, d.aggs.Names()); err != nil {
 		return fmt.Errorf("db: view %q: %w", name, err)
 	}
 	d.mu.Lock()
@@ -89,8 +90,11 @@ func (d *DB) view(name string) (*sqlparser.Select, bool) {
 	return v, ok
 }
 
-// validateViewBody enforces the simple-view restrictions.
-func validateViewBody(q *sqlparser.Select) error {
+// validateViewBody enforces the simple-view restrictions. A view body
+// is inlined as row expressions, so an aggregate call in it — built-in
+// or one of udfNames, the registered aggregate UDFs — is refused here:
+// nothing downstream would.
+func validateViewBody(q *sqlparser.Select, udfNames map[string]bool) error {
 	if len(q.From) == 0 {
 		return fmt.Errorf("view must select FROM at least one table")
 	}
@@ -105,10 +109,10 @@ func validateViewBody(q *sqlparser.Select) error {
 		if item.Star {
 			return fmt.Errorf("views must name their output columns explicitly (no *)")
 		}
-		if exprHasAggregate(item.Expr) {
+		if expr.ContainsAggregate(item.Expr, udfNames) {
 			return fmt.Errorf("views may not contain aggregates")
 		}
-		name := strings.ToLower(viewItemName(item))
+		name := strings.ToLower(item.ExplicitName())
 		if name == "" {
 			return fmt.Errorf("view output column %d needs an alias", i+1)
 		}
@@ -118,67 +122,6 @@ func validateViewBody(q *sqlparser.Select) error {
 		seen[name] = true
 	}
 	return nil
-}
-
-// exprHasAggregate detects the built-in aggregate names; aggregate
-// UDFs in views are also rejected at expansion time by the executor.
-func exprHasAggregate(e sqlparser.Expr) bool {
-	found := false
-	var walk func(sqlparser.Expr)
-	walk = func(x sqlparser.Expr) {
-		if fc, ok := x.(*sqlparser.FuncCall); ok {
-			switch strings.ToLower(fc.Name) {
-			case "sum", "count", "avg", "min", "max":
-				found = true
-			}
-			for _, a := range fc.Args {
-				walk(a)
-			}
-			return
-		}
-		switch x := x.(type) {
-		case *sqlparser.UnaryExpr:
-			walk(x.X)
-		case *sqlparser.BinaryExpr:
-			walk(x.L)
-			walk(x.R)
-		case *sqlparser.CaseExpr:
-			for _, w := range x.Whens {
-				walk(w.Cond)
-				walk(w.Then)
-			}
-			if x.Else != nil {
-				walk(x.Else)
-			}
-		case *sqlparser.IsNullExpr:
-			walk(x.X)
-		case *sqlparser.CastExpr:
-			walk(x.X)
-		case *sqlparser.BetweenExpr:
-			walk(x.X)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *sqlparser.InExpr:
-			walk(x.X)
-			for _, i := range x.List {
-				walk(i)
-			}
-		}
-	}
-	walk(e)
-	return found
-}
-
-// viewItemName is the name a select item has without looking at its
-// expression text — its alias or bare column name — or "".
-func viewItemName(item sqlparser.SelectItem) string {
-	if item.Alias != "" {
-		return item.Alias
-	}
-	if cr, ok := item.Expr.(*sqlparser.ColumnRef); ok {
-		return cr.Name
-	}
-	return ""
 }
 
 // expandViews rewrites a SELECT so that no FROM entry names a view.
@@ -257,9 +200,10 @@ func (d *DB) expandViews(sel *sqlparser.Select, depth int) (*sqlparser.Select, e
 		var outputs []sqlparser.SelectItem
 		for _, item := range body.Items {
 			rewritten := sqlparser.SubstituteColumns(item.Expr, realias)
-			name := strings.ToLower(viewItemName(item))
-			subs[colKey{refName, name}] = rewritten
-			outputs = append(outputs, sqlparser.SelectItem{Expr: rewritten, Alias: viewItemName(item)})
+			// A view's items all carry explicit names (validateViewBody).
+			name := item.ExplicitName()
+			subs[colKey{refName, strings.ToLower(name)}] = rewritten
+			outputs = append(outputs, sqlparser.SelectItem{Expr: rewritten, Alias: name})
 		}
 		viewRefs[refName] = outputs
 		if body.Where != nil {
@@ -322,15 +266,11 @@ func (d *DB) expandViews(sel *sqlparser.Select, depth int) (*sqlparser.Select, e
 		if items[i].Star {
 			continue
 		}
+		// Preserve the user-visible output name through substitution:
+		// the name the pre-expansion item has, unless that depends on
+		// its position (which expansion keeps).
 		if items[i].Alias == "" {
-			// Preserve the user-visible output name through
-			// substitution: the pre-expansion text, as the executor
-			// would have named it.
-			if name := viewItemName(items[i]); name != "" {
-				items[i].Alias = name
-			} else if s := items[i].Expr.String(); len(s) <= 40 {
-				items[i].Alias = s
-			}
+			items[i].Alias = items[i].Name()
 		}
 		items[i].Expr = sqlparser.SubstituteColumns(items[i].Expr, substitute)
 	}

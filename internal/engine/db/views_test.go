@@ -3,6 +3,7 @@ package db
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -169,6 +170,54 @@ func TestViewValidation(t *testing.T) {
 	mustExec(t, d, "DROP VIEW ok")
 	if d.HasView("ok") {
 		t.Error("view survived drop")
+	}
+}
+
+// namedAgg registers the sumpair test aggregate under another name.
+type namedAgg struct {
+	sumPairAgg
+	name string
+}
+
+func (n namedAgg) Name() string { return n.name }
+
+// TestViewRejectsEveryAggregate: a view body is inlined as row
+// expressions, so CREATE VIEW refuses an aggregate call of any kind —
+// built-in or registered UDF, in any case, at the top of an item or
+// nested inside a scalar call. An aggregate UDF used to slip through
+// and `SELECT count(*) FROM v` then answered with the base table's row
+// count.
+func TestViewRejectsEveryAggregate(t *testing.T) {
+	d := openTest(t)
+	viewFixture(t, d)
+	for _, name := range []string{"nlq_list", "nlq_str", "nlq_block", "hist"} {
+		if err := d.Aggregates().Register(namedAgg{name: name}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, item := range []string{
+		"sum(amount)", "COUNT(*)", "Avg(amount)", "min(amount)", "MAX(amount)",
+		"nlq_list(2, 'triang', id, amount)", "NLQ_LIST(2, 'triang', id, amount)",
+		"nlq_str(id, amount)", "Nlq_Block(id, amount)", "hist(id, amount)",
+		"sqrt(sum(amount))", "abs(hist(id, amount)) + 1",
+		"CASE WHEN id > 1 THEN nlq_str(id, amount) ELSE '' END",
+		"power(id, 2) + CAST(HIST(id, amount) AS DOUBLE)",
+	} {
+		sql := "CREATE VIEW agg_v AS SELECT " + item + " AS s FROM tx"
+		_, err := d.Exec(sql)
+		if err == nil {
+			t.Errorf("%q was accepted", sql)
+			mustExec(t, d, "DROP VIEW agg_v")
+			continue
+		}
+		if want := "views may not contain aggregates"; !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: error %q, want it to say %q", sql, err, want)
+		}
+	}
+	// A scalar call of the same shape is still a legal view column.
+	mustExec(t, d, "CREATE VIEW ok_v AS SELECT sqrt(amount) AS s FROM tx")
+	if rows := query(t, d, "SELECT count(*) FROM ok_v"); rows[0][0] != "12" {
+		t.Fatalf("count over a scalar view = %v", rows[0])
 	}
 }
 

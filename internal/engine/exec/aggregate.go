@@ -37,11 +37,15 @@ type aggPlan struct {
 
 // planAggregate rewrites the select list (and HAVING) of an aggregate
 // statement, collecting its aggregate specs.
-func planAggregate(sel *sqlparser.Select, exprs []sqlparser.Expr, aggs *udf.Registry) (*aggPlan, error) {
+func planAggregate(sel *sqlparser.Select, exprs []sqlparser.Expr, aggs *udf.Registry, aggNames map[string]bool) (*aggPlan, error) {
 	a := &aggPlan{groupBy: sel.GroupBy, items: make([]sqlparser.Expr, len(exprs))}
+	r := &aggRewriter{aggs: aggs, aggNames: aggNames}
+	for _, g := range sel.GroupBy {
+		r.groupKeys = append(r.groupKeys, matchKey(g))
+	}
 	var err error
 	for i, e := range exprs {
-		if a.items[i], a.specs, err = rewriteAggregates(e, sel.GroupBy, a.specs, aggs); err != nil {
+		if a.items[i], err = r.rewrite(e); err != nil {
 			return nil, err
 		}
 		// Rewritten items may only reference $grp/$agg columns.
@@ -50,19 +54,20 @@ func planAggregate(sel *sqlparser.Select, exprs []sqlparser.Expr, aggs *udf.Regi
 		}
 	}
 	if sel.Having != nil {
-		if a.having, a.specs, err = rewriteAggregates(sel.Having, sel.GroupBy, a.specs, aggs); err != nil {
+		if a.having, err = r.rewrite(sel.Having); err != nil {
 			return nil, err
 		}
 		if err := onlyGroupRefs(a.having, "HAVING column"); err != nil {
 			return nil, err
 		}
 	}
+	a.specs = r.specs
 	return a, nil
 }
 
 func onlyGroupRefs(e sqlparser.Expr, what string) error {
 	var bad error
-	walkRefs(e, func(cr *sqlparser.ColumnRef) {
+	sqlparser.WalkColumns(e, func(cr *sqlparser.ColumnRef) {
 		if cr.Table != grpQualifier && cr.Table != aggQualifier && bad == nil {
 			bad = fmt.Errorf("exec: %s %s must appear in GROUP BY or inside an aggregate", what, cr)
 		}
@@ -354,42 +359,4 @@ func distinctKey(args []sqltypes.Value) string {
 		b.WriteString(s)
 	}
 	return b.String()
-}
-
-// walkRefs visits every column reference in an expression.
-func walkRefs(e sqlparser.Expr, fn func(*sqlparser.ColumnRef)) {
-	switch e := e.(type) {
-	case *sqlparser.ColumnRef:
-		fn(e)
-	case *sqlparser.UnaryExpr:
-		walkRefs(e.X, fn)
-	case *sqlparser.BinaryExpr:
-		walkRefs(e.L, fn)
-		walkRefs(e.R, fn)
-	case *sqlparser.FuncCall:
-		for _, a := range e.Args {
-			walkRefs(a, fn)
-		}
-	case *sqlparser.CaseExpr:
-		for _, w := range e.Whens {
-			walkRefs(w.Cond, fn)
-			walkRefs(w.Then, fn)
-		}
-		if e.Else != nil {
-			walkRefs(e.Else, fn)
-		}
-	case *sqlparser.IsNullExpr:
-		walkRefs(e.X, fn)
-	case *sqlparser.CastExpr:
-		walkRefs(e.X, fn)
-	case *sqlparser.BetweenExpr:
-		walkRefs(e.X, fn)
-		walkRefs(e.Lo, fn)
-		walkRefs(e.Hi, fn)
-	case *sqlparser.InExpr:
-		walkRefs(e.X, fn)
-		for _, x := range e.List {
-			walkRefs(x, fn)
-		}
-	}
 }

@@ -124,20 +124,3 @@ func expandStars(items []sqlparser.SelectItem, b *binding) ([]sqlparser.SelectIt
 	}
 	return out, nil
 }
-
-// ItemName picks the output column name for the select item at
-// ordinal; the coordinator labels push-down results with it so they are
-// label-identical to single-node ones.
-func ItemName(item sqlparser.SelectItem, ordinal int) string {
-	if item.Alias != "" {
-		return item.Alias
-	}
-	if cr, ok := item.Expr.(*sqlparser.ColumnRef); ok {
-		return cr.Name
-	}
-	s := item.Expr.String()
-	if len(s) <= 40 {
-		return s
-	}
-	return fmt.Sprintf("col%d", ordinal+1)
-}

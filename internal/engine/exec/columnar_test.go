@@ -293,36 +293,41 @@ var projectionQueries = []string{
 	"SELECT j + 1 FROM x ORDER BY 1, a",
 }
 
+func big(n int64) sqltypes.Value { return sqltypes.NewBigInt(n) }
+
+// pathQueries are the path matrix's statements besides
+// projectionQueries.
+var pathQueries = []pathQuery{
+	{sql: "SELECT a, b, a * b + 1 FROM x ORDER BY 1, 2", param: "SELECT a, b, a * b + ? FROM x ORDER BY 1, 2", args: []sqltypes.Value{big(1)}},
+	{sql: "SELECT a FROM x WHERE b > 0 AND a < 300 ORDER BY 1", param: "SELECT a FROM x WHERE b > ? AND a < ? ORDER BY 1", args: []sqltypes.Value{big(0), big(300)}},
+	{sql: "SELECT a / 2.5, a % 7.5 FROM x ORDER BY 1", param: "SELECT a / ?, a % ? FROM x ORDER BY 1", args: []sqltypes.Value{sqltypes.NewDouble(2.5), sqltypes.NewDouble(7.5)}},
+	// Join-tail scoring: the model table is filtered down to one row
+	// per alias before the product is formed.
+	{sql: "SELECT a * m1.v + b * m2.v FROM x CROSS JOIN m m1 CROSS JOIN m m2 WHERE m1.j = 1 AND m2.j = 2",
+		param: "SELECT a * m1.v + b * m2.v FROM x CROSS JOIN m m1 CROSS JOIN m m2 WHERE m1.j = ? AND m2.j = ?", args: []sqltypes.Value{big(1), big(2)}},
+	{sql: "SELECT x.j, a * m.v FROM x CROSS JOIN m WHERE m.j = 3 AND x.j = 5",
+		param: "SELECT x.j, a * m.v FROM x CROSS JOIN m WHERE m.j = ? AND x.j = ?", args: []sqltypes.Value{big(3), big(5)}},
+	// Aggregates.
+	{sql: "SELECT sum(a), min(b), max(b), count(*) FROM x WHERE b > 0", param: "SELECT sum(a), min(b), max(b), count(*) FROM x WHERE b > ?", args: []sqltypes.Value{big(0)}},
+	{sql: "SELECT j, count(*), sum(a), avg(b) FROM x GROUP BY j"},
+	{sql: "SELECT j, sum(a * 2) FROM x GROUP BY j HAVING count(*) > 30", param: "SELECT j, sum(a * ?) FROM x GROUP BY j HAVING count(*) > ?", args: []sqltypes.Value{big(2), big(30)}},
+	{sql: "SELECT sum(a * 2), sum(a * 3) FROM x", param: "SELECT sum(a * ?), sum(a * ?) FROM x", args: []sqltypes.Value{big(2), big(3)}},
+	{sql: "SELECT count(DISTINCT j), count(DISTINCT s) FROM x"},
+	{sql: "SELECT sum(x.a * m.v) FROM x CROSS JOIN m WHERE m.j < 3"},
+	// ORDER BY keys outside the output, and LIMIT.
+	{sql: "SELECT a FROM x WHERE a IS NOT NULL ORDER BY b DESC, a LIMIT 7"},
+	{sql: "SELECT a FROM x WHERE a < 50 ORDER BY b * 2, a", param: "SELECT a FROM x WHERE a < ? ORDER BY b * ?, a", args: []sqltypes.Value{big(50), big(2)}},
+	{sql: "SELECT j FROM x GROUP BY j ORDER BY sum(a) DESC LIMIT 3"},
+	{sql: "SELECT 1 + 2, 'k'", param: "SELECT ? + 2, 'k'", args: []sqltypes.Value{big(1)}},
+}
+
 // TestSelectPathMatrix runs every statement through every way of
 // reaching the scan operator, over the row source, the block source,
 // the block source with one partition falling back and the block source
 // over a table written since its segments were built, and demands
 // bit-identical rows and identical scan accounting from all of them.
 func TestSelectPathMatrix(t *testing.T) {
-	big := func(n int64) sqltypes.Value { return sqltypes.NewBigInt(n) }
-	queries := []pathQuery{
-		{sql: "SELECT a, b, a * b + 1 FROM x ORDER BY 1, 2", param: "SELECT a, b, a * b + ? FROM x ORDER BY 1, 2", args: []sqltypes.Value{big(1)}},
-		{sql: "SELECT a FROM x WHERE b > 0 AND a < 300 ORDER BY 1", param: "SELECT a FROM x WHERE b > ? AND a < ? ORDER BY 1", args: []sqltypes.Value{big(0), big(300)}},
-		{sql: "SELECT a / 2.5, a % 7.5 FROM x ORDER BY 1", param: "SELECT a / ?, a % ? FROM x ORDER BY 1", args: []sqltypes.Value{sqltypes.NewDouble(2.5), sqltypes.NewDouble(7.5)}},
-		// Join-tail scoring: the model table is filtered down to one row
-		// per alias before the product is formed.
-		{sql: "SELECT a * m1.v + b * m2.v FROM x CROSS JOIN m m1 CROSS JOIN m m2 WHERE m1.j = 1 AND m2.j = 2",
-			param: "SELECT a * m1.v + b * m2.v FROM x CROSS JOIN m m1 CROSS JOIN m m2 WHERE m1.j = ? AND m2.j = ?", args: []sqltypes.Value{big(1), big(2)}},
-		{sql: "SELECT x.j, a * m.v FROM x CROSS JOIN m WHERE m.j = 3 AND x.j = 5",
-			param: "SELECT x.j, a * m.v FROM x CROSS JOIN m WHERE m.j = ? AND x.j = ?", args: []sqltypes.Value{big(3), big(5)}},
-		// Aggregates.
-		{sql: "SELECT sum(a), min(b), max(b), count(*) FROM x WHERE b > 0", param: "SELECT sum(a), min(b), max(b), count(*) FROM x WHERE b > ?", args: []sqltypes.Value{big(0)}},
-		{sql: "SELECT j, count(*), sum(a), avg(b) FROM x GROUP BY j"},
-		{sql: "SELECT j, sum(a * 2) FROM x GROUP BY j HAVING count(*) > 30", param: "SELECT j, sum(a * ?) FROM x GROUP BY j HAVING count(*) > ?", args: []sqltypes.Value{big(2), big(30)}},
-		{sql: "SELECT sum(a * 2), sum(a * 3) FROM x", param: "SELECT sum(a * ?), sum(a * ?) FROM x", args: []sqltypes.Value{big(2), big(3)}},
-		{sql: "SELECT count(DISTINCT j), count(DISTINCT s) FROM x"},
-		{sql: "SELECT sum(x.a * m.v) FROM x CROSS JOIN m WHERE m.j < 3"},
-		// ORDER BY keys outside the output, and LIMIT.
-		{sql: "SELECT a FROM x WHERE a IS NOT NULL ORDER BY b DESC, a LIMIT 7"},
-		{sql: "SELECT a FROM x WHERE a < 50 ORDER BY b * 2, a", param: "SELECT a FROM x WHERE a < ? ORDER BY b * ?, a", args: []sqltypes.Value{big(50), big(2)}},
-		{sql: "SELECT j FROM x GROUP BY j ORDER BY sum(a) DESC LIMIT 3"},
-		{sql: "SELECT 1 + 2, 'k'", param: "SELECT ? + 2, 'k'", args: []sqltypes.Value{big(1)}},
-	}
+	queries := append([]pathQuery(nil), pathQueries...)
 	for _, sql := range projectionQueries {
 		queries = append(queries, pathQuery{sql: sql})
 	}

@@ -303,7 +303,7 @@ func TestItemNaming(t *testing.T) {
 	}
 	for _, c := range cases {
 		s := sel(t, c.sql)
-		if got := ItemName(s.Items[0], 0); got != c.want {
+		if got := sqlparser.OutputName(s.Items[0], 0); got != c.want {
 			t.Errorf("%s → %q, want %q", c.sql, got, c.want)
 		}
 	}

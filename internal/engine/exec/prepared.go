@@ -113,13 +113,12 @@ func PrepareSelect(sel *sqlparser.Select, env *Env) (*PreparedSelect, error) {
 		}
 		p.b, p.tail = b, planTail(b, sel.Where)
 	}
-	isAgg := len(sel.GroupBy) > 0
 	aggNames := env.Aggs.Names()
+	isAgg := expr.IsAggregateQuery(sel, aggNames)
 	cols := make([]sqltypes.Column, len(items))
 	for i, item := range items {
 		p.exprs = append(p.exprs, item.Expr)
-		cols[i] = sqltypes.Column{Name: ItemName(item, i), Type: sqltypes.TypeDouble}
-		isAgg = isAgg || expr.ContainsAggregate(item.Expr, aggNames)
+		cols[i] = sqltypes.Column{Name: sqlparser.OutputName(item, i), Type: sqltypes.TypeDouble}
 	}
 	if sel.Having != nil && !isAgg {
 		return nil, fmt.Errorf("exec: HAVING requires GROUP BY or aggregates")
@@ -130,7 +129,7 @@ func PrepareSelect(sel *sqlparser.Select, env *Env) (*PreparedSelect, error) {
 		// Nothing to scan: the select list is evaluated once per execute.
 	case isAgg:
 		var err error
-		if p.agg, err = planAggregate(sel, p.exprs, env.Aggs); err != nil {
+		if p.agg, err = planAggregate(sel, p.exprs, env.Aggs, aggNames); err != nil {
 			return nil, err
 		}
 	default:
@@ -181,11 +180,11 @@ func (p *PreparedSelect) reads(t *storage.Table) bool {
 // records the keys — hidden ones rewritten to those names — for the
 // post-step.
 func (p *PreparedSelect) planOrder(sel *sqlparser.Select) []sqlparser.SelectItem {
-	outNames := outputNames(sel)
+	outNames, _ := sqlparser.OutputNames(sel)
 	items := append([]sqlparser.SelectItem(nil), sel.Items...)
 	p.order = append([]sqlparser.OrderItem(nil), sel.OrderBy...)
 	for i, o := range sel.OrderBy {
-		if orderKeyInOutput(o.Expr, outNames) {
+		if sqlparser.OrderKeyOnOutput(o.Expr, outNames) {
 			continue
 		}
 		alias := fmt.Sprintf("$order%d", p.hidden)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/engine/expr"
@@ -39,34 +38,6 @@ func Select(ctx context.Context, sel *sqlparser.Select, env *Env) (*Result, erro
 		return nil, err
 	}
 	return p.ExecuteContext(ctx, nil)
-}
-
-// outputNames collects the visible output column names of a select.
-func outputNames(sel *sqlparser.Select) map[string]bool {
-	out := make(map[string]bool)
-	for i, item := range sel.Items {
-		if item.Star {
-			continue // star outputs resolve by name at sort time anyway
-		}
-		out[strings.ToLower(ItemName(item, i))] = true
-	}
-	return out
-}
-
-// orderKeyInOutput reports whether an ORDER BY key can be evaluated
-// against the output schema directly: an ordinal, an output name, or an
-// expression whose column references are all output columns.
-func orderKeyInOutput(e sqlparser.Expr, outNames map[string]bool) bool {
-	if lit, ok := e.(*sqlparser.NumberLit); ok && lit.IsInt {
-		return true
-	}
-	ok := true
-	walkRefs(e, func(cr *sqlparser.ColumnRef) {
-		if cr.Table != "" || !outNames[strings.ToLower(cr.Name)] {
-			ok = false
-		}
-	})
-	return ok
 }
 
 // beginSelectObs starts the root span and the engine-level query
@@ -230,7 +201,7 @@ func refsOnlyTable(e sqlparser.Expr, b *binding, ti int) bool {
 	bt := b.tables[ti]
 	lo, hi := bt.offset, bt.offset+bt.table.Schema().Len()
 	any, all := false, true
-	walkRefs(e, func(cr *sqlparser.ColumnRef) {
+	sqlparser.WalkColumns(e, func(cr *sqlparser.ColumnRef) {
 		any = true
 		idx, err := b.resolve(cr.Table, cr.Name)
 		if err != nil || idx < lo || idx >= hi {

@@ -163,15 +163,15 @@ func (p paramEval) Eval(sqltypes.Row) (sqltypes.Value, error) {
 	return vals[p.idx], nil
 }
 
-// AggregateNames are the built-in SQL aggregates the executor
-// recognizes; aggregate UDFs extend this set via the udf registry.
-var AggregateNames = map[string]bool{
+// aggregateNames are the built-in SQL aggregates; aggregate UDFs extend
+// the set through the udf registry (see IsAggregate).
+var aggregateNames = map[string]bool{
 	"sum": true, "count": true, "avg": true, "min": true, "max": true,
 }
 
 func (c *compiler) compileFunc(e *sqlparser.FuncCall) (Evaluator, error) {
 	name := strings.ToLower(e.Name)
-	if AggregateNames[name] {
+	if aggregateNames[name] {
 		return nil, fmt.Errorf("expr: aggregate %s() not allowed in this context", name)
 	}
 	def, ok := c.funcs.Lookup(name)
@@ -218,56 +218,48 @@ func (c *compiler) compileCase(e *sqlparser.CaseExpr) (Evaluator, error) {
 	return ce, nil
 }
 
+// IsAggregate is the one test for "this function name calls an
+// aggregate": a built-in SQL aggregate, or one of udfNames — the
+// aggregate registry's Names(). Names compare case-insensitively.
+func IsAggregate(name string, udfNames map[string]bool) bool {
+	name = strings.ToLower(name)
+	return aggregateNames[name] || udfNames[name]
+}
+
 // ContainsAggregate reports whether the expression tree contains an
-// aggregate function call (built-in or from the extra set, typically
-// aggregate UDF names).
-func ContainsAggregate(e sqlparser.Expr, extra map[string]bool) bool {
+// aggregate function call.
+func ContainsAggregate(e sqlparser.Expr, udfNames map[string]bool) bool {
 	found := false
-	walk(e, func(x sqlparser.Expr) {
-		if fc, ok := x.(*sqlparser.FuncCall); ok {
-			name := strings.ToLower(fc.Name)
-			if AggregateNames[name] || (extra != nil && extra[name]) {
-				found = true
-			}
+	sqlparser.Walk(e, func(x sqlparser.Expr) bool {
+		if fc, ok := x.(*sqlparser.FuncCall); ok && IsAggregate(fc.Name, udfNames) {
+			found = true
 		}
+		return !found
 	})
 	return found
 }
 
-// walk visits every node of the expression tree.
-func walk(e sqlparser.Expr, fn func(sqlparser.Expr)) {
-	if e == nil {
-		return
+// IsAggregateQuery reports whether sel runs through the aggregation
+// pipeline: it has a GROUP BY, or an aggregate call in a select item or
+// in an ORDER BY key that is computed as a hidden select item (one that
+// does not sort on the output).
+func IsAggregateQuery(sel *sqlparser.Select, udfNames map[string]bool) bool {
+	if len(sel.GroupBy) > 0 {
+		return true
 	}
-	fn(e)
-	switch e := e.(type) {
-	case *sqlparser.UnaryExpr:
-		walk(e.X, fn)
-	case *sqlparser.BinaryExpr:
-		walk(e.L, fn)
-		walk(e.R, fn)
-	case *sqlparser.FuncCall:
-		for _, a := range e.Args {
-			walk(a, fn)
-		}
-	case *sqlparser.CaseExpr:
-		for _, w := range e.Whens {
-			walk(w.Cond, fn)
-			walk(w.Then, fn)
-		}
-		walk(e.Else, fn)
-	case *sqlparser.IsNullExpr:
-		walk(e.X, fn)
-	case *sqlparser.CastExpr:
-		walk(e.X, fn)
-	case *sqlparser.BetweenExpr:
-		walk(e.X, fn)
-		walk(e.Lo, fn)
-		walk(e.Hi, fn)
-	case *sqlparser.InExpr:
-		walk(e.X, fn)
-		for _, x := range e.List {
-			walk(x, fn)
+	for _, item := range sel.Items {
+		if !item.Star && ContainsAggregate(item.Expr, udfNames) {
+			return true
 		}
 	}
+	if len(sel.OrderBy) == 0 {
+		return false
+	}
+	outNames, _ := sqlparser.OutputNames(sel)
+	for _, o := range sel.OrderBy {
+		if !sqlparser.OrderKeyOnOutput(o.Expr, outNames) && ContainsAggregate(o.Expr, udfNames) {
+			return true
+		}
+	}
+	return false
 }

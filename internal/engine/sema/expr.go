@@ -236,60 +236,10 @@ func (c *checker) inferAggregateCall(e *sqlparser.FuncCall, name string, sc *sco
 // noAggregates reports every aggregate call in e; clause names the
 // context ("the WHERE clause", "GROUP BY", ...).
 func (c *checker) noAggregates(e sqlparser.Expr, clause string) {
-	walkExpr(e, func(x sqlparser.Expr) {
-		if fc, ok := x.(*sqlparser.FuncCall); ok {
-			if name := strings.ToLower(fc.Name); c.isAggregate(name) {
-				c.errf(fc.At, "aggregate %s() is not allowed in %s", name, clause)
-			}
+	sqlparser.Walk(e, func(x sqlparser.Expr) bool {
+		if fc, ok := x.(*sqlparser.FuncCall); ok && c.isAggregate(fc.Name) {
+			c.errf(fc.At, "aggregate %s() is not allowed in %s", strings.ToLower(fc.Name), clause)
 		}
+		return true
 	})
-}
-
-// containsAggregate reports whether e contains any aggregate call.
-func (c *checker) containsAggregate(e sqlparser.Expr) bool {
-	found := false
-	walkExpr(e, func(x sqlparser.Expr) {
-		if fc, ok := x.(*sqlparser.FuncCall); ok && c.isAggregate(strings.ToLower(fc.Name)) {
-			found = true
-		}
-	})
-	return found
-}
-
-// walkExpr visits every node of an expression tree, including the root.
-func walkExpr(e sqlparser.Expr, fn func(sqlparser.Expr)) {
-	if e == nil {
-		return
-	}
-	fn(e)
-	switch e := e.(type) {
-	case *sqlparser.UnaryExpr:
-		walkExpr(e.X, fn)
-	case *sqlparser.BinaryExpr:
-		walkExpr(e.L, fn)
-		walkExpr(e.R, fn)
-	case *sqlparser.FuncCall:
-		for _, a := range e.Args {
-			walkExpr(a, fn)
-		}
-	case *sqlparser.CaseExpr:
-		for _, w := range e.Whens {
-			walkExpr(w.Cond, fn)
-			walkExpr(w.Then, fn)
-		}
-		walkExpr(e.Else, fn)
-	case *sqlparser.IsNullExpr:
-		walkExpr(e.X, fn)
-	case *sqlparser.CastExpr:
-		walkExpr(e.X, fn)
-	case *sqlparser.BetweenExpr:
-		walkExpr(e.X, fn)
-		walkExpr(e.Lo, fn)
-		walkExpr(e.Hi, fn)
-	case *sqlparser.InExpr:
-		walkExpr(e.X, fn)
-		for _, x := range e.List {
-			walkExpr(x, fn)
-		}
-	}
 }

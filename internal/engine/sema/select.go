@@ -1,9 +1,9 @@
 package sema
 
 import (
-	"fmt"
 	"strings"
 
+	"repro/internal/engine/expr"
 	"repro/internal/engine/sqlparser"
 	"repro/internal/engine/sqltypes"
 )
@@ -104,25 +104,8 @@ func (c *checker) checkSelect(sel *sqlparser.Select) {
 	}
 	sc := c.buildScope(sel.From)
 
-	// Aggregate detection matches the executor: GROUP BY or any
-	// aggregate call in the select list makes this an aggregate query.
-	// ORDER BY keys that cannot be evaluated against the output become
-	// hidden select items, so an aggregate there counts too.
-	isAgg := len(sel.GroupBy) > 0
-	for _, item := range sel.Items {
-		if !item.Star && c.containsAggregate(item.Expr) {
-			isAgg = true
-		}
-	}
-	outNames, hasStar := outputNames(sel)
-	for _, o := range sel.OrderBy {
-		if lit, ok := o.Expr.(*sqlparser.NumberLit); ok && lit.IsInt {
-			continue
-		}
-		if !orderKeyInOutput(o.Expr, outNames) && c.containsAggregate(o.Expr) {
-			isAgg = true
-		}
-	}
+	isAgg := expr.IsAggregateQuery(sel, c.aggNames)
+	outNames, hasStar := sqlparser.OutputNames(sel)
 
 	if sel.Where != nil {
 		c.noAggregates(sel.Where, "the WHERE clause")
@@ -142,11 +125,11 @@ func (c *checker) checkSelect(sel *sqlparser.Select) {
 				continue
 			}
 			c.infer(item.Expr, sc)
-			c.checkAggPlacement(item.Expr, groupKeys, false)
+			c.checkAggPlacement(item.Expr, groupKeys)
 		}
 		if sel.Having != nil {
 			c.infer(sel.Having, sc)
-			c.checkAggPlacement(sel.Having, groupKeys, false)
+			c.checkAggPlacement(sel.Having, groupKeys)
 		}
 	} else {
 		for _, item := range sel.Items {
@@ -163,23 +146,7 @@ func (c *checker) checkSelect(sel *sqlparser.Select) {
 	c.checkOrderBy(sel, sc, isAgg, groupKeys, outNames, hasStar)
 }
 
-// outputNames collects the visible output column names (lower-cased),
-// mirroring the executor, and whether a star item is present.
-func outputNames(sel *sqlparser.Select) (map[string]bool, bool) {
-	out := make(map[string]bool, len(sel.Items))
-	hasStar := false
-	for i, item := range sel.Items {
-		if item.Star {
-			hasStar = true
-			continue
-		}
-		out[strings.ToLower(outputName(item, i))] = true
-	}
-	return out, hasStar
-}
-
-// checkConstSelect checks a FROM-less SELECT of constants, mirroring
-// the executor's constSelect restrictions.
+// checkConstSelect checks a FROM-less SELECT of constants.
 func (c *checker) checkConstSelect(sel *sqlparser.Select) {
 	if sel.Where != nil {
 		c.errf(sel.Where.Pos(), "WHERE requires a FROM clause")
@@ -220,64 +187,42 @@ func (c *checker) checkStar(item sqlparser.SelectItem, sc *scope) {
 }
 
 // checkAggPlacement enforces the aggregate-query placement rules the
-// executor's rewrite phase assumes: outside aggregate calls, a column
+// planner's rewrite phase assumes: outside aggregate calls, a column
 // may only appear inside a subtree textually equal to a GROUP BY
-// expression (the executor's own matching rule); aggregate calls may
-// not nest.
-func (c *checker) checkAggPlacement(e sqlparser.Expr, groupKeys map[string]bool, inAgg bool) {
-	if e == nil {
-		return
-	}
-	if !inAgg && groupKeys[e.String()] {
-		return
-	}
-	switch e := e.(type) {
-	case *sqlparser.ColumnRef:
-		if !inAgg {
-			c.errf(e.At, "column %s must appear in GROUP BY or inside an aggregate", e)
+// expression; aggregate calls may not nest.
+func (c *checker) checkAggPlacement(e sqlparser.Expr, groupKeys map[string]bool) {
+	sqlparser.Walk(e, func(x sqlparser.Expr) bool {
+		if len(groupKeys) > 0 && groupKeys[x.String()] {
+			return false
 		}
-	case *sqlparser.FuncCall:
-		if c.isAggregate(strings.ToLower(e.Name)) {
-			if inAgg {
-				c.errf(e.At, "aggregate %s() cannot be nested inside another aggregate", strings.ToLower(e.Name))
-				return
+		switch x := x.(type) {
+		case *sqlparser.ColumnRef:
+			c.errf(x.At, "column %s must appear in GROUP BY or inside an aggregate", x)
+		case *sqlparser.FuncCall:
+			if c.isAggregate(x.Name) {
+				for _, a := range x.Args {
+					c.noNestedAggregates(a)
+				}
+				return false
 			}
-			for _, a := range e.Args {
-				c.checkAggPlacement(a, groupKeys, true)
-			}
-			return
 		}
-		for _, a := range e.Args {
-			c.checkAggPlacement(a, groupKeys, inAgg)
-		}
-	case *sqlparser.UnaryExpr:
-		c.checkAggPlacement(e.X, groupKeys, inAgg)
-	case *sqlparser.BinaryExpr:
-		c.checkAggPlacement(e.L, groupKeys, inAgg)
-		c.checkAggPlacement(e.R, groupKeys, inAgg)
-	case *sqlparser.CaseExpr:
-		for _, w := range e.Whens {
-			c.checkAggPlacement(w.Cond, groupKeys, inAgg)
-			c.checkAggPlacement(w.Then, groupKeys, inAgg)
-		}
-		c.checkAggPlacement(e.Else, groupKeys, inAgg)
-	case *sqlparser.IsNullExpr:
-		c.checkAggPlacement(e.X, groupKeys, inAgg)
-	case *sqlparser.CastExpr:
-		c.checkAggPlacement(e.X, groupKeys, inAgg)
-	case *sqlparser.BetweenExpr:
-		c.checkAggPlacement(e.X, groupKeys, inAgg)
-		c.checkAggPlacement(e.Lo, groupKeys, inAgg)
-		c.checkAggPlacement(e.Hi, groupKeys, inAgg)
-	case *sqlparser.InExpr:
-		c.checkAggPlacement(e.X, groupKeys, inAgg)
-		for _, x := range e.List {
-			c.checkAggPlacement(x, groupKeys, inAgg)
-		}
-	}
+		return true
+	})
 }
 
-// checkOrderBy mirrors the executor's two ORDER BY paths: keys that are
+// noNestedAggregates reports the aggregate calls in an aggregate's
+// argument (the outermost of each nest; columns are free there).
+func (c *checker) noNestedAggregates(arg sqlparser.Expr) {
+	sqlparser.Walk(arg, func(x sqlparser.Expr) bool {
+		if fc, ok := x.(*sqlparser.FuncCall); ok && c.isAggregate(fc.Name) {
+			c.errf(fc.At, "aggregate %s() cannot be nested inside another aggregate", strings.ToLower(fc.Name))
+			return false
+		}
+		return true
+	})
+}
+
+// checkOrderBy follows the planner's two ORDER BY paths: keys that are
 // integer ordinals or resolve entirely against output names are sorted
 // on the output; anything else is computed as a hidden select item and
 // must therefore satisfy the same rules as a select item.
@@ -292,39 +237,12 @@ func (c *checker) checkOrderBy(sel *sqlparser.Select, sc *scope, isAgg bool, gro
 			}
 			continue
 		}
-		if orderKeyInOutput(o.Expr, outNames) {
+		if sqlparser.OrderKeyOnOutput(o.Expr, outNames) {
 			continue
 		}
 		c.infer(o.Expr, sc)
 		if isAgg {
-			c.checkAggPlacement(o.Expr, groupKeys, false)
+			c.checkAggPlacement(o.Expr, groupKeys)
 		}
 	}
-}
-
-// outputName mirrors the executor's output-column naming.
-func outputName(item sqlparser.SelectItem, ordinal int) string {
-	if item.Alias != "" {
-		return item.Alias
-	}
-	if cr, ok := item.Expr.(*sqlparser.ColumnRef); ok {
-		return cr.Name
-	}
-	s := item.Expr.String()
-	if len(s) <= 40 {
-		return s
-	}
-	return fmt.Sprintf("col%d", ordinal+1)
-}
-
-// orderKeyInOutput mirrors the executor: a key sorts on the output when
-// every column reference is unqualified and names an output column.
-func orderKeyInOutput(e sqlparser.Expr, outNames map[string]bool) bool {
-	ok := true
-	sqlparser.WalkColumns(e, func(cr *sqlparser.ColumnRef) {
-		if cr.Table != "" || !outNames[strings.ToLower(cr.Name)] {
-			ok = false
-		}
-	})
-	return ok
 }

@@ -13,7 +13,7 @@
 // with positioned multi-error diagnostics ("line:col: message" using
 // the lexer's token positions).
 //
-// sema deliberately mirrors the executor's runtime semantics rather
+// sema deliberately follows the engine's runtime semantics rather
 // than a stricter SQL standard: comparisons and logic accept any
 // operand types (the engine's Compare and three-valued Bool are
 // total), while arithmetic, numeric builtins and numeric aggregates
@@ -91,7 +91,7 @@ const maxDiagnostics = 25
 // through; CREATE VIEW bodies are checked when the view is used, after
 // expansion, so views may reference UDFs registered later.
 func CheckStatement(stmt sqlparser.Statement, env *Env) error {
-	c := &checker{env: env}
+	c := newChecker(env)
 	switch st := stmt.(type) {
 	case *sqlparser.Select:
 		c.checkSelect(st)
@@ -105,22 +105,23 @@ func CheckStatement(stmt sqlparser.Statement, env *Env) error {
 
 // CheckSelect semantically checks a SELECT against the environment.
 func CheckSelect(sel *sqlparser.Select, env *Env) error {
-	c := &checker{env: env}
+	c := newChecker(env)
 	c.checkSelect(sel)
 	return c.result()
 }
 
 // CheckInsert semantically checks an INSERT (VALUES or SELECT form).
 func CheckInsert(ins *sqlparser.Insert, env *Env) error {
-	c := &checker{env: env}
+	c := newChecker(env)
 	c.checkInsert(ins)
 	return c.result()
 }
 
 // checker accumulates diagnostics across one statement.
 type checker struct {
-	env   *Env
-	diags ErrorList
+	env      *Env
+	aggNames map[string]bool // env.Aggs.Names(), read once per check
+	diags    ErrorList
 }
 
 func (c *checker) errf(pos sqlparser.Position, format string, args ...any) {
@@ -136,19 +137,18 @@ func (c *checker) result() error {
 	return c.diags
 }
 
-// isAggregate reports whether name (already lower-cased) is a standard
-// aggregate or a registered aggregate UDF — the same test the executor
-// uses to route a call to the aggregation pipeline.
-func (c *checker) isAggregate(name string) bool {
-	if expr.AggregateNames[name] {
-		return true
+// newChecker starts a check against env.
+func newChecker(env *Env) *checker {
+	c := &checker{env: env}
+	if env.Aggs != nil {
+		c.aggNames = env.Aggs.Names()
 	}
-	if c.env.Aggs == nil {
-		return false
-	}
-	_, ok := c.env.Aggs.Lookup(name)
-	return ok
+	return c
 }
+
+// isAggregate reports whether a call of name is routed to the
+// aggregation pipeline.
+func (c *checker) isAggregate(name string) bool { return expr.IsAggregate(name, c.aggNames) }
 
 func (c *checker) checkCreateTable(st *sqlparser.CreateTable) {
 	seen := make(map[string]bool, len(st.Columns))

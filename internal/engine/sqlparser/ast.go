@@ -8,10 +8,12 @@ import (
 
 // Statement is any parsed SQL statement. Pos returns the source
 // location of the statement's first token (zero for synthetic
-// statements built by planners or tests).
+// statements built by planners or tests); String prints the statement
+// back to SQL that parses to an equal statement.
 type Statement interface {
 	isStatement()
 	Pos() Position
+	String() string
 }
 
 // stmtSource carries the slice of the original input a statement was
@@ -48,6 +50,16 @@ func SetStatementSource(stmt Statement, src string) {
 	if s, ok := stmt.(sourcer); ok {
 		s.setSource(src)
 	}
+}
+
+// StatementText is the SQL a statement is logged and sent on as: the
+// text it was parsed from when the parser recorded one, otherwise the
+// statement printed back to parseable SQL.
+func StatementText(stmt Statement) string {
+	if src := StatementSource(stmt); src != "" {
+		return src
+	}
+	return stmt.String()
 }
 
 // ColumnDef is one column in CREATE TABLE.
@@ -137,6 +149,80 @@ func (s SelectItem) Pos() Position {
 	return s.At
 }
 
+// ExplicitName is the name the item was given in the statement — its
+// alias, or the column a bare reference names — or "" for a computed
+// item without an alias.
+func (s SelectItem) ExplicitName() string {
+	if s.Alias != "" {
+		return s.Alias
+	}
+	if cr, ok := s.Expr.(*ColumnRef); ok {
+		return cr.Name
+	}
+	return ""
+}
+
+// maxTextName is the longest expression text used as a column name.
+const maxTextName = 40
+
+// Name is the item's output column name wherever it stands in the
+// select list: its explicit name, else the expression's text when that
+// is short. "" means the name falls back to the item's position (see
+// OutputName). Star items have no name of their own.
+func (s SelectItem) Name() string {
+	if name := s.ExplicitName(); name != "" {
+		return name
+	}
+	if text := s.Expr.String(); len(text) <= maxTextName {
+		return text
+	}
+	return ""
+}
+
+// OutputName is the output column name of the select item at ordinal
+// (0-based, stars expanded): every layer that labels or resolves output
+// columns — the planner, sema, view expansion, the cluster coordinator —
+// names them through it.
+func OutputName(item SelectItem, ordinal int) string {
+	if name := item.Name(); name != "" {
+		return name
+	}
+	return fmt.Sprintf("col%d", ordinal+1)
+}
+
+// OutputNames collects the select's visible output column names,
+// lower-cased, and reports whether a star item is present (its columns
+// are not in the set: they are known only once FROM is bound).
+func OutputNames(sel *Select) (names map[string]bool, hasStar bool) {
+	names = make(map[string]bool, len(sel.Items))
+	for i, item := range sel.Items {
+		if item.Star {
+			hasStar = true
+			continue
+		}
+		names[strings.ToLower(OutputName(item, i))] = true
+	}
+	return names, hasStar
+}
+
+// OrderKeyOnOutput reports whether an ORDER BY key sorts on the
+// statement's output — an integer ordinal, or an expression whose
+// column references are all unqualified output names — rather than
+// being computed per input row as a hidden select item.
+func OrderKeyOnOutput(e Expr, outNames map[string]bool) bool {
+	if lit, ok := e.(*NumberLit); ok && lit.IsInt {
+		return true
+	}
+	onOutput := true
+	Walk(e, func(x Expr) bool {
+		if cr, ok := x.(*ColumnRef); ok && (cr.Table != "" || !outNames[strings.ToLower(cr.Name)]) {
+			onOutput = false
+		}
+		return onOutput
+	})
+	return onOutput
+}
+
 // TableRef names a table in FROM with an optional alias. Consecutive
 // refs are cross-joined (the paper's scoring queries cross-join the
 // data set with small model tables).
@@ -222,6 +308,62 @@ func (s *Select) String() string {
 	}
 	if s.Limit != nil {
 		fmt.Fprintf(&b, " LIMIT %d", *s.Limit)
+	}
+	return b.String()
+}
+
+func (s *CreateTable) String() string {
+	var b strings.Builder
+	b.WriteString("CREATE TABLE ")
+	if s.IfNotExists {
+		b.WriteString("IF NOT EXISTS ")
+	}
+	b.WriteString(s.Name + " (")
+	for i, col := range s.Columns {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(col.Name + " " + col.Type)
+	}
+	b.WriteString(")")
+	return b.String()
+}
+
+func (s *DropTable) String() string { return "DROP TABLE " + ifExists(s.IfExists) + s.Name }
+
+func (s *CreateView) String() string { return "CREATE VIEW " + s.Name + " AS " + s.Query.String() }
+
+func (s *DropView) String() string { return "DROP VIEW " + ifExists(s.IfExists) + s.Name }
+
+func ifExists(on bool) string {
+	if on {
+		return "IF EXISTS "
+	}
+	return ""
+}
+
+func (s *Insert) String() string {
+	var b strings.Builder
+	b.WriteString("INSERT INTO " + s.Table)
+	if len(s.Columns) > 0 {
+		b.WriteString(" (" + strings.Join(s.Columns, ", ") + ")")
+	}
+	if s.Query != nil {
+		return b.String() + " " + s.Query.String()
+	}
+	b.WriteString(" VALUES ")
+	for i, row := range s.Rows {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString("(")
+		for j, e := range row {
+			if j > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(e.String())
+		}
+		b.WriteString(")")
 	}
 	return b.String()
 }

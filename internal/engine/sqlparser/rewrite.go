@@ -2,52 +2,59 @@ package sqlparser
 
 import "fmt"
 
-// CopyExpr returns a deep copy of an expression tree. Literals are
-// immutable and shared; every structural node is duplicated, so the
-// copy can be rewritten without aliasing the original (view expansion
-// relies on this).
-func CopyExpr(e Expr) Expr {
-	return rewriteExpr(e, nil)
-}
+// Walk and Rewrite are the only two functions that enumerate an
+// expression node's children; every other traversal, in this package
+// and outside it, is one of them with a callback.
 
-// SubstituteColumns rebuilds the expression tree, replacing each
-// column reference for which sub returns (replacement, true). A nil
-// sub performs a pure deep copy. Replacement expressions are inserted
-// as-is (the caller ensures they are themselves fresh copies).
-func SubstituteColumns(e Expr, sub func(*ColumnRef) (Expr, bool)) Expr {
-	if sub == nil {
-		return rewriteExpr(e, nil)
+// Walk visits e and its descendants in pre-order, children in source
+// order. fn returning false prunes: the node's children are skipped.
+// It allocates nothing.
+func Walk(e Expr, fn func(Expr) bool) {
+	if e == nil || !fn(e) {
+		return
 	}
-	return rewriteExpr(e, func(x Expr) (Expr, bool) {
-		cr, ok := x.(*ColumnRef)
-		if !ok {
-			return nil, false
+	switch e := e.(type) {
+	case *NumberLit, *StringLit, *NullLit, *BoolLit, *ColumnRef, *ParamRef:
+	case *UnaryExpr:
+		Walk(e.X, fn)
+	case *BinaryExpr:
+		Walk(e.L, fn)
+		Walk(e.R, fn)
+	case *FuncCall:
+		for _, a := range e.Args {
+			Walk(a, fn)
 		}
-		return sub(cr)
-	})
-}
-
-// SubstituteParams rebuilds the expression tree, replacing each `?`
-// parameter with the literal expression at its slot. Out-of-range
-// slots are left in place (sema rejects them later). Like
-// SubstituteColumns, replacements are inserted as-is.
-func SubstituteParams(e Expr, vals []Expr) Expr {
-	if len(vals) == 0 {
-		return rewriteExpr(e, nil)
+	case *CaseExpr:
+		for _, w := range e.Whens {
+			Walk(w.Cond, fn)
+			Walk(w.Then, fn)
+		}
+		Walk(e.Else, fn)
+	case *IsNullExpr:
+		Walk(e.X, fn)
+	case *CastExpr:
+		Walk(e.X, fn)
+	case *BetweenExpr:
+		Walk(e.X, fn)
+		Walk(e.Lo, fn)
+		Walk(e.Hi, fn)
+	case *InExpr:
+		Walk(e.X, fn)
+		for _, x := range e.List {
+			Walk(x, fn)
+		}
+	default:
+		panic(fmt.Sprintf("sqlparser: Walk does not know node type %T", e))
 	}
-	return rewriteExpr(e, func(x Expr) (Expr, bool) {
-		pr, ok := x.(*ParamRef)
-		if !ok || pr.Index < 0 || pr.Index >= len(vals) {
-			return nil, false
-		}
-		return vals[pr.Index], true
-	})
 }
 
-// rewriteExpr deep-copies the tree, consulting sub (when non-nil) at
-// every node; a (replacement, true) answer substitutes the whole node
-// without visiting its children.
-func rewriteExpr(e Expr, sub func(Expr) (Expr, bool)) Expr {
+// Rewrite deep-copies the tree, consulting sub (when non-nil) at every
+// node in pre-order; a (replacement, true) answer substitutes the whole
+// node, inserted as-is, without visiting its children. Literals are
+// immutable and shared; every other node is duplicated with its
+// position, so the result can be rewritten again without aliasing the
+// original.
+func Rewrite(e Expr, sub func(Expr) (Expr, bool)) Expr {
 	if e == nil {
 		return nil
 	}
@@ -66,77 +73,86 @@ func rewriteExpr(e Expr, sub func(Expr) (Expr, bool)) Expr {
 		cp := *e
 		return &cp
 	case *UnaryExpr:
-		return &UnaryExpr{Op: e.Op, X: rewriteExpr(e.X, sub), At: e.At}
+		return &UnaryExpr{Op: e.Op, X: Rewrite(e.X, sub), At: e.At}
 	case *BinaryExpr:
-		return &BinaryExpr{Op: e.Op, L: rewriteExpr(e.L, sub), R: rewriteExpr(e.R, sub), At: e.At}
+		return &BinaryExpr{Op: e.Op, L: Rewrite(e.L, sub), R: Rewrite(e.R, sub), At: e.At}
 	case *FuncCall:
 		out := &FuncCall{Name: e.Name, Star: e.Star, Distinct: e.Distinct, At: e.At}
 		if e.Args != nil {
 			out.Args = make([]Expr, len(e.Args))
 			for i, a := range e.Args {
-				out.Args[i] = rewriteExpr(a, sub)
+				out.Args[i] = Rewrite(a, sub)
 			}
 		}
 		return out
 	case *CaseExpr:
 		out := &CaseExpr{At: e.At}
 		for _, w := range e.Whens {
-			out.Whens = append(out.Whens, When{
-				Cond: rewriteExpr(w.Cond, sub),
-				Then: rewriteExpr(w.Then, sub),
-			})
+			out.Whens = append(out.Whens, When{Cond: Rewrite(w.Cond, sub), Then: Rewrite(w.Then, sub)})
 		}
-		out.Else = rewriteExpr(e.Else, sub)
+		out.Else = Rewrite(e.Else, sub)
 		return out
 	case *IsNullExpr:
-		return &IsNullExpr{X: rewriteExpr(e.X, sub), Negate: e.Negate, At: e.At}
+		return &IsNullExpr{X: Rewrite(e.X, sub), Negate: e.Negate, At: e.At}
 	case *CastExpr:
-		return &CastExpr{X: rewriteExpr(e.X, sub), Type: e.Type, At: e.At}
+		return &CastExpr{X: Rewrite(e.X, sub), Type: e.Type, At: e.At}
 	case *BetweenExpr:
-		return &BetweenExpr{
-			X:      rewriteExpr(e.X, sub),
-			Lo:     rewriteExpr(e.Lo, sub),
-			Hi:     rewriteExpr(e.Hi, sub),
-			Negate: e.Negate,
-			At:     e.At,
-		}
+		return &BetweenExpr{X: Rewrite(e.X, sub), Lo: Rewrite(e.Lo, sub), Hi: Rewrite(e.Hi, sub), Negate: e.Negate, At: e.At}
 	case *InExpr:
-		out := &InExpr{X: rewriteExpr(e.X, sub), Negate: e.Negate, At: e.At}
+		out := &InExpr{X: Rewrite(e.X, sub), Negate: e.Negate, At: e.At}
 		out.List = make([]Expr, len(e.List))
 		for i, x := range e.List {
-			out.List[i] = rewriteExpr(x, sub)
+			out.List[i] = Rewrite(x, sub)
 		}
 		return out
 	default:
-		// Unknown node types pass through unchanged; the executor will
-		// reject them if they are not evaluable.
-		return e
+		panic(fmt.Sprintf("sqlparser: Rewrite does not know node type %T", e))
 	}
 }
 
+// CopyExpr returns a deep copy of an expression tree (view expansion
+// relies on the copy sharing no structural node with the original).
+func CopyExpr(e Expr) Expr { return Rewrite(e, nil) }
+
+// SubstituteColumns rebuilds the expression tree, replacing each
+// column reference for which sub returns (replacement, true).
+// Replacement expressions are inserted as-is (the caller ensures they
+// are themselves fresh copies).
+func SubstituteColumns(e Expr, sub func(*ColumnRef) (Expr, bool)) Expr {
+	return Rewrite(e, func(x Expr) (Expr, bool) {
+		if cr, ok := x.(*ColumnRef); ok {
+			return sub(cr)
+		}
+		return nil, false
+	})
+}
+
+// SubstituteParams rebuilds the expression tree, replacing each `?`
+// parameter with the literal expression at its slot. Out-of-range
+// slots are left in place (sema rejects them later).
+func SubstituteParams(e Expr, vals []Expr) Expr { return Rewrite(e, paramSub(vals)) }
+
 // WalkColumns visits every column reference in the expression.
 func WalkColumns(e Expr, fn func(*ColumnRef)) {
-	SubstituteColumns(e, func(cr *ColumnRef) (Expr, bool) {
-		fn(cr)
-		return nil, false
+	Walk(e, func(x Expr) bool {
+		if cr, ok := x.(*ColumnRef); ok {
+			fn(cr)
+		}
+		return true
 	})
 }
 
 // WalkExprs visits every node of the expression tree.
 func WalkExprs(e Expr, fn func(Expr)) {
-	rewriteExpr(e, func(x Expr) (Expr, bool) {
+	Walk(e, func(x Expr) bool {
 		fn(x)
-		return nil, false
+		return true
 	})
 }
 
-// CopySelect returns a deep copy of the SELECT (including subordinate
-// expression trees), so the copy can be rewritten — view expansion,
-// parameter binding — without mutating a cached original.
-func CopySelect(s *Select) *Select {
-	return copySelectWith(s, nil)
-}
-
+// copySelectWith returns a deep copy of the SELECT, every expression
+// tree rewritten through sub, so the copy can be changed without
+// mutating a cached original.
 func copySelectWith(s *Select, sub func(Expr) (Expr, bool)) *Select {
 	if s == nil {
 		return nil
@@ -144,22 +160,22 @@ func copySelectWith(s *Select, sub func(Expr) (Expr, bool)) *Select {
 	cp := *s
 	cp.Items = make([]SelectItem, len(s.Items))
 	for i, it := range s.Items {
-		it.Expr = rewriteExpr(it.Expr, sub)
+		it.Expr = Rewrite(it.Expr, sub)
 		cp.Items[i] = it
 	}
 	cp.From = append([]TableRef(nil), s.From...)
-	cp.Where = rewriteExpr(s.Where, sub)
+	cp.Where = Rewrite(s.Where, sub)
 	if s.GroupBy != nil {
 		cp.GroupBy = make([]Expr, len(s.GroupBy))
 		for i, g := range s.GroupBy {
-			cp.GroupBy[i] = rewriteExpr(g, sub)
+			cp.GroupBy[i] = Rewrite(g, sub)
 		}
 	}
-	cp.Having = rewriteExpr(s.Having, sub)
+	cp.Having = Rewrite(s.Having, sub)
 	if s.OrderBy != nil {
 		cp.OrderBy = make([]OrderItem, len(s.OrderBy))
 		for i, o := range s.OrderBy {
-			o.Expr = rewriteExpr(o.Expr, sub)
+			o.Expr = Rewrite(o.Expr, sub)
 			cp.OrderBy[i] = o
 		}
 	}
@@ -203,7 +219,7 @@ func BindParams(stmt Statement, vals []Expr) (Statement, error) {
 			for i, row := range st.Rows {
 				nr := make([]Expr, len(row))
 				for j, e := range row {
-					nr[j] = rewriteExpr(e, sub)
+					nr[j] = Rewrite(e, sub)
 				}
 				cp.Rows[i] = nr
 			}
@@ -222,14 +238,14 @@ func BindParams(stmt Statement, vals []Expr) (Statement, error) {
 // parser numbers them left-to-right, so this is 1 + the highest index).
 func CountParams(stmt Statement) int {
 	n := 0
-	count := func(e Expr) {
-		WalkExprs(e, func(x Expr) {
+	walkStatementExprs(stmt, func(e Expr) {
+		Walk(e, func(x Expr) bool {
 			if pr, ok := x.(*ParamRef); ok && pr.Index+1 > n {
 				n = pr.Index + 1
 			}
+			return true
 		})
-	}
-	walkStatementExprs(stmt, count)
+	})
 	return n
 }
 
