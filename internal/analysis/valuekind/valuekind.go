@@ -1,10 +1,10 @@
-// Package valuekind bans the panic-prone sqltypes conveniences in
-// production code. sqltypes.Value.MustFloat and sqltypes.MustSchema
-// panic on bad input; they exist for test fixtures where a panic is a
-// clear test failure. Production code must use the error-returning
-// forms (Value.AsFloat, NewSchema) and handle the error — a malformed
-// UDF result or schema must surface as a query error, not crash the
-// engine mid-scan.
+// Package valuekind bans the panic-prone Must* conveniences in
+// production code. sqltypes.Value.MustFloat, sqltypes.MustSchema and
+// core.MustNLQ panic on bad input; they exist for test fixtures where
+// a panic is a clear test failure. Production code must use the
+// error-returning forms (Value.AsFloat, NewSchema, NewNLQ) and handle
+// the error — a malformed UDF result, schema or dimensionality must
+// surface as a query error, not crash the engine mid-scan.
 package valuekind
 
 import (
@@ -15,19 +15,18 @@ import (
 	"repro/internal/analysis"
 )
 
-const sqltypesPath = "repro/internal/engine/sqltypes"
-
-// alternatives maps each banned sqltypes function to its
-// error-returning replacement.
-var alternatives = map[string]string{
-	"MustFloat":  "AsFloat",
-	"MustSchema": "NewSchema",
+// alternatives maps each banned function, by package path and name, to
+// its error-returning replacement.
+var alternatives = map[string]map[string]string{
+	"repro/internal/engine/sqltypes": {"MustFloat": "AsFloat", "MustSchema": "NewSchema"},
+	"repro/internal/core":            {"MustNLQ": "NewNLQ"},
 }
 
-// Analyzer flags MustFloat/MustSchema calls outside _test.go files.
+// Analyzer flags MustFloat/MustSchema/MustNLQ calls outside _test.go
+// files.
 var Analyzer = &analysis.Analyzer{
 	Name: "valuekind",
-	Doc: "report panic-prone sqltypes accessors (Value.MustFloat, MustSchema) in non-test code; " +
+	Doc: "report panic-prone constructors and accessors (Value.MustFloat, MustSchema, MustNLQ) in non-test code; " +
 		"production paths must use the error-returning forms",
 	Run: run,
 }
@@ -43,38 +42,34 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
+			fn := calleeFunc(pass, call.Fun)
+			if fn == nil || fn.Pkg() == nil {
 				return true
 			}
-			fn := calleeFunc(pass, sel)
-			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != sqltypesPath {
-				return true
+			if alt, banned := alternatives[fn.Pkg().Path()][fn.Name()]; banned {
+				pass.Reportf(call.Pos(), "%s.%s panics on bad input and is test-only; use %s and handle the error", fn.Pkg().Name(), fn.Name(), alt)
 			}
-			alt, banned := alternatives[fn.Name()]
-			if !banned {
-				return true
-			}
-			pass.Reportf(call.Pos(), "sqltypes.%s panics on bad input and is test-only; use %s and handle the error", fn.Name(), alt)
 			return true
 		})
 	}
 	return nil
 }
 
-// calleeFunc resolves a selector call to its *types.Func: a method
-// (via Selections) or a package-level function (via Uses).
-func calleeFunc(pass *analysis.Pass, sel *ast.SelectorExpr) *types.Func {
-	if s := pass.TypesInfo.Selections[sel]; s != nil {
-		if fn, ok := s.Obj().(*types.Func); ok {
+// calleeFunc resolves a call's function expression to its *types.Func:
+// a method (via Selections), a qualified package-level function, or an
+// unqualified one called from inside its own package (via Uses).
+func calleeFunc(pass *analysis.Pass, fun ast.Expr) *types.Func {
+	id, _ := fun.(*ast.Ident)
+	if sel, ok := fun.(*ast.SelectorExpr); ok {
+		if s := pass.TypesInfo.Selections[sel]; s != nil {
+			fn, _ := s.Obj().(*types.Func)
 			return fn
 		}
+		id = sel.Sel
+	}
+	if id == nil {
 		return nil
 	}
-	if obj := pass.TypesInfo.Uses[sel.Sel]; obj != nil {
-		if fn, ok := obj.(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
+	fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
+	return fn
 }

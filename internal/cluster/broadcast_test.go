@@ -84,7 +84,7 @@ func TestBroadcastStatementText(t *testing.T) {
 			before[i] = lastQueryID(sd)
 		}
 		localBefore := lastQueryID(tc.coord.local)
-		if _, err := tc.coord.RunContext(ctx, s.stmt); err != nil {
+		if _, err := tc.coord.runContext(ctx, s.stmt); err != nil {
 			t.Fatalf("%T: %v", s.stmt, err)
 		}
 		if s.shard != "" {

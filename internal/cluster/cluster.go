@@ -182,7 +182,7 @@ func (c *Coordinator) ExecScriptContext(ctx context.Context, sql string) (*exec.
 	}
 	var last *exec.Result
 	for _, stmt := range stmts {
-		if last, err = c.RunContext(ctx, stmt); err != nil {
+		if last, err = c.runContext(ctx, stmt); err != nil {
 			return nil, err
 		}
 	}
@@ -199,11 +199,12 @@ func (c *Coordinator) QueryContext(ctx context.Context, sql string, _ exec.RowSi
 	if err != nil {
 		return nil, err
 	}
-	return c.RunContext(ctx, stmt)
+	return c.runContext(ctx, stmt)
 }
 
-// RunContext dispatches one parsed statement.
-func (c *Coordinator) RunContext(ctx context.Context, stmt sqlparser.Statement) (*exec.Result, error) {
+// runContext dispatches one parsed statement; statements reach it as
+// text through QueryContext or ExecScriptContext.
+func (c *Coordinator) runContext(ctx context.Context, stmt sqlparser.Statement) (*exec.Result, error) {
 	switch st := stmt.(type) {
 	case *sqlparser.Select:
 		if localOnly(st) {
@@ -270,7 +271,7 @@ func (c *Coordinator) runDDL(ctx context.Context, stmt sqlparser.Statement) (*ex
 // partials additively. hit reports whether every shard answered from
 // its cache (zero scans fleet-wide).
 func (c *Coordinator) SummaryNLQ(ctx context.Context, table string, cols []string, mt core.MatrixType) (*core.NLQ, bool, error) {
-	if strings.HasPrefix(strings.ToLower(table), "sys.") {
+	if db.IsSystemTable(table) {
 		return nil, false, fmt.Errorf("cluster: no summaries over system table %q", table)
 	}
 	n := c.shards.len()
@@ -318,7 +319,7 @@ func localOnly(sel *sqlparser.Select) bool {
 		return true
 	}
 	for _, ref := range sel.From {
-		if !strings.HasPrefix(strings.ToLower(ref.Name), "sys.") {
+		if !db.IsSystemTable(ref.Name) {
 			return false
 		}
 	}

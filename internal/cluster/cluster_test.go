@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine/db"
 	"repro/internal/engine/exec"
-	"repro/internal/engine/sqlparser"
 	"repro/internal/server"
 	"repro/internal/server/wire"
 	"repro/pkg/client"
@@ -98,19 +97,11 @@ func (tc *testCluster) execBoth(t *testing.T, sql string) {
 // results.
 func (tc *testCluster) queryBoth(t *testing.T, sql string) (got, want *exec.Result) {
 	t.Helper()
-	stmt, err := sqlparser.Parse(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = tc.coord.RunContext(context.Background(), stmt)
+	got, err := tc.coord.QueryContext(context.Background(), sql, nil)
 	if err != nil {
 		t.Fatalf("coordinator: %s: %v", sql, err)
 	}
-	stmt2, err := sqlparser.Parse(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err = tc.ref.RunContext(context.Background(), stmt2)
+	want, err = tc.ref.QueryContext(context.Background(), sql, nil)
 	if err != nil {
 		t.Fatalf("reference: %s: %v", sql, err)
 	}
@@ -407,8 +398,7 @@ func TestShardFailureTypedErrorMarkdownAndRevival(t *testing.T) {
 
 	// The failure streak crossed the threshold: sys.shards shows the
 	// mark-down.
-	stmt, _ := sqlparser.Parse("SELECT state FROM sys.shards ORDER BY shard_id")
-	res, err := tc.coord.RunContext(ctx, stmt)
+	res, err := tc.coord.QueryContext(ctx, "SELECT state FROM sys.shards ORDER BY shard_id", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/engine/db"
 	"repro/internal/engine/exec"
 	"repro/internal/engine/sqlparser"
 	"repro/internal/engine/sqltypes"
@@ -74,7 +75,7 @@ func (c *Coordinator) gatherTables(ctx context.Context, refs []sqlparser.TableRe
 	span := &exec.Span{Name: "gather tables", Start: time.Now()}
 	for _, ref := range refs {
 		key := strings.ToLower(ref.Name)
-		if strings.HasPrefix(key, "sys.") || cat.tables[key] != nil {
+		if db.IsSystemTable(key) || cat.tables[key] != nil {
 			continue
 		}
 		schema, err := c.local.TableSchema(ref.Name)

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/engine/db"
 	"repro/internal/engine/exec"
 	"repro/internal/engine/sqlparser"
 	"repro/internal/engine/sqltypes"
@@ -26,7 +26,7 @@ const scatterBatch = 256
 // AMPs, which is what makes the per-shard scan times of a fan-out
 // build uniform.
 func (c *Coordinator) runInsert(ctx context.Context, ins *sqlparser.Insert) (*exec.Result, error) {
-	if strings.HasPrefix(strings.ToLower(ins.Table), "sys.") {
+	if db.IsSystemTable(ins.Table) {
 		return nil, fmt.Errorf("cluster: cannot INSERT into system table %q", ins.Table)
 	}
 	if _, err := c.local.TableSchema(ins.Table); err != nil {
@@ -38,18 +38,13 @@ func (c *Coordinator) runInsert(ctx context.Context, ins *sqlparser.Insert) (*ex
 	return c.insertSelect(ctx, ins)
 }
 
-// scatterLiterals routes `INSERT ... VALUES` rows: each literal row is
-// re-rendered into the statement destined for its owning shard.
+// scatterLiterals routes `INSERT ... VALUES` rows: each literal row
+// joins the statement destined for its owning shard.
 func (c *Coordinator) scatterLiterals(ctx context.Context, ins *sqlparser.Insert) (*exec.Result, error) {
-	n := c.shards.len()
-	perShard := make([][]string, n)
+	perShard := make([][][]sqlparser.Expr, c.shards.len())
 	for _, row := range ins.Rows {
-		lits := make([]string, len(row))
-		for i, e := range row {
-			lits[i] = e.String()
-		}
 		owner := c.placeRow(ins.Table)
-		perShard[owner] = append(perShard[owner], "("+strings.Join(lits, ", ")+")")
+		perShard[owner] = append(perShard[owner], row)
 	}
 	return c.scatterExec(ctx, ins, perShard)
 }
@@ -64,17 +59,18 @@ func (c *Coordinator) insertSelect(ctx context.Context, ins *sqlparser.Insert) (
 	if err != nil {
 		return nil, err
 	}
-	n := c.shards.len()
-	perShard := make([][]string, n)
+	perShard := make([][][]sqlparser.Expr, c.shards.len())
 	for _, row := range res.Rows {
-		lits := make([]string, len(row))
+		lits := make([]sqlparser.Expr, len(row))
 		for i, v := range row {
-			if lits[i], err = valueLiteral(v); err != nil {
-				return nil, err
+			// A non-finite double has no literal form a shard could parse.
+			if f, _ := v.Float(); v.Type() == sqltypes.TypeDouble && (math.IsNaN(f) || math.IsInf(f, 0)) {
+				return nil, fmt.Errorf("cluster: cannot route non-finite double %v as a literal", f)
 			}
+			lits[i] = exec.LiteralExpr(v)
 		}
 		owner := c.placeRow(ins.Table)
-		perShard[owner] = append(perShard[owner], "("+strings.Join(lits, ", ")+")")
+		perShard[owner] = append(perShard[owner], lits)
 	}
 	out, err := c.scatterExec(ctx, ins, perShard)
 	if err != nil {
@@ -90,15 +86,10 @@ func (c *Coordinator) insertSelect(ctx context.Context, ins *sqlparser.Insert) (
 	return out, nil
 }
 
-// scatterExec sends each shard its batched INSERT statements and sums
-// the affected counts.
-func (c *Coordinator) scatterExec(ctx context.Context, ins *sqlparser.Insert, perShard [][]string) (*exec.Result, error) {
+// scatterExec sends each shard its rows as batched INSERT statements,
+// printed by the statement printer, and sums the affected counts.
+func (c *Coordinator) scatterExec(ctx context.Context, ins *sqlparser.Insert, perShard [][][]sqlparser.Expr) (*exec.Result, error) {
 	start := time.Now()
-	prefix := "INSERT INTO " + ins.Table
-	if len(ins.Columns) > 0 {
-		prefix += " (" + strings.Join(ins.Columns, ", ") + ")"
-	}
-	prefix += " VALUES "
 	affected := make([]int64, len(perShard))
 	span, err := c.fanout(ctx, "insert scatter", func(ctx context.Context, i int) (int64, error) {
 		rows := perShard[i]
@@ -108,7 +99,8 @@ func (c *Coordinator) scatterExec(ctx context.Context, ins *sqlparser.Insert, pe
 				batch = batch[:scatterBatch]
 			}
 			rows = rows[len(batch):]
-			res, err := c.shards.pool(i).Exec(ctx, prefix+strings.Join(batch, ", "))
+			stmt := sqlparser.Insert{Table: ins.Table, Columns: ins.Columns, Rows: batch}
+			res, err := c.shards.pool(i).Exec(ctx, stmt.String())
 			if err != nil {
 				return affected[i], err
 			}
@@ -142,34 +134,4 @@ func (c *Coordinator) placeRow(table string) int {
 	c.rowCtr[key] = k + 1
 	c.ctrMu.Unlock()
 	return c.shards.owner(int(k % int64(c.shards.partitions())))
-}
-
-// valueLiteral renders a materialized value back into a SQL literal
-// that parses to the identical value on the receiving shard. Doubles
-// use strconv's shortest round-trip form, so the float a shard stores
-// is bit-for-bit the float the coordinator computed.
-func valueLiteral(v sqltypes.Value) (string, error) {
-	switch v.Type() {
-	case sqltypes.TypeNull:
-		return "NULL", nil
-	case sqltypes.TypeBigInt:
-		return strconv.FormatInt(v.Int(), 10), nil
-	case sqltypes.TypeDouble:
-		f, err := v.AsFloat()
-		if err != nil {
-			return "", err
-		}
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return "", fmt.Errorf("cluster: cannot route non-finite double %v as a literal", f)
-		}
-		return strconv.FormatFloat(f, 'g', -1, 64), nil
-	case sqltypes.TypeVarChar:
-		return "'" + strings.ReplaceAll(v.Str(), "'", "''") + "'", nil
-	case sqltypes.TypeBool:
-		if v.Bool() {
-			return "TRUE", nil
-		}
-		return "FALSE", nil
-	}
-	return "", fmt.Errorf("cluster: cannot render %v literal", v.Type())
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine/db"
 	"repro/internal/engine/exec"
 	"repro/internal/engine/expr"
 	"repro/internal/engine/sqlparser"
@@ -77,7 +78,7 @@ var mergeableAgg = map[string]mergeKind{
 // aggregates at all (row concatenation). WHERE pushes verbatim either
 // way — filters commute with sharding.
 func (c *Coordinator) planPushdown(sel *sqlparser.Select) (*pushPlan, bool) {
-	if len(sel.From) != 1 || strings.HasPrefix(strings.ToLower(sel.From[0].Name), "sys.") {
+	if len(sel.From) != 1 || db.IsSystemTable(sel.From[0].Name) {
 		return nil, false
 	}
 	if len(sel.GroupBy) > 0 || sel.Having != nil || len(sel.OrderBy) > 0 || sel.Limit != nil {

@@ -142,7 +142,10 @@ func (p *BlockPlan) Assemble(parts []*BlockResult) (*NLQ, error) {
 	if len(parts) != len(p.Blocks) {
 		return nil, fmt.Errorf("core: plan has %d blocks, got %d results", len(p.Blocks), len(parts))
 	}
-	out := MustNLQ(p.D, Full)
+	out, err := NewNLQ(p.D, Full)
+	if err != nil {
+		return nil, err
+	}
 	for i, blk := range p.Blocks {
 		r := parts[i]
 		if r == nil {

@@ -55,7 +55,10 @@ func BuildEM(src Source, k int, opts EMOptions) (*EMModel, error) {
 		return nil, err
 	}
 	// Initial spherical variances from global spread.
-	global := MustNLQ(d, Diagonal)
+	global, err := NewNLQ(d, Diagonal)
+	if err != nil {
+		return nil, err
+	}
 	if err := src.Scan(global.Update); err != nil {
 		return nil, err
 	}

@@ -87,12 +87,12 @@ func BuildKMeans(src Source, k int, opts KMeansOptions) (*KMeansModel, error) {
 
 	prevSSE := math.Inf(1)
 	for iter := 0; iter < opts.MaxIters; iter++ {
-		sums := make([]*NLQ, k)
-		for j := range sums {
-			sums[j] = MustNLQ(d, Diagonal)
+		sums, err := newClusterSums(d, k)
+		if err != nil {
+			return nil, err
 		}
 		var sse float64
-		err := src.Scan(func(x []float64) error {
+		err = src.Scan(func(x []float64) error {
 			j, dist := m.Closest(x)
 			sse += dist
 			return sums[j].Update(x)
@@ -114,17 +114,30 @@ func BuildKMeans(src Source, k int, opts KMeansOptions) (*KMeansModel, error) {
 	return m, nil
 }
 
+// newClusterSums returns k empty diagonal accumulators, one per
+// cluster.
+func newClusterSums(d, k int) ([]*NLQ, error) {
+	sums := make([]*NLQ, k)
+	for j := range sums {
+		var err error
+		if sums[j], err = NewNLQ(d, Diagonal); err != nil {
+			return nil, err
+		}
+	}
+	return sums, nil
+}
+
 // incrementalPass is the one-scan variant: each point updates its
 // nearest centroid's running sums immediately, and the centroid moves
 // to the running mean.
 func (m *KMeansModel) incrementalPass(src Source) (*KMeansModel, error) {
 	d, k := m.D, m.K
-	sums := make([]*NLQ, k)
-	for j := range sums {
-		sums[j] = MustNLQ(d, Diagonal)
+	sums, err := newClusterSums(d, k)
+	if err != nil {
+		return nil, err
 	}
 	var sse float64
-	err := src.Scan(func(x []float64) error {
+	err = src.Scan(func(x []float64) error {
 		j, dist := m.Closest(x)
 		sse += dist
 		if err := sums[j].Update(x); err != nil {
@@ -244,7 +257,10 @@ func FinalizeKMeans(cents [][]float64, sums []*NLQ) (*KMeansModel, error) {
 	filled := make([]*NLQ, len(sums))
 	for j, s := range sums {
 		if s == nil {
-			s = MustNLQ(d, Diagonal)
+			var err error
+			if s, err = NewNLQ(d, Diagonal); err != nil {
+				return nil, err
+			}
 		}
 		if s.D != d {
 			return nil, fmt.Errorf("core: summary %d has d=%d, want %d", j, s.D, d)

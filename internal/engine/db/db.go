@@ -154,7 +154,7 @@ func (d *DB) Aggregates() *udf.Registry { return d.aggs }
 // sys.tables itself reads the catalog under the same lock.
 func (d *DB) Table(name string) (*storage.Table, error) {
 	key := strings.ToLower(name)
-	if strings.HasPrefix(key, sysPrefix) {
+	if IsSystemTable(name) {
 		return d.sysTable(key)
 	}
 	d.mu.RLock()
@@ -199,7 +199,7 @@ func (d *DB) TableNames() []string {
 // bulk loaders and generators use this.
 func (d *DB) CreateTable(name string, schema *sqltypes.Schema) (*storage.Table, error) {
 	key := strings.ToLower(name)
-	if strings.HasPrefix(key, sysPrefix) {
+	if IsSystemTable(name) {
 		return nil, fmt.Errorf("db: %q is reserved for system tables", name)
 	}
 	d.mu.Lock()
@@ -318,7 +318,7 @@ func (d *DB) planSelect(sel *sqlparser.Select) (ps *exec.PreparedSelect, sysRef 
 		return nil, "", err
 	}
 	for _, ref := range expanded.From {
-		if strings.HasPrefix(strings.ToLower(ref.Name), sysPrefix) {
+		if IsSystemTable(ref.Name) {
 			sysRef = ref.Name
 		}
 	}

@@ -3,7 +3,6 @@ package db
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/engine/sqltypes"
@@ -20,7 +19,7 @@ import (
 // Virtual sys. tables are rejected — they are materialized fresh per
 // scan, so a summary over one can never be warm.
 func (d *DB) SummaryNLQ(ctx context.Context, table string, cols []string, mt core.MatrixType) (s *core.NLQ, hit bool, err error) {
-	if strings.HasPrefix(strings.ToLower(table), sysPrefix) {
+	if IsSystemTable(table) {
 		return nil, false, fmt.Errorf("db: summaries are not maintained for system table %q", table)
 	}
 	t, err := d.Table(table)

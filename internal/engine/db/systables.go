@@ -19,6 +19,14 @@ import (
 // query planned its scan.
 const sysPrefix = "sys."
 
+// IsSystemTable reports whether name falls under the reserved sys.
+// namespace (case-insensitively) — the one test every layer uses to
+// keep virtual tables out of DDL, summaries, sharding and the plan
+// cache.
+func IsSystemTable(name string) bool {
+	return len(name) >= len(sysPrefix) && strings.EqualFold(name[:len(sysPrefix)], sysPrefix)
+}
+
 // SystemTableNames lists the built-in virtual tables served under
 // sys., for shell completion and \d-style listings. Instance-specific
 // registrations (RegisterSysTable) are reported by SysTableNames.
@@ -37,7 +45,7 @@ type SysTableFunc func() (cols []sqltypes.Column, rows []sqltypes.Row, err error
 // its builder.
 func (d *DB) RegisterSysTable(name string, fn SysTableFunc) error {
 	key := strings.ToLower(name)
-	if !strings.HasPrefix(key, sysPrefix) {
+	if !IsSystemTable(name) {
 		return fmt.Errorf("db: system table %q must be under %q", name, sysPrefix)
 	}
 	for _, builtin := range SystemTableNames() {

@@ -466,13 +466,17 @@ func (w *selectWorker) release() {
 func BindStatementArgs(stmt sqlparser.Statement, args []sqltypes.Value) (sqlparser.Statement, error) {
 	lits := make([]sqlparser.Expr, len(args))
 	for i, v := range args {
-		lits[i] = literalExpr(v)
+		lits[i] = LiteralExpr(v)
 	}
 	return sqlparser.BindParams(stmt, lits)
 }
 
-// literalExpr renders a runtime value as a literal expression node.
-func literalExpr(v sqltypes.Value) sqlparser.Expr {
+// LiteralExpr renders a runtime value as a literal expression node —
+// the one Value → SQL literal constructor: bound `?` arguments and the
+// cluster coordinator's routed rows both print through the node's
+// String. Doubles print in strconv's shortest round-trip form, so a
+// finite float re-parses bit-for-bit.
+func LiteralExpr(v sqltypes.Value) sqlparser.Expr {
 	switch v.Type() {
 	case sqltypes.TypeNull:
 		return &sqlparser.NullLit{}

@@ -5,68 +5,17 @@ import (
 	"os"
 	"path/filepath"
 
+	statsudf "repro"
 	"repro/internal/core"
-	"repro/internal/engine/db"
 	"repro/internal/extern"
-	"repro/internal/nlqudf"
 	"repro/internal/odbcsim"
 	"repro/internal/sqlgen"
 )
 
-// runSQLNLQ executes the long SQL query and decodes the result row
-// into an NLQ (the client-side step TWM performs before the model
-// math).
-func runSQLNLQ(d *db.DB, dims int, mt core.MatrixType) (*core.NLQ, error) {
-	res, err := d.Exec(sqlgen.NLQQuery("X", sqlgen.Dims(dims), mt))
-	if err != nil {
-		return nil, err
-	}
-	row := res.Rows[0]
-	s := core.MustNLQ(dims, mt)
-	if s.N, err = row[0].AsFloat(); err != nil {
-		return nil, fmt.Errorf("harness: bad N in SQL summary: %w", err)
-	}
-	for a := 0; a < dims; a++ {
-		if !row[1+a].IsNull() {
-			if s.L[a], err = row[1+a].AsFloat(); err != nil {
-				return nil, fmt.Errorf("harness: bad L[%d] in SQL summary: %w", a, err)
-			}
-		}
-	}
-	for a := 0; a < dims; a++ {
-		for c := 0; c < dims; c++ {
-			v := row[1+dims+a*dims+c]
-			if v.IsNull() {
-				continue
-			}
-			keep := (mt == core.Full) || (mt == core.Triangular && c <= a) || (mt == core.Diagonal && a == c)
-			if keep {
-				if s.Q[a*dims+c], err = v.AsFloat(); err != nil {
-					return nil, fmt.Errorf("harness: bad Q[%d,%d] in SQL summary: %w", a, c, err)
-				}
-			}
-		}
-	}
-	return s, nil
-}
-
-// runUDFNLQ executes the aggregate UDF and unpacks its string result.
-func runUDFNLQ(d *db.DB, dims int, mt core.MatrixType, style sqlgen.PassStyle) (*core.NLQ, error) {
-	res, err := d.Exec(sqlgen.NLQUDFQuery("X", sqlgen.Dims(dims), mt, style))
-	if err != nil {
-		return nil, err
-	}
-	v, err := res.Value()
-	if err != nil {
-		return nil, err
-	}
-	return core.Unpack(v.Str())
-}
-
 // exportX exports table X to a file through the ODBC simulator,
 // returning the path and the export statistics.
-func exportX(d *db.DB, cfg Config, dir string) (string, odbcsim.Stats, error) {
-	t, err := d.Table("X")
+func exportX(d *statsudf.DB, cfg Config, dir string) (string, odbcsim.Stats, error) {
+	t, err := d.Engine().Table("X")
 	if err != nil {
 		return "", odbcsim.Stats{}, err
 	}
@@ -138,80 +87,44 @@ func runTable1(cfg Config) ([]*Table, error) {
 			return nil, err
 		}
 
-		type cell struct {
-			corr, full Timing
+		// Each implementation computes n, L, Q its own way — C++ in one
+		// thread over the file, SQL and the UDF in the engine — and the
+		// same model math runs on top.
+		impls := []func() (*core.NLQ, error){
+			func() (*core.NLQ, error) {
+				return extern.ComputeNLQ(mustOpen(path), dims, extern.Options{SkipLeadingID: true, MatrixType: core.Triangular})
+			},
+			func() (*core.NLQ, error) { return summarize(d, dims, core.Triangular, statsudf.ViaSQL) },
+			func() (*core.NLQ, error) { return summarize(d, dims, core.Triangular, statsudf.ViaUDF) },
 		}
-		var cpp, sql, udf cell
-		// C++: single-threaded scan of the file + model math.
-		cpp.corr, err = timeIt(cfg, func() error {
-			s, err := extern.ComputeNLQ(mustOpen(path), dims, extern.Options{SkipLeadingID: true, MatrixType: core.Triangular})
-			if err != nil {
+		var corr, full [3]Timing
+		for i, nlq := range impls {
+			corr[i], err = timeIt(cfg, func() error {
+				s, err := nlq()
+				if err != nil {
+					return err
+				}
+				_, err = core.BuildCorrelation(s)
 				return err
-			}
-			_, err = core.BuildCorrelation(s)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		cpp.full, err = timeIt(cfg, func() error {
-			s, err := extern.ComputeNLQ(mustOpen(path), dims, extern.Options{SkipLeadingID: true, MatrixType: core.Triangular})
+			})
 			if err != nil {
-				return err
+				return nil, err
 			}
-			return buildAllModels(s)
-		})
-		if err != nil {
-			return nil, err
-		}
-		// SQL: long query + model math.
-		sql.corr, err = timeIt(cfg, func() error {
-			s, err := runSQLNLQ(d, dims, core.Triangular)
+			full[i], err = timeIt(cfg, func() error {
+				s, err := nlq()
+				if err != nil {
+					return err
+				}
+				return buildAllModels(s)
+			})
 			if err != nil {
-				return err
+				return nil, err
 			}
-			_, err = core.BuildCorrelation(s)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		sql.full, err = timeIt(cfg, func() error {
-			s, err := runSQLNLQ(d, dims, core.Triangular)
-			if err != nil {
-				return err
-			}
-			return buildAllModels(s)
-		})
-		if err != nil {
-			return nil, err
-		}
-		// UDF: aggregate UDF + model math.
-		udf.corr, err = timeIt(cfg, func() error {
-			s, err := runUDFNLQ(d, dims, core.Triangular, sqlgen.ListStyle)
-			if err != nil {
-				return err
-			}
-			_, err = core.BuildCorrelation(s)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		udf.full, err = timeIt(cfg, func() error {
-			s, err := runUDFNLQ(d, dims, core.Triangular, sqlgen.ListStyle)
-			if err != nil {
-				return err
-			}
-			return buildAllModels(s)
-		})
-		if err != nil {
-			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d (%d rows)", nk, n),
-			secs(cpp.corr), secs(sql.corr), secs(udf.corr),
-			secs(cpp.full), secs(sql.full), secs(udf.full),
+			secs(corr[0]), secs(corr[1]), secs(corr[2]),
+			secs(full[0]), secs(full[1]), secs(full[2]),
 		})
 	}
 	return []*Table{t}, nil
@@ -267,14 +180,14 @@ func runTable2(cfg Config) ([]*Table, error) {
 				return nil, err
 			}
 			sqlT, err := timeIt(cfg, func() error {
-				_, err := runSQLNLQ(d, dims, core.Triangular)
+				_, err := summarize(d, dims, core.Triangular, statsudf.ViaSQL)
 				return err
 			})
 			if err != nil {
 				return nil, err
 			}
 			udfT, err := timeIt(cfg, func() error {
-				_, err := runUDFNLQ(d, dims, core.Triangular, sqlgen.ListStyle)
+				_, err := summarize(d, dims, core.Triangular, statsudf.ViaUDF)
 				return err
 			})
 			if err != nil {
@@ -314,13 +227,13 @@ func runTable3(cfg Config) ([]*Table, error) {
 			cleanup()
 			return nil, err
 		}
-		s, err := runUDFNLQ(d, dims, core.Triangular, sqlgen.ListStyle)
+		s, err := summarize(d, dims, core.Triangular, statsudf.ViaUDF)
 		if err != nil {
 			cleanup()
 			return nil, err
 		}
 		// Per-cluster summaries for the clustering column.
-		groups, err := runGroupedNLQ(d, dims, 16)
+		groups, err := d.GroupedSummary("X", sqlgen.Dims(dims), core.Diagonal, "i % 16")
 		cleanup()
 		if err != nil {
 			return nil, err
@@ -352,7 +265,7 @@ func runTable3(cfg Config) ([]*Table, error) {
 			return nil, err
 		}
 		clusT, err := timeIt(cfg, func() error {
-			return finalizeClusters(groups, dims)
+			return finalizeClusters(groups)
 		})
 		if err != nil {
 			return nil, err
@@ -364,28 +277,9 @@ func runTable3(cfg Config) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-// runGroupedNLQ computes k per-group diagonal summaries with the
-// GROUP BY UDF query.
-func runGroupedNLQ(d *db.DB, dims, k int) ([]*core.NLQ, error) {
-	sql := sqlgen.NLQUDFGroupQuery("X", sqlgen.Dims(dims), core.Diagonal, sqlgen.ListStyle, fmt.Sprintf("i %% %d", k))
-	res, err := d.Exec(sql)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*core.NLQ, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		s, err := core.Unpack(row[1].Str())
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
 // finalizeClusters computes C, R, W from per-cluster summaries — the
 // paper's clustering "model build" step once n, L, Q are available.
-func finalizeClusters(groups []*core.NLQ, dims int) error {
+func finalizeClusters(groups map[string]*core.NLQ) error {
 	var n float64
 	for _, g := range groups {
 		n += g.N
@@ -436,28 +330,12 @@ func runTable6(cfg Config) ([]*Table, error) {
 			cleanup()
 			return nil, err
 		}
-		plan, err := core.PlanBlocks(dims, core.MaxD)
+		plan, arm, err := blockedArm(d, dims)
 		if err != nil {
 			cleanup()
 			return nil, err
 		}
-		sql := sqlgen.NLQBlockQuery("X", sqlgen.Dims(dims), plan)
-		elapsed, err := timeIt(cfg, func() error {
-			res, err := d.Exec(sql)
-			if err != nil {
-				return err
-			}
-			parts := make([]*core.BlockResult, plan.Calls())
-			for i, v := range res.Rows[0] {
-				_, r, err := nlqudf.UnpackBlock(v.Str())
-				if err != nil {
-					return err
-				}
-				parts[i] = r
-			}
-			_, err = plan.Assemble(parts)
-			return err
-		})
+		elapsed, err := timeIt(cfg, arm)
 		cleanup()
 		if err != nil {
 			return nil, err
@@ -467,4 +345,24 @@ func runTable6(cfg Config) ([]*Table, error) {
 		})
 	}
 	return []*Table{t}, nil
+}
+
+// blockedArm is Table 6's timed closure: every nlq_block call of the
+// d-dimensional plan in one statement (d = 64 included: one block, so
+// the 1-call row is measured on the same path as the rest), decoded by
+// the facade's blocked decoder.
+func blockedArm(d *statsudf.DB, dims int) (*core.BlockPlan, func() error, error) {
+	plan, err := core.PlanBlocks(dims, core.MaxD)
+	if err != nil {
+		return nil, nil, err
+	}
+	sql := sqlgen.NLQBlockQuery("X", sqlgen.Dims(dims), plan)
+	return plan, func() error {
+		res, err := d.Exec(sql)
+		if err != nil {
+			return err
+		}
+		_, err = statsudf.DecodeBlockedSummary(res, plan)
+		return err
+	}, nil
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -11,11 +10,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/engine/db"
-	"repro/internal/engine/exec"
-	"repro/internal/engine/sqlparser"
-	"repro/internal/nlqudf"
-	"repro/internal/score"
 	"repro/internal/server"
 	"repro/internal/server/wire"
 )
@@ -40,29 +34,27 @@ func runClusterScale(cfg Config) ([]*Table, error) {
 		Note: "cold scans every partition; warm is served from the shards' summary caches with only the coordinator's partial merge on top.",
 	}
 
-	stmts, err := clusterWorkload(n, dims, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
+	stmts := clusterWorkload(n, dims, cfg.Seed)
 
 	// Scale-up baseline: one in-memory engine with the full partition
 	// budget, the configuration every other experiment measures.
-	base, err := runClusterArm(cfg, n, stmts, func() (clusterEngine, func() error, error) {
-		d := db.Open(db.Options{Partitions: cfg.Partitions})
-		if err := nlqudf.Register(d); err != nil {
-			return nil, nil, err
-		}
-		return d, d.Close, nil
-	})
+	d, err := openMem(cfg.Partitions)
+	if err != nil {
+		return nil, err
+	}
+	base, err := runClusterArm(cfg, n, stmts, d.Engine())
 	if err != nil {
 		return nil, err
 	}
 	t.Rows = append(t.Rows, base.row(fmt.Sprintf("1 process (%d partitions)", cfg.Partitions), base))
 
 	for _, shards := range []int{2, 4} {
-		arm, err := runClusterArm(cfg, n, stmts, func() (clusterEngine, func() error, error) {
-			return openCluster(cfg, shards)
-		})
+		f, err := openCluster(cfg, shards)
+		if err != nil {
+			return nil, err
+		}
+		arm, err := runClusterArm(cfg, n, stmts, f.coord)
+		f.close()
 		if err != nil {
 			return nil, err
 		}
@@ -78,14 +70,6 @@ func runClusterScale(cfg Config) ([]*Table, error) {
 	}
 	t.Note += " A shard was killed after the measurements and the next build failed fast with shard_unavailable."
 	return []*Table{t}, nil
-}
-
-// clusterEngine is the slice of the engine surface the a7 arms need:
-// both *db.DB (scale-up) and *cluster.Coordinator (scale-out) run
-// parsed statements and answer summary requests.
-type clusterEngine interface {
-	RunContext(ctx context.Context, stmt sqlparser.Statement) (*exec.Result, error)
-	SummaryNLQ(ctx context.Context, table string, cols []string, mt core.MatrixType) (*core.NLQ, bool, error)
 }
 
 // clusterArmResult carries one topology's measurements.
@@ -104,24 +88,15 @@ func (a clusterArmResult) row(name string, base clusterArmResult) []string {
 	return []string{name, secs(a.load), secs(a.cold), secs(a.warm), speed}
 }
 
-// runClusterArm opens one topology, loads the workload through it,
-// and measures the cold and warm n,L,Q builds.
-func runClusterArm(cfg Config, n int, stmts []sqlparser.Statement, open func() (clusterEngine, func() error, error)) (clusterArmResult, error) {
+// runClusterArm loads the workload through one topology — the
+// scale-up engine and the coordinator take the same statement text
+// through the same server.Engine entry, parse included — and measures
+// the cold and warm n,L,Q builds.
+func runClusterArm(cfg Config, n int, stmts []string, eng server.Engine) (clusterArmResult, error) {
 	var a clusterArmResult
-	eng, closeEng, err := open()
-	if err != nil {
-		return a, err
-	}
-	defer closeEng()
-
 	start := time.Now()
-	for _, stmt := range stmts {
-		if err := cfg.ctx().Err(); err != nil {
-			return a, err
-		}
-		if _, err := eng.RunContext(cfg.ctx(), stmt); err != nil {
-			return a, err
-		}
+	if err := loadStatements(cfg, eng, stmts); err != nil {
+		return a, err
 	}
 	a.load = time.Since(start)
 
@@ -131,6 +106,7 @@ func runClusterArm(cfg Config, n int, stmts []sqlparser.Statement, open func() (
 	}
 	a.cold = time.Since(start)
 
+	var err error
 	a.warm, err = timeIt(cfg, func() error {
 		s, hit, err := eng.SummaryNLQ(cfg.ctx(), "CX", nil, core.Triangular)
 		if err != nil {
@@ -147,96 +123,84 @@ func runClusterArm(cfg Config, n int, stmts []sqlparser.Statement, open func() (
 	return a, err
 }
 
+// loadStatements sends each statement's text through the engine.
+func loadStatements(cfg Config, eng server.Engine, stmts []string) error {
+	for _, sql := range stmts {
+		if err := cfg.ctx().Err(); err != nil {
+			return err
+		}
+		if _, err := eng.QueryContext(cfg.ctx(), sql, nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fleet is one coordinator over in-process shard servers.
+type fleet struct {
+	coord   *cluster.Coordinator
+	servers []*server.Server
+}
+
+// close drains the whole fleet, coordinator first.
+func (f *fleet) close() {
+	if f.coord != nil {
+		f.coord.Close()
+	}
+	for _, srv := range f.servers {
+		srv.Close()
+	}
+}
+
 // openCluster boots `shards` in-process twmd shard nodes (each owning
 // an equal slice of the partition budget) plus a coordinator over
-// them, and returns the coordinator with a teardown that drains the
-// whole fleet.
-func openCluster(cfg Config, shards int) (clusterEngine, func() error, error) {
+// them.
+func openCluster(cfg Config, shards int) (_ *fleet, err error) {
+	f := &fleet{}
+	defer func() {
+		if err != nil {
+			f.close()
+		}
+	}()
 	per := cfg.Partitions / shards
 	if per < 1 {
 		per = 1
 	}
-	var closers []func() error
-	teardown := func() error {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
-		}
-		return nil
-	}
 	addrs := make([]string, 0, shards)
 	for i := 0; i < shards; i++ {
-		sd := db.Open(db.Options{Partitions: per})
-		if err := nlqudf.Register(sd); err != nil {
-			teardown()
-			return nil, nil, err
+		sd, err := openMem(per)
+		if err != nil {
+			return nil, err
 		}
-		if err := score.Register(sd); err != nil {
-			teardown()
-			return nil, nil, err
+		srv, err := serve(sd.Engine())
+		if err != nil {
+			return nil, err
 		}
-		srv := server.New(sd, server.Config{Addr: "127.0.0.1:0"})
-		if err := srv.Start(); err != nil {
-			teardown()
-			return nil, nil, err
-		}
-		closers = append(closers, srv.Close)
+		f.servers = append(f.servers, srv)
 		addrs = append(addrs, srv.Addr())
 	}
-	local := db.Open(db.Options{})
-	if err := nlqudf.Register(local); err != nil {
-		teardown()
-		return nil, nil, err
-	}
-	coord, err := cluster.New(local, cluster.Config{Shards: addrs, Partitions: cfg.Partitions, User: "bench-a7", PoolSize: 2})
+	local, err := openMem(0)
 	if err != nil {
-		teardown()
-		return nil, nil, err
+		return nil, err
 	}
-	closers = append(closers, coord.Close)
-	return coord, teardown, nil
+	f.coord, err = cluster.New(local.Engine(), cluster.Config{Shards: addrs, Partitions: cfg.Partitions, User: "bench-a7", PoolSize: 2})
+	return f, err
 }
 
 // clusterKillOneShard boots the smallest fleet, loads a sliver, kills
 // one shard, and demands the next build fail fast with the typed
 // cluster error.
 func clusterKillOneShard(cfg Config) error {
-	stmts, err := clusterWorkload(40, 2, cfg.Seed+1)
+	f, err := openCluster(cfg, 2)
 	if err != nil {
 		return err
 	}
-	sd := db.Open(db.Options{Partitions: 1})
-	if err := nlqudf.Register(sd); err != nil {
+	defer f.close()
+	if err := loadStatements(cfg, f.coord, clusterWorkload(40, 2, cfg.Seed+1)); err != nil {
 		return err
 	}
-	sd2 := db.Open(db.Options{Partitions: 1})
-	if err := nlqudf.Register(sd2); err != nil {
-		return err
-	}
-	srv := server.New(sd, server.Config{Addr: "127.0.0.1:0"})
-	if err := srv.Start(); err != nil {
-		return err
-	}
-	defer srv.Close()
-	srv2 := server.New(sd2, server.Config{Addr: "127.0.0.1:0"})
-	if err := srv2.Start(); err != nil {
-		return err
-	}
-	local := db.Open(db.Options{})
-	if err := nlqudf.Register(local); err != nil {
-		return err
-	}
-	coord, err := cluster.New(local, cluster.Config{Shards: []string{srv.Addr(), srv2.Addr()}, User: "bench-a7", PoolSize: 1})
-	if err != nil {
-		return err
-	}
-	defer coord.Close()
-	for _, stmt := range stmts {
-		if _, err := coord.RunContext(cfg.ctx(), stmt); err != nil {
-			return err
-		}
-	}
-	srv2.Close() // the fleet loses a shard mid-service
-	_, _, err = coord.SummaryNLQ(cfg.ctx(), "CX", nil, core.Triangular)
+	f.servers[1].Close() // the fleet loses a shard mid-service
+	_, _, err = f.coord.SummaryNLQ(cfg.ctx(), "CX", nil, core.Triangular)
 	if err == nil {
 		return fmt.Errorf("a7: n,L,Q build over a dead shard succeeded")
 	}
@@ -247,18 +211,17 @@ func clusterKillOneShard(cfg Config) error {
 	return nil
 }
 
-// clusterWorkload renders the deterministic CX load as parsed
-// statements: one CREATE TABLE followed by batched literal INSERTs,
-// the exact text every arm (local or coordinator) executes.
-func clusterWorkload(n, dims int, seed int64) ([]sqlparser.Statement, error) {
+// clusterWorkload renders the deterministic CX load: one CREATE TABLE
+// followed by batched literal INSERTs, the exact text every arm (local
+// or coordinator) executes.
+func clusterWorkload(n, dims int, seed int64) []string {
 	const batch = 200
 	rng := rand.New(rand.NewSource(seed))
 	cols := make([]string, dims)
 	for j := range cols {
 		cols[j] = "x" + itoa(j+1)
 	}
-	var texts []string
-	texts = append(texts, "CREATE TABLE CX ("+strings.Join(cols, " DOUBLE, ")+" DOUBLE)")
+	texts := []string{"CREATE TABLE CX (" + strings.Join(cols, " DOUBLE, ") + " DOUBLE)"}
 	for at := 0; at < n; at += batch {
 		m := batch
 		if at+m > n {
@@ -281,13 +244,5 @@ func clusterWorkload(n, dims int, seed int64) ([]sqlparser.Statement, error) {
 		}
 		texts = append(texts, b.String())
 	}
-	stmts := make([]sqlparser.Statement, 0, len(texts))
-	for _, sql := range texts {
-		stmt, err := sqlparser.Parse(sql)
-		if err != nil {
-			return nil, fmt.Errorf("a7 workload: %w", err)
-		}
-		stmts = append(stmts, stmt)
-	}
-	return stmts, nil
+	return texts
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 
+	statsudf "repro"
 	"repro/internal/core"
-	"repro/internal/engine/db"
 	"repro/internal/sqlgen"
 )
 
@@ -52,9 +52,9 @@ func runColumnarScan(cfg Config) ([]*Table, error) {
 				cleanup()
 				return nil, err
 			}
-			ctx := cfg.ctx()
+			ctx, eng := cfg.ctx(), d.Engine()
 			build := func() error {
-				s, _, err := d.SummaryNLQ(ctx, "X", cols, core.Triangular)
+				s, _, err := eng.SummaryNLQ(ctx, "X", cols, core.Triangular)
 				if err != nil {
 					return err
 				}
@@ -69,14 +69,14 @@ func runColumnarScan(cfg Config) ([]*Table, error) {
 				return nil, err
 			}
 			builds[mode], err = timeIt(cfg, func() error {
-				d.InvalidateSummaries("X")
+				eng.InvalidateSummaries("X")
 				return build()
 			})
 			if err != nil {
 				cleanup()
 				return nil, err
 			}
-			sums[mode], _, err = d.SummaryNLQ(ctx, "X", cols, core.Triangular)
+			sums[mode], _, err = eng.SummaryNLQ(ctx, "X", cols, core.Triangular)
 			if err != nil {
 				cleanup()
 				return nil, err
@@ -113,7 +113,7 @@ func runColumnarScan(cfg Config) ([]*Table, error) {
 // checkFallbackShape runs an expression the vector compiler rejects
 // (a function call) under the columnar flag and sanity-checks the
 // row-path fallback produced the full result set.
-func checkFallbackShape(d *db.DB, n int) error {
+func checkFallbackShape(d *statsudf.DB, n int) error {
 	res, err := d.Exec("SELECT power(X1, 2) FROM X")
 	if err != nil {
 		return fmt.Errorf("a8: fallback shape failed under -columnar: %w", err)

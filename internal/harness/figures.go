@@ -3,13 +3,14 @@ package harness
 import (
 	"fmt"
 
+	statsudf "repro"
 	"repro/internal/core"
 	"repro/internal/sqlgen"
 )
 
 // measureNLQ loads X(n, dims) and times one n,L,Q computation through
-// the chosen implementation.
-func measureNLQ(cfg Config, n, dims int, mt core.MatrixType, impl string, style sqlgen.PassStyle) (float64, error) {
+// the chosen facade method.
+func measureNLQ(cfg Config, n, dims int, mt core.MatrixType, via statsudf.SummaryMethod) (float64, error) {
 	d, cleanup, err := newDB(cfg)
 	if err != nil {
 		return 0, err
@@ -19,16 +20,8 @@ func measureNLQ(cfg Config, n, dims int, mt core.MatrixType, impl string, style 
 		return 0, err
 	}
 	elapsed, err := timeIt(cfg, func() error {
-		switch impl {
-		case "sql":
-			_, err := runSQLNLQ(d, dims, mt)
-			return err
-		case "udf":
-			_, err := runUDFNLQ(d, dims, mt, style)
-			return err
-		default:
-			return fmt.Errorf("harness: unknown implementation %q", impl)
-		}
+		_, err := summarize(d, dims, mt, via)
+		return err
 	})
 	if err != nil {
 		return 0, err
@@ -49,11 +42,11 @@ func runFigure1(cfg Config) ([]*Table, error) {
 		n := cfg.rows(nk)
 		row := []string{fmt.Sprintf("%d (%d rows)", nk, n)}
 		for _, dims := range []int{8, 16, 32, 64} {
-			sqlS, err := measureNLQ(cfg, n, dims, core.Triangular, "sql", sqlgen.ListStyle)
+			sqlS, err := measureNLQ(cfg, n, dims, core.Triangular, statsudf.ViaSQL)
 			if err != nil {
 				return nil, err
 			}
-			udfS, err := measureNLQ(cfg, n, dims, core.Triangular, "udf", sqlgen.ListStyle)
+			udfS, err := measureNLQ(cfg, n, dims, core.Triangular, statsudf.ViaUDF)
 			if err != nil {
 				return nil, err
 			}
@@ -77,11 +70,11 @@ func runFigure2(cfg Config) ([]*Table, error) {
 		row := []string{itoa(dims)}
 		for _, nk := range []int{100, 200, 800, 1600} {
 			n := cfg.rows(nk)
-			sqlS, err := measureNLQ(cfg, n, dims, core.Triangular, "sql", sqlgen.ListStyle)
+			sqlS, err := measureNLQ(cfg, n, dims, core.Triangular, statsudf.ViaSQL)
 			if err != nil {
 				return nil, err
 			}
-			udfS, err := measureNLQ(cfg, n, dims, core.Triangular, "udf", sqlgen.ListStyle)
+			udfS, err := measureNLQ(cfg, n, dims, core.Triangular, statsudf.ViaUDF)
 			if err != nil {
 				return nil, err
 			}
@@ -103,11 +96,11 @@ func runFigure3(cfg Config) ([]*Table, error) {
 	}
 	for _, nk := range []int{100, 200, 400, 800, 1600} {
 		n := cfg.rows(nk)
-		strS, err := measureNLQ(cfg, n, 8, core.Triangular, "udf", sqlgen.StringStyle)
+		strS, err := measureNLQ(cfg, n, 8, core.Triangular, statsudf.ViaUDFString)
 		if err != nil {
 			return nil, err
 		}
-		listS, err := measureNLQ(cfg, n, 8, core.Triangular, "udf", sqlgen.ListStyle)
+		listS, err := measureNLQ(cfg, n, 8, core.Triangular, statsudf.ViaUDF)
 		if err != nil {
 			return nil, err
 		}
@@ -123,11 +116,11 @@ func runFigure3(cfg Config) ([]*Table, error) {
 	}
 	n := cfg.rows(1600)
 	for _, dims := range []int{8, 16, 32, 48, 64} {
-		strS, err := measureNLQ(cfg, n, dims, core.Triangular, "udf", sqlgen.StringStyle)
+		strS, err := measureNLQ(cfg, n, dims, core.Triangular, statsudf.ViaUDFString)
 		if err != nil {
 			return nil, err
 		}
-		listS, err := measureNLQ(cfg, n, dims, core.Triangular, "udf", sqlgen.ListStyle)
+		listS, err := measureNLQ(cfg, n, dims, core.Triangular, statsudf.ViaUDF)
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +141,7 @@ func runFigure4(cfg Config) ([]*Table, error) {
 		n := cfg.rows(nk)
 		row := []string{fmt.Sprintf("%d (%d rows)", nk, n)}
 		for _, mt := range []core.MatrixType{core.Diagonal, core.Triangular, core.Full} {
-			s, err := measureNLQ(cfg, n, 64, mt, "udf", sqlgen.ListStyle)
+			s, err := measureNLQ(cfg, n, 64, mt, statsudf.ViaUDF)
 			if err != nil {
 				return nil, err
 			}
@@ -166,7 +159,7 @@ func runFigure4(cfg Config) ([]*Table, error) {
 	for _, dims := range []int{8, 16, 32, 48, 64} {
 		row := []string{itoa(dims)}
 		for _, mt := range []core.MatrixType{core.Diagonal, core.Triangular, core.Full} {
-			s, err := measureNLQ(cfg, n, dims, mt, "udf", sqlgen.ListStyle)
+			s, err := measureNLQ(cfg, n, dims, mt, statsudf.ViaUDF)
 			if err != nil {
 				return nil, err
 			}
@@ -191,7 +184,7 @@ func runFigure5(cfg Config) ([]*Table, error) {
 		row := []string{fmt.Sprintf("%d (%d rows)", nk, n)}
 		for _, dims := range []int{32, 64} {
 			for _, mt := range []core.MatrixType{core.Diagonal, core.Triangular, core.Full} {
-				s, err := measureNLQ(cfg, n, dims, mt, "udf", sqlgen.ListStyle)
+				s, err := measureNLQ(cfg, n, dims, mt, statsudf.ViaUDF)
 				if err != nil {
 					return nil, err
 				}
@@ -211,7 +204,7 @@ func runFigure5(cfg Config) ([]*Table, error) {
 		for _, nk := range []int{800, 1600} {
 			n := cfg.rows(nk)
 			for _, mt := range []core.MatrixType{core.Diagonal, core.Triangular, core.Full} {
-				s, err := measureNLQ(cfg, n, dims, mt, "udf", sqlgen.ListStyle)
+				s, err := measureNLQ(cfg, n, dims, mt, statsudf.ViaUDF)
 				if err != nil {
 					return nil, err
 				}
@@ -244,20 +237,9 @@ func runTable5(cfg Config) ([]*Table, error) {
 				cleanup()
 				return nil, err
 			}
-			groupExpr := fmt.Sprintf("i %% %d", k)
 			var strS, listS float64
 			for _, style := range []sqlgen.PassStyle{sqlgen.StringStyle, sqlgen.ListStyle} {
-				sql := sqlgen.NLQUDFGroupQuery("X", sqlgen.Dims(dims), core.Diagonal, style, groupExpr)
-				elapsed, err := timeIt(cfg, func() error {
-					res, err := d.Exec(sql)
-					if err != nil {
-						return err
-					}
-					if len(res.Rows) != k {
-						return fmt.Errorf("harness: got %d groups, want %d", len(res.Rows), k)
-					}
-					return nil
-				})
+				elapsed, err := timeIt(cfg, groupByArm(d, dims, k, style))
 				if err != nil {
 					cleanup()
 					return nil, err
@@ -278,6 +260,24 @@ func runTable5(cfg Config) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
+// groupByArm is Table 5's timed closure: the aggregate UDF under
+// GROUP BY i % k in the given passing style, one row per group back.
+// Both styles stop at counting rows, so neither pays a decode the
+// other does not.
+func groupByArm(d *statsudf.DB, dims, k int, style sqlgen.PassStyle) func() error {
+	sql := sqlgen.NLQUDFGroupQuery("X", sqlgen.Dims(dims), core.Diagonal, style, fmt.Sprintf("i %% %d", k))
+	return func() error {
+		res, err := d.Exec(sql)
+		if err != nil {
+			return err
+		}
+		if len(res.Rows) != k {
+			return fmt.Errorf("harness: got %d groups, want %d", len(res.Rows), k)
+		}
+		return nil
+	}
+}
+
 // runAblatePartitions isolates the engine's parallelism: the same UDF
 // computation with 1, 4 and 20 partitions (DESIGN.md §4 ablation).
 func runAblatePartitions(cfg Config) ([]*Table, error) {
@@ -294,7 +294,7 @@ func runAblatePartitions(cfg Config) ([]*Table, error) {
 		for _, p := range []int{1, 4, 20} {
 			pc := cfg
 			pc.Partitions = p
-			s, err := measureNLQ(pc, n, dims, core.Triangular, "udf", sqlgen.ListStyle)
+			s, err := measureNLQ(pc, n, dims, core.Triangular, statsudf.ViaUDF)
 			if err != nil {
 				return nil, err
 			}
@@ -325,7 +325,7 @@ func runAblateSQLStyle(cfg Config) ([]*Table, error) {
 			return nil, err
 		}
 		longT, err := timeIt(cfg, func() error {
-			_, err := runSQLNLQ(d, dims, core.Triangular)
+			_, err := summarize(d, dims, core.Triangular, statsudf.ViaSQL)
 			return err
 		})
 		if err != nil {
@@ -333,14 +333,7 @@ func runAblateSQLStyle(cfg Config) ([]*Table, error) {
 			return nil, err
 		}
 		stmts := sqlgen.NLQQueriesPerCell("X", sqlgen.Dims(dims))
-		cellT, err := timeIt(cfg, func() error {
-			for _, s := range stmts {
-				if _, err := d.Exec(s); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		cellT, err := timeIt(cfg, func() error { return execAll(d, stmts) })
 		cleanup()
 		if err != nil {
 			return nil, err

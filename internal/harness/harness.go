@@ -5,6 +5,13 @@
 // on ODBC-exported files — and prints the same rows/series the paper
 // reports, with measured seconds in place of the paper's.
 //
+// The experiments are definitions over the shipped client: engines are
+// opened, summaries computed and decoded, and models trained and stored
+// through the statsudf facade, so the tables time the code an
+// application runs. Only engine-level levers an experiment needs
+// (summary invalidation, streamed scans, sys.* reads) go through
+// Engine().
+//
 // Absolute times differ from the 2007 hardware by orders of magnitude;
 // the reproduction targets the shapes: who wins, by what factor, and
 // where the crossovers fall. The Scale knob shrinks the row counts
@@ -22,11 +29,11 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/engine/db"
-	"repro/internal/nlqudf"
+	statsudf "repro"
+	"repro/internal/core"
 	"repro/internal/odbcsim"
-	"repro/internal/score"
-	"repro/internal/synth"
+	"repro/internal/server"
+	"repro/internal/sqlgen"
 )
 
 // Config controls an experiment run.
@@ -237,15 +244,16 @@ func writeJSON(cfg Config, e Experiment, tables []*Table, elapsed time.Duration)
 	return os.WriteFile(filepath.Join(cfg.JSONDir, "BENCH_"+e.ID+".json"), append(b, '\n'), 0o644)
 }
 
-// newDB opens an on-disk database with the paper's parallelism and the
-// UDFs installed; the caller must call the returned cleanup.
-func newDB(cfg Config) (*db.DB, func(), error) {
+// newDB opens an on-disk database through the shipped facade — the
+// paper's parallelism, the UDFs installed; the caller must call the
+// returned cleanup.
+func newDB(cfg Config) (*statsudf.DB, func(), error) {
 	return newDBMode(cfg, false)
 }
 
 // newDBMode is newDB with the scan mode explicit; the a8 ablation
 // opens one engine per mode over identical data.
-func newDBMode(cfg Config, columnar bool) (*db.DB, func(), error) {
+func newDBMode(cfg Config, columnar bool) (*statsudf.DB, func(), error) {
 	dir := cfg.Dir
 	cleanup := func() {}
 	if dir == "" {
@@ -256,21 +264,41 @@ func newDBMode(cfg Config, columnar bool) (*db.DB, func(), error) {
 		dir = tmp
 		cleanup = func() { os.RemoveAll(tmp) }
 	}
-	d := db.Open(db.Options{Dir: dir, Partitions: cfg.Partitions, Columnar: columnar})
-	if err := nlqudf.Register(d); err != nil {
-		cleanup()
-		return nil, nil, err
-	}
-	if err := score.Register(d); err != nil {
+	d, err := statsudf.Open(statsudf.Options{Dir: dir, Partitions: cfg.Partitions, Columnar: columnar})
+	if err != nil {
 		cleanup()
 		return nil, nil, err
 	}
 	return d, cleanup, nil
 }
 
+// openMem opens an in-memory facade instance: the shard, coordinator
+// catalog and point-serving arms, where the statement path rather than
+// the disk is under test.
+func openMem(partitions int) (*statsudf.DB, error) {
+	return statsudf.Open(statsudf.Options{Partitions: partitions})
+}
+
+// serve fronts an engine with a wire server on an ephemeral local
+// port — the twmd topology, in-process.
+func serve(eng server.Engine) (*server.Server, error) {
+	srv := server.New(eng, server.Config{Addr: "127.0.0.1:0"})
+	if err := srv.Start(); err != nil {
+		return nil, err
+	}
+	return srv, nil
+}
+
 // loadX loads the standard mixture workload into table X.
-func loadX(d *db.DB, cfg Config, n, dims int) error {
-	return synth.LoadTable(d, "X", synth.Config{N: n, D: dims, Seed: cfg.Seed})
+func loadX(d *statsudf.DB, cfg Config, n, dims int) error {
+	return d.Generate("X", statsudf.MixtureConfig{N: n, D: dims, Seed: cfg.Seed})
+}
+
+// summarize computes n, L, Q over X1..Xd of table X the way the
+// facade's method says: the long SQL query, or the aggregate UDF with
+// list or string parameter passing.
+func summarize(d *statsudf.DB, dims int, mt core.MatrixType, via statsudf.SummaryMethod) (*core.NLQ, error) {
+	return d.Summary("X", sqlgen.Dims(dims), statsudf.SummaryOptions{Method: via, Matrix: mt})
 }
 
 // Timing records every repetition of one measurement, so tables can

@@ -256,38 +256,30 @@ func TestRunAllSingleAndPrint(t *testing.T) {
 	}
 }
 
-func TestTableSourceScan(t *testing.T) {
-	cfg := tiny().withDefaults()
-	d, cleanup, err := newDB(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cleanup()
-	if err := loadX(d, cfg, 50, 3); err != nil {
-		t.Fatal(err)
-	}
-	src, err := newTableSource(d, "X", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src.Dims() != 3 {
-		t.Fatalf("dims = %d", src.Dims())
-	}
-	var count int
-	if err := src.Scan(func(x []float64) error {
-		if len(x) != 3 {
-			t.Fatalf("point width %d", len(x))
+// TestReusedDir is `bench -dir D -exp a1,t5` run twice over one
+// directory: every engine reattaches the catalog (and table X) the
+// previous one left, a1 changes the partition count between engines,
+// and the second pass starts from the first pass's leftovers with yet
+// another count.
+func TestReusedDir(t *testing.T) {
+	cfg := tiny()
+	cfg.Dir = t.TempDir()
+	for _, partitions := range []int{4, 3} {
+		cfg.Partitions = partitions
+		if err := RunAll(cfg, []string{"a1", "t5"}); err != nil {
+			t.Fatalf("partitions=%d: %v", partitions, err)
 		}
-		count++
-		return nil
-	}); err != nil {
+	}
+	d, _, err := newDB(cfg.withDefaults())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if count != 50 {
-		t.Fatalf("scanned %d", count)
+	tab, err := d.Engine().Table("X")
+	if err != nil {
+		t.Fatalf("table X not reattached from the reused directory: %v", err)
 	}
-	if _, err := newTableSource(d, "missing", 3); err == nil {
-		t.Fatal("missing table must fail")
+	if tab.Partitions() != 3 {
+		t.Fatalf("reattached X has %d partitions, want the last run's 3", tab.Partitions())
 	}
 }
 

@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/engine/db"
 	"repro/internal/engine/sqltypes"
-	"repro/internal/nlqudf"
-	"repro/internal/score"
-	"repro/internal/server"
 	"repro/internal/sqlgen"
 	"repro/pkg/client"
 )
@@ -38,16 +34,12 @@ func runPreparedQPS(cfg Config) ([]*Table, error) {
 	// but a point-serving workload assumes a hot working set — here the
 	// statement path, not the disk, should be the variable under test.
 	cfg.Partitions = 4 // point queries, not bulk scans
-	d := db.Open(db.Options{Partitions: cfg.Partitions})
-	if err := nlqudf.Register(d); err != nil {
+	d, err := openMem(cfg.Partitions)
+	if err != nil {
 		return nil, err
 	}
-	if err := score.Register(d); err != nil {
-		return nil, err
-	}
-
-	srv := server.New(d, server.Config{Addr: "127.0.0.1:0"})
-	if err := srv.Start(); err != nil {
+	srv, err := serve(d.Engine())
+	if err != nil {
 		return nil, err
 	}
 	defer srv.Close()

@@ -3,143 +3,54 @@ package harness
 import (
 	"fmt"
 
+	statsudf "repro"
 	"repro/internal/core"
-	"repro/internal/engine/db"
 	"repro/internal/engine/sqltypes"
-	"repro/internal/score"
 	"repro/internal/sqlgen"
-	"repro/internal/synth"
 )
 
-// prepareScoringModels loads a regression workload and trains + stores
-// the three scorable models (BETA, MU/LAMBDA, C/R/W); model training
-// is not part of the timed scoring runs.
-func prepareScoringModels(d *db.DB, cfg Config, n, dims, k int) error {
+// prepareScoringModels loads a regression workload and runs the
+// facade's train-and-store sequence for the three scorable models
+// (BETA, MU/LAMBDA, C/R/W); model training is not part of the timed
+// scoring runs.
+func prepareScoringModels(d *statsudf.DB, cfg Config, n, dims, k int) error {
 	// Regression data: planted linear model over the mixture points.
 	beta := make([]float64, dims)
 	for a := range beta {
 		beta[a] = float64(a%5) - 2
 	}
-	if err := synth.LoadRegressionTable(d, "X", synth.Config{N: n, D: dims, Seed: cfg.Seed}, 10, beta, 5); err != nil {
+	if err := d.GenerateRegression("X", statsudf.MixtureConfig{N: n, D: dims, Seed: cfg.Seed}, 10, beta, 5); err != nil {
 		return err
 	}
-	// Train from the augmented summaries via the UDF.
-	res, err := d.Exec(fmt.Sprintf("SELECT %s FROM X",
-		nlqCallWithY(dims)))
+	cols := sqlgen.Dims(dims)
+	lr, err := d.LinearRegression("X", cols, "Y")
 	if err != nil {
 		return err
 	}
-	v, err := res.Value()
+	if err := d.StoreRegression("BETA", lr); err != nil {
+		return err
+	}
+	pca, err := d.PCA("X", cols, min(k, dims-1), core.CorrelationBasis)
 	if err != nil {
 		return err
 	}
-	aug, err := core.Unpack(v.Str())
+	if err := d.StorePCA("MU", "LAMBDA", pca); err != nil {
+		return err
+	}
+	// One incremental pass is enough for scoring benchmarks (the model
+	// only supplies C).
+	km, err := d.KMeans("X", cols, k, core.KMeansOptions{Seed: 7, Incremental: true})
 	if err != nil {
 		return err
 	}
-	lr, err := core.BuildLinReg(aug)
-	if err != nil {
-		return err
-	}
-	if err := score.SaveLinReg(d, "BETA", lr); err != nil {
-		return err
-	}
-	// PCA on the d predictor dimensions (sub-summaries via a fresh UDF run).
-	res, err = d.Exec(sqlgen.NLQUDFQuery("X", sqlgen.Dims(dims), core.Triangular, sqlgen.ListStyle))
-	if err != nil {
-		return err
-	}
-	v, err = res.Value()
-	if err != nil {
-		return err
-	}
-	s, err := core.Unpack(v.Str())
-	if err != nil {
-		return err
-	}
-	pca, err := core.BuildPCA(s, min(k, dims-1), core.CorrelationBasis)
-	if err != nil {
-		return err
-	}
-	if err := score.SavePCA(d, "MU", "LAMBDA", pca); err != nil {
-		return err
-	}
-	// K-means from the grouped summaries: one incremental pass is
-	// enough for scoring benchmarks (the model only supplies C).
-	km, err := kmeansFromTable(d, dims, k)
-	if err != nil {
-		return err
-	}
-	return score.SaveKMeans(d, "C", "R", "W", km)
-}
-
-// nlqCallWithY builds the augmented UDF call over (X1..Xd, Y).
-func nlqCallWithY(dims int) string {
-	call := fmt.Sprintf("nlq_list(%d, 'triang'", dims+1)
-	for a := 1; a <= dims; a++ {
-		call += fmt.Sprintf(", X%d", a)
-	}
-	return call + ", Y)"
-}
-
-// kmeansFromTable runs the incremental one-scan K-means over table X.
-func kmeansFromTable(d *db.DB, dims, k int) (*core.KMeansModel, error) {
-	src, err := newTableSource(d, "X", dims)
-	if err != nil {
-		return nil, err
-	}
-	return core.BuildKMeans(src, k, core.KMeansOptions{Seed: 7, Incremental: true})
-}
-
-// tableSource adapts an engine table to core.Source, streaming the
-// X1..Xd columns (skipping the leading id and trailing extras).
-type tableSource struct {
-	d     *db.DB
-	table string
-	dims  int
-}
-
-func newTableSource(d *db.DB, table string, dims int) (*tableSource, error) {
-	if _, err := d.Table(table); err != nil {
-		return nil, err
-	}
-	return &tableSource{d: d, table: table, dims: dims}, nil
-}
-
-func (s *tableSource) Dims() int { return s.dims }
-
-func (s *tableSource) Scan(fn func(x []float64) error) error {
-	t, err := s.d.Table(s.table)
-	if err != nil {
-		return err
-	}
-	schema := t.Schema()
-	idx := make([]int, s.dims)
-	for a := 0; a < s.dims; a++ {
-		i := schema.Index(fmt.Sprintf("X%d", a+1))
-		if i < 0 {
-			return fmt.Errorf("harness: table %s lacks column X%d", s.table, a+1)
-		}
-		idx[a] = i
-	}
-	x := make([]float64, s.dims)
-	return t.Scan(func(r sqltypes.Row) error {
-		for a, i := range idx {
-			f, ok := r[i].Float()
-			if !ok {
-				return fmt.Errorf("harness: non-numeric value in %s.X%d", s.table, a+1)
-			}
-			x[a] = f
-		}
-		return fn(x)
-	})
+	return d.StoreKMeans("C", "R", "W", km)
 }
 
 // discard streams query rows without retaining them; scoring
 // benchmarks measure the scan+compute cost, not materialization. The
 // run context cancels the scan mid-statement (graceful bench shutdown).
-func discard(cfg Config, d *db.DB, sql string) error {
-	_, _, err := d.QueryStreamContext(cfg.ctx(), sql, func(sqltypes.Row) error { return nil })
+func discard(cfg Config, d *statsudf.DB, sql string) error {
+	_, _, err := d.Engine().QueryStreamContext(cfg.ctx(), sql, func(sqltypes.Row) error { return nil })
 	return err
 }
 
@@ -201,14 +112,22 @@ func runTable4(cfg Config) ([]*Table, error) {
 
 // runClusterScoreSQL executes the paper's two-scan SQL clustering
 // scoring plan end to end.
-func runClusterScoreSQL(cfg Config, d *db.DB, dims []string, k int) error {
+func runClusterScoreSQL(cfg Config, d *statsudf.DB, dims []string, k int) error {
 	stmts := sqlgen.ClusterScoreSQL("X", "C", "XD", "i", dims, k)
-	for _, s := range stmts[:len(stmts)-1] {
+	if err := execAll(d, stmts[:len(stmts)-1]); err != nil {
+		return err
+	}
+	return discard(cfg, d, stmts[len(stmts)-1])
+}
+
+// execAll runs the statements in order, dropping their results.
+func execAll(d *statsudf.DB, stmts []string) error {
+	for _, s := range stmts {
 		if _, err := d.Exec(s); err != nil {
 			return err
 		}
 	}
-	return discard(cfg, d, stmts[len(stmts)-1])
+	return nil
 }
 
 // runFigure6 reproduces Figure 6: scoring UDF time vs n for the three

@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/engine/db"
+	statsudf "repro"
 	"repro/internal/engine/sqltypes"
 	"repro/internal/odbcsim"
-	"repro/internal/server"
 	"repro/internal/sqlgen"
 	"repro/pkg/client"
 )
@@ -35,8 +34,8 @@ func runServingScoring(cfg Config) ([]*Table, error) {
 
 	// One wire server fronts the same engine for the whole experiment,
 	// with a pooled client dialed to it — the twmd topology, in-process.
-	srv := server.New(d, server.Config{Addr: "127.0.0.1:0"})
-	if err := srv.Start(); err != nil {
+	srv, err := serve(d.Engine())
+	if err != nil {
 		return nil, err
 	}
 	defer srv.Close()
@@ -79,8 +78,8 @@ func runServingScoring(cfg Config) ([]*Table, error) {
 
 // exportModeledSecs exports X through the simulated ODBC channel and
 // returns the modeled transfer seconds.
-func exportModeledSecs(cfg Config, d *db.DB) (float64, error) {
-	t, err := d.Table("X")
+func exportModeledSecs(cfg Config, d *statsudf.DB) (float64, error) {
+	t, err := d.Engine().Table("X")
 	if err != nil {
 		return 0, err
 	}

@@ -33,15 +33,7 @@ func runExecutorStats(cfg Config) ([]*Table, error) {
 			"parts", "skew", "plan", "scan", "merge", "finalize", "total"},
 		Note: "phase times map to the aggregate UDF protocol: scan = init+accumulate (1-2), merge = partial merge (3), finalize = result packing (4).",
 	}
-	queries := []struct {
-		label string
-		sql   string
-	}{
-		{"aggregate UDF (nlq_list)", sqlgen.NLQUDFQuery("X", sqlgen.Dims(dims), core.Triangular, sqlgen.ListStyle)},
-		{"grouped sum", "SELECT i % 8, sum(X1), sum(X2) FROM X GROUP BY i % 8"},
-		{"projection", "SELECT i, X1 + X2 FROM X WHERE X1 > 0"},
-	}
-	for _, q := range queries {
+	for _, q := range statsQueries(dims) {
 		res, err := d.Exec(q.sql)
 		if err != nil {
 			return nil, err
@@ -61,4 +53,17 @@ func runExecutorStats(cfg Config) ([]*Table, error) {
 		})
 	}
 	return []*Table{t}, nil
+}
+
+// statsQuery is one labelled statement of the a3 table.
+type statsQuery struct{ label, sql string }
+
+// statsQueries are the three plan shapes a3 accounts for: an aggregate
+// UDF, a grouped built-in aggregate and a filtered projection.
+func statsQueries(dims int) []statsQuery {
+	return []statsQuery{
+		{"aggregate UDF (nlq_list)", sqlgen.NLQUDFQuery("X", sqlgen.Dims(dims), core.Triangular, sqlgen.ListStyle)},
+		{"grouped sum", "SELECT i % 8, sum(X1), sum(X2) FROM X GROUP BY i % 8"},
+		{"projection", "SELECT i, X1 + X2 FROM X WHERE X1 > 0"},
+	}
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 
+	statsudf "repro"
 	"repro/internal/core"
-	"repro/internal/engine/db"
 	"repro/internal/engine/sqltypes"
 	"repro/internal/sqlgen"
 	"repro/internal/synth"
@@ -47,14 +47,14 @@ func runSummaryCache(cfg Config) ([]*Table, error) {
 			cleanup()
 			return nil, err
 		}
-		tab, err := d.Table("X")
+		ctx, eng := cfg.ctx(), d.Engine()
+		tab, err := eng.Table("X")
 		if err != nil {
 			cleanup()
 			return nil, err
 		}
-		ctx := cfg.ctx()
 		build := func() error {
-			s, _, err := d.SummaryNLQ(ctx, "X", cols, core.Triangular)
+			s, _, err := eng.SummaryNLQ(ctx, "X", cols, core.Triangular)
 			if err != nil {
 				return err
 			}
@@ -64,7 +64,7 @@ func runSummaryCache(cfg Config) ([]*Table, error) {
 		// Cold: every repetition invalidates first, so each one pays
 		// the rebuild scan.
 		cold, err := timeIt(cfg, func() error {
-			d.InvalidateSummaries("X")
+			eng.InvalidateSummaries("X")
 			return build()
 		})
 		if err != nil {
@@ -102,13 +102,13 @@ func runSummaryCache(cfg Config) ([]*Table, error) {
 
 		// Verify the incrementally maintained summary against a
 		// from-scratch rescan.
-		s, _, err := d.SummaryNLQ(ctx, "X", cols, core.Triangular)
+		s, _, err := eng.SummaryNLQ(ctx, "X", cols, core.Triangular)
 		if err != nil {
 			cleanup()
 			return nil, err
 		}
-		d.InvalidateSummaries("X")
-		ref, _, err := d.SummaryNLQ(ctx, "X", cols, core.Triangular)
+		eng.InvalidateSummaries("X")
+		ref, _, err := eng.SummaryNLQ(ctx, "X", cols, core.Triangular)
 		if err != nil {
 			cleanup()
 			return nil, err
@@ -130,8 +130,8 @@ func runSummaryCache(cfg Config) ([]*Table, error) {
 
 // appendRows inserts extra synthetic rows (ids continuing after n)
 // through the regular insert path in small batches.
-func appendRows(d *db.DB, cfg Config, n, extra, dims int) error {
-	t, err := d.Table("X")
+func appendRows(d *statsudf.DB, cfg Config, n, extra, dims int) error {
+	t, err := d.Engine().Table("X")
 	if err != nil {
 		return err
 	}

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/engine/sqltypes"
 )
 
 // Dims returns the conventional column names X1..Xd.
@@ -37,16 +38,7 @@ func NLQQuery(table string, dims []string, mt core.MatrixType) string {
 	d := len(dims)
 	for a := 0; a < d; a++ {
 		for c := 0; c < d; c++ {
-			include := false
-			switch mt {
-			case core.Diagonal:
-				include = a == c
-			case core.Triangular:
-				include = c <= a
-			case core.Full:
-				include = true
-			}
-			if include {
+			if included(mt, a, c) {
 				fmt.Fprintf(&b, ",sum(%s*%s)", dims[a], dims[c])
 			} else {
 				b.WriteString(",null")
@@ -56,6 +48,56 @@ func NLQQuery(table string, dims []string, mt core.MatrixType) string {
 	}
 	fmt.Fprintf(&b, "FROM %s", table)
 	return b.String()
+}
+
+// included reports whether Q[a,c] is maintained under mt: the one rule
+// that decides which of the d² cells NLQQuery computes and DecodeNLQRow
+// reads back.
+func included(mt core.MatrixType, a, c int) bool {
+	switch mt {
+	case core.Diagonal:
+		return a == c
+	case core.Triangular:
+		return c <= a
+	}
+	return mt == core.Full
+}
+
+// DecodeNLQRow converts NLQQuery's 1+d+d² result row back into an NLQ:
+// n, then L, then Q row-major, reading only the cells NLQQuery computed
+// for mt. The SQL path does not compute min/max (the UDF does), so the
+// sentinel infinities stay in place.
+func DecodeNLQRow(row sqltypes.Row, dims int, mt core.MatrixType) (*core.NLQ, error) {
+	if len(row) != 1+dims+dims*dims {
+		return nil, fmt.Errorf("sqlgen: SQL summary row is %d wide, want 1+d+d² = %d", len(row), 1+dims+dims*dims)
+	}
+	if row[0].IsNull() {
+		return nil, fmt.Errorf("sqlgen: SQL summary over no qualifying rows")
+	}
+	s, err := core.NewNLQ(dims, mt)
+	if err != nil {
+		return nil, err
+	}
+	if s.N, err = row[0].AsFloat(); err != nil {
+		return nil, fmt.Errorf("sqlgen: bad N in SQL summary: %w", err)
+	}
+	for a := 0; a < dims; a++ {
+		if !row[1+a].IsNull() {
+			if s.L[a], err = row[1+a].AsFloat(); err != nil {
+				return nil, fmt.Errorf("sqlgen: bad L[%d] in SQL summary: %w", a, err)
+			}
+		}
+	}
+	for a := 0; a < dims; a++ {
+		for c := 0; c < dims; c++ {
+			if v := row[1+dims+a*dims+c]; included(mt, a, c) && !v.IsNull() {
+				if s.Q[a*dims+c], err = v.AsFloat(); err != nil {
+					return nil, fmt.Errorf("sqlgen: bad Q[%d,%d] in SQL summary: %w", a, c, err)
+				}
+			}
+		}
+	}
+	return s, nil
 }
 
 // NLQQueriesPerCell builds the naive alternative of §3.4: one SELECT

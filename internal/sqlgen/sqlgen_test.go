@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine/sqlparser"
+	"repro/internal/engine/sqltypes"
 )
 
 func mustParseAll(t *testing.T, sqls ...string) {
@@ -147,5 +148,96 @@ func TestKMeansIterationQuery(t *testing.T) {
 func TestPassStyleString(t *testing.T) {
 	if ListStyle.String() != "list" || StringStyle.String() != "string" {
 		t.Fatal("style names changed")
+	}
+}
+
+// TestDecodeNLQRow checks the decoder against the generator it lives
+// beside: a row shaped by NLQQuery's own NULL padding decodes to
+// exactly the cells the query computed, for every matrix type, and
+// malformed rows are refused.
+func TestDecodeNLQRow(t *testing.T) {
+	const d = 4
+	for _, mt := range []core.MatrixType{core.Diagonal, core.Triangular, core.Full} {
+		st, err := sqlparser.Parse(NLQQuery("X", Dims(d), mt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Cell i of the row holds i+1 where the query has a sum, NULL
+		// where it printed null padding.
+		items := st.(*sqlparser.Select).Items
+		row := make(sqltypes.Row, len(items))
+		for i, it := range items {
+			if _, padded := it.Expr.(*sqlparser.NullLit); !padded {
+				row[i] = sqltypes.NewDouble(float64(i + 1))
+			}
+		}
+		s, err := DecodeNLQRow(row, d, mt)
+		if err != nil {
+			t.Fatalf("%v: %v", mt, err)
+		}
+		if s.Type != mt || s.D != d || s.N != 1 {
+			t.Fatalf("%v: type/d/n = %v/%d/%g", mt, s.Type, s.D, s.N)
+		}
+		for a := 0; a < d; a++ {
+			if s.L[a] != float64(2+a) {
+				t.Fatalf("%v: L[%d] = %g", mt, a, s.L[a])
+			}
+			for c := 0; c < d; c++ {
+				want := 0.0
+				if !row[1+d+a*d+c].IsNull() {
+					want = float64(1 + d + a*d + c + 1)
+				}
+				if got := s.Q[a*d+c]; got != want {
+					t.Fatalf("%v: Q[%d,%d] = %g, want %g", mt, a, c, got, want)
+				}
+			}
+		}
+		nonNull := 0
+		for _, v := range row[1+d:] {
+			if !v.IsNull() {
+				nonNull++
+			}
+		}
+		if want := map[core.MatrixType]int{core.Diagonal: d, core.Triangular: d * (d + 1) / 2, core.Full: d * d}[mt]; nonNull != want {
+			t.Fatalf("%v: query computes %d Q cells, want %d", mt, nonNull, want)
+		}
+		// A value in a cell the type does not maintain is not read.
+		if mt != core.Full {
+			row[1+d+0*d+(d-1)] = sqltypes.NewDouble(99) // Q[0,d-1]: above the diagonal
+			if s, err = DecodeNLQRow(row, d, mt); err != nil || s.Q[d-1] != 0 {
+				t.Fatalf("%v: out-of-mask cell read: Q[0,%d] = %g, err %v", mt, d-1, s.Q[d-1], err)
+			}
+		}
+	}
+
+	full := make(sqltypes.Row, 1+d+d*d)
+	for i := range full {
+		full[i] = sqltypes.NewDouble(1)
+	}
+	with := func(i int, v sqltypes.Value) sqltypes.Row {
+		r := append(sqltypes.Row(nil), full...)
+		r[i] = v
+		return r
+	}
+	for name, tc := range map[string]struct {
+		row  sqltypes.Row
+		dims int
+	}{
+		"too narrow":    {full[:len(full)-1], d},
+		"too wide":      {append(with(0, full[0]), sqltypes.Null), d},
+		"d mismatch":    {full, d - 1},
+		"zero d":        {sqltypes.Row{sqltypes.NewDouble(1)}, 0},
+		"NULL n":        {with(0, sqltypes.Null), d},
+		"non-numeric n": {with(0, sqltypes.NewVarChar("x")), d},
+		"non-numeric L": {with(2, sqltypes.NewVarChar("x")), d},
+		"non-numeric Q": {with(1+d, sqltypes.NewVarChar("x")), d},
+	} {
+		if _, err := DecodeNLQRow(tc.row, tc.dims, core.Full); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+	// NULL sums (every value of a column NULL) leave the cell zero.
+	if s, err := DecodeNLQRow(with(1, sqltypes.Null), d, core.Full); err != nil || s.L[0] != 0 {
+		t.Fatalf("NULL L: %v, err %v", s, err)
 	}
 }

@@ -85,12 +85,14 @@ func (d *DB) LoadKMeans(cTable, rTable, wTable string) (*KMeansModel, error) {
 	return score.LoadKMeans(d.eng, cTable, rTable, wTable)
 }
 
-// replaceOutputTable creates dst with an id column plus the named
-// DOUBLE columns, dropping any previous version.
-func (d *DB) replaceOutputTable(dst, idCol string, valueCols ...string) error {
+// scoreInto is the body every Score* method shares: (re)create dst as
+// (idCol BIGINT, valueCols DOUBLE...), fill it with one
+// INSERT INTO dst <generated scoring SELECT>, and report the rows
+// scored.
+func (d *DB) scoreInto(dst, idCol, scoringSelect string, valueCols ...string) (int64, error) {
 	if d.eng.HasTable(dst) {
 		if err := d.eng.DropTable(dst); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	cols := []sqltypes.Column{{Name: idCol, Type: sqltypes.TypeBigInt}}
@@ -99,26 +101,23 @@ func (d *DB) replaceOutputTable(dst, idCol string, valueCols ...string) error {
 	}
 	schema, err := sqltypes.NewSchema(cols...)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	_, err = d.eng.CreateTable(dst, schema)
-	return err
+	if _, err := d.eng.CreateTable(dst, schema); err != nil {
+		return 0, err
+	}
+	res, err := d.eng.Exec(fmt.Sprintf("INSERT INTO %s %s", dst, scoringSelect))
+	if err != nil {
+		return 0, err
+	}
+	return res.Affected, nil
 }
 
 // ScoreRegression scores xTable against the stored BETA model in a
 // single scan (X CROSS JOIN BETA + one linearregscore call per row),
 // writing (id, yhat) into dstTable. Returns the rows scored.
 func (d *DB) ScoreRegression(xTable, idCol string, columns []string, betaTable, dstTable string) (int64, error) {
-	if err := d.replaceOutputTable(dstTable, idCol, "yhat"); err != nil {
-		return 0, err
-	}
-	sql := fmt.Sprintf("INSERT INTO %s %s", dstTable,
-		sqlgen.RegScoreUDF(xTable, betaTable, idCol, columns))
-	res, err := d.eng.Exec(sql)
-	if err != nil {
-		return 0, err
-	}
-	return res.Affected, nil
+	return d.scoreInto(dstTable, idCol, sqlgen.RegScoreUDF(xTable, betaTable, idCol, columns), "yhat")
 }
 
 // ScorePCA reduces xTable to k coordinates per row in a single scan
@@ -129,32 +128,14 @@ func (d *DB) ScorePCA(xTable, idCol string, columns []string, muTable, lambdaTab
 	for j := range names {
 		names[j] = fmt.Sprintf("p%d", j+1)
 	}
-	if err := d.replaceOutputTable(dstTable, idCol, names...); err != nil {
-		return 0, err
-	}
-	sql := fmt.Sprintf("INSERT INTO %s %s", dstTable,
-		sqlgen.PCAScoreUDF(xTable, muTable, lambdaTable, idCol, columns, k))
-	res, err := d.eng.Exec(sql)
-	if err != nil {
-		return 0, err
-	}
-	return res.Affected, nil
+	return d.scoreInto(dstTable, idCol, sqlgen.PCAScoreUDF(xTable, muTable, lambdaTable, idCol, columns, k), names...)
 }
 
 // ScoreKMeans assigns each row of xTable its nearest centroid (k
 // kdistance calls + clusterscore, one scan), writing (id, j) into
 // dstTable with j the 1-based cluster subscript.
 func (d *DB) ScoreKMeans(xTable, idCol string, columns []string, cTable, dstTable string, k int) (int64, error) {
-	if err := d.replaceOutputTable(dstTable, idCol, "j"); err != nil {
-		return 0, err
-	}
-	sql := fmt.Sprintf("INSERT INTO %s %s", dstTable,
-		sqlgen.ClusterScoreUDF(xTable, cTable, idCol, columns, k))
-	res, err := d.eng.Exec(sql)
-	if err != nil {
-		return 0, err
-	}
-	return res.Affected, nil
+	return d.scoreInto(dstTable, idCol, sqlgen.ClusterScoreUDF(xTable, cTable, idCol, columns, k), "j")
 }
 
 // KMeansInEngine runs K-means entirely through the engine: every
@@ -178,22 +159,21 @@ func (d *DB) KMeansInEngine(table string, columns []string, k, iters int, seed i
 		if err := score.SaveKMeans(d.eng, cTable, rTable, wTable, padKMeans(model)); err != nil {
 			return nil, err
 		}
-		sql := sqlgen.KMeansIterationQuery(table, cTable, columns, k)
-		res, err := d.eng.Exec(sql)
+		res, err := d.eng.Exec(sqlgen.KMeansIterationQuery(table, cTable, columns, k))
 		if err != nil {
 			return nil, err
 		}
 		sums := make([]*core.NLQ, k)
-		for _, row := range res.Rows {
-			j := int(row[0].Int())
-			if j < 1 || j > k || row[1].IsNull() {
-				return nil, fmt.Errorf("statsudf: iteration returned cluster %d out of 1..%d", j, k)
-			}
-			s, err := core.Unpack(row[1].Str())
-			if err != nil {
-				return nil, err
+		err = eachGroup(res, func(key Value, s *NLQ) error {
+			j := int(key.Int())
+			if j < 1 || j > k {
+				return fmt.Errorf("statsudf: iteration returned cluster %d out of 1..%d", j, k)
 			}
 			sums[j-1] = s
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		next, err := core.FinalizeKMeans(model.C, sums)
 		if err != nil {

@@ -265,13 +265,15 @@ func (d *DB) Summary(table string, columns []string, opts SummaryOptions) (*NLQ,
 	default:
 		return nil, fmt.Errorf("statsudf: unknown summary method %d", opts.Method)
 	}
-	sql = appendWhere(sql, opts.Where)
-	res, err := d.eng.Exec(sql)
+	res, err := d.eng.Exec(appendWhere(sql, opts.Where))
 	if err != nil {
 		return nil, err
 	}
 	if opts.Method == ViaSQL {
-		return decodeSQLNLQ(res, len(columns), mt)
+		if len(res.Rows) != 1 {
+			return nil, fmt.Errorf("statsudf: SQL summary returned %d rows, want 1", len(res.Rows))
+		}
+		return sqlgen.DecodeNLQRow(res.Rows[0], len(columns), mt)
 	}
 	v, err := res.Value()
 	if err != nil {
@@ -289,23 +291,35 @@ func (d *DB) GroupedSummary(table string, columns []string, mt MatrixType, group
 	if len(columns) > MaxD {
 		return nil, fmt.Errorf("statsudf: grouped summaries support at most d=%d", MaxD)
 	}
-	sql := sqlgen.NLQUDFGroupQuery(table, columns, mt, sqlgen.ListStyle, groupExpr)
-	res, err := d.eng.Exec(sql)
+	res, err := d.eng.Exec(sqlgen.NLQUDFGroupQuery(table, columns, mt, sqlgen.ListStyle, groupExpr))
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string]*NLQ, len(res.Rows))
+	err = eachGroup(res, func(key Value, s *NLQ) error {
+		out[key.String()] = s
+		return nil
+	})
+	return out, err
+}
+
+// eachGroup decodes a grouped aggregate-UDF result — rows of (group
+// key, packed n/L/Q) — calling fn once per group that had qualifying
+// rows.
+func eachGroup(res *Result, fn func(key Value, s *NLQ) error) error {
 	for _, row := range res.Rows {
 		if row[1].IsNull() {
 			continue
 		}
 		s, err := core.Unpack(row[1].Str())
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[row[0].String()] = s
+		if err := fn(row[0], s); err != nil {
+			return err
+		}
 	}
-	return out, nil
+	return nil
 }
 
 func appendWhere(sql, where string) string {
@@ -324,15 +338,24 @@ func (d *DB) blockedSummary(table string, columns []string, where string) (*NLQ,
 	if err != nil {
 		return nil, err
 	}
-	sql := appendWhere(sqlgen.NLQBlockQuery(table, columns, plan), where)
-	res, err := d.eng.Exec(sql)
+	res, err := d.eng.Exec(appendWhere(sqlgen.NLQBlockQuery(table, columns, plan), where))
 	if err != nil {
 		return nil, err
+	}
+	return DecodeBlockedSummary(res, plan)
+}
+
+// DecodeBlockedSummary assembles the result of sqlgen.NLQBlockQuery —
+// one row holding one packed nlq_block value per call of plan — into
+// the full-matrix NLQ.
+func DecodeBlockedSummary(res *Result, plan *core.BlockPlan) (*NLQ, error) {
+	if len(res.Rows) != 1 || len(res.Rows[0]) != plan.Calls() {
+		return nil, fmt.Errorf("statsudf: blocked summary result does not match the %d-call plan", plan.Calls())
 	}
 	parts := make([]*core.BlockResult, plan.Calls())
 	for i, v := range res.Rows[0] {
 		if v.IsNull() {
-			return nil, fmt.Errorf("statsudf: table %q has no qualifying rows", table)
+			return nil, fmt.Errorf("statsudf: blocked summary over no qualifying rows")
 		}
 		_, r, err := nlqudf.UnpackBlock(v.Str())
 		if err != nil {
@@ -341,46 +364,6 @@ func (d *DB) blockedSummary(table string, columns []string, where string) (*NLQ,
 		parts[i] = r
 	}
 	return plan.Assemble(parts)
-}
-
-// decodeSQLNLQ converts the wide SQL result row into an NLQ.
-func decodeSQLNLQ(res *Result, dims int, mt MatrixType) (*NLQ, error) {
-	if len(res.Rows) != 1 || len(res.Rows[0]) != 1+dims+dims*dims {
-		return nil, fmt.Errorf("statsudf: unexpected SQL summary shape")
-	}
-	row := res.Rows[0]
-	if row[0].IsNull() {
-		return nil, fmt.Errorf("statsudf: table has no qualifying rows")
-	}
-	s := core.MustNLQ(dims, mt)
-	var err error
-	if s.N, err = row[0].AsFloat(); err != nil {
-		return nil, fmt.Errorf("statsudf: bad N in SQL summary: %w", err)
-	}
-	for a := 0; a < dims; a++ {
-		if !row[1+a].IsNull() {
-			if s.L[a], err = row[1+a].AsFloat(); err != nil {
-				return nil, fmt.Errorf("statsudf: bad L[%d] in SQL summary: %w", a, err)
-			}
-		}
-	}
-	for a := 0; a < dims; a++ {
-		for c := 0; c < dims; c++ {
-			v := row[1+dims+a*dims+c]
-			if v.IsNull() {
-				continue
-			}
-			keep := (mt == core.Full) || (mt == core.Triangular && c <= a) || (mt == core.Diagonal && a == c)
-			if keep {
-				if s.Q[a*dims+c], err = v.AsFloat(); err != nil {
-					return nil, fmt.Errorf("statsudf: bad Q[%d,%d] in SQL summary: %w", a, c, err)
-				}
-			}
-		}
-	}
-	// The SQL path does not compute min/max (the UDF does); leave the
-	// sentinel infinities in place.
-	return s, nil
 }
 
 // cachedSummary serves Summary's ViaCache method from the engine's

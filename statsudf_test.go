@@ -33,6 +33,11 @@ func TestOpenAndExec(t *testing.T) {
 	}
 }
 
+// TestGenerateAndSummaryMethodsAgree requires the four ways of computing the
+// summaries — aggregate UDF with list and string passing, the long SQL
+// query, the summary cache — to agree to the last bit on n, L and Q for
+// every matrix type: they add the same products in the same
+// per-partition order, so anything short of equality is a defect.
 func TestGenerateAndSummaryMethodsAgree(t *testing.T) {
 	d := openTest(t)
 	defer d.Close()
@@ -40,28 +45,30 @@ func TestGenerateAndSummaryMethodsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	cols := DimColumns(5)
-	base, err := d.Summary("X", cols, SummaryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.N != 400 {
-		t.Fatalf("n = %g", base.N)
-	}
-	for _, method := range []SummaryMethod{ViaUDFString, ViaSQL} {
-		s, err := d.Summary("X", cols, SummaryOptions{Method: method})
+	for _, mt := range []MatrixType{Diagonal, Triangular, Full} {
+		base, err := d.Summary("X", cols, SummaryOptions{Matrix: mt})
 		if err != nil {
-			t.Fatalf("method %v: %v", method, err)
+			t.Fatal(err)
 		}
-		if s.N != base.N {
-			t.Fatalf("method %v: n = %g", method, s.N)
+		if base.N != 400 {
+			t.Fatalf("%v: n = %g", mt, base.N)
 		}
-		for a := 0; a < 5; a++ {
-			if math.Abs(s.L[a]-base.L[a]) > 1e-6 {
-				t.Fatalf("method %v: L[%d] mismatch", method, a)
+		for _, method := range []SummaryMethod{ViaUDFString, ViaSQL, ViaCache} {
+			s, err := d.Summary("X", cols, SummaryOptions{Method: method, Matrix: mt})
+			if err != nil {
+				t.Fatalf("%v method %v: %v", mt, method, err)
 			}
-			for b := 0; b <= a; b++ {
-				if math.Abs(s.QAt(a, b)-base.QAt(a, b)) > 1e-5 {
-					t.Fatalf("method %v: Q[%d][%d] mismatch", method, a, b)
+			if s.Type != mt || s.D != base.D || math.Float64bits(s.N) != math.Float64bits(base.N) {
+				t.Fatalf("%v method %v: type/d/n = %v/%d/%g", mt, method, s.Type, s.D, s.N)
+			}
+			for a := range base.L {
+				if math.Float64bits(s.L[a]) != math.Float64bits(base.L[a]) {
+					t.Fatalf("%v method %v: L[%d] = %v, want %v", mt, method, a, s.L[a], base.L[a])
+				}
+			}
+			for i := range base.Q {
+				if math.Float64bits(s.Q[i]) != math.Float64bits(base.Q[i]) {
+					t.Fatalf("%v method %v: Q[%d] = %v, want %v", mt, method, i, s.Q[i], base.Q[i])
 				}
 			}
 		}
@@ -335,5 +342,85 @@ func TestFacadeErrors(t *testing.T) {
 	}
 	if _, err := d.KMeans("X", []string{"nope"}, 2, KMeansOptions{}); err == nil {
 		t.Fatal("bad column must fail")
+	}
+}
+
+// TestColSource covers the one table → core.Source adapter every
+// client-side model build scans through: it yields the named columns
+// in the order asked, once per row, and refuses what it cannot turn
+// into points.
+func TestColSource(t *testing.T) {
+	d := openTest(t)
+	defer d.Close()
+	if err := d.Generate("X", MixtureConfig{N: 50, D: 3, Seed: 4}); err != nil {
+		t.Fatal(err)
+	}
+	src, err := d.columnsSource("X", []string{"X3", "X1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src.Dims() != 2 {
+		t.Fatalf("dims = %d", src.Dims())
+	}
+	res, err := d.Exec("SELECT sum(X3), sum(X1) FROM X")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var count int
+	var sums [2]float64
+	if err := src.Scan(func(x []float64) error {
+		if len(x) != 2 {
+			t.Fatalf("point width %d", len(x))
+		}
+		count++
+		sums[0] += x[0]
+		sums[1] += x[1]
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if count != 50 {
+		t.Fatalf("scanned %d points, want 50", count)
+	}
+	for i, v := range res.Rows[0] {
+		if want, _ := v.Float(); math.Abs(sums[i]-want) > 1e-9*math.Abs(want) {
+			t.Fatalf("column %d sums to %g, SQL says %g", i, sums[i], want)
+		}
+	}
+
+	if _, err := d.columnsSource("missing", []string{"X1"}); err == nil {
+		t.Fatal("missing table must fail")
+	}
+	if _, err := d.columnsSource("X", []string{"X1", "X9"}); err == nil {
+		t.Fatal("missing column must fail")
+	}
+
+	// A NULL dimension or a non-numeric string is a scan error, not a
+	// silent zero; a numeric string converts.
+	if _, err := d.ExecScript("CREATE TABLE S (a DOUBLE, s VARCHAR); INSERT INTO S VALUES (1, '2.5')"); err != nil {
+		t.Fatal(err)
+	}
+	src, err = d.columnsSource("S", []string{"a", "s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Scan(func(x []float64) error {
+		if x[0] != 1 || x[1] != 2.5 {
+			t.Fatalf("point = %v", x)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{"(NULL, '1')", "(1, 'abc')"} {
+		if _, err := d.Exec("INSERT INTO S VALUES " + bad); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.Scan(func([]float64) error { return nil }); err == nil {
+			t.Fatalf("scan over %s must fail", bad)
+		}
+		if _, err := d.ExecScript("DROP TABLE S; CREATE TABLE S (a DOUBLE, s VARCHAR)"); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
