@@ -329,20 +329,13 @@ func cmdKMeans(args []string) error {
 	}
 	fmt.Printf("k-means: k=%d iters=%d SSE=%.2f\n", m.K, m.Iters, m.SSE)
 	for j := 0; j < m.K; j++ {
-		fmt.Printf("  cluster %d: W=%.3f C[0..2]=%.2f %.2f ...\n", j+1, m.W[j], m.C[j][0], m.C[j][min2(1, m.D-1)])
+		fmt.Printf("  cluster %d: W=%.3f C[0..2]=%.2f %.2f ...\n", j+1, m.W[j], m.C[j][0], m.C[j][min(1, m.D-1)])
 	}
 	if err := db.StoreKMeans(*cT, *rT, *wT, m); err != nil {
 		return err
 	}
 	fmt.Printf("model stored in %s, %s, %s\n", *cT, *rT, *wT)
 	return nil
-}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func cmdScore(args []string) error {

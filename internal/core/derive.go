@@ -235,10 +235,3 @@ func ComputeBlock(blk Block, scan func(fn func(x []float64) error) error) (*Bloc
 	}
 	return res, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

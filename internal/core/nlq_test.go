@@ -233,6 +233,7 @@ func TestUnpackErrors(t *testing.T) {
 		"2;diag;0;0|0;0|0|0;0|0;0|0",   // wrong diag arity
 		"2;triang;0;0|0;0|0;0|0;0|0",   // wrong tri arity (needs 3)
 		"2;full;z;0|0;0|0|0|0;0|0;0|0", // bad n
+		"2000000000;full;0;0;0;0;0",    // forged d: must be refused before sizing d×d
 	}
 	for _, s := range bad {
 		if _, err := Unpack(s); err == nil {

@@ -61,6 +61,11 @@ func Unpack(s string) (*NLQ, error) {
 	if err != nil {
 		return nil, err
 	}
+	// L carries one value per dimension; counting them before allocating
+	// keeps a forged d from sizing the d×d state.
+	if got := strings.Count(parts[3], "|") + 1; got != d {
+		return nil, fmt.Errorf("core: L: got %d entries, want %d", got, d)
+	}
 	out, err := NewNLQ(d, mt)
 	if err != nil {
 		return nil, err

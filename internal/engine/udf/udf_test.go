@@ -225,3 +225,34 @@ func TestRegistryRegisterAndNames(t *testing.T) {
 		t.Error("empty-name aggregate must be rejected")
 	}
 }
+
+// FuzzUnpackFloats feeds arbitrary text to the pipe-separated vector
+// parser: nlq_str runs it on a VARCHAR built from table data for every
+// row. It must not panic, and whatever it accepts must survive a
+// PackFloats/UnpackFloats round trip bit for bit.
+func FuzzUnpackFloats(f *testing.F) {
+	f.Add("")
+	f.Add("1|2.5|-3e300")
+	f.Add(" 1 | 2 ")
+	f.Add("NaN|Inf|-Inf|-0")
+	f.Add("1||2")
+	f.Add("0x1p-2|1_000")
+	f.Fuzz(func(t *testing.T, s string) {
+		v, err := UnpackFloats(s)
+		if err != nil {
+			return
+		}
+		again, err := UnpackFloats(PackFloats(v))
+		if err != nil {
+			t.Fatalf("UnpackFloats accepted %q but rejects its own re-pack: %v", s, err)
+		}
+		if len(again) != len(v) {
+			t.Fatalf("round trip of %q changed length %d -> %d", s, len(v), len(again))
+		}
+		for i := range v {
+			if math.Float64bits(again[i]) != math.Float64bits(v[i]) && !(math.IsNaN(v[i]) && math.IsNaN(again[i])) {
+				t.Fatalf("round trip of %q changed value %d: %v -> %v", s, i, v[i], again[i])
+			}
+		}
+	})
+}

@@ -2,47 +2,29 @@ package harness
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 
 	statsudf "repro"
 	"repro/internal/core"
-	"repro/internal/extern"
-	"repro/internal/odbcsim"
-	"repro/internal/sqlgen"
 )
 
-// exportX exports table X to a file through the ODBC simulator,
-// returning the path and the export statistics.
-func exportX(d *statsudf.DB, cfg Config, dir string) (string, odbcsim.Stats, error) {
-	t, err := d.Engine().Table("X")
-	if err != nil {
-		return "", odbcsim.Stats{}, err
-	}
-	path := filepath.Join(dir, "export.csv")
-	f, err := os.Create(path)
-	if err != nil {
-		return "", odbcsim.Stats{}, err
-	}
-	st, err := odbcsim.Export(t, f, cfg.ODBC)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return path, st, err
+// sizeLabel is the row label of an n sweep: the paper's n in thousands
+// and the rows actually loaded at this scale.
+func sizeLabel(nk, n int) string { return fmt.Sprintf("%d (%d rows)", nk, n) }
+
+// correlationOnly is Table 1's first model column.
+func correlationOnly(s *core.NLQ) error {
+	_, err := core.BuildCorrelation(s)
+	return err
 }
 
 // buildAllModels performs the client-side model math of Table 1 from
 // the summaries: correlation, PCA (k=16 capped at d) and linear
 // regression treating the last dimension as Y.
 func buildAllModels(s *core.NLQ) error {
-	if _, err := core.BuildCorrelation(s); err != nil {
+	if err := correlationOnly(s); err != nil {
 		return err
 	}
-	k := 16
-	if k > s.D-1 {
-		k = s.D - 1
-	}
-	if _, err := core.BuildPCA(s, k, core.CorrelationBasis); err != nil {
+	if _, err := core.BuildPCA(s, min(16, s.D-1), core.CorrelationBasis); err != nil {
 		return err
 	}
 	_, err := core.BuildLinReg(s)
@@ -51,22 +33,13 @@ func buildAllModels(s *core.NLQ) error {
 
 // runTable1 reproduces Table 1: total time (summaries + model math) at
 // d=32 for n = 100k..1600k, comparing C++ (on a pre-exported file,
-// export excluded as in the paper), SQL and the aggregate UDF. The
-// correlation and regression columns measure the shared n,L,Q pass
-// plus each model's own math.
+// export excluded as in the paper), SQL and the aggregate UDF. Each
+// implementation computes n, L, Q its own way — C++ in one thread over
+// the file, SQL and the UDF in the engine — and the same model math
+// runs on top: the correlation columns measure the shared n,L,Q pass
+// plus correlation, the others the whole suite.
 func runTable1(cfg Config) ([]*Table, error) {
 	const dims = 32
-	d, cleanup, err := newDB(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-	exportDir, err := os.MkdirTemp("", "statsudf-export-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(exportDir)
-
 	t := &Table{
 		ID:    "t1",
 		Title: fmt.Sprintf("Total time to build models at d=%d (secs)", dims),
@@ -74,86 +47,39 @@ func runTable1(cfg Config) ([]*Table, error) {
 			"pca/linreg C++", "pca/linreg SQL", "pca/linreg UDF"},
 		Note: "C++ runs single-threaded on a pre-exported file (export time excluded, as in the paper); SQL/UDF run in the 20-way parallel engine.",
 	}
+	impls := []summarizer{external, viaFacade(statsudf.ViaSQL, core.Triangular), viaFacade(statsudf.ViaUDF, core.Triangular)}
+	var arms []arm
+	for _, build := range []func(*core.NLQ) error{correlationOnly, buildAllModels} {
+		for _, impl := range impls {
+			arms = append(arms, impl.arm(build))
+		}
+	}
 	for _, nk := range []int{100, 200, 400, 800, 1600} {
 		n := cfg.rows(nk)
-		if err := loadX(d, cfg, n, dims); err != nil {
-			return nil, err
-		}
-		// Pre-export without throttling: Table 1 excludes export time.
-		plainODBC := cfg
-		plainODBC.ODBC.TimeScale = 0
-		path, _, err := exportX(d, plainODBC, exportDir)
+		err := withDataset(cfg, dataset{n: n, dims: dims}, func(e *env) error {
+			// Pre-export without throttling: Table 1 excludes export time.
+			plain := cfg.ODBC
+			plain.TimeScale = 0
+			if _, err := e.exportX(plain); err != nil {
+				return err
+			}
+			ts, err := e.time(arms...)
+			if err != nil {
+				return err
+			}
+			t.add(sizeLabel(nk, n), ts)
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-
-		// Each implementation computes n, L, Q its own way — C++ in one
-		// thread over the file, SQL and the UDF in the engine — and the
-		// same model math runs on top.
-		impls := []func() (*core.NLQ, error){
-			func() (*core.NLQ, error) {
-				return extern.ComputeNLQ(mustOpen(path), dims, extern.Options{SkipLeadingID: true, MatrixType: core.Triangular})
-			},
-			func() (*core.NLQ, error) { return summarize(d, dims, core.Triangular, statsudf.ViaSQL) },
-			func() (*core.NLQ, error) { return summarize(d, dims, core.Triangular, statsudf.ViaUDF) },
-		}
-		var corr, full [3]Timing
-		for i, nlq := range impls {
-			corr[i], err = timeIt(cfg, func() error {
-				s, err := nlq()
-				if err != nil {
-					return err
-				}
-				_, err = core.BuildCorrelation(s)
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			full[i], err = timeIt(cfg, func() error {
-				s, err := nlq()
-				if err != nil {
-					return err
-				}
-				return buildAllModels(s)
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d (%d rows)", nk, n),
-			secs(corr[0]), secs(corr[1]), secs(corr[2]),
-			secs(full[0]), secs(full[1]), secs(full[2]),
-		})
 	}
 	return []*Table{t}, nil
-}
-
-// mustOpen re-opens the exported file per run; the external analyzer
-// re-reads its input from disk each time, like the table scans.
-func mustOpen(path string) *os.File {
-	f, err := os.Open(path)
-	if err != nil {
-		panic(err) // file was created moments ago by the same process
-	}
-	return f
 }
 
 // runTable2 reproduces Table 2: time for n,L,Q at n ∈ {100k,200k} and
 // d ∈ {8..64} for C++/SQL/UDF, plus the modeled ODBC export time.
 func runTable2(cfg Config) ([]*Table, error) {
-	d, cleanup, err := newDB(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-	exportDir, err := os.MkdirTemp("", "statsudf-export-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(exportDir)
-
 	t := &Table{
 		ID:     "t2",
 		Title:  "Time to compute n, L, Q and time to export X with ODBC (secs)",
@@ -163,41 +89,21 @@ func runTable2(cfg Config) ([]*Table, error) {
 	for _, nk := range []int{100, 200} {
 		for _, dims := range []int{8, 16, 32, 64} {
 			n := cfg.rows(nk)
-			if err := loadX(d, cfg, n, dims); err != nil {
-				return nil, err
-			}
-			path, odbcStats, err := exportX(d, cfg, exportDir)
-			if err != nil {
-				return nil, err
-			}
-			cppT, err := timeIt(cfg, func() error {
-				f := mustOpen(path)
-				defer f.Close()
-				_, err := extern.ComputeNLQ(f, dims, extern.Options{SkipLeadingID: true, MatrixType: core.Triangular})
-				return err
+			err := withDataset(cfg, dataset{n: n, dims: dims}, func(e *env) error {
+				odbc, err := e.exportX(cfg.ODBC)
+				if err != nil {
+					return err
+				}
+				ts, err := e.time(external.arm(nil), sqlArm(core.Triangular), udfArm(core.Triangular))
+				if err != nil {
+					return err
+				}
+				t.add(sizeLabel(nk, n), dims, ts, odbc.Modeled)
+				return nil
 			})
 			if err != nil {
 				return nil, err
 			}
-			sqlT, err := timeIt(cfg, func() error {
-				_, err := summarize(d, dims, core.Triangular, statsudf.ViaSQL)
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			udfT, err := timeIt(cfg, func() error {
-				_, err := summarize(d, dims, core.Triangular, statsudf.ViaUDF)
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%d (%d rows)", nk, n), itoa(dims),
-				secs(cppT), secs(sqlT), secs(udfT),
-				secs(odbcStats.Modeled),
-			})
 		}
 	}
 	return []*Table{t}, nil
@@ -214,71 +120,44 @@ func runTable3(cfg Config) ([]*Table, error) {
 	}
 	for _, dims := range []int{4, 8, 16, 32, 64} {
 		// Build the summaries once from a small representative sample —
-		// the point of the experiment is that model math never touches X.
-		d, cleanup, err := newDB(cfg)
-		if err != nil {
-			return nil, err
-		}
-		n := cfg.rows(100)
-		if n < 4*dims {
-			n = 4 * dims // regression needs n > d+1 even at tiny scales
-		}
-		if err := loadX(d, cfg, n, dims); err != nil {
-			cleanup()
-			return nil, err
-		}
-		s, err := summarize(d, dims, core.Triangular, statsudf.ViaUDF)
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
-		// Per-cluster summaries for the clustering column.
-		groups, err := d.GroupedSummary("X", sqlgen.Dims(dims), core.Diagonal, "i % 16")
-		cleanup()
-		if err != nil {
-			return nil, err
-		}
-
-		corrT, err := timeIt(cfg, func() error {
-			_, err := core.BuildCorrelation(s)
-			return err
+		// the point of the experiment is that model math never touches X
+		// (regression needs n > d+1 even at tiny scales).
+		n := max(cfg.rows(100), 4*dims)
+		err := withDataset(cfg, dataset{n: n, dims: dims}, func(e *env) error {
+			s, err := viaFacade(statsudf.ViaUDF, core.Triangular).nlq(e)
+			if err != nil {
+				return err
+			}
+			// Per-cluster summaries for the clustering column.
+			groups, err := e.db.GroupedSummary("X", e.cols, core.Diagonal, "i % 16")
+			if err != nil {
+				return err
+			}
+			ts, err := e.time(
+				arm{"correlation", func(*env) error { return correlationOnly(s) }},
+				arm{"regression", func(*env) error { _, err := core.BuildLinReg(s); return err }},
+				arm{"PCA", func(*env) error {
+					_, err := core.BuildPCA(s, min(16, dims-1), core.CorrelationBasis)
+					return err
+				}},
+				arm{"clustering", func(*env) error { return finalizeClusters(groups) }},
+			)
+			if err != nil {
+				return err
+			}
+			t.add(dims, ts)
+			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		regT, err := timeIt(cfg, func() error {
-			_, err := core.BuildLinReg(s)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		k := 16
-		if k > dims-1 {
-			k = dims - 1
-		}
-		pcaT, err := timeIt(cfg, func() error {
-			_, err := core.BuildPCA(s, k, core.CorrelationBasis)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		clusT, err := timeIt(cfg, func() error {
-			return finalizeClusters(groups)
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			itoa(dims), secs(corrT), secs(regT), secs(pcaT), secs(clusT),
-		})
 	}
 	return []*Table{t}, nil
 }
 
-// finalizeClusters computes C, R, W from per-cluster summaries — the
-// paper's clustering "model build" step once n, L, Q are available.
+// finalizeClusters computes the centroids C and radii R from
+// per-cluster summaries — the paper's clustering "model build" step
+// once n, L, Q are available.
 func finalizeClusters(groups map[string]*core.NLQ) error {
 	var n float64
 	for _, g := range groups {
@@ -297,7 +176,6 @@ func finalizeClusters(groups map[string]*core.NLQ) error {
 		if _, err := g.Variances(); err != nil {
 			return err
 		}
-		_ = g.N / n // weight
 	}
 	return nil
 }
@@ -312,57 +190,22 @@ func runTable6(cfg Config) ([]*Table, error) {
 		Note:   "lower-triangle block plan: (b²+b)/2 calls for b = d/64 (the paper reports the full-grid count b²); one synchronized scan computes all blocks.",
 	}
 	for _, dims := range []int{64, 128, 256, 512, 1024} {
-		d, cleanup, err := newDB(cfg)
-		if err != nil {
-			return nil, err
-		}
 		n := cfg.rows(100)
 		// Very wide tables get expensive quickly; scale rows down
 		// further for d > 256 to keep default runs responsive while
 		// preserving the calls-vs-time proportionality.
 		if dims > 256 {
-			n /= 4
-			if n < 20 {
-				n = 20
-			}
+			n = max(n/4, 20)
 		}
-		if err := loadX(d, cfg, n, dims); err != nil {
-			cleanup()
-			return nil, err
-		}
-		plan, arm, err := blockedArm(d, dims)
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
-		elapsed, err := timeIt(cfg, arm)
-		cleanup()
+		blocked, calls, err := blockedArm(dims)
 		if err != nil {
 			return nil, err
 		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("100 (%d rows)", n), itoa(dims), itoa(plan.Calls()), secs(elapsed),
-		})
+		ts, err := measure(cfg, dataset{n: n, dims: dims}, blocked)
+		if err != nil {
+			return nil, err
+		}
+		t.add(sizeLabel(100, n), dims, calls, ts)
 	}
 	return []*Table{t}, nil
-}
-
-// blockedArm is Table 6's timed closure: every nlq_block call of the
-// d-dimensional plan in one statement (d = 64 included: one block, so
-// the 1-call row is measured on the same path as the rest), decoded by
-// the facade's blocked decoder.
-func blockedArm(d *statsudf.DB, dims int) (*core.BlockPlan, func() error, error) {
-	plan, err := core.PlanBlocks(dims, core.MaxD)
-	if err != nil {
-		return nil, nil, err
-	}
-	sql := sqlgen.NLQBlockQuery("X", sqlgen.Dims(dims), plan)
-	return plan, func() error {
-		res, err := d.Exec(sql)
-		if err != nil {
-			return err
-		}
-		_, err = statsudf.DecodeBlockedSummary(res, plan)
-		return err
-	}, nil
 }

@@ -1,0 +1,100 @@
+package harness
+
+import (
+	"math"
+	"slices"
+	"strings"
+)
+
+// results holds the tables of the experiments run so far, by id.
+type results map[string][]*Table
+
+// claim is one shape the paper's evaluation reports and a reproduction
+// should keep: which experiments it reads, and a check over their
+// numeric cells returning what was observed and whether the claim held.
+type claim struct {
+	name  string
+	from  []string
+	check func(r results) (observed float64, holds bool)
+}
+
+// claims are the orderings BENCH_20.json recorded by eye, as data.
+// Ratios are taken at the largest n of a sweep, where fixed
+// per-statement costs weigh least.
+var claims = []claim{
+	{"SQL/UDF time at d=32, largest n (smaller of Table 1 and Figure 1)", []string{"t1", "f1"}, func(r results) (float64, bool) {
+		t1, f1 := r["t1"][0], r["f1"][0]
+		x := min(t1.value(-1, "corr SQL")/t1.value(-1, "corr UDF"), f1.value(-1, "SQL d=32")/f1.value(-1, "UDF d=32"))
+		return x, x > 1
+	}},
+	{"SQL/UDF grows with d: ratio at d=64 over ratio at d=8, largest n", []string{"f1"}, func(r results) (float64, bool) {
+		t := r["f1"][0]
+		x := t.value(-1, "SQL d=64") / t.value(-1, "UDF d=64") / (t.value(-1, "SQL d=8") / t.value(-1, "UDF d=8"))
+		return x, x > 1
+	}},
+	{"string/list passing time at d=8, smallest over n", []string{"f3"}, func(r results) (float64, bool) {
+		x := smallestRatio(r["f3"][0], "string", "list")
+		return x, x > 1
+	}},
+	{"string/list grows with d: ratio at d=64 over ratio at d=8", []string{"f3"}, func(r results) (float64, bool) {
+		t := r["f3"][1]
+		x := t.value(-1, "string") / t.value(-1, "list") / (t.value(0, "string") / t.value(0, "list"))
+		return x, x > 1
+	}},
+	{"full/diag matrix time at d=64, largest n", []string{"f4"}, func(r results) (float64, bool) {
+		t := r["f4"][0]
+		x := t.value(-1, "full") / t.value(-1, "diag")
+		return x, x >= 1
+	}},
+	{"diag <= triang <= full at d=64: smallest step between them over n", []string{"f4"}, func(r results) (float64, bool) {
+		t := r["f4"][0]
+		x := min(smallestRatio(t, "triang", "diag"), smallestRatio(t, "full", "triang"))
+		return x, x >= 1
+	}},
+	{"Table 6 seconds monotone in UDF calls: smallest step between rows", []string{"t6"}, func(r results) (float64, bool) {
+		t := r["t6"][0]
+		x := math.Inf(1)
+		for i := 1; i < len(t.Rows); i++ {
+			x = min(x, t.value(i, "total time")/t.value(i-1, "total time"))
+		}
+		return x, x >= 1
+	}},
+	{"ODBC export (modeled)/C++ compute on the same rows, smallest", []string{"t2"}, func(r results) (float64, bool) {
+		x := smallestRatio(r["t2"][0], "ODBC(modeled)", "C++")
+		return x, x > 1
+	}},
+	// Table 3 itself never varies n; a5's warm column is the same model
+	// build from n, L, Q already at hand, at three sizes.
+	{"Table 3 independent of n: model build from cached n,L,Q at 4x the rows over 1x", []string{"a5"}, func(r results) (float64, bool) {
+		t := r["a5"][0]
+		x := t.value(-1, "warm (cache+build)") / t.value(0, "warm (cache+build)")
+		return x, x < 2
+	}},
+}
+
+// smallestRatio is the minimum of num/den over the table's rows.
+func smallestRatio(t *Table, num, den string) float64 {
+	x := t.value(0, num) / t.value(0, den)
+	for i := range t.Rows {
+		x = min(x, t.value(i, num)/t.value(i, den))
+	}
+	return x
+}
+
+// checkClaims evaluates the claims that the experiment which just ran
+// feeds and whose other sources have run too, as a verdict table; nil
+// when there are none.
+func checkClaims(ran results, just string) *Table {
+	t := &Table{ID: just, Title: "Paper claims checked against these results", Header: []string{"claim", "from", "observed", "verdict"}}
+	for _, c := range claims {
+		if !slices.Contains(c.from, just) || slices.ContainsFunc(c.from, func(id string) bool { return ran[id] == nil }) {
+			continue
+		}
+		observed, holds := c.check(ran)
+		t.add(c.name, strings.Join(c.from, ","), number("%.2f", observed), map[bool]string{true: "holds", false: "DOES NOT HOLD"}[holds])
+	}
+	if t.Rows == nil {
+		return nil
+	}
+	return t
+}

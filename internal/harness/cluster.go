@@ -46,19 +46,15 @@ func runClusterScale(cfg Config) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.Rows = append(t.Rows, base.row(fmt.Sprintf("1 process (%d partitions)", cfg.Partitions), base))
+	t.add(fmt.Sprintf("1 process (%d partitions)", cfg.Partitions), base.load, base.cold, base.warm, number("%.2fx", 1))
 
 	for _, shards := range []int{2, 4} {
-		f, err := openCluster(cfg, shards)
+		fleet, err := runFleetArm(cfg, shards, n, stmts)
 		if err != nil {
 			return nil, err
 		}
-		arm, err := runClusterArm(cfg, n, stmts, f.coord)
-		f.close()
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, arm.row(fmt.Sprintf("%d shards + coordinator", shards), base))
+		t.add(fmt.Sprintf("%d shards + coordinator", shards), fleet.load, fleet.cold, fleet.warm,
+			ratio("%.2fx", base.cold.Seconds(), fleet.cold.Seconds()))
 	}
 
 	// Partial-failure leg: a dead shard must surface as a typed
@@ -74,18 +70,19 @@ func runClusterScale(cfg Config) ([]*Table, error) {
 
 // clusterArmResult carries one topology's measurements.
 type clusterArmResult struct {
-	load time.Duration
-	cold time.Duration
-	warm Timing
+	load, cold time.Duration
+	warm       []Timing
 }
 
-// row renders the arm against the scale-up baseline.
-func (a clusterArmResult) row(name string, base clusterArmResult) []string {
-	speed := "1.00x"
-	if a.cold > 0 && base.cold > 0 {
-		speed = fmt.Sprintf("%.2fx", base.cold.Seconds()/a.cold.Seconds())
+// runFleetArm is runClusterArm through a coordinator over a fresh fleet
+// of in-process shards.
+func runFleetArm(cfg Config, shards, n int, stmts []string) (clusterArmResult, error) {
+	f, err := openCluster(cfg, shards)
+	if err != nil {
+		return clusterArmResult{}, err
 	}
-	return []string{name, secs(a.load), secs(a.cold), secs(a.warm), speed}
+	defer f.close()
+	return runClusterArm(cfg, n, stmts, f.coord)
 }
 
 // runClusterArm loads the workload through one topology — the
@@ -106,8 +103,10 @@ func runClusterArm(cfg Config, n int, stmts []string, eng server.Engine) (cluste
 	}
 	a.cold = time.Since(start)
 
+	// a7 has no dataset — its load is the measured statement workload —
+	// so the warm arm runs against an env carrying only the run's config.
 	var err error
-	a.warm, err = timeIt(cfg, func() error {
+	a.warm, err = (&env{cfg: cfg}).time(arm{"warm n,L,Q", func(*env) error {
 		s, hit, err := eng.SummaryNLQ(cfg.ctx(), "CX", nil, core.Triangular)
 		if err != nil {
 			return err
@@ -119,7 +118,7 @@ func runClusterArm(cfg Config, n int, stmts []string, eng server.Engine) (cluste
 			return fmt.Errorf("a7: summary n=%g, want %d", s.N, n)
 		}
 		return nil
-	})
+	}})
 	return a, err
 }
 
@@ -162,10 +161,7 @@ func openCluster(cfg Config, shards int) (_ *fleet, err error) {
 			f.close()
 		}
 	}()
-	per := cfg.Partitions / shards
-	if per < 1 {
-		per = 1
-	}
+	per := max(cfg.Partitions/shards, 1)
 	addrs := make([]string, 0, shards)
 	for i := 0; i < shards; i++ {
 		sd, err := openMem(per)
@@ -219,14 +215,11 @@ func clusterWorkload(n, dims int, seed int64) []string {
 	rng := rand.New(rand.NewSource(seed))
 	cols := make([]string, dims)
 	for j := range cols {
-		cols[j] = "x" + itoa(j+1)
+		cols[j] = "x" + strconv.Itoa(j+1)
 	}
 	texts := []string{"CREATE TABLE CX (" + strings.Join(cols, " DOUBLE, ") + " DOUBLE)"}
 	for at := 0; at < n; at += batch {
-		m := batch
-		if at+m > n {
-			m = n - at
-		}
+		m := min(batch, n-at)
 		var b strings.Builder
 		b.WriteString("INSERT INTO CX (" + strings.Join(cols, ", ") + ") VALUES ")
 		for r := 0; r < m; r++ {

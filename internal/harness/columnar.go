@@ -6,7 +6,6 @@ import (
 
 	statsudf "repro"
 	"repro/internal/core"
-	"repro/internal/sqlgen"
 )
 
 // runColumnarScan (a8) measures the row-vs-columnar crossover: the
@@ -31,71 +30,42 @@ func runColumnarScan(cfg Config) ([]*Table, error) {
 			"the columnar engine serves them from column segments via block kernels. " +
 			"Merged n,L,Q and linear-regression coefficients are asserted bit-identical across modes.",
 	}
-	cols := sqlgen.Dims(dims)
-	scanSQL := fmt.Sprintf("SELECT %s + %s FROM X WHERE %s > 0", cols[0], cols[1], cols[2])
+	const scanSQL = "SELECT X1 + X2 FROM X WHERE X3 > 0"
+	// Separate directories: the two engines must not share a row log
+	// (or segments).
+	cfg.Dir = ""
 	for _, nk := range []int{200, 400, 800} {
 		n := cfg.rows(nk)
-		row := []string{itoa(nk)}
-		var builds [2]Timing
-		var scans [2]Timing
+		var builds, scans [2]Timing
 		var sums [2]*core.NLQ
 		for mode, columnar := range []bool{false, true} {
-			// Separate directories: the two engines must not share a
-			// row log (or segments).
-			mcfg := cfg
-			mcfg.Dir = ""
-			d, cleanup, err := newDBMode(mcfg, columnar)
-			if err != nil {
-				return nil, err
-			}
-			if err := loadX(d, cfg, n, dims); err != nil {
-				cleanup()
-				return nil, err
-			}
-			ctx, eng := cfg.ctx(), d.Engine()
-			build := func() error {
-				s, _, err := eng.SummaryNLQ(ctx, "X", cols, core.Triangular)
+			err := withDataset(cfg, dataset{n: n, dims: dims, columnar: columnar}, func(e *env) error {
+				// One untimed build first so the columnar engine's lazy
+				// segment materialization is not billed to the measurement:
+				// both modes then time cold *summary* scans over settled
+				// storage.
+				if err := cachedBuild.run(e); err != nil {
+					return err
+				}
+				ts, err := e.time(coldBuild, arm{"filter scan", func(e *env) error {
+					_, err := e.db.Exec(scanSQL)
+					return err
+				}})
 				if err != nil {
 					return err
 				}
-				return buildAllModels(s)
-			}
-			// One untimed build first so the columnar engine's lazy
-			// segment materialization is not billed to the measurement:
-			// both modes then time cold *summary* scans over settled
-			// storage.
-			if err := build(); err != nil {
-				cleanup()
-				return nil, err
-			}
-			builds[mode], err = timeIt(cfg, func() error {
-				eng.InvalidateSummaries("X")
-				return build()
-			})
-			if err != nil {
-				cleanup()
-				return nil, err
-			}
-			sums[mode], _, err = eng.SummaryNLQ(ctx, "X", cols, core.Triangular)
-			if err != nil {
-				cleanup()
-				return nil, err
-			}
-			scans[mode], err = timeIt(cfg, func() error {
-				_, err := d.Exec(scanSQL)
-				return err
-			})
-			if err != nil {
-				cleanup()
-				return nil, err
-			}
-			if columnar {
-				if err := checkFallbackShape(d, n); err != nil {
-					cleanup()
-					return nil, err
+				builds[mode], scans[mode] = ts[0], ts[1]
+				if sums[mode], err = e.cachedSummary(); err != nil {
+					return err
 				}
+				if columnar {
+					return checkFallbackShape(e.db, n)
+				}
+				return nil
+			})
+			if err != nil {
+				return nil, err
 			}
-			cleanup()
 		}
 		if err := nlqBitsIdentical(sums[0], sums[1]); err != nil {
 			return nil, fmt.Errorf("a8: n=%d summaries differ across modes: %w", n, err)
@@ -103,9 +73,7 @@ func runColumnarScan(cfg Config) ([]*Table, error) {
 		if err := linRegBitsIdentical(sums[0], sums[1]); err != nil {
 			return nil, fmt.Errorf("a8: n=%d coefficients differ across modes: %w", n, err)
 		}
-		row = append(row, secs(builds[0]), secs(builds[1]), ratio(builds[0], builds[1]),
-			secs(scans[0]), secs(scans[1]), ratio(scans[0], scans[1]))
-		out.Rows = append(out.Rows, row)
+		out.add(nk, builds[0], builds[1], bestOf(builds), scans[0], scans[1], bestOf(scans))
 	}
 	return []*Table{out}, nil
 }
@@ -167,13 +135,10 @@ func linRegBitsIdentical(a, b *core.NLQ) error {
 	return nil
 }
 
-// ratio reports a/b — how many times faster the second arm ran. The
-// fastest repetition of each arm is compared (best-of-N): scheduler
-// and page-cache noise only ever slows a run down, so the minimum is
-// the stable estimate of each path's actual cost.
-func ratio(a, b Timing) string {
-	if s := b.Min().Seconds(); s > 0 {
-		return fmt.Sprintf("%.1fx", a.Min().Seconds()/s)
-	}
-	return "-"
+// bestOf reports how many times faster the second arm ran, comparing
+// the fastest repetition of each (best-of-N): scheduler and page-cache
+// noise only ever slows a run down, so the minimum is the stable
+// estimate of each path's actual cost.
+func bestOf(arms [2]Timing) Cell {
+	return ratio("%.1fx", arms[0].Min().Seconds(), arms[1].Min().Seconds())
 }

@@ -23,17 +23,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"text/tabwriter"
 	"time"
 
 	statsudf "repro"
-	"repro/internal/core"
 	"repro/internal/odbcsim"
 	"repro/internal/server"
-	"repro/internal/sqlgen"
 )
 
 // Config controls an experiment run.
@@ -96,29 +96,104 @@ func (c Config) ctx() context.Context {
 
 // rows scales one of the paper's "n × 1000" sizes.
 func (c Config) rows(nThousand int) int {
-	n := int(float64(nThousand) * 1000 * c.Scale)
-	if n < 20 {
-		n = 20
-	}
-	return n
+	return max(int(float64(nThousand)*1000*c.Scale), 20)
 }
 
-// Table is one rendered result table.
+// Table is one result table. Rows hold cells, not text: a label, or a
+// number (measured seconds, a count, a ratio, modeled seconds) that one
+// formatter renders for the aligned text and for JSON, so the claims
+// and the tests read values, never strings.
 type Table struct {
-	ID     string     `json:"id"` // experiment id, e.g. "t1", "f3"
-	Title  string     `json:"title"`
-	Header []string   `json:"header"`
-	Rows   [][]string `json:"rows"`
-	Note   string     `json:"note,omitempty"`
+	ID     string // experiment id, e.g. "t1", "f3"
+	Title  string
+	Header []string
+	Rows   [][]Cell
+	Note   string
+}
+
+// Cell is one table cell.
+type Cell struct {
+	label  string  // all a text cell has
+	value  float64 // a numeric cell's number; mean seconds for a measurement
+	format string  // fmt verb rendering value; empty for a text cell
+	timing Timing  // the repetitions behind a measurement
+}
+
+// number is a numeric cell rendered with the given verb ("%.0f" counts,
+// "%.4f" seconds, "%.2fx" ratios).
+func number(format string, v float64) Cell { return Cell{value: v, format: format} }
+
+// timed is a measurement: its mean seconds, and the repetitions behind it.
+func timed(tm Timing) Cell { return Cell{value: tm.Seconds(), format: "%.4f", timing: tm} }
+
+// ratio is num/den rendered with format, or "-" when den is zero.
+func ratio(format string, num, den float64) Cell {
+	if den <= 0 {
+		return Cell{label: "-"}
+	}
+	return number(format, num/den)
+}
+
+// String renders the cell the way the paper's tables print it: seconds
+// to four decimals, a repeated measurement with its min..max spread.
+func (c Cell) String() string {
+	switch {
+	case c.format == "":
+		return c.label
+	case len(c.timing.Runs) > 1:
+		return fmt.Sprintf("%.4f [%.4f..%.4f]", c.value, c.timing.Min().Seconds(), c.timing.Max().Seconds())
+	}
+	return fmt.Sprintf(c.format, c.value)
+}
+
+// add appends one row, turning Go values into cells: a string is a
+// label, an int a count, a Duration, a Timing or a slice of them seconds.
+func (t *Table) add(cells ...any) {
+	var row []Cell
+	for _, c := range cells {
+		switch v := c.(type) {
+		case Cell:
+			row = append(row, v)
+		case string:
+			row = append(row, Cell{label: v})
+		case int:
+			row = append(row, number("%.0f", float64(v)))
+		case time.Duration:
+			row = append(row, number("%.4f", v.Seconds()))
+		case Timing:
+			row = append(row, timed(v))
+		case []Timing:
+			for _, tm := range v {
+				row = append(row, timed(tm))
+			}
+		default:
+			panic(fmt.Sprintf("harness: no cell for %T", c))
+		}
+	}
+	t.Rows = append(t.Rows, row)
+}
+
+// value is the number in the named column of row r (negative r counts
+// from the last row).
+func (t *Table) value(r int, column string) float64 {
+	if r < 0 {
+		r += len(t.Rows)
+	}
+	for i, h := range t.Header {
+		if h == column {
+			return t.Rows[r][i].value
+		}
+	}
+	panic(fmt.Sprintf("harness: table %s %q has no column %q", t.ID, t.Title, column))
 }
 
 // Fprint renders the table with aligned columns.
 func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "\n== %s: %s ==\n", t.ID, t.Title)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	printRow(tw, t.Header)
-	for _, r := range t.Rows {
-		printRow(tw, r)
+	fmt.Fprintln(tw, strings.Join(t.Header, "\t"))
+	for _, r := range t.text() {
+		fmt.Fprintln(tw, strings.Join(r, "\t"))
 	}
 	tw.Flush()
 	if t.Note != "" {
@@ -126,14 +201,39 @@ func (t *Table) Fprint(w io.Writer) {
 	}
 }
 
-func printRow(w io.Writer, cells []string) {
-	for i, c := range cells {
-		if i > 0 {
-			fmt.Fprint(w, "\t")
+// text renders every cell.
+func (t *Table) text() [][]string {
+	rows := make([][]string, len(t.Rows))
+	for i, r := range t.Rows {
+		rows[i] = make([]string, len(r))
+		for j, c := range r {
+			rows[i][j] = c.String()
 		}
-		fmt.Fprint(w, c)
 	}
-	fmt.Fprintln(w)
+	return rows
+}
+
+// MarshalJSON writes the rendered rows and, beside them, the numbers
+// they were rendered from (null under a label, and for a ratio that
+// came out non-finite, which JSON cannot carry).
+func (t *Table) MarshalJSON() ([]byte, error) {
+	values := make([][]*float64, len(t.Rows))
+	for i, r := range t.Rows {
+		values[i] = make([]*float64, len(r))
+		for j := range r {
+			if v := r[j].value; r[j].format != "" && !math.IsNaN(v) && !math.IsInf(v, 0) {
+				values[i][j] = &r[j].value
+			}
+		}
+	}
+	return json.Marshal(struct {
+		ID     string       `json:"id"`
+		Title  string       `json:"title"`
+		Header []string     `json:"header"`
+		Rows   [][]string   `json:"rows"`
+		Values [][]*float64 `json:"values"`
+		Note   string       `json:"note,omitempty"`
+	}{t.ID, t.Title, t.Header, t.text(), values, t.Note})
 }
 
 // Experiment regenerates one paper table or figure.
@@ -181,7 +281,8 @@ func ByID(id string) (Experiment, bool) {
 }
 
 // RunAll executes the requested experiment ids (nil = all) and prints
-// each table as it completes.
+// each table as it completes, followed by the verdict of every paper
+// claim whose source experiments have then all run.
 func RunAll(cfg Config, ids []string) error {
 	cfg = cfg.withDefaults()
 	exps := All()
@@ -190,17 +291,18 @@ func RunAll(cfg Config, ids []string) error {
 		for _, id := range ids {
 			e, ok := ByID(id)
 			if !ok {
-				known := make([]string, 0, len(exps))
-				for _, x := range exps {
-					known = append(known, x.ID)
+				known := make([]string, len(exps))
+				for i, x := range exps {
+					known[i] = x.ID
 				}
-				sort.Strings(known)
+				slices.Sort(known)
 				return fmt.Errorf("harness: unknown experiment %q (known: %v)", id, known)
 			}
 			sel = append(sel, e)
 		}
 		exps = sel
 	}
+	ran := results{}
 	for _, e := range exps {
 		if err := cfg.ctx().Err(); err != nil {
 			return fmt.Errorf("harness: run cancelled before %s: %w", e.ID, err)
@@ -213,8 +315,13 @@ func RunAll(cfg Config, ids []string) error {
 		for _, t := range tables {
 			t.Fprint(cfg.Out)
 		}
+		ran[e.ID] = tables
+		verdicts := checkClaims(ran, e.ID)
+		if verdicts != nil {
+			verdicts.Fprint(cfg.Out)
+		}
 		if cfg.JSONDir != "" {
-			if err := writeJSON(cfg, e, tables, time.Since(start)); err != nil {
+			if err := writeJSON(cfg, e, tables, verdicts, time.Since(start)); err != nil {
 				return fmt.Errorf("harness: %s: %w", e.ID, err)
 			}
 		}
@@ -223,9 +330,9 @@ func RunAll(cfg Config, ids []string) error {
 	return nil
 }
 
-// writeJSON saves one experiment's rendered tables as
-// <JSONDir>/BENCH_<id>.json.
-func writeJSON(cfg Config, e Experiment, tables []*Table, elapsed time.Duration) error {
+// writeJSON saves one experiment's tables, and the verdicts of the
+// claims it completed, as <JSONDir>/BENCH_<id>.json.
+func writeJSON(cfg Config, e Experiment, tables []*Table, verdicts *Table, elapsed time.Duration) error {
 	if err := os.MkdirAll(cfg.JSONDir, 0o755); err != nil {
 		return err
 	}
@@ -236,40 +343,13 @@ func writeJSON(cfg Config, e Experiment, tables []*Table, elapsed time.Duration)
 		Runs    int      `json:"runs"`
 		Seconds float64  `json:"seconds"`
 		Tables  []*Table `json:"tables"`
-	}{e.ID, e.Title, cfg.Scale, cfg.Runs, elapsed.Seconds(), tables}
+		Claims  *Table   `json:"claims,omitempty"`
+	}{e.ID, e.Title, cfg.Scale, cfg.Runs, elapsed.Seconds(), tables, verdicts}
 	b, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(filepath.Join(cfg.JSONDir, "BENCH_"+e.ID+".json"), append(b, '\n'), 0o644)
-}
-
-// newDB opens an on-disk database through the shipped facade — the
-// paper's parallelism, the UDFs installed; the caller must call the
-// returned cleanup.
-func newDB(cfg Config) (*statsudf.DB, func(), error) {
-	return newDBMode(cfg, false)
-}
-
-// newDBMode is newDB with the scan mode explicit; the a8 ablation
-// opens one engine per mode over identical data.
-func newDBMode(cfg Config, columnar bool) (*statsudf.DB, func(), error) {
-	dir := cfg.Dir
-	cleanup := func() {}
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "statsudf-bench-*")
-		if err != nil {
-			return nil, nil, err
-		}
-		dir = tmp
-		cleanup = func() { os.RemoveAll(tmp) }
-	}
-	d, err := statsudf.Open(statsudf.Options{Dir: dir, Partitions: cfg.Partitions, Columnar: columnar})
-	if err != nil {
-		cleanup()
-		return nil, nil, err
-	}
-	return d, cleanup, nil
 }
 
 // openMem opens an in-memory facade instance: the shard, coordinator
@@ -287,18 +367,6 @@ func serve(eng server.Engine) (*server.Server, error) {
 		return nil, err
 	}
 	return srv, nil
-}
-
-// loadX loads the standard mixture workload into table X.
-func loadX(d *statsudf.DB, cfg Config, n, dims int) error {
-	return d.Generate("X", statsudf.MixtureConfig{N: n, D: dims, Seed: cfg.Seed})
-}
-
-// summarize computes n, L, Q over X1..Xd of table X the way the
-// facade's method says: the long SQL query, or the aggregate UDF with
-// list or string parameter passing.
-func summarize(d *statsudf.DB, dims int, mt core.MatrixType, via statsudf.SummaryMethod) (*core.NLQ, error) {
-	return d.Summary("X", sqlgen.Dims(dims), statsudf.SummaryOptions{Method: via, Matrix: mt})
 }
 
 // Timing records every repetition of one measurement, so tables can
@@ -321,37 +389,22 @@ func (t Timing) Mean() time.Duration {
 
 // Min is the fastest run (0 for an empty Timing).
 func (t Timing) Min() time.Duration {
-	var m time.Duration
-	for i, d := range t.Runs {
-		if i == 0 || d < m {
-			m = d
-		}
+	if len(t.Runs) == 0 {
+		return 0
 	}
-	return m
+	return slices.Min(t.Runs)
 }
 
 // Max is the slowest run.
 func (t Timing) Max() time.Duration {
-	var m time.Duration
-	for _, d := range t.Runs {
-		if d > m {
-			m = d
-		}
+	if len(t.Runs) == 0 {
+		return 0
 	}
-	return m
+	return slices.Max(t.Runs)
 }
 
 // Seconds is the mean in seconds — the number figure series plot.
 func (t Timing) Seconds() float64 { return t.Mean().Seconds() }
-
-// String renders the mean, with the min..max spread when the
-// measurement was repeated.
-func (t Timing) String() string {
-	if len(t.Runs) <= 1 {
-		return fmt.Sprintf("%.4f", t.Seconds())
-	}
-	return fmt.Sprintf("%.4f [%.4f..%.4f]", t.Seconds(), t.Min().Seconds(), t.Max().Seconds())
-}
 
 // timeIt measures fn over cfg.Runs repetitions, recording each run.
 func timeIt(cfg Config, fn func() error) (Timing, error) {
@@ -368,16 +421,3 @@ func timeIt(cfg Config, fn func() error) (Timing, error) {
 	}
 	return t, nil
 }
-
-// secs renders a measurement in seconds the way the paper's tables do,
-// with enough precision for modern-hardware magnitudes. Timings render
-// their min..max spread when repeated; plain durations render the
-// bare value.
-func secs(v interface{ Seconds() float64 }) string {
-	if t, ok := v.(Timing); ok {
-		return t.String()
-	}
-	return fmt.Sprintf("%.4f", v.Seconds())
-}
-
-func itoa(n int) string { return fmt.Sprintf("%d", n) }

@@ -7,97 +7,85 @@ import (
 	"strings"
 	"testing"
 
-	statsudf "repro"
 	"repro/internal/core"
 	"repro/internal/sqlgen"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/statements.golden")
 
-// TestTimedStatementText runs one timed closure of each paper arm at
-// tiny scale and pins the statement text the engine received, read back
-// from its query log, against a golden recorded before the harness was
-// moved onto the facade: whatever drives the engine, Tables 1-6 and
-// Figures 1-6 must keep timing byte-identical SQL.
+// TestTimedStatementText runs one repetition of each paper arm — the
+// same arm values the experiments time — at tiny scale and pins the
+// statement text the engine received, read back from its query log,
+// against a golden recorded before the harness was moved onto the
+// facade: whatever drives the engine, Tables 1-6 and Figures 1-6 must
+// keep timing byte-identical SQL.
 func TestTimedStatementText(t *testing.T) {
 	cfg := tiny().withDefaults()
-	d, cleanup, err := newDB(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cleanup()
 	var out strings.Builder
-	arm := func(name string, fn func() error) {
-		t.Helper()
-		var mark int64
-		if recent := d.RecentQueries(); len(recent) > 0 {
-			mark = recent[0].ID
-		}
-		if err := fn(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		fmt.Fprintf(&out, "## %s\n", name)
-		recent := d.RecentQueries()
-		for i := len(recent) - 1; i >= 0; i-- {
-			if recent[i].ID > mark {
-				out.WriteString(recent[i].SQL + "\n--\n")
-			}
-		}
+	// record loads ds and, per group of arms, logs the statements one
+	// repetition of each sent to the engine under the group's label.
+	type group struct {
+		label string
+		arms  []arm
 	}
-	load := func(n, dims int) {
+	one := func(a arm) group { return group{a.name, []arm{a}} }
+	record := func(ds dataset, groups ...group) {
 		t.Helper()
-		if err := loadX(d, cfg, n, dims); err != nil {
+		err := withDataset(cfg, ds, func(e *env) error {
+			for _, g := range groups {
+				var mark int64
+				if recent := e.db.RecentQueries(); len(recent) > 0 {
+					mark = recent[0].ID
+				}
+				for _, a := range g.arms {
+					if err := a.run(e); err != nil {
+						return fmt.Errorf("%s: %w", a.name, err)
+					}
+				}
+				fmt.Fprintf(&out, "## %s\n", g.label)
+				recent := e.db.RecentQueries()
+				for i := len(recent) - 1; i >= 0; i-- {
+					if recent[i].ID > mark {
+						out.WriteString(recent[i].SQL + "\n--\n")
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	load(40, 4)
+	var groups []group
 	for _, mt := range []core.MatrixType{core.Diagonal, core.Triangular, core.Full} {
-		arm("long SQL "+mt.String(), func() error { _, err := summarize(d, 4, mt, statsudf.ViaSQL); return err })
-		arm("UDF list "+mt.String(), func() error { _, err := summarize(d, 4, mt, statsudf.ViaUDF); return err })
-		arm("UDF string "+mt.String(), func() error { _, err := summarize(d, 4, mt, statsudf.ViaUDFString); return err })
+		groups = append(groups, one(sqlArm(mt)), one(udfArm(mt)), one(stringArm(mt)))
 	}
-	arm("t3 grouped summaries", func() error {
-		_, err := d.GroupedSummary("X", sqlgen.Dims(4), core.Diagonal, "i % 16")
-		return err
-	})
-	for _, style := range []sqlgen.PassStyle{sqlgen.StringStyle, sqlgen.ListStyle} {
-		arm("t5 GROUP BY "+style.String(), groupByArm(d, 4, 8, style))
-	}
-	arm("a2 per-cell", func() error { return execAll(d, sqlgen.NLQQueriesPerCell("X", sqlgen.Dims(4))) })
-	load(40, 16)
-	arm("a3 executor stats", func() error {
+	perCell, _ := perCellArm(4)
+	record(dataset{n: 40, dims: 4}, append(groups,
+		one(arm{"t3 grouped summaries", func(e *env) error {
+			_, err := e.db.GroupedSummary("X", e.cols, core.Diagonal, "i % 16")
+			return err
+		}}),
+		one(groupByArm(4, 8, sqlgen.StringStyle)), one(groupByArm(4, 8, sqlgen.ListStyle)), one(perCell))...)
+	record(dataset{n: 40, dims: 16}, one(arm{"a3 executor stats", func(e *env) error {
 		for _, q := range statsQueries(16) {
-			if _, err := d.Exec(q.sql); err != nil {
+			if _, err := e.db.Exec(q.sql); err != nil {
 				return err
 			}
 		}
 		return nil
-	})
+	}}))
 	for _, dims := range []int{64, 128} {
-		load(30, dims)
-		_, blocked, err := blockedArm(d, dims)
+		blocked, _, err := blockedArm(dims)
 		if err != nil {
 			t.Fatal(err)
 		}
-		arm(fmt.Sprintf("t6 blocked d=%d", dims), blocked)
+		record(dataset{n: 30, dims: dims}, one(blocked))
 	}
-	if err := prepareScoringModels(d, cfg, 60, 4, 2); err != nil {
-		t.Fatal(err)
-	}
-	dims4 := sqlgen.Dims(4)
-	arm("t4 scoring", func() error {
-		for _, sql := range []string{
-			sqlgen.RegScoreSQL("X", "BETA", "i", dims4), sqlgen.RegScoreUDF("X", "BETA", "i", dims4),
-			sqlgen.PCAScoreSQL("X", "MU", "LAMBDA", "i", dims4, 2), sqlgen.PCAScoreUDF("X", "MU", "LAMBDA", "i", dims4, 2),
-			sqlgen.ClusterScoreUDF("X", "C", "i", dims4, 2),
-		} {
-			if err := discard(cfg, d, sql); err != nil {
-				return err
-			}
-		}
-		return runClusterScoreSQL(cfg, d, dims4, 2)
-	})
+	reg, pca, clus := techniques[0], techniques[1], techniques[2]
+	record(dataset{n: 60, dims: 4, models: 2},
+		group{"t4 scoring", []arm{reg.sql, reg.udf, pca.sql, pca.udf, clus.udf, clus.sql}})
 
 	const golden = "testdata/statements.golden"
 	if *updateGolden {

@@ -15,17 +15,6 @@ import (
 // those seconds were spent on.
 func runExecutorStats(cfg Config) ([]*Table, error) {
 	const dims = 16
-	n := cfg.rows(100)
-
-	d, cleanup, err := newDB(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-	if err := loadX(d, cfg, n, dims); err != nil {
-		return nil, err
-	}
-
 	t := &Table{
 		ID:    "a3",
 		Title: "Executor statistics: scan volume, partition skew, phase times",
@@ -33,24 +22,23 @@ func runExecutorStats(cfg Config) ([]*Table, error) {
 			"parts", "skew", "plan", "scan", "merge", "finalize", "total"},
 		Note: "phase times map to the aggregate UDF protocol: scan = init+accumulate (1-2), merge = partial merge (3), finalize = result packing (4).",
 	}
-	for _, q := range statsQueries(dims) {
-		res, err := d.Exec(q.sql)
-		if err != nil {
-			return nil, err
+	err := withDataset(cfg, dataset{n: cfg.rows(100), dims: dims}, func(e *env) error {
+		for _, q := range statsQueries(dims) {
+			res, err := e.db.Exec(q.sql)
+			if err != nil {
+				return err
+			}
+			s := res.Stats
+			if s == nil {
+				return fmt.Errorf("harness: no stats recorded for %s", q.label)
+			}
+			t.add(q.label, int(s.RowsScanned), int(s.BytesRead), int(s.RowsEmitted), s.Partitions,
+				number("%.2f", s.Skew()), s.Plan, s.Scan, s.Merge, s.Finalize, s.Total)
 		}
-		s := res.Stats
-		if s == nil {
-			return nil, fmt.Errorf("harness: no stats recorded for %s", q.label)
-		}
-		t.Rows = append(t.Rows, []string{
-			q.label,
-			fmt.Sprintf("%d", s.RowsScanned),
-			fmt.Sprintf("%d", s.BytesRead),
-			fmt.Sprintf("%d", s.RowsEmitted),
-			itoa(s.Partitions),
-			fmt.Sprintf("%.2f", s.Skew()),
-			secs(s.Plan), secs(s.Scan), secs(s.Merge), secs(s.Finalize), secs(s.Total),
-		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return []*Table{t}, nil
 }

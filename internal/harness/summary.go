@@ -7,7 +7,6 @@ import (
 	statsudf "repro"
 	"repro/internal/core"
 	"repro/internal/engine/sqltypes"
-	"repro/internal/sqlgen"
 	"repro/internal/synth"
 )
 
@@ -36,97 +35,90 @@ func runSummaryCache(cfg Config) ([]*Table, error) {
 		Note: "warm and incremental builds perform zero partition scans (asserted via ScannedRows); " +
 			"appends are folded into the cached n,L,Q at insert time and verified against a rescan to 1e-9",
 	}
-	cols := sqlgen.Dims(dims)
 	for _, nk := range []int{200, 400, 800} {
-		d, cleanup, err := newDB(cfg)
-		if err != nil {
-			return nil, err
-		}
 		n := cfg.rows(nk)
-		if err := loadX(d, cfg, n, dims); err != nil {
-			cleanup()
-			return nil, err
-		}
-		ctx, eng := cfg.ctx(), d.Engine()
-		tab, err := eng.Table("X")
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
-		build := func() error {
-			s, _, err := eng.SummaryNLQ(ctx, "X", cols, core.Triangular)
+		err := withDataset(cfg, dataset{n: n, dims: dims}, func(e *env) error {
+			tab, err := e.db.Engine().Table("X")
 			if err != nil {
 				return err
 			}
-			return buildAllModels(s)
-		}
+			// zeroScans times a build that must be served from the cache.
+			zeroScans := func(what string) ([]Timing, error) {
+				tab.ResetScannedRows()
+				ts, err := e.time(cachedBuild)
+				if err == nil && tab.ScannedRows() != 0 {
+					err = fmt.Errorf("a5: %s build scanned %d rows, want 0", what, tab.ScannedRows())
+				}
+				return ts, err
+			}
 
-		// Cold: every repetition invalidates first, so each one pays
-		// the rebuild scan.
-		cold, err := timeIt(cfg, func() error {
-			eng.InvalidateSummaries("X")
-			return build()
+			cold, err := e.time(coldBuild)
+			if err != nil {
+				return err
+			}
+			// Warm: the last cold run installed the entry.
+			warm, err := zeroScans("warm")
+			if err != nil {
+				return err
+			}
+			// Append 1% more rows through the insert path, then build warm
+			// again: the appends were delta-merged at write time.
+			if err := appendRows(e.db, cfg, n, n/100+1, dims); err != nil {
+				return err
+			}
+			incr, err := zeroScans("incremental")
+			if err != nil {
+				return err
+			}
+
+			// Verify the incrementally maintained summary against a
+			// from-scratch rescan.
+			s, err := e.cachedSummary()
+			if err != nil {
+				return err
+			}
+			e.db.Engine().InvalidateSummaries("X")
+			ref, err := e.cachedSummary()
+			if err != nil {
+				return err
+			}
+			if err := nlqClose(s, ref, 1e-9); err != nil {
+				return fmt.Errorf("a5: incremental summary diverged from rescan: %w", err)
+			}
+			out.add(nk, cold, warm, incr, ratio("%.0fx", cold[0].Seconds(), warm[0].Seconds()))
+			return nil
 		})
 		if err != nil {
-			cleanup()
 			return nil, err
 		}
-		// Warm: the last cold run installed the entry; assert no scans.
-		tab.ResetScannedRows()
-		warm, err := timeIt(cfg, build)
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
-		if got := tab.ScannedRows(); got != 0 {
-			cleanup()
-			return nil, fmt.Errorf("a5: warm build scanned %d rows, want 0", got)
-		}
-
-		// Append 1% more rows through the insert path, then build warm
-		// again: the appends were delta-merged at write time.
-		if err := appendRows(d, cfg, n, n/100+1, dims); err != nil {
-			cleanup()
-			return nil, err
-		}
-		tab.ResetScannedRows()
-		incr, err := timeIt(cfg, build)
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
-		if got := tab.ScannedRows(); got != 0 {
-			cleanup()
-			return nil, fmt.Errorf("a5: incremental build scanned %d rows, want 0", got)
-		}
-
-		// Verify the incrementally maintained summary against a
-		// from-scratch rescan.
-		s, _, err := eng.SummaryNLQ(ctx, "X", cols, core.Triangular)
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
-		eng.InvalidateSummaries("X")
-		ref, _, err := eng.SummaryNLQ(ctx, "X", cols, core.Triangular)
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
-		if err := nlqClose(s, ref, 1e-9); err != nil {
-			cleanup()
-			return nil, fmt.Errorf("a5: incremental summary diverged from rescan: %w", err)
-		}
-
-		speedup := "-"
-		if w := warm.Seconds(); w > 0 {
-			speedup = fmt.Sprintf("%.0fx", cold.Seconds()/w)
-		}
-		out.Rows = append(out.Rows, []string{itoa(nk), secs(cold), secs(warm), secs(incr), speedup})
-		cleanup()
 	}
 	return []*Table{out}, nil
 }
+
+// cachedSummary is n, L, Q from the engine's summary catalog: a warm
+// entry answers with zero partition scans, a cold one pays one parallel
+// scan and installs the result.
+func (e *env) cachedSummary() (*core.NLQ, error) {
+	s, _, err := e.db.Engine().SummaryNLQ(e.cfg.ctx(), "X", e.cols, core.Triangular)
+	return s, err
+}
+
+// cachedBuild builds the model suite on the catalog's summaries;
+// coldBuild invalidates them first, so every repetition pays the
+// rebuild scan. The a5 and a8 ablations time both.
+var (
+	cachedBuild = arm{"cache + build", func(e *env) error {
+		s, err := e.cachedSummary()
+		if err != nil {
+			return err
+		}
+		return buildAllModels(s)
+	}}
+	coldBuild = arm{"scan + build", func(e *env) error {
+		e.db.Engine().InvalidateSummaries("X")
+		return cachedBuild.run(e)
+	}}
+)
 
 // appendRows inserts extra synthetic rows (ids continuing after n)
 // through the regular insert path in small batches.
