@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -9,26 +10,61 @@ import (
 // over d for each matrix type (the paper's operation-count story).
 // GFLOP/s counts the Q update alone — one multiply and one add per
 // maintained slot: d, d(d+1)/2 or d² slots — which is the bound the
-// perf ledger's core.update_gflops is read against.
+// perf ledger's core.update_gflops is read against. It cycles a ring of
+// 64 seeded points: one constant point would train the min/max branches
+// of the Go body perfectly.
 func BenchmarkNLQUpdate(b *testing.B) {
 	for _, d := range []int{8, 32, 64} {
-		x := make([]float64, d)
-		for i := range x {
-			x[i] = float64(i) * 1.1
-		}
-		for _, mt := range []MatrixType{Diagonal, Triangular, Full} {
+		ring := randPoints(rand.New(rand.NewSource(int64(d))), 64, d)
+		for _, mt := range matrixTypes {
 			slots := map[MatrixType]int{Diagonal: d, Triangular: d * (d + 1) / 2, Full: d * d}[mt]
 			b.Run(fmt.Sprintf("d=%d/%s", d, mt), func(b *testing.B) {
 				s := MustNLQ(d, mt)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if err := s.Update(x); err != nil {
+					if err := s.Update(ring[i%len(ring)]); err != nil {
 						b.Fatal(err)
 					}
 				}
 				nsPerPoint := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 				b.ReportMetric(nsPerPoint, "ns/point")
 				b.ReportMetric(2*float64(slots)/nsPerPoint, "GFLOP/s")
+			})
+		}
+	}
+}
+
+// BenchmarkNLQUpdateBlock is the per-row cost of the columnar path at
+// d = 32 over 4 096-row blocks (the segment chunk size), dense and with
+// 30 % of the rows masked out; ns/row counts every row of the block.
+func BenchmarkNLQUpdateBlock(b *testing.B) {
+	const d, rows = 32, 4096
+	rng := rand.New(rand.NewSource(32))
+	cols := make([][]float64, d)
+	for a := range cols {
+		cols[a] = make([]float64, rows)
+		for r := range cols[a] {
+			cols[a][r] = rng.NormFloat64()
+		}
+	}
+	dense, masked := make([]bool, rows), make([]bool, rows)
+	for r := range dense {
+		dense[r], masked[r] = true, rng.Float64() >= 0.3
+	}
+	for _, mt := range matrixTypes {
+		for _, v := range []struct {
+			name  string
+			valid []bool
+		}{{"dense", dense}, {"masked", masked}} {
+			b.Run(fmt.Sprintf("%s/%s", mt, v.name), func(b *testing.B) {
+				s := MustNLQ(d, mt)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := s.UpdateBlock(cols, v.valid); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
 			})
 		}
 	}

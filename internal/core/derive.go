@@ -194,10 +194,9 @@ type BlockResult struct {
 	Q   []float64 // row-major (rowHi-rowLo)×(colHi-colLo)
 }
 
-// ComputeBlock accumulates one block directly from a vector stream; it
-// is the reference implementation the blocked UDF is tested against.
-func ComputeBlock(blk Block, scan func(fn func(x []float64) error) error) (*BlockResult, error) {
-	rw, cw := blk.RowHi-blk.RowLo, blk.ColHi-blk.ColLo
+// NewBlockResult returns the empty result of a block rw rows by cw
+// columns wide.
+func NewBlockResult(rw, cw int) *BlockResult {
 	res := &BlockResult{
 		Q:   make([]float64, rw*cw),
 		L:   make([]float64, rw),
@@ -208,6 +207,23 @@ func ComputeBlock(blk Block, scan func(fn func(x []float64) error) error) (*Bloc
 		res.Min[i] = math.Inf(1)
 		res.Max[i] = math.Inf(-1)
 	}
+	return res
+}
+
+// Update folds one point's slice of the block — xr its row range's
+// values, xc its column range's — through the per-point kernel:
+// n ← n+1, L/min/max over xr, Q ← Q + xr·xcᵀ.
+func (r *BlockResult) Update(xr, xc []float64) {
+	r.N++
+	update(Full, r.L, r.Min, r.Max, r.Q, xr, xc)
+}
+
+// ComputeBlock accumulates one block directly from a vector stream with
+// the plain double loop; it is the reference implementation the blocked
+// UDF is tested against.
+func ComputeBlock(blk Block, scan func(fn func(x []float64) error) error) (*BlockResult, error) {
+	rw, cw := blk.RowHi-blk.RowLo, blk.ColHi-blk.ColLo
+	res := NewBlockResult(rw, cw)
 	err := scan(func(x []float64) error {
 		if len(x) < blk.RowHi || len(x) < blk.ColHi {
 			return fmt.Errorf("core: point of %d dims too short for block rows [%d,%d) cols [%d,%d)",
@@ -225,7 +241,7 @@ func ComputeBlock(blk Block, scan func(fn func(x []float64) error) error) (*Bloc
 			}
 			row := res.Q[a*cw:]
 			for b := 0; b < cw; b++ {
-				row[b] += v * x[blk.ColLo+b]
+				row[b] += float64(x[blk.ColLo+b] * v)
 			}
 		}
 		return nil

@@ -121,112 +121,25 @@ func (s *NLQ) Update(x []float64) error {
 		return fmt.Errorf("core: point has %d dimensions, want %d", len(x), s.D)
 	}
 	s.N++
-	l, mn, mx := s.L[:len(x)], s.Min[:len(x)], s.Max[:len(x)]
-	for a, v := range x {
-		l[a] += v
-		if v < mn[a] {
-			mn[a] = v
-		}
-		if v > mx[a] {
-			mx[a] = v
-		}
-	}
-	switch s.Type {
-	case Diagonal:
-		for a, v := range x {
-			s.Q[a*s.D+a] += v * v
-		}
-	case Triangular:
-		addOuterLower(s.Q, x)
-	case Full:
-		AddOuter(s.Q, x, x)
-	}
+	update(s.Type, s.L, s.Min, s.Max, s.Q, x, x)
 	return nil
 }
 
-// The Q ← Q + x·xᵀ kernels below are register-tiled: four accumulator
-// rows advance together, so each x[b] is loaded once for four
-// multiply-adds instead of once per multiply-add. Tiling only reorders
-// *which slot* is touched next; every slot still receives exactly one
-// `+= x[a]*x[b]` per point (a separate multiply and add, never fused),
-// so the result is bitwise what the plain double loop produces and the
-// row == columnar == cluster identity is untouched. The reslicing to a
-// common length is what lets the compiler drop the bounds checks.
-
-// addRows4 adds x0·xs … x3·xs into four rows at least as long as xs.
-func addRows4(r0, r1, r2, r3, xs []float64, x0, x1, x2, x3 float64) {
-	r0, r1, r2, r3 = r0[:len(xs)], r1[:len(xs)], r2[:len(xs)], r3[:len(xs)]
-	for b, xb := range xs {
-		r0[b] += x0 * xb
-		r1[b] += x1 * xb
-		r2[b] += x2 * xb
-		r3[b] += x3 * xb
-	}
-}
-
-// AddOuter adds the outer product xr·xcᵀ into q, a len(xr)×len(xc)
-// row-major matrix: the Full update (xr = xc = x) and the rectangular
-// block update of the blocked high-d strategy.
-func AddOuter(q, xr, xc []float64) {
-	w := len(xc)
-	q = q[:len(xr)*w]
-	a := 0
-	for ; a+4 <= len(xr); a += 4 {
-		t := q[a*w : (a+4)*w]
-		addRows4(t[:w], t[w:2*w], t[2*w:3*w], t[3*w:], xc, xr[a], xr[a+1], xr[a+2], xr[a+3])
-	}
-	for ; a < len(xr); a++ {
-		va, row := xr[a], q[a*w:(a+1)*w]
-		for b, xb := range xc {
-			row[b] += va * xb
-		}
-	}
-}
-
-// addOuterLower adds the lower triangle (col ≤ row) of x·xᵀ into the
-// d×d row-major q. A tile of four rows a..a+3 shares columns 0..a-1;
-// the 4×4 block on the diagonal contributes its own lower triangle,
-// written out explicitly.
-func addOuterLower(q, x []float64) {
-	d := len(x)
-	q = q[:d*d]
-	a := 0
-	for ; a+4 <= d; a += 4 {
-		x0, x1, x2, x3 := x[a], x[a+1], x[a+2], x[a+3]
-		r0, r1, r2, r3 := q[a*d:], q[(a+1)*d:], q[(a+2)*d:], q[(a+3)*d:]
-		addRows4(r0, r1, r2, r3, x[:a], x0, x1, x2, x3)
-		t0, t1, t2, t3 := r0[a:a+1], r1[a:a+2], r2[a:a+3], r3[a:a+4]
-		t0[0] += x0 * x0
-		t1[0] += x1 * x0
-		t1[1] += x1 * x1
-		t2[0] += x2 * x0
-		t2[1] += x2 * x1
-		t2[2] += x2 * x2
-		t3[0] += x3 * x0
-		t3[1] += x3 * x1
-		t3[2] += x3 * x2
-		t3[3] += x3 * x3
-	}
-	for ; a < d; a++ {
-		va, row := x[a], q[a*d:a*d+a+1]
-		for b, xb := range x[:a+1] {
-			row[b] += va * xb
-		}
-	}
-}
+// tileRows is how many block rows UpdateBlock transposes at a time:
+// eight float64s are one cache line of each column.
+const tileRows = 8
 
 // UpdateBlock folds a column-wise batch of points into the summaries:
 // cols[a][r] is row r's value for dimension a, and valid[r] gates the
 // row (rows with a NULL or non-numeric value in any dimension arrive
 // masked out, exactly the rows the row-at-a-time scan skips).
 //
-// The kernel loops column-major — one accumulator slot at a time over
-// the whole block — which is both the cache-friendly layout for the
-// d(d+1)/2 quadratic products and *bit-identical* to calling Update
-// once per valid row in order: float addition is applied to each slot
-// in the same row order either way, so partials computed block-wise
-// merge byte-for-byte with partials computed row-wise. The cluster
-// coordinator's push-down algebra relies on this.
+// It is Update over the valid rows in order, so partials computed
+// block-wise merge byte-for-byte with partials computed row-wise (the
+// cluster coordinator's push-down algebra relies on this): tileRows
+// rows at a time are transposed into a small row-major tile — one
+// cache line read per column per tile — and each valid row of the tile
+// goes to the per-point kernel.
 func (s *NLQ) UpdateBlock(cols [][]float64, valid []bool) error {
 	if len(cols) != s.D {
 		return fmt.Errorf("core: block has %d dimensions, want %d", len(cols), s.D)
@@ -237,112 +150,30 @@ func (s *NLQ) UpdateBlock(cols [][]float64, valid []bool) error {
 			return fmt.Errorf("core: block column %d has %d rows, want %d", a, len(col), rows)
 		}
 	}
-	n := 0
-	for _, ok := range valid {
-		if ok {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	s.N += float64(n)
-	// Dense blocks (no masked row) drop the per-element validity test:
-	// the accumulation visits the same rows in the same order either
-	// way, so the sums stay bit-identical — the branch-free loops just
-	// let the compiler keep the dot products in registers.
-	dense := n == rows
-	for a, col := range cols {
-		col = col[:rows]
-		la, mn, mx := s.L[a], s.Min[a], s.Max[a]
-		if dense {
-			for _, v := range col {
-				la += v
-				if v < mn {
-					mn = v
-				}
-				if v > mx {
-					mx = v
-				}
+	d := s.D
+	tile := make([]float64, tileRows*d)
+	t0, t1, t2, t3 := tile[:d], tile[d:2*d], tile[2*d:3*d], tile[3*d:4*d]
+	t4, t5, t6, t7 := tile[4*d:5*d], tile[5*d:6*d], tile[6*d:7*d], tile[7*d:]
+	for r := 0; r < rows; r += tileRows {
+		k := min(tileRows, rows-r)
+		if k == tileRows {
+			for a, col := range cols {
+				c := (*[tileRows]float64)(col[r:])
+				t0[a], t1[a], t2[a], t3[a] = c[0], c[1], c[2], c[3]
+				t4[a], t5[a], t6[a], t7[a] = c[4], c[5], c[6], c[7]
 			}
-		} else {
-			for r, ok := range valid {
-				if !ok {
-					continue
-				}
-				v := col[r]
-				la += v
-				if v < mn {
-					mn = v
-				}
-				if v > mx {
-					mx = v
+		} else { // the block's last, short tile
+			for a, col := range cols {
+				for i, v := range col[r:] {
+					tile[i*d+a] = v
 				}
 			}
 		}
-		s.L[a], s.Min[a], s.Max[a] = la, mn, mx
-	}
-	dot := func(ca, cb []float64, q float64) float64 {
-		ca, cb = ca[:rows], cb[:rows]
-		if dense {
-			for r, v := range ca {
-				q += v * cb[r]
-			}
-			return q
-		}
-		for r, ok := range valid {
+		for i, ok := range valid[r : r+k] {
 			if ok {
-				q += ca[r] * cb[r]
-			}
-		}
-		return q
-	}
-	// dot4 runs four slot accumulations through one pass over the rows.
-	// The chains are independent, so the CPU overlaps their add
-	// latencies — but each slot's own additions still happen in row
-	// order, keeping every sum bit-identical to the sequential path.
-	dot4 := func(ca []float64, cb [][]float64, b int, row []float64) {
-		c0, c1, c2, c3 := cb[b][:rows], cb[b+1][:rows], cb[b+2][:rows], cb[b+3][:rows]
-		q0, q1, q2, q3 := row[b], row[b+1], row[b+2], row[b+3]
-		for r, v := range ca[:rows] {
-			q0 += v * c0[r]
-			q1 += v * c1[r]
-			q2 += v * c2[r]
-			q3 += v * c3[r]
-		}
-		row[b], row[b+1], row[b+2], row[b+3] = q0, q1, q2, q3
-	}
-	switch s.Type {
-	case Diagonal:
-		for a, col := range cols {
-			s.Q[a*s.D+a] = dot(col, col, s.Q[a*s.D+a])
-		}
-	case Triangular:
-		for a := 0; a < s.D; a++ {
-			ca := cols[a]
-			row := s.Q[a*s.D:]
-			b := 0
-			if dense {
-				for ; b+4 <= a+1; b += 4 {
-					dot4(ca, cols, b, row)
-				}
-			}
-			for ; b <= a; b++ {
-				row[b] = dot(ca, cols[b], row[b])
-			}
-		}
-	case Full:
-		for a := 0; a < s.D; a++ {
-			ca := cols[a]
-			row := s.Q[a*s.D:]
-			b := 0
-			if dense {
-				for ; b+4 <= s.D; b += 4 {
-					dot4(ca, cols, b, row)
-				}
-			}
-			for ; b < s.D; b++ {
-				row[b] = dot(ca, cols[b], row[b])
+				x := tile[i*d : (i+1)*d]
+				s.N++
+				update(s.Type, s.L, s.Min, s.Max, s.Q, x, x)
 			}
 		}
 	}
@@ -368,14 +199,14 @@ func (s *NLQ) Remove(x []float64) error {
 	switch s.Type {
 	case Diagonal:
 		for a, v := range x {
-			s.Q[a*s.D+a] -= v * v
+			s.Q[a*s.D+a] -= float64(v * v)
 		}
 	case Triangular:
 		for a := 0; a < s.D; a++ {
 			va := x[a]
 			row := s.Q[a*s.D:]
 			for b := 0; b <= a; b++ {
-				row[b] -= va * x[b]
+				row[b] -= float64(x[b] * va)
 			}
 		}
 	case Full:
@@ -383,7 +214,7 @@ func (s *NLQ) Remove(x []float64) error {
 			va := x[a]
 			row := s.Q[a*s.D:]
 			for b := 0; b < s.D; b++ {
-				row[b] -= va * x[b]
+				row[b] -= float64(x[b] * va)
 			}
 		}
 	}

@@ -279,8 +279,9 @@ func requireSameBits(t *testing.T, got, want *NLQ) {
 	}
 }
 
-// plainUpdate is the straightforward triple loop the tiled kernels
-// replaced, kept as the reference they are checked against.
+// plainUpdate is the straightforward triple loop, the independent
+// reference every kernel body is checked against. Its product is
+// float64(…) for the reason the kernel's are: no fused multiply-add.
 func plainUpdate(s *NLQ, x []float64) {
 	s.N++
 	for a, v := range x {
@@ -299,7 +300,7 @@ func plainUpdate(s *NLQ, x []float64) {
 			hi = a + 1
 		}
 		for b := lo; b < hi; b++ {
-			s.Q[a*s.D+b] += v * x[b]
+			s.Q[a*s.D+b] += float64(x[b] * v)
 		}
 	}
 }
@@ -351,28 +352,44 @@ func TestUpdateBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAddOuterRectangular covers the blocked strategy's rw×cw update at
+// TestAddOuterRectangular covers the blocked strategy's rw×cw update
+// (BlockResult.Update: L/min/max over the row range, Q += xr·xcᵀ) at
 // shapes where neither side is a multiple of the tile.
 func TestAddOuterRectangular(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, shape := range [][2]int{{1, 1}, {3, 9}, {4, 4}, {6, 5}, {9, 3}, {64, 37}} {
 		rw, cw := shape[0], shape[1]
-		got, want := make([]float64, rw*cw), make([]float64, rw*cw)
+		got, want := NewBlockResult(rw, cw), NewBlockResult(rw, cw)
 		for range [50]struct{}{} {
 			xr, xc := randPoints(rng, 1, rw)[0], randPoints(rng, 1, cw)[0]
-			AddOuter(got, xr, xc)
-			for a, va := range xr {
-				for c, vc := range xc {
-					want[a*cw+c] += va * vc
-				}
-			}
+			got.Update(xr, xc)
+			plainBlockUpdate(want, xr, xc)
 		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%dx%d: slot %d %v != %v", rw, cw, i, got[i], want[i])
-			}
+		requireSameBits(t, blockAsNLQ(got), blockAsNLQ(want))
+	}
+}
+
+// plainBlockUpdate is plainUpdate for a rectangular block.
+func plainBlockUpdate(r *BlockResult, xr, xc []float64) {
+	r.N++
+	for a, va := range xr {
+		r.L[a] += va
+		if va < r.Min[a] {
+			r.Min[a] = va
+		}
+		if va > r.Max[a] {
+			r.Max[a] = va
+		}
+		for c, vc := range xc {
+			r.Q[a*len(xc)+c] += float64(vc * va)
 		}
 	}
+}
+
+// blockAsNLQ views a block result as the accumulator requireSameBits
+// compares.
+func blockAsNLQ(r *BlockResult) *NLQ {
+	return &NLQ{D: len(r.L), Type: Full, N: r.N, L: r.L, Min: r.Min, Max: r.Max, Q: r.Q}
 }
 
 // TestUpdateBlockSplitInvariance: feeding one big block or many small

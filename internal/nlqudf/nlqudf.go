@@ -17,7 +17,6 @@ package nlqudf
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -244,16 +243,7 @@ func (b *blockAgg) Accumulate(s udf.State, args []sqltypes.Value) error {
 	}
 	if st.res == nil {
 		st.blk = blk
-		st.res = &core.BlockResult{
-			Q:   make([]float64, rw*cw),
-			L:   make([]float64, rw),
-			Min: make([]float64, rw),
-			Max: make([]float64, rw),
-		}
-		for i := range st.res.Min {
-			st.res.Min[i] = math.Inf(1)
-			st.res.Max[i] = math.Inf(-1)
-		}
+		st.res = core.NewBlockResult(rw, cw)
 		st.buf = make([]float64, want)
 	} else if st.blk != blk {
 		return fmt.Errorf("nlqudf: inconsistent block ranges across rows")
@@ -267,17 +257,7 @@ func (b *blockAgg) Accumulate(s udf.State, args []sqltypes.Value) error {
 	if !diagonal {
 		xc = x[rw:]
 	}
-	st.res.N++
-	for a, v := range xr {
-		st.res.L[a] += v
-		if v < st.res.Min[a] {
-			st.res.Min[a] = v
-		}
-		if v > st.res.Max[a] {
-			st.res.Max[a] = v
-		}
-	}
-	core.AddOuter(st.res.Q, xr, xc)
+	st.res.Update(xr, xc)
 	return nil
 }
 
