@@ -55,3 +55,32 @@ func pure(args []sqltypes.Value) (sqltypes.Value, error) {
 	}
 	return args[0], nil
 }
+
+// logged is a float-body scalar UDF that performs I/O.
+func logged(args []float64) (float64, error) {
+	fmt.Fprintln(os.Stderr, "scoring", args) // want `scalar UDF logged performs I/O \(fmt.Fprintln\)`
+	return args[0], nil
+}
+
+// dot is a float body with no I/O: allowed.
+func dot(args []float64) (float64, error) {
+	if len(args)%2 != 0 {
+		return 0, fmt.Errorf("a: dot expects 2d arguments, got %d", len(args))
+	}
+	var s float64
+	for i := 0; i < len(args)/2; i++ {
+		s += args[i] * args[len(args)/2+i]
+	}
+	return s, nil
+}
+
+// adapters hands out float bodies as function literals.
+func adapters() []func([]float64) (float64, error) {
+	return []func([]float64) (float64, error){
+		func(x []float64) (float64, error) {
+			os.Getenv("MODEL") // want `scalar UDF scalar UDF literal performs I/O \(os.Getenv\)`
+			return x[0], nil
+		},
+		dot, logged,
+	}
+}

@@ -15,8 +15,9 @@
 //     concurrently, so all per-group state must live in Init-allocated
 //     state (blank identity assertions like `var _ udf.Aggregate = x`
 //     are exempt).
-//   - Scalar UDFs (anything with the ScalarFunc signature) must not
-//     perform I/O — they run once per row inside partition scans.
+//   - Scalar UDFs (anything with the ScalarFunc signature, or with the
+//     float-body signature expr.FloatFunc) must not perform I/O — they
+//     run once per row inside partition scans.
 package udfcontract
 
 import (
@@ -129,7 +130,7 @@ func run(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok && isScalarFunc(obj.Type()) {
+			if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok && isScalarUDF(obj.Type()) {
 				checkNoIO(pass, fd.Body, fd.Name.Name)
 			}
 			// Scalar UDFs are often function literals (numeric1-style
@@ -139,7 +140,7 @@ func run(pass *analysis.Pass) error {
 				if !ok {
 					return true
 				}
-				if tv, ok := pass.TypesInfo.Types[lit]; ok && isScalarFunc(tv.Type) {
+				if tv, ok := pass.TypesInfo.Types[lit]; ok && isScalarUDF(tv.Type) {
 					checkNoIO(pass, lit.Body, "scalar UDF literal")
 					return false
 				}
@@ -238,21 +239,25 @@ func sameNamed(t types.Type, named *types.Named) bool {
 	return ok && n.Obj() == named.Obj()
 }
 
-// isScalarFunc reports whether t is the scalar-UDF signature
-// func([]sqltypes.Value) (sqltypes.Value, error).
-func isScalarFunc(t types.Type) bool {
+// isScalarUDF reports whether t is one of the two scalar-UDF
+// signatures: the boxed func([]sqltypes.Value) (sqltypes.Value, error),
+// or the float body func([]float64) (float64, error).
+func isScalarUDF(t types.Type) bool {
 	sig, ok := t.Underlying().(*types.Signature)
 	if !ok || sig.Params().Len() != 1 || sig.Results().Len() != 2 {
 		return false
 	}
 	slice, ok := sig.Params().At(0).Type().(*types.Slice)
-	if !ok || !isSQLValue(slice.Elem()) {
+	if !ok || sig.Results().At(1).Type().String() != "error" {
 		return false
 	}
-	if !isSQLValue(sig.Results().At(0).Type()) {
-		return false
-	}
-	return sig.Results().At(1).Type().String() == "error"
+	arg, res := slice.Elem(), sig.Results().At(0).Type()
+	return (isSQLValue(arg) && isSQLValue(res)) || (isFloat64(arg) && isFloat64(res))
+}
+
+func isFloat64(t types.Type) bool {
+	b, ok := t.(*types.Basic)
+	return ok && b.Kind() == types.Float64
 }
 
 func isSQLValue(t types.Type) bool {

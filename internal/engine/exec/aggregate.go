@@ -97,8 +97,7 @@ func (a *aggPlan) resolve(table, col string) (int, error) {
 // and belongs to this worker alone until the single-threaded merge.
 type aggWorker struct {
 	groupEvs []expr.Evaluator
-	args     []argPlan // one per spec
-	width    int       // of the flat row the gather ordinals index
+	args     []expr.ArgPlan // one per spec; the zero plan for count(*)
 	keyVals  sqltypes.Row
 	keyBuf   strings.Builder
 
@@ -111,67 +110,17 @@ type aggWorker struct {
 	accCalls int64 // aggregate-protocol Accumulate calls, flushed at release
 }
 
-// argPlan is how one aggregate call's argument list is filled per row.
-// Every slot of vals is in exactly one class, decided once from the
-// AST: a literal was evaluated into vals when the worker was built and
-// is never written again; a bare column reference is a gather entry, its
-// ordinal resolved and range-checked against the flat-row width then, so
-// the per-row step is an indexed copy; anything else (`?`, arithmetic,
-// function calls) is an evaluator entry. Any of the lists may be empty.
-type argPlan struct {
-	vals []sqltypes.Value // what Accumulate receives; nil for count(*)
-	cols []argCol
-	evs  []argEval
-}
-
-type argCol struct{ slot, ord int }
-
-type argEval struct {
-	slot int
-	ev   expr.Evaluator
-}
-
-func planArgs(args []sqlparser.Expr, width int, resolve expr.Resolver, compile compileFn) (argPlan, error) {
-	ap := argPlan{vals: make([]sqltypes.Value, len(args))}
-	for slot, e := range args {
-		if cr, ok := e.(*sqlparser.ColumnRef); ok {
-			ord, err := resolve(cr.Table, cr.Name)
-			if err != nil {
-				return ap, err
-			}
-			if ord < 0 || ord >= width {
-				return ap, fmt.Errorf("exec: internal: column %s resolved to ordinal %d outside a row of width %d", cr, ord, width)
-			}
-			ap.cols = append(ap.cols, argCol{slot, ord})
-			continue
-		}
-		ev, err := compile(e, resolve)
-		if err != nil {
-			return ap, err
-		}
-		switch e.(type) {
-		case *sqlparser.NumberLit, *sqlparser.StringLit, *sqlparser.NullLit, *sqlparser.BoolLit:
-			if ap.vals[slot], err = ev.Eval(nil); err != nil {
-				return ap, err
-			}
-		default:
-			ap.evs = append(ap.evs, argEval{slot, ev})
-		}
-	}
-	return ap, nil
-}
-
-func (a *aggPlan) newWorker(width int, resolve expr.Resolver, compile compileFn) (*aggWorker, error) {
-	w := &aggWorker{keyVals: make(sqltypes.Row, len(a.groupBy)), args: make([]argPlan, len(a.specs)), width: width}
+func (a *aggPlan) newWorker(sc *expr.Scope, resolve expr.Resolver) (*aggWorker, error) {
+	w := &aggWorker{keyVals: make(sqltypes.Row, len(a.groupBy)), args: make([]expr.ArgPlan, len(a.specs))}
 	var err error
-	if w.groupEvs, err = compileAll(a.groupBy, resolve, compile); err != nil {
+	if w.groupEvs, err = compileAll(a.groupBy, resolve, sc); err != nil {
 		return nil, err
 	}
 	for i, s := range a.specs {
 		if s.star {
 			continue
 		}
-		if w.args[i], err = planArgs(s.args, width, resolve, compile); err != nil {
+		if w.args[i], err = sc.PlanArgs(s.args, resolve); err != nil {
 			return nil, err
 		}
 	}
@@ -180,9 +129,6 @@ func (a *aggPlan) newWorker(width int, resolve expr.Resolver, compile compileFn)
 
 // accumulate folds one qualifying flat row into its group's states.
 func (w *aggWorker) accumulate(specs []aggSpec, flat sqltypes.Row) error {
-	if len(flat) < w.width {
-		return fmt.Errorf("exec: row of width %d, want %d", len(flat), w.width)
-	}
 	g := w.global
 	if g == nil {
 		w.keyBuf.Reset()
@@ -212,17 +158,9 @@ func (w *aggWorker) accumulate(specs []aggSpec, flat sqltypes.Row) error {
 		}
 	}
 	for i, s := range specs {
-		ap := &w.args[i]
-		args := ap.vals
-		for _, c := range ap.cols {
-			args[c.slot] = flat[c.ord]
-		}
-		for _, e := range ap.evs {
-			v, err := e.ev.Eval(flat)
-			if err != nil {
-				return err
-			}
-			args[e.slot] = v
+		args, err := w.args[i].Gather(flat)
+		if err != nil {
+			return err
 		}
 		if g.seen[i] != nil {
 			k := distinctKey(args)

@@ -81,9 +81,7 @@ func TestSplitConjuncts(t *testing.T) {
 // prepared statement does, returning the tail rows and the residual.
 func joinTail(ctx context.Context, b *binding, where sqlparser.Expr, funcs *expr.Registry) ([]sqltypes.Row, sqlparser.Expr, error) {
 	tp := planTail(b, where)
-	filters, err := tp.compileFilters(b, func(e sqlparser.Expr, r expr.Resolver) (expr.Evaluator, error) {
-		return expr.Compile(e, r, funcs)
-	})
+	filters, err := tp.compileFilters(b, &expr.Scope{Funcs: funcs})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -43,15 +43,16 @@ func Insert(ctx context.Context, ins *sqlparser.Insert, env *Env) (*Result, erro
 		}
 	}
 
-	buildRow := func(vals sqltypes.Row) (sqltypes.Row, error) {
+	// fillRow spreads one row of values over the statement's columns of
+	// row, a table-width row whose other columns are NULL.
+	fillRow := func(row, vals sqltypes.Row) error {
 		if len(vals) != len(colIdx) {
-			return nil, fmt.Errorf("exec: INSERT expects %d values, got %d", len(colIdx), len(vals))
+			return fmt.Errorf("exec: INSERT expects %d values, got %d", len(colIdx), len(vals))
 		}
-		row := make(sqltypes.Row, schema.Len())
 		for i, idx := range colIdx {
 			row[idx] = vals[i]
 		}
-		return row, nil
+		return nil
 	}
 
 	if ins.Query == nil {
@@ -72,8 +73,8 @@ func Insert(ctx context.Context, ins *sqlparser.Insert, env *Env) (*Result, erro
 				}
 				vals[i] = v
 			}
-			row, err := buildRow(vals)
-			if err != nil {
+			row := make(sqltypes.Row, schema.Len())
+			if err := fillRow(row, vals); err != nil {
 				return nil, err
 			}
 			rows = append(rows, row)
@@ -95,7 +96,7 @@ func Insert(ctx context.Context, ins *sqlparser.Insert, env *Env) (*Result, erro
 		return nil, err
 	}
 	var collected []sqltypes.Row
-	add := func(row sqltypes.Row) error { collected = append(collected, row); return nil }
+	add := func(row sqltypes.Row) error { collected = append(collected, row.Clone()); return nil }
 	commit := func() error { return t.Insert(collected...) }
 	if !p.reads(t) {
 		bl, err := t.NewBulkLoader()
@@ -105,14 +106,18 @@ func Insert(ctx context.Context, ins *sqlparser.Insert, env *Env) (*Result, erro
 		defer bl.Abort() // a no-op once Close has committed
 		add, commit = bl.Add, bl.Close
 	}
+	// The partition workers' rows are spread into one table-width row
+	// behind the statement's mutex: the bulk loader lets its caller reuse
+	// the row it was handed, so only what retains a row (a table in
+	// memory, the collected snapshot) allocates one.
 	var mu sync.Mutex
+	row := make(sqltypes.Row, schema.Len())
 	sink := func(r sqltypes.Row) error {
-		row, err := buildRow(r)
-		if err != nil {
-			return err
-		}
 		mu.Lock()
 		defer mu.Unlock()
+		if err := fillRow(row, r); err != nil {
+			return err
+		}
 		return add(row)
 	}
 	_, stats, err := p.ExecuteStreamContext(ctx, nil, sink)

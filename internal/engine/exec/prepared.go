@@ -19,8 +19,8 @@ import (
 // table handles, expands stars, appends ORDER BY keys that are not
 // output columns as hidden items, decides the join-tail push-down,
 // rewrites aggregate calls into specs, decides whether the scan may use
-// the block source, and compiles every expression to closures reading
-// `?` slots from a parameter box. Execute points the boxes at the
+// the block source, and compiles every expression into the expr.Scope of
+// the pooled set that runs it. Execute points the scopes at the
 // arguments and runs the one partition scan (scanPartitions) with a
 // pooled worker per partition; aggregates then merge and finalize, and
 // ORDER BY/LIMIT/hidden-key stripping run as one post-step over the
@@ -57,14 +57,12 @@ type PreparedSelect struct {
 	stmts   sync.Pool // *stmtSet
 }
 
-// compileFn compiles one expression of a prepared statement against a
-// resolver; each pooled set supplies one bound to its own `?` box.
-type compileFn func(sqlparser.Expr, expr.Resolver) (expr.Evaluator, error)
-
-func compileAll(es []sqlparser.Expr, r expr.Resolver, compile compileFn) ([]expr.Evaluator, error) {
+// compileAll compiles es for the owner of sc: each pooled set compiles
+// its evaluators into its own scope.
+func compileAll(es []sqlparser.Expr, r expr.Resolver, sc *expr.Scope) ([]expr.Evaluator, error) {
 	evs := make([]expr.Evaluator, len(es))
 	for i, e := range es {
-		ev, err := compile(e, r)
+		ev, err := sc.Compile(e, r)
 		if err != nil {
 			return nil, err
 		}
@@ -78,7 +76,7 @@ func compileAll(es []sqlparser.Expr, r expr.Resolver, compile compileFn) ([]expr
 // than per scanned row — post-aggregation select items and HAVING, or
 // the whole select list of a FROM-less statement.
 type stmtSet struct {
-	params  []sqltypes.Value
+	scope   expr.Scope
 	filters [][]expr.Evaluator
 	items   []expr.Evaluator
 	having  expr.Evaluator
@@ -203,26 +201,23 @@ func (p *PreparedSelect) NumParams() int { return p.numParams }
 func (p *PreparedSelect) Streamable() bool { return p.order == nil && p.limit == nil }
 
 func (p *PreparedSelect) newStmtSet() (*stmtSet, error) {
-	s := &stmtSet{}
-	compile := func(e sqlparser.Expr, r expr.Resolver) (expr.Evaluator, error) {
-		return expr.CompileWithParams(e, r, p.env.Funcs, &s.params)
-	}
+	s := &stmtSet{scope: expr.Scope{Funcs: p.env.Funcs}}
 	var err error
 	switch {
 	case p.b == nil:
-		s.items, err = compileAll(p.exprs, nil, compile)
+		s.items, err = compileAll(p.exprs, nil, &s.scope)
 		return s, err
 	case p.agg != nil:
-		if s.items, err = compileAll(p.agg.items, p.agg.resolve, compile); err != nil {
+		if s.items, err = compileAll(p.agg.items, p.agg.resolve, &s.scope); err != nil {
 			return nil, err
 		}
 		if p.agg.having != nil {
-			if s.having, err = compile(p.agg.having, p.agg.resolve); err != nil {
+			if s.having, err = s.scope.Compile(p.agg.having, p.agg.resolve); err != nil {
 				return nil, err
 			}
 		}
 	}
-	s.filters, err = p.tail.compileFilters(p.b, compile)
+	s.filters, err = p.tail.compileFilters(p.b, &s.scope)
 	return s, err
 }
 
@@ -244,7 +239,7 @@ func (p *PreparedSelect) ExecuteContext(ctx context.Context, args []sqltypes.Val
 	}
 	rows := col.rows
 	if p.order != nil {
-		if err := sortRows(p.order, schema, rows, p.env.Funcs, &args); err != nil {
+		if err := sortRows(p.order, schema, rows, p.env.Funcs, args); err != nil {
 			return &Result{Stats: st}, err
 		}
 	}
@@ -281,24 +276,24 @@ func (p *PreparedSelect) execute(ctx context.Context, args []sqltypes.Value, sin
 	if err != nil {
 		return nil, nil, err
 	}
-	ss.params = args
+	ss.scope.Params = args
 	defer func() {
-		ss.params = nil
+		flushCalls(&ss.scope)
 		p.stmts.Put(ss)
 	}()
 
 	st := &Stats{Workers: 1}
 	finish := beginSelectObs(st)
 	defer finish()
-	// Count emitted rows in a local atomic shared by the workers'
-	// concurrent sink calls, published to the plain Stats field after
-	// they join (and before finish reads it — deferred last, runs first).
+	// Emitted rows are summed in a local atomic — a worker adds its own
+	// plain count when it is released, the serial emitters add per row —
+	// and published to the plain Stats field after the workers join (and
+	// before finish reads it — deferred last, runs first).
 	emitted := new(atomic.Int64)
 	defer func() { st.RowsEmitted = emitted.Load() }()
-	sink = countedSink(emitted, sink)
 
 	if p.b == nil {
-		schema, err := p.constRow(ss, sink)
+		schema, err := p.constRow(ss, countedSink(emitted, sink))
 		return schema, st, err
 	}
 	plan := st.Root.child("plan")
@@ -326,7 +321,7 @@ func (p *PreparedSelect) execute(ctx context.Context, args []sqltypes.Value, sin
 				return nil, err
 			}
 		}
-		w.params, w.tail, w.sink = args, tail, sink
+		w.scope.Params, w.tail, w.sink, w.total = args, tail, sink, emitted
 		if w.agg != nil {
 			// This worker's own slot: nothing else touches it until the
 			// single-threaded merge.
@@ -336,7 +331,7 @@ func (p *PreparedSelect) execute(ctx context.Context, args []sqltypes.Value, sin
 		return w, nil
 	})
 	if err == nil && p.agg != nil {
-		err = p.agg.mergeFinalize(groups, ss, sink, st)
+		err = p.agg.mergeFinalize(groups, ss, countedSink(emitted, sink), st)
 	}
 	return p.schema, st, err
 }
@@ -357,19 +352,23 @@ func (p *PreparedSelect) constRow(ss *stmtSet, sink RowSink) (*sqltypes.Schema, 
 }
 
 // selectWorker is a SELECT's scanWorker: one partition worker's
-// compiled evaluators (which carry scratch buffers and read `?` slots
-// from params) and row buffers, pooled across partitions and
-// executions. A single-table statement consumes each driving-table row
-// in place; with a join tail the row is flattened against every tail
-// row first. What passes the residual WHERE is projected to the sink or
-// accumulated into the partition's group states.
+// compiled evaluators (which carry scratch buffers, read `?` slots from
+// scope and count their UDF calls there) and row buffers, pooled across
+// partitions and executions. A single-table statement consumes each
+// driving-table row in place; with a join tail the row is flattened
+// against every tail row first. What passes the residual WHERE is
+// projected to the sink or accumulated into the partition's group states.
 type selectWorker struct {
-	ps     *PreparedSelect
-	params []sqltypes.Value
-	where  expr.Evaluator // nil when no residual predicate
-	flat   sqltypes.Row   // the flatten buffer; nil for a single table
-	tail   []sqltypes.Row
-	sink   RowSink
+	ps    *PreparedSelect
+	scope expr.Scope
+	where expr.Evaluator // nil when no residual predicate
+	flat  sqltypes.Row   // the flatten buffer; nil for a single table
+	tail  []sqltypes.Row
+	sink  RowSink
+	// Rows this worker delivered to sink, added to the statement's total
+	// at release: the per-row path writes no shared cache line.
+	emitted int64
+	total   *atomic.Int64
 
 	items []expr.Evaluator // projection
 	out   sqltypes.Row
@@ -379,24 +378,21 @@ type selectWorker struct {
 }
 
 func (p *PreparedSelect) newWorker() (*selectWorker, error) {
-	w := &selectWorker{ps: p}
+	w := &selectWorker{ps: p, scope: expr.Scope{Funcs: p.env.Funcs}}
 	if len(p.b.tables) > 1 {
 		w.flat = make(sqltypes.Row, p.b.width)
 	}
-	compile := func(e sqlparser.Expr, r expr.Resolver) (expr.Evaluator, error) {
-		return expr.CompileWithParams(e, r, p.env.Funcs, &w.params)
-	}
 	var err error
 	if p.tail.residual != nil {
-		if w.where, err = compile(p.tail.residual, p.b.resolve); err != nil {
+		if w.where, err = w.scope.Compile(p.tail.residual, p.b.resolve); err != nil {
 			return nil, err
 		}
 	}
 	if p.agg != nil {
-		w.agg, err = p.agg.newWorker(p.b.width, p.b.resolve, compile)
+		w.agg, err = p.agg.newWorker(&w.scope, p.b.resolve)
 		return w, err
 	}
-	if w.items, err = compileAll(p.exprs, p.b.resolve, compile); err != nil {
+	if w.items, err = compileAll(p.exprs, p.b.resolve, &w.scope); err != nil {
 		return nil, err
 	}
 	w.out = make(sqltypes.Row, len(w.items))
@@ -440,14 +436,24 @@ func (w *selectWorker) row(r sqltypes.Row) error {
 			}
 			w.out[i] = v
 		}
-		if err := w.sink(w.out); err != nil {
+		if err := w.emit(w.out); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+func (w *selectWorker) emit(r sqltypes.Row) error {
+	if err := w.sink(r); err != nil {
+		return err
+	}
+	w.emitted++
+	return nil
+}
+
 func (w *selectWorker) release() {
+	w.total.Add(w.emitted)
+	w.emitted = 0
 	if w.vec != nil {
 		obs.ColumnarVectorOps.Add(w.vec.ops)
 		w.vec.ops = 0
@@ -456,8 +462,17 @@ func (w *selectWorker) release() {
 		obs.UDFCalls.Add(w.agg.accCalls)
 		w.agg.groups, w.agg.global, w.agg.accCalls = nil, nil, 0
 	}
-	w.params, w.tail, w.sink = nil, nil, nil
+	flushCalls(&w.scope)
+	w.tail, w.sink, w.total = nil, nil, nil
 	w.ps.workers.Put(w)
+}
+
+// flushCalls ends one use of a scope: the scalar-UDF invocations its
+// evaluators made are added to engine_udf_calls_total, and the scope is
+// left as its next user expects it.
+func flushCalls(sc *expr.Scope) {
+	obs.UDFCalls.Add(sc.Calls)
+	sc.Params, sc.Calls = nil, 0
 }
 
 // BindStatementArgs deep-copies stmt with every `?` slot bound to the

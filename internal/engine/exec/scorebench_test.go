@@ -1,0 +1,122 @@
+// The scoring UDFs live above this package, like the aggregate UDFs of
+// aggargs_test.go, so what sizes the scan → argument plan → float body
+// path with the paper's three scoring statements is an external test.
+package exec_test
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"testing"
+
+	statsudf "repro"
+	"repro/internal/engine/db"
+	"repro/internal/engine/sqltypes"
+	"repro/internal/sqlgen"
+)
+
+// scoreStatements loads X(i, X1..Xd, Y) with n rows into a fresh on-disk
+// database, builds and stores a regression, a PCA and a K-means model
+// with k components, and prepares §3.5's three one-scan scoring
+// statements over them.
+func scoreStatements(tb testing.TB, n, dims, k, partitions int) map[string]*db.Prepared {
+	tb.Helper()
+	d, err := statsudf.Open(statsudf.Options{Dir: tb.TempDir(), Partitions: partitions})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { d.Close() })
+	beta := make([]float64, dims)
+	for a := range beta {
+		beta[a] = float64(a%5) - 2
+	}
+	if err := d.GenerateRegression("X", statsudf.MixtureConfig{N: n, D: dims, K: k, Seed: 23}, 1, beta, 0.5); err != nil {
+		tb.Fatal(err)
+	}
+	cols := statsudf.DimColumns(dims)
+	reg, err := d.LinearRegression("X", cols, "Y")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pca, err := d.PCA("X", cols, k, statsudf.CovarianceBasis)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	km, err := d.KMeans("X", cols, k, statsudf.KMeansOptions{MaxIters: 2, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, err := range []error{d.StoreRegression("BETA", reg), d.StorePCA("MU", "LAMBDA", pca), d.StoreKMeans("C", "R", "W", km)} {
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	out := map[string]*db.Prepared{}
+	for name, sql := range map[string]string{
+		"regression": sqlgen.RegScoreUDF("X", "BETA", "i", cols),
+		"pca":        sqlgen.PCAScoreUDF("X", "MU", "LAMBDA", "i", cols, k),
+		"kmeans":     sqlgen.ClusterScoreUDF("X", "C", "i", cols, k),
+	} {
+		p, err := d.Engine().Prepare(sql)
+		if err != nil {
+			tb.Fatalf("%s: %v", name, err)
+		}
+		tb.Cleanup(func() { p.Close() })
+		out[name] = p
+	}
+	return out
+}
+
+// scoreOnce runs a scoring statement to a sink that keeps nothing, so
+// what is measured is the scan and the calls, not a result set.
+func scoreOnce(tb testing.TB, p *db.Prepared, wantRows int) {
+	_, st, err := p.ExecuteStreamContext(context.Background(), func(sqltypes.Row) error { return nil })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if st.RowsEmitted != int64(wantRows) {
+		tb.Fatalf("scored %d rows, want %d", st.RowsEmitted, wantRows)
+	}
+}
+
+func BenchmarkScoreStatement(b *testing.B) {
+	const n = 8192
+	for _, shape := range []struct{ dims, k int }{{8, 8}, {32, 16}} {
+		stmts := scoreStatements(b, n, shape.dims, shape.k, 4)
+		for _, name := range []string{"regression", "pca", "kmeans"} {
+			b.Run(fmt.Sprintf("%s/d=%d/k=%d", name, shape.dims, shape.k), func(b *testing.B) {
+				scoreOnce(b, stmts[name], n)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					scoreOnce(b, stmts[name], n)
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				rows := float64(b.N) * n
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/rows, "allocs/row")
+			})
+		}
+	}
+}
+
+// TestScalarCallDoesNotAllocatePerRow scans one partition of 2 000 and
+// one of 16 000 rows with the K-means scoring statement at d = 8, k = 8
+// (nine scalar UDF calls and 136 arguments per row): the flatten
+// buffer, the argument plans and the float scratch are the worker's, so
+// a statement allocates the same whatever it scans.
+func TestScalarCallDoesNotAllocatePerRow(t *testing.T) {
+	allocs := func(n int) float64 {
+		p := scoreStatements(t, n, 8, 8, 1)["kmeans"]
+		return testing.AllocsPerRun(5, func() { scoreOnce(t, p, n) })
+	}
+	small, large := allocs(2000), allocs(16000)
+	// The slack covers pool refills after a GC, not rows: one allocation
+	// per row would be 14 000 apart.
+	if large > small+50 {
+		t.Fatalf("%v allocations over 16 000 rows, %v over 2 000", large, small)
+	}
+	t.Logf("allocations per statement: %v at 2 000 rows, %v at 16 000: 0 per row", small, large)
+}

@@ -64,11 +64,12 @@ func beginSelectObs(st *Stats) func() {
 	}
 }
 
-// countedSink wraps sink so every emitted row bumps emitted, covering
-// concurrent sink calls from partition workers. The count lives in a
-// dedicated typed atomic rather than a Stats field so the Stats struct
-// stays plainly readable — mixing atomic and plain access to the same
-// field is a race (see the atomichygiene analyzer).
+// countedSink wraps sink for the serial emitters (a FROM-less select,
+// the post-aggregation rows) so every emitted row bumps emitted;
+// partition workers count their own rows (selectWorker.emit). The count
+// lives in a dedicated typed atomic rather than a Stats field so the
+// Stats struct stays plainly readable — mixing atomic and plain access
+// to the same field is a race (see the atomichygiene analyzer).
 func countedSink(emitted *atomic.Int64, sink RowSink) RowSink {
 	return func(r sqltypes.Row) error {
 		if err := sink(r); err != nil {
@@ -128,13 +129,13 @@ func planTail(b *binding, where sqlparser.Expr) *tailPlan {
 
 // compileFilters compiles the pushed-down conjuncts, each against its
 // own table's rows.
-func (tp *tailPlan) compileFilters(b *binding, compile compileFn) ([][]expr.Evaluator, error) {
+func (tp *tailPlan) compileFilters(b *binding, sc *expr.Scope) ([][]expr.Evaluator, error) {
 	filters := make([][]expr.Evaluator, len(tp.splits))
 	for ti, split := range tp.splits {
 		if len(split) == 0 {
 			continue
 		}
-		evs, err := compileAll(split, tableResolver(b, ti), compile)
+		evs, err := compileAll(split, tableResolver(b, ti), sc)
 		if err != nil {
 			return nil, err
 		}
@@ -240,7 +241,9 @@ func flatColumnType(b *binding, idx int) sqltypes.Type {
 // sortRows applies ORDER BY over the materialized output. Keys may be
 // output column names/aliases, 1-based ordinals, or expressions over
 // the output schema.
-func sortRows(order []sqlparser.OrderItem, schema *sqltypes.Schema, rows []sqltypes.Row, funcs *expr.Registry, params *[]sqltypes.Value) error {
+func sortRows(order []sqlparser.OrderItem, schema *sqltypes.Schema, rows []sqltypes.Row, funcs *expr.Registry, params []sqltypes.Value) error {
+	sc := &expr.Scope{Funcs: funcs, Params: params}
+	defer flushCalls(sc)
 	type key struct {
 		ev   expr.Evaluator
 		desc bool
@@ -261,7 +264,7 @@ func sortRows(order []sqlparser.OrderItem, schema *sqltypes.Schema, rows []sqlty
 			keys[i] = key{ev: ordinalEval(ord - 1), desc: o.Desc}
 			continue
 		}
-		ev, err := expr.CompileWithParams(o.Expr, resolve, funcs, params)
+		ev, err := sc.Compile(o.Expr, resolve)
 		if err != nil {
 			return err
 		}

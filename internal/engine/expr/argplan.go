@@ -1,0 +1,128 @@
+package expr
+
+import (
+	"fmt"
+
+	"repro/internal/engine/sqlparser"
+	"repro/internal/engine/sqltypes"
+)
+
+// ArgPlan is how the argument list of one call — a scalar function's or
+// an aggregate's — is filled per row. Every slot is in exactly one
+// class, decided once from the AST: a literal is evaluated when the plan
+// is built and never written again; a bare column reference is a gather
+// entry, its ordinal resolved then, so the per-row step is an indexed
+// copy behind one range check per call; anything else (`?`, arithmetic,
+// function calls, CASE) is an evaluator entry, run in slot order. A
+// plan carries the buffers it fills, so it belongs to one goroutine at
+// a time, like the evaluators it holds.
+type ArgPlan struct {
+	vals []sqltypes.Value // what Gather returns; literal slots are final
+	lits []int            // the literal slots
+	cols []argCol
+	evs  []argEval
+	need int // one past the highest gathered ordinal
+}
+
+type argCol struct{ slot, ord int }
+
+type argEval struct {
+	slot int
+	ev   Evaluator
+}
+
+func (c *compiler) planArgs(args []sqlparser.Expr) (ArgPlan, error) {
+	p := ArgPlan{vals: make([]sqltypes.Value, len(args))}
+	for slot, e := range args {
+		ev, err := c.compile(e)
+		if err != nil {
+			return p, err
+		}
+		switch ev := ev.(type) {
+		case constEval:
+			p.vals[slot] = ev.v
+			p.lits = append(p.lits, slot)
+		case colEval:
+			if ev.idx < 0 {
+				return p, fmt.Errorf("expr: column %s resolved to ordinal %d", ev.name, ev.idx)
+			}
+			p.cols = append(p.cols, argCol{slot, ev.idx})
+			p.need = max(p.need, ev.idx+1)
+		default:
+			p.evs = append(p.evs, argEval{slot, ev})
+		}
+	}
+	return p, nil
+}
+
+func (p *ArgPlan) short(row sqltypes.Row) error {
+	return fmt.Errorf("expr: row of width %d, the call's arguments read %d columns", len(row), p.need)
+}
+
+// Gather fills the argument list from row and returns it. The slice is
+// the plan's own: valid until the next call, not to be written.
+func (p *ArgPlan) Gather(row sqltypes.Row) ([]sqltypes.Value, error) {
+	if len(row) < p.need {
+		return nil, p.short(row)
+	}
+	for _, c := range p.cols {
+		p.vals[c.slot] = row[c.ord]
+	}
+	for _, a := range p.evs {
+		v, err := a.ev.Eval(row)
+		if err != nil {
+			return nil, err
+		}
+		p.vals[a.slot] = v
+	}
+	return p.vals, nil
+}
+
+// floats is Gather for a float body: dst, whose literal slots the
+// caller filled once, receives every other argument unboxed, columns
+// straight from row, and nil is returned. When an argument is not a
+// DOUBLE or a BIGINT it returns the completed boxed list instead, for
+// the function's boxed form, whose adapter owns NULLs, strings and the
+// error.
+func (p *ArgPlan) floats(row sqltypes.Row, dst []float64) ([]sqltypes.Value, error) {
+	if len(row) < p.need {
+		return nil, p.short(row)
+	}
+	numbers := true
+	for _, a := range p.evs {
+		v, err := a.ev.Eval(row)
+		if err != nil {
+			return nil, err
+		}
+		f, ok := v.Number()
+		p.vals[a.slot], dst[a.slot] = v, f
+		numbers = numbers && ok
+	}
+	for _, c := range p.cols {
+		f, ok := row[c.ord].Number()
+		dst[c.slot] = f
+		numbers = numbers && ok
+	}
+	if numbers {
+		return nil, nil
+	}
+	for _, c := range p.cols {
+		p.vals[c.slot] = row[c.ord]
+	}
+	return p.vals, nil
+}
+
+// literalFloats returns the scratch a float body is called with, the
+// plan's literal slots already converted, or nil when a literal is not
+// a DOUBLE or a BIGINT — every call of such a plan takes the boxed form.
+func (p *ArgPlan) literalFloats() []float64 {
+	dst := make([]float64, len(p.vals))
+	for _, slot := range p.lits {
+		f, ok := p.vals[slot].Number()
+		if !ok {
+			return nil
+		}
+		dst[slot] = f
+	}
+	return dst
+}

@@ -1,0 +1,233 @@
+package expr
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"repro/internal/engine/obs"
+	"repro/internal/engine/sqlparser"
+	"repro/internal/engine/sqltypes"
+)
+
+// floatRegistry registers three float bodies beside the built-ins; sumsq
+// is a UDF and counts in *calls how often its body ran.
+func floatRegistry(t *testing.T, calls *int) *Registry {
+	t.Helper()
+	reg := NewRegistry()
+	defs := []FuncDef{
+		{Name: "SumSq", MinArgs: 1, MaxArgs: -1, Ret: sqltypes.TypeDouble, UDF: true,
+			Float: func(x []float64) (float64, error) {
+				*calls++
+				var s float64
+				for _, v := range x {
+					s += v * v
+				}
+				return s, nil
+			}},
+		{Name: "argmax", MinArgs: 1, MaxArgs: -1, Ret: sqltypes.TypeBigInt,
+			Float: func(x []float64) (float64, error) {
+				best := 0
+				for j, v := range x {
+					if v > x[best] {
+						best = j
+					}
+				}
+				return float64(best + 1), nil
+			}},
+		{Name: "picky", MinArgs: 2, MaxArgs: -1,
+			Float: func(x []float64) (float64, error) {
+				if len(x)%2 != 0 {
+					return 0, fmt.Errorf("picky expects pairs, got %d", len(x))
+				}
+				return x[0], nil
+			}},
+	}
+	for _, def := range defs {
+		if err := reg.Register(def); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return reg
+}
+
+// row columns: a DOUBLE, b BIGINT, c NULL, s VARCHAR "hi", n VARCHAR " 1.5 ".
+func planRow() sqltypes.Row { return append(stdRow(), sqltypes.NewVarChar(" 1.5 ")) }
+
+func planResolver(table, col string) (int, error) {
+	if i := strings.Index("abcsn", strings.ToLower(col)); i >= 0 && len(col) == 1 {
+		return i, nil
+	}
+	return 0, fmt.Errorf("no column %q", col)
+}
+
+// TestFloatBodyCall drives one float body through every way a call
+// reaches it — compiled with an owner, compiled without, and through the
+// Fn that Lookup hands out — over the argument rules the adapter owns.
+func TestFloatBodyCall(t *testing.T) {
+	var bodyCalls int
+	reg := floatRegistry(t, &bodyCalls)
+	sc := &Scope{Funcs: reg}
+	for _, c := range []struct {
+		src, want, wantErr string
+		param              string // the VARCHAR bound to the `?` of src; "" binds NULL
+	}{
+		{"sumsq(a, b)", "D:106.25", "", ""},         // DOUBLE and BIGINT columns: the unboxed gather
+		{"sumsq(a, 2, 0.5)", "D:10.5", "", ""},      // literal slots, converted once
+		{"sumsq(a + 1, b * 2)", "D:412.25", "", ""}, // evaluator slots
+		{"sumsq(a, n)", "D:8.5", "", ""},            // a numeric VARCHAR column parses
+		{"sumsq(?, b)", "D:109", "", "3"},           // and so does a numeric VARCHAR parameter
+		{"sumsq(a, c)", "NULL", "", ""},             // a NULL column
+		{"sumsq(a, NULL)", "NULL", "", ""},          // a NULL literal: always the boxed form
+		{"sumsq(?, a)", "NULL", "", ""},             // a NULL parameter
+		{"sumsq(c, s)", "NULL", "", ""},             // left to right: the NULL comes first
+		{"sumsq(s, c)", "", "expr: sumsq: non-numeric argument hi", ""},
+		{"sumsq(a, ?)", "", "expr: sumsq: non-numeric argument x", "x"},
+		{"sumsq(1 / (b - 10), s)", "", "division by zero", ""}, // an argument's own error precedes the check of another
+		{"argmax(a, b, 3)", "I:2", "", ""},                     // Ret decides the box
+		{"argmax(sumsq(a), sumsq(b), 7)", "I:2", "", ""},       // nested float bodies
+		{"picky(a, b, a)", "", "picky expects pairs, got 3", ""},
+		{"sqrt(b + 6)", "D:4", "", ""}, // the math built-ins are float bodies too
+		{"power(n, 2)", "D:2.25", "", ""},
+		{"power(s, 2)", "", "expr: power: non-numeric argument hi", ""},
+		{"power(c, s)", "NULL", "", ""},
+	} {
+		sc.Params = []sqltypes.Value{sqltypes.Null}
+		if c.param != "" {
+			sc.Params[0] = sqltypes.NewVarChar(c.param)
+		}
+		ast, err := sqlparser.ParseExpr(c.src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", c.src, err)
+		}
+		owned, err := sc.Compile(ast, planResolver)
+		if err != nil {
+			t.Fatalf("compile %q: %v", c.src, err)
+		}
+		evs := []Evaluator{owned}
+		if !strings.Contains(c.src, "?") {
+			free, err := Compile(ast, planResolver, reg)
+			if err != nil {
+				t.Fatalf("compile %q: %v", c.src, err)
+			}
+			evs = append(evs, free)
+		}
+		for _, ev := range evs {
+			for rep := 0; rep < 2; rep++ { // the plan's buffers are reused
+				v, err := ev.Eval(planRow())
+				got := "NULL"
+				switch v.Type() {
+				case sqltypes.TypeDouble:
+					got = fmt.Sprintf("D:%v", v)
+				case sqltypes.TypeBigInt:
+					got = fmt.Sprintf("I:%v", v)
+				}
+				if c.wantErr != "" {
+					if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+						t.Fatalf("%s: error %v, want %q", c.src, err, c.wantErr)
+					}
+				} else if err != nil || got != c.want {
+					t.Fatalf("%s = %s, %v; want %s", c.src, got, err, c.want)
+				}
+			}
+		}
+	}
+
+	// The Fn Lookup hands out is derived from the same body.
+	def, _ := reg.Lookup("sumsq")
+	before := bodyCalls
+	v, err := def.Fn([]sqltypes.Value{sqltypes.NewBigInt(3), sqltypes.NewVarChar("4"), sqltypes.NewBool(true)})
+	if err != nil || v.MustFloat() != 26 || bodyCalls != before+1 {
+		t.Fatalf("derived Fn: %v, %v (%d body calls)", v, err, bodyCalls-before)
+	}
+	if v, err := def.Fn([]sqltypes.Value{sqltypes.Null, sqltypes.NewVarChar("x")}); err != nil || !v.IsNull() {
+		t.Fatalf("derived Fn on a leading NULL: %v, %v", v, err)
+	}
+	if _, err := def.Fn([]sqltypes.Value{sqltypes.NewVarChar("x"), sqltypes.Null}); err == nil {
+		t.Fatal("derived Fn on a leading non-number must fail")
+	}
+
+	// Exactly one body per definition.
+	fn := func([]sqltypes.Value) (sqltypes.Value, error) { return sqltypes.Null, nil }
+	if err := reg.Register(FuncDef{Name: "both", Fn: fn, Float: func([]float64) (float64, error) { return 0, nil }}); err == nil {
+		t.Fatal("a definition with both bodies must be rejected")
+	}
+	if err := reg.Register(FuncDef{Name: "neither"}); err == nil {
+		t.Fatal("a definition with no body must be rejected")
+	}
+}
+
+// TestScopeCountsUDFCalls: an owned evaluator counts UDF invocations in
+// its scope and leaves the shared counter alone; one without an owner
+// counts there at once; built-ins count nowhere; the count is taken
+// before the call, so a failing invocation is one too.
+func TestScopeCountsUDFCalls(t *testing.T) {
+	var bodyCalls int
+	reg := floatRegistry(t, &bodyCalls)
+	compile := func(sc *Scope, src string) Evaluator {
+		ast, err := sqlparser.ParseExpr(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := Compile(ast, planResolver, reg)
+		if sc != nil {
+			ev, err = sc.Compile(ast, planResolver)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev
+	}
+	sc := &Scope{Funcs: reg}
+	shared := obs.UDFCalls.Value()
+	for _, src := range []string{"sumsq(a, b)", "sumsq(sumsq(a), sqrt(b))", "sumsq(a, s)", "sqrt(a)", "CASE WHEN b > 100 THEN sumsq(a) ELSE 0 END"} {
+		compile(sc, src).Eval(planRow())
+	}
+	if sc.Calls != 4 || obs.UDFCalls.Value() != shared {
+		t.Fatalf("owned: scope counted %d (want 4), engine_udf_calls_total moved by %d", sc.Calls, obs.UDFCalls.Value()-shared)
+	}
+	compile(nil, "sumsq(sumsq(a), b)").Eval(planRow())
+	if got := obs.UDFCalls.Value() - shared; got != 2 {
+		t.Fatalf("without an owner: engine_udf_calls_total moved by %d, want 2", got)
+	}
+}
+
+// TestArgPlanGather pins the plan the executor's aggregate calls share:
+// the three slot classes, the buffer reuse, and the one range check.
+func TestArgPlanGather(t *testing.T) {
+	sc := &Scope{Funcs: NewRegistry(), Params: []sqltypes.Value{sqltypes.NewBigInt(7)}}
+	var args []sqlparser.Expr
+	for _, src := range []string{"'triang'", "s", "a", "?", "a * 2", "NULL"} {
+		e, err := sqlparser.ParseExpr(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		args = append(args, e)
+	}
+	p, err := sc.PlanArgs(args, planResolver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.lits) != 2 || len(p.cols) != 2 || len(p.evs) != 2 || p.need != 4 {
+		t.Fatalf("plan classes: %d literal, %d column, %d evaluator slots, reads %d columns", len(p.lits), len(p.cols), len(p.evs), p.need)
+	}
+	row := planRow()
+	for rep := 0; rep < 2; rep++ {
+		vals, err := p.Gather(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(vals); got != fmt.Sprint([]sqltypes.Value{sqltypes.NewVarChar("triang"), row[3], row[0], sqltypes.NewBigInt(7), sqltypes.NewDouble(5), sqltypes.Null}) {
+			t.Fatalf("gathered %s", got)
+		}
+		row[0] = sqltypes.NewDouble(math.Float64frombits(math.Float64bits(2.5))) // same value, a fresh row next time
+	}
+	if _, err := p.Gather(row[:3]); err == nil || !strings.Contains(err.Error(), "row of width 3") {
+		t.Fatalf("a short row: %v", err)
+	}
+	var none ArgPlan // count(*)
+	if vals, err := none.Gather(nil); err != nil || len(vals) != 0 {
+		t.Fatalf("the zero plan: %v, %v", vals, err)
+	}
+}

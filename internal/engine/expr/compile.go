@@ -23,25 +23,44 @@ type Evaluator interface {
 // references are resolved through resolve; scalar function calls are
 // looked up in funcs. Aggregate function calls must have been replaced
 // by the executor before compilation — encountering one here is an
-// error.
+// error. An evaluator compiled here has no owner: `?` is refused, and
+// each scalar-UDF invocation is added to engine_udf_calls_total at once.
 func Compile(e sqlparser.Expr, resolve Resolver, funcs *Registry) (Evaluator, error) {
 	c := &compiler{resolve: resolve, funcs: funcs}
 	return c.compile(e)
 }
 
-// CompileWithParams is Compile for prepared statements: `?` parameter
-// references compile to reads of the shared params box, which the
-// prepared statement points at the bound argument slice before each
-// EXECUTE. Plain Compile rejects parameter references.
-func CompileWithParams(e sqlparser.Expr, resolve Resolver, funcs *Registry, params *[]sqltypes.Value) (Evaluator, error) {
-	c := &compiler{resolve: resolve, funcs: funcs, params: params}
+// Scope is what the evaluators of one owner — a partition worker, a
+// statement's serial set — share besides the row: the bound `?`
+// arguments they read and the count of scalar-UDF invocations they
+// make. The owner runs its evaluators from one goroutine at a time,
+// sets Params before each execution (the compiled tree never needs
+// recompiling), and when done adds Calls to engine_udf_calls_total and
+// zeroes it, so a call on the per-row path writes no shared cache line.
+type Scope struct {
+	Funcs  *Registry
+	Params []sqltypes.Value
+	Calls  int64
+}
+
+// Compile is the package's Compile for an evaluator s owns.
+func (s *Scope) Compile(e sqlparser.Expr, resolve Resolver) (Evaluator, error) {
+	c := &compiler{resolve: resolve, funcs: s.Funcs, scope: s}
 	return c.compile(e)
+}
+
+// PlanArgs compiles the argument list of a call the owner of s makes
+// itself — the executor's aggregate calls. Scalar calls inside an
+// expression get the same plan from Compile.
+func (s *Scope) PlanArgs(args []sqlparser.Expr, resolve Resolver) (ArgPlan, error) {
+	c := &compiler{resolve: resolve, funcs: s.Funcs, scope: s}
+	return c.planArgs(args)
 }
 
 type compiler struct {
 	resolve Resolver
 	funcs   *Registry
-	params  *[]sqltypes.Value // nil outside prepared statements
+	scope   *Scope // nil for an evaluator without an owner
 }
 
 func (c *compiler) compile(e sqlparser.Expr) (Evaluator, error) {
@@ -67,10 +86,10 @@ func (c *compiler) compile(e sqlparser.Expr) (Evaluator, error) {
 		}
 		return colEval{idx: idx, name: e.String()}, nil
 	case *sqlparser.ParamRef:
-		if c.params == nil {
+		if c.scope == nil {
 			return nil, fmt.Errorf("expr: ? parameter not allowed here (statement is not prepared)")
 		}
-		return paramEval{idx: e.Index, box: c.params}, nil
+		return paramEval{idx: e.Index, scope: c.scope}, nil
 	case *sqlparser.UnaryExpr:
 		x, err := c.compile(e.X)
 		if err != nil {
@@ -146,17 +165,14 @@ func (c *compiler) compile(e sqlparser.Expr) (Evaluator, error) {
 	}
 }
 
-// paramEval reads one `?` slot from the params box shared by every
-// evaluator compiled for a prepared statement. The prepared statement
-// repoints the box at the bound arguments before each EXECUTE, so the
-// compiled tree never needs recompiling.
+// paramEval reads one `?` slot of its owner's bound arguments.
 type paramEval struct {
-	idx int
-	box *[]sqltypes.Value
+	idx   int
+	scope *Scope
 }
 
 func (p paramEval) Eval(sqltypes.Row) (sqltypes.Value, error) {
-	vals := *p.box
+	vals := p.scope.Params
 	if p.idx < 0 || p.idx >= len(vals) {
 		return sqltypes.Null, fmt.Errorf("expr: parameter %d is not bound (%d bound)", p.idx+1, len(vals))
 	}
@@ -184,15 +200,18 @@ func (c *compiler) compileFunc(e *sqlparser.FuncCall) (Evaluator, error) {
 	if len(e.Args) < def.MinArgs || (def.MaxArgs >= 0 && len(e.Args) > def.MaxArgs) {
 		return nil, fmt.Errorf("expr: %s expects %d..%d arguments, got %d", def.Name, def.MinArgs, def.MaxArgs, len(e.Args))
 	}
-	args := make([]Evaluator, len(e.Args))
-	for i, a := range e.Args {
-		ev, err := c.compile(a)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = ev
+	plan, err := c.planArgs(e.Args)
+	if err != nil {
+		return nil, err
 	}
-	return &funcEval{def: def, args: args}, nil
+	fe := &funcEval{def: def, plan: plan}
+	if def.Float != nil {
+		fe.floats = plan.literalFloats()
+	}
+	if c.scope != nil {
+		fe.calls = &c.scope.Calls
+	}
+	return fe, nil
 }
 
 func (c *compiler) compileCase(e *sqlparser.CaseExpr) (Evaluator, error) {

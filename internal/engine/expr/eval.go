@@ -243,29 +243,52 @@ func evalArith(op binOp, l, r sqltypes.Value) (sqltypes.Value, error) {
 	return sqltypes.Null, fmt.Errorf("expr: bad arithmetic op %d", op)
 }
 
-// funcEval invokes a scalar function.
+// funcEval invokes a scalar function on the arguments its plan fills.
+// A function with a float body is called on floats, the unboxed gather,
+// whenever every argument is a plain number; any other row, and every
+// function without one, takes the boxed form.
 type funcEval struct {
-	def  *FuncDef
-	args []Evaluator
-	buf  []sqltypes.Value
+	def    *FuncDef
+	plan   ArgPlan
+	floats []float64 // the float body's arguments; nil when the call is always boxed
+	calls  *int64    // the owner's invocation count; nil without an owner
 }
 
 func (e *funcEval) Eval(row sqltypes.Row) (sqltypes.Value, error) {
-	if cap(e.buf) < len(e.args) {
-		e.buf = make([]sqltypes.Value, len(e.args))
-	}
-	vals := e.buf[:len(e.args)]
-	for i, a := range e.args {
-		v, err := a.Eval(row)
+	if e.floats == nil {
+		vals, err := e.plan.Gather(row)
 		if err != nil {
 			return sqltypes.Null, err
 		}
-		vals[i] = v
+		e.count()
+		return e.def.Fn(vals)
 	}
-	if e.def.UDF {
+	boxed, err := e.plan.floats(row, e.floats)
+	if err != nil {
+		return sqltypes.Null, err
+	}
+	e.count()
+	if boxed != nil {
+		return e.def.Fn(boxed)
+	}
+	f, err := e.def.Float(e.floats)
+	if err != nil {
+		return sqltypes.Null, err
+	}
+	return e.def.box(f), nil
+}
+
+// count records one invocation of a UDF: in the owner's plain counter,
+// which the owner flushes, or for an evaluator without an owner in
+// engine_udf_calls_total itself.
+func (e *funcEval) count() {
+	switch {
+	case !e.def.UDF:
+	case e.calls != nil:
+		*e.calls++
+	default:
 		obs.UDFCalls.Inc()
 	}
-	return e.def.Fn(vals)
 }
 
 // caseEval is a searched CASE.

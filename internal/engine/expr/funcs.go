@@ -19,8 +19,17 @@ import (
 // contain NULLs; most numeric builtins propagate NULL.
 type ScalarFunc func(args []sqltypes.Value) (sqltypes.Value, error)
 
+// FloatFunc is the body of a numeric scalar function, written once over
+// unboxed arguments: it is called only when every argument is a number,
+// and its result is boxed as the definition's Ret (BIGINT truncates,
+// anything else is DOUBLE). args is the caller's scratch: valid for the
+// call, not to be retained.
+type FloatFunc func(args []float64) (float64, error)
+
 // FuncDef describes a scalar function: its arity bounds and body.
-// MaxArgs < 0 means variadic.
+// MaxArgs < 0 means variadic. A definition carries exactly one body, Fn
+// or Float; registering a Float derives Fn from it (see boxed), so
+// Lookup always finds a callable Fn.
 //
 // Params and Ret are optional static type annotations used by the
 // semantic analyzer: Params[i] is the declared type of argument i
@@ -32,6 +41,7 @@ type FuncDef struct {
 	MinArgs int
 	MaxArgs int
 	Fn      ScalarFunc
+	Float   FloatFunc
 	Params  []sqltypes.Type
 	Ret     sqltypes.Type
 
@@ -53,23 +63,68 @@ type Registry struct {
 func NewRegistry() *Registry {
 	r := &Registry{m: make(map[string]*FuncDef)}
 	for _, f := range builtins() {
-		f := f
-		r.m[f.Name] = &f
+		if err := r.Register(f); err != nil {
+			panic(err) // a built-in definition is wrong: a bug
+		}
 	}
 	return r
 }
 
 // Register adds a scalar function. Re-registering a name replaces it.
 func (r *Registry) Register(def FuncDef) error {
-	if def.Name == "" || def.Fn == nil {
-		return fmt.Errorf("expr: invalid function definition")
+	if def.Name == "" || (def.Fn == nil) == (def.Float == nil) {
+		return fmt.Errorf("expr: invalid function definition: a name and exactly one of Fn and Float are required")
+	}
+	def.Name = strings.ToLower(def.Name)
+	if def.Float != nil {
+		def.Fn = def.boxed()
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	name := strings.ToLower(def.Name)
-	def.Name = name
-	r.m[name] = &def
+	r.m[def.Name] = &def
 	return nil
+}
+
+// floatScratch lends boxed its argument buffers: Fn is shared by every
+// caller of Lookup, so the buffer cannot live in the definition.
+var floatScratch = sync.Pool{New: func() any { return new([]float64) }}
+
+// boxed derives a float body's ScalarFunc, and is the one place the
+// argument rules of numeric scalar functions live: left to right, the
+// first NULL makes the result NULL, a BIGINT widens, a numeric VARCHAR
+// parses, and anything else is the error. The compiled call reaches the
+// body without it only when every argument is a DOUBLE or a BIGINT.
+func (def *FuncDef) boxed() ScalarFunc {
+	d := *def
+	return func(args []sqltypes.Value) (sqltypes.Value, error) {
+		buf := floatScratch.Get().(*[]float64)
+		defer floatScratch.Put(buf)
+		xs := (*buf)[:0]
+		for _, v := range args {
+			if v.IsNull() {
+				return sqltypes.Null, nil
+			}
+			f, ok := v.Float()
+			if !ok {
+				return sqltypes.Null, fmt.Errorf("expr: %s: non-numeric argument %v", d.Name, v)
+			}
+			xs = append(xs, f)
+		}
+		*buf = xs
+		f, err := d.Float(xs)
+		if err != nil {
+			return sqltypes.Null, err
+		}
+		return d.box(f), nil
+	}
+}
+
+// box is a float body's result as the definition's Ret.
+func (def *FuncDef) box(f float64) sqltypes.Value {
+	if def.Ret == sqltypes.TypeBigInt {
+		return sqltypes.NewBigInt(int64(f))
+	}
+	return sqltypes.NewDouble(f)
 }
 
 // Lookup finds a function by name (case-insensitive).
@@ -92,36 +147,18 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// numeric1 adapts a float64 function into a NULL-propagating scalar.
+// numeric1 and numeric2 are the float bodies of the fixed-arity math
+// built-ins.
 func numeric1(name string, f func(float64) float64) FuncDef {
 	return FuncDef{Name: name, MinArgs: 1, MaxArgs: 1,
 		Params: []sqltypes.Type{sqltypes.TypeDouble}, Ret: sqltypes.TypeDouble,
-		Fn: func(args []sqltypes.Value) (sqltypes.Value, error) {
-			if args[0].IsNull() {
-				return sqltypes.Null, nil
-			}
-			x, ok := args[0].Float()
-			if !ok {
-				return sqltypes.Null, fmt.Errorf("expr: %s: non-numeric argument %v", name, args[0])
-			}
-			return sqltypes.NewDouble(f(x)), nil
-		}}
+		Float: func(x []float64) (float64, error) { return f(x[0]), nil }}
 }
 
 func numeric2(name string, f func(a, b float64) float64) FuncDef {
 	return FuncDef{Name: name, MinArgs: 2, MaxArgs: 2,
 		Params: []sqltypes.Type{sqltypes.TypeDouble, sqltypes.TypeDouble}, Ret: sqltypes.TypeDouble,
-		Fn: func(args []sqltypes.Value) (sqltypes.Value, error) {
-			if args[0].IsNull() || args[1].IsNull() {
-				return sqltypes.Null, nil
-			}
-			a, aok := args[0].Float()
-			b, bok := args[1].Float()
-			if !aok || !bok {
-				return sqltypes.Null, fmt.Errorf("expr: %s: non-numeric arguments", name)
-			}
-			return sqltypes.NewDouble(f(a, b)), nil
-		}}
+		Float: func(x []float64) (float64, error) { return f(x[0], x[1]), nil }}
 }
 
 func builtins() []FuncDef {

@@ -24,6 +24,10 @@ var (
 	// UDFCalls counts user-defined function work: scalar UDF
 	// invocations plus aggregate-protocol Accumulate calls (in this
 	// engine every aggregate runs the paper's four-phase UDF protocol).
+	// Both are counted in plain counters of whoever owns the evaluators
+	// (a partition worker, a statement's serial set) and added here when
+	// that owner is released, so the total is exact once a statement has
+	// returned — completed or failed — and lags while it runs.
 	UDFCalls = Default.Counter("engine_udf_calls_total",
 		"Scalar UDF invocations plus aggregate Accumulate calls.")
 	// Queries counts statements executed; QueryErrors the subset that

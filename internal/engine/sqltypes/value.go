@@ -121,6 +121,17 @@ func (v Value) Float() (float64, bool) {
 	}
 }
 
+// Number is Float for the two types that need no parsing — a DOUBLE's
+// payload, a BIGINT widened — and false for everything else, small
+// enough to inline into a gather loop. The caller sends what it refuses
+// through Float.
+func (v Value) Number() (float64, bool) {
+	if v.typ == TypeBigInt {
+		return float64(int64(math.Float64bits(v.f))), true
+	}
+	return v.f, v.typ == TypeDouble
+}
+
 // UnboxDoubles copies the payloads of the leading DOUBLE values of vs
 // into dst and returns how many it copied: the index of the first value
 // that is not a DOUBLE, len(vs) when all are. The caller applies its own

@@ -31,6 +31,7 @@ type appender struct {
 	// to stays zero and its file is never opened.
 	parts []stagedPart
 	one   [1]sqltypes.Row // scratch for per-row observer notification
+	row   sqltypes.Row    // an on-disk bulk load validates every row into this one
 	err   error           // first failure (or errAppenderDone): add refuses, commit aborts
 	done  bool            // committed or aborted; the lock is released
 }
@@ -231,11 +232,10 @@ func (t *Table) Insert(rows ...sqltypes.Row) error {
 	// and leaves the observers' state alone.
 	checked := make([]sqltypes.Row, len(rows))
 	for i, r := range rows {
-		v, err := t.validate(r)
-		if err != nil {
+		checked[i] = make(sqltypes.Row, t.schema.Len())
+		if err := t.validate(checked[i], r); err != nil {
 			return err
 		}
-		checked[i] = v
 	}
 	a, err := t.begin()
 	if err != nil {
@@ -266,16 +266,22 @@ func (t *Table) NewBulkLoader() (*BulkLoader, error) {
 	return &BulkLoader{a: a}, nil
 }
 
-// Add appends one row to the load. A row the table rejects fails the
-// whole load: later Adds are refused and Close lands nothing.
+// Add appends one row to the load; the caller may reuse row afterwards.
+// A table in memory stores the one validated copy made here; a table on
+// disk encodes the row at once and retains nothing, so every row of the
+// load is validated into the same scratch. A row the table rejects
+// fails the whole load: later Adds are refused and Close lands nothing.
 //
 //statlint:locked Table.mu
 func (bl *BulkLoader) Add(row sqltypes.Row) error {
-	r, err := bl.a.t.validate(row)
-	if err != nil {
-		return bl.a.fail(err)
+	a := bl.a
+	if a.row == nil || !a.t.OnDisk() {
+		a.row = make(sqltypes.Row, a.t.schema.Len())
 	}
-	return bl.a.add(r)
+	if err := a.t.validate(a.row, row); err != nil {
+		return a.fail(err)
+	}
+	return a.add(a.row)
 }
 
 // Close commits the load: every row added becomes visible, or — when

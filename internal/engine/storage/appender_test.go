@@ -179,8 +179,8 @@ func TestAppenderBufferPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.abort()
-	r, err := tab.validate(row(1, 1, "a"))
-	if err != nil {
+	r := make(sqltypes.Row, tab.Schema().Len())
+	if err := tab.validate(r, row(1, 1, "a")); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.add(r); err != nil {
@@ -193,5 +193,55 @@ func TestAppenderBufferPolicy(t *testing.T) {
 	}
 	if c := cap(a.parts[0].buf); c >= appendFlushSize/16 {
 		t.Fatalf("a one-row write holds a %d-byte buffer", c)
+	}
+}
+
+// TestBulkLoaderAllocatesOnlyWhatItRetains: Add lets its caller reuse the
+// row, so a table in memory allocates the one row it stores, and a table
+// on disk — which encodes the row at once — allocates none per row. The
+// loaded rows are the ones added, whatever buffer carried them.
+func TestBulkLoaderAllocatesOnlyWhatItRetains(t *testing.T) {
+	const n = 2000
+	for _, c := range []struct {
+		dir    string
+		perRow float64
+	}{{"", 1}, {t.TempDir(), 0}} {
+		tab, err := NewTable("bulk", testSchema(), c.dir, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bl, err := tab.NewBulkLoader()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := row(0, 0, "same")
+		i := 0
+		allocs := testing.AllocsPerRun(n-1, func() {
+			r[0], r[1] = sqltypes.NewBigInt(int64(i)), sqltypes.NewBigInt(int64(2*i)) // coerced to DOUBLE
+			i++
+			if err := bl.Add(r); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if err := bl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Slices that grow with the load (partition slices, encode buffers)
+		// add a fraction of an allocation per row.
+		if allocs > c.perRow+0.1 {
+			t.Errorf("on disk=%v: %v allocations per added row, want about %v", c.dir != "", allocs, c.perRow)
+		}
+		got := collect(t, tab)
+		if len(got) != n {
+			t.Fatalf("on disk=%v: %d rows loaded, want %d", c.dir != "", len(got), n)
+		}
+		seen := make([]bool, n)
+		for _, g := range got {
+			k := g[0].Int()
+			if x, _ := g[1].Float(); seen[k] || g[1].Type() != sqltypes.TypeDouble || x != float64(2*k) || g[2].Str() != "same" {
+				t.Fatalf("on disk=%v: row %v", c.dir != "", g)
+			}
+			seen[k] = true
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync"
 
 	"repro/internal/engine/sqltypes"
 )
@@ -109,8 +110,28 @@ type rowReader struct {
 	err   error // first error r returned (io.EOF included); no reads follow it
 }
 
+// rowReaders lends out readers with their buffers: a scoring statement
+// opens one per partition of every table it joins, and zeroing a fresh
+// buffer for each cost more than planning the statement.
+var rowReaders = sync.Pool{New: func() any { return &rowReader{buf: make([]byte, rowBufSize)} }}
+
+// newRowReader returns a reader over r. A caller that is done with it
+// hands it back with release; one that does not leaves it to the
+// collector.
 func newRowReader(r io.Reader, arity int) *rowReader {
-	return &rowReader{r: r, arity: arity, buf: make([]byte, max(rowBufSize, arity*maxFixedLen))}
+	rr := rowReaders.Get().(*rowReader)
+	buf := rr.buf
+	if need := arity * maxFixedLen; len(buf) < need {
+		buf = make([]byte, need)
+	}
+	*rr = rowReader{r: r, arity: arity, buf: buf}
+	return rr
+}
+
+// release returns the reader to the pool; it must not be used again.
+func (rr *rowReader) release() {
+	rr.r, rr.err = nil, nil
+	rowReaders.Put(rr)
 }
 
 // bytes is the count of encoded bytes decoded so far.

@@ -377,6 +377,7 @@ func (t *Table) rebuildSegLocked(p int) error {
 	w := bufio.NewWriterSize(dst, 1<<18)
 	arity := t.schema.Len()
 	rr := newRowReader(src, arity)
+	defer rr.release()
 	arena := make([]sqltypes.Value, min(segChunkRows, max(t.parts[p].rows, 1))*int64(arity))
 	chunk := make([]sqltypes.Row, 0, len(arena)/arity)
 	var (

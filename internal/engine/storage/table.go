@@ -141,6 +141,7 @@ func countFileRows(path string, arity int) (int64, error) {
 	}
 	defer f.Close()
 	rr := newRowReader(f, arity)
+	defer rr.release()
 	var row sqltypes.Row
 	var count int64
 	for {
@@ -185,23 +186,21 @@ func (t *Table) PartitionRowCounts() []int64 {
 // OnDisk reports whether partitions live in files.
 func (t *Table) OnDisk() bool { return t.dir != "" }
 
-// validate checks a row against the schema, coercing numeric widths.
-func (t *Table) validate(row sqltypes.Row) (sqltypes.Row, error) {
+// validate checks row against the schema and writes it, numeric widths
+// coerced, into dst — a row of the schema's width that the caller owns;
+// row itself is only read.
+func (t *Table) validate(dst, row sqltypes.Row) error {
 	if len(row) != t.schema.Len() {
-		return nil, fmt.Errorf("storage: table %q expects %d columns, got %d", t.name, t.schema.Len(), len(row))
+		return fmt.Errorf("storage: table %q expects %d columns, got %d", t.name, t.schema.Len(), len(row))
 	}
-	out := row.Clone()
 	for i, col := range t.schema.Columns {
-		if out[i].IsNull() {
-			continue
-		}
-		v, err := sqltypes.Coerce(out[i], col.Type)
+		v, err := sqltypes.Coerce(row[i], col.Type)
 		if err != nil {
-			return nil, fmt.Errorf("storage: table %q column %q: %w", t.name, col.Name, err)
+			return fmt.Errorf("storage: table %q column %q: %w", t.name, col.Name, err)
 		}
-		out[i] = v
+		dst[i] = v
 	}
-	return out, nil
+	return nil
 }
 
 // ScanStats reports what one partition scan consumed.
@@ -289,6 +288,7 @@ func (t *Table) ScanPartitionStats(ctx context.Context, p int, fn func(sqltypes.
 	}
 	defer f.Close()
 	rr := newRowReader(f, t.schema.Len())
+	defer rr.release()
 	var row sqltypes.Row
 	var decoded int64
 	for {

@@ -22,16 +22,19 @@ import (
 //
 // Each is called once (fascore/kdistance k times) in a SELECT that
 // cross-joins X with the small model tables, so scoring is one scan.
+// Each is one float body: the engine unboxes the arguments (a NULL
+// makes the row's result NULL, a value that is not a number fails the
+// statement) and boxes the result as Ret.
 func Register(d *db.DB) error {
 	numeric := []sqltypes.Type{sqltypes.TypeDouble}
 	defs := []expr.FuncDef{
-		{Name: "linearregscore", MinArgs: 3, MaxArgs: -1, Fn: linearRegScore,
+		{Name: "linearregscore", MinArgs: 3, MaxArgs: -1, Float: linearRegScore,
 			Params: numeric, Ret: sqltypes.TypeDouble, UDF: true},
-		{Name: "fascore", MinArgs: 3, MaxArgs: -1, Fn: faScore,
+		{Name: "fascore", MinArgs: 3, MaxArgs: -1, Float: faScore,
 			Params: numeric, Ret: sqltypes.TypeDouble, UDF: true},
-		{Name: "kdistance", MinArgs: 2, MaxArgs: -1, Fn: kDistance,
+		{Name: "kdistance", MinArgs: 2, MaxArgs: -1, Float: kDistance,
 			Params: numeric, Ret: sqltypes.TypeDouble, UDF: true},
-		{Name: "clusterscore", MinArgs: 1, MaxArgs: -1, Fn: clusterScore,
+		{Name: "clusterscore", MinArgs: 1, MaxArgs: -1, Float: clusterScore,
 			Params: numeric, Ret: sqltypes.TypeBigInt, UDF: true},
 	}
 	for _, def := range defs {
@@ -42,96 +45,60 @@ func Register(d *db.DB) error {
 	return nil
 }
 
-// floats converts a run of arguments; any NULL yields ok=false (the
-// UDF then returns NULL for the row, standard scalar-UDF semantics).
-func floats(args []sqltypes.Value, dst []float64) ([]float64, bool, error) {
-	dst = dst[:0]
-	for _, v := range args {
-		if v.IsNull() {
-			return nil, false, nil
-		}
-		f, ok := v.Float()
-		if !ok {
-			return nil, false, fmt.Errorf("score: non-numeric argument %v", v)
-		}
-		dst = append(dst, f)
-	}
-	return dst, true, nil
-}
-
 // linearRegScore computes the dot product ŷ = b0 + Σ ba·xa. The call
 // site passes 2d+1 arguments: d point values then d+1 coefficients.
-func linearRegScore(args []sqltypes.Value) (sqltypes.Value, error) {
+func linearRegScore(args []float64) (float64, error) {
 	if len(args)%2 != 1 {
-		return sqltypes.Null, fmt.Errorf("score: linearregscore expects 2d+1 arguments (x..., b0, b...), got %d", len(args))
+		return 0, fmt.Errorf("score: linearregscore expects 2d+1 arguments (x..., b0, b...), got %d", len(args))
 	}
 	d := (len(args) - 1) / 2
-	vals, ok, err := floats(args, make([]float64, 0, len(args)))
-	if err != nil || !ok {
-		return sqltypes.Null, err
-	}
-	x, beta := vals[:d], vals[d:]
+	x, beta := args[:d], args[d:]
 	y := beta[0]
 	for a := 0; a < d; a++ {
 		y += beta[a+1] * x[a]
 	}
-	return sqltypes.NewDouble(y), nil
+	return y, nil
 }
 
 // faScore computes the j-th coordinate of x′ = Λᵀ(x−µ): the call site
 // passes 3d arguments — the point, the mean, and the j-th component.
-func faScore(args []sqltypes.Value) (sqltypes.Value, error) {
+func faScore(args []float64) (float64, error) {
 	if len(args)%3 != 0 {
-		return sqltypes.Null, fmt.Errorf("score: fascore expects 3d arguments (x..., mu..., lambda_j...), got %d", len(args))
+		return 0, fmt.Errorf("score: fascore expects 3d arguments (x..., mu..., lambda_j...), got %d", len(args))
 	}
 	d := len(args) / 3
-	vals, ok, err := floats(args, make([]float64, 0, len(args)))
-	if err != nil || !ok {
-		return sqltypes.Null, err
-	}
-	x, mu, lam := vals[:d], vals[d:2*d], vals[2*d:]
+	x, mu, lam := args[:d], args[d:2*d], args[2*d:]
 	var s float64
 	for a := 0; a < d; a++ {
 		s += (x[a] - mu[a]) * lam[a]
 	}
-	return sqltypes.NewDouble(s), nil
+	return s, nil
 }
 
 // kDistance computes the squared Euclidean distance between the point
 // and one centroid: 2d arguments.
-func kDistance(args []sqltypes.Value) (sqltypes.Value, error) {
+func kDistance(args []float64) (float64, error) {
 	if len(args)%2 != 0 {
-		return sqltypes.Null, fmt.Errorf("score: kdistance expects 2d arguments (x..., c_j...), got %d", len(args))
+		return 0, fmt.Errorf("score: kdistance expects 2d arguments (x..., c_j...), got %d", len(args))
 	}
 	d := len(args) / 2
-	vals, ok, err := floats(args, make([]float64, 0, len(args)))
-	if err != nil || !ok {
-		return sqltypes.Null, err
-	}
-	x, c := vals[:d], vals[d:]
+	x, c := args[:d], args[d:]
 	var s float64
 	for a := 0; a < d; a++ {
 		diff := x[a] - c[a]
 		s += diff * diff
 	}
-	return sqltypes.NewDouble(s), nil
+	return s, nil
 }
 
 // clusterScore returns the 1-based subscript J of the minimum distance
 // (J s.t. dJ ≤ dj for all j), the clustering score of §3.5.
-func clusterScore(args []sqltypes.Value) (sqltypes.Value, error) {
+func clusterScore(args []float64) (float64, error) {
 	best, bestD := 0, math.Inf(1)
-	for j, v := range args {
-		if v.IsNull() {
-			return sqltypes.Null, nil
-		}
-		f, ok := v.Float()
-		if !ok {
-			return sqltypes.Null, fmt.Errorf("score: non-numeric distance %v", v)
-		}
+	for j, f := range args {
 		if f < bestD {
 			best, bestD = j+1, f
 		}
 	}
-	return sqltypes.NewBigInt(int64(best)), nil
+	return float64(best), nil
 }
