@@ -175,7 +175,7 @@ func (w *selectWorker) block(blk *storage.Block) error {
 				v.out[i] = sqltypes.Null
 			}
 		}
-		if err := w.emit(v.out); err != nil {
+		if err := w.sink(v.out); err != nil {
 			return err
 		}
 	}

@@ -285,15 +285,15 @@ func (p *PreparedSelect) execute(ctx context.Context, args []sqltypes.Value, sin
 	st := &Stats{Workers: 1}
 	finish := beginSelectObs(st)
 	defer finish()
-	// Emitted rows are summed in a local atomic — a worker adds its own
-	// plain count when it is released, the serial emitters add per row —
-	// and published to the plain Stats field after the workers join (and
-	// before finish reads it — deferred last, runs first).
+	// Count emitted rows in a local atomic shared by the workers'
+	// concurrent sink calls, published to the plain Stats field after
+	// they join (and before finish reads it — deferred last, runs first).
 	emitted := new(atomic.Int64)
 	defer func() { st.RowsEmitted = emitted.Load() }()
+	sink = countedSink(emitted, sink)
 
 	if p.b == nil {
-		schema, err := p.constRow(ss, countedSink(emitted, sink))
+		schema, err := p.constRow(ss, sink)
 		return schema, st, err
 	}
 	plan := st.Root.child("plan")
@@ -321,7 +321,7 @@ func (p *PreparedSelect) execute(ctx context.Context, args []sqltypes.Value, sin
 				return nil, err
 			}
 		}
-		w.scope.Params, w.tail, w.sink, w.total = args, tail, sink, emitted
+		w.scope.Params, w.tail, w.sink = args, tail, sink
 		if w.agg != nil {
 			// This worker's own slot: nothing else touches it until the
 			// single-threaded merge.
@@ -331,7 +331,7 @@ func (p *PreparedSelect) execute(ctx context.Context, args []sqltypes.Value, sin
 		return w, nil
 	})
 	if err == nil && p.agg != nil {
-		err = p.agg.mergeFinalize(groups, ss, countedSink(emitted, sink), st)
+		err = p.agg.mergeFinalize(groups, ss, sink, st)
 	}
 	return p.schema, st, err
 }
@@ -365,10 +365,6 @@ type selectWorker struct {
 	flat  sqltypes.Row   // the flatten buffer; nil for a single table
 	tail  []sqltypes.Row
 	sink  RowSink
-	// Rows this worker delivered to sink, added to the statement's total
-	// at release: the per-row path writes no shared cache line.
-	emitted int64
-	total   *atomic.Int64
 
 	items []expr.Evaluator // projection
 	out   sqltypes.Row
@@ -436,24 +432,14 @@ func (w *selectWorker) row(r sqltypes.Row) error {
 			}
 			w.out[i] = v
 		}
-		if err := w.emit(w.out); err != nil {
+		if err := w.sink(w.out); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (w *selectWorker) emit(r sqltypes.Row) error {
-	if err := w.sink(r); err != nil {
-		return err
-	}
-	w.emitted++
-	return nil
-}
-
 func (w *selectWorker) release() {
-	w.total.Add(w.emitted)
-	w.emitted = 0
 	if w.vec != nil {
 		obs.ColumnarVectorOps.Add(w.vec.ops)
 		w.vec.ops = 0
@@ -463,7 +449,7 @@ func (w *selectWorker) release() {
 		w.agg.groups, w.agg.global, w.agg.accCalls = nil, nil, 0
 	}
 	flushCalls(&w.scope)
-	w.tail, w.sink, w.total = nil, nil, nil
+	w.tail, w.sink = nil, nil
 	w.ps.workers.Put(w)
 }
 

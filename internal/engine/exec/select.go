@@ -64,12 +64,11 @@ func beginSelectObs(st *Stats) func() {
 	}
 }
 
-// countedSink wraps sink for the serial emitters (a FROM-less select,
-// the post-aggregation rows) so every emitted row bumps emitted;
-// partition workers count their own rows (selectWorker.emit). The count
-// lives in a dedicated typed atomic rather than a Stats field so the
-// Stats struct stays plainly readable — mixing atomic and plain access
-// to the same field is a race (see the atomichygiene analyzer).
+// countedSink wraps sink so every emitted row bumps emitted, covering
+// concurrent sink calls from partition workers. The count lives in a
+// dedicated typed atomic rather than a Stats field so the Stats struct
+// stays plainly readable — mixing atomic and plain access to the same
+// field is a race (see the atomichygiene analyzer).
 func countedSink(emitted *atomic.Int64, sink RowSink) RowSink {
 	return func(r sqltypes.Row) error {
 		if err := sink(r); err != nil {

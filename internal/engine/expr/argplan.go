@@ -55,56 +55,43 @@ func (c *compiler) planArgs(args []sqlparser.Expr) (ArgPlan, error) {
 	return p, nil
 }
 
-func (p *ArgPlan) short(row sqltypes.Row) error {
-	return fmt.Errorf("expr: row of width %d, the call's arguments read %d columns", len(row), p.need)
-}
-
 // Gather fills the argument list from row and returns it. The slice is
 // the plan's own: valid until the next call, not to be written.
 func (p *ArgPlan) Gather(row sqltypes.Row) ([]sqltypes.Value, error) {
+	return p.fill(row, nil)
+}
+
+// fill is the one per-row loop. With no dst it completes and returns
+// the boxed list. With dst — a float body's scratch, whose literal
+// slots the caller converted once — every other argument goes there
+// unboxed, columns straight from row, and nil is returned; a row with
+// an argument Float refuses (a NULL, a non-numeric string) gets the
+// boxed list after all, for the function's boxed form, whose adapter
+// owns NULLs and the error. Evaluator entries run first and once.
+func (p *ArgPlan) fill(row sqltypes.Row, dst []float64) ([]sqltypes.Value, error) {
 	if len(row) < p.need {
-		return nil, p.short(row)
+		return nil, fmt.Errorf("expr: row of width %d, the call's arguments read %d columns", len(row), p.need)
 	}
-	for _, c := range p.cols {
-		p.vals[c.slot] = row[c.ord]
-	}
+	numbers := dst != nil
 	for _, a := range p.evs {
 		v, err := a.ev.Eval(row)
 		if err != nil {
 			return nil, err
 		}
 		p.vals[a.slot] = v
-	}
-	return p.vals, nil
-}
-
-// floats is Gather for a float body: dst, whose literal slots the
-// caller filled once, receives every other argument unboxed, columns
-// straight from row, and nil is returned. When an argument is not a
-// DOUBLE or a BIGINT it returns the completed boxed list instead, for
-// the function's boxed form, whose adapter owns NULLs, strings and the
-// error.
-func (p *ArgPlan) floats(row sqltypes.Row, dst []float64) ([]sqltypes.Value, error) {
-	if len(row) < p.need {
-		return nil, p.short(row)
-	}
-	numbers := true
-	for _, a := range p.evs {
-		v, err := a.ev.Eval(row)
-		if err != nil {
-			return nil, err
+		if numbers {
+			dst[a.slot], numbers = v.Float()
 		}
-		f, ok := v.Number()
-		p.vals[a.slot], dst[a.slot] = v, f
-		numbers = numbers && ok
-	}
-	for _, c := range p.cols {
-		f, ok := row[c.ord].Number()
-		dst[c.slot] = f
-		numbers = numbers && ok
 	}
 	if numbers {
-		return nil, nil
+		for _, c := range p.cols {
+			if dst[c.slot], numbers = row[c.ord].Float(); !numbers {
+				break
+			}
+		}
+		if numbers {
+			return nil, nil
+		}
 	}
 	for _, c := range p.cols {
 		p.vals[c.slot] = row[c.ord]
@@ -113,12 +100,12 @@ func (p *ArgPlan) floats(row sqltypes.Row, dst []float64) ([]sqltypes.Value, err
 }
 
 // literalFloats returns the scratch a float body is called with, the
-// plan's literal slots already converted, or nil when a literal is not
-// a DOUBLE or a BIGINT — every call of such a plan takes the boxed form.
+// plan's literal slots already converted, or nil when Float refuses a
+// literal — every call of such a plan takes the boxed form.
 func (p *ArgPlan) literalFloats() []float64 {
 	dst := make([]float64, len(p.vals))
 	for _, slot := range p.lits {
-		f, ok := p.vals[slot].Number()
+		f, ok := p.vals[slot].Float()
 		if !ok {
 			return nil
 		}

@@ -92,6 +92,8 @@ func TestFloatBodyCall(t *testing.T) {
 		{"power(n, 2)", "D:2.25", "", ""},
 		{"power(s, 2)", "", "expr: power: non-numeric argument hi", ""},
 		{"power(c, s)", "NULL", "", ""},
+		{"power(s, c)", "", "expr: power: non-numeric argument hi", ""}, // left to right for two arguments too
+		{"picky(a, b, c)", "NULL", "", ""},                              // a NULL ends the call before the body's own checks
 	} {
 		sc.Params = []sqltypes.Value{sqltypes.Null}
 		if c.param != "" {

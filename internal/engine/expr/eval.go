@@ -245,8 +245,8 @@ func evalArith(op binOp, l, r sqltypes.Value) (sqltypes.Value, error) {
 
 // funcEval invokes a scalar function on the arguments its plan fills.
 // A function with a float body is called on floats, the unboxed gather,
-// whenever every argument is a plain number; any other row, and every
-// function without one, takes the boxed form.
+// whenever every argument converts (Value.Float); any other row, and
+// every function without one, takes the boxed form.
 type funcEval struct {
 	def    *FuncDef
 	plan   ArgPlan
@@ -255,15 +255,7 @@ type funcEval struct {
 }
 
 func (e *funcEval) Eval(row sqltypes.Row) (sqltypes.Value, error) {
-	if e.floats == nil {
-		vals, err := e.plan.Gather(row)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		e.count()
-		return e.def.Fn(vals)
-	}
-	boxed, err := e.plan.floats(row, e.floats)
+	boxed, err := e.plan.fill(row, e.floats)
 	if err != nil {
 		return sqltypes.Null, err
 	}

@@ -92,8 +92,9 @@ var floatScratch = sync.Pool{New: func() any { return new([]float64) }}
 // boxed derives a float body's ScalarFunc, and is the one place the
 // argument rules of numeric scalar functions live: left to right, the
 // first NULL makes the result NULL, a BIGINT widens, a numeric VARCHAR
-// parses, and anything else is the error. The compiled call reaches the
-// body without it only when every argument is a DOUBLE or a BIGINT.
+// parses, and anything else is the error; the body, and any check of
+// its own, runs only past all of that. The compiled call reaches the
+// body without it when Float accepts every argument.
 func (def *FuncDef) boxed() ScalarFunc {
 	d := *def
 	return func(args []sqltypes.Value) (sqltypes.Value, error) {

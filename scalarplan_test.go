@@ -162,6 +162,49 @@ func TestScalarArgPlansAgree(t *testing.T) {
 	})
 }
 
+// TestNumericArgumentOrder pins the order in which the one adapter of
+// the float bodies judges an argument list, on the three points where
+// it differs from the bodies it replaced: arguments are judged left to
+// right, so a non-number ahead of a NULL fails a two-argument built-in
+// too (power's own body looked for NULLs first); a NULL ends the call
+// before the body runs, so also before the body's argument-count check;
+// and the error names the function, whichever function it is.
+func TestNumericArgumentOrder(t *testing.T) {
+	d, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	abc, one := NewVarChar("abc"), NewBigInt(1)
+	for _, c := range []struct {
+		sql     string
+		args    []Value
+		wantErr string // "" wants a NULL
+	}{
+		{"SELECT kdistance(?, ?)", []Value{Null, abc}, ""},
+		{"SELECT kdistance(?, ?)", []Value{abc, Null}, "expr: kdistance: non-numeric argument abc"},
+		{"SELECT power(?, ?)", []Value{Null, abc}, ""},
+		{"SELECT power(?, ?)", []Value{abc, Null}, "expr: power: non-numeric argument abc"},
+		{"SELECT kdistance(?, ?, ?)", []Value{one, one, one}, "kdistance expects 2d arguments"},
+		{"SELECT kdistance(?, ?, ?)", []Value{one, one, Null}, ""},
+		{"SELECT linearregscore(?, ?, ?, ?)", []Value{Null, one, one, one}, ""},
+		{"SELECT clusterscore(?, ?)", []Value{one, abc}, "expr: clusterscore: non-numeric argument abc"},
+		{"SELECT sqrt(?)", []Value{abc}, "expr: sqrt: non-numeric argument abc"},
+	} {
+		res, err := runPrepared(d, c.sql, c.args...)
+		switch {
+		case c.wantErr != "":
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("%s %v: error %v, want one carrying %q", c.sql, c.args, err, c.wantErr)
+			}
+		case err != nil:
+			t.Errorf("%s %v: %v", c.sql, c.args, err)
+		case len(res.Rows) != 1 || !res.Rows[0][0].IsNull():
+			t.Errorf("%s %v = %v, want NULL", c.sql, c.args, res.Rows)
+		}
+	}
+}
+
 // TestUDFCallsCountedExactly pins engine_udf_calls_total: it advances
 // by one per scalar UDF invocation and one per aggregate Accumulate,
 // whoever owns the evaluator — a partition worker, the per-statement
