@@ -132,7 +132,8 @@ func (v *vecPrograms) fill(p *expr.VectorProgram, blk *storage.Block, view vecVi
 
 // block is the projection consumer over the block source: filter the
 // block with the predicate program, evaluate every item program over
-// the surviving lanes, emit row by row.
+// the surviving lanes, emit row by row — counting the rows once per
+// block, since a shared atomic add per row costs as much as the row.
 func (w *selectWorker) block(blk *storage.Block) error {
 	v := w.vec
 	if v.where != nil {
@@ -164,6 +165,8 @@ func (w *selectWorker) block(blk *storage.Block) error {
 		v.ops += p.Ops()
 		v.vals[i], v.valid[i] = vals, ok
 	}
+	var sent int64
+	defer func() { w.emitted.Add(sent) }()
 	for r := 0; r < blk.Rows; r++ {
 		if v.mask != nil && !v.mask[r] {
 			continue
@@ -175,9 +178,10 @@ func (w *selectWorker) block(blk *storage.Block) error {
 				v.out[i] = sqltypes.Null
 			}
 		}
-		if err := w.sink(v.out); err != nil {
+		if err := w.uncounted(v.out); err != nil {
 			return err
 		}
+		sent++
 	}
 	return nil
 }

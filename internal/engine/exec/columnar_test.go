@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -586,6 +587,49 @@ func TestColumnarDivisionByZeroMatchesRow(t *testing.T) {
 		_, err := Select(context.Background(), sel(t, "SELECT 1.0 / a FROM z"), env)
 		if !errors.Is(err, expr.ErrDivisionByZero) {
 			t.Fatalf("columnar=%v: err = %v, want ErrDivisionByZero", columnar, err)
+		}
+	}
+}
+
+// TestBlockProjectionCountsEmittedRows: the block consumer counts what
+// it emitted once per block, and Stats.RowsEmitted is still exactly the
+// number of rows the sink accepted — when every row is accepted and
+// when the sink starts refusing in the middle of a block.
+func TestBlockProjectionCountsEmittedRows(t *testing.T) {
+	const n = 2*4096 + 500 // per partition: two full blocks and a short one
+	tab := mixedTable(t, "x", t.TempDir(), 2, 2*n)
+	env := &Env{Catalog: memCatalog{"x": tab}, Funcs: expr.NewRegistry(), Aggs: udf.NewRegistry(), Columnar: true}
+	p, err := PrepareSelect(sel(t, "SELECT a * 2 FROM x WHERE b > 0"), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errFull := errors.New("sink full")
+	for _, limit := range []int64{math.MaxInt64, 4096 + 77, 1, 0} {
+		var calls, accepted atomic.Int64
+		_, st, err := p.ExecuteStreamContext(context.Background(), nil, func(sqltypes.Row) error {
+			if calls.Add(1) > limit {
+				return errFull
+			}
+			accepted.Add(1)
+			return nil
+		})
+		if limit == math.MaxInt64 {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if accepted.Load() < 4096 {
+				t.Fatalf("only %d rows pass the filter; the fixture should fill whole blocks", accepted.Load())
+			}
+		} else if !errors.Is(err, errFull) {
+			t.Fatalf("limit %d: err = %v, want the sink's", limit, err)
+		}
+		for _, sp := range st.Root.SpanByName("scan").Children {
+			if sp.Name != "ensure" && sp.Source != "block" {
+				t.Fatalf("limit %d: %s ran from the %s source", limit, sp.Name, sp.Source)
+			}
+		}
+		if st.RowsEmitted != accepted.Load() {
+			t.Fatalf("limit %d: RowsEmitted = %d, the sink accepted %d", limit, st.RowsEmitted, accepted.Load())
 		}
 	}
 }

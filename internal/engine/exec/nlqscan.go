@@ -87,24 +87,28 @@ func (w *nlqWorker) row(r sqltypes.Row) error {
 }
 
 func (w *nlqWorker) block(b *storage.Block) error {
-	// AND the per-column validity lanes column-major: each pass is a
-	// sequential sweep instead of a strided gather per row.
+	// AND the validity lanes of the columns with a NULL in this block,
+	// column-major: each pass is a sequential sweep instead of a strided
+	// gather per row. With none, any column's lane (the scan has at
+	// least one) is the all-true row mask.
+	valid := b.Valid[0]
 	w.rowValid = w.rowValid[:0]
-	if len(b.Valid) == 0 {
-		for r := 0; r < b.Rows; r++ {
-			w.rowValid = append(w.rowValid, true)
+	for s, v := range b.Valid {
+		if b.NullFree(s) {
+			continue
 		}
-	} else {
-		w.rowValid = append(w.rowValid, b.Valid[0][:b.Rows]...)
-		for _, v := range b.Valid[1:] {
-			for r, ok := range v[:b.Rows] {
-				if !ok {
-					w.rowValid[r] = false
-				}
+		if len(w.rowValid) == 0 {
+			w.rowValid = append(w.rowValid, v...)
+			valid = w.rowValid
+			continue
+		}
+		for r, ok := range v {
+			if !ok {
+				w.rowValid[r] = false
 			}
 		}
 	}
-	return w.s.UpdateBlock(b.Cols, w.rowValid)
+	return w.s.UpdateBlock(b.Cols, valid)
 }
 
 func (w *nlqWorker) release() {}

@@ -290,6 +290,7 @@ func (p *PreparedSelect) execute(ctx context.Context, args []sqltypes.Value, sin
 	// they join (and before finish reads it — deferred last, runs first).
 	emitted := new(atomic.Int64)
 	defer func() { st.RowsEmitted = emitted.Load() }()
+	uncounted := sink
 	sink = countedSink(emitted, sink)
 
 	if p.b == nil {
@@ -322,6 +323,7 @@ func (p *PreparedSelect) execute(ctx context.Context, args []sqltypes.Value, sin
 			}
 		}
 		w.scope.Params, w.tail, w.sink = args, tail, sink
+		w.uncounted, w.emitted = uncounted, emitted
 		if w.agg != nil {
 			// This worker's own slot: nothing else touches it until the
 			// single-threaded merge.
@@ -365,6 +367,10 @@ type selectWorker struct {
 	flat  sqltypes.Row   // the flatten buffer; nil for a single table
 	tail  []sqltypes.Row
 	sink  RowSink
+	// The block consumer sends rows to uncounted and adds what it sent
+	// to emitted once per block; sink counts each row itself.
+	uncounted RowSink
+	emitted   *atomic.Int64
 
 	items []expr.Evaluator // projection
 	out   sqltypes.Row
@@ -449,7 +455,7 @@ func (w *selectWorker) release() {
 		w.agg.groups, w.agg.global, w.agg.accCalls = nil, nil, 0
 	}
 	flushCalls(&w.scope)
-	w.tail, w.sink = nil, nil
+	w.tail, w.sink, w.uncounted, w.emitted = nil, nil, nil, nil
 	w.ps.workers.Put(w)
 }
 

@@ -2,14 +2,18 @@ package storage
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"strings"
+	"sync"
+	"unsafe"
 
 	"repro/internal/engine/obs"
 	"repro/internal/engine/sqltypes"
@@ -59,16 +63,22 @@ var ErrSegmentStale = errors.New("storage: segment stale")
 const segUnverified = -1
 
 // Block is one decoded batch of column data delivered to block-scan
-// callbacks. Slices are reused between callbacks; callers must copy
-// anything they retain. Cols/Valid are indexed parallel to the
-// requested column list, not by schema ordinal. Valid reports "numeric
-// value present": NULLs and non-numeric columns are false (with the
-// corresponding Cols lane zero-filled).
+// callbacks. Slices are reused between callbacks and, for a NULL-free
+// column's Valid, shared between scans: callers copy anything they
+// retain and never write through them. Cols/Valid are indexed parallel
+// to the requested column list, not by schema ordinal. Valid reports
+// "numeric value present": NULLs and non-numeric columns are false
+// (with the corresponding Cols lane zero-filled).
 type Block struct {
 	Rows  int
 	Cols  [][]float64
 	Valid [][]bool
 }
+
+// NullFree reports whether every lane of slot s is valid, without
+// looking at them: a segment column with no NULL in the chunk is
+// delivered with the shared all-true lane.
+func (b *Block) NullFree(s int) bool { return &b.Valid[s][0] == &allValid[0] }
 
 // colNumeric reports whether a schema column carries values in segment
 // blocks. The rule is by declared type, not by stored value: a VARCHAR
@@ -149,59 +159,124 @@ func encodeSegChunk(buf []byte, schema *sqltypes.Schema, rows []sqltypes.Row) []
 	return buf
 }
 
-// segReader decodes consecutive chunks of a segment image, surfacing
-// only the requested schema ordinals into a reused Block. It works
-// over the whole segment in memory: partitions are small enough to
-// slurp, and decoding straight out of the image avoids the buffer
-// copies and per-read syscalls of a streaming reader.
-type segReader struct {
-	data   []byte
-	off    int
-	schema *sqltypes.Schema
-	want   []int // requested schema ordinals
-	slot   []int // schema ordinal -> Block slot, -1 when not requested
-	blk    Block
-	bytes  int64
+// laneHead is how many float64s of a lane's backing array precede its
+// values: a numeric column block's tag, bitmap and min/max (at most
+// 1 + segChunkRows/8 + 16 bytes) land there when the block is read in
+// one call, so the values that follow them start 8-byte aligned at
+// lane[laneHead].
+const laneHead = (1 + segChunkRows/8 + 16 + 7) / 8
+
+// allValid is the Valid lane of every NULL-free column: read-only by
+// Block's contract, shared by every scan in the process.
+var allValid = func() (v [segChunkRows]bool) {
+	for i := range v {
+		v[i] = true
+	}
+	return v
+}()
+
+// blockBuf is the backing of one scan's Block: a float lane and a
+// validity lane per requested column, pooled across scans so a scan
+// allocates no column memory once the pool is warm.
+type blockBuf struct {
+	blk   Block
+	vals  [][]float64 // laneHead + segChunkRows each
+	valid [][]bool    // segChunkRows each
 }
 
-func newSegReader(data []byte, schema *sqltypes.Schema, want []int) *segReader {
-	sr := &segReader{
-		data:   data,
-		schema: schema,
-		want:   want,
-		slot:   make([]int, schema.Len()),
+var blockBufs = sync.Pool{New: func() any { return new(blockBuf) }}
+
+// getBlockBuf leases a buffer with lanes for k columns.
+func getBlockBuf(k int) *blockBuf {
+	bb := blockBufs.Get().(*blockBuf)
+	for len(bb.vals) < k {
+		bb.vals = append(bb.vals, make([]float64, laneHead+segChunkRows))
+		bb.valid = append(bb.valid, make([]bool, segChunkRows))
 	}
-	for i := range sr.slot {
+	if cap(bb.blk.Cols) < k {
+		bb.blk.Cols, bb.blk.Valid = make([][]float64, k), make([][]bool, k)
+	}
+	bb.blk.Cols, bb.blk.Valid = bb.blk.Cols[:k], bb.blk.Valid[:k]
+	return bb
+}
+
+// nativeLittleEndian: segment values are little-endian on disk, which
+// is how this host lays a float64 out in memory.
+var nativeLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// floatBytes views a float lane as the bytes a segment read fills. A
+// host whose float64 layout is not the file's swaps the values in place
+// afterwards (segReader.next).
+func floatBytes(f []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), 8*len(f))
+}
+
+// segReader reads consecutive chunks of a segment, surfacing only the
+// requested schema ordinals into a pooled Block. It is positional: a
+// chunk's layout follows from its header and the schema, so the reader
+// fetches the header, one tag byte of every column the scan did not ask
+// for, and each requested numeric column's block — straight into the
+// column's float lane — and nothing else.
+type segReader struct {
+	r      io.ReaderAt
+	size   int64
+	off    int64
+	schema *sqltypes.Schema
+	slot   []int // schema ordinal -> Block slot, -1 when not requested
+	nnum   int64 // numeric columns in the schema
+	buf    *blockBuf
+	bytes  int64 // bytes read so far
+	// scratch receives a chunk header, then single tag bytes (a local
+	// would escape through the ReaderAt call).
+	scratch [16]byte
+}
+
+// newSegReader reads the size-byte segment r. release returns its Block
+// to the pool.
+func newSegReader(r io.ReaderAt, size int64, schema *sqltypes.Schema, want []int) *segReader {
+	sr := &segReader{r: r, size: size, schema: schema, slot: make([]int, schema.Len()), buf: getBlockBuf(len(want))}
+	for i, col := range schema.Columns {
 		sr.slot[i] = -1
+		if colNumeric(col) {
+			sr.nnum++
+		}
 	}
 	for s, c := range want {
 		sr.slot[c] = s
 	}
-	sr.blk.Cols = make([][]float64, len(want))
-	sr.blk.Valid = make([][]bool, len(want))
 	return sr
 }
 
-// take returns the next n bytes of the image without copying, or
-// reports that the stream is short.
-func (sr *segReader) take(n int) ([]byte, bool) {
-	if n < 0 || len(sr.data)-sr.off < n {
-		return nil, false
-	}
-	b := sr.data[sr.off : sr.off+n]
-	sr.off += n
-	return b, true
+func (sr *segReader) release() {
+	blockBufs.Put(sr.buf)
+	sr.buf = nil
 }
 
-// next decodes one chunk into the reader's Block. io.EOF is returned
-// cleanly at end of stream; every other failure wraps ErrCorrupt.
+// read fills dst from offset at. The caller has checked the range
+// against the segment's size, so a short read means the file shrank
+// underneath the scan.
+func (sr *segReader) read(dst []byte, at int64) error {
+	n, err := sr.r.ReadAt(dst, at)
+	sr.bytes += int64(n)
+	if n < len(dst) {
+		return corruptf("storage: segment read of %d bytes at %d returned %d: %w", len(dst), at, n, err)
+	}
+	return nil
+}
+
+// next reads one chunk into the reader's Block. io.EOF is returned
+// cleanly at end of stream; every other failure wraps ErrCorrupt, and
+// nothing of a chunk is delivered unless all of it checked out.
 func (sr *segReader) next() (*Block, error) {
-	if sr.off == len(sr.data) {
+	if sr.off == sr.size {
 		return nil, io.EOF
 	}
-	hdr, ok := sr.take(16)
-	if !ok {
+	if sr.size-sr.off < 16 {
 		return nil, corruptf("storage: truncated segment chunk header")
+	}
+	hdr := sr.scratch[:]
+	if err := sr.read(hdr, sr.off); err != nil {
+		return nil, err
 	}
 	if string(hdr[:4]) != segMagic {
 		return nil, corruptf("storage: bad segment chunk magic %q", string(hdr[:4]))
@@ -209,105 +284,105 @@ func (sr *segReader) next() (*Block, error) {
 	nrows := int(binary.LittleEndian.Uint32(hdr[4:8]))
 	ncols := int(binary.LittleEndian.Uint32(hdr[8:12]))
 	bodyLen := int64(binary.LittleEndian.Uint32(hdr[12:16]))
-	sr.bytes += 16
 	if nrows < 1 || nrows > segChunkRows {
 		return nil, corruptf("storage: segment chunk row count %d out of range 1..%d", nrows, segChunkRows)
 	}
 	if ncols != sr.schema.Len() {
 		return nil, corruptf("storage: segment chunk has %d columns, schema has %d", ncols, sr.schema.Len())
 	}
+	// A column's block is sized by its declared type (its tag must agree,
+	// below), so the body's length is known before any of it is read.
 	bmLen := (nrows + 7) / 8
-	bodyStart := sr.off
-	sr.blk.Rows = nrows
-	for c := 0; c < ncols; c++ {
-		tb, ok := sr.take(1)
-		if !ok {
-			return nil, corruptf("storage: truncated segment column block")
-		}
-		tag := tb[0]
-		numeric := tag == 1
-		if tag > 1 {
-			return nil, corruptf("storage: bad segment column tag %d", tag)
-		}
+	otherLen := int64(1 + bmLen)
+	numLen := otherLen + 16 + 8*int64(nrows)
+	body := sr.nnum*numLen + (int64(ncols)-sr.nnum)*otherLen
+	if bodyLen != body {
+		return nil, corruptf("storage: segment chunk body is %d bytes, header says %d", body, bodyLen)
+	}
+	if sr.size-sr.off-16 < body {
+		return nil, corruptf("storage: truncated segment chunk body")
+	}
+	blk := &sr.buf.blk
+	blk.Rows = nrows
+	// A numeric block is read so that the bytes ahead of its values end
+	// where the lane's values begin.
+	head := laneHead*8 - (1 + bmLen + 16)
+	at := sr.off + 16
+	for c, col := range sr.schema.Columns {
 		s := sr.slot[c]
-		if s < 0 {
-			// Not requested: skip the block without decoding.
-			skip := bmLen
-			if numeric {
-				skip += 16 + nrows*8
+		size, tag := otherLen, byte(0)
+		if colNumeric(col) {
+			size, tag = numLen, 1
+		}
+		got := sr.scratch[:1]
+		if s >= 0 && tag == 1 {
+			lane := sr.buf.vals[s][:laneHead+nrows]
+			got = floatBytes(lane)[head:]
+			if err := sr.read(got, at); err != nil {
+				return nil, err
 			}
-			if _, ok := sr.take(skip); !ok {
-				return nil, corruptf("storage: truncated segment column block")
-			}
-			continue
-		}
-		bm, ok := sr.take(bmLen)
-		if !ok {
-			return nil, corruptf("storage: truncated segment bitmap")
-		}
-		if cap(sr.blk.Valid[s]) < nrows {
-			sr.blk.Valid[s] = make([]bool, nrows)
-			sr.blk.Cols[s] = make([]float64, nrows)
-		}
-		valid := sr.blk.Valid[s][:nrows]
-		vals := sr.blk.Cols[s][:nrows]
-		sr.blk.Valid[s] = valid
-		sr.blk.Cols[s] = vals
-		if !numeric {
-			// Non-numeric columns carry no kernel operands; every lane
-			// is invalid regardless of the (informational) null bitmap.
-			for r := range valid {
-				valid[r] = false
-				vals[r] = 0
-			}
-			continue
-		}
-		if _, ok := sr.take(16); !ok { // min/max, unused by scans
-			return nil, corruptf("storage: truncated segment min/max")
-		}
-		raw, ok := sr.take(nrows * 8)
-		if !ok {
-			return nil, corruptf("storage: truncated segment values")
-		}
-		for r := 0; r < nrows; r++ {
-			vals[r] = math.Float64frombits(binary.LittleEndian.Uint64(raw[r*8:]))
-		}
-		// Expand the bitmap a byte at a time; full bytes (the common
-		// NULL-free case) take the memset-like branch.
-		for i, b := range bm {
-			base := i * 8
-			end := base + 8
-			if end > nrows {
-				end = nrows
-			}
-			if b == 0xff {
-				for r := base; r < end; r++ {
-					valid[r] = true
+			vals := lane[laneHead:]
+			if !nativeLittleEndian {
+				for r, v := range vals {
+					vals[r] = math.Float64frombits(bits.ReverseBytes64(math.Float64bits(v)))
 				}
-				continue
 			}
-			for r := base; r < end; r++ {
-				valid[r] = b&(1<<(r-base)) != 0
+			blk.Cols[s] = vals
+			blk.Valid[s] = expandBitmap(got[1:1+bmLen], sr.buf.valid[s][:nrows])
+		} else {
+			// Nothing of this column reaches a kernel; only its tag is
+			// read. A requested non-numeric column has no operands: every
+			// lane invalid, whatever its (informational) bitmap says.
+			if err := sr.read(got, at); err != nil {
+				return nil, err
+			}
+			if s >= 0 {
+				blk.Cols[s], blk.Valid[s] = sr.buf.vals[s][:nrows], sr.buf.valid[s][:nrows]
+				clear(blk.Cols[s])
+				clear(blk.Valid[s])
 			}
 		}
+		if got[0] != tag {
+			return nil, corruptf("storage: segment column %d has tag %d, its type says %d", c, got[0], tag)
+		}
+		at += size
 	}
-	consumed := int64(sr.off - bodyStart)
-	if consumed != bodyLen {
-		return nil, corruptf("storage: segment chunk body is %d bytes, header says %d", consumed, bodyLen)
-	}
-	sr.bytes += consumed
-	return &sr.blk, nil
+	sr.off = at
+	return blk, nil
 }
 
-// countSegRows walks an existing segment file's chunk headers, checking
+// fullBitmap is the bitmap of a full chunk without NULLs.
+var fullBitmap = bytes.Repeat([]byte{0xff}, segChunkRows/8)
+
+// expandBitmap returns the validity lane of a column whose bitmap is
+// bm: the shared all-true lane when no bit of the first len(dst) is
+// clear, else dst filled a byte at a time.
+func expandBitmap(bm []byte, dst []bool) []bool {
+	nrows := len(dst)
+	whole, rest := nrows/8, byte(1)<<(nrows%8)-1
+	if bytes.Equal(bm[:whole], fullBitmap[:whole]) && bm[len(bm)-1]&rest == rest {
+		return allValid[:nrows]
+	}
+	for i, b := range bm {
+		lanes := dst[i*8 : min(i*8+8, nrows)]
+		for r := range lanes {
+			lanes[r] = b&(1<<r) != 0
+		}
+	}
+	return dst
+}
+
+// countSegRows walks an existing segment file's chunks, checking
 // structural integrity and returning the total row count. Used to adopt
 // a segment left by a previous process.
 func countSegRows(path string, schema *sqltypes.Schema) (int64, error) {
-	data, err := os.ReadFile(path)
+	f, size, err := openSeg(path)
 	if err != nil {
 		return 0, err
 	}
-	sr := newSegReader(data, schema, nil)
+	defer f.Close()
+	sr := newSegReader(f, size, schema, nil)
+	defer sr.release()
 	var total int64
 	for {
 		blk, err := sr.next()
@@ -319,6 +394,20 @@ func countSegRows(path string, schema *sqltypes.Schema) (int64, error) {
 		}
 		total += int64(blk.Rows)
 	}
+}
+
+// openSeg opens a segment file for positional reads.
+func openSeg(path string) (*os.File, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, fi.Size(), nil
 }
 
 // EnsureSegments makes every partition's segment file cover its current
@@ -486,11 +575,13 @@ func (t *Table) ScanPartitionBlocks(ctx context.Context, p int, cols []int, fn f
 		// is still a successful block scan, not a stale fallback.
 		return st, nil
 	}
-	data, err := os.ReadFile(t.segPathLocked(p))
+	f, size, err := openSeg(t.segPathLocked(p))
 	if err != nil {
 		return st, fmt.Errorf("storage: table %q partition %d: %w", t.name, p, ErrSegmentStale)
 	}
-	sr := newSegReader(data, t.schema, cols)
+	defer f.Close()
+	sr := newSegReader(f, size, t.schema, cols)
+	defer sr.release()
 	var total int64
 	for {
 		blk, err := sr.next()
@@ -515,23 +606,14 @@ func (t *Table) ScanPartitionBlocks(ctx context.Context, p int, cols []int, fn f
 // scanMemBlocksLocked synthesizes blocks from an in-memory partition.
 func (t *Table) scanMemBlocksLocked(p int, cols []int, deliver func(*Block) error) error {
 	mem := t.parts[p].mem
-	blk := Block{
-		Cols:  make([][]float64, len(cols)),
-		Valid: make([][]bool, len(cols)),
-	}
-	for s := range cols {
-		blk.Cols[s] = make([]float64, 0, segChunkRows)
-		blk.Valid[s] = make([]bool, 0, segChunkRows)
-	}
+	bb := getBlockBuf(len(cols))
+	defer blockBufs.Put(bb)
+	blk := &bb.blk
 	for off := 0; off < len(mem); off += segChunkRows {
-		n := len(mem) - off
-		if n > segChunkRows {
-			n = segChunkRows
-		}
+		n := min(len(mem)-off, segChunkRows)
 		blk.Rows = n
 		for s, c := range cols {
-			vals := blk.Cols[s][:n]
-			valid := blk.Valid[s][:n]
+			vals, valid := bb.vals[s][:n], bb.valid[s][:n]
 			numeric := colNumeric(t.schema.Columns[c])
 			for r := 0; r < n; r++ {
 				vals[r], valid[r] = 0, false
@@ -544,10 +626,9 @@ func (t *Table) scanMemBlocksLocked(p int, cols []int, deliver func(*Block) erro
 					}
 				}
 			}
-			blk.Cols[s] = vals
-			blk.Valid[s] = valid
+			blk.Cols[s], blk.Valid[s] = vals, valid
 		}
-		if err := deliver(&blk); err != nil {
+		if err := deliver(blk); err != nil {
 			return err
 		}
 	}

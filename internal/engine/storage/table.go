@@ -206,7 +206,7 @@ func (t *Table) validate(dst, row sqltypes.Row) error {
 // ScanStats reports what one partition scan consumed.
 type ScanStats struct {
 	Rows  int64 // rows delivered to the callback
-	Bytes int64 // encoded bytes decoded from disk (0 for in-memory)
+	Bytes int64 // bytes of the partition's file consumed: decoded by a row scan, read by a block scan (0 for in-memory)
 }
 
 // ScanPartition iterates the rows of partition p, invoking fn for each.
