@@ -8,6 +8,7 @@ import (
 
 	statsudf "repro"
 	"repro/internal/core"
+	"repro/internal/engine/exec"
 	"repro/internal/sqlgen"
 )
 
@@ -38,11 +39,23 @@ func BenchmarkAggregateArgs34(b *testing.B) {
 }
 
 // TestAccumulateDoesNotAllocatePerRow scans one partition of 2 000 and
-// one of 16 000 rows: row decode, the argument plan and nlq_list reuse
-// their buffers, so a statement allocates the same whatever it scans.
+// one of 16 000 rows: the statement takes the float-row path (the row
+// log's float decode straight into nlq_list's float body), whose
+// buffers are the scan's and the worker's, so a statement allocates the
+// same whatever it scans.
 func TestAccumulateDoesNotAllocatePerRow(t *testing.T) {
+	if exec.RaceEnabled {
+		t.Skip("allocation counts are not stable under the race detector (sync.Pool drops items)")
+	}
 	allocs := func(n int) float64 {
 		d, sql := buildUDFStatement(t, n, 1)
+		res, err := d.Exec(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if src := res.Stats.Root.SpanByName("scan").Children[0].Source; src != "float" {
+			t.Fatalf("the build statement scanned from the %q source, want float", src)
+		}
 		return testing.AllocsPerRun(5, func() {
 			if _, err := d.Exec(sql); err != nil {
 				t.Fatal(err)

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/engine/obs"
 	"repro/internal/engine/sqlparser"
 	"repro/internal/engine/sqltypes"
+	"repro/internal/engine/storage"
 	"repro/internal/engine/udf"
 )
 
@@ -33,6 +35,10 @@ type aggPlan struct {
 	groupBy []sqlparser.Expr
 	items   []sqlparser.Expr
 	having  sqlparser.Expr // nil when absent
+	// floatCols is non-nil when the scan decodes float rows: the schema
+	// ordinals of the union of the specs' columns, one float-row
+	// position each (see planFloats).
+	floatCols []int
 }
 
 // planAggregate rewrites the select list (and HAVING) of an aggregate
@@ -91,6 +97,96 @@ func (a *aggPlan) resolve(table, col string) (int, error) {
 	return 0, fmt.Errorf("exec: internal: unexpected qualifier %q", table)
 }
 
+// floatSpec is a spec's float body, decided once at prepare (planFloats)
+// and shared read-only by the statement's workers: the aggregate, its
+// leading arguments boxed once, the scratch template each worker copies
+// (literal slots converted, expr.ArgPlan.Floats), and on a float-row
+// scan the runs of float-row positions its column slots are copied from.
+type floatSpec struct {
+	agg    udf.FloatAggregate
+	lead   []sqltypes.Value
+	x      []float64
+	gather []floatRun
+}
+
+// floatRun copies n float-row positions from pos on to scratch slots
+// from slot on: consecutive columns in argument order are one copy.
+type floatRun struct{ slot, pos, n int }
+
+// rowArgs returns the float body's x for one float row. When the spec's
+// columns are one run that is the whole of x — every statement the
+// benchmark times — x is that run of frow itself; copying it into the
+// scratch costs build_udf ≈ 5 % (BENCH_25.json review_round). Otherwise
+// the runs are copied into the worker's scratch.
+func (f *floatSpec) rowArgs(scratch, frow []float64) []float64 {
+	lead := len(f.lead)
+	if g := f.gather; len(g) == 1 && g[0].n == len(scratch)-lead {
+		return frow[g[0].pos : g[0].pos+g[0].n]
+	}
+	for _, r := range f.gather {
+		copy(scratch[r.slot:r.slot+r.n], frow[r.pos:])
+	}
+	return scratch[lead:]
+}
+
+// planFloats decides at prepare, once per spec, whether the spec has a
+// float body: its aggregate is a udf.FloatAggregate, the call is not
+// DISTINCT, its leading arguments are literals and its later literals
+// convert. Then it decides whether the statement scans float rows: one
+// table, no residual WHERE, no GROUP BY, and every spec a float body
+// whose other arguments are bare numeric columns (storage.NumericColumn
+// — the block source's rule; a BIGINT widens as Value.Float widens it).
+// Every other statement scans boxed rows. A plan that fails to build
+// leaves its spec boxed; the worker's plan raises the error.
+func (a *aggPlan) planFloats(b *binding, residual sqlparser.Expr, funcs *expr.Registry) {
+	rows := len(b.tables) == 1 && residual == nil && len(a.groupBy) == 0
+	schema := b.tables[0].table.Schema()
+	var cols []int
+	at := make(map[int]int) // schema ordinal -> float-row position
+	for i := range a.specs {
+		s := &a.specs[i]
+		fa, ok := s.agg.(udf.FloatAggregate)
+		if !ok || s.star || s.distinct {
+			rows = false
+			continue
+		}
+		plan, err := (&expr.Scope{Funcs: funcs}).PlanArgs(s.args, b.resolve)
+		lead := fa.LeadArgs()
+		var x []float64
+		if err == nil {
+			x = plan.Floats(lead)
+		}
+		if x == nil {
+			rows = false
+			continue
+		}
+		s.float = &floatSpec{agg: fa, lead: plan.Lead(lead), x: x}
+		argCols, bare := plan.Columns()
+		rows = rows && bare
+		for _, c := range argCols {
+			if !rows || !storage.NumericColumn(schema.Columns[c.Ord]) {
+				rows = false
+				break
+			}
+			p, seen := at[c.Ord]
+			if !seen {
+				p = len(cols)
+				at[c.Ord] = p
+				cols = append(cols, c.Ord)
+			}
+			g := s.float.gather
+			if k := len(g) - 1; k >= 0 && g[k].slot+g[k].n == c.Slot && g[k].pos+g[k].n == p {
+				g[k].n++
+				continue
+			}
+			s.float.gather = append(g, floatRun{c.Slot, p, 1})
+		}
+	}
+	if rows {
+		a.floatCols = cols
+	}
+}
+
 // aggWorker is the aggregate half of a selectWorker: per-partition hash
 // aggregation, phases 1-2 of the UDF protocol. The evaluators and
 // buffers are pooled with the worker; groups is the partition's output
@@ -98,6 +194,7 @@ func (a *aggPlan) resolve(table, col string) (int, error) {
 type aggWorker struct {
 	groupEvs []expr.Evaluator
 	args     []expr.ArgPlan // one per spec; the zero plan for count(*)
+	floats   [][]float64    // per spec: its float body's scratch, nil when it has none
 	keyVals  sqltypes.Row
 	keyBuf   strings.Builder
 
@@ -111,7 +208,11 @@ type aggWorker struct {
 }
 
 func (a *aggPlan) newWorker(sc *expr.Scope, resolve expr.Resolver) (*aggWorker, error) {
-	w := &aggWorker{keyVals: make(sqltypes.Row, len(a.groupBy)), args: make([]expr.ArgPlan, len(a.specs))}
+	w := &aggWorker{
+		keyVals: make(sqltypes.Row, len(a.groupBy)),
+		args:    make([]expr.ArgPlan, len(a.specs)),
+		floats:  make([][]float64, len(a.specs)),
+	}
 	var err error
 	if w.groupEvs, err = compileAll(a.groupBy, resolve, sc); err != nil {
 		return nil, err
@@ -123,44 +224,66 @@ func (a *aggPlan) newWorker(sc *expr.Scope, resolve expr.Resolver) (*aggWorker, 
 		if w.args[i], err = sc.PlanArgs(s.args, resolve); err != nil {
 			return nil, err
 		}
+		if s.float != nil {
+			w.floats[i] = slices.Clone(s.float.x)
+		}
 	}
 	return w, nil
 }
 
-// accumulate folds one qualifying flat row into its group's states.
+// group returns the group state the flat row folds into.
+func (w *aggWorker) group(specs []aggSpec, flat sqltypes.Row) (*groupState, error) {
+	if w.global != nil {
+		return w.global, nil
+	}
+	w.keyBuf.Reset()
+	for i, ev := range w.groupEvs {
+		v, err := ev.Eval(flat)
+		if err != nil {
+			return nil, err
+		}
+		w.keyVals[i] = v
+		s := v.String()
+		w.keyBuf.WriteString(strconv.Itoa(len(s)))
+		w.keyBuf.WriteByte(':')
+		w.keyBuf.WriteString(s)
+	}
+	key := w.keyBuf.String()
+	g, ok := w.groups[key]
+	if !ok {
+		var err error
+		if g, err = newGroupState(w.keyVals, specs); err != nil {
+			return nil, err
+		}
+		w.groups[key] = g
+	}
+	if len(w.groupEvs) == 0 {
+		w.global = g
+	}
+	return g, nil
+}
+
+// accumulate folds one qualifying flat row into its group's states. A
+// spec with a float body is filled through its plan into the float
+// scratch and called there; a row the fill refuses (a NULL, a value that
+// is not a number) goes to Accumulate boxed, like every spec without one.
 func (w *aggWorker) accumulate(specs []aggSpec, flat sqltypes.Row) error {
-	g := w.global
-	if g == nil {
-		w.keyBuf.Reset()
-		for i, ev := range w.groupEvs {
-			v, err := ev.Eval(flat)
-			if err != nil {
-				return err
-			}
-			w.keyVals[i] = v
-			s := v.String()
-			w.keyBuf.WriteString(strconv.Itoa(len(s)))
-			w.keyBuf.WriteByte(':')
-			w.keyBuf.WriteString(s)
-		}
-		key := w.keyBuf.String()
-		var ok bool
-		if g, ok = w.groups[key]; !ok {
-			ng, err := newGroupState(w.keyVals, specs)
-			if err != nil {
-				return err
-			}
-			g = ng
-			w.groups[key] = g
-		}
-		if len(w.groupEvs) == 0 {
-			w.global = g
-		}
+	g, err := w.group(specs, flat)
+	if err != nil {
+		return err
 	}
 	for i, s := range specs {
-		args, err := w.args[i].Gather(flat)
+		x := w.floats[i]
+		args, err := w.args[i].Fill(flat, x)
 		if err != nil {
 			return err
+		}
+		if x != nil && args == nil { // the fill took: x holds the row
+			w.accCalls++
+			if err := s.float.agg.AccumulateFloats(g.states[i], s.float.lead, x[len(s.float.lead):]); err != nil {
+				return err
+			}
+			continue
 		}
 		if g.seen[i] != nil {
 			k := distinctKey(args)
@@ -176,6 +299,23 @@ func (w *aggWorker) accumulate(specs []aggSpec, flat sqltypes.Row) error {
 		}
 		w.accCalls++
 	}
+	return nil
+}
+
+// floatRow folds one row of a float-row scan (see planFloats): every
+// spec's float body — each spec has one there — is called on its
+// arguments from frow, without a boxed value on the way.
+func (w *aggWorker) floatRow(specs []aggSpec, frow []float64) error {
+	g, err := w.group(specs, nil)
+	if err != nil {
+		return err
+	}
+	for i, s := range specs {
+		if err := s.float.agg.AccumulateFloats(g.states[i], s.float.lead, s.float.rowArgs(w.floats[i], frow)); err != nil {
+			return err
+		}
+	}
+	w.accCalls += int64(len(specs))
 	return nil
 }
 

@@ -1,5 +1,8 @@
 package exec
 
+// RaceEnabled is raceEnabled for the package's external tests.
+const RaceEnabled = raceEnabled
+
 // FrontEnd describes what the statement front end decided for a planned
 // SELECT: the output column names (hidden keys included), how many
 // trailing `$orderN` keys are hidden, and whether it plans as an

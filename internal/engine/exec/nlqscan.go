@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/engine/obs"
@@ -19,26 +20,31 @@ import (
 // including skipped ones — the count the summary cache stamps entries
 // with, since it must match the table's row count exactly.
 //
-// With columnar set, eligible scans (all selected columns numeric by
-// schema type) take the block source and run UpdateBlock over column
-// segments. The per-slot accumulation order is identical to the row
-// source's, so the partials are byte-for-byte the same in both modes —
-// including seen: both sources count every delivered row, NULL-masked
-// block rows like the row source's skipped ones. Ineligible scans
-// (counted as one fallback) and stale-segment partitions take the row
-// source.
+// Eligible scans (all selected columns numeric by schema type) read the
+// row log through its float decode, which hands Update each row's
+// values unboxed, and with columnar set take the block source and run
+// UpdateBlock over column segments. The per-slot accumulation order is
+// identical in every source, so the partials are byte-for-byte the same
+// in both modes — including seen: every source counts every delivered
+// row, NULL-masked block rows and declined float rows like the row
+// source's skipped ones. Ineligible scans (counted as one fallback under
+// columnar) box every row; stale-segment partitions take the float
+// decode.
 func ComputeTableNLQ(ctx context.Context, t *storage.Table, cols []int, mt core.MatrixType, workers int, columnar bool) (partials []*core.NLQ, seen int64, err error) {
-	var blockCols []int
-	if columnar {
-		if nlqBlocksEligible(t, cols) {
-			blockCols = cols
-		} else {
-			obs.ColumnarFallbacks.Inc()
+	var src sources
+	if nlqBlocksEligible(t, cols) {
+		if columnar {
+			src.block = cols
 		}
+		if distinct(cols) { // a float row holds each column once
+			src.floats = cols
+		}
+	} else if columnar {
+		obs.ColumnarFallbacks.Inc()
 	}
 	partials = make([]*core.NLQ, t.Partitions())
 	var st Stats
-	err = scanPartitions(ctx, t, workers, blockCols, &st, func(p int) (scanWorker, error) {
+	err = scanPartitions(ctx, t, workers, src, &st, func(p int) (scanWorker, error) {
 		s, err := core.NewNLQ(len(cols), mt)
 		if err != nil {
 			return nil, err
@@ -53,14 +59,24 @@ func ComputeTableNLQ(ctx context.Context, t *storage.Table, cols []int, mt core.
 }
 
 // nlqBlocksEligible reports whether the summary scan over cols can use
-// block kernels: every selected column must be numeric *by schema
-// type*. The row path's Value.Float() succeeds on numeric-looking
-// VARCHAR values, so a VARCHAR column would contribute operands on the
-// row path that segment blocks don't carry — such scans stay row-wise.
+// block kernels or the float decode: every selected column must be
+// numeric *by schema type*. The row path's Value.Float() succeeds on
+// numeric-looking VARCHAR values, so a VARCHAR column would contribute
+// operands on the row path that segment blocks don't carry — such scans
+// stay row-wise.
 func nlqBlocksEligible(t *storage.Table, cols []int) bool {
 	schema := t.Schema()
 	for _, c := range cols {
 		if c < 0 || c >= schema.Len() || !storage.NumericColumn(schema.Columns[c]) {
+			return false
+		}
+	}
+	return true
+}
+
+func distinct(cols []int) bool {
+	for i, c := range cols {
+		if slices.Contains(cols[:i], c) {
 			return false
 		}
 	}
@@ -85,6 +101,9 @@ func (w *nlqWorker) row(r sqltypes.Row) error {
 	}
 	return w.s.Update(w.x)
 }
+
+// floats folds one float row: the scan's float columns are w.cols.
+func (w *nlqWorker) floats(x []float64) error { return w.s.Update(x) }
 
 func (w *nlqWorker) block(b *storage.Block) error {
 	// AND the validity lanes of the columns with a NULL in this block,

@@ -130,6 +130,7 @@ func PrepareSelect(sel *sqlparser.Select, env *Env) (*PreparedSelect, error) {
 		if p.agg, err = planAggregate(sel, p.exprs, env.Aggs, aggNames); err != nil {
 			return nil, err
 		}
+		p.agg.planFloats(p.b, p.tail.residual, env.Funcs)
 	default:
 		// A bare column keeps its declared type; computed items are DOUBLE.
 		for i, e := range p.exprs {
@@ -310,11 +311,14 @@ func (p *PreparedSelect) execute(ctx context.Context, args []sqltypes.Value, sin
 	}
 	st.Plan = plan.finish()
 
-	var blockCols []int
+	var src sources
 	if p.vec != nil {
-		blockCols = p.vec.cols
+		src.block = p.vec.cols
 	}
-	err = scanPartitions(ctx, first, p.env.Workers, blockCols, st, func(part int) (scanWorker, error) {
+	if p.agg != nil {
+		src.floats = p.agg.floatCols
+	}
+	err = scanPartitions(ctx, first, p.env.Workers, src, st, func(part int) (scanWorker, error) {
 		w, ok := p.workers.Get().(*selectWorker)
 		if !ok {
 			var err error
@@ -443,6 +447,12 @@ func (w *selectWorker) row(r sqltypes.Row) error {
 		}
 	}
 	return nil
+}
+
+// floats consumes one row of a float-row scan; only an aggregate
+// statement with floatCols asks for one.
+func (w *selectWorker) floats(x []float64) error {
+	return w.agg.floatRow(w.ps.agg.specs, x)
 }
 
 func (w *selectWorker) release() {

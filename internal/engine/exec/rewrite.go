@@ -15,7 +15,8 @@ type aggSpec struct {
 	args     []sqlparser.Expr
 	star     bool
 	distinct bool
-	key      string // canonical text, for deduplication
+	key      string     // canonical text, for deduplication
+	float    *floatSpec // set at prepare when the call has a float body; nil: always Accumulate
 }
 
 // grpQualifier and aggQualifier are synthetic table names used by

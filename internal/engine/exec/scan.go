@@ -22,6 +22,12 @@ type scanWorker interface {
 	// itself. A consumer copies the values it keeps and never writes
 	// through r.
 	row(r sqltypes.Row) error
+	// floats consumes one row of the scan's float columns, decoded from
+	// the row log without boxing: x[j] is column j of the float columns,
+	// read-only and valid for the call. Only scans given float columns
+	// call it; the rows the decoder declines (a NULL or VARCHAR in one of
+	// those columns) come to row.
+	floats(x []float64) error
 	// block consumes one block of the scan's block columns. Only scans
 	// given block columns call it.
 	block(b *storage.Block) error
@@ -30,17 +36,22 @@ type scanWorker interface {
 	release()
 }
 
+// sources names the columns a scan's unboxed sources read: block
+// columns from fresh segments, float columns from the row log's float
+// decode. A scan with neither boxes every row.
+type sources struct{ block, floats []int }
+
 // scanPartitions is the engine's one partition-scan loop: every SELECT
 // shape and the summary rebuild run through it. It fans the partitions
 // of t out over at most workers goroutines (RunParallel: first failure
 // cancels the siblings, panics are contained per partition), opens one
 // consumer per partition, feeds it from the block source when the plan
-// supplied block columns and the partition's segment is fresh, and from
-// the row source otherwise, and records the scan[pN] spans, their
-// source, per-partition rows and the scan totals in st — also when the
-// scan fails part-way, so a failed statement still reports how far it
-// got.
-func scanPartitions(ctx context.Context, t *storage.Table, workers int, blockCols []int, st *Stats, open func(p int) (scanWorker, error)) error {
+// supplied block columns and the partition's segment is fresh, else from
+// the row log — decoded to floats when the plan supplied float columns,
+// boxed otherwise — and records the scan[pN] spans, their source,
+// per-partition rows and the scan totals in st — also when the scan
+// fails part-way, so a failed statement still reports how far it got.
+func scanPartitions(ctx context.Context, t *storage.Table, workers int, src sources, st *Stats, open func(p int) (scanWorker, error)) error {
 	nparts := t.Partitions()
 	st.Partitions = nparts
 	st.Workers = nparts
@@ -49,7 +60,7 @@ func scanPartitions(ctx context.Context, t *storage.Table, workers int, blockCol
 	}
 	st.PartitionRows = make([]int64, nparts)
 	scan := st.ensureRoot().child("scan")
-	if blockCols != nil {
+	if src.block != nil {
 		// Best-effort: derive the segments a write left behind up front,
 		// so the first block scan after a write pays one rebuild (its
 		// time is this span) instead of a row fallback per scan. A failed
@@ -70,7 +81,7 @@ func scanPartitions(ctx context.Context, t *storage.Table, workers int, blockCol
 		}
 		defer w.release()
 		var ps storage.ScanStats
-		span.Source, ps, err = scanPartition(ctx, t, p, blockCols, w)
+		span.Source, ps, err = scanPartition(ctx, t, p, src, w)
 		st.PartitionRows[p] = ps.Rows
 		span.Rows, span.Bytes = ps.Rows, ps.Bytes
 		return err
@@ -91,17 +102,22 @@ func scanPartitions(ctx context.Context, t *storage.Table, workers int, blockCol
 	return err
 }
 
-// scanPartition picks partition p's source. A block scan refuses a
-// stale segment before delivering anything, so the consumer is
-// untouched when the partition reruns row-wise; that rerun is the
-// fallback engine_columnar_fallbacks_total counts per partition.
-func scanPartition(ctx context.Context, t *storage.Table, p int, blockCols []int, w scanWorker) (source string, ps storage.ScanStats, err error) {
-	if blockCols != nil {
-		ps, err = t.ScanPartitionBlocks(ctx, p, blockCols, w.block)
+// scanPartition picks partition p's source: "block", "float" or "row".
+// A block scan refuses a stale segment before delivering anything, so
+// the consumer is untouched when the partition reruns from the row log;
+// that rerun is the fallback engine_columnar_fallbacks_total counts per
+// partition.
+func scanPartition(ctx context.Context, t *storage.Table, p int, src sources, w scanWorker) (source string, ps storage.ScanStats, err error) {
+	if src.block != nil {
+		ps, err = t.ScanPartitionBlocks(ctx, p, src.block, w.block)
 		if !errors.Is(err, storage.ErrSegmentStale) {
 			return "block", ps, err
 		}
 		obs.ColumnarFallbacks.Inc()
+	}
+	if src.floats != nil {
+		ps, err = t.ScanPartitionFloats(ctx, p, src.floats, w.floats, w.row)
+		return "float", ps, err
 	}
 	ps, err = t.ScanPartitionStats(ctx, p, w.row)
 	return "row", ps, err

@@ -11,6 +11,7 @@ import (
 
 	statsudf "repro"
 	"repro/internal/engine/db"
+	"repro/internal/engine/exec"
 	"repro/internal/engine/sqltypes"
 	"repro/internal/sqlgen"
 )
@@ -108,6 +109,9 @@ func BenchmarkScoreStatement(b *testing.B) {
 // buffer, the argument plans and the float scratch are the worker's, so
 // a statement allocates the same whatever it scans.
 func TestScalarCallDoesNotAllocatePerRow(t *testing.T) {
+	if exec.RaceEnabled {
+		t.Skip("allocation counts are not stable under the race detector (sync.Pool drops items)")
+	}
 	allocs := func(n int) float64 {
 		p := scoreStatements(t, n, 8, 8, 1)["kmeans"]
 		return testing.AllocsPerRun(5, func() { scoreOnce(t, p, n) })

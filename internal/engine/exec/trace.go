@@ -30,8 +30,9 @@ type Span struct {
 	Rows  int64     `json:"rows,omitempty"`
 	Bytes int64     `json:"bytes,omitempty"`
 	// Source is set on scan[pN] spans only: "block" when the partition
-	// was read from its column segment, "row" when it was read from the
-	// row log (the plan had no block form, or the segment was stale).
+	// was read from its column segment, "float" when it was read from the
+	// row log through the float decode (a statement that scans float
+	// rows), "row" when it was read from the row log boxed.
 	Source   string  `json:"source,omitempty"`
 	Children []*Span `json:"children,omitempty"`
 }

@@ -17,14 +17,15 @@ import (
 // plan carries the buffers it fills, so it belongs to one goroutine at
 // a time, like the evaluators it holds.
 type ArgPlan struct {
-	vals []sqltypes.Value // what Gather returns; literal slots are final
+	vals []sqltypes.Value // what Fill returns boxed; literal slots are final
 	lits []int            // the literal slots
-	cols []argCol
+	cols []ArgColumn
 	evs  []argEval
 	need int // one past the highest gathered ordinal
 }
 
-type argCol struct{ slot, ord int }
+// ArgColumn is a gather entry of a plan: argument Slot is row[Ord].
+type ArgColumn struct{ Slot, Ord int }
 
 type argEval struct {
 	slot int
@@ -46,7 +47,7 @@ func (c *compiler) planArgs(args []sqlparser.Expr) (ArgPlan, error) {
 			if ev.idx < 0 {
 				return p, fmt.Errorf("expr: column %s resolved to ordinal %d", ev.name, ev.idx)
 			}
-			p.cols = append(p.cols, argCol{slot, ev.idx})
+			p.cols = append(p.cols, ArgColumn{slot, ev.idx})
 			p.need = max(p.need, ev.idx+1)
 		default:
 			p.evs = append(p.evs, argEval{slot, ev})
@@ -55,20 +56,15 @@ func (c *compiler) planArgs(args []sqlparser.Expr) (ArgPlan, error) {
 	return p, nil
 }
 
-// Gather fills the argument list from row and returns it. The slice is
-// the plan's own: valid until the next call, not to be written.
-func (p *ArgPlan) Gather(row sqltypes.Row) ([]sqltypes.Value, error) {
-	return p.fill(row, nil)
-}
-
-// fill is the one per-row loop. With no dst it completes and returns
-// the boxed list. With dst — a float body's scratch, whose literal
-// slots the caller converted once — every other argument goes there
+// Fill is the one per-row loop. With no dst it completes the argument
+// list from row and returns it — the plan's own slice: valid until the
+// next call, not to be written. With dst — a float body's scratch, as
+// Floats returned it — every argument but the literals goes there
 // unboxed, columns straight from row, and nil is returned; a row with
 // an argument Float refuses (a NULL, a non-numeric string) gets the
 // boxed list after all, for the function's boxed form, whose adapter
 // owns NULLs and the error. Evaluator entries run first and once.
-func (p *ArgPlan) fill(row sqltypes.Row, dst []float64) ([]sqltypes.Value, error) {
+func (p *ArgPlan) Fill(row sqltypes.Row, dst []float64) ([]sqltypes.Value, error) {
 	if len(row) < p.need {
 		return nil, fmt.Errorf("expr: row of width %d, the call's arguments read %d columns", len(row), p.need)
 	}
@@ -85,7 +81,7 @@ func (p *ArgPlan) fill(row sqltypes.Row, dst []float64) ([]sqltypes.Value, error
 	}
 	if numbers {
 		for _, c := range p.cols {
-			if dst[c.slot], numbers = row[c.ord].Float(); !numbers {
+			if dst[c.Slot], numbers = row[c.Ord].Float(); !numbers {
 				break
 			}
 		}
@@ -94,22 +90,41 @@ func (p *ArgPlan) fill(row sqltypes.Row, dst []float64) ([]sqltypes.Value, error
 		}
 	}
 	for _, c := range p.cols {
-		p.vals[c.slot] = row[c.ord]
+		p.vals[c.Slot] = row[c.Ord]
 	}
 	return p.vals, nil
 }
 
-// literalFloats returns the scratch a float body is called with, the
-// plan's literal slots already converted, or nil when Float refuses a
-// literal — every call of such a plan takes the boxed form.
-func (p *ArgPlan) literalFloats() []float64 {
+// Floats returns the scratch a float body is called with when it takes
+// the first lead arguments boxed (0 for a scalar function): the later
+// literal slots already converted. It is nil when one of the first lead
+// arguments is not a literal or a later literal does not convert —
+// every call of such a plan takes the boxed form.
+func (p *ArgPlan) Floats(lead int) []float64 {
 	dst := make([]float64, len(p.vals))
+	boxed := 0
 	for _, slot := range p.lits {
+		if slot < lead {
+			boxed++
+			continue
+		}
 		f, ok := p.vals[slot].Float()
 		if !ok {
 			return nil
 		}
 		dst[slot] = f
 	}
+	if boxed != lead {
+		return nil
+	}
 	return dst
 }
+
+// Lead returns the first n arguments. Where Floats(n) is non-nil they
+// are literals: boxed once, the plan's own for its life, not to be
+// written.
+func (p *ArgPlan) Lead(n int) []sqltypes.Value { return p.vals[:n] }
+
+// Columns returns the plan's gather entries in slot order, and whether
+// they are all it has besides literals — no evaluator entry.
+func (p *ArgPlan) Columns() (cols []ArgColumn, bare bool) { return p.cols, len(p.evs) == 0 }

@@ -216,7 +216,7 @@ func TestArgPlanGather(t *testing.T) {
 	}
 	row := planRow()
 	for rep := 0; rep < 2; rep++ {
-		vals, err := p.Gather(row)
+		vals, err := p.Fill(row, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,11 +225,11 @@ func TestArgPlanGather(t *testing.T) {
 		}
 		row[0] = sqltypes.NewDouble(math.Float64frombits(math.Float64bits(2.5))) // same value, a fresh row next time
 	}
-	if _, err := p.Gather(row[:3]); err == nil || !strings.Contains(err.Error(), "row of width 3") {
+	if _, err := p.Fill(row[:3], nil); err == nil || !strings.Contains(err.Error(), "row of width 3") {
 		t.Fatalf("a short row: %v", err)
 	}
 	var none ArgPlan // count(*)
-	if vals, err := none.Gather(nil); err != nil || len(vals) != 0 {
+	if vals, err := none.Fill(nil, nil); err != nil || len(vals) != 0 {
 		t.Fatalf("the zero plan: %v, %v", vals, err)
 	}
 }

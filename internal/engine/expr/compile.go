@@ -206,7 +206,7 @@ func (c *compiler) compileFunc(e *sqlparser.FuncCall) (Evaluator, error) {
 	}
 	fe := &funcEval{def: def, plan: plan}
 	if def.Float != nil {
-		fe.floats = plan.literalFloats()
+		fe.floats = plan.Floats(0)
 	}
 	if c.scope != nil {
 		fe.calls = &c.scope.Calls

@@ -255,7 +255,7 @@ type funcEval struct {
 }
 
 func (e *funcEval) Eval(row sqltypes.Row) (sqltypes.Value, error) {
-	boxed, err := e.plan.fill(row, e.floats)
+	boxed, err := e.plan.Fill(row, e.floats)
 	if err != nil {
 		return sqltypes.Null, err
 	}

@@ -130,22 +130,6 @@ func (v Value) convertFloat() (float64, bool) {
 	}
 }
 
-// UnboxDoubles copies the payloads of the leading DOUBLE values of vs
-// into dst and returns how many it copied: the index of the first value
-// that is not a DOUBLE, len(vs) when all are. The caller applies its own
-// NULL and conversion rules (Float) from that index on. dst must be at
-// least as long as vs.
-func UnboxDoubles(dst []float64, vs []Value) int {
-	dst = dst[:len(vs)]
-	for i := range vs {
-		if vs[i].typ != TypeDouble {
-			return i
-		}
-		dst[i] = vs[i].f
-	}
-	return len(vs)
-}
-
 // AsFloat returns the value as float64 or an error naming the value
 // and its type when it is not numeric. Production code paths (scoring
 // decoders, harness loaders) use this instead of MustFloat so a stray

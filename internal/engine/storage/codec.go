@@ -175,7 +175,8 @@ func (rr *rowReader) truncated(what string) error {
 }
 
 // next decodes one row into dst (reused across calls when it has
-// capacity). It returns io.EOF cleanly at end of stream.
+// capacity). It returns io.EOF cleanly at end of stream. It is also
+// how a row nextFloats declines is read.
 func (rr *rowReader) next(dst sqltypes.Row) (sqltypes.Row, error) {
 	if cap(dst) < rr.arity {
 		dst = make(sqltypes.Row, rr.arity)
@@ -234,6 +235,84 @@ func (rr *rowReader) next(dst sqltypes.Row) (sqltypes.Row, error) {
 	}
 	rr.pos = rr.end - len(b)
 	return dst, nil
+}
+
+// nextFloats is next's float decode mode: it walks the next row's tags
+// and writes each requested cell — column i goes to x[want[i]], -1
+// meaning not requested — as a float (a BIGINT widens as Value.Float
+// widens it), stepping over the payloads of the others, VARCHAR
+// included, without allocating. It declines, returning false with
+// nothing consumed, when a requested cell is NULL or VARCHAR, and also
+// for anything next would not decode as a clean row — the end of the
+// stream, a truncation, a bad tag, a VARCHAR over the cap or longer
+// than the buffer — so next, called on the same row, boxes it or
+// reports exactly the end or error it always would. x's contents are
+// unspecified after a decline.
+func (rr *rowReader) nextFloats(want []int, x []float64) bool {
+	if rr.end-rr.pos < rr.arity*maxFixedLen {
+		rr.fill(rr.arity * maxFixedLen)
+	}
+	b := rr.buf[rr.pos:rr.end]
+	off := 0
+	for i, slot := range want {
+		// A number with its 8 bytes buffered: one bounds check for the
+		// cell, none for its parts.
+		if len(b)-off >= maxFixedLen {
+			c := (*[maxFixedLen]byte)(b[off : off+maxFixedLen])
+			if tag := c[0]; tag == tagDouble || tag == tagBigInt {
+				if slot >= 0 {
+					u := binary.LittleEndian.Uint64(c[1:])
+					f := math.Float64frombits(u)
+					if tag == tagBigInt {
+						f = float64(int64(u))
+					}
+					x[slot] = f
+				}
+				off += maxFixedLen
+				continue
+			}
+		}
+		var ok bool
+		if b, off, ok = rr.skipCell(off, slot, rr.arity-i-1); !ok {
+			return false
+		}
+	}
+	rr.pos += off
+	return true
+}
+
+// skipCell is nextFloats for every other cell, the one at buf[pos+off]:
+// an unrequested NULL or VARCHAR is stepped over, the buffer topped up
+// when a VARCHAR's payload is not all there (fill keeps the undecoded
+// bytes, this row's included, so off stays an offset into them; rest is
+// how many cells follow). It returns the row's bytes and the offset
+// after the cell, or false for a requested NULL or VARCHAR, a bad tag, a
+// cut-short cell, a length over the cap or a row that would not fit the
+// buffer.
+func (rr *rowReader) skipCell(off, slot, rest int) (b []byte, end int, ok bool) {
+	b = rr.buf[rr.pos:rr.end]
+	if off >= len(b) || slot >= 0 {
+		return nil, 0, false
+	}
+	switch b[off] {
+	case tagNull:
+		return b, off + 1, true
+	case tagVarChar:
+		if len(b)-off < 5 {
+			return nil, 0, false
+		}
+		n := int(binary.LittleEndian.Uint32(b[off+1 : off+5]))
+		end = off + 5 + n
+		if n > maxVarCharLen || end > len(rr.buf) {
+			return nil, 0, false
+		}
+		if end > len(b) {
+			rr.fill(min(end+rest*maxFixedLen, len(rr.buf)))
+			b = rr.buf[rr.pos:rr.end]
+		}
+		return b, end, end <= len(b)
+	}
+	return nil, 0, false // a bad tag, or a number cut short
 }
 
 // varchar decodes the n-byte VARCHAR whose tag is at buf[pos] and whose

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -110,6 +112,12 @@ func TestRowReaderAcrossReadBoundaries(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", tc.name, rd.name, err)
 			}
+			// The float mode steps over the VARCHAR (or stops at it) and
+			// agrees with next wherever the row is cut.
+			for _, mask := range []uint64{0b011, 0b001, 0b111} {
+				want, nslots := request(3, mask, mask == 0b001)
+				checkFloatDecode(t, enc, 3, want, nslots, rd.wrap)
+			}
 			if len(rows) != len(tc.rows) {
 				t.Fatalf("%s/%s: decoded %d rows, want %d", tc.name, rd.name, len(rows), len(tc.rows))
 			}
@@ -180,27 +188,139 @@ type stuckReader struct{}
 
 func (stuckReader) Read([]byte) (int, error) { return 0, nil }
 
+// decodeAllFloats is decodeAll in the float decode mode with the
+// request want (column -> slot of x, -1 unrequested; nslots slots): a
+// row nextFloats takes is recorded as its floats, with a nil row; a row
+// it declines goes through next and is recorded as the boxed row, with
+// nil floats.
+func decodeAllFloats(r io.Reader, arity int, want []int, nslots int) (rows []sqltypes.Row, floats [][]float64, bytesAfter []int64, err error) {
+	rr := newRowReader(r, arity)
+	x := make([]float64, nslots)
+	var row sqltypes.Row
+	for {
+		if rr.nextFloats(want, x) {
+			rows = append(rows, nil)
+			floats = append(floats, append(make([]float64, 0, nslots), x...)) // non-nil, also when empty
+			bytesAfter = append(bytesAfter, rr.bytes())
+			continue
+		}
+		row, err = rr.next(row)
+		if err == io.EOF {
+			return rows, floats, bytesAfter, nil
+		}
+		if err != nil {
+			return rows, floats, append(bytesAfter, rr.bytes()), err
+		}
+		rows = append(rows, row.Clone())
+		floats = append(floats, nil)
+		bytesAfter = append(bytesAfter, rr.bytes())
+	}
+}
+
+// request builds a float-mode request from a column bit mask: slots in
+// column order, or in reverse column order when reversed.
+func request(arity int, mask uint64, reversed bool) (want []int, nslots int) {
+	want = make([]int, arity)
+	for i := range want {
+		want[i] = -1
+		if mask>>i&1 == 1 {
+			nslots++
+		}
+	}
+	slot := 0
+	for k := 0; k < arity; k++ {
+		i := k
+		if reversed {
+			i = arity - 1 - k
+		}
+		if mask>>i&1 == 1 {
+			want[i] = slot
+			slot++
+		}
+	}
+	return want, nslots
+}
+
+// checkFloatDecode is the differential check of the float decode mode
+// against next over the same stream: every row is either declined —
+// and then decoded by next exactly as the boxed decode has it — or
+// delivered as the boxed row's requested cells, bit for bit, which must
+// be numbers; byte counts and the terminal error match exactly.
+func checkFloatDecode(t *testing.T, data []byte, arity int, want []int, nslots int, wrap func(io.Reader) io.Reader) {
+	t.Helper()
+	boxed, boxedBytes, boxedErr := decodeAll(wrap(bytes.NewReader(data)), arity)
+	rows, floats, gotBytes, err := decodeAllFloats(wrap(bytes.NewReader(data)), arity, want, nslots)
+	if (err == nil) != (boxedErr == nil) || (err != nil && (err.Error() != boxedErr.Error() || errors.Is(err, ErrCorrupt) != errors.Is(boxedErr, ErrCorrupt))) {
+		t.Fatalf("want %v: float mode ended with %v, next with %v", want, err, boxedErr)
+	}
+	if len(rows) != len(boxed) || !slices.Equal(gotBytes, boxedBytes) {
+		t.Fatalf("want %v: float mode decoded %d rows (bytes %v), next %d (bytes %v)", want, len(rows), gotBytes, len(boxed), boxedBytes)
+	}
+	for r := range rows {
+		if floats[r] == nil {
+			if !sameRow(rows[r], boxed[r]) {
+				t.Fatalf("want %v: declined row %d decodes to %v, next to %v", want, r, rows[r], boxed[r])
+			}
+			continue
+		}
+		for c, slot := range want {
+			if slot < 0 {
+				continue
+			}
+			v := boxed[r][c]
+			f, ok := v.Float()
+			if typ := v.Type(); typ != sqltypes.TypeDouble && typ != sqltypes.TypeBigInt || !ok {
+				t.Fatalf("want %v: row %d delivered as floats although column %d is %v", want, r, c, v)
+			}
+			if math.Float64bits(floats[r][slot]) != math.Float64bits(f) {
+				t.Fatalf("want %v: row %d column %d is %v as a float, %v boxed", want, r, c, floats[r][slot], f)
+			}
+		}
+	}
+}
+
 // FuzzDecodeRow drives the row decoder with arbitrary bytes at arities
 // 1–8: it must never panic, never allocate a VARCHAR past the cap,
 // type every failure as ErrCorrupt, keep its byte count within the
 // input, and whatever it decodes must survive encode→decode→encode
-// unchanged.
+// unchanged. The float decode mode must agree with it (checkFloatDecode)
+// for the requested columns mask, its complement with the slots
+// reversed, and every column.
 func FuzzDecodeRow(f *testing.F) {
 	seed := encodeAll(f, []sqltypes.Row{
 		row(1, 1.5, "seed"),
 		{sqltypes.Null, sqltypes.Null, sqltypes.Null},
 		row(-1, -0.0, ""),
 	})
-	f.Add(seed, uint8(3))
-	f.Add(seed, uint8(1))
-	f.Add(seed[:len(seed)-2], uint8(3))
-	f.Add([]byte{tagVarChar, 0xff, 0xff, 0xff, 0xff}, uint8(1))      // over-cap length
-	f.Add([]byte{tagVarChar, 0x00, 0x00, 0x00, 0x04, 'x'}, uint8(1)) // 64 MiB claimed, 1 byte there
-	f.Add([]byte{tagDouble, 1, 2, 3}, uint8(2))
-	f.Add([]byte{9}, uint8(8))
-	f.Add([]byte{}, uint8(4))
-	f.Fuzz(func(t *testing.T, data []byte, a uint8) {
+	f.Add(seed, uint8(3), uint16(0b011))
+	f.Add(seed, uint8(1), uint16(0b001))
+	f.Add(seed[:len(seed)-2], uint8(3), uint16(0b111))
+	f.Add([]byte{tagVarChar, 0xff, 0xff, 0xff, 0xff}, uint8(1), uint16(0))      // over-cap length
+	f.Add([]byte{tagVarChar, 0x00, 0x00, 0x00, 0x04, 'x'}, uint8(1), uint16(0)) // 64 MiB claimed, 1 byte there
+	f.Add([]byte{tagDouble, 1, 2, 3}, uint8(2), uint16(0b01))
+	f.Add([]byte{9}, uint8(8), uint16(0xff))
+	f.Add([]byte{}, uint8(4), uint16(0b1010))
+	// The boxed/float boundary, each case in a requested and an
+	// unrequested column: NULL, VARCHAR, BIGINT, and a cell cut short.
+	mixed := encodeAll(f, []sqltypes.Row{
+		row(7, 2.5, "label"),
+		{sqltypes.NewBigInt(-3), sqltypes.Null, sqltypes.NewVarChar("")},
+		{sqltypes.Null, sqltypes.NewDouble(1e300), sqltypes.Null},
+	})
+	for _, mask := range []uint16{0b001, 0b010, 0b011, 0b100, 0b110} {
+		f.Add(mixed, uint8(2), mask)
+		f.Add(mixed[:len(mixed)-4], uint8(2), mask) // a DOUBLE cut short
+	}
+	f.Add(mixed[:len(encodeAll(f, []sqltypes.Row{row(7, 2.5, "label")}))-3], uint8(2), uint16(0b011)) // VARCHAR cut short
+	f.Fuzz(func(t *testing.T, data []byte, a uint8, mask uint16) {
 		arity := int(a)%8 + 1
+		for _, req := range []struct {
+			mask     uint64
+			reversed bool
+		}{{uint64(mask), false}, {^uint64(mask), true}, {^uint64(0), false}} {
+			want, nslots := request(arity, req.mask, req.reversed)
+			checkFloatDecode(t, data, arity, want, nslots, iotest.HalfReader)
+		}
 		rows, bytesAfter, err := decodeAll(iotest.HalfReader(bytes.NewReader(data)), arity)
 		if err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("untyped decode error: %v", err)
@@ -249,28 +369,43 @@ func BenchmarkRowDecode(b *testing.B) {
 		{"d=32", doubles(32)},
 		{"mixed", mixed},
 	} {
-		b.Run(c.name, func(b *testing.B) {
-			const rows = 8192
-			var enc []byte
-			for i := 0; i < rows; i++ {
-				enc, _ = encodeRow(enc, c.row)
+		const rows = 8192
+		var enc []byte
+		for i := 0; i < rows; i++ {
+			enc, _ = encodeRow(enc, c.row)
+		}
+		// The float mode requests every column that is a number.
+		want := make([]int, len(c.row))
+		var x []float64
+		for i, v := range c.row {
+			want[i] = -1
+			if _, ok := v.Float(); ok && v.Type() != sqltypes.TypeVarChar {
+				want[i] = len(x)
+				x = append(x, 0)
 			}
-			src := bytes.NewReader(enc)
-			var row sqltypes.Row
-			b.SetBytes(int64(len(enc) / rows))
-			b.ReportAllocs()
-			b.ResetTimer()
-			var rr *rowReader
-			for i := 0; i < b.N; i++ {
-				if i%rows == 0 {
-					src.Reset(enc)
-					rr = newRowReader(src, len(c.row))
+		}
+		for _, mode := range []string{"boxed", "float"} {
+			b.Run(c.name+"/"+mode, func(b *testing.B) {
+				src := bytes.NewReader(enc)
+				var row sqltypes.Row
+				b.SetBytes(int64(len(enc) / rows))
+				b.ReportAllocs()
+				b.ResetTimer()
+				var rr *rowReader
+				for i := 0; i < b.N; i++ {
+					if i%rows == 0 {
+						src.Reset(enc)
+						rr = newRowReader(src, len(c.row))
+					}
+					if mode == "float" && rr.nextFloats(want, x) {
+						continue
+					}
+					var err error
+					if row, err = rr.next(row); err != nil {
+						b.Fatal(err)
+					}
 				}
-				var err error
-				if row, err = rr.next(row); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }

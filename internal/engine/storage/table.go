@@ -225,6 +225,58 @@ func (t *Table) ScanPartition(ctx context.Context, p int, fn func(sqltypes.Row) 
 // the stats cover whatever was read before an error, so failed scans
 // still report how far they got.
 func (t *Table) ScanPartitionStats(ctx context.Context, p int, fn func(sqltypes.Row) error) (ScanStats, error) {
+	return t.scanPartition(ctx, p, nil, fn)
+}
+
+// ScanPartitionFloats is ScanPartitionStats in the float decode mode:
+// a row whose cols are all DOUBLE or BIGINT is decoded straight into
+// floats — x[j] is column cols[j], a BIGINT widened — and handed to
+// floats, stepping over the other cells without boxing them; a row with
+// a NULL or a VARCHAR in one of cols goes to rows, boxed, exactly as
+// ScanPartitionStats delivers it. Every row goes to exactly one of the
+// two, in partition order, and everything else — the corrupt-partition
+// refusal, the row-count check against the accounting, ErrCorrupt, byte
+// accounting, cancellation and fault injection — is the row scan's.
+// x is the scan's buffer: read-only, valid for the call. cols must be
+// distinct ordinals of the schema.
+func (t *Table) ScanPartitionFloats(ctx context.Context, p int, cols []int, floats func(x []float64) error, rows func(sqltypes.Row) error) (ScanStats, error) {
+	fd := &floatDecode{want: make([]int, t.schema.Len()), cols: cols, x: make([]float64, len(cols)), fn: floats}
+	for i := range fd.want {
+		fd.want[i] = -1
+	}
+	for j, c := range cols {
+		if c < 0 || c >= len(fd.want) || fd.want[c] >= 0 {
+			return ScanStats{}, fmt.Errorf("storage: float scan of table %q: column ordinals %v must be distinct and in 0..%d", t.name, cols, len(fd.want)-1)
+		}
+		fd.want[c] = j
+	}
+	return t.scanPartition(ctx, p, fd, rows)
+}
+
+// floatDecode is a float-mode scan's request and buffer.
+type floatDecode struct {
+	want []int // per schema column, its slot in x; -1 when not requested
+	cols []int // per slot, its schema column
+	x    []float64
+	fn   func([]float64) error
+}
+
+// unbox is the float decode of an in-memory row: the same rule as the
+// row log's nextFloats.
+func (fd *floatDecode) unbox(r sqltypes.Row) bool {
+	for j, c := range fd.cols {
+		v := r[c]
+		if t := v.Type(); t != sqltypes.TypeDouble && t != sqltypes.TypeBigInt {
+			return false
+		}
+		fd.x[j], _ = v.Float()
+	}
+	return true
+}
+
+// scanPartition is the one partition-scan body: the row scan when fd is
+// nil, the float decode mode otherwise.
+func (t *Table) scanPartition(ctx context.Context, p int, fd *floatDecode, fn func(sqltypes.Row) error) (ScanStats, error) {
 	var st ScanStats
 	// One set of atomic adds per partition scan (not per row: the
 	// partition workers share these cache lines) keeps the table's and
@@ -260,7 +312,8 @@ func (t *Table) ScanPartitionStats(ctx context.Context, p int, fn func(sqltypes.
 			failAfter = flt.ScanAfterRows
 		}
 	}
-	deliver := func(r sqltypes.Row) error {
+	// admit runs before each row is handed on, whichever its decode.
+	admit := func() error {
 		if done != nil && st.Rows&63 == 0 {
 			select {
 			case <-done:
@@ -272,11 +325,20 @@ func (t *Table) ScanPartitionStats(ctx context.Context, p int, fn func(sqltypes.
 			return flt.err()
 		}
 		st.Rows++
-		return fn(r)
+		return nil
 	}
 	if t.dir == "" {
 		for _, r := range t.parts[p].mem {
-			if err := deliver(r); err != nil {
+			if err := admit(); err != nil {
+				return st, err
+			}
+			var err error
+			if fd != nil && fd.unbox(r) {
+				err = fd.fn(fd.x)
+			} else {
+				err = fn(r)
+			}
+			if err != nil {
 				return st, err
 			}
 		}
@@ -292,6 +354,17 @@ func (t *Table) ScanPartitionStats(ctx context.Context, p int, fn func(sqltypes.
 	var row sqltypes.Row
 	var decoded int64
 	for {
+		if fd != nil && rr.nextFloats(fd.want, fd.x) {
+			st.Bytes = rr.bytes()
+			decoded++
+			if err := admit(); err != nil {
+				return st, err
+			}
+			if err := fd.fn(fd.x); err != nil {
+				return st, err
+			}
+			continue
+		}
 		row, err = rr.next(row)
 		st.Bytes = rr.bytes()
 		if err == io.EOF {
@@ -310,7 +383,10 @@ func (t *Table) ScanPartitionStats(ctx context.Context, p int, fn func(sqltypes.
 			return st, err
 		}
 		decoded++
-		if err := deliver(row); err != nil {
+		if err := admit(); err != nil {
+			return st, err
+		}
+		if err := fn(row); err != nil {
 			return st, err
 		}
 	}

@@ -43,8 +43,9 @@ type SpanRecord struct {
 	Duration time.Duration `json:"duration_ns"`
 	Rows     int64         `json:"rows,omitempty"`
 	Bytes    int64         `json:"bytes,omitempty"`
-	// Source is "row" or "block" on a partition-scan span: which storage
-	// format the partition was read from. Empty on every other span.
+	// Source is "row", "float" or "block" on a partition-scan span: which
+	// decoder read the partition (exec.Span.Source). Empty on every other
+	// span.
 	Source string `json:"source,omitempty"`
 }
 

@@ -10,7 +10,9 @@
 //     where per-partition subtotals are combined by a master; and
 //     (4) returning results, where state is packed into one value of a
 //     simple type (arrays cannot be returned, so vectors and matrices
-//     travel as packed strings).
+//     travel as packed strings). An aggregate over numbers may also
+//     have a float body (FloatAggregate), which the executor calls
+//     with the row's values unboxed.
 //
 // The heap segment is capped at 64 KB (SegmentSize), the limit the
 // paper reports for Teradata on Unix/Windows; it is what forces the
@@ -88,6 +90,24 @@ type Aggregate interface {
 	Merge(dst, src State) error
 	// Finalize packs the state into a single return value (phase 4).
 	Finalize(s State) (sqltypes.Value, error)
+}
+
+// FloatAggregate is an Aggregate whose row aggregation also has a float
+// body, the aggregate counterpart of a scalar function's Float: the
+// executor calls AccumulateFloats for a row whose arguments after the
+// first LeadArgs() are all numbers, and Accumulate — which owns NULLs,
+// conversions and their errors — for every other row. The two must fold
+// a row identically.
+type FloatAggregate interface {
+	Aggregate
+	// LeadArgs is how many leading arguments (a header such as nlq_list's
+	// d and mtype) the float body takes boxed; the executor uses the body
+	// only where they are literals, boxed once per plan.
+	LeadArgs() int
+	// AccumulateFloats folds one row (phase 2): lead is the leading
+	// arguments, x the rest as floats — both the caller's, valid for the
+	// call, not to be retained or written.
+	AccumulateFloats(s State, lead []sqltypes.Value, x []float64) error
 }
 
 // Registry holds aggregate UDFs plus the standard SQL aggregates, which

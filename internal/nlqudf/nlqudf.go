@@ -27,11 +27,14 @@ import (
 )
 
 // Register installs the three aggregate UDFs into a database, the
-// engine-level equivalent of Teradata's CREATE FUNCTION.
+// engine-level equivalent of Teradata's CREATE FUNCTION. nlq_list and
+// nlq_block also have float bodies (udf.FloatAggregate): the executor
+// hands them rows of numbers unboxed, and their boxed Accumulate sees
+// only the rows with a NULL or a value that is not a number.
 func Register(d *db.DB) error {
 	for _, a := range []udf.Aggregate{
-		&nlqAgg{name: "nlq_list", packed: false},
-		&nlqAgg{name: "nlq_str", packed: true},
+		nlqAgg{},
+		strAgg{},
 		&blockAgg{},
 		histAgg{},
 	} {
@@ -57,28 +60,23 @@ type nlqState struct {
 	hdr [2]sqltypes.Value
 }
 
-type nlqAgg struct {
-	name   string
-	packed bool
-}
+// nlqAgg is nlq_list, the list style: its float body is the paper's
+// compiled accumulation over a row of d numbers.
+type nlqAgg struct{}
 
-func (a *nlqAgg) Name() string { return a.name }
+func (nlqAgg) Name() string { return "nlq_list" }
 
-func (a *nlqAgg) CheckArgs(n int) error {
-	min := 3
-	if a.packed && n != 3 {
-		return fmt.Errorf("nlqudf: %s expects (d, mtype, packed_vector)", a.name)
+func (nlqAgg) CheckArgs(n int) error {
+	if n < 3 {
+		return fmt.Errorf("nlqudf: nlq_list expects at least 3 arguments")
 	}
-	if n < min {
-		return fmt.Errorf("nlqudf: %s expects at least %d arguments", a.name, min)
-	}
-	if !a.packed && n-2 > core.MaxD {
-		return fmt.Errorf("nlqudf: %s supports at most d=%d dimensions per call; use nlq_block for more", a.name, core.MaxD)
+	if n-2 > core.MaxD {
+		return fmt.Errorf("nlqudf: nlq_list supports at most d=%d dimensions per call; use nlq_block for more", core.MaxD)
 	}
 	return nil
 }
 
-func (a *nlqAgg) Init(h *udf.Heap) (udf.State, error) {
+func (nlqAgg) Init(h *udf.Heap) (udf.State, error) {
 	// Static allocation for the maximum dimensionality.
 	if err := h.Alloc(8 * (core.MaxD*core.MaxD + 3*core.MaxD + 2)); err != nil {
 		return nil, err
@@ -102,62 +100,71 @@ func header(args []sqltypes.Value) (int, core.MatrixType, error) {
 	return d, mt, nil
 }
 
-func (a *nlqAgg) Accumulate(s udf.State, args []sqltypes.Value) error {
-	st := s.(*nlqState)
-	if st.nlq == nil || args[0] != st.hdr[0] || args[1] != st.hdr[1] {
-		d, mt, err := header(args)
-		if err != nil {
-			return err
-		}
-		if st.nlq == nil {
-			st.nlq, err = core.NewNLQ(d, mt)
-			if err != nil {
-				return err
-			}
-			st.hdr = [2]sqltypes.Value{args[0], args[1]}
-		} else if st.nlq.D != d || st.nlq.Type != mt {
-			return fmt.Errorf("nlqudf: inconsistent (d, mtype) across rows: (%d,%v) vs (%d,%v)",
-				d, mt, st.nlq.D, st.nlq.Type)
-		}
+// begin checks one row's (d, mtype) pair — the leading two arguments —
+// against the summary st builds, creating the summary on the first row.
+func (st *nlqState) begin(args []sqltypes.Value) error {
+	if st.nlq != nil && args[0] == st.hdr[0] && args[1] == st.hdr[1] {
+		return nil
 	}
-	d := st.nlq.D
-
-	var x []float64
-	if a.packed {
-		// String style: parse the packed vector (the per-row O(d)
-		// number-formatting overhead the paper measures).
-		if args[2].IsNull() {
-			return nil // NULL vector: skip the row, like SQL aggregates
-		}
-		vals, err := udf.UnpackFloats(args[2].Str())
+	d, mt, err := header(args)
+	if err != nil {
+		return err
+	}
+	if st.nlq == nil {
+		st.nlq, err = core.NewNLQ(d, mt)
 		if err != nil {
-			return fmt.Errorf("nlqudf: row vector: %w", err)
-		}
-		if len(vals) != d {
-			return fmt.Errorf("nlqudf: packed vector has %d dims, want %d", len(vals), d)
-		}
-		x = vals
-	} else {
-		if len(args) != d+2 {
-			return fmt.Errorf("nlqudf: got %d vector arguments, want d=%d", len(args)-2, d)
-		}
-		x = st.buf[:d]
-		if skip, err := unboxDims(x, args[2:]); skip || err != nil {
 			return err
 		}
+		st.hdr = [2]sqltypes.Value{args[0], args[1]}
+	} else if st.nlq.D != d || st.nlq.Type != mt {
+		return fmt.Errorf("nlqudf: inconsistent (d, mtype) across rows: (%d,%v) vs (%d,%v)",
+			d, mt, st.nlq.D, st.nlq.Type)
+	}
+	return nil
+}
+
+// dims checks a row's count of dimension values against d.
+func (st *nlqState) dims(n int) error {
+	if n != st.nlq.D {
+		return fmt.Errorf("nlqudf: got %d vector arguments, want d=%d", n, st.nlq.D)
+	}
+	return nil
+}
+
+func (nlqAgg) Accumulate(s udf.State, args []sqltypes.Value) error {
+	st := s.(*nlqState)
+	if err := st.begin(args); err != nil {
+		return err
+	}
+	if err := st.dims(len(args) - 2); err != nil {
+		return err
+	}
+	x := st.buf[:st.nlq.D]
+	if skip, err := unboxDims(x, args[2:]); skip || err != nil {
+		return err
 	}
 	return st.nlq.Update(x)
 }
 
-// unboxDims is the list style's argument unboxing: it copies the
-// dimension values vs into x (of the same length). All-DOUBLE rows — a
-// table's usual case — are one sqltypes.UnboxDoubles pass; from the
-// first other value on, each goes through the general rules: a NULL
-// skips the row like SQL aggregates do, BIGINT widens, a numeric VARCHAR
-// parses, anything else is an error.
+func (nlqAgg) LeadArgs() int { return 2 }
+
+func (nlqAgg) AccumulateFloats(s udf.State, lead []sqltypes.Value, x []float64) error {
+	st := s.(*nlqState)
+	if err := st.begin(lead); err != nil {
+		return err
+	}
+	if err := st.dims(len(x)); err != nil {
+		return err
+	}
+	return st.nlq.Update(x)
+}
+
+// unboxDims is the boxed rule for dimension values, copying vs into x
+// (of the same length) left to right: a NULL skips the row like SQL
+// aggregates do, a BIGINT widens, a numeric VARCHAR parses, anything
+// else is an error. A row of numbers only takes the float body instead.
 func unboxDims(x []float64, vs []sqltypes.Value) (skip bool, err error) {
-	for i := sqltypes.UnboxDoubles(x, vs); i < len(vs); i++ {
-		v := vs[i]
+	for i, v := range vs {
 		if v.IsNull() {
 			return true, nil
 		}
@@ -170,7 +177,7 @@ func unboxDims(x []float64, vs []sqltypes.Value) (skip bool, err error) {
 	return false, nil
 }
 
-func (a *nlqAgg) Merge(dst, src udf.State) error {
+func (nlqAgg) Merge(dst, src udf.State) error {
 	ds, ss := dst.(*nlqState), src.(*nlqState)
 	if ss.nlq == nil {
 		return nil // empty partition
@@ -182,13 +189,53 @@ func (a *nlqAgg) Merge(dst, src udf.State) error {
 	return ds.nlq.Merge(ss.nlq)
 }
 
-func (a *nlqAgg) Finalize(s udf.State) (sqltypes.Value, error) {
+func (nlqAgg) Finalize(s udf.State) (sqltypes.Value, error) {
 	st := s.(*nlqState)
 	if st.nlq == nil {
 		return sqltypes.Null, nil // no qualifying rows
 	}
 	return sqltypes.NewVarChar(st.nlq.Pack()), nil
 }
+
+// strAgg is nlq_str, the string style: the vector arrives packed in one
+// VARCHAR, so there is no float body. It shares nlq_list's state and
+// phases 1, 3 and 4.
+type strAgg struct{ list nlqAgg }
+
+func (strAgg) Name() string { return "nlq_str" }
+
+func (strAgg) CheckArgs(n int) error {
+	if n != 3 {
+		return fmt.Errorf("nlqudf: nlq_str expects (d, mtype, packed_vector)")
+	}
+	return nil
+}
+
+func (a strAgg) Init(h *udf.Heap) (udf.State, error) { return a.list.Init(h) }
+
+func (strAgg) Accumulate(s udf.State, args []sqltypes.Value) error {
+	st := s.(*nlqState)
+	if err := st.begin(args); err != nil {
+		return err
+	}
+	// Parse the packed vector: the per-row O(d) number-formatting
+	// overhead the paper measures.
+	if args[2].IsNull() {
+		return nil // NULL vector: skip the row, like SQL aggregates
+	}
+	x, err := udf.UnpackFloats(args[2].Str())
+	if err != nil {
+		return fmt.Errorf("nlqudf: row vector: %w", err)
+	}
+	if len(x) != st.nlq.D {
+		return fmt.Errorf("nlqudf: packed vector has %d dims, want %d", len(x), st.nlq.D)
+	}
+	return st.nlq.Update(x)
+}
+
+func (a strAgg) Merge(dst, src udf.State) error { return a.list.Merge(dst, src) }
+
+func (a strAgg) Finalize(s udf.State) (sqltypes.Value, error) { return a.list.Finalize(s) }
 
 // blockAgg computes one Q block for the high-dimensional blocked
 // strategy. Its state holds only the block slab, so many block calls
@@ -218,28 +265,28 @@ func (b *blockAgg) Init(h *udf.Heap) (udf.State, error) {
 	return &blockState{}, nil
 }
 
-// Accumulate folds one row. The call site passes only the block's own
-// dimension values (the paper's calls each receive their subscript
-// ranges): for a diagonal block (row range == col range) the rw row
-// values; otherwise the rw row values followed by the cw column values.
-func (b *blockAgg) Accumulate(s udf.State, args []sqltypes.Value) error {
-	st := s.(*blockState)
+// begin checks one row's block header — the four leading arguments —
+// and its count n of dimension values, creating the block on the first
+// row. The call site passes only the block's own dimension values (the
+// paper's calls each receive their subscript ranges): for a diagonal
+// block (row range == col range) the rw row values; otherwise the rw row
+// values followed by the cw column values.
+func (st *blockState) begin(lead []sqltypes.Value, n int) error {
 	blk := core.Block{
-		RowLo: int(args[0].Int()), RowHi: int(args[1].Int()),
-		ColLo: int(args[2].Int()), ColHi: int(args[3].Int()),
+		RowLo: int(lead[0].Int()), RowHi: int(lead[1].Int()),
+		ColLo: int(lead[2].Int()), ColHi: int(lead[3].Int()),
 	}
 	rw, cw := blk.RowHi-blk.RowLo, blk.ColHi-blk.ColLo
 	if rw < 1 || cw < 1 || rw > core.MaxD || cw > core.MaxD {
 		return fmt.Errorf("nlqudf: block rows [%d,%d) cols [%d,%d) out of range (max side %d)",
 			blk.RowLo, blk.RowHi, blk.ColLo, blk.ColHi, core.MaxD)
 	}
-	diagonal := blk.RowLo == blk.ColLo && blk.RowHi == blk.ColHi
 	want := rw + cw
-	if diagonal {
+	if diagonal(blk) {
 		want = rw
 	}
-	if len(args)-4 != want {
-		return fmt.Errorf("nlqudf: block expects %d dimension values, got %d", want, len(args)-4)
+	if n != want {
+		return fmt.Errorf("nlqudf: block expects %d dimension values, got %d", want, n)
 	}
 	if st.res == nil {
 		st.blk = blk
@@ -248,16 +295,41 @@ func (b *blockAgg) Accumulate(s udf.State, args []sqltypes.Value) error {
 	} else if st.blk != blk {
 		return fmt.Errorf("nlqudf: inconsistent block ranges across rows")
 	}
-	x := st.buf
-	if skip, err := unboxDims(x, args[4:]); skip || err != nil {
-		return err
-	}
-	xr := x[:rw]
+	return nil
+}
+
+func diagonal(blk core.Block) bool { return blk.RowLo == blk.ColLo && blk.RowHi == blk.ColHi }
+
+// update folds one row's dimension values x into the block.
+func (st *blockState) update(x []float64) {
+	xr := x[:st.blk.RowHi-st.blk.RowLo]
 	xc := xr
-	if !diagonal {
-		xc = x[rw:]
+	if !diagonal(st.blk) {
+		xc = x[len(xr):]
 	}
 	st.res.Update(xr, xc)
+}
+
+func (b *blockAgg) Accumulate(s udf.State, args []sqltypes.Value) error {
+	st := s.(*blockState)
+	if err := st.begin(args[:4], len(args)-4); err != nil {
+		return err
+	}
+	if skip, err := unboxDims(st.buf, args[4:]); skip || err != nil {
+		return err
+	}
+	st.update(st.buf)
+	return nil
+}
+
+func (b *blockAgg) LeadArgs() int { return 4 }
+
+func (b *blockAgg) AccumulateFloats(s udf.State, lead []sqltypes.Value, x []float64) error {
+	st := s.(*blockState)
+	if err := st.begin(lead, len(x)); err != nil {
+		return err
+	}
+	st.update(x)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package nlqudf
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine/db"
+	"repro/internal/engine/exec"
 	"repro/internal/engine/sqltypes"
 	"repro/internal/engine/udf"
 	"repro/internal/sqlgen"
@@ -229,7 +231,7 @@ func TestUDFArgumentErrors(t *testing.T) {
 // recognised by value, but a row whose header differs is still parsed
 // and still rejected — and an equivalent spelling is still accepted.
 func TestHeaderChecksSurviveCaching(t *testing.T) {
-	agg := &nlqAgg{name: "nlq_list"}
+	agg := nlqAgg{}
 	call := func(d sqltypes.Value, mt string, xs ...float64) []sqltypes.Value {
 		args := []sqltypes.Value{d, sqltypes.NewVarChar(mt)}
 		for _, x := range xs {
@@ -357,7 +359,7 @@ func TestPackBlockRoundTrip(t *testing.T) {
 func TestHeapChargeIsStatic(t *testing.T) {
 	// The UDF charges the heap for MAX_d regardless of the actual d —
 	// the paper's "wastes some memory space but does not affect speed".
-	a := &nlqAgg{name: "nlq_list"}
+	a := nlqAgg{}
 	h := udf.NewHeap(udf.SegmentSize)
 	if _, err := a.Init(h); err != nil {
 		t.Fatal(err)
@@ -376,5 +378,200 @@ func TestStringStylePacksWithSQLConcat(t *testing.T) {
 	sql := sqlgen.NLQUDFQuery("X", sqlgen.Dims(2), core.Full, sqlgen.StringStyle)
 	if !strings.Contains(sql, "CAST(X1 AS VARCHAR) || '|' || CAST(X2 AS VARCHAR)") {
 		t.Fatalf("unexpected string-style SQL: %s", sql)
+	}
+}
+
+// TestFloatPathReported: the paper's statement — one table, bare DOUBLE
+// columns, no WHERE — scans float rows and says so in its scan[pN]
+// spans, in sys.spans and in EXPLAIN ANALYZE (the span tree); the same
+// statement with a WHERE scans boxed rows and says row.
+func TestFloatPathReported(t *testing.T) {
+	d := db.Open(db.Options{Partitions: 2, TraceSampleN: 1})
+	setupData(t, d, 50, 3, 5)
+	for _, c := range []struct{ sql, want, not string }{
+		{"SELECT nlq_list(3, 'triang', X1, X2, X3) FROM X", "float", "row"},
+		{"SELECT nlq_list(3, 'triang', X1, X2, X3) FROM X WHERE i >= 0", "row", "float"},
+	} {
+		res, err := d.Exec(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range res.Stats.Root.SpanByName("scan").Children {
+			if sp.Source != c.want {
+				t.Fatalf("%s: span %s has source %q, want %q", c.sql, sp.Name, sp.Source, c.want)
+			}
+		}
+		tree := res.Stats.Root.RenderTree()
+		if !strings.Contains(tree, "source="+c.want) || strings.Contains(tree, "source="+c.not) {
+			t.Fatalf("%s: EXPLAIN ANALYZE tree does not say source=%s only:\n%s", c.sql, c.want, tree)
+		}
+		spans, err := d.Exec("SELECT name, source FROM sys.spans WHERE trace_id = '" + res.Stats.TraceID + "'")
+		if err != nil {
+			t.Fatal(err)
+		}
+		scans := 0
+		for _, r := range spans.Rows {
+			if strings.HasPrefix(r[0].Str(), "scan[p") {
+				scans++
+				if r[1].Str() != c.want {
+					t.Fatalf("%s: sys.spans %s source %q, want %q", c.sql, r[0].Str(), r[1].Str(), c.want)
+				}
+			}
+		}
+		if scans != 2 {
+			t.Fatalf("%s: sys.spans lists %d partition scans, want 2", c.sql, scans)
+		}
+	}
+}
+
+// TestBoxedFloatBoundary: over a table with a VARCHAR column, NULLs in
+// a requested column (those rows are skipped) and in unrequested ones
+// (those rows are kept), in memory and on disk, the float-row statement,
+// the same statement on the boxed row path (a residual WHERE), and
+// ComputeTableNLQ in row and columnar mode all produce, byte for byte,
+// the packed summary of the boxed Accumulate run over every partition's
+// rows and merged in partition order.
+func TestBoxedFloatBoundary(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		d := db.Open(db.Options{Partitions: 3, Dir: dir})
+		if err := Register(d); err != nil {
+			t.Fatal(err)
+		}
+		tab, err := d.CreateTable("N", sqltypes.MustSchema(
+			sqltypes.Column{Name: "i", Type: sqltypes.TypeBigInt},
+			sqltypes.Column{Name: "tag", Type: sqltypes.TypeVarChar},
+			sqltypes.Column{Name: "X1", Type: sqltypes.TypeDouble},
+			sqltypes.Column{Name: "X2", Type: sqltypes.TypeDouble},
+			sqltypes.Column{Name: "X3", Type: sqltypes.TypeDouble},
+		))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(3))
+		rows := make([]sqltypes.Row, 300)
+		for k := range rows {
+			r := sqltypes.Row{sqltypes.NewBigInt(int64(k)), sqltypes.NewVarChar(fmt.Sprint("t", k%7)),
+				sqltypes.NewDouble(rng.NormFloat64() * 1e3), sqltypes.NewDouble(rng.NormFloat64()), sqltypes.NewDouble(rng.Float64() - 0.5)}
+			switch k % 5 {
+			case 1:
+				r[2] = sqltypes.Null // requested: the row is skipped
+			case 2:
+				r[3] = sqltypes.Null // unrequested: the row is kept
+			case 3:
+				r[1], r[0] = sqltypes.Null, sqltypes.Null // unrequested: kept
+			}
+			rows[k] = r
+		}
+		if err := tab.Insert(rows...); err != nil {
+			t.Fatal(err)
+		}
+
+		// The boxed path, by hand.
+		agg, _ := d.Aggregates().Lookup("nlq_list")
+		var merged udf.State
+		for p := 0; p < tab.Partitions(); p++ {
+			st, err := agg.Init(udf.NewHeap(udf.SegmentSize))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tab.ScanPartition(context.Background(), p, func(r sqltypes.Row) error {
+				return agg.Accumulate(st, []sqltypes.Value{sqltypes.NewBigInt(2), sqltypes.NewVarChar("triang"), r[2], r[4]})
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if merged == nil {
+				merged = st
+			} else if err := agg.Merge(merged, st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v, err := agg.Finalize(merged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := v.Str()
+		if s, _ := core.Unpack(want); s.N != 240 {
+			t.Fatalf("the boxed reference folded %v rows, want 240", s.N)
+		}
+
+		for _, c := range []struct{ sql, source string }{
+			{"SELECT nlq_list(2, 'triang', X1, X3) FROM N", "float"},
+			{"SELECT nlq_list(2, 'triang', X1, X3) FROM N WHERE 1 = 1", "row"},
+		} {
+			res, err := d.Exec(c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if src := res.Stats.Root.SpanByName("scan").Children[0].Source; src != c.source {
+				t.Fatalf("dir %q: %s scanned %s rows, want %s", dir, c.sql, src, c.source)
+			}
+			if got := res.Rows[0][0].Str(); got != want {
+				t.Fatalf("dir %q: %s = %s\nthe boxed path: %s", dir, c.sql, got, want)
+			}
+		}
+		for _, columnar := range []bool{false, true} {
+			parts, _, err := exec.ComputeTableNLQ(context.Background(), tab, []int{2, 4}, core.Triangular, 0, columnar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range parts[1:] {
+				if err := parts[0].Merge(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := parts[0].Pack(); got != want {
+				t.Fatalf("dir %q: ComputeTableNLQ columnar=%v = %s\nthe boxed path: %s", dir, columnar, got, want)
+			}
+		}
+	}
+}
+
+// TestFloatRowShapes: which statement shapes scan float rows — decided
+// at prepare from the shape alone — and that every shape's result is
+// the one the boxed row path gives.
+func TestFloatRowShapes(t *testing.T) {
+	d := db.Open(db.Options{Partitions: 2})
+	setupData(t, d, 60, 4, 9)
+	if _, err := d.Exec("CREATE TABLE M (j BIGINT)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Exec("INSERT INTO M VALUES (1)"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ sql, source string }{
+		{"SELECT nlq_list(2, 'triang', X1, X2) FROM X", "float"},
+		{"SELECT nlq_list(2, 'full', X2, X1), nlq_list(3, 'diag', X1, X3, X4) FROM X", "float"},
+		{"SELECT nlq_list(2, 'triang', X1, X2), nlq_list(2, 'full', X2, X1) FROM X", "float"}, // the second reads two runs
+		{"SELECT nlq_list(2, 'triang', X1, X1) FROM X", "float"},                              // one column twice
+		{"SELECT nlq_list(2, 'triang', X1, 0.5) FROM X", "float"},                             // a numeric literal among the columns
+		{"SELECT nlq_list(2, 'triang', i, X1) FROM X", "float"},                               // a BIGINT column widens
+		{"SELECT nlq_block(0, 2, 2, 4, X1, X2, X3, X4) FROM X", "float"},                      // an off-diagonal block
+		{"SELECT nlq_list(2, 'triang', X1, X2) FROM X WHERE X3 > 50", "row"},                  // a residual WHERE
+		{"SELECT i % 3, nlq_list(2, 'triang', X1, X2) FROM X GROUP BY i % 3", "row"},
+		{"SELECT count(*), nlq_list(2, 'triang', X1, X2) FROM X", "row"},           // count has no float body
+		{"SELECT nlq_list(2, 'triang', X1 + 0, X2) FROM X", "row"},                 // not a bare column
+		{"SELECT nlq_list(2, 'triang', X1, NULL) FROM X", "row"},                   // a literal that is not a number
+		{"SELECT nlq_str(2, 'triang', CAST(X1 AS VARCHAR) || '|1') FROM X", "row"}, // no float body
+		{"SELECT nlq_list(2, 'triang', X1, X2) FROM X, M WHERE M.j = 1", "row"},    // a join
+	} {
+		res, err := d.Exec(c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if src := res.Stats.Root.SpanByName("scan").Children[0].Source; src != c.source {
+			t.Fatalf("%s: scanned %s rows, want %s", c.sql, src, c.source)
+		}
+		if c.source != "float" {
+			continue
+		}
+		boxed, err := d.Exec(c.sql + " WHERE 1 = 1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range res.Rows[0] {
+			if v != boxed.Rows[0][k] {
+				t.Fatalf("%s: item %d = %v on float rows, %v on boxed rows", c.sql, k, v, boxed.Rows[0][k])
+			}
+		}
 	}
 }
