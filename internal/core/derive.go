@@ -152,6 +152,9 @@ func (p *BlockPlan) Assemble(parts []*BlockResult) (*NLQ, error) {
 			return nil, fmt.Errorf("core: missing result for block %d", i)
 		}
 		rw, cw := blk.RowHi-blk.RowLo, blk.ColHi-blk.ColLo
+		if blk.RowLo < 0 || blk.ColLo < 0 || rw < 1 || cw < 1 || blk.RowHi > p.D || blk.ColHi > p.D {
+			return nil, fmt.Errorf("core: block %d %+v does not fit d=%d", i, blk, p.D)
+		}
 		if len(r.Q) != rw*cw {
 			return nil, fmt.Errorf("core: block %d result has %d Q entries, want %d", i, len(r.Q), rw*cw)
 		}
@@ -162,8 +165,8 @@ func (p *BlockPlan) Assemble(parts []*BlockResult) (*NLQ, error) {
 		}
 		// Linear sums: diagonal blocks carry their row range's L.
 		if blk.RowLo == blk.ColLo {
-			if len(r.L) != rw {
-				return nil, fmt.Errorf("core: block %d result has %d L entries, want %d", i, len(r.L), rw)
+			if len(r.L) != rw || len(r.Min) != rw || len(r.Max) != rw {
+				return nil, fmt.Errorf("core: block %d result has %d L, %d min and %d max entries, want %d", i, len(r.L), len(r.Min), len(r.Max), rw)
 			}
 			copy(out.L[blk.RowLo:blk.RowHi], r.L)
 			copy(out.Min[blk.RowLo:blk.RowHi], r.Min)

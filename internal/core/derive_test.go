@@ -286,6 +286,23 @@ func TestAssembleErrors(t *testing.T) {
 	if _, err := plan.Assemble(parts); err == nil {
 		t.Fatal("nil parts must fail")
 	}
+	for i, blk := range plan.Blocks {
+		parts[i] = NewBlockResult(blk.RowHi-blk.RowLo, blk.ColHi-blk.ColLo)
+	}
+	if _, err := plan.Assemble(parts); err != nil {
+		t.Fatal(err)
+	}
+	parts[0].Max = parts[0].Max[:1]
+	if _, err := plan.Assemble(parts); err == nil {
+		t.Fatal("a diagonal block with a short max must fail")
+	}
+	// A plan whose first block runs past d, with a result of that shape.
+	wide := &BlockPlan{D: plan.D, BlockD: plan.BlockD, Blocks: append([]Block(nil), plan.Blocks...)}
+	wide.Blocks[0].RowHi = plan.D + 1
+	parts[0] = NewBlockResult(plan.D+1, plan.Blocks[0].ColHi)
+	if _, err := wide.Assemble(parts); err == nil {
+		t.Fatal("a block past d must fail")
+	}
 }
 
 func TestComputeBlockShortPoint(t *testing.T) {

@@ -455,7 +455,9 @@ func (d *DB) QueryStream(sql string, sink exec.RowSink) (*sqltypes.Schema, error
 
 // QueryStreamContext is QueryStream under a context; cancelling ctx
 // stops the partition scans between rows. It also returns the scan's
-// execution statistics.
+// execution statistics. Each partition worker delivers its rows in
+// bursts of up to 64, and a failed or cancelled scan drops the rows of
+// its unfinished bursts (see exec.PreparedSelect.ExecuteStreamContext).
 func (d *DB) QueryStreamContext(ctx context.Context, sql string, sink exec.RowSink) (*sqltypes.Schema, *exec.Stats, error) {
 	res, err := d.QueryContext(ctx, sql, sink)
 	if err != nil {

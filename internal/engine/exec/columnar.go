@@ -79,7 +79,6 @@ type vecPrograms struct {
 	mask      []bool
 	vals      [][]float64
 	valid     [][]bool
-	out       sqltypes.Row
 	ops       int64 // vector ops since the last release
 }
 
@@ -117,7 +116,7 @@ func (vp *vecPlan) compile() (*vecPrograms, error) {
 		v.itemViews = append(v.itemViews, newVecView(p))
 	}
 	n := len(v.items)
-	v.vals, v.valid, v.out = make([][]float64, n), make([][]bool, n), make(sqltypes.Row, n)
+	v.vals, v.valid = make([][]float64, n), make([][]bool, n)
 	return v, nil
 }
 
@@ -132,8 +131,8 @@ func (v *vecPrograms) fill(p *expr.VectorProgram, blk *storage.Block, view vecVi
 
 // block is the projection consumer over the block source: filter the
 // block with the predicate program, evaluate every item program over
-// the surviving lanes, emit row by row — counting the rows once per
-// block, since a shared atomic add per row costs as much as the row.
+// the surviving lanes, and emit the surviving rows into the worker's
+// batch, as the row consumer does.
 func (w *selectWorker) block(blk *storage.Block) error {
 	v := w.vec
 	if v.where != nil {
@@ -165,23 +164,21 @@ func (w *selectWorker) block(blk *storage.Block) error {
 		v.ops += p.Ops()
 		v.vals[i], v.valid[i] = vals, ok
 	}
-	var sent int64
-	defer func() { w.emitted.Add(sent) }()
 	for r := 0; r < blk.Rows; r++ {
 		if v.mask != nil && !v.mask[r] {
 			continue
 		}
+		out := w.batch[w.n]
 		for i := range v.items {
 			if v.valid[i][r] {
-				v.out[i] = sqltypes.NewDouble(v.vals[i][r])
+				out[i] = sqltypes.NewDouble(v.vals[i][r])
 			} else {
-				v.out[i] = sqltypes.Null
+				out[i] = sqltypes.Null
 			}
 		}
-		if err := w.uncounted(v.out); err != nil {
+		if err := w.emit(); err != nil {
 			return err
 		}
-		sent++
 	}
 	return nil
 }

@@ -227,7 +227,10 @@ var selectPaths = []struct {
 			sql = sql[:i]
 		}
 		col := &collector{}
-		schema, st, err := selectStream(context.Background(), sel(t, sql), env, col.sink)
+		schema, st, err := selectStream(context.Background(), sel(t, sql), env, func(r sqltypes.Row) error {
+			_, err := col.add([]sqltypes.Row{r})
+			return err
+		})
 		return &Result{Schema: schema, Rows: col.rows, Stats: st}, err
 	}},
 }

@@ -106,21 +106,27 @@ func Insert(ctx context.Context, ins *sqlparser.Insert, env *Env) (*Result, erro
 		defer bl.Abort() // a no-op once Close has committed
 		add, commit = bl.Add, bl.Close
 	}
-	// The partition workers' rows are spread into one table-width row
-	// behind the statement's mutex: the bulk loader lets its caller reuse
-	// the row it was handed, so only what retains a row (a table in
-	// memory, the collected snapshot) allocates one.
+	// Each batch of the partition workers' rows is spread, row by row,
+	// into one table-width row behind the statement's mutex, taken once
+	// per batch: the bulk loader lets its caller reuse the row it was
+	// handed, so only what retains a row (a table in memory, the
+	// collected snapshot) allocates one.
 	var mu sync.Mutex
 	row := make(sqltypes.Row, schema.Len())
-	sink := func(r sqltypes.Row) error {
+	sink := func(rows []sqltypes.Row) (int, error) {
 		mu.Lock()
 		defer mu.Unlock()
-		if err := fillRow(row, r); err != nil {
-			return err
+		for i, r := range rows {
+			if err := fillRow(row, r); err != nil {
+				return i, err
+			}
+			if err := add(row); err != nil {
+				return i, err
+			}
 		}
-		return add(row)
+		return len(rows), nil
 	}
-	_, stats, err := p.ExecuteStreamContext(ctx, nil, sink)
+	_, stats, err := p.stream(ctx, nil, sink)
 	if err == nil {
 		err = commit()
 	}

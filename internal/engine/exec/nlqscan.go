@@ -130,4 +130,6 @@ func (w *nlqWorker) block(b *storage.Block) error {
 	return w.s.UpdateBlock(b.Cols, valid)
 }
 
+func (w *nlqWorker) flush() error { return nil }
+
 func (w *nlqWorker) release() {}

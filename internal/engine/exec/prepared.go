@@ -234,7 +234,7 @@ func (p *PreparedSelect) getStmtSet() (*stmtSet, error) {
 // and carries only the Stats gathered up to the failure.
 func (p *PreparedSelect) ExecuteContext(ctx context.Context, args []sqltypes.Value) (*Result, error) {
 	col := &collector{}
-	schema, st, err := p.execute(ctx, args, col.sink)
+	schema, st, err := p.execute(ctx, args, col.add)
 	if err != nil {
 		return &Result{Stats: st}, err
 	}
@@ -258,9 +258,28 @@ func (p *PreparedSelect) ExecuteContext(ctx context.Context, args []sqltypes.Val
 }
 
 // ExecuteStreamContext binds args and streams result rows to sink
-// (concurrently, from the partition workers). The Stats are returned
-// also when the scan fails part-way.
+// (concurrently, from the partition workers), one call per row. The
+// Stats are returned also when the scan fails part-way.
+//
+// A worker projects rows into a batch of up to batchRows and calls sink
+// for them only when the batch fills or its partition ends, so a
+// selective statement may deliver nothing until a partition is done.
+// When the scan fails — an evaluation error, a sink error, a cancelled
+// ctx — the rows a worker projected but had not yet delivered are
+// dropped, not handed to sink ahead of the error.
 func (p *PreparedSelect) ExecuteStreamContext(ctx context.Context, args []sqltypes.Value, sink RowSink) (*sqltypes.Schema, *Stats, error) {
+	return p.stream(ctx, args, func(rows []sqltypes.Row) (int, error) {
+		for i, r := range rows {
+			if err := sink(r); err != nil {
+				return i, err
+			}
+		}
+		return len(rows), nil
+	})
+}
+
+// stream runs a streamable statement, delivering its rows in batches.
+func (p *PreparedSelect) stream(ctx context.Context, args []sqltypes.Value, sink batchSink) (*sqltypes.Schema, *Stats, error) {
 	if !p.Streamable() {
 		return nil, nil, fmt.Errorf("exec: ORDER BY/LIMIT not supported in streaming mode")
 	}
@@ -269,7 +288,7 @@ func (p *PreparedSelect) ExecuteStreamContext(ctx context.Context, args []sqltyp
 
 // execute runs the statement once, delivering unordered rows (hidden
 // keys included) to sink.
-func (p *PreparedSelect) execute(ctx context.Context, args []sqltypes.Value, sink RowSink) (*sqltypes.Schema, *Stats, error) {
+func (p *PreparedSelect) execute(ctx context.Context, args []sqltypes.Value, sink batchSink) (*sqltypes.Schema, *Stats, error) {
 	if len(args) != p.numParams {
 		return nil, nil, fmt.Errorf("exec: statement has %d parameter(s), got %d argument(s)", p.numParams, len(args))
 	}
@@ -286,16 +305,26 @@ func (p *PreparedSelect) execute(ctx context.Context, args []sqltypes.Value, sin
 	st := &Stats{Workers: 1}
 	finish := beginSelectObs(st)
 	defer finish()
-	// Count emitted rows in a local atomic shared by the workers'
-	// concurrent sink calls, published to the plain Stats field after
-	// they join (and before finish reads it — deferred last, runs first).
+	// Count emitted rows in a local atomic the workers add to once per
+	// batch, published to the plain Stats field after they join (and
+	// before finish reads it — deferred last, runs first). The count is
+	// not a Stats field so the Stats struct stays plainly readable:
+	// mixing atomic and plain access to one field is a race (see the
+	// atomichygiene analyzer).
 	emitted := new(atomic.Int64)
 	defer func() { st.RowsEmitted = emitted.Load() }()
-	uncounted := sink
-	sink = countedSink(emitted, sink)
+	// The statement-level rows — a FROM-less select's one row, the
+	// aggregate's groups — are emitted one at a time.
+	one := make([]sqltypes.Row, 1)
+	emitRow := func(r sqltypes.Row) error {
+		one[0] = r
+		n, err := sink(one)
+		emitted.Add(int64(n))
+		return err
+	}
 
 	if p.b == nil {
-		schema, err := p.constRow(ss, sink)
+		schema, err := p.constRow(ss, emitRow)
 		return schema, st, err
 	}
 	plan := st.Root.child("plan")
@@ -326,8 +355,7 @@ func (p *PreparedSelect) execute(ctx context.Context, args []sqltypes.Value, sin
 				return nil, err
 			}
 		}
-		w.scope.Params, w.tail, w.sink = args, tail, sink
-		w.uncounted, w.emitted = uncounted, emitted
+		w.scope.Params, w.tail, w.sink, w.emitted = args, tail, sink, emitted
 		if w.agg != nil {
 			// This worker's own slot: nothing else touches it until the
 			// single-threaded merge.
@@ -337,13 +365,13 @@ func (p *PreparedSelect) execute(ctx context.Context, args []sqltypes.Value, sin
 		return w, nil
 	})
 	if err == nil && p.agg != nil {
-		err = p.agg.mergeFinalize(groups, ss, sink, st)
+		err = p.agg.mergeFinalize(groups, ss, emitRow, st)
 	}
 	return p.schema, st, err
 }
 
 // constRow evaluates a FROM-less select list once.
-func (p *PreparedSelect) constRow(ss *stmtSet, sink RowSink) (*sqltypes.Schema, error) {
+func (p *PreparedSelect) constRow(ss *stmtSet, emitRow RowSink) (*sqltypes.Schema, error) {
 	cols := make([]sqltypes.Column, len(ss.items))
 	row := make(sqltypes.Row, len(ss.items))
 	for i, ev := range ss.items {
@@ -354,7 +382,7 @@ func (p *PreparedSelect) constRow(ss *stmtSet, sink RowSink) (*sqltypes.Schema, 
 		row[i] = v
 		cols[i] = sqltypes.Column{Name: p.schema.Columns[i].Name, Type: v.Type()}
 	}
-	return &sqltypes.Schema{Columns: cols}, sink(row)
+	return &sqltypes.Schema{Columns: cols}, emitRow(row)
 }
 
 // selectWorker is a SELECT's scanWorker: one partition worker's
@@ -363,22 +391,25 @@ func (p *PreparedSelect) constRow(ss *stmtSet, sink RowSink) (*sqltypes.Schema, 
 // partitions and executions. A single-table statement consumes each
 // driving-table row in place; with a join tail the row is flattened
 // against every tail row first. What passes the residual WHERE is
-// projected to the sink or accumulated into the partition's group states.
+// projected into the worker's batch or accumulated into the partition's
+// group states.
 type selectWorker struct {
 	ps    *PreparedSelect
 	scope expr.Scope
 	where expr.Evaluator // nil when no residual predicate
 	flat  sqltypes.Row   // the flatten buffer; nil for a single table
 	tail  []sqltypes.Row
-	sink  RowSink
-	// The block consumer sends rows to uncounted and adds what it sent
-	// to emitted once per block; sink counts each row itself.
-	uncounted RowSink
-	emitted   *atomic.Int64
 
 	items []expr.Evaluator // projection
-	out   sqltypes.Row
-	vec   *vecPrograms // the projection's block form; nil unless ps.vec
+	vec   *vecPrograms     // the projection's block form; nil unless ps.vec
+	// The projection's output: batch[:n] are the projected rows not yet
+	// handed to sink. The rows are the worker's own, allocated once; the
+	// batch goes to sink when it is full and when the partition ends, and
+	// emitted counts what sink accepted, once per batch.
+	batch   []sqltypes.Row
+	n       int
+	sink    batchSink
+	emitted *atomic.Int64
 
 	agg *aggWorker // nil for projections
 }
@@ -401,7 +432,12 @@ func (p *PreparedSelect) newWorker() (*selectWorker, error) {
 	if w.items, err = compileAll(p.exprs, p.b.resolve, &w.scope); err != nil {
 		return nil, err
 	}
-	w.out = make(sqltypes.Row, len(w.items))
+	k := len(w.items)
+	buf := make(sqltypes.Row, batchRows*k)
+	w.batch = make([]sqltypes.Row, batchRows)
+	for i := range w.batch {
+		w.batch[i] = buf[i*k : (i+1)*k : (i+1)*k]
+	}
 	if p.vec != nil {
 		w.vec, err = p.vec.compile()
 	}
@@ -435,18 +471,41 @@ func (w *selectWorker) row(r sqltypes.Row) error {
 			}
 			continue
 		}
+		out := w.batch[w.n]
 		for i, ev := range w.items {
 			v, err := ev.Eval(flat)
 			if err != nil {
 				return err
 			}
-			w.out[i] = v
+			out[i] = v
 		}
-		if err := w.sink(w.out); err != nil {
+		if err := w.emit(); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// emit adds the row just projected into batch[n] to the batch, handing
+// the batch on once it is full.
+func (w *selectWorker) emit() error {
+	if w.n++; w.n < len(w.batch) {
+		return nil
+	}
+	return w.flush()
+}
+
+// flush hands the pending rows to sink and counts the rows it accepted.
+// It ends every partition scan that succeeded; an aggregate worker
+// holds no rows.
+func (w *selectWorker) flush() error {
+	if w.n == 0 {
+		return nil
+	}
+	n, err := w.sink(w.batch[:w.n])
+	w.emitted.Add(int64(n))
+	w.n = 0
+	return err
 }
 
 // floats consumes one row of a float-row scan; only an aggregate
@@ -465,7 +524,7 @@ func (w *selectWorker) release() {
 		w.agg.groups, w.agg.global, w.agg.accCalls = nil, nil, 0
 	}
 	flushCalls(&w.scope)
-	w.tail, w.sink, w.uncounted, w.emitted = nil, nil, nil, nil
+	w.tail, w.sink, w.emitted, w.n = nil, nil, nil, 0
 	w.ps.workers.Put(w)
 }
 

@@ -36,19 +36,48 @@ func (r *Result) Value() (sqltypes.Value, error) {
 	return r.Rows[0][0], nil
 }
 
-// RowSink receives result rows. Sinks may be invoked from multiple
-// goroutines concurrently; implementations must synchronize.
+// RowSink receives result rows one at a time: the form db's public
+// streaming API hands to ExecuteStreamContext. Sinks may be invoked from
+// multiple goroutines concurrently; implementations must synchronize.
+// The rows arrive in bursts of up to batchRows per partition worker,
+// and a failed scan drops the rows of its unfinished bursts (see
+// PreparedSelect.ExecuteStreamContext).
 type RowSink func(sqltypes.Row) error
 
-// collector is a RowSink that materializes rows safely.
+// batchRows caps a result batch: a partition worker hands its sink the
+// rows it projected at most this many at a time, so whatever the sink
+// synchronizes on is taken once per batch rather than once per row.
+const batchRows = 64
+
+// batchSink is the executor's own delivery: one worker's batch of result
+// rows, valid only for the call (the worker reuses them). Calls from
+// different workers may be concurrent. It returns how many leading rows
+// it accepted: all of them, unless it fails.
+type batchSink func(rows []sqltypes.Row) (int, error)
+
+// collector is a batchSink that materializes rows safely.
 type collector struct {
 	mu   sync.Mutex
 	rows []sqltypes.Row
 }
 
-func (c *collector) sink(r sqltypes.Row) error {
+// add copies a batch into one allocation, outside the lock, and appends
+// its rows under it.
+func (c *collector) add(rows []sqltypes.Row) (int, error) {
+	size := 0
+	for _, r := range rows {
+		size += len(r)
+	}
+	buf := make(sqltypes.Row, 0, size)
+	for _, r := range rows {
+		buf = append(buf, r...)
+	}
 	c.mu.Lock()
-	c.rows = append(c.rows, r.Clone())
-	c.mu.Unlock()
-	return nil
+	defer c.mu.Unlock()
+	for _, r := range rows {
+		n := len(r)
+		c.rows = append(c.rows, buf[:n:n])
+		buf = buf[n:]
+	}
+	return len(rows), nil
 }

@@ -31,6 +31,9 @@ type scanWorker interface {
 	// block consumes one block of the scan's block columns. Only scans
 	// given block columns call it.
 	block(b *storage.Block) error
+	// flush ends a partition scan that succeeded: the consumer hands on
+	// the rows it still holds.
+	flush() error
 	// release ends the partition scan: flush counters, return pooled
 	// state.
 	release()
@@ -82,6 +85,9 @@ func scanPartitions(ctx context.Context, t *storage.Table, workers int, src sour
 		defer w.release()
 		var ps storage.ScanStats
 		span.Source, ps, err = scanPartition(ctx, t, p, src, w)
+		if err == nil {
+			err = w.flush()
+		}
 		st.PartitionRows[p] = ps.Rows
 		span.Rows, span.Bytes = ps.Rows, ps.Bytes
 		return err

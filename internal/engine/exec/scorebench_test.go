@@ -16,11 +16,10 @@ import (
 	"repro/internal/sqlgen"
 )
 
-// scoreStatements loads X(i, X1..Xd, Y) with n rows into a fresh on-disk
-// database, builds and stores a regression, a PCA and a K-means model
-// with k components, and prepares §3.5's three one-scan scoring
-// statements over them.
-func scoreStatements(tb testing.TB, n, dims, k, partitions int) map[string]*db.Prepared {
+// scoreDB loads X(i, X1..Xd, Y) with n rows into a fresh on-disk
+// database and builds and stores a regression, a PCA and a K-means
+// model with k components; it returns the database and X1..Xd.
+func scoreDB(tb testing.TB, n, dims, k, partitions int) (*statsudf.DB, []string) {
 	tb.Helper()
 	d, err := statsudf.Open(statsudf.Options{Dir: tb.TempDir(), Partitions: partitions})
 	if err != nil {
@@ -52,6 +51,14 @@ func scoreStatements(tb testing.TB, n, dims, k, partitions int) map[string]*db.P
 			tb.Fatal(err)
 		}
 	}
+	return d, cols
+}
+
+// scoreStatements prepares §3.5's three one-scan scoring statements over
+// scoreDB's tables and models.
+func scoreStatements(tb testing.TB, n, dims, k, partitions int) map[string]*db.Prepared {
+	tb.Helper()
+	d, cols := scoreDB(tb, n, dims, k, partitions)
 	out := map[string]*db.Prepared{}
 	for name, sql := range map[string]string{
 		"regression": sqlgen.RegScoreUDF("X", "BETA", "i", cols),
@@ -101,6 +108,30 @@ func BenchmarkScoreStatement(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkInsertSelectScore times the K-means scoring statement at
+// d = 8, k = 8 as ScoreKMeans runs it, INSERT … SELECT into an on-disk
+// output table: the scan, the nine scalar UDF calls per row, and the
+// bulk load behind the statement's lock.
+func BenchmarkInsertSelectScore(b *testing.B) {
+	const n, dims, k = 8192, 8, 8
+	d, cols := scoreDB(b, n, dims, k, 4)
+	if _, err := d.ScoreKMeans("X", "i", cols, "C", "SK", k); err != nil {
+		b.Fatal(err)
+	}
+	sql := "INSERT INTO SK " + sqlgen.ClusterScoreUDF("X", "C", "i", cols, k)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := d.Exec(sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Affected != n {
+			b.Fatalf("scored %d rows, want %d", res.Affected, n)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 }
 
 // TestScalarCallDoesNotAllocatePerRow scans one partition of 2 000 and

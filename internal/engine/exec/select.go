@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/engine/expr"
 	"repro/internal/engine/obs"
@@ -61,21 +60,6 @@ func beginSelectObs(st *Stats) func() {
 			obs.MergeSeconds.Observe(st.Merge.Seconds())
 			obs.FinalizeSeconds.Observe(st.Finalize.Seconds())
 		}
-	}
-}
-
-// countedSink wraps sink so every emitted row bumps emitted, covering
-// concurrent sink calls from partition workers. The count lives in a
-// dedicated typed atomic rather than a Stats field so the Stats struct
-// stays plainly readable — mixing atomic and plain access to the same
-// field is a race (see the atomichygiene analyzer).
-func countedSink(emitted *atomic.Int64, sink RowSink) RowSink {
-	return func(r sqltypes.Row) error {
-		if err := sink(r); err != nil {
-			return err
-		}
-		emitted.Add(1)
-		return nil
 	}
 }
 

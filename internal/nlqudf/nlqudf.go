@@ -411,7 +411,7 @@ func UnpackBlock(s string) (core.Block, *core.BlockResult, error) {
 		return core.Block{}, nil, err
 	}
 	rw, cw := blk.RowHi-blk.RowLo, blk.ColHi-blk.ColLo
-	if rw < 1 || cw < 1 || len(res.Q) != rw*cw || len(res.L) != rw {
+	if rw < 1 || cw < 1 || len(res.Q) != rw*cw || len(res.L) != rw || len(res.Min) != rw || len(res.Max) != rw {
 		return core.Block{}, nil, fmt.Errorf("nlqudf: packed block shape mismatch")
 	}
 	return blk, res, nil

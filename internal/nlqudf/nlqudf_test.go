@@ -349,7 +349,7 @@ func TestPackBlockRoundTrip(t *testing.T) {
 	if blk2 != blk || r2.N != r.N || len(r2.Q) != 16 || r2.Q[5] != 7.5 {
 		t.Fatalf("round trip: %+v %+v", blk2, r2)
 	}
-	for _, bad := range []string{"", "x;y", "a,b,c,d;1;1;1;1;1"} {
+	for _, bad := range []string{"", "x;y", "a,b,c,d;1;1;1;1;1", "0,2,0,2;1;1|2;1;2|3;1|2|3|4"} {
 		if _, _, err := UnpackBlock(bad); err == nil {
 			t.Errorf("UnpackBlock(%q) must fail", bad)
 		}
