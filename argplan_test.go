@@ -155,7 +155,7 @@ func TestAggregateArgPlansAgree(t *testing.T) {
 		{name: "GROUP BY",
 			gather: stmt{sql: "SELECT g, nlq_list(3, 'triang', X1, X2, X3), sum(X2), min(b), count(*) FROM T GROUP BY g"},
 			eval:   stmt{sql: "SELECT g, nlq_list(3, 'triang', X1 * 1, X2 * 1, X3 * 1), sum(X2 * 1), min(b * 1), count(*) FROM T GROUP BY g"}},
-		{name: "join tail (flattened rows)",
+		{name: "join tail of two rows (bound slots)",
 			gather: stmt{sql: "SELECT nlq_list(3, 'triang', X1, v, X2), sum(v), max(j) FROM T CROSS JOIN m WHERE m.j <= 2 AND X2 < -3"},
 			eval:   stmt{sql: "SELECT nlq_list(3, 'triang', X1 * 1, v * 1, X2 * 1), sum(v * 1), max(j * 1) FROM T CROSS JOIN m WHERE m.j <= 2 AND X2 < -3"}},
 	}

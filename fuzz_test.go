@@ -4,6 +4,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/engine/sqltypes"
+	"repro/internal/nlqudf"
 )
 
 // FuzzImportCSV drives the CSV loader with arbitrary bytes against a
@@ -68,6 +72,60 @@ func FuzzImportCSV(f *testing.F) {
 			if _, err := d.Exec("DROP TABLE fz"); err != nil {
 				t.Fatal(err)
 			}
+		}
+	})
+}
+
+// FuzzDecodeBlockedSummary hands DecodeBlockedSummary a plan of d
+// dimensions in blocks of blockD and a one-row result whose values are
+// the lines of packed — an empty line is a NULL. It must return an error
+// or an NLQ of dimension d, never panic.
+func FuzzDecodeBlockedSummary(f *testing.F) {
+	pts := [][]float64{{1, -2.5, 1e300, 0, 3}, {0, 7, -1e-300, -0.0, 2}}
+	for _, shape := range [][2]int{{5, 2}, {5, 5}, {3, 1}} {
+		plan, err := core.PlanBlocks(shape[0], shape[1])
+		if err != nil {
+			f.Fatal(err)
+		}
+		var lines []string
+		for _, blk := range plan.Blocks {
+			r, err := core.ComputeBlock(blk, func(fn func(x []float64) error) error {
+				for _, x := range pts {
+					if err := fn(x); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				f.Fatal(err)
+			}
+			lines = append(lines, nlqudf.PackBlock(blk, r))
+		}
+		f.Add(uint8(shape[0]), uint8(shape[1]), strings.Join(lines, "\n"))
+	}
+	f.Add(uint8(2), uint8(1), "0,1,0,1;1;2;2;2;4\n\n0,1,0,1;1;2;2;2;4")
+	f.Add(uint8(1), uint8(1), "0,1,0,1;NaN;Inf;-Inf;0x1p-3;-0")
+	f.Add(uint8(0), uint8(0), "")
+	f.Fuzz(func(t *testing.T, d, blockD uint8, packed string) {
+		plan, err := core.PlanBlocks(int(d)%97, int(blockD)%97)
+		if err != nil {
+			return
+		}
+		var row sqltypes.Row
+		for _, line := range strings.Split(packed, "\n") {
+			v := sqltypes.NewVarChar(line)
+			if line == "" {
+				v = sqltypes.Null
+			}
+			row = append(row, v)
+		}
+		s, err := DecodeBlockedSummary(&Result{Rows: []sqltypes.Row{row}}, plan)
+		if err != nil {
+			return
+		}
+		if n := plan.D; s.D != n || len(s.L) != n || len(s.Min) != n || len(s.Max) != n || len(s.Q) != n*n {
+			t.Fatalf("plan d = %d decoded to d = %d with %d L, %d min, %d max and %d Q entries", n, s.D, len(s.L), len(s.Min), len(s.Max), len(s.Q))
 		}
 	})
 }

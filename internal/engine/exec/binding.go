@@ -21,12 +21,12 @@ type boundTable struct {
 // by cross-joining the FROM tables in order.
 type binding struct {
 	tables []boundTable
-	width  int
 }
 
 func bindFrom(from []sqlparser.TableRef, cat Catalog) (*binding, error) {
 	b := &binding{}
 	seen := make(map[string]bool)
+	width := 0
 	for _, ref := range from {
 		t, err := cat.Table(ref.Name)
 		if err != nil {
@@ -37,8 +37,8 @@ func bindFrom(from []sqlparser.TableRef, cat Catalog) (*binding, error) {
 			return nil, fmt.Errorf("exec: duplicate table name %q in FROM; use aliases", ref.RefName())
 		}
 		seen[name] = true
-		b.tables = append(b.tables, boundTable{ref: ref, table: t, offset: b.width})
-		b.width += t.Schema().Len()
+		b.tables = append(b.tables, boundTable{ref: ref, table: t, offset: width})
+		width += t.Schema().Len()
 	}
 	return b, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/engine/expr"
@@ -160,6 +161,24 @@ func TestJoinTailCapStillEnforced(t *testing.T) {
 	}
 	if _, _, err := joinTail(context.Background(), b, s.Where, env.Funcs); err == nil {
 		t.Fatal("unfiltered large cross join must hit the cap")
+	}
+
+	// Two 1 025-row tail tables make 1 050 625 rows, just past the cap:
+	// the statement fails, and the second table's scan stops at the row
+	// that crosses the cap instead of cloning all of it first.
+	for _, name := range []string{"t1", "t2"} {
+		rows := make([]sqltypes.Row, 1025)
+		for i := range rows {
+			rows[i] = drow(float64(i))
+		}
+		cat[name] = newTable(t, name, []sqltypes.Column{dcol("v" + name[1:])}, rows...)
+	}
+	_, err = Select(context.Background(), sel(t, "SELECT a + v1 + v2 FROM x CROSS JOIN t1 CROSS JOIN t2"), env)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("exceeds %d rows", maxJoinTailRows)) {
+		t.Fatalf("err = %v, want the join-tail cap", err)
+	}
+	if n := cat["t2"].ScannedRows(); n >= 1025 {
+		t.Fatalf("the second tail table delivered %d rows before the cap error", n)
 	}
 }
 

@@ -356,6 +356,11 @@ func (p *PreparedSelect) execute(ctx context.Context, args []sqltypes.Value, sin
 			}
 		}
 		w.scope.Params, w.tail, w.sink, w.emitted = args, tail, sink, emitted
+		if len(tail) == 1 {
+			// One tail row — a single table's empty one, or §3.5's model
+			// rows filtered to one each: bound once, read as constants.
+			w.scope.Bind(tail[0])
+		}
 		if w.agg != nil {
 			// This worker's own slot: nothing else touches it until the
 			// single-threaded merge.
@@ -386,19 +391,18 @@ func (p *PreparedSelect) constRow(ss *stmtSet, emitRow RowSink) (*sqltypes.Schem
 }
 
 // selectWorker is a SELECT's scanWorker: one partition worker's
-// compiled evaluators (which carry scratch buffers, read `?` slots from
-// scope and count their UDF calls there) and row buffers, pooled across
-// partitions and executions. A single-table statement consumes each
-// driving-table row in place; with a join tail the row is flattened
-// against every tail row first. What passes the residual WHERE is
-// projected into the worker's batch or accumulated into the partition's
-// group states.
+// compiled evaluators (which carry scratch buffers, read `?` slots and
+// the bound join-tail row from scope and count their UDF calls there)
+// and row buffers, pooled across partitions and executions. Each
+// driving-table row is consumed in place, once per tail row: the tail's
+// columns compile to reads of the row scope binds. What passes the
+// residual WHERE is projected into the worker's batch or accumulated
+// into the partition's group states.
 type selectWorker struct {
 	ps    *PreparedSelect
 	scope expr.Scope
 	where expr.Evaluator // nil when no residual predicate
-	flat  sqltypes.Row   // the flatten buffer; nil for a single table
-	tail  []sqltypes.Row
+	tail  []sqltypes.Row // this execution's join tail: [{}] for a single table
 
 	items []expr.Evaluator // projection
 	vec   *vecPrograms     // the projection's block form; nil unless ps.vec
@@ -417,7 +421,7 @@ type selectWorker struct {
 func (p *PreparedSelect) newWorker() (*selectWorker, error) {
 	w := &selectWorker{ps: p, scope: expr.Scope{Funcs: p.env.Funcs}}
 	if len(p.b.tables) > 1 {
-		w.flat = make(sqltypes.Row, p.b.width)
+		w.scope.TailAt = p.b.tables[1].offset
 	}
 	var err error
 	if p.tail.residual != nil {
@@ -444,46 +448,48 @@ func (p *PreparedSelect) newWorker() (*selectWorker, error) {
 	return w, err
 }
 
-// row consumes one driving-table row under scanWorker's contract: a
-// single-table statement (whose tail is the one empty row) reads r in
-// place, and everything downstream copies the values it keeps (group
+// row consumes one driving-table row under scanWorker's contract: r is
+// evaluated in place, joined with the tail row scope has bound — once
+// per execution for a tail of one row, here for each row of a longer
+// one — and everything downstream copies the values it keeps (group
 // keys, DISTINCT sets, the projection's output row).
 func (w *selectWorker) row(r sqltypes.Row) error {
+	if len(w.tail) == 1 {
+		return w.joined(r)
+	}
 	for _, t := range w.tail {
-		flat := r
-		if w.flat != nil {
-			flat = w.flat
-			copy(flat, r)
-			copy(flat[len(r):], t)
-		}
-		if w.where != nil {
-			keep, err := w.where.Eval(flat)
-			if err != nil {
-				return err
-			}
-			if keep.IsNull() || !keep.Bool() {
-				continue
-			}
-		}
-		if w.agg != nil {
-			if err := w.agg.accumulate(w.ps.agg.specs, flat); err != nil {
-				return err
-			}
-			continue
-		}
-		out := w.batch[w.n]
-		for i, ev := range w.items {
-			v, err := ev.Eval(flat)
-			if err != nil {
-				return err
-			}
-			out[i] = v
-		}
-		if err := w.emit(); err != nil {
+		w.scope.Bind(t)
+		if err := w.joined(r); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// joined filters r joined with the bound tail row and projects or
+// accumulates it.
+func (w *selectWorker) joined(r sqltypes.Row) error {
+	if w.where != nil {
+		keep, err := w.where.Eval(r)
+		if err != nil {
+			return err
+		}
+		if keep.IsNull() || !keep.Bool() {
+			return nil
+		}
+	}
+	if w.agg != nil {
+		return w.agg.accumulate(w.ps.agg.specs, r)
+	}
+	out := w.batch[w.n]
+	for i, ev := range w.items {
+		v, err := ev.Eval(r)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+	}
+	return w.emit()
 }
 
 // emit adds the row just projected into batch[n] to the batch, handing
@@ -524,6 +530,7 @@ func (w *selectWorker) release() {
 		w.agg.groups, w.agg.global, w.agg.accCalls = nil, nil, 0
 	}
 	flushCalls(&w.scope)
+	w.scope.Bind(nil)
 	w.tail, w.sink, w.emitted, w.n = nil, nil, nil, 0
 	w.ps.workers.Put(w)
 }

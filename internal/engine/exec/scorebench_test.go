@@ -20,8 +20,13 @@ import (
 // database and builds and stores a regression, a PCA and a K-means
 // model with k components; it returns the database and X1..Xd.
 func scoreDB(tb testing.TB, n, dims, k, partitions int) (*statsudf.DB, []string) {
+	return scoreDBIn(tb, tb.TempDir(), n, dims, k, partitions)
+}
+
+// scoreDBIn is scoreDB with the database under dir, in memory for "".
+func scoreDBIn(tb testing.TB, dir string, n, dims, k, partitions int) (*statsudf.DB, []string) {
 	tb.Helper()
-	d, err := statsudf.Open(statsudf.Options{Dir: tb.TempDir(), Partitions: partitions})
+	d, err := statsudf.Open(statsudf.Options{Dir: dir, Partitions: partitions})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -65,20 +70,25 @@ func scoreStatements(tb testing.TB, n, dims, k, partitions int) map[string]*db.P
 		"pca":        sqlgen.PCAScoreUDF("X", "MU", "LAMBDA", "i", cols, k),
 		"kmeans":     sqlgen.ClusterScoreUDF("X", "C", "i", cols, k),
 	} {
-		p, err := d.Engine().Prepare(sql)
-		if err != nil {
-			tb.Fatalf("%s: %v", name, err)
-		}
-		tb.Cleanup(func() { p.Close() })
-		out[name] = p
+		out[name] = prepare(tb, d, sql)
 	}
 	return out
 }
 
+func prepare(tb testing.TB, d *statsudf.DB, sql string) *db.Prepared {
+	tb.Helper()
+	p, err := d.Engine().Prepare(sql)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { p.Close() })
+	return p
+}
+
 // scoreOnce runs a scoring statement to a sink that keeps nothing, so
 // what is measured is the scan and the calls, not a result set.
-func scoreOnce(tb testing.TB, p *db.Prepared, wantRows int) {
-	_, st, err := p.ExecuteStreamContext(context.Background(), func(sqltypes.Row) error { return nil })
+func scoreOnce(tb testing.TB, p *db.Prepared, wantRows int, args ...sqltypes.Value) {
+	_, st, err := p.ExecuteStreamContext(context.Background(), func(sqltypes.Row) error { return nil }, args...)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -87,27 +97,63 @@ func scoreOnce(tb testing.TB, p *db.Prepared, wantRows int) {
 	}
 }
 
+// BenchmarkScoreStatement sizes the scoring statements: §3.5's three at
+// two shapes over 8 192 rows on disk; serve_point's point request — the
+// regression statement at d = 32 with WHERE X.i = ?, one row of 128 in
+// memory over four partitions; and a tail of k rows, every point scored
+// against every centroid.
 func BenchmarkScoreStatement(b *testing.B) {
 	const n = 8192
 	for _, shape := range []struct{ dims, k int }{{8, 8}, {32, 16}} {
 		stmts := scoreStatements(b, n, shape.dims, shape.k, 4)
 		for _, name := range []string{"regression", "pca", "kmeans"} {
 			b.Run(fmt.Sprintf("%s/d=%d/k=%d", name, shape.dims, shape.k), func(b *testing.B) {
-				scoreOnce(b, stmts[name], n)
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					scoreOnce(b, stmts[name], n)
-				}
-				b.StopTimer()
-				runtime.ReadMemStats(&after)
-				rows := float64(b.N) * n
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
-				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/rows, "allocs/row")
+				benchScore(b, stmts[name], n, nil)
 			})
 		}
 	}
+	b.Run("point/d=32/n=128", func(b *testing.B) {
+		const rows = 128
+		d, cols := scoreDBIn(b, "", rows, 32, 2, 4)
+		p := prepare(b, d, sqlgen.RegScoreUDF("X", "BETA", "i", cols)+" WHERE X.i = ?")
+		benchScore(b, p, 1, func(i int) []sqltypes.Value { return []sqltypes.Value{sqltypes.NewBigInt(int64(i*37) % rows)} })
+	})
+	b.Run("multitail/d=8/k=8", func(b *testing.B) {
+		const k = 8
+		d, cols := scoreDB(b, n, 8, k, 4)
+		sql := "SELECT X.i, C.j, kdistance("
+		for _, x := range cols {
+			sql += "X." + x + ", "
+		}
+		for a, x := range cols {
+			if a > 0 {
+				sql += ", "
+			}
+			sql += "C." + x
+		}
+		benchScore(b, prepare(b, d, sql+") FROM X CROSS JOIN C"), n*k, nil)
+	})
+}
+
+// benchScore times p emitting rows rows per execution, with the
+// arguments args gives execution i (none when args is nil), and reports
+// the time and allocations per emitted row.
+func benchScore(b *testing.B, p *db.Prepared, rows int, args func(i int) []sqltypes.Value) {
+	if args == nil {
+		args = func(int) []sqltypes.Value { return nil }
+	}
+	scoreOnce(b, p, rows, args(0)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scoreOnce(b, p, rows, args(i)...)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	total := float64(b.N) * float64(rows)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/row")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/row")
 }
 
 // BenchmarkInsertSelectScore times the K-means scoring statement at
@@ -136,9 +182,9 @@ func BenchmarkInsertSelectScore(b *testing.B) {
 
 // TestScalarCallDoesNotAllocatePerRow scans one partition of 2 000 and
 // one of 16 000 rows with the K-means scoring statement at d = 8, k = 8
-// (nine scalar UDF calls and 136 arguments per row): the flatten
-// buffer, the argument plans and the float scratch are the worker's, so
-// a statement allocates the same whatever it scans.
+// (nine scalar UDF calls and 136 arguments per row): the argument plans
+// and the float scratch are the worker's and the model tail is bound
+// once, so a statement allocates the same whatever it scans.
 func TestScalarCallDoesNotAllocatePerRow(t *testing.T) {
 	if exec.RaceEnabled {
 		t.Skip("allocation counts are not stable under the race detector (sync.Pool drops items)")

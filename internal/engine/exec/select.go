@@ -127,7 +127,9 @@ func (tp *tailPlan) compileFilters(b *binding, sc *expr.Scope) ([][]expr.Evaluat
 	return filters, nil
 }
 
-// scan materializes the filtered cross product of the tail tables.
+// scan materializes the filtered cross product of the tail tables. The
+// cap is checked as each row is kept, so a large tail table fails at
+// the row that crosses it instead of after it has been cloned whole.
 func (tp *tailPlan) scan(ctx context.Context, b *binding, filters [][]expr.Evaluator) ([]sqltypes.Row, error) {
 	tail := []sqltypes.Row{{}}
 	for ti := 1; ti < len(b.tables); ti++ {
@@ -144,14 +146,14 @@ func (tp *tailPlan) scan(ctx context.Context, b *binding, filters [][]expr.Evalu
 					return nil
 				}
 			}
+			if len(tail)*(len(trows)+1) > maxJoinTailRows {
+				return fmt.Errorf("exec: cross-join tail exceeds %d rows; joins expect small model tables after the first table", maxJoinTailRows)
+			}
 			trows = append(trows, r.Clone())
 			return nil
 		})
 		if err != nil {
 			return nil, err
-		}
-		if len(tail)*len(trows) > maxJoinTailRows {
-			return nil, fmt.Errorf("exec: cross-join tail exceeds %d rows; joins expect small model tables after the first table", maxJoinTailRows)
 		}
 		next := make([]sqltypes.Row, 0, len(tail)*len(trows))
 		for _, t := range tail {

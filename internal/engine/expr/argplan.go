@@ -10,21 +10,30 @@ import (
 // ArgPlan is how the argument list of one call — a scalar function's or
 // an aggregate's — is filled per row. Every slot is in exactly one
 // class, decided once from the AST: a literal is evaluated when the plan
-// is built and never written again; a bare column reference is a gather
-// entry, its ordinal resolved then, so the per-row step is an indexed
-// copy behind one range check per call; anything else (`?`, arithmetic,
-// function calls, CASE) is an evaluator entry, run in slot order. A
-// plan carries the buffers it fills, so it belongs to one goroutine at
-// a time, like the evaluators it holds.
+// is built and never written again; a bare column reference of the
+// driving row is a gather entry, its ordinal resolved then, so the
+// per-row step is an indexed copy behind one range check per call; a
+// bare column reference of the owner's join tail (Scope.TailAt) is a
+// bound entry, filled — and converted for a float body — once per
+// Scope.Bind, not per row; anything else (`?`, arithmetic, function
+// calls, CASE) is an evaluator entry, run in slot order. A plan carries
+// the buffers it fills, so it belongs to one goroutine at a time, like
+// the evaluators it holds.
 type ArgPlan struct {
-	vals []sqltypes.Value // what Fill returns boxed; literal slots are final
-	lits []int            // the literal slots
-	cols []ArgColumn
-	evs  []argEval
-	need int // one past the highest gathered ordinal
+	vals  []sqltypes.Value // what Fill returns boxed; literal slots are final
+	lits  []int            // the literal slots
+	cols  []ArgColumn
+	bound []ArgColumn // Ord indexes the bound tail row
+	evs   []argEval
+	need  int // one past the highest gathered ordinal
+
+	scope      *Scope // the owner whose tail the bound entries read; nil without any
+	gen        uint64 // the binding the bound slots hold; 0 before the first
+	boundFloat bool   // every bound value of that binding converted
 }
 
-// ArgColumn is a gather entry of a plan: argument Slot is row[Ord].
+// ArgColumn is a gather or bound entry of a plan: argument Slot is
+// row[Ord], or the bound tail row's column Ord.
 type ArgColumn struct{ Slot, Ord int }
 
 type argEval struct {
@@ -49,6 +58,9 @@ func (c *compiler) planArgs(args []sqlparser.Expr) (ArgPlan, error) {
 			}
 			p.cols = append(p.cols, ArgColumn{slot, ev.idx})
 			p.need = max(p.need, ev.idx+1)
+		case boundEval:
+			p.bound = append(p.bound, ArgColumn{slot, ev.idx})
+			p.scope = ev.scope
 		default:
 			p.evs = append(p.evs, argEval{slot, ev})
 		}
@@ -58,17 +70,28 @@ func (c *compiler) planArgs(args []sqlparser.Expr) (ArgPlan, error) {
 
 // Fill is the one per-row loop. With no dst it completes the argument
 // list from row and returns it — the plan's own slice: valid until the
-// next call, not to be written. With dst — a float body's scratch, as
-// Floats returned it — every argument but the literals goes there
-// unboxed, columns straight from row, and nil is returned; a row with
-// an argument Float refuses (a NULL, a non-numeric string) gets the
-// boxed list after all, for the function's boxed form, whose adapter
-// owns NULLs and the error. Evaluator entries run first and once.
+// next call, not to be written. With dst — a float body's scratch, the
+// one Floats returned, passed on every call — every argument but the
+// literals goes there unboxed, columns straight from row, and nil is
+// returned; a row with an argument Float refuses (a NULL, a non-numeric
+// string) gets the boxed list after all, for the function's boxed form,
+// whose adapter owns NULLs and the error. A bound value that does not
+// convert sends every row of its binding there. Bound slots are filled
+// on the first call after a Bind, evaluator entries then run first and
+// once.
 func (p *ArgPlan) Fill(row sqltypes.Row, dst []float64) ([]sqltypes.Value, error) {
 	if len(row) < p.need {
 		return nil, fmt.Errorf("expr: row of width %d, the call's arguments read %d columns", len(row), p.need)
 	}
 	numbers := dst != nil
+	if p.scope != nil {
+		if p.gen != p.scope.gen || p.gen == 0 {
+			if err := p.rebind(dst); err != nil {
+				return nil, err
+			}
+		}
+		numbers = numbers && p.boundFloat
+	}
 	for _, a := range p.evs {
 		v, err := a.ev.Eval(row)
 		if err != nil {
@@ -93,6 +116,24 @@ func (p *ArgPlan) Fill(row sqltypes.Row, dst []float64) ([]sqltypes.Value, error
 		p.vals[c.Slot] = row[c.Ord]
 	}
 	return p.vals, nil
+}
+
+// rebind fills the bound slots from the owner's current tail row: boxed
+// always, into dst too while every value converts.
+func (p *ArgPlan) rebind(dst []float64) error {
+	t := p.scope.tail
+	p.boundFloat = dst != nil
+	for _, c := range p.bound {
+		if c.Ord >= len(t) {
+			return fmt.Errorf("expr: bound tail row of width %d, the call's arguments read column %d of it", len(t), c.Ord)
+		}
+		p.vals[c.Slot] = t[c.Ord]
+		if p.boundFloat {
+			dst[c.Slot], p.boundFloat = t[c.Ord].Float()
+		}
+	}
+	p.gen = p.scope.gen
+	return nil
 }
 
 // Floats returns the scratch a float body is called with when it takes
@@ -126,5 +167,7 @@ func (p *ArgPlan) Floats(lead int) []float64 {
 func (p *ArgPlan) Lead(n int) []sqltypes.Value { return p.vals[:n] }
 
 // Columns returns the plan's gather entries in slot order, and whether
-// they are all it has besides literals — no evaluator entry.
-func (p *ArgPlan) Columns() (cols []ArgColumn, bare bool) { return p.cols, len(p.evs) == 0 }
+// they are all it has besides literals — no bound or evaluator entry.
+func (p *ArgPlan) Columns() (cols []ArgColumn, bare bool) {
+	return p.cols, len(p.evs) == 0 && len(p.bound) == 0
+}

@@ -233,3 +233,66 @@ func TestArgPlanGather(t *testing.T) {
 		t.Fatalf("the zero plan: %v, %v", vals, err)
 	}
 }
+
+// TestArgPlanBound pins the fourth slot class: with Scope.TailAt 3 the
+// columns s and n are the join tail's. A bound slot is filled — and
+// converted for the float body — once per Bind, so a tail row written
+// behind the plan's back is not seen until the next Bind; a bound value
+// that does not convert sends every call of its binding boxed.
+func TestArgPlanBound(t *testing.T) {
+	var bodyCalls int
+	sc := &Scope{Funcs: floatRegistry(t, &bodyCalls), TailAt: 3}
+	compile := func(src string) Evaluator {
+		ast, err := sqlparser.ParseExpr(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := sc.Compile(ast, planResolver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev
+	}
+	call, item := compile("sumsq(a, s, n)"), compile("a + s")
+	plan := &call.(*funcEval).plan
+	if _, bare := plan.Columns(); len(plan.cols) != 1 || len(plan.bound) != 2 || bare {
+		t.Fatalf("plan classes: %d column, %d bound slots, bare %v", len(plan.cols), len(plan.bound), bare)
+	}
+	if _, err := call.Eval(planRow()[:3]); err == nil || !strings.Contains(err.Error(), "bound tail row of width 0") {
+		t.Fatalf("before any Bind: %v", err)
+	}
+	eval := func(ev Evaluator) string {
+		v, err := ev.Eval(planRow()[:3]) // the driving row alone: a, b, c
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return v.String()
+	}
+	tail := sqltypes.Row{sqltypes.NewDouble(2), sqltypes.NewBigInt(3)}
+	sc.Bind(tail)
+	if got := eval(call) + " " + eval(item); got != "19.25 4.5" {
+		t.Fatalf("bound (2, 3): %s", got)
+	}
+	tail[0] = sqltypes.NewDouble(100)
+	if got := eval(call); got != "19.25" {
+		t.Fatalf("a tail written without a Bind: %s, want the bound 19.25", got)
+	}
+	for _, c := range []struct {
+		tail sqltypes.Row
+		want string
+	}{
+		{tail, "10015.25"}, // the same row bound again
+		{sqltypes.Row{sqltypes.Null, sqltypes.NewDouble(3)}, "NULL"},
+		{sqltypes.Row{sqltypes.NewVarChar("4"), sqltypes.NewDouble(3)}, "31.25"},
+		{sqltypes.Row{sqltypes.NewVarChar("x"), sqltypes.NewDouble(3)}, "error: expr: sumsq: non-numeric argument x"},
+		{sqltypes.Row{sqltypes.NewDouble(1), sqltypes.NewDouble(1)}, "8.25"}, // floats again after a boxed binding
+		{sqltypes.Row{sqltypes.NewDouble(1)}, "error: expr: bound tail row of width 1, the call's arguments read column 1 of it"},
+	} {
+		sc.Bind(c.tail)
+		for rep := 0; rep < 2; rep++ {
+			if got := eval(call); got != c.want {
+				t.Fatalf("bound %v: %s, want %s", c.tail, got, c.want)
+			}
+		}
+	}
+}

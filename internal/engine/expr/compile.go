@@ -32,15 +32,31 @@ func Compile(e sqlparser.Expr, resolve Resolver, funcs *Registry) (Evaluator, er
 
 // Scope is what the evaluators of one owner — a partition worker, a
 // statement's serial set — share besides the row: the bound `?`
-// arguments they read and the count of scalar-UDF invocations they
-// make. The owner runs its evaluators from one goroutine at a time,
-// sets Params before each execution (the compiled tree never needs
-// recompiling), and when done adds Calls to engine_udf_calls_total and
-// zeroes it, so a call on the per-row path writes no shared cache line.
+// arguments they read, the join-tail row they read, and the count of
+// scalar-UDF invocations they make. The owner runs its evaluators from
+// one goroutine at a time, sets Params before each execution (the
+// compiled tree never needs recompiling), and when done adds Calls to
+// engine_udf_calls_total and zeroes it, so a call on the per-row path
+// writes no shared cache line.
 type Scope struct {
 	Funcs  *Registry
 	Params []sqltypes.Value
 	Calls  int64
+	// TailAt is the flat-row ordinal at which a join tail starts; 0 means
+	// the owner has none. A column at or past it compiles to a read of the
+	// tail row Bind bound last, so the row an evaluator is given is only
+	// the driving table's.
+	TailAt int
+	tail   sqltypes.Row
+	gen    uint64 // advanced by every Bind; 0 until the first
+}
+
+// Bind makes t the join-tail row the owner's evaluators read until the
+// next Bind. Argument plans notice the new binding by its generation and
+// refill their bound slots on their next call.
+func (s *Scope) Bind(t sqltypes.Row) {
+	s.tail = t
+	s.gen++
 }
 
 // Compile is the package's Compile for an evaluator s owns.
@@ -83,6 +99,9 @@ func (c *compiler) compile(e sqlparser.Expr) (Evaluator, error) {
 		idx, err := c.resolve(e.Table, e.Name)
 		if err != nil {
 			return nil, err
+		}
+		if s := c.scope; s != nil && s.TailAt > 0 && idx >= s.TailAt {
+			return boundEval{idx: idx - s.TailAt, name: e.String(), scope: s}, nil
 		}
 		return colEval{idx: idx, name: e.String()}, nil
 	case *sqlparser.ParamRef:
@@ -177,6 +196,21 @@ func (p paramEval) Eval(sqltypes.Row) (sqltypes.Value, error) {
 		return sqltypes.Null, fmt.Errorf("expr: parameter %d is not bound (%d bound)", p.idx+1, len(vals))
 	}
 	return vals[p.idx], nil
+}
+
+// boundEval reads one column of its owner's bound join-tail row.
+type boundEval struct {
+	idx   int
+	name  string
+	scope *Scope
+}
+
+func (b boundEval) Eval(sqltypes.Row) (sqltypes.Value, error) {
+	t := b.scope.tail
+	if b.idx >= len(t) {
+		return sqltypes.Null, fmt.Errorf("expr: column %s (tail ordinal %d) out of a bound tail row of width %d", b.name, b.idx, len(t))
+	}
+	return t[b.idx], nil
 }
 
 // aggregateNames are the built-in SQL aggregates; aggregate UDFs extend
