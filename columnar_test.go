@@ -127,9 +127,9 @@ func TestColumnarModesAgreeRandomized(t *testing.T) {
 			rowDB, colDB := openModePair(t, tc.disk, tc.parts)
 			loadNullMixture(t, rowDB, colDB, "p", 240, 4, tc.nullFrac, tc.seed)
 
-			// Cached summaries rebuild through ComputeTableNLQ — the row
-			// path on one database, block kernels on the other — and the
-			// merged matrices must be byte-identical.
+			// Cached summaries rebuild through the aggregate scan — float
+			// rows on one database, blocks on the other — and the merged
+			// matrices must be byte-identical.
 			for _, mt := range []MatrixType{Diagonal, Triangular, Full} {
 				opts := SummaryOptions{Method: ViaCache, Matrix: mt}
 				rs, err := rowDB.Summary("p", DimColumns(4), opts)

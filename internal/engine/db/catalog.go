@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
+	"unicode"
 
 	"repro/internal/engine/sqlparser"
 	"repro/internal/engine/sqltypes"
@@ -96,6 +98,11 @@ func (d *DB) loadCatalog() error {
 		return fmt.Errorf("db: corrupt catalog: %w", err)
 	}
 	for _, ct := range doc.Tables {
+		// The name picks the files attached: one CREATE TABLE could not
+		// have made, such as ../x, would reach outside the directory.
+		if !tableNameOK(ct.Name) {
+			return fmt.Errorf("db: catalog table name %q is not a lower-case identifier", ct.Name)
+		}
 		cols := make([]sqltypes.Column, len(ct.Columns))
 		for i, c := range ct.Columns {
 			typ, err := sqltypes.ParseType(c.Type)
@@ -126,4 +133,16 @@ func (d *DB) loadCatalog() error {
 		d.views[cv.Name] = sel
 	}
 	return nil
+}
+
+// tableNameOK reports whether name is a table name the engine can have
+// created: an identifier as the SQL lexer reads one (a letter or '_',
+// then letters, digits and '_'), lower-cased as the catalog keys it.
+func tableNameOK(name string) bool {
+	for i, r := range name {
+		if r != '_' && !unicode.IsLetter(r) && (i == 0 || !unicode.IsDigit(r)) {
+			return false
+		}
+	}
+	return name != "" && name == strings.ToLower(name)
 }

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -76,4 +77,74 @@ func TestInMemoryOpenHasNoCatalog(t *testing.T) {
 	if !d.HasTable("t") {
 		t.Fatal("table missing")
 	}
+}
+
+// A catalog naming a table outside its directory, or claiming more
+// partitions than it has files, is refused.
+func TestCatalogUntrustedFails(t *testing.T) {
+	for _, doc := range []string{
+		`{"tables":[{"name":"../evil","partitions":1,"columns":[{"name":"a","type":"DOUBLE"}]}]}`,
+		`{"tables":[{"name":"t","partitions":1125899906842624,"columns":[{"name":"a","type":"DOUBLE"}]}]}`,
+	} {
+		root := t.TempDir()
+		dir := filepath.Join(root, "db")
+		for _, path := range []string{filepath.Join(root, "evil.p000.dat"), filepath.Join(dir, "t.p000.dat")} {
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, catalogFile), []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenDir(Options{Dir: dir}); err == nil {
+			t.Fatalf("%s: opened", doc)
+		}
+	}
+}
+
+// FuzzOpenCatalog: catalog.json is read from disk, so it is untrusted.
+// Any bytes give an error or an open database, never a panic, and every
+// table attached has its files inside the directory — even with a table
+// file waiting one directory up.
+func FuzzOpenCatalog(f *testing.F) {
+	f.Add([]byte(`{"tables":[{"name":"t","partitions":1,"columns":[{"name":"a","type":"DOUBLE"},{"name":"s","type":"VARCHAR"}]}],"views":[{"name":"v","sql":"SELECT a FROM t"}]}`))
+	f.Add([]byte(`{"tables":[{"name":"../evil","partitions":1,"columns":[{"name":"a","type":"DOUBLE"}]}]}`))
+	f.Add([]byte(`{"tables":[{"name":"t","partitions":1125899906842624,"columns":[{"name":"a","type":"DOUBLE"}]}]}`))
+	f.Add([]byte(`{"tables":[{"name":"t","partitions":-1,"columns":[]}],"views":[{"name":"v","sql":"DROP TABLE t"}]}`))
+	f.Add([]byte(`{"tables":[{"name":"t","partitions":1,"columns":[{"name":"a","type":"DOUBLE"},{"name":"A","type":"nope"}]}]}`))
+	f.Add([]byte(`{nope`))
+	f.Add([]byte(``))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		root := t.TempDir()
+		dir := filepath.Join(root, "db")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []string{filepath.Join(root, "evil.p000.dat"), filepath.Join(dir, "t.p000.dat")} {
+			if err := os.WriteFile(path, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, catalogFile), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := OpenDir(Options{Dir: dir})
+		if err != nil {
+			return
+		}
+		for _, name := range d.TableNames() {
+			tab, err := d.Table(name)
+			if err != nil {
+				t.Fatalf("attached table %q: %v", name, err)
+			}
+			for p := 0; p < tab.Partitions(); p++ {
+				if path := filepath.Join(dir, fmt.Sprintf("%s.p%03d.dat", name, p)); filepath.Dir(path) != dir {
+					t.Fatalf("attached table %q reads %s, outside %s", name, path, dir)
+				}
+			}
+		}
+	})
 }

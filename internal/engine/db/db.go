@@ -39,8 +39,9 @@ type Options struct {
 	// the partition count; <= 0 runs one worker per partition.
 	Workers int
 	// Columnar opts eligible scans into the block-at-a-time execution
-	// path: n/L/Q summary rebuilds and simple projections run over
-	// column segments with vector kernels, falling back to the row
+	// path: aggregates that scan float rows (the paper's statement, n/L/Q
+	// summary rebuilds) fold column segment blocks and simple projections
+	// run vector programs over them, falling back to the row
 	// path wherever that is not provably equivalent. Results (model
 	// coefficients included) are identical in both modes.
 	Columnar bool
@@ -201,6 +202,9 @@ func (d *DB) CreateTable(name string, schema *sqltypes.Schema) (*storage.Table, 
 	key := strings.ToLower(name)
 	if IsSystemTable(name) {
 		return nil, fmt.Errorf("db: %q is reserved for system tables", name)
+	}
+	if !tableNameOK(key) {
+		return nil, fmt.Errorf("db: table name %q is not an identifier", name)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()

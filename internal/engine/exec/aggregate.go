@@ -35,10 +35,6 @@ type aggPlan struct {
 	groupBy []sqlparser.Expr
 	items   []sqlparser.Expr
 	having  sqlparser.Expr // nil when absent
-	// floatCols is non-nil when the scan decodes float rows: the schema
-	// ordinals of the union of the specs' columns, one float-row
-	// position each (see planFloats).
-	floatCols []int
 }
 
 // planAggregate rewrites the select list (and HAVING) of an aggregate
@@ -100,33 +96,29 @@ func (a *aggPlan) resolve(table, col string) (int, error) {
 // floatSpec is a spec's float body, decided once at prepare (planFloats)
 // and shared read-only by the statement's workers: the aggregate, its
 // leading arguments boxed once, the scratch template each worker copies
-// (literal slots converted, expr.ArgPlan.Floats), and on a float-row
-// scan the runs of float-row positions its column slots are copied from.
+// (literal slots converted, expr.ArgPlan.Floats), and where a float row
+// or block holds its arguments.
 type floatSpec struct {
-	agg    udf.FloatAggregate
-	lead   []sqltypes.Value
-	x      []float64
-	gather []floatRun
+	agg  udf.FloatAggregate
+	lead []sqltypes.Value
+	x    []float64
+	// lanes[j] is the float-row position (the block slot) of argument j
+	// after lead, -1 for a literal; cols are those it reads.
+	lanes []int
+	cols  []int
 }
 
-// floatRun copies n float-row positions from pos on to scratch slots
-// from slot on: consecutive columns in argument order are one copy.
-type floatRun struct{ slot, pos, n int }
-
-// rowArgs returns the float body's x for one float row. When the spec's
-// columns are one run that is the whole of x — every statement the
-// benchmark times — x is that run of frow itself; copying it into the
-// scratch costs build_udf ≈ 5 % (BENCH_25.json review_round). Otherwise
-// the runs are copied into the worker's scratch.
+// rowArgs copies the spec's arguments from a float row into the worker's
+// scratch and returns its x. (A lone spec reading the whole row skips
+// it: selectWorker.floats.)
 func (f *floatSpec) rowArgs(scratch, frow []float64) []float64 {
-	lead := len(f.lead)
-	if g := f.gather; len(g) == 1 && g[0].n == len(scratch)-lead {
-		return frow[g[0].pos : g[0].pos+g[0].n]
+	x := scratch[len(f.lead):]
+	for j, p := range f.lanes {
+		if p >= 0 {
+			x[j] = frow[p]
+		}
 	}
-	for _, r := range f.gather {
-		copy(scratch[r.slot:r.slot+r.n], frow[r.pos:])
-	}
-	return scratch[lead:]
+	return x
 }
 
 // planFloats decides at prepare, once per spec, whether the spec has a
@@ -135,10 +127,13 @@ func (f *floatSpec) rowArgs(scratch, frow []float64) []float64 {
 // convert. Then it decides whether the statement scans float rows: one
 // table, no residual WHERE, no GROUP BY, and every spec a float body
 // whose other arguments are bare numeric columns (storage.NumericColumn
-// — the block source's rule; a BIGINT widens as Value.Float widens it).
-// Every other statement scans boxed rows. A plan that fails to build
-// leaves its spec boxed; the worker's plan raises the error.
-func (a *aggPlan) planFloats(b *binding, residual sqlparser.Expr, funcs *expr.Registry) {
+// — the block source's rule; a BIGINT widens as Value.Float widens it),
+// and under Env.Columnar blocks. Every other statement scans boxed rows.
+// It returns the float columns of a statement that does — the union of
+// the specs' columns, one float-row position each — and nil otherwise.
+// A plan that fails to build leaves its spec boxed; the worker's plan
+// raises the error.
+func (a *aggPlan) planFloats(b *binding, residual sqlparser.Expr, funcs *expr.Registry) []int {
 	rows := len(b.tables) == 1 && residual == nil && len(a.groupBy) == 0
 	schema := b.tables[0].table.Schema()
 	var cols []int
@@ -160,7 +155,11 @@ func (a *aggPlan) planFloats(b *binding, residual sqlparser.Expr, funcs *expr.Re
 			rows = false
 			continue
 		}
-		s.float = &floatSpec{agg: fa, lead: plan.Lead(lead), x: x}
+		f := &floatSpec{agg: fa, lead: plan.Lead(lead), x: x, lanes: make([]int, len(x)-lead)}
+		s.float = f
+		for j := range f.lanes {
+			f.lanes[j] = -1
+		}
 		argCols, bare := plan.Columns()
 		rows = rows && bare
 		for _, c := range argCols {
@@ -174,17 +173,14 @@ func (a *aggPlan) planFloats(b *binding, residual sqlparser.Expr, funcs *expr.Re
 				at[c.Ord] = p
 				cols = append(cols, c.Ord)
 			}
-			g := s.float.gather
-			if k := len(g) - 1; k >= 0 && g[k].slot+g[k].n == c.Slot && g[k].pos+g[k].n == p {
-				g[k].n++
-				continue
-			}
-			s.float.gather = append(g, floatRun{c.Slot, p, 1})
+			f.lanes[c.Slot-lead] = p
+			f.cols = append(f.cols, p)
 		}
 	}
-	if rows {
-		a.floatCols = cols
+	if !rows {
+		return nil
 	}
+	return cols
 }
 
 // aggWorker is the aggregate half of a selectWorker: per-partition hash
@@ -195,6 +191,8 @@ type aggWorker struct {
 	groupEvs []expr.Evaluator
 	args     []expr.ArgPlan // one per spec; the zero plan for count(*)
 	floats   [][]float64    // per spec: its float body's scratch, nil when it has none
+	lanes    [][][]float64  // per spec with a float body: its argument lanes in a block
+	mask     []bool         // a block's row mask
 	keyVals  sqltypes.Row
 	keyBuf   strings.Builder
 
@@ -203,7 +201,16 @@ type aggWorker struct {
 	// qualifying row has created it the key build and map lookup are
 	// skipped. (Created lazily: a partition with no qualifying row
 	// contributes no group to the merge.)
-	global   *groupState
+	global *groupState
+	// one is set by the first float row when the one spec's x is the
+	// whole float row (every timed n/L/Q statement and summary scan): its
+	// float body, lead and global's state, copied here so that each later
+	// row reaches AccumulateFloats in one hop (selectWorker.floats).
+	one struct {
+		agg   udf.FloatAggregate
+		lead  []sqltypes.Value
+		state udf.State
+	}
 	accCalls int64 // aggregate-protocol Accumulate calls, flushed at release
 }
 
@@ -212,6 +219,7 @@ func (a *aggPlan) newWorker(sc *expr.Scope, resolve expr.Resolver) (*aggWorker, 
 		keyVals: make(sqltypes.Row, len(a.groupBy)),
 		args:    make([]expr.ArgPlan, len(a.specs)),
 		floats:  make([][]float64, len(a.specs)),
+		lanes:   make([][][]float64, len(a.specs)),
 	}
 	var err error
 	if w.groupEvs, err = compileAll(a.groupBy, resolve, sc); err != nil {
@@ -226,6 +234,7 @@ func (a *aggPlan) newWorker(sc *expr.Scope, resolve expr.Resolver) (*aggWorker, 
 		}
 		if s.float != nil {
 			w.floats[i] = slices.Clone(s.float.x)
+			w.lanes[i] = make([][]float64, len(s.float.lanes))
 		}
 	}
 	return w, nil
@@ -286,7 +295,7 @@ func (w *aggWorker) accumulate(specs []aggSpec, flat sqltypes.Row) error {
 			continue
 		}
 		if g.seen[i] != nil {
-			k := distinctKey(args)
+			k := argsKey(args)
 			if _, dup := g.seen[i][k]; !dup {
 				saved := make(sqltypes.Row, len(args))
 				copy(saved, args)
@@ -310,12 +319,50 @@ func (w *aggWorker) floatRow(specs []aggSpec, frow []float64) error {
 	if err != nil {
 		return err
 	}
-	for i, s := range specs {
-		if err := s.float.agg.AccumulateFloats(g.states[i], s.float.lead, s.float.rowArgs(w.floats[i], frow)); err != nil {
+	if len(specs) == 1 && len(specs[0].float.lanes) == len(frow) {
+		f := specs[0].float // no literal, no column twice: x is frow
+		w.one.agg, w.one.lead, w.one.state = f.agg, f.lead, g.states[0]
+	}
+	for i := range specs { // by index: a spec is too wide to copy per row
+		f := specs[i].float
+		if err := f.agg.AccumulateFloats(g.states[i], f.lead, f.rowArgs(w.floats[i], frow)); err != nil {
 			return err
 		}
 	}
 	w.accCalls += int64(len(specs))
+	return nil
+}
+
+// block folds one block (offered where float rows are): each spec's
+// float body on its arguments' lanes — a column read twice is one lane,
+// a literal a lane of its value, filled once per worker — over the rows
+// valid in all of them.
+func (w *aggWorker) block(specs []aggSpec, blk *storage.Block) error {
+	g, err := w.group(specs, nil)
+	if err != nil {
+		return err
+	}
+	for i := range specs {
+		f, lanes := specs[i].float, w.lanes[i]
+		for j, p := range f.lanes {
+			switch {
+			case p >= 0:
+				lanes[j] = blk.Cols[p][:blk.Rows]
+			case cap(lanes[j]) >= blk.Rows:
+				lanes[j] = lanes[j][:blk.Rows]
+			default:
+				lanes[j] = make([]float64, blk.Rows)
+				for r := range lanes[j] {
+					lanes[j][r] = f.x[len(f.lead)+j]
+				}
+			}
+		}
+		w.mask = blk.Mask(f.cols, w.mask)
+		if err := f.agg.AccumulateBlock(g.states[i], f.lead, lanes, w.mask); err != nil {
+			return err
+		}
+	}
+	w.accCalls += int64(len(specs) * blk.Rows)
 	return nil
 }
 
@@ -428,7 +475,7 @@ func newGroupState(keyVals sqltypes.Row, specs []aggSpec) (*groupState, error) {
 	return g, nil
 }
 
-func distinctKey(args []sqltypes.Value) string {
+func argsKey(args []sqltypes.Value) string {
 	var b strings.Builder
 	for _, v := range args {
 		s := v.String()

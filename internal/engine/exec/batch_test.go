@@ -45,6 +45,14 @@ func (fsum) AccumulateFloats(s udf.State, _ []sqltypes.Value, x []float64) error
 	s.([]float64)[0] += x[0]
 	return nil
 }
+func (fsum) AccumulateBlock(s udf.State, _ []sqltypes.Value, cols [][]float64, valid []bool) error {
+	for r, ok := range valid {
+		if ok {
+			s.([]float64)[0] += cols[0][r]
+		}
+	}
+	return nil
+}
 
 // batchSources are the three scan sources with a statement each takes:
 // the projection from the row log and from segment blocks, and a

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/engine/sqlparser"
-	"repro/internal/engine/sqltypes"
 	"repro/internal/engine/storage"
 )
 
@@ -70,27 +69,6 @@ func (b *binding) resolve(table, column string) (int, error) {
 		return 0, fmt.Errorf("exec: unknown column %q", column)
 	}
 	return found, nil
-}
-
-// flatSchema builds the joined-row schema, qualifying duplicate names.
-func (b *binding) flatSchema() *sqltypes.Schema {
-	var cols []sqltypes.Column
-	counts := make(map[string]int)
-	for _, bt := range b.tables {
-		for _, c := range bt.table.Schema().Columns {
-			counts[strings.ToLower(c.Name)]++
-		}
-	}
-	for _, bt := range b.tables {
-		for _, c := range bt.table.Schema().Columns {
-			name := c.Name
-			if counts[strings.ToLower(c.Name)] > 1 {
-				name = bt.ref.RefName() + "." + c.Name
-			}
-			cols = append(cols, sqltypes.Column{Name: name, Type: c.Type})
-		}
-	}
-	return &sqltypes.Schema{Columns: cols}
 }
 
 // expandStars rewrites `*` and `t.*` select items into explicit column

@@ -11,15 +11,15 @@ import (
 
 // The columnar execution mode (Env.Columnar / twmd -columnar) swaps the
 // row-at-a-time interpreter for block-at-a-time kernels wherever that
-// is provably equivalent: n/L/Q summary scans run UpdateBlock over
-// segment blocks, and simple projections run compiled vector programs.
+// is provably equivalent: float-row aggregates fold segment blocks (with
+// UpdateBlock for n/L/Q), and simple projections run vector programs.
 // Everything else — and every partition whose segment is stale — falls
 // back to the row path, counted by engine_columnar_fallbacks_total, so
 // turning the flag on can change performance but never results.
 
 // errNotVectorizable marks projections the vector path declines (shape
 // restrictions beyond CompileVector's, e.g. constant-only items).
-var errNotVectorizable = errors.New("exec: projection not vectorizable")
+var errNotVectorizable = errors.New("exec: projection not vectorizable") //statlint:ignore udfcontract a sentinel error, not query state
 
 // vecPlan is the block form of a single-table projection: the
 // expressions every worker compiles to vector programs, plus the union
@@ -129,11 +129,14 @@ func (v *vecPrograms) fill(p *expr.VectorProgram, blk *storage.Block, view vecVi
 	}
 }
 
-// block is the projection consumer over the block source: filter the
-// block with the predicate program, evaluate every item program over
-// the surviving lanes, and emit the surviving rows into the worker's
-// batch, as the row consumer does.
+// block consumes one block: an aggregate folds it (aggWorker.block); a
+// projection filters it with the predicate program, evaluates every
+// item program over the surviving lanes, and emits the surviving rows
+// into the worker's batch, as the row consumer does.
 func (w *selectWorker) block(blk *storage.Block) error {
+	if w.agg != nil {
+		return w.agg.block(w.ps.agg.specs, blk)
+	}
 	v := w.vec
 	if v.where != nil {
 		v.fill(v.where, blk, v.whereView)

@@ -98,6 +98,15 @@ func nlqEqual(t *testing.T, name string, row, col *core.NLQ) {
 	}
 }
 
+// tableNLQ plans one summary scan and runs it once.
+func tableNLQ(tab *storage.Table, cols []int, mt core.MatrixType, columnar bool) ([]*core.NLQ, int64, error) {
+	scan, err := PrepareTableNLQ(tab, cols, mt, 0, columnar)
+	if err != nil {
+		return nil, 0, err
+	}
+	return scan(context.Background())
+}
+
 func TestComputeTableNLQColumnarBitIdentical(t *testing.T) {
 	for _, layout := range []string{"mem", "disk"} {
 		t.Run(layout, func(t *testing.T) {
@@ -108,11 +117,11 @@ func TestComputeTableNLQColumnarBitIdentical(t *testing.T) {
 			tab := mixedTable(t, "x", dir, 3, 700)
 			for _, mt := range []core.MatrixType{core.Diagonal, core.Triangular, core.Full} {
 				for _, cols := range [][]int{{0, 1}, {1}, {0, 1, 2}} {
-					rp, rseen, err := ComputeTableNLQ(context.Background(), tab, cols, mt, 0, false)
+					rp, rseen, err := tableNLQ(tab, cols, mt, false)
 					if err != nil {
 						t.Fatal(err)
 					}
-					cp, cseen, err := ComputeTableNLQ(context.Background(), tab, cols, mt, 0, true)
+					cp, cseen, err := tableNLQ(tab, cols, mt, true)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -135,11 +144,11 @@ func TestComputeTableNLQVarcharFallsBack(t *testing.T) {
 	tab := mixedTable(t, "x", t.TempDir(), 2, 120)
 	cols := []int{0, 3}
 	before := obs.ColumnarFallbacks.Value()
-	rp, rseen, err := ComputeTableNLQ(context.Background(), tab, cols, core.Triangular, 0, false)
+	rp, rseen, err := tableNLQ(tab, cols, core.Triangular, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, cseen, err := ComputeTableNLQ(context.Background(), tab, cols, core.Triangular, 0, true)
+	cp, cseen, err := tableNLQ(tab, cols, core.Triangular, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,8 +471,7 @@ func TestScanSpanSource(t *testing.T) {
 			t.Fatalf("EXPLAIN ANALYZE tree lacks %q:\n%s", want, tree)
 		}
 	}
-	// The row engine reads every partition from the row log; an aggregate
-	// under the columnar flag does too, without counting a fallback.
+	// The row engine reads every partition from the row log.
 	env.Columnar = false
 	res, err := Select(context.Background(), sel(t, "SELECT a + b FROM x"), env)
 	if err != nil {
@@ -474,13 +482,21 @@ func TestScanSpanSource(t *testing.T) {
 			t.Fatalf("row engine span %s has source %q (a row-mode scan has no ensure step)", sp.Name, sp.Source)
 		}
 	}
+	// Under the columnar flag an aggregate that scans float rows is
+	// offered blocks; any other counts one fallback at prepare, as a
+	// projection does.
 	env.Columnar = true
-	before := obs.ColumnarFallbacks.Value()
-	if _, err := PrepareSelect(sel(t, "SELECT sum(a) FROM x"), env); err != nil {
+	if err := env.Aggs.Register(fsum{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := obs.ColumnarFallbacks.Value() - before; got != 0 {
-		t.Fatalf("preparing an aggregate under Columnar counted %d fallbacks", got)
+	for sql, want := range map[string]int64{"SELECT fsum(a) FROM x": 0, "SELECT sum(a) FROM x": 1, "SELECT fsum(a) FROM x WHERE b > 0": 1} {
+		before := obs.ColumnarFallbacks.Value()
+		if _, err := PrepareSelect(sel(t, sql), env); err != nil {
+			t.Fatal(err)
+		}
+		if got := obs.ColumnarFallbacks.Value() - before; got != want {
+			t.Fatalf("preparing %s under Columnar counted %d fallbacks, want %d", sql, got, want)
+		}
 	}
 }
 

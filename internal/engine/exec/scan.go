@@ -6,38 +6,8 @@ import (
 	"fmt"
 
 	"repro/internal/engine/obs"
-	"repro/internal/engine/sqltypes"
 	"repro/internal/engine/storage"
 )
-
-// scanWorker is the consumer side of one partition scan: the aggregate
-// protocol's phases 1-2 (init + accumulate) for whatever the statement
-// computes — projected rows, group states, an n/L/Q partial. A worker
-// is used by one goroutine at a time. Merge and finalize (phases 3-4)
-// belong to the caller, after scanPartitions has joined its workers.
-type scanWorker interface {
-	// row consumes one driving-table row. r is read-only and must not be
-	// retained: for a table on disk it is the decoder's buffer, which the
-	// next row overwrites, and for a table in memory it is the stored row
-	// itself. A consumer copies the values it keeps and never writes
-	// through r.
-	row(r sqltypes.Row) error
-	// floats consumes one row of the scan's float columns, decoded from
-	// the row log without boxing: x[j] is column j of the float columns,
-	// read-only and valid for the call. Only scans given float columns
-	// call it; the rows the decoder declines (a NULL or VARCHAR in one of
-	// those columns) come to row.
-	floats(x []float64) error
-	// block consumes one block of the scan's block columns. Only scans
-	// given block columns call it.
-	block(b *storage.Block) error
-	// flush ends a partition scan that succeeded: the consumer hands on
-	// the rows it still holds.
-	flush() error
-	// release ends the partition scan: flush counters, return pooled
-	// state.
-	release()
-}
 
 // sources names the columns a scan's unboxed sources read: block
 // columns from fresh segments, float columns from the row log's float
@@ -48,13 +18,15 @@ type sources struct{ block, floats []int }
 // shape and the summary rebuild run through it. It fans the partitions
 // of t out over at most workers goroutines (RunParallel: first failure
 // cancels the siblings, panics are contained per partition), opens one
-// consumer per partition, feeds it from the block source when the plan
-// supplied block columns and the partition's segment is fresh, else from
-// the row log — decoded to floats when the plan supplied float columns,
-// boxed otherwise — and records the scan[pN] spans, their source,
-// per-partition rows and the scan totals in st — also when the scan
-// fails part-way, so a failed statement still reports how far it got.
-func scanPartitions(ctx context.Context, t *storage.Table, workers int, src sources, st *Stats, open func(p int) (scanWorker, error)) error {
+// worker per partition (phases 1-2 of the aggregate protocol; merge and
+// finalize are the caller's, after the workers join), feeds it from the
+// block source when the plan supplied block columns and the partition's
+// segment is fresh, else from the row log — decoded to floats when the
+// plan supplied float columns, boxed otherwise — and records the
+// scan[pN] spans, their source, per-partition rows and the scan totals
+// in st — also when the scan fails part-way, so a failed statement still
+// reports how far it got.
+func scanPartitions(ctx context.Context, t *storage.Table, workers int, src sources, st *Stats, open func(p int) (*selectWorker, error)) error {
 	nparts := t.Partitions()
 	st.Partitions = nparts
 	st.Workers = nparts
@@ -113,7 +85,7 @@ func scanPartitions(ctx context.Context, t *storage.Table, workers int, src sour
 // the consumer is untouched when the partition reruns from the row log;
 // that rerun is the fallback engine_columnar_fallbacks_total counts per
 // partition.
-func scanPartition(ctx context.Context, t *storage.Table, p int, src sources, w scanWorker) (source string, ps storage.ScanStats, err error) {
+func scanPartition(ctx context.Context, t *storage.Table, p int, src sources, w *selectWorker) (source string, ps storage.ScanStats, err error) {
 	if src.block != nil {
 		ps, err = t.ScanPartitionBlocks(ctx, p, src.block, w.block)
 		if !errors.Is(err, storage.ErrSegmentStale) {

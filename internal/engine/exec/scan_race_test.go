@@ -50,7 +50,7 @@ func TestBlockScansRaceInserts(t *testing.T) {
 		if err := twin.Insert(rows[j*batch : (j+1)*batch]...); err != nil {
 			t.Fatal(err)
 		}
-		parts, _, err := ComputeTableNLQ(context.Background(), twin, cols, core.Triangular, 0, false)
+		parts, _, err := tableNLQ(twin, cols, core.Triangular, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestBlockScansRaceInserts(t *testing.T) {
 		}
 	}
 	nlq := func() []int64 {
-		parts, seen, err := ComputeTableNLQ(context.Background(), tab, cols, core.Triangular, 0, true)
+		parts, seen, err := tableNLQ(tab, cols, core.Triangular, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -221,7 +221,7 @@ func TestSegmentReaderTruncatedOrFlipped(t *testing.T) {
 			for _, col := range schema.Columns {
 				damage = append(damage, tag)
 				tag += 1 + bm
-				if colNumeric(col) {
+				if NumericColumn(col) {
 					tag += 16 + 8*nrows
 				}
 			}
@@ -312,6 +312,67 @@ func TestBlockScanReadsOnlyRequestedColumns(t *testing.T) {
 	}
 	if got := scan(ordinals(33)); got != seg {
 		t.Fatalf("a full-width scan read %d bytes, the segment is %d", got, seg)
+	}
+}
+
+// TestBlockScanRejectsRepeatedOrdinals: a block has one slot per
+// requested column, so a column asked for twice is refused before
+// anything is read, as the float scan refuses it, in memory and on disk.
+func TestBlockScanRejectsRepeatedOrdinals(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		tab, err := NewTable("x", testSchema(), dir, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insertMixed(t, tab, 20)
+		if err := tab.EnsureSegments(); err != nil {
+			t.Fatal(err)
+		}
+		for _, cols := range [][]int{{1, 1}, {0, 1, 0}, {3}, {-1}} {
+			called := false
+			if _, err := tab.ScanPartitionBlocks(context.Background(), 0, cols, func(*Block) error { called = true; return nil }); err == nil || called {
+				t.Fatalf("dir %q: a block scan of %v returned %v after delivering %v", dir, cols, err, called)
+			}
+		}
+		blocksMatchRows(t, tab, []int{1, 0})
+	}
+}
+
+// TestBlockMask: a block's row mask over some of its slots is the AND
+// of their validity lanes — all true over none, or over lanes without a
+// NULL — computed into the caller's buffer, never into the shared lane.
+func TestBlockMask(t *testing.T) {
+	tab, err := NewTable("x", testSchema(), t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertMixed(t, tab, 40) // i is never NULL, x is in rows 0, 5, 10, ...
+	if err := tab.EnsureSegments(); err != nil {
+		t.Fatal(err)
+	}
+	var buf []bool
+	if _, err := tab.ScanPartitionBlocks(context.Background(), 0, []int{0, 1}, func(b *Block) error {
+		for _, c := range []struct {
+			slots []int
+			valid func(r int) bool
+		}{
+			{nil, func(int) bool { return true }},
+			{[]int{0}, func(int) bool { return true }},
+			{[]int{1, 0, 1}, func(r int) bool { return r%5 != 0 }},
+		} {
+			buf = b.Mask(c.slots, buf)
+			if len(buf) != b.Rows {
+				t.Fatalf("mask over %v has %d rows, the block %d", c.slots, len(buf), b.Rows)
+			}
+			for r, ok := range buf {
+				if ok != c.valid(r) {
+					t.Fatalf("mask over %v: row %d is %v", c.slots, r, ok)
+				}
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

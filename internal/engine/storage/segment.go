@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"unsafe"
@@ -75,23 +76,28 @@ type Block struct {
 	Valid [][]bool
 }
 
-// NullFree reports whether every lane of slot s is valid, without
-// looking at them: a segment column with no NULL in the chunk is
-// delivered with the shared all-true lane.
-func (b *Block) NullFree(s int) bool { return &b.Valid[s][0] == &allValid[0] }
-
-// colNumeric reports whether a schema column carries values in segment
-// blocks. The rule is by declared type, not by stored value: a VARCHAR
-// that happens to parse as a number must not sneak into numeric kernels
-// on one path and not the other.
-func colNumeric(c sqltypes.Column) bool {
-	return c.Type == sqltypes.TypeDouble || c.Type == sqltypes.TypeBigInt
+// Mask appends to buf[:0] the rows valid in every one of the given
+// slots. A segment column without NULLs in the chunk is delivered with
+// the shared all-true lane, and is skipped unread.
+func (b *Block) Mask(slots []int, buf []bool) []bool {
+	mask := append(buf[:0], allValid[:b.Rows]...)
+	for _, s := range slots {
+		if v := b.Valid[s]; &v[0] != &allValid[0] {
+			for r, ok := range v {
+				mask[r] = mask[r] && ok
+			}
+		}
+	}
+	return mask
 }
 
-// NumericColumn is the exported form of the block-path numeric rule;
-// the executor uses it to gate block kernels on schema types so both
-// paths agree on which lanes carry operands.
-func NumericColumn(c sqltypes.Column) bool { return colNumeric(c) }
+// NumericColumn reports whether a schema column carries values in
+// segment blocks, the rule every unboxed source shares. It is by declared
+// type, not by stored value: a VARCHAR that happens to parse as a number
+// must not sneak into numeric kernels on one path and not the other.
+func NumericColumn(c sqltypes.Column) bool {
+	return c.Type == sqltypes.TypeDouble || c.Type == sqltypes.TypeBigInt
+}
 
 // segPath derives the segment filename for partition p.
 func (t *Table) segPathLocked(p int) string {
@@ -112,7 +118,7 @@ func encodeSegChunk(buf []byte, schema *sqltypes.Schema, rows []sqltypes.Row) []
 	cols := make([]colBlock, schema.Len())
 	bodyLen := 0
 	for c, col := range schema.Columns {
-		cols[c] = colBlock{at: bodyLen + 1, numeric: colNumeric(col), mn: math.Inf(1), mx: math.Inf(-1)}
+		cols[c] = colBlock{at: bodyLen + 1, numeric: NumericColumn(col), mn: math.Inf(1), mx: math.Inf(-1)}
 		bodyLen += 1 + bmLen
 		if cols[c].numeric {
 			bodyLen += 16 + 8*nrows // min/max, then the values
@@ -237,7 +243,7 @@ func newSegReader(r io.ReaderAt, size int64, schema *sqltypes.Schema, want []int
 	sr := &segReader{r: r, size: size, schema: schema, slot: make([]int, schema.Len()), buf: getBlockBuf(len(want))}
 	for i, col := range schema.Columns {
 		sr.slot[i] = -1
-		if colNumeric(col) {
+		if NumericColumn(col) {
 			sr.nnum++
 		}
 	}
@@ -311,7 +317,7 @@ func (sr *segReader) next() (*Block, error) {
 	for c, col := range sr.schema.Columns {
 		s := sr.slot[c]
 		size, tag := otherLen, byte(0)
-		if colNumeric(col) {
+		if NumericColumn(col) {
 			size, tag = numLen, 1
 		}
 		got := sr.scratch[:1]
@@ -521,7 +527,7 @@ func (t *Table) rebuildSegLocked(p int) error {
 // accumulation. In-memory partitions synthesize blocks from resident
 // rows. Every row of the partition appears in exactly one delivered
 // block (invalid lanes included), so block-path row accounting matches
-// the row path's.
+// the row path's. cols must be distinct ordinals of the schema.
 func (t *Table) ScanPartitionBlocks(ctx context.Context, p int, cols []int, fn func(*Block) error) (ScanStats, error) {
 	var st ScanStats
 	var blocks int64
@@ -533,9 +539,9 @@ func (t *Table) ScanPartitionBlocks(ctx context.Context, p int, cols []int, fn f
 	if p < 0 || p >= len(t.parts) {
 		return st, fmt.Errorf("storage: partition %d out of range 0..%d", p, len(t.parts)-1)
 	}
-	for _, c := range cols {
-		if c < 0 || c >= t.schema.Len() {
-			return st, fmt.Errorf("storage: column ordinal %d out of range 0..%d", c, t.schema.Len()-1)
+	for i, c := range cols {
+		if c < 0 || c >= t.schema.Len() || slices.Contains(cols[:i], c) {
+			return st, fmt.Errorf("storage: block scan of table %q: column ordinals %v must be distinct and in 0..%d", t.name, cols, t.schema.Len()-1)
 		}
 	}
 	if ctx == nil {
@@ -614,7 +620,7 @@ func (t *Table) scanMemBlocksLocked(p int, cols []int, deliver func(*Block) erro
 		blk.Rows = n
 		for s, c := range cols {
 			vals, valid := bb.vals[s][:n], bb.valid[s][:n]
-			numeric := colNumeric(t.schema.Columns[c])
+			numeric := NumericColumn(t.schema.Columns[c])
 			for r := 0; r < n; r++ {
 				vals[r], valid[r] = 0, false
 				if !numeric {

@@ -39,7 +39,7 @@ func rowVals(t *testing.T, tab *Table, p int, cols []int) (vals [][]float64, val
 		for s, c := range cols {
 			var f float64
 			ok := false
-			if colNumeric(tab.schema.Columns[c]) && !r[c].IsNull() {
+			if NumericColumn(tab.schema.Columns[c]) && !r[c].IsNull() {
 				f, ok = r[c].Float()
 			}
 			if !ok {

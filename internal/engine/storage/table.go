@@ -106,13 +106,14 @@ func OpenTable(name string, schema *sqltypes.Schema, dir string, partitions int)
 	if schema == nil || schema.Len() == 0 {
 		return nil, fmt.Errorf("storage: table %q needs a non-empty schema", name)
 	}
-	t := &Table{name: name, schema: schema, dir: dir, parts: make([]partition, partitions)}
-	for i := range t.parts {
+	// The count comes from a catalog file: allocate only what is found.
+	t := &Table{name: name, schema: schema, dir: dir}
+	for i := 0; i < partitions; i++ {
 		path := filepath.Join(dir, fmt.Sprintf("%s.p%03d.dat", name, i))
 		if _, err := os.Stat(path); err != nil {
 			return nil, fmt.Errorf("storage: table %q partition missing: %w", name, err)
 		}
-		t.parts[i].path = path
+		t.parts = append(t.parts, partition{path: path})
 	}
 	// Count rows by reading the files directly rather than through
 	// ScanPartition: the scan path cross-checks decoded row counts

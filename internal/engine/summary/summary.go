@@ -65,6 +65,9 @@ type entry struct {
 	colNames []string
 	cols     []int
 	mt       core.MatrixType
+	// scan is the rebuild's scan, planned with the entry: a cold rebuild
+	// plans nothing and reuses the plan's pooled workers.
+	scan func(context.Context) ([]*core.NLQ, int64, error)
 
 	buildMu sync.Mutex // serializes rebuild scans for this entry
 
@@ -108,9 +111,7 @@ func resolveColumns(s *sqltypes.Schema, cols []string) ([]int, error) {
 		if j < 0 {
 			return nil, fmt.Errorf("summary: no column %q", name)
 		}
-		switch s.Columns[j].Type {
-		case sqltypes.TypeDouble, sqltypes.TypeBigInt:
-		default:
+		if !storage.NumericColumn(s.Columns[j]) {
 			return nil, fmt.Errorf("summary: column %q has non-numeric type %s", name, s.Columns[j].Type)
 		}
 		idx[i] = j
@@ -135,11 +136,16 @@ func (c *Catalog) get(t *storage.Table, cols []string, mt core.MatrixType) (*ent
 		}
 		e.table.Unobserve(e)
 	}
+	scan, err := exec.PrepareTableNLQ(t, idx, mt, c.workers, c.columnar)
+	if err != nil {
+		return nil, err
+	}
 	e := &entry{
 		table:    t,
 		colNames: append([]string(nil), cols...),
 		cols:     idx,
 		mt:       mt,
+		scan:     scan,
 		x:        make([]float64, len(idx)),
 	}
 	t.Observe(e)
@@ -162,7 +168,7 @@ func (c *Catalog) NLQ(ctx context.Context, t *storage.Table, cols []string, mt c
 	}
 	e.misses.Add(1)
 	obs.SummaryMisses.Inc()
-	s, err = e.rebuild(ctx, c.workers, c.columnar)
+	s, err = e.rebuild(ctx)
 	if err != nil {
 		return nil, false, err
 	}
@@ -268,7 +274,7 @@ func (e *entry) cached() *core.NLQ {
 // epoch check and retried a bounded number of times; if the table
 // never sits still, the last scan's result is served without being
 // installed — exactly the legacy one-scan behavior.
-func (e *entry) rebuild(ctx context.Context, workers int, columnar bool) (*core.NLQ, error) {
+func (e *entry) rebuild(ctx context.Context) (*core.NLQ, error) {
 	e.buildMu.Lock()
 	defer e.buildMu.Unlock()
 	// Another reader may have rebuilt while we queued on buildMu.
@@ -279,7 +285,7 @@ func (e *entry) rebuild(ctx context.Context, workers int, columnar bool) (*core.
 	var result *core.NLQ
 	for attempt := 0; attempt < 4; attempt++ {
 		e0 := e.table.Epoch()
-		partials, seen, err := exec.ComputeTableNLQ(ctx, e.table, e.cols, e.mt, workers, columnar)
+		partials, _, err := e.scan(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -288,9 +294,6 @@ func (e *entry) rebuild(ctx context.Context, workers int, columnar bool) (*core.
 			return nil, err
 		}
 		for _, p := range partials {
-			if p == nil {
-				continue
-			}
 			if err := agg.Merge(p); err != nil {
 				return nil, err
 			}
@@ -302,8 +305,7 @@ func (e *entry) rebuild(ctx context.Context, workers int, columnar bool) (*core.
 				return // a mutation raced the scan; retry
 			}
 			// epoch unchanged ⇒ nothing moved since the scan began, so
-			// seen == rows and the partials cover the table exactly.
-			_ = seen
+			// the partials cover the table's rows exactly.
 			e.mu.Lock()
 			e.agg = agg.Clone()
 			e.covered = rows

@@ -95,9 +95,10 @@ type Aggregate interface {
 // FloatAggregate is an Aggregate whose row aggregation also has a float
 // body, the aggregate counterpart of a scalar function's Float: the
 // executor calls AccumulateFloats for a row whose arguments after the
-// first LeadArgs() are all numbers, and Accumulate — which owns NULLs,
-// conversions and their errors — for every other row. The two must fold
-// a row identically.
+// first LeadArgs() are all numbers, AccumulateBlock for a block of such
+// rows read from column segments, and Accumulate — which owns NULLs,
+// conversions and their errors — for every other row. All three must
+// fold a row identically.
 type FloatAggregate interface {
 	Aggregate
 	// LeadArgs is how many leading arguments (a header such as nlq_list's
@@ -108,6 +109,13 @@ type FloatAggregate interface {
 	// arguments, x the rest as floats — both the caller's, valid for the
 	// call, not to be retained or written.
 	AccumulateFloats(s State, lead []sqltypes.Value, x []float64) error
+	// AccumulateBlock folds the rows r of a block with valid[r] set, in
+	// order, exactly as AccumulateFloats folds each: cols[j][r] is row
+	// r's argument j after lead, every lane as long as valid. A cleared
+	// row has a NULL argument and is skipped, as Accumulate skips it.
+	// Everything is the caller's, valid for the call, not to be retained
+	// or written.
+	AccumulateBlock(s State, lead []sqltypes.Value, cols [][]float64, valid []bool) error
 }
 
 // Registry holds aggregate UDFs plus the standard SQL aggregates, which

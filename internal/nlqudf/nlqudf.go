@@ -29,8 +29,9 @@ import (
 // Register installs the three aggregate UDFs into a database, the
 // engine-level equivalent of Teradata's CREATE FUNCTION. nlq_list and
 // nlq_block also have float bodies (udf.FloatAggregate): the executor
-// hands them rows of numbers unboxed, and their boxed Accumulate sees
-// only the rows with a NULL or a value that is not a number.
+// hands them rows and blocks of numbers unboxed, and their boxed
+// Accumulate sees only the rows with a NULL or a value that is not a
+// number.
 func Register(d *db.DB) error {
 	for _, a := range []udf.Aggregate{
 		nlqAgg{},
@@ -157,6 +158,17 @@ func (nlqAgg) AccumulateFloats(s udf.State, lead []sqltypes.Value, x []float64) 
 		return err
 	}
 	return st.nlq.Update(x)
+}
+
+func (nlqAgg) AccumulateBlock(s udf.State, lead []sqltypes.Value, cols [][]float64, valid []bool) error {
+	st := s.(*nlqState)
+	if err := st.begin(lead); err != nil {
+		return err
+	}
+	if err := st.dims(len(cols)); err != nil {
+		return err
+	}
+	return st.nlq.UpdateBlock(cols, valid)
 }
 
 // unboxDims is the boxed rule for dimension values, copying vs into x
@@ -330,6 +342,22 @@ func (b *blockAgg) AccumulateFloats(s udf.State, lead []sqltypes.Value, x []floa
 		return err
 	}
 	st.update(x)
+	return nil
+}
+
+func (b *blockAgg) AccumulateBlock(s udf.State, lead []sqltypes.Value, cols [][]float64, valid []bool) error {
+	st := s.(*blockState)
+	if err := st.begin(lead, len(cols)); err != nil {
+		return err
+	}
+	for r, ok := range valid {
+		if ok {
+			for j, c := range cols {
+				st.buf[j] = c[r]
+			}
+			st.update(st.buf)
+		}
+	}
 	return nil
 }
 

@@ -428,7 +428,7 @@ func TestFloatPathReported(t *testing.T) {
 // a requested column (those rows are skipped) and in unrequested ones
 // (those rows are kept), in memory and on disk, the float-row statement,
 // the same statement on the boxed row path (a residual WHERE), and
-// ComputeTableNLQ in row and columnar mode all produce, byte for byte,
+// the summary scan in row and columnar mode all produce, byte for byte,
 // the packed summary of the boxed Accumulate run over every partition's
 // rows and merged in partition order.
 func TestBoxedFloatBoundary(t *testing.T) {
@@ -510,7 +510,11 @@ func TestBoxedFloatBoundary(t *testing.T) {
 			}
 		}
 		for _, columnar := range []bool{false, true} {
-			parts, _, err := exec.ComputeTableNLQ(context.Background(), tab, []int{2, 4}, core.Triangular, 0, columnar)
+			scan, err := exec.PrepareTableNLQ(tab, []int{2, 4}, core.Triangular, 0, columnar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts, _, err := scan(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -520,7 +524,7 @@ func TestBoxedFloatBoundary(t *testing.T) {
 				}
 			}
 			if got := parts[0].Pack(); got != want {
-				t.Fatalf("dir %q: ComputeTableNLQ columnar=%v = %s\nthe boxed path: %s", dir, columnar, got, want)
+				t.Fatalf("dir %q: the summary scan columnar=%v = %s\nthe boxed path: %s", dir, columnar, got, want)
 			}
 		}
 	}
