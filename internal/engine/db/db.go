@@ -90,10 +90,11 @@ type DB struct {
 	// through it so warm rebuilds need zero partition scans.
 	sums *summary.Catalog
 
-	// sysExt holds instance-specific virtual tables registered under
-	// sys. (e.g. the serving layer's sys.sessions).
-	sysMu  sync.RWMutex
-	sysExt map[string]SysTableFunc
+	// sys holds the virtual tables served under sys.: the built-ins and
+	// RegisterSysTable registrations (e.g. the serving layer's
+	// sys.sessions).
+	sysMu sync.RWMutex
+	sys   map[string]SysTableFunc
 
 	// traces is the instance's tail-sampling trace store; every
 	// finished statement is observed into it from noteQuery.
@@ -115,7 +116,7 @@ func Open(opts Options) *DB {
 	if logger == nil {
 		logger = slog.Default()
 	}
-	return &DB{
+	d := &DB{
 		opts:   opts,
 		funcs:  expr.NewRegistry(),
 		aggs:   udf.NewRegistry(),
@@ -126,7 +127,12 @@ func Open(opts Options) *DB {
 		sums:   summary.NewCatalog(opts.Workers, opts.Columnar),
 		traces: trace.NewStore(opts.TraceSampleN, opts.TraceCap),
 		logger: logger,
+		sys:    make(map[string]SysTableFunc, len(sysBuiltins)),
 	}
+	for name, build := range sysBuiltins {
+		d.sys[name] = func() ([]sqltypes.Column, []sqltypes.Row, error) { return build(d) }
+	}
+	return d
 }
 
 // OpenDir creates a database over a directory, reattaching any tables

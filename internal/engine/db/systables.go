@@ -27,11 +27,31 @@ func IsSystemTable(name string) bool {
 	return len(name) >= len(sysPrefix) && strings.EqualFold(name[:len(sysPrefix)], sysPrefix)
 }
 
+// sysBuiltins are the built-in virtual tables' builders. Open serves
+// them from the same map as RegisterSysTable entries.
+var sysBuiltins = map[string]func(*DB) ([]sqltypes.Column, []sqltypes.Row, error){
+	"sys.metrics":    (*DB).sysMetrics,
+	"sys.partitions": (*DB).sysPartitions,
+	"sys.prepared":   (*DB).sysPrepared,
+	"sys.queries":    (*DB).sysQueries,
+	"sys.segments":   (*DB).sysSegments,
+	"sys.spans":      (*DB).sysSpans,
+	"sys.summaries":  (*DB).sysSummaries,
+	"sys.tables":     (*DB).sysTables,
+	"sys.traces":     (*DB).sysTraces,
+}
+
 // SystemTableNames lists the built-in virtual tables served under
-// sys., for shell completion and \d-style listings. Instance-specific
-// registrations (RegisterSysTable) are reported by SysTableNames.
+// sys., sorted, for shell completion and \d-style listings.
+// Instance-specific registrations (RegisterSysTable) are reported by
+// SysTableNames.
 func SystemTableNames() []string {
-	return []string{"sys.metrics", "sys.partitions", "sys.prepared", "sys.queries", "sys.segments", "sys.spans", "sys.summaries", "sys.tables", "sys.traces"}
+	out := make([]string, 0, len(sysBuiltins))
+	for name := range sysBuiltins {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // SysTableFunc materializes one registered virtual table's content on
@@ -48,29 +68,24 @@ func (d *DB) RegisterSysTable(name string, fn SysTableFunc) error {
 	if !IsSystemTable(name) {
 		return fmt.Errorf("db: system table %q must be under %q", name, sysPrefix)
 	}
-	for _, builtin := range SystemTableNames() {
-		if key == builtin {
-			return fmt.Errorf("db: cannot replace built-in system table %q", name)
-		}
+	if _, builtin := sysBuiltins[key]; builtin {
+		return fmt.Errorf("db: cannot replace built-in system table %q", name)
 	}
 	if fn == nil {
 		return fmt.Errorf("db: nil builder for system table %q", name)
 	}
 	d.sysMu.Lock()
 	defer d.sysMu.Unlock()
-	if d.sysExt == nil {
-		d.sysExt = make(map[string]SysTableFunc)
-	}
-	d.sysExt[key] = fn
+	d.sys[key] = fn
 	return nil
 }
 
 // SysTableNames lists every virtual table this instance serves:
 // the built-ins plus RegisterSysTable registrations, sorted.
 func (d *DB) SysTableNames() []string {
-	out := append([]string(nil), SystemTableNames()...)
 	d.sysMu.RLock()
-	for name := range d.sysExt {
+	out := make([]string, 0, len(d.sys))
+	for name := range d.sys {
 		out = append(out, name)
 	}
 	d.sysMu.RUnlock()
@@ -78,33 +93,11 @@ func (d *DB) SysTableNames() []string {
 	return out
 }
 
+// sysTable materializes the virtual table key into the throwaway
+// single-partition in-memory table a sys.* scan reads.
 func (d *DB) sysTable(key string) (*storage.Table, error) {
-	switch key {
-	case "sys.metrics":
-		return d.sysMetrics()
-	case "sys.queries":
-		return d.sysQueries()
-	case "sys.tables":
-		return d.sysTables()
-	case "sys.partitions":
-		return d.sysPartitions()
-	case "sys.segments":
-		return d.sysSegments()
-	case "sys.summaries":
-		return d.sysSummaries()
-	case "sys.traces":
-		return d.sysTraces()
-	case "sys.spans":
-		return d.sysSpans()
-	case "sys.prepared":
-		cols, rows, err := d.sysPrepared()
-		if err != nil {
-			return nil, err
-		}
-		return newSysTable(key, cols, rows)
-	}
 	d.sysMu.RLock()
-	fn := d.sysExt[key]
+	fn := d.sys[key]
 	d.sysMu.RUnlock()
 	if fn == nil {
 		return nil, fmt.Errorf("db: unknown system table %q", key)
@@ -113,23 +106,15 @@ func (d *DB) sysTable(key string) (*storage.Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("db: materializing %s: %w", key, err)
 	}
-	return newSysTable(key, cols, rows)
-}
-
-// newSysTable builds the throwaway in-memory table a sys.* scan reads.
-func newSysTable(name string, cols []sqltypes.Column, rows []sqltypes.Row) (*storage.Table, error) {
 	schema, err := sqltypes.NewSchema(cols...)
 	if err != nil {
 		return nil, err
 	}
-	t, err := storage.NewTable(name, schema, "", 1)
+	t, err := storage.NewTable(key, schema, "", 1)
+	if err == nil && len(rows) > 0 {
+		err = t.Insert(rows...)
+	}
 	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return t, nil
-	}
-	if err := t.Insert(rows...); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -138,7 +123,7 @@ func newSysTable(name string, cols []sqltypes.Column, rows []sqltypes.Row) (*sto
 // sysMetrics flattens the process-wide obs registry: one row per
 // counter/gauge, plus per-bucket, _sum and _count rows for histograms
 // (mirroring the Prometheus exposition the debug endpoint serves).
-func (d *DB) sysMetrics() (*storage.Table, error) {
+func (d *DB) sysMetrics() ([]sqltypes.Column, []sqltypes.Row, error) {
 	cols := []sqltypes.Column{
 		{Name: "name", Type: sqltypes.TypeVarChar},
 		{Name: "kind", Type: sqltypes.TypeVarChar},
@@ -155,11 +140,11 @@ func (d *DB) sysMetrics() (*storage.Table, error) {
 			sqltypes.NewVarChar(s.Help),
 		})
 	}
-	return newSysTable("sys.metrics", cols, rows)
+	return cols, rows, nil
 }
 
 // sysQueries exposes the recent-query ring, newest first.
-func (d *DB) sysQueries() (*storage.Table, error) {
+func (d *DB) sysQueries() ([]sqltypes.Column, []sqltypes.Row, error) {
 	cols := []sqltypes.Column{
 		{Name: "id", Type: sqltypes.TypeBigInt},
 		{Name: "sql_text", Type: sqltypes.TypeVarChar},
@@ -213,12 +198,12 @@ func (d *DB) sysQueries() (*storage.Table, error) {
 			sqltypes.NewVarChar(r.TraceID),
 		})
 	}
-	return newSysTable("sys.queries", cols, rows)
+	return cols, rows, nil
 }
 
 // sysTraces exposes the tail-sampling trace store, one row per
 // retained trace, newest first.
-func (d *DB) sysTraces() (*storage.Table, error) {
+func (d *DB) sysTraces() ([]sqltypes.Column, []sqltypes.Row, error) {
 	cols := []sqltypes.Column{
 		{Name: "trace_id", Type: sqltypes.TypeVarChar},
 		{Name: "started", Type: sqltypes.TypeVarChar},
@@ -245,12 +230,12 @@ func (d *DB) sysTraces() (*storage.Table, error) {
 			sqltypes.NewBigInt(int64(len(r.Spans))),
 		})
 	}
-	return newSysTable("sys.traces", cols, rows)
+	return cols, rows, nil
 }
 
 // sysSpans flattens every retained trace's spans, one row per span;
 // parent_span_id reconstructs the tree.
-func (d *DB) sysSpans() (*storage.Table, error) {
+func (d *DB) sysSpans() ([]sqltypes.Column, []sqltypes.Row, error) {
 	cols := []sqltypes.Column{
 		{Name: "trace_id", Type: sqltypes.TypeVarChar},
 		{Name: "span_id", Type: sqltypes.TypeVarChar},
@@ -278,12 +263,12 @@ func (d *DB) sysSpans() (*storage.Table, error) {
 			})
 		}
 	}
-	return newSysTable("sys.spans", cols, rows)
+	return cols, rows, nil
 }
 
 // sysTables summarizes the catalog: partition and row counts and the
 // on-disk footprint of every user table.
-func (d *DB) sysTables() (*storage.Table, error) {
+func (d *DB) sysTables() ([]sqltypes.Column, []sqltypes.Row, error) {
 	cols := []sqltypes.Column{
 		{Name: "name", Type: sqltypes.TypeVarChar},
 		{Name: "partitions", Type: sqltypes.TypeBigInt},
@@ -305,12 +290,12 @@ func (d *DB) sysTables() (*storage.Table, error) {
 			sqltypes.NewBigInt(size),
 		})
 	}
-	return newSysTable("sys.tables", cols, rows)
+	return cols, rows, nil
 }
 
 // sysSummaries exposes the incremental n/L/Q summary catalog: one row
 // per cached entry with its validity state and hit/rebuild accounting.
-func (d *DB) sysSummaries() (*storage.Table, error) {
+func (d *DB) sysSummaries() ([]sqltypes.Column, []sqltypes.Row, error) {
 	cols := []sqltypes.Column{
 		{Name: "table_name", Type: sqltypes.TypeVarChar},
 		{Name: "columns", Type: sqltypes.TypeVarChar},
@@ -343,7 +328,7 @@ func (d *DB) sysSummaries() (*storage.Table, error) {
 			sqltypes.NewDouble(float64(inf.LastRebuild) / float64(time.Millisecond)),
 		})
 	}
-	return newSysTable("sys.summaries", cols, rows)
+	return cols, rows, nil
 }
 
 // sysSegments reports the columnar segment cache, one row per on-disk
@@ -353,7 +338,7 @@ func (d *DB) sysSummaries() (*storage.Table, error) {
 // size, and whether it is fresh — behind after every write until the
 // next block scan rebuilds it. In-memory tables synthesize blocks from
 // resident rows and report no segments.
-func (d *DB) sysSegments() (*storage.Table, error) {
+func (d *DB) sysSegments() ([]sqltypes.Column, []sqltypes.Row, error) {
 	cols := []sqltypes.Column{
 		{Name: "table_name", Type: sqltypes.TypeVarChar},
 		{Name: "partition", Type: sqltypes.TypeBigInt},
@@ -374,12 +359,12 @@ func (d *DB) sysSegments() (*storage.Table, error) {
 			})
 		}
 	}
-	return newSysTable("sys.segments", cols, rows)
+	return cols, rows, nil
 }
 
 // sysPartitions breaks each user table down to per-partition row
 // counts, the raw material behind Stats.Skew.
-func (d *DB) sysPartitions() (*storage.Table, error) {
+func (d *DB) sysPartitions() ([]sqltypes.Column, []sqltypes.Row, error) {
 	cols := []sqltypes.Column{
 		{Name: "table_name", Type: sqltypes.TypeVarChar},
 		{Name: "partition", Type: sqltypes.TypeBigInt},
@@ -395,7 +380,7 @@ func (d *DB) sysPartitions() (*storage.Table, error) {
 			})
 		}
 	}
-	return newSysTable("sys.partitions", cols, rows)
+	return cols, rows, nil
 }
 
 // userTables snapshots the catalog sorted by name.

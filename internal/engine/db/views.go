@@ -1,22 +1,33 @@
 package db
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
+	"repro/internal/engine/bind"
+	"repro/internal/engine/exec"
 	"repro/internal/engine/expr"
+	"repro/internal/engine/sema"
 	"repro/internal/engine/sqlparser"
+	"repro/internal/engine/sqltypes"
 )
 
 // Views implement §3.6's second scenario: "X exists as a view" whose
 // definition involves joins and filters over base tables, with the
-// summary/scoring query running over the view. The engine expands
-// (inlines) views at plan time: the view's FROM entries are spliced
-// into the referencing query with fresh aliases, the view's WHERE is
-// ANDed in, and references to the view's output columns are replaced
-// by the defining expressions. Combined with the executor's
-// single-table predicate pushdown this reproduces the rewrite behavior
-// the paper's optimizer discussion assumes.
+// summary/scoring query running over the view. A view answers as the
+// table of its rows would. A statement naming one is checked as written
+// against viewCatalog, where the view is a table of its outputs, so its
+// names bind (bind.Scope) and fail exactly as over base tables. The view
+// is then inlined: its FROM entries are spliced in under fresh aliases
+// and its WHERE is ANDed in. The body's references are bound in the
+// body's own FROM, the statement's through a scope in which the view is
+// one entry — an output becomes its defining expression, any other
+// reference is qualified by its entry — so neither side can capture the
+// other's columns. With the executor's single-table predicate pushdown
+// this reproduces the rewrite behavior the paper's optimizer discussion
+// assumes.
 //
 // Supported view bodies: plain SELECT over base tables (or other
 // views, expanded recursively) with optional WHERE — no aggregates,
@@ -124,176 +135,151 @@ func validateViewBody(q *sqlparser.Select, udfNames map[string]bool) error {
 	return nil
 }
 
+// viewCatalog is the catalog a statement naming a view is checked
+// against before expansion: a view is a table whose columns are its
+// outputs, typed NULL — unknown until the expanded statement is checked.
+type viewCatalog struct{ d *DB }
+
+func (c viewCatalog) TableSchema(name string) (*sqltypes.Schema, error) {
+	body, ok := c.d.view(name)
+	if !ok {
+		return c.d.TableSchema(name)
+	}
+	cols := make([]sqltypes.Column, len(body.Items))
+	for i, item := range body.Items {
+		cols[i] = sqltypes.Column{Name: item.ExplicitName(), Type: sqltypes.TypeNull}
+	}
+	return &sqltypes.Schema{Columns: cols}, nil
+}
+
 // expandViews rewrites a SELECT so that no FROM entry names a view.
 func (d *DB) expandViews(sel *sqlparser.Select, depth int) (*sqlparser.Select, error) {
 	if depth > maxViewDepth {
 		return nil, fmt.Errorf("db: view expansion exceeds depth %d (cyclic views?)", maxViewDepth)
 	}
-	hasView := false
-	for _, ref := range sel.From {
-		if _, ok := d.view(ref.Name); ok {
-			hasView = true
-			break
-		}
-	}
-	if !hasView {
+	if !slices.ContainsFunc(sel.From, func(ref sqlparser.TableRef) bool { return d.HasView(ref.Name) }) {
 		return sel, nil
 	}
-
-	// Copy the clause slices: substitution below must not mutate the
-	// caller's AST (view bodies are stored and re-expanded).
-	out := &sqlparser.Select{
-		GroupBy: append([]sqlparser.Expr{}, sel.GroupBy...),
-		Having:  sel.Having,
-		OrderBy: append([]sqlparser.OrderItem{}, sel.OrderBy...),
-		Limit:   sel.Limit,
-		Where:   sel.Where,
-		Items:   append([]sqlparser.SelectItem{}, sel.Items...),
+	env := exec.SemaEnv(d.env())
+	env.Catalog = viewCatalog{d}
+	if err := sema.CheckSelect(sel, env); err != nil {
+		return nil, err
 	}
 
-	// subs maps (lowercased view ref name, lowercased output column) to
-	// the defining expression with re-aliased internals.
-	type colKey struct{ ref, col string }
-	subs := make(map[colKey]sqlparser.Expr)
-	viewRefs := make(map[string][]sqlparser.SelectItem) // ref name → rewritten outputs
-	var wheres []sqlparser.Expr
-	viewSeq := 0
-
-	for _, ref := range sel.From {
+	// The statement's scope, each view one entry, and per entry the
+	// defining expressions of a view's outputs. A view's WHERE goes
+	// first: the statement's predicates see only the view's rows.
+	sc := &bind.Scope{}
+	outputs := make([][]sqlparser.Expr, len(sel.From))
+	out := &sqlparser.Select{Limit: sel.Limit, At: sel.At}
+	for i, ref := range sel.From {
+		schema, err := env.Catalog.TableSchema(ref.Name)
+		if err != nil {
+			return nil, err
+		}
+		if err := sc.Add(ref.RefName(), schema); err != nil {
+			return nil, err
+		}
 		body, isView := d.view(ref.Name)
 		if !isView {
 			out.From = append(out.From, ref)
 			continue
 		}
-		// Recursively expand nested views inside the body first.
-		body, err := d.expandViews(body, depth+1)
+		if outputs[i], err = d.inline(out, ref, body, i, depth); err != nil {
+			return nil, fmt.Errorf("db: view %q: %w", ref.Name, err)
+		}
+	}
+
+	var bad error
+	rebind := func(e sqlparser.Expr) sqlparser.Expr {
+		return sqlparser.SubstituteColumns(e, func(cr *sqlparser.ColumnRef) (sqlparser.Expr, bool) {
+			c, err := sc.Resolve(cr.Table, cr.Name)
+			if err != nil {
+				bad = cmp.Or(bad, err)
+				return nil, false
+			}
+			if exprs := outputs[c.Entry]; exprs != nil {
+				return sqlparser.CopyExpr(exprs[c.Index]), true
+			}
+			return &sqlparser.ColumnRef{Table: sc.Entries[c.Entry].Name, Name: cr.Name, At: cr.At}, true
+		})
+	}
+	items, err := sc.Expand(sel.Items)
+	if err != nil {
+		return nil, err
+	}
+	for i := range items {
+		// Rebinding changes the text; the output name stays.
+		items[i].Alias = sqlparser.OutputName(items[i], i)
+		items[i].Expr = rebind(items[i].Expr)
+	}
+	out.Items = items
+	out.Where = and(out.Where, rebind(sel.Where))
+	for _, g := range sel.GroupBy {
+		out.GroupBy = append(out.GroupBy, rebind(g))
+	}
+	out.Having = rebind(sel.Having)
+	// A key that sorts on the output names an output column, not a
+	// FROM column, and stays as written.
+	outNames, _ := sqlparser.OutputNames(sel)
+	for _, o := range sel.OrderBy {
+		if !sqlparser.OrderKeyOnOutput(o.Expr, outNames) {
+			o.Expr = rebind(o.Expr)
+		}
+		out.OrderBy = append(out.OrderBy, o)
+	}
+	if bad != nil {
+		return nil, bad
+	}
+	return out, nil
+}
+
+// inline splices the view entry ref, whose body is body, into out: the
+// body's FROM entries under aliases ref$seq$entry ('$' cannot appear in
+// a user identifier) and its WHERE. It returns the defining expressions
+// of the view's outputs. Every body column is bound in the body's own
+// FROM and qualified by those aliases.
+func (d *DB) inline(out *sqlparser.Select, ref sqlparser.TableRef, body *sqlparser.Select, seq, depth int) ([]sqlparser.Expr, error) {
+	body, err := d.expandViews(body, depth+1)
+	if err != nil {
+		return nil, err
+	}
+	sc := &bind.Scope{}
+	aliases := make([]string, len(body.From))
+	for i, bt := range body.From {
+		schema, err := d.TableSchema(bt.Name)
 		if err != nil {
 			return nil, err
 		}
-		viewSeq++
-		refName := strings.ToLower(ref.RefName())
-		// Fresh aliases for the view's internal tables; '$' cannot
-		// appear in user identifiers, so collisions are impossible.
-		aliasOf := make(map[string]string, len(body.From))
-		for _, bt := range body.From {
-			fresh := fmt.Sprintf("%s$%d$%s", refName, viewSeq, strings.ToLower(bt.RefName()))
-			aliasOf[strings.ToLower(bt.RefName())] = fresh
-			out.From = append(out.From, sqlparser.TableRef{Name: bt.Name, Alias: fresh})
+		if err := sc.Add(bt.RefName(), schema); err != nil {
+			return nil, err
 		}
-		realias := func(cr *sqlparser.ColumnRef) (sqlparser.Expr, bool) {
-			table := strings.ToLower(cr.Table)
-			if table == "" {
-				// Unqualified inside the view: resolve to whichever of
-				// the view's own tables defines it at bind time; with a
-				// single table this is unambiguous, with several the
-				// original query must have qualified it.
-				if len(body.From) == 1 {
-					return &sqlparser.ColumnRef{Table: aliasOf[strings.ToLower(body.From[0].RefName())], Name: cr.Name}, true
-				}
+		aliases[i] = fmt.Sprintf("%s$%d$%s", strings.ToLower(ref.RefName()), seq, strings.ToLower(bt.RefName()))
+		out.From = append(out.From, sqlparser.TableRef{Name: bt.Name, Alias: aliases[i]})
+	}
+	var bad error
+	qualify := func(e sqlparser.Expr) sqlparser.Expr {
+		return sqlparser.SubstituteColumns(e, func(cr *sqlparser.ColumnRef) (sqlparser.Expr, bool) {
+			c, err := sc.Resolve(cr.Table, cr.Name)
+			if err != nil {
+				bad = cmp.Or(bad, err)
 				return nil, false
 			}
-			if fresh, ok := aliasOf[table]; ok {
-				return &sqlparser.ColumnRef{Table: fresh, Name: cr.Name}, true
-			}
-			return nil, false
-		}
-		var outputs []sqlparser.SelectItem
-		for _, item := range body.Items {
-			rewritten := sqlparser.SubstituteColumns(item.Expr, realias)
-			// A view's items all carry explicit names (validateViewBody).
-			name := item.ExplicitName()
-			subs[colKey{refName, strings.ToLower(name)}] = rewritten
-			outputs = append(outputs, sqlparser.SelectItem{Expr: rewritten, Alias: name})
-		}
-		viewRefs[refName] = outputs
-		if body.Where != nil {
-			wheres = append(wheres, sqlparser.SubstituteColumns(body.Where, realias))
-		}
+			return &sqlparser.ColumnRef{Table: aliases[c.Entry], Name: cr.Name, At: cr.At}, true
+		})
 	}
+	exprs := make([]sqlparser.Expr, len(body.Items))
+	for i, item := range body.Items {
+		exprs[i] = qualify(item.Expr)
+	}
+	out.Where = and(out.Where, qualify(body.Where))
+	return exprs, bad
+}
 
-	// Column substitution for the outer query: qualified view refs are
-	// replaced directly; unqualified names are replaced only when they
-	// match exactly one view's outputs (base-table columns win at bind
-	// time if the name is left untouched — ambiguity there errors).
-	substitute := func(cr *sqlparser.ColumnRef) (sqlparser.Expr, bool) {
-		col := strings.ToLower(cr.Name)
-		if cr.Table != "" {
-			if e, ok := subs[colKey{strings.ToLower(cr.Table), col}]; ok {
-				return sqlparser.CopyExpr(e), true
-			}
-			return nil, false
-		}
-		var match sqlparser.Expr
-		count := 0
-		for ref := range viewRefs {
-			if e, ok := subs[colKey{ref, col}]; ok {
-				match = e
-				count++
-			}
-		}
-		if count == 1 {
-			return sqlparser.CopyExpr(match), true
-		}
-		return nil, false
+// and conjoins two predicates, either of which may be absent.
+func and(l, r sqlparser.Expr) sqlparser.Expr {
+	if l == nil || r == nil {
+		return cmp.Or(l, r)
 	}
-
-	// Expand star items that target a view before substitution.
-	var items []sqlparser.SelectItem
-	for _, item := range out.Items {
-		if item.Star {
-			star := strings.ToLower(item.StarTable)
-			if star != "" {
-				if outputs, ok := viewRefs[star]; ok {
-					items = append(items, outputs...)
-					continue
-				}
-				items = append(items, item)
-				continue
-			}
-			// Bare *: view outputs plus pass-through for base tables.
-			for _, ref := range sel.From {
-				if outputs, ok := viewRefs[strings.ToLower(ref.RefName())]; ok {
-					items = append(items, outputs...)
-				} else {
-					items = append(items, sqlparser.SelectItem{Star: true, StarTable: ref.RefName()})
-				}
-			}
-			continue
-		}
-		items = append(items, item)
-	}
-	for i := range items {
-		if items[i].Star {
-			continue
-		}
-		// Preserve the user-visible output name through substitution:
-		// the name the pre-expansion item has, unless that depends on
-		// its position (which expansion keeps).
-		if items[i].Alias == "" {
-			items[i].Alias = items[i].Name()
-		}
-		items[i].Expr = sqlparser.SubstituteColumns(items[i].Expr, substitute)
-	}
-	out.Items = items
-
-	if out.Where != nil {
-		out.Where = sqlparser.SubstituteColumns(out.Where, substitute)
-	}
-	for _, w := range wheres {
-		if out.Where == nil {
-			out.Where = w
-		} else {
-			out.Where = &sqlparser.BinaryExpr{Op: "AND", L: out.Where, R: w}
-		}
-	}
-	for i, g := range out.GroupBy {
-		out.GroupBy[i] = sqlparser.SubstituteColumns(g, substitute)
-	}
-	if out.Having != nil {
-		out.Having = sqlparser.SubstituteColumns(out.Having, substitute)
-	}
-	for i, o := range out.OrderBy {
-		out.OrderBy[i].Expr = sqlparser.SubstituteColumns(o.Expr, substitute)
-	}
-	return out, nil
+	return &sqlparser.BinaryExpr{Op: "AND", L: l, R: r}
 }

@@ -3,8 +3,17 @@ package db
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"regexp"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/engine/exec"
+	"repro/internal/engine/sqlparser"
+	"repro/internal/engine/sqltypes"
 )
 
 // viewFixture builds base tables shaped like the paper's §3.6 example:
@@ -247,4 +256,391 @@ func TestViewPersistence(t *testing.T) {
 	if d3.HasView("v") {
 		t.Fatal("dropped view resurrected")
 	}
+}
+
+// bindFixture holds the base tables of the binding checks below. Column
+// names are shared across tables on purpose (a, b, x), so unqualified
+// names are ambiguous in some joins and unique in others.
+var bindFixture = []string{
+	"CREATE TABLE t1 (a DOUBLE, b DOUBLE)",
+	"CREATE TABLE t2 (x DOUBLE, b DOUBLE)",
+	"CREATE TABLE t3 (x DOUBLE)",
+	"CREATE TABLE t5 (a DOUBLE, zz DOUBLE)",
+	"INSERT INTO t1 VALUES (1, 10), (2, 20), (3, 30)",
+	"INSERT INTO t2 VALUES (5, 50), (6, 60)",
+	"INSERT INTO t3 VALUES (7)",
+	"INSERT INTO t5 VALUES (7, 500)",
+}
+
+func openBindFixture(t testing.TB) *DB {
+	t.Helper()
+	d := Open(Options{Partitions: 2})
+	for _, sql := range bindFixture {
+		if _, err := d.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	return d
+}
+
+// wantErr runs sql and fails unless it errors with a message containing
+// want.
+func wantErr(t *testing.T, d *DB, sql, want string) {
+	t.Helper()
+	res, err := d.Exec(sql)
+	if err == nil {
+		t.Errorf("%s: returned %d rows, want an error containing %q", sql, len(res.Rows), want)
+		return
+	}
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("%s: error %q, want it to contain %q", sql, err, want)
+	}
+}
+
+// TestViewColumnsBindLikeTableColumns: a view's outputs are columns of
+// one FROM entry, so an unqualified name another entry also has is
+// ambiguous, and a view named twice without aliases is a duplicate, as
+// for base tables.
+func TestViewColumnsBindLikeTableColumns(t *testing.T) {
+	d := openBindFixture(t)
+	mustExec(t, d, "CREATE VIEW v AS SELECT a*2 AS x FROM t1")
+	wantErr(t, d, "SELECT x FROM t2, t3", `ambiguous column "x"`)
+	wantErr(t, d, "SELECT x FROM v, t2", `ambiguous column "x"`)
+	wantErr(t, d, "SELECT a FROM t1, t1", "duplicate table name")
+	wantErr(t, d, "SELECT x FROM v, v", "duplicate table name")
+	if rows := query(t, d, "SELECT v.x, t2.x FROM v, t2 WHERE t2.x = 5 ORDER BY v.x"); len(rows) != 3 || rows[0][0] != "2" || rows[0][1] != "5" {
+		t.Fatalf("qualified view and table columns = %v", rows)
+	}
+}
+
+// TestViewBodyBindsInItsOwnFrom: a view body's column references
+// resolve against the body's own FROM entries, never against the
+// tables of the query that uses the view.
+func TestViewBodyBindsInItsOwnFrom(t *testing.T) {
+	d := openBindFixture(t)
+	mustExec(t, d, "CREATE VIEW w AS SELECT zz AS y FROM t1, t2")
+	wantErr(t, d, "SELECT y FROM w, t5", `unknown column "zz"`)
+	mustExec(t, d, "CREATE VIEW u AS SELECT a AS y FROM t1, t2")
+	rows := query(t, d, "SELECT y FROM u, t5 ORDER BY y")
+	want := []string{"1", "1", "2", "2", "3", "3"}
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %v, want %v", rows, want)
+	}
+	for i, r := range rows {
+		if r[0] != want[i] {
+			t.Fatalf("rows = %v, want %v", rows, want)
+		}
+	}
+}
+
+// checkViewIsItsRows checks that view v, made by the CREATE VIEW
+// statements views (the last defines v), answers every query as a table
+// holding its rows would: it runs each query on that instance and on a
+// second one where v is such a table, and both must return the same
+// multiset of rows under the same column names, or fail with the same
+// error class. A view that cannot be planned holds no rows: every query
+// naming it must fail to plan. A view with no rows, or with a value that
+// is not a number, gives no column types for the table, and a view that
+// cannot be read at all gives no rows; such cases are not checked, and
+// the result reports whether the case was.
+func checkViewIsItsRows(t *testing.T, views, queries []string) bool {
+	t.Helper()
+	withView := openBindFixture(t)
+	for _, sql := range views {
+		if _, err := withView.Exec(sql); err != nil {
+			return false
+		}
+	}
+	p, err := withView.Prepare("SELECT * FROM v")
+	if err != nil {
+		for _, q := range queries {
+			if !namesV(q) {
+				continue
+			}
+			if qp, qerr := withView.Prepare(q); qerr == nil {
+				qp.Close()
+				t.Errorf("%s: planned over view v, which cannot be planned (%v)", q, err)
+			}
+		}
+		return true
+	}
+	p.Close()
+	rows, err := withView.Exec("SELECT * FROM v")
+	if err != nil || len(rows.Rows) == 0 {
+		return false
+	}
+	cols := append([]sqltypes.Column(nil), rows.Schema.Columns...)
+	for i := range cols {
+		cols[i].Type = sqltypes.TypeNull
+		for _, r := range rows.Rows {
+			switch typ := r[i].Type(); {
+			case typ == sqltypes.TypeNull:
+			case typ != sqltypes.TypeDouble && typ != sqltypes.TypeBigInt:
+				return false
+			case cols[i].Type == sqltypes.TypeNull:
+				cols[i].Type = typ
+			case cols[i].Type != typ:
+				return false
+			}
+		}
+		if cols[i].Type == sqltypes.TypeNull {
+			cols[i].Type = sqltypes.TypeDouble
+		}
+	}
+	asTable := openBindFixture(t)
+	schema, err := sqltypes.NewSchema(cols...)
+	if err != nil {
+		t.Fatalf("view v's schema %v: %v", cols, err)
+	}
+	tab, err := asTable.CreateTable("v", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Insert(rows.Rows...); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range queries {
+		got, gerr := withView.Exec(q)
+		want, werr := asTable.Exec(q)
+		switch {
+		case gerr != nil || werr != nil:
+			if gerr == nil || werr == nil || errClass(gerr) != errClass(werr) {
+				t.Errorf("views %q\n%s:\n  over the view:  %v\n  over its rows:  %v", views, q, gerr, werr)
+			}
+		case !slices.Equal(got.Schema.Names(), want.Schema.Names()):
+			t.Errorf("views %q\n%s: columns %v over the view, %v over its rows", views, q, got.Schema.Names(), want.Schema.Names())
+		case !slices.Equal(rowMultiset(got), rowMultiset(want)):
+			t.Errorf("views %q\n%s:\n  over the view: %v\n  over its rows: %v", views, q, rowMultiset(got), rowMultiset(want))
+		}
+	}
+	return true
+}
+
+// namesV reports whether sql is a SELECT with v among its FROM entries.
+func namesV(sql string) bool {
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		return false
+	}
+	sel, ok := stmt.(*sqlparser.Select)
+	if !ok {
+		return false
+	}
+	for _, ref := range sel.From {
+		if strings.EqualFold(ref.Name, "v") {
+			return true
+		}
+	}
+	return false
+}
+
+var errPosition = regexp.MustCompile(`^((sema|exec|db): |\d+:\d+: )+`)
+
+// errClass is an error's first message without layer prefix or source
+// position, up to its first quoted name or parenthesis.
+func errClass(err error) string {
+	msg, _, _ := strings.Cut(err.Error(), "\n")
+	msg = errPosition.ReplaceAllString(msg, "")
+	if i := strings.IndexAny(msg, `"(`); i >= 0 {
+		msg = msg[:i]
+	}
+	return msg
+}
+
+// rowMultiset renders a result's rows, numbers to nine significant
+// digits (sums may fold in another order), sorted.
+func rowMultiset(res *exec.Result) []string {
+	out := make([]string, len(res.Rows))
+	for i, r := range res.Rows {
+		cells := make([]string, len(r))
+		for j, v := range r {
+			cells[j] = v.String()
+			if typ := v.Type(); typ == sqltypes.TypeDouble || typ == sqltypes.TypeBigInt {
+				f, _ := v.Float()
+				cells[j] = strconv.FormatFloat(f, 'g', 9, 64)
+			}
+		}
+		out[i] = strings.Join(cells, "|")
+	}
+	sort.Strings(out)
+	return out
+}
+
+// viewEntry is a FROM entry a generated statement may name: a table or
+// view, and its columns.
+type viewEntry struct {
+	name string
+	cols []string
+}
+
+var bindTables = []viewEntry{
+	{"t1", []string{"a", "b"}},
+	{"t2", []string{"x", "b"}},
+	{"t3", []string{"x"}},
+	{"t5", []string{"a", "zz"}},
+}
+
+// genViewBody generates a valid view body over one or two entries of
+// pool (first, when given, is always the first): qualified and
+// unqualified references, computed and bare items, output names that
+// collide with base-table columns, and sometimes a WHERE.
+func genViewBody(r *rand.Rand, pool []viewEntry, first *viewEntry) (string, []string) {
+	var from []viewEntry
+	var refs []string
+	add := func(e viewEntry) {
+		ref, name := e.name, e.name
+		if r.Intn(4) == 0 || slices.ContainsFunc(from, func(f viewEntry) bool { return f.name == name }) {
+			name = fmt.Sprintf("s%d", len(from))
+			ref += " AS " + name
+		}
+		from = append(from, viewEntry{name, e.cols})
+		refs = append(refs, ref)
+	}
+	if first != nil {
+		add(*first)
+	}
+	for n := 1 + r.Intn(2); len(from) < n; {
+		add(pool[r.Intn(len(pool))])
+	}
+	col := func() string {
+		e := from[r.Intn(len(from))]
+		c := e.cols[r.Intn(len(e.cols))]
+		owners := 0
+		for _, f := range from {
+			for _, fc := range f.cols {
+				if fc == c {
+					owners++
+				}
+			}
+		}
+		if owners > 1 || r.Intn(2) == 0 {
+			return e.name + "." + c
+		}
+		return c
+	}
+	var items, outs []string
+	taken := func(name string) bool {
+		for _, o := range outs {
+			if o == name {
+				return true
+			}
+		}
+		return false
+	}
+	names := []string{"x", "y", "a", "b", "k"}
+	r.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
+	for k := 1 + r.Intn(3); len(items) < k; {
+		var e string
+		switch r.Intn(4) {
+		case 0:
+			e = col()
+			bare := e[strings.LastIndexByte(e, '.')+1:]
+			if r.Intn(2) == 0 && !taken(bare) {
+				items, outs = append(items, e), append(outs, bare)
+				continue
+			}
+		case 1:
+			e = col() + " * 2"
+		case 2:
+			e = col() + " + " + col()
+		default:
+			e = col() + " - 1"
+		}
+		for _, name := range names {
+			if !taken(name) {
+				items, outs = append(items, e+" AS "+name), append(outs, name)
+				break
+			}
+		}
+	}
+	body := "SELECT " + strings.Join(items, ", ") + " FROM " + strings.Join(refs, ", ")
+	if r.Intn(2) == 0 {
+		body += fmt.Sprintf(" WHERE %s > %d", col(), []int{0, 1, 2, 6, 40}[r.Intn(5)])
+	}
+	return body, outs
+}
+
+// genViewCase generates the views of one case, v sometimes over a
+// nested view n, and queries over v: unqualified and qualified
+// references, *, v.*, a join with a base table that shares column names,
+// v twice with and without aliases, GROUP BY and ORDER BY.
+func genViewCase(r *rand.Rand) (views, queries []string) {
+	var first *viewEntry
+	if r.Intn(3) == 0 {
+		body, outs := genViewBody(r, bindTables, nil)
+		views = append(views, "CREATE VIEW n AS "+body)
+		first = &viewEntry{"n", outs}
+	}
+	body, outs := genViewBody(r, bindTables, first)
+	views = append(views, "CREATE VIEW v AS "+body)
+	o := func() string { return outs[r.Intn(len(outs))] }
+	base := bindTables[r.Intn(len(bindTables))]
+	bc := base.cols[r.Intn(len(base.cols))]
+	g := o()
+	queries = []string{
+		"SELECT * FROM v",
+		"SELECT v.* FROM v",
+		"SELECT " + o() + " FROM v",
+		"SELECT v." + o() + ", " + o() + " FROM v",
+		fmt.Sprintf("SELECT %s, %s FROM v, %s", o(), bc, base.name),
+		fmt.Sprintf("SELECT * FROM %s, v", base.name),
+		fmt.Sprintf("SELECT v.*, %s.%s FROM v, %s WHERE v.%s > %s.%s", base.name, bc, base.name, o(), base.name, bc),
+		"SELECT " + o() + " FROM v, v",
+		fmt.Sprintf("SELECT v1.%s, v2.%s FROM v v1, v AS v2 WHERE v1.%s < v2.%s", o(), o(), o(), o()),
+		fmt.Sprintf("SELECT %s, count(*), sum(%s) FROM v GROUP BY %s", g, o(), g),
+		fmt.Sprintf("SELECT v.%s, count(*) FROM v GROUP BY %s", g, g),
+		fmt.Sprintf("SELECT %s FROM v ORDER BY %s DESC", o(), o()),
+		fmt.Sprintf("SELECT %s + 1 AS w FROM v WHERE %s > 2 ORDER BY w", o(), o()),
+		fmt.Sprintf("SELECT count(*) FROM v, %s WHERE %s > %s", base.name, o(), bc),
+	}
+	return views, queries
+}
+
+// TestViewIsItsRows: over generated view bodies and queries, a view
+// answers as the table of its rows (checkViewIsItsRows).
+func TestViewIsItsRows(t *testing.T) {
+	cases, checked := 150, 0
+	if testing.Short() {
+		cases = 40
+	}
+	for seed := 0; seed < cases; seed++ {
+		views, queries := genViewCase(rand.New(rand.NewSource(int64(seed))))
+		if checkViewIsItsRows(t, views, queries) {
+			checked++
+		}
+		if t.Failed() {
+			t.Fatalf("seed %d", seed)
+		}
+	}
+	t.Logf("%d of %d generated cases checked", checked, cases)
+	if checked < cases/2 {
+		t.Fatalf("only %d of %d generated cases were checked", checked, cases)
+	}
+}
+
+// FuzzViewExpansion drives checkViewIsItsRows from fuzzed view bodies
+// and queries. Queries that could tell the two instances apart by
+// anything but v — writes, system tables, LIMIT without a total order —
+// are skipped.
+func FuzzViewExpansion(f *testing.F) {
+	f.Add("SELECT a*2 AS x FROM t1", "SELECT x FROM v, t2")
+	f.Add("SELECT a*2 AS x FROM t1", "SELECT x FROM v, v")
+	f.Add("SELECT zz AS y FROM t1, t2", "SELECT y FROM v, t5")
+	f.Add("SELECT a AS y FROM t1, t2", "SELECT y FROM v, t5")
+	f.Fuzz(func(t *testing.T, body, query string) {
+		stmt, err := sqlparser.Parse(query)
+		if err != nil {
+			return
+		}
+		sel, ok := stmt.(*sqlparser.Select)
+		if !ok || sel.Limit != nil {
+			return
+		}
+		for _, ref := range sel.From {
+			if IsSystemTable(ref.Name) || strings.EqualFold(ref.Name, "n") {
+				return
+			}
+		}
+		checkViewIsItsRows(t, []string{"CREATE VIEW v AS " + body}, []string{query})
+	})
 }

@@ -135,7 +135,7 @@ func (f *floatSpec) rowArgs(scratch, frow []float64) []float64 {
 // raises the error.
 func (a *aggPlan) planFloats(b *binding, residual sqlparser.Expr, funcs *expr.Registry) []int {
 	rows := len(b.tables) == 1 && residual == nil && len(a.groupBy) == 0
-	schema := b.tables[0].table.Schema()
+	schema := b.tables[0].Schema()
 	var cols []int
 	at := make(map[int]int) // schema ordinal -> float-row position
 	for i := range a.specs {
@@ -145,7 +145,7 @@ func (a *aggPlan) planFloats(b *binding, residual sqlparser.Expr, funcs *expr.Re
 			rows = false
 			continue
 		}
-		plan, err := (&expr.Scope{Funcs: funcs}).PlanArgs(s.args, b.resolve)
+		plan, err := (&expr.Scope{Funcs: funcs}).PlanArgs(s.args, b.Ordinal)
 		lead := fa.LeadArgs()
 		var x []float64
 		if err == nil {

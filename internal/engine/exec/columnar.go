@@ -42,8 +42,8 @@ type vecPlan struct {
 // columns are vectorizable here: projecting a BIGINT column through
 // float64 blocks would retype the output.
 func planVec(exprs []sqlparser.Expr, residual sqlparser.Expr, b *binding) (*vecPlan, error) {
-	schema := b.tables[0].table.Schema()
-	vp := &vecPlan{exprs: exprs, residual: residual, resolve: b.resolve, slot: map[int]int{}}
+	schema := b.tables[0].Schema()
+	vp := &vecPlan{exprs: exprs, residual: residual, resolve: b.Ordinal, slot: map[int]int{}}
 	vp.numeric = func(ord int) bool {
 		return ord >= 0 && ord < schema.Len() && schema.Columns[ord].Type == sqltypes.TypeDouble
 	}

@@ -214,22 +214,22 @@ func TestBindingResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx, err := b.resolve("", "a"); err != nil || idx != 0 {
+	if idx, err := b.Ordinal("", "a"); err != nil || idx != 0 {
 		t.Fatalf("a → %d, %v", idx, err)
 	}
-	if idx, err := b.resolve("", "c"); err != nil || idx != 3 {
+	if idx, err := b.Ordinal("", "c"); err != nil || idx != 3 {
 		t.Fatalf("c → %d, %v", idx, err)
 	}
-	if _, err := b.resolve("", "b"); err == nil {
+	if _, err := b.Ordinal("", "b"); err == nil {
 		t.Fatal("ambiguous column must fail")
 	}
-	if idx, err := b.resolve("y", "b"); err != nil || idx != 2 {
+	if idx, err := b.Ordinal("y", "b"); err != nil || idx != 2 {
 		t.Fatalf("y.b → %d, %v", idx, err)
 	}
-	if _, err := b.resolve("z", "b"); err == nil {
+	if _, err := b.Ordinal("z", "b"); err == nil {
 		t.Fatal("unknown table must fail")
 	}
-	if _, err := b.resolve("", "zz"); err == nil {
+	if _, err := b.Ordinal("", "zz"); err == nil {
 		t.Fatal("unknown column must fail")
 	}
 }
@@ -298,7 +298,7 @@ func TestExpandStarsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := expandStars(s.Items, b); err == nil {
+	if _, err := b.Expand(s.Items); err == nil {
 		t.Fatal("y.* with no table y must fail")
 	}
 }

@@ -26,7 +26,10 @@ func PrepareTableNLQ(t *storage.Table, cols []int, mt core.MatrixType, workers i
 		}
 		args[i] = &sqlparser.ColumnRef{Name: schema.Columns[c].Name}
 	}
-	b := &binding{tables: []boundTable{{ref: sqlparser.TableRef{Name: t.Name()}, table: t}}}
+	b := &binding{}
+	if err := b.add(t.Name(), t); err != nil {
+		return nil, err
+	}
 	p := &PreparedSelect{
 		env:  &Env{Workers: workers, Columnar: columnar},
 		b:    b,

@@ -93,22 +93,15 @@ func PrepareSelect(sel *sqlparser.Select, env *Env) (*PreparedSelect, error) {
 	if len(sel.OrderBy) > 0 {
 		items = p.planOrder(sel)
 	}
-	if len(sel.From) == 0 {
-		if len(sel.GroupBy) > 0 || sel.Where != nil {
-			return nil, fmt.Errorf("exec: WHERE/GROUP BY require a FROM clause")
-		}
-		for _, item := range items {
-			if item.Star {
-				return nil, fmt.Errorf("exec: * requires a FROM clause")
-			}
-		}
-	} else {
+	// sema has refused what a FROM-less select may not have (WHERE,
+	// GROUP BY, stars) and HAVING without aggregation.
+	if len(sel.From) > 0 {
 		b, err := bindFrom(sel.From, env.Catalog)
 		if err != nil {
 			return nil, err
 		}
-		if items, err = expandStars(items, b); err != nil {
-			return nil, err
+		if items, err = b.Expand(items); err != nil {
+			return nil, fmt.Errorf("exec: %w", err)
 		}
 		p.b, p.tail = b, planTail(b, sel.Where)
 	}
@@ -118,9 +111,6 @@ func PrepareSelect(sel *sqlparser.Select, env *Env) (*PreparedSelect, error) {
 	for i, item := range items {
 		p.exprs = append(p.exprs, item.Expr)
 		cols[i] = sqltypes.Column{Name: sqlparser.OutputName(item, i), Type: sqltypes.TypeDouble}
-	}
-	if sel.Having != nil && !isAgg {
-		return nil, fmt.Errorf("exec: HAVING requires GROUP BY or aggregates")
 	}
 	p.schema = &sqltypes.Schema{Columns: cols}
 	switch {
@@ -136,8 +126,8 @@ func PrepareSelect(sel *sqlparser.Select, env *Env) (*PreparedSelect, error) {
 		// A bare column keeps its declared type; computed items are DOUBLE.
 		for i, e := range p.exprs {
 			if cr, ok := e.(*sqlparser.ColumnRef); ok {
-				if idx, err := p.b.resolve(cr.Table, cr.Name); err == nil {
-					cols[i].Type = flatColumnType(p.b, idx)
+				if c, err := p.b.Resolve(cr.Table, cr.Name); err == nil {
+					cols[i].Type, _ = p.b.Type(c)
 				}
 			}
 		}
@@ -183,7 +173,7 @@ func (p *PreparedSelect) planSources() {
 // reads reports whether the statement scans t, as its driving table or
 // in its join tail.
 func (p *PreparedSelect) reads(t *storage.Table) bool {
-	return p.b != nil && slices.ContainsFunc(p.b.tables, func(bt boundTable) bool { return bt.table == t })
+	return p.b != nil && slices.Contains(p.b.tables, t)
 }
 
 // planOrder returns sel's items with every ORDER BY key that cannot be
@@ -355,7 +345,7 @@ func (p *PreparedSelect) scan(ctx context.Context, args []sqltypes.Value, filter
 	if err != nil {
 		return nil, err
 	}
-	first := p.b.tables[0].table
+	first := p.b.tables[0]
 	var groups []map[string]*groupState
 	if p.agg != nil {
 		st.hasMerge = true
@@ -433,19 +423,19 @@ type selectWorker struct {
 func (p *PreparedSelect) newWorker() (*selectWorker, error) {
 	w := &selectWorker{ps: p, scope: expr.Scope{Funcs: p.env.Funcs}}
 	if len(p.b.tables) > 1 {
-		w.scope.TailAt = p.b.tables[1].offset
+		w.scope.TailAt = p.b.Entries[1].Offset
 	}
 	var err error
 	if p.tail.residual != nil {
-		if w.where, err = w.scope.Compile(p.tail.residual, p.b.resolve); err != nil {
+		if w.where, err = w.scope.Compile(p.tail.residual, p.b.Ordinal); err != nil {
 			return nil, err
 		}
 	}
 	if p.agg != nil {
-		w.agg, err = p.agg.newWorker(&w.scope, p.b.resolve)
+		w.agg, err = p.agg.newWorker(&w.scope, p.b.Ordinal)
 		return w, err
 	}
-	if w.items, err = compileAll(p.exprs, p.b.resolve, &w.scope); err != nil {
+	if w.items, err = compileAll(p.exprs, p.b.Ordinal, &w.scope); err != nil {
 		return nil, err
 	}
 	k := len(w.items)

@@ -133,10 +133,9 @@ func (tp *tailPlan) compileFilters(b *binding, sc *expr.Scope) ([][]expr.Evaluat
 func (tp *tailPlan) scan(ctx context.Context, b *binding, filters [][]expr.Evaluator) ([]sqltypes.Row, error) {
 	tail := []sqltypes.Row{{}}
 	for ti := 1; ti < len(b.tables); ti++ {
-		bt := b.tables[ti]
 		var trows []sqltypes.Row
 		fs := filters[ti]
-		err := bt.table.ScanContext(ctx, func(r sqltypes.Row) error {
+		err := b.tables[ti].ScanContext(ctx, func(r sqltypes.Row) error {
 			for _, f := range fs {
 				keep, err := f.Eval(r)
 				if err != nil {
@@ -180,47 +179,31 @@ func splitConjuncts(e sqlparser.Expr) []sqlparser.Expr {
 	return []sqlparser.Expr{e}
 }
 
-// refsOnlyTable reports whether every column reference in e resolves
-// into FROM entry ti (and there is at least one reference — constant
+// refsOnlyTable reports whether every column reference in e binds to
+// FROM entry ti (and there is at least one reference — constant
 // predicates stay in the residual).
 func refsOnlyTable(e sqlparser.Expr, b *binding, ti int) bool {
-	bt := b.tables[ti]
-	lo, hi := bt.offset, bt.offset+bt.table.Schema().Len()
 	any, all := false, true
 	sqlparser.WalkColumns(e, func(cr *sqlparser.ColumnRef) {
 		any = true
-		idx, err := b.resolve(cr.Table, cr.Name)
-		if err != nil || idx < lo || idx >= hi {
-			all = false
-		}
+		c, err := b.Resolve(cr.Table, cr.Name)
+		all = all && err == nil && c.Entry == ti
 	})
 	return any && all
 }
 
 // tableResolver resolves columns relative to one FROM entry's own rows.
 func tableResolver(b *binding, ti int) expr.Resolver {
-	bt := b.tables[ti]
-	lo, hi := bt.offset, bt.offset+bt.table.Schema().Len()
 	return func(table, column string) (int, error) {
-		idx, err := b.resolve(table, column)
+		c, err := b.Resolve(table, column)
 		if err != nil {
 			return 0, err
 		}
-		if idx < lo || idx >= hi {
+		if c.Entry != ti {
 			return 0, fmt.Errorf("exec: internal: column %s.%s escapes pushed-down table", table, column)
 		}
-		return idx - lo, nil
+		return c.Index, nil
 	}
-}
-
-func flatColumnType(b *binding, idx int) sqltypes.Type {
-	for _, bt := range b.tables {
-		n := bt.table.Schema().Len()
-		if idx >= bt.offset && idx < bt.offset+n {
-			return bt.table.Schema().Columns[idx-bt.offset].Type
-		}
-	}
-	return sqltypes.TypeDouble
 }
 
 // sortRows applies ORDER BY over the materialized output. Keys may be

@@ -3,6 +3,7 @@ package sema
 import (
 	"strings"
 
+	"repro/internal/engine/bind"
 	"repro/internal/engine/sqlparser"
 	"repro/internal/engine/sqltypes"
 )
@@ -29,12 +30,13 @@ func numericParam(t sqltypes.Type) bool {
 }
 
 // infer type-checks an expression against a scope and returns its
-// inferred type, appending diagnostics for name/type/arity errors. It
+// inferred type, appending diagnostics for name/type/arity errors. A
+// nil scope allows no columns (FROM-less SELECTs, INSERT VALUES). It
 // deliberately matches the executor's runtime semantics: comparisons,
 // logic, IS NULL, BETWEEN and IN accept any operands (the engine's
 // Compare and three-valued Bool are total); arithmetic and numeric
 // function parameters reject provable VARCHAR operands.
-func (c *checker) infer(e sqlparser.Expr, sc *scope) typ {
+func (c *checker) infer(e sqlparser.Expr, sc *bind.Scope) typ {
 	switch e := e.(type) {
 	case nil:
 		return anyType
@@ -50,7 +52,19 @@ func (c *checker) infer(e sqlparser.Expr, sc *scope) typ {
 	case *sqlparser.BoolLit:
 		return known(sqltypes.TypeBool)
 	case *sqlparser.ColumnRef:
-		return c.resolveColumn(sc, e)
+		if sc == nil || len(sc.Entries) == 0 {
+			c.errf(e.At, "column %s is not allowed here", e)
+			return anyType
+		}
+		col, err := sc.Resolve(e.Table, e.Name)
+		if err != nil {
+			c.errf(e.At, "%s", err)
+			return anyType
+		}
+		if t, ok := sc.Type(col); ok {
+			return known(t)
+		}
+		return anyType
 	case *sqlparser.ParamRef:
 		// A `?` placeholder types as unknown; the bound value is only
 		// known at EXECUTE time, and the engine's operators are total
@@ -151,7 +165,7 @@ func (c *checker) infer(e sqlparser.Expr, sc *scope) typ {
 // aggregate registry's own CheckArgs (the UDF's arity contract),
 // scalars through the scalar registry's arity bounds plus any declared
 // parameter/return types.
-func (c *checker) inferCall(e *sqlparser.FuncCall, sc *scope) typ {
+func (c *checker) inferCall(e *sqlparser.FuncCall, sc *bind.Scope) typ {
 	name := strings.ToLower(e.Name)
 	if c.isAggregate(name) {
 		return c.inferAggregateCall(e, name, sc)
@@ -205,7 +219,7 @@ func (c *checker) inferCall(e *sqlparser.FuncCall, sc *scope) typ {
 	return anyType
 }
 
-func (c *checker) inferAggregateCall(e *sqlparser.FuncCall, name string, sc *scope) typ {
+func (c *checker) inferAggregateCall(e *sqlparser.FuncCall, name string, sc *bind.Scope) typ {
 	nargs := len(e.Args)
 	if e.Star {
 		nargs = 0

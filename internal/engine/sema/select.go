@@ -3,98 +3,30 @@ package sema
 import (
 	"strings"
 
+	"repro/internal/engine/bind"
 	"repro/internal/engine/expr"
 	"repro/internal/engine/sqlparser"
 	"repro/internal/engine/sqltypes"
 )
 
-// scopeEntry is one FROM table visible to column references. A nil
-// schema marks a table that failed to resolve: its columns accept any
-// name with unknown type, so one bad table name doesn't cascade into a
-// diagnostic per column reference.
-type scopeEntry struct {
-	name   string // the addressable name (alias, or table name)
-	schema *sqltypes.Schema
-}
-
-// scope is the set of tables a query's column references resolve
-// against, mirroring the executor's binding of cross-joined FROM
-// entries. A nil *scope means no columns are allowed (FROM-less
-// SELECTs, INSERT VALUES expressions).
-type scope struct {
-	entries []scopeEntry
-}
-
-func (c *checker) buildScope(from []sqlparser.TableRef) *scope {
-	sc := &scope{}
-	seen := make(map[string]bool, len(from))
+// scope builds the bind.Scope of a FROM clause from catalog schemas. A
+// table the catalog lacks is reported and stays in scope unresolved,
+// accepting any column (see bind.Entry).
+func (c *checker) scope(from []sqlparser.TableRef) *bind.Scope {
+	sc := &bind.Scope{}
 	for _, ref := range from {
-		name := ref.RefName()
-		key := strings.ToLower(name)
-		if seen[key] {
-			c.errf(ref.At, "duplicate table name %q in FROM; use aliases", name)
-			continue
-		}
-		seen[key] = true
-		entry := scopeEntry{name: name}
+		var schema *sqltypes.Schema
+		var lookup error
 		if c.env.Catalog != nil {
-			schema, err := c.env.Catalog.TableSchema(ref.Name)
-			if err != nil {
-				c.errf(ref.At, "unknown table %q", ref.Name)
-			} else {
-				entry.schema = schema
-			}
+			schema, lookup = c.env.Catalog.TableSchema(ref.Name)
 		}
-		sc.entries = append(sc.entries, entry)
+		if err := sc.Add(ref.RefName(), schema); err != nil {
+			c.errf(ref.At, "%s", err)
+		} else if lookup != nil {
+			c.errf(ref.At, "unknown table %q", ref.Name)
+		}
 	}
 	return sc
-}
-
-// resolveColumn mirrors the executor's binding.resolve: qualified
-// references name a FROM entry; unqualified references must be
-// unambiguous across all entries.
-func (c *checker) resolveColumn(sc *scope, cr *sqlparser.ColumnRef) typ {
-	if sc == nil || len(sc.entries) == 0 {
-		c.errf(cr.At, "column %s is not allowed here", cr)
-		return anyType
-	}
-	if cr.Table != "" {
-		for _, e := range sc.entries {
-			if !strings.EqualFold(e.name, cr.Table) {
-				continue
-			}
-			if e.schema == nil {
-				return anyType // table itself already diagnosed
-			}
-			if i := e.schema.Index(cr.Name); i >= 0 {
-				return known(e.schema.Columns[i].Type)
-			}
-			c.errf(cr.At, "table %q has no column %q", cr.Table, cr.Name)
-			return anyType
-		}
-		c.errf(cr.At, "unknown table %q", cr.Table)
-		return anyType
-	}
-	found, matches := anyType, 0
-	for _, e := range sc.entries {
-		if e.schema == nil {
-			return anyType // unresolved table could supply any column
-		}
-		if i := e.schema.Index(cr.Name); i >= 0 {
-			matches++
-			found = known(e.schema.Columns[i].Type)
-		}
-	}
-	switch matches {
-	case 0:
-		c.errf(cr.At, "unknown column %q", cr.Name)
-		return anyType
-	case 1:
-		return found
-	default:
-		c.errf(cr.At, "ambiguous column %q", cr.Name)
-		return anyType
-	}
 }
 
 func (c *checker) checkSelect(sel *sqlparser.Select) {
@@ -102,7 +34,7 @@ func (c *checker) checkSelect(sel *sqlparser.Select) {
 		c.checkConstSelect(sel)
 		return
 	}
-	sc := c.buildScope(sel.From)
+	sc := c.scope(sel.From)
 
 	isAgg := expr.IsAggregateQuery(sel, c.aggNames)
 	outNames, hasStar := sqlparser.OutputNames(sel)
@@ -134,7 +66,9 @@ func (c *checker) checkSelect(sel *sqlparser.Select) {
 	} else {
 		for _, item := range sel.Items {
 			if item.Star {
-				c.checkStar(item, sc)
+				if _, err := sc.Star(item.StarTable); err != nil {
+					c.errf(item.At, "%s", err)
+				}
 				continue
 			}
 			c.infer(item.Expr, sc)
@@ -172,18 +106,6 @@ func starText(item sqlparser.SelectItem) string {
 		return item.StarTable + ".*"
 	}
 	return "*"
-}
-
-func (c *checker) checkStar(item sqlparser.SelectItem, sc *scope) {
-	if item.StarTable == "" {
-		return
-	}
-	for _, e := range sc.entries {
-		if strings.EqualFold(e.name, item.StarTable) {
-			return
-		}
-	}
-	c.errf(item.At, "%s.* does not match any table in FROM", item.StarTable)
 }
 
 // checkAggPlacement enforces the aggregate-query placement rules the
@@ -226,7 +148,7 @@ func (c *checker) noNestedAggregates(arg sqlparser.Expr) {
 // integer ordinals or resolve entirely against output names are sorted
 // on the output; anything else is computed as a hidden select item and
 // must therefore satisfy the same rules as a select item.
-func (c *checker) checkOrderBy(sel *sqlparser.Select, sc *scope, isAgg bool, groupKeys map[string]bool, outNames map[string]bool, hasStar bool) {
+func (c *checker) checkOrderBy(sel *sqlparser.Select, sc *bind.Scope, isAgg bool, groupKeys map[string]bool, outNames map[string]bool, hasStar bool) {
 	if len(sel.OrderBy) == 0 {
 		return
 	}

@@ -86,10 +86,15 @@ func (l ErrorList) Error() string {
 // generated query doesn't produce thousands of lines.
 const maxDiagnostics = 25
 
-// CheckStatement semantically checks any parsed statement. DDL that the
-// catalog validates on execution (CREATE/DROP VIEW, DROP TABLE) passes
-// through; CREATE VIEW bodies are checked when the view is used, after
-// expansion, so views may reference UDFs registered later.
+// CheckStatement semantically checks any parsed statement. Column
+// references bind by bind.Scope's rules, over the schemas Catalog gives
+// the FROM entries. The db layer checks a statement that names a view
+// twice: as written, against a catalog in which the view is a table
+// whose columns are its outputs, so its names bind and fail as over base
+// tables; and, by the executor, once expanded, when every view body's
+// references are bound in the body's own FROM. DDL that the catalog
+// validates on execution (CREATE/DROP VIEW, DROP TABLE) passes through,
+// so views may reference UDFs registered later.
 func CheckStatement(stmt sqlparser.Statement, env *Env) error {
 	c := newChecker(env)
 	switch st := stmt.(type) {
