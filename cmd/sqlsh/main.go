@@ -10,9 +10,9 @@
 // Without -connect the shell embeds the engine; with it, statements go
 // over the wire protocol to a running twmd, through the pooled client
 // (the session shows up in the server's sys.sessions, and a SELECT
-// text repeated enough times is transparently switched onto the
-// PREPARE/EXECUTE wire path — sys.prepared shows the server-side
-// handles and plan-cache entries).
+// text is planned once by the server's plan cache and served from it
+// on every repeat, from any session — sys.prepared lists the cached
+// plans).
 //
 // Statements end with ';'. Shell commands: \d lists tables, \d NAME
 // shows a schema, \stats toggles per-query execution statistics
@@ -302,8 +302,7 @@ func runScript(eng engine, r io.Reader, out io.Writer) error {
 
 func runStatement(eng engine, sql string, out io.Writer) error {
 	// Strip the shell's statement terminator: the client pool only
-	// treats terminator-free single SELECTs as retry- and
-	// auto-prepare-eligible.
+	// treats terminator-free single SELECTs as retry-eligible.
 	sql = strings.TrimSuffix(strings.TrimSpace(sql), ";")
 	if rest, ok := stripExplainAnalyze(sql); ok {
 		return runExplainAnalyze(eng, rest, out)

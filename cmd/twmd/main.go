@@ -192,35 +192,7 @@ func run(cfg twmdConfig) error {
 		slog.Info("debug endpoint up", slog.String("addr", dbg.Addr))
 	}
 
-	srv := server.New(d.Engine(), server.Config{
-		Addr:          cfg.addr,
-		MaxStatements: cfg.maxStatements,
-		MaxWaiting:    cfg.maxWaiting,
-		IdleTimeout:   cfg.idleTimeout,
-		BatchRows:     cfg.batchRows,
-	})
-	if err := srv.Start(); err != nil {
-		return err
-	}
-	slog.Info("serving wire protocol",
-		slog.String("addr", srv.Addr()),
-		slog.String("server_version", server.Version))
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	<-ctx.Done()
-	stop() // a second signal kills immediately
-
-	slog.Info("signal received, draining sessions")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		slog.Warn("drain incomplete", slog.String("error", err.Error()))
-	}
-	fmt.Fprintln(os.Stderr, "twmd: final metrics:")
-	obs.Default.WritePrometheus(os.Stderr)
-	slog.Info("bye")
-	return nil
+	return serve(cfg, d.Engine())
 }
 
 // runCoordinator serves the wire protocol with the cluster
@@ -264,7 +236,13 @@ func runCoordinator(cfg twmdConfig) error {
 		slog.Info("debug endpoint up", slog.String("addr", dbg.Addr))
 	}
 
-	srv := server.New(coord, server.Config{
+	return serve(cfg, coord)
+}
+
+// serve fronts eng with the wire server until SIGINT/SIGTERM, then
+// drains the sessions, flushes the final metrics and says goodbye.
+func serve(cfg twmdConfig, eng server.Engine) error {
+	srv := server.New(eng, server.Config{
 		Addr:          cfg.addr,
 		MaxStatements: cfg.maxStatements,
 		MaxWaiting:    cfg.maxWaiting,
@@ -277,12 +255,12 @@ func runCoordinator(cfg twmdConfig) error {
 	slog.Info("serving wire protocol",
 		slog.String("addr", srv.Addr()),
 		slog.String("server_version", server.Version),
-		slog.Bool("coordinator", true))
+		slog.Bool("coordinator", cfg.coordinator))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	<-ctx.Done()
-	stop()
+	stop() // a second signal kills immediately
 
 	slog.Info("signal received, draining sessions")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)

@@ -46,6 +46,7 @@ import (
 	"repro/internal/engine/db"
 	"repro/internal/engine/exec"
 	"repro/internal/engine/sqlparser"
+	"repro/internal/engine/sqltypes"
 	"repro/internal/engine/trace"
 	"repro/internal/server/wire"
 	"repro/pkg/client"
@@ -165,14 +166,6 @@ func (c *Coordinator) RegisterSysTable(name string, fn db.SysTableFunc) error {
 // propagate the statement's trace context in the wire header).
 func (c *Coordinator) Traces() *trace.Store { return c.local.Traces() }
 
-// PrepareContext declines: the coordinator re-plans every statement
-// because shard health and the push-down shape can change between
-// executions. The typed error makes pooled clients fall back to plain
-// queries transparently.
-func (c *Coordinator) PrepareContext(ctx context.Context, sql string) (*db.Prepared, error) {
-	return nil, &wire.Error{Code: wire.CodeInternal, Message: "cluster: coordinator does not support PREPARE; run the statement directly"}
-}
-
 // ExecScriptContext runs a semicolon-separated script statement by
 // statement, returning the last result.
 func (c *Coordinator) ExecScriptContext(ctx context.Context, sql string) (*exec.Result, error) {
@@ -193,8 +186,14 @@ func (c *Coordinator) ExecScriptContext(ctx context.Context, sql string) (*exec.
 // dispatch. The coordinator merges whole partials rather than streaming
 // rows, so sink goes unused and the rows come back in the Result —
 // result sets crossing the coordinator are small by design (aggregates
-// and scored rows, never base-table scans).
-func (c *Coordinator) QueryContext(ctx context.Context, sql string, _ exec.RowSink) (*exec.Result, error) {
+// and scored rows, never base-table scans). It re-plans every statement,
+// because shard health and the push-down shape can change between
+// executions, and refuses `?` arguments with a typed error: send the
+// values in the statement text.
+func (c *Coordinator) QueryContext(ctx context.Context, sql string, _ exec.RowSink, args ...sqltypes.Value) (*exec.Result, error) {
+	if len(args) > 0 {
+		return nil, &wire.Error{Code: wire.CodeInternal, Message: "cluster: coordinator does not bind ? arguments; run the statement with its values in the text"}
+	}
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, err

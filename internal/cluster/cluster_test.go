@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine/db"
 	"repro/internal/engine/exec"
+	"repro/internal/engine/sqltypes"
 	"repro/internal/server"
 	"repro/internal/server/wire"
 	"repro/pkg/client"
@@ -315,8 +316,8 @@ func requireClose(t *testing.T, what string, got, want []float64, tol float64) {
 
 // TestCoordinatorOverTheWire serves the coordinator itself through the
 // wire protocol and drives it with a pooled client: DDL, loads,
-// push-down builds, the Summary frame, and the auto-prepare decline
-// fallback all cross the network twice (client → coordinator → shards).
+// push-down builds, the Summary frame, and the refusal of `?` arguments
+// all cross the network twice (client → coordinator → shards).
 func TestCoordinatorOverTheWire(t *testing.T) {
 	tc := newTestCluster(t, 2, 8)
 	loadIntTable(t, tc, "z", 40)
@@ -326,15 +327,14 @@ func TestCoordinatorOverTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	pool, err := client.Open(client.Config{Addr: srv.Addr(), User: "e2e", PoolSize: 2, AutoPrepareAfter: 1})
+	pool, err := client.Open(client.Config{Addr: srv.Addr(), User: "e2e", PoolSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { pool.Close() })
 
 	ctx := context.Background()
-	// Repeats cross the auto-prepare threshold; the coordinator
-	// declines PREPARE and the pool must fall back transparently.
+	// Repeated text is re-planned by the coordinator every time.
 	for i := 0; i < 4; i++ {
 		rows, err := pool.Query(ctx, "SELECT count(*), sum(a) FROM z")
 		if err != nil {
@@ -343,6 +343,13 @@ func TestCoordinatorOverTheWire(t *testing.T) {
 		if got := rows.Rows[0][0].String(); got != "40" {
 			t.Fatalf("query %d: count = %s, want 40", i, got)
 		}
+	}
+
+	// A statement with `?` arguments gets the coordinator's typed refusal
+	// over the wire, and the pool stays usable.
+	var we *wire.Error
+	if _, err := pool.Prepare("SELECT count(*) FROM z WHERE a > ?").Query(ctx, sqltypes.NewBigInt(3)); !errors.As(err, &we) {
+		t.Fatalf("Stmt.Query through the coordinator: %v, want a typed error", err)
 	}
 
 	// The protocol-3 Summary frame against the coordinator merges
@@ -444,7 +451,8 @@ func TestCoordinatorRejectsViewsAndSysWrites(t *testing.T) {
 	if _, err := tc.coord.ExecScriptContext(ctx, "INSERT INTO sys.shards VALUES (1)"); err == nil {
 		t.Fatal("INSERT into sys.* accepted")
 	}
-	if _, err := tc.coord.PrepareContext(ctx, "SELECT 1"); err == nil {
-		t.Fatal("PREPARE accepted in coordinator mode")
+	var we *wire.Error
+	if _, err := tc.coord.QueryContext(ctx, "SELECT ?", nil, sqltypes.NewBigInt(1)); !errors.As(err, &we) {
+		t.Fatalf("statement with ? arguments in coordinator mode: %v, want a typed error", err)
 	}
 }

@@ -251,8 +251,11 @@ func mergeAggRows(plan *pushPlan, partials []*client.Rows) (*exec.Result, error)
 		if first == nil {
 			first = p
 		}
-		if len(p.Rows) != 1 || len(p.Rows[0]) != plan.nPushed {
-			return nil, fmt.Errorf("cluster: shard partial shape %dx%d, want 1x%d", len(p.Rows), len(p.Rows[0]), plan.nPushed)
+		if len(p.Rows) != 1 {
+			return nil, fmt.Errorf("cluster: shard partial has %d rows, want 1", len(p.Rows))
+		}
+		if len(p.Rows[0]) != plan.nPushed {
+			return nil, fmt.Errorf("cluster: shard partial has %d values, want %d", len(p.Rows[0]), plan.nPushed)
 		}
 		shardRows = append(shardRows, p.Rows[0])
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/engine/sqltypes"
+	"repro/pkg/client"
 )
 
 // TestScatterStatementText pins, byte for byte, the INSERT text a shard
@@ -131,4 +132,23 @@ func TestScatterStatementText(t *testing.T) {
 		})
 	}
 	requireTexts("batch split", mark, wantBig)
+}
+
+// TestMergeAggRowsRejectsMalformedPartials: a shard partial that is not
+// exactly one row of the pushed width is an error, never a panic — a
+// zero-row partial used to index its missing first row while formatting
+// the message, which killed the coordinator process.
+func TestMergeAggRowsRejectsMalformedPartials(t *testing.T) {
+	plan := &pushPlan{items: []pushItem{{}}, nPushed: 1}
+	one := sqltypes.Row{sqltypes.NewBigInt(1)}
+	for name, rows := range map[string][]sqltypes.Row{
+		"zero rows": nil,
+		"two rows":  {one, one},
+		"too wide":  {{sqltypes.NewBigInt(1), sqltypes.NewBigInt(2)}},
+	} {
+		partials := []*client.Rows{{Rows: []sqltypes.Row{one}}, {Rows: rows}}
+		if res, err := mergeAggRows(plan, partials); err == nil {
+			t.Errorf("%s: merged %v, want an error", name, res.Rows)
+		}
+	}
 }

@@ -78,9 +78,9 @@ type DB struct {
 	// can never execute against a schema it was not planned for.
 	epoch atomic.Int64
 
-	// plans is the LRU plan cache unprepared SELECT traffic reads
-	// through; preps tracks every live prepared statement (explicit or
-	// cache-owned) for the sys.prepared virtual table.
+	// plans is the LRU plan cache SELECT text reads through; preps
+	// tracks every live prepared statement (explicit or cache-owned) for
+	// the sys.prepared virtual table.
 	plans  *planCache
 	prepMu sync.Mutex
 	prepID int64
@@ -267,16 +267,18 @@ func (d *DB) ExecContext(ctx context.Context, sql string) (*exec.Result, error) 
 }
 
 // QueryContext is the one dispatch for statement text, behind Exec,
-// QueryStream and the network server alike. A SELECT's rows go to sink
-// when one is given (the Result then carries schema and stats only) and
-// into the Result otherwise; statements that produce no rows ignore
-// the sink. SELECT text reads through the LRU plan cache: a hit skips
-// parse, sema, view expansion and compilation entirely. A miss — or a
-// hit that lost a race with DDL between lookup and execute — is parsed
-// and planned by runSelect; every other statement kind goes to run.
-func (d *DB) QueryContext(ctx context.Context, sql string, sink exec.RowSink) (*exec.Result, error) {
+// QueryStream and the network server alike; args bind the statement's
+// `?` slots in order. A SELECT's rows go to sink when one is given (the
+// Result then carries schema and stats only) and into the Result
+// otherwise; statements that produce no rows ignore the sink. SELECT
+// text reads through the LRU plan cache: a hit skips parse, sema, view
+// expansion and compilation entirely and binds args to the cached plan.
+// A miss — or a hit that lost a race with DDL between lookup and
+// execute — is parsed and planned by runSelect; every other statement
+// kind has args bound into its text and goes to run.
+func (d *DB) QueryContext(ctx context.Context, sql string, sink exec.RowSink, args ...sqltypes.Value) (*exec.Result, error) {
 	if p := d.plans.lookup(sql, d.epoch.Load()); p != nil {
-		res, err := p.QueryContext(ctx, sink)
+		res, err := p.QueryContext(ctx, sink, args...)
 		if !errors.Is(err, ErrPlanStale) {
 			return res, err
 		}
@@ -286,20 +288,25 @@ func (d *DB) QueryContext(ctx context.Context, sql string, sink exec.RowSink) (*
 		return nil, err
 	}
 	if sel, ok := stmt.(*sqlparser.Select); ok {
-		return d.runSelect(ctx, sql, sel, sink, true)
+		return d.runSelect(ctx, sql, sel, sink, true, args)
+	}
+	if len(args) > 0 {
+		if stmt, err = bindArgs(stmt, sqlparser.CountParams(stmt), args); err != nil {
+			return d.finish(ctx, sql, time.Now(), nil, err)
+		}
 	}
 	return d.run(ctx, sql, stmt)
 }
 
-// runSelect plans sel, executes it once and records it in the query
-// ring: the path of every SELECT no existing plan serves. A statement
-// that arrived as parameter-free text over user tables leaves its plan
-// in the cache for the next sighting; sys.* reads, parameterized text
-// and pre-parsed statements (Run, ExecScript) are planned, run and
-// dropped. The plan runs without a staleness check — it was bound to
-// the catalog a moment ago, which is all an unprepared statement ever
-// promised.
-func (d *DB) runSelect(ctx context.Context, sql string, sel *sqlparser.Select, sink exec.RowSink, text bool) (*exec.Result, error) {
+// runSelect plans sel, executes it once with args and records it in the
+// query ring: the path of every SELECT no existing plan serves. A
+// statement that arrived as text over user tables leaves its plan in
+// the cache for the next sighting, whatever its `?` slots will be bound
+// to; sys.* reads and pre-parsed statements (Run, ExecScript) are
+// planned, run and dropped. The plan runs without a staleness check —
+// it was bound to the catalog a moment ago, which is all an unprepared
+// statement ever promised.
+func (d *DB) runSelect(ctx context.Context, sql string, sel *sqlparser.Select, sink exec.RowSink, text bool, args []sqltypes.Value) (*exec.Result, error) {
 	start := time.Now()
 	epoch := d.epoch.Load()
 	ps, sysRef, err := d.planSelect(sel)
@@ -307,11 +314,11 @@ func (d *DB) runSelect(ctx context.Context, sql string, sel *sqlparser.Select, s
 		return d.finish(ctx, sql, start, nil, err)
 	}
 	var p *Prepared
-	if text && sysRef == "" && ps.NumParams() == 0 {
-		p = d.register(&Prepared{sql: sql, epoch: epoch, sel: ps, cached: true})
+	if text && sysRef == "" {
+		p = d.register(&Prepared{sql: sql, epoch: epoch, sel: ps, numParams: ps.NumParams(), cached: true})
 		d.plans.add(p)
 	}
-	res, err := executeSelect(ctx, ps, nil, sink)
+	res, err := executeSelect(ctx, ps, args, sink)
 	if err == nil && p != nil {
 		p.execs.Add(1)
 	}
@@ -414,7 +421,7 @@ func (d *DB) RunContext(ctx context.Context, stmt sqlparser.Statement) (*exec.Re
 // ring.
 func (d *DB) run(ctx context.Context, sql string, stmt sqlparser.Statement) (*exec.Result, error) {
 	if sel, ok := stmt.(*sqlparser.Select); ok {
-		return d.runSelect(ctx, sql, sel, nil, false)
+		return d.runSelect(ctx, sql, sel, nil, false, nil)
 	}
 	start := time.Now()
 	res, err := d.runContext(ctx, stmt)

@@ -24,8 +24,8 @@ import (
 // continue.
 var ErrPlanStale = errors.New("db: prepared plan is stale (catalog changed since PREPARE)")
 
-// defaultPlanCacheSize bounds the LRU plan cache unprepared SELECT
-// traffic reads through.
+// defaultPlanCacheSize bounds the LRU plan cache SELECT text reads
+// through.
 const defaultPlanCacheSize = 256
 
 // Prepared is a statement planned once for repeated execution: parsed,
@@ -196,14 +196,20 @@ func (p *Prepared) QueryContext(ctx context.Context, sink exec.RowSink, args ...
 }
 
 func (p *Prepared) executeInsert(ctx context.Context, args []sqltypes.Value) (*exec.Result, error) {
-	if len(args) != p.numParams {
-		return nil, fmt.Errorf("db: prepared statement expects %d parameter(s), got %d", p.numParams, len(args))
-	}
-	bound, err := exec.BindStatementArgs(p.ins, args)
+	bound, err := bindArgs(p.ins, p.numParams, args)
 	if err != nil {
 		return nil, err
 	}
 	return exec.Insert(ctx, bound.(*sqlparser.Insert), p.db.env())
+}
+
+// bindArgs binds args to the numParams `?` slots of a statement that is
+// not a SELECT, refusing a count that does not match them.
+func bindArgs(stmt sqlparser.Statement, numParams int, args []sqltypes.Value) (sqlparser.Statement, error) {
+	if len(args) != numParams {
+		return nil, fmt.Errorf("db: statement has %d parameter(s), got %d argument(s)", numParams, len(args))
+	}
+	return exec.BindStatementArgs(stmt, args)
 }
 
 // Close releases the plan and removes it from sys.prepared. Closing

@@ -14,8 +14,8 @@ import (
 // cost rivals the scan itself. Three clients issue the same workload:
 // ad-hoc (every request is unique SQL text, planned from scratch),
 // plan-cache (identical text each time; the server's LRU plan cache
-// serves the plan), and prepared (PREPARE once, EXECUTE with a bound
-// `?` parameter per request).
+// serves the plan), and prepared (one parameterized text, its `?` bound
+// per request; the same plan cache serves it).
 func runPreparedQPS(cfg Config) ([]*Table, error) {
 	// d=32 matches the paper's widest scoring models and makes the
 	// per-statement planning cost (parse, sema, compile of a 33-arg UDF
@@ -42,9 +42,7 @@ func runPreparedQPS(cfg Config) ([]*Table, error) {
 				return err
 			}
 			defer srv.Close()
-			// Auto-prepare is disabled so the ad-hoc and plan-cache arms really
-			// go through MsgQuery; the prepared arm uses the explicit Stmt API.
-			pool, err := client.Open(client.Config{Addr: srv.Addr(), User: "harness", PoolSize: 2, AutoPrepareAfter: -1})
+			pool, err := client.Open(client.Config{Addr: srv.Addr(), User: "harness", PoolSize: 2})
 			if err != nil {
 				return err
 			}
@@ -57,7 +55,7 @@ func runPreparedQPS(cfg Config) ([]*Table, error) {
 			for _, request := range []func(r int) error{
 				func(r int) error {
 					// The trailing comment makes every request's text unique, so
-					// neither the plan cache nor a prepared handle can help.
+					// the plan cache cannot help.
 					_, err := pool.Query(cfg.ctx(), fmt.Sprintf("%s WHERE X.i = %d /* adhoc %d */", base, r%n, r))
 					return err
 				},

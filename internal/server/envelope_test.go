@@ -17,8 +17,8 @@ import (
 )
 
 // faultEngine is a real engine whose failures the envelope test picks:
-// fail is what the scalar UDF fail1 (Query, Exec, ExecPrepared) and
-// SummaryNLQ return while it is non-nil.
+// fail is what the scalar UDF fail1 (Query, Exec) and SummaryNLQ
+// return while it is non-nil.
 type faultEngine struct {
 	*db.DB
 	fail atomic.Pointer[error]
@@ -112,7 +112,7 @@ func (fx *envelopeFixture) roundTrip(t *testing.T, typ byte, payload []byte) (co
 				t.Fatal(err)
 			}
 			return we.Code, reply
-		default: // Done, Prepared, SummaryResult, Pong
+		default: // Done, SummaryResult, Pong
 			return "", reply
 		}
 	}
@@ -120,8 +120,18 @@ func (fx *envelopeFixture) roundTrip(t *testing.T, typ byte, payload []byte) (co
 
 const failSQL = "SELECT fail1(v) FROM T"
 
+func statementPayload(sql string, args ...sqltypes.Value) func(*envelopeFixture) []byte {
+	return func(*envelopeFixture) []byte {
+		p, err := wire.EncodeStatement(wire.Statement{SQL: sql, Args: args})
+		if err != nil {
+			panic(err)
+		}
+		return p
+	}
+}
+
 // TestStatementEnvelope runs every request kind that executes through
-// every way the envelope can end, and requires the four kinds to be
+// every way the envelope can end, and requires the kinds to be
 // indistinguishable: the same typed code, a session that takes the next
 // frame, the in-flight gauge back at zero and exactly one latency
 // observation.
@@ -132,24 +142,9 @@ func TestStatementEnvelope(t *testing.T) {
 		payload func(fx *envelopeFixture) []byte
 		reply   []byte // frame types of a successful reply
 	}{
-		{"Query", wire.MsgQuery, func(*envelopeFixture) []byte {
-			return wire.EncodeStatement(failSQL, wire.TraceHeader{})
-		}, []byte{wire.MsgBatch, wire.MsgSchema, wire.MsgDone}},
-		{"Exec", wire.MsgExec, func(*envelopeFixture) []byte {
-			return wire.EncodeStatement("SELECT 1; "+failSQL, wire.TraceHeader{})
-		}, []byte{wire.MsgBatch, wire.MsgSchema, wire.MsgDone}},
-		{"ExecPrepared", wire.MsgExecPrepared, func(fx *envelopeFixture) []byte {
-			p, err := fx.eng.Prepare(failSQL)
-			if err != nil {
-				panic(err)
-			}
-			h, err := fx.srv.sessions.snapshot()[0].preps.put(p)
-			if err != nil {
-				panic(err)
-			}
-			b, _ := wire.EncodeExecPrepared(h, nil, wire.TraceHeader{})
-			return b
-		}, []byte{wire.MsgBatch, wire.MsgSchema, wire.MsgDone}},
+		{"Query", wire.MsgQuery, statementPayload(failSQL), []byte{wire.MsgBatch, wire.MsgSchema, wire.MsgDone}},
+		{"Exec", wire.MsgExec, statementPayload("SELECT 1; " + failSQL), []byte{wire.MsgBatch, wire.MsgSchema, wire.MsgDone}},
+		{"QueryArgs", wire.MsgQuery, statementPayload(failSQL+" WHERE v > ?", sqltypes.NewDouble(0)), []byte{wire.MsgBatch, wire.MsgSchema, wire.MsgDone}},
 		{"Summary", wire.MsgSummary, func(*envelopeFixture) []byte {
 			return wire.EncodeSummary(wire.Summary{Table: "T", Matrix: byte(core.Triangular)})
 		}, []byte{wire.MsgSummaryResult}},
@@ -239,7 +234,7 @@ func TestBytesBilledPerFrame(t *testing.T) {
 		payload []byte
 	}{
 		{"Ping", wire.MsgPing, nil}, // also carries the handshake's bytes
-		{"Prepare", wire.MsgPrepare, wire.EncodePrepare("SELECT v FROM T WHERE v > ?")},
+		{"Query", wire.MsgQuery, statementPayload("SELECT v FROM T WHERE v > ?", sqltypes.NewDouble(1.5))(fx)},
 		{"Summary", wire.MsgSummary, wire.EncodeSummary(wire.Summary{Table: "T", Matrix: byte(core.Full)})},
 	} {
 		if code, _ := fx.roundTrip(t, fr.typ, fr.payload); code != "" {

@@ -28,7 +28,7 @@ var (
 	bytesReceived = obs.Default.Counter("engine_server_bytes_received_total",
 		"Wire-protocol bytes read from clients.")
 	// StatementSeconds is the server-side latency of every request that
-	// executes (Query, Exec, ExecPrepared, Summary): admission wait +
+	// executes (Query, Exec, Summary): admission wait +
 	// execution + result transmission (the full wire round trip minus
 	// client-side network time).
 	statementSeconds = obs.Default.Histogram("engine_server_statement_seconds",

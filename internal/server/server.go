@@ -59,20 +59,18 @@ type Engine interface {
 	// RegisterSysTable installs an instance-specific sys.* virtual
 	// table (the server registers sys.sessions at Start).
 	RegisterSysTable(name string, fn db.SysTableFunc) error
-	// QueryContext runs one statement from its text. A SELECT's rows go
-	// to sink — streamed from the scan when the plan allows, replayed in
+	// QueryContext runs one statement from its text, args bound to its
+	// `?` slots; an embedded database keeps the plan in its plan cache
+	// for the next request with the same text. A SELECT's rows go to
+	// sink — streamed from the scan when the plan allows, replayed in
 	// order when ORDER BY/LIMIT had to materialize first — and the
 	// Result carries the schema, stats and affected count. An engine
 	// that materializes every result anyway (the coordinator) may leave
 	// the rows in the Result instead.
-	QueryContext(ctx context.Context, sql string, sink exec.RowSink) (*exec.Result, error)
+	QueryContext(ctx context.Context, sql string, sink exec.RowSink, args ...sqltypes.Value) (*exec.Result, error)
 	// ExecScriptContext runs a semicolon-separated script and returns
 	// the last statement's materialized result.
 	ExecScriptContext(ctx context.Context, sql string) (*exec.Result, error)
-	// PrepareContext plans one statement for repeated execution. An
-	// engine that cannot prepare (the coordinator) returns a typed
-	// *wire.Error; pooled clients fall back to plain queries.
-	PrepareContext(ctx context.Context, sql string) (*db.Prepared, error)
 	// SummaryNLQ serves the n/L/Q summary read path (cache-first) for
 	// the push-down Summary frame.
 	SummaryNLQ(ctx context.Context, table string, cols []string, mt core.MatrixType) (*core.NLQ, bool, error)
@@ -333,7 +331,6 @@ func (s *Server) handleConn(nc net.Conn) {
 		return
 	}
 	defer s.sessions.remove(sess.id)
-	defer sess.preps.closeAll()
 
 	// The session context: cancelled when the server shuts down or —
 	// via the reader goroutine — the moment the connection drops, so a
@@ -480,27 +477,18 @@ func (s *Server) dispatch(ctx context.Context, l link, sess *session, f wire.Fra
 		l.send(wire.MsgGoodbye, nil)
 		return errCloseSession
 	case wire.MsgQuery, wire.MsgExec:
-		sql, th, err := wire.DecodeStatement(f.Payload)
+		st, err := wire.DecodeStatement(f.Payload)
 		if err != nil {
 			return l.protocolError(err)
 		}
-		return s.statement(ctx, l, sess, sql, th, func(ctx context.Context, w *resultWriter) error {
-			if f.Type == wire.MsgExec {
-				return w.result(s.db.ExecScriptContext(ctx, sql))
+		return s.statement(ctx, l, sess, st.SQL, st.Trace, func(ctx context.Context, w *resultWriter) error {
+			if f.Type == wire.MsgQuery {
+				return w.result(s.db.QueryContext(ctx, st.SQL, w.sink, st.Args...))
 			}
-			return w.result(s.db.QueryContext(ctx, sql, w.sink))
-		})
-	case wire.MsgExecPrepared:
-		h, args, th, err := wire.DecodeExecPrepared(f.Payload)
-		if err != nil {
-			return l.protocolError(err)
-		}
-		p := sess.preps.get(h)
-		if p == nil {
-			return l.sendError(&wire.Error{Code: wire.CodeStalePlan, Message: fmt.Sprintf("unknown prepared handle %d (server restarted or handle closed?)", h)})
-		}
-		return s.statement(ctx, l, sess, p.SQL(), th, func(ctx context.Context, w *resultWriter) error {
-			return w.result(s.execPrepared(ctx, sess, h, p, args, w.sink))
+			if len(st.Args) > 0 {
+				return &wire.Error{Code: wire.CodeProtocol, Message: "a script takes no ? arguments"}
+			}
+			return w.result(s.db.ExecScriptContext(ctx, st.SQL))
 		})
 	case wire.MsgSummary:
 		// What a coordinator sends each shard for a model build: the
@@ -526,17 +514,13 @@ func (s *Server) dispatch(ctx context.Context, l link, sess *session, f wire.Fra
 			}
 			return w.send(wire.MsgSummaryResult, wire.EncodeSummaryResult(res))
 		})
-	case wire.MsgPrepare:
-		return s.handlePrepare(ctx, l, sess, f.Payload)
-	case wire.MsgClosePrepared:
-		return s.handleClosePrepared(l, sess, f.Payload)
 	default:
 		return l.protocolError(fmt.Errorf("unexpected frame type %#x", f.Type))
 	}
 }
 
 // statement is the envelope every request that executes runs inside —
-// Query, Exec, ExecPrepared and Summary alike: the draining check,
+// Query, Exec and Summary alike: the draining check,
 // admission control, the in-flight gauge, the session's current
 // statement, the server span (parented at the client's roundtrip span
 // when th names one, a fresh trace otherwise) and the latency
@@ -695,9 +679,6 @@ func classify(err error) *wire.Error {
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return &wire.Error{Code: wire.CodeCancelled, Message: err.Error()}
-	}
-	if errors.Is(err, db.ErrPlanStale) {
-		return &wire.Error{Code: wire.CodeStalePlan, Message: err.Error()}
 	}
 	var list sema.ErrorList
 	var diag sema.Diagnostic

@@ -13,6 +13,7 @@ import (
 
 	statsudf "repro"
 	"repro/internal/engine/db"
+	"repro/internal/engine/exec"
 	"repro/internal/engine/expr"
 	"repro/internal/engine/sqltypes"
 	"repro/internal/score"
@@ -174,6 +175,13 @@ func TestScoringByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("over the wire: %v", err)
 	}
+	requireBitIdentical(t, remote, local)
+}
+
+// requireBitIdentical fails t unless the wire result has the
+// in-process result's schema and bit-identical rows.
+func requireBitIdentical(t *testing.T, remote *client.Rows, local *exec.Result) {
+	t.Helper()
 	if remote.Schema.String() != local.Schema.String() {
 		t.Fatalf("schema mismatch: wire %s, in-process %s", remote.Schema, local.Schema)
 	}
@@ -195,6 +203,58 @@ func TestScoringByteIdentical(t *testing.T) {
 				t.Fatalf("row %d col %d: %q != %q", i, j, b.Str(), a.Str())
 			}
 		}
+	}
+}
+
+// TestPointStatementByteIdentical runs serve_point's request shape — a
+// linearregscore point lookup with its id bound to `?` — through
+// Stmt.Query and through the in-process prepared plan, and requires the
+// same rows bit for bit.
+func TestPointStatementByteIdentical(t *testing.T) {
+	sd, err := statsudf.Open(statsudf.Options{Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sd.Engine()
+	const dims, n = 4, 200
+	beta := []float64{0.5, -1.25, 2, 0}
+	if err := sd.GenerateRegression("X", statsudf.MixtureConfig{N: n, D: dims, Seed: 5}, 10, beta, 2); err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	lr, err := sd.LinearRegression("X", statsudf.DimColumns(dims), "Y")
+	if err != nil {
+		t.Fatalf("train: %v", err)
+	}
+	if err := score.SaveLinReg(eng, "BETA", lr); err != nil {
+		t.Fatalf("save model: %v", err)
+	}
+	srv := server.New(eng, server.Config{Addr: "127.0.0.1:0"})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	p := openPool(t, srv.Addr(), "point", 2)
+
+	sql := sqlgen.RegScoreUDF("X", "BETA", "i", sqlgen.Dims(dims)) + " WHERE X.i = ?"
+	local, err := eng.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	stmt := p.Prepare(sql)
+	for id := int64(0); id < n; id += 13 {
+		want, err := local.Execute(sqltypes.NewBigInt(id))
+		if err != nil {
+			t.Fatalf("in-process id %d: %v", id, err)
+		}
+		if len(want.Rows) != 1 {
+			t.Fatalf("in-process id %d: %d rows, want 1", id, len(want.Rows))
+		}
+		got, err := stmt.Query(context.Background(), sqltypes.NewBigInt(id))
+		if err != nil {
+			t.Fatalf("over the wire id %d: %v", id, err)
+		}
+		requireBitIdentical(t, got, want)
 	}
 }
 
@@ -386,7 +446,7 @@ func TestCancelOnDisconnect(t *testing.T) {
 		t.Fatalf("handshake: %v %v", f, err)
 	}
 	stmt := "SELECT block1(v) FROM T"
-	if err := wc.Send(wire.MsgQuery, wire.EncodeStatement(stmt, wire.TraceHeader{})); err != nil {
+	if err := wc.Send(wire.MsgQuery, statementFrame(t, stmt)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "statement to park in the UDF", func() bool { return entered.Load() >= 1 })
@@ -436,10 +496,10 @@ func TestSessionUnwindsOnAbruptDisconnect(t *testing.T) {
 	}
 	// The first request parks in the UDF; the second sits buffered in
 	// the server's frames channel when the disconnect error arrives.
-	if err := wc.Send(wire.MsgQuery, wire.EncodeStatement("SELECT block1(v) FROM T", wire.TraceHeader{})); err != nil {
+	if err := wc.Send(wire.MsgQuery, statementFrame(t, "SELECT block1(v) FROM T")); err != nil {
 		t.Fatal(err)
 	}
-	if err := wc.Send(wire.MsgQuery, wire.EncodeStatement("SELECT v FROM T", wire.TraceHeader{})); err != nil {
+	if err := wc.Send(wire.MsgQuery, statementFrame(t, "SELECT v FROM T")); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "statement to park in the UDF", func() bool { return entered.Load() >= 1 })

@@ -21,10 +21,6 @@ type session struct {
 	statements int64     // statements completed
 	currentSQL string    // statement executing now ("" when idle)
 	stmtStart  time.Time // when currentSQL began
-
-	// preps holds the session's prepared-statement handles; closed as a
-	// set when the connection ends.
-	preps preparedSet
 }
 
 // begin marks a statement as executing.

@@ -158,7 +158,7 @@ func TestZeroTraceHeaderStartsServerTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	wc := dialWire(t, srv.Addr())
-	if err := wc.Send(wire.MsgQuery, wire.EncodeStatement("SELECT count(*) FROM T", wire.TraceHeader{})); err != nil {
+	if err := wc.Send(wire.MsgQuery, statementFrame(t, "SELECT count(*) FROM T")); err != nil {
 		t.Fatal(err)
 	}
 	for {

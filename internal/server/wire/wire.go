@@ -13,10 +13,9 @@
 //
 // A conversation is strictly request/response: the client sends Hello
 // and reads Welcome, then loops sending one request and reading its
-// response (Batch* Schema? Done | Error for Query/Exec/ExecPrepared,
-// Prepared, SummaryResult or Pong for the others). Close/Goodbye end
-// the session. Clients must not pipeline; the server reads ahead only
-// to detect disconnects.
+// response (Batch* Schema? Done | Error for Query/Exec, SummaryResult or
+// Pong for the others). Close/Goodbye end the session. Clients must not
+// pipeline; the server reads ahead only to detect disconnects.
 package wire
 
 import (
@@ -35,7 +34,7 @@ import (
 // client states it in Hello, the server answers any other value with
 // the typed protocol error and echoes it in Welcome; it moves whenever
 // a frame's layout does.
-const ProtocolVersion = 4
+const ProtocolVersion = 5
 
 // Magic opens every Hello payload, so a server can fail fast when an
 // HTTP client or a stray port scan connects.
@@ -48,17 +47,15 @@ const MaxFrame = 16 << 20
 
 // Message types. Client-originated types have the high bit clear,
 // server-originated types have it set; this makes misdirected frames
-// fail loudly instead of being misparsed.
+// fail loudly instead of being misparsed. 0x06–0x08 and 0x88 are
+// retired (protocol 4's prepared-handle frames): do not reuse them.
 const (
-	MsgHello         byte = 0x01 // magic, proto version, user
-	MsgQuery         byte = 0x02 // one SQL statement; rows stream back
-	MsgExec          byte = 0x03 // SQL script; only the last result returns
-	MsgPing          byte = 0x04 // liveness/health check
-	MsgClose         byte = 0x05 // graceful session end
-	MsgPrepare       byte = 0x06 // plan one statement; MsgPrepared returns a handle
-	MsgExecPrepared  byte = 0x07 // handle + args; rows stream back like MsgQuery
-	MsgClosePrepared byte = 0x08 // release a prepared handle
-	MsgSummary       byte = 0x09 // n/L/Q summary request
+	MsgHello   byte = 0x01 // magic, proto version, user
+	MsgQuery   byte = 0x02 // one SQL statement and its `?` arguments; rows stream back
+	MsgExec    byte = 0x03 // SQL script; only the last result returns
+	MsgPing    byte = 0x04 // liveness/health check
+	MsgClose   byte = 0x05 // graceful session end
+	MsgSummary byte = 0x09 // n/L/Q summary request
 
 	MsgWelcome       byte = 0x81 // session id, server version
 	MsgSchema        byte = 0x82 // result schema (precedes batches)
@@ -67,7 +64,6 @@ const (
 	MsgError         byte = 0x85 // typed error: code + message
 	MsgPong          byte = 0x86 // ping reply
 	MsgGoodbye       byte = 0x87 // close acknowledgement
-	MsgPrepared      byte = 0x88 // prepare reply: handle + parameter count
 	MsgSummaryResult byte = 0x89 // summary reply: cache hit flag + packed NLQ
 )
 
@@ -90,11 +86,6 @@ const (
 	CodeShutdown = "shutdown"
 	// CodeProtocol reports a malformed or unexpected frame.
 	CodeProtocol = "protocol"
-	// CodeStalePlan reports that a prepared handle's plan was built
-	// under a catalog that has since changed (CREATE/DROP landed after
-	// PREPARE) or the handle is unknown to this session. The statement
-	// did not run; the client should re-prepare and retry.
-	CodeStalePlan = "stale_plan"
 	// CodeShardUnavailable reports that a coordinator could not reach
 	// (or has marked down) the shard owning part of the statement's
 	// data. The statement observed at most a prefix of the cluster; the
@@ -346,9 +337,9 @@ func DecodeWelcome(p []byte) (Welcome, error) {
 	return w, r.done()
 }
 
-// TraceHeader is the trace context that closes every Query, Exec and
-// ExecPrepared payload: the statement's TraceID and the client-side
-// span the server's span should parent under. The server adopts the
+// TraceHeader is the trace context that closes every Query and Exec
+// payload: the statement's TraceID and the client-side span the
+// server's span should parent under. The server adopts the
 // TraceID so the client and server halves of the trace share one
 // identity; a zero TraceID asks the server to start a trace of its own.
 type TraceHeader struct {
@@ -372,24 +363,58 @@ func decodeTraceHeader(r *reader) (TraceHeader, error) {
 	return th, nil
 }
 
-// EncodeStatement builds a MsgQuery/MsgExec payload: the SQL, then the
-// trace header.
-func EncodeStatement(sql string, th TraceHeader) []byte {
-	return appendTraceHeader(AppendString(nil, sql), th)
+// Statement is a MsgQuery/MsgExec payload: the SQL text, one value per
+// `?` slot (a script carries none) and the trace header.
+type Statement struct {
+	SQL   string
+	Args  []sqltypes.Value
+	Trace TraceHeader
+}
+
+// EncodeStatement builds a MsgQuery/MsgExec payload: the SQL, the
+// argument count, one tagged value per argument (the result-row codec),
+// then the trace header.
+func EncodeStatement(st Statement) ([]byte, error) {
+	b := AppendString(nil, st.SQL)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.Args)))
+	var err error
+	for _, v := range st.Args {
+		if b, err = AppendValue(b, v); err != nil {
+			return nil, err
+		}
+	}
+	return appendTraceHeader(b, st.Trace), nil
 }
 
 // DecodeStatement parses a MsgQuery/MsgExec payload.
-func DecodeStatement(p []byte) (string, TraceHeader, error) {
+func DecodeStatement(p []byte) (Statement, error) {
 	r := &reader{b: p}
-	sql, err := r.string()
-	if err != nil {
-		return "", TraceHeader{}, err
+	var st Statement
+	var err error
+	if st.SQL, err = r.string(); err != nil {
+		return Statement{}, err
 	}
-	th, err := decodeTraceHeader(r)
+	n, err := r.uint32()
 	if err != nil {
-		return "", TraceHeader{}, err
+		return Statement{}, err
 	}
-	return sql, th, r.done()
+	// Every value costs at least its 1-byte tag; reject forged counts
+	// before the slice allocation trusts n.
+	if uint64(n) > uint64(len(p)-r.off) {
+		return Statement{}, fmt.Errorf("wire: implausible argument count %d in %d payload bytes", n, len(p)-r.off)
+	}
+	if n > 0 {
+		st.Args = make([]sqltypes.Value, n)
+		for i := range st.Args {
+			if st.Args[i], err = decodeValue(r); err != nil {
+				return Statement{}, err
+			}
+		}
+	}
+	if st.Trace, err = decodeTraceHeader(r); err != nil {
+		return Statement{}, err
+	}
+	return st, r.done()
 }
 
 // EncodeSchema builds a MsgSchema payload: column count, then
@@ -499,7 +524,10 @@ func decodeValue(r *reader) (sqltypes.Value, error) {
 		if err != nil {
 			return sqltypes.Null, err
 		}
-		return sqltypes.NewBool(b != 0), nil
+		if b > 1 {
+			return sqltypes.Null, fmt.Errorf("wire: bad bool byte %d", b)
+		}
+		return sqltypes.NewBool(b == 1), nil
 	default:
 		return sqltypes.Null, fmt.Errorf("wire: bad value tag %d", tag)
 	}
@@ -589,8 +617,7 @@ type Done struct {
 	StatsJSON string
 	// TraceID is the statement's trace identity as the server adopted
 	// or assigned it (32 hex digits), echoed so the client can link its
-	// roundtrip span to the server-side trace; empty on replies that
-	// close no statement (the ClosePrepared acknowledgement).
+	// roundtrip span to the server-side trace.
 	TraceID string
 }
 
@@ -621,108 +648,6 @@ func DecodeDone(p []byte) (Done, error) {
 		return Done{}, err
 	}
 	return d, r.done()
-}
-
-// EncodePrepare builds a MsgPrepare payload: just the SQL.
-func EncodePrepare(sql string) []byte { return AppendString(nil, sql) }
-
-// DecodePrepare parses a MsgPrepare payload.
-func DecodePrepare(p []byte) (string, error) {
-	r := &reader{b: p}
-	sql, err := r.string()
-	if err != nil {
-		return "", err
-	}
-	return sql, r.done()
-}
-
-// PreparedInfo is the server's MsgPrepared reply: the session-scoped
-// handle EXECUTE frames name, and the statement's `?` slot count.
-type PreparedInfo struct {
-	Handle    int64
-	NumParams int
-}
-
-// EncodePrepared builds a MsgPrepared payload.
-func EncodePrepared(pi PreparedInfo) []byte {
-	b := AppendUint64(nil, uint64(pi.Handle))
-	return binary.LittleEndian.AppendUint32(b, uint32(pi.NumParams))
-}
-
-// DecodePrepared parses a MsgPrepared payload.
-func DecodePrepared(p []byte) (PreparedInfo, error) {
-	r := &reader{b: p}
-	h, err := r.uint64()
-	if err != nil {
-		return PreparedInfo{}, err
-	}
-	n, err := r.uint32()
-	if err != nil {
-		return PreparedInfo{}, err
-	}
-	if n > MaxFrame {
-		return PreparedInfo{}, fmt.Errorf("wire: implausible parameter count %d", n)
-	}
-	return PreparedInfo{Handle: int64(h), NumParams: int(n)}, r.done()
-}
-
-// EncodeExecPrepared builds a MsgExecPrepared payload: handle, arg
-// count, one tagged value per `?` slot (the result-row codec), then the
-// trace header.
-func EncodeExecPrepared(handle int64, args []sqltypes.Value, th TraceHeader) ([]byte, error) {
-	b := AppendUint64(nil, uint64(handle))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(args)))
-	var err error
-	for _, v := range args {
-		if b, err = AppendValue(b, v); err != nil {
-			return nil, err
-		}
-	}
-	return appendTraceHeader(b, th), nil
-}
-
-// DecodeExecPrepared parses a MsgExecPrepared payload.
-func DecodeExecPrepared(p []byte) (int64, []sqltypes.Value, TraceHeader, error) {
-	r := &reader{b: p}
-	h, err := r.uint64()
-	if err != nil {
-		return 0, nil, TraceHeader{}, err
-	}
-	n, err := r.uint32()
-	if err != nil {
-		return 0, nil, TraceHeader{}, err
-	}
-	// Every value costs at least its 1-byte tag; reject forged counts
-	// before the slice allocation trusts n.
-	if uint64(n) > uint64(len(p)-r.off) {
-		return 0, nil, TraceHeader{}, fmt.Errorf("wire: implausible argument count %d in %d payload bytes", n, len(p)-r.off)
-	}
-	args := make([]sqltypes.Value, n)
-	for i := range args {
-		if args[i], err = decodeValue(r); err != nil {
-			return 0, nil, TraceHeader{}, err
-		}
-	}
-	th, err := decodeTraceHeader(r)
-	if err != nil {
-		return 0, nil, TraceHeader{}, err
-	}
-	return int64(h), args, th, r.done()
-}
-
-// EncodeClosePrepared builds a MsgClosePrepared payload.
-func EncodeClosePrepared(handle int64) []byte {
-	return AppendUint64(nil, uint64(handle))
-}
-
-// DecodeClosePrepared parses a MsgClosePrepared payload.
-func DecodeClosePrepared(p []byte) (int64, error) {
-	r := &reader{b: p}
-	h, err := r.uint64()
-	if err != nil {
-		return 0, err
-	}
-	return int64(h), r.done()
 }
 
 // EncodeError builds a MsgError payload.

@@ -2,7 +2,11 @@
 // server — the reproduction's stand-in for the ODBC client stack the
 // paper scores through. It offers a database/sql-flavored API over a
 // connection pool: materialized Query, streaming QueryStream, script
-// Exec, and Ping, all context-aware.
+// Exec, parameterized statements (Prepare, then Stmt.Query with `?`
+// arguments), and Ping, all context-aware. Every statement travels as
+// its text, with its arguments in the same frame; the server's plan
+// cache plans a text once and serves each later request from that plan,
+// so the client holds no per-connection statement state.
 //
 // Pooled connections are health-checked on checkout after sitting
 // idle, and idempotent SELECTs are automatically retried with backoff
@@ -66,10 +70,10 @@ type Config struct {
 	// has been idle at least this long, discarding it if the ping
 	// fails. Default 30s; negative disables the check.
 	HealthCheckAfter time.Duration
-	// AutoPrepareAfter transparently switches a repeated idempotent
-	// SELECT to the PREPARE/EXECUTE wire path once the pool has seen its
-	// exact text this many times (the next occurrence runs prepared).
-	// Default 2; negative disables auto-prepare.
+	// AutoPrepareAfter has no effect: the server's plan cache serves
+	// repeated statement text.
+	//
+	// Deprecated: ignored.
 	AutoPrepareAfter int
 }
 
@@ -91,9 +95,6 @@ func (c Config) withDefaults() Config {
 	if c.HealthCheckAfter == 0 {
 		c.HealthCheckAfter = defaultHealthCheckAfter
 	}
-	if c.AutoPrepareAfter == 0 {
-		c.AutoPrepareAfter = defaultAutoPrepareAfter
-	}
 	return c
 }
 
@@ -111,9 +112,6 @@ type Rows struct {
 	// roundtrip produced.
 	TraceID string
 
-	// prepared carries a MsgPrepared acknowledgement when the exchange
-	// was a PREPARE rather than a statement.
-	prepared *wire.PreparedInfo
 	// summary carries a MsgSummaryResult reply when the exchange was a
 	// Summary request.
 	summary *wire.SummaryResult
@@ -128,11 +126,6 @@ type Pool struct {
 	mu     sync.Mutex
 	idle   []*conn // LIFO: most recently used first
 	closed bool
-
-	// stmtSeen counts how many times each idempotent SELECT text has
-	// run, driving the AutoPrepareAfter switch to the prepared path.
-	stmtMu   sync.Mutex
-	stmtSeen map[string]int
 }
 
 // Open creates a pool. Connections are dialed lazily; use Ping to
@@ -151,11 +144,6 @@ type conn struct {
 	wc       *wire.Conn
 	session  int64
 	idleFrom time.Time
-	// prepared maps SQL text to the server-side handle this connection
-	// holds for it. Handles are session-scoped: a fresh connection (and
-	// therefore every post-bounce retry) starts empty and re-prepares,
-	// so a stale handle is never replayed against a restarted server.
-	prepared map[string]wire.PreparedInfo
 	// broken marks the connection unfit for reuse: a transport or
 	// protocol failure, or a cancelled context that left the deadline
 	// in the past and possibly a half-read response stream. Callers
@@ -202,7 +190,7 @@ func (p *Pool) dial(ctx context.Context) (*conn, error) {
 		return nil, err
 	}
 	nc.SetDeadline(time.Time{})
-	return &conn{nc: nc, wc: wc, session: w.SessionID, prepared: make(map[string]wire.PreparedInfo)}, nil
+	return &conn{nc: nc, wc: wc, session: w.SessionID}, nil
 }
 
 // traceHeader builds the statement's wire trace context: the TraceID
@@ -374,9 +362,14 @@ func watchCtx(ctx context.Context, nc net.Conn) (stop func() bool) {
 	}
 }
 
-// roundTrip sends one statement and collects the full response.
-func (c *conn) roundTrip(ctx context.Context, msgType byte, sql string, sink func(sqltypes.Row) error) (*Rows, error) {
-	return c.exchange(ctx, msgType, wire.EncodeStatement(sql, traceHeader(ctx)), sink)
+// roundTrip sends one statement with its arguments and collects the
+// full response.
+func (c *conn) roundTrip(ctx context.Context, msgType byte, sql string, args []sqltypes.Value, sink func(sqltypes.Row) error) (*Rows, error) {
+	payload, err := wire.EncodeStatement(wire.Statement{SQL: sql, Args: args, Trace: traceHeader(ctx)})
+	if err != nil {
+		return nil, err
+	}
+	return c.exchange(ctx, msgType, payload, sink)
 }
 
 // exchange sends one request frame and collects the full response.
@@ -445,16 +438,6 @@ func (c *conn) exchange(ctx context.Context, msgType byte, payload []byte, sink 
 				c.broken = true
 			}
 			return out, nil
-		case wire.MsgPrepared:
-			pi, err := wire.DecodePrepared(f.Payload)
-			if err != nil {
-				return fail(err)
-			}
-			out.prepared = &pi
-			if stop() {
-				c.broken = true
-			}
-			return out, nil
 		case wire.MsgSummaryResult:
 			sr, err := wire.DecodeSummaryResult(f.Payload)
 			if err != nil {
@@ -507,30 +490,19 @@ func isIdempotentSelect(sql string) bool {
 
 // Query runs one statement and materializes its result. Idempotent
 // SELECTs that lose their connection mid-flight are retried on a fresh
-// connection with exponential backoff; repeated SELECT texts switch to
-// the prepared wire path per Config.AutoPrepareAfter.
+// connection with exponential backoff.
 func (p *Pool) Query(ctx context.Context, sql string) (*Rows, error) {
-	prepared := p.notePrepareCandidate(sql)
+	return p.query(ctx, sql, nil)
+}
+
+func (p *Pool) query(ctx context.Context, sql string, args []sqltypes.Value) (*Rows, error) {
 	return p.withRetry(ctx, isIdempotentSelect(sql), func(c *conn) (*Rows, error) {
-		if prepared {
-			rows, err := c.execPrepared(ctx, sql, nil, nil)
-			var rej *prepareRejected
-			if !errors.As(err, &rej) {
-				return rows, err
-			}
-			// The server declined to prepare this statement (system
-			// tables, for one); remember that and run it plain.
-			p.notePrepareNever(sql)
-		}
-		return c.roundTrip(ctx, wire.MsgQuery, sql, nil)
+		return c.roundTrip(ctx, wire.MsgQuery, sql, args, nil)
 	})
 }
 
 // withRetry checks out a connection and runs one exchange, retrying
-// idempotent work on a fresh connection after connection loss. A fresh
-// connection holds no prepared handles, so retried prepared statements
-// re-prepare rather than replaying a handle a bounced server has never
-// seen.
+// idempotent work on a fresh connection after connection loss.
 func (p *Pool) withRetry(ctx context.Context, idempotent bool, run func(c *conn) (*Rows, error)) (*Rows, error) {
 	retries := 0
 	if idempotent {
@@ -600,24 +572,15 @@ func retrySleep(ctx context.Context, backoff time.Duration) error {
 // already have been delivered when the connection fails. The schema is
 // returned on completion (streamed results describe their schema last).
 func (p *Pool) QueryStream(ctx context.Context, sql string, sink func(sqltypes.Row) error) (*sqltypes.Schema, error) {
-	prepared := p.notePrepareCandidate(sql)
+	return p.stream(ctx, sql, nil, sink)
+}
+
+func (p *Pool) stream(ctx context.Context, sql string, args []sqltypes.Value, sink func(sqltypes.Row) error) (*sqltypes.Schema, error) {
 	c, err := p.get(ctx)
 	if err != nil {
 		return nil, err
 	}
-	var res *Rows
-	if prepared {
-		res, err = c.execPrepared(ctx, sql, nil, sink)
-		var rej *prepareRejected
-		if errors.As(err, &rej) {
-			// Prepare was refused before any row was delivered, so
-			// falling back to a plain query is safe even for a stream.
-			p.notePrepareNever(sql)
-			res, err = c.roundTrip(ctx, wire.MsgQuery, sql, sink)
-		}
-	} else {
-		res, err = c.roundTrip(ctx, wire.MsgQuery, sql, sink)
-	}
+	res, err := c.roundTrip(ctx, wire.MsgQuery, sql, args, sink)
 	p.release(c)
 	if err != nil {
 		return nil, err
@@ -633,12 +596,45 @@ func (p *Pool) Exec(ctx context.Context, sql string) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := c.roundTrip(ctx, wire.MsgExec, sql, nil)
+	rows, err := c.roundTrip(ctx, wire.MsgExec, sql, nil, nil)
 	p.release(c)
 	if err != nil {
 		return nil, err
 	}
 	return rows, nil
+}
+
+// Stmt is a statement text for repeated parameterized execution. Each
+// Query sends the text and its `?` arguments in one statement frame; the
+// server plans the text once and serves every later request from its
+// plan cache. Safe for concurrent use.
+type Stmt struct {
+	p   *Pool
+	sql string
+}
+
+// Prepare returns a statement for repeated parameterized execution.
+// Nothing is sent until Query, so errors (syntax, unknown columns, a
+// wrong argument count) surface from Query.
+func (p *Pool) Prepare(sql string) *Stmt {
+	return &Stmt{p: p, sql: sql}
+}
+
+// SQL returns the statement text.
+func (s *Stmt) SQL() string { return s.sql }
+
+// Query executes the statement with args bound to its `?` slots and
+// materializes the result. Idempotent SELECTs retry on connection loss
+// like Pool.Query.
+func (s *Stmt) Query(ctx context.Context, args ...sqltypes.Value) (*Rows, error) {
+	return s.p.query(ctx, s.sql, args)
+}
+
+// QueryStream executes the statement with args, delivering rows to
+// sink as batches arrive. Never retried: rows may already have been
+// delivered when a connection fails.
+func (s *Stmt) QueryStream(ctx context.Context, sink func(sqltypes.Row) error, args ...sqltypes.Value) (*sqltypes.Schema, error) {
+	return s.p.stream(ctx, s.sql, args, sink)
 }
 
 // Summary requests the server's n/L/Q sufficient statistics for one

@@ -36,8 +36,6 @@ var (
 		"Statements rejected because the server was draining.")
 	serverErrProtocol = obs.Default.Counter("engine_client_server_errors_protocol_total",
 		"Statements failed on a malformed or unexpected frame.")
-	serverErrStalePlan = obs.Default.Counter("engine_client_server_errors_stale_plan_total",
-		"Prepared executions rejected because the plan went stale.")
 	serverErrShardUnavailable = obs.Default.Counter("engine_client_server_errors_shard_unavailable_total",
 		"Statements failed because a coordinator could not reach a shard.")
 	serverErrInternal = obs.Default.Counter("engine_client_server_errors_internal_total",
@@ -65,8 +63,6 @@ func countServerError(we *wire.Error) {
 		serverErrShutdown.Inc()
 	case wire.CodeProtocol:
 		serverErrProtocol.Inc()
-	case wire.CodeStalePlan:
-		serverErrStalePlan.Inc()
 	case wire.CodeShardUnavailable:
 		serverErrShardUnavailable.Inc()
 	case wire.CodeInternal:

@@ -69,22 +69,24 @@ echo "$SESS" | grep -q "ci"
 echo "== summary catalog is queryable over the wire =="
 sql -c "SELECT table_name, state, n FROM sys.summaries"
 
-echo "== auto-prepare: repeated SELECT switches to PREPARE/EXECUTE =="
-# One repl session (each -c invocation is a fresh pool, which never
-# crosses the auto-prepare threshold): repeat a SELECT past the
-# threshold, then sys.prepared must list it as an explicit session
-# handle (cached = false; plan-cache entries are cached = true).
+echo "== plan cache: repeated SELECT text is one cached plan =="
+# One repl session repeats a SELECT. The server plans the text once and
+# serves every repeat from its plan cache: sys.prepared lists it as a
+# single plan-cache entry (cached = true) holding the executions, and
+# engine_plan_cache_hits moves.
+hits() { sql -c "SELECT value FROM sys.metrics WHERE name = 'engine_plan_cache_hits'" | sed -n 3p; }
+HITS0="$(hits)"
 PREP="$({
   for _ in 1 2 3 4 5; do echo "SELECT X1 FROM X WHERE i = 1;"; done
-  echo "SELECT sql_text, cached FROM sys.prepared;"
+  echo "SELECT sql_text, cached, executions FROM sys.prepared;"
 } | /tmp/smoke-sqlsh -connect "$ADDR" -user ci)"
 echo "$PREP"
-echo "$PREP" | grep -q "SELECT X1 FROM X WHERE i = 1 | FALSE"
-
-echo "== plan cache served the repeats before the switch =="
-METRICS="$(sql -c "SELECT name, value FROM sys.metrics" | grep plan_cache)"
-echo "$METRICS"
-echo "$METRICS" | grep -q "engine_plan_cache_hits"
+ROWS="$(echo "$PREP" | grep "^SELECT X1 FROM X WHERE i = 1 | ")"
+test "$(echo "$ROWS" | wc -l)" -eq 1
+echo "$ROWS" | awk -F ' [|] ' '$2 == "TRUE" && $3 >= 4 { ok = 1 } END { exit !ok }'
+HITS1="$(hits)"
+echo "engine_plan_cache_hits: $HITS0 -> $HITS1"
+awk -v a="$HITS0" -v b="$HITS1" 'BEGIN { exit !(b > a) }'
 
 echo "== one trace id across client, sys.traces and the daemon log =="
 EXPLAIN="$(sql -c "EXPLAIN ANALYZE SELECT X1, X2 FROM X")"
