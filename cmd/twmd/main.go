@@ -30,9 +30,9 @@
 //
 // On startup (unless -warm-summaries=false) the daemon pre-warms the
 // incremental summary cache for every reopened table that has DOUBLE
-// columns: one scan per table up front, after which model builds and
-// sys.summaries reads served over the wire run from the cache with
-// zero partition scans until DDL invalidates an entry.
+// columns: one scan per table up front, after which model builds
+// served over the wire run from the cache, reading at most the rows
+// appended since the last build.
 //
 // SIGINT/SIGTERM triggers a graceful shutdown: the listener stops
 // accepting, in-flight statements are cancelled through their run

@@ -11,16 +11,15 @@
 //     repo's caller-must-hold naming convention),
 //   - functions annotated `//statlint:locked Type.field`,
 //   - implementations of interface methods that some package invokes
-//     while holding the lock (observer callbacks — exported as
-//     CalledUnderLock facts and matched against implementations in
-//     every dependent package), and
+//     while holding the lock (exported as CalledUnderLock facts and
+//     matched against implementations in every dependent package), and
 //   - function literals passed to a function that invokes its callback
 //     parameter under the lock (exported as CallsParamUnderLock facts;
-//     storage.Table.Sync and the ScanPartition family).
+//     the ScanPartition family).
 //
 // This is the static version of the deadlock warning documented on
-// storage.Table: an observer callback or *Locked method calling back
-// into Insert/Scan/Rows deadlocks on the table's own RWMutex.
+// storage.Table: a scan callback or *Locked method calling back into
+// Insert/Scan/Rows deadlocks on the table's own RWMutex.
 //
 // Known approximations: calls through non-parameter function values
 // are not tracked, and a literal passed into `go func(){...}` under a
@@ -44,7 +43,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "lockreent",
 	Doc: "flag call paths that re-acquire a //statlint:guards-annotated mutex " +
-		"from observer callbacks, *Locked methods, or lock-holding regions",
+		"from callbacks run under the lock, *Locked methods, or lock-holding regions",
 	Run: run,
 }
 

@@ -86,8 +86,8 @@ type DB struct {
 	prepID int64
 	preps  map[int64]*Prepared
 
-	// sums is the incremental n/L/Q summary catalog: model builders go
-	// through it so warm rebuilds need zero partition scans.
+	// sums is the n/L/Q summary catalog: model builders go through it so
+	// a warm rebuild reads at most the rows appended since the last.
 	sums *summary.Catalog
 
 	// sys holds the virtual tables served under sys.: the built-ins and

@@ -9,12 +9,12 @@ import (
 	"repro/internal/engine/summary"
 )
 
-// SummaryNLQ returns the incrementally maintained n/L/Q summary of the
-// named base table over cols (nil selects every DOUBLE column), going
-// through the summary catalog: a warm entry is served in O(d²) with
-// zero partition scans, a cold or stale one is rebuilt with one
-// parallel scan and installed for subsequent reads. hit reports which
-// path served the call. The returned NLQ is the caller's to mutate.
+// SummaryNLQ returns the n/L/Q summary of the named base table over
+// cols (nil selects every DOUBLE column), going through the summary
+// catalog: a warm entry that covers the table is served in O(d²) with
+// zero partition scans, one behind it reads only the rows appended
+// since, and a cold one reads every row with one parallel scan. hit
+// reports a warm entry. The returned NLQ is the caller's to mutate.
 //
 // Virtual sys. tables are rejected — they are materialized fresh per
 // scan, so a summary over one can never be warm.
@@ -40,8 +40,8 @@ func (d *DB) SummaryNLQ(ctx context.Context, table string, cols []string, mt cor
 }
 
 // InvalidateSummaries marks every cached summary of the named table
-// cold, forcing the next read of each through the rebuild scan. The
-// bench harness uses it to re-measure cold builds.
+// cold, forcing the next read of each to read every row. The bench
+// harness uses it to re-measure cold builds.
 func (d *DB) InvalidateSummaries(table string) { d.sums.Invalidate(table) }
 
 // Summaries snapshots the summary catalog; sys.summaries serves it.

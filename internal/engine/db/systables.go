@@ -293,8 +293,10 @@ func (d *DB) sysTables() ([]sqltypes.Column, []sqltypes.Row, error) {
 	return cols, rows, nil
 }
 
-// sysSummaries exposes the incremental n/L/Q summary catalog: one row
-// per cached entry with its validity state and hit/rebuild accounting.
+// sysSummaries exposes the n/L/Q summary catalog: one row per entry
+// with its state (summary.Info), the rows it has read, the table epoch
+// it read them at, and its hit/rebuild accounting; incremental_rows
+// counts the appended rows warm reads resumed over.
 func (d *DB) sysSummaries() ([]sqltypes.Column, []sqltypes.Row, error) {
 	cols := []sqltypes.Column{
 		{Name: "table_name", Type: sqltypes.TypeVarChar},

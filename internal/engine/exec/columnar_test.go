@@ -104,7 +104,9 @@ func tableNLQ(tab *storage.Table, cols []int, mt core.MatrixType, columnar bool)
 	if err != nil {
 		return nil, 0, err
 	}
-	return scan(context.Background())
+	parts := make([]*core.NLQ, tab.Partitions())
+	seen, err := scan.Read(context.Background(), nil, parts)
+	return parts, seen, err
 }
 
 func TestComputeTableNLQColumnarBitIdentical(t *testing.T) {

@@ -51,7 +51,7 @@ func benchNLQ(b *testing.B, columnar bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := scan(context.Background()); err != nil {
+		if _, err := scan.Read(context.Background(), nil, make([]*core.NLQ, tab.Partitions())); err != nil {
 			b.Fatal(err)
 		}
 	}

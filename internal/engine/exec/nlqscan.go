@@ -11,13 +11,15 @@ import (
 	"repro/internal/engine/udf"
 )
 
-// PrepareTableNLQ plans the summary scan of t's columns cols: the
-// aggregate SELECT nlq(cols...) FROM t, planned and scanned like every
-// statement, stopped before merge. A run returns the n/L/Q partial of
-// each partition holding rows, in partition order, and the rows scanned.
-// It is not a query (no sys.queries row, no query histograms), but its
-// folded rows count in engine_udf_calls_total like any aggregate's.
-func PrepareTableNLQ(t *storage.Table, cols []int, mt core.MatrixType, workers int, columnar bool) (func(context.Context) (partials []*core.NLQ, seen int64, err error), error) {
+// TableNLQ is the summary scan of one table's columns: the aggregate
+// SELECT nlq(cols...) FROM t, planned and scanned like every statement,
+// stopped before merge. It is not a query (no sys.queries row, no query
+// histograms), but its folded rows count in engine_udf_calls_total like
+// any aggregate's.
+type TableNLQ struct{ p *PreparedSelect }
+
+// PrepareTableNLQ plans the summary scan of t's columns cols.
+func PrepareTableNLQ(t *storage.Table, cols []int, mt core.MatrixType, workers int, columnar bool) (*TableNLQ, error) {
 	schema := t.Schema()
 	args := make([]sqlparser.Expr, len(cols))
 	for i, c := range cols {
@@ -37,20 +39,37 @@ func PrepareTableNLQ(t *storage.Table, cols []int, mt core.MatrixType, workers i
 		agg:  &aggPlan{specs: []aggSpec{{agg: nlqFold{len(cols), mt}, args: args}}},
 	}
 	p.planSources()
-	return func(ctx context.Context) ([]*core.NLQ, int64, error) {
-		var st Stats
-		groups, err := p.scan(ctx, nil, nil, &st, nil, nil)
-		if err != nil {
-			return nil, 0, err
+	return &TableNLQ{p}, nil
+}
+
+// Read folds each partition's rows after marks[p] into parts[p] — a new
+// state where nil, left nil while no row comes — and advances marks[p]
+// past them; it returns the rows read. Handed the marks and states of an
+// earlier Read, it reads only the rows appended since, and because a
+// partition's rows fold in the order they were appended, parts[p] is
+// then, bit for bit, what one Read from the zero marks gives. marks and
+// parts hold one slot per partition; on error both are part-way and the
+// caller discards them.
+func (s *TableNLQ) Read(ctx context.Context, marks []storage.Mark, parts []*core.NLQ) (int64, error) {
+	if n := s.p.b.tables[0].Partitions(); len(parts) != n {
+		return 0, fmt.Errorf("exec: %d summary states for %d partitions", len(parts), n)
+	}
+	groups := make([]map[string]*groupState, len(parts))
+	for p, q := range parts {
+		if q != nil {
+			groups[p] = map[string]*groupState{"": {states: []udf.State{q}, seen: make([]map[string]sqltypes.Row, 1)}}
 		}
-		var partials []*core.NLQ
-		for _, g := range groups {
-			if gs := g[""]; gs != nil {
-				partials = append(partials, gs.states[0].(*core.NLQ))
-			}
+	}
+	var st Stats
+	if err := s.p.scan(ctx, nil, nil, &st, nil, nil, groups, marks); err != nil {
+		return 0, err
+	}
+	for p, g := range groups {
+		if gs := g[""]; gs != nil {
+			parts[p] = gs.states[0].(*core.NLQ)
 		}
-		return partials, st.RowsScanned, nil
-	}, nil
+	}
+	return st.RowsScanned, nil
 }
 
 // nlqFold is core.NLQ behind udf.FloatAggregate, the summary scan's

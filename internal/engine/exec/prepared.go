@@ -329,7 +329,11 @@ func (p *PreparedSelect) execute(ctx context.Context, args []sqltypes.Value, sin
 		schema, err := p.constRow(ss, emitRow)
 		return schema, st, err
 	}
-	groups, err := p.scan(ctx, args, ss.filters, st, sink, emitted)
+	var groups []map[string]*groupState
+	if p.agg != nil {
+		groups = make([]map[string]*groupState, p.b.tables[0].Partitions())
+	}
+	err = p.scan(ctx, args, ss.filters, st, sink, emitted, groups, nil)
 	if err == nil && p.agg != nil {
 		err = p.agg.mergeFinalize(groups, ss, emitRow, st)
 	}
@@ -337,22 +341,18 @@ func (p *PreparedSelect) execute(ctx context.Context, args []sqltypes.Value, sin
 }
 
 // scan materializes the join tail and runs the partition scan with a
-// pooled worker per partition, recording both in st. An aggregate's
-// groups come back per partition: phases 1-2, before merge.
-func (p *PreparedSelect) scan(ctx context.Context, args []sqltypes.Value, filters [][]expr.Evaluator, st *Stats, sink batchSink, emitted *atomic.Int64) ([]map[string]*groupState, error) {
+// pooled worker per partition, recording both in st. An aggregate folds
+// partition p into groups[p], made when nil: phases 1-2, before merge.
+// marks, when set, resume the partitions (scanPartitions).
+func (p *PreparedSelect) scan(ctx context.Context, args []sqltypes.Value, filters [][]expr.Evaluator, st *Stats, sink batchSink, emitted *atomic.Int64, groups []map[string]*groupState, marks []storage.Mark) error {
 	plan := st.ensureRoot().child("plan")
 	tail, err := p.tail.scan(ctx, p.b, filters)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	first := p.b.tables[0]
-	var groups []map[string]*groupState
-	if p.agg != nil {
-		st.hasMerge = true
-		groups = make([]map[string]*groupState, first.Partitions())
-	}
+	st.hasMerge = p.agg != nil
 	st.Plan = plan.finish()
-	err = scanPartitions(ctx, first, p.env.Workers, p.src, st, func(part int) (*selectWorker, error) {
+	return scanPartitions(ctx, p.b.tables[0], p.env.Workers, p.src, marks, st, func(part int) (*selectWorker, error) {
 		w, ok := p.workers.Get().(*selectWorker)
 		if !ok {
 			var err error
@@ -369,12 +369,13 @@ func (p *PreparedSelect) scan(ctx context.Context, args []sqltypes.Value, filter
 		if w.agg != nil {
 			// This worker's own slot: nothing else touches it until the
 			// single-threaded merge.
-			groups[part] = make(map[string]*groupState)
+			if groups[part] == nil {
+				groups[part] = make(map[string]*groupState)
+			}
 			w.agg.groups = groups[part]
 		}
 		return w, nil
 	})
-	return groups, err
 }
 
 // constRow evaluates a FROM-less select list once.

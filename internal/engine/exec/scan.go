@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/engine/obs"
 	"repro/internal/engine/storage"
@@ -26,8 +27,20 @@ type sources struct{ block, floats []int }
 // scan[pN] spans, their source, per-partition rows and the scan totals
 // in st — also when the scan fails part-way, so a failed statement still
 // reports how far it got.
-func scanPartitions(ctx context.Context, t *storage.Table, workers int, src sources, st *Stats, open func(p int) (*selectWorker, error)) error {
+//
+// marks, when set, resume every partition after its mark — from the row
+// log, float rows only: a segment holds a whole partition — and each is
+// advanced to where its partition's scan ended.
+func scanPartitions(ctx context.Context, t *storage.Table, workers int, src sources, marks []storage.Mark, st *Stats, open func(p int) (*selectWorker, error)) error {
 	nparts := t.Partitions()
+	if marks != nil {
+		if src.floats == nil || len(marks) != nparts {
+			return fmt.Errorf("exec: a resumed scan of table %q needs float rows and one mark per partition", t.Name())
+		}
+		if slices.ContainsFunc(marks, func(m storage.Mark) bool { return m.Rows > 0 }) {
+			src.block = nil
+		}
+	}
 	st.Partitions = nparts
 	st.Workers = nparts
 	if workers > 0 && workers < nparts {
@@ -55,10 +68,17 @@ func scanPartitions(ctx context.Context, t *storage.Table, workers int, src sour
 			return err
 		}
 		defer w.release()
+		var from storage.Mark
+		if marks != nil {
+			from = marks[p]
+		}
 		var ps storage.ScanStats
-		span.Source, ps, err = scanPartition(ctx, t, p, src, w)
+		span.Source, ps, err = scanPartition(ctx, t, p, src, from, w)
 		if err == nil {
 			err = w.flush()
+		}
+		if err == nil && marks != nil {
+			marks[p] = ps.End
 		}
 		st.PartitionRows[p] = ps.Rows
 		span.Rows, span.Bytes = ps.Rows, ps.Bytes
@@ -85,7 +105,7 @@ func scanPartitions(ctx context.Context, t *storage.Table, workers int, src sour
 // the consumer is untouched when the partition reruns from the row log;
 // that rerun is the fallback engine_columnar_fallbacks_total counts per
 // partition.
-func scanPartition(ctx context.Context, t *storage.Table, p int, src sources, w *selectWorker) (source string, ps storage.ScanStats, err error) {
+func scanPartition(ctx context.Context, t *storage.Table, p int, src sources, from storage.Mark, w *selectWorker) (source string, ps storage.ScanStats, err error) {
 	if src.block != nil {
 		ps, err = t.ScanPartitionBlocks(ctx, p, src.block, w.block)
 		if !errors.Is(err, storage.ErrSegmentStale) {
@@ -94,7 +114,7 @@ func scanPartition(ctx context.Context, t *storage.Table, p int, src sources, w 
 		obs.ColumnarFallbacks.Inc()
 	}
 	if src.floats != nil {
-		ps, err = t.ScanPartitionFloats(ctx, p, src.floats, w.floats, w.row)
+		ps, err = t.ScanPartitionFloats(ctx, p, from, src.floats, w.floats, w.row)
 		return "float", ps, err
 	}
 	ps, err = t.ScanPartitionStats(ctx, p, w.row)

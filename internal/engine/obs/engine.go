@@ -42,18 +42,18 @@ var (
 	ActiveQueries = Default.Gauge("engine_active_queries",
 		"Statements currently executing.")
 
-	// Summary-cache instruments: the incremental n/L/Q catalog reports
-	// how often model builds were served warm (zero scans), how often
-	// they fell back to a rebuild scan, and how many appended rows were
-	// folded into summaries at write time.
+	// Summary-cache instruments: the n/L/Q catalog reports how often
+	// model builds were served warm (no scan, or only the rows appended
+	// since), how often they read every row, and how many appended rows
+	// warm reads read.
 	SummaryHits = Default.Counter("engine_summary_hits",
-		"Summary-cache reads served from a warm entry with zero partition scans.")
+		"Summary-cache reads served from a warm entry: no scan, or only the rows appended since.")
 	SummaryMisses = Default.Counter("engine_summary_misses",
-		"Summary-cache reads that fell back to a rebuild scan (cold or stale entry).")
+		"Summary-cache reads that read every row (cold entry, or the table's epoch moved).")
 	SummaryIncremental = Default.Counter("engine_summary_incremental_updates",
-		"Appended rows delta-merged into cached summaries at write time.")
+		"Appended rows warm summary reads resumed their partitions over.")
 	SummaryRebuildSeconds = Default.Histogram("engine_summary_rebuild_seconds",
-		"Latency of summary-cache rebuild scans (cold/stale entries).", DurationBuckets)
+		"Latency of summary-cache reads of every row (cold entries).", DurationBuckets)
 
 	// Columnar-path instruments: the vectorized scan path reports how
 	// many column blocks its block scans delivered, how many vector

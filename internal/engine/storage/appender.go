@@ -30,10 +30,9 @@ type appender struct {
 	// parts is indexed by partition; one the write never routed a row
 	// to stays zero and its file is never opened.
 	parts []stagedPart
-	one   [1]sqltypes.Row // scratch for per-row observer notification
-	row   sqltypes.Row    // an on-disk bulk load validates every row into this one
-	err   error           // first failure (or errAppenderDone): add refuses, commit aborts
-	done  bool            // committed or aborted; the lock is released
+	row   sqltypes.Row // an on-disk bulk load validates every row into this one
+	err   error        // first failure (or errAppenderDone): add refuses, commit aborts
+	done  bool         // committed or aborted; the lock is released
 }
 
 // stagedPart is one partition's share of a write. In memory the rows
@@ -41,10 +40,11 @@ type appender struct {
 // beyond the partition's published count until commit — so only rows is
 // used.
 type stagedPart struct {
-	rows int64    // rows staged here
-	f    *os.File // the row log, opened by the first row routed here
-	size int64    // the row log's size before the write
-	buf  []byte   // encoded rows not yet written to f
+	rows  int64    // rows staged here
+	bytes int64    // their encoded size
+	f     *os.File // the row log, opened by the first row routed here
+	size  int64    // the row log's size before the write
+	buf   []byte   // encoded rows not yet written to f
 }
 
 // begin starts a write: it takes the table lock — released by commit or
@@ -73,8 +73,7 @@ func (a *appender) fail(err error) error {
 // add stages one row, already validated and owned by the table: routed
 // round-robin, encoded behind its partition's file (opened, and its
 // size noted, on the first row routed there) or appended to its memory
-// slice, then streamed to the observers, whose state stays unservable
-// until commit publishes — or abort invalidates — the write.
+// slice, where no reader sees it until commit publishes the write.
 //
 //statlint:locked Table.mu
 func (a *appender) add(r sqltypes.Row) error {
@@ -96,6 +95,7 @@ func (a *appender) add(r sqltypes.Row) error {
 		if err != nil {
 			return a.fail(err)
 		}
+		s.bytes += int64(len(buf) - len(s.buf))
 		s.buf = buf
 		if len(s.buf) >= appendFlushSize {
 			if err := s.flush(); err != nil {
@@ -105,10 +105,6 @@ func (a *appender) add(r sqltypes.Row) error {
 	}
 	s.rows++
 	a.n++
-	if len(t.watchers) > 0 {
-		a.one[0] = r
-		t.notifyAppendLocked(p, a.one[:])
-	}
 	return nil
 }
 
@@ -139,10 +135,9 @@ func (s *stagedPart) flush() error {
 
 // commit is the write's one commit point. It writes out and closes
 // every touched partition; if that, or any add before it, failed, the
-// write is aborted and the failure returned. Otherwise the partition
-// and table counts, the epoch and the observers' publish stamp advance
-// together, inside the critical section begin opened — an observer's
-// view is never ahead of or behind what scans can deliver.
+// write is aborted and the failure returned. Otherwise the partitions'
+// counts and sizes and the table count advance together, inside the
+// critical section begin opened. The epoch stays: the write appended.
 //
 //statlint:locked Table.mu
 func (a *appender) commit() error {
@@ -169,22 +164,22 @@ func (a *appender) commit() error {
 	}
 	for p := range a.parts {
 		t.parts[p].rows += a.parts[p].rows
+		t.parts[p].size += a.parts[p].bytes
 	}
 	t.rows.Add(a.n)
-	t.epoch.Add(1)
 	obs.RowsInserted.Add(a.n)
-	t.notifyPublishLocked()
 	a.finish()
 	return nil
 }
 
 // abort retracts the write: every touched partition goes back to its
-// size at begin, the observers — which saw the retracted rows — are
-// invalidated, and nothing is published. A file whose truncate fails
-// (or is failed by the TruncateFail fault) keeps torn bytes, so its
-// partition is marked corrupt: the epoch moves and every later scan of
-// it, and every later write to the table, is refused loudly. After
-// commit or a first abort it is a no-op, so callers may defer it.
+// size at begin and nothing is published, so the table — its counts,
+// its epoch, every Mark in it — is as begin found it. A file whose
+// truncate fails (or is failed by the TruncateFail fault) keeps torn
+// bytes, so its partition is marked corrupt: the epoch moves and every
+// later scan of it, and every later write to the table, is refused
+// loudly. After commit or a first abort it is a no-op, so callers may
+// defer it.
 //
 //statlint:locked Table.mu
 func (a *appender) abort() {
@@ -212,7 +207,6 @@ func (a *appender) abort() {
 			t.epoch.Add(1)
 		}
 	}
-	t.notifyInvalidateLocked()
 	a.finish()
 }
 
@@ -228,8 +222,7 @@ func (t *Table) Insert(rows ...sqltypes.Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	// Validate before taking the lock: a bad row costs readers nothing
-	// and leaves the observers' state alone.
+	// Validate before taking the lock: a bad row costs readers nothing.
 	checked := make([]sqltypes.Row, len(rows))
 	for i, r := range rows {
 		checked[i] = make(sqltypes.Row, t.schema.Len())

@@ -2,26 +2,17 @@ package storage
 
 import (
 	"fmt"
-	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/engine/sqltypes"
 )
 
-// eventObserver records the order of the callbacks a table fires: one
-// 'a' per OnAppend, 'P' per OnPublish, 'I' per OnInvalidate.
-type eventObserver struct{ events strings.Builder }
-
-func (o *eventObserver) OnAppend(int, []sqltypes.Row) { o.events.WriteByte('a') }
-func (o *eventObserver) OnPublish(int64, int64)       { o.events.WriteByte('P') }
-func (o *eventObserver) OnInvalidate()                { o.events.WriteByte('I') }
-
 // TestWriteFaultMatrix pins the one failure rule of the write path:
 // whichever way rows arrive and whatever goes wrong, the write lands
-// completely or leaves the table — counts, files, scans — as it found
-// it, the observers see their streamed rows followed by exactly one
-// publish or one invalidation, and the table takes the next write.
+// completely or leaves the table — counts, files, scans, epoch and the
+// marks a scan resumes from — as it found it, and the table takes the
+// next write.
 func TestWriteFaultMatrix(t *testing.T) {
 	const (
 		parts  = 4
@@ -31,7 +22,6 @@ func TestWriteFaultMatrix(t *testing.T) {
 	)
 	writers := []string{"Insert", "BulkLoader+Close", "BulkLoader+Abort"}
 	faults := []string{"none", "bad last row", "flush fault", "flush fault + TruncateFail"}
-	sequence := regexp.MustCompile(`^a*(P|I)$`)
 	for _, writer := range writers {
 		for _, fault := range faults {
 			for _, disk := range []bool{false, true} {
@@ -47,8 +37,8 @@ func TestWriteFaultMatrix(t *testing.T) {
 					fill(t, tab, seeded)
 					beforeParts := tab.PartitionRowCounts()
 					beforeSize, _ := tab.SizeBytes()
-					var o eventObserver
-					tab.Observe(&o)
+					_, marks := resume(t, tab, nil)
+					epoch := tab.Epoch()
 
 					batch := make([]sqltypes.Row, n)
 					for i := range batch {
@@ -131,16 +121,15 @@ func TestWriteFaultMatrix(t *testing.T) {
 						if err != nil || c != wantParts[p] {
 							t.Fatalf("partition %d scans %d rows (%v), want %d", p, c, err, wantParts[p])
 						}
-					}
-					events := o.events.String()
-					switch {
-					case writer == "Insert" && fault == "bad last row":
-						// Validation precedes begin: nothing was staged.
-						if events != "" {
-							t.Fatalf("observer saw %q from an insert that never began", events)
+						// Resumed from before the write, the scan reads the
+						// write's rows or, rolled back, none.
+						if _, err := tab.ScanPartitionFloats(nil, p, marks[p], nil, func([]float64) error { c--; return nil }, nil); err != nil || c != beforeParts[p] {
+							t.Fatalf("partition %d resumed from %+v: %v, %d rows short of the write", p, marks[p], err, c-beforeParts[p])
 						}
-					case !sequence.MatchString(events) || strings.HasSuffix(events, "P") != lands:
-						t.Fatalf("observer saw %q, write landed: %v", events, lands)
+					}
+					// Only the torn partition moved the epoch.
+					if moved := tab.Epoch() != epoch; moved != corrupt {
+						t.Fatalf("epoch moved: %v, torn partition: %v", moved, corrupt)
 					}
 
 					// The next write lands — after a TRUNCATE when a torn

@@ -16,7 +16,7 @@ import (
 // reached each callback in delivery order: a copy of the float row, or
 // the boxed row (a clone), never both.
 func floatScan(ctx context.Context, tab *Table, p int, cols []int) (floats [][]float64, rows []sqltypes.Row, st ScanStats, err error) {
-	st, err = tab.ScanPartitionFloats(ctx, p, cols, func(x []float64) error {
+	st, err = tab.ScanPartitionFloats(ctx, p, Mark{}, cols, func(x []float64) error {
 		floats = append(floats, append(make([]float64, 0, len(x)), x...))
 		rows = append(rows, nil)
 		return nil
@@ -157,7 +157,7 @@ func TestScanPartitionFloatsKeepsTheScanChecks(t *testing.T) {
 		// Cancellation mid-scan is seen at the same 64-row check.
 		ctx, cancel := context.WithCancel(bg())
 		n := 0
-		_, err = tab.ScanPartitionFloats(ctx, 0, cols, func([]float64) error {
+		_, err = tab.ScanPartitionFloats(ctx, 0, Mark{}, cols, func([]float64) error {
 			if n++; n == 10 {
 				cancel()
 			}
@@ -166,10 +166,10 @@ func TestScanPartitionFloatsKeepsTheScanChecks(t *testing.T) {
 		if !errors.Is(err, context.Canceled) || n != 64 {
 			t.Fatalf("cancelled after row 10: %v after %d rows, want context.Canceled after 64", err, n)
 		}
-		if _, err := tab.ScanPartitionFloats(bg(), 0, []int{1, 1}, nil, nil); err == nil {
+		if _, err := tab.ScanPartitionFloats(bg(), 0, Mark{}, []int{1, 1}, nil, nil); err == nil {
 			t.Fatal("a column requested twice was accepted")
 		}
-		if _, err := tab.ScanPartitionFloats(bg(), 0, []int{3}, nil, nil); err == nil {
+		if _, err := tab.ScanPartitionFloats(bg(), 0, Mark{}, []int{3}, nil, nil); err == nil {
 			t.Fatal("a column out of range was accepted")
 		}
 		if dir == "" {

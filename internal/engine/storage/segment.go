@@ -553,6 +553,7 @@ func (t *Table) ScanPartitionBlocks(ctx context.Context, p int, cols []int, fn f
 	if c := t.parts[p].corrupt; c != nil {
 		return st, fmt.Errorf("storage: refusing to scan corrupt partition %d of table %q: %w", p, t.name, c)
 	}
+	st.End = Mark{Rows: t.parts[p].rows, Offset: t.parts[p].size}
 	flt := t.fault
 	if flt.matches(p) && flt.ScanOpen {
 		return st, flt.err()

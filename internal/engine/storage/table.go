@@ -23,9 +23,9 @@ const DefaultPartitions = 20
 // segments are a cache EnsureSegments derives from it (segment.go).
 //
 // The guards directive below lets statlint's lockreent analyzer prove,
-// over the whole program, that nothing re-enters mu: observer
-// callbacks, *Locked methods, and scan callbacks all run with mu held
-// and must not call back into the locking API (Insert, Scan, Rows...).
+// over the whole program, that nothing re-enters mu: *Locked methods
+// and scan callbacks run with mu held and must not call back into the
+// locking API (Insert, Scan, Rows...).
 //
 //statlint:guards mu
 type Table struct {
@@ -35,24 +35,26 @@ type Table struct {
 
 	mu    sync.RWMutex
 	parts []partition
-	// rows and epoch are written only under mu but read lock-free:
-	// validity checks (summary cache freshness, Stamp) must not acquire
-	// mu, or they would deadlock against writers notifying observers.
+	// rows and epoch are written only under mu but read lock-free, so a
+	// summary's freshness check costs no lock (see Epoch).
 	rows  atomic.Int64
-	epoch atomic.Int64 // bumped under mu on every published mutation
-
-	// watchers receive append/invalidate notifications under mu; the
-	// summary catalog registers entries here (see observer.go).
-	watchers []Observer
+	epoch atomic.Int64
 
 	fault   *Fault       // test-only fault injection; nil in production
 	scanned atomic.Int64 // cumulative rows delivered to scan callbacks
 }
 
+// Mark is a position in a partition: after its first Rows rows, which
+// end Offset bytes into its row log (0 in memory). Within one epoch a
+// partition only grows at its end, so a mark stays a position in it,
+// and a float scan resumes from one (ScanPartitionFloats).
+type Mark struct{ Rows, Offset int64 }
+
 type partition struct {
 	path string         // on-disk file, when dir != ""
 	mem  []sqltypes.Row // in-memory rows otherwise
 	rows int64
+	size int64 // bytes of the row log holding rows (0 in memory)
 	// segRows says the partition's segment file is a snapshot of the
 	// first segRows rows of this row log (no file needed at 0): fresh
 	// iff segRows == rows. Writes never touch it, so it only ever falls
@@ -120,11 +122,11 @@ func OpenTable(name string, schema *sqltypes.Schema, dir string, partitions int)
 	// against per-partition accounting, which is exactly what attach is
 	// still rebuilding here.
 	for p := range t.parts {
-		count, err := countFileRows(t.parts[p].path, schema.Len())
+		count, size, err := countFileRows(t.parts[p].path, schema.Len())
 		if err != nil {
 			return nil, fmt.Errorf("storage: attaching table %q: %w", name, err)
 		}
-		t.parts[p].rows = count
+		t.parts[p].rows, t.parts[p].size = count, size
 		// A segment left behind by the previous process is unverified
 		// until EnsureSegments walks (and adopts) or rebuilds it.
 		t.parts[p].segRows = segUnverified
@@ -134,24 +136,23 @@ func OpenTable(name string, schema *sqltypes.Schema, dir string, partitions int)
 }
 
 // countFileRows decodes an entire row-log file, returning how many rows
-// it holds; any decode failure surfaces as ErrCorrupt.
-func countFileRows(path string, arity int) (int64, error) {
+// it holds and their bytes; any decode failure surfaces as ErrCorrupt.
+func countFileRows(path string, arity int) (count, size int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, fmt.Errorf("storage: %w", err)
+		return 0, 0, fmt.Errorf("storage: %w", err)
 	}
 	defer f.Close()
 	rr := newRowReader(f, arity)
 	defer rr.release()
 	var row sqltypes.Row
-	var count int64
 	for {
 		row, err = rr.next(row)
 		if err == io.EOF {
-			return count, nil
+			return count, rr.bytes(), nil
 		}
 		if err != nil {
-			return count, err
+			return count, 0, err
 		}
 		count++
 	}
@@ -167,10 +168,17 @@ func (t *Table) Schema() *sqltypes.Schema { return t.schema }
 func (t *Table) Partitions() int { return len(t.parts) }
 
 // NumRows returns the current row count. It is lock-free: the count is
-// published atomically after each mutation commits, so readers (and
-// the summary cache's freshness checks, which run while writers may be
-// blocked notifying observers) never contend on the table lock.
+// published atomically after each mutation commits, so readers never
+// contend on the table lock.
 func (t *Table) NumRows() int64 { return t.rows.Load() }
+
+// Epoch returns the table's epoch. It moves whenever rows stop being
+// only appended — a truncate, a drop, a partition marked corrupt — and
+// never on a write that commits or rolls back cleanly: within an epoch
+// every Mark stays a position in its partition. Lock-free, like
+// NumRows; a truncate moves the epoch before the count, so reading
+// epoch, count, epoch and finding the epoch unmoved pairs the two.
+func (t *Table) Epoch() int64 { return t.epoch.Load() }
 
 // PartitionRowCounts returns the current per-partition row counts; the
 // sys.partitions system table serves them.
@@ -208,6 +216,9 @@ func (t *Table) validate(dst, row sqltypes.Row) error {
 type ScanStats struct {
 	Rows  int64 // rows delivered to the callback
 	Bytes int64 // bytes of the partition's file consumed: decoded by a row scan, read by a block scan (0 for in-memory)
+	// End is the partition's mark after the rows the scan covered, where
+	// a scan resuming it starts; meaningful when the scan succeeded.
+	End Mark
 }
 
 // ScanPartition iterates the rows of partition p, invoking fn for each.
@@ -226,7 +237,7 @@ func (t *Table) ScanPartition(ctx context.Context, p int, fn func(sqltypes.Row) 
 // the stats cover whatever was read before an error, so failed scans
 // still report how far they got.
 func (t *Table) ScanPartitionStats(ctx context.Context, p int, fn func(sqltypes.Row) error) (ScanStats, error) {
-	return t.scanPartition(ctx, p, nil, fn)
+	return t.scanPartition(ctx, p, Mark{}, nil, fn)
 }
 
 // ScanPartitionFloats is ScanPartitionStats in the float decode mode:
@@ -240,7 +251,11 @@ func (t *Table) ScanPartitionStats(ctx context.Context, p int, fn func(sqltypes.
 // accounting, cancellation and fault injection — is the row scan's.
 // x is the scan's buffer: read-only, valid for the call. cols must be
 // distinct ordinals of the schema.
-func (t *Table) ScanPartitionFloats(ctx context.Context, p int, cols []int, floats func(x []float64) error, rows func(sqltypes.Row) error) (ScanStats, error) {
+//
+// The scan covers the rows after from: the zero Mark reads the whole
+// partition, the End of an earlier scan of it at the same epoch only
+// the rows appended since (a row log is read from that offset on).
+func (t *Table) ScanPartitionFloats(ctx context.Context, p int, from Mark, cols []int, floats func(x []float64) error, rows func(sqltypes.Row) error) (ScanStats, error) {
 	fd := &floatDecode{want: make([]int, t.schema.Len()), cols: cols, x: make([]float64, len(cols)), fn: floats}
 	for i := range fd.want {
 		fd.want[i] = -1
@@ -251,7 +266,7 @@ func (t *Table) ScanPartitionFloats(ctx context.Context, p int, cols []int, floa
 		}
 		fd.want[c] = j
 	}
-	return t.scanPartition(ctx, p, fd, rows)
+	return t.scanPartition(ctx, p, from, fd, rows)
 }
 
 // floatDecode is a float-mode scan's request and buffer.
@@ -276,8 +291,8 @@ func (fd *floatDecode) unbox(r sqltypes.Row) bool {
 }
 
 // scanPartition is the one partition-scan body: the row scan when fd is
-// nil, the float decode mode otherwise.
-func (t *Table) scanPartition(ctx context.Context, p int, fd *floatDecode, fn func(sqltypes.Row) error) (ScanStats, error) {
+// nil, the float decode mode otherwise, over the rows after from.
+func (t *Table) scanPartition(ctx context.Context, p int, from Mark, fd *floatDecode, fn func(sqltypes.Row) error) (ScanStats, error) {
 	var st ScanStats
 	// One set of atomic adds per partition scan (not per row: the
 	// partition workers share these cache lines) keeps the table's and
@@ -300,9 +315,14 @@ func (t *Table) scanPartition(ctx context.Context, p int, fd *floatDecode, fn fu
 	ctxErr := ctx.Err
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if c := t.parts[p].corrupt; c != nil {
+	part := &t.parts[p]
+	if c := part.corrupt; c != nil {
 		return st, fmt.Errorf("storage: refusing to scan corrupt partition %d of table %q: %w", p, t.name, c)
 	}
+	if from.Rows < 0 || from.Rows > part.rows {
+		return st, fmt.Errorf("storage: table %q partition %d holds %d rows; no scan resumes after row %d", t.name, p, part.rows, from.Rows)
+	}
+	st.End = Mark{Rows: part.rows, Offset: part.size}
 	flt := t.fault
 	failAfter := int64(-1)
 	if flt.matches(p) {
@@ -329,7 +349,7 @@ func (t *Table) scanPartition(ctx context.Context, p int, fd *floatDecode, fn fu
 		return nil
 	}
 	if t.dir == "" {
-		for _, r := range t.parts[p].mem {
+		for _, r := range part.mem[from.Rows:] {
 			if err := admit(); err != nil {
 				return st, err
 			}
@@ -345,11 +365,19 @@ func (t *Table) scanPartition(ctx context.Context, p int, fd *floatDecode, fn fu
 		}
 		return st, nil
 	}
-	f, err := os.Open(t.parts[p].path)
+	if from.Rows > 0 && from.Rows == part.rows {
+		return st, nil // nothing appended since the mark: the log stays shut
+	}
+	f, err := os.Open(part.path)
 	if err != nil {
 		return st, fmt.Errorf("storage: %w", err)
 	}
 	defer f.Close()
+	if from.Offset > 0 {
+		if _, err := f.Seek(from.Offset, io.SeekStart); err != nil {
+			return st, fmt.Errorf("storage: %w", err)
+		}
+	}
 	rr := newRowReader(f, t.schema.Len())
 	defer rr.release()
 	var row sqltypes.Row
@@ -374,7 +402,7 @@ func (t *Table) scanPartition(ctx context.Context, p int, fd *floatDecode, fn fu
 			// accounting the scan would silently drop the tail rows.
 			// (Extra rows are equally untrustworthy: a torn append that
 			// never rolled back.)
-			if want := t.parts[p].rows; decoded != want {
+			if want := part.rows - from.Rows; decoded != want {
 				return st, corruptf("storage: table %q partition %d decoded %d rows but accounting says %d",
 					t.name, p, decoded, want)
 			}
@@ -423,6 +451,7 @@ func (t *Table) ScanContext(ctx context.Context, fn func(sqltypes.Row) error) er
 func (t *Table) Truncate() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.epoch.Add(1)
 	var removed int64
 	var first error
 	for i := range t.parts {
@@ -443,13 +472,10 @@ func (t *Table) Truncate() error {
 		}
 		removed += t.parts[i].rows
 		t.parts[i].mem = nil
-		t.parts[i].rows = 0
+		t.parts[i].rows, t.parts[i].size = 0, 0
 		t.parts[i].corrupt = nil
 	}
 	t.rows.Add(-removed)
-	t.epoch.Add(1)
-	t.notifyInvalidateLocked()
-	t.notifyPublishLocked()
 	return first
 }
 
@@ -457,9 +483,8 @@ func (t *Table) Truncate() error {
 func (t *Table) Drop() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.rows.Store(0)
 	t.epoch.Add(1)
-	t.notifyInvalidateLocked()
+	t.rows.Store(0)
 	if t.dir == "" {
 		t.parts = make([]partition, len(t.parts))
 		return nil

@@ -1,25 +1,22 @@
-// Package summary is the incremental summary-statistics subsystem: a
-// per-table catalog of n/L/Q accumulators, keyed by (table, column
-// set, matrix type), kept fresh by delta-merging the contribution of
-// every insert and bulk-load append at write time. The paper's central
+// Package summary is the summary-statistics catalog: per table, n/L/Q
+// entries keyed by (table, column set, matrix type). The paper's central
 // observation — the sufficient statistics n, L, Q decouple model
 // building from the data scan, and are additively mergeable under the
-// same merge the 4-phase aggregate protocol performs per partition —
-// means a warm entry rebuilds any linear model in O(d²) with zero
-// partition scans. A cold or stale entry falls back transparently to
-// one parallel scan (per-partition partials merged phase-3 style) and
-// installs the result for subsequent reads.
+// merge the 4-phase aggregate protocol performs per partition — means
+// rows once read never need reading again. An entry keeps, per
+// partition, the n/L/Q of the rows it has read and the mark where they
+// end (storage.Mark). A partition only grows at its end, so a read
+// resumes each partition's own state over the rows appended since and
+// merges the partitions in order, as a scan from the start would: the
+// summary a warm entry serves is, bit for bit, the one a rescan — and
+// the paper's statement — computes. An entry that covers the table is
+// served in O(d²) with no scan at all.
 //
-// Consistency is stamp-based. Tables expose a lock-free validity stamp
-// (row count, mutation epoch); an entry is servable only when its own
-// accounting matches the stamp exactly. Write-path callbacks run under
-// the table lock, so appends fold in atomically with the mutation that
-// publishes them; anything else — fault, rollback, truncate, DDL —
-// bumps the epoch and invalidates. Rebuilds race inserts safely by
-// recording the epoch before the scan and installing under the table
-// lock only if it has not moved (bounded retries; on exhaustion the
-// scan result is served without being installed, which is exactly the
-// legacy one-scan behavior).
+// The write path knows nothing of summaries: entries catch up by
+// reading. A table's epoch moves when its rows stop being only appended
+// (truncate, drop, a partition marked corrupt); an entry read at an
+// older epoch reads the table from the start. A write that rolls back
+// cleanly leaves the table, and so every entry, as it was.
 package summary
 
 import (
@@ -40,54 +37,59 @@ import (
 
 // Catalog holds the summary entries of one database instance.
 type Catalog struct {
-	workers  int  // parallel rebuild width; <= 0 means one goroutine per partition
-	columnar bool // rebuild scans use block kernels where eligible
+	workers  int  // parallel scan width; <= 0 means one goroutine per partition
+	columnar bool // reads from the start use block kernels where eligible
 
 	mu      sync.Mutex
 	entries map[string]*entry
 }
 
-// NewCatalog creates an empty catalog whose rebuild scans use the
-// given worker count. With columnar set, rebuild scans run block-wise
-// over column segments where eligible; because the block kernels are
-// bit-identical to the row path, cached summaries (and their validity
-// stamps) are the same either way.
+// NewCatalog creates an empty catalog whose scans use the given worker
+// count. With columnar set, a read from the start runs block-wise over
+// column segments where eligible; the block kernels are bit-identical
+// to the row path, so the summaries are the same either way.
 func NewCatalog(workers int, columnar bool) *Catalog {
 	return &Catalog{workers: workers, columnar: columnar, entries: make(map[string]*entry)}
 }
 
-// entry is one maintained summary. Lock order is always table lock →
-// entry.mu: write-path callbacks arrive holding the table lock and
-// take entry.mu; readers under entry.mu only touch the table's
-// lock-free stamp accessors, never its lock.
+// entry is one maintained summary. Reads that scan serialize on mu; a
+// read the published state already answers takes no lock.
 type entry struct {
 	table    *storage.Table
 	colNames []string
-	cols     []int
 	mt       core.MatrixType
-	// scan is the rebuild's scan, planned with the entry: a cold rebuild
-	// plans nothing and reuses the plan's pooled workers.
-	scan func(context.Context) ([]*core.NLQ, int64, error)
+	// scan is planned with the entry: a read plans nothing and reuses the
+	// plan's pooled workers.
+	scan *exec.TableNLQ
 
-	buildMu sync.Mutex // serializes rebuild scans for this entry
-
-	mu      sync.Mutex
-	fresh   bool
-	agg     *core.NLQ // merged summary; nil when cold
-	covered int64     // rows folded into agg (including skipped NULL rows)
-	epoch   int64     // table epoch agg is valid for
-	x       []float64 // scratch for incremental extraction
+	mu  sync.Mutex            // serializes reads that scan, and Invalidate
+	cur atomic.Pointer[state] // what the entry has read; nil when cold
 
 	hits, misses, incRows, rebuilds atomic.Int64
 	lastRebuildNanos                atomic.Int64
 }
 
+// state is what an entry has read of its table at one epoch: per
+// partition, the n/L/Q of the rows before its mark (nil while none has
+// been read), and their merge in partition order. A published state is
+// never mutated.
+type state struct {
+	epoch int64
+	marks []storage.Mark
+	parts []*core.NLQ
+	sum   *core.NLQ
+	rows  int64 // rows read, NULL rows included: the marks' sum
+}
+
 // Info is one catalog entry's state, served by sys.summaries.
 type Info struct {
-	Table       string
-	Columns     []string
-	Matrix      core.MatrixType
-	State       string // "fresh", "stale" or "cold"
+	Table   string
+	Columns []string
+	Matrix  core.MatrixType
+	// State is "fresh" (the entry covers the table), "stale" (rows were
+	// appended since; the next read reads only them) or "cold" (nothing
+	// read, or the table's epoch moved; the next read reads every row).
+	State       string
 	N           float64
 	Covered     int64
 	Epoch       int64
@@ -119,9 +121,9 @@ func resolveColumns(s *sqltypes.Schema, cols []string) ([]int, error) {
 	return idx, nil
 }
 
-// get returns the entry for (t, cols, mt), creating and registering it
-// on first use. A stored entry whose table pointer differs from t (the
-// table was dropped and recreated under the same name) is discarded.
+// get returns the entry for (t, cols, mt), creating it on first use. A
+// stored entry whose table pointer differs from t (the table was dropped
+// and recreated under the same name) is replaced.
 func (c *Catalog) get(t *storage.Table, cols []string, mt core.MatrixType) (*entry, error) {
 	idx, err := resolveColumns(t.Schema(), cols)
 	if err != nil {
@@ -130,72 +132,66 @@ func (c *Catalog) get(t *storage.Table, cols []string, mt core.MatrixType) (*ent
 	key := entryKey(t.Name(), cols, mt)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e := c.entries[key]; e != nil {
-		if e.table == t {
-			return e, nil
-		}
-		e.table.Unobserve(e)
+	if e := c.entries[key]; e != nil && e.table == t {
+		return e, nil
 	}
 	scan, err := exec.PrepareTableNLQ(t, idx, mt, c.workers, c.columnar)
 	if err != nil {
 		return nil, err
 	}
-	e := &entry{
-		table:    t,
-		colNames: append([]string(nil), cols...),
-		cols:     idx,
-		mt:       mt,
-		scan:     scan,
-		x:        make([]float64, len(idx)),
-	}
-	t.Observe(e)
+	e := &entry{table: t, colNames: append([]string(nil), cols...), mt: mt, scan: scan}
 	c.entries[key] = e
 	return e, nil
 }
 
-// NLQ returns the summary for (t, cols, mt). hit reports whether it
-// was served from a warm entry — zero partition scans — rather than
-// rebuilt. The returned NLQ is the caller's to mutate.
+// NLQ returns the summary for (t, cols, mt). hit reports whether a warm
+// entry served it — with no scan when it covered the table, else after
+// reading only the rows appended since — rather than a read of every
+// row. The returned NLQ is the caller's to mutate.
 func (c *Catalog) NLQ(ctx context.Context, t *storage.Table, cols []string, mt core.MatrixType) (s *core.NLQ, hit bool, err error) {
 	e, err := c.get(t, cols, mt)
 	if err != nil {
 		return nil, false, err
 	}
-	if s := e.cached(); s != nil {
+	st := e.current()
+	hit = true
+	if st == nil {
+		if st, hit, err = e.read(ctx); err != nil {
+			return nil, false, err
+		}
+	}
+	if hit {
 		e.hits.Add(1)
 		obs.SummaryHits.Inc()
-		return s, true, nil
+	} else {
+		e.misses.Add(1)
+		obs.SummaryMisses.Inc()
 	}
-	e.misses.Add(1)
-	obs.SummaryMisses.Inc()
-	s, err = e.rebuild(ctx)
-	if err != nil {
-		return nil, false, err
-	}
-	return s, false, nil
+	return st.sum.Clone(), hit, nil
 }
 
 // Invalidate marks every entry of the named table cold, forcing the
-// next read of each through the rebuild path. The bench harness uses
-// it to measure cold builds; DDL paths use it defensively.
+// next read of each to read every row. The bench harness uses it to
+// measure cold builds.
 func (c *Catalog) Invalidate(table string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, e := range c.entries {
 		if strings.EqualFold(e.table.Name(), table) {
-			e.OnInvalidate()
+			e.mu.Lock()
+			e.cur.Store(nil)
+			e.mu.Unlock()
 		}
 	}
 }
 
-// DropTable removes (and unregisters) every entry of the named table;
-// called when the table leaves the catalog.
+// DropTable removes every entry of the named table; called when the
+// table leaves the catalog.
 func (c *Catalog) DropTable(table string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for k, e := range c.entries {
 		if strings.EqualFold(e.table.Name(), table) {
-			e.table.Unobserve(e)
 			delete(c.entries, k)
 		}
 	}
@@ -224,161 +220,130 @@ func (c *Catalog) Snapshot() []Info {
 }
 
 func (e *entry) info() Info {
-	e.mu.Lock()
 	inf := Info{
-		Table:   e.table.Name(),
-		Columns: append([]string(nil), e.colNames...),
-		Matrix:  e.mt,
-		Covered: e.covered,
-		Epoch:   e.epoch,
+		Table:       e.table.Name(),
+		Columns:     append([]string(nil), e.colNames...),
+		Matrix:      e.mt,
+		State:       "cold",
+		Hits:        e.hits.Load(),
+		Misses:      e.misses.Load(),
+		IncRows:     e.incRows.Load(),
+		Rebuilds:    e.rebuilds.Load(),
+		LastRebuild: time.Duration(e.lastRebuildNanos.Load()),
 	}
-	switch {
-	case !e.fresh:
-		inf.State = "cold"
-	case e.epoch == e.table.Epoch() && e.covered == e.table.NumRows():
-		inf.State = "fresh"
-	default:
-		inf.State = "stale"
+	if s := e.cur.Load(); s != nil {
+		inf.N, inf.Covered, inf.Epoch = s.sum.N, s.rows, s.epoch
+		switch {
+		case s.epoch != e.table.Epoch(): // cold: the next read reads every row
+		case s.rows == e.table.NumRows():
+			inf.State = "fresh"
+		default:
+			inf.State = "stale"
+		}
 	}
-	if e.agg != nil {
-		inf.N = e.agg.N
-	}
-	e.mu.Unlock()
-	inf.Hits = e.hits.Load()
-	inf.Misses = e.misses.Load()
-	inf.IncRows = e.incRows.Load()
-	inf.Rebuilds = e.rebuilds.Load()
-	inf.LastRebuild = time.Duration(e.lastRebuildNanos.Load())
 	return inf
 }
 
-// cached returns a clone of the summary iff the entry's accounting
-// matches the table's validity stamp exactly; nil means cold or stale.
-// The stamp reads are lock-free, so holding e.mu here cannot deadlock
-// against a writer holding the table lock and waiting for e.mu in a
-// callback. (A writer between its stamp update and its callbacks can
-// make a torn read look stale — that costs a spurious rebuild, never
-// a wrong answer.)
-func (e *entry) cached() *core.NLQ {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.fresh || e.epoch != e.table.Epoch() || e.covered != e.table.NumRows() {
+// current returns the published state if it covers the table as it
+// stands: read at the table's epoch, through its row count. Within an
+// epoch every mark is at most its partition's count, so equal sums mean
+// every partition is read to its end. The stamps are read lock-free —
+// epoch, count, epoch — so a torn read can only miss.
+func (e *entry) current() *state {
+	s := e.cur.Load()
+	if s == nil {
 		return nil
 	}
-	return e.agg.Clone()
+	epoch := e.table.Epoch()
+	if s.epoch != epoch || s.rows != e.table.NumRows() || e.table.Epoch() != epoch {
+		return nil
+	}
+	return s
 }
 
-// rebuild scans the table (phases 1-2 per partition, phase-3 merge)
-// and installs the result under the table lock if no mutation raced
-// the scan. Concurrent inserts during the scan are detected by the
-// epoch check and retried a bounded number of times; if the table
-// never sits still, the last scan's result is served without being
-// installed — exactly the legacy one-scan behavior.
-func (e *entry) rebuild(ctx context.Context) (*core.NLQ, error) {
-	e.buildMu.Lock()
-	defer e.buildMu.Unlock()
-	// Another reader may have rebuilt while we queued on buildMu.
-	if s := e.cached(); s != nil {
-		return s, nil
+// maxReads bounds how often one call chases a table that keeps changing.
+const maxReads = 4
+
+// read brings the entry up to its table. A write that lands while the
+// partitions are read leaves the entry short of the row count, and the
+// rows it appended are read next; a table that never sits still is
+// served its last read, which holds each partition as some committed
+// write left it, as any statement's scan does. hit is false when some
+// pass read every row.
+func (e *entry) read(ctx context.Context) (s *state, hit bool, err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	hit = true
+	for range maxReads {
+		if cur := e.current(); cur != nil {
+			return cur, hit, nil // caught up, perhaps by a reader we queued behind
+		}
+		next, warm, err := e.advance(ctx)
+		if err != nil {
+			return nil, false, err
+		}
+		hit = hit && warm
+		if next != nil {
+			s = next
+		}
+	}
+	if s == nil {
+		return nil, false, fmt.Errorf("summary: table %q was truncated under each of %d reads", e.table.Name(), maxReads)
+	}
+	return s, hit, nil
+}
+
+// advance reads what the entry has not: the rows after each partition's
+// mark when it is warm — read at the table's current epoch — and every
+// row otherwise. It publishes the new state unless the epoch moved
+// meanwhile and returns it either way; it returns nil when the epoch
+// moved under a resumed scan, whose marks it may have outrun.
+func (e *entry) advance(ctx context.Context) (next *state, warm bool, err error) {
+	prev, epoch := e.cur.Load(), e.table.Epoch()
+	n := e.table.Partitions()
+	next = &state{epoch: epoch, marks: make([]storage.Mark, n), parts: make([]*core.NLQ, n)}
+	warm = prev != nil && prev.epoch == epoch
+	if warm {
+		copy(next.marks, prev.marks)
+		for p, q := range prev.parts {
+			if q != nil {
+				next.parts[p] = q.Clone()
+			}
+		}
 	}
 	start := time.Now()
-	var result *core.NLQ
-	for attempt := 0; attempt < 4; attempt++ {
-		e0 := e.table.Epoch()
-		partials, _, err := e.scan(ctx)
-		if err != nil {
-			return nil, err
+	rows, err := e.scan.Read(ctx, next.marks, next.parts)
+	if err != nil {
+		if warm && e.table.Epoch() != epoch {
+			return nil, warm, nil
 		}
-		agg, err := core.NewNLQ(len(e.cols), e.mt)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range partials {
-			if err := agg.Merge(p); err != nil {
-				return nil, err
-			}
-		}
-		result = agg
-		installed := false
-		e.table.Sync(func(rows, epoch int64) {
-			if epoch != e0 {
-				return // a mutation raced the scan; retry
-			}
-			// epoch unchanged ⇒ nothing moved since the scan began, so
-			// the partials cover the table's rows exactly.
-			e.mu.Lock()
-			e.agg = agg.Clone()
-			e.covered = rows
-			e.epoch = epoch
-			e.fresh = true
-			e.mu.Unlock()
-			installed = true
-		})
-		if installed {
-			break
-		}
+		return nil, false, err
 	}
-	d := time.Since(start)
-	e.rebuilds.Add(1)
-	e.lastRebuildNanos.Store(int64(d))
-	obs.SummaryRebuildSeconds.Observe(d.Seconds())
-	return result, nil
-}
-
-// OnAppend folds newly appended rows into the summary. It runs under
-// the table lock, so appends serialize with each other and with
-// installs; a fold that fails (dimension overflow cannot happen here,
-// but Update guards anyway) demotes the entry to cold.
-func (e *entry) OnAppend(p int, rows []sqltypes.Row) {
-	_ = p // partials are merged eagerly; partition identity is not needed
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.fresh {
-		return
+	if next.sum, err = core.NewNLQ(len(e.colNames), e.mt); err != nil {
+		return nil, false, err
 	}
-	for _, r := range rows {
-		e.covered++
-		ok := true
-		for i, c := range e.cols {
-			f, fok := r[c].Float()
-			if !fok {
-				ok = false // NULL dimension: point skipped, row still covered
-				break
-			}
-			e.x[i] = f
-		}
-		if !ok {
+	for _, q := range next.parts {
+		if q == nil {
 			continue
 		}
-		if err := e.agg.Update(e.x); err != nil {
-			e.fresh, e.agg = false, nil
-			return
+		if err := next.sum.Merge(q); err != nil {
+			return nil, false, err
 		}
-		e.incRows.Add(1)
-		obs.SummaryIncremental.Inc()
 	}
-}
-
-// OnPublish stamps the entry with the committed mutation's epoch. If
-// the entry's row accounting disagrees with the published count (rows
-// it never saw, e.g. appended before it registered mid-load), it
-// demotes itself to cold rather than serve a wrong summary.
-func (e *entry) OnPublish(rows, epoch int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.fresh {
-		return
+	for _, m := range next.marks {
+		next.rows += m.Rows
 	}
-	e.epoch = epoch
-	if e.covered != rows {
-		e.fresh, e.agg = false, nil
+	if warm {
+		e.incRows.Add(rows)
+		obs.SummaryIncremental.Add(rows)
+	} else {
+		d := time.Since(start)
+		e.rebuilds.Add(1)
+		e.lastRebuildNanos.Store(int64(d))
+		obs.SummaryRebuildSeconds.Observe(d.Seconds())
 	}
-}
-
-// OnInvalidate drops the summary: the table's state diverged in a way
-// incremental maintenance cannot follow (fault, rollback, truncate).
-func (e *entry) OnInvalidate() {
-	e.mu.Lock()
-	e.fresh, e.agg = false, nil
-	e.mu.Unlock()
+	if e.table.Epoch() == epoch {
+		e.cur.Store(next)
+	}
+	return next, warm, nil
 }

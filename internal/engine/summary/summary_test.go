@@ -79,10 +79,10 @@ func requireClose(t *testing.T, got, want *core.NLQ, tol float64) {
 }
 
 // TestMergeEquivalenceConcurrentInserts is the merge-equivalence
-// property: the incrementally maintained summary after K interleaved
-// concurrent inserts must equal a from-scratch ComputeNLQ over the
-// final table, within tolerance. Run under -race this also proves the
-// write-path callbacks are properly serialized.
+// property: the summary an entry catches up to over K interleaved
+// concurrent inserts and reads equals a from-scratch ComputeNLQ over the
+// final table within tolerance, and a rescan bit for bit. Run under
+// -race this also proves reads and writes are properly serialized.
 func TestMergeEquivalenceConcurrentInserts(t *testing.T) {
 	for _, dir := range []string{"", t.TempDir()} {
 		name := "mem"
@@ -96,8 +96,7 @@ func TestMergeEquivalenceConcurrentInserts(t *testing.T) {
 			}
 			cat := NewCatalog(0, false)
 			ctx := context.Background()
-			// Warm the entry on the empty table so every insert is folded
-			// incrementally.
+			// Warm the entry on the empty table so every later read resumes.
 			if _, hit, err := cat.NLQ(ctx, tab, testCols, core.Triangular); err != nil || hit {
 				t.Fatalf("first read: hit=%v err=%v", hit, err)
 			}
@@ -146,13 +145,20 @@ func TestMergeEquivalenceConcurrentInserts(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !hit {
-				t.Fatal("summary not warm after interleaved inserts (every append was delta-merged)")
+				t.Fatal("summary not warm after interleaved inserts")
 			}
 			want, err := core.ComputeNLQ(scanPoints(t, tab), core.Triangular)
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireClose(t, s, want, 1e-9)
+			rescan, _, err := NewCatalog(0, false).NLQ(ctx, tab, testCols, core.Triangular)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Pack() != rescan.Pack() {
+				t.Fatalf("caught-up summary %s\nrescan %s", s.Pack(), rescan.Pack())
+			}
 			// The warm read performed zero partition scans.
 			tab.ResetScannedRows()
 			if _, hit, err := cat.NLQ(ctx, tab, testCols, core.Triangular); err != nil || !hit {
@@ -165,9 +171,8 @@ func TestMergeEquivalenceConcurrentInserts(t *testing.T) {
 	}
 }
 
-// TestBulkLoadMaintainsSummary covers the BulkLoader append path: rows
-// streamed through a loader registered mid-life must leave the entry
-// fresh and exact.
+// TestBulkLoadMaintainsSummary covers the BulkLoader append path: a
+// warm entry reads a bulk load's rows, and only those, and stays exact.
 func TestBulkLoadMaintainsSummary(t *testing.T) {
 	tab, err := storage.NewTable("x", testSchema(), t.TempDir(), 3)
 	if err != nil {
@@ -190,12 +195,13 @@ func TestBulkLoadMaintainsSummary(t *testing.T) {
 	if err := bl.Close(); err != nil {
 		t.Fatal(err)
 	}
+	tab.ResetScannedRows()
 	s, hit, err := cat.NLQ(ctx, tab, testCols, core.Triangular)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit {
-		t.Fatal("summary cold after bulk load")
+	if !hit || tab.ScannedRows() != 100 {
+		t.Fatalf("read after a 100-row bulk load: hit=%v, %d rows scanned", hit, tab.ScannedRows())
 	}
 	want, err := core.ComputeNLQ(scanPoints(t, tab), core.Triangular)
 	if err != nil {
@@ -205,9 +211,9 @@ func TestBulkLoadMaintainsSummary(t *testing.T) {
 }
 
 // TestRollbackNeverServesRetractedRows: an insert that fails and rolls
-// back cleanly publishes nothing, but the entry was streamed its rows
-// before the failure. It is invalidated rather than left holding them:
-// the next read rebuilds and equals the summary from before the insert.
+// back cleanly publishes nothing and leaves every partition as it was,
+// so a warm entry stays fresh: the next read scans nothing and equals,
+// bit for bit, the summary from before the insert.
 func TestRollbackNeverServesRetractedRows(t *testing.T) {
 	tab, err := storage.NewTable("x", testSchema(), t.TempDir(), 2)
 	if err != nil {
@@ -228,17 +234,20 @@ func TestRollbackNeverServesRetractedRows(t *testing.T) {
 		t.Fatalf("want injected error, got %v", err)
 	}
 	tab.SetFault(nil)
-	if infos := cat.Snapshot(); len(infos) != 1 || infos[0].State != "cold" {
+	if infos := cat.Snapshot(); len(infos) != 1 || infos[0].State != "fresh" {
 		t.Fatalf("snapshot after rollback: %+v", infos)
 	}
+	tab.ResetScannedRows()
 	after, hit, err := cat.NLQ(ctx, tab, testCols, core.Triangular)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit {
-		t.Fatal("entry that folded retracted rows was served from cache")
+	if !hit || tab.ScannedRows() != 0 {
+		t.Fatalf("read after a rollback: hit=%v, %d rows scanned", hit, tab.ScannedRows())
 	}
-	requireClose(t, after, before, 0)
+	if after.Pack() != before.Pack() {
+		t.Fatalf("after rollback %s\nbefore %s", after.Pack(), before.Pack())
+	}
 }
 
 // TestRollbackCorruptionInvalidates is the insert-rollback
@@ -360,5 +369,95 @@ func TestDropTableUnregisters(t *testing.T) {
 	}
 	if s.N != 0 {
 		t.Fatalf("fresh table's summary covers %g rows", s.N)
+	}
+}
+
+// TestReadResumesBitForBit: a warm entry reads only what was appended
+// since its last read — by Insert, by a bulk load, NULL rows among them,
+// a refused insert in between — in memory and on disk, with the
+// columnar option off and on, and what it serves is, bit for bit, the
+// summary a fresh catalog reads from the start. A truncate moves the
+// table's epoch, and the next read reads from the start.
+func TestReadResumesBitForBit(t *testing.T) {
+	ctx := context.Background()
+	next := int64(0)
+	rows := func(n int) []sqltypes.Row {
+		out := make([]sqltypes.Row, n)
+		for i := range out {
+			v := float64(next) * 0.37
+			out[i] = testRow(next, v, 1e3-v*v, math.Sin(v))
+			if next%9 == 4 {
+				out[i][2] = sqltypes.Null
+			}
+			next++
+		}
+		return out
+	}
+	for _, disk := range []bool{false, true} {
+		for _, columnar := range []bool{false, true} {
+			name := fmt.Sprintf("disk=%v columnar=%v", disk, columnar)
+			dir := ""
+			if disk {
+				dir = t.TempDir()
+			}
+			tab, err := storage.NewTable("x", testSchema(), dir, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cat := NewCatalog(0, columnar)
+			check := func(what string, wantHit bool, wantScanned int64) {
+				t.Helper()
+				tab.ResetScannedRows()
+				s, hit, err := cat.NLQ(ctx, tab, testCols, core.Full)
+				if err != nil {
+					t.Fatalf("%s, %s: %v", name, what, err)
+				}
+				if hit != wantHit || tab.ScannedRows() != wantScanned {
+					t.Fatalf("%s, %s: hit=%v scanned %d, want %v and %d", name, what, hit, tab.ScannedRows(), wantHit, wantScanned)
+				}
+				rescan, _, err := NewCatalog(0, columnar).NLQ(ctx, tab, testCols, core.Full)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s.Pack() != rescan.Pack() {
+					t.Fatalf("%s, %s: served %s\nrescan %s", name, what, s.Pack(), rescan.Pack())
+				}
+			}
+			if err := tab.Insert(rows(40)...); err != nil {
+				t.Fatal(err)
+			}
+			check("first read", false, 40)
+			if err := tab.Insert(rows(7)...); err != nil {
+				t.Fatal(err)
+			}
+			check("after an insert", true, 7)
+			check("again", true, 0)
+			bl, err := tab.NewBulkLoader()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rows(50) {
+				if err := bl.Add(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := bl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tab.Insert(rows(1)[0], sqltypes.Row{sqltypes.NewBigInt(1)}); err == nil {
+				t.Fatal("an insert with a short row landed")
+			}
+			if err := tab.Insert(rows(2)...); err != nil {
+				t.Fatal(err)
+			}
+			check("after a bulk load, a refused insert and an insert", true, 52)
+			if err := tab.Truncate(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tab.Insert(rows(5)...); err != nil {
+				t.Fatal(err)
+			}
+			check("after a truncate", false, 5)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"math"
 
 	statsudf "repro"
 	"repro/internal/core"
@@ -10,21 +9,19 @@ import (
 	"repro/internal/synth"
 )
 
-// runSummaryCache (a5) measures what the incremental summary catalog
-// buys on the paper's hottest path — rebuilding the model suite
-// (correlation + PCA + linear regression) from n, L, Q:
+// runSummaryCache (a5) measures what the summary catalog buys on the
+// paper's hottest path — rebuilding the model suite (correlation + PCA +
+// linear regression) from n, L, Q:
 //
 //   - cold:        the entry is invalidated first, so the build pays
-//     one parallel scan (the legacy path every model paid before);
-//   - warm:        the entry is fresh, so the build is pure O(d²)
-//     model math with zero partition scans;
-//   - incremental: 1% more rows are appended through Table.Insert
-//     (delta-merged into the cache at write time), then the build runs
-//     warm again — still zero scans.
+//     one parallel scan (the path every model paid before the catalog);
+//   - warm:        the entry covers the table, so the build is pure
+//     O(d²) model math with zero partition scans;
+//   - incremental: 1% more rows are appended through Table.Insert, then
+//     the build runs warm again: it reads those rows and nothing else.
 //
-// The zero-scan claims are asserted via ScannedRows, and the
-// incrementally maintained summary is checked against a from-scratch
-// rescan within 1e-9.
+// The scan counts are asserted via ScannedRows, and the caught-up
+// summary is checked against a from-scratch rescan bit for bit.
 func runSummaryCache(cfg Config) ([]*Table, error) {
 	const dims = 16
 	out := &Table{
@@ -32,8 +29,8 @@ func runSummaryCache(cfg Config) ([]*Table, error) {
 		Title: fmt.Sprintf("Ablation: incremental summary cache, model suite build at d=%d (secs)", dims),
 		Header: []string{"n x 1000", "cold (scan+build)", "warm (cache+build)", "incr (+1% rows, cache+build)",
 			"speedup cold/warm"},
-		Note: "warm and incremental builds perform zero partition scans (asserted via ScannedRows); " +
-			"appends are folded into the cached n,L,Q at insert time and verified against a rescan to 1e-9",
+		Note: "warm builds perform zero partition scans and incremental builds read only the appended rows " +
+			"(asserted via ScannedRows); the caught-up n,L,Q is verified bit for bit against a rescan",
 	}
 	for _, nk := range []int{200, 400, 800} {
 		n := cfg.rows(nk)
@@ -42,12 +39,12 @@ func runSummaryCache(cfg Config) ([]*Table, error) {
 			if err != nil {
 				return err
 			}
-			// zeroScans times a build that must be served from the cache.
-			zeroScans := func(what string) ([]Timing, error) {
+			// scans times cached builds that must read want rows in all.
+			scans := func(what string, want int64) ([]Timing, error) {
 				tab.ResetScannedRows()
 				ts, err := e.time(cachedBuild)
-				if err == nil && tab.ScannedRows() != 0 {
-					err = fmt.Errorf("a5: %s build scanned %d rows, want 0", what, tab.ScannedRows())
+				if err == nil && tab.ScannedRows() != want {
+					err = fmt.Errorf("a5: %s builds scanned %d rows, want %d", what, tab.ScannedRows(), want)
 				}
 				return ts, err
 			}
@@ -57,22 +54,22 @@ func runSummaryCache(cfg Config) ([]*Table, error) {
 				return err
 			}
 			// Warm: the last cold run installed the entry.
-			warm, err := zeroScans("warm")
+			warm, err := scans("warm", 0)
 			if err != nil {
 				return err
 			}
 			// Append 1% more rows through the insert path, then build warm
-			// again: the appends were delta-merged at write time.
-			if err := appendRows(e.db, cfg, n, n/100+1, dims); err != nil {
+			// again: the first build reads the appended rows.
+			extra := n/100 + 1
+			if err := appendRows(e.db, cfg, n, extra, dims); err != nil {
 				return err
 			}
-			incr, err := zeroScans("incremental")
+			incr, err := scans("incremental", int64(extra))
 			if err != nil {
 				return err
 			}
 
-			// Verify the incrementally maintained summary against a
-			// from-scratch rescan.
+			// Verify the caught-up summary against a from-scratch rescan.
 			s, err := e.cachedSummary()
 			if err != nil {
 				return err
@@ -82,8 +79,8 @@ func runSummaryCache(cfg Config) ([]*Table, error) {
 			if err != nil {
 				return err
 			}
-			if err := nlqClose(s, ref, 1e-9); err != nil {
-				return fmt.Errorf("a5: incremental summary diverged from rescan: %w", err)
+			if s.Pack() != ref.Pack() {
+				return fmt.Errorf("a5: caught-up summary differs from a rescan:\n%s\n%s", s.Pack(), ref.Pack())
 			}
 			out.add(nk, cold, warm, incr, ratio("%.0fx", cold[0].Seconds(), warm[0].Seconds()))
 			return nil
@@ -96,8 +93,8 @@ func runSummaryCache(cfg Config) ([]*Table, error) {
 }
 
 // cachedSummary is n, L, Q from the engine's summary catalog: a warm
-// entry answers with zero partition scans, a cold one pays one parallel
-// scan and installs the result.
+// entry reads at most the rows appended since its last read, a cold one
+// pays one parallel scan and installs the result.
 func (e *env) cachedSummary() (*core.NLQ, error) {
 	s, _, err := e.db.Engine().SummaryNLQ(e.cfg.ctx(), "X", e.cols, core.Triangular)
 	return s, err
@@ -152,25 +149,4 @@ func appendRows(d *statsudf.DB, cfg Config, n, extra, dims int) error {
 		return err
 	}
 	return flush()
-}
-
-// nlqClose compares two summaries within relative tolerance.
-func nlqClose(a, b *core.NLQ, tol float64) error {
-	if a.N != b.N {
-		return fmt.Errorf("n: %g vs %g", a.N, b.N)
-	}
-	close := func(x, y float64) bool {
-		return math.Abs(x-y) <= tol*math.Max(1, math.Max(math.Abs(x), math.Abs(y)))
-	}
-	for i := 0; i < a.D; i++ {
-		if !close(a.L[i], b.L[i]) {
-			return fmt.Errorf("L[%d]: %g vs %g", i, a.L[i], b.L[i])
-		}
-		for j := 0; j < a.D; j++ {
-			if !close(a.QAt(i, j), b.QAt(i, j)) {
-				return fmt.Errorf("Q[%d,%d]: %g vs %g", i, j, a.QAt(i, j), b.QAt(i, j))
-			}
-		}
-	}
-	return nil
 }

@@ -514,8 +514,8 @@ func TestBoxedFloatBoundary(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			parts, _, err := scan(context.Background())
-			if err != nil {
+			parts := make([]*core.NLQ, tab.Partitions())
+			if _, err := scan.Read(context.Background(), nil, parts); err != nil {
 				t.Fatal(err)
 			}
 			for _, p := range parts[1:] {

@@ -82,7 +82,8 @@ func tableDir(t *testing.T, disk bool) string {
 // nlq_list(d, 'mt', ...) FROM X — in memory and on disk, with the
 // columnar option off and on, for every matrix type, over NULL rows, a
 // BIGINT column, an empty partition and an empty table (where the
-// statement is NULL and the summary empty). A d = 70 summary, which no
+// statement is NULL and the summary empty) — and still after rows are
+// appended to warm summaries, which read only those. A d = 70 summary, which no
 // nlq_list call can compute, is the same with the option off and on.
 func TestSummaryIsTheStatement(t *testing.T) {
 	ctx := context.Background()
@@ -123,6 +124,33 @@ func TestSummaryIsTheStatement(t *testing.T) {
 					if table == "X" && (s.N < 300 || s.N >= 500) {
 						t.Fatalf("%s: folded %v rows; the fixture should skip some and keep most", name, s.N)
 					}
+				}
+			}
+			// Rows appended to warm summaries: each resumes its partitions
+			// over them and is still the statement's summary.
+			x, err := d.Table("X")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := x.Insert(sqltypes.Row{sqltypes.NewBigInt(500), sqltypes.Null, sqltypes.NewDouble(2.5),
+				sqltypes.NewDouble(-1), sqltypes.NewBigInt(3), sqltypes.NewDouble(0.125)}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Exec("INSERT INTO X SELECT i + 1000, tag, X2, X1, k, X3 FROM X WHERE i < 40"); err != nil {
+				t.Fatal(err)
+			}
+			for _, mt := range []core.MatrixType{core.Diagonal, core.Triangular, core.Full} {
+				name := fmt.Sprintf("dir %q columnar=%v X %v after appends", dir, columnar, mt)
+				s, hit, err := d.SummaryNLQ(ctx, "X", cols, mt)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				res, err := d.Exec(sqlgen.NLQUDFQuery("X", cols, mt, sqlgen.ListStyle))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !hit || s.Pack() != res.Rows[0][0].Str() {
+					t.Fatalf("%s: hit=%v\nsummary %s\nstatement %s", name, hit, s.Pack(), res.Rows[0][0].Str())
 				}
 			}
 		}

@@ -218,9 +218,9 @@ const (
 	ViaUDFString
 	// ViaSQL uses the long 1+d+d² plain SQL query.
 	ViaSQL
-	// ViaCache serves the engine's incrementally maintained summary
-	// catalog: a warm entry returns in O(d²) with zero partition scans,
-	// a cold one pays a single parallel scan and installs the result.
+	// ViaCache serves the engine's summary catalog: a warm entry returns
+	// in O(d²) with zero partition scans, or reads only the rows appended
+	// since its last read; a cold one pays a single parallel scan.
 	// WHERE filters are not cacheable and are rejected.
 	ViaCache
 )
