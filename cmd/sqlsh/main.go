@@ -9,10 +9,10 @@
 //
 // Without -connect the shell embeds the engine; with it, statements go
 // over the wire protocol to a running twmd, through the pooled client
-// (the session shows up in the server's sys.sessions, and a SELECT
-// text is planned once by the server's plan cache and served from it
-// on every repeat, from any session — sys.prepared lists the cached
-// plans).
+// (the session shows up in the server's sys.sessions). Either way a
+// SELECT text is planned once by the engine's plan cache, the one place
+// a plan is kept, and served from it on every repeat, from any session:
+// sys.prepared lists the cache, one row per text with its executions.
 //
 // Statements end with ';'. Shell commands: \d lists tables, \d NAME
 // shows a schema, \stats toggles per-query execution statistics

@@ -48,7 +48,6 @@ import (
 	"repro/internal/engine/sqlparser"
 	"repro/internal/engine/sqltypes"
 	"repro/internal/engine/trace"
-	"repro/internal/server/wire"
 	"repro/pkg/client"
 )
 
@@ -188,14 +187,14 @@ func (c *Coordinator) ExecScriptContext(ctx context.Context, sql string) (*exec.
 // result sets crossing the coordinator are small by design (aggregates
 // and scored rows, never base-table scans). It re-plans every statement,
 // because shard health and the push-down shape can change between
-// executions, and refuses `?` arguments with a typed error: send the
-// values in the statement text.
+// executions. args bind the statement's `?` slots as literals, so the
+// bound statement is the one the text with its values inlined would be.
 func (c *Coordinator) QueryContext(ctx context.Context, sql string, _ exec.RowSink, args ...sqltypes.Value) (*exec.Result, error) {
-	if len(args) > 0 {
-		return nil, &wire.Error{Code: wire.CodeInternal, Message: "cluster: coordinator does not bind ? arguments; run the statement with its values in the text"}
-	}
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
+		return nil, err
+	}
+	if stmt, err = exec.BindStatementArgs(stmt, args); err != nil {
 		return nil, err
 	}
 	return c.runContext(ctx, stmt)

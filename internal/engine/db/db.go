@@ -6,7 +6,6 @@ package db
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"strings"
@@ -73,18 +72,14 @@ type DB struct {
 	qlog queryLog
 
 	// epoch is the catalog epoch: bumped by every CREATE/DROP of a
-	// table or view. Prepared plans record the epoch they were built
-	// under and refuse to run (ErrPlanStale) once it moves, so a plan
-	// can never execute against a schema it was not planned for.
+	// table or view. A cached plan records the epoch it was built under
+	// and is discarded at lookup once it moves, so a plan never serves a
+	// statement that arrives after the schema it was planned for changed.
 	epoch atomic.Int64
 
-	// plans is the LRU plan cache SELECT text reads through; preps
-	// tracks every live prepared statement (explicit or cache-owned) for
-	// the sys.prepared virtual table.
-	plans  *planCache
-	prepMu sync.Mutex
-	prepID int64
-	preps  map[int64]*Prepared
+	// plans is the LRU plan cache SELECT text reads through, prepared or
+	// not, and the rows of the sys.prepared virtual table.
+	plans *planCache
 
 	// sums is the n/L/Q summary catalog: model builders go through it so
 	// a warm rebuild reads at most the rows appended since the last.
@@ -123,7 +118,6 @@ func Open(opts Options) *DB {
 		tables: make(map[string]*storage.Table),
 		views:  make(map[string]*sqlparser.Select),
 		plans:  newPlanCache(defaultPlanCacheSize),
-		preps:  make(map[int64]*Prepared),
 		sums:   summary.NewCatalog(opts.Workers, opts.Columnar),
 		traces: trace.NewStore(opts.TraceSampleN, opts.TraceCap),
 		logger: logger,
@@ -267,21 +261,18 @@ func (d *DB) ExecContext(ctx context.Context, sql string) (*exec.Result, error) 
 }
 
 // QueryContext is the one dispatch for statement text, behind Exec,
-// QueryStream and the network server alike; args bind the statement's
-// `?` slots in order. A SELECT's rows go to sink when one is given (the
-// Result then carries schema and stats only) and into the Result
-// otherwise; statements that produce no rows ignore the sink. SELECT
-// text reads through the LRU plan cache: a hit skips parse, sema, view
+// QueryStream, Prepared.Execute and the network server alike; args bind
+// the statement's `?` slots in order. A SELECT's rows go to sink when
+// one is given (the Result then carries schema and stats only) and into
+// the Result otherwise; statements that produce no rows ignore the
+// sink. SELECT text reads through the LRU plan cache: a hit — a plan
+// built under the current catalog epoch — skips parse, sema, view
 // expansion and compilation entirely and binds args to the cached plan.
-// A miss — or a hit that lost a race with DDL between lookup and
-// execute — is parsed and planned by runSelect; every other statement
-// kind has args bound into its text and goes to run.
+// A miss is parsed and planned by runSelect; every other statement kind
+// has args bound into its parsed form and goes to run.
 func (d *DB) QueryContext(ctx context.Context, sql string, sink exec.RowSink, args ...sqltypes.Value) (*exec.Result, error) {
 	if p := d.plans.lookup(sql, d.epoch.Load()); p != nil {
-		res, err := p.QueryContext(ctx, sink, args...)
-		if !errors.Is(err, ErrPlanStale) {
-			return res, err
-		}
+		return d.runPlan(ctx, time.Now(), p, sink, args)
 	}
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
@@ -290,79 +281,66 @@ func (d *DB) QueryContext(ctx context.Context, sql string, sink exec.RowSink, ar
 	if sel, ok := stmt.(*sqlparser.Select); ok {
 		return d.runSelect(ctx, sql, sel, sink, true, args)
 	}
-	if len(args) > 0 {
-		if stmt, err = bindArgs(stmt, sqlparser.CountParams(stmt), args); err != nil {
-			return d.finish(ctx, sql, time.Now(), nil, err)
-		}
+	if stmt, err = exec.BindStatementArgs(stmt, args); err != nil {
+		return d.finish(ctx, sql, time.Now(), nil, err)
 	}
 	return d.run(ctx, sql, stmt)
 }
 
 // runSelect plans sel, executes it once with args and records it in the
-// query ring: the path of every SELECT no existing plan serves. A
-// statement that arrived as text over user tables leaves its plan in
-// the cache for the next sighting, whatever its `?` slots will be bound
-// to; sys.* reads and pre-parsed statements (Run, ExecScript) are
-// planned, run and dropped. The plan runs without a staleness check —
-// it was bound to the catalog a moment ago, which is all an unprepared
-// statement ever promised.
+// query ring: the path of every SELECT no cached plan serves. A
+// statement that arrived as text leaves its plan in the cache (see
+// plan). The plan runs without a staleness check — it was bound to the
+// catalog a moment ago, which is all a statement ever promised.
 func (d *DB) runSelect(ctx context.Context, sql string, sel *sqlparser.Select, sink exec.RowSink, text bool, args []sqltypes.Value) (*exec.Result, error) {
 	start := time.Now()
-	epoch := d.epoch.Load()
-	ps, sysRef, err := d.planSelect(sel)
+	p, err := d.plan(sql, sel, text)
 	if err != nil {
 		return d.finish(ctx, sql, start, nil, err)
 	}
-	var p *Prepared
-	if text && sysRef == "" {
-		p = d.register(&Prepared{sql: sql, epoch: epoch, sel: ps, numParams: ps.NumParams(), cached: true})
-		d.plans.add(p)
-	}
-	res, err := executeSelect(ctx, ps, args, sink)
-	if err == nil && p != nil {
+	return d.runPlan(ctx, start, p, sink, args)
+}
+
+// runPlan executes a planned SELECT once, counts the execution on the
+// plan and records the statement.
+func (d *DB) runPlan(ctx context.Context, start time.Time, p *plan, sink exec.RowSink, args []sqltypes.Value) (*exec.Result, error) {
+	res, err := p.sel.Run(ctx, args, sink)
+	if err == nil {
 		p.execs.Add(1)
 	}
-	return d.finish(ctx, sql, start, res, err)
+	return d.finish(ctx, p.sql, start, res, err)
 }
 
-// planSelect view-expands sel and plans it. sysRef names a FROM entry
-// under the reserved sys. prefix, if any: system tables are
-// materialized fresh for every statement, so such a plan holds one
-// snapshot — good for one execution, never for reuse.
-func (d *DB) planSelect(sel *sqlparser.Select) (ps *exec.PreparedSelect, sysRef string, err error) {
+// plan view-expands sel and plans it under the current catalog epoch;
+// when text is set and sel reads user tables only, the plan is cached
+// for the next sighting of sql, whatever its `?` slots will be bound
+// to. A FROM entry under the reserved sys. prefix names a system table,
+// materialized fresh for every statement: such a plan holds one
+// snapshot, good for one execution and never cached. Nor is it a
+// columnar candidate — there are no segments to read — so it is planned
+// with Columnar off and counts no fallback. Pre-parsed statements (Run,
+// ExecScript) are planned, run and dropped.
+func (d *DB) plan(sql string, sel *sqlparser.Select, text bool) (*plan, error) {
+	epoch := d.epoch.Load()
 	expanded, err := d.expandViews(sel, 0)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
+	env := d.env()
 	for _, ref := range expanded.From {
 		if IsSystemTable(ref.Name) {
-			sysRef = ref.Name
+			env.Columnar, text = false, false
 		}
 	}
-	ps, err = exec.PrepareSelect(expanded, d.env())
-	return ps, sysRef, err
-}
-
-// executeSelect runs a planned SELECT, materializing when sink is nil;
-// a streamed Result carries the schema and stats but no rows. ORDER BY
-// and LIMIT need the whole result before the first row can leave, so
-// such a plan materializes here and replays into sink in order.
-func executeSelect(ctx context.Context, ps *exec.PreparedSelect, args []sqltypes.Value, sink exec.RowSink) (*exec.Result, error) {
-	if sink != nil && ps.Streamable() {
-		schema, st, err := ps.ExecuteStreamContext(ctx, args, sink)
-		return &exec.Result{Schema: schema, Stats: st}, err
+	ps, err := exec.PrepareSelect(expanded, env)
+	if err != nil {
+		return nil, err
 	}
-	res, err := ps.ExecuteContext(ctx, args)
-	if err != nil || sink == nil {
-		return res, err
+	p := &plan{sql: sql, epoch: epoch, sel: ps, created: time.Now()}
+	if text {
+		d.plans.add(p)
 	}
-	for _, r := range res.Rows {
-		if err := sink(r); err != nil {
-			return &exec.Result{Stats: res.Stats}, err
-		}
-	}
-	res.Rows = nil
-	return res, nil
+	return p, nil
 }
 
 // finish records a completed statement in the recent-query ring — with
@@ -431,16 +409,11 @@ func (d *DB) run(ctx context.Context, sql string, stmt sqlparser.Statement) (*ex
 func (d *DB) runContext(ctx context.Context, stmt sqlparser.Statement) (*exec.Result, error) {
 	switch st := stmt.(type) {
 	case *sqlparser.Insert:
-		if st.Query != nil {
-			expanded, err := d.expandViews(st.Query, 0)
-			if err != nil {
-				return nil, err
-			}
-			clone := *st
-			clone.Query = expanded
-			return exec.Insert(ctx, &clone, d.env())
+		ins, err := d.expandInsert(st)
+		if err != nil {
+			return nil, err
 		}
-		return exec.Insert(ctx, st, d.env())
+		return exec.Insert(ctx, ins, d.env())
 	case *sqlparser.CreateTable:
 		return d.runCreate(st)
 	case *sqlparser.DropTable:
@@ -463,6 +436,20 @@ func (d *DB) runContext(ctx context.Context, stmt sqlparser.Statement) (*exec.Re
 	}
 }
 
+// expandInsert returns st with the views of its SELECT expanded.
+func (d *DB) expandInsert(st *sqlparser.Insert) (*sqlparser.Insert, error) {
+	if st.Query == nil {
+		return st, nil
+	}
+	expanded, err := d.expandViews(st.Query, 0)
+	if err != nil {
+		return nil, err
+	}
+	clone := *st
+	clone.Query = expanded
+	return &clone, nil
+}
+
 // QueryStream runs a SELECT and streams its rows to sink; used for
 // scoring large data sets without materializing them.
 func (d *DB) QueryStream(sql string, sink exec.RowSink) (*sqltypes.Schema, error) {
@@ -474,7 +461,7 @@ func (d *DB) QueryStream(sql string, sink exec.RowSink) (*sqltypes.Schema, error
 // stops the partition scans between rows. It also returns the scan's
 // execution statistics. Each partition worker delivers its rows in
 // bursts of up to 64, and a failed or cancelled scan drops the rows of
-// its unfinished bursts (see exec.PreparedSelect.ExecuteStreamContext).
+// its unfinished bursts (see exec.PreparedSelect.Run).
 func (d *DB) QueryStreamContext(ctx context.Context, sql string, sink exec.RowSink) (*sqltypes.Schema, *exec.Stats, error) {
 	res, err := d.QueryContext(ctx, sql, sink)
 	if err != nil {

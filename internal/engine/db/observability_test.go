@@ -354,8 +354,8 @@ func TestFailedScanKeepsPartialStats(t *testing.T) {
 				return err
 			}},
 			{"Prepared.Execute", divide, nil, projected, func() error { _, err := prep.Execute(); return err }},
-			{"Prepared.ExecuteStream", divide, nil, projected, func() error {
-				_, _, err := prep.ExecuteStreamContext(context.Background(), discard)
+			{"QueryContext stream", divide, nil, projected, func() error {
+				_, err := d.QueryContext(context.Background(), divide, discard)
 				return err
 			}},
 			{"plan cache hit", divide, nil, projected, func() error { _, err := d.Exec(divide + " /* text */"); return err }},
@@ -408,5 +408,21 @@ func TestFailedScanKeepsPartialStats(t *testing.T) {
 				t.Errorf("columnar=%v: sys.queries rows_scanned = %d, want %d", columnar, r[0].Int(), projected)
 			}
 		}
+	}
+}
+
+// TestSysReadCountsNoColumnarFallback: a system table has no segments,
+// so under Columnar a sys.* read is no block-scan candidate and counts
+// no fallback — reading engine_columnar_fallbacks_total through
+// sys.metrics, an aggregate, or sys.tables, a projection, must not move
+// the counter it reads.
+func TestSysReadCountsNoColumnarFallback(t *testing.T) {
+	d := Open(Options{Partitions: 2, Columnar: true})
+	mustExec(t, d, "CREATE TABLE x (a DOUBLE)")
+	const q = "SELECT sum(value) FROM sys.metrics WHERE name = 'engine_columnar_fallbacks_total'"
+	first := query(t, d, q)
+	query(t, d, "SELECT name FROM sys.tables WHERE name = 'x'")
+	if second := query(t, d, q); fmt.Sprint(second) != fmt.Sprint(first) {
+		t.Fatalf("engine_columnar_fallbacks_total moved from %v to %v across sys.* reads", first, second)
 	}
 }

@@ -1,12 +1,13 @@
 package db
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/engine/exec"
 	"repro/internal/engine/obs"
 	"repro/internal/engine/sqltypes"
 )
@@ -124,6 +125,10 @@ func TestPrepareRejectsBeforeScan(t *testing.T) {
 	}
 }
 
+// TestPreparedStaleAfterDDL: a handle is its text, so a DDL between
+// executions costs one re-plan, not an error, and the held handle
+// answers from the catalog as it is now — here a pts dropped and
+// recreated with other rows.
 func TestPreparedStaleAfterDDL(t *testing.T) {
 	d := preparedFixture(t)
 	p, err := d.Prepare("SELECT i FROM pts WHERE i = ?")
@@ -131,22 +136,25 @@ func TestPreparedStaleAfterDDL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if _, err := p.Execute(sqltypes.NewBigInt(1)); err != nil {
-		t.Fatal(err)
+	if res, err := p.Execute(sqltypes.NewBigInt(1)); err != nil || len(res.Rows) != 1 {
+		t.Fatalf("before DDL: %v %v", res, err)
 	}
 	mustExec(t, d, "CREATE TABLE other (a BIGINT)")
-	_, err = p.Execute(sqltypes.NewBigInt(1))
-	if !errors.Is(err, ErrPlanStale) {
-		t.Fatalf("after DDL: err = %v, want ErrPlanStale", err)
+	mustExec(t, d, "DROP TABLE pts")
+	mustExec(t, d, "CREATE TABLE pts (i BIGINT, x DOUBLE, s VARCHAR)")
+	mustExec(t, d, "INSERT INTO pts VALUES (1, 0.5, 'a'), (1, 1.5, 'b'), (2, 2.5, 'c')")
+	inv0 := obs.PlanCacheInvalidations.Value()
+	for k := 0; k < 3; k++ {
+		res, err := p.Execute(sqltypes.NewBigInt(1))
+		if err != nil {
+			t.Fatalf("after DDL: %v", err)
+		}
+		if len(res.Rows) != 2 {
+			t.Fatalf("after DDL: rows %v, want the recreated table's two", res.Rows)
+		}
 	}
-	// Re-preparing from the same text works against the new catalog.
-	p2, err := d.Prepare(p.SQL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
-	if _, err := p2.Execute(sqltypes.NewBigInt(1)); err != nil {
-		t.Fatal(err)
+	if inv := obs.PlanCacheInvalidations.Value() - inv0; inv != 1 {
+		t.Fatalf("three executions after DDL re-planned %d times, want 1", inv)
 	}
 }
 
@@ -235,80 +243,93 @@ func TestPlanCacheEviction(t *testing.T) {
 	}
 }
 
+// TestSysPrepared: sys.prepared lists the plan cache. A prepared
+// SELECT is one entry, its text, holding every execution; closing the
+// handle leaves the entry to the other sightings of the text, and a DDL
+// shows it stale until its next lookup re-plans it.
 func TestSysPrepared(t *testing.T) {
 	d := preparedFixture(t)
 	p, err := d.Prepare("SELECT i FROM pts WHERE i = ?")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 	for i := 0; i < 3; i++ {
 		if _, err := p.Execute(sqltypes.NewBigInt(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := d.Exec("SELECT sql_text, params, executions FROM sys.prepared")
-	if err != nil {
+	if _, err := d.QueryContext(context.Background(), p.SQL(), nil, sqltypes.NewBigInt(4)); err != nil {
 		t.Fatal(err)
-	}
-	found := false
-	for _, row := range res.Rows {
-		if row[0].Str() == p.SQL() {
-			found = true
-			if row[1].Int() != 1 || row[2].Int() != 3 {
-				t.Fatalf("sys.prepared row %v, want params=1 executions=3", row)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("statement missing from sys.prepared: %v", res.Rows)
 	}
 	p.Close()
-	res, err = d.Exec("SELECT sql_text FROM sys.prepared")
-	if err != nil {
+	row := func() []string {
+		t.Helper()
+		got := query(t, d, "SELECT params, executions, stale FROM sys.prepared WHERE sql_text = '"+p.SQL()+"'")
+		if len(got) != 1 {
+			t.Fatalf("sys.prepared rows for the text: %v, want one", got)
+		}
+		return got[0]
+	}
+	if got := fmt.Sprint(row()); got != "[1 4 FALSE]" {
+		t.Fatalf("sys.prepared (params, executions, stale) = %s, want [1 4 FALSE]", got)
+	}
+	mustExec(t, d, "CREATE TABLE other (a BIGINT)")
+	if got := fmt.Sprint(row()); got != "[1 4 TRUE]" {
+		t.Fatalf("after DDL: %s, want [1 4 TRUE]", got)
+	}
+	if _, err := d.QueryContext(context.Background(), p.SQL(), nil, sqltypes.NewBigInt(4)); err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range res.Rows {
-		if row[0].Str() == p.SQL() {
-			t.Fatal("closed statement still listed in sys.prepared")
+	if got := fmt.Sprint(row()); got != "[1 1 FALSE]" {
+		t.Fatalf("after the re-plan: %s, want [1 1 FALSE]", got)
+	}
+	for _, r := range query(t, d, "SELECT sql_text FROM sys.prepared") {
+		if strings.Contains(r[0], "sys.") {
+			t.Fatalf("sys.prepared lists a system-table read: %v", r)
 		}
 	}
 }
 
-// TestSysTablesNotPreparable: system tables are materialized fresh per
-// statement, so a prepared (or plan-cached) sys.* SELECT would replay
-// one frozen snapshot forever. Prepare must refuse them, and repeated
-// ad-hoc reads through Exec's plan-cache path must see fresh state.
-func TestSysTablesNotPreparable(t *testing.T) {
+// TestSysTablesNeverCached: system tables are materialized fresh per
+// statement, so a cached sys.* plan would replay one frozen snapshot
+// forever. Prepare of such text succeeds, but no plan of it is kept:
+// every execution — of the handle or of the text — re-materializes.
+func TestSysTablesNeverCached(t *testing.T) {
 	d := preparedFixture(t)
-	if _, err := d.Prepare("SELECT name FROM sys.tables"); err == nil {
-		t.Fatal("Prepare of a system-table SELECT succeeded")
+	p, err := d.Prepare("SELECT id FROM sys.queries")
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer p.Close()
 
 	// The sharp edge: sys.queries changes on every statement but no DDL
-	// happens, so the catalog epoch never moves — a plan-cached snapshot
-	// would never be invalidated and the same text would replay one
-	// frozen result forever. Each read must see the queries before it.
-	countQueries := func() int {
-		res, err := d.Exec("SELECT id FROM sys.queries")
+	// happens, so the catalog epoch never moves — a cached snapshot would
+	// never be invalidated. Each read must see the queries before it.
+	for _, count := range []func() (*exec.Result, error){
+		func() (*exec.Result, error) { return p.Execute() },
+		func() (*exec.Result, error) { return d.Exec(p.SQL()) },
+	} {
+		first, err := count()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return len(res.Rows)
-	}
-	first := countQueries()
-	if _, err := d.Exec("SELECT i FROM pts WHERE i = 1"); err != nil {
-		t.Fatal(err)
-	}
-	if second := countQueries(); second <= first {
-		t.Fatalf("sys.queries served a stale snapshot: %d rows then %d", first, second)
+		if _, err := d.Exec("SELECT i FROM pts WHERE i = 1"); err != nil {
+			t.Fatal(err)
+		}
+		second, err := count()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(second.Rows) <= len(first.Rows) {
+			t.Fatalf("sys.queries served a stale snapshot: %d rows then %d", len(first.Rows), len(second.Rows))
+		}
 	}
 }
 
 // TestPreparedDDLRace interleaves EXECUTE with CREATE/DROP under -race:
-// every execution must either run the pre-DDL plan consistently or
-// fail with ErrPlanStale — never execute against a mismatched schema
-// or trip the race detector.
+// every execution must succeed on a plan of the catalog as it was at
+// its lookup or re-plan — never execute against a mismatched schema or
+// trip the race detector.
 func TestPreparedDDLRace(t *testing.T) {
 	d := preparedFixture(t)
 	p, err := d.Prepare("SELECT i, x FROM pts WHERE i = ?")
@@ -339,17 +360,6 @@ func TestPreparedDDLRace(t *testing.T) {
 			defer workers.Done()
 			for i := 0; i < 50; i++ {
 				res, err := p.Execute(sqltypes.NewBigInt(int64(i % 10)))
-				if errors.Is(err, ErrPlanStale) {
-					// Typed staleness: re-prepare and go on, like a
-					// server session would.
-					np, perr := d.Prepare(p.SQL())
-					if perr != nil {
-						t.Errorf("re-prepare: %v", perr)
-						return
-					}
-					np.Close()
-					continue
-				}
 				if err != nil {
 					t.Errorf("execute: %v", err)
 					return
@@ -427,11 +437,9 @@ func TestPreparedAggregateConcurrentArgs(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPreparedAggregateStaleAfterRecreate: prepared aggregates capture
-// their table handles at prepare (they used to re-resolve by name on
-// every EXECUTE), so a DROP/CREATE between executions must surface
-// ErrPlanStale on the handle and a transparent re-plan on cached text —
-// never a sum over the dropped table.
+// TestPreparedAggregateStaleAfterRecreate: a plan captures its table
+// handles, so a DROP/CREATE between executions must re-plan — on the
+// held handle and on the text alike — never sum over the dropped table.
 func TestPreparedAggregateStaleAfterRecreate(t *testing.T) {
 	d := preparedFixture(t)
 	const q = "SELECT sum(x), count(*) FROM pts"
@@ -440,26 +448,22 @@ func TestPreparedAggregateStaleAfterRecreate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	before := query(t, d, q) // plans and caches the text
+	before := query(t, d, q)
 	if res, err := p.Execute(); err != nil || res.Rows[0][1].Int() != 10 {
 		t.Fatalf("before DDL: %v %v", res, err)
 	}
 	mustExec(t, d, "DROP TABLE pts")
 	mustExec(t, d, "CREATE TABLE pts (i BIGINT, x DOUBLE, s VARCHAR)")
 	mustExec(t, d, "INSERT INTO pts VALUES (1, 100.0, 'new')")
-	if _, err := p.Execute(); !errors.Is(err, ErrPlanStale) {
-		t.Fatalf("after DROP/CREATE: err = %v, want ErrPlanStale", err)
+	res, err := p.Execute()
+	if err != nil {
+		t.Fatalf("held handle after DROP/CREATE: %v", err)
+	}
+	if got := fmt.Sprint(res.Rows); got != "[[100 1]]" {
+		t.Fatalf("held handle after DROP/CREATE = %s, want the new table's [[100 1]]", got)
 	}
 	after := query(t, d, q)
 	if fmt.Sprint(after) != "[[100 1]]" || fmt.Sprint(after) == fmt.Sprint(before) {
-		t.Fatalf("cached text after DROP/CREATE = %v (before %v), want the new table's [[100 1]]", after, before)
-	}
-	p2, err := d.Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
-	if res, err := p2.Execute(); err != nil || res.Rows[0][1].Int() != 1 {
-		t.Fatalf("re-prepared: %v %v", res, err)
+		t.Fatalf("text after DROP/CREATE = %v (before %v), want the new table's [[100 1]]", after, before)
 	}
 }

@@ -105,7 +105,7 @@ func checkSources(t *testing.T, st *Stats, want string) {
 }
 
 // TestBatchDeliveryExact: at partition sizes around the batch size, from
-// every source, the per-row stream, the collector behind ExecuteContext
+// every source, the per-row stream, the collector behind a materializing Run
 // and INSERT ... SELECT each see every row once, with its value, and
 // RowsEmitted counts exactly the rows delivered.
 func TestBatchDeliveryExact(t *testing.T) {
@@ -125,7 +125,7 @@ func TestBatchDeliveryExact(t *testing.T) {
 				var mu sync.Mutex
 				var streamed int64
 				var sum float64
-				_, st, err := p.ExecuteStreamContext(context.Background(), nil, func(r sqltypes.Row) error {
+				streamRes, err := p.Run(context.Background(), nil, func(r sqltypes.Row) error {
 					mu.Lock()
 					defer mu.Unlock()
 					streamed++
@@ -135,6 +135,7 @@ func TestBatchDeliveryExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				st := streamRes.Stats
 				if streamed != wantRows || st.RowsEmitted != wantRows || sum != wantSum {
 					t.Fatalf("streamed %d rows summing to %g, RowsEmitted %d; want %d rows summing to %g", streamed, sum, st.RowsEmitted, wantRows, wantSum)
 				}
@@ -142,7 +143,7 @@ func TestBatchDeliveryExact(t *testing.T) {
 					checkSources(t, st, src.source)
 				}
 
-				res, err := p.ExecuteContext(context.Background(), nil)
+				res, err := p.Run(context.Background(), nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -191,13 +192,14 @@ func TestBatchSinkErrorStopsScan(t *testing.T) {
 						t.Fatal(err)
 					}
 					var accepted int64
-					_, st, err := p.ExecuteStreamContext(context.Background(), nil, func(sqltypes.Row) error {
+					res, err := p.Run(context.Background(), nil, func(sqltypes.Row) error {
 						if accepted == limit {
 							return errFull
 						}
 						accepted++
 						return nil
 					})
+					st := res.Stats
 					if !errors.Is(err, errFull) {
 						t.Fatalf("err = %v, want the sink's", err)
 					}
@@ -236,7 +238,7 @@ func TestBatchDeliveryDoesNotAllocatePerRow(t *testing.T) {
 				t.Fatal(err)
 			}
 			run := func() {
-				if _, _, err := p.ExecuteStreamContext(context.Background(), nil, func(sqltypes.Row) error { return nil }); err != nil {
+				if _, err := p.Run(context.Background(), nil, func(sqltypes.Row) error { return nil }); err != nil {
 					t.Fatal(err)
 				}
 			}

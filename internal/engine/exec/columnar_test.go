@@ -209,10 +209,10 @@ var selectPaths = []struct {
 			return nil, err
 		}
 		// Twice: the second execution runs on pooled worker sets.
-		if _, err := p.ExecuteContext(context.Background(), nil); err != nil {
+		if _, err := p.Run(context.Background(), nil, nil); err != nil {
 			return nil, err
 		}
-		return p.ExecuteContext(context.Background(), nil)
+		return p.Run(context.Background(), nil, nil)
 	}},
 	{"prepared-params", func(t *testing.T, env *Env, q pathQuery) (*Result, error) {
 		if q.param == "" {
@@ -222,27 +222,23 @@ var selectPaths = []struct {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.ExecuteContext(context.Background(), q.args); err != nil {
+		if _, err := p.Run(context.Background(), q.args, nil); err != nil {
 			return nil, err
 		}
-		return p.ExecuteContext(context.Background(), q.args)
+		return p.Run(context.Background(), q.args, nil)
 	}},
 	{"stream", func(t *testing.T, env *Env, q pathQuery) (*Result, error) {
-		// Streaming rejects ORDER BY/LIMIT: an ordered statement streams
-		// without its ORDER BY, a limited one not at all.
-		sql := q.sql
-		if strings.Contains(sql, "LIMIT") {
-			return nil, nil
-		}
-		if i := strings.Index(sql, " ORDER BY"); i >= 0 {
-			sql = sql[:i]
-		}
+		// An ORDER BY/LIMIT plan replays its materialized rows in order.
 		col := &collector{}
-		schema, st, err := selectStream(context.Background(), sel(t, sql), env, func(r sqltypes.Row) error {
+		res, err := selectStream(context.Background(), sel(t, q.sql), env, func(r sqltypes.Row) error {
 			_, err := col.add([]sqltypes.Row{r})
 			return err
 		})
-		return &Result{Schema: schema, Rows: col.rows, Stats: st}, err
+		if err != nil {
+			return nil, err
+		}
+		res.Rows = col.rows
+		return res, nil
 	}},
 }
 
@@ -627,13 +623,14 @@ func TestBlockProjectionCountsEmittedRows(t *testing.T) {
 	errFull := errors.New("sink full")
 	for _, limit := range []int64{math.MaxInt64, 4096 + 77, 1, 0} {
 		var calls, accepted atomic.Int64
-		_, st, err := p.ExecuteStreamContext(context.Background(), nil, func(sqltypes.Row) error {
+		res, err := p.Run(context.Background(), nil, func(sqltypes.Row) error {
 			if calls.Add(1) > limit {
 				return errFull
 			}
 			accepted.Add(1)
 			return nil
 		})
+		st := res.Stats
 		if limit == math.MaxInt64 {
 			if err != nil {
 				t.Fatal(err)

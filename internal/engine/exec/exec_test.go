@@ -262,22 +262,31 @@ func TestResultValueShapes(t *testing.T) {
 	}
 }
 
-// selectStream plans sel and streams it once, as INSERT ... SELECT runs
-// its subquery.
-func selectStream(ctx context.Context, sel *sqlparser.Select, env *Env, sink RowSink) (*sqltypes.Schema, *Stats, error) {
+// selectStream plans sel and streams it once to sink.
+func selectStream(ctx context.Context, sel *sqlparser.Select, env *Env, sink RowSink) (*Result, error) {
 	p, err := PrepareSelect(sel, env)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return p.ExecuteStreamContext(ctx, nil, sink)
+	return p.Run(ctx, nil, sink)
 }
 
-func TestSelectStreamRejectsOrderBy(t *testing.T) {
+// TestSelectStreamReplaysOrderBy: an ORDER BY/LIMIT plan cannot stream
+// from its scan, so it materializes and replays its rows into the sink
+// in order, leaving none in the Result.
+func TestSelectStreamReplaysOrderBy(t *testing.T) {
 	env, cat := testEnv(t)
-	cat["x"] = newTable(t, "x", []sqltypes.Column{dcol("a")}, drow(1))
-	s := sel(t, "SELECT a FROM x ORDER BY a")
-	if _, _, err := selectStream(context.Background(), s, env, func(sqltypes.Row) error { return nil }); err == nil {
-		t.Fatal("ORDER BY in streaming mode must fail")
+	cat["x"] = newTable(t, "x", []sqltypes.Column{dcol("a")}, drow(3), drow(1), drow(4), drow(2))
+	var got []float64
+	res, err := selectStream(context.Background(), sel(t, "SELECT a FROM x ORDER BY a LIMIT 3"), env, func(r sqltypes.Row) error {
+		got = append(got, r[0].MustFloat())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != "[1 2 3]" || len(res.Rows) != 0 || res.Schema.Len() != 1 {
+		t.Fatalf("streamed %v, result rows %d, schema %v; want [1 2 3], none, one column", got, len(res.Rows), res.Schema)
 	}
 }
 

@@ -126,12 +126,12 @@ func Insert(ctx context.Context, ins *sqlparser.Insert, env *Env) (*Result, erro
 		}
 		return len(rows), nil
 	}
-	_, stats, err := p.stream(ctx, nil, sink)
+	res, err := p.run(ctx, nil, sink)
 	if err == nil {
 		err = commit()
 	}
 	if err != nil {
-		return &Result{Stats: stats}, err
+		return &Result{Stats: res.Stats}, err
 	}
-	return &Result{Affected: stats.RowsEmitted, Stats: stats}, nil
+	return &Result{Affected: res.Stats.RowsEmitted, Stats: res.Stats}, nil
 }

@@ -158,7 +158,7 @@ func TestJoinTailShapes(t *testing.T) {
 				t.Fatalf("%s: prepare %q: %v", storage, param, err)
 			}
 			for run := 1; run <= 2; run++ {
-				if got := joinTailResult(p.ExecuteContext(context.Background(), c.args)); got != adhoc {
+				if got := joinTailResult(p.Run(context.Background(), c.args, nil)); got != adhoc {
 					t.Fatalf("%s: %s: prepared execution %d differs from ad hoc\nad hoc:\n%s\nprepared:\n%s", storage, c.name, run, adhoc, got)
 				}
 			}
@@ -186,7 +186,7 @@ func TestJoinTailShapes(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			got := joinTailResult(p.ExecuteContext(context.Background(), []sqltypes.Value{big(1)}))
+			got := joinTailResult(p.Run(context.Background(), []sqltypes.Value{big(1)}, nil))
 			if adhoc := joinTailResult(Select(context.Background(), sel(t, rewrite), e)); got != adhoc {
 				t.Fatalf("%s: rewritten model, round %d: prepared differs from ad hoc\nad hoc:\n%s\nprepared:\n%s", storage, round, adhoc, got)
 			}

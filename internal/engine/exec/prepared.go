@@ -20,7 +20,7 @@ import (
 // output columns as hidden items, decides the join-tail push-down,
 // rewrites aggregate calls into specs, decides whether the scan may use
 // the block source, and compiles every expression into the expr.Scope of
-// the pooled set that runs it. Execute points the scopes at the
+// the pooled set that runs it. Run points the scopes at the
 // arguments and runs the one partition scan (scanPartitions) with a
 // pooled worker per partition; aggregates then merge and finalize, and
 // ORDER BY/LIMIT/hidden-key stripping run as one post-step over the
@@ -29,7 +29,7 @@ import (
 // Table handles are captured at prepare, so an execution that races a
 // DROP/CREATE sees the pre-DDL tables consistently; the db layer's
 // catalog epoch decides when the plan as a whole is stale. Tail (model)
-// tables are re-scanned per EXECUTE, so freshly inserted model rows are
+// tables are re-scanned per execution, so freshly inserted model rows are
 // always visible. A PreparedSelect is safe for concurrent use.
 type PreparedSelect struct {
 	env       *Env
@@ -199,10 +199,6 @@ func (p *PreparedSelect) planOrder(sel *sqlparser.Select) []sqlparser.SelectItem
 // NumParams reports how many `?` slots the statement has.
 func (p *PreparedSelect) NumParams() int { return p.numParams }
 
-// Streamable reports whether ExecuteStreamContext can run the
-// statement (ORDER BY/LIMIT require materialization).
-func (p *PreparedSelect) Streamable() bool { return p.order == nil && p.limit == nil }
-
 func (p *PreparedSelect) newStmtSet() (*stmtSet, error) {
 	s := &stmtSet{scope: expr.Scope{Funcs: p.env.Funcs}}
 	var err error
@@ -231,10 +227,59 @@ func (p *PreparedSelect) getStmtSet() (*stmtSet, error) {
 	return p.newStmtSet()
 }
 
-// ExecuteContext binds args and materializes the result. When the
-// statement fails after its scan began, the returned Result is non-nil
-// and carries only the Stats gathered up to the failure.
-func (p *PreparedSelect) ExecuteContext(ctx context.Context, args []sqltypes.Value) (*Result, error) {
+// Run binds args and executes the statement once. With a nil sink the
+// rows are materialized into the Result, with ORDER BY, LIMIT and the
+// hidden sort keys applied. With a sink they are streamed to it
+// (concurrently, from the partition workers, one call per row) and the
+// Result carries the schema and stats only; a plan with ORDER BY or
+// LIMIT needs every row before the first can leave, so it materializes
+// and replays its rows into sink in order. When the statement fails
+// after its scan began, the Result is non-nil and carries only the
+// Stats gathered up to the failure.
+//
+// A streaming worker projects rows into a batch of up to batchRows and
+// calls sink for them only when the batch fills or its partition ends,
+// so a selective statement may deliver nothing until a partition is
+// done. When the scan fails — an evaluation error, a sink error, a
+// cancelled ctx — the rows a worker projected but had not yet delivered
+// are dropped, not handed to sink ahead of the error.
+func (p *PreparedSelect) Run(ctx context.Context, args []sqltypes.Value, sink RowSink) (*Result, error) {
+	if sink == nil {
+		return p.materialize(ctx, args)
+	}
+	return p.run(ctx, args, func(rows []sqltypes.Row) (int, error) {
+		for i, r := range rows {
+			if err := sink(r); err != nil {
+				return i, err
+			}
+		}
+		return len(rows), nil
+	})
+}
+
+// run is Run with the executor's own batch delivery.
+func (p *PreparedSelect) run(ctx context.Context, args []sqltypes.Value, sink batchSink) (*Result, error) {
+	if p.order == nil && p.limit == nil {
+		schema, st, err := p.execute(ctx, args, sink)
+		if err != nil {
+			return &Result{Stats: st}, err
+		}
+		return &Result{Schema: schema, Stats: st}, nil
+	}
+	res, err := p.materialize(ctx, args)
+	if err == nil {
+		_, err = sink(res.Rows)
+	}
+	if err != nil {
+		return &Result{Stats: res.Stats}, err
+	}
+	res.Rows = nil
+	return res, nil
+}
+
+// materialize runs the statement once and applies the post-step to its
+// collected rows.
+func (p *PreparedSelect) materialize(ctx context.Context, args []sqltypes.Value) (*Result, error) {
 	col := &collector{}
 	schema, st, err := p.execute(ctx, args, col.add)
 	if err != nil {
@@ -259,40 +304,11 @@ func (p *PreparedSelect) ExecuteContext(ctx context.Context, args []sqltypes.Val
 	return &Result{Schema: schema, Rows: rows, Stats: st}, nil
 }
 
-// ExecuteStreamContext binds args and streams result rows to sink
-// (concurrently, from the partition workers), one call per row. The
-// Stats are returned also when the scan fails part-way.
-//
-// A worker projects rows into a batch of up to batchRows and calls sink
-// for them only when the batch fills or its partition ends, so a
-// selective statement may deliver nothing until a partition is done.
-// When the scan fails — an evaluation error, a sink error, a cancelled
-// ctx — the rows a worker projected but had not yet delivered are
-// dropped, not handed to sink ahead of the error.
-func (p *PreparedSelect) ExecuteStreamContext(ctx context.Context, args []sqltypes.Value, sink RowSink) (*sqltypes.Schema, *Stats, error) {
-	return p.stream(ctx, args, func(rows []sqltypes.Row) (int, error) {
-		for i, r := range rows {
-			if err := sink(r); err != nil {
-				return i, err
-			}
-		}
-		return len(rows), nil
-	})
-}
-
-// stream runs a streamable statement, delivering its rows in batches.
-func (p *PreparedSelect) stream(ctx context.Context, args []sqltypes.Value, sink batchSink) (*sqltypes.Schema, *Stats, error) {
-	if !p.Streamable() {
-		return nil, nil, fmt.Errorf("exec: ORDER BY/LIMIT not supported in streaming mode")
-	}
-	return p.execute(ctx, args, sink)
-}
-
 // execute runs the statement once, delivering unordered rows (hidden
 // keys included) to sink.
 func (p *PreparedSelect) execute(ctx context.Context, args []sqltypes.Value, sink batchSink) (*sqltypes.Schema, *Stats, error) {
 	if len(args) != p.numParams {
-		return nil, nil, fmt.Errorf("exec: statement has %d parameter(s), got %d argument(s)", p.numParams, len(args))
+		return nil, nil, paramCountError(p.numParams, len(args))
 	}
 	ss, err := p.getStmtSet()
 	if err != nil {
@@ -559,14 +575,27 @@ func flushCalls(sc *expr.Scope) {
 }
 
 // BindStatementArgs deep-copies stmt with every `?` slot bound to the
-// corresponding argument as a literal expression; the db layer's
-// prepared-INSERT path executes the bound copy through Insert.
+// corresponding argument as a literal expression, refusing an argument
+// count that does not match the slots: how statements other than a
+// planned SELECT take their arguments, in db and in the coordinator.
+// Without arguments stmt is returned as it is, and a `?` left in it is
+// refused where it is checked.
 func BindStatementArgs(stmt sqlparser.Statement, args []sqltypes.Value) (sqlparser.Statement, error) {
+	if len(args) == 0 {
+		return stmt, nil
+	}
+	if n := sqlparser.CountParams(stmt); len(args) != n {
+		return nil, paramCountError(n, len(args))
+	}
 	lits := make([]sqlparser.Expr, len(args))
 	for i, v := range args {
 		lits[i] = LiteralExpr(v)
 	}
 	return sqlparser.BindParams(stmt, lits)
+}
+
+func paramCountError(params, args int) error {
+	return fmt.Errorf("exec: statement has %d parameter(s), got %d argument(s)", params, args)
 }
 
 // LiteralExpr renders a runtime value as a literal expression node —

@@ -37,11 +37,11 @@ func (r *Result) Value() (sqltypes.Value, error) {
 }
 
 // RowSink receives result rows one at a time: the form db's public
-// streaming API hands to ExecuteStreamContext. Sinks may be invoked from
+// streaming API hands to PreparedSelect.Run. Sinks may be invoked from
 // multiple goroutines concurrently; implementations must synchronize.
 // The rows arrive in bursts of up to batchRows per partition worker,
 // and a failed scan drops the rows of its unfinished bursts (see
-// PreparedSelect.ExecuteStreamContext).
+// PreparedSelect.Run).
 type RowSink func(sqltypes.Row) error
 
 // batchRows caps a result batch: a partition worker hands its sink the

@@ -61,10 +61,10 @@ func scoreDBIn(tb testing.TB, dir string, n, dims, k, partitions int) (*statsudf
 
 // scoreStatements prepares §3.5's three one-scan scoring statements over
 // scoreDB's tables and models.
-func scoreStatements(tb testing.TB, n, dims, k, partitions int) map[string]*db.Prepared {
+func scoreStatements(tb testing.TB, n, dims, k, partitions int) map[string]scoreStmt {
 	tb.Helper()
 	d, cols := scoreDB(tb, n, dims, k, partitions)
-	out := map[string]*db.Prepared{}
+	out := map[string]scoreStmt{}
 	for name, sql := range map[string]string{
 		"regression": sqlgen.RegScoreUDF("X", "BETA", "i", cols),
 		"pca":        sqlgen.PCAScoreUDF("X", "MU", "LAMBDA", "i", cols, k),
@@ -75,25 +75,32 @@ func scoreStatements(tb testing.TB, n, dims, k, partitions int) map[string]*db.P
 	return out
 }
 
-func prepare(tb testing.TB, d *statsudf.DB, sql string) *db.Prepared {
+// scoreStmt is statement text its engine has planned: every execution
+// is served from the plan cache.
+type scoreStmt struct {
+	eng *db.DB
+	sql string
+}
+
+func prepare(tb testing.TB, d *statsudf.DB, sql string) scoreStmt {
 	tb.Helper()
 	p, err := d.Engine().Prepare(sql)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(func() { p.Close() })
-	return p
+	p.Close()
+	return scoreStmt{d.Engine(), sql}
 }
 
 // scoreOnce runs a scoring statement to a sink that keeps nothing, so
 // what is measured is the scan and the calls, not a result set.
-func scoreOnce(tb testing.TB, p *db.Prepared, wantRows int, args ...sqltypes.Value) {
-	_, st, err := p.ExecuteStreamContext(context.Background(), func(sqltypes.Row) error { return nil }, args...)
+func scoreOnce(tb testing.TB, s scoreStmt, wantRows int, args ...sqltypes.Value) {
+	res, err := s.eng.QueryContext(context.Background(), s.sql, func(sqltypes.Row) error { return nil }, args...)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if st.RowsEmitted != int64(wantRows) {
-		tb.Fatalf("scored %d rows, want %d", st.RowsEmitted, wantRows)
+	if res.Stats.RowsEmitted != int64(wantRows) {
+		tb.Fatalf("scored %d rows, want %d", res.Stats.RowsEmitted, wantRows)
 	}
 }
 
@@ -138,7 +145,7 @@ func BenchmarkScoreStatement(b *testing.B) {
 // benchScore times p emitting rows rows per execution, with the
 // arguments args gives execution i (none when args is nil), and reports
 // the time and allocations per emitted row.
-func benchScore(b *testing.B, p *db.Prepared, rows int, args func(i int) []sqltypes.Value) {
+func benchScore(b *testing.B, p scoreStmt, rows int, args func(i int) []sqltypes.Value) {
 	if args == nil {
 		args = func(int) []sqltypes.Value { return nil }
 	}

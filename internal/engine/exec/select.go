@@ -29,14 +29,14 @@ type Env struct {
 // Select plans sel and executes it once, materializing the result
 // with ORDER BY and LIMIT applied: the entry point for callers that
 // keep no plan (the cluster gather path). Cancelling ctx (nil is treated as background) stops the
-// partition scans between rows. As with ExecuteContext, a failure after
-// the scan began returns a Result carrying only the partial Stats.
+// partition scans between rows. As with Run, a failure after the scan
+// began returns a Result carrying only the partial Stats.
 func Select(ctx context.Context, sel *sqlparser.Select, env *Env) (*Result, error) {
 	p, err := PrepareSelect(sel, env)
 	if err != nil {
 		return nil, err
 	}
-	return p.ExecuteContext(ctx, nil)
+	return p.Run(ctx, nil, nil)
 }
 
 // beginSelectObs starts the root span and the engine-level query

@@ -132,15 +132,15 @@ func TestStmtServedFromOnePlan(t *testing.T) {
 	if got := obs.PlanCacheHits.Value() - hits; got != n-1 {
 		t.Errorf("engine_plan_cache_hits moved by %d over %d executions, want %d", got, n, n-1)
 	}
-	res, err := eng.Exec("SELECT cached, params, executions FROM sys.prepared WHERE sql_text = '" + sql + "'")
+	res, err := eng.Exec("SELECT stale, params, executions FROM sys.prepared WHERE sql_text = '" + sql + "'")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 1 {
 		t.Fatalf("sys.prepared holds %d rows for the text, want 1: %v", len(res.Rows), res.Rows)
 	}
-	if r := res.Rows[0]; !r[0].Bool() || r[1].Int() != 1 || r[2].Int() != n {
-		t.Errorf("sys.prepared row (cached, params, executions) = %v, want (true, 1, %d)", r, n)
+	if r := res.Rows[0]; r[0].Bool() || r[1].Int() != 1 || r[2].Int() != n {
+		t.Errorf("sys.prepared row (stale, params, executions) = %v, want (false, 1, %d)", r, n)
 	}
 }
 
@@ -203,7 +203,7 @@ func TestOrderedQueryServedFromPlanCache(t *testing.T) {
 	if got := obs.PlanCacheHits.Value() - hits; got != 1 {
 		t.Errorf("engine_plan_cache_hits moved by %d over two sightings, want 1", got)
 	}
-	res, err := eng.Exec("SELECT executions FROM sys.prepared WHERE cached AND sql_text = '" + sql + "'")
+	res, err := eng.Exec("SELECT executions FROM sys.prepared WHERE sql_text = '" + sql + "'")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,19 +71,19 @@ sql -c "SELECT table_name, state, n FROM sys.summaries"
 
 echo "== plan cache: repeated SELECT text is one cached plan =="
 # One repl session repeats a SELECT. The server plans the text once and
-# serves every repeat from its plan cache: sys.prepared lists it as a
-# single plan-cache entry (cached = true) holding the executions, and
+# serves every repeat from its plan cache: sys.prepared, which lists
+# the cache, holds one row for the text with the executions on it, and
 # engine_plan_cache_hits moves.
 hits() { sql -c "SELECT value FROM sys.metrics WHERE name = 'engine_plan_cache_hits'" | sed -n 3p; }
 HITS0="$(hits)"
 PREP="$({
   for _ in 1 2 3 4 5; do echo "SELECT X1 FROM X WHERE i = 1;"; done
-  echo "SELECT sql_text, cached, executions FROM sys.prepared;"
+  echo "SELECT sql_text, executions FROM sys.prepared;"
 } | /tmp/smoke-sqlsh -connect "$ADDR" -user ci)"
 echo "$PREP"
 ROWS="$(echo "$PREP" | grep "^SELECT X1 FROM X WHERE i = 1 | ")"
 test "$(echo "$ROWS" | wc -l)" -eq 1
-echo "$ROWS" | awk -F ' [|] ' '$2 == "TRUE" && $3 >= 4 { ok = 1 } END { exit !ok }'
+echo "$ROWS" | awk -F ' [|] ' '$2 >= 4 { ok = 1 } END { exit !ok }'
 HITS1="$(hits)"
 echo "engine_plan_cache_hits: $HITS0 -> $HITS1"
 awk -v a="$HITS0" -v b="$HITS1" 'BEGIN { exit !(b > a) }'
@@ -159,8 +159,9 @@ echo "== storage: restarted with -columnar, block scans derive the segments =="
 /tmp/smoke-twmd -addr "$ADDR" -dir "$DIR" -partitions 3 -columnar 2>"$LOG" &
 TWMD_PID=$!
 wait_for_listener
-# Aggregates are never block-scan candidates, so reading the counter
-# this way does not move it.
+# A system table has no segments: a sys.* read is no block-scan
+# candidate and counts no fallback, so reading the counter does not
+# move it.
 fallbacks() { sql -c "SELECT sum(value) FROM sys.metrics WHERE name = 'engine_columnar_fallbacks_total'" | sed -n 3p; }
 block_scan_is_fresh() {
   local before after
