@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -215,6 +216,24 @@ func TestPCAValidation(t *testing.T) {
 	}
 	if _, err := BuildPCA(s, 1, PCABasis(99)); err == nil {
 		t.Fatal("bad basis must fail")
+	}
+}
+
+// One NaN cell — a CSV field "NaN" parses as one — poisons n, L and Q;
+// the models that eigendecompose them report it instead of returning
+// NaN components.
+func TestEigenModelsRejectNaNSummaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	pts := randPoints(rng, 50, 4)
+	pts[20][2] = math.NaN()
+	s, _ := ComputeNLQ(SliceSource(pts), Triangular)
+	for _, basis := range []PCABasis{CorrelationBasis, CovarianceBasis} {
+		if m, err := BuildPCA(s, 2, basis); !errors.Is(err, matrix.ErrNotFinite) {
+			t.Fatalf("PCA basis %v: err %v, want ErrNotFinite (model %+v)", basis, err, m)
+		}
+	}
+	if m, err := BuildFactorAnalysis(s, 2, FactorOptions{}); !errors.Is(err, matrix.ErrNotFinite) {
+		t.Fatalf("factor analysis: err %v, want ErrNotFinite (model %+v)", err, m)
 	}
 }
 

@@ -36,8 +36,10 @@ type PCAModel struct {
 
 // BuildPCA computes the top-k principal components from the summary
 // matrices: the correlation or covariance matrix is derived from n, L,
-// Q and eigendecomposed — the SVD step that runs "outside the DBMS" in
-// seconds because the input is only d×d.
+// Q and eigendecomposed by matrix.SymEigen (Householder
+// tridiagonalisation + implicit QL) — the SVD step that runs "outside
+// the DBMS" in seconds because the input is only d×d. Summaries holding
+// a NaN or an infinity fail with matrix.ErrNotFinite.
 func BuildPCA(s *NLQ, k int, basis PCABasis) (*PCAModel, error) {
 	if k < 1 || k > s.D {
 		return nil, fmt.Errorf("core: k=%d out of range 1..%d", k, s.D)

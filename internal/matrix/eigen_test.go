@@ -1,6 +1,8 @@
 package matrix
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -95,6 +97,89 @@ func TestSymEigenRejectsBadInput(t *testing.T) {
 	if _, err := SymEigen(FromSlice(2, 2, []float64{1, 2, 3, 4})); err == nil {
 		t.Fatal("asymmetric must be rejected")
 	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, at := range [][2]int{{0, 0}, {0, 2}} {
+			m := Identity(3)
+			m.Set(at[0], at[1], bad)
+			m.Set(at[1], at[0], bad)
+			if _, err := SymEigen(m); !errors.Is(err, ErrNotFinite) {
+				t.Fatalf("%g at %v: err %v, want ErrNotFinite", bad, at, err)
+			}
+		}
+	}
+	// Finite entries whose eigenvalue 2·MaxFloat64 overflows.
+	big := FromSlice(2, 2, []float64{math.MaxFloat64, math.MaxFloat64, math.MaxFloat64, math.MaxFloat64})
+	if _, err := SymEigen(big); !errors.Is(err, ErrNotFinite) {
+		t.Fatalf("overflowing eigenvalue: err %v, want ErrNotFinite", err)
+	}
+}
+
+// fuzzMatrix reads a symmetric matrix of order 1 + data[0]%12 from data:
+// the upper triangle row by row, each entry the raw bits of a float64
+// (little-endian), zero once the bytes run out.
+func fuzzMatrix(data []byte) *Dense {
+	n := 1 + int(data[0])%12
+	data = data[1:]
+	m := New(n, n)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			var x float64
+			if len(data) >= 8 {
+				x = math.Float64frombits(binary.LittleEndian.Uint64(data))
+				data = data[8:]
+			}
+			m.Set(i, j, x)
+			m.Set(j, i, x)
+		}
+	}
+	return m
+}
+
+func fuzzMatrixBytes(n int, upper ...float64) []byte {
+	b := []byte{byte(n - 1)}
+	for _, x := range upper {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+	return b
+}
+
+// FuzzSymEigen feeds SymEigen symmetric matrices of up to 12×12 whose
+// entries are arbitrary float64 bit patterns: NaN, infinities,
+// subnormals and values at the edge of the range. Every input either
+// fails with ErrNotFinite — it holds a non-finite entry, or its entries
+// are large enough (n·max|aᵢⱼ| > MaxFloat64) for an eigenvalue to
+// overflow — or decomposes within the bounds eigenDefect checks.
+func FuzzSymEigen(f *testing.F) {
+	f.Add(fuzzMatrixBytes(3, 2, 1, 0, 2, 1, 2))
+	f.Add(fuzzMatrixBytes(2, math.NaN(), 0, 1))
+	f.Add(fuzzMatrixBytes(2, 1, math.Inf(-1), 1))
+	f.Add(fuzzMatrixBytes(3, 5e-324, 1e-310, 0, 4e-320, 0, 5e-324))
+	f.Add(fuzzMatrixBytes(2, math.MaxFloat64, -math.MaxFloat64, math.MaxFloat64))
+	f.Add(fuzzMatrixBytes(3, 1e300, 1, 1e-300, -1e300, 1, 1e300))
+	f.Add(fuzzMatrixBytes(4, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		a := fuzzMatrix(data)
+		n := a.Rows()
+		amax := maxAbs(a.data)
+		e, err := SymEigen(a)
+		switch {
+		case !isFinite(amax):
+			if !errors.Is(err, ErrNotFinite) {
+				t.Fatalf("non-finite input: err %v, want ErrNotFinite", err)
+			}
+		case err != nil:
+			if !errors.Is(err, ErrNotFinite) || amax <= math.MaxFloat64/float64(n) {
+				t.Fatalf("finite %d×%d input, max|aᵢⱼ| = %g: %v", n, n, amax, err)
+			}
+		default:
+			if msg := eigenDefect(a, e); msg != "" {
+				t.Fatalf("%d×%d: %s\n%v", n, n, msg, a)
+			}
+		}
+	})
 }
 
 func TestTopComponentsOrthogonal(t *testing.T) {
