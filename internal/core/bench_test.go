@@ -34,6 +34,38 @@ func BenchmarkNLQUpdate(b *testing.B) {
 	}
 }
 
+// BenchmarkNLQUpdateTile is the kernel's per-row cost when one call
+// folds k rows: k = 1 is NLQ.Update's tile, k = TileRows the tile
+// UpdateBlock and nlq_list hand it. The same ring of 64 seeded points as
+// BenchmarkNLQUpdate, stored row-major, goes through NLQ.UpdateRows k
+// points at a time; GFLOP/s counts the Q update alone, as there.
+func BenchmarkNLQUpdateTile(b *testing.B) {
+	for _, d := range []int{8, 32, 64} {
+		var ring []float64
+		for _, x := range randPoints(rand.New(rand.NewSource(int64(d))), 64, d) {
+			ring = append(ring, x...)
+		}
+		for _, mt := range matrixTypes {
+			slots := map[MatrixType]int{Diagonal: d, Triangular: d * (d + 1) / 2, Full: d * d}[mt]
+			for _, k := range []int{1, TileRows} {
+				b.Run(fmt.Sprintf("d=%d/%s/k=%d", d, mt, k), func(b *testing.B) {
+					s := MustNLQ(d, mt)
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						o := i * k % 64 * d
+						if err := s.UpdateRows(ring[o : o+k*d]); err != nil {
+							b.Fatal(err)
+						}
+					}
+					nsPerRow := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(k)
+					b.ReportMetric(nsPerRow, "ns/row")
+					b.ReportMetric(2*float64(slots)/nsPerRow, "GFLOP/s")
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkNLQUpdateBlock is the per-row cost of the columnar path at
 // d = 32 over 4 096-row blocks (the segment chunk size), dense and with
 // 30 % of the rows masked out; ns/row counts every row of the block.

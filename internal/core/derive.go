@@ -214,11 +214,11 @@ func NewBlockResult(rw, cw int) *BlockResult {
 }
 
 // Update folds one point's slice of the block — xr its row range's
-// values, xc its column range's — through the per-point kernel:
-// n ← n+1, L/min/max over xr, Q ← Q + xr·xcᵀ.
+// values, xc its column range's — through the kernel, a tile of one
+// point: n ← n+1, L/min/max over xr, Q ← Q + xr·xcᵀ.
 func (r *BlockResult) Update(xr, xc []float64) {
 	r.N++
-	update(Full, r.L, r.Min, r.Max, r.Q, xr, xc)
+	update(Full, r.L, r.Min, r.Max, r.Q, xr, xc, len(xc), 0, 1)
 }
 
 // ComputeBlock accumulates one block directly from a vector stream with

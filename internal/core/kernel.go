@@ -1,23 +1,28 @@
 package core
 
-// The per-point kernel. One point does
+// The tile kernel. One call folds a tile of k ≤ TileRows points, stored
+// row-major stride float64s apart, in row order; each point does
 //
 //	l += xr;  mn = min(mn, xr);  mx = max(mx, xr);  q += xr·xcᵀ restricted to mt
 //
-// and every path that folds a point — NLQ.Update, NLQ.UpdateBlock,
-// BlockResult.Update — calls update, which has exactly two bodies: the
-// AVX2 assembly in kernel_amd64.s and updateGo below (other
-// architectures, and amd64 hosts without AVX2).
+// and every path that folds points — NLQ.Update and BlockResult.Update
+// one point per call, NLQ.UpdateBlock and NLQ.UpdateRows a tile per
+// call — calls update, which has exactly two bodies: the AVX2 assembly
+// in kernel_amd64.s and updateGo below (other architectures, and amd64
+// hosts without AVX2). A tile changes only how many points one call
+// sees: the assembly keeps a block of Q in registers while the tile's
+// points pass through it, so each slot of Q is loaded and stored once
+// per tile instead of once per point.
 //
 // The rule both bodies keep, and the only reason row == columnar ==
 // cluster == incremental hold bit for bit: every slot receives, in row
-// order, one multiply rounded to float64 and then one add — never a
-// fused multiply-add. Which slot is touched next is free (the Go body
-// tiles four rows, the assembly puts slot j in lane j); the per-slot
-// sequence is not. The products are written float64(x*y) because the Go
-// spec lets a compiler fuse x*y + z across the bare expression (arm64,
-// ppc64le, s390x, riscv64 and GOAMD64=v3 do) but never across an
-// explicit conversion.
+// order, one multiply rounded to float64 and then one add per point —
+// never a fused multiply-add. Which slot is touched next is free (the
+// Go body tiles four rows of Q, the assembly puts slot j in lane j and
+// walks blocks of slots); the per-slot sequence is not. The products
+// are written float64(x*y) because the Go spec lets a compiler fuse
+// x*y + z across the bare expression (arm64, ppc64le, s390x, riscv64
+// and GOAMD64=v3 do) but never across an explicit conversion.
 //
 // On x86 a NaN result carries the payload of the first NaN source, so
 // operand order shows in the bits. The adds agree in both bodies
@@ -28,9 +33,20 @@ package core
 // payloads may leave either payload in Q; the assembly always keeps the
 // column value's.
 
-// updateGo is the portable body of update. q is len(xr)×len(xc)
-// row-major; for Diagonal and Triangular xc is xr.
-func updateGo(mt MatrixType, l, mn, mx, q, xr, xc []float64) {
+// updateGo is the portable body of update: the tile's points one at a
+// time, in row order. q is len(l)×cw row-major; point i's row values are
+// xr[i*stride:][:len(l)] and its column values xc[i*stride:][:cw]. For
+// Diagonal and Triangular xc is xr and cw is len(l).
+func updateGo(mt MatrixType, l, mn, mx, q, xr, xc []float64, cw, stride, k int) {
+	rw := len(l)
+	for i := 0; i < k; i++ {
+		o := i * stride
+		updatePoint(mt, l, mn, mx, q, xr[o:o+rw], xc[o:o+cw])
+	}
+}
+
+// updatePoint folds one point.
+func updatePoint(mt MatrixType, l, mn, mx, q, xr, xc []float64) {
 	l, mn, mx = l[:len(xr)], mn[:len(xr)], mx[:len(xr)]
 	for a, v := range xr {
 		l[a] += v

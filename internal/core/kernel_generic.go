@@ -2,8 +2,8 @@
 
 package core
 
-// update is the per-point kernel (see kernel.go); only amd64 has a
-// second body.
-func update(mt MatrixType, l, mn, mx, q, xr, xc []float64) {
-	updateGo(mt, l, mn, mx, q, xr, xc)
+// update is the tile kernel (see kernel.go); only amd64 has a second
+// body.
+func update(mt MatrixType, l, mn, mx, q, xr, xc []float64, cw, stride, k int) {
+	updateGo(mt, l, mn, mx, q, xr, xc, cw, stride, k)
 }

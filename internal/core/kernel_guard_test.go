@@ -41,39 +41,62 @@ func guardedState(t *testing.T, mt MatrixType, rw, cw int) *NLQ {
 	return s
 }
 
-// TestKernelStaysInBounds runs every kernel body with the point, L,
-// min, max and Q each ending at a guard page, so the last row tile and
-// every tail are flush against it: a load or store past len faults. The
-// shapes put each tile position and remainder of every mode last.
+// TestKernelStaysInBounds runs every kernel body at every tile size
+// with the tile, L, min, max and Q each ending at a guard page, so the
+// tile's last row, the last block of Q and every tail are flush against
+// it: a load or store past len faults. The shapes put each block
+// position and remainder of every mode last. A rectangular tile's rows
+// hold both ranges, so it runs twice: row range first, then column
+// range first, each range's last row in turn flush.
 func TestKernelStaysInBounds(t *testing.T) {
-	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	rng := rand.New(rand.NewSource(25))
 	for _, body := range kernelBodies {
 		for d := 1; d <= 20; d++ {
 			for _, mt := range matrixTypes {
-				got, want, x := guardedState(t, mt, d, d), MustNLQ(d, mt), guarded(t, d)
-				for _, row := range hostileRows(rng, 3, d) {
-					copy(x, row)
-					got.N++
-					body.fn(mt, got.L, got.Min, got.Max, got.Q, x, x)
-					plainUpdate(want, row)
-				}
-				t.Run(body.name, func(t *testing.T) { requireSameBits(t, got, want) })
+				t.Run(body.name, func(t *testing.T) {
+					defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+					for _, k := range allTileSizes {
+						rows := hostileRows(rng, k+1, d)
+						got, want, tile := guardedState(t, mt, d, d), MustNLQ(d, mt), guarded(t, k*d)
+						for _, part := range [][][]float64{rows[:k], rows[k:]} { // a tile of k, then of one
+							x := tile[len(tile)-len(part)*d:]
+							for i, row := range part {
+								copy(x[i*d:], row)
+								plainUpdate(want, row)
+							}
+							got.N += float64(len(part))
+							body.fn(mt, got.L, got.Min, got.Max, got.Q, x, x, d, d, len(part))
+						}
+						t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { requireSameBits(t, got, want) })
+					}
+				})
 			}
 		}
 		for rw := 1; rw <= 9; rw++ {
 			for cw := 1; cw <= 9; cw++ {
-				got, want := guardedState(t, Full, rw, cw), NewBlockResult(rw, cw)
-				xr, xc := guarded(t, rw), guarded(t, cw)
-				for _, p := range hostileRows(rng, 3, rw+cw) {
-					copy(xr, p[:rw])
-					copy(xc, p[rw:])
-					got.N++
-					body.fn(Full, got.L, got.Min, got.Max, got.Q, xr, xc)
-					plainBlockUpdate(want, xr, xc)
-				}
 				t.Run(fmt.Sprintf("%s/%dx%d", body.name, rw, cw), func(t *testing.T) {
-					requireSameBits(t, got, blockAsNLQ(want))
+					defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+					stride := rw + cw
+					for _, k := range allTileSizes {
+						points := hostileRows(rng, k, stride)
+						for _, colsFirst := range []bool{false, true} {
+							got, want, tile := guardedState(t, Full, rw, cw), NewBlockResult(rw, cw), guarded(t, k*stride)
+							xr, xc := tile, tile[rw:]
+							if colsFirst {
+								xr, xc = tile[cw:], tile
+							}
+							for i, p := range points {
+								copy(xr[i*stride:][:rw], p[:rw])
+								copy(xc[i*stride:][:cw], p[rw:])
+								plainBlockUpdate(want, p[:rw], p[rw:])
+							}
+							got.N += float64(k)
+							body.fn(Full, got.L, got.Min, got.Max, got.Q, xr, xc, cw, stride, k)
+							t.Run(fmt.Sprintf("k=%d/colsfirst=%v", k, colsFirst), func(t *testing.T) {
+								requireSameBits(t, got, blockAsNLQ(want))
+							})
+						}
+					}
 				})
 			}
 		}

@@ -12,15 +12,23 @@ import (
 	"testing"
 )
 
-// kernelBodies are the bodies of the per-point kernel this build has,
-// each called directly rather than through update's dispatch: the Go
-// loops everywhere, plus the assembly where kernel_amd64_test.go adds it.
+// kernelBodies are the bodies of the tile kernel this build has, each
+// called directly rather than through update's dispatch: the Go loops
+// everywhere, plus the assembly where kernel_amd64_test.go adds it.
 var kernelBodies = []kernelBody{{"go", updateGo}}
 
 type kernelBody struct {
 	name string
-	fn   func(mt MatrixType, l, mn, mx, q, xr, xc []float64)
+	fn   func(mt MatrixType, l, mn, mx, q, xr, xc []float64, cw, stride, k int)
 }
+
+// allTileSizes is every k a kernel call may see, 1..TileRows.
+var allTileSizes = func() (ks []int) {
+	for k := 1; k <= TileRows; k++ {
+		ks = append(ks, k)
+	}
+	return ks
+}()
 
 var matrixTypes = []MatrixType{Diagonal, Triangular, Full}
 
@@ -99,31 +107,41 @@ func framedState(mt MatrixType, rw, cw, off int) (*NLQ, func() bool) {
 	}
 }
 
-// checkKernel folds the valid rows through every kernel body (state and
-// point at unaligned offsets) and through UpdateBlock, and demands the
+// checkKernel folds the valid rows through every kernel body, k rows
+// per call for each k in ks (state and tile at unaligned offsets, the
+// tile's rows d or d+1 apart), and through UpdateBlock, and demands the
 // bits plainUpdate leaves.
-func checkKernel(t *testing.T, d int, mt MatrixType, rows [][]float64, valid []bool) {
+func checkKernel(t *testing.T, d int, mt MatrixType, rows [][]float64, valid []bool, ks []int) {
 	t.Helper()
 	want := MustNLQ(d, mt)
+	var points [][]float64
 	for r, x := range rows {
 		if valid[r] {
 			plainUpdate(want, x)
+			points = append(points, x)
 		}
 	}
 	for _, body := range kernelBodies {
-		got, intact := framedState(mt, d, d, 1+d%3)
-		x, xIntact := framed(d, 3)
-		for r, row := range rows {
-			if valid[r] {
-				copy(x, row)
-				got.N++
-				body.fn(mt, got.L, got.Min, got.Max, got.Q, x, x)
+		t.Run(body.name, func(t *testing.T) {
+			for _, k := range ks {
+				stride := d + k%2
+				got, intact := framedState(mt, d, d, 1+d%3)
+				tile, tileIntact := framed((k-1)*stride+d, 3)
+				for rest := points; len(rest) > 0; {
+					n := min(k, len(rest))
+					for i, x := range rest[:n] {
+						copy(tile[i*stride:], x)
+					}
+					got.N += float64(n)
+					body.fn(mt, got.L, got.Min, got.Max, got.Q, tile, tile, d, stride, n)
+					rest = rest[n:]
+				}
+				if !intact() || !tileIntact() {
+					t.Fatalf("%v d=%d k=%d: wrote outside its slices", mt, d, k)
+				}
+				t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { requireSameBits(t, got, want) })
 			}
-		}
-		if !intact() || !xIntact() {
-			t.Fatalf("%s body, %v d=%d: wrote outside its slices", body.name, mt, d)
-		}
-		t.Run(body.name, func(t *testing.T) { requireSameBits(t, got, want) })
+		})
 	}
 	cols := make([][]float64, d)
 	for a := range cols {
@@ -139,11 +157,11 @@ func checkKernel(t *testing.T, d int, mt MatrixType, rows [][]float64, valid []b
 	t.Run("UpdateBlock", func(t *testing.T) { requireSameBits(t, blk, want) })
 }
 
-// TestKernelBodiesBitIdentical: every body of the per-point kernel,
-// UpdateBlock (dense and masked) and the plain triple loop leave the
-// same bits at every d and tile remainder — on inputs where operand
-// order shows (NaN payloads, ±0) and where a fused multiply-add would
-// (overflowing and subnormal products).
+// TestKernelBodiesBitIdentical: every body of the tile kernel at every
+// tile size, UpdateBlock (dense and masked) and the plain triple loop
+// leave the same bits at every d and remainder — on inputs where
+// operand order shows (NaN payloads, ±0) and where a fused multiply-add
+// would (overflowing and subnormal products).
 func TestKernelBodiesBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for d := 1; d <= 68; d++ {
@@ -153,50 +171,85 @@ func TestKernelBodiesBitIdentical(t *testing.T) {
 			dense[r], masked[r] = true, rng.Float64() >= 0.3
 		}
 		for _, mt := range matrixTypes {
-			checkKernel(t, d, mt, rows, dense)
-			checkKernel(t, d, mt, rows, masked)
+			checkKernel(t, d, mt, rows, dense, allTileSizes)
+			checkKernel(t, d, mt, rows, masked, allTileSizes)
+		}
+	}
+}
+
+// TestUpdateBlockMaskedTiles: UpdateBlock hands the kernel only each
+// tile's valid rows, compacted. Tiles with 0, 1, 7 and all TileRows
+// rows valid — the one valid row and the one masked row at every
+// position — and a short last tile leave plainUpdate's bits.
+func TestUpdateBlockMaskedTiles(t *testing.T) {
+	var valid []bool
+	tile := func(mask uint) {
+		for i := 0; i < TileRows; i++ {
+			valid = append(valid, mask>>i&1 == 1)
+		}
+	}
+	all := uint(1)<<TileRows - 1
+	tile(0)
+	for i := 0; i < TileRows; i++ {
+		tile(1 << i)
+		tile(all &^ (1 << i))
+	}
+	tile(all)
+	tile(0)
+	valid = append(valid, true, false, true)
+	rng := rand.New(rand.NewSource(35))
+	for _, d := range []int{1, 3, 4, 5, 32} {
+		rows := hostileRows(rng, len(valid), d)
+		for _, mt := range matrixTypes {
+			checkKernel(t, d, mt, rows, valid, []int{TileRows})
 		}
 	}
 }
 
 // TestKernelBodiesRectangular is the same for the blocked strategy's
-// rw×cw update at shapes where neither side is a multiple of four.
+// rw×cw update at shapes where neither side is a multiple of four: a
+// tile's rows hold the row range, then the column range.
 func TestKernelBodiesRectangular(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, rw := range []int{1, 2, 3, 5, 6, 7, 9, 13, 63} {
 		for _, cw := range []int{1, 3, 5, 7, 11, 37, 61} {
-			points := hostileRows(rng, 9, rw+cw) // row range, then column range
+			points := hostileRows(rng, 9, rw+cw)
 			want := NewBlockResult(rw, cw)
 			for _, p := range points {
 				plainBlockUpdate(want, p[:rw], p[rw:])
 			}
+			stride := rw + cw
 			for _, body := range kernelBodies {
-				got, intact := framedState(Full, rw, cw, 1+cw%3)
-				xr, xrIntact := framed(rw, 1)
-				xc, xcIntact := framed(cw, 3)
-				for _, p := range points {
-					copy(xr, p[:rw])
-					copy(xc, p[rw:])
-					got.N++
-					body.fn(Full, got.L, got.Min, got.Max, got.Q, xr, xc)
-				}
-				if !intact() || !xrIntact() || !xcIntact() {
-					t.Fatalf("%s body, %dx%d: wrote outside its slices", body.name, rw, cw)
-				}
 				t.Run(fmt.Sprintf("%s/%dx%d", body.name, rw, cw), func(t *testing.T) {
-					requireSameBits(t, got, blockAsNLQ(want))
+					for _, k := range allTileSizes {
+						got, intact := framedState(Full, rw, cw, 1+cw%3)
+						tile, tileIntact := framed(k*stride, 1)
+						for rest := points; len(rest) > 0; {
+							n := min(k, len(rest))
+							for i, p := range rest[:n] {
+								copy(tile[i*stride:], p)
+							}
+							got.N += float64(n)
+							body.fn(Full, got.L, got.Min, got.Max, got.Q, tile, tile[rw:], cw, stride, n)
+							rest = rest[n:]
+						}
+						if !intact() || !tileIntact() {
+							t.Fatalf("k=%d: wrote outside its slices", k)
+						}
+						t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { requireSameBits(t, got, blockAsNLQ(want)) })
+					}
 				})
 			}
 		}
 	}
 }
 
-// FuzzUpdateKernel reads d, the matrix type, a row mask and raw float64
-// bits from the input and runs checkKernel on them.
+// FuzzUpdateKernel reads d, the matrix type and the tile size, a row
+// mask and raw float64 bits from the input and runs checkKernel on them.
 func FuzzUpdateKernel(f *testing.F) {
 	rng := rand.New(rand.NewSource(24))
 	for _, d := range []int{1, 4, 7, 33} {
-		seed := []byte{byte(d - 1), byte(d % 3), 0x24}
+		seed := []byte{byte(d - 1), byte(d%3 + 3*(d%TileRows)), 0x24}
 		for _, row := range hostileRows(rng, 3, d) {
 			for _, v := range row {
 				seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
@@ -208,7 +261,7 @@ func FuzzUpdateKernel(f *testing.F) {
 		if len(data) < 3 {
 			return
 		}
-		d, mt, mask := 1+int(data[0])%68, MatrixType(data[1]%3), data[2]
+		d, mt, k, mask := 1+int(data[0])%68, MatrixType(data[1]%3), 1+int(data[1]/3)%TileRows, data[2]
 		data = data[3:]
 		rows := make([][]float64, min(len(data)/(8*d), 16))
 		valid := make([]bool, len(rows))
@@ -227,7 +280,7 @@ func FuzzUpdateKernel(f *testing.F) {
 			}
 			valid[r] = mask>>(r%8)&1 == 0
 		}
-		checkKernel(t, d, mt, rows, valid)
+		checkKernel(t, d, mt, rows, valid, []int{k})
 	})
 }
 

@@ -121,13 +121,37 @@ func (s *NLQ) Update(x []float64) error {
 		return fmt.Errorf("core: point has %d dimensions, want %d", len(x), s.D)
 	}
 	s.N++
-	update(s.Type, s.L, s.Min, s.Max, s.Q, x, x)
+	update(s.Type, s.L, s.Min, s.Max, s.Q, x, x, s.D, s.D, 1)
 	return nil
 }
 
-// tileRows is how many block rows UpdateBlock transposes at a time:
-// eight float64s are one cache line of each column.
-const tileRows = 8
+// TileRows is the most points one kernel call folds. Eight float64s
+// are one cache line of each column in UpdateBlock's transpose.
+const TileRows = 8
+
+// UpdateRows folds the len(rows)/D points stored row-major in rows: it
+// is Update over each in order, TileRows points per kernel call.
+func (s *NLQ) UpdateRows(rows []float64) error {
+	d := s.D
+	if len(rows)%d != 0 {
+		return fmt.Errorf("core: %d values are not whole points of %d dimensions", len(rows), d)
+	}
+	for len(rows) > 0 {
+		k := min(TileRows, len(rows)/d)
+		s.N += float64(k)
+		update(s.Type, s.L, s.Min, s.Max, s.Q, rows, rows, d, d, k)
+		rows = rows[k*d:]
+	}
+	return nil
+}
+
+// allValid is the mask of a tile whose every row is valid.
+var allValid = func() (v [TileRows]bool) {
+	for i := range v {
+		v[i] = true
+	}
+	return v
+}()
 
 // UpdateBlock folds a column-wise batch of points into the summaries:
 // cols[a][r] is row r's value for dimension a, and valid[r] gates the
@@ -136,10 +160,10 @@ const tileRows = 8
 //
 // It is Update over the valid rows in order, so partials computed
 // block-wise merge byte-for-byte with partials computed row-wise (the
-// cluster coordinator's push-down algebra relies on this): tileRows
+// cluster coordinator's push-down algebra relies on this): TileRows
 // rows at a time are transposed into a small row-major tile — one
-// cache line read per column per tile — and each valid row of the tile
-// goes to the per-point kernel.
+// cache line read per column per tile — its valid rows are moved up
+// over the masked ones, and they go to the kernel in one call.
 func (s *NLQ) UpdateBlock(cols [][]float64, valid []bool) error {
 	if len(cols) != s.D {
 		return fmt.Errorf("core: block has %d dimensions, want %d", len(cols), s.D)
@@ -151,14 +175,14 @@ func (s *NLQ) UpdateBlock(cols [][]float64, valid []bool) error {
 		}
 	}
 	d := s.D
-	tile := make([]float64, tileRows*d)
+	tile := make([]float64, TileRows*d)
 	t0, t1, t2, t3 := tile[:d], tile[d:2*d], tile[2*d:3*d], tile[3*d:4*d]
 	t4, t5, t6, t7 := tile[4*d:5*d], tile[5*d:6*d], tile[6*d:7*d], tile[7*d:]
-	for r := 0; r < rows; r += tileRows {
-		k := min(tileRows, rows-r)
-		if k == tileRows {
+	for r := 0; r < rows; r += TileRows {
+		k := min(TileRows, rows-r)
+		if k == TileRows {
 			for a, col := range cols {
-				c := (*[tileRows]float64)(col[r:])
+				c := (*[TileRows]float64)(col[r:])
 				t0[a], t1[a], t2[a], t3[a] = c[0], c[1], c[2], c[3]
 				t4[a], t5[a], t6[a], t7[a] = c[4], c[5], c[6], c[7]
 			}
@@ -169,13 +193,22 @@ func (s *NLQ) UpdateBlock(cols [][]float64, valid []bool) error {
 				}
 			}
 		}
-		for i, ok := range valid[r : r+k] {
-			if ok {
-				x := tile[i*d : (i+1)*d]
-				s.N++
-				update(s.Type, s.L, s.Min, s.Max, s.Q, x, x)
+		if v := valid[r : r+k]; k < TileRows || [TileRows]bool(v) != allValid {
+			k = 0 // move the valid rows up over the masked ones
+			for i, ok := range v {
+				if ok {
+					if k != i {
+						copy(tile[k*d:(k+1)*d], tile[i*d:(i+1)*d])
+					}
+					k++
+				}
+			}
+			if k == 0 {
+				continue
 			}
 		}
+		s.N += float64(k)
+		update(s.Type, s.L, s.Min, s.Max, s.Q, tile, tile, d, d, k)
 	}
 	return nil
 }

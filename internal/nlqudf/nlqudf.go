@@ -54,6 +54,13 @@ func Register(d *db.DB) error {
 type nlqState struct {
 	nlq *core.NLQ // created lazily on the first row, d ≤ MaxD
 	buf []float64 // scratch for unpacking a row vector
+	// tile stages float rows, row-major, until TileRows of them go to
+	// the kernel in one call; its first staged·d values are rows nlq
+	// has not seen yet. flush folds them, and every other path to nlq
+	// (a boxed row, a block, Merge, Finalize) flushes first, so the
+	// staging never shows: nlq sees the rows in arrival order.
+	tile   []float64
+	staged int
 	// hdr is the (d, mtype) argument pair nlq was built from. The pair
 	// is a constant of the call, so a row whose header arguments
 	// compare equal (==: same type, same payload) to these skips
@@ -77,12 +84,29 @@ func (nlqAgg) CheckArgs(n int) error {
 	return nil
 }
 
+// stateBytes is the heap charge of an nlq_list state of d dimensions:
+// the NLQ itself (Q, L, min, max, n and the header), the scratch row
+// and the staging tile.
+func stateBytes(d int) int {
+	return 8 * (d*d + 3*d + 2 + d + core.TileRows*d)
+}
+
 func (nlqAgg) Init(h *udf.Heap) (udf.State, error) {
-	// Static allocation for the maximum dimensionality.
-	if err := h.Alloc(8 * (core.MaxD*core.MaxD + 3*core.MaxD + 2)); err != nil {
+	// Static allocation for the maximum dimensionality; the tile is
+	// made, d rows wide, when the first float row arrives.
+	if err := h.Alloc(stateBytes(core.MaxD)); err != nil {
 		return nil, err
 	}
 	return &nlqState{buf: make([]float64, core.MaxD)}, nil
+}
+
+// flush folds the staged rows into nlq. The tile holds whole points of
+// nlq's d values, so UpdateRows has nothing to reject.
+func (st *nlqState) flush() {
+	if st.staged > 0 {
+		_ = st.nlq.UpdateRows(st.tile[:st.staged*st.nlq.D])
+		st.staged = 0
+	}
 }
 
 // header parses the (d, mtype) leading arguments shared by both styles.
@@ -144,6 +168,7 @@ func (nlqAgg) Accumulate(s udf.State, args []sqltypes.Value) error {
 	if skip, err := unboxDims(x, args[2:]); skip || err != nil {
 		return err
 	}
+	st.flush()
 	return st.nlq.Update(x)
 }
 
@@ -157,7 +182,16 @@ func (nlqAgg) AccumulateFloats(s udf.State, lead []sqltypes.Value, x []float64) 
 	if err := st.dims(len(x)); err != nil {
 		return err
 	}
-	return st.nlq.Update(x)
+	d := st.nlq.D
+	if st.tile == nil {
+		st.tile = make([]float64, core.TileRows*d)
+	}
+	copy(st.tile[st.staged*d:], x)
+	st.staged++
+	if st.staged == core.TileRows {
+		st.flush()
+	}
+	return nil
 }
 
 func (nlqAgg) AccumulateBlock(s udf.State, lead []sqltypes.Value, cols [][]float64, valid []bool) error {
@@ -168,6 +202,7 @@ func (nlqAgg) AccumulateBlock(s udf.State, lead []sqltypes.Value, cols [][]float
 	if err := st.dims(len(cols)); err != nil {
 		return err
 	}
+	st.flush()
 	return st.nlq.UpdateBlock(cols, valid)
 }
 
@@ -191,6 +226,8 @@ func unboxDims(x []float64, vs []sqltypes.Value) (skip bool, err error) {
 
 func (nlqAgg) Merge(dst, src udf.State) error {
 	ds, ss := dst.(*nlqState), src.(*nlqState)
+	ds.flush()
+	ss.flush()
 	if ss.nlq == nil {
 		return nil // empty partition
 	}
@@ -203,6 +240,7 @@ func (nlqAgg) Merge(dst, src udf.State) error {
 
 func (nlqAgg) Finalize(s udf.State) (sqltypes.Value, error) {
 	st := s.(*nlqState)
+	st.flush()
 	if st.nlq == nil {
 		return sqltypes.Null, nil // no qualifying rows
 	}
