@@ -30,6 +30,24 @@ func buildUDFStatement(tb testing.TB, n, partitions int) (*statsudf.DB, string) 
 
 func BenchmarkAggregateArgs34(b *testing.B) {
 	d, sql := buildUDFStatement(b, 16384, 4)
+	benchStatement(b, d, sql)
+}
+
+// BenchmarkNLQWhere and BenchmarkNLQGroupBy time the build statement's
+// boxed-row shapes, a residual WHERE and Table 5's GROUP BY: the row
+// log is decoded boxed and each row's float arguments are filled through
+// the argument plan.
+func BenchmarkNLQWhere(b *testing.B) {
+	d, sql := buildUDFStatement(b, 32768, 4)
+	benchStatement(b, d, sql+" WHERE i >= 0")
+}
+
+func BenchmarkNLQGroupBy(b *testing.B) {
+	d, _ := buildUDFStatement(b, 32768, 4)
+	benchStatement(b, d, sqlgen.NLQUDFGroupQuery("X", statsudf.DimColumns(32), core.Triangular, sqlgen.ListStyle, "i % 16"))
+}
+
+func benchStatement(b *testing.B, d *statsudf.DB, sql string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := d.Exec(sql); err != nil {

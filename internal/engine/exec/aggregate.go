@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/engine/expr"
 	"repro/internal/engine/obs"
 	"repro/internal/engine/sqlparser"
@@ -24,6 +25,18 @@ type groupState struct {
 	keyVals sqltypes.Row
 	states  []udf.State
 	seen    []map[string]sqltypes.Row // per-spec DISTINCT sets, nil when not distinct
+	tiles   []floatTile               // per spec with a float body: its rows not yet folded
+}
+
+// floatTile stages a spec's float rows for its float body: rows[:k·w]
+// are k ≤ core.TileRows rows of its w arguments, row-major, that the
+// state has not seen. aggWorker.fold hands them on when the tile is full
+// and a row comes, before the state's Accumulate or AccumulateBlock, and
+// when the partition scan ends, so a state sees its rows in arrival
+// order and merge and finalize see folded states only.
+type floatTile struct {
+	rows []float64 // made by the first row
+	k    int
 }
 
 // aggPlan is the prepare-time half of an aggregate SELECT: the
@@ -103,22 +116,11 @@ type floatSpec struct {
 	lead []sqltypes.Value
 	x    []float64
 	// lanes[j] is the float-row position (the block slot) of argument j
-	// after lead, -1 for a literal; cols are those it reads.
-	lanes []int
-	cols  []int
-}
-
-// rowArgs copies the spec's arguments from a float row into the worker's
-// scratch and returns its x. (A lone spec reading the whole row skips
-// it: selectWorker.floats.)
-func (f *floatSpec) rowArgs(scratch, frow []float64) []float64 {
-	x := scratch[len(f.lead):]
-	for j, p := range f.lanes {
-		if p >= 0 {
-			x[j] = frow[p]
-		}
-	}
-	return x
+	// after lead, -1 for a literal; cols are those it reads. prefix:
+	// lanes[j] == j for every j.
+	lanes  []int
+	cols   []int
+	prefix bool
 }
 
 // planFloats decides at prepare, once per spec, whether the spec has a
@@ -162,6 +164,7 @@ func (a *aggPlan) planFloats(b *binding, residual sqlparser.Expr, funcs *expr.Re
 		}
 		argCols, bare := plan.Columns()
 		rows = rows && bare
+		f.prefix = len(argCols) == len(f.lanes)
 		for _, c := range argCols {
 			if !rows || !storage.NumericColumn(schema.Columns[c.Ord]) {
 				rows = false
@@ -175,6 +178,7 @@ func (a *aggPlan) planFloats(b *binding, residual sqlparser.Expr, funcs *expr.Re
 			}
 			f.lanes[c.Slot-lead] = p
 			f.cols = append(f.cols, p)
+			f.prefix = f.prefix && p == c.Slot-lead
 		}
 	}
 	if !rows {
@@ -188,6 +192,7 @@ func (a *aggPlan) planFloats(b *binding, residual sqlparser.Expr, funcs *expr.Re
 // buffers are pooled with the worker; groups is the partition's output
 // and belongs to this worker alone until the single-threaded merge.
 type aggWorker struct {
+	specs    []aggSpec // the plan's, read-only
 	groupEvs []expr.Evaluator
 	args     []expr.ArgPlan // one per spec; the zero plan for count(*)
 	floats   [][]float64    // per spec: its float body's scratch, nil when it has none
@@ -201,21 +206,13 @@ type aggWorker struct {
 	// qualifying row has created it the key build and map lookup are
 	// skipped. (Created lazily: a partition with no qualifying row
 	// contributes no group to the merge.)
-	global *groupState
-	// one is set by the first float row when the one spec's x is the
-	// whole float row (every timed n/L/Q statement and summary scan): its
-	// float body, lead and global's state, copied here so that each later
-	// row reaches AccumulateFloats in one hop (selectWorker.floats).
-	one struct {
-		agg   udf.FloatAggregate
-		lead  []sqltypes.Value
-		state udf.State
-	}
-	accCalls int64 // aggregate-protocol Accumulate calls, flushed at release
+	global   *groupState
+	accCalls int64 // phase-2 calls, one per row and spec however they are tiled; flushed at release
 }
 
 func (a *aggPlan) newWorker(sc *expr.Scope, resolve expr.Resolver) (*aggWorker, error) {
 	w := &aggWorker{
+		specs:   a.specs,
 		keyVals: make(sqltypes.Row, len(a.groupBy)),
 		args:    make([]expr.ArgPlan, len(a.specs)),
 		floats:  make([][]float64, len(a.specs)),
@@ -241,7 +238,7 @@ func (a *aggPlan) newWorker(sc *expr.Scope, resolve expr.Resolver) (*aggWorker, 
 }
 
 // group returns the group state the flat row folds into.
-func (w *aggWorker) group(specs []aggSpec, flat sqltypes.Row) (*groupState, error) {
+func (w *aggWorker) group(flat sqltypes.Row) (*groupState, error) {
 	if w.global != nil {
 		return w.global, nil
 	}
@@ -261,7 +258,7 @@ func (w *aggWorker) group(specs []aggSpec, flat sqltypes.Row) (*groupState, erro
 	g, ok := w.groups[key]
 	if !ok {
 		var err error
-		if g, err = newGroupState(w.keyVals, specs); err != nil {
+		if g, err = newGroupState(w.keyVals, w.specs); err != nil {
 			return nil, err
 		}
 		w.groups[key] = g
@@ -274,14 +271,15 @@ func (w *aggWorker) group(specs []aggSpec, flat sqltypes.Row) (*groupState, erro
 
 // accumulate folds one qualifying flat row into its group's states. A
 // spec with a float body is filled through its plan into the float
-// scratch and called there; a row the fill refuses (a NULL, a value that
-// is not a number) goes to Accumulate boxed, like every spec without one.
-func (w *aggWorker) accumulate(specs []aggSpec, flat sqltypes.Row) error {
-	g, err := w.group(specs, flat)
+// scratch, and the row is staged in the group's tile; a row the fill
+// refuses (a NULL, a value that is not a number) goes to Accumulate
+// boxed, like every spec without one.
+func (w *aggWorker) accumulate(flat sqltypes.Row) error {
+	g, err := w.group(flat)
 	if err != nil {
 		return err
 	}
-	for i, s := range specs {
+	for i, s := range w.specs {
 		x := w.floats[i]
 		args, err := w.args[i].Fill(flat, x)
 		if err != nil {
@@ -289,7 +287,7 @@ func (w *aggWorker) accumulate(specs []aggSpec, flat sqltypes.Row) error {
 		}
 		if x != nil && args == nil { // the fill took: x holds the row
 			w.accCalls++
-			if err := s.float.agg.AccumulateFloats(g.states[i], s.float.lead, x[len(s.float.lead):]); err != nil {
+			if err := w.stage(g, i, x[len(s.float.lead):]); err != nil {
 				return err
 			}
 			continue
@@ -303,6 +301,9 @@ func (w *aggWorker) accumulate(specs []aggSpec, flat sqltypes.Row) error {
 			}
 			continue // accumulated after the global set union
 		}
+		if err := w.fold(g, i); err != nil {
+			return err
+		}
 		if err := s.agg.Accumulate(g.states[i], args); err != nil {
 			return err
 		}
@@ -311,25 +312,72 @@ func (w *aggWorker) accumulate(specs []aggSpec, flat sqltypes.Row) error {
 	return nil
 }
 
-// floatRow folds one row of a float-row scan (see planFloats): every
-// spec's float body — each spec has one there — is called on its
-// arguments from frow, without a boxed value on the way.
-func (w *aggWorker) floatRow(specs []aggSpec, frow []float64) error {
-	g, err := w.group(specs, nil)
+// floatRow folds one row of a float-row scan (see planFloats): each spec
+// — each has a float body there — stages its arguments straight from
+// frow when they are its leading columns in order, else gathered first.
+func (w *aggWorker) floatRow(frow []float64) error {
+	g, err := w.group(nil)
 	if err != nil {
 		return err
 	}
-	if len(specs) == 1 && len(specs[0].float.lanes) == len(frow) {
-		f := specs[0].float // no literal, no column twice: x is frow
-		w.one.agg, w.one.lead, w.one.state = f.agg, f.lead, g.states[0]
-	}
-	for i := range specs { // by index: a spec is too wide to copy per row
-		f := specs[i].float
-		if err := f.agg.AccumulateFloats(g.states[i], f.lead, f.rowArgs(w.floats[i], frow)); err != nil {
+	for i := range w.specs { // by index: a spec is too wide to copy per row
+		f, x := w.specs[i].float, frow
+		if !f.prefix {
+			x = w.floats[i][len(f.lead):]
+			for j, p := range f.lanes {
+				if p >= 0 {
+					x[j] = frow[p]
+				}
+			}
+		}
+		if err := w.stage(g, i, x); err != nil {
 			return err
 		}
 	}
-	w.accCalls += int64(len(specs))
+	w.accCalls += int64(len(w.specs))
+	return nil
+}
+
+// stage copies spec i's float arguments from x into a free row of g's
+// tile, folding a full tile first.
+func (w *aggWorker) stage(g *groupState, i int, x []float64) error {
+	t, n := &g.tiles[i], len(w.specs[i].float.lanes)
+	switch t.k {
+	case 0:
+		if t.rows == nil {
+			t.rows = make([]float64, core.TileRows*n)
+		}
+	case core.TileRows:
+		if err := w.fold(g, i); err != nil {
+			return err
+		}
+	}
+	copy(t.rows[t.k*n:(t.k+1)*n], x)
+	t.k++
+	return nil
+}
+
+// fold hands the rows staged in g's tile for spec i to its float body.
+func (w *aggWorker) fold(g *groupState, i int) error {
+	t := &g.tiles[i]
+	if t.k == 0 {
+		return nil
+	}
+	f, k := w.specs[i].float, t.k
+	t.k = 0
+	return f.agg.AccumulateFloats(g.states[i], f.lead, t.rows[:k*len(f.lanes)], k)
+}
+
+// flush folds every group's staged rows: the end of each partition scan
+// that succeeded.
+func (w *aggWorker) flush() error {
+	for _, g := range w.groups {
+		for i := range g.tiles {
+			if err := w.fold(g, i); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }
 
@@ -337,13 +385,13 @@ func (w *aggWorker) floatRow(specs []aggSpec, frow []float64) error {
 // float body on its arguments' lanes — a column read twice is one lane,
 // a literal a lane of its value, filled once per worker — over the rows
 // valid in all of them.
-func (w *aggWorker) block(specs []aggSpec, blk *storage.Block) error {
-	g, err := w.group(specs, nil)
+func (w *aggWorker) block(blk *storage.Block) error {
+	g, err := w.group(nil)
 	if err != nil {
 		return err
 	}
-	for i := range specs {
-		f, lanes := specs[i].float, w.lanes[i]
+	for i := range w.specs {
+		f, lanes := w.specs[i].float, w.lanes[i]
 		for j, p := range f.lanes {
 			switch {
 			case p >= 0:
@@ -358,11 +406,14 @@ func (w *aggWorker) block(specs []aggSpec, blk *storage.Block) error {
 			}
 		}
 		w.mask = blk.Mask(f.cols, w.mask)
+		if err := w.fold(g, i); err != nil {
+			return err
+		}
 		if err := f.agg.AccumulateBlock(g.states[i], f.lead, lanes, w.mask); err != nil {
 			return err
 		}
 	}
-	w.accCalls += int64(len(specs) * blk.Rows)
+	w.accCalls += int64(len(w.specs) * blk.Rows)
 	return nil
 }
 
@@ -461,6 +512,7 @@ func newGroupState(keyVals sqltypes.Row, specs []aggSpec) (*groupState, error) {
 		keyVals: keyVals.Clone(),
 		states:  make([]udf.State, len(specs)),
 		seen:    make([]map[string]sqltypes.Row, len(specs)),
+		tiles:   make([]floatTile, len(specs)),
 	}
 	for i, s := range specs {
 		st, err := s.agg.Init(udf.NewHeap(udf.SegmentSize))

@@ -41,8 +41,10 @@ func (fsum) Finalize(s udf.State) (sqltypes.Value, error) {
 	return sqltypes.NewDouble(s.([]float64)[0]), nil
 }
 func (fsum) LeadArgs() int { return 0 }
-func (fsum) AccumulateFloats(s udf.State, _ []sqltypes.Value, x []float64) error {
-	s.([]float64)[0] += x[0]
+func (fsum) AccumulateFloats(s udf.State, _ []sqltypes.Value, tile []float64, _ int) error {
+	for _, x := range tile {
+		s.([]float64)[0] += x
+	}
 	return nil
 }
 func (fsum) AccumulateBlock(s udf.State, _ []sqltypes.Value, cols [][]float64, valid []bool) error {

@@ -135,7 +135,7 @@ func (v *vecPrograms) fill(p *expr.VectorProgram, blk *storage.Block, view vecVi
 // into the worker's batch, as the row consumer does.
 func (w *selectWorker) block(blk *storage.Block) error {
 	if w.agg != nil {
-		return w.agg.block(w.ps.agg.specs, blk)
+		return w.agg.block(blk)
 	}
 	v := w.vec
 	if v.where != nil {

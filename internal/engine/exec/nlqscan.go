@@ -57,7 +57,7 @@ func (s *TableNLQ) Read(ctx context.Context, marks []storage.Mark, parts []*core
 	groups := make([]map[string]*groupState, len(parts))
 	for p, q := range parts {
 		if q != nil {
-			groups[p] = map[string]*groupState{"": {states: []udf.State{q}, seen: make([]map[string]sqltypes.Row, 1)}}
+			groups[p] = map[string]*groupState{"": {states: []udf.State{q}, seen: make([]map[string]sqltypes.Row, 1), tiles: make([]floatTile, 1)}}
 		}
 	}
 	var st Stats
@@ -102,8 +102,8 @@ func (nlqFold) Accumulate(s udf.State, args []sqltypes.Value) error {
 	return s.(*core.NLQ).Update(x)
 }
 
-func (nlqFold) AccumulateFloats(s udf.State, _ []sqltypes.Value, x []float64) error {
-	return s.(*core.NLQ).Update(x)
+func (nlqFold) AccumulateFloats(s udf.State, _ []sqltypes.Value, tile []float64, _ int) error {
+	return s.(*core.NLQ).UpdateRows(tile)
 }
 
 func (nlqFold) AccumulateBlock(s udf.State, _ []sqltypes.Value, cols [][]float64, valid []bool) error {

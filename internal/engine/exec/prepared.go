@@ -500,7 +500,7 @@ func (w *selectWorker) joined(r sqltypes.Row) error {
 		}
 	}
 	if w.agg != nil {
-		return w.agg.accumulate(w.ps.agg.specs, r)
+		return w.agg.accumulate(r)
 	}
 	out := w.batch[w.n]
 	for i, ev := range w.items {
@@ -522,10 +522,13 @@ func (w *selectWorker) emit() error {
 	return w.flush()
 }
 
-// flush hands the pending rows to sink and counts the rows it accepted.
-// It ends every partition scan that succeeded; an aggregate worker
-// holds no rows.
+// flush hands the pending rows to sink and counts the rows it accepted,
+// or folds an aggregate's staged float rows (aggWorker.flush). It ends
+// every partition scan that succeeded.
 func (w *selectWorker) flush() error {
+	if w.agg != nil {
+		return w.agg.flush()
+	}
 	if w.n == 0 {
 		return nil
 	}
@@ -533,20 +536,6 @@ func (w *selectWorker) flush() error {
 	w.emitted.Add(int64(n))
 	w.n = 0
 	return err
-}
-
-// floats consumes one float row — the scan's float columns, read-only
-// and valid for the call — of an aggregate statement offered them; the
-// rows the decoder declines come to row. Once a lone spec reading all
-// of x is held in aggWorker.one, x goes straight to its float body,
-// with no group lookup, spec loop or copy.
-func (w *selectWorker) floats(x []float64) error {
-	a := w.agg
-	if a.one.state == nil {
-		return a.floatRow(w.ps.agg.specs, x)
-	}
-	a.accCalls++
-	return a.one.agg.AccumulateFloats(a.one.state, a.one.lead, x)
 }
 
 // release ends a partition scan: counters are flushed and the worker
@@ -558,7 +547,7 @@ func (w *selectWorker) release() {
 	}
 	if w.agg != nil {
 		obs.UDFCalls.Add(w.agg.accCalls)
-		w.agg.groups, w.agg.global, w.agg.one.state, w.agg.accCalls = nil, nil, nil, 0
+		w.agg.groups, w.agg.global, w.agg.accCalls = nil, nil, 0
 	}
 	flushCalls(&w.scope)
 	w.scope.Bind(nil)

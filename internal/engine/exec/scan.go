@@ -114,7 +114,7 @@ func scanPartition(ctx context.Context, t *storage.Table, p int, src sources, fr
 		obs.ColumnarFallbacks.Inc()
 	}
 	if src.floats != nil {
-		ps, err = t.ScanPartitionFloats(ctx, p, from, src.floats, w.floats, w.row)
+		ps, err = t.ScanPartitionFloats(ctx, p, from, src.floats, w.agg.floatRow, w.row)
 		return "float", ps, err
 	}
 	ps, err = t.ScanPartitionStats(ctx, p, w.row)

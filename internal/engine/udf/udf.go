@@ -12,7 +12,7 @@
 //     simple type (arrays cannot be returned, so vectors and matrices
 //     travel as packed strings). An aggregate over numbers may also
 //     have a float body (FloatAggregate), which the executor calls
-//     with the row's values unboxed.
+//     with whole tiles of rows unboxed.
 //
 // The heap segment is capped at 64 KB (SegmentSize), the limit the
 // paper reports for Teradata on Unix/Windows; it is what forces the
@@ -94,21 +94,23 @@ type Aggregate interface {
 
 // FloatAggregate is an Aggregate whose row aggregation also has a float
 // body, the aggregate counterpart of a scalar function's Float: the
-// executor calls AccumulateFloats for a row whose arguments after the
-// first LeadArgs() are all numbers, AccumulateBlock for a block of such
-// rows read from column segments, and Accumulate — which owns NULLs,
-// conversions and their errors — for every other row. All three must
-// fold a row identically.
+// executor calls AccumulateFloats for a tile of rows whose arguments
+// after the first LeadArgs() are all numbers, AccumulateBlock for a
+// block of such rows read from column segments, and Accumulate — which
+// owns NULLs, conversions and their errors — for every other row. A
+// state sees its rows in arrival order whichever of the three carries
+// them, and all three must fold a row identically.
 type FloatAggregate interface {
 	Aggregate
 	// LeadArgs is how many leading arguments (a header such as nlq_list's
 	// d and mtype) the float body takes boxed; the executor uses the body
 	// only where they are literals, boxed once per plan.
 	LeadArgs() int
-	// AccumulateFloats folds one row (phase 2): lead is the leading
-	// arguments, x the rest as floats — both the caller's, valid for the
-	// call, not to be retained or written.
-	AccumulateFloats(s State, lead []sqltypes.Value, x []float64) error
+	// AccumulateFloats folds k ≥ 1 rows (phase 2) exactly as k one-row
+	// calls would fold them, in order: lead is the leading arguments,
+	// tile the rest as floats, row-major, len(tile)/k per row — both the
+	// caller's, valid for the call, not to be retained or written.
+	AccumulateFloats(s State, lead []sqltypes.Value, tile []float64, k int) error
 	// AccumulateBlock folds the rows r of a block with valid[r] set, in
 	// order, exactly as AccumulateFloats folds each: cols[j][r] is row
 	// r's argument j after lead, every lane as long as valid. A cleared

@@ -29,7 +29,7 @@ import (
 // Register installs the three aggregate UDFs into a database, the
 // engine-level equivalent of Teradata's CREATE FUNCTION. nlq_list and
 // nlq_block also have float bodies (udf.FloatAggregate): the executor
-// hands them rows and blocks of numbers unboxed, and their boxed
+// hands them tiles and blocks of numbers unboxed, and their boxed
 // Accumulate sees only the rows with a NULL or a value that is not a
 // number.
 func Register(d *db.DB) error {
@@ -54,13 +54,6 @@ func Register(d *db.DB) error {
 type nlqState struct {
 	nlq *core.NLQ // created lazily on the first row, d ≤ MaxD
 	buf []float64 // scratch for unpacking a row vector
-	// tile stages float rows, row-major, until TileRows of them go to
-	// the kernel in one call; its first staged·d values are rows nlq
-	// has not seen yet. flush folds them, and every other path to nlq
-	// (a boxed row, a block, Merge, Finalize) flushes first, so the
-	// staging never shows: nlq sees the rows in arrival order.
-	tile   []float64
-	staged int
 	// hdr is the (d, mtype) argument pair nlq was built from. The pair
 	// is a constant of the call, so a row whose header arguments
 	// compare equal (==: same type, same payload) to these skips
@@ -85,28 +78,17 @@ func (nlqAgg) CheckArgs(n int) error {
 }
 
 // stateBytes is the heap charge of an nlq_list state of d dimensions:
-// the NLQ itself (Q, L, min, max, n and the header), the scratch row
-// and the staging tile.
+// the NLQ itself (Q, L, min, max, n and the header) and the scratch row.
 func stateBytes(d int) int {
-	return 8 * (d*d + 3*d + 2 + d + core.TileRows*d)
+	return 8 * (d*d + 3*d + 2 + d)
 }
 
 func (nlqAgg) Init(h *udf.Heap) (udf.State, error) {
-	// Static allocation for the maximum dimensionality; the tile is
-	// made, d rows wide, when the first float row arrives.
+	// Static allocation for the maximum dimensionality.
 	if err := h.Alloc(stateBytes(core.MaxD)); err != nil {
 		return nil, err
 	}
 	return &nlqState{buf: make([]float64, core.MaxD)}, nil
-}
-
-// flush folds the staged rows into nlq. The tile holds whole points of
-// nlq's d values, so UpdateRows has nothing to reject.
-func (st *nlqState) flush() {
-	if st.staged > 0 {
-		_ = st.nlq.UpdateRows(st.tile[:st.staged*st.nlq.D])
-		st.staged = 0
-	}
 }
 
 // header parses the (d, mtype) leading arguments shared by both styles.
@@ -148,8 +130,11 @@ func (st *nlqState) begin(args []sqltypes.Value) error {
 	return nil
 }
 
-// dims checks a row's count of dimension values against d.
-func (st *nlqState) dims(n int) error {
+// beginDims is begin for a row of n dimension values, checked against d.
+func (st *nlqState) beginDims(args []sqltypes.Value, n int) error {
+	if err := st.begin(args); err != nil {
+		return err
+	}
 	if n != st.nlq.D {
 		return fmt.Errorf("nlqudf: got %d vector arguments, want d=%d", n, st.nlq.D)
 	}
@@ -158,51 +143,31 @@ func (st *nlqState) dims(n int) error {
 
 func (nlqAgg) Accumulate(s udf.State, args []sqltypes.Value) error {
 	st := s.(*nlqState)
-	if err := st.begin(args); err != nil {
-		return err
-	}
-	if err := st.dims(len(args) - 2); err != nil {
+	if err := st.beginDims(args, len(args)-2); err != nil {
 		return err
 	}
 	x := st.buf[:st.nlq.D]
 	if skip, err := unboxDims(x, args[2:]); skip || err != nil {
 		return err
 	}
-	st.flush()
 	return st.nlq.Update(x)
 }
 
 func (nlqAgg) LeadArgs() int { return 2 }
 
-func (nlqAgg) AccumulateFloats(s udf.State, lead []sqltypes.Value, x []float64) error {
+func (nlqAgg) AccumulateFloats(s udf.State, lead []sqltypes.Value, tile []float64, k int) error {
 	st := s.(*nlqState)
-	if err := st.begin(lead); err != nil {
+	if err := st.beginDims(lead, len(tile)/k); err != nil {
 		return err
 	}
-	if err := st.dims(len(x)); err != nil {
-		return err
-	}
-	d := st.nlq.D
-	if st.tile == nil {
-		st.tile = make([]float64, core.TileRows*d)
-	}
-	copy(st.tile[st.staged*d:], x)
-	st.staged++
-	if st.staged == core.TileRows {
-		st.flush()
-	}
-	return nil
+	return st.nlq.UpdateRows(tile)
 }
 
 func (nlqAgg) AccumulateBlock(s udf.State, lead []sqltypes.Value, cols [][]float64, valid []bool) error {
 	st := s.(*nlqState)
-	if err := st.begin(lead); err != nil {
+	if err := st.beginDims(lead, len(cols)); err != nil {
 		return err
 	}
-	if err := st.dims(len(cols)); err != nil {
-		return err
-	}
-	st.flush()
 	return st.nlq.UpdateBlock(cols, valid)
 }
 
@@ -226,8 +191,6 @@ func unboxDims(x []float64, vs []sqltypes.Value) (skip bool, err error) {
 
 func (nlqAgg) Merge(dst, src udf.State) error {
 	ds, ss := dst.(*nlqState), src.(*nlqState)
-	ds.flush()
-	ss.flush()
 	if ss.nlq == nil {
 		return nil // empty partition
 	}
@@ -240,7 +203,6 @@ func (nlqAgg) Merge(dst, src udf.State) error {
 
 func (nlqAgg) Finalize(s udf.State) (sqltypes.Value, error) {
 	st := s.(*nlqState)
-	st.flush()
 	if st.nlq == nil {
 		return sqltypes.Null, nil // no qualifying rows
 	}
@@ -374,12 +336,15 @@ func (b *blockAgg) Accumulate(s udf.State, args []sqltypes.Value) error {
 
 func (b *blockAgg) LeadArgs() int { return 4 }
 
-func (b *blockAgg) AccumulateFloats(s udf.State, lead []sqltypes.Value, x []float64) error {
+func (b *blockAgg) AccumulateFloats(s udf.State, lead []sqltypes.Value, tile []float64, k int) error {
+	w := len(tile) / k
 	st := s.(*blockState)
-	if err := st.begin(lead, len(x)); err != nil {
+	if err := st.begin(lead, w); err != nil {
 		return err
 	}
-	st.update(x)
+	for ; len(tile) > 0; tile = tile[w:] {
+		st.update(tile[:w])
+	}
 	return nil
 }
 
@@ -405,7 +370,7 @@ func (b *blockAgg) Merge(dst, src udf.State) error {
 		return nil
 	}
 	if ds.res == nil {
-		ds.blk, ds.res = ss.blk, ss.res
+		*ds = *ss
 		return nil
 	}
 	if ds.blk != ss.blk {
@@ -438,14 +403,11 @@ func (b *blockAgg) Finalize(s udf.State) (sqltypes.Value, error) {
 // PackBlock serializes a block result for the UDF return value.
 func PackBlock(blk core.Block, r *core.BlockResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d,%d,%d,%d;%s;", blk.RowLo, blk.RowHi, blk.ColLo, blk.ColHi, strconv.FormatFloat(r.N, 'g', 17, 64))
-	b.WriteString(udf.PackFloats(r.L))
-	b.WriteByte(';')
-	b.WriteString(udf.PackFloats(r.Min))
-	b.WriteByte(';')
-	b.WriteString(udf.PackFloats(r.Max))
-	b.WriteByte(';')
-	b.WriteString(udf.PackFloats(r.Q))
+	fmt.Fprintf(&b, "%d,%d,%d,%d;%s", blk.RowLo, blk.RowHi, blk.ColLo, blk.ColHi, strconv.FormatFloat(r.N, 'g', 17, 64))
+	for _, v := range [][]float64{r.L, r.Min, r.Max, r.Q} {
+		b.WriteByte(';')
+		b.WriteString(udf.PackFloats(v))
+	}
 	return b.String()
 }
 
@@ -464,17 +426,10 @@ func UnpackBlock(s string) (core.Block, *core.BlockResult, error) {
 		return core.Block{}, nil, fmt.Errorf("nlqudf: bad block n %q", parts[1])
 	}
 	res := &core.BlockResult{N: n}
-	if res.L, err = udf.UnpackFloats(parts[2]); err != nil {
-		return core.Block{}, nil, err
-	}
-	if res.Min, err = udf.UnpackFloats(parts[3]); err != nil {
-		return core.Block{}, nil, err
-	}
-	if res.Max, err = udf.UnpackFloats(parts[4]); err != nil {
-		return core.Block{}, nil, err
-	}
-	if res.Q, err = udf.UnpackFloats(parts[5]); err != nil {
-		return core.Block{}, nil, err
+	for i, v := range []*[]float64{&res.L, &res.Min, &res.Max, &res.Q} {
+		if *v, err = udf.UnpackFloats(parts[2+i]); err != nil {
+			return core.Block{}, nil, err
+		}
 	}
 	rw, cw := blk.RowHi-blk.RowLo, blk.ColHi-blk.ColLo
 	if rw < 1 || cw < 1 || len(res.Q) != rw*cw || len(res.L) != rw || len(res.Min) != rw || len(res.Max) != rw {
