@@ -213,12 +213,19 @@ func NewBlockResult(rw, cw int) *BlockResult {
 	return res
 }
 
-// Update folds one point's slice of the block — xr its row range's
-// values, xc its column range's — through the kernel, a tile of one
-// point: n ← n+1, L/min/max over xr, Q ← Q + xr·xcᵀ.
-func (r *BlockResult) Update(xr, xc []float64) {
-	r.N++
-	update(Full, r.L, r.Min, r.Max, r.Q, xr, xc, len(xc), 0, 1)
+// Update folds the k points stored row-major in tile, len(tile)/k
+// values apart, through the kernel in one call: each point's first rw
+// values are its row range's, and its column range's are the same
+// values (a diagonal block, len(tile)/k == rw) or the cw after them.
+// n ← n+k, L/min/max over the row values, Q ← Q + Σ xr·xcᵀ.
+func (r *BlockResult) Update(tile []float64, k int) {
+	rw, w := len(r.L), len(tile)/k
+	xc := tile
+	if w != rw {
+		xc = tile[rw:]
+	}
+	r.N += float64(k)
+	update(Full, r.L, r.Min, r.Max, r.Q, tile, xc, len(r.Q)/rw, w, k)
 }
 
 // ComputeBlock accumulates one block directly from a vector stream with

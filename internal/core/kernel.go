@@ -5,11 +5,11 @@ package core
 //
 //	l += xr;  mn = min(mn, xr);  mx = max(mx, xr);  q += xr·xcᵀ restricted to mt
 //
-// and every path that folds points — NLQ.Update and BlockResult.Update
-// one point per call, NLQ.UpdateBlock and NLQ.UpdateRows a tile per
-// call — calls update, which has exactly two bodies: the AVX2 assembly
-// in kernel_amd64.s and updateGo below (other architectures, and amd64
-// hosts without AVX2). A tile changes only how many points one call
+// and every path that folds points — NLQ.Update one point per call,
+// NLQ.UpdateRows, NLQ.UpdateBlock (its tiles gathered by FillTile) and
+// BlockResult.Update a tile per call — calls update, which has exactly
+// two bodies: the AVX2 assembly in kernel_amd64.s and updateGo below
+// (other architectures, and amd64 hosts without AVX2). A tile changes only how many points one call
 // sees: the assembly keeps a block of Q in registers while the tile's
 // points pass through it, so each slot of Q is loaded and stored once
 // per tile instead of once per point.

@@ -177,10 +177,11 @@ func TestKernelBodiesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestUpdateBlockMaskedTiles: UpdateBlock hands the kernel only each
-// tile's valid rows, compacted. Tiles with 0, 1, 7 and all TileRows
-// rows valid — the one valid row and the one masked row at every
-// position — and a short last tile leave plainUpdate's bits.
+// TestUpdateBlockMaskedTiles: UpdateBlock hands the kernel only valid
+// rows, FillTile gathering them across masked ones. Stretches of
+// TileRows rows with 0, 1, 7 and all of them valid — the one valid row
+// and the one masked row at every position — and a short last stretch
+// leave plainUpdate's bits.
 func TestUpdateBlockMaskedTiles(t *testing.T) {
 	var valid []bool
 	tile := func(mask uint) {

@@ -126,7 +126,7 @@ func (s *NLQ) Update(x []float64) error {
 }
 
 // TileRows is the most points one kernel call folds. Eight float64s
-// are one cache line of each column in UpdateBlock's transpose.
+// are one cache line of each column in FillTile's transpose.
 const TileRows = 8
 
 // UpdateRows folds the len(rows)/D points stored row-major in rows: it
@@ -153,6 +153,40 @@ var allValid = func() (v [TileRows]bool) {
 	return v
 }()
 
+// FillTile is the column-to-row transpose of every block path: it
+// appends the valid rows of a column-wise block, from row r on, to a
+// row-major tile of TileRows rows of len(cols) values that already holds
+// k, until the tile is full or the block ends. cols[a][i] is row i's
+// value a and valid[i] gates row i; the block has len(valid) rows, a
+// masked row is skipped. It returns the rows the tile now holds and the
+// first row not yet read, and writes nothing past the rows it holds.
+//
+// Eight valid rows onto an empty tile are moved a cache line per column;
+// other rows one at a time.
+func FillTile(tile []float64, k int, cols [][]float64, valid []bool, r int) (int, int) {
+	w := len(cols)
+	if k == 0 && r+TileRows <= len(valid) && [TileRows]bool(valid[r:r+TileRows]) == allValid {
+		t0, t1, t2, t3 := tile[:w], tile[w:2*w], tile[2*w:3*w], tile[3*w:4*w]
+		t4, t5, t6, t7 := tile[4*w:5*w], tile[5*w:6*w], tile[6*w:7*w], tile[7*w:8*w]
+		for a, col := range cols {
+			c := (*[TileRows]float64)(col[r:])
+			t0[a], t1[a], t2[a], t3[a] = c[0], c[1], c[2], c[3]
+			t4[a], t5[a], t6[a], t7[a] = c[4], c[5], c[6], c[7]
+		}
+		return TileRows, r + TileRows
+	}
+	for ; k < TileRows && r < len(valid); r++ {
+		if valid[r] {
+			row := tile[k*w : (k+1)*w]
+			for a, col := range cols {
+				row[a] = col[r]
+			}
+			k++
+		}
+	}
+	return k, r
+}
+
 // UpdateBlock folds a column-wise batch of points into the summaries:
 // cols[a][r] is row r's value for dimension a, and valid[r] gates the
 // row (rows with a NULL or non-numeric value in any dimension arrive
@@ -160,55 +194,25 @@ var allValid = func() (v [TileRows]bool) {
 //
 // It is Update over the valid rows in order, so partials computed
 // block-wise merge byte-for-byte with partials computed row-wise (the
-// cluster coordinator's push-down algebra relies on this): TileRows
-// rows at a time are transposed into a small row-major tile — one
-// cache line read per column per tile — its valid rows are moved up
-// over the masked ones, and they go to the kernel in one call.
+// cluster coordinator's push-down algebra relies on this): FillTile
+// gathers them a tile at a time, and each tile goes to the kernel in
+// one call.
 func (s *NLQ) UpdateBlock(cols [][]float64, valid []bool) error {
 	if len(cols) != s.D {
 		return fmt.Errorf("core: block has %d dimensions, want %d", len(cols), s.D)
 	}
-	rows := len(valid)
 	for a, col := range cols {
-		if len(col) != rows {
-			return fmt.Errorf("core: block column %d has %d rows, want %d", a, len(col), rows)
+		if len(col) != len(valid) {
+			return fmt.Errorf("core: block column %d has %d rows, want %d", a, len(col), len(valid))
 		}
 	}
 	d := s.D
 	tile := make([]float64, TileRows*d)
-	t0, t1, t2, t3 := tile[:d], tile[d:2*d], tile[2*d:3*d], tile[3*d:4*d]
-	t4, t5, t6, t7 := tile[4*d:5*d], tile[5*d:6*d], tile[6*d:7*d], tile[7*d:]
-	for r := 0; r < rows; r += TileRows {
-		k := min(TileRows, rows-r)
-		if k == TileRows {
-			for a, col := range cols {
-				c := (*[TileRows]float64)(col[r:])
-				t0[a], t1[a], t2[a], t3[a] = c[0], c[1], c[2], c[3]
-				t4[a], t5[a], t6[a], t7[a] = c[4], c[5], c[6], c[7]
-			}
-		} else { // the block's last, short tile
-			for a, col := range cols {
-				for i, v := range col[r:] {
-					tile[i*d+a] = v
-				}
-			}
+	for r, k := 0, 0; r < len(valid); {
+		if k, r = FillTile(tile, 0, cols, valid, r); k > 0 {
+			s.N += float64(k)
+			update(s.Type, s.L, s.Min, s.Max, s.Q, tile, tile, d, d, k)
 		}
-		if v := valid[r : r+k]; k < TileRows || [TileRows]bool(v) != allValid {
-			k = 0 // move the valid rows up over the masked ones
-			for i, ok := range v {
-				if ok {
-					if k != i {
-						copy(tile[k*d:(k+1)*d], tile[i*d:(i+1)*d])
-					}
-					k++
-				}
-			}
-			if k == 0 {
-				continue
-			}
-		}
-		s.N += float64(k)
-		update(s.Type, s.L, s.Min, s.Max, s.Q, tile, tile, d, d, k)
 	}
 	return nil
 }

@@ -354,16 +354,28 @@ func TestUpdateBitIdentical(t *testing.T) {
 
 // TestAddOuterRectangular covers the blocked strategy's rw×cw update
 // (BlockResult.Update: L/min/max over the row range, Q += xr·xcᵀ) at
-// shapes where neither side is a multiple of the tile.
+// shapes where neither side is a multiple of the tile, over tiles of 1
+// to TileRows points: a point's row range then its column range, or,
+// for a diagonal block, its row range alone.
 func TestAddOuterRectangular(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, shape := range [][2]int{{1, 1}, {3, 9}, {4, 4}, {6, 5}, {9, 3}, {64, 37}} {
-		rw, cw := shape[0], shape[1]
+	for _, shape := range [][3]int{{1, 1, 0}, {3, 9, 0}, {4, 4, 0}, {6, 5, 0}, {9, 3, 0}, {64, 37, 0}, {1, 1, 1}, {5, 5, 1}, {64, 64, 1}} {
+		rw, cw, diag := shape[0], shape[1], shape[2] == 1
 		got, want := NewBlockResult(rw, cw), NewBlockResult(rw, cw)
-		for range [50]struct{}{} {
-			xr, xc := randPoints(rng, 1, rw)[0], randPoints(rng, 1, cw)[0]
-			got.Update(xr, xc)
-			plainBlockUpdate(want, xr, xc)
+		for n := 0; n < 50; {
+			k := min(1+rng.Intn(TileRows), 50-n)
+			var tile []float64
+			for _, xr := range randPoints(rng, k, rw) {
+				xc := xr
+				if !diag {
+					xc = randPoints(rng, 1, cw)[0]
+					tile = append(tile, xr...)
+				}
+				tile = append(tile, xc...)
+				plainBlockUpdate(want, xr, xc)
+			}
+			got.Update(tile, k)
+			n += k
 		}
 		requireSameBits(t, blockAsNLQ(got), blockAsNLQ(want))
 	}

@@ -30,10 +30,11 @@ type groupState struct {
 
 // floatTile stages a spec's float rows for its float body: rows[:k·w]
 // are k ≤ core.TileRows rows of its w arguments, row-major, that the
-// state has not seen. aggWorker.fold hands them on when the tile is full
-// and a row comes, before the state's Accumulate or AccumulateBlock, and
-// when the partition scan ends, so a state sees its rows in arrival
-// order and merge and finalize see folded states only.
+// state has not seen, copied from float rows and boxed fills or gathered
+// out of blocks by core.FillTile. aggWorker.fold hands them on when the
+// tile fills, before the state's Accumulate, and when the partition scan
+// ends, so a state sees its rows in arrival order and merge and finalize
+// see folded states only.
 type floatTile struct {
 	rows []float64 // made by the first row
 	k    int
@@ -338,23 +339,24 @@ func (w *aggWorker) floatRow(frow []float64) error {
 	return nil
 }
 
-// stage copies spec i's float arguments from x into a free row of g's
-// tile, folding a full tile first.
+// stage copies spec i's float arguments from x into the next row of g's
+// tile, folding the tile if that fills it.
 func (w *aggWorker) stage(g *groupState, i int, x []float64) error {
-	t, n := &g.tiles[i], len(w.specs[i].float.lanes)
-	switch t.k {
-	case 0:
-		if t.rows == nil {
-			t.rows = make([]float64, core.TileRows*n)
-		}
-	case core.TileRows:
-		if err := w.fold(g, i); err != nil {
-			return err
-		}
-	}
+	t, n := w.tile(g, i), len(w.specs[i].float.lanes)
 	copy(t.rows[t.k*n:(t.k+1)*n], x)
-	t.k++
+	if t.k++; t.k == core.TileRows {
+		return w.fold(g, i)
+	}
 	return nil
+}
+
+// tile returns g's tile for spec i, made on first use.
+func (w *aggWorker) tile(g *groupState, i int) *floatTile {
+	t := &g.tiles[i]
+	if t.rows == nil {
+		t.rows = make([]float64, core.TileRows*len(w.specs[i].float.lanes))
+	}
+	return t
 }
 
 // fold hands the rows staged in g's tile for spec i to its float body.
@@ -381,10 +383,11 @@ func (w *aggWorker) flush() error {
 	return nil
 }
 
-// block folds one block (offered where float rows are): each spec's
-// float body on its arguments' lanes — a column read twice is one lane,
-// a literal a lane of its value, filled once per worker — over the rows
-// valid in all of them.
+// block stages one block (offered where float rows are) as float rows:
+// each spec's argument lanes — a column read twice is one lane, a
+// literal a lane of its value, filled once per worker — go through
+// core.FillTile into the group's tile, the rows valid in all of them in
+// order.
 func (w *aggWorker) block(blk *storage.Block) error {
 	g, err := w.group(nil)
 	if err != nil {
@@ -406,11 +409,12 @@ func (w *aggWorker) block(blk *storage.Block) error {
 			}
 		}
 		w.mask = blk.Mask(f.cols, w.mask)
-		if err := w.fold(g, i); err != nil {
-			return err
-		}
-		if err := f.agg.AccumulateBlock(g.states[i], f.lead, lanes, w.mask); err != nil {
-			return err
+		for t, r := w.tile(g, i), 0; r < blk.Rows; {
+			if t.k, r = core.FillTile(t.rows, t.k, lanes, w.mask, r); t.k == core.TileRows {
+				if err := w.fold(g, i); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	w.accCalls += int64(len(w.specs) * blk.Rows)

@@ -47,14 +47,6 @@ func (fsum) AccumulateFloats(s udf.State, _ []sqltypes.Value, tile []float64, _ 
 	}
 	return nil
 }
-func (fsum) AccumulateBlock(s udf.State, _ []sqltypes.Value, cols [][]float64, valid []bool) error {
-	for r, ok := range valid {
-		if ok {
-			s.([]float64)[0] += cols[0][r]
-		}
-	}
-	return nil
-}
 
 // batchSources are the three scan sources with a statement each takes:
 // the projection from the row log and from segment blocks, and a

@@ -11,8 +11,9 @@ import (
 
 // The columnar execution mode (Env.Columnar / twmd -columnar) swaps the
 // row-at-a-time interpreter for block-at-a-time kernels wherever that
-// is provably equivalent: float-row aggregates fold segment blocks (with
-// UpdateBlock for n/L/Q), and simple projections run vector programs.
+// is provably equivalent: float-row aggregates gather segment blocks into
+// the tiles float rows fill (core.FillTile), and simple projections run
+// vector programs.
 // Everything else — and every partition whose segment is stale — falls
 // back to the row path, counted by engine_columnar_fallbacks_total, so
 // turning the flag on can change performance but never results.

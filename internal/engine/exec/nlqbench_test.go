@@ -43,8 +43,8 @@ func benchTable(b *testing.B, dims, n int) (*storage.Table, []int) {
 	return tab, ords
 }
 
-func benchNLQ(b *testing.B, columnar bool) {
-	tab, ords := benchTable(b, 16, 40000)
+func benchNLQ(b *testing.B, columnar bool, dims, n int) {
+	tab, ords := benchTable(b, dims, n)
 	scan, err := PrepareTableNLQ(tab, ords, core.Triangular, 0, columnar)
 	if err != nil {
 		b.Fatal(err)
@@ -57,5 +57,11 @@ func benchNLQ(b *testing.B, columnar bool) {
 	}
 }
 
-func BenchmarkNLQRow(b *testing.B)      { benchNLQ(b, false) }
-func BenchmarkNLQColumnar(b *testing.B) { benchNLQ(b, true) }
+func BenchmarkNLQRow(b *testing.B) { benchNLQ(b, false, 16, 40000) }
+
+// BenchmarkNLQColumnar is the summary scan over segment blocks: at d =
+// 16, and at build_columnar's d = 32 and n = 65 536.
+func BenchmarkNLQColumnar(b *testing.B) {
+	b.Run("d=16", func(b *testing.B) { benchNLQ(b, true, 16, 40000) })
+	b.Run("d=32", func(b *testing.B) { benchNLQ(b, true, 32, 65536) })
+}

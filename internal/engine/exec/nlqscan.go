@@ -106,10 +106,6 @@ func (nlqFold) AccumulateFloats(s udf.State, _ []sqltypes.Value, tile []float64,
 	return s.(*core.NLQ).UpdateRows(tile)
 }
 
-func (nlqFold) AccumulateBlock(s udf.State, _ []sqltypes.Value, cols [][]float64, valid []bool) error {
-	return s.(*core.NLQ).UpdateBlock(cols, valid)
-}
-
 func (nlqFold) Merge(dst, src udf.State) error { return dst.(*core.NLQ).Merge(src.(*core.NLQ)) }
 
 func (nlqFold) Finalize(s udf.State) (sqltypes.Value, error) {

@@ -84,23 +84,6 @@ func (recAgg) AccumulateFloats(s udf.State, lead []sqltypes.Value, tile []float6
 	return nil
 }
 
-func (recAgg) AccumulateBlock(s udf.State, lead []sqltypes.Value, cols [][]float64, valid []bool) error {
-	st := s.(*recState)
-	if err := st.begin(lead); err != nil {
-		return err
-	}
-	for r, ok := range valid {
-		if ok {
-			x := make([]float64, len(cols))
-			for j, c := range cols {
-				x[j] = c[r]
-			}
-			st.rows = append(st.rows, x)
-		}
-	}
-	return nil
-}
-
 func (recAgg) Merge(dst, src udf.State) error {
 	ds, ss := dst.(*recState), src.(*recState)
 	if ds.tag == "" {
@@ -170,12 +153,7 @@ func newBlockRef(blk core.Block) *blockRef {
 }
 
 func (r *blockRef) add(x []float64) {
-	xr := x[:r.blk.RowHi-r.blk.RowLo]
-	xc := xr
-	if r.blk.RowLo != r.blk.ColLo || r.blk.RowHi != r.blk.ColHi {
-		xc = x[len(xr):]
-	}
-	r.res.Update(xr, xc)
+	r.res.Update(x, 1)
 }
 
 func (r *blockRef) merge(src foldRef) {

@@ -95,11 +95,11 @@ type Aggregate interface {
 // FloatAggregate is an Aggregate whose row aggregation also has a float
 // body, the aggregate counterpart of a scalar function's Float: the
 // executor calls AccumulateFloats for a tile of rows whose arguments
-// after the first LeadArgs() are all numbers, AccumulateBlock for a
-// block of such rows read from column segments, and Accumulate — which
-// owns NULLs, conversions and their errors — for every other row. A
-// state sees its rows in arrival order whichever of the three carries
-// them, and all three must fold a row identically.
+// after the first LeadArgs() are all numbers — decoded from the row log
+// or gathered out of column segment blocks alike — and Accumulate, which
+// owns NULLs, conversions and their errors, for every other row. A state
+// sees its rows in arrival order whichever of the two carries them, and
+// both must fold a row identically.
 type FloatAggregate interface {
 	Aggregate
 	// LeadArgs is how many leading arguments (a header such as nlq_list's
@@ -111,13 +111,6 @@ type FloatAggregate interface {
 	// tile the rest as floats, row-major, len(tile)/k per row — both the
 	// caller's, valid for the call, not to be retained or written.
 	AccumulateFloats(s State, lead []sqltypes.Value, tile []float64, k int) error
-	// AccumulateBlock folds the rows r of a block with valid[r] set, in
-	// order, exactly as AccumulateFloats folds each: cols[j][r] is row
-	// r's argument j after lead, every lane as long as valid. A cleared
-	// row has a NULL argument and is skipped, as Accumulate skips it.
-	// Everything is the caller's, valid for the call, not to be retained
-	// or written.
-	AccumulateBlock(s State, lead []sqltypes.Value, cols [][]float64, valid []bool) error
 }
 
 // Registry holds aggregate UDFs plus the standard SQL aggregates, which

@@ -29,9 +29,9 @@ import (
 // Register installs the three aggregate UDFs into a database, the
 // engine-level equivalent of Teradata's CREATE FUNCTION. nlq_list and
 // nlq_block also have float bodies (udf.FloatAggregate): the executor
-// hands them tiles and blocks of numbers unboxed, and their boxed
-// Accumulate sees only the rows with a NULL or a value that is not a
-// number.
+// hands them tiles of numbers unboxed, whether it read float rows or
+// column blocks, and their boxed Accumulate sees only the rows with a
+// NULL or a value that is not a number.
 func Register(d *db.DB) error {
 	for _, a := range []udf.Aggregate{
 		nlqAgg{},
@@ -163,14 +163,6 @@ func (nlqAgg) AccumulateFloats(s udf.State, lead []sqltypes.Value, tile []float6
 	return st.nlq.UpdateRows(tile)
 }
 
-func (nlqAgg) AccumulateBlock(s udf.State, lead []sqltypes.Value, cols [][]float64, valid []bool) error {
-	st := s.(*nlqState)
-	if err := st.beginDims(lead, len(cols)); err != nil {
-		return err
-	}
-	return st.nlq.UpdateBlock(cols, valid)
-}
-
 // unboxDims is the boxed rule for dimension values, copying vs into x
 // (of the same length) left to right: a NULL skips the row like SQL
 // aggregates do, a BIGINT widens, a numeric VARCHAR parses, anything
@@ -270,8 +262,15 @@ func (b *blockAgg) CheckArgs(n int) error {
 	return nil
 }
 
+// blockStateBytes is the heap charge of an nlq_block state of rw row and
+// cw column dimensions off the diagonal: the result (Q, L, min, max and
+// n), the four block bounds and the scratch row of rw+cw values.
+func blockStateBytes(rw, cw int) int {
+	return 8 * (rw*cw + 3*rw + 1 + 4 + rw + cw)
+}
+
 func (b *blockAgg) Init(h *udf.Heap) (udf.State, error) {
-	if err := h.Alloc(8 * (core.MaxD*core.MaxD + 3*core.MaxD + 2)); err != nil {
+	if err := h.Alloc(blockStateBytes(core.MaxD, core.MaxD)); err != nil {
 		return nil, err
 	}
 	return &blockState{}, nil
@@ -312,16 +311,6 @@ func (st *blockState) begin(lead []sqltypes.Value, n int) error {
 
 func diagonal(blk core.Block) bool { return blk.RowLo == blk.ColLo && blk.RowHi == blk.ColHi }
 
-// update folds one row's dimension values x into the block.
-func (st *blockState) update(x []float64) {
-	xr := x[:st.blk.RowHi-st.blk.RowLo]
-	xc := xr
-	if !diagonal(st.blk) {
-		xc = x[len(xr):]
-	}
-	st.res.Update(xr, xc)
-}
-
 func (b *blockAgg) Accumulate(s udf.State, args []sqltypes.Value) error {
 	st := s.(*blockState)
 	if err := st.begin(args[:4], len(args)-4); err != nil {
@@ -330,37 +319,18 @@ func (b *blockAgg) Accumulate(s udf.State, args []sqltypes.Value) error {
 	if skip, err := unboxDims(st.buf, args[4:]); skip || err != nil {
 		return err
 	}
-	st.update(st.buf)
+	st.res.Update(st.buf, 1)
 	return nil
 }
 
 func (b *blockAgg) LeadArgs() int { return 4 }
 
 func (b *blockAgg) AccumulateFloats(s udf.State, lead []sqltypes.Value, tile []float64, k int) error {
-	w := len(tile) / k
 	st := s.(*blockState)
-	if err := st.begin(lead, w); err != nil {
+	if err := st.begin(lead, len(tile)/k); err != nil {
 		return err
 	}
-	for ; len(tile) > 0; tile = tile[w:] {
-		st.update(tile[:w])
-	}
-	return nil
-}
-
-func (b *blockAgg) AccumulateBlock(s udf.State, lead []sqltypes.Value, cols [][]float64, valid []bool) error {
-	st := s.(*blockState)
-	if err := st.begin(lead, len(cols)); err != nil {
-		return err
-	}
-	for r, ok := range valid {
-		if ok {
-			for j, c := range cols {
-				st.buf[j] = c[r]
-			}
-			st.update(st.buf)
-		}
-	}
+	st.res.Update(tile, k)
 	return nil
 }
 

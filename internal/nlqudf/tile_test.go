@@ -31,12 +31,7 @@ type blockRef struct {
 }
 
 func (r *blockRef) update(x []float64) {
-	xr := x[:r.blk.RowHi-r.blk.RowLo]
-	xc := xr
-	if !diagonal(r.blk) {
-		xc = x[len(xr):]
-	}
-	r.res.Update(xr, xc)
+	r.res.Update(x, 1)
 }
 
 func (r *blockRef) merge(src tileRef) error {
@@ -112,11 +107,12 @@ func (c *tileCase) point() []float64 {
 
 // feed applies one random row-phase call — a tile of 1 to TileRows
 // rows, a boxed row (sometimes NULL-skipped, with BIGINT and numeric
-// VARCHAR values among the doubles) or a block — to st and the same
-// rows to *ref.
+// VARCHAR values among the doubles) or a block gathered into tiles — to
+// st and the same rows to *ref.
 func (c *tileCase) feed(st udf.State, ref *tileRef) {
 	c.t.Helper()
-	if *ref == nil {
+	fresh := *ref == nil
+	if fresh {
 		*ref = c.newRef()
 	}
 	switch p := c.rng.Float64(); {
@@ -155,25 +151,57 @@ func (c *tileCase) feed(st udf.State, ref *tileRef) {
 			(*ref).update(x)
 		}
 	default:
-		rows := c.rng.Intn(20)
-		cols := make([][]float64, c.w)
-		for a := range cols {
-			cols[a] = make([]float64, rows)
-		}
-		valid := make([]bool, rows)
-		for r := range valid {
-			x := c.point()
-			for a, v := range x {
-				cols[a][r] = v
-			}
-			if valid[r] = c.rng.Float64() < 0.7; valid[r] {
-				(*ref).update(x)
-			}
-		}
-		if err := c.agg.AccumulateBlock(st, c.lead, cols, valid); err != nil {
-			c.t.Fatal(err)
+		if !c.block(st, *ref) && fresh {
+			*ref = nil // no call: the state is as Init left it
 		}
 	}
+}
+
+// block drives a block the way the executor does: a tile already holds
+// 0 to TileRows staged rows, core.FillTile gathers the block's valid
+// rows onto it from a random start row, AccumulateFloats folds each
+// full tile and, at the end, the rest. It reports whether it made a call.
+func (c *tileCase) block(st udf.State, ref tileRef) (called bool) {
+	c.t.Helper()
+	tile, k := make([]float64, core.TileRows*c.w), c.rng.Intn(core.TileRows+1)
+	for i := 0; i < k; i++ {
+		x := c.point()
+		copy(tile[i*c.w:], x)
+		ref.update(x)
+	}
+	rows := c.rng.Intn(40)
+	start := c.rng.Intn(rows + 1)
+	cols := make([][]float64, c.w)
+	for a := range cols {
+		cols[a] = make([]float64, rows)
+	}
+	valid := make([]bool, rows)
+	for r := range valid {
+		x := c.point()
+		for a, v := range x {
+			cols[a][r] = v
+		}
+		if valid[r] = c.rng.Float64() < 0.7; valid[r] && r >= start {
+			ref.update(x)
+		}
+	}
+	fold := func() {
+		if k > 0 {
+			if err := c.agg.AccumulateFloats(st, c.lead, tile[:k*c.w], k); err != nil {
+				c.t.Fatal(err)
+			}
+			called = true
+		}
+		k = 0
+	}
+	for r := start; r < rows; {
+		if k == core.TileRows {
+			fold()
+		}
+		k, r = core.FillTile(tile, k, cols, valid, r)
+	}
+	fold()
+	return called
 }
 
 // check finalizes st and demands ref's packed bits (NULL for no call).
@@ -243,11 +271,12 @@ func (c *tileCase) run(groups int) {
 
 // TestTileContract: a float body folds a tile of k rows exactly as k
 // one-row calls. Random interleavings of tiles (k = 1 … TileRows), boxed
-// rows (NULL-skipped ones, BIGINT and numeric VARCHAR values), blocks,
-// Merge of a partial fed the same way and Finalize mid-stream, over one
-// group or three, give nlq_list the packed bits of one NLQ.Update per
-// row in arrival order, and nlq_block those of one BlockResult.Update
-// per row, with the aggregate's merge where it merged.
+// rows (NULL-skipped ones, BIGINT and numeric VARCHAR values), blocks
+// gathered by core.FillTile onto partly staged tiles, Merge of a partial
+// fed the same way and Finalize mid-stream, over one group or three,
+// give nlq_list the packed bits of one NLQ.Update per row in arrival
+// order, and nlq_block those of one BlockResult.Update per row, with the
+// aggregate's merge where it merged.
 func TestTileContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	var cases []*tileCase
@@ -274,8 +303,10 @@ func TestTileContract(t *testing.T) {
 }
 
 // TestHeapChargeCoversScratch: Init charges the heap for the whole
-// MaxD state — the NLQ and the scratch row, 34 832 bytes — and that fits
-// one 64 KB segment, while the same state at d = MaxD+32 would not.
+// MaxD state — for nlq_list the NLQ and the scratch row, 34 832 bytes;
+// for nlq_block a MaxD × MaxD off-diagonal result, its bounds and its
+// 2·MaxD scratch row, 35 368 bytes — and that fits one 64 KB segment,
+// while the nlq_list state at d = MaxD+32 would not.
 func TestHeapChargeCoversScratch(t *testing.T) {
 	h := udf.NewHeap(udf.SegmentSize)
 	s, err := nlqAgg{}.Init(h)
@@ -298,5 +329,26 @@ func TestHeapChargeCoversScratch(t *testing.T) {
 	}
 	if stateBytes(core.MaxD+32) <= udf.SegmentSize {
 		t.Fatalf("a d=MaxD+32 state (%d bytes) fits the %d-byte segment", stateBytes(core.MaxD+32), udf.SegmentSize)
+	}
+
+	h = udf.NewHeap(udf.SegmentSize)
+	if s, err = (&blockAgg{}).Init(h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Used() != blockStateBytes(core.MaxD, core.MaxD) || h.Used() != 35368 {
+		t.Fatalf("nlq_block Init charged %d bytes, want blockStateBytes(MaxD, MaxD) = %d = 35368", h.Used(), blockStateBytes(core.MaxD, core.MaxD))
+	}
+	lead = []sqltypes.Value{sqltypes.NewBigInt(core.MaxD), sqltypes.NewBigInt(2 * core.MaxD), sqltypes.NewBigInt(0), sqltypes.NewBigInt(core.MaxD)}
+	if err := (&blockAgg{}).AccumulateFloats(s, lead, make([]float64, 2*core.MaxD), 1); err != nil {
+		t.Fatal(err)
+	}
+	bs := s.(*blockState)
+	r := bs.res
+	// n, then Q, L, min and max; the four bounds; the scratch row.
+	if used := 8*(1+len(r.Q)+len(r.L)+len(r.Min)+len(r.Max)) + 8*4 + 8*cap(bs.buf); used != h.Used() {
+		t.Fatalf("a MaxD × MaxD nlq_block state holds %d bytes, Init charged %d", used, h.Used())
+	}
+	if h.Used() > udf.SegmentSize {
+		t.Fatalf("a MaxD × MaxD nlq_block state (%d bytes) does not fit the %d-byte segment", h.Used(), udf.SegmentSize)
 	}
 }
