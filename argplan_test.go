@@ -14,9 +14,11 @@ import (
 	"repro/internal/engine/storage"
 )
 
-// forEachLayout runs fn over the four ways a table is laid out and
-// scanned: in memory and on disk, row engine and columnar engine, four
-// partitions each.
+// forEachLayout runs fn over the two ways a table is laid out, four
+// partitions each: in memory, scanned as float or boxed rows, and on
+// disk, where eligible scans read segment blocks and the rest the row
+// log. Each layout runs with the deprecated Options.Columnar off and
+// on, which must change nothing.
 func forEachLayout(t *testing.T, fn func(t *testing.T, d *DB)) {
 	for _, disk := range []bool{false, true} {
 		for _, columnar := range []bool{false, true} {

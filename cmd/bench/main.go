@@ -178,10 +178,10 @@ func assertMetrics(ids []string) error {
 		)
 	}
 	if ranColumnar {
-		// The row-vs-columnar ablation must actually have taken the
+		// The row-log-vs-segments ablation must actually have taken the
 		// block path (segments scanned, vector programs run) and
-		// exercised at least one row-path fallback: zeros mean the
-		// flag silently degraded to row-at-a-time everywhere, or that
+		// exercised at least one row-path fallback: zeros mean on-disk
+		// scans silently degraded to row-at-a-time everywhere, or that
 		// unsupported shapes are no longer detected.
 		want = append(want,
 			"engine_columnar_blocks_scanned_total",

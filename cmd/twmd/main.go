@@ -75,7 +75,6 @@ type twmdConfig struct {
 	warmSummaries bool
 	slowQuery     time.Duration
 	traceSample   int
-	columnar      bool
 
 	coordinator bool
 	shards      string
@@ -95,7 +94,6 @@ func main() {
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 15*time.Second, "graceful shutdown: how long to wait for sessions to drain")
 	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "serve /metrics, /debug/queries, /debug/traces and /debug/pprof on this address")
 	flag.BoolVar(&cfg.warmSummaries, "warm-summaries", true, "pre-warm the summary cache for reopened tables at startup")
-	flag.BoolVar(&cfg.columnar, "columnar", false, "run eligible scans block-at-a-time over column segments (identical results, different performance)")
 	flag.DurationVar(&cfg.slowQuery, "slow-query", 0, "log statements at or over this duration and retain their traces (0 = engine default)")
 	flag.IntVar(&cfg.traceSample, "trace-sample", 0, "tail sampling: retain 1-in-N healthy traces (0 = engine default, 1 = all)")
 	flag.BoolVar(&cfg.coordinator, "coordinator", false, "serve as a cluster coordinator over the shard fleet in -shards instead of storing rows locally")
@@ -172,7 +170,6 @@ func run(cfg twmdConfig) error {
 	d, err := statsudf.Open(statsudf.Options{
 		Dir: cfg.dir, Partitions: cfg.partitions, Workers: cfg.workers,
 		SlowQuery: cfg.slowQuery, TraceSampleN: cfg.traceSample,
-		Columnar: cfg.columnar,
 	})
 	if err != nil {
 		return err

@@ -1,7 +1,9 @@
 package statsudf
 
 import (
+	"context"
 	"encoding/binary"
+	"fmt"
 	"io/fs"
 	"math"
 	"math/rand"
@@ -14,22 +16,20 @@ import (
 )
 
 // openModePair opens two databases over identical options except for
-// the columnar flag; disk layouts get separate directories.
-func openModePair(t *testing.T, disk bool, parts int) (row, col *DB) {
+// the layout: row keeps its tables in memory, where they have no
+// segments and every scan reads rows; col keeps them on disk, where
+// eligible scans read segment blocks.
+func openModePair(t *testing.T, parts int) (row, col *DB) {
 	t.Helper()
-	mk := func(columnar bool) *DB {
-		opts := Options{Partitions: parts, Columnar: columnar}
-		if disk {
-			opts.Dir = t.TempDir()
-		}
-		d, err := Open(opts)
+	mk := func(dir string) *DB {
+		d, err := Open(Options{Dir: dir, Partitions: parts})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { d.Close() })
 		return d
 	}
-	return mk(false), mk(true)
+	return mk(""), mk(t.TempDir())
 }
 
 // execBothModes applies the same statement to both databases so their
@@ -105,26 +105,25 @@ func requireCloseSlice(t *testing.T, what string, a, b []float64, tol float64) {
 	}
 }
 
-// The columnar flag must be invisible in every result: cached
-// summaries bit-for-bit, and the model builders that consume them
-// within 1e-9 — across layouts, NULL densities and partition counts.
+// The scan source must be invisible in every result: cached summaries
+// bit-for-bit, and the model builders that consume them within 1e-9 —
+// across NULL densities and partition counts.
 func TestColumnarModesAgreeRandomized(t *testing.T) {
 	const tol = 1e-9
 	cases := []struct {
 		name     string
-		disk     bool
 		parts    int
 		nullFrac float64
 		seed     int64
 	}{
-		{"mem_p1_dense", false, 1, 0, 101},
-		{"mem_p4_sparse", false, 4, 0.3, 202},
-		{"disk_p3_mixed", true, 3, 0.1, 303},
-		{"disk_p5_very_sparse", true, 5, 0.6, 404},
+		{"mem_p1_dense", 1, 0, 101},
+		{"mem_p4_sparse", 4, 0.3, 202},
+		{"disk_p3_mixed", 3, 0.1, 303},
+		{"disk_p5_very_sparse", 5, 0.6, 404},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rowDB, colDB := openModePair(t, tc.disk, tc.parts)
+			rowDB, colDB := openModePair(t, tc.parts)
 			loadNullMixture(t, rowDB, colDB, "p", 240, 4, tc.nullFrac, tc.seed)
 
 			// Cached summaries rebuild through the aggregate scan — float
@@ -210,11 +209,11 @@ func TestColumnarModesAgreeRandomized(t *testing.T) {
 }
 
 // The summary catalog's stamps — covered_rows, n, state — must come
-// out identical under both flags even when NULL-heavy rows are
+// out identical from rows and from blocks even when NULL-heavy rows are
 // skip-counted block-wise (the block path counts masked rows toward
 // seen exactly like the row path's pre-skip increment).
 func TestColumnarSummaryStampsMatch(t *testing.T) {
-	rowDB, colDB := openModePair(t, true, 3)
+	rowDB, colDB := openModePair(t, 3)
 	loadNullMixture(t, rowDB, colDB, "h", 180, 3, 0.5, 77)
 
 	opts := SummaryOptions{Method: ViaCache, Matrix: Triangular}
@@ -279,43 +278,66 @@ func segmentFiles(t *testing.T, dir string) map[string]int {
 	return out
 }
 
-// A write touches only the row log. A row-mode database therefore never
-// creates a segment file, whatever loads, reads or drops its tables; a
-// columnar one derives them on its first block scan, in full chunks
-// however small the inserts that brought the rows were.
+// TestSegmentsAreDerivedNotWritten: a write touches only the row log.
+// Segments are derived by the first block-eligible scan of a table,
+// never by a write and never by a scan that cannot read blocks, in full
+// 2048-row chunks however small the inserts that brought the rows were.
 func TestSegmentsAreDerivedNotWritten(t *testing.T) {
-	rowDir := t.TempDir()
-	rowDB, err := Open(Options{Dir: rowDir, Partitions: 3})
+	dir := t.TempDir()
+	d, err := Open(Options{Dir: dir, Partitions: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rowDB.Close()
-	if _, err := rowDB.ExecScript(`CREATE TABLE t (a DOUBLE, b DOUBLE);
+	defer d.Close()
+	if _, err := d.ExecScript(`CREATE TABLE t (a DOUBLE, b DOUBLE);
 		INSERT INTO t VALUES (1, 2), (3, 4), (5, 6), (7, 8);
 		INSERT INTO t VALUES (9, 10)`); err != nil {
 		t.Fatal(err)
 	}
-	if err := rowDB.Generate("X", MixtureConfig{N: 5000, D: 3, K: 2, Seed: 5}); err != nil { // BulkLoader
+	if err := d.Generate("X", MixtureConfig{N: 5000, D: 3, K: 2, Seed: 5}); err != nil { // BulkLoader
 		t.Fatal(err)
 	}
-	if _, err := rowDB.ImportCSV("c", strings.NewReader("u,v\n1,2.5\n2,3.5\n3,4.5\n"), true); err != nil {
+	if _, err := d.ImportCSV("c", strings.NewReader("u,v\n1,2.5\n2,3.5\n3,4.5\n"), true); err != nil {
 		t.Fatal(err)
 	}
+	// Not block-eligible: a filtered or grouped aggregate, the SQL arm's
+	// built-ins, a join, a projection with a `?`.
+	if _, err := d.ExecScript(`SELECT nlq_list(2, 'triang', X1, X2) FROM X WHERE X3 > 0;
+		SELECT u, count(*) FROM c GROUP BY u; SELECT sum(a * b) FROM t;
+		SELECT a + u FROM t, c`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Summary("X", DimColumns(3), SummaryOptions{Method: ViaSQL}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Engine().QueryContext(context.Background(), "SELECT a * ? FROM t", nil, NewDouble(2)); err != nil {
+		t.Fatal(err)
+	}
+	if segs := segmentFiles(t, dir); len(segs) != 0 {
+		t.Fatalf("writes and scans that read no blocks created segment files: %v", segs)
+	}
+	// Block-eligible: the first scan of X derives X's segments, of c and
+	// t theirs; later scans and a drop derive nothing more.
 	for _, m := range []SummaryMethod{ViaCache, ViaUDF} {
-		if _, err := rowDB.Summary("X", DimColumns(3), SummaryOptions{Method: m}); err != nil {
+		if _, err := d.Summary("X", DimColumns(3), SummaryOptions{Method: m}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := rowDB.ExecScript(`SELECT X1 + X2 FROM X WHERE X3 > 0; SELECT u * v FROM c; DROP TABLE t`); err != nil {
+	if _, err := d.ExecScript(`SELECT X1 + X2 FROM X WHERE X3 > 0; SELECT v * 2 FROM c;
+		SELECT a + b FROM t; DROP TABLE t`); err != nil {
 		t.Fatal(err)
 	}
-	if segs := segmentFiles(t, rowDir); len(segs) != 0 {
-		t.Fatalf("row-mode database created segment files: %v", segs)
+	want := map[string]int{"c.p000.seg": 1, "c.p001.seg": 1, "c.p002.seg": 1}
+	for p := 0; p < 3; p++ {
+		want[fmt.Sprintf("x.p%03d.seg", p)] = 1 // 1667 rows a partition
+	}
+	if segs := segmentFiles(t, dir); !reflect.DeepEqual(segs, want) {
+		t.Fatalf("segments after the block scans = %v, want %v (file: chunks)", segs, want)
 	}
 
 	const n, parts = 5000, 1
 	colDir := t.TempDir()
-	colDB, err := Open(Options{Dir: colDir, Partitions: parts, Columnar: true})
+	colDB, err := Open(Options{Dir: colDir, Partitions: parts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +357,7 @@ func TestSegmentsAreDerivedNotWritten(t *testing.T) {
 	if err != nil || len(res.Rows) != n {
 		t.Fatalf("block scan: %d rows, err %v", len(res.Rows), err)
 	}
-	want := map[string]int{"s.p000.seg": (n/parts + 4095) / 4096}
+	want = map[string]int{"s.p000.seg": (n/parts + 2047) / 2048}
 	if segs := segmentFiles(t, colDir); !reflect.DeepEqual(segs, want) {
 		t.Fatalf("segments after one block scan = %v, want %v (file: chunks)", segs, want)
 	}

@@ -37,14 +37,19 @@ func newTestCluster(t *testing.T, nShards, parts int) *testCluster {
 	return newTestClusterColumnar(t, nShards, parts, false)
 }
 
-// newTestClusterColumnar optionally flips the shards onto the columnar
-// scan path while the single-node reference stays row-wise, so every
-// byte-identity assertion doubles as a cross-mode equivalence check.
+// newTestClusterColumnar optionally puts the shards' tables on disk,
+// where eligible scans read column segments, while the single-node
+// reference keeps its rows in memory, so every byte-identity assertion
+// doubles as a row-versus-block equivalence check.
 func newTestClusterColumnar(t *testing.T, nShards, parts int, columnar bool) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
 	for i := 0; i < nShards; i++ {
-		sd, err := statsudf.Open(statsudf.Options{Partitions: 4, Columnar: columnar})
+		opts := statsudf.Options{Partitions: 4}
+		if columnar {
+			opts.Dir = t.TempDir()
+		}
+		sd, err := statsudf.Open(opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,13 +37,6 @@ type Options struct {
 	// Workers bounds the executor's scan worker pool independently of
 	// the partition count; <= 0 runs one worker per partition.
 	Workers int
-	// Columnar opts eligible scans into the block-at-a-time execution
-	// path: aggregates that scan float rows (the paper's statement, n/L/Q
-	// summary rebuilds) fold column segment blocks and simple projections
-	// run vector programs over them, falling back to the row
-	// path wherever that is not provably equivalent. Results (model
-	// coefficients included) are identical in both modes.
-	Columnar bool
 	// SlowQuery is the duration at or above which a statement is
 	// flagged slow in sys.queries and counted in
 	// engine_slow_queries_total. Zero selects DefaultSlowQuery.
@@ -118,7 +111,7 @@ func Open(opts Options) *DB {
 		tables: make(map[string]*storage.Table),
 		views:  make(map[string]*sqlparser.Select),
 		plans:  newPlanCache(defaultPlanCacheSize),
-		sums:   summary.NewCatalog(opts.Workers, opts.Columnar),
+		sums:   summary.NewCatalog(opts.Workers),
 		traces: trace.NewStore(opts.TraceSampleN, opts.TraceCap),
 		logger: logger,
 		sys:    make(map[string]SysTableFunc, len(sysBuiltins)),
@@ -245,8 +238,11 @@ func (d *DB) DropTable(name string) error {
 // Epoch returns the current catalog epoch (see DB.epoch).
 func (d *DB) Epoch() int64 { return d.epoch.Load() }
 
+// env is the environment statements run in. It offers the block source,
+// which exec takes wherever a table has segments; block and row scans
+// agree bit for bit, so the choice changes speed, never an answer.
 func (d *DB) env() *exec.Env {
-	return &exec.Env{Catalog: d, Funcs: d.funcs, Aggs: d.aggs, Workers: d.opts.Workers, Columnar: d.opts.Columnar}
+	return &exec.Env{Catalog: d, Funcs: d.funcs, Aggs: d.aggs, Workers: d.opts.Workers, Columnar: true}
 }
 
 // Exec parses and runs one SQL statement.
@@ -316,10 +312,8 @@ func (d *DB) runPlan(ctx context.Context, start time.Time, p *plan, sink exec.Ro
 // for the next sighting of sql, whatever its `?` slots will be bound
 // to. A FROM entry under the reserved sys. prefix names a system table,
 // materialized fresh for every statement: such a plan holds one
-// snapshot, good for one execution and never cached. Nor is it a
-// columnar candidate — there are no segments to read — so it is planned
-// with Columnar off and counts no fallback. Pre-parsed statements (Run,
-// ExecScript) are planned, run and dropped.
+// snapshot, good for one execution and never cached. Pre-parsed
+// statements (Run, ExecScript) are planned, run and dropped.
 func (d *DB) plan(sql string, sel *sqlparser.Select, text bool) (*plan, error) {
 	epoch := d.epoch.Load()
 	expanded, err := d.expandViews(sel, 0)
@@ -329,7 +323,7 @@ func (d *DB) plan(sql string, sel *sqlparser.Select, text bool) (*plan, error) {
 	env := d.env()
 	for _, ref := range expanded.From {
 		if IsSystemTable(ref.Name) {
-			env.Columnar, text = false, false
+			text = false
 		}
 	}
 	ps, err := exec.PrepareSelect(expanded, env)

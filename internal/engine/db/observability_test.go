@@ -310,15 +310,20 @@ func httpGet(t *testing.T, url string) string {
 // TestFailedScanKeepsPartialStats: a statement that fails mid-scan
 // records how far it got — rows scanned, per-partition rows, the scan
 // span — in the query ring on every dispatch path and from both scan
-// sources, not only on the streamed row path. One worker scans the
-// partitions in order, so the counts are exact: z's only zero sits at
+// sources, not only on the streamed row path: the row source of an
+// in-memory table, the block source of an on-disk one. One worker scans
+// the partitions in order, so the counts are exact: z's only zero sits at
 // local row 5 of partition 0, where the row source stops after
 // delivering 6 rows and the block source after the partition's one
 // 20-row block; partitions 1 and 2 are never opened.
 func TestFailedScanKeepsPartialStats(t *testing.T) {
 	const divide = "SELECT 1.0 / a FROM z"
 	for _, columnar := range []bool{false, true} {
-		d := Open(Options{Partitions: 3, Workers: 1, Columnar: columnar})
+		opts := Options{Partitions: 3, Workers: 1}
+		if columnar {
+			opts.Dir = t.TempDir()
+		}
+		d := Open(opts)
 		mustExec(t, d, "CREATE TABLE z (a DOUBLE)")
 		mustExec(t, d, "CREATE TABLE sink (v DOUBLE)")
 		vals := make([]string, 60)
@@ -412,12 +417,12 @@ func TestFailedScanKeepsPartialStats(t *testing.T) {
 }
 
 // TestSysReadCountsNoColumnarFallback: a system table has no segments,
-// so under Columnar a sys.* read is no block-scan candidate and counts
-// no fallback — reading engine_columnar_fallbacks_total through
-// sys.metrics, an aggregate, or sys.tables, a projection, must not move
-// the counter it reads.
+// so even on an instance whose tables are on disk a sys.* read is no
+// block-scan candidate and counts no fallback — reading
+// engine_columnar_fallbacks_total through sys.metrics, an aggregate, or
+// sys.tables, a projection, must not move the counter it reads.
 func TestSysReadCountsNoColumnarFallback(t *testing.T) {
-	d := Open(Options{Partitions: 2, Columnar: true})
+	d := Open(Options{Dir: t.TempDir(), Partitions: 2})
 	mustExec(t, d, "CREATE TABLE x (a DOUBLE)")
 	const q = "SELECT sum(value) FROM sys.metrics WHERE name = 'engine_columnar_fallbacks_total'"
 	first := query(t, d, q)

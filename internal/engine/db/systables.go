@@ -337,9 +337,10 @@ func (d *DB) sysSummaries() ([]sqltypes.Column, []sqltypes.Row, error) {
 // partition: how many rows of the row log the sibling .seg file is a
 // snapshot of (0 with no file until a block scan first derives it, -1
 // for a file of a reattached table that nothing has verified yet), its
-// size, and whether it is fresh — behind after every write until the
-// next block scan rebuilds it. In-memory tables synthesize blocks from
-// resident rows and report no segments.
+// size, and whether it is fresh — behind after every write; a block
+// scan reads the rows it does not cover from the row log and extends it
+// once they fill a chunk. In-memory tables have no segments and report
+// none.
 func (d *DB) sysSegments() ([]sqltypes.Column, []sqltypes.Row, error) {
 	cols := []sqltypes.Column{
 		{Name: "table_name", Type: sqltypes.TypeVarChar},

@@ -4,11 +4,13 @@
 package exec_test
 
 import (
+	"context"
 	"testing"
 
 	statsudf "repro"
 	"repro/internal/core"
 	"repro/internal/engine/exec"
+	"repro/internal/engine/sqlparser"
 	"repro/internal/sqlgen"
 )
 
@@ -57,34 +59,50 @@ func benchStatement(b *testing.B, d *statsudf.DB, sql string) {
 }
 
 // TestAccumulateDoesNotAllocatePerRow scans one partition of 2 000 and
-// one of 16 000 rows: the statement takes the float-row path (the row
-// log's float decode straight into nlq_list's float body), whose
-// buffers are the scan's and the worker's, so a statement allocates the
-// same whatever it scans.
+// one of 16 000 rows, from both unboxed sources: float rows (the row
+// log's float decode straight into nlq_list's float body, with the
+// block source declined) and segment blocks (the statement as the
+// engine plans it on disk). Their buffers are the scan's and the
+// worker's, so a statement allocates the same whatever it scans.
 func TestAccumulateDoesNotAllocatePerRow(t *testing.T) {
 	if exec.RaceEnabled {
 		t.Skip("allocation counts are not stable under the race detector (sync.Pool drops items)")
 	}
-	allocs := func(n int) float64 {
-		d, sql := buildUDFStatement(t, n, 1)
-		res, err := d.Exec(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if src := res.Stats.Root.SpanByName("scan").Children[0].Source; src != "float" {
-			t.Fatalf("the build statement scanned from the %q source, want float", src)
-		}
-		return testing.AllocsPerRun(5, func() {
-			if _, err := d.Exec(sql); err != nil {
+	for _, source := range []string{"float", "block"} {
+		allocs := func(n int) float64 {
+			d, sql := buildUDFStatement(t, n, 1)
+			run := func() (*exec.Result, error) { return d.Exec(sql) }
+			if source == "float" {
+				eng := d.Engine()
+				stmt, err := sqlparser.Parse(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := exec.PrepareSelect(stmt.(*sqlparser.Select), &exec.Env{Catalog: eng, Funcs: eng.Scalars(), Aggs: eng.Aggregates()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				run = func() (*exec.Result, error) { return p.Run(context.Background(), nil, nil) }
+			}
+			res, err := run()
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
+			if src := res.Stats.Root.SpanByName("scan").SpanByName("scan[p0]").Source; src != source {
+				t.Fatalf("the build statement scanned from the %q source, want %s", src, source)
+			}
+			return testing.AllocsPerRun(5, func() {
+				if _, err := run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		small, large := allocs(2000), allocs(16000)
+		// The slack covers pool refills after a GC, not rows: one
+		// allocation per row would be 14 000 apart.
+		if large > small+50 {
+			t.Fatalf("%s: %v allocations over 16 000 rows, %v over 2 000", source, large, small)
+		}
+		t.Logf("%s: allocations per statement: %v at 2 000 rows, %v at 16 000", source, small, large)
 	}
-	small, large := allocs(2000), allocs(16000)
-	// The slack covers pool refills after a GC, not rows: one allocation
-	// per row would be 14 000 apart.
-	if large > small+50 {
-		t.Fatalf("%v allocations over 16 000 rows, %v over 2 000", large, small)
-	}
-	t.Logf("allocations per statement: %v at 2 000 rows, %v at 16 000", small, large)
 }

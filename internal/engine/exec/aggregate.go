@@ -131,7 +131,7 @@ type floatSpec struct {
 // table, no residual WHERE, no GROUP BY, and every spec a float body
 // whose other arguments are bare numeric columns (storage.NumericColumn
 // — the block source's rule; a BIGINT widens as Value.Float widens it),
-// and under Env.Columnar blocks. Every other statement scans boxed rows.
+// and, on disk, blocks. Every other statement scans boxed rows.
 // It returns the float columns of a statement that does — the union of
 // the specs' columns, one float-row position each — and nil otherwise.
 // A plan that fails to build leaves its spec boxed; the worker's plan

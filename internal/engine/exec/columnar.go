@@ -9,14 +9,14 @@ import (
 	"repro/internal/engine/storage"
 )
 
-// The columnar execution mode (Env.Columnar / twmd -columnar) swaps the
-// row-at-a-time interpreter for block-at-a-time kernels wherever that
-// is provably equivalent: float-row aggregates gather segment blocks into
-// the tiles float rows fill (core.FillTile), and simple projections run
-// vector programs.
-// Everything else — and every partition whose segment is stale — falls
-// back to the row path, counted by engine_columnar_fallbacks_total, so
-// turning the flag on can change performance but never results.
+// The block source (offered to scans of on-disk tables unless
+// Env.Columnar declines it) swaps the row-at-a-time interpreter for
+// block-at-a-time kernels wherever that is provably equivalent:
+// float-row aggregates gather segment blocks into the tiles float rows
+// fill (core.FillTile), and simple projections run vector programs.
+// Everything else — and every partition without a segment — falls back
+// to the row path, counted by engine_columnar_fallbacks_total, so the
+// source can change performance but never results.
 
 // errNotVectorizable marks projections the vector path declines (shape
 // restrictions beyond CompileVector's, e.g. constant-only items).

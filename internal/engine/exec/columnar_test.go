@@ -98,6 +98,17 @@ func nlqEqual(t *testing.T, name string, row, col *core.NLQ) {
 	}
 }
 
+// twinTables returns the table a row arm reads and the on-disk table a
+// block arm reads, both holding mixedTable's n rows: for layout "disk"
+// one table, for "mem" an in-memory table and its on-disk twin.
+func twinTables(t *testing.T, layout string, nparts, n int) (row, block *storage.Table) {
+	block = mixedTable(t, "x", t.TempDir(), nparts, n)
+	if layout == "disk" {
+		return block, block
+	}
+	return mixedTable(t, "x", "", nparts, n), block
+}
+
 // tableNLQ plans one summary scan and runs it once.
 func tableNLQ(tab *storage.Table, cols []int, mt core.MatrixType, columnar bool) ([]*core.NLQ, int64, error) {
 	scan, err := PrepareTableNLQ(tab, cols, mt, 0, columnar)
@@ -109,21 +120,21 @@ func tableNLQ(tab *storage.Table, cols []int, mt core.MatrixType, columnar bool)
 	return parts, seen, err
 }
 
+// TestComputeTableNLQColumnarBitIdentical: the summary scan from
+// segment blocks equals the same scan with the block source declined,
+// over the row log of the same table ("disk") or the resident rows of
+// an in-memory twin ("mem"), which has no segments.
 func TestComputeTableNLQColumnarBitIdentical(t *testing.T) {
 	for _, layout := range []string{"mem", "disk"} {
 		t.Run(layout, func(t *testing.T) {
-			dir := ""
-			if layout == "disk" {
-				dir = t.TempDir()
-			}
-			tab := mixedTable(t, "x", dir, 3, 700)
+			rowTab, blockTab := twinTables(t, layout, 3, 700)
 			for _, mt := range []core.MatrixType{core.Diagonal, core.Triangular, core.Full} {
 				for _, cols := range [][]int{{0, 1}, {1}, {0, 1, 2}} {
-					rp, rseen, err := tableNLQ(tab, cols, mt, false)
+					rp, rseen, err := tableNLQ(rowTab, cols, mt, false)
 					if err != nil {
 						t.Fatal(err)
 					}
-					cp, cseen, err := tableNLQ(tab, cols, mt, true)
+					cp, cseen, err := tableNLQ(blockTab, cols, mt, true)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -170,13 +181,13 @@ func TestComputeTableNLQVarcharFallsBack(t *testing.T) {
 	}
 }
 
-// selectBoth runs sql through the Select wrapper in both modes and
-// returns the materialized rows: two cells of the path matrix below.
-func selectBoth(t *testing.T, cat memCatalog, sql string) (rowRes, colRes *Result) {
+// selectBoth runs sql through the Select wrapper over rowCat with the
+// block source declined and over colCat with it offered, and returns the
+// materialized rows: two cells of the path matrix below.
+func selectBoth(t *testing.T, rowCat, colCat memCatalog, sql string) (rowRes, colRes *Result) {
 	t.Helper()
-	rowEnv := &Env{Catalog: cat, Funcs: expr.NewRegistry(), Aggs: udf.NewRegistry()}
-	colEnv := *rowEnv
-	colEnv.Columnar = true
+	rowEnv := &Env{Catalog: rowCat, Funcs: expr.NewRegistry(), Aggs: udf.NewRegistry()}
+	colEnv := Env{Catalog: colCat, Funcs: rowEnv.Funcs, Aggs: rowEnv.Aggs, Columnar: true}
 	q := pathQuery{sql: sql}
 	var err error
 	if rowRes, err = pathSelect(t, rowEnv, q); err != nil {
@@ -405,26 +416,35 @@ func TestSelectPathMatrix(t *testing.T) {
 	if got := fresh(stale); !reflect.DeepEqual(got, []bool{true, false, true}) {
 		t.Fatalf("stale fixture: fresh segments %v, want only partition 1 behind", got)
 	}
-	// The written-after-build fixture is behind in every partition until
-	// a block scan rebuilds it.
+	// The written-after-build fixture is behind in every partition, by
+	// less than a chunk: a block scan reads each segment's rows as blocks
+	// and the rest from the row log, and derives nothing.
 	wenv := written()
 	tab, _ := wenv.Catalog.Table("x")
 	if got := fresh(tab); !reflect.DeepEqual(got, []bool{false, false, false}) {
 		t.Fatalf("written-after-build fixture: fresh segments %v before any scan", got)
 	}
-	if _, err := pathSelect(t, wenv, pathQuery{sql: "SELECT a + b FROM x"}); err != nil {
+	before := tab.Segments()
+	res, err := pathSelect(t, wenv, pathQuery{sql: "SELECT a + b FROM x"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fresh(tab); !reflect.DeepEqual(got, []bool{true, true, true}) {
-		t.Fatalf("written-after-build fixture: fresh segments %v after a block scan", got)
+	for _, sp := range res.Stats.Root.SpanByName("scan").Children {
+		if sp.Name != "ensure" && sp.Source != "block" {
+			t.Fatalf("written-after-build fixture: span %s read %q, want block", sp.Name, sp.Source)
+		}
+	}
+	if got := tab.Segments(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("written-after-build fixture: segments %v after a block scan, want %v kept", got, before)
 	}
 }
 
 // TestScanSpanSource: every scan[pN] span says which source fed it,
-// and a scan with block columns times its EnsureSegments step in an
-// "ensure" span ahead of them — where the first scan after a write
-// shows its rebuild. A table with one unbuildable partition reads
-// block, row, block and counts exactly one fallback per scan.
+// and a scan with block columns times its ExtendSegments step in an
+// "ensure" span ahead of them — where the first block scan shows its
+// derivation. A table with one unbuildable partition reads block, row,
+// block and counts exactly one fallback per scan; a row inserted since
+// the derivation is read from the row log by the block source.
 func TestScanSpanSource(t *testing.T) {
 	tab := mixedTable(t, "x", staleSegmentDir(t, "x"), 3, 90)
 	env := &Env{Catalog: memCatalog{"x": tab}, Funcs: expr.NewRegistry(), Aggs: udf.NewRegistry(), Columnar: true, Workers: 1}
@@ -452,7 +472,8 @@ func TestScanSpanSource(t *testing.T) {
 		return res
 	}
 	// Nothing has built a segment yet: this scan's ensure span is the
-	// rebuild of partitions 0 and 2. So is the one after an insert.
+	// derivation of partitions 0 and 2. The one after an insert derives
+	// nothing: a row is far short of a chunk.
 	tree := blockScan().Stats.Root.RenderTree()
 	if err := tab.Insert(sqltypes.Row{sqltypes.NewDouble(1), sqltypes.NewDouble(2), sqltypes.NewBigInt(3), sqltypes.NewVarChar("4")}); err != nil {
 		t.Fatal(err)
@@ -461,8 +482,8 @@ func TestScanSpanSource(t *testing.T) {
 		t.Fatalf("insert kept partition 0's segment fresh: %+v", segs[0])
 	}
 	blockScan()
-	if segs := tab.Segments(); segs[0].Rows != tab.PartitionRowCounts()[0] {
-		t.Fatalf("block scan after an insert left partition 0 stale: %+v", segs[0])
+	if segs := tab.Segments(); segs[0].Rows != tab.PartitionRowCounts()[0]-1 {
+		t.Fatalf("block scan after a one-row insert extended partition 0's segment: %+v", segs[0])
 	}
 	for _, want := range []string{"ensure (", "scan[p0]", "source=block", "source=row"} {
 		if !strings.Contains(tree, want) {
@@ -521,17 +542,15 @@ func resultsEqual(t *testing.T, sql string, a, b *Result) {
 	}
 }
 
+// TestColumnarProjectionMatchesRow: projections from segment blocks
+// equal the row path's over the same table ("disk") or an in-memory twin
+// ("mem").
 func TestColumnarProjectionMatchesRow(t *testing.T) {
 	for _, layout := range []string{"mem", "disk"} {
 		t.Run(layout, func(t *testing.T) {
-			dir := ""
-			if layout == "disk" {
-				dir = t.TempDir()
-			}
-			cat := memCatalog{}
-			cat["x"] = mixedTable(t, "x", dir, 3, 400)
+			rowTab, blockTab := twinTables(t, layout, 3, 400)
 			for _, q := range projectionQueries {
-				r, c := selectBoth(t, cat, q)
+				r, c := selectBoth(t, memCatalog{"x": rowTab}, memCatalog{"x": blockTab}, q)
 				resultsEqual(t, q, r, c)
 			}
 		})
@@ -542,7 +561,7 @@ func TestColumnarProjectionCountsWork(t *testing.T) {
 	cat := memCatalog{}
 	cat["x"] = mixedTable(t, "x", t.TempDir(), 2, 300)
 	blocks, vops, falls := obs.ColumnarBlocksScanned.Value(), obs.ColumnarVectorOps.Value(), obs.ColumnarFallbacks.Value()
-	if _, c := selectBoth(t, cat, "SELECT a * 2 FROM x WHERE b > 0 ORDER BY 1"); len(c.Rows) == 0 {
+	if _, c := selectBoth(t, cat, cat, "SELECT a * 2 FROM x WHERE b > 0 ORDER BY 1"); len(c.Rows) == 0 {
 		t.Fatal("no rows selected")
 	}
 	if obs.ColumnarBlocksScanned.Value() == blocks {
@@ -552,7 +571,7 @@ func TestColumnarProjectionCountsWork(t *testing.T) {
 		t.Fatal("vector-ops counter did not move")
 	}
 	falls2 := obs.ColumnarFallbacks.Value()
-	if _, c := selectBoth(t, cat, "SELECT power(a, 2) FROM x ORDER BY 1"); len(c.Rows) == 0 {
+	if _, c := selectBoth(t, cat, cat, "SELECT power(a, 2) FROM x ORDER BY 1"); len(c.Rows) == 0 {
 		t.Fatal("no rows selected")
 	}
 	if obs.ColumnarFallbacks.Value() == falls2 {
@@ -581,7 +600,7 @@ func TestColumnarEmptyPartitionIsNotAFallback(t *testing.T) {
 	}
 	cat["sparse"] = tab
 	before := obs.ColumnarFallbacks.Value()
-	r, c := selectBoth(t, cat, "SELECT a + b FROM sparse ORDER BY 1")
+	r, c := selectBoth(t, cat, cat, "SELECT a + b FROM sparse ORDER BY 1")
 	resultsEqual(t, "sparse", r, c)
 	if got := obs.ColumnarFallbacks.Value(); got != before {
 		t.Fatalf("empty partitions counted %d fallback(s)", got-before)
@@ -591,7 +610,7 @@ func TestColumnarEmptyPartitionIsNotAFallback(t *testing.T) {
 func TestColumnarDivisionByZeroMatchesRow(t *testing.T) {
 	cat := memCatalog{}
 	schema := &sqltypes.Schema{Columns: []sqltypes.Column{dcol("a")}}
-	tab, err := storage.NewTable("z", schema, "", 2)
+	tab, err := storage.NewTable("z", schema, t.TempDir(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -12,6 +13,20 @@ import (
 
 func benchTable(b *testing.B, dims, n int) (*storage.Table, []int) {
 	b.Helper()
+	tab, ords := benchTableParts(b, dims, 20)
+	if err := tab.Insert(benchRows(dims, 0, n)...); err != nil {
+		b.Fatal(err)
+	}
+	if err := tab.EnsureSegments(); err != nil {
+		b.Fatal(err)
+	}
+	return tab, ords
+}
+
+// benchTableParts creates an empty on-disk table of an id and dims
+// DOUBLE columns, returning it and the DOUBLE columns' ordinals.
+func benchTableParts(b *testing.B, dims, parts int) (*storage.Table, []int) {
+	b.Helper()
 	cols := make([]sqltypes.Column, dims+1)
 	cols[0] = icol("id")
 	ords := make([]int, dims)
@@ -20,27 +35,26 @@ func benchTable(b *testing.B, dims, n int) (*storage.Table, []int) {
 		ords[i] = i + 1
 	}
 	schema := &sqltypes.Schema{Columns: cols}
-	tab, err := storage.NewTable("x", schema, b.TempDir(), 20)
+	tab, err := storage.NewTable("x", schema, b.TempDir(), parts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
+	return tab, ords
+}
+
+// benchRows returns rows [from, from+n) of benchTable's data.
+func benchRows(dims, from, n int) []sqltypes.Row {
+	rng := rand.New(rand.NewSource(int64(1 + from)))
 	rows := make([]sqltypes.Row, n)
 	for i := range rows {
 		r := make(sqltypes.Row, dims+1)
-		r[0] = sqltypes.NewBigInt(int64(i))
+		r[0] = sqltypes.NewBigInt(int64(from + i))
 		for j := 0; j < dims; j++ {
 			r[j+1] = sqltypes.NewDouble(rng.NormFloat64())
 		}
 		rows[i] = r
 	}
-	if err := tab.Insert(rows...); err != nil {
-		b.Fatal(err)
-	}
-	if err := tab.EnsureSegments(); err != nil {
-		b.Fatal(err)
-	}
-	return tab, ords
+	return rows
 }
 
 func benchNLQ(b *testing.B, columnar bool, dims, n int) {
@@ -64,4 +78,46 @@ func BenchmarkNLQRow(b *testing.B) { benchNLQ(b, false, 16, 40000) }
 func BenchmarkNLQColumnar(b *testing.B) {
 	b.Run("d=16", func(b *testing.B) { benchNLQ(b, true, 16, 40000) })
 	b.Run("d=32", func(b *testing.B) { benchNLQ(b, true, 32, 65536) })
+}
+
+// BenchmarkInsertThenNLQ is write-then-read traffic: each op inserts k
+// rows into a 32 768 × 32 on-disk table of 4 partitions, build_udf's
+// shape, then runs its summary scan from the start — over the row log
+// (row), or over the segments a first scan derived plus whatever the
+// inserts left uncovered (block). The block arm's op includes the
+// scan's segment extension whenever the inserts have filled a chunk.
+func BenchmarkInsertThenNLQ(b *testing.B) {
+	const dims, n = 32, 32768
+	for _, k := range []int{8, 1024} {
+		for _, columnar := range []bool{false, true} {
+			name := fmt.Sprintf("k=%d/row", k)
+			if columnar {
+				name = fmt.Sprintf("k=%d/block", k)
+			}
+			b.Run(name, func(b *testing.B) {
+				tab, ords := benchTableParts(b, dims, 4)
+				if err := tab.Insert(benchRows(dims, 0, n)...); err != nil {
+					b.Fatal(err)
+				}
+				scan, err := PrepareTableNLQ(tab, ords, core.Triangular, 0, columnar)
+				if err != nil {
+					b.Fatal(err)
+				}
+				read := func() {
+					if _, err := scan.Read(context.Background(), nil, make([]*core.NLQ, tab.Partitions())); err != nil {
+						b.Fatal(err)
+					}
+				}
+				read() // derives the segments the block arm starts from
+				batch := benchRows(dims, n, k)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := tab.Insert(batch...); err != nil {
+						b.Fatal(err)
+					}
+					read()
+				}
+			})
+		}
+	}
 }

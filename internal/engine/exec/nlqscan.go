@@ -18,7 +18,8 @@ import (
 // any aggregate's.
 type TableNLQ struct{ p *PreparedSelect }
 
-// PrepareTableNLQ plans the summary scan of t's columns cols.
+// PrepareTableNLQ plans the summary scan of t's columns cols; columnar
+// offers it the block source, as Env.Columnar does a statement.
 func PrepareTableNLQ(t *storage.Table, cols []int, mt core.MatrixType, workers int, columnar bool) (*TableNLQ, error) {
 	schema := t.Schema()
 	args := make([]sqlparser.Expr, len(cols))

@@ -131,10 +131,10 @@ func PrepareSelect(sel *sqlparser.Select, env *Env) (*PreparedSelect, error) {
 				}
 			}
 		}
-		// Columnar mode: a parameter-free single-table projection whose
+		// Block source: a parameter-free single-table projection whose
 		// items and residual WHERE compile to vector programs scans
 		// blocks. A rejected shape counts one fallback here, at prepare.
-		if env.Columnar && p.numParams == 0 && len(p.b.tables) == 1 {
+		if p.offersBlocks() && p.numParams == 0 && len(p.b.tables) == 1 {
 			if vp, err := planVec(p.exprs, p.tail.residual, p.b); err == nil {
 				p.vec, p.src.block = vp, vp.cols
 			} else {
@@ -159,11 +159,20 @@ func PrepareSelect(sel *sqlparser.Select, env *Env) (*PreparedSelect, error) {
 	return p, nil
 }
 
-// planSources decides an aggregate's unboxed sources (planFloats); under
-// Env.Columnar one not offered blocks counts a fallback, as projections do.
+// offersBlocks reports whether the statement's scan may read blocks: the
+// environment allows it and the driving table is on disk — a table
+// without a directory (in-memory and system tables) has no segments and
+// counts no fallback.
+func (p *PreparedSelect) offersBlocks() bool {
+	return p.env.Columnar && p.b.tables[0].OnDisk()
+}
+
+// planSources decides an aggregate's unboxed sources (planFloats); where
+// blocks are offered, one that cannot take them counts a fallback, as
+// projections do.
 func (p *PreparedSelect) planSources() {
 	p.src.floats = p.agg.planFloats(p.b, p.tail.residual, p.env.Funcs)
-	if p.env.Columnar {
+	if p.offersBlocks() {
 		if p.src.block = p.src.floats; p.src.block == nil {
 			obs.ColumnarFallbacks.Inc()
 		}

@@ -21,8 +21,8 @@ type sources struct{ block, floats []int }
 // cancels the siblings, panics are contained per partition), opens one
 // worker per partition (phases 1-2 of the aggregate protocol; merge and
 // finalize are the caller's, after the workers join), feeds it from the
-// block source when the plan supplied block columns and the partition's
-// segment is fresh, else from the row log — decoded to floats when the
+// block source when the plan supplied block columns and the partition
+// has a segment, else from the row log — decoded to floats when the
 // plan supplied float columns, boxed otherwise — and records the
 // scan[pN] spans, their source, per-partition rows and the scan totals
 // in st — also when the scan fails part-way, so a failed statement still
@@ -49,13 +49,13 @@ func scanPartitions(ctx context.Context, t *storage.Table, workers int, src sour
 	st.PartitionRows = make([]int64, nparts)
 	scan := st.ensureRoot().child("scan")
 	if src.block != nil {
-		// Best-effort: derive the segments a write left behind up front,
-		// so the first block scan after a write pays one rebuild (its
-		// time is this span) instead of a row fallback per scan. A failed
-		// rebuild leaves stale partitions that fall back below; genuine
-		// row-log corruption resurfaces loudly from the row scan.
+		// Best-effort: derive the segments no scan has read yet, and
+		// extend those that writes have left a chunk or more behind (the
+		// time is this span). A failed derivation leaves partitions that
+		// fall back below; genuine row-log corruption resurfaces loudly
+		// from the row scan.
 		ensure := scan.child("ensure")
-		_ = t.EnsureSegments()
+		_ = t.ExtendSegments()
 		ensure.finish()
 	}
 	partSpans := make([]*Span, nparts)
@@ -101,13 +101,19 @@ func scanPartitions(ctx context.Context, t *storage.Table, workers int, src sour
 }
 
 // scanPartition picks partition p's source: "block", "float" or "row".
-// A block scan refuses a stale segment before delivering anything, so
-// the consumer is untouched when the partition reruns from the row log;
-// that rerun is the fallback engine_columnar_fallbacks_total counts per
-// partition.
+// A block scan reads the segment's rows as blocks and any appended since
+// from the row log, as the float or row source would. It refuses a
+// partition whose segment covers none of its rows before delivering
+// anything, so the consumer is untouched when the partition reruns from
+// the row log; that rerun is the fallback engine_columnar_fallbacks_total
+// counts per partition.
 func scanPartition(ctx context.Context, t *storage.Table, p int, src sources, from storage.Mark, w *selectWorker) (source string, ps storage.ScanStats, err error) {
 	if src.block != nil {
-		ps, err = t.ScanPartitionBlocks(ctx, p, src.block, w.block)
+		var floats func([]float64) error
+		if src.floats != nil {
+			floats = w.agg.floatRow
+		}
+		ps, err = t.ScanPartitionSegment(ctx, p, src.block, w.block, floats, w.row)
 		if !errors.Is(err, storage.ErrSegmentStale) {
 			return "block", ps, err
 		}

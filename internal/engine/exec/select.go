@@ -20,9 +20,10 @@ type Env struct {
 	// Workers bounds the scan worker pool independently of the
 	// partition count; <= 0 runs one goroutine per partition.
 	Workers int
-	// Columnar opts eligible scans into the block-at-a-time execution
-	// path (column segments + vector programs). Ineligible statements
-	// fall back to the row path with identical results.
+	// Columnar offers eligible scans of on-disk tables the block source
+	// (column segments + vector programs); what blocks cannot serve
+	// reads the row log, with identical results. The db planner always
+	// sets it; left off, every scan reads the row log.
 	Columnar bool
 }
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine/exec"
 	"repro/internal/engine/obs"
+	"repro/internal/engine/sqlparser"
 	"repro/internal/engine/sqltypes"
 	"repro/internal/engine/storage"
 	"repro/internal/engine/udf"
@@ -330,9 +331,9 @@ func expected(t *testing.T, tab *storage.Table, where, group bool, specs []foldS
 }
 
 // stagingDB opens an on-disk database with rec registered and t loaded.
-func stagingDB(t *testing.T, columnar bool, rng *rand.Rand) (*statsudf.DB, *storage.Table) {
+func stagingDB(t *testing.T, rng *rand.Rand) (*statsudf.DB, *storage.Table) {
 	t.Helper()
-	d, err := statsudf.Open(statsudf.Options{Dir: t.TempDir(), Partitions: 4, Columnar: columnar})
+	d, err := statsudf.Open(statsudf.Options{Dir: t.TempDir(), Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +357,8 @@ func stagingDB(t *testing.T, columnar bool, rng *rand.Rand) (*statsudf.DB, *stor
 // TestAggregateStatesFoldEveryRowInOrder pins what a float-bodied
 // aggregate's states see, whatever the executor stages on the way: over
 // a table with NULL, BIGINT and VARCHAR values at random positions, on
-// the row log's float and boxed paths and on column blocks, every
+// the row log's float and boxed paths (the block source declined) and
+// on column blocks (the statement as the engine plans it), every
 // group's state receives exactly its qualifying rows, in its
 // partitions' scan order, merged in partition order (rec's record);
 // nlq_list and nlq_block give the bits of one Update per row
@@ -368,7 +370,19 @@ func TestAggregateStatesFoldEveryRowInOrder(t *testing.T) {
 	for _, columnar := range []bool{false, true} {
 		t.Run(fmt.Sprintf("columnar=%v", columnar), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
-			d, tab := stagingDB(t, columnar, rng)
+			d, tab := stagingDB(t, rng)
+			run := d.Exec
+			if !columnar {
+				eng := d.Engine()
+				env := &exec.Env{Catalog: eng, Funcs: eng.Scalars(), Aggs: eng.Aggregates()}
+				run = func(sql string) (*exec.Result, error) {
+					stmt, err := sqlparser.Parse(sql)
+					if err != nil {
+						return nil, err
+					}
+					return exec.Select(context.Background(), stmt.(*sqlparser.Select), env)
+				}
+			}
 			for _, c := range stagingCases {
 				calls := make([]string, len(c.specs))
 				for s, sp := range c.specs {
@@ -387,7 +401,7 @@ func TestAggregateStatesFoldEveryRowInOrder(t *testing.T) {
 					sql += " GROUP BY i % 5"
 				}
 				before := obs.UDFCalls.Value()
-				res, err := d.Exec(sql)
+				res, err := run(sql)
 				if err != nil {
 					t.Fatalf("%s: %s: %v", c.name, sql, err)
 				}

@@ -9,7 +9,7 @@ import (
 
 // Span is one timed region of a statement's execution. Spans form a
 // tree rooted at the statement: plan, scan (with one child per scanned
-// partition, after an "ensure" child timing the segment rebuild when
+// partition, after an "ensure" child timing the segment derivation when
 // the scan has block columns), merge and finalize, mirroring the
 // aggregate UDF protocol's phases. Rows and Bytes carry the volume the
 // span processed where that is meaningful (scan spans: rows delivered
@@ -30,7 +30,8 @@ type Span struct {
 	Rows  int64     `json:"rows,omitempty"`
 	Bytes int64     `json:"bytes,omitempty"`
 	// Source is set on scan[pN] spans only: "block" when the partition
-	// was read from its column segment, "float" when it was read from the
+	// was read from its column segment (and any rows appended since it
+	// was derived from the row log), "float" when it was read from the
 	// row log through the float decode (a statement that scans float
 	// rows), "row" when it was read from the row log boxed.
 	Source   string  `json:"source,omitempty"`

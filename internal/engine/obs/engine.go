@@ -58,15 +58,15 @@ var (
 	// Columnar-path instruments: the vectorized scan path reports how
 	// many column blocks its block scans delivered, how many vector
 	// kernel operations its compiled programs executed, and how often a
-	// query that asked for columnar execution fell back to the
-	// row-at-a-time interpreter (unsupported expression shape, stale
-	// segment, or non-numeric columns).
+	// statement offered the block source fell back to the row-at-a-time
+	// interpreter (unsupported expression shape, stale segment, or
+	// non-numeric columns).
 	ColumnarBlocksScanned = Default.Counter("engine_columnar_blocks_scanned_total",
 		"Column blocks delivered by columnar partition scans.")
 	ColumnarVectorOps = Default.Counter("engine_columnar_vector_ops_total",
 		"Vector program instructions executed over column blocks.")
 	ColumnarFallbacks = Default.Counter("engine_columnar_fallbacks_total",
-		"Columnar-mode scans that fell back to the row-at-a-time path.")
+		"Scans offered the block source that fell back to the row-at-a-time path.")
 
 	// Plan-cache instruments: the statement path's LRU of prepared
 	// plans reports read-through hits and misses, capacity evictions,

@@ -68,7 +68,7 @@ func mixedRow(rng *rand.Rand, i, parts int) sqltypes.Row {
 func TestBlockScanMatchesRowScanRandomSubsets(t *testing.T) {
 	schema := mixedSchema()
 	for _, shape := range []struct{ rows, parts int }{
-		{1, 1}, {3, 2}, {segChunkRows, 1}, {2*segChunkRows + 37, 1}, {3*segChunkRows + 5, 2},
+		{1, 1}, {3, 2}, {segMaxChunkRows, 1}, {2*segMaxChunkRows + 37, 1}, {3*segMaxChunkRows + 5, 2},
 	} {
 		for _, dir := range []string{"", t.TempDir()} {
 			name := fmt.Sprintf("%dx%d/mem", shape.rows, shape.parts)

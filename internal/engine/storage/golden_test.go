@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,6 +43,27 @@ func goldenRows() []sqltypes.Row {
 			r[0] = sqltypes.NewBigInt(math.MinInt64 + int64(i))
 		}
 		rows = append(rows, r)
+	}
+	return rows
+}
+
+// parentSegmentRows is the content of testdata/seg4096.p000.seg: one
+// partition of a table "seg4096" over testSchema, inserted in this
+// order, whose segment the 4096-row chunk writer derived. 4500 rows
+// make one full 4096-row chunk and a partial one; NULLs fall in both
+// numeric columns, and the BIGINT values outgrow float64's exact range.
+func parentSegmentRows() []sqltypes.Row {
+	rows := make([]sqltypes.Row, 4500)
+	for i := range rows {
+		rows[i] = row(int64(i)*1_000_000_007-(1<<60), float64(i)*0.375-800, "s")
+		switch {
+		case i%9 == 0:
+			rows[i][0] = sqltypes.Null
+		case i%10 == 0:
+			rows[i][1] = sqltypes.Null
+		case i%21 == 0:
+			rows[i][2] = sqltypes.Null
+		}
 	}
 	return rows
 }
@@ -147,4 +169,48 @@ func TestParentWrittenTable(t *testing.T) {
 			t.Fatalf("partition %d: rebuilt segment hashes to %s, want %s", p, got, want)
 		}
 	}
+}
+
+// TestParentWrittenSegment keeps segments written with 4096-row chunks
+// scanning: a table whose row log holds parentSegmentRows adopts the
+// parent-written segment as it stands — no rebuild — and its blocks,
+// chunked as written, match the row log bit for bit.
+func TestParentWrittenSegment(t *testing.T) {
+	img, err := os.ReadFile(filepath.Join("testdata", "seg4096.p000.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	tab, err := NewTable("seg4096", testSchema(), dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Insert(parentSegmentRows()...); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, "seg4096.p000.seg")
+	if err := os.WriteFile(seg, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if tab, err = OpenTable("seg4096", testSchema(), dir, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.EnsureSegments(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(seg); err != nil || !bytes.Equal(got, img) {
+		t.Fatalf("the parent-written segment was not adopted as it stands (err %v)", err)
+	}
+	var chunks []int
+	if _, err := tab.ScanPartitionBlocks(context.Background(), 0, []int{1}, func(b *Block) error {
+		chunks = append(chunks, b.Rows)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(chunks, []int{4096, 404}) {
+		t.Fatalf("blocks of %v rows, want the parent's chunks [4096 404]", chunks)
+	}
+	blocksMatchRows(t, tab, []int{0, 1})
+	blocksMatchRows(t, tab, []int{2, 1, 0})
 }

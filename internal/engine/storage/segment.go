@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -16,7 +15,6 @@ import (
 	"sync"
 	"unsafe"
 
-	"repro/internal/engine/obs"
 	"repro/internal/engine/sqltypes"
 )
 
@@ -25,16 +23,18 @@ import (
 // re-encoded column-wise, so the batch execution path decodes only the
 // columns a query references and hands them to vector kernels as
 // []float64 slices. The row log is the single source of truth and the
-// only thing a write touches: Insert and BulkLoader leave segRows
-// behind rows, and EnsureSegments — called by the executor ahead of a
-// block scan — is the one place a segment file is created, re-deriving
-// each stale partition's segment whole from its row log (no tail
-// catch-up: a rebuild costs a bounded multiple of the scan that
-// triggers it, and an engine that never block-scans never pays it).
+// only thing a write touches: Insert and BulkLoader leave the segment
+// covering a prefix of the rows. A derivation (ExtendSegments, called by
+// the executor ahead of a block scan, or EnsureSegments) is the one
+// place a segment file is written: it encodes the rows the segment does
+// not cover onto its end, so a table no statement block-scans never
+// pays for one, and a row is encoded once however often it is scanned.
+// A block scan reads the covered rows as blocks and the rest from the
+// row log (ScanPartitionSegment).
 //
 // File layout: a sequence of chunks, each
 //
-//	magic "SEG1" | u32 rows (1..segChunkRows) | u32 ncols | u32 bodyLen
+//	magic "SEG1" | u32 rows (1..segMaxChunkRows) | u32 ncols | u32 bodyLen
 //	body: ncols column blocks, in schema order
 //
 // and each column block is
@@ -48,18 +48,25 @@ import (
 // BIGINT values are stored as float64 via the same conversion the
 // row-at-a-time n/L/Q scan applies (Value.Float), so block kernels see
 // exactly the operands the row path would.
+//
+// The writer emits segChunkRows-row chunks: a block scan holds a lane
+// per requested column at the chunk's height, so the chunk bounds a
+// concurrent scan's memory, while halving it again doubles the
+// positional reads. Readers accept up to segMaxChunkRows, the chunk
+// earlier writers emitted, so their files keep scanning.
 const (
-	segMagic     = "SEG1"
-	segChunkRows = 4096
+	segMagic        = "SEG1"
+	segChunkRows    = 2048
+	segMaxChunkRows = 4096
 )
 
 // ErrSegmentStale reports that a partition's segment file does not
-// cover its current rows; callers fall back to the row log (and may
-// EnsureSegments to rebuild).
+// cover the rows a scan needs from it; callers fall back to the row
+// log (and may EnsureSegments to derive it).
 var ErrSegmentStale = errors.New("storage: segment stale")
 
-// segUnverified is the segRows of a partition OpenTable just attached:
-// the first EnsureSegments adopts or replaces the file a previous
+// segUnverified is the covered row count of a partition OpenTable just
+// attached: the first derivation adopts or replaces the file a previous
 // process left. Inside one process a segment is only ever behind.
 const segUnverified = -1
 
@@ -104,11 +111,11 @@ func (t *Table) segPathLocked(p int) string {
 	return strings.TrimSuffix(t.parts[p].path, ".dat") + ".seg"
 }
 
-// encodeSegChunk appends one chunk (≤ segChunkRows rows) to buf. The
-// column blocks are laid out first and filled row by row, so the rows
-// are read once, in order, however many columns there are.
-func encodeSegChunk(buf []byte, schema *sqltypes.Schema, rows []sqltypes.Row) []byte {
-	nrows := len(rows)
+// appendSegChunk appends one chunk of nrows (≤ segMaxChunkRows) rows to
+// buf, taking them in order from next. The column blocks are laid out
+// first and filled row by row, so each row is read once and none is
+// kept, however many columns there are.
+func appendSegChunk(buf []byte, schema *sqltypes.Schema, nrows int, next func() (sqltypes.Row, error)) ([]byte, error) {
 	bmLen := (nrows + 7) / 8
 	type colBlock struct {
 		at      int // offset of the block's bitmap in the body
@@ -131,7 +138,11 @@ func encodeSegChunk(buf []byte, schema *sqltypes.Schema, rows []sqltypes.Row) []
 	bodyStart := len(buf)
 	buf = append(buf, make([]byte, bodyLen)...) // invalid lanes stay zero
 	body := buf[bodyStart:]
-	for r, row := range rows {
+	for r := range nrows {
+		row, err := next()
+		if err != nil {
+			return buf, err
+		}
 		bit := byte(1) << (r % 8)
 		for c := range cols {
 			cb := &cols[c]
@@ -162,19 +173,19 @@ func encodeSegChunk(buf []byte, schema *sqltypes.Schema, rows []sqltypes.Row) []
 			binary.LittleEndian.PutUint64(body[cb.at+bmLen+8:], math.Float64bits(cb.mx))
 		}
 	}
-	return buf
+	return buf, nil
 }
 
 // laneHead is how many float64s of a lane's backing array precede its
 // values: a numeric column block's tag, bitmap and min/max (at most
-// 1 + segChunkRows/8 + 16 bytes) land there when the block is read in
-// one call, so the values that follow them start 8-byte aligned at
+// 1 + segMaxChunkRows/8 + 16 bytes) land there when the block is read
+// in one call, so the values that follow them start 8-byte aligned at
 // lane[laneHead].
-const laneHead = (1 + segChunkRows/8 + 16 + 7) / 8
+const laneHead = (1 + segMaxChunkRows/8 + 16 + 7) / 8
 
 // allValid is the Valid lane of every NULL-free column: read-only by
 // Block's contract, shared by every scan in the process.
-var allValid = func() (v [segChunkRows]bool) {
+var allValid = func() (v [segMaxChunkRows]bool) {
 	for i := range v {
 		v[i] = true
 	}
@@ -186,24 +197,43 @@ var allValid = func() (v [segChunkRows]bool) {
 // allocates no column memory once the pool is warm.
 type blockBuf struct {
 	blk   Block
-	vals  [][]float64 // laneHead + segChunkRows each
-	valid [][]bool    // segChunkRows each
+	vals  [][]float64 // laneHead + the tallest chunk read, each
+	valid [][]bool    // the tallest chunk read with a clear bit, each
 }
 
 var blockBufs = sync.Pool{New: func() any { return new(blockBuf) }}
 
-// getBlockBuf leases a buffer with lanes for k columns.
+// getBlockBuf leases a buffer with slots for k columns; their lanes
+// grow to the chunks read.
 func getBlockBuf(k int) *blockBuf {
 	bb := blockBufs.Get().(*blockBuf)
 	for len(bb.vals) < k {
-		bb.vals = append(bb.vals, make([]float64, laneHead+segChunkRows))
-		bb.valid = append(bb.valid, make([]bool, segChunkRows))
+		bb.vals, bb.valid = append(bb.vals, nil), append(bb.valid, nil)
 	}
 	if cap(bb.blk.Cols) < k {
 		bb.blk.Cols, bb.blk.Valid = make([][]float64, k), make([][]bool, k)
 	}
 	bb.blk.Cols, bb.blk.Valid = bb.blk.Cols[:k], bb.blk.Valid[:k]
 	return bb
+}
+
+// lane returns slot s's float lane, head included, for an n-row chunk:
+// lanes are sized to the chunks actually read, not to the format's
+// maximum.
+func (bb *blockBuf) lane(s, n int) []float64 {
+	if len(bb.vals[s]) < laneHead+n {
+		bb.vals[s] = make([]float64, laneHead+n)
+	}
+	return bb.vals[s][:laneHead+n]
+}
+
+// validLane returns slot s's validity lane for an n-row chunk,
+// allocated only once a chunk of the column needs one of its own.
+func (bb *blockBuf) validLane(s, n int) []bool {
+	if len(bb.valid[s]) < n {
+		bb.valid[s] = make([]bool, n)
+	}
+	return bb.valid[s][:n]
 }
 
 // nativeLittleEndian: segment values are little-endian on disk, which
@@ -290,8 +320,8 @@ func (sr *segReader) next() (*Block, error) {
 	nrows := int(binary.LittleEndian.Uint32(hdr[4:8]))
 	ncols := int(binary.LittleEndian.Uint32(hdr[8:12]))
 	bodyLen := int64(binary.LittleEndian.Uint32(hdr[12:16]))
-	if nrows < 1 || nrows > segChunkRows {
-		return nil, corruptf("storage: segment chunk row count %d out of range 1..%d", nrows, segChunkRows)
+	if nrows < 1 || nrows > segMaxChunkRows {
+		return nil, corruptf("storage: segment chunk row count %d out of range 1..%d", nrows, segMaxChunkRows)
 	}
 	if ncols != sr.schema.Len() {
 		return nil, corruptf("storage: segment chunk has %d columns, schema has %d", ncols, sr.schema.Len())
@@ -322,7 +352,7 @@ func (sr *segReader) next() (*Block, error) {
 		}
 		got := sr.scratch[:1]
 		if s >= 0 && tag == 1 {
-			lane := sr.buf.vals[s][:laneHead+nrows]
+			lane := sr.buf.lane(s, nrows)
 			got = floatBytes(lane)[head:]
 			if err := sr.read(got, at); err != nil {
 				return nil, err
@@ -334,7 +364,7 @@ func (sr *segReader) next() (*Block, error) {
 				}
 			}
 			blk.Cols[s] = vals
-			blk.Valid[s] = expandBitmap(got[1:1+bmLen], sr.buf.valid[s][:nrows])
+			blk.Valid[s] = sr.buf.validity(s, got[1:1+bmLen], nrows)
 		} else {
 			// Nothing of this column reaches a kernel; only its tag is
 			// read. A requested non-numeric column has no operands: every
@@ -343,7 +373,7 @@ func (sr *segReader) next() (*Block, error) {
 				return nil, err
 			}
 			if s >= 0 {
-				blk.Cols[s], blk.Valid[s] = sr.buf.vals[s][:nrows], sr.buf.valid[s][:nrows]
+				blk.Cols[s], blk.Valid[s] = sr.buf.lane(s, nrows)[:nrows], sr.buf.validLane(s, nrows)
 				clear(blk.Cols[s])
 				clear(blk.Valid[s])
 			}
@@ -358,17 +388,18 @@ func (sr *segReader) next() (*Block, error) {
 }
 
 // fullBitmap is the bitmap of a full chunk without NULLs.
-var fullBitmap = bytes.Repeat([]byte{0xff}, segChunkRows/8)
+var fullBitmap = bytes.Repeat([]byte{0xff}, segMaxChunkRows/8)
 
-// expandBitmap returns the validity lane of a column whose bitmap is
-// bm: the shared all-true lane when no bit of the first len(dst) is
-// clear, else dst filled a byte at a time.
-func expandBitmap(bm []byte, dst []bool) []bool {
-	nrows := len(dst)
+// validity returns the validity lane of slot s's column in an
+// nrows-row chunk whose bitmap is bm: the shared all-true lane when no
+// bit of the first nrows is clear, else the slot's own lane filled a
+// byte at a time.
+func (bb *blockBuf) validity(s int, bm []byte, nrows int) []bool {
 	whole, rest := nrows/8, byte(1)<<(nrows%8)-1
 	if bytes.Equal(bm[:whole], fullBitmap[:whole]) && bm[len(bm)-1]&rest == rest {
 		return allValid[:nrows]
 	}
+	dst := bb.validLane(s, nrows)
 	for i, b := range bm {
 		lanes := dst[i*8 : min(i*8+8, nrows)]
 		for r := range lanes {
@@ -381,24 +412,23 @@ func expandBitmap(bm []byte, dst []bool) []bool {
 // countSegRows walks an existing segment file's chunks, checking
 // structural integrity and returning the total row count. Used to adopt
 // a segment left by a previous process.
-func countSegRows(path string, schema *sqltypes.Schema) (int64, error) {
+func countSegRows(path string, schema *sqltypes.Schema) (rows, size int64, err error) {
 	f, size, err := openSeg(path)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	defer f.Close()
 	sr := newSegReader(f, size, schema, nil)
 	defer sr.release()
-	var total int64
 	for {
 		blk, err := sr.next()
 		if err == io.EOF {
-			return total, nil
+			return rows, size, nil
 		}
 		if err != nil {
-			return total, err
+			return rows, size, err
 		}
-		total += int64(blk.Rows)
+		rows += int64(blk.Rows)
 	}
 }
 
@@ -416,230 +446,241 @@ func openSeg(path string) (*os.File, int64, error) {
 	return f, fi.Size(), nil
 }
 
-// EnsureSegments makes every partition's segment file cover its current
-// rows: a segment behind its row log is rebuilt from it, and a partition
-// OpenTable attached adopts the file a previous process left when it is
-// structurally intact and holds exactly the partition's row count (a
-// segment is only ever written as a snapshot of its own row log). A
-// partition that cannot be rebuilt stays stale — block scans fall back
-// to its row log — and the first failure is returned once the others
-// have been tried. It holds the write lock throughout (the segment is
-// replaced atomically via rename), so it must not be called from scan
-// callbacks. In-memory tables synthesize blocks and need no segments.
-func (t *Table) EnsureSegments() error {
+// segCover is what a partition's segment file covers: the row log's
+// first Rows rows, which end at Offset in it, held by the file's first
+// bytes bytes. Rows is segUnverified while a file a previous process
+// left awaits its first derivation.
+type segCover struct {
+	Mark
+	bytes int64
+}
+
+// EnsureSegments makes every partition's segment cover all its current
+// rows (ExtendSegments with no chunk to wait for).
+func (t *Table) EnsureSegments() error { return t.deriveSegments(1) }
+
+// ExtendSegments is what the executor calls ahead of a block scan. A
+// partition whose segment covers none of its rows gets one derived from
+// its whole row log; one whose segment covers some gets the rows
+// appended since it was derived encoded onto its end, but only once
+// they fill a chunk: until then ScanPartitionSegment reads them from
+// the row log, since encoding a row costs several times reading it. So
+// every row is encoded once, and a write followed by a scan pays at most
+// the encoding of the rows it added. In-memory tables have no segments.
+func (t *Table) ExtendSegments() error { return t.deriveSegments(segChunkRows) }
+
+// deriveSegments extends each partition's segment by the rows it does
+// not cover once there are at least minTail of them, or at once while
+// it covers none. A partition OpenTable attached first adopts the file
+// a previous process left when it is structurally intact and holds
+// exactly the partition's rows. A partition that cannot be derived
+// stays behind — block scans read its row log — and the first failure
+// is returned once the others have been tried. It takes the table lock,
+// so it must not be called from scan callbacks.
+func (t *Table) deriveSegments(minTail int64) error {
 	if t.dir == "" {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.segMu.Lock()
+	defer t.segMu.Unlock()
 	var first error
-	for p := range t.parts {
-		if t.parts[p].corrupt != nil {
-			continue // row scans of this partition fail loudly already
-		}
-		if t.parts[p].segRows == t.parts[p].rows {
-			continue
-		}
-		if t.parts[p].segRows == segUnverified {
-			if n, err := countSegRows(t.segPathLocked(p), t.schema); err == nil && n == t.parts[p].rows {
-				t.parts[p].segRows = n
-				continue
-			}
-		}
-		if err := t.rebuildSegLocked(p); err != nil && first == nil {
+	for p := range t.Partitions() {
+		if err := t.deriveSegment(p, minTail); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
-// rebuildSegLocked re-derives partition p's segment from its row log,
-// the only place a segment file is written. Rows are decoded a chunk at
-// a time into one arena that every chunk reuses.
-func (t *Table) rebuildSegLocked(p int) error {
-	src, err := os.Open(t.parts[p].path)
+// deriveSegment works under the read lock, as a scan does — it reads
+// the row log and writes only past the bytes the segment covers, which
+// no scan reads — so writers wait for it no longer than for a scan. It
+// publishes the new cover under the write lock unless the epoch moved
+// in between (a truncate or drop removed the file).
+func (t *Table) deriveSegment(p int, minTail int64) error {
+	t.mu.RLock()
+	epoch := t.epoch.Load()
+	seg, err := t.deriveSegLocked(p, minTail)
+	t.mu.RUnlock()
+	if err != nil || seg == nil {
+		return err
+	}
+	t.mu.Lock()
+	if t.epoch.Load() == epoch {
+		t.parts[p].seg = *seg
+	}
+	t.mu.Unlock()
+	return nil
+}
+
+// deriveSegLocked returns partition p's new cover, nil when it stays.
+func (t *Table) deriveSegLocked(p int, minTail int64) (*segCover, error) {
+	part := &t.parts[p]
+	if part.corrupt != nil {
+		return nil, nil // row scans of this partition fail loudly already
+	}
+	seg, adopted := part.seg, false
+	if seg.Rows == segUnverified {
+		n, size, err := countSegRows(t.segPathLocked(p), t.schema)
+		if err == nil && n == part.rows {
+			return &segCover{Mark{Rows: n, Offset: part.size}, size}, nil
+		}
+		seg, adopted = segCover{}, true
+	}
+	if tail := part.rows - seg.Rows; tail == 0 || seg.Rows > 0 && tail < minTail {
+		if adopted {
+			return &seg, nil
+		}
+		return nil, nil
+	}
+	return t.appendSegLocked(p, seg)
+}
+
+// appendSegLocked encodes partition p's rows after seg onto the end of
+// its segment file, the only place a segment file is written. Rows are
+// decoded one at a time from seg's offset in the row log and encoded
+// straight into the chunk being built. Whatever lies past seg's bytes
+// is cut first, and again when the derivation fails — a file with no
+// cover is removed.
+func (t *Table) appendSegLocked(p int, seg segCover) (_ *segCover, err error) {
+	part := &t.parts[p]
+	src, err := os.Open(part.path)
 	if err != nil {
-		return fmt.Errorf("storage: %w", err)
+		return nil, fmt.Errorf("storage: %w", err)
 	}
 	defer src.Close()
-	tmp := t.segPathLocked(p) + ".tmp"
-	dst, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("storage: %w", err)
+	if _, err := src.Seek(seg.Offset, io.SeekStart); err != nil {
+		return nil, fmt.Errorf("storage: %w", err)
 	}
-	defer os.Remove(tmp) // fails harmlessly once the rename below has happened
-	defer dst.Close()
-	w := bufio.NewWriterSize(dst, 1<<18)
-	arity := t.schema.Len()
-	rr := newRowReader(src, arity)
+	dst, err := os.OpenFile(t.segPathLocked(p), os.O_WRONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("storage: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			if seg.bytes == 0 {
+				_ = os.Remove(dst.Name())
+			} else {
+				_ = dst.Truncate(seg.bytes)
+			}
+		}
+		dst.Close()
+	}()
+	if err := dst.Truncate(seg.bytes); err != nil {
+		return nil, fmt.Errorf("storage: %w", err)
+	}
+	rr := newRowReader(src, t.schema.Len())
 	defer rr.release()
-	arena := make([]sqltypes.Value, min(segChunkRows, max(t.parts[p].rows, 1))*int64(arity))
-	chunk := make([]sqltypes.Row, 0, len(arena)/arity)
+	rows := part.rows - seg.Rows
 	var (
 		scratch []byte
-		total   int64
 		row     sqltypes.Row
+		read    int64
+		at      = seg.bytes
 	)
-	for err == nil {
-		chunk = chunk[:0]
-		for len(chunk) < cap(chunk) {
-			at := len(chunk) * arity
-			if row, err = rr.next(arena[at : at+arity : at+arity]); err != nil {
-				break
-			}
-			chunk = append(chunk, row)
+	next := func() (_ sqltypes.Row, err error) {
+		if row, err = rr.next(row); err == io.EOF {
+			err = corruptf("storage: table %q partition %d row log decoded %d rows after row %d but accounting says %d",
+				t.name, p, read, seg.Rows, rows)
 		}
-		if err != nil && err != io.EOF {
-			return err
+		read++
+		return row, err
+	}
+	for left := rows; left > 0; left -= segChunkRows {
+		if scratch, err = appendSegChunk(scratch[:0], t.schema, int(min(left, segChunkRows)), next); err != nil {
+			return nil, err
 		}
-		if len(chunk) == 0 {
-			break
+		if _, err := dst.WriteAt(scratch, at); err != nil {
+			return nil, fmt.Errorf("storage: %w", err)
 		}
-		total += int64(len(chunk))
-		scratch = encodeSegChunk(scratch[:0], t.schema, chunk)
-		if _, werr := w.Write(scratch); werr != nil {
-			return fmt.Errorf("storage: %w", werr)
+		at += int64(len(scratch))
+	}
+	if _, err := rr.next(row); err != io.EOF {
+		if err == nil {
+			err = corruptf("storage: table %q partition %d row log holds more rows than accounting's %d",
+				t.name, p, part.rows)
+		}
+		return nil, err
+	}
+	return &segCover{Mark{Rows: part.rows, Offset: part.size}, at}, nil
+}
+
+// blockRead is a segment scan's request: the schema ordinals of its
+// blocks and their consumer. whole refuses a segment that does not
+// cover every row of the partition.
+type blockRead struct {
+	cols  []int
+	fn    func(*Block) error
+	whole bool
+}
+
+func (br *blockRead) check(t *Table) error {
+	for i, c := range br.cols {
+		if c < 0 || c >= t.schema.Len() || slices.Contains(br.cols[:i], c) {
+			return fmt.Errorf("storage: block scan of table %q: column ordinals %v must be distinct and in 0..%d", t.name, br.cols, t.schema.Len()-1)
 		}
 	}
-	if total != t.parts[p].rows {
-		return corruptf("storage: table %q partition %d row log decoded %d rows but accounting says %d",
-			t.name, p, total, t.parts[p].rows)
-	}
-	if err := w.Flush(); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	if err := dst.Close(); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	if err := os.Rename(tmp, t.segPathLocked(p)); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	t.parts[p].segRows = total
 	return nil
+}
+
+// readSegLocked delivers the blocks of partition p's segment to br.fn,
+// adding its rows and bytes to st, and returns the blocks delivered.
+// A segment file gone or cut short under a live cover delivers nothing
+// and reports ErrSegmentStale, as a partition without a cover does.
+func (t *Table) readSegLocked(ctx context.Context, p int, br *blockRead, st *ScanStats) (blocks int64, err error) {
+	seg := t.parts[p].seg
+	f, size, err := openSeg(t.segPathLocked(p))
+	if err == nil && size < seg.bytes {
+		f.Close()
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return 0, fmt.Errorf("storage: table %q partition %d: %w (%v)", t.name, p, ErrSegmentStale, err)
+	}
+	defer f.Close()
+	done := ctx.Done()
+	sr := newSegReader(f, seg.bytes, t.schema, br.cols)
+	defer sr.release()
+	for {
+		blk, err := sr.next()
+		st.Bytes = sr.bytes
+		if err == io.EOF {
+			if st.Rows != seg.Rows {
+				return blocks, corruptf("storage: table %q partition %d segment holds %d rows but accounting says %d",
+					t.name, p, st.Rows, seg.Rows)
+			}
+			return blocks, nil
+		}
+		if err != nil {
+			return blocks, err
+		}
+		if done != nil {
+			select {
+			case <-done:
+				return blocks, ctx.Err()
+			default:
+			}
+		}
+		st.Rows += int64(blk.Rows)
+		blocks++
+		if err := br.fn(blk); err != nil {
+			return blocks, err
+		}
+	}
 }
 
 // ScanPartitionBlocks iterates partition p column-wise, delivering
 // blocks of the requested schema ordinals to fn. The Block (and its
 // slices) is reused between calls; fn must copy anything it retains.
-// On-disk partitions require a segment covering the partition's current
-// rows — otherwise ErrSegmentStale is returned before any block is
-// delivered, so callers can fall back to the row path without partial
-// accumulation. In-memory partitions synthesize blocks from resident
-// rows. Every row of the partition appears in exactly one delivered
-// block (invalid lanes included), so block-path row accounting matches
-// the row path's. cols must be distinct ordinals of the schema.
+// A partition needs a segment covering all its current rows — otherwise,
+// and always for an in-memory table, which has none, ErrSegmentStale is
+// returned before any block is delivered, so callers can fall back to
+// the row path without partial accumulation. Every row of the partition
+// appears in exactly one delivered block (invalid lanes included), so
+// block-path row accounting matches the row path's. cols must be
+// distinct ordinals of the schema.
 func (t *Table) ScanPartitionBlocks(ctx context.Context, p int, cols []int, fn func(*Block) error) (ScanStats, error) {
-	var st ScanStats
-	var blocks int64
-	defer func() {
-		obs.RowsScanned.Add(st.Rows)
-		obs.BytesRead.Add(st.Bytes)
-		obs.ColumnarBlocksScanned.Add(blocks)
-	}()
-	if p < 0 || p >= len(t.parts) {
-		return st, fmt.Errorf("storage: partition %d out of range 0..%d", p, len(t.parts)-1)
-	}
-	for i, c := range cols {
-		if c < 0 || c >= t.schema.Len() || slices.Contains(cols[:i], c) {
-			return st, fmt.Errorf("storage: block scan of table %q: column ordinals %v must be distinct and in 0..%d", t.name, cols, t.schema.Len()-1)
-		}
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	done := ctx.Done()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if c := t.parts[p].corrupt; c != nil {
-		return st, fmt.Errorf("storage: refusing to scan corrupt partition %d of table %q: %w", p, t.name, c)
-	}
-	st.End = Mark{Rows: t.parts[p].rows, Offset: t.parts[p].size}
-	flt := t.fault
-	if flt.matches(p) && flt.ScanOpen {
-		return st, flt.err()
-	}
-	deliver := func(b *Block) error {
-		if done != nil {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-		}
-		st.Rows += int64(b.Rows)
-		blocks++
-		t.scanned.Add(int64(b.Rows))
-		return fn(b)
-	}
-	if t.dir == "" {
-		return st, t.scanMemBlocksLocked(p, cols, deliver)
-	}
-	if t.parts[p].segRows != t.parts[p].rows {
-		return st, fmt.Errorf("storage: table %q partition %d: %w", t.name, p, ErrSegmentStale)
-	}
-	if t.parts[p].rows == 0 {
-		// Never-written partitions have no segment file; an empty scan
-		// is still a successful block scan, not a stale fallback.
-		return st, nil
-	}
-	f, size, err := openSeg(t.segPathLocked(p))
-	if err != nil {
-		return st, fmt.Errorf("storage: table %q partition %d: %w", t.name, p, ErrSegmentStale)
-	}
-	defer f.Close()
-	sr := newSegReader(f, size, t.schema, cols)
-	defer sr.release()
-	var total int64
-	for {
-		blk, err := sr.next()
-		st.Bytes = sr.bytes
-		if err == io.EOF {
-			if total != t.parts[p].segRows {
-				return st, corruptf("storage: table %q partition %d segment holds %d rows but accounting says %d",
-					t.name, p, total, t.parts[p].segRows)
-			}
-			return st, nil
-		}
-		if err != nil {
-			return st, err
-		}
-		total += int64(blk.Rows)
-		if err := deliver(blk); err != nil {
-			return st, err
-		}
-	}
-}
-
-// scanMemBlocksLocked synthesizes blocks from an in-memory partition.
-func (t *Table) scanMemBlocksLocked(p int, cols []int, deliver func(*Block) error) error {
-	mem := t.parts[p].mem
-	bb := getBlockBuf(len(cols))
-	defer blockBufs.Put(bb)
-	blk := &bb.blk
-	for off := 0; off < len(mem); off += segChunkRows {
-		n := min(len(mem)-off, segChunkRows)
-		blk.Rows = n
-		for s, c := range cols {
-			vals, valid := bb.vals[s][:n], bb.valid[s][:n]
-			numeric := NumericColumn(t.schema.Columns[c])
-			for r := 0; r < n; r++ {
-				vals[r], valid[r] = 0, false
-				if !numeric {
-					continue
-				}
-				if v := mem[off+r][c]; !v.IsNull() {
-					if f, ok := v.Float(); ok {
-						vals[r], valid[r] = f, true
-					}
-				}
-			}
-			blk.Cols[s], blk.Valid[s] = vals, valid
-		}
-		if err := deliver(blk); err != nil {
-			return err
-		}
-	}
-	return nil
+	return t.scanPartition(ctx, p, Mark{}, &blockRead{cols: cols, fn: fn, whole: true}, nil, nil)
 }
 
 // SegmentInfo describes one partition's segment state; sys.segments
@@ -651,7 +692,7 @@ type SegmentInfo struct {
 }
 
 // Segments reports per-partition segment state. In-memory tables report
-// no segments (blocks are synthesized).
+// none.
 func (t *Table) Segments() []SegmentInfo {
 	if t.dir == "" {
 		return nil
@@ -660,7 +701,7 @@ func (t *Table) Segments() []SegmentInfo {
 	defer t.mu.RUnlock()
 	out := make([]SegmentInfo, len(t.parts))
 	for p := range t.parts {
-		out[p] = SegmentInfo{Partition: p, Rows: t.parts[p].segRows}
+		out[p] = SegmentInfo{Partition: p, Rows: t.parts[p].seg.Rows}
 		if stt, err := os.Stat(t.segPathLocked(p)); err == nil {
 			out[p].Bytes = stt.Size()
 		}

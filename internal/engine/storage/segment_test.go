@@ -56,9 +56,21 @@ func rowVals(t *testing.T, tab *Table, p int, cols []int) (vals [][]float64, val
 	return vals, valid
 }
 
+// blocksMatchRows checks every partition's block scan of cols against
+// its row scan, bit for bit. An in-memory table has no segments: each of
+// its block scans must be refused as stale before delivering a block.
 func blocksMatchRows(t *testing.T, tab *Table, cols []int) {
 	t.Helper()
-	for p := 0; p < tab.Partitions(); p++ {
+	for p := 0; p < tab.Partitions() && !tab.OnDisk(); p++ {
+		_, err := tab.ScanPartitionBlocks(context.Background(), p, cols, func(*Block) error {
+			t.Fatalf("p%d: an in-memory partition delivered a block", p)
+			return nil
+		})
+		if !errors.Is(err, ErrSegmentStale) {
+			t.Fatalf("p%d: in-memory block scan: err = %v, want ErrSegmentStale", p, err)
+		}
+	}
+	for p := 0; p < tab.Partitions() && tab.OnDisk(); p++ {
 		bv, bok, _ := collectBlocks(t, tab, p, cols)
 		rv, rok := rowVals(t, tab, p, cols)
 		for s := range cols {
@@ -104,7 +116,8 @@ func TestBlockScanMatchesRowScan(t *testing.T) {
 			}
 			insertMixed(t, tab, 500)
 			// Inserts write the row log only; EnsureSegments derives the
-			// segments (and is a no-op for the in-memory table).
+			// segments (and is a no-op for the in-memory table, which
+			// has none).
 			if err := tab.EnsureSegments(); err != nil {
 				t.Fatal(err)
 			}
@@ -226,12 +239,20 @@ func TestEnsureSegmentsRebuildsAfterInvalidation(t *testing.T) {
 	if err := tab.EnsureSegments(); err != nil {
 		t.Fatal(err)
 	}
-	// A write leaves the segment behind; scribble on the file as well.
+	// A write leaves the segment behind; leave bytes past its cover as
+	// well, as a derivation that failed part-way does.
 	insertMixed(t, tab, 10)
 	tab.mu.RLock()
 	seg0 := tab.segPathLocked(0)
 	tab.mu.RUnlock()
-	if err := os.WriteFile(seg0, []byte("garbage"), 0o644); err != nil {
+	f, err := os.OpenFile(seg0, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("garbage"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Stale segment refuses block scans before rebuild.
@@ -243,6 +264,47 @@ func TestEnsureSegmentsRebuildsAfterInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	blocksMatchRows(t, tab, []int{0, 1})
+}
+
+// TestEnsureSegmentsRefusesMiscountedRowLog: a rebuild derives exactly
+// the rows the partition's accounting holds, so a row log that ends
+// early — mid-chunk or on a chunk boundary — or runs on past them is
+// corrupt: no segment is written and the partition stays stale.
+func TestEnsureSegmentsRefusesMiscountedRowLog(t *testing.T) {
+	const rows = 2*segChunkRows + 50
+	for _, logRows := range []int{segChunkRows + 7, segChunkRows, rows + 3} {
+		dir := t.TempDir()
+		tab, err := NewTable("x", testSchema(), dir, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var inserted []sqltypes.Row
+		var log []byte
+		for i := 0; i < max(rows, logRows); i++ {
+			r := row(int64(i), float64(i)/4, "t")
+			if i < rows {
+				inserted = append(inserted, r)
+			}
+			if i < logRows {
+				if log, err = encodeRow(log, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := tab.Insert(inserted...); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(tab.parts[0].path, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.EnsureSegments(); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("a row log of %d rows for %d accounted: EnsureSegments = %v, want ErrCorrupt", logRows, rows, err)
+		}
+		noSegmentFiles(t, dir)
+		if _, err := tab.ScanPartitionBlocks(context.Background(), 0, []int{1}, discardBlock); !errors.Is(err, ErrSegmentStale) {
+			t.Fatalf("a row log of %d rows: block scan err = %v, want ErrSegmentStale", logRows, err)
+		}
+	}
 }
 
 func TestOpenTableAdoptsOrRebuildsSegments(t *testing.T) {
@@ -316,6 +378,16 @@ func TestTruncateDropResetSegments(t *testing.T) {
 	noSegmentFiles(t, dir)
 }
 
+// encodeSegChunk encodes rows as one chunk, as the rebuild does.
+func encodeSegChunk(buf []byte, schema *sqltypes.Schema, rows []sqltypes.Row) []byte {
+	next := 0
+	buf, _ = appendSegChunk(buf, schema, len(rows), func() (sqltypes.Row, error) {
+		next++
+		return rows[next-1], nil
+	})
+	return buf
+}
+
 func TestSegmentDecoderRejectsCorruption(t *testing.T) {
 	schema := testSchema()
 	rows := []sqltypes.Row{row(1, 1.5, "a"), row(2, 2.5, "b")}
@@ -370,6 +442,14 @@ func FuzzDecodeSegment(f *testing.F) {
 	two := encodeSegChunk(nil, schema, rows[:7])
 	f.Add(encodeSegChunk(two, schema, rows[7:]))
 	f.Add([]byte(segMagic))
+	// Whole chunks of both sizes the writer has emitted: the
+	// parent-written 4096-row segment, and a 2048-row chunk.
+	parent, err := os.ReadFile(filepath.Join("testdata", "seg4096.p000.seg"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(parent)
+	f.Add(encodeSegChunk(nil, schema, parentSegmentRows()[:2048]))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		blocks, err := readSegImage(data, schema, []int{0, 1, 2})
 		if err != nil && !errors.Is(err, ErrCorrupt) {

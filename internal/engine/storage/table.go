@@ -20,7 +20,7 @@ const DefaultPartitions = 20
 // round-robin across partitions (the paper: "data sets were
 // horizontally partitioned evenly among threads"). An on-disk partition
 // is one append-only row log, the only thing a write touches; columnar
-// segments are a cache EnsureSegments derives from it (segment.go).
+// segments are a cache derived from it (segment.go).
 //
 // The guards directive below lets statlint's lockreent analyzer prove,
 // over the whole program, that nothing re-enters mu: *Locked methods
@@ -35,6 +35,9 @@ type Table struct {
 
 	mu    sync.RWMutex
 	parts []partition
+	// segMu serializes segment derivations, which read under mu's read
+	// lock (segment.go).
+	segMu sync.Mutex
 	// rows and epoch are written only under mu but read lock-free, so a
 	// summary's freshness check costs no lock (see Epoch).
 	rows  atomic.Int64
@@ -55,11 +58,11 @@ type partition struct {
 	mem  []sqltypes.Row // in-memory rows otherwise
 	rows int64
 	size int64 // bytes of the row log holding rows (0 in memory)
-	// segRows says the partition's segment file is a snapshot of the
-	// first segRows rows of this row log (no file needed at 0): fresh
-	// iff segRows == rows. Writes never touch it, so it only ever falls
-	// behind; EnsureSegments alone moves it forward (see segment.go).
-	segRows int64
+	// seg is what the partition's segment file covers: a prefix of this
+	// row log (no file needed while it is empty), the whole of it iff
+	// seg.Rows == rows. Writes never touch it, so it only ever falls
+	// behind; a derivation alone moves it forward (see segment.go).
+	seg segCover
 	// corrupt records why this partition's file can no longer be
 	// trusted (a failed rollback truncate left torn bytes); scans of a
 	// corrupt partition fail loudly instead of decoding garbage.
@@ -128,8 +131,8 @@ func OpenTable(name string, schema *sqltypes.Schema, dir string, partitions int)
 		}
 		t.parts[p].rows, t.parts[p].size = count, size
 		// A segment left behind by the previous process is unverified
-		// until EnsureSegments walks (and adopts) or rebuilds it.
-		t.parts[p].segRows = segUnverified
+		// until a derivation walks (and adopts) or rebuilds it.
+		t.parts[p].seg.Rows = segUnverified
 		t.rows.Add(count)
 	}
 	return t, nil
@@ -237,7 +240,7 @@ func (t *Table) ScanPartition(ctx context.Context, p int, fn func(sqltypes.Row) 
 // the stats cover whatever was read before an error, so failed scans
 // still report how far they got.
 func (t *Table) ScanPartitionStats(ctx context.Context, p int, fn func(sqltypes.Row) error) (ScanStats, error) {
-	return t.scanPartition(ctx, p, Mark{}, nil, fn)
+	return t.scanPartition(ctx, p, Mark{}, nil, nil, fn)
 }
 
 // ScanPartitionFloats is ScanPartitionStats in the float decode mode:
@@ -256,17 +259,30 @@ func (t *Table) ScanPartitionStats(ctx context.Context, p int, fn func(sqltypes.
 // partition, the End of an earlier scan of it at the same epoch only
 // the rows appended since (a row log is read from that offset on).
 func (t *Table) ScanPartitionFloats(ctx context.Context, p int, from Mark, cols []int, floats func(x []float64) error, rows func(sqltypes.Row) error) (ScanStats, error) {
-	fd := &floatDecode{want: make([]int, t.schema.Len()), cols: cols, x: make([]float64, len(cols)), fn: floats}
-	for i := range fd.want {
-		fd.want[i] = -1
+	fd, err := t.newFloatDecode(cols, floats)
+	if err != nil {
+		return ScanStats{}, err
 	}
-	for j, c := range cols {
-		if c < 0 || c >= len(fd.want) || fd.want[c] >= 0 {
-			return ScanStats{}, fmt.Errorf("storage: float scan of table %q: column ordinals %v must be distinct and in 0..%d", t.name, cols, len(fd.want)-1)
+	return t.scanPartition(ctx, p, from, nil, fd, rows)
+}
+
+// ScanPartitionSegment scans partition p from its segment: the rows the
+// segment covers arrive as blocks of cols, as ScanPartitionBlocks
+// delivers them, and the rows appended since it was derived follow in
+// order — decoded to floats of cols when floats is set, as
+// ScanPartitionFloats delivers them, boxed through rows otherwise. A
+// partition whose segment covers none of its rows (never derived, or
+// unverified after OpenTable) and every partition of an in-memory
+// table return ErrSegmentStale before anything is delivered.
+func (t *Table) ScanPartitionSegment(ctx context.Context, p int, cols []int, blocks func(*Block) error, floats func([]float64) error, rows func(sqltypes.Row) error) (ScanStats, error) {
+	var fd *floatDecode
+	if floats != nil {
+		var err error
+		if fd, err = t.newFloatDecode(cols, floats); err != nil {
+			return ScanStats{}, err
 		}
-		fd.want[c] = j
 	}
-	return t.scanPartition(ctx, p, from, fd, rows)
+	return t.scanPartition(ctx, p, Mark{}, &blockRead{cols: cols, fn: blocks}, fd, rows)
 }
 
 // floatDecode is a float-mode scan's request and buffer.
@@ -275,6 +291,21 @@ type floatDecode struct {
 	cols []int // per slot, its schema column
 	x    []float64
 	fn   func([]float64) error
+}
+
+// newFloatDecode checks cols against the schema and sets up their decode.
+func (t *Table) newFloatDecode(cols []int, fn func([]float64) error) (*floatDecode, error) {
+	fd := &floatDecode{want: make([]int, t.schema.Len()), cols: cols, x: make([]float64, len(cols)), fn: fn}
+	for i := range fd.want {
+		fd.want[i] = -1
+	}
+	for j, c := range cols {
+		if c < 0 || c >= len(fd.want) || fd.want[c] >= 0 {
+			return nil, fmt.Errorf("storage: float scan of table %q: column ordinals %v must be distinct and in 0..%d", t.name, cols, len(fd.want)-1)
+		}
+		fd.want[c] = j
+	}
+	return fd, nil
 }
 
 // unbox is the float decode of an in-memory row: the same rule as the
@@ -291,9 +322,12 @@ func (fd *floatDecode) unbox(r sqltypes.Row) bool {
 }
 
 // scanPartition is the one partition-scan body: the row scan when fd is
-// nil, the float decode mode otherwise, over the rows after from.
-func (t *Table) scanPartition(ctx context.Context, p int, from Mark, fd *floatDecode, fn func(sqltypes.Row) error) (ScanStats, error) {
+// nil, the float decode mode otherwise, over the rows after from — or,
+// with br set, the segment's rows as blocks and then those after the
+// segment's end.
+func (t *Table) scanPartition(ctx context.Context, p int, from Mark, br *blockRead, fd *floatDecode, fn func(sqltypes.Row) error) (ScanStats, error) {
 	var st ScanStats
+	var blocks int64
 	// One set of atomic adds per partition scan (not per row: the
 	// partition workers share these cache lines) keeps the table's and
 	// the process-wide counters current at near-zero overhead.
@@ -301,9 +335,15 @@ func (t *Table) scanPartition(ctx context.Context, p int, from Mark, fd *floatDe
 		t.scanned.Add(st.Rows)
 		obs.RowsScanned.Add(st.Rows)
 		obs.BytesRead.Add(st.Bytes)
+		obs.ColumnarBlocksScanned.Add(blocks)
 	}()
 	if p < 0 || p >= len(t.parts) {
 		return st, fmt.Errorf("storage: partition %d out of range 0..%d", p, len(t.parts)-1)
+	}
+	if br != nil {
+		if err := br.check(t); err != nil {
+			return st, err
+		}
 	}
 	// Normalize at the boundary: a nil ctx means background, and
 	// context.Background().Done() is nil, so the per-row fast path
@@ -332,6 +372,23 @@ func (t *Table) scanPartition(ctx context.Context, p int, from Mark, fd *floatDe
 		if flt.ScanAfterRows > 0 {
 			failAfter = flt.ScanAfterRows
 		}
+	}
+	var segBytes int64 // bytes of the segment read ahead of the row log
+	if br != nil {
+		seg := part.seg
+		if t.dir == "" || seg.Rows < 0 || seg.Rows == 0 && part.rows > 0 || br.whole && seg.Rows != part.rows {
+			return st, fmt.Errorf("storage: table %q partition %d: %w", t.name, p, ErrSegmentStale)
+		}
+		if seg.Rows > 0 {
+			var err error
+			if blocks, err = t.readSegLocked(ctx, p, br, &st); err != nil {
+				return st, err
+			}
+		}
+		if seg.Rows == part.rows {
+			return st, nil
+		}
+		from, segBytes = seg.Mark, st.Bytes
 	}
 	// admit runs before each row is handed on, whichever its decode.
 	admit := func() error {
@@ -384,7 +441,7 @@ func (t *Table) scanPartition(ctx context.Context, p int, from Mark, fd *floatDe
 	var decoded int64
 	for {
 		if fd != nil && rr.nextFloats(fd.want, fd.x) {
-			st.Bytes = rr.bytes()
+			st.Bytes = segBytes + rr.bytes()
 			decoded++
 			if err := admit(); err != nil {
 				return st, err
@@ -395,7 +452,7 @@ func (t *Table) scanPartition(ctx context.Context, p int, from Mark, fd *floatDe
 			continue
 		}
 		row, err = rr.next(row)
-		st.Bytes = rr.bytes()
+		st.Bytes = segBytes + rr.bytes()
 		if err == io.EOF {
 			// A file truncated exactly at a row boundary decodes cleanly
 			// but short — without this cross-check against the partition
@@ -460,7 +517,7 @@ func (t *Table) Truncate() error {
 			// would pass for a snapshot of whatever is inserted next.
 			err := os.Remove(t.segPathLocked(i))
 			if err == nil || os.IsNotExist(err) {
-				t.parts[i].segRows = 0
+				t.parts[i].seg = segCover{}
 				err = os.WriteFile(t.parts[i].path, nil, 0o644)
 			}
 			if err != nil {

@@ -37,19 +37,18 @@ import (
 
 // Catalog holds the summary entries of one database instance.
 type Catalog struct {
-	workers  int  // parallel scan width; <= 0 means one goroutine per partition
-	columnar bool // reads from the start use block kernels where eligible
+	workers int // parallel scan width; <= 0 means one goroutine per partition
 
 	mu      sync.Mutex
 	entries map[string]*entry
 }
 
 // NewCatalog creates an empty catalog whose scans use the given worker
-// count. With columnar set, a read from the start runs block-wise over
-// column segments where eligible; the block kernels are bit-identical
-// to the row path, so the summaries are the same either way.
-func NewCatalog(workers int, columnar bool) *Catalog {
-	return &Catalog{workers: workers, columnar: columnar, entries: make(map[string]*entry)}
+// count. A read from the start of an on-disk table runs block-wise over
+// its column segments; the block kernels are bit-identical to the row
+// path, so the summaries are the same either way.
+func NewCatalog(workers int) *Catalog {
+	return &Catalog{workers: workers, entries: make(map[string]*entry)}
 }
 
 // entry is one maintained summary. Reads that scan serialize on mu; a
@@ -135,7 +134,7 @@ func (c *Catalog) get(t *storage.Table, cols []string, mt core.MatrixType) (*ent
 	if e := c.entries[key]; e != nil && e.table == t {
 		return e, nil
 	}
-	scan, err := exec.PrepareTableNLQ(t, idx, mt, c.workers, c.columnar)
+	scan, err := exec.PrepareTableNLQ(t, idx, mt, c.workers, true)
 	if err != nil {
 		return nil, err
 	}

@@ -94,7 +94,7 @@ func TestMergeEquivalenceConcurrentInserts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cat := NewCatalog(0, false)
+			cat := NewCatalog(0)
 			ctx := context.Background()
 			// Warm the entry on the empty table so every later read resumes.
 			if _, hit, err := cat.NLQ(ctx, tab, testCols, core.Triangular); err != nil || hit {
@@ -152,7 +152,7 @@ func TestMergeEquivalenceConcurrentInserts(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireClose(t, s, want, 1e-9)
-			rescan, _, err := NewCatalog(0, false).NLQ(ctx, tab, testCols, core.Triangular)
+			rescan, _, err := NewCatalog(0).NLQ(ctx, tab, testCols, core.Triangular)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +178,7 @@ func TestBulkLoadMaintainsSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := NewCatalog(0, false)
+	cat := NewCatalog(0)
 	ctx := context.Background()
 	if _, _, err := cat.NLQ(ctx, tab, testCols, core.Triangular); err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestRollbackNeverServesRetractedRows(t *testing.T) {
 	if err := tab.Insert(testRow(1, 1, 2, 3), testRow(2, 4, 5, 6)); err != nil {
 		t.Fatal(err)
 	}
-	cat := NewCatalog(0, false)
+	cat := NewCatalog(0)
 	ctx := context.Background()
 	before, _, err := cat.NLQ(ctx, tab, testCols, core.Triangular)
 	if err != nil {
@@ -262,7 +262,7 @@ func TestRollbackCorruptionInvalidates(t *testing.T) {
 	if err := tab.Insert(testRow(1, 1, 2, 3), testRow(2, 4, 5, 6)); err != nil {
 		t.Fatal(err)
 	}
-	cat := NewCatalog(0, false)
+	cat := NewCatalog(0)
 	ctx := context.Background()
 	if _, _, err := cat.NLQ(ctx, tab, testCols, core.Triangular); err != nil {
 		t.Fatal(err)
@@ -293,7 +293,7 @@ func TestTruncateInvalidates(t *testing.T) {
 	if err := tab.Insert(testRow(1, 1, 2, 3)); err != nil {
 		t.Fatal(err)
 	}
-	cat := NewCatalog(0, false)
+	cat := NewCatalog(0)
 	ctx := context.Background()
 	if s, _, err := cat.NLQ(ctx, tab, testCols, core.Triangular); err != nil || s.N != 1 {
 		t.Fatalf("warm summary: n=%v err=%v", s.N, err)
@@ -319,7 +319,7 @@ func TestColumnValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := NewCatalog(0, false)
+	cat := NewCatalog(0)
 	ctx := context.Background()
 	if _, _, err := cat.NLQ(ctx, tab, []string{"nope"}, core.Triangular); err == nil {
 		t.Fatal("unknown column accepted")
@@ -348,7 +348,7 @@ func TestDropTableUnregisters(t *testing.T) {
 	if err := tab.Insert(testRow(1, 1, 2, 3)); err != nil {
 		t.Fatal(err)
 	}
-	cat := NewCatalog(0, false)
+	cat := NewCatalog(0)
 	ctx := context.Background()
 	if _, _, err := cat.NLQ(ctx, tab, testCols, core.Triangular); err != nil {
 		t.Fatal(err)
@@ -374,9 +374,10 @@ func TestDropTableUnregisters(t *testing.T) {
 
 // TestReadResumesBitForBit: a warm entry reads only what was appended
 // since its last read — by Insert, by a bulk load, NULL rows among them,
-// a refused insert in between — in memory and on disk, with the
-// columnar option off and on, and what it serves is, bit for bit, the
-// summary a fresh catalog reads from the start. A truncate moves the
+// a refused insert in between — in memory and on disk, where a read
+// from the start folds segment blocks and a resumed one row-log float
+// rows, and what it serves is, bit for bit, the summary a fresh
+// catalog reads from the start. A truncate moves the
 // table's epoch, and the next read reads from the start.
 func TestReadResumesBitForBit(t *testing.T) {
 	ctx := context.Background()
@@ -394,70 +395,68 @@ func TestReadResumesBitForBit(t *testing.T) {
 		return out
 	}
 	for _, disk := range []bool{false, true} {
-		for _, columnar := range []bool{false, true} {
-			name := fmt.Sprintf("disk=%v columnar=%v", disk, columnar)
-			dir := ""
-			if disk {
-				dir = t.TempDir()
-			}
-			tab, err := storage.NewTable("x", testSchema(), dir, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cat := NewCatalog(0, columnar)
-			check := func(what string, wantHit bool, wantScanned int64) {
-				t.Helper()
-				tab.ResetScannedRows()
-				s, hit, err := cat.NLQ(ctx, tab, testCols, core.Full)
-				if err != nil {
-					t.Fatalf("%s, %s: %v", name, what, err)
-				}
-				if hit != wantHit || tab.ScannedRows() != wantScanned {
-					t.Fatalf("%s, %s: hit=%v scanned %d, want %v and %d", name, what, hit, tab.ScannedRows(), wantHit, wantScanned)
-				}
-				rescan, _, err := NewCatalog(0, columnar).NLQ(ctx, tab, testCols, core.Full)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if s.Pack() != rescan.Pack() {
-					t.Fatalf("%s, %s: served %s\nrescan %s", name, what, s.Pack(), rescan.Pack())
-				}
-			}
-			if err := tab.Insert(rows(40)...); err != nil {
-				t.Fatal(err)
-			}
-			check("first read", false, 40)
-			if err := tab.Insert(rows(7)...); err != nil {
-				t.Fatal(err)
-			}
-			check("after an insert", true, 7)
-			check("again", true, 0)
-			bl, err := tab.NewBulkLoader()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range rows(50) {
-				if err := bl.Add(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := bl.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := tab.Insert(rows(1)[0], sqltypes.Row{sqltypes.NewBigInt(1)}); err == nil {
-				t.Fatal("an insert with a short row landed")
-			}
-			if err := tab.Insert(rows(2)...); err != nil {
-				t.Fatal(err)
-			}
-			check("after a bulk load, a refused insert and an insert", true, 52)
-			if err := tab.Truncate(); err != nil {
-				t.Fatal(err)
-			}
-			if err := tab.Insert(rows(5)...); err != nil {
-				t.Fatal(err)
-			}
-			check("after a truncate", false, 5)
+		name := fmt.Sprintf("disk=%v", disk)
+		dir := ""
+		if disk {
+			dir = t.TempDir()
 		}
+		tab, err := storage.NewTable("x", testSchema(), dir, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cat := NewCatalog(0)
+		check := func(what string, wantHit bool, wantScanned int64) {
+			t.Helper()
+			tab.ResetScannedRows()
+			s, hit, err := cat.NLQ(ctx, tab, testCols, core.Full)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", name, what, err)
+			}
+			if hit != wantHit || tab.ScannedRows() != wantScanned {
+				t.Fatalf("%s, %s: hit=%v scanned %d, want %v and %d", name, what, hit, tab.ScannedRows(), wantHit, wantScanned)
+			}
+			rescan, _, err := NewCatalog(0).NLQ(ctx, tab, testCols, core.Full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Pack() != rescan.Pack() {
+				t.Fatalf("%s, %s: served %s\nrescan %s", name, what, s.Pack(), rescan.Pack())
+			}
+		}
+		if err := tab.Insert(rows(40)...); err != nil {
+			t.Fatal(err)
+		}
+		check("first read", false, 40)
+		if err := tab.Insert(rows(7)...); err != nil {
+			t.Fatal(err)
+		}
+		check("after an insert", true, 7)
+		check("again", true, 0)
+		bl, err := tab.NewBulkLoader()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows(50) {
+			if err := bl.Add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.Insert(rows(1)[0], sqltypes.Row{sqltypes.NewBigInt(1)}); err == nil {
+			t.Fatal("an insert with a short row landed")
+		}
+		if err := tab.Insert(rows(2)...); err != nil {
+			t.Fatal(err)
+		}
+		check("after a bulk load, a refused insert and an insert", true, 52)
+		if err := tab.Truncate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.Insert(rows(5)...); err != nil {
+			t.Fatal(err)
+		}
+		check("after a truncate", false, 5)
 	}
 }

@@ -20,6 +20,7 @@ func TestPaperClaims(t *testing.T) {
 		"Table 4 clustering scoring SQL/UDF time, largest n":                true,
 	}
 	cfg := tiny().withDefaults()
+	cfg.Runs = 5
 	ran := results{}
 	verdicts := 0
 	for _, e := range All() {

@@ -6,85 +6,138 @@ import (
 
 	statsudf "repro"
 	"repro/internal/core"
+	"repro/internal/engine/exec"
+	"repro/internal/engine/sqlparser"
 )
 
-// runColumnarScan (a8) measures the row-vs-columnar crossover: the
-// same cold n,L,Q model-suite build (summaries invalidated before
-// every repetition, so each pays a full scan) and the same vectorized
-// filter+project scan, on two engines over identical data — one on
-// the default row-interpreted path, one with Options.Columnar. The
-// block path must be purely a performance lever: the merged summaries
-// and the regression coefficients solved from them are asserted
-// byte-for-byte identical across the two modes, and an ineligible
-// expression shape is run under the flag to confirm the fallback
-// still answers correctly.
+// runColumnarScan (a8) measures what the block source buys on disk: a
+// cold n,L,Q model-suite build (every repetition pays a full scan) and
+// a vectorized filter+project scan over one dataset, once with the
+// executor's block source declined, reading the row log, and once as
+// the engine runs them, from column segments. The two build arms run
+// the same summary scan (what a summary cache rebuild runs) and the two
+// filter arms the same statement, so only the source differs. The
+// source must be purely a performance lever: the summaries and the
+// regression coefficients solved from them are asserted byte-for-byte
+// identical across the two, and an ineligible expression shape is run
+// to confirm the fallback still answers correctly.
 func runColumnarScan(cfg Config) ([]*Table, error) {
 	const dims = 16
 	out := &Table{
 		ID: "a8",
-		Title: fmt.Sprintf("Ablation: row vs columnar scan path at d=%d (secs)",
+		Title: fmt.Sprintf("Ablation: row log vs column segments at d=%d (secs)",
 			dims),
-		Header: []string{"n x 1000", "row cold build", "columnar cold build", "build speedup",
-			"row filter scan", "columnar filter scan", "scan speedup"},
-		Note: "cold builds invalidate the summary cache each repetition and rescan; " +
-			"the columnar engine serves them from column segments via block kernels. " +
-			"Merged n,L,Q and linear-regression coefficients are asserted bit-identical across modes.",
+		Header: []string{"n x 1000", "row cold build", "block cold build", "build speedup",
+			"row filter scan", "block filter scan", "scan speedup"},
+		Note: "one on-disk dataset per n. Row arms decline the executor's block source and read the row log; " +
+			"block arms are the engine's default, column segments via block kernels. " +
+			"Both cold builds run the summary scan a cache rebuild runs, then the model suite. " +
+			"n,L,Q and linear-regression coefficients are asserted bit-identical across the sources.",
 	}
 	const scanSQL = "SELECT X1 + X2 FROM X WHERE X3 > 0"
-	// Separate directories: the two engines must not share a row log
-	// (or segments).
-	cfg.Dir = ""
 	for _, nk := range []int{200, 400, 800} {
 		n := cfg.rows(nk)
 		var builds, scans [2]Timing
 		var sums [2]*core.NLQ
-		for mode, columnar := range []bool{false, true} {
-			err := withDataset(cfg, dataset{n: n, dims: dims, columnar: columnar}, func(e *env) error {
-				// One untimed build first so the columnar engine's lazy
-				// segment materialization is not billed to the measurement:
-				// both modes then time cold *summary* scans over settled
-				// storage.
-				if err := cachedBuild.run(e); err != nil {
-					return err
-				}
-				ts, err := e.time(coldBuild, arm{"filter scan", func(e *env) error {
-					_, err := e.db.Exec(scanSQL)
-					return err
-				}})
-				if err != nil {
-					return err
-				}
-				builds[mode], scans[mode] = ts[0], ts[1]
-				if sums[mode], err = e.cachedSummary(); err != nil {
-					return err
-				}
-				if columnar {
-					return checkFallbackShape(e.db, n)
-				}
-				return nil
-			})
+		err := withDataset(cfg, dataset{n: n, dims: dims}, func(e *env) error {
+			scan, err := e.declineBlocks(scanSQL)
 			if err != nil {
-				return nil, err
+				return err
 			}
+			build := func(blocks bool) func(*env) error {
+				return func(e *env) error {
+					s, err := e.summaryScan(blocks)
+					if err != nil {
+						return err
+					}
+					return buildAllModels(s)
+				}
+			}
+			ts, err := e.time(arm{"row scan + build", build(false)}, arm{"row filter scan", func(e *env) error {
+				_, err := scan.Run(e.cfg.ctx(), nil, nil)
+				return err
+			}}, arm{"block scan + build", build(true)}, arm{"block filter scan", func(e *env) error {
+				_, err := e.db.Exec(scanSQL)
+				return err
+			}})
+			if err != nil {
+				return err
+			}
+			builds, scans = [2]Timing{ts[0], ts[2]}, [2]Timing{ts[1], ts[3]}
+			for i, blocks := range []bool{false, true} {
+				if sums[i], err = e.summaryScan(blocks); err != nil {
+					return err
+				}
+			}
+			return checkFallbackShape(e.db, n)
+		})
+		if err != nil {
+			return nil, err
 		}
 		if err := nlqBitsIdentical(sums[0], sums[1]); err != nil {
-			return nil, fmt.Errorf("a8: n=%d summaries differ across modes: %w", n, err)
+			return nil, fmt.Errorf("a8: n=%d summaries differ across sources: %w", n, err)
 		}
 		if err := linRegBitsIdentical(sums[0], sums[1]); err != nil {
-			return nil, fmt.Errorf("a8: n=%d coefficients differ across modes: %w", n, err)
+			return nil, fmt.Errorf("a8: n=%d coefficients differ across sources: %w", n, err)
 		}
 		out.add(nk, builds[0], builds[1], bestOf(builds), scans[0], scans[1], bestOf(scans))
 	}
 	return []*Table{out}, nil
 }
 
+// summaryScan runs the summary scan of the dataset's columns — the one
+// a summary cache rebuild runs — with the executor's block source
+// offered or declined, and merges its partitions in order.
+func (e *env) summaryScan(blocks bool) (*core.NLQ, error) {
+	x, err := e.db.Engine().Table("X")
+	if err != nil {
+		return nil, err
+	}
+	idx := make([]int, len(e.cols))
+	for i, c := range e.cols {
+		idx[i] = x.Schema().Index(c)
+	}
+	scan, err := exec.PrepareTableNLQ(x, idx, core.Triangular, 0, blocks)
+	if err != nil {
+		return nil, err
+	}
+	parts := make([]*core.NLQ, x.Partitions())
+	if _, err := scan.Read(e.cfg.ctx(), nil, parts); err != nil {
+		return nil, err
+	}
+	sum, err := core.NewNLQ(len(idx), core.Triangular)
+	if err != nil {
+		return nil, err
+	}
+	for _, q := range parts {
+		if q != nil {
+			if err := sum.Merge(q); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return sum, nil
+}
+
+// declineBlocks plans the SELECT sql over the dataset with the
+// executor's block source declined (exec.Env.Columnar off): the row
+// arm, reading the row log.
+func (e *env) declineBlocks(sql string) (*exec.PreparedSelect, error) {
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	eng := e.db.Engine()
+	return exec.PrepareSelect(stmt.(*sqlparser.Select), &exec.Env{Catalog: eng, Funcs: eng.Scalars(), Aggs: eng.Aggregates()})
+}
+
 // checkFallbackShape runs an expression the vector compiler rejects
-// (a function call) under the columnar flag and sanity-checks the
-// row-path fallback produced the full result set.
+// (a function call) on disk, where the planner offers blocks, and
+// sanity-checks the row-path fallback produced the full result set.
 func checkFallbackShape(d *statsudf.DB, n int) error {
 	res, err := d.Exec("SELECT power(X1, 2) FROM X")
 	if err != nil {
-		return fmt.Errorf("a8: fallback shape failed under -columnar: %w", err)
+		return fmt.Errorf("a8: fallback shape failed: %w", err)
 	}
 	if len(res.Rows) != n {
 		return fmt.Errorf("a8: fallback shape returned %d rows, want %d", len(res.Rows), n)

@@ -174,14 +174,19 @@ func (t *Table) add(cells ...any) {
 }
 
 // value is the number in the named column of row r (negative r counts
-// from the last row).
+// from the last row); for a measurement, the median of its repetitions,
+// which one slow repetition cannot move.
 func (t *Table) value(r int, column string) float64 {
 	if r < 0 {
 		r += len(t.Rows)
 	}
 	for i, h := range t.Header {
 		if h == column {
-			return t.Rows[r][i].value
+			c := t.Rows[r][i]
+			if len(c.timing.Runs) > 0 {
+				return c.timing.Median().Seconds()
+			}
+			return c.value
 		}
 	}
 	panic(fmt.Sprintf("harness: table %s %q has no column %q", t.ID, t.Title, column))
@@ -393,6 +398,21 @@ func (t Timing) Min() time.Duration {
 		return 0
 	}
 	return slices.Min(t.Runs)
+}
+
+// Median is the middle run, the mean of the middle two for an even
+// count (0 for an empty Timing).
+func (t Timing) Median() time.Duration {
+	if len(t.Runs) == 0 {
+		return 0
+	}
+	runs := slices.Clone(t.Runs)
+	slices.Sort(runs)
+	m := len(runs) / 2
+	if len(runs)%2 == 0 {
+		return (runs[m-1] + runs[m]) / 2
+	}
+	return runs[m]
 }
 
 // Max is the slowest run.

@@ -426,9 +426,11 @@ func TestFloatPathReported(t *testing.T) {
 
 // TestBoxedFloatBoundary: over a table with a VARCHAR column, NULLs in
 // a requested column (those rows are skipped) and in unrequested ones
-// (those rows are kept), in memory and on disk, the float-row statement,
-// the same statement on the boxed row path (a residual WHERE), and
-// the summary scan in row and columnar mode all produce, byte for byte,
+// (those rows are kept), in memory and on disk, the float-row statement
+// — read from segment blocks where the table is on disk, and from float
+// rows with the block source declined — the same statement on the boxed
+// row path (a residual WHERE), and the summary scan in row and columnar
+// mode all produce, byte for byte,
 // the packed summary of the boxed Accumulate run over every partition's
 // rows and merged in partition order.
 func TestBoxedFloatBoundary(t *testing.T) {
@@ -494,19 +496,28 @@ func TestBoxedFloatBoundary(t *testing.T) {
 			t.Fatalf("the boxed reference folded %v rows, want 240", s.N)
 		}
 
-		for _, c := range []struct{ sql, source string }{
-			{"SELECT nlq_list(2, 'triang', X1, X3) FROM N", "float"},
-			{"SELECT nlq_list(2, 'triang', X1, X3) FROM N WHERE 1 = 1", "row"},
+		floats := "float" // what the float-row statement reads with blocks offered
+		if dir != "" {
+			floats = "block"
+		}
+		for _, c := range []struct {
+			sql     string
+			sources [2]string // declining blocks, offering them
+		}{
+			{"SELECT nlq_list(2, 'triang', X1, X3) FROM N", [2]string{"float", floats}},
+			{"SELECT nlq_list(2, 'triang', X1, X3) FROM N WHERE 1 = 1", [2]string{"row", "row"}},
 		} {
 			res, err := d.Exec(c.sql)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if src := res.Stats.Root.SpanByName("scan").Children[0].Source; src != c.source {
-				t.Fatalf("dir %q: %s scanned %s rows, want %s", dir, c.sql, src, c.source)
-			}
-			if got := res.Rows[0][0].Str(); got != want {
-				t.Fatalf("dir %q: %s = %s\nthe boxed path: %s", dir, c.sql, got, want)
+			for arm, res := range []*exec.Result{selectRows(t, d, c.sql), res} {
+				if src := res.Stats.Root.SpanByName("scan").SpanByName("scan[p0]").Source; src != c.sources[arm] {
+					t.Fatalf("dir %q: %s scanned %s rows, want %s", dir, c.sql, src, c.sources[arm])
+				}
+				if got := res.Rows[0][0].Str(); got != want {
+					t.Fatalf("dir %q: %s from %s = %s\nthe boxed path: %s", dir, c.sql, c.sources[arm], got, want)
+				}
 			}
 		}
 		for _, columnar := range []bool{false, true} {

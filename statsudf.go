@@ -129,9 +129,8 @@ type Options struct {
 	// TraceCap bounds retained traces per class (error/slow/sampled);
 	// zero selects the engine default (128).
 	TraceCap int
-	// Columnar opts eligible scans into the block-at-a-time execution
-	// path (column segments + vector kernels). Results are identical
-	// to the default row path; only performance changes.
+	// Deprecated: ignored. Scans of an on-disk table read its column
+	// segments wherever they are eligible.
 	Columnar bool
 }
 
@@ -147,7 +146,6 @@ func Open(opts Options) (*DB, error) {
 	eng, err := db.OpenDir(db.Options{
 		Dir: opts.Dir, Partitions: opts.Partitions, Workers: opts.Workers,
 		SlowQuery: opts.SlowQuery, TraceSampleN: opts.TraceSampleN, TraceCap: opts.TraceCap,
-		Columnar: opts.Columnar,
 	})
 	if err != nil {
 		return nil, err

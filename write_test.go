@@ -48,8 +48,9 @@ func countRows(t *testing.T, d *DB, table string) int64 {
 
 // TestSelfInsertSelectTerminates: an INSERT ... SELECT that reads its
 // own target — directly, through a view, or as a cross-join tail table —
-// returns, inserts exactly the rows of the target's pre-statement
-// snapshot, and leaves row and columnar scans bit-equal.
+// returns and inserts exactly the rows of the target's pre-statement
+// snapshot, in memory and on disk; on disk it also leaves the table's
+// block scan bit-equal to an in-memory twin's row scan.
 func TestSelfInsertSelectTerminates(t *testing.T) {
 	const n = 5000
 	stmts := map[string]string{
@@ -60,16 +61,22 @@ func TestSelfInsertSelectTerminates(t *testing.T) {
 	for _, disk := range []bool{false, true} {
 		for name, stmt := range stmts {
 			t.Run(fmt.Sprintf("%s/disk=%v", name, disk), func(t *testing.T) {
-				rowDB, colDB := openModePair(t, disk, 4)
-				for _, d := range []*DB{rowDB, colDB} {
+				rowDB, colDB := openModePair(t, 4)
+				dbs := []*DB{rowDB, colDB}
+				if !disk {
+					dbs = dbs[:1]
+				}
+				for _, d := range dbs {
 					if err := d.Generate("X", MixtureConfig{N: n, D: 2, Seed: 7}); err != nil {
 						t.Fatal(err)
 					}
+					for _, sql := range []string{"CREATE VIEW V AS SELECT i, X1, X2 FROM X", "CREATE TABLE ONE (k BIGINT)", "INSERT INTO ONE VALUES (1)"} {
+						if _, err := d.Exec(sql); err != nil {
+							t.Fatal(err)
+						}
+					}
 				}
-				execBothModes(t, rowDB, colDB, "CREATE VIEW V AS SELECT i, X1, X2 FROM X")
-				execBothModes(t, rowDB, colDB, "CREATE TABLE ONE (k BIGINT)")
-				execBothModes(t, rowDB, colDB, "INSERT INTO ONE VALUES (1)")
-				for _, d := range []*DB{rowDB, colDB} {
+				for _, d := range dbs {
 					d := d
 					underWatchdog(t, 5*time.Second, stmt, func() error {
 						res, err := d.Exec(stmt)
@@ -87,7 +94,7 @@ func TestSelfInsertSelectTerminates(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cr, err := colDB.Exec(q)
+				cr, err := dbs[len(dbs)-1].Exec(q)
 				if err != nil {
 					t.Fatal(err)
 				}
