@@ -249,7 +249,8 @@ func TestColumnarSummaryStampsMatch(t *testing.T) {
 
 // segmentFiles lists every segment file (and rebuild temporary) under
 // dir, with each file's chunk count read off its chunk headers:
-// "SEG1" | u32 rows | u32 ncols | u32 bodyLen | body.
+// "SEG2" | u32 rows | u32 ncols | u32 bodyLen | body (directory, then
+// column blocks).
 func segmentFiles(t *testing.T, dir string) map[string]int {
 	t.Helper()
 	out := map[string]int{}
@@ -262,7 +263,7 @@ func segmentFiles(t *testing.T, dir string) map[string]int {
 			return err
 		}
 		chunks := 0
-		for len(data) >= 16 && string(data[:4]) == "SEG1" {
+		for len(data) >= 16 && string(data[:4]) == "SEG2" {
 			data = data[16+binary.LittleEndian.Uint32(data[12:16]):]
 			chunks++
 		}

@@ -89,7 +89,7 @@ func batchEnv(t *testing.T, n, workers int, columnar bool) (*Env, *storage.Table
 }
 
 // checkSources fails unless every partition scan ran from want.
-func checkSources(t *testing.T, st *Stats, want string) {
+func checkSources(t testing.TB, st *Stats, want string) {
 	t.Helper()
 	for _, sp := range st.Root.SpanByName("scan").Children {
 		if sp.Name != "ensure" && sp.Source != want {

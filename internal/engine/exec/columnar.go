@@ -77,7 +77,8 @@ type vecPrograms struct {
 	// Per-program views of the union block, in the program's column order.
 	whereView vecView
 	itemViews []vecView
-	mask      []bool
+	mask      []bool  // the WHERE's true lanes, the items' mask
+	sel       []int32 // the rows to emit, ascending
 	vals      [][]float64
 	valid     [][]bool
 	ops       int64 // vector ops since the last release
@@ -131,14 +132,16 @@ func (v *vecPrograms) fill(p *expr.VectorProgram, blk *storage.Block, view vecVi
 }
 
 // block consumes one block: an aggregate folds it (aggWorker.block); a
-// projection filters it with the predicate program, evaluates every
-// item program over the surviving lanes, and emits the surviving rows
-// into the worker's batch, as the row consumer does.
+// projection evaluates its predicate program, turns the truth vector
+// into a selection of the rows it keeps, evaluates every item program
+// under the same lanes as a mask, and emits the selected rows into the
+// worker's batch, as the row consumer does.
 func (w *selectWorker) block(blk *storage.Block) error {
 	if w.agg != nil {
 		return w.agg.block(blk)
 	}
 	v := w.vec
+	var mask []bool // nil: every row
 	if v.where != nil {
 		v.fill(v.where, blk, v.whereView)
 		truth, err := v.where.EvalBool(v.whereView.cols, v.whereView.valid, blk.Rows, nil)
@@ -146,38 +149,28 @@ func (w *selectWorker) block(blk *storage.Block) error {
 			return err
 		}
 		v.ops += v.where.Ops()
-		if cap(v.mask) < blk.Rows {
-			v.mask = make([]bool, blk.Rows)
-		}
-		v.mask = v.mask[:blk.Rows]
-		any := false
-		for r := range v.mask {
-			v.mask[r] = truth[r] == expr.TruthTrue
-			any = any || v.mask[r]
-		}
-		if !any {
+		if v.selection(truth) == 0 {
 			return nil
 		}
+		mask = v.mask
+	} else {
+		v.every(blk.Rows)
 	}
 	for i, p := range v.items {
 		v.fill(p, blk, v.itemViews[i])
-		vals, ok, err := p.EvalNum(v.itemViews[i].cols, v.itemViews[i].valid, blk.Rows, v.mask)
+		vals, ok, err := p.EvalNum(v.itemViews[i].cols, v.itemViews[i].valid, blk.Rows, mask)
 		if err != nil {
 			return err
 		}
 		v.ops += p.Ops()
 		v.vals[i], v.valid[i] = vals, ok
 	}
-	for r := 0; r < blk.Rows; r++ {
-		if v.mask != nil && !v.mask[r] {
-			continue
-		}
+	for _, r := range v.sel {
 		out := w.batch[w.n]
 		for i := range v.items {
+			out[i] = sqltypes.Null
 			if v.valid[i][r] {
 				out[i] = sqltypes.NewDouble(v.vals[i][r])
-			} else {
-				out[i] = sqltypes.Null
 			}
 		}
 		if err := w.emit(); err != nil {
@@ -185,4 +178,40 @@ func (w *selectWorker) block(blk *storage.Block) error {
 		}
 	}
 	return nil
+}
+
+// selection sets mask to the lanes where truth is TRUE and sel to their
+// rows, without a branch per lane, and returns how many there are.
+func (v *vecPrograms) selection(truth []int8) int {
+	if cap(v.sel) < len(truth) {
+		v.mask, v.sel = make([]bool, len(truth)), make([]int32, len(truth))
+	}
+	mask, sel := v.mask[:len(truth)], v.sel[:len(truth)]
+	n := 0
+	for r, t := range truth {
+		mask[r] = t == expr.TruthTrue
+		sel[n] = int32(r)
+		n += b2i(mask[r])
+	}
+	v.mask, v.sel = mask, sel[:n]
+	return n
+}
+
+// every selects all rows of a block.
+func (v *vecPrograms) every(rows int) {
+	if cap(v.sel) < rows {
+		v.mask, v.sel = make([]bool, rows), make([]int32, rows)
+	}
+	v.sel = v.sel[:rows]
+	for r := range v.sel {
+		v.sel[r] = int32(r)
+	}
+}
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

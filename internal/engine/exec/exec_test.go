@@ -54,7 +54,7 @@ func drow(vals ...float64) sqltypes.Row {
 	return r
 }
 
-func sel(t *testing.T, sql string) *sqlparser.Select {
+func sel(t testing.TB, sql string) *sqlparser.Select {
 	t.Helper()
 	st, err := sqlparser.Parse(sql)
 	if err != nil {

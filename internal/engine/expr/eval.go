@@ -14,9 +14,10 @@ import (
 // alike — so callers can classify it without string matching.
 var ErrDivisionByZero = errors.New("expr: division by zero")
 
-// floatMod is the one float remainder implementation shared by the
-// scalar and vector evaluators: IEEE remainder with the sign of the
-// dividend (math.Mod), with a zero divisor raising the typed error.
+// floatMod is the scalar evaluator's float remainder: IEEE remainder
+// with the sign of the dividend (math.Mod), with a zero divisor raising
+// the typed error. vecArith computes the same math.Mod on every lane and
+// raises the same error for a zero divisor on a valid lane.
 // The previous a - b*float64(int64(a/b)) formulation hit undefined
 // int64 conversion when a/b overflowed the int64 range (and on the
 // Inf quotient of b == 0), silently producing garbage.

@@ -2,6 +2,8 @@ package expr
 
 import (
 	"fmt"
+	"math"
+	"unsafe"
 
 	"repro/internal/engine/sqlparser"
 )
@@ -19,11 +21,11 @@ import (
 //
 // Numeric results are (vals []float64, valid []bool) pairs; boolean
 // results are Kleene truth vectors ([]int8: 0 false, 1 true, 2 NULL).
-// Every node evaluates under an *active-lane mask*: AND/OR evaluate
-// their right operand only on lanes the row path would reach (left not
-// already deciding), and projections evaluate only on lanes the WHERE
-// kept — so a division by zero in a lane the row path never evaluates
-// cannot raise a spurious error. Division by zero on an active lane
+// Every node evaluates under an *active-lane mask*: AND/OR mask their
+// right operand to the lanes the row path would reach (left not already
+// deciding), and projections to the lanes the WHERE kept — so a
+// division by zero in a lane the row path never evaluates cannot raise
+// a spurious error. Division by zero on an active lane
 // raises the same typed ErrDivisionByZero the scalar evaluator does.
 
 // errVectorUnsupported is returned by CompileVector for expression
@@ -90,16 +92,16 @@ func (p *VectorProgram) begin(cols [][]float64, valid [][]bool, rows int, mask [
 	p.ctx.cols = cols
 	p.ctx.valid = valid
 	p.ctx.ops += int64(rows)
-	if mask == nil {
-		if cap(p.mask) < rows {
-			p.mask = make([]bool, rows)
-		}
-		mask = p.mask[:rows]
-		for i := range mask {
-			mask[i] = true
+	if mask != nil {
+		return mask
+	}
+	if len(p.mask) < rows { // filled once, as no node writes a mask
+		p.mask = make([]bool, rows)
+		for i := range p.mask {
+			p.mask[i] = true
 		}
 	}
-	return mask
+	return p.mask[:rows]
 }
 
 // Ops drains the count of lanes the program has processed since the
@@ -248,8 +250,38 @@ func (vc *vecCompiler) compile(e sqlparser.Expr) (numNode, boolNode, error) {
 }
 
 // ---- nodes ---------------------------------------------------------
+//
+// A node's operator switch runs once per block, outside its lane loop,
+// and the loop fills every lane without branching on the data: bool
+// lanes combine as bytes with & and |, and truth values come from
+// tables. Lanes outside the mask are computed too, from whatever their
+// operands hold, and are unspecified; a mask only decides validity and
+// which zero divisors raise.
 
-// vecConst broadcasts a literal.
+// lane returns buf resized to rows, reallocated only when it must grow.
+func lane[T any](buf *[]T, rows int) []T {
+	if cap(*buf) < rows {
+		*buf = make([]T, rows)
+	}
+	return (*buf)[:rows]
+}
+
+// laneBytes views a bool lane as its bytes, each 0 or 1.
+func laneBytes(b []bool) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(b))), len(b))
+}
+
+// b2u is 1 for true and 0 for false; it compiles to a flag set, not a
+// branch.
+func b2u(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// vecConst broadcasts a literal. Its lanes are filled when they grow,
+// not on every block: nothing writes through a node's result.
 type vecConst struct {
 	v     float64
 	vals  []float64
@@ -257,17 +289,14 @@ type vecConst struct {
 }
 
 func (n *vecConst) evalNum(c *vecCtx, mask []bool) ([]float64, []bool, error) {
-	if cap(n.vals) < c.rows {
-		n.vals = make([]float64, c.rows)
-		n.valid = make([]bool, c.rows)
-	}
-	vals, valid := n.vals[:c.rows], n.valid[:c.rows]
-	for i := range vals {
-		vals[i] = n.v
-		valid[i] = true
+	if len(n.vals) < c.rows {
+		n.vals, n.valid = make([]float64, c.rows), make([]bool, c.rows)
+		for i := range n.vals {
+			n.vals[i], n.valid[i] = n.v, true
+		}
 	}
 	c.ops += int64(c.rows)
-	return vals, valid, nil
+	return n.vals[:c.rows], n.valid[:c.rows], nil
 }
 
 // vecCol reads an input column in place (no copy).
@@ -288,18 +317,12 @@ func (n *vecNeg) evalNum(c *vecCtx, mask []bool) ([]float64, []bool, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if cap(n.vals) < c.rows {
-		n.vals = make([]float64, c.rows)
-		n.valid = make([]bool, c.rows)
-	}
-	vals, valid := n.vals[:c.rows], n.valid[:c.rows]
+	vals, valid := lane(&n.vals, c.rows), lane(&n.valid, c.rows)
+	xv = xv[:len(vals)]
+	vb, mb, xb := laneBytes(valid), laneBytes(mask)[:len(vals)], laneBytes(xok)[:len(vals)]
 	for r := range vals {
-		if !mask[r] {
-			valid[r] = false
-			continue
-		}
-		valid[r] = xok[r]
 		vals[r] = -xv[r]
+		vb[r] = mb[r] & xb[r]
 	}
 	c.ops += int64(c.rows)
 	return vals, valid, nil
@@ -312,6 +335,10 @@ type vecArith struct {
 	valid []bool
 }
 
+// evalNum computes every lane; a lane is valid where it is masked in
+// and both operands are present, and only such a lane's zero divisor
+// raises ErrDivisionByZero, as the row path divides only there. A
+// remainder is math.Mod, as floatMod's.
 func (n *vecArith) evalNum(c *vecCtx, mask []bool) ([]float64, []bool, error) {
 	lv, lok, err := n.l.evalNum(c, mask)
 	if err != nil {
@@ -321,43 +348,73 @@ func (n *vecArith) evalNum(c *vecCtx, mask []bool) ([]float64, []bool, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if cap(n.vals) < c.rows {
-		n.vals = make([]float64, c.rows)
-		n.valid = make([]bool, c.rows)
+	vals, valid := lane(&n.vals, c.rows), lane(&n.valid, c.rows)
+	lv, rv = lv[:len(vals)], rv[:len(vals)]
+	vb := laneBytes(valid)
+	mb, lb, rb := laneBytes(mask)[:len(vb)], laneBytes(lok)[:len(vb)], laneBytes(rok)[:len(vb)]
+	for r := range vb {
+		vb[r] = mb[r] & lb[r] & rb[r]
 	}
-	vals, valid := n.vals[:c.rows], n.valid[:c.rows]
 	c.ops += int64(c.rows)
-	for r := range vals {
-		if !mask[r] || !lok[r] || !rok[r] {
-			valid[r] = false
-			continue
+	var zero byte // a valid lane's divisor was zero
+	switch n.op {
+	case opAdd:
+		for r := range vals {
+			vals[r] = lv[r] + rv[r]
 		}
-		a, b := lv[r], rv[r]
-		switch n.op {
-		case opAdd:
-			vals[r] = a + b
-		case opSub:
-			vals[r] = a - b
-		case opMul:
-			vals[r] = a * b
-		case opDiv:
-			if b == 0 {
-				return nil, nil, ErrDivisionByZero
-			}
-			vals[r] = a / b
-		case opMod:
-			// Shared semantics with the scalar evaluator: math.Mod with a
-			// typed error on zero divisors (see floatMod).
-			m, err := floatMod(a, b)
-			if err != nil {
-				return nil, nil, err
-			}
-			vals[r] = m
+	case opSub:
+		for r := range vals {
+			vals[r] = lv[r] - rv[r]
 		}
-		valid[r] = true
+	case opMul:
+		for r := range vals {
+			vals[r] = lv[r] * rv[r]
+		}
+	case opDiv:
+		for r := range vals {
+			vals[r] = lv[r] / rv[r]
+			zero |= vb[r] & b2u(rv[r] == 0)
+		}
+	case opMod:
+		for r := range vals {
+			vals[r] = math.Mod(lv[r], rv[r])
+			zero |= vb[r] & b2u(rv[r] == 0)
+		}
+	}
+	if zero != 0 {
+		return nil, nil, ErrDivisionByZero
 	}
 	return vals, valid, nil
 }
+
+// cmpTruth[op-opEq][lt | gt<<1 | ok<<2] is the truth of a comparison
+// whose operands order below (lt), above (gt) or neither — equal, or a
+// NaN, which sqltypes.Compare orders equal to everything — and are both
+// present (ok); NULL when they are not.
+var cmpTruth = func() (t [opGe - opEq + 1][8]int8) {
+	holds := [...]func(cmp int) bool{
+		opEq - opEq: func(c int) bool { return c == 0 },
+		opNe - opEq: func(c int) bool { return c != 0 },
+		opLt - opEq: func(c int) bool { return c < 0 },
+		opLe - opEq: func(c int) bool { return c <= 0 },
+		opGt - opEq: func(c int) bool { return c > 0 },
+		opGe - opEq: func(c int) bool { return c >= 0 },
+	}
+	for op, h := range holds {
+		for i := range t[op] {
+			cmp := [4]int{0, -1, 1, 0}[i&3]
+			switch {
+			case i < 4:
+				t[op][i] = vNull
+			case h(cmp):
+				t[op][i] = vTrue
+			default:
+				t[op][i] = vFalse
+			}
+		}
+	}
+	return t
+}()
 
 type vecCmp struct {
 	op    binOp
@@ -374,51 +431,30 @@ func (n *vecCmp) evalBool(c *vecCtx, mask []bool) ([]int8, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cap(n.truth) < c.rows {
-		n.truth = make([]int8, c.rows)
-	}
-	truth := n.truth[:c.rows]
-	c.ops += int64(c.rows)
+	truth := lane(&n.truth, c.rows)
+	lv, rv = lv[:len(truth)], rv[:len(truth)]
+	lb, rb := laneBytes(lok)[:len(truth)], laneBytes(rok)[:len(truth)]
+	tab := &cmpTruth[n.op-opEq]
 	for r := range truth {
-		if !mask[r] {
-			continue
-		}
-		if !lok[r] || !rok[r] {
-			truth[r] = vNull
-			continue
-		}
-		// Mirror sqltypes.Compare's float ordering exactly (NaN compares
-		// equal to everything there, via the double-negative default).
-		cmp := 0
-		switch {
-		case lv[r] < rv[r]:
-			cmp = -1
-		case lv[r] > rv[r]:
-			cmp = 1
-		}
-		var b bool
-		switch n.op {
-		case opEq:
-			b = cmp == 0
-		case opNe:
-			b = cmp != 0
-		case opLt:
-			b = cmp < 0
-		case opLe:
-			b = cmp <= 0
-		case opGt:
-			b = cmp > 0
-		default:
-			b = cmp >= 0
-		}
-		if b {
-			truth[r] = vTrue
-		} else {
-			truth[r] = vFalse
-		}
+		i := b2u(lv[r] < rv[r]) | b2u(lv[r] > rv[r])<<1 | (lb[r]&rb[r])<<2
+		truth[r] = tab[i&7]
 	}
+	c.ops += int64(c.rows)
 	return truth, nil
 }
+
+// kleeneAnd and kleeneOr are the three-valued connectives, indexed by
+// left<<2 | right (index 3 of either side never occurs).
+var kleeneAnd, kleeneOr = func() (and, or [16]int8) {
+	// Ordered false < NULL < true, AND is the lesser value, OR the greater.
+	rank := [4]int8{vFalse: 0, vNull: 1, vTrue: 2, 3: 1}
+	byRank := [3]int8{vFalse, vNull, vTrue}
+	for i := range and {
+		l, r := rank[i>>2], rank[i&3]
+		and[i], or[i] = byRank[min(l, r)], byRank[max(l, r)]
+	}
+	return and, or
+}()
 
 type vecLogic struct {
 	and   bool
@@ -432,50 +468,34 @@ func (n *vecLogic) evalBool(c *vecCtx, mask []bool) ([]int8, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cap(n.truth) < c.rows {
-		n.truth = make([]int8, c.rows)
-		n.rmask = make([]bool, c.rows)
-	}
-	truth, rmask := n.truth[:c.rows], n.rmask[:c.rows]
+	truth, rmask := lane(&n.truth, c.rows), lane(&n.rmask, c.rows)
+	lt = lt[:len(truth)]
 	// Short-circuit-aware masking: the right operand is evaluated only
 	// on lanes the row path would evaluate it — where the left side did
 	// not already decide. A division by zero hiding behind `x <> 0 AND
 	// 1/x > 2` therefore cannot fire on the x = 0 lanes.
-	short := vFalse
+	short, tab := vFalse, &kleeneAnd
 	if !n.and {
-		short = vTrue
+		short, tab = vTrue, &kleeneOr
 	}
-	need := false
-	for r := range rmask {
-		on := mask[r] && lt[r] != short
-		rmask[r] = on
-		need = need || on
-	}
-	var rt []int8
-	if need {
-		rt, err = n.r.evalBool(c, rmask)
-		if err != nil {
-			return nil, err
-		}
+	mb, rmb := laneBytes(mask)[:len(truth)], laneBytes(rmask)
+	var need byte
+	for r := range rmb {
+		rmb[r] = mb[r] & b2u(lt[r] != short)
+		need |= rmb[r]
 	}
 	c.ops += int64(c.rows)
+	if need == 0 { // every masked-in lane is decided already
+		copy(truth, lt)
+		return truth, nil
+	}
+	rt, err := n.r.evalBool(c, rmask)
+	if err != nil {
+		return nil, err
+	}
+	rt = rt[:len(truth)]
 	for r := range truth {
-		if !mask[r] {
-			continue
-		}
-		if lt[r] == short {
-			truth[r] = short
-			continue
-		}
-		rv := rt[r]
-		switch {
-		case rv == short:
-			truth[r] = short
-		case lt[r] == vNull || rv == vNull:
-			truth[r] = vNull
-		default:
-			truth[r] = 1 - short // the non-deciding definite value
-		}
+		truth[r] = tab[(lt[r]&3)<<2|rt[r]&3]
 	}
 	return truth, nil
 }
@@ -485,29 +505,20 @@ type vecNot struct {
 	truth []int8
 }
 
+// notTruth maps a truth value to its negation (index 3 never occurs).
+var notTruth = [4]int8{vFalse: vTrue, vTrue: vFalse, vNull: vNull, 3: vNull}
+
 func (n *vecNot) evalBool(c *vecCtx, mask []bool) ([]int8, error) {
 	xt, err := n.x.evalBool(c, mask)
 	if err != nil {
 		return nil, err
 	}
-	if cap(n.truth) < c.rows {
-		n.truth = make([]int8, c.rows)
-	}
-	truth := n.truth[:c.rows]
-	c.ops += int64(c.rows)
+	truth := lane(&n.truth, c.rows)
+	xt = xt[:len(truth)]
 	for r := range truth {
-		if !mask[r] {
-			continue
-		}
-		switch xt[r] {
-		case vNull:
-			truth[r] = vNull
-		case vTrue:
-			truth[r] = vFalse
-		default:
-			truth[r] = vTrue
-		}
+		truth[r] = notTruth[xt[r]&3]
 	}
+	c.ops += int64(c.rows)
 	return truth, nil
 }
 
@@ -522,20 +533,14 @@ func (n *vecIsNull) evalBool(c *vecCtx, mask []bool) ([]int8, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cap(n.truth) < c.rows {
-		n.truth = make([]int8, c.rows)
-	}
-	truth := n.truth[:c.rows]
-	c.ops += int64(c.rows)
+	truth := lane(&n.truth, c.rows)
+	// IS NULL is true where the operand is absent, IS NOT NULL where it
+	// is present.
+	flip := b2u(!n.negate)
+	xb := laneBytes(xok)[:len(truth)]
 	for r := range truth {
-		if !mask[r] {
-			continue
-		}
-		if !xok[r] != n.negate {
-			truth[r] = vTrue
-		} else {
-			truth[r] = vFalse
-		}
+		truth[r] = int8(xb[r] ^ flip)
 	}
+	c.ops += int64(c.rows)
 	return truth, nil
 }

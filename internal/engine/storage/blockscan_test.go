@@ -68,7 +68,7 @@ func mixedRow(rng *rand.Rand, i, parts int) sqltypes.Row {
 func TestBlockScanMatchesRowScanRandomSubsets(t *testing.T) {
 	schema := mixedSchema()
 	for _, shape := range []struct{ rows, parts int }{
-		{1, 1}, {3, 2}, {segMaxChunkRows, 1}, {2*segMaxChunkRows + 37, 1}, {3*segMaxChunkRows + 5, 2},
+		{1, 1}, {3, 2}, {2 * segChunkRows, 1}, {4*segChunkRows + 37, 1}, {6*segChunkRows + 5, 2},
 	} {
 		for _, dir := range []string{"", t.TempDir()} {
 			name := fmt.Sprintf("%dx%d/mem", shape.rows, shape.parts)
@@ -158,9 +158,10 @@ func sameBlocks(t *testing.T, what string, got, want []Block) {
 }
 
 // TestSegmentReaderTruncatedOrFlipped: a segment cut at any byte offset
-// that is not a chunk boundary, or with any header byte or column tag
-// changed, fails with ErrCorrupt — after delivering exactly the intact
-// chunks before the damage, unchanged, and nothing of the damaged one.
+// that is not a chunk boundary, or with any byte of a chunk's header or
+// directory entries changed — a column's tag or its padding — fails
+// with ErrCorrupt, after delivering exactly the intact chunks before the
+// damage, unchanged, and nothing of the damaged one.
 func TestSegmentReaderTruncatedOrFlipped(t *testing.T) {
 	schema := testSchema()
 	var rows []sqltypes.Row
@@ -206,26 +207,11 @@ func TestSegmentReaderTruncatedOrFlipped(t *testing.T) {
 			}
 			sameBlocks(t, what, got, good[:len(got)])
 		}
-		// Every header byte, then every column's tag byte, of each chunk.
+		// Every header byte, then every byte of every column's directory
+		// entry, of each chunk: the reader checks them all, whichever
+		// columns it was asked for.
 		for c, at := range chunkAt {
-			damage := make([]int, 16)
-			for i := range damage {
-				damage[i] = at + i
-			}
-			nrows := 9
-			if c == 1 {
-				nrows = 3
-			}
-			bm := (nrows + 7) / 8
-			tag := at + 16
-			for _, col := range schema.Columns {
-				damage = append(damage, tag)
-				tag += 1 + bm
-				if NumericColumn(col) {
-					tag += 16 + 8*nrows
-				}
-			}
-			for _, pos := range damage {
+			for pos := at; pos < at+16+8*schema.Len(); pos++ {
 				for _, x := range []byte{0x01, 0x02, 0x80, 0xff} {
 					what := fmt.Sprintf("cols %v byte %d ^ %#x", cols, pos, x)
 					bad := append([]byte(nil), img...)
@@ -312,6 +298,60 @@ func TestBlockScanReadsOnlyRequestedColumns(t *testing.T) {
 	}
 	if got := scan(ordinals(33)); got != seg {
 		t.Fatalf("a full-width scan read %d bytes, the segment is %d", got, seg)
+	}
+}
+
+// countingReader counts the positional reads made of a segment image.
+type countingReader struct {
+	io.ReaderAt
+	reads int
+}
+
+func (c *countingReader) ReadAt(p []byte, off int64) (int, error) {
+	c.reads++
+	return c.ReaderAt.ReadAt(p, off)
+}
+
+// TestSegmentReadsPerChunk: a chunk costs one read of its header and
+// directory plus one per run of adjacent requested numeric columns,
+// however wide the schema and whichever columns go unread; a
+// non-numeric column is never read.
+func TestSegmentReadsPerChunk(t *testing.T) {
+	const rows = 2*segChunkRows + 100 // three chunks
+	tab := wideTable(t, 33, rows)
+	tab.mu.RLock()
+	img, err := os.ReadFile(tab.segPathLocked(0))
+	tab.mu.RUnlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		cols []int
+		runs int
+	}{
+		{nil, 0}, {[]int{1}, 1}, {[]int{0, 1, 2}, 1}, {[]int{2, 0, 1}, 1}, {ordinals(33), 1},
+		{[]int{0, 2, 4}, 3}, {[]int{32, 0, 1, 31}, 2},
+	} {
+		cr := &countingReader{ReaderAt: bytes.NewReader(img)}
+		blocks, err := readSeg(cr, int64(len(img)), tab.schema, c.cols)
+		if err != nil || len(blocks) != 3 {
+			t.Fatalf("cols %v: %d blocks, err %v", c.cols, len(blocks), err)
+		}
+		if want := 3 * (1 + c.runs); cr.reads != want {
+			t.Fatalf("cols %v: %d reads over 3 chunks, want %d", c.cols, cr.reads, want)
+		}
+	}
+	// A VARCHAR between numeric columns splits their run and is not read.
+	schema := mixedSchema()
+	rng := rand.New(rand.NewSource(3))
+	mixed := make([]sqltypes.Row, 10)
+	for i := range mixed {
+		mixed[i] = mixedRow(rng, i, 1)
+	}
+	raw := encodeSegChunk(nil, schema, mixed)
+	cr := &countingReader{ReaderAt: bytes.NewReader(raw)}
+	if _, err := readSeg(cr, int64(len(raw)), schema, []int{0, 1, 2, 3, 4}); err != nil || cr.reads != 3 {
+		t.Fatalf("d0 i1 s2 d3 s4: %d reads, err %v; want 3", cr.reads, err)
 	}
 }
 
@@ -424,12 +464,12 @@ func BenchmarkBlockScan(b *testing.B) {
 }
 
 // TestMain checks, once every storage test has run, that no scan wrote
-// through the validity lane NULL-free columns share.
+// through the lanes NULL-free and non-numeric columns share.
 func TestMain(m *testing.M) {
 	code := m.Run()
-	for r, ok := range allValid {
-		if !ok {
-			fmt.Fprintf(os.Stderr, "the shared all-valid lane was written through: lane %d is false\n", r)
+	for r := range allValid {
+		if !allValid[r] || noneValid[r] || math.Float64bits(noValues[r]) != 0 {
+			fmt.Fprintf(os.Stderr, "a shared lane was written through at lane %d\n", r)
 			code = 1
 			break
 		}

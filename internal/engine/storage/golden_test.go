@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -49,8 +50,8 @@ func goldenRows() []sqltypes.Row {
 
 // parentSegmentRows is the content of testdata/seg4096.p000.seg: one
 // partition of a table "seg4096" over testSchema, inserted in this
-// order, whose segment the 4096-row chunk writer derived. 4500 rows
-// make one full 4096-row chunk and a partial one; NULLs fall in both
+// order, whose segment the SEG1 writer derived in 4096-row chunks. 4500
+// rows make one full 4096-row chunk and a partial one; NULLs fall in both
 // numeric columns, and the BIGINT values outgrow float64's exact range.
 func parentSegmentRows() []sqltypes.Row {
 	rows := make([]sqltypes.Row, 4500)
@@ -156,10 +157,10 @@ func TestParentWrittenTable(t *testing.T) {
 	}
 	blocksMatchRows(t, tab, []int{0, 1})
 	// The segments the rebuild derives are pinned too: these are the
-	// bytes the parent of the arena rebuild wrote from the same files.
+	// bytes the chunk-directory writer derives from the same files.
 	for p, want := range []string{
-		"2ab9f0efaa41d09de9b603214cf0446b981fb9c22d77bafe39899c75f371471b",
-		"be2389340e7cfd5057178005f7cbb0150f208ac8f26fd67f6bb246b57bf515d2",
+		"37909e9e92b971ce749b087a9b3453053a2681a930edfde00f3117be746abdf3",
+		"da9909b2e6474c5a211f94fe27b6b3dfc2bf491419e4743ac7ddf8c19c3ac6c4",
 	} {
 		seg, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("golden.p%03d.seg", p)))
 		if err != nil {
@@ -171,14 +172,22 @@ func TestParentWrittenTable(t *testing.T) {
 	}
 }
 
-// TestParentWrittenSegment keeps segments written with 4096-row chunks
-// scanning: a table whose row log holds parentSegmentRows adopts the
-// parent-written segment as it stands — no rebuild — and its blocks,
-// chunked as written, match the row log bit for bit.
+// TestParentWrittenSegment: a segment of SEG1 chunks, the layout before
+// chunks carried a directory (here the 4096-row chunks an earlier writer
+// derived), is never adopted and never misread. Read directly it fails
+// ErrCorrupt before delivering a block; a table reattached over it
+// refuses block scans until its first derivation, which replaces the
+// file with 2048-row chunks whose blocks equal the row log bit for bit.
 func TestParentWrittenSegment(t *testing.T) {
 	img, err := os.ReadFile(filepath.Join("testdata", "seg4096.p000.seg"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if string(img[:4]) != "SEG1" {
+		t.Fatalf("testdata segment starts %q, want a SEG1 chunk", img[:4])
+	}
+	if blocks, err := readSegImage(img, testSchema(), []int{0, 1, 2}); !errors.Is(err, ErrCorrupt) || len(blocks) != 0 {
+		t.Fatalf("reading the SEG1 image: %d blocks, err %v; want none and ErrCorrupt", len(blocks), err)
 	}
 	dir := t.TempDir()
 	tab, err := NewTable("seg4096", testSchema(), dir, 1)
@@ -195,11 +204,21 @@ func TestParentWrittenSegment(t *testing.T) {
 	if tab, err = OpenTable("seg4096", testSchema(), dir, 1); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := tab.ScanPartitionBlocks(context.Background(), 0, []int{1}, discardBlock); !errors.Is(err, ErrSegmentStale) {
+		t.Fatalf("block scan before the first derivation: err = %v, want ErrSegmentStale", err)
+	}
 	if err := tab.EnsureSegments(); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := os.ReadFile(seg); err != nil || !bytes.Equal(got, img) {
-		t.Fatalf("the parent-written segment was not adopted as it stands (err %v)", err)
+	got, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got[:4]) != segMagic || bytes.Contains(got, []byte("SEG1")) {
+		t.Fatalf("the derivation left SEG1 bytes behind (file starts %q)", got[:4])
+	}
+	if si := tab.Segments()[0]; si.Rows != int64(len(parentSegmentRows())) || si.Bytes != int64(len(got)) {
+		t.Fatalf("segment state %+v after the derivation", si)
 	}
 	var chunks []int
 	if _, err := tab.ScanPartitionBlocks(context.Background(), 0, []int{1}, func(b *Block) error {
@@ -208,8 +227,8 @@ func TestParentWrittenSegment(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(chunks, []int{4096, 404}) {
-		t.Fatalf("blocks of %v rows, want the parent's chunks [4096 404]", chunks)
+	if !slices.Equal(chunks, []int{2048, 2048, 404}) {
+		t.Fatalf("blocks of %v rows, want chunks [2048 2048 404]", chunks)
 	}
 	blocksMatchRows(t, tab, []int{0, 1})
 	blocksMatchRows(t, tab, []int{2, 1, 0})

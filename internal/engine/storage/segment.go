@@ -34,30 +34,31 @@ import (
 //
 // File layout: a sequence of chunks, each
 //
-//	magic "SEG1" | u32 rows (1..segMaxChunkRows) | u32 ncols | u32 bodyLen
-//	body: ncols column blocks, in schema order
+//	header:    magic "SEG2" | u32 rows (1..segChunkRows) | u32 ncols |
+//	           u32 bodyLen (directory and column blocks)
+//	directory: per column, its tag byte (1 = numeric, 0 = other) and
+//	           seven zero bytes; then min f64 | max f64 per numeric column
+//	blocks:    per column in schema order, the valid bitmap (bit set =
+//	           numeric value present; for non-numeric columns: value is
+//	           non-NULL), zero-padded to 8 bytes, then, for a numeric
+//	           column, rows × f64 values (little-endian, invalid lanes
+//	           zero-filled)
 //
-// and each column block is
+// so every block starts 8-byte aligned. BIGINT values are stored as
+// float64 via the same conversion the row-at-a-time n/L/Q scan applies
+// (Value.Float), so block kernels see exactly the operands the row path
+// would.
 //
-//	tag byte (1 = numeric, 0 = other)
-//	valid bitmap, ceil(rows/8) bytes (bit set = numeric value present;
-//	for non-numeric columns: value is non-NULL)
-//	numeric only: min f64 | max f64 | rows × f64 values (little-endian,
-//	invalid lanes zero-filled)
-//
-// BIGINT values are stored as float64 via the same conversion the
-// row-at-a-time n/L/Q scan applies (Value.Float), so block kernels see
-// exactly the operands the row path would.
-//
-// The writer emits segChunkRows-row chunks: a block scan holds a lane
-// per requested column at the chunk's height, so the chunk bounds a
-// concurrent scan's memory, while halving it again doubles the
-// positional reads. Readers accept up to segMaxChunkRows, the chunk
-// earlier writers emitted, so their files keep scanning.
+// A reader fetches a chunk's header and directory in one positional
+// read, checking every column's entry there, then each run of adjacent
+// requested numeric columns in one more, straight into the float64
+// buffer its lanes are views of. Chunks are segChunkRows rows, the last
+// one short: the chunk bounds a concurrent scan's memory. A file of
+// another layout (the SEG1 chunks earlier writers emitted) fails
+// adoption and is derived again from the row log.
 const (
-	segMagic        = "SEG1"
-	segChunkRows    = 2048
-	segMaxChunkRows = 4096
+	segMagic     = "SEG2"
+	segChunkRows = 2048
 )
 
 // ErrSegmentStale reports that a partition's segment file does not
@@ -72,11 +73,12 @@ const segUnverified = -1
 
 // Block is one decoded batch of column data delivered to block-scan
 // callbacks. Slices are reused between callbacks and, for a NULL-free
-// column's Valid, shared between scans: callers copy anything they
-// retain and never write through them. Cols/Valid are indexed parallel
-// to the requested column list, not by schema ordinal. Valid reports
-// "numeric value present": NULLs and non-numeric columns are false
-// (with the corresponding Cols lane zero-filled).
+// column's Valid and both lanes of a non-numeric column, shared between
+// scans: callers copy anything they retain and never write through
+// them. Cols/Valid are indexed parallel to the requested column list,
+// not by schema ordinal. Valid reports "numeric value present": NULLs
+// and non-numeric columns are false (with the corresponding Cols lane
+// zero-filled).
 type Block struct {
 	Rows  int
 	Cols  [][]float64
@@ -111,104 +113,138 @@ func (t *Table) segPathLocked(p int) string {
 	return strings.TrimSuffix(t.parts[p].path, ".dat") + ".seg"
 }
 
-// appendSegChunk appends one chunk of nrows (≤ segMaxChunkRows) rows to
-// buf, taking them in order from next. The column blocks are laid out
-// first and filled row by row, so each row is read once and none is
-// kept, however many columns there are.
-func appendSegChunk(buf []byte, schema *sqltypes.Schema, nrows int, next func() (sqltypes.Row, error)) ([]byte, error) {
-	bmLen := (nrows + 7) / 8
-	type colBlock struct {
-		at      int // offset of the block's bitmap in the body
-		numeric bool
-		mn, mx  float64
-	}
-	cols := make([]colBlock, schema.Len())
-	bodyLen := 0
+// pad8 rounds n up to a multiple of 8.
+func pad8(n int) int { return (n + 7) &^ 7 }
+
+// segShape is the part of a chunk's layout its schema fixes: the
+// directory's length and, per column and past the last, how many
+// numeric columns precede it.
+type segShape struct {
+	dirLen    int
+	numBefore []int
+	nnum      int
+}
+
+func newSegShape(schema *sqltypes.Schema) segShape {
+	sh := segShape{numBefore: make([]int, schema.Len()+1)}
 	for c, col := range schema.Columns {
-		cols[c] = colBlock{at: bodyLen + 1, numeric: NumericColumn(col), mn: math.Inf(1), mx: math.Inf(-1)}
-		bodyLen += 1 + bmLen
-		if cols[c].numeric {
-			bodyLen += 16 + 8*nrows // min/max, then the values
+		sh.numBefore[c] = sh.nnum
+		if NumericColumn(col) {
+			sh.nnum++
 		}
 	}
-	buf = append(buf, segMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(nrows))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(cols)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(bodyLen))
-	bodyStart := len(buf)
-	buf = append(buf, make([]byte, bodyLen)...) // invalid lanes stay zero
-	body := buf[bodyStart:]
+	sh.numBefore[schema.Len()] = sh.nnum
+	sh.dirLen = 8*schema.Len() + 16*sh.nnum
+	return sh
+}
+
+// blockAt is the offset of column c's block from the start of an
+// nrows-row chunk whose bitmaps are bmLen bytes.
+func (sh *segShape) blockAt(c, bmLen, nrows int) int {
+	return 16 + sh.dirLen + c*bmLen + 8*nrows*sh.numBefore[c]
+}
+
+// bodyLen is the length of an nrows-row chunk after its header.
+func (sh *segShape) bodyLen(bmLen, nrows int) int {
+	return sh.blockAt(len(sh.numBefore)-1, bmLen, nrows) - 16
+}
+
+// appendSegChunk appends one chunk of nrows (≤ segChunkRows) rows to
+// buf, taking them in order from next. The chunk is laid out first and
+// filled row by row, so each row is read once and none is kept, however
+// many columns there are.
+func appendSegChunk(buf []byte, schema *sqltypes.Schema, nrows int, next func() (sqltypes.Row, error)) ([]byte, error) {
+	sh := newSegShape(schema)
+	bmLen := pad8((nrows + 7) / 8)
+	mn, mx := make([]float64, sh.nnum), make([]float64, sh.nnum)
+	for k := range mn {
+		mn[k], mx[k] = math.Inf(1), math.Inf(-1)
+	}
+	at := make([]int, schema.Len()) // each column's block
+	for c := range at {
+		at[c] = sh.blockAt(c, bmLen, nrows)
+	}
+	start := len(buf)
+	buf = append(buf, make([]byte, 16+sh.bodyLen(bmLen, nrows))...) // invalid lanes stay zero
+	chunk := buf[start:]
+	copy(chunk, segMagic)
+	binary.LittleEndian.PutUint32(chunk[4:], uint32(nrows))
+	binary.LittleEndian.PutUint32(chunk[8:], uint32(schema.Len()))
+	binary.LittleEndian.PutUint32(chunk[12:], uint32(len(chunk)-16))
 	for r := range nrows {
 		row, err := next()
 		if err != nil {
 			return buf, err
 		}
 		bit := byte(1) << (r % 8)
-		for c := range cols {
-			cb := &cols[c]
+		for c, col := range schema.Columns {
 			v := row[c]
 			if v.IsNull() {
 				continue
 			}
-			if !cb.numeric {
-				body[cb.at+r/8] |= bit
+			if !NumericColumn(col) {
+				chunk[at[c]+r/8] |= bit
 				continue
 			}
 			if f, ok := v.Float(); ok {
-				body[cb.at+r/8] |= bit
-				binary.LittleEndian.PutUint64(body[cb.at+bmLen+16+8*r:], math.Float64bits(f))
-				if f < cb.mn {
-					cb.mn = f
+				k := sh.numBefore[c]
+				chunk[at[c]+r/8] |= bit
+				binary.LittleEndian.PutUint64(chunk[at[c]+bmLen+8*r:], math.Float64bits(f))
+				if f < mn[k] {
+					mn[k] = f
 				}
-				if f > cb.mx {
-					cb.mx = f
+				if f > mx[k] {
+					mx[k] = f
 				}
 			}
 		}
 	}
-	for _, cb := range cols {
-		if cb.numeric {
-			body[cb.at-1] = 1
-			binary.LittleEndian.PutUint64(body[cb.at+bmLen:], math.Float64bits(cb.mn))
-			binary.LittleEndian.PutUint64(body[cb.at+bmLen+8:], math.Float64bits(cb.mx))
+	minMax := chunk[16+8*schema.Len():]
+	for c, col := range schema.Columns {
+		if NumericColumn(col) {
+			k := sh.numBefore[c]
+			chunk[16+8*c] = 1
+			binary.LittleEndian.PutUint64(minMax[16*k:], math.Float64bits(mn[k]))
+			binary.LittleEndian.PutUint64(minMax[16*k+8:], math.Float64bits(mx[k]))
 		}
 	}
 	return buf, nil
 }
 
-// laneHead is how many float64s of a lane's backing array precede its
-// values: a numeric column block's tag, bitmap and min/max (at most
-// 1 + segMaxChunkRows/8 + 16 bytes) land there when the block is read
-// in one call, so the values that follow them start 8-byte aligned at
-// lane[laneHead].
-const laneHead = (1 + segMaxChunkRows/8 + 16 + 7) / 8
-
 // allValid is the Valid lane of every NULL-free column: read-only by
-// Block's contract, shared by every scan in the process.
-var allValid = func() (v [segMaxChunkRows]bool) {
-	for i := range v {
-		v[i] = true
-	}
-	return v
-}()
+// Block's contract, shared by every scan in the process. noneValid and
+// noValues are the lanes of every requested non-numeric column, shared
+// the same way.
+var (
+	allValid = func() (v [segChunkRows]bool) {
+		for i := range v {
+			v[i] = true
+		}
+		return v
+	}()
+	noneValid [segChunkRows]bool
+	noValues  [segChunkRows]float64
+)
 
-// blockBuf is the backing of one scan's Block: a float lane and a
-// validity lane per requested column, pooled across scans so a scan
-// allocates no column memory once the pool is warm.
+// blockBuf is the backing of one scan's Block: the chunk header and
+// directory, the requested numeric columns' blocks — bitmaps and values
+// — and a validity lane per requested column, pooled across scans so a
+// scan allocates no column memory once the pool is warm.
 type blockBuf struct {
 	blk   Block
-	vals  [][]float64 // laneHead + the tallest chunk read, each
-	valid [][]bool    // the tallest chunk read with a clear bit, each
+	head  []byte
+	run   []float64 // the lanes are views of it
+	valid [][]bool  // the tallest chunk read with a clear bit, each
 }
 
 var blockBufs = sync.Pool{New: func() any { return new(blockBuf) }}
 
-// getBlockBuf leases a buffer with slots for k columns; their lanes
-// grow to the chunks read.
+// getBlockBuf leases a buffer with slots for k columns; its buffers grow
+// to the chunks read.
 func getBlockBuf(k int) *blockBuf {
 	bb := blockBufs.Get().(*blockBuf)
-	for len(bb.vals) < k {
-		bb.vals, bb.valid = append(bb.vals, nil), append(bb.valid, nil)
+	for len(bb.valid) < k {
+		bb.valid = append(bb.valid, nil)
 	}
 	if cap(bb.blk.Cols) < k {
 		bb.blk.Cols, bb.blk.Valid = make([][]float64, k), make([][]bool, k)
@@ -217,68 +253,73 @@ func getBlockBuf(k int) *blockBuf {
 	return bb
 }
 
-// lane returns slot s's float lane, head included, for an n-row chunk:
-// lanes are sized to the chunks actually read, not to the format's
-// maximum.
-func (bb *blockBuf) lane(s, n int) []float64 {
-	if len(bb.vals[s]) < laneHead+n {
-		bb.vals[s] = make([]float64, laneHead+n)
+// grow returns buf resized to n, reallocated only when it must grow.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
 	}
-	return bb.vals[s][:laneHead+n]
-}
-
-// validLane returns slot s's validity lane for an n-row chunk,
-// allocated only once a chunk of the column needs one of its own.
-func (bb *blockBuf) validLane(s, n int) []bool {
-	if len(bb.valid[s]) < n {
-		bb.valid[s] = make([]bool, n)
-	}
-	return bb.valid[s][:n]
+	return (*buf)[:n]
 }
 
 // nativeLittleEndian: segment values are little-endian on disk, which
 // is how this host lays a float64 out in memory.
 var nativeLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-// floatBytes views a float lane as the bytes a segment read fills. A
+// floatBytes views a float buffer as the bytes a segment read fills. A
 // host whose float64 layout is not the file's swaps the values in place
 // afterwards (segReader.next).
 func floatBytes(f []float64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), 8*len(f))
 }
 
+// segRun is n adjacent requested numeric columns from schema ordinal
+// first on, read in one call.
+type segRun struct{ first, n int }
+
 // segReader reads consecutive chunks of a segment, surfacing only the
-// requested schema ordinals into a pooled Block. It is positional: a
-// chunk's layout follows from its header and the schema, so the reader
-// fetches the header, one tag byte of every column the scan did not ask
-// for, and each requested numeric column's block — straight into the
-// column's float lane — and nothing else.
+// requested schema ordinals into a pooled Block. A chunk costs one
+// positional read of its header and directory, then one per run of
+// adjacent requested numeric columns; nothing else is read.
 type segReader struct {
 	r      io.ReaderAt
 	size   int64
 	off    int64
 	schema *sqltypes.Schema
-	slot   []int // schema ordinal -> Block slot, -1 when not requested
-	nnum   int64 // numeric columns in the schema
+	shape  segShape
+	runs   []segRun // the requested numeric columns, run by run
+	nreq   int      // requested numeric columns
+	place  []int    // per slot, its block's index in the run buffer; -1 when not read
 	buf    *blockBuf
 	bytes  int64 // bytes read so far
-	// scratch receives a chunk header, then single tag bytes (a local
-	// would escape through the ReaderAt call).
-	scratch [16]byte
 }
 
 // newSegReader reads the size-byte segment r. release returns its Block
 // to the pool.
 func newSegReader(r io.ReaderAt, size int64, schema *sqltypes.Schema, want []int) *segReader {
-	sr := &segReader{r: r, size: size, schema: schema, slot: make([]int, schema.Len()), buf: getBlockBuf(len(want))}
-	for i, col := range schema.Columns {
-		sr.slot[i] = -1
-		if NumericColumn(col) {
-			sr.nnum++
+	sr := &segReader{r: r, size: size, schema: schema, shape: newSegShape(schema),
+		place: make([]int, len(want)), buf: getBlockBuf(len(want))}
+	read := make([]bool, schema.Len()) // by schema ordinal
+	for _, c := range want {
+		read[c] = NumericColumn(schema.Columns[c])
+	}
+	index := make([]int, schema.Len())
+	for c, ok := range read {
+		if !ok {
+			continue
+		}
+		index[c] = sr.nreq
+		sr.nreq++
+		if k := len(sr.runs) - 1; k >= 0 && sr.runs[k].first+sr.runs[k].n == c {
+			sr.runs[k].n++
+		} else {
+			sr.runs = append(sr.runs, segRun{first: c, n: 1})
 		}
 	}
 	for s, c := range want {
-		sr.slot[c] = s
+		sr.place[s] = -1
+		if read[c] {
+			sr.place[s] = index[c]
+		}
 	}
 	return sr
 }
@@ -307,88 +348,81 @@ func (sr *segReader) next() (*Block, error) {
 	if sr.off == sr.size {
 		return nil, io.EOF
 	}
-	if sr.size-sr.off < 16 {
+	ncols := sr.schema.Len()
+	head := grow(&sr.buf.head, 16+sr.shape.dirLen)
+	if sr.size-sr.off < int64(len(head)) {
 		return nil, corruptf("storage: truncated segment chunk header")
 	}
-	hdr := sr.scratch[:]
-	if err := sr.read(hdr, sr.off); err != nil {
+	if err := sr.read(head, sr.off); err != nil {
 		return nil, err
 	}
-	if string(hdr[:4]) != segMagic {
-		return nil, corruptf("storage: bad segment chunk magic %q", string(hdr[:4]))
+	if string(head[:4]) != segMagic {
+		return nil, corruptf("storage: bad segment chunk magic %q", string(head[:4]))
 	}
-	nrows := int(binary.LittleEndian.Uint32(hdr[4:8]))
-	ncols := int(binary.LittleEndian.Uint32(hdr[8:12]))
-	bodyLen := int64(binary.LittleEndian.Uint32(hdr[12:16]))
-	if nrows < 1 || nrows > segMaxChunkRows {
-		return nil, corruptf("storage: segment chunk row count %d out of range 1..%d", nrows, segMaxChunkRows)
+	nrows := int(binary.LittleEndian.Uint32(head[4:8]))
+	if nrows < 1 || nrows > segChunkRows {
+		return nil, corruptf("storage: segment chunk row count %d out of range 1..%d", nrows, segChunkRows)
 	}
-	if ncols != sr.schema.Len() {
-		return nil, corruptf("storage: segment chunk has %d columns, schema has %d", ncols, sr.schema.Len())
+	if n := int(binary.LittleEndian.Uint32(head[8:12])); n != ncols {
+		return nil, corruptf("storage: segment chunk has %d columns, schema has %d", n, ncols)
 	}
 	// A column's block is sized by its declared type (its tag must agree,
 	// below), so the body's length is known before any of it is read.
-	bmLen := (nrows + 7) / 8
-	otherLen := int64(1 + bmLen)
-	numLen := otherLen + 16 + 8*int64(nrows)
-	body := sr.nnum*numLen + (int64(ncols)-sr.nnum)*otherLen
-	if bodyLen != body {
+	bmLen := pad8((nrows + 7) / 8)
+	body := int64(sr.shape.bodyLen(bmLen, nrows))
+	if bodyLen := int64(binary.LittleEndian.Uint32(head[12:16])); bodyLen != body {
 		return nil, corruptf("storage: segment chunk body is %d bytes, header says %d", body, bodyLen)
 	}
 	if sr.size-sr.off-16 < body {
 		return nil, corruptf("storage: truncated segment chunk body")
 	}
-	blk := &sr.buf.blk
-	blk.Rows = nrows
-	// A numeric block is read so that the bytes ahead of its values end
-	// where the lane's values begin.
-	head := laneHead*8 - (1 + bmLen + 16)
-	at := sr.off + 16
 	for c, col := range sr.schema.Columns {
-		s := sr.slot[c]
-		size, tag := otherLen, byte(0)
+		var tag uint64
 		if NumericColumn(col) {
-			size, tag = numLen, 1
+			tag = 1
 		}
-		got := sr.scratch[:1]
-		if s >= 0 && tag == 1 {
-			lane := sr.buf.lane(s, nrows)
-			got = floatBytes(lane)[head:]
-			if err := sr.read(got, at); err != nil {
-				return nil, err
-			}
-			vals := lane[laneHead:]
-			if !nativeLittleEndian {
+		if e := binary.LittleEndian.Uint64(head[16+8*c:]); e != tag {
+			return nil, corruptf("storage: segment column %d has directory entry %#x, its type says tag %d", c, e, tag)
+		}
+	}
+	// Each numeric block read is bmLen/8 floats of bitmap, then values.
+	stride := bmLen/8 + nrows
+	run := grow(&sr.buf.run, sr.nreq*stride)
+	for _, rn := range sr.runs {
+		dst := run[:rn.n*stride]
+		run = run[len(dst):]
+		if err := sr.read(floatBytes(dst), sr.off+int64(sr.shape.blockAt(rn.first, bmLen, nrows))); err != nil {
+			return nil, err
+		}
+		if !nativeLittleEndian {
+			for k := range rn.n {
+				vals := dst[k*stride+bmLen/8 : (k+1)*stride]
 				for r, v := range vals {
 					vals[r] = math.Float64frombits(bits.ReverseBytes64(math.Float64bits(v)))
 				}
 			}
-			blk.Cols[s] = vals
-			blk.Valid[s] = sr.buf.validity(s, got[1:1+bmLen], nrows)
-		} else {
-			// Nothing of this column reaches a kernel; only its tag is
-			// read. A requested non-numeric column has no operands: every
-			// lane invalid, whatever its (informational) bitmap says.
-			if err := sr.read(got, at); err != nil {
-				return nil, err
-			}
-			if s >= 0 {
-				blk.Cols[s], blk.Valid[s] = sr.buf.lane(s, nrows)[:nrows], sr.buf.validLane(s, nrows)
-				clear(blk.Cols[s])
-				clear(blk.Valid[s])
-			}
 		}
-		if got[0] != tag {
-			return nil, corruptf("storage: segment column %d has tag %d, its type says %d", c, got[0], tag)
-		}
-		at += size
 	}
-	sr.off = at
+	blk := &sr.buf.blk
+	blk.Rows = nrows
+	run = sr.buf.run
+	for s, k := range sr.place {
+		if k < 0 {
+			// A requested non-numeric column has no operands: every lane
+			// invalid, whatever its (informational) bitmap says.
+			blk.Cols[s], blk.Valid[s] = noValues[:nrows], noneValid[:nrows]
+			continue
+		}
+		lane := run[k*stride : (k+1)*stride]
+		blk.Cols[s] = lane[bmLen/8:]
+		blk.Valid[s] = sr.buf.validity(s, floatBytes(lane)[:(nrows+7)/8], nrows)
+	}
+	sr.off += 16 + body
 	return blk, nil
 }
 
 // fullBitmap is the bitmap of a full chunk without NULLs.
-var fullBitmap = bytes.Repeat([]byte{0xff}, segMaxChunkRows/8)
+var fullBitmap = bytes.Repeat([]byte{0xff}, segChunkRows/8)
 
 // validity returns the validity lane of slot s's column in an
 // nrows-row chunk whose bitmap is bm: the shared all-true lane when no
@@ -399,7 +433,7 @@ func (bb *blockBuf) validity(s int, bm []byte, nrows int) []bool {
 	if bytes.Equal(bm[:whole], fullBitmap[:whole]) && bm[len(bm)-1]&rest == rest {
 		return allValid[:nrows]
 	}
-	dst := bb.validLane(s, nrows)
+	dst := grow(&bb.valid[s], nrows)
 	for i, b := range bm {
 		lanes := dst[i*8 : min(i*8+8, nrows)]
 		for r := range lanes {

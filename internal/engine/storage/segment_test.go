@@ -141,7 +141,7 @@ func noSegmentFiles(t *testing.T, dir string) {
 // TestWritesTouchOnlyTheRowLog is the converse of the write-time mirror
 // this package used to keep: Insert and BulkLoader create no segment
 // file and leave segRows behind, and the segments EnsureSegments then
-// derives hold ⌈rows/4096⌉ chunks however the rows arrived.
+// derives hold ⌈rows/2048⌉ chunks however the rows arrived.
 func TestWritesTouchOnlyTheRowLog(t *testing.T) {
 	dir := t.TempDir()
 	tab, err := NewTable("x", testSchema(), dir, 2)
@@ -442,14 +442,14 @@ func FuzzDecodeSegment(f *testing.F) {
 	two := encodeSegChunk(nil, schema, rows[:7])
 	f.Add(encodeSegChunk(two, schema, rows[7:]))
 	f.Add([]byte(segMagic))
-	// Whole chunks of both sizes the writer has emitted: the
-	// parent-written 4096-row segment, and a 2048-row chunk.
+	// A whole segment of the SEG1 layout, which must be refused, and a
+	// full chunk.
 	parent, err := os.ReadFile(filepath.Join("testdata", "seg4096.p000.seg"))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(parent)
-	f.Add(encodeSegChunk(nil, schema, parentSegmentRows()[:2048]))
+	f.Add(encodeSegChunk(nil, schema, parentSegmentRows()[:segChunkRows]))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		blocks, err := readSegImage(data, schema, []int{0, 1, 2})
 		if err != nil && !errors.Is(err, ErrCorrupt) {
