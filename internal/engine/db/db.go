@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -61,6 +62,10 @@ type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*storage.Table
 	views  map[string]*sqlparser.Select
+	// clog is the catalog log DDL appends to, opened O_APPEND once per
+	// DB, and clogSize its length; both are guarded by mu (catalog.go).
+	clog     *os.File
+	clogSize int64
 
 	qlog queryLog
 
@@ -91,8 +96,9 @@ type DB struct {
 }
 
 // Open creates a fresh database over an empty (or memory-only)
-// location. It never reads an existing catalog; use OpenDir to
-// reattach a directory a previous process populated.
+// location. It never reads an existing catalog, and its first DDL
+// writes its own over one; use OpenDir to reattach a directory a
+// previous process populated.
 func Open(opts Options) *DB {
 	if opts.Partitions <= 0 {
 		opts.Partitions = storage.DefaultPartitions
@@ -122,8 +128,8 @@ func Open(opts Options) *DB {
 	return d
 }
 
-// OpenDir creates a database over a directory, reattaching any tables
-// recorded in its catalog file by a previous process.
+// OpenDir creates a database over a directory, reattaching the tables
+// and views its catalog records, written by a previous process.
 func OpenDir(opts Options) (*DB, error) {
 	d := Open(opts)
 	if err := d.loadCatalog(); err != nil {
@@ -208,11 +214,10 @@ func (d *DB) CreateTable(name string, schema *sqltypes.Schema) (*storage.Table, 
 	if err != nil {
 		return nil, err
 	}
-	d.tables[key] = t
-	if err := d.saveCatalog(); err != nil {
-		delete(d.tables, key)
+	if err := d.logDDL(catalogRecord{Op: "create_table", Table: tableRecord(key, t)}); err != nil {
 		return nil, err
 	}
+	d.tables[key] = t
 	d.epoch.Add(1)
 	return t, nil
 }
@@ -226,10 +231,10 @@ func (d *DB) DropTable(name string) error {
 	if !ok {
 		return fmt.Errorf("db: table %q does not exist", name)
 	}
-	delete(d.tables, key)
-	if err := d.saveCatalog(); err != nil {
+	if err := d.logDDL(catalogRecord{Op: "drop_table", Name: key}); err != nil {
 		return err
 	}
+	delete(d.tables, key)
 	d.epoch.Add(1)
 	d.sums.DropTable(key)
 	return t.Drop()
@@ -501,6 +506,15 @@ func (d *DB) runDrop(st *sqlparser.DropTable) (*exec.Result, error) {
 	return &exec.Result{}, nil
 }
 
-// Close drops nothing but exists for symmetry with database APIs;
-// on-disk tables persist until dropped.
-func (d *DB) Close() error { return nil }
+// Close closes the catalog log; on-disk tables persist until dropped.
+// A later DDL reopens the log from a fresh snapshot, as after Open.
+func (d *DB) Close() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.clog == nil {
+		return nil
+	}
+	err := d.clog.Close()
+	d.clog = nil
+	return err
+}

@@ -50,11 +50,10 @@ func (d *DB) CreateView(name string, query *sqlparser.Select) error {
 	if _, exists := d.views[key]; exists {
 		return fmt.Errorf("db: view %q already exists", name)
 	}
-	d.views[key] = query
-	if err := d.saveCatalog(); err != nil {
-		delete(d.views, key)
+	if err := d.logDDL(catalogRecord{Op: "create_view", View: &catalogView{Name: key, SQL: query.String()}}); err != nil {
 		return err
 	}
+	d.views[key] = query
 	d.epoch.Add(1)
 	return nil
 }
@@ -67,10 +66,10 @@ func (d *DB) DropView(name string) error {
 	if _, ok := d.views[key]; !ok {
 		return fmt.Errorf("db: view %q does not exist", name)
 	}
-	delete(d.views, key)
-	if err := d.saveCatalog(); err != nil {
+	if err := d.logDDL(catalogRecord{Op: "drop_view", Name: key}); err != nil {
 		return err
 	}
+	delete(d.views, key)
 	d.epoch.Add(1)
 	return nil
 }

@@ -3,18 +3,20 @@ package harness
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	statsudf "repro"
 	"repro/internal/core"
 	"repro/internal/engine/exec"
 	"repro/internal/engine/sqlparser"
+	"repro/internal/engine/sqltypes"
 )
 
 // runColumnarScan (a8) measures what the block source buys on disk: a
 // cold n,L,Q model-suite build (every repetition pays a full scan) and
-// a vectorized filter+project scan over one dataset, once with the
-// executor's block source declined, reading the row log, and once as
-// the engine runs them, from column segments. The two build arms run
+// a vectorized filter+project scan streamed to a counting sink over one
+// dataset, once with the executor's block source declined, reading the
+// row log, and once as the engine runs them, from column segments. The two build arms run
 // the same summary scan (what a summary cache rebuild runs) and the two
 // filter arms the same statement, so only the source differs. The
 // source must be purely a performance lever: the summaries and the
@@ -32,6 +34,7 @@ func runColumnarScan(cfg Config) ([]*Table, error) {
 		Note: "one on-disk dataset per n. Row arms decline the executor's block source and read the row log; " +
 			"block arms are the engine's default, column segments via block kernels. " +
 			"Both cold builds run the summary scan a cache rebuild runs, then the model suite. " +
+			"Both filter scans stream their rows into a counting sink; the counts are asserted equal. " +
 			"n,L,Q and linear-regression coefficients are asserted bit-identical across the sources.",
 	}
 	const scanSQL = "SELECT X1 + X2 FROM X WHERE X3 > 0"
@@ -53,15 +56,25 @@ func runColumnarScan(cfg Config) ([]*Table, error) {
 					return buildAllModels(s)
 				}
 			}
+			// The filter arms stream their rows into a counting sink, so
+			// they time the scan, not the building of a result.
+			var kept [2]atomic.Int64
+			count := func(i int) exec.RowSink {
+				kept[i].Store(0)
+				return func(sqltypes.Row) error { kept[i].Add(1); return nil }
+			}
 			ts, err := e.time(arm{"row scan + build", build(false)}, arm{"row filter scan", func(e *env) error {
-				_, err := scan.Run(e.cfg.ctx(), nil, nil)
+				_, err := scan.Run(e.cfg.ctx(), nil, count(0))
 				return err
 			}}, arm{"block scan + build", build(true)}, arm{"block filter scan", func(e *env) error {
-				_, err := e.db.Exec(scanSQL)
+				_, err := e.db.Engine().QueryContext(e.cfg.ctx(), scanSQL, count(1))
 				return err
 			}})
 			if err != nil {
 				return err
+			}
+			if rows, blocks := kept[0].Load(), kept[1].Load(); rows != blocks || rows == 0 {
+				return fmt.Errorf("a8: n=%d filter scan streamed %d rows from the row log, %d from blocks", n, rows, blocks)
 			}
 			builds, scans = [2]Timing{ts[0], ts[2]}, [2]Timing{ts[1], ts[3]}
 			for i, blocks := range []bool{false, true} {

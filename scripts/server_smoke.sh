@@ -14,7 +14,9 @@
 # segments as they were, without a single fallback. The first daemon also takes
 # the write leg: a self INSERT ... SELECT terminates and doubles the
 # table, and a failing INSERT ... SELECT reports its error and leaves
-# its target exactly as it was.
+# its target exactly as it was. A catalog leg kills the daemon with
+# SIGKILL after DDL and requires the restarted daemon to find exactly
+# the tables and view it had, also with junk appended to catalog.log.
 set -euo pipefail
 
 ADDR="${TWMD_ADDR:-127.0.0.1:7791}"
@@ -182,4 +184,45 @@ block_scan 27
 test "$(seg_rows)" = 5
 kill -TERM "$TWMD_PID"
 wait "$TWMD_PID"
+
+echo "== catalog: DDL survives kill -9; junk after the last log record is a torn tail =="
+start_on_dir() {
+  /tmp/smoke-twmd -addr "$ADDR" -dir "$DIR" -partitions 3 2>"$LOG" &
+  TWMD_PID=$!
+  wait_for_listener
+}
+kill_9() {
+  kill -KILL "$TWMD_PID"
+  wait "$TWMD_PID" || true # killed: no clean exit to require
+}
+# The K tables with their row counts, then the view's rows, without
+# headers and row-count footers.
+k_catalog() {
+  sql -c "SELECT name, num_rows FROM sys.tables WHERE name = 'k1' OR name = 'k2' OR name = 'k3' ORDER BY name" | sed -e '1,2d' -e '/^([0-9]* rows)$/d'
+  sql -c "SELECT x FROM KV ORDER BY x" | sed -e '1,2d' -e '/^([0-9]* rows)$/d'
+}
+start_on_dir
+sql -c "CREATE TABLE K1 (a DOUBLE)"
+sql -c "INSERT INTO K1 VALUES (1), (2)"
+sql -c "CREATE TABLE K2 (b DOUBLE)"
+sql -c "CREATE VIEW KV AS SELECT a * 2 AS x FROM K1"
+sql -c "DROP TABLE K2"
+WANT="$(k_catalog)"
+echo "$WANT"
+test "$(echo "$WANT" | tr '\n' ' ')" = "k1 | 2 2 4 "
+kill_9
+start_on_dir
+diff <(echo "$WANT") <(k_catalog)
+ls "$DIR"/k2.* >/dev/null 2>&1 && { echo "dropped table K2 left files"; exit 1; }
+sql -c "CREATE TABLE K3 (c DOUBLE)"
+WANT="$(k_catalog)"
+kill_9
+test -s "$DIR/catalog.log" # K3's record, not yet folded into catalog.json
+printf 'junk after the last record' >>"$DIR/catalog.log"
+start_on_dir
+diff <(echo "$WANT") <(k_catalog)
+sql -c "SELECT count(*) FROM K3" | sed -n 3p | grep -q '^0$'
+kill -TERM "$TWMD_PID"
+wait "$TWMD_PID"
+test ! -s "$DIR/catalog.log" # the open folded the log into the snapshot
 echo "server smoke: ok"
