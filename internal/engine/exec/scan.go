@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"repro/internal/engine/obs"
 	"repro/internal/engine/storage"
@@ -60,7 +61,7 @@ func scanPartitions(ctx context.Context, t *storage.Table, workers int, src sour
 	}
 	partSpans := make([]*Span, nparts)
 	err := RunParallel(ctx, st.Workers, nparts, func(ctx context.Context, p int) error {
-		span := newSpan(fmt.Sprintf("scan[p%d]", p))
+		span := newSpan("scan[p" + strconv.Itoa(p) + "]")
 		partSpans[p] = span
 		defer span.finish()
 		w, err := open(p)

@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -57,6 +59,144 @@ type Stats struct {
 	// hasMerge marks aggregate executions, whose merge/finalize phases
 	// are observed into the latency histograms even when fast.
 	hasMerge bool
+}
+
+// AppendJSON appends s's JSON encoding to b, the bytes json.Marshal
+// produces for it, without reflection: it is what every Done frame
+// carries. A string that needs escaping goes through json.Marshal on
+// its own. Where json.Marshal fails — a span time whose year is outside
+// [0,9999] or whose zone offset is 24 hours or more — AppendJSON
+// appends nothing.
+func (s *Stats) AppendJSON(b []byte) []byte {
+	if s == nil {
+		return append(b, "null"...)
+	}
+	n0 := len(b)
+	b = append(b, `{"partitions":`...)
+	b = strconv.AppendInt(b, int64(s.Partitions), 10)
+	b = append(b, `,"workers":`...)
+	b = strconv.AppendInt(b, int64(s.Workers), 10)
+	b = append(b, `,"rows_scanned":`...)
+	b = strconv.AppendInt(b, s.RowsScanned, 10)
+	b = append(b, `,"bytes_read":`...)
+	b = strconv.AppendInt(b, s.BytesRead, 10)
+	if len(s.PartitionRows) > 0 {
+		b = append(b, `,"partition_rows":[`...)
+		for i, r := range s.PartitionRows {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, r, 10)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"rows_emitted":`...)
+	b = strconv.AppendInt(b, s.RowsEmitted, 10)
+	b = append(b, `,"plan_ns":`...)
+	b = strconv.AppendInt(b, int64(s.Plan), 10)
+	b = append(b, `,"scan_ns":`...)
+	b = strconv.AppendInt(b, int64(s.Scan), 10)
+	b = append(b, `,"merge_ns":`...)
+	b = strconv.AppendInt(b, int64(s.Merge), 10)
+	b = append(b, `,"finalize_ns":`...)
+	b = strconv.AppendInt(b, int64(s.Finalize), 10)
+	b = append(b, `,"total_ns":`...)
+	b = strconv.AppendInt(b, int64(s.Total), 10)
+	if s.Root != nil {
+		b = append(b, `,"root":`...)
+		var ok bool
+		if b, ok = s.Root.appendJSON(b); !ok {
+			return b[:n0]
+		}
+	}
+	if s.TraceID != "" {
+		b = append(b, `,"trace_id":`...)
+		b = appendJSONString(b, s.TraceID)
+	}
+	return append(b, '}')
+}
+
+// appendJSON appends sp's JSON encoding (see Stats.AppendJSON); false
+// means a time json.Marshal rejects.
+func (sp *Span) appendJSON(b []byte) ([]byte, bool) {
+	if sp == nil {
+		return append(b, "null"...), true
+	}
+	b = append(b, `{"name":`...)
+	b = appendJSONString(b, sp.Name)
+	if sp.ID != "" {
+		b = append(b, `,"span_id":`...)
+		b = appendJSONString(b, sp.ID)
+	}
+	var ok bool
+	b = append(b, `,"start":`...)
+	if b, ok = appendJSONTime(b, sp.Start); !ok {
+		return b, false
+	}
+	b = append(b, `,"end":`...)
+	if b, ok = appendJSONTime(b, sp.End); !ok {
+		return b, false
+	}
+	if sp.Rows != 0 {
+		b = append(b, `,"rows":`...)
+		b = strconv.AppendInt(b, sp.Rows, 10)
+	}
+	if sp.Bytes != 0 {
+		b = append(b, `,"bytes":`...)
+		b = strconv.AppendInt(b, sp.Bytes, 10)
+	}
+	if sp.Source != "" {
+		b = append(b, `,"source":`...)
+		b = appendJSONString(b, sp.Source)
+	}
+	if len(sp.Children) > 0 {
+		b = append(b, `,"children":[`...)
+		for i, c := range sp.Children {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if b, ok = c.appendJSON(b); !ok {
+				return b, false
+			}
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}'), true
+}
+
+// appendJSONTime appends t as time.Time.MarshalJSON does, and applies
+// its range checks: false for a year outside [0,9999] or a zone hour
+// outside [0,23].
+func appendJSONTime(b []byte, t time.Time) ([]byte, bool) {
+	b = append(b, '"')
+	n0 := len(b)
+	b = t.AppendFormat(b, time.RFC3339Nano)
+	if b[n0+len("9999")] != '-' {
+		return b, false
+	}
+	if b[len(b)-1] != 'Z' {
+		c := b[len(b)-len("Z07:00")]
+		h := 10*(b[len(b)-len("07:00")]-'0') + (b[len(b)-len("7:00")] - '0')
+		if '0' <= c && c <= '9' || h >= 24 {
+			return b, false
+		}
+	}
+	return append(b, '"'), true
+}
+
+// appendJSONString appends s quoted. Plain printable ASCII is copied;
+// anything json.Marshal would escape (quotes, backslashes, control
+// bytes, <, > and &, non-ASCII) is left to json.Marshal.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // ensureRoot returns the statement span, creating it on first use.

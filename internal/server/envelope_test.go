@@ -39,11 +39,39 @@ func (e *faultEngine) SummaryNLQ(ctx context.Context, table string, cols []strin
 }
 
 // envelopeFixture is one server over a faultEngine with a three-row
-// table, and one raw handshaken connection to it.
+// table, and one raw handshaken connection to it; ln counts the
+// server's socket writes.
 type envelopeFixture struct {
 	eng *faultEngine
 	srv *Server
+	ln  *countingListener
+	nc  net.Conn
 	wc  *wire.Conn
+}
+
+// countingListener hands out connections that count the Write calls
+// the server makes on them, that is, what reaches the socket.
+type countingListener struct {
+	net.Listener
+	writes atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{nc, &l.writes}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
 }
 
 func newEnvelopeFixture(t *testing.T, cfg Config) *envelopeFixture {
@@ -63,9 +91,13 @@ func newEnvelopeFixture(t *testing.T, cfg Config) *envelopeFixture {
 	if _, err := fx.eng.ExecScript("CREATE TABLE T (v DOUBLE); INSERT INTO T VALUES (1.0), (2.0), (3.0)"); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Addr = "127.0.0.1:0"
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx.ln = &countingListener{Listener: ln}
 	fx.srv = New(fx.eng, cfg)
-	if err := fx.srv.Start(); err != nil {
+	if err := fx.srv.serve(fx.ln); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fx.srv.Close() })
@@ -75,7 +107,7 @@ func newEnvelopeFixture(t *testing.T, cfg Config) *envelopeFixture {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { nc.Close() })
-	fx.wc = wire.NewConn(nc)
+	fx.nc, fx.wc = nc, wire.NewConn(nc)
 	if err := fx.wc.Send(wire.MsgHello, wire.EncodeHello(wire.Hello{Version: wire.ProtocolVersion, User: "envelope"})); err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -160,6 +159,11 @@ func (s *Server) Start() error {
 	if err != nil {
 		return err
 	}
+	return s.serve(ln)
+}
+
+// serve is Start past the listen: it takes over ln.
+func (s *Server) serve(ln net.Listener) error {
 	s.ln = ln
 	if err := s.db.RegisterSysTable("sys.sessions", s.sessions.sysSessions); err != nil {
 		ln.Close()
@@ -410,10 +414,19 @@ type link struct {
 	wc *wire.Conn
 }
 
-// send writes one frame under the write deadline.
-func (l link) send(typ byte, payload []byte) error {
+// send writes one frame under the write deadline and flushes it, with
+// any frames buffered before it, in one socket write.
+func (l link) send(typ byte, payload []byte) error { return l.write(typ, payload, true) }
+
+// write sends one frame (flush) or only buffers it for the next send
+// (see wire.Conn.Buffer), under the write deadline either way: a frame
+// that overflows the buffer writes at once.
+func (l link) write(typ byte, payload []byte, flush bool) error {
 	l.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-	return l.wc.Send(typ, payload)
+	if flush {
+		return l.wc.Send(typ, payload)
+	}
+	return l.wc.Buffer(typ, payload)
 }
 
 // sendError reports a failure to the client; its non-nil return is a
@@ -512,7 +525,7 @@ func (s *Server) dispatch(ctx context.Context, l link, sess *session, f wire.Fra
 			if nlq != nil && nlq.N > 0 {
 				res.Packed = nlq.Pack()
 			}
-			return w.send(wire.MsgSummaryResult, wire.EncodeSummaryResult(res))
+			return w.write(wire.MsgSummaryResult, wire.EncodeSummaryResult(res), true)
 		})
 	default:
 		return l.protocolError(fmt.Errorf("unexpected frame type %#x", f.Type))
@@ -578,7 +591,9 @@ func (s *Server) statement(ctx context.Context, l link, sess *session, label str
 // or replayed from a materialized Result — then Schema when the
 // statement has one, then Done. The schema follows the batches because
 // a streamed scan reports it only on completion; batches are
-// self-describing. The first wire write failure sticks in werr and
+// self-describing. Each full batch goes out as it fills, so a long
+// scan streams; the tail (the last batch, Schema and Done) leaves in
+// one socket write. The first wire write failure sticks in werr and
 // fails every later write, which stops the scan feeding the sink.
 type resultWriter struct {
 	l         link
@@ -604,12 +619,14 @@ func (w *resultWriter) add(r sqltypes.Row) error {
 	w.batch = append(w.batch, r)
 	w.rows++
 	if len(w.batch) >= w.batchRows {
-		return w.flushLocked()
+		return w.batchLocked(true)
 	}
 	return nil
 }
 
-func (w *resultWriter) flushLocked() error {
+// batchLocked writes the gathered rows as one Batch frame, flushed or
+// buffered for the reply's tail.
+func (w *resultWriter) batchLocked(flush bool) error {
 	if len(w.batch) == 0 {
 		return nil
 	}
@@ -618,21 +635,22 @@ func (w *resultWriter) flushLocked() error {
 		return err
 	}
 	w.batch = w.batch[:0]
-	return w.send(wire.MsgBatch, p)
+	return w.write(wire.MsgBatch, p, flush)
 }
 
-// send writes one frame unless an earlier write already failed.
-func (w *resultWriter) send(typ byte, payload []byte) error {
+// write sends (flush) or buffers one frame unless an earlier write
+// already failed.
+func (w *resultWriter) write(typ byte, payload []byte, flush bool) error {
 	if w.werr == nil {
-		w.werr = w.l.send(typ, payload)
+		w.werr = w.l.write(typ, payload, flush)
 	}
 	return w.werr
 }
 
 // result finishes a statement from the engine's return values: err
 // passes through to the envelope; otherwise rows the engine returned
-// rather than sank are batched, the last batch goes out, and Schema
-// and Done close the reply.
+// rather than sank are batched, and the last batch, Schema and Done
+// close the reply in one flush.
 func (w *resultWriter) result(res *exec.Result, err error) error {
 	if err != nil {
 		return err
@@ -643,30 +661,26 @@ func (w *resultWriter) result(res *exec.Result, err error) error {
 		}
 	}
 	w.mu.Lock()
-	err = w.flushLocked()
+	err = w.batchLocked(false)
 	w.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	if res.Schema != nil {
-		if err := w.send(wire.MsgSchema, wire.EncodeSchema(res.Schema)); err != nil {
+		if err := w.write(wire.MsgSchema, wire.EncodeSchema(res.Schema), false); err != nil {
 			return err
 		}
 	}
-	return w.send(wire.MsgDone, wire.EncodeDone(wire.Done{Affected: res.Affected, Rows: w.rows, StatsJSON: statsJSON(res.Stats), TraceID: w.tid}))
+	return w.write(wire.MsgDone, wire.EncodeDone(wire.Done{Affected: res.Affected, Rows: w.rows, StatsJSON: statsJSON(res.Stats), TraceID: w.tid}), true)
 }
 
-// statsJSON marshals executor stats for the Done frame ("" when the
-// statement did not scan).
+// statsJSON encodes executor stats for the Done frame ("" when the
+// statement did not scan); the bytes are json.Marshal's.
 func statsJSON(st *exec.Stats) string {
 	if st == nil {
 		return ""
 	}
-	b, err := json.Marshal(st)
-	if err != nil {
-		return ""
-	}
-	return string(b)
+	return string(st.AppendJSON(make([]byte, 0, 2048)))
 }
 
 // classify maps an execution error to its typed wire error, so the

@@ -2,28 +2,36 @@ package server
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	statsudf "repro"
+	"repro/internal/engine/sqltypes"
 	"repro/internal/sqlgen"
+	"repro/pkg/client"
 )
 
-// BenchmarkStatsJSON prices the executor statistics every Done frame
-// carries, for serve_point's request: the point scoring SELECT over a
-// 128-row, d = 32 table of 4 partitions. It reports the JSON's bytes
-// per frame beside the time to marshal it.
-func BenchmarkStatsJSON(b *testing.B) {
+// servePointRows is the table serve_point scores: 128 rows, d = 32,
+// over 4 partitions.
+const servePointRows = 128
+
+// openServePoint opens serve_point's engine: the table X, its stored
+// regression model BETA, and the point scoring SELECT without its
+// WHERE.
+func openServePoint(b *testing.B) (*statsudf.DB, string) {
+	b.Helper()
 	sd, err := statsudf.Open(statsudf.Options{Partitions: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer sd.Close()
+	b.Cleanup(func() { sd.Close() })
 	const d = 32
 	beta := make([]float64, d)
 	for a := range beta {
 		beta[a] = float64(a%5) - 2
 	}
-	if err := sd.GenerateRegression("X", statsudf.MixtureConfig{N: 128, D: d, Seed: 1}, 10, beta, 5); err != nil {
+	if err := sd.GenerateRegression("X", statsudf.MixtureConfig{N: servePointRows, D: d, Seed: 1}, 10, beta, 5); err != nil {
 		b.Fatal(err)
 	}
 	cols := statsudf.DimColumns(d)
@@ -34,7 +42,16 @@ func BenchmarkStatsJSON(b *testing.B) {
 	if err := sd.StoreRegression("BETA", m); err != nil {
 		b.Fatal(err)
 	}
-	res, err := sd.Engine().ExecContext(context.Background(), sqlgen.RegScoreUDF("X", "BETA", "i", cols)+" WHERE X.i = 7")
+	return sd, sqlgen.RegScoreUDF("X", "BETA", "i", cols)
+}
+
+// BenchmarkStatsJSON prices the executor statistics every Done frame
+// carries, for serve_point's request: the point scoring SELECT over a
+// 128-row, d = 32 table of 4 partitions. It reports the JSON's bytes
+// per frame beside the time to encode it.
+func BenchmarkStatsJSON(b *testing.B) {
+	sd, base := openServePoint(b)
+	res, err := sd.Engine().ExecContext(context.Background(), base+" WHERE X.i = 7")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -47,4 +64,55 @@ func BenchmarkStatsJSON(b *testing.B) {
 		js = statsJSON(res.Stats)
 	}
 	b.ReportMetric(float64(len(js)), "B/frame")
+}
+
+// BenchmarkServePoint is serve_point's prepared request class in
+// process: two closed-loop clients of one pool send the point scoring
+// SELECT with its id as a `?` argument to a server on loopback. ns/op
+// is wall time over requests, both clients together; the allocations
+// are the client's and the server's.
+func BenchmarkServePoint(b *testing.B) {
+	sd, base := openServePoint(b)
+	srv := New(sd.Engine(), Config{Addr: "127.0.0.1:0"})
+	if err := srv.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	const clients = 2
+	pool, err := client.Open(client.Config{Addr: srv.Addr(), User: "bench", PoolSize: clients})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pool.Close()
+	stmt := pool.Prepare(base + " WHERE X.i = ?")
+	ctx := context.Background()
+	query := func(i int64) error {
+		rows, err := stmt.Query(ctx, sqltypes.NewBigInt(i%servePointRows))
+		if err == nil && len(rows.Rows) != 1 {
+			b.Errorf("point request %d returned %d rows", i, len(rows.Rows))
+		}
+		return err
+	}
+	for i := int64(0); i < clients; i++ { // plan the text, open both connections
+		if err := query(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1); i <= int64(b.N); i = next.Add(1) {
+				if err := query(i); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -181,14 +181,23 @@ func NewConn(rw io.ReadWriter) *Conn {
 	return &Conn{R: bufio.NewReaderSize(rw, 1<<16), W: bufio.NewWriterSize(rw, 1<<16)}
 }
 
-// Send writes one frame and flushes it.
+// Send writes one frame and flushes it, together with any frames
+// buffered before it.
 func (c *Conn) Send(typ byte, payload []byte) error {
-	n, err := WriteFrame(c.W, typ, payload)
-	c.BytesWritten.Add(int64(n))
-	if err != nil {
+	if err := c.Buffer(typ, payload); err != nil {
 		return err
 	}
 	return c.W.Flush()
+}
+
+// Buffer writes one frame into the write buffer without flushing it:
+// it reaches the stream with the next Send, or earlier if the buffer
+// fills. A reply of several frames buffers all but its last and Sends
+// that, so the frames leave in one write.
+func (c *Conn) Buffer(typ byte, payload []byte) error {
+	n, err := WriteFrame(c.W, typ, payload)
+	c.BytesWritten.Add(int64(n))
+	return err
 }
 
 // Recv reads the next frame.

@@ -53,7 +53,7 @@ sql -c "INSERT INTO X VALUES (3, 3.0, 3.0, 9.0)"
 echo "== summary UDF over the wire =="
 NLQ="$(sql -c "SELECT nlq_list(2, 'triang', X1, X2) FROM X")"
 echo "$NLQ"
-echo "$NLQ" | grep -q "2;triang;3" # d=2, triangular layout, n=3
+grep -q "2;triang;3" <<<"$NLQ" # d=2, triangular layout, n=3
 
 echo "== store a model + score with the scalar UDF =="
 # One-row BETA table in the layout score.SaveLinReg writes: b0 is the
@@ -62,12 +62,12 @@ sql -c "CREATE TABLE BETA (b0 DOUBLE, b1 DOUBLE, b2 DOUBLE)"
 sql -c "INSERT INTO BETA VALUES (1.0, 1.0, 1.0)"
 SCORES="$(sql -c "SELECT X.i, linearregscore(X.X1, X.X2, b0, b1, b2) AS yhat FROM X CROSS JOIN BETA ORDER BY i")"
 echo "$SCORES"
-echo "$SCORES" | grep -q "^1 | 4$"  # row i=1: 1 + 1.0 + 2.0
+grep -q "^1 | 4$" <<<"$SCORES"  # row i=1: 1 + 1.0 + 2.0
 
 echo "== sessions are visible =="
 SESS="$(sql -c "SELECT user_name, current_sql FROM sys.sessions")"
 echo "$SESS"
-echo "$SESS" | grep -q "ci"
+grep -q "ci" <<<"$SESS"
 
 echo "== summary catalog is queryable over the wire =="
 sql -c "SELECT table_name, state, n FROM sys.summaries"
@@ -97,15 +97,16 @@ echo "$EXPLAIN"
 TID="$(echo "$EXPLAIN" | sed -n 's/^-- trace: //p')"
 test -n "$TID" # EXPLAIN ANALYZE must print the stamped trace id
 TRACES="$(sql -c "SELECT trace_id, class FROM sys.traces")"
-echo "$TRACES" | grep -q "$TID"
+grep -q "$TID" <<<"$TRACES"
 SPANS="$(sql -c "SELECT trace_id, name FROM sys.spans")"
-echo "$SPANS" | grep "$TID" | grep -q "server" # server span joined the tree
+TRACE_SPANS="$(grep "$TID" <<<"$SPANS")"
+grep -q "server" <<<"$TRACE_SPANS" # server span joined the tree
 grep -q "\"trace_id\":\"$TID\"" "$LOG"          # slow-query log line carries it
 
 echo "== trace counters moved =="
 TRACE_METRICS="$(sql -c "SELECT name, value FROM sys.metrics" | grep engine_trace)"
 echo "$TRACE_METRICS"
-echo "$TRACE_METRICS" | grep -q "engine_trace_retained_total"
+grep -q "engine_trace_retained_total" <<<"$TRACE_METRICS"
 
 echo "== graceful shutdown =="
 kill -TERM "$TWMD_PID"
@@ -149,7 +150,7 @@ if OUT="$(sqlt -c "INSERT INTO W2 SELECT i, 1 / (i - 4095) FROM W" 2>&1)"; then
   echo "failing INSERT ... SELECT succeeded: $OUT"; exit 1
 fi
 echo "$OUT"
-echo "$OUT" | grep -q "division by zero"
+grep -q "division by zero" <<<"$OUT"
 test "$(count W2)" -eq 5
 diff <(echo "$BEFORE") <(parts_of_w2)
 sqlt -c "INSERT INTO W2 SELECT i, v FROM W" >/dev/null # and the target still takes a write
@@ -168,7 +169,7 @@ fallbacks() { sql -c "SELECT sum(value) FROM sys.metrics WHERE name = 'engine_co
 block_scan() {
   local before after
   before="$(fallbacks)"
-  sql -c "SELECT a + b FROM S" | grep -q "^$1$"
+  grep -q "^$1$" <<<"$(sql -c "SELECT a + b FROM S")"
   after="$(fallbacks)"
   test -n "$before" -a "$before" = "$after" # every partition was served from its segment
 }
@@ -221,7 +222,7 @@ test -s "$DIR/catalog.log" # K3's record, not yet folded into catalog.json
 printf 'junk after the last record' >>"$DIR/catalog.log"
 start_on_dir
 diff <(echo "$WANT") <(k_catalog)
-sql -c "SELECT count(*) FROM K3" | sed -n 3p | grep -q '^0$'
+test "$(count K3)" = 0
 kill -TERM "$TWMD_PID"
 wait "$TWMD_PID"
 test ! -s "$DIR/catalog.log" # the open folded the log into the snapshot
