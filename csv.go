@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/engine/sqltypes"
 	"repro/internal/engine/storage"
+	"repro/internal/fastfloat"
 )
 
 // ImportCSV loads comma-separated data into a new table (replacing any
@@ -277,7 +278,7 @@ func inferType(field string) sqltypes.Type {
 	if _, err := strconv.ParseInt(f, 10, 64); err == nil {
 		return sqltypes.TypeBigInt
 	}
-	if _, err := strconv.ParseFloat(f, 64); err == nil {
+	if _, err := fastfloat.Parse(f); err == nil {
 		return sqltypes.TypeDouble
 	}
 	return sqltypes.TypeVarChar
@@ -298,7 +299,7 @@ func parseField(field string, t sqltypes.Type) (Value, error) {
 		}
 		return sqltypes.NewBigInt(i), nil
 	case sqltypes.TypeDouble:
-		fl, err := strconv.ParseFloat(f, 64)
+		fl, err := fastfloat.Parse(f)
 		if err != nil {
 			return sqltypes.Null, fmt.Errorf("bad number %q", f)
 		}

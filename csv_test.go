@@ -157,8 +157,10 @@ func TestImportCSVByteOrderMark(t *testing.T) {
 
 // serialImportCSV is the reference importer for the differential tests:
 // the one-goroutine loop ImportCSV was before its parse moved to
-// workers — encoding/csv and parseField, one row at a time, straight
-// into one BulkLoader — with the same byte-order-mark handling.
+// workers — encoding/csv and a strconv field parse, one row at a time,
+// straight into one BulkLoader — with the same byte-order-mark
+// handling. It shares no field parsing with ImportCSV, so the tests
+// compare the importer's number parser against strconv's.
 func serialImportCSV(d *DB, table string, r io.Reader, header bool) (int64, error) {
 	cr := csv.NewReader(skipBOM(r))
 	cr.ReuseRecord = true
@@ -190,7 +192,7 @@ func serialImportCSV(d *DB, table string, r io.Reader, header bool) (int64, erro
 
 	cols := make([]sqltypes.Column, len(names))
 	for i, name := range names {
-		cols[i] = sqltypes.Column{Name: strings.TrimSpace(name), Type: inferType(firstData[i])}
+		cols[i] = sqltypes.Column{Name: strings.TrimSpace(name), Type: refInferType(firstData[i])}
 	}
 	schema, err := sqltypes.NewSchema(cols...)
 	if err != nil {
@@ -221,7 +223,7 @@ func serialImportCSV(d *DB, table string, r io.Reader, header bool) (int64, erro
 			return fmt.Errorf("statsudf: CSV row %d has %d fields, want %d", count+1, len(rec), len(cols))
 		}
 		for i, f := range rec {
-			v, err := parseField(f, cols[i].Type)
+			v, err := refParseField(f, cols[i].Type)
 			if err != nil {
 				return fmt.Errorf("statsudf: CSV row %d column %q: %w", count+1, cols[i].Name, err)
 			}
@@ -249,6 +251,46 @@ func serialImportCSV(d *DB, table string, r io.Reader, header bool) (int64, erro
 		return fail(err)
 	}
 	return count, nil
+}
+
+// refInferType and refParseField are serialImportCSV's column type
+// inference and field parse, on strconv alone; their error texts are
+// ImportCSV's.
+func refInferType(field string) sqltypes.Type {
+	f := strings.TrimSpace(field)
+	if f == "" {
+		return sqltypes.TypeDouble
+	}
+	if _, err := strconv.ParseInt(f, 10, 64); err == nil {
+		return sqltypes.TypeBigInt
+	}
+	if _, err := strconv.ParseFloat(f, 64); err == nil {
+		return sqltypes.TypeDouble
+	}
+	return sqltypes.TypeVarChar
+}
+
+func refParseField(field string, t sqltypes.Type) (Value, error) {
+	f := strings.TrimSpace(field)
+	if f == "" {
+		return sqltypes.Null, nil
+	}
+	switch t {
+	case sqltypes.TypeBigInt:
+		i, err := strconv.ParseInt(f, 10, 64)
+		if err != nil {
+			return sqltypes.Null, fmt.Errorf("column inferred as BIGINT but found %q (re-import without integer first row, or clean the data)", f)
+		}
+		return sqltypes.NewBigInt(i), nil
+	case sqltypes.TypeDouble:
+		fl, err := strconv.ParseFloat(f, 64)
+		if err != nil {
+			return sqltypes.Null, fmt.Errorf("bad number %q", f)
+		}
+		return sqltypes.NewDouble(fl), nil
+	default:
+		return sqltypes.NewVarChar(field), nil
+	}
 }
 
 // goroutinesAbove waits briefly for the goroutine count to fall back to

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/fastfloat"
 )
 
 // Pack serializes the NLQ into the single string value an aggregate UDF
@@ -63,47 +65,48 @@ func Unpack(s string) (*NLQ, error) {
 	}
 	// L carries one value per dimension; counting them before allocating
 	// keeps a forged d from sizing the d×d state.
-	if got := strings.Count(parts[3], "|") + 1; got != d {
+	if got := entries(parts[3]); got != d {
 		return nil, fmt.Errorf("core: L: got %d entries, want %d", got, d)
 	}
 	out, err := NewNLQ(d, mt)
 	if err != nil {
 		return nil, err
 	}
-	if out.N, err = strconv.ParseFloat(parts[2], 64); err != nil {
+	if out.N, err = fastfloat.Parse(parts[2]); err != nil {
 		return nil, fmt.Errorf("core: bad packed n %q", parts[2])
 	}
 	if err := unpackVecInto(parts[3], out.L); err != nil {
 		return nil, fmt.Errorf("core: L: %w", err)
 	}
-	qvals, err := unpackVec(parts[4])
-	if err != nil {
-		return nil, fmt.Errorf("core: Q: %w", err)
-	}
+	q, n := parts[4], entries(parts[4])
 	switch mt {
 	case Diagonal:
-		if len(qvals) != d {
-			return nil, fmt.Errorf("core: diagonal Q has %d entries, want %d", len(qvals), d)
+		if n != d {
+			return nil, fmt.Errorf("core: diagonal Q has %d entries, want %d", n, d)
 		}
-		for a, v := range qvals {
-			out.Q[a*d+a] = v
+		for a := 0; a < d; a++ {
+			if out.Q[a*d+a], q, err = nextEntry(q); err != nil {
+				return nil, fmt.Errorf("core: Q: %w", err)
+			}
 		}
 	case Triangular:
-		if len(qvals) != d*(d+1)/2 {
-			return nil, fmt.Errorf("core: triangular Q has %d entries, want %d", len(qvals), d*(d+1)/2)
+		if n != d*(d+1)/2 {
+			return nil, fmt.Errorf("core: triangular Q has %d entries, want %d", n, d*(d+1)/2)
 		}
-		i := 0
 		for a := 0; a < d; a++ {
 			for c := 0; c <= a; c++ {
-				out.Q[a*d+c] = qvals[i]
-				i++
+				if out.Q[a*d+c], q, err = nextEntry(q); err != nil {
+					return nil, fmt.Errorf("core: Q: %w", err)
+				}
 			}
 		}
 	case Full:
-		if len(qvals) != d*d {
-			return nil, fmt.Errorf("core: full Q has %d entries, want %d", len(qvals), d*d)
+		if n != d*d {
+			return nil, fmt.Errorf("core: full Q has %d entries, want %d", n, d*d)
 		}
-		copy(out.Q, qvals)
+		if err := unpackVecInto(q, out.Q); err != nil {
+			return nil, fmt.Errorf("core: Q: %w", err)
+		}
 	}
 	if err := unpackVecInto(parts[5], out.Min); err != nil {
 		return nil, fmt.Errorf("core: min: %w", err)
@@ -125,30 +128,37 @@ func packVec(b *strings.Builder, v []float64) {
 	}
 }
 
-func unpackVec(s string) ([]float64, error) {
+// entries counts the '|'-separated entries of a packed vector; "" has
+// none.
+func entries(s string) int {
 	if s == "" {
-		return nil, nil
+		return 0
 	}
-	parts := strings.Split(s, "|")
-	out := make([]float64, len(parts))
-	for i, p := range parts {
-		f, err := strconv.ParseFloat(p, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad float %q", p)
-		}
-		out[i] = f
-	}
-	return out, nil
+	return strings.Count(s, "|") + 1
 }
 
-func unpackVecInto(s string, dst []float64) error {
-	v, err := unpackVec(s)
+// nextEntry parses the first entry of a packed vector and returns it
+// with the entries after it.
+func nextEntry(s string) (float64, string, error) {
+	tok, rest, _ := strings.Cut(s, "|")
+	f, err := fastfloat.Parse(tok)
 	if err != nil {
-		return err
+		return 0, "", fmt.Errorf("bad float %q", tok)
 	}
-	if len(v) != len(dst) {
-		return fmt.Errorf("got %d entries, want %d", len(v), len(dst))
+	return f, rest, nil
+}
+
+// unpackVecInto parses a packed vector of exactly len(dst) entries into
+// dst, in place.
+func unpackVecInto(s string, dst []float64) error {
+	if n := entries(s); n != len(dst) {
+		return fmt.Errorf("got %d entries, want %d", n, len(dst))
 	}
-	copy(dst, v)
+	var err error
+	for i := range dst {
+		if dst[i], s, err = nextEntry(s); err != nil {
+			return err
+		}
+	}
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/fastfloat"
 )
 
 // Parse parses one SQL statement (an optional trailing semicolon is
@@ -685,7 +687,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 				return &NumberLit{IsInt: true, Int: n, Float: float64(n), At: t.pos}, nil
 			}
 		}
-		f, err := strconv.ParseFloat(t.text, 64)
+		f, err := fastfloat.Parse(t.text)
 		if err != nil {
 			return nil, p.errorf("invalid number %q", t.text)
 		}

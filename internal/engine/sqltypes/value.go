@@ -9,6 +9,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"repro/internal/fastfloat"
 )
 
 // Type identifies the SQL type of a value or column.
@@ -123,7 +125,7 @@ func (v Value) convertFloat() (float64, bool) {
 	case TypeBool:
 		return v.f, true
 	case TypeVarChar:
-		f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
+		f, err := fastfloat.Parse(strings.TrimSpace(v.s))
 		return f, err == nil
 	default:
 		return 0, false
@@ -278,7 +280,7 @@ func Coerce(v Value, t Type) (Value, error) {
 		case TypeVarChar:
 			i, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
 			if err != nil {
-				f, ferr := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
+				f, ferr := fastfloat.Parse(strings.TrimSpace(v.s))
 				if ferr != nil {
 					return Null, fmt.Errorf("sqltypes: cannot coerce %q to BIGINT", v.s)
 				}

@@ -122,10 +122,16 @@ type Frame struct {
 // WriteFrame writes one frame to w. It returns the total bytes written
 // so both ends can maintain their byte counters.
 func WriteFrame(w io.Writer, typ byte, payload []byte) (int, error) {
+	return writeFrame(w, new([5]byte), typ, payload)
+}
+
+// writeFrame is WriteFrame with the caller's header scratch: passed to
+// w.Write it escapes, so a Conn lends its own instead of allocating one
+// per frame.
+func writeFrame(w io.Writer, hdr *[5]byte, typ byte, payload []byte) (int, error) {
 	if len(payload) > MaxFrame {
 		return 0, fmt.Errorf("wire: frame payload %d exceeds %d bytes", len(payload), MaxFrame)
 	}
-	var hdr [5]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
 	hdr[4] = typ
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -142,7 +148,11 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) (int, error) {
 // ReadFrame reads one frame from r, rejecting oversized payloads
 // before allocating for them.
 func ReadFrame(r io.Reader) (Frame, int, error) {
-	var hdr [5]byte
+	return readFrame(r, new([5]byte))
+}
+
+// readFrame is ReadFrame with the caller's header scratch.
+func readFrame(r io.Reader, hdr *[5]byte) (Frame, int, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Frame{}, 0, err
 	}
@@ -170,6 +180,9 @@ type Conn struct {
 	R io.Reader
 	W *bufio.Writer
 
+	// wHdr and rHdr are each direction's frame-header scratch.
+	wHdr, rHdr [5]byte
+
 	// BytesRead and BytesWritten accumulate frame bytes, for the
 	// engine_server_bytes_* metrics.
 	BytesRead    atomic.Int64
@@ -195,14 +208,14 @@ func (c *Conn) Send(typ byte, payload []byte) error {
 // fills. A reply of several frames buffers all but its last and Sends
 // that, so the frames leave in one write.
 func (c *Conn) Buffer(typ byte, payload []byte) error {
-	n, err := WriteFrame(c.W, typ, payload)
+	n, err := writeFrame(c.W, &c.wHdr, typ, payload)
 	c.BytesWritten.Add(int64(n))
 	return err
 }
 
 // Recv reads the next frame.
 func (c *Conn) Recv() (Frame, error) {
-	f, n, err := ReadFrame(c.R)
+	f, n, err := readFrame(c.R, &c.rHdr)
 	c.BytesRead.Add(int64(n))
 	return f, err
 }

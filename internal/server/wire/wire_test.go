@@ -62,6 +62,48 @@ func TestFrameTruncated(t *testing.T) {
 	}
 }
 
+// cycle reads its frames over and over, allocating nothing.
+type cycle struct {
+	b   []byte
+	off int
+}
+
+func (c *cycle) Read(p []byte) (int, error) {
+	n := copy(p, c.b[c.off:])
+	c.off = (c.off + n) % len(c.b)
+	return n, nil
+}
+
+// TestFrameAllocs pins a Conn's per-frame heap cost: buffering and
+// sending a frame allocates nothing, and receiving one allocates only
+// its payload.
+func TestFrameAllocs(t *testing.T) {
+	payload := []byte("a frame's payload")
+	var stream bytes.Buffer
+	if _, err := WriteFrame(&stream, MsgBatch, payload); err != nil {
+		t.Fatal(err)
+	}
+	c := &Conn{R: bufio.NewReader(&cycle{b: stream.Bytes()}), W: bufio.NewWriter(io.Discard)}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := c.Buffer(MsgBatch, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Send(MsgDone, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Buffer+Send allocates %v times a frame pair, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		f, err := c.Recv()
+		if err != nil || f.Type != MsgBatch || !bytes.Equal(f.Payload, payload) {
+			t.Fatalf("Recv = %v, %v", f, err)
+		}
+	}); n != 1 {
+		t.Errorf("Recv allocates %v times a frame, want 1 (the payload)", n)
+	}
+}
+
 func TestHelloRoundTrip(t *testing.T) {
 	for _, h := range []Hello{{Version: 1, User: "alice"}, {Version: 7, User: ""}, {Version: 1, User: strings.Repeat("u", 300)}} {
 		got, err := DecodeHello(EncodeHello(h))
