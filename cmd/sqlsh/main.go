@@ -62,7 +62,7 @@ type engine interface {
 func main() {
 	dir := flag.String("dir", "", "database directory (empty = in-memory)")
 	partitions := flag.Int("partitions", 20, "table partitions")
-	workers := flag.Int("workers", 0, "scan worker pool bound (0 = one per partition)")
+	workers := flag.Int("workers", 0, "cap on a scan's workers, one per 2048-row chunk read (0 = up to one per partition)")
 	stats := flag.Bool("stats", false, "print execution statistics after each statement")
 	command := flag.String("c", "", "execute this statement and exit")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /debug/queries and /debug/pprof on this address")

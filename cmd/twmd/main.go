@@ -86,7 +86,7 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:7780", "address to serve the wire protocol on")
 	flag.StringVar(&cfg.dir, "dir", "", "database directory (empty = in-memory)")
 	flag.IntVar(&cfg.partitions, "partitions", 20, "table partitions")
-	flag.IntVar(&cfg.workers, "workers", 0, "scan worker pool bound (0 = one per partition)")
+	flag.IntVar(&cfg.workers, "workers", 0, "cap on a scan's workers, one per 2048-row chunk read (0 = up to one per partition)")
 	flag.IntVar(&cfg.maxStatements, "max-statements", 0, "admission control: max concurrently executing statements (0 = default)")
 	flag.IntVar(&cfg.maxWaiting, "max-waiting", 0, "admission control: max statements queued for a slot (0 = same as max-statements, negative = fail fast)")
 	flag.DurationVar(&cfg.idleTimeout, "idle-timeout", 0, "drop connections idle longer than this (0 = default)")

@@ -35,8 +35,10 @@ type Options struct {
 	// parallel Teradata threads (the paper used 20). Zero selects
 	// storage.DefaultPartitions.
 	Partitions int
-	// Workers bounds the executor's scan worker pool independently of
-	// the partition count; <= 0 runs one worker per partition.
+	// Workers caps a scan's workers below the partition count; <= 0
+	// sets no cap. Under the caps a scan runs one worker per 2048-row
+	// chunk it reads, the calling goroutine first, so a table of as
+	// many chunks as partitions gets one worker per partition.
 	Workers int
 	// SlowQuery is the duration at or above which a statement is
 	// flagged slow in sys.queries and counted in

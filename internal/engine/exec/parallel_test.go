@@ -3,10 +3,14 @@ package exec
 import (
 	"context"
 	"errors"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine/expr"
 	"repro/internal/engine/sqltypes"
 	"repro/internal/engine/storage"
@@ -101,23 +105,178 @@ func TestRunParallelOutsideCancellation(t *testing.T) {
 	}
 }
 
-// multiTable builds an in-memory table with nparts partitions holding
-// rowsPerPart rows each (column x DOUBLE, round-robin placement).
-func multiTable(t *testing.T, cat memCatalog, name string, nparts, rowsPerPart int) *storage.Table {
+// TestRunParallelCallerIsFirstWorker: the calling goroutine runs the
+// claim loop itself, so width 1 starts no goroutine and width 2 one.
+func TestRunParallelCallerIsFirstWorker(t *testing.T) {
+	for _, width := range []int{1, 2} {
+		before := runtime.NumGoroutine()
+		var peak atomic.Int64
+		err := RunParallel(context.Background(), width, 4, func(ctx context.Context, p int) error {
+			g := int64(runtime.NumGoroutine())
+			for old := peak.Load(); g > old && !peak.CompareAndSwap(old, g); old = peak.Load() {
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if extra := int(peak.Load()) - before; extra > width-1 {
+			t.Fatalf("width %d: %d goroutines during the call, %d before; want at most %d more", width, peak.Load(), before, width-1)
+		}
+	}
+}
+
+// TestRunParallelCallerPath covers RunParallel at width 1, where the
+// caller alone runs every partition: in order, with a panic contained
+// and the first error ending the call before the partitions after it.
+func TestRunParallelCallerPath(t *testing.T) {
+	var order []int
+	if err := RunParallel(context.Background(), 1, 5, func(ctx context.Context, p int) error {
+		order = append(order, p)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(order, []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("width 1 ran partitions %v, want 0..4 in order", order)
+	}
+
+	order = order[:0]
+	err := RunParallel(context.Background(), 1, 5, func(ctx context.Context, p int) error {
+		order = append(order, p)
+		if p == 2 {
+			panic("caller boom")
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "panic in partition 2") || !strings.Contains(err.Error(), "caller boom") {
+		t.Fatalf("panic on the calling goroutine not converted: %v", err)
+	}
+	if !slices.Equal(order, []int{0, 1, 2}) {
+		t.Fatalf("after a panic in partition 2, ran %v", order)
+	}
+
+	sentinel := errors.New("partition 1 failed")
+	order = order[:0]
+	err = RunParallel(context.Background(), 1, 5, func(ctx context.Context, p int) error {
+		order = append(order, p)
+		if p == 1 {
+			return sentinel
+		}
+		return nil
+	})
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("want %v, got %v", sentinel, err)
+	}
+	if !slices.Equal(order, []int{0, 1}) {
+		t.Fatalf("after partition 1 failed, ran %v", order)
+	}
+}
+
+// BenchmarkRunParallel prices one fan-out over four no-op partitions:
+// width 1 runs them on the caller, width 4 starts three goroutines.
+func BenchmarkRunParallel(b *testing.B) {
+	noop := func(context.Context, int) error { return nil }
+	for _, width := range []int{1, 4} {
+		b.Run("width="+strconv.Itoa(width), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := RunParallel(context.Background(), width, 4, noop); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// xTable builds an in-memory table of n rows (column x DOUBLE) over
+// nparts partitions.
+func xTable(t *testing.T, cat memCatalog, name string, nparts int, n int64) *storage.Table {
 	t.Helper()
 	tab, err := storage.NewTable(name, &sqltypes.Schema{Columns: []sqltypes.Column{dcol("x")}}, "", nparts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := make([]sqltypes.Row, nparts*rowsPerPart)
+	appendX(t, tab, n)
+	cat[name] = tab
+	return tab
+}
+
+func appendX(t *testing.T, tab *storage.Table, n int64) {
+	t.Helper()
+	rows := make([]sqltypes.Row, n)
 	for i := range rows {
 		rows[i] = drow(float64(i))
 	}
 	if err := tab.Insert(rows...); err != nil {
 		t.Fatal(err)
 	}
-	cat[name] = tab
-	return tab
+}
+
+// TestScanWidth pins Stats.Workers: one worker per storage.ChunkRows
+// rows read, at most one per partition and at most Env.Workers.
+func TestScanWidth(t *testing.T) {
+	const nparts = 4
+	const chunk = storage.ChunkRows
+	cases := []struct {
+		rows          int64
+		workers, want int
+	}{
+		{0, 0, 1}, {1, 0, 1}, {chunk - 1, 0, 1}, {chunk, 0, 1},
+		{chunk + 1, 0, 2}, {2 * chunk, 0, 2}, {nparts*chunk + 1, 0, nparts},
+		{0, 3, 1}, {1, 3, 1}, {chunk - 1, 3, 1}, {chunk, 3, 1},
+		{chunk + 1, 3, 2}, {2 * chunk, 3, 2}, {nparts*chunk + 1, 3, 3},
+		{nparts*chunk + 1, 1, 1}, {chunk + 1, 1, 1},
+	}
+	for _, tc := range cases {
+		env, cat := testEnv(t)
+		env.Workers = tc.workers
+		xTable(t, cat, "t", nparts, tc.rows)
+		res, err := Select(context.Background(), sel(t, "SELECT sum(x) FROM t"), env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := res.Stats; st.Workers != tc.want || st.RowsScanned != tc.rows {
+			t.Errorf("%d rows, Env.Workers %d: Workers = %d (scanned %d), want %d", tc.rows, tc.workers, st.Workers, st.RowsScanned, tc.want)
+		}
+	}
+}
+
+// TestScanWidthResumed: a scan resumed from marks is as wide as the rows
+// after the marks, so a summary catch-up over a few appended rows runs
+// on one worker.
+func TestScanWidthResumed(t *testing.T) {
+	const nparts = 4
+	tab := xTable(t, memCatalog{}, "t", nparts, nparts*storage.ChunkRows+1)
+	scan, err := PrepareTableNLQ(tab, []int{0}, core.Triangular, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marks := make([]storage.Mark, nparts)
+	groups := make([]map[string]*groupState, nparts)
+	read := func(wantRows int64, wantWorkers int) {
+		t.Helper()
+		var st Stats
+		if err := scan.p.scan(context.Background(), nil, nil, &st, nil, nil, groups, marks); err != nil {
+			t.Fatal(err)
+		}
+		if st.RowsScanned != wantRows || st.Workers != wantWorkers {
+			t.Fatalf("resumed scan read %d rows on %d workers, want %d on %d", st.RowsScanned, st.Workers, wantRows, wantWorkers)
+		}
+	}
+	read(nparts*storage.ChunkRows+1, nparts)
+	appendX(t, tab, 10)
+	read(10, 1)
+	appendX(t, tab, storage.ChunkRows+1)
+	read(storage.ChunkRows+1, 2)
+	read(0, 1)
+}
+
+// multiTable builds an in-memory table with nparts partitions holding
+// rowsPerPart rows each (column x DOUBLE, round-robin placement).
+func multiTable(t *testing.T, cat memCatalog, name string, nparts, rowsPerPart int) *storage.Table {
+	t.Helper()
+	return xTable(t, cat, name, nparts, int64(nparts*rowsPerPart))
 }
 
 func TestScanFaultCancelsSiblingsSequential(t *testing.T) {
@@ -146,7 +305,7 @@ func TestScanFaultCancelsSiblingsConcurrent(t *testing.T) {
 	tab.SetFault(&storage.Fault{Partition: 0, ScanAfterRows: 10})
 	tab.ResetScannedRows()
 
-	_, err := Select(context.Background(), sel(t, "SELECT x FROM t"), env)
+	res, err := Select(context.Background(), sel(t, "SELECT x FROM t"), env)
 	if err == nil || !strings.Contains(err.Error(), "injected") {
 		t.Fatalf("want injected fault, got %v", err)
 	}
@@ -155,6 +314,11 @@ func TestScanFaultCancelsSiblingsConcurrent(t *testing.T) {
 	// stops within its next 64-row cancellation check. Allow a generous
 	// margin for scheduling skew.
 	total := int64(10 + (nparts-1)*perPart)
+	// 16 000 rows are 8 chunks: every partition has its own worker, so
+	// the siblings really run beside the failing one.
+	if res == nil || res.Stats == nil || res.Stats.Workers != nparts {
+		t.Fatalf("scan width %+v, want %d workers", res, nparts)
+	}
 	if got := tab.ScannedRows(); got >= total/2 {
 		t.Fatalf("scanned %d of %d rows; siblings were not cancelled early", got, total)
 	}
@@ -298,7 +462,9 @@ func TestQueryStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 100
+	// Four chunks of rows, so the scan's width is Env.Workers, not the
+	// one worker per chunk a smaller table gets (checked at the end).
+	const n = 4 * storage.ChunkRows
 	rows := make([]sqltypes.Row, n)
 	for i := range rows {
 		rows[i] = drow(float64(i))
@@ -339,13 +505,13 @@ func TestQueryStats(t *testing.T) {
 	if st.Workers != 2 {
 		t.Fatalf("Workers = %d, want 2", st.Workers)
 	}
-	if st.Skew() != 1 { // 25 rows in each of 4 partitions
+	if st.Skew() != 1 { // 2048 rows in each of 4 partitions
 		t.Fatalf("Skew = %v for a balanced table", st.Skew())
 	}
 	if st.Total <= 0 || st.Scan <= 0 {
 		t.Fatalf("phase times not recorded: total %v scan %v", st.Total, st.Scan)
 	}
-	if s := st.String(); !strings.Contains(s, "scanned 100 rows") {
+	if s := st.String(); !strings.Contains(s, "scanned 8192 rows") {
 		t.Fatalf("stats render missing scan count: %q", s)
 	}
 
@@ -360,6 +526,17 @@ func TestQueryStats(t *testing.T) {
 	}
 	if st.Finalize < 0 || st.Merge < 0 || st.Total < st.Scan {
 		t.Fatalf("aggregate phase times inconsistent: %+v", st)
+	}
+
+	// 100 rows are less than a chunk: one worker, the caller, however
+	// many partitions and Env.Workers allow.
+	multiTable(t, cat, "small", 4, 25)
+	res, err = Select(context.Background(), sel(t, "SELECT x FROM small WHERE x < 40"), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Stats; st.Workers != 1 || st.RowsScanned != 100 || len(res.Rows) != 40 {
+		t.Fatalf("small table: Workers = %d, RowsScanned = %d, %d rows; want 1, 100, 40", st.Workers, st.RowsScanned, len(res.Rows))
 	}
 }
 

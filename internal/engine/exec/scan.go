@@ -18,16 +18,16 @@ type sources struct{ block, floats []int }
 
 // scanPartitions is the engine's one partition-scan loop: every SELECT
 // shape and the summary rebuild run through it. It fans the partitions
-// of t out over at most workers goroutines (RunParallel: first failure
-// cancels the siblings, panics are contained per partition), opens one
-// worker per partition (phases 1-2 of the aggregate protocol; merge and
-// finalize are the caller's, after the workers join), feeds it from the
-// block source when the plan supplied block columns and the partition
-// has a segment, else from the row log — decoded to floats when the
-// plan supplied float columns, boxed otherwise — and records the
-// scan[pN] spans, their source, per-partition rows and the scan totals
-// in st — also when the scan fails part-way, so a failed statement still
-// reports how far it got.
+// of t out over scanWidth goroutines, the caller among them
+// (RunParallel: first failure cancels the siblings, panics are
+// contained per partition), opens one worker per partition (phases 1-2
+// of the aggregate protocol; merge and finalize are the caller's, after
+// the workers join), feeds it from the block source when the plan
+// supplied block columns and the partition has a segment, else from the
+// row log — decoded to floats when the plan supplied float columns,
+// boxed otherwise — and records the scan[pN] spans, their source,
+// per-partition rows and the scan totals in st — also when the scan
+// fails part-way, so a failed statement still reports how far it got.
 //
 // marks, when set, resume every partition after its mark — from the row
 // log, float rows only: a segment holds a whole partition — and each is
@@ -42,11 +42,12 @@ func scanPartitions(ctx context.Context, t *storage.Table, workers int, src sour
 			src.block = nil
 		}
 	}
-	st.Partitions = nparts
-	st.Workers = nparts
-	if workers > 0 && workers < nparts {
-		st.Workers = workers
+	rows := t.NumRows()
+	for _, m := range marks {
+		rows -= m.Rows
 	}
+	st.Partitions = nparts
+	st.Workers = scanWidth(nparts, workers, rows)
 	st.PartitionRows = make([]int64, nparts)
 	scan := st.ensureRoot().child("scan")
 	if src.block != nil {
@@ -99,6 +100,21 @@ func scanPartitions(ctx context.Context, t *storage.Table, workers int, src sour
 	scan.sortChildren()
 	scan.Rows, scan.Bytes = st.RowsScanned, st.BytesRead
 	return err
+}
+
+// scanWidth is how many workers, the caller included, a scan of rows
+// rows over nparts partitions runs: one per storage.ChunkRows rows to
+// read, at most one per partition and at most workers when workers > 0,
+// and at least one. A table of nparts chunks or more gets the paper's
+// thread per AMP; a point lookup or a catch-up over a few appended rows
+// runs on the calling goroutine alone.
+func scanWidth(nparts, workers int, rows int64) int {
+	width := int64(nparts)
+	if workers > 0 {
+		width = min(width, int64(workers))
+	}
+	chunks := (rows + storage.ChunkRows - 1) / storage.ChunkRows
+	return int(max(1, min(width, chunks)))
 }
 
 // scanPartition picks partition p's source: "block", "float" or "row".

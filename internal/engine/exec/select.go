@@ -17,8 +17,10 @@ type Env struct {
 	Catalog Catalog
 	Funcs   *expr.Registry // scalar functions and scalar UDFs
 	Aggs    *udf.Registry  // standard aggregates and aggregate UDFs
-	// Workers bounds the scan worker pool independently of the
-	// partition count; <= 0 runs one goroutine per partition.
+	// Workers caps a scan's workers below the partition count; <= 0
+	// sets no cap. Under the caps a scan runs one worker per
+	// storage.ChunkRows rows it reads (scanWidth), so a table of less
+	// than a chunk is scanned on the calling goroutine alone.
 	Workers int
 	// Columnar offers eligible scans of on-disk tables the block source
 	// (column segments + vector programs); what blocks cannot serve

@@ -16,7 +16,9 @@ import (
 // finished Stats can be read freely.
 type Stats struct {
 	// Partitions is the driving table's partition count; Workers is the
-	// number of goroutines that actually scanned them.
+	// number of goroutines that scanned them, the caller included: the
+	// scan's width, one per storage.ChunkRows rows to read, capped by
+	// the partitions and Env.Workers.
 	Partitions int `json:"partitions"`
 	Workers    int `json:"workers"`
 

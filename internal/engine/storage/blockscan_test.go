@@ -44,7 +44,7 @@ func mixedRow(rng *rand.Rand, i, parts int) sqltypes.Row {
 		s = sqltypes.NewVarChar(fmt.Sprint(rng.Float64() * 100))
 	}
 	late := sqltypes.NewDouble(float64(i) / 8)
-	if i/parts >= segChunkRows && rng.Intn(4) == 0 {
+	if i/parts >= ChunkRows && rng.Intn(4) == 0 {
 		late = sqltypes.Null
 	}
 	return sqltypes.Row{
@@ -68,7 +68,7 @@ func mixedRow(rng *rand.Rand, i, parts int) sqltypes.Row {
 func TestBlockScanMatchesRowScanRandomSubsets(t *testing.T) {
 	schema := mixedSchema()
 	for _, shape := range []struct{ rows, parts int }{
-		{1, 1}, {3, 2}, {2 * segChunkRows, 1}, {4*segChunkRows + 37, 1}, {6*segChunkRows + 5, 2},
+		{1, 1}, {3, 2}, {2 * ChunkRows, 1}, {4*ChunkRows + 37, 1}, {6*ChunkRows + 5, 2},
 	} {
 		for _, dir := range []string{"", t.TempDir()} {
 			name := fmt.Sprintf("%dx%d/mem", shape.rows, shape.parts)
@@ -276,7 +276,7 @@ func discardBlock(*Block) error { return nil }
 // read, which for 3 of 33 columns is well under a fifth of the segment
 // and for all 33 is the segment, once.
 func TestBlockScanReadsOnlyRequestedColumns(t *testing.T) {
-	tab := wideTable(t, 33, 2*segChunkRows+100)
+	tab := wideTable(t, 33, 2*ChunkRows+100)
 	seg := tab.Segments()[0].Bytes
 	scan := func(cols []int) int64 {
 		t.Helper()
@@ -285,7 +285,7 @@ func TestBlockScanReadsOnlyRequestedColumns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Rows != 2*segChunkRows+100 {
+		if st.Rows != 2*ChunkRows+100 {
 			t.Fatalf("scanned %d rows", st.Rows)
 		}
 		if got := obs.BytesRead.Value() - before; got != st.Bytes {
@@ -293,7 +293,7 @@ func TestBlockScanReadsOnlyRequestedColumns(t *testing.T) {
 		}
 		return st.Bytes
 	}
-	if got := scan([]int{0, 1, 2}); got >= seg/5 || got < 3*8*(2*segChunkRows+100) {
+	if got := scan([]int{0, 1, 2}); got >= seg/5 || got < 3*8*(2*ChunkRows+100) {
 		t.Fatalf("a 3-of-33-column scan read %d of the segment's %d bytes", got, seg)
 	}
 	if got := scan(ordinals(33)); got != seg {
@@ -317,7 +317,7 @@ func (c *countingReader) ReadAt(p []byte, off int64) (int, error) {
 // however wide the schema and whichever columns go unread; a
 // non-numeric column is never read.
 func TestSegmentReadsPerChunk(t *testing.T) {
-	const rows = 2*segChunkRows + 100 // three chunks
+	const rows = 2*ChunkRows + 100 // three chunks
 	tab := wideTable(t, 33, rows)
 	tab.mu.RLock()
 	img, err := os.ReadFile(tab.segPathLocked(0))
@@ -421,7 +421,7 @@ func TestBlockMask(t *testing.T) {
 // partition costs a scan the same few objects as a 1-chunk one.
 func TestBlockScanAllocatesPerScanNotPerChunk(t *testing.T) {
 	allocs := func(chunks int) float64 {
-		tab := wideTable(t, 2, chunks*segChunkRows)
+		tab := wideTable(t, 2, chunks*ChunkRows)
 		cols := []int{0, 1}
 		return testing.AllocsPerRun(10, func() {
 			if _, err := tab.ScanPartitionBlocks(context.Background(), 0, cols, discardBlock); err != nil {
@@ -442,7 +442,7 @@ func TestBlockScanAllocatesPerScanNotPerChunk(t *testing.T) {
 // here 8 chunks in one partition) with a no-op consumer: every column,
 // and the three a narrow projection asks for.
 func BenchmarkBlockScan(b *testing.B) {
-	const rows = 8 * segChunkRows
+	const rows = 8 * ChunkRows
 	tab := wideTable(b, 33, rows)
 	for _, bc := range []struct {
 		name string

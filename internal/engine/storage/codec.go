@@ -4,8 +4,9 @@
 // memory (for model tables and tests).
 //
 // The partition count models Teradata's parallel processing threads:
-// the paper's system had 20, each owning 1/20th of X; scans here run
-// one goroutine per partition at the executor level.
+// the paper's system had 20, each owning 1/20th of X; the executor
+// scans them with up to one worker per partition, one per ChunkRows
+// rows read.
 package storage
 
 import (

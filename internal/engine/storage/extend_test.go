@@ -117,7 +117,7 @@ func TestExtendSegmentsWaitsForAChunk(t *testing.T) {
 	if _, err := tab.ScanPartitionSegment(context.Background(), 0, []int{1}, discardBlock, nil, func(sqltypes.Row) error { return nil }); err != nil {
 		t.Fatalf("segment scan of an empty partition: %v", err)
 	}
-	const first = segChunkRows + 900
+	const first = ChunkRows + 900
 	insertNumbered(t, tab, 0, first)
 	_, err = tab.ScanPartitionSegment(context.Background(), 0, []int{1}, func(*Block) error {
 		t.Fatal("a partition without a segment delivered a block")
@@ -145,7 +145,7 @@ func TestExtendSegmentsWaitsForAChunk(t *testing.T) {
 	}
 
 	// Short of a chunk: nothing is encoded, the tail comes from the log.
-	next := first + segChunkRows - 1
+	next := first + ChunkRows - 1
 	insertNumbered(t, tab, first, next)
 	if err := tab.ExtendSegments(); err != nil {
 		t.Fatal(err)

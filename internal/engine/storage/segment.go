@@ -34,7 +34,7 @@ import (
 //
 // File layout: a sequence of chunks, each
 //
-//	header:    magic "SEG2" | u32 rows (1..segChunkRows) | u32 ncols |
+//	header:    magic "SEG2" | u32 rows (1..ChunkRows) | u32 ncols |
 //	           u32 bodyLen (directory and column blocks)
 //	directory: per column, its tag byte (1 = numeric, 0 = other) and
 //	           seven zero bytes; then min f64 | max f64 per numeric column
@@ -52,14 +52,16 @@ import (
 // A reader fetches a chunk's header and directory in one positional
 // read, checking every column's entry there, then each run of adjacent
 // requested numeric columns in one more, straight into the float64
-// buffer its lanes are views of. Chunks are segChunkRows rows, the last
+// buffer its lanes are views of. Chunks are ChunkRows rows, the last
 // one short: the chunk bounds a concurrent scan's memory. A file of
 // another layout (the SEG1 chunks earlier writers emitted) fails
 // adoption and is derived again from the row log.
-const (
-	segMagic     = "SEG2"
-	segChunkRows = 2048
-)
+const segMagic = "SEG2"
+
+// ChunkRows is the row count of a segment chunk, the unit block scans
+// decode. The executor sizes its scan fan-out in it too: one worker per
+// chunk of rows to read.
+const ChunkRows = 2048
 
 // ErrSegmentStale reports that a partition's segment file does not
 // cover the rows a scan needs from it; callers fall back to the row
@@ -149,7 +151,7 @@ func (sh *segShape) bodyLen(bmLen, nrows int) int {
 	return sh.blockAt(len(sh.numBefore)-1, bmLen, nrows) - 16
 }
 
-// appendSegChunk appends one chunk of nrows (≤ segChunkRows) rows to
+// appendSegChunk appends one chunk of nrows (≤ ChunkRows) rows to
 // buf, taking them in order from next. The chunk is laid out first and
 // filled row by row, so each row is read once and none is kept, however
 // many columns there are.
@@ -216,14 +218,14 @@ func appendSegChunk(buf []byte, schema *sqltypes.Schema, nrows int, next func() 
 // noValues are the lanes of every requested non-numeric column, shared
 // the same way.
 var (
-	allValid = func() (v [segChunkRows]bool) {
+	allValid = func() (v [ChunkRows]bool) {
 		for i := range v {
 			v[i] = true
 		}
 		return v
 	}()
-	noneValid [segChunkRows]bool
-	noValues  [segChunkRows]float64
+	noneValid [ChunkRows]bool
+	noValues  [ChunkRows]float64
 )
 
 // blockBuf is the backing of one scan's Block: the chunk header and
@@ -360,8 +362,8 @@ func (sr *segReader) next() (*Block, error) {
 		return nil, corruptf("storage: bad segment chunk magic %q", string(head[:4]))
 	}
 	nrows := int(binary.LittleEndian.Uint32(head[4:8]))
-	if nrows < 1 || nrows > segChunkRows {
-		return nil, corruptf("storage: segment chunk row count %d out of range 1..%d", nrows, segChunkRows)
+	if nrows < 1 || nrows > ChunkRows {
+		return nil, corruptf("storage: segment chunk row count %d out of range 1..%d", nrows, ChunkRows)
 	}
 	if n := int(binary.LittleEndian.Uint32(head[8:12])); n != ncols {
 		return nil, corruptf("storage: segment chunk has %d columns, schema has %d", n, ncols)
@@ -422,7 +424,7 @@ func (sr *segReader) next() (*Block, error) {
 }
 
 // fullBitmap is the bitmap of a full chunk without NULLs.
-var fullBitmap = bytes.Repeat([]byte{0xff}, segChunkRows/8)
+var fullBitmap = bytes.Repeat([]byte{0xff}, ChunkRows/8)
 
 // validity returns the validity lane of slot s's column in an
 // nrows-row chunk whose bitmap is bm: the shared all-true lane when no
@@ -501,7 +503,7 @@ func (t *Table) EnsureSegments() error { return t.deriveSegments(1) }
 // the row log, since encoding a row costs several times reading it. So
 // every row is encoded once, and a write followed by a scan pays at most
 // the encoding of the rows it added. In-memory tables have no segments.
-func (t *Table) ExtendSegments() error { return t.deriveSegments(segChunkRows) }
+func (t *Table) ExtendSegments() error { return t.deriveSegments(ChunkRows) }
 
 // deriveSegments extends each partition's segment by the rows it does
 // not cover once there are at least minTail of them, or at once while
@@ -620,8 +622,8 @@ func (t *Table) appendSegLocked(p int, seg segCover) (_ *segCover, err error) {
 		read++
 		return row, err
 	}
-	for left := rows; left > 0; left -= segChunkRows {
-		if scratch, err = appendSegChunk(scratch[:0], t.schema, int(min(left, segChunkRows)), next); err != nil {
+	for left := rows; left > 0; left -= ChunkRows {
+		if scratch, err = appendSegChunk(scratch[:0], t.schema, int(min(left, ChunkRows)), next); err != nil {
 			return nil, err
 		}
 		if _, err := dst.WriteAt(scratch, at); err != nil {

@@ -183,7 +183,7 @@ func TestWritesTouchOnlyTheRowLog(t *testing.T) {
 		if _, err := tab.ScanPartitionBlocks(nil, si.Partition, []int{0}, func(*Block) error { chunks++; return nil }); err != nil {
 			t.Fatal(err)
 		}
-		if want := (si.Rows + segChunkRows - 1) / segChunkRows; chunks != want {
+		if want := (si.Rows + ChunkRows - 1) / ChunkRows; chunks != want {
 			t.Fatalf("partition %d segment has %d chunks, want %d", si.Partition, chunks, want)
 		}
 	}
@@ -271,8 +271,8 @@ func TestEnsureSegmentsRebuildsAfterInvalidation(t *testing.T) {
 // early — mid-chunk or on a chunk boundary — or runs on past them is
 // corrupt: no segment is written and the partition stays stale.
 func TestEnsureSegmentsRefusesMiscountedRowLog(t *testing.T) {
-	const rows = 2*segChunkRows + 50
-	for _, logRows := range []int{segChunkRows + 7, segChunkRows, rows + 3} {
+	const rows = 2*ChunkRows + 50
+	for _, logRows := range []int{ChunkRows + 7, ChunkRows, rows + 3} {
 		dir := t.TempDir()
 		tab, err := NewTable("x", testSchema(), dir, 1)
 		if err != nil {
@@ -449,7 +449,7 @@ func FuzzDecodeSegment(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(parent)
-	f.Add(encodeSegChunk(nil, schema, parentSegmentRows()[:segChunkRows]))
+	f.Add(encodeSegChunk(nil, schema, parentSegmentRows()[:ChunkRows]))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		blocks, err := readSegImage(data, schema, []int{0, 1, 2})
 		if err != nil && !errors.Is(err, ErrCorrupt) {

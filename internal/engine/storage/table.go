@@ -200,12 +200,17 @@ func (t *Table) OnDisk() bool { return t.dir != "" }
 
 // validate checks row against the schema and writes it, numeric widths
 // coerced, into dst — a row of the schema's width that the caller owns;
-// row itself is only read.
+// row itself is only read. A NULL or a value of its column's type is
+// copied through: Coerce would return it unchanged.
 func (t *Table) validate(dst, row sqltypes.Row) error {
 	if len(row) != t.schema.Len() {
 		return fmt.Errorf("storage: table %q expects %d columns, got %d", t.name, t.schema.Len(), len(row))
 	}
 	for i, col := range t.schema.Columns {
+		if v := row[i]; v.IsNull() || v.Type() == col.Type {
+			dst[i] = v
+			continue
+		}
 		v, err := sqltypes.Coerce(row[i], col.Type)
 		if err != nil {
 			return fmt.Errorf("storage: table %q column %q: %w", t.name, col.Name, err)

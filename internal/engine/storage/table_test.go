@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -428,5 +429,54 @@ func TestOpenTableRejectsTruncatedFile(t *testing.T) {
 	_, err = OpenTable("x", testSchema(), dir, 1)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("attach to torn file: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestValidateMatchesCoerce: validate's copy-through of a NULL or a
+// value already of its column's type stores what sqltypes.Coerce
+// returns, and every other pair — error cases included — still goes
+// through Coerce, over every value type × column type.
+func TestValidateMatchesCoerce(t *testing.T) {
+	values := []sqltypes.Value{
+		sqltypes.Null,
+		sqltypes.NewDouble(0), sqltypes.NewDouble(math.Copysign(0, -1)), sqltypes.NewDouble(1.5),
+		sqltypes.NewDouble(-3), sqltypes.NewDouble(math.NaN()), sqltypes.NewDouble(math.Inf(1)), sqltypes.NewDouble(-1e300),
+		sqltypes.NewBigInt(0), sqltypes.NewBigInt(-7), sqltypes.NewBigInt(math.MaxInt64), sqltypes.NewBigInt(math.MinInt64),
+		sqltypes.NewVarChar(""), sqltypes.NewVarChar("abc"), sqltypes.NewVarChar(" 42 "), sqltypes.NewVarChar("1.5"),
+		sqltypes.NewVarChar("-1e3"), sqltypes.NewVarChar("x9"), sqltypes.NewVarChar("9223372036854775808"),
+		sqltypes.NewBool(true), sqltypes.NewBool(false),
+	}
+	same := func(a, b sqltypes.Value) bool {
+		if a.Type() != b.Type() {
+			return false
+		}
+		switch a.Type() {
+		case sqltypes.TypeDouble:
+			return math.Float64bits(a.MustFloat()) == math.Float64bits(b.MustFloat())
+		case sqltypes.TypeBigInt:
+			return a.Int() == b.Int()
+		case sqltypes.TypeVarChar:
+			return a.Str() == b.Str()
+		case sqltypes.TypeBool:
+			return a.Bool() == b.Bool()
+		}
+		return true
+	}
+	colTypes := []sqltypes.Type{sqltypes.TypeDouble, sqltypes.TypeBigInt, sqltypes.TypeVarChar, sqltypes.TypeBool, sqltypes.TypeNull}
+	for _, ct := range colTypes {
+		tab := &Table{name: "v", schema: sqltypes.MustSchema(sqltypes.Column{Name: "c", Type: ct})}
+		for _, v := range values {
+			want, wantErr := sqltypes.Coerce(v, ct)
+			dst := make(sqltypes.Row, 1)
+			err := tab.validate(dst, sqltypes.Row{v})
+			switch {
+			case (err == nil) != (wantErr == nil):
+				t.Errorf("%v into %v: validate error %v, Coerce error %v", v, ct, err, wantErr)
+			case err != nil && !strings.Contains(err.Error(), wantErr.Error()):
+				t.Errorf("%v into %v: validate error %q does not carry Coerce's %q", v, ct, err, wantErr)
+			case err == nil && !same(dst[0], want):
+				t.Errorf("%v into %v: validate stored %v (%v), Coerce gives %v (%v)", v, ct, dst[0], dst[0].Type(), want, want.Type())
+			}
+		}
 	}
 }

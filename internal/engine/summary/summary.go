@@ -37,7 +37,7 @@ import (
 
 // Catalog holds the summary entries of one database instance.
 type Catalog struct {
-	workers int // parallel scan width; <= 0 means one goroutine per partition
+	workers int // cap on a scan's workers (exec.Env.Workers); <= 0 sets none
 
 	mu      sync.Mutex
 	entries map[string]*entry

@@ -115,8 +115,10 @@ type Options struct {
 	// Partitions is the engine parallelism (default 20, the paper's
 	// Teradata thread count).
 	Partitions int
-	// Workers bounds the executor's scan worker pool independently of
-	// the partition count; <= 0 runs one worker per partition.
+	// Workers caps a scan's workers below the partition count; <= 0
+	// sets no cap. Under the caps a scan runs one worker per 2048-row
+	// chunk it reads, the calling goroutine first, so a table of as
+	// many chunks as partitions gets one worker per partition.
 	Workers int
 	// SlowQuery is the duration at or above which a statement is
 	// flagged slow in sys.queries; zero selects the engine default
