@@ -1,6 +1,9 @@
 package statsudf
 
 import (
+	"bytes"
+	"encoding/csv"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -25,14 +28,14 @@ func FuzzImportCSV(f *testing.F) {
 	f.Add("a,b\n1,notint\n", false) // type drift after inference
 	f.Add("", true)
 	f.Add("\ufeffid,x\n1,2\n", true) // byte-order mark
-	// Two batches (2 048 records of two fields each): a bad field, then a
-	// malformed quote in the second batch.
-	f.Add(csvText("a,b", 2600, func(i int) string {
+	// Two chunks (about 75 KB): a bad field, then a malformed quote in the
+	// second chunk.
+	f.Add(csvText("a,b", 7000, func(i int) string {
 		switch i {
 		case 10:
 			return "10,x"
-		case 2500:
-			return "2500,\"a\"b"
+		case 6500:
+			return "6500,\"a\"b"
 		}
 		return strconv.Itoa(i) + "," + strconv.Itoa(-i)
 	}), true)
@@ -74,6 +77,70 @@ func FuzzImportCSV(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzCSVCut checks csvCut on every prefix of an input encoding/csv
+// reads without error. A cut must be a record end Reader.InputOffset
+// reports, or follow one through empty lines alone, which encoding/csv
+// skips; and reading the input in two parts split at the cut must give
+// the records reading it whole does, so no cut splits a quoted field.
+func FuzzCSVCut(f *testing.F) {
+	f.Add([]byte("a,b\n1,2\n3,4\n"))
+	f.Add([]byte("a,\"b\nc\"\n1,\"x\"\"\ny\"\n\n2,3"))
+	f.Add([]byte("\"\"\n\"\n\"\n\r\n\n1\r\n\"a,\"\"b\""))
+	f.Add([]byte("h\n\"quoted,comma\"\n\"two\nlines\",x\n"))
+	f.Add([]byte("\n\n1\n\r\n2\r\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4096 {
+			return // every prefix is cut: keep the quadratic check small
+		}
+		whole, err := readRecords(data)
+		if err != nil {
+			return
+		}
+		ends, err := recordEnds(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := map[int]bool{}
+		for w := 0; w <= len(data); w++ {
+			c := csvCut(data[:w])
+			if c == 0 || checked[c] {
+				continue
+			}
+			checked[c] = true
+			if c > w || data[c-1] != '\n' {
+				t.Fatalf("cut %d of the first %d bytes of %q is not after a newline in them", c, w, data)
+			}
+			end := 0
+			for _, e := range ends {
+				if e <= c {
+					end = e
+				}
+			}
+			if blank := bytes.ReplaceAll(data[end:c], []byte("\r\n"), []byte("\n")); len(bytes.Trim(blank, "\n")) != 0 {
+				t.Fatalf("cut %d of %q is not a record end (the last before it is %d)", c, data, end)
+			}
+			first, err := readRecords(data[:c])
+			if err != nil {
+				t.Fatalf("the %d bytes before cut %d of %q do not read: %v", c, c, data, err)
+			}
+			rest, err := readRecords(data[c:])
+			if err != nil {
+				t.Fatalf("the bytes after cut %d of %q do not read: %v", c, data, err)
+			}
+			if got := append(first, rest...); fmt.Sprintf("%q", got) != fmt.Sprintf("%q", whole) {
+				t.Fatalf("split at cut %d, %q reads as %q, whole as %q", c, data, got, whole)
+			}
+		}
+	})
+}
+
+// readRecords returns every record of data, with any field count.
+func readRecords(data []byte) ([][]string, error) {
+	cr := csv.NewReader(bytes.NewReader(data))
+	cr.FieldsPerRecord = -1
+	return cr.ReadAll()
 }
 
 // FuzzDecodeBlockedSummary hands DecodeBlockedSummary a plan of d

@@ -15,6 +15,11 @@ import (
 // row-sized buffer and a bulk load at most this much per partition.
 const appendFlushSize = 1 << 16
 
+// bulkBufSize is a bulk load's partition buffer, made whole when the
+// partition takes its first row: appendFlushSize and room for the row
+// that crosses it, so the buffer is not regrown on the way there.
+const bulkBufSize = appendFlushSize + 4<<10
+
 var errAppenderDone = errors.New("storage: write already committed or aborted")
 
 // appender is the only code that moves rows into a table, in memory or
@@ -31,6 +36,7 @@ type appender struct {
 	// to stays zero and its file is never opened.
 	parts []stagedPart
 	row   sqltypes.Row // an on-disk bulk load validates every row into this one
+	bulk  bool         // a BulkLoader's write
 	err   error        // first failure (or errAppenderDone): add refuses, commit aborts
 	done  bool         // committed or aborted; the lock is released
 }
@@ -89,6 +95,9 @@ func (a *appender) add(r sqltypes.Row) error {
 		if s.f == nil {
 			if err := s.open(t.parts[p].path); err != nil {
 				return a.fail(err)
+			}
+			if a.bulk {
+				s.buf = make([]byte, 0, bulkBufSize)
 			}
 		}
 		buf, err := encodeRow(s.buf, r)
@@ -256,6 +265,7 @@ func (t *Table) NewBulkLoader() (*BulkLoader, error) {
 	if err != nil {
 		return nil, err
 	}
+	a.bulk = true
 	return &BulkLoader{a: a}, nil
 }
 

@@ -109,8 +109,56 @@ func TestParseMatchesStrconv(t *testing.T) {
 	}
 }
 
-// TestFastPath pins which inputs Parse answers without strconv: the
-// parity checks above would pass just as well if it answered none.
+// checkPrefix checks ParsePrefix and ParseIntPrefix on s, as a string
+// and as bytes: whenever one reports a prefix of n bytes, strconv
+// accepts s[:n] and returns the same value, bit for bit, and both forms
+// agree.
+func checkPrefix(t *testing.T, s string) {
+	t.Helper()
+	f, n, ok := ParsePrefix(s)
+	if bf, bn, bok := ParsePrefix([]byte(s)); math.Float64bits(bf) != math.Float64bits(f) || bn != n || bok != ok {
+		t.Fatalf("ParsePrefix(%q) = %v, %d, %v on a string, %v, %d, %v on bytes", s, f, n, ok, bf, bn, bok)
+	}
+	if ok {
+		if n <= 0 || n > len(s) {
+			t.Fatalf("ParsePrefix(%q) took %d bytes", s, n)
+		}
+		want, err := strconv.ParseFloat(s[:n], 64)
+		if err != nil || math.Float64bits(f) != math.Float64bits(want) {
+			t.Fatalf("ParsePrefix(%q) = %v (%#x) over %q; strconv %v (%#x), %v", s, f, math.Float64bits(f), s[:n], want, math.Float64bits(want), err)
+		}
+	}
+	i, n, ok := ParseIntPrefix(s)
+	if bi, bn, bok := ParseIntPrefix([]byte(s)); bi != i || bn != n || bok != ok {
+		t.Fatalf("ParseIntPrefix(%q) = %d, %d, %v on a string, %d, %d, %v on bytes", s, i, n, ok, bi, bn, bok)
+	}
+	if ok {
+		if n <= 0 || n > len(s) {
+			t.Fatalf("ParseIntPrefix(%q) took %d bytes", s, n)
+		}
+		if want, err := strconv.ParseInt(s[:n], 10, 64); err != nil || i != want {
+			t.Fatalf("ParseIntPrefix(%q) = %d over %q; strconv %d, %v", s, i, s[:n], want, err)
+		}
+	}
+}
+
+func TestPrefixMatchesStrconv(t *testing.T) {
+	for _, s := range parseSeeds {
+		for _, suffix := range []string{"", ",", ",1", "\r\n", "x", "e", "e+", ".5", "0"} {
+			checkPrefix(t, s+suffix)
+		}
+	}
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 100000; i++ {
+		f := (rng.Float64()*2 - 1) * math.Pow(10, float64(rng.Intn(161)-80))
+		checkPrefix(t, strconv.FormatFloat(f, 'g', 17, 64)+",")
+		checkPrefix(t, strconv.FormatInt(rng.Int63()>>uint(rng.Intn(63)), 10)+",")
+	}
+}
+
+// TestFastPath pins which inputs Parse and the prefix scans answer
+// without strconv, and how many bytes the prefix scans take: the parity
+// checks above would pass just as well if they answered none.
 func TestFastPath(t *testing.T) {
 	for _, c := range []struct {
 		s    string
@@ -123,23 +171,47 @@ func TestFastPath(t *testing.T) {
 		{"9007199254740993", false}, // exactly halfway: Eisel–Lemire declines
 		{"0x1p-2", false}, {"inf", false}, {"1_0", false}, {".", false}, {"1e", false},
 	} {
-		man, exp10, neg, ok := scan(c.s)
-		if ok {
-			_, ok = convert(man, exp10, neg)
+		_, n, ok := ParsePrefix(c.s)
+		if fast := ok && n == len(c.s); fast != c.fast {
+			t.Errorf("fast path on %q: %v, want %v", c.s, fast, c.fast)
 		}
-		if ok != c.fast {
-			t.Errorf("fast path on %q: %v, want %v", c.s, ok, c.fast)
+	}
+	for _, c := range []struct {
+		s string
+		n int // bytes taken; 0 when the scan declines
+	}{
+		{"1.5,2", 3}, {"-0.25\r\n", 5}, {"1e", 1}, {"1e+,", 1}, {"2E-3,", 4}, {"-.5e1x", 5},
+		{"5.,", 2}, {"0x1p-2", 1}, {"1_0", 1}, {"1.5.", 3}, {"1e5e5", 3}, {" 1", 0}, {",1", 0},
+		{"inf", 0}, {"", 0}, {"-", 0}, {"12345678901234567890,", 0}, {"1e65,", 0},
+	} {
+		if _, n, ok := ParsePrefix([]byte(c.s)); n != c.n || ok != (c.n > 0) {
+			t.Errorf("ParsePrefix(%q) took %d bytes (%v), want %d", c.s, n, ok, c.n)
+		}
+	}
+	for _, c := range []struct {
+		s string
+		n int
+	}{
+		{"123,4", 3}, {"-0", 2}, {"+7x", 2}, {"1.5", 1}, {"123456789012345678,", 18},
+		{"-123456789012345678", 19}, {"1234567890123456789", 0}, {"-", 0}, {"", 0}, {" 1", 0}, {"x1", 0},
+	} {
+		if _, n, ok := ParseIntPrefix([]byte(c.s)); n != c.n || ok != (c.n > 0) {
+			t.Errorf("ParseIntPrefix(%q) took %d bytes (%v), want %d", c.s, n, ok, c.n)
 		}
 	}
 }
 
-// FuzzParseFloat checks Parse against strconv.ParseFloat(s, 64): the
-// same result bits and the same error.
+// FuzzParseFloat checks Parse against strconv.ParseFloat(s, 64) — the
+// same result bits and the same error — and the prefix scans against
+// strconv on the prefixes they report.
 func FuzzParseFloat(f *testing.F) {
 	for _, s := range parseSeeds {
 		f.Add(s)
 	}
+	f.Add("1.5,2")
+	f.Add("-12,3\r\n")
 	f.Fuzz(func(t *testing.T, s string) {
 		checkParse(t, s)
+		checkPrefix(t, s)
 	})
 }
