@@ -80,13 +80,18 @@ func runPrepared(d *DB, sql string, args ...Value) (*Result, error) {
 // loadArgPlanTables creates T(i, g, X1..X4, b, s, bad) and the small
 // model table m(j, v). X3 is NULL in every seventh row, X4 carries a −0
 // and a NaN, b is BIGINT, s is a numeric VARCHAR and bad is a VARCHAR
-// that does not parse in one row.
+// that does not parse in one row. W(id, X1, X2) holds ids on both sides
+// of ±2⁵³, where a float64 stops holding every BIGINT, and the model
+// table mn(j, v) a NULL v at j = 2.
 func loadArgPlanTables(t *testing.T, d *DB) {
 	t.Helper()
 	for _, sql := range []string{
 		"CREATE TABLE T (i BIGINT, g BIGINT, X1 DOUBLE, X2 DOUBLE, X3 DOUBLE, X4 DOUBLE, b BIGINT, s VARCHAR, bad VARCHAR)",
 		"CREATE TABLE m (j BIGINT, v DOUBLE)",
 		"INSERT INTO m VALUES (1, 0.5), (2, -3.25), (3, 8)",
+		"CREATE TABLE W (id BIGINT, X1 DOUBLE, X2 DOUBLE)",
+		"CREATE TABLE mn (j BIGINT, v DOUBLE)",
+		"INSERT INTO mn VALUES (1, 0.5), (2, NULL)",
 	} {
 		if _, err := d.Exec(sql); err != nil {
 			t.Fatalf("%s: %v", sql, err)
@@ -113,6 +118,15 @@ func loadArgPlanTables(t *testing.T, d *DB) {
 		}
 	}
 	if err := engineTable(t, d, "T").Insert(rows...); err != nil {
+		t.Fatal(err)
+	}
+	const edge = int64(1) << 53
+	wide := []int64{edge + 1, -edge - 1, edge, -edge, edge + 2, math.MaxInt64, math.MinInt64 + 1, edge - 1}
+	rows = rows[:0]
+	for i := 0; i < 40; i++ {
+		rows = append(rows, Row{NewBigInt(wide[i%len(wide)] - int64(i/len(wide))), NewDouble(rng.NormFloat64()), NewDouble(rng.NormFloat64())})
+	}
+	if err := engineTable(t, d, "W").Insert(rows...); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -157,6 +171,9 @@ func TestAggregateArgPlansAgree(t *testing.T) {
 		{name: "GROUP BY",
 			gather: stmt{sql: "SELECT g, nlq_list(3, 'triang', X1, X2, X3), sum(X2), min(b), count(*) FROM T GROUP BY g"},
 			eval:   stmt{sql: "SELECT g, nlq_list(3, 'triang', X1 * 1, X2 * 1, X3 * 1), sum(X2 * 1), min(b * 1), count(*) FROM T GROUP BY g"}},
+		{name: "nlq_list over BIGINTs on both sides of 2⁵³",
+			gather: stmt{sql: "SELECT nlq_list(2, 'triang', id, X1), sum(id) FROM W"},
+			eval:   stmt{sql: "SELECT nlq_list(2, 'triang', id * 1, X1 * 1), sum(id * 1) FROM W"}},
 		{name: "join tail of two rows (bound slots)",
 			gather: stmt{sql: "SELECT nlq_list(3, 'triang', X1, v, X2), sum(v), max(j) FROM T CROSS JOIN m WHERE m.j <= 2 AND X2 < -3"},
 			eval:   stmt{sql: "SELECT nlq_list(3, 'triang', X1 * 1, v * 1, X2 * 1), sum(v * 1), max(j * 1) FROM T CROSS JOIN m WHERE m.j <= 2 AND X2 < -3"}},

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine/db"
 	"repro/internal/engine/exec"
+	"repro/internal/engine/expr"
 	"repro/internal/engine/sqltypes"
 	"repro/internal/server"
 	"repro/internal/server/wire"
@@ -451,6 +452,104 @@ func TestShardFailureTypedErrorMarkdownAndRevival(t *testing.T) {
 	}
 	got, want := tc.queryBoth(t, "SELECT count(*), sum(y) FROM z")
 	requireIdentical(t, "post-revival aggregate", got, want)
+}
+
+// TestShardClosedWhileRequestAdmitted closes a shard while the
+// coordinator's request is admitted to it, queued behind a statement
+// that holds the shard's one execution slot. A closing shard answers
+// with its typed shutdown error or drops the connection, whichever wins
+// the race; either way the statement fails with CodeShardUnavailable,
+// and the failure is charged to that shard's health and to no other.
+func TestShardClosedWhileRequestAdmitted(t *testing.T) {
+	hold, held := make(chan struct{}), make(chan struct{})
+	var srvs []*server.Server
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		sd, err := statsudf.Open(statsudf.Options{Partitions: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sd.Close() })
+		cfg := server.Config{Addr: "127.0.0.1:0"}
+		if i == 1 {
+			cfg.MaxStatements, cfg.MaxWaiting = 1, 1
+			err := sd.Engine().Scalars().Register(expr.FuncDef{Name: "hold", Fn: func([]sqltypes.Value) (sqltypes.Value, error) {
+				close(held)
+				<-hold
+				return sqltypes.NewBigInt(1), nil
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv := server.New(sd.Engine(), cfg)
+		if err := srv.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		srvs, addrs = append(srvs, srv), append(addrs, srv.Addr())
+	}
+	local, err := statsudf.Open(statsudf.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { local.Close() })
+	coord, err := New(local.Engine(), Config{Shards: addrs, Partitions: 4, PoolSize: 2, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	ctx := context.Background()
+	if _, err := coord.ExecScriptContext(ctx, "CREATE TABLE z (a BIGINT); INSERT INTO z VALUES (1), (2), (3), (4)"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Take shard 1's one execution slot.
+	direct, err := client.Open(client.Config{Addr: addrs[1], User: "hold", PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { direct.Close() })
+	go direct.Query(ctx, "SELECT hold()")
+	<-held
+
+	errc := make(chan error, 1)
+	go func() {
+		_, err := coord.ExecScriptContext(ctx, "SELECT count(*) FROM z")
+		errc <- err
+	}()
+	// Let the request reach shard 1's admission queue; any other timing
+	// must end in the same typed error.
+	time.Sleep(50 * time.Millisecond)
+	closed := make(chan struct{})
+	go func() {
+		srvs[1].Close()
+		close(closed)
+	}()
+	err = <-errc
+	close(hold)
+	<-closed
+
+	var we *wire.Error
+	if !errors.As(err, &we) || we.Code != wire.CodeShardUnavailable {
+		t.Fatalf("error %v, want code %s", err, wire.CodeShardUnavailable)
+	}
+	coord.shards.mu.RLock()
+	fails := []int{coord.shards.shards[0].ConsecFails, coord.shards.shards[1].ConsecFails}
+	coord.shards.mu.RUnlock()
+	if fails[0] != 0 || fails[1] != 1 {
+		t.Fatalf("consecutive failures per shard %v, want [0 1]", fails)
+	}
+
+	// The reply of a closing shard on its own: charged, and typed.
+	if err := coord.shardCall(0, func() error { return &wire.Error{Code: wire.CodeShutdown, Message: "server shutting down"} }); !errors.As(err, &we) || we.Code != wire.CodeShardUnavailable {
+		t.Fatalf("a shutdown reply from shard 0 came back as %v", err)
+	}
+	coord.shards.mu.RLock()
+	defer coord.shards.mu.RUnlock()
+	if n := coord.shards.shards[0].ConsecFails; n != 1 {
+		t.Fatalf("shard 0 has %d consecutive failures after its shutdown reply, want 1", n)
+	}
 }
 
 func TestCoordinatorRejectsViewsAndSysWrites(t *testing.T) {

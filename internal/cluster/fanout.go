@@ -25,11 +25,13 @@ func shardUnavailable(id int, addr string, err error) error {
 // isTransportErr reports whether a shard call failed below the
 // statement layer: not a server-reported typed error and not the
 // caller's own cancellation. These are the failures that count against
-// shard health.
+// shard health. A shard that is closing answers CodeShutdown before its
+// socket goes; that reply is the shard going away, not the statement's
+// error, so it counts as the dropped connection that follows it would.
 func isTransportErr(err error) bool {
 	var we *wire.Error
 	if errors.As(err, &we) {
-		return false
+		return we.Code == wire.CodeShutdown
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false

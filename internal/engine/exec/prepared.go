@@ -46,6 +46,7 @@ type PreparedSelect struct {
 	tail *tailPlan // join-tail push-down and the residual WHERE
 	agg  *aggPlan  // non-nil for aggregate / GROUP BY statements
 	vec  *vecPlan  // non-nil when the projection may scan blocks
+	rows *rowPlan  // non-nil when the projection may scan float rows
 	src  sources   // the unboxed sources the scan is offered
 
 	// Post-step: ORDER BY with hidden keys rewritten to their synthetic
@@ -154,9 +155,98 @@ func PrepareSelect(sel *sqlparser.Select, env *Env) (*PreparedSelect, error) {
 		if err != nil {
 			return nil, err
 		}
+		if p.agg == nil && p.vec == nil && p.numParams == 0 && p.tail.residual == nil {
+			p.planRows(w)
+		}
 		p.workers.Put(w)
 	}
 	return p, nil
+}
+
+// rowPlan is a projection's float-row form, decided once at prepare
+// (planRows): where each select item reads a float row, and what the
+// float row holds.
+type rowPlan struct {
+	// pos[i] is item i's float-row position when it is a bare column,
+	// -1 when it is a call; bigint[i] marks a bare BIGINT column.
+	pos    []int
+	bigint []bool
+	// at[o] is the float-row position of driving column o, -1 when the
+	// statement reads it only boxed; bound are the join-tail ordinals the
+	// calls read.
+	at    []int
+	bound []int
+}
+
+// planRows decides whether a projection that has no `?`, no residual
+// WHERE and no block source scans float rows: every select item is a
+// bare DOUBLE or BIGINT column of the driving table or a call
+// expr.AsFloatCall accepts over such columns, and one at least is a
+// call. The float row is the union of the columns they read, one
+// position each (src.floats). The decision reads w's compiled items, so
+// nothing is compiled twice; w, the first worker, is placed here and
+// every later one by newWorker.
+func (p *PreparedSelect) planRows(w *selectWorker) {
+	schema := p.b.tables[0].Schema()
+	rp := &rowPlan{pos: make([]int, len(w.items)), bigint: make([]bool, len(w.items)), at: make([]int, schema.Len())}
+	for o := range rp.at {
+		rp.at[o] = -1
+	}
+	cols := []int{}
+	place := func(o int) bool {
+		if !storage.NumericColumn(schema.Columns[o]) {
+			return false
+		}
+		if rp.at[o] < 0 {
+			rp.at[o] = len(cols)
+			cols = append(cols, o)
+		}
+		return true
+	}
+	calls := 0
+	var ords []int
+	for i, ev := range w.items {
+		rp.pos[i] = -1
+		if call, ok := expr.AsFloatCall(ev); ok {
+			ords, rp.bound = call.Columns(ords[:0], rp.bound)
+			for _, o := range ords {
+				if !place(o) {
+					return
+				}
+			}
+			calls++
+			continue
+		}
+		cr, ok := p.exprs[i].(*sqlparser.ColumnRef)
+		if !ok {
+			return
+		}
+		c, err := p.b.Resolve(cr.Table, cr.Name)
+		if err != nil || c.Entry != 0 || !place(c.Index) {
+			return
+		}
+		rp.pos[i] = rp.at[c.Index]
+		rp.bigint[i] = schema.Columns[c.Index].Type == sqltypes.TypeBigInt
+	}
+	if calls == 0 {
+		return
+	}
+	p.rows, p.src.floats = rp, cols
+	w.placeRows()
+}
+
+// converts reports whether every tail value the float calls read
+// converts to a number. An execution whose tail holds one that does not
+// scans boxed rows, where the calls' boxed forms own it.
+func (rp *rowPlan) converts(tail []sqltypes.Row) bool {
+	for _, t := range tail {
+		for _, o := range rp.bound {
+			if _, ok := t[o].Float(); !ok {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // offersBlocks reports whether the statement's scan may read blocks: the
@@ -377,7 +467,11 @@ func (p *PreparedSelect) scan(ctx context.Context, args []sqltypes.Value, filter
 	}
 	st.hasMerge = p.agg != nil
 	st.Plan = plan.finish()
-	return scanPartitions(ctx, p.b.tables[0], p.env.Workers, p.src, marks, st, func(part int) (*selectWorker, error) {
+	src := p.src
+	if p.rows != nil && !p.rows.converts(tail) {
+		src.floats = nil
+	}
+	return scanPartitions(ctx, p.b.tables[0], p.env.Workers, src, marks, st, func(part int) (*selectWorker, error) {
 		w, ok := p.workers.Get().(*selectWorker)
 		if !ok {
 			var err error
@@ -434,6 +528,7 @@ type selectWorker struct {
 
 	items []expr.Evaluator // projection
 	vec   *vecPrograms     // the projection's block form; nil unless ps.vec
+	calls []expr.FloatCall // the projection's float-row calls by item; set when ps.rows is
 	// The projection's output: batch[:n] are the projected rows not yet
 	// handed to sink. The rows are the worker's own, allocated once; the
 	// batch goes to sink when it is full and when the partition ends, and
@@ -473,7 +568,22 @@ func (p *PreparedSelect) newWorker() (*selectWorker, error) {
 	if p.vec != nil {
 		w.vec, err = p.vec.compile()
 	}
+	if p.rows != nil {
+		w.placeRows()
+	}
 	return w, err
+}
+
+// placeRows places the worker's calls on the statement's float row.
+func (w *selectWorker) placeRows() {
+	rp := w.ps.rows
+	w.calls = make([]expr.FloatCall, len(w.items))
+	for i, ev := range w.items {
+		if rp.pos[i] < 0 {
+			w.calls[i], _ = expr.AsFloatCall(ev)
+			w.calls[i].Place(rp.at)
+		}
+	}
 }
 
 // row consumes one driving-table row. r is read-only and not retained:
@@ -494,6 +604,47 @@ func (w *selectWorker) row(r sqltypes.Row) error {
 		}
 	}
 	return nil
+}
+
+// floatRow consumes one row of a float-row scan: an aggregate's
+// (aggWorker.floatRow), or a projection's joined with the tail as row
+// joins it.
+func (w *selectWorker) floatRow(x []float64) error {
+	if w.agg != nil {
+		return w.agg.floatRow(x)
+	}
+	if len(w.tail) == 1 {
+		return w.projectFloats(x)
+	}
+	for _, t := range w.tail {
+		w.scope.Bind(t)
+		if err := w.projectFloats(x); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// projectFloats projects float row x into the batch, each item boxed
+// once: a bare column as its declared type — a BIGINT is exact, as the
+// scan sends a wider one boxed — and a call as its function's Ret.
+func (w *selectWorker) projectFloats(x []float64) error {
+	rp, out := w.ps.rows, w.batch[w.n]
+	for i, c := range w.calls {
+		switch pos := rp.pos[i]; {
+		case pos < 0:
+			v, err := c.Eval(x)
+			if err != nil {
+				return err
+			}
+			out[i] = v
+		case rp.bigint[i]:
+			out[i] = sqltypes.NewBigInt(int64(x[pos]))
+		default:
+			out[i] = sqltypes.NewDouble(x[pos])
+		}
+	}
+	return w.emit()
 }
 
 // joined filters r joined with the bound tail row and projects or

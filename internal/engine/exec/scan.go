@@ -128,7 +128,7 @@ func scanPartition(ctx context.Context, t *storage.Table, p int, src sources, fr
 	if src.block != nil {
 		var floats func([]float64) error
 		if src.floats != nil {
-			floats = w.agg.floatRow
+			floats = w.floatRow
 		}
 		ps, err = t.ScanPartitionSegment(ctx, p, src.block, w.block, floats, w.row)
 		if !errors.Is(err, storage.ErrSegmentStale) {
@@ -137,7 +137,7 @@ func scanPartition(ctx context.Context, t *storage.Table, p int, src sources, fr
 		obs.ColumnarFallbacks.Inc()
 	}
 	if src.floats != nil {
-		ps, err = t.ScanPartitionFloats(ctx, p, from, src.floats, w.agg.floatRow, w.row)
+		ps, err = t.ScanPartitionFloats(ctx, p, from, src.floats, w.floatRow, w.row)
 		return "float", ps, err
 	}
 	ps, err = t.ScanPartitionStats(ctx, p, w.row)

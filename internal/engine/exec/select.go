@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/engine/expr"
@@ -77,8 +78,8 @@ const maxJoinTailRows = 1 << 20
 // (the scoring queries' `l1.j = 1 AND ...`) before the product is
 // formed, so the aliased k-way cross joins of §3.5 stay k rows wide
 // instead of exploding combinatorially. A statement keeps one tailPlan
-// and re-scans the (small) tail tables each EXECUTE, so inserts into
-// model tables are always visible.
+// and re-reads the (small) tail tables each EXECUTE, each table once, so
+// inserts into model tables are always visible.
 type tailPlan struct {
 	splits   [][]sqlparser.Expr // per FROM index: conjuncts pushed to that table
 	residual sqlparser.Expr
@@ -130,33 +131,61 @@ func (tp *tailPlan) compileFilters(b *binding, sc *expr.Scope) ([][]expr.Evaluat
 	return filters, nil
 }
 
-// scan materializes the filtered cross product of the tail tables. The
-// cap is checked as each row is kept, so a large tail table fails at
-// the row that crosses it instead of after it has been cloned whole.
+// scan materializes the filtered cross product of the tail tables. Each
+// distinct table is read once, however many aliases name it (§3.5's k
+// model joins read C once, not k times): every row read is run through
+// the pushed-down filters of each of its aliases and kept by those it
+// passes. The cap is checked as each row is kept, against the product
+// the rows kept so far make, so a large tail table fails at the row
+// that crosses it instead of after it has been cloned whole.
 func (tp *tailPlan) scan(ctx context.Context, b *binding, filters [][]expr.Evaluator) ([]sqltypes.Row, error) {
-	tail := []sqltypes.Row{{}}
+	kept := make([][]sqltypes.Row, len(b.tables))
+	done := 1 // the product of the aliases of the tables already read
 	for ti := 1; ti < len(b.tables); ti++ {
-		var trows []sqltypes.Row
-		fs := filters[ti]
+		if slices.Contains(b.tables[1:ti], b.tables[ti]) {
+			continue // read with its first alias
+		}
+		var aliases []int
+		for tj := ti; tj < len(b.tables); tj++ {
+			if b.tables[tj] == b.tables[ti] {
+				aliases = append(aliases, tj)
+			}
+		}
 		err := b.tables[ti].ScanContext(ctx, func(r sqltypes.Row) error {
-			for _, f := range fs {
-				keep, err := f.Eval(r)
+			var clone sqltypes.Row
+			for _, a := range aliases {
+				keep, err := passes(filters[a], r)
 				if err != nil {
 					return err
 				}
-				if keep.IsNull() || !keep.Bool() {
-					return nil
+				if !keep {
+					continue
 				}
+				rows := done * (len(kept[a]) + 1)
+				for _, o := range aliases {
+					if o != a {
+						rows *= max(len(kept[o]), 1)
+					}
+				}
+				if rows > maxJoinTailRows {
+					return fmt.Errorf("exec: cross-join tail exceeds %d rows; joins expect small model tables after the first table", maxJoinTailRows)
+				}
+				if clone == nil {
+					clone = r.Clone()
+				}
+				kept[a] = append(kept[a], clone)
 			}
-			if len(tail)*(len(trows)+1) > maxJoinTailRows {
-				return fmt.Errorf("exec: cross-join tail exceeds %d rows; joins expect small model tables after the first table", maxJoinTailRows)
-			}
-			trows = append(trows, r.Clone())
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
+		for _, a := range aliases {
+			done *= len(kept[a])
+		}
+	}
+	tail := []sqltypes.Row{{}}
+	for _, trows := range kept[1:] {
 		next := make([]sqltypes.Row, 0, len(tail)*len(trows))
 		for _, t := range tail {
 			for _, r := range trows {
@@ -169,6 +198,17 @@ func (tp *tailPlan) scan(ctx context.Context, b *binding, filters [][]expr.Evalu
 		tail = next
 	}
 	return tail, nil
+}
+
+// passes reports whether r passes every filter of fs.
+func passes(fs []expr.Evaluator, r sqltypes.Row) (bool, error) {
+	for _, f := range fs {
+		keep, err := f.Eval(r)
+		if err != nil || keep.IsNull() || !keep.Bool() {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // splitConjuncts flattens a predicate's top-level AND tree.

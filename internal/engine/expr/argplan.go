@@ -18,7 +18,9 @@ import (
 // Scope.Bind, not per row; anything else (`?`, arithmetic, function
 // calls, CASE) is an evaluator entry, run in slot order. A plan carries
 // the buffers it fills, so it belongs to one goroutine at a time, like
-// the evaluators it holds.
+// the evaluators it holds. A scalar call's plan may also be placed on a
+// float row (FloatCall.Place): its gather entries then copy runs of the
+// row and its nested calls run on the row too (fillFloats).
 type ArgPlan struct {
 	vals  []sqltypes.Value // what Fill returns boxed; literal slots are final
 	lits  []int            // the literal slots
@@ -26,6 +28,11 @@ type ArgPlan struct {
 	bound []ArgColumn // Ord indexes the bound tail row
 	evs   []argEval
 	need  int // one past the highest gathered ordinal
+
+	// The float-row placement: the gather entries as runs of the float
+	// row, and the evaluator entries, all nested float calls, by slot.
+	runs  []argRun
+	calls []argCall
 
 	scope      *Scope // the owner whose tail the bound entries read; nil without any
 	gen        uint64 // the binding the bound slots hold; 0 before the first
@@ -39,6 +46,16 @@ type ArgColumn struct{ Slot, Ord int }
 type argEval struct {
 	slot int
 	ev   Evaluator
+}
+
+// argRun is n gather entries one copy fills from a float row: slots
+// slot.. slot+n-1 are row positions pos.. pos+n-1.
+type argRun struct{ slot, pos, n int }
+
+// argCall is an evaluator entry of a placed plan: a nested float call.
+type argCall struct {
+	slot int
+	call *funcEval
 }
 
 func (c *compiler) planArgs(args []sqlparser.Expr) (ArgPlan, error) {
@@ -133,6 +150,34 @@ func (p *ArgPlan) rebind(dst []float64) error {
 		}
 	}
 	p.gen = p.scope.gen
+	return nil
+}
+
+// fillFloats is Fill for a float row, on a plan FloatCall.Place placed:
+// the bound slots are filled after a Bind as Fill fills them, each
+// nested call runs on the row and hands on its result as its boxed form
+// would convert (FuncDef.widen), in slot order and first, and the gather
+// entries are copied from the row run by run. The row's owner has made
+// sure every bound value converts (FloatCall.Columns names them).
+func (p *ArgPlan) fillFloats(frow, dst []float64) error {
+	if p.scope != nil && (p.gen != p.scope.gen || p.gen == 0) {
+		if err := p.rebind(dst); err != nil {
+			return err
+		}
+		if !p.boundFloat {
+			return fmt.Errorf("expr: internal: a bound value of a float-row call is not a number")
+		}
+	}
+	for _, a := range p.calls {
+		f, err := a.call.evalFloats(frow)
+		if err != nil {
+			return err
+		}
+		dst[a.slot] = a.call.def.widen(f)
+	}
+	for _, r := range p.runs {
+		copy(dst[r.slot:r.slot+r.n], frow[r.pos:r.pos+r.n])
+	}
 	return nil
 }
 

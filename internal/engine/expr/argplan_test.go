@@ -296,3 +296,77 @@ func TestArgPlanBound(t *testing.T) {
 		}
 	}
 }
+
+// TestFloatCall pins a call's float-row form: which calls have one, the
+// driving and tail columns it names, the runs Place makes of its gather
+// entries, and that Eval on a float row returns what the boxed Eval
+// returns for the same row — a nested BIGINT result truncated as its
+// boxed form is — with the bodies run and the UDF calls counted alike.
+// With TailAt 3, a, b and c are the driving row's and s and n the tail's.
+func TestFloatCall(t *testing.T) {
+	var bodyCalls int
+	reg := floatRegistry(t, &bodyCalls)
+	if err := reg.Register(FuncDef{Name: "half", MinArgs: 1, MaxArgs: 1, Ret: sqltypes.TypeBigInt,
+		Float: func(x []float64) (float64, error) { return x[0] / 2, nil }}); err != nil {
+		t.Fatal(err)
+	}
+	sc := &Scope{Funcs: reg, TailAt: 3}
+	compile := func(src string) Evaluator {
+		ast, err := sqlparser.ParseExpr(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := sc.Compile(ast, planResolver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev
+	}
+	for _, src := range []string{"a", "upper(s)", "sumsq(a * 1)", "sumsq(a, 'x')", "sumsq(a, NULL)", "sumsq(a, argmax(b * 2))", "sumsq(a, upper(s))"} {
+		if _, ok := AsFloatCall(compile(src)); ok {
+			t.Fatalf("%s has a float-row form", src)
+		}
+	}
+	at := []int{1, 0, -1} // the float row is (b, a)
+	for _, c := range []struct {
+		src         string
+		cols, bound string
+		runs        int
+	}{
+		{"sumsq(a, b, s, argmax(b, a, n), 2.5)", "[1 0 0 1]", "[1 0]", 2},
+		{"sumsq(b, a, half(a), n, half(b))", "[0 1 1 0]", "[1]", 1},
+		{"sumsq(half(sumsq(a, s)), 3)", "[0]", "[0]", 0},
+	} {
+		ev := compile(c.src)
+		fc, ok := AsFloatCall(ev)
+		if !ok {
+			t.Fatalf("%s has no float-row form", c.src)
+		}
+		cols, bound := fc.Columns(nil, nil)
+		if fmt.Sprint(cols) != c.cols || fmt.Sprint(bound) != c.bound {
+			t.Fatalf("%s names columns %v and tail columns %v, want %s and %s", c.src, cols, bound, c.cols, c.bound)
+		}
+		fc.Place(at)
+		if n := len(ev.(*funcEval).plan.runs); n != c.runs {
+			t.Fatalf("%s gathers in %d runs, want %d", c.src, n, c.runs)
+		}
+		sc.Bind(sqltypes.Row{sqltypes.NewDouble(2), sqltypes.NewBigInt(3)})
+		row, frow := planRow()[:3], []float64{10, 2.5}
+		calls, bodies := sc.Calls, bodyCalls
+		boxed, err := ev.Eval(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boxedCalls, boxedBodies := sc.Calls-calls, bodyCalls-bodies
+		got, err := fc.Eval(frow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Type() != boxed.Type() || math.Float64bits(got.MustFloat()) != math.Float64bits(boxed.MustFloat()) {
+			t.Fatalf("%s on the float row: %v, boxed %v", c.src, got, boxed)
+		}
+		if sc.Calls-calls != 2*boxedCalls || bodyCalls-bodies != 2*boxedBodies {
+			t.Fatalf("%s: %d calls counted and %d bodies run on the float row, %d and %d boxed", c.src, sc.Calls-calls-boxedCalls, bodyCalls-bodies-boxedBodies, boxedCalls, boxedBodies)
+		}
+	}
+}

@@ -271,6 +271,88 @@ func (e *funcEval) Eval(row sqltypes.Row) (sqltypes.Value, error) {
 	return e.def.box(f), nil
 }
 
+// evalFloats is Eval on a float row (FloatCall): the plan fills the
+// scratch from the row and the body runs on it, unboxed.
+func (e *funcEval) evalFloats(frow []float64) (float64, error) {
+	if err := e.plan.fillFloats(frow, e.floats); err != nil {
+		return 0, err
+	}
+	e.count()
+	return e.def.Float(e.floats)
+}
+
+// FloatCall is a compiled scalar call in its float-row form: it runs on
+// a float row — the driving row's numeric columns, unboxed once — as
+// well as on boxed rows. It is the call's own evaluator, not a copy:
+// both forms share its plan, scratch and call count, so a scan may hand
+// the one compiled call float rows and the rows they refuse in turn.
+type FloatCall struct{ e *funcEval }
+
+// AsFloatCall returns ev's float-row form, and whether it has one: ev is
+// a call with a float body whose arguments are literals that convert,
+// bare columns of the driving row, columns of the bound join-tail row,
+// or nested calls of the same kind.
+func AsFloatCall(ev Evaluator) (FloatCall, bool) {
+	e, ok := ev.(*funcEval)
+	if !ok || e.floats == nil {
+		return FloatCall{}, false
+	}
+	for _, a := range e.plan.evs {
+		if _, ok := AsFloatCall(a.ev); !ok {
+			return FloatCall{}, false
+		}
+	}
+	return FloatCall{e}, true
+}
+
+// Columns appends the driving-row ordinals the call and its nested
+// calls gather to cols, and the bound tail-row ordinals they read to
+// bound.
+func (c FloatCall) Columns(cols, bound []int) ([]int, []int) {
+	p := &c.e.plan
+	for _, a := range p.evs {
+		cols, bound = FloatCall{a.ev.(*funcEval)}.Columns(cols, bound)
+	}
+	for _, col := range p.cols {
+		cols = append(cols, col.Ord)
+	}
+	for _, col := range p.bound {
+		bound = append(bound, col.Ord)
+	}
+	return cols, bound
+}
+
+// Place fixes where the call and its nested calls read a float row: the
+// driving column of ordinal o is frow[at[o]], for every o Columns names.
+// Gather entries whose slots and positions both run on are one copy.
+func (c FloatCall) Place(at []int) {
+	p := &c.e.plan
+	p.runs, p.calls = p.runs[:0], p.calls[:0]
+	for _, a := range p.evs {
+		n := a.ev.(*funcEval)
+		FloatCall{n}.Place(at)
+		p.calls = append(p.calls, argCall{a.slot, n})
+	}
+	for _, col := range p.cols {
+		pos := at[col.Ord]
+		if k := len(p.runs) - 1; k >= 0 && p.runs[k].slot+p.runs[k].n == col.Slot && p.runs[k].pos+p.runs[k].n == pos {
+			p.runs[k].n++
+			continue
+		}
+		p.runs = append(p.runs, argRun{col.Slot, pos, 1})
+	}
+}
+
+// Eval runs a placed call on one float row, its result boxed as its
+// function's Ret: the value Eval returns for the same row boxed.
+func (c FloatCall) Eval(frow []float64) (sqltypes.Value, error) {
+	f, err := c.e.evalFloats(frow)
+	if err != nil {
+		return sqltypes.Null, err
+	}
+	return c.e.def.box(f), nil
+}
+
 // count records one invocation of a UDF: in the owner's plain counter,
 // which the owner flushes, or for an evaluator without an owner in
 // engine_udf_calls_total itself.

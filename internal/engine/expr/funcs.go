@@ -128,6 +128,15 @@ func (def *FuncDef) box(f float64) sqltypes.Value {
 	return sqltypes.NewDouble(f)
 }
 
+// widen is a float body's result as an argument of an enclosing call
+// takes it: box(f).Float(), without the box.
+func (def *FuncDef) widen(f float64) float64 {
+	if def.Ret == sqltypes.TypeBigInt {
+		return float64(int64(f))
+	}
+	return f
+}
+
 // Lookup finds a function by name (case-insensitive).
 func (r *Registry) Lookup(name string) (*FuncDef, bool) {
 	r.mu.RLock()

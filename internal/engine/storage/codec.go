@@ -243,7 +243,8 @@ func (rr *rowReader) next(dst sqltypes.Row) (sqltypes.Row, error) {
 // meaning not requested — as a float (a BIGINT widens as Value.Float
 // widens it), stepping over the payloads of the others, VARCHAR
 // included, without allocating. It declines, returning false with
-// nothing consumed, when a requested cell is NULL or VARCHAR, and also
+// nothing consumed, when a requested cell is NULL, VARCHAR or a BIGINT
+// the float cannot hold exactly (exactFloat), and also
 // for anything next would not decode as a clean row — the end of the
 // stream, a truncation, a bad tag, a VARCHAR over the cap or longer
 // than the buffer — so next, called on the same row, boxes it or
@@ -265,6 +266,9 @@ func (rr *rowReader) nextFloats(want []int, x []float64) bool {
 					u := binary.LittleEndian.Uint64(c[1:])
 					f := math.Float64frombits(u)
 					if tag == tagBigInt {
+						if !exactFloat(int64(u)) {
+							return false
+						}
 						f = float64(int64(u))
 					}
 					x[slot] = f
@@ -281,6 +285,11 @@ func (rr *rowReader) nextFloats(want []int, x []float64) bool {
 	rr.pos += off
 	return true
 }
+
+// exactFloat reports whether BIGINT v is exact as a float64: |v| ≤ 2⁵³.
+// A float decode refuses a wider one, so the boxed row keeps the value a
+// consumer may hand on as a BIGINT (a projected column) whole.
+func exactFloat(v int64) bool { return -1<<53 <= v && v <= 1<<53 }
 
 // skipCell is nextFloats for every other cell, the one at buf[pos+off]:
 // an unrequested NULL or VARCHAR is stepped over, the buffer topped up

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/engine/sqltypes"
@@ -58,7 +59,11 @@ func floatsMatchRows(t *testing.T, tab *Table, cols []int) {
 		for r, w := range want {
 			numbers := true
 			for _, c := range cols {
-				if typ := w[c].Type(); typ != sqltypes.TypeDouble && typ != sqltypes.TypeBigInt {
+				switch v := w[c]; v.Type() {
+				case sqltypes.TypeDouble:
+				case sqltypes.TypeBigInt:
+					numbers = numbers && exactFloat(v.Int())
+				default:
 					numbers = false
 				}
 			}
@@ -116,6 +121,52 @@ func TestScanPartitionFloatsMatchesRowScan(t *testing.T) {
 			floatsMatchRows(t, tab, rng.Perm(8))       // every column
 			floatsMatchRows(t, tab, []int{7, 3, 0, 6}) // the VARCHARs stepped over
 		})
+	}
+}
+
+// TestScanPartitionFloatsRefusesWideBigInts: a requested BIGINT beyond
+// ±2⁵³, which a float64 would round, sends its row to the boxed
+// callback, in memory and on disk, while ±2⁵³ itself and a wide BIGINT
+// in a column not requested still decode to floats.
+func TestScanPartitionFloatsRefusesWideBigInts(t *testing.T) {
+	const edge = int64(1) << 53
+	schema := sqltypes.MustSchema(
+		sqltypes.Column{Name: "i", Type: sqltypes.TypeBigInt},
+		sqltypes.Column{Name: "x", Type: sqltypes.TypeDouble},
+		sqltypes.Column{Name: "w", Type: sqltypes.TypeBigInt},
+	)
+	ids := []int64{edge + 1, -edge - 1, edge, -edge, 7, math.MaxInt64, math.MinInt64, edge - 1}
+	for _, dir := range []string{"", t.TempDir()} {
+		tab, err := NewTable("x", schema, dir, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			if err := tab.Insert(sqltypes.Row{sqltypes.NewBigInt(id), sqltypes.NewDouble(0.5), sqltypes.NewBigInt(edge + 3)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		floats, rows, _, err := floatScan(context.Background(), tab, 0, []int{1, 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, id := range ids {
+			wide := id > edge || id < -edge
+			if got := rows[r] != nil; got != wide {
+				t.Fatalf("dir %q: BIGINT %d went boxed: %v, want %v", dir, id, got, wide)
+			}
+			if wide {
+				if rows[r][0].Int() != id {
+					t.Fatalf("dir %q: boxed row carries %v, want %d", dir, rows[r][0], id)
+				}
+			} else if floats[r][1] != float64(id) || int64(floats[r][1]) != id {
+				t.Fatalf("dir %q: BIGINT %d decoded as %v", dir, id, floats[r][1])
+			}
+		}
+		floatsMatchRows(t, tab, []int{0, 2})
+		if _, rows, _, err := floatScan(context.Background(), tab, 0, []int{1}); err != nil || slices.ContainsFunc(rows, func(r sqltypes.Row) bool { return r != nil }) {
+			t.Fatalf("dir %q: a row went boxed for a wide BIGINT not requested (err %v)", dir, err)
+		}
 	}
 }
 

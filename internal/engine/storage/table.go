@@ -252,8 +252,9 @@ func (t *Table) ScanPartitionStats(ctx context.Context, p int, fn func(sqltypes.
 // a row whose cols are all DOUBLE or BIGINT is decoded straight into
 // floats — x[j] is column cols[j], a BIGINT widened — and handed to
 // floats, stepping over the other cells without boxing them; a row with
-// a NULL or a VARCHAR in one of cols goes to rows, boxed, exactly as
-// ScanPartitionStats delivers it. Every row goes to exactly one of the
+// a NULL or a VARCHAR in one of cols, or a BIGINT beyond ±2⁵³ that a
+// float would round, goes to rows, boxed, exactly as ScanPartitionStats
+// delivers it. Every row goes to exactly one of the
 // two, in partition order, and everything else — the corrupt-partition
 // refusal, the row-count check against the accounting, ErrCorrupt, byte
 // accounting, cancellation and fault injection — is the row scan's.
@@ -318,7 +319,13 @@ func (t *Table) newFloatDecode(cols []int, fn func([]float64) error) (*floatDeco
 func (fd *floatDecode) unbox(r sqltypes.Row) bool {
 	for j, c := range fd.cols {
 		v := r[c]
-		if t := v.Type(); t != sqltypes.TypeDouble && t != sqltypes.TypeBigInt {
+		switch v.Type() {
+		case sqltypes.TypeDouble:
+		case sqltypes.TypeBigInt:
+			if !exactFloat(v.Int()) {
+				return false
+			}
+		default:
 			return false
 		}
 		fd.x[j], _ = v.Float()

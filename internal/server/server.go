@@ -552,6 +552,11 @@ func (s *Server) statement(ctx context.Context, l link, sess *session, label str
 		return l.sendError(errShutdown)
 	}
 	if err := s.adm.acquire(ctx); err != nil {
+		if s.draining.Load() {
+			// Close cancelled the wait: the server is going away, which
+			// is not the statement's own cancellation.
+			err = errShutdown
+		}
 		return l.sendError(classify(err))
 	}
 	defer s.adm.release()

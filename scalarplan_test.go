@@ -30,6 +30,11 @@ func TestScalarArgPlansAgree(t *testing.T) {
 		name         string
 		gather, eval stmt
 		wantErr      string
+		// source, when set, is the source every partition of the gather
+		// statement scans from: float rows where its select list runs on
+		// them, boxed rows where a model value does not convert. The
+		// evaluator twin always scans boxed rows.
+		source string
 	}
 	pairs := []pair{
 		{name: "the scoring shape: DOUBLE scan columns and join-tail columns, -0 and NaN",
@@ -37,6 +42,21 @@ func TestScalarArgPlansAgree(t *testing.T) {
 				"clusterscore(kdistance(X1, X2, v, X4), kdistance(X1, X2, X4, v), X2), power(X1, v), greatest(X1, v, X2) FROM T CROSS JOIN m WHERE m.j = 2"},
 			eval: stmt{sql: "SELECT i, linearregscore(X1 * 1, X2 * 1, v * 1, X1 * 1, X4 * 1), fascore(X1 * 1, X2 * 1, v * 1, X4 * 1, X2 * 1, X1 * 1), kdistance(X1 * 1, X2 * 1, v * 1, X4 * 1), " +
 				"clusterscore(kdistance(X1 * 1, X2 * 1, v * 1, X4 * 1), kdistance(X1 * 1, X2 * 1, X4 * 1, v * 1), X2 * 1), power(X1 * 1, v * 1), greatest(X1 * 1, v * 1, X2 * 1) FROM T CROSS JOIN m WHERE m.j = 2"}},
+		{name: "a BIGINT id beyond 2⁵³ projected bare", source: "float",
+			gather: stmt{sql: "SELECT id, kdistance(X1, X2), clusterscore(X1, X2) FROM W"},
+			eval:   stmt{sql: "SELECT id * 1, kdistance(X1 * 1, X2 * 1), clusterscore(X1 * 1, X2 * 1) FROM W"}},
+		{name: "a NULL in a bound model value", source: "row",
+			gather: stmt{sql: "SELECT i, kdistance(X1, X2, v, v), clusterscore(kdistance(X1, v), X2) FROM T CROSS JOIN mn WHERE mn.j = 2"},
+			eval:   stmt{sql: "SELECT i, kdistance(X1 * 1, X2 * 1, v * 1, v * 1), clusterscore(kdistance(X1 * 1, v * 1), X2 * 1) FROM T CROSS JOIN mn WHERE mn.j = 2"}},
+		{name: "a NULL model value in a row no alias keeps", source: "float",
+			gather: stmt{sql: "SELECT i, kdistance(X1, X2, v, v) FROM T CROSS JOIN mn WHERE mn.j = 1"},
+			eval:   stmt{sql: "SELECT i, kdistance(X1 * 1, X2 * 1, v * 1, v * 1) FROM T CROSS JOIN mn WHERE mn.j = 1"}},
+		{name: "a multi-row tail", source: "float",
+			gather: stmt{sql: "SELECT i, X3, kdistance(X1, X2, v, j), clusterscore(kdistance(X1, v), kdistance(X4, j), X2) FROM T CROSS JOIN m"},
+			eval:   stmt{sql: "SELECT i * 1, X3 * 1, kdistance(X1 * 1, X2 * 1, v * 1, j * 1), clusterscore(kdistance(X1 * 1, v * 1), kdistance(X4 * 1, j * 1), X2 * 1) FROM T CROSS JOIN m"}},
+		{name: "a BIGINT-returning call nested in another call", source: "float",
+			gather: stmt{sql: "SELECT i, kdistance(clusterscore(X1, X2, X4), X2), power(clusterscore(X2, X1), 2), clusterscore(clusterscore(X4, X1), X1, b) FROM T"},
+			eval:   stmt{sql: "SELECT i, kdistance(clusterscore(X1 * 1, X2 * 1, X4 * 1), X2 * 1), power(clusterscore(X2 * 1, X1 * 1), 2), clusterscore(clusterscore(X4 * 1, X1 * 1), X1 * 1, b * 1) FROM T"}},
 		{name: "a NULL in a scan column",
 			gather: stmt{sql: "SELECT i, kdistance(X1, X3), kdistance(X3, X1), linearregscore(X3, 1, 2), fascore(X1, X2, X3), clusterscore(X1, X3, X2), sqrt(X3 * X3), power(X3, 2), greatest(X1, X3) FROM T"},
 			eval:   stmt{sql: "SELECT i, kdistance(X1 * 1, X3 * 1), kdistance(X3 * 1, X1 * 1), linearregscore(X3 * 1, 1, 2), fascore(X1 * 1, X2 * 1, X3 * 1), clusterscore(X1 * 1, X3 * 1, X2 * 1), sqrt(X3 * X3), power(X3 * 1, 2), greatest(X1 * 1, X3 * 1) FROM T"}},
@@ -117,6 +137,17 @@ func TestScalarArgPlansAgree(t *testing.T) {
 				}
 			}
 			for _, o := range outs {
+				if p.source != "" && o.err == nil {
+					want := "row"
+					if strings.HasPrefix(o.how, "gather") {
+						want = p.source
+					}
+					for _, sp := range o.res.Stats.Root.SpanByName("scan").Children {
+						if sp.Name != "ensure" && sp.Source != want {
+							t.Fatalf("%s (%s): %s scanned from the %s source, want %s", p.name, o.how, sp.Name, sp.Source, want)
+						}
+					}
+				}
 				if p.wantErr != "" {
 					if o.err == nil || !strings.Contains(o.err.Error(), p.wantErr) {
 						t.Fatalf("%s (%s): error %v, want one carrying %q", p.name, o.how, o.err, p.wantErr)
@@ -236,6 +267,13 @@ func TestUDFCallsCountedExactly(t *testing.T) {
 		{"SELECT i, kdistance(X1, v) FROM T CROSS JOIN m WHERE kdistance(m.v, 0) < 1", 3 + n},
 		{"SELECT kdistance(1, 2), linearregscore(1, 2, 3)", 2},
 		{"SELECT kdistance(sum(X1), 0) FROM T", n + 1},
+		// Float rows, the rows they refuse boxed (X3's NULLs), and an
+		// execution whose model holds a NULL, all boxed; m has its three
+		// rows until the INSERTs below.
+		{"SELECT i, kdistance(X1, v) FROM T CROSS JOIN m", 3 * n},
+		{"SELECT i, X3, clusterscore(kdistance(X1, X3), kdistance(X2, X1)) FROM T", 3 * n},
+		{"SELECT i, kdistance(X1, v), clusterscore(kdistance(X1, v), X2) FROM T CROSS JOIN mn WHERE mn.j = 2", 3 * n},
+		{"SELECT id, kdistance(X1, X2) FROM W", 40},
 		{"INSERT INTO m VALUES (9, kdistance(1, 2))", 1},
 		{"INSERT INTO m SELECT i, kdistance(X1, X2) FROM T WHERE kdistance(X1, 0) >= 0 AND i < 10", n + 10},
 		{"SELECT CASE WHEN i < 10 THEN kdistance(X1, X2) ELSE 0 END FROM T", 10},
@@ -277,6 +315,10 @@ func TestUDFCallsCountedExactly(t *testing.T) {
 		{"SELECT kdistance(X1, 1 / (i - 100)) FROM T", "division by zero", 100},
 		{"SELECT kdistance(X1, coalesce(bad)) FROM T", "non-numeric", 101},
 		{"SELECT sum(kdistance(X1, 1 / (i - 100))) FROM T", "division by zero", 200},
+		// On float rows: the body that fails is counted, an enclosing
+		// call it never returns to is not.
+		{"SELECT i, kdistance(X1, X2, X4) FROM T", "kdistance expects 2d arguments", 1},
+		{"SELECT i, clusterscore(X1, kdistance(X1, v, X2)) FROM T CROSS JOIN m", "kdistance expects 2d arguments", 1},
 	} {
 		before := obs.UDFCalls.Value()
 		if _, err := one.Exec(c.sql); err == nil || !strings.Contains(err.Error(), c.wantErr) {
