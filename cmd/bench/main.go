@@ -178,8 +178,8 @@ func assertMetrics(ids []string) error {
 		)
 	}
 	if ranColumnar {
-		// The row-log-vs-segments ablation must actually have taken the
-		// block path (segments scanned, vector programs run) and
+		// The rows-vs-blocks ablation must actually have taken the
+		// block path (blocks scanned, vector programs run) and
 		// exercised at least one row-path fallback: zeros mean on-disk
 		// scans silently degraded to row-at-a-time everywhere, or that
 		// unsupported shapes are no longer detected.

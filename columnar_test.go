@@ -1,7 +1,6 @@
 package statsudf
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"io/fs"
@@ -247,15 +246,14 @@ func TestColumnarSummaryStampsMatch(t *testing.T) {
 	}
 }
 
-// segmentFiles lists every segment file (and rebuild temporary) under
-// dir, with each file's chunk count read off its chunk headers:
-// "SEG2" | u32 rows | u32 ncols | u32 bodyLen | body (directory, then
-// column blocks).
+// segmentFiles lists every sealed-chunk file under dir, with each
+// file's chunk count read off its chunk headers: "SEG3" | u32 rows |
+// u32 ncols | u32 0 | u64 bodyLen | body (directory, blocks, payloads).
 func segmentFiles(t *testing.T, dir string) map[string]int {
 	t.Helper()
 	out := map[string]int{}
 	err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
-		if err != nil || !(strings.HasSuffix(path, ".seg") || strings.HasSuffix(path, ".seg.tmp")) {
+		if err != nil || !strings.HasSuffix(path, ".seg") {
 			return err
 		}
 		data, err := os.ReadFile(path)
@@ -263,8 +261,8 @@ func segmentFiles(t *testing.T, dir string) map[string]int {
 			return err
 		}
 		chunks := 0
-		for len(data) >= 16 && string(data[:4]) == "SEG2" {
-			data = data[16+binary.LittleEndian.Uint32(data[12:16]):]
+		for len(data) >= 24 && string(data[:4]) == "SEG3" {
+			data = data[24+binary.LittleEndian.Uint64(data[16:24]):]
 			chunks++
 		}
 		if len(data) != 0 {
@@ -279,87 +277,86 @@ func segmentFiles(t *testing.T, dir string) map[string]int {
 	return out
 }
 
-// TestSegmentsAreDerivedNotWritten: a write touches only the row log.
-// Segments are derived by the first block-eligible scan of a table,
-// never by a write and never by a scan that cannot read blocks, in full
-// 2048-row chunks however small the inserts that brought the rows were.
-func TestSegmentsAreDerivedNotWritten(t *testing.T) {
+// TestEveryRowIsStoredOnce: writes — SQL INSERTs one row at a time,
+// Generate's bulk load, a CSV import — seal every whole 2048-row chunk
+// of a partition's rows as they commit and keep the rest in the row
+// log; scans and a drop write nothing; the bytes at rest stay within a
+// few percent of the user's 8 per cell; and a reopened database reads
+// the same rows.
+func TestEveryRowIsStoredOnce(t *testing.T) {
+	const n, parts = 5000, 2
 	dir := t.TempDir()
-	d, err := Open(Options{Dir: dir, Partitions: 3})
+	d, err := Open(Options{Dir: dir, Partitions: parts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	if _, err := d.ExecScript(`CREATE TABLE t (a DOUBLE, b DOUBLE);
-		INSERT INTO t VALUES (1, 2), (3, 4), (5, 6), (7, 8);
-		INSERT INTO t VALUES (9, 10)`); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Generate("X", MixtureConfig{N: 5000, D: 3, K: 2, Seed: 5}); err != nil { // BulkLoader
-		t.Fatal(err)
-	}
-	if _, err := d.ImportCSV("c", strings.NewReader("u,v\n1,2.5\n2,3.5\n3,4.5\n"), true); err != nil {
-		t.Fatal(err)
-	}
-	// Not block-eligible: a filtered or grouped aggregate, the SQL arm's
-	// built-ins, a join, a projection with a `?`.
-	if _, err := d.ExecScript(`SELECT nlq_list(2, 'triang', X1, X2) FROM X WHERE X3 > 0;
-		SELECT u, count(*) FROM c GROUP BY u; SELECT sum(a * b) FROM t;
-		SELECT a + u FROM t, c`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Summary("X", DimColumns(3), SummaryOptions{Method: ViaSQL}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Engine().QueryContext(context.Background(), "SELECT a * ? FROM t", nil, NewDouble(2)); err != nil {
-		t.Fatal(err)
-	}
-	if segs := segmentFiles(t, dir); len(segs) != 0 {
-		t.Fatalf("writes and scans that read no blocks created segment files: %v", segs)
-	}
-	// Block-eligible: the first scan of X derives X's segments, of c and
-	// t theirs; later scans and a drop derive nothing more.
-	for _, m := range []SummaryMethod{ViaCache, ViaUDF} {
-		if _, err := d.Summary("X", DimColumns(3), SummaryOptions{Method: m}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := d.ExecScript(`SELECT X1 + X2 FROM X WHERE X3 > 0; SELECT v * 2 FROM c;
-		SELECT a + b FROM t; DROP TABLE t`); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]int{"c.p000.seg": 1, "c.p001.seg": 1, "c.p002.seg": 1}
-	for p := 0; p < 3; p++ {
-		want[fmt.Sprintf("x.p%03d.seg", p)] = 1 // 1667 rows a partition
-	}
-	if segs := segmentFiles(t, dir); !reflect.DeepEqual(segs, want) {
-		t.Fatalf("segments after the block scans = %v, want %v (file: chunks)", segs, want)
-	}
-
-	const n, parts = 5000, 1
-	colDir := t.TempDir()
-	colDB, err := Open(Options{Dir: colDir, Partitions: parts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer colDB.Close()
-	if _, err := colDB.Exec("CREATE TABLE s (a DOUBLE, b DOUBLE)"); err != nil {
+	if _, err := d.ExecScript(`CREATE TABLE s (a DOUBLE, b DOUBLE); CREATE TABLE t (a DOUBLE)`); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if _, err := colDB.Exec("INSERT INTO s VALUES (" + strconv.Itoa(i) + ", 0.5)"); err != nil {
+		if _, err := d.Exec("INSERT INTO s VALUES (" + strconv.Itoa(i) + ", 0.5)"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if segs := segmentFiles(t, colDir); len(segs) != 0 {
-		t.Fatalf("inserts created segment files: %v", segs)
+	if err := d.Generate("X", MixtureConfig{N: n, D: 3, K: 2, Seed: 5}); err != nil {
+		t.Fatal(err)
 	}
-	res, err := colDB.Exec("SELECT a + b FROM s")
-	if err != nil || len(res.Rows) != n {
-		t.Fatalf("block scan: %d rows, err %v", len(res.Rows), err)
+	var csv strings.Builder
+	csv.WriteString("u,v\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&csv, "%d,%d.5\n", i, i)
 	}
-	want = map[string]int{"s.p000.seg": (n/parts + 2047) / 2048}
-	if segs := segmentFiles(t, colDir); !reflect.DeepEqual(segs, want) {
-		t.Fatalf("segments after one block scan = %v, want %v (file: chunks)", segs, want)
+	if _, err := d.ImportCSV("c", strings.NewReader(csv.String()), true); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{}
+	for _, tab := range []string{"s", "x", "c"} {
+		for p := 0; p < parts; p++ {
+			want[fmt.Sprintf("%s.p%03d.seg", tab, p)] = n / parts / 2048
+		}
+	}
+	if segs := segmentFiles(t, dir); !reflect.DeepEqual(segs, want) {
+		t.Fatalf("chunks after the writes = %v, want %v (file: chunks)", segs, want)
+	}
+	sums := func(d *DB) string {
+		t.Helper()
+		res, err := d.Exec("SELECT count(*), sum(a), sum(b) FROM s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(res.Rows)
+	}
+	before := sums(d)
+	if _, err := d.ExecScript(`SELECT X1 + X2 FROM X WHERE X3 > 0; SELECT v * 2 FROM c;
+		SELECT a + b FROM s; DROP TABLE t`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Summary("X", DimColumns(3), SummaryOptions{Method: ViaUDF}); err != nil {
+		t.Fatal(err)
+	}
+	if segs := segmentFiles(t, dir); !reflect.DeepEqual(segs, want) {
+		t.Fatalf("chunks after the scans = %v, want %v", segs, want)
+	}
+	tab, err := d.Engine().Table("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, _ := tab.SizeBytes()
+	for _, si := range tab.Segments() {
+		disk += si.Bytes
+	}
+	if user := 8 * 2 * int64(n); float64(disk) > 1.15*float64(user) {
+		t.Fatalf("table s keeps %d bytes for %d user bytes", disk, user)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Open(Options{Dir: dir, Partitions: parts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if got := sums(again); got != before {
+		t.Fatalf("reopened, s sums to %s; before, %s", got, before)
 	}
 }

@@ -237,6 +237,53 @@ func TestSysTablesAndPartitions(t *testing.T) {
 	}
 }
 
+// TestSysSegments: sys.segments reports, per partition of an on-disk
+// table, the rows sealed in chunks, the bytes holding them and the rows
+// in the row log after them; a commit seals whole chunks only, and the
+// sealed bytes count in sys.tables' size_bytes.
+func TestSysSegments(t *testing.T) {
+	d := Open(Options{Partitions: 2, Dir: t.TempDir()})
+	mustExec(t, d, "CREATE TABLE s (a DOUBLE, b BIGINT, c VARCHAR)")
+	tab, err := d.Table("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2*storage.ChunkRows + 100 // per partition: a chunk and 50 rows
+	rows := make([]sqltypes.Row, n)
+	for i := range rows {
+		rows[i] = sqltypes.Row{sqltypes.NewDouble(float64(i)), sqltypes.NewBigInt(int64(i)), sqltypes.NewVarChar("v")}
+	}
+	if err := tab.Insert(rows...); err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Exec("SELECT * FROM sys.segments ORDER BY partition")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, c := range res.Schema.Columns {
+		names = append(names, c.Name)
+	}
+	if want := []string{"table_name", "partition", "sealed_rows", "sealed_bytes", "tail_rows"}; fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Fatalf("sys.segments columns %v, want %v", names, want)
+	}
+	var sealed int64
+	for p, r := range res.Rows {
+		if r[0].Str() != "s" || r[1].Int() != int64(p) || r[2].Int() != storage.ChunkRows || r[3].Int() <= 0 || r[4].Int() != 50 {
+			t.Fatalf("sys.segments row %d = %v, want s, %d, %d sealed, some bytes, 50 in the log", p, r, p, storage.ChunkRows)
+		}
+		sealed += r[3].Int()
+	}
+	log, err := tab.SizeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := query(t, d, "SELECT size_bytes FROM sys.tables WHERE name = 's'")
+	if want := fmt.Sprint(log + sealed); len(size) != 1 || size[0][0] != want {
+		t.Fatalf("sys.tables size_bytes = %v, want %s", size, want)
+	}
+}
+
 func TestSysNamespaceReserved(t *testing.T) {
 	d := Open(Options{Partitions: 2})
 	if _, err := d.Exec("CREATE TABLE sys.own (i INT)"); err == nil {

@@ -282,6 +282,9 @@ func (d *DB) sysTables() ([]sqltypes.Column, []sqltypes.Row, error) {
 		if err != nil {
 			size = 0
 		}
+		for _, si := range t.Segments() {
+			size += si.Bytes
+		}
 		rows = append(rows, sqltypes.Row{
 			sqltypes.NewVarChar(t.Name()),
 			sqltypes.NewBigInt(int64(t.Partitions())),
@@ -333,32 +336,28 @@ func (d *DB) sysSummaries() ([]sqltypes.Column, []sqltypes.Row, error) {
 	return cols, rows, nil
 }
 
-// sysSegments reports the columnar segment cache, one row per on-disk
-// partition: how many rows of the row log the sibling .seg file is a
-// snapshot of (0 with no file until a block scan first derives it, -1
-// for a file of a reattached table that nothing has verified yet), its
-// size, and whether it is fresh — behind after every write; a block
-// scan reads the rows it does not cover from the row log and extends it
-// once they fill a chunk. In-memory tables have no segments and report
-// none.
+// sysSegments reports where each on-disk partition keeps its rows: how
+// many are sealed in column chunks and the bytes of the `.seg` file
+// holding them, and how many follow in the row log, fewer than one
+// chunk's worth after every commit. In-memory tables have no chunks and
+// report none.
 func (d *DB) sysSegments() ([]sqltypes.Column, []sqltypes.Row, error) {
 	cols := []sqltypes.Column{
 		{Name: "table_name", Type: sqltypes.TypeVarChar},
 		{Name: "partition", Type: sqltypes.TypeBigInt},
-		{Name: "seg_rows", Type: sqltypes.TypeBigInt},
-		{Name: "seg_bytes", Type: sqltypes.TypeBigInt},
-		{Name: "fresh", Type: sqltypes.TypeBool},
+		{Name: "sealed_rows", Type: sqltypes.TypeBigInt},
+		{Name: "sealed_bytes", Type: sqltypes.TypeBigInt},
+		{Name: "tail_rows", Type: sqltypes.TypeBigInt},
 	}
 	var rows []sqltypes.Row
 	for _, t := range d.userTables() {
-		counts := t.PartitionRowCounts()
 		for _, si := range t.Segments() {
 			rows = append(rows, sqltypes.Row{
 				sqltypes.NewVarChar(t.Name()),
 				sqltypes.NewBigInt(int64(si.Partition)),
 				sqltypes.NewBigInt(si.Rows),
 				sqltypes.NewBigInt(si.Bytes),
-				sqltypes.NewBool(si.Rows >= 0 && si.Rows == counts[si.Partition]),
+				sqltypes.NewBigInt(si.TailRows),
 			})
 		}
 	}

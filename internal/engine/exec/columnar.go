@@ -12,11 +12,12 @@ import (
 // The block source (offered to scans of on-disk tables unless
 // Env.Columnar declines it) swaps the row-at-a-time interpreter for
 // block-at-a-time kernels wherever that is provably equivalent:
-// float-row aggregates gather segment blocks into the tiles float rows
+// float-row aggregates gather blocks — a partition's sealed chunks, then
+// its row log's rows gathered the same way — into the tiles float rows
 // fill (core.FillTile), and simple projections run vector programs.
-// Everything else — and every partition without a segment — falls back
-// to the row path, counted by engine_columnar_fallbacks_total, so the
-// source can change performance but never results.
+// Every other statement shape falls back to the row path, counted by
+// engine_columnar_fallbacks_total when it is prepared, so the source
+// can change performance but never results.
 
 // errNotVectorizable marks projections the vector path declines (shape
 // restrictions beyond CompileVector's, e.g. constant-only items).

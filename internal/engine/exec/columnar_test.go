@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -33,8 +31,9 @@ func mixedTable(t *testing.T, name, dir string, nparts, n int) *storage.Table {
 }
 
 // mixedTableWrittenAfterBuild is mixedTable with the same n rows
-// arriving in two inserts and the segments built between them, so every
-// partition's segment is behind its row log when the first query runs.
+// arriving in two inserts and every row log sealed between them, so
+// every partition holds sealed rows and a tail when the first query
+// runs.
 func mixedTableWrittenAfterBuild(t *testing.T, name, dir string, nparts, built, n int) *storage.Table {
 	t.Helper()
 	schema := &sqltypes.Schema{Columns: []sqltypes.Column{dcol("a"), dcol("b"), icol("j"), vcol("s")}}
@@ -121,9 +120,9 @@ func tableNLQ(tab *storage.Table, cols []int, mt core.MatrixType, columnar bool)
 }
 
 // TestComputeTableNLQColumnarBitIdentical: the summary scan from
-// segment blocks equals the same scan with the block source declined,
-// over the row log of the same table ("disk") or the resident rows of
-// an in-memory twin ("mem"), which has no segments.
+// blocks equals the same scan with the block source declined, over the
+// rows of the same table ("disk") or the resident rows of an in-memory
+// twin ("mem"), which is never offered blocks.
 func TestComputeTableNLQColumnarBitIdentical(t *testing.T) {
 	for _, layout := range []string{"mem", "disk"} {
 		t.Run(layout, func(t *testing.T) {
@@ -279,22 +278,6 @@ func canonRows(rows []sqltypes.Row, ordered bool) []string {
 	return out
 }
 
-// staleSegmentDir returns a table directory in which partition 1 of a
-// table called name can never build its segment: non-empty directories
-// (NewTable removes what it can) squat on the segment's path and on the
-// rebuild's temporary path, so the partition stays stale however often
-// a scan calls EnsureSegments, while its siblings build normally.
-func staleSegmentDir(t *testing.T, name string) string {
-	t.Helper()
-	dir := t.TempDir()
-	for _, suffix := range []string{".seg", ".seg.tmp"} {
-		if err := os.MkdirAll(filepath.Join(dir, name+".p001"+suffix, "squat"), 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir
-}
-
 var projectionQueries = []string{
 	// ORDER BY pins the result order, so it must be total over
 	// the output: a is unique except where it is NULL, and
@@ -344,10 +327,10 @@ var pathQueries = []pathQuery{
 }
 
 // TestSelectPathMatrix runs every statement through every way of
-// reaching the scan operator, over the row source, the block source,
-// the block source with one partition falling back and the block source
-// over a table written since its segments were built, and demands
-// bit-identical rows and identical scan accounting from all of them.
+// reaching the scan operator, over the row source, the block source and
+// the block source over a table with rows both sealed and in its row
+// log, and demands bit-identical rows and identical scan accounting
+// from all of them.
 func TestSelectPathMatrix(t *testing.T) {
 	queries := append([]pathQuery(nil), pathQueries...)
 	for _, sql := range projectionQueries {
@@ -362,9 +345,8 @@ func TestSelectPathMatrix(t *testing.T) {
 	env := func(x *storage.Table, columnar bool) *Env {
 		return &Env{Catalog: memCatalog{"x": x, "m": model()}, Funcs: expr.NewRegistry(), Aggs: udf.NewRegistry(), Columnar: columnar}
 	}
-	stale := mixedTable(t, "x", staleSegmentDir(t, "x"), nparts, n)
 	fixed := func(e *Env) func() *Env { return func() *Env { return e } }
-	// A new table per statement: the first block scan rebuilds.
+	// A new table per statement.
 	written := func() *Env {
 		return env(mixedTableWrittenAfterBuild(t, "x", t.TempDir(), nparts, n/2, n), true)
 	}
@@ -374,7 +356,6 @@ func TestSelectPathMatrix(t *testing.T) {
 	}{
 		{"row", fixed(env(mixedTable(t, "x", t.TempDir(), nparts, n), false))},
 		{"columnar", fixed(env(mixedTable(t, "x", t.TempDir(), nparts, n), true))},
-		{"columnar-stale", fixed(env(stale, true))},
 		{"columnar-written", written},
 	}
 	for _, q := range queries {
@@ -406,31 +387,23 @@ func TestSelectPathMatrix(t *testing.T) {
 			}
 		}
 	}
-	fresh := func(tab *storage.Table) (out []bool) {
-		counts := tab.PartitionRowCounts()
-		for _, si := range tab.Segments() {
-			out = append(out, si.Rows == counts[si.Partition])
-		}
-		return out
-	}
-	if got := fresh(stale); !reflect.DeepEqual(got, []bool{true, false, true}) {
-		t.Fatalf("stale fixture: fresh segments %v, want only partition 1 behind", got)
-	}
-	// The written-after-build fixture is behind in every partition, by
-	// less than a chunk: a block scan reads each segment's rows as blocks
-	// and the rest from the row log, and derives nothing.
+	// The written-after-build fixture holds sealed rows and a tail in
+	// every partition: a block scan reads both as blocks, and a scan
+	// writes nothing.
 	wenv := written()
 	tab, _ := wenv.Catalog.Table("x")
-	if got := fresh(tab); !reflect.DeepEqual(got, []bool{false, false, false}) {
-		t.Fatalf("written-after-build fixture: fresh segments %v before any scan", got)
-	}
 	before := tab.Segments()
+	for _, si := range before {
+		if si.Rows == 0 || si.TailRows == 0 {
+			t.Fatalf("written-after-build fixture: partition %+v, want sealed rows and a tail", si)
+		}
+	}
 	res, err := pathSelect(t, wenv, pathQuery{sql: "SELECT a + b FROM x"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sp := range res.Stats.Root.SpanByName("scan").Children {
-		if sp.Name != "ensure" && sp.Source != "block" {
+		if sp.Source != "block" {
 			t.Fatalf("written-after-build fixture: span %s read %q, want block", sp.Name, sp.Source)
 		}
 	}
@@ -439,14 +412,12 @@ func TestSelectPathMatrix(t *testing.T) {
 	}
 }
 
-// TestScanSpanSource: every scan[pN] span says which source fed it,
-// and a scan with block columns times its ExtendSegments step in an
-// "ensure" span ahead of them — where the first block scan shows its
-// derivation. A table with one unbuildable partition reads block, row,
-// block and counts exactly one fallback per scan; a row inserted since
-// the derivation is read from the row log by the block source.
+// TestScanSpanSource: every scan[pN] span says which source fed it. A
+// scan with block columns reads every partition as blocks — rows in the
+// row log gathered into them — counts no fallback and writes nothing,
+// after an insert too.
 func TestScanSpanSource(t *testing.T) {
-	tab := mixedTable(t, "x", staleSegmentDir(t, "x"), 3, 90)
+	tab := mixedTable(t, "x", t.TempDir(), 3, 90)
 	env := &Env{Catalog: memCatalog{"x": tab}, Funcs: expr.NewRegistry(), Aggs: udf.NewRegistry(), Columnar: true, Workers: 1}
 	blockScan := func() *Result {
 		t.Helper()
@@ -455,42 +426,39 @@ func TestScanSpanSource(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := obs.ColumnarFallbacks.Value() - before; got != 1 {
-			t.Fatalf("one stale partition counted %d fallbacks, want 1", got)
+		if got := obs.ColumnarFallbacks.Value() - before; got != 0 {
+			t.Fatalf("a block scan counted %d fallbacks, want 0", got)
 		}
 		var names, sources []string
 		for _, sp := range res.Stats.Root.SpanByName("scan").Children {
 			names = append(names, sp.Name)
 			sources = append(sources, sp.Source)
 		}
-		if want := []string{"ensure", "scan[p0]", "scan[p1]", "scan[p2]"}; !reflect.DeepEqual(names, want) {
+		if want := []string{"scan[p0]", "scan[p1]", "scan[p2]"}; !reflect.DeepEqual(names, want) {
 			t.Fatalf("scan children = %v, want %v", names, want)
 		}
-		if want := []string{"", "block", "row", "block"}; !reflect.DeepEqual(sources, want) {
+		if want := []string{"block", "block", "block"}; !reflect.DeepEqual(sources, want) {
 			t.Fatalf("scan sources = %v, want %v", sources, want)
 		}
 		return res
 	}
-	// Nothing has built a segment yet: this scan's ensure span is the
-	// derivation of partitions 0 and 2. The one after an insert derives
-	// nothing: a row is far short of a chunk.
 	tree := blockScan().Stats.Root.RenderTree()
+	before := tab.Segments()
 	if err := tab.Insert(sqltypes.Row{sqltypes.NewDouble(1), sqltypes.NewDouble(2), sqltypes.NewBigInt(3), sqltypes.NewVarChar("4")}); err != nil {
 		t.Fatal(err)
 	}
-	if segs := tab.Segments(); segs[0].Rows == tab.PartitionRowCounts()[0] {
-		t.Fatalf("insert kept partition 0's segment fresh: %+v", segs[0])
+	if res := blockScan(); res.Stats.RowsScanned != 91 {
+		t.Fatalf("block scan after a one-row insert read %d rows, want 91", res.Stats.RowsScanned)
 	}
-	blockScan()
-	if segs := tab.Segments(); segs[0].Rows != tab.PartitionRowCounts()[0]-1 {
-		t.Fatalf("block scan after a one-row insert extended partition 0's segment: %+v", segs[0])
+	if segs := tab.Segments(); segs[0].TailRows != before[0].TailRows+1 || segs[0].Rows != before[0].Rows {
+		t.Fatalf("a one-row insert left partition 0 at %+v (was %+v)", segs[0], before[0])
 	}
-	for _, want := range []string{"ensure (", "scan[p0]", "source=block", "source=row"} {
+	for _, want := range []string{"scan[p0]", "source=block"} {
 		if !strings.Contains(tree, want) {
 			t.Fatalf("EXPLAIN ANALYZE tree lacks %q:\n%s", want, tree)
 		}
 	}
-	// The row engine reads every partition from the row log.
+	// The row engine reads every partition as rows.
 	env.Columnar = false
 	res, err := Select(context.Background(), sel(t, "SELECT a + b FROM x"), env)
 	if err != nil {
@@ -498,7 +466,7 @@ func TestScanSpanSource(t *testing.T) {
 	}
 	for _, sp := range res.Stats.Root.SpanByName("scan").Children {
 		if sp.Source != "row" {
-			t.Fatalf("row engine span %s has source %q (a row-mode scan has no ensure step)", sp.Name, sp.Source)
+			t.Fatalf("row engine span %s has source %q", sp.Name, sp.Source)
 		}
 	}
 	// Under the columnar flag an aggregate that scans float rows is
@@ -542,7 +510,7 @@ func resultsEqual(t *testing.T, sql string, a, b *Result) {
 	}
 }
 
-// TestColumnarProjectionMatchesRow: projections from segment blocks
+// TestColumnarProjectionMatchesRow: projections from blocks
 // equal the row path's over the same table ("disk") or an in-memory twin
 // ("mem").
 func TestColumnarProjectionMatchesRow(t *testing.T) {
@@ -580,8 +548,8 @@ func TestColumnarProjectionCountsWork(t *testing.T) {
 	_ = falls
 }
 
-// A partition that never received a row has no segment file on disk;
-// its block scan must succeed empty rather than count a stale
+// A partition that never received a row has no chunks and an empty
+// row log; its block scan must succeed empty rather than count a
 // fallback.
 func TestColumnarEmptyPartitionIsNotAFallback(t *testing.T) {
 	cat := memCatalog{}
@@ -661,7 +629,7 @@ func TestBlockProjectionCountsEmittedRows(t *testing.T) {
 			t.Fatalf("limit %d: err = %v, want the sink's", limit, err)
 		}
 		for _, sp := range st.Root.SpanByName("scan").Children {
-			if sp.Name != "ensure" && sp.Source != "block" {
+			if sp.Source != "block" {
 				t.Fatalf("limit %d: %s ran from the %s source", limit, sp.Name, sp.Source)
 			}
 		}

@@ -106,7 +106,7 @@ func BenchmarkBlockProjection(b *testing.B) {
 		}
 		return res
 	}
-	checkSources(b, run().Stats, "block") // the first run derives the segments
+	checkSources(b, run().Stats, "block")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -117,10 +117,9 @@ func BenchmarkBlockProjection(b *testing.B) {
 
 // BenchmarkInsertThenNLQ is write-then-read traffic: each op inserts k
 // rows into a 32 768 × 32 on-disk table of 4 partitions, build_udf's
-// shape, then runs its summary scan from the start — over the row log
-// (row), or over the segments a first scan derived plus whatever the
-// inserts left uncovered (block). The block arm's op includes the
-// scan's segment extension whenever the inserts have filled a chunk.
+// shape, then runs its summary scan from the start — decoding rows
+// (row) or reading blocks (block). An insert's op includes the seal
+// whenever the inserts have filled a chunk in a partition's tail.
 func BenchmarkInsertThenNLQ(b *testing.B) {
 	const dims, n = 32, 32768
 	for _, k := range []int{8, 1024} {
@@ -143,7 +142,7 @@ func BenchmarkInsertThenNLQ(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				read() // derives the segments the block arm starts from
+				read()
 				batch := benchRows(dims, n, k)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -251,8 +251,8 @@ func (rp *rowPlan) converts(tail []sqltypes.Row) bool {
 
 // offersBlocks reports whether the statement's scan may read blocks: the
 // environment allows it and the driving table is on disk — a table
-// without a directory (in-memory and system tables) has no segments and
-// counts no fallback.
+// without a directory (in-memory and system tables) has no sealed
+// chunks and counts no fallback.
 func (p *PreparedSelect) offersBlocks() bool {
 	return p.env.Columnar && p.b.tables[0].OnDisk()
 }

@@ -2,18 +2,16 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 
-	"repro/internal/engine/obs"
 	"repro/internal/engine/storage"
 )
 
 // sources names the columns a scan's unboxed sources read: block
-// columns from fresh segments, float columns from the row log's float
-// decode. A scan with neither boxes every row.
+// columns, the partition's sealed chunks and the rest of its rows as
+// blocks; float columns, its rows decoded to floats. A scan with
+// neither boxes every row.
 type sources struct{ block, floats []int }
 
 // scanPartitions is the engine's one partition-scan loop: every SELECT
@@ -22,25 +20,19 @@ type sources struct{ block, floats []int }
 // (RunParallel: first failure cancels the siblings, panics are
 // contained per partition), opens one worker per partition (phases 1-2
 // of the aggregate protocol; merge and finalize are the caller's, after
-// the workers join), feeds it from the block source when the plan
-// supplied block columns and the partition has a segment, else from the
-// row log — decoded to floats when the plan supplied float columns,
-// boxed otherwise — and records the scan[pN] spans, their source,
-// per-partition rows and the scan totals in st — also when the scan
-// fails part-way, so a failed statement still reports how far it got.
+// the workers join), feeds it blocks when the plan supplied block
+// columns, else rows — decoded to floats when the plan supplied float
+// columns, boxed otherwise — and records the scan[pN] spans, their
+// source, per-partition rows and the scan totals in st — also when the
+// scan fails part-way, so a failed statement still reports how far it
+// got.
 //
-// marks, when set, resume every partition after its mark — from the row
-// log, float rows only: a segment holds a whole partition — and each is
+// marks, when set, resume every partition after its mark and are each
 // advanced to where its partition's scan ended.
 func scanPartitions(ctx context.Context, t *storage.Table, workers int, src sources, marks []storage.Mark, st *Stats, open func(p int) (*selectWorker, error)) error {
 	nparts := t.Partitions()
-	if marks != nil {
-		if src.floats == nil || len(marks) != nparts {
-			return fmt.Errorf("exec: a resumed scan of table %q needs float rows and one mark per partition", t.Name())
-		}
-		if slices.ContainsFunc(marks, func(m storage.Mark) bool { return m.Rows > 0 }) {
-			src.block = nil
-		}
+	if marks != nil && (src.floats == nil || len(marks) != nparts) {
+		return fmt.Errorf("exec: a resumed scan of table %q needs float rows and one mark per partition", t.Name())
 	}
 	rows := t.NumRows()
 	for _, m := range marks {
@@ -50,16 +42,6 @@ func scanPartitions(ctx context.Context, t *storage.Table, workers int, src sour
 	st.Workers = scanWidth(nparts, workers, rows)
 	st.PartitionRows = make([]int64, nparts)
 	scan := st.ensureRoot().child("scan")
-	if src.block != nil {
-		// Best-effort: derive the segments no scan has read yet, and
-		// extend those that writes have left a chunk or more behind (the
-		// time is this span). A failed derivation leaves partitions that
-		// fall back below; genuine row-log corruption resurfaces loudly
-		// from the row scan.
-		ensure := scan.child("ensure")
-		_ = t.ExtendSegments()
-		ensure.finish()
-	}
 	partSpans := make([]*Span, nparts)
 	err := RunParallel(ctx, st.Workers, nparts, func(ctx context.Context, p int) error {
 		span := newSpan("scan[p" + strconv.Itoa(p) + "]")
@@ -118,25 +100,12 @@ func scanWidth(nparts, workers int, rows int64) int {
 }
 
 // scanPartition picks partition p's source: "block", "float" or "row".
-// A block scan reads the segment's rows as blocks and any appended since
-// from the row log, as the float or row source would. It refuses a
-// partition whose segment covers none of its rows before delivering
-// anything, so the consumer is untouched when the partition reruns from
-// the row log; that rerun is the fallback engine_columnar_fallbacks_total
-// counts per partition.
 func scanPartition(ctx context.Context, t *storage.Table, p int, src sources, from storage.Mark, w *selectWorker) (source string, ps storage.ScanStats, err error) {
-	if src.block != nil {
-		var floats func([]float64) error
-		if src.floats != nil {
-			floats = w.floatRow
-		}
-		ps, err = t.ScanPartitionSegment(ctx, p, src.block, w.block, floats, w.row)
-		if !errors.Is(err, storage.ErrSegmentStale) {
-			return "block", ps, err
-		}
-		obs.ColumnarFallbacks.Inc()
-	}
-	if src.floats != nil {
+	switch {
+	case src.block != nil:
+		ps, err = t.ScanPartitionBlocksFrom(ctx, p, from, src.block, w.block)
+		return "block", ps, err
+	case src.floats != nil:
 		ps, err = t.ScanPartitionFloats(ctx, p, from, src.floats, w.floatRow, w.row)
 		return "float", ps, err
 	}

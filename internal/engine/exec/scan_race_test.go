@@ -13,15 +13,12 @@ import (
 	"repro/internal/engine/udf"
 )
 
-// TestBlockScansRaceInserts: since a write leaves every segment it
-// touches behind, "insert lands between ExtendSegments and the
-// partition's scan" is the ordinary case after any write. A reader
-// alternates a columnar n/L/Q scan and a vectorised projection while a
-// writer inserts one batch per statement; every partition of every
-// result must be exactly the row-mode result over the prefix of the
-// partition it reports scanning, and the fallback counter never moves:
-// a partition read from a segment that covers part of it reads the
-// rest from its row log. Run under -race.
+// TestBlockScansRaceInserts: a reader alternates a columnar n/L/Q scan
+// and a vectorised projection while a writer inserts one batch per
+// statement, its commits sealing chunks now and then; every partition
+// of every result must be exactly the row-mode result over the prefix
+// of the partition it reports scanning, and the fallback counter never
+// moves. Run under -race.
 func TestBlockScansRaceInserts(t *testing.T) {
 	const nparts, batches, batch = 4, 60, 48
 	schema := &sqltypes.Schema{Columns: []sqltypes.Column{dcol("a"), dcol("b")}}

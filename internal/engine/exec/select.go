@@ -23,10 +23,12 @@ type Env struct {
 	// storage.ChunkRows rows it reads (scanWidth), so a table of less
 	// than a chunk is scanned on the calling goroutine alone.
 	Workers int
-	// Columnar offers eligible scans of on-disk tables the block source
-	// (column segments + vector programs); what blocks cannot serve
-	// reads the row log, with identical results. The db planner always
-	// sets it; left off, every scan reads the row log.
+	// Columnar offers eligible scans of on-disk tables the block source:
+	// every row as blocks of its columns — the sealed chunks' lanes, the
+	// row log's rows gathered into the same lanes — for block kernels
+	// and vector programs. What blocks cannot serve, and every scan with
+	// Columnar off, reads rows: the chunks decoded to rows, then the
+	// row log's, with identical results. The db planner always sets it.
 	Columnar bool
 }
 

@@ -9,8 +9,7 @@ import (
 
 // Span is one timed region of a statement's execution. Spans form a
 // tree rooted at the statement: plan, scan (with one child per scanned
-// partition, after an "ensure" child timing the segment derivation when
-// the scan has block columns), merge and finalize, mirroring the
+// partition), merge and finalize, mirroring the
 // aggregate UDF protocol's phases. Rows and Bytes carry the volume the
 // span processed where that is meaningful (scan spans: rows delivered
 // and encoded bytes decoded; the root: rows emitted).

@@ -59,8 +59,8 @@ var (
 	// many column blocks its block scans delivered, how many vector
 	// kernel operations its compiled programs executed, and how often a
 	// statement offered the block source fell back to the row-at-a-time
-	// interpreter (unsupported expression shape, stale segment, or
-	// non-numeric columns).
+	// interpreter (unsupported expression shape or non-numeric
+	// columns).
 	ColumnarBlocksScanned = Default.Counter("engine_columnar_blocks_scanned_total",
 		"Column blocks delivered by columnar partition scans.")
 	ColumnarVectorOps = Default.Counter("engine_columnar_vector_ops_total",

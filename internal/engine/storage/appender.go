@@ -147,6 +147,9 @@ func (s *stagedPart) flush() error {
 // write is aborted and the failure returned. Otherwise the partitions'
 // counts and sizes and the table count advance together, inside the
 // critical section begin opened. The epoch stays: the write appended.
+// Then every touched partition seals its tail's whole chunks: the rows
+// are committed whether or not that succeeds, and a seal that fails
+// leaves them in the row log for the next one.
 //
 //statlint:locked Table.mu
 func (a *appender) commit() error {
@@ -177,6 +180,11 @@ func (a *appender) commit() error {
 	}
 	t.rows.Add(a.n)
 	obs.RowsInserted.Add(a.n)
+	for p := range a.parts {
+		if a.parts[p].f != nil {
+			_ = t.sealLocked(p, false)
+		}
+	}
 	a.finish()
 	return nil
 }

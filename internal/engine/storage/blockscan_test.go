@@ -118,10 +118,14 @@ func readSeg(r io.ReaderAt, size int64, schema *sqltypes.Schema, cols []int) (bl
 	sr := newSegReader(r, size, schema, cols)
 	defer sr.release()
 	for {
-		blk, err := sr.next()
+		_, err := sr.head()
 		if err == io.EOF {
 			return blocks, nil
 		}
+		if err != nil {
+			return blocks, err
+		}
+		blk, err := sr.block()
 		if err != nil {
 			return blocks, err
 		}
@@ -131,6 +135,33 @@ func readSeg(r io.ReaderAt, size int64, schema *sqltypes.Schema, cols []int) (bl
 			cp.Valid = append(cp.Valid, append([]bool(nil), blk.Valid[s]...))
 		}
 		blocks = append(blocks, cp)
+	}
+}
+
+// readSegRows decodes a segment image held in memory to rows, through
+// the reader every row scan uses.
+func readSegRows(raw []byte, schema *sqltypes.Schema) (rows []sqltypes.Row, err error) {
+	sr := newSegReader(bytes.NewReader(raw), int64(len(raw)), schema, nil)
+	defer sr.release()
+	for {
+		_, err := sr.head()
+		if err == io.EOF {
+			return rows, nil
+		}
+		if err != nil {
+			return rows, err
+		}
+		cc, err := sr.chunk()
+		if err != nil {
+			return rows, err
+		}
+		for r := range cc.sh.rows {
+			row, err := cc.row(r, nil)
+			if err != nil {
+				return rows, err
+			}
+			rows = append(rows, row)
+		}
 	}
 }
 

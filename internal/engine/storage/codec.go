@@ -23,7 +23,7 @@ import (
 
 // ErrCorrupt is the typed error every decode-path failure wraps — a
 // truncated row, a bad value tag, an implausible varchar length, a
-// segment chunk that fails its header checks, or a partition file whose
+// sealed chunk that fails its header checks, or a partition file whose
 // decoded row count disagrees with the table's accounting. Callers
 // classify with errors.Is instead of string matching.
 var ErrCorrupt = errors.New("storage: corrupt data")

@@ -26,6 +26,10 @@ type Fault struct {
 	// fail, leaving torn trailing bytes on disk; exercises the
 	// corruption-marking path (the partition must refuse later scans).
 	TruncateFail bool
+	// SealMidChunk stops a seal half-way through writing a chunk, and
+	// SealBeforeTail after appending its chunks, before replacing the
+	// row log: where a crash could stop it, files left as they are.
+	SealMidChunk, SealBeforeTail bool
 }
 
 func (f *Fault) matches(p int) bool {

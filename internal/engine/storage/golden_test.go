@@ -50,9 +50,9 @@ func goldenRows() []sqltypes.Row {
 
 // parentSegmentRows is the content of testdata/seg4096.p000.seg: one
 // partition of a table "seg4096" over testSchema, inserted in this
-// order, whose segment the SEG1 writer derived in 4096-row chunks. 4500
-// rows make one full 4096-row chunk and a partial one; NULLs fall in both
-// numeric columns, and the BIGINT values outgrow float64's exact range.
+// order, whose SEG2 segment the layout that kept every row in the row
+// log derived as a cache, in 2048-row chunks. NULLs fall in every
+// column, and the BIGINT values outgrow float64's exact range.
 func parentSegmentRows() []sqltypes.Row {
 	rows := make([]sqltypes.Row, 4500)
 	for i := range rows {
@@ -100,10 +100,13 @@ func sameRow(a, b sqltypes.Row) bool {
 	return true
 }
 
-// TestParentWrittenTable pins the on-disk format across the decoder
-// rewrite: partition files written by the parent commit attach, count,
-// scan and rebuild segments identically, and re-encoding the decoded
-// rows reproduces the files byte for byte.
+// TestParentWrittenTable pins the on-disk format: partition files
+// written before any row was sealed — row logs without a tail header —
+// attach, count and scan identically, and re-encoding the decoded rows
+// reproduces the files byte for byte. EnsureSegments then seals every
+// row into chunks whose bytes are pinned, and the rows read back from
+// them, boxed, as floats and as blocks, are the same, before and after
+// a reattach: NULL in every column, the float specials, the VARCHARs.
 func TestParentWrittenTable(t *testing.T) {
 	dir := t.TempDir()
 	files := []string{"golden.p000.dat", "golden.p001.dat"}
@@ -129,96 +132,135 @@ func TestParentWrittenTable(t *testing.T) {
 	if tab.NumRows() != int64(len(want)) {
 		t.Fatalf("attached %d rows, want %d", tab.NumRows(), len(want))
 	}
-	for p := range files {
-		// Insert places row i in partition i mod 2, in order.
-		i := p
-		var reenc []byte
-		st, err := tab.ScanPartitionStats(context.Background(), p, func(r sqltypes.Row) error {
-			if i >= len(want) || !sameRow(r, want[i]) {
-				t.Fatalf("partition %d: decoded %v, want row %d", p, r, i)
+	readBack := func(tab *Table, what string, sealed bool) {
+		t.Helper()
+		for p := range files {
+			// Insert places row i in partition i mod 2, in order.
+			i := p
+			var reenc []byte
+			st, err := tab.ScanPartitionStats(context.Background(), p, func(r sqltypes.Row) error {
+				if i >= len(want) || !sameRow(r, want[i]) {
+					t.Fatalf("%s: partition %d: decoded %v, want row %d", what, p, r, i)
+				}
+				i += len(files)
+				var err error
+				reenc, err = encodeRow(reenc, r)
+				return err
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
 			}
-			i += len(files)
-			var err error
-			reenc, err = encodeRow(reenc, r)
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
+			if !sealed && st.Bytes != int64(len(images[p])) {
+				t.Fatalf("%s: partition %d: scan decoded %d bytes, file has %d", what, p, st.Bytes, len(images[p]))
+			}
+			if !bytes.Equal(reenc, images[p]) {
+				t.Fatalf("%s: partition %d: re-encoded rows differ from the parent-written file", what, p)
+			}
 		}
-		if st.Bytes != int64(len(images[p])) {
-			t.Fatalf("partition %d: scan decoded %d bytes, file has %d", p, st.Bytes, len(images[p]))
-		}
-		if !bytes.Equal(reenc, images[p]) {
-			t.Fatalf("partition %d: re-encoded rows differ from the parent-written file", p)
-		}
+		blocksMatchRows(t, tab, []int{0, 1})
+		floatsMatchRows(t, tab, []int{1, 0})
+		floatsMatchRows(t, tab, []int{2, 1})
 	}
+	readBack(tab, "attached", false)
 	if err := tab.EnsureSegments(); err != nil {
 		t.Fatal(err)
 	}
-	blocksMatchRows(t, tab, []int{0, 1})
-	// The segments the rebuild derives are pinned too: these are the
-	// bytes the chunk-directory writer derives from the same files.
+	readBack(tab, "sealed", true)
+	for _, si := range tab.Segments() {
+		if si.Rows != int64(len(want)/len(files)) || si.TailRows != 0 {
+			t.Fatalf("sealed partition %+v, want %d rows in chunks and none in the log", si, len(want)/len(files))
+		}
+	}
+	// The chunks the seal writes are pinned too.
 	for p, want := range []string{
-		"37909e9e92b971ce749b087a9b3453053a2681a930edfde00f3117be746abdf3",
-		"da9909b2e6474c5a211f94fe27b6b3dfc2bf491419e4743ac7ddf8c19c3ac6c4",
+		"739ed411aa2e19f161ab69da7705167926487e3f53ab961d093696c64db97db5",
+		"608462a8d9465d315237f5c35bb40fd6f22a2ec285b2f99ac647c18cd7538103",
 	} {
 		seg, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("golden.p%03d.seg", p)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256(seg)); got != want {
-			t.Fatalf("partition %d: rebuilt segment hashes to %s, want %s", p, got, want)
+			t.Fatalf("partition %d: sealed chunks hash to %s, want %s", p, got, want)
 		}
+	}
+	re, err := OpenTable("golden", testSchema(), dir, len(files))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readBack(re, "reattached", true)
+}
+
+// parentLog writes rows as the row log the layout without sealed
+// chunks wrote: the encoded rows, no tail header.
+func parentLog(t *testing.T, path string, rows []sqltypes.Row) {
+	t.Helper()
+	var img []byte
+	for _, r := range rows {
+		var err error
+		if img, err = encodeRow(img, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestParentWrittenSegment: a segment of SEG1 chunks, the layout before
-// chunks carried a directory (here the 4096-row chunks an earlier writer
-// derived), is never adopted and never misread. Read directly it fails
-// ErrCorrupt before delivering a block; a table reattached over it
-// refuses block scans until its first derivation, which replaces the
-// file with 2048-row chunks whose blocks equal the row log bit for bit.
+// TestParentWrittenSegment: a directory of the layout that kept every
+// row in the row log, with the SEG2 cache it derived beside it, opens
+// with every row in the log and the cache discarded — never misread:
+// read directly it fails ErrCorrupt before delivering a block. Sealed
+// through EnsureSegments, the rows come back in 2048-row chunks whose
+// blocks and rows equal the log's bit for bit, a BIGINT beyond ±2⁵³
+// exact on the boxed path.
 func TestParentWrittenSegment(t *testing.T) {
 	img, err := os.ReadFile(filepath.Join("testdata", "seg4096.p000.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(img[:4]) != "SEG1" {
-		t.Fatalf("testdata segment starts %q, want a SEG1 chunk", img[:4])
+	if string(img[:4]) != "SEG2" {
+		t.Fatalf("testdata segment starts %q, want a SEG2 chunk", img[:4])
 	}
 	if blocks, err := readSegImage(img, testSchema(), []int{0, 1, 2}); !errors.Is(err, ErrCorrupt) || len(blocks) != 0 {
-		t.Fatalf("reading the SEG1 image: %d blocks, err %v; want none and ErrCorrupt", len(blocks), err)
+		t.Fatalf("reading the SEG2 image: %d blocks, err %v; want none and ErrCorrupt", len(blocks), err)
 	}
 	dir := t.TempDir()
-	tab, err := NewTable("seg4096", testSchema(), dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Insert(parentSegmentRows()...); err != nil {
-		t.Fatal(err)
-	}
+	rows := parentSegmentRows()
+	parentLog(t, filepath.Join(dir, "seg4096.p000.dat"), rows)
 	seg := filepath.Join(dir, "seg4096.p000.seg")
 	if err := os.WriteFile(seg, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if tab, err = OpenTable("seg4096", testSchema(), dir, 1); err != nil {
+	tab, err := OpenTable("seg4096", testSchema(), dir, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tab.ScanPartitionBlocks(context.Background(), 0, []int{1}, discardBlock); !errors.Is(err, ErrSegmentStale) {
-		t.Fatalf("block scan before the first derivation: err = %v, want ErrSegmentStale", err)
+	if _, err := os.Stat(seg); !os.IsNotExist(err) {
+		t.Fatalf("the SEG2 cache survived the attach: %v", err)
+	}
+	if si := tab.Segments()[0]; si.Rows != 0 || si.Bytes != 0 || si.TailRows != int64(len(rows)) {
+		t.Fatalf("attached partition %+v, want every row in the log", si)
+	}
+	got, _, err := rowScan(context.Background(), tab, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(got, rows, sameRow) {
+		t.Fatal("the attached log reads back other rows")
 	}
 	if err := tab.EnsureSegments(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(seg)
+	sealed, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got[:4]) != segMagic || bytes.Contains(got, []byte("SEG1")) {
-		t.Fatalf("the derivation left SEG1 bytes behind (file starts %q)", got[:4])
+	if string(sealed[:4]) != segMagic || bytes.Contains(sealed, []byte("SEG2")) {
+		t.Fatalf("the seal left SEG2 bytes behind (file starts %q)", sealed[:4])
 	}
-	if si := tab.Segments()[0]; si.Rows != int64(len(parentSegmentRows())) || si.Bytes != int64(len(got)) {
-		t.Fatalf("segment state %+v after the derivation", si)
+	if si := tab.Segments()[0]; si.Rows != int64(len(rows)) || si.Bytes != int64(len(sealed)) || si.TailRows != 0 {
+		t.Fatalf("segment state %+v after the seal", si)
 	}
 	var chunks []int
 	if _, err := tab.ScanPartitionBlocks(context.Background(), 0, []int{1}, func(b *Block) error {
@@ -232,4 +274,26 @@ func TestParentWrittenSegment(t *testing.T) {
 	}
 	blocksMatchRows(t, tab, []int{0, 1})
 	blocksMatchRows(t, tab, []int{2, 1, 0})
+	for _, tab := range []*Table{tab, reopen(t, tab)} {
+		got, _, err := rowScan(context.Background(), tab, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(got, rows, sameRow) {
+			t.Fatal("the sealed rows read back other rows")
+		}
+		if v := got[1][0]; v.Type() != sqltypes.TypeBigInt || exactFloat(v.Int()) || v.Int() != rows[1][0].Int() {
+			t.Fatalf("row 1's BIGINT came back %v, want %d exactly", v, rows[1][0].Int())
+		}
+	}
+}
+
+// reopen attaches a second handle to tab's directory.
+func reopen(t *testing.T, tab *Table) *Table {
+	t.Helper()
+	re, err := OpenTable(tab.name, tab.schema, tab.dir, tab.Partitions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return re
 }

@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/bits"
 	"os"
-	"slices"
 	"strings"
 	"sync"
 	"unsafe"
@@ -18,60 +16,64 @@ import (
 	"repro/internal/engine/sqltypes"
 )
 
-// Columnar segments are a cache derived from the row log: an on-disk
-// partition may carry a sibling `.seg` file holding the same rows
-// re-encoded column-wise, so the batch execution path decodes only the
-// columns a query references and hands them to vector kernels as
-// []float64 slices. The row log is the single source of truth and the
-// only thing a write touches: Insert and BulkLoader leave the segment
-// covering a prefix of the rows. A derivation (ExtendSegments, called by
-// the executor ahead of a block scan, or EnsureSegments) is the one
-// place a segment file is written: it encodes the rows the segment does
-// not cover onto its end, so a table no statement block-scans never
-// pays for one, and a row is encoded once however often it is scanned.
-// A block scan reads the covered rows as blocks and the rest from the
-// row log (ScanPartitionSegment).
+// An on-disk partition stores each row once: its first rows as sealed
+// column chunks in its `.seg` file, the rest — the tail, under
+// ChunkRows rows after every commit — in its `.dat` row log. A commit
+// that leaves ChunkRows or more rows in the log seals them
+// (sealLocked); EnsureSegments seals every tail. A scan reads the
+// chunks, then the tail, as blocks, float rows or boxed rows.
 //
-// File layout: a sequence of chunks, each
+// Chunk layout (SEG3):
 //
-//	header:    magic "SEG2" | u32 rows (1..ChunkRows) | u32 ncols |
-//	           u32 bodyLen (directory and column blocks)
-//	directory: per column, its tag byte (1 = numeric, 0 = other) and
-//	           seven zero bytes; then min f64 | max f64 per numeric column
-//	blocks:    per column in schema order, the valid bitmap (bit set =
-//	           numeric value present; for non-numeric columns: value is
-//	           non-NULL), zero-padded to 8 bytes, then, for a numeric
-//	           column, rows × f64 values (little-endian, invalid lanes
-//	           zero-filled)
+//	header:    magic "SEG3" | u32 rows (1..ChunkRows) | u32 ncols |
+//	           u32 0 | u64 bodyLen (directory, blocks and payloads)
+//	directory: per column one u64: its lane tag (laneTag) in the low
+//	           byte, a VARCHAR column's payload bytes above it
+//	blocks:    per column in schema order, the bitmap (bit set = value
+//	           present), zero-padded to 8 bytes, then rows × u64 lanes,
+//	           little-endian: a DOUBLE's bits, a BIGINT's two's
+//	           complement, a VARCHAR's end offset in its payload (a NULL
+//	           lane holds 0, or a VARCHAR's previous end)
+//	payloads:  per VARCHAR column in schema order, its values' bytes
+//	           back to back, zero-padded to 8 bytes
 //
-// so every block starts 8-byte aligned. BIGINT values are stored as
-// float64 via the same conversion the row-at-a-time n/L/Q scan applies
-// (Value.Float), so block kernels see exactly the operands the row path
-// would.
-//
-// A reader fetches a chunk's header and directory in one positional
-// read, checking every column's entry there, then each run of adjacent
-// requested numeric columns in one more, straight into the float64
-// buffer its lanes are views of. Chunks are ChunkRows rows, the last
-// one short: the chunk bounds a concurrent scan's memory. A file of
-// another layout (the SEG1 chunks earlier writers emitted) fails
-// adoption and is derived again from the row log.
-const segMagic = "SEG2"
+// so every block starts 8-byte aligned, at an offset the schema and the
+// row count fix. A block scan reads a chunk's header and directory in
+// one positional read, then each run of adjacent requested numeric
+// columns in one more, straight into the float64 buffer its lanes are
+// views of, converting a BIGINT lane there as Value.Float does; a row
+// scan reads the whole chunk and decodes it by the row codec's rules.
+// OpenTable discards earlier layouts (SEG1, SEG2: caches of a row log
+// that held every row, as a log without a tail header still does).
+const segMagic = "SEG3"
 
-// ChunkRows is the row count of a segment chunk, the unit block scans
+// ChunkRows is the row count of a sealed chunk, the unit block scans
 // decode. The executor sizes its scan fan-out in it too: one worker per
 // chunk of rows to read.
 const ChunkRows = 2048
 
-// ErrSegmentStale reports that a partition's segment file does not
-// cover the rows a scan needs from it; callers fall back to the row
-// log (and may EnsureSegments to derive it).
-var ErrSegmentStale = errors.New("storage: segment stale")
+const chunkHead = 24 // a chunk header's length
 
-// segUnverified is the covered row count of a partition OpenTable just
-// attached: the first derivation adopts or replaces the file a previous
-// process left. Inside one process a segment is only ever behind.
-const segUnverified = -1
+// Lane tags, by declared type. A column of another type holds only
+// NULLs (the row codec stores nothing else): its lanes stay zero.
+const (
+	laneOther   = 0
+	laneDouble  = 1
+	laneBigInt  = 2
+	laneVarChar = 3
+)
+
+func laneTag(c sqltypes.Column) uint64 {
+	switch c.Type {
+	case sqltypes.TypeDouble:
+		return laneDouble
+	case sqltypes.TypeBigInt:
+		return laneBigInt
+	case sqltypes.TypeVarChar:
+		return laneVarChar
+	}
+	return laneOther
+}
 
 // Block is one decoded batch of column data delivered to block-scan
 // callbacks. Slices are reused between callbacks and, for a NULL-free
@@ -88,8 +90,8 @@ type Block struct {
 }
 
 // Mask appends to buf[:0] the rows valid in every one of the given
-// slots. A segment column without NULLs in the chunk is delivered with
-// the shared all-true lane, and is skipped unread.
+// slots. A chunk column without NULLs is delivered with the shared
+// all-true lane, and is skipped unread.
 func (b *Block) Mask(slots []int, buf []bool) []bool {
 	mask := append(buf[:0], allValid[:b.Rows]...)
 	for _, s := range slots {
@@ -102,15 +104,28 @@ func (b *Block) Mask(slots []int, buf []bool) []bool {
 	return mask
 }
 
+// from cuts the block's first k rows.
+func (b *Block) from(k int) {
+	b.Rows -= k
+	for s, v := range b.Valid {
+		b.Cols[s] = b.Cols[s][k:]
+		if &v[0] == &allValid[0] {
+			b.Valid[s] = allValid[:b.Rows]
+		} else {
+			b.Valid[s] = v[k:]
+		}
+	}
+}
+
 // NumericColumn reports whether a schema column carries values in
-// segment blocks, the rule every unboxed source shares. It is by declared
-// type, not by stored value: a VARCHAR that happens to parse as a number
-// must not sneak into numeric kernels on one path and not the other.
+// blocks, the rule every unboxed source shares. It is by declared type,
+// not by stored value: a VARCHAR that happens to parse as a number must
+// not sneak into numeric kernels on one path and not the other.
 func NumericColumn(c sqltypes.Column) bool {
 	return c.Type == sqltypes.TypeDouble || c.Type == sqltypes.TypeBigInt
 }
 
-// segPath derives the segment filename for partition p.
+// segPathLocked is the sealed-chunk file of partition p.
 func (t *Table) segPathLocked(p int) string {
 	return strings.TrimSuffix(t.parts[p].path, ".dat") + ".seg"
 }
@@ -118,100 +133,95 @@ func (t *Table) segPathLocked(p int) string {
 // pad8 rounds n up to a multiple of 8.
 func pad8(n int) int { return (n + 7) &^ 7 }
 
-// segShape is the part of a chunk's layout its schema fixes: the
-// directory's length and, per column and past the last, how many
-// numeric columns precede it.
-type segShape struct {
-	dirLen    int
-	numBefore []int
-	nnum      int
+// chunkShape places the blocks of a chunk of rows rows.
+type chunkShape struct{ ncols, rows, bmLen int }
+
+func newChunkShape(ncols, rows int) chunkShape {
+	return chunkShape{ncols: ncols, rows: rows, bmLen: pad8((rows + 7) / 8)}
 }
 
-func newSegShape(schema *sqltypes.Schema) segShape {
-	sh := segShape{numBefore: make([]int, schema.Len()+1)}
+// blockAt is the offset of column c's block from the chunk's start;
+// blockAt(ncols) is where the payloads start.
+func (sh chunkShape) blockAt(c int) int {
+	return chunkHead + 8*sh.ncols + c*(sh.bmLen+8*sh.rows)
+}
+
+// chunkEncoder lays out chunks of one schema, reusing its buffers.
+type chunkEncoder struct {
+	schema *sqltypes.Schema
+	tags   []uint64 // per column, its lane tag
+	pay    [][]byte // per VARCHAR column, the chunk's payload so far
+}
+
+func newChunkEncoder(schema *sqltypes.Schema) *chunkEncoder {
+	e := &chunkEncoder{schema: schema, tags: make([]uint64, schema.Len()), pay: make([][]byte, schema.Len())}
 	for c, col := range schema.Columns {
-		sh.numBefore[c] = sh.nnum
-		if NumericColumn(col) {
-			sh.nnum++
-		}
+		e.tags[c] = laneTag(col)
 	}
-	sh.numBefore[schema.Len()] = sh.nnum
-	sh.dirLen = 8*schema.Len() + 16*sh.nnum
-	return sh
+	return e
 }
 
-// blockAt is the offset of column c's block from the start of an
-// nrows-row chunk whose bitmaps are bmLen bytes.
-func (sh *segShape) blockAt(c, bmLen, nrows int) int {
-	return 16 + sh.dirLen + c*bmLen + 8*nrows*sh.numBefore[c]
-}
-
-// bodyLen is the length of an nrows-row chunk after its header.
-func (sh *segShape) bodyLen(bmLen, nrows int) int {
-	return sh.blockAt(len(sh.numBefore)-1, bmLen, nrows) - 16
-}
-
-// appendSegChunk appends one chunk of nrows (≤ ChunkRows) rows to
-// buf, taking them in order from next. The chunk is laid out first and
-// filled row by row, so each row is read once and none is kept, however
-// many columns there are.
-func appendSegChunk(buf []byte, schema *sqltypes.Schema, nrows int, next func() (sqltypes.Row, error)) ([]byte, error) {
-	sh := newSegShape(schema)
-	bmLen := pad8((nrows + 7) / 8)
-	mn, mx := make([]float64, sh.nnum), make([]float64, sh.nnum)
-	for k := range mn {
-		mn[k], mx[k] = math.Inf(1), math.Inf(-1)
-	}
-	at := make([]int, schema.Len()) // each column's block
-	for c := range at {
-		at[c] = sh.blockAt(c, bmLen, nrows)
+// append appends a chunk of the next nrows (1..ChunkRows) rows to buf,
+// filling its blocks row by row and gathering VARCHAR bytes beside
+// them, so no row is kept. A value not of its column's type fails
+// ErrCorrupt: a chunk holds each column's type exactly.
+func (e *chunkEncoder) append(buf []byte, nrows int, next func() (sqltypes.Row, error)) ([]byte, error) {
+	schema, tags, pay := e.schema, e.tags, e.pay
+	ncols := schema.Len()
+	sh := newChunkShape(ncols, nrows)
+	for c := range pay {
+		pay[c] = pay[c][:0]
 	}
 	start := len(buf)
-	buf = append(buf, make([]byte, 16+sh.bodyLen(bmLen, nrows))...) // invalid lanes stay zero
+	buf = append(buf, make([]byte, sh.blockAt(ncols))...) // NULL lanes stay zero
 	chunk := buf[start:]
-	copy(chunk, segMagic)
-	binary.LittleEndian.PutUint32(chunk[4:], uint32(nrows))
-	binary.LittleEndian.PutUint32(chunk[8:], uint32(schema.Len()))
-	binary.LittleEndian.PutUint32(chunk[12:], uint32(len(chunk)-16))
 	for r := range nrows {
 		row, err := next()
 		if err != nil {
 			return buf, err
 		}
 		bit := byte(1) << (r % 8)
-		for c, col := range schema.Columns {
-			v := row[c]
-			if v.IsNull() {
-				continue
-			}
-			if !NumericColumn(col) {
-				chunk[at[c]+r/8] |= bit
-				continue
-			}
-			if f, ok := v.Float(); ok {
-				k := sh.numBefore[c]
-				chunk[at[c]+r/8] |= bit
-				binary.LittleEndian.PutUint64(chunk[at[c]+bmLen+8*r:], math.Float64bits(f))
-				if f < mn[k] {
-					mn[k] = f
+		for c, v := range row {
+			at := sh.blockAt(c)
+			lane := chunk[at+sh.bmLen+8*r:]
+			var u uint64
+			switch typ := v.Type(); {
+			case typ == sqltypes.TypeNull:
+				if tags[c] == laneVarChar {
+					binary.LittleEndian.PutUint64(lane, uint64(len(pay[c])))
 				}
-				if f > mx[k] {
-					mx[k] = f
-				}
+				continue
+			case typ == sqltypes.TypeDouble && tags[c] == laneDouble:
+				f, _ := v.Float()
+				u = math.Float64bits(f)
+			case typ == sqltypes.TypeBigInt && tags[c] == laneBigInt:
+				u = uint64(v.Int())
+			case typ == sqltypes.TypeVarChar && tags[c] == laneVarChar:
+				pay[c] = append(pay[c], v.Str()...)
+				u = uint64(len(pay[c]))
+			default:
+				return buf, corruptf("storage: a %v value in column %q, which stores %v", typ, schema.Columns[c].Name, schema.Columns[c].Type)
 			}
+			chunk[at+r/8] |= bit
+			binary.LittleEndian.PutUint64(lane, u)
 		}
 	}
-	minMax := chunk[16+8*schema.Len():]
-	for c, col := range schema.Columns {
-		if NumericColumn(col) {
-			k := sh.numBefore[c]
-			chunk[16+8*c] = 1
-			binary.LittleEndian.PutUint64(minMax[16*k:], math.Float64bits(mn[k]))
-			binary.LittleEndian.PutUint64(minMax[16*k+8:], math.Float64bits(mx[k]))
-		}
+	for c, p := range pay {
+		binary.LittleEndian.PutUint64(chunk[chunkHead+8*c:], tags[c]|uint64(len(p))<<8)
 	}
+	for _, p := range pay {
+		buf = append(buf, p...)
+		buf = append(buf, zero8[:pad8(len(p))-len(p)]...)
+	}
+	chunk = buf[start:]
+	copy(chunk, segMagic)
+	binary.LittleEndian.PutUint32(chunk[4:], uint32(nrows))
+	binary.LittleEndian.PutUint32(chunk[8:], uint32(ncols))
+	binary.LittleEndian.PutUint64(chunk[16:], uint64(len(chunk)-chunkHead))
 	return buf, nil
 }
+
+var zero8 [8]byte
 
 // allValid is the Valid lane of every NULL-free column: read-only by
 // Block's contract, shared by every scan in the process. noneValid and
@@ -228,14 +238,15 @@ var (
 	noValues  [ChunkRows]float64
 )
 
-// blockBuf is the backing of one scan's Block: the chunk header and
-// directory, the requested numeric columns' blocks — bitmaps and values
-// — and a validity lane per requested column, pooled across scans so a
-// scan allocates no column memory once the pool is warm.
+// blockBuf is the backing of one scan's Block — the chunk header and
+// directory, the requested numeric blocks or a whole chunk, a validity
+// lane per requested column — pooled so a warm scan allocates no column
+// memory.
 type blockBuf struct {
 	blk   Block
 	head  []byte
 	run   []float64 // the lanes are views of it
+	raw   []byte    // a whole chunk, for a row scan
 	valid [][]bool  // the tallest chunk read with a clear bit, each
 }
 
@@ -263,13 +274,13 @@ func grow[T any](buf *[]T, n int) []T {
 	return (*buf)[:n]
 }
 
-// nativeLittleEndian: segment values are little-endian on disk, which
-// is how this host lays a float64 out in memory.
+// nativeLittleEndian: chunk lanes are little-endian on disk, which is
+// how this host lays a float64 out in memory.
 var nativeLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-// floatBytes views a float buffer as the bytes a segment read fills. A
+// floatBytes views a float buffer as the bytes a chunk read fills. A
 // host whose float64 layout is not the file's swaps the values in place
-// afterwards (segReader.next).
+// afterwards (segReader.block).
 func floatBytes(f []float64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), 8*len(f))
 }
@@ -278,39 +289,49 @@ func floatBytes(f []float64) []byte {
 // first on, read in one call.
 type segRun struct{ first, n int }
 
-// segReader reads consecutive chunks of a segment, surfacing only the
-// requested schema ordinals into a pooled Block. A chunk costs one
-// positional read of its header and directory, then one per run of
-// adjacent requested numeric columns; nothing else is read.
+// segReader reads consecutive chunks: head reads and checks the next
+// header and directory, then skip steps over the chunk, block reads its
+// requested numeric columns, or chunk all of it for a row decode.
 type segReader struct {
 	r      io.ReaderAt
 	size   int64
 	off    int64
 	schema *sqltypes.Schema
-	shape  segShape
+	tags   []uint64 // per column, its lane tag
 	runs   []segRun // the requested numeric columns, run by run
 	nreq   int      // requested numeric columns
 	place  []int    // per slot, its block's index in the run buffer; -1 when not read
+	bigint []bool   // per index in the run buffer, a BIGINT lane to convert
 	buf    *blockBuf
 	bytes  int64 // bytes read so far
+	// The chunk at off, once head has read it.
+	sh    chunkShape
+	body  int64
+	cells chunkCells
 }
 
-// newSegReader reads the size-byte segment r. release returns its Block
-// to the pool.
+// newSegReader reads the size-byte file r, surfacing the schema
+// ordinals want in its blocks.
 func newSegReader(r io.ReaderAt, size int64, schema *sqltypes.Schema, want []int) *segReader {
-	sr := &segReader{r: r, size: size, schema: schema, shape: newSegShape(schema),
+	ncols := schema.Len()
+	sr := &segReader{r: r, size: size, schema: schema, tags: make([]uint64, ncols),
 		place: make([]int, len(want)), buf: getBlockBuf(len(want))}
-	read := make([]bool, schema.Len()) // by schema ordinal
+	sr.cells = chunkCells{tags: sr.tags, at: make([]int, ncols), pay: make([]int, ncols), payLen: make([]int, ncols)}
+	read := make([]bool, ncols) // by schema ordinal
+	for c, col := range schema.Columns {
+		sr.tags[c] = laneTag(col)
+	}
 	for _, c := range want {
 		read[c] = NumericColumn(schema.Columns[c])
 	}
-	index := make([]int, schema.Len())
+	index := make([]int, ncols)
 	for c, ok := range read {
 		if !ok {
 			continue
 		}
 		index[c] = sr.nreq
 		sr.nreq++
+		sr.bigint = append(sr.bigint, sr.tags[c] == laneBigInt)
 		if k := len(sr.runs) - 1; k >= 0 && sr.runs[k].first+sr.runs[k].n == c {
 			sr.runs[k].n++
 		} else {
@@ -332,7 +353,7 @@ func (sr *segReader) release() {
 }
 
 // read fills dst from offset at. The caller has checked the range
-// against the segment's size, so a short read means the file shrank
+// against the file's size, so a short read means the file shrank
 // underneath the scan.
 func (sr *segReader) read(dst []byte, at int64) error {
 	n, err := sr.r.ReadAt(dst, at)
@@ -343,75 +364,96 @@ func (sr *segReader) read(dst []byte, at int64) error {
 	return nil
 }
 
-// next reads one chunk into the reader's Block. io.EOF is returned
-// cleanly at end of stream; every other failure wraps ErrCorrupt, and
-// nothing of a chunk is delivered unless all of it checked out.
-func (sr *segReader) next() (*Block, error) {
+// head reads and checks the header and directory at the reader's
+// offset, returning the chunk's rows: io.EOF at the end of the file,
+// every other failure ErrCorrupt.
+func (sr *segReader) head() (int, error) {
 	if sr.off == sr.size {
-		return nil, io.EOF
+		return 0, io.EOF
 	}
 	ncols := sr.schema.Len()
-	head := grow(&sr.buf.head, 16+sr.shape.dirLen)
+	head := grow(&sr.buf.head, chunkHead+8*ncols)
 	if sr.size-sr.off < int64(len(head)) {
-		return nil, corruptf("storage: truncated segment chunk header")
+		return 0, corruptf("storage: truncated segment chunk header")
 	}
 	if err := sr.read(head, sr.off); err != nil {
-		return nil, err
+		return 0, err
 	}
 	if string(head[:4]) != segMagic {
-		return nil, corruptf("storage: bad segment chunk magic %q", string(head[:4]))
+		return 0, corruptf("storage: bad segment chunk magic %q", string(head[:4]))
 	}
 	nrows := int(binary.LittleEndian.Uint32(head[4:8]))
 	if nrows < 1 || nrows > ChunkRows {
-		return nil, corruptf("storage: segment chunk row count %d out of range 1..%d", nrows, ChunkRows)
+		return 0, corruptf("storage: segment chunk row count %d out of range 1..%d", nrows, ChunkRows)
 	}
 	if n := int(binary.LittleEndian.Uint32(head[8:12])); n != ncols {
-		return nil, corruptf("storage: segment chunk has %d columns, schema has %d", n, ncols)
+		return 0, corruptf("storage: segment chunk has %d columns, schema has %d", n, ncols)
 	}
-	// A column's block is sized by its declared type (its tag must agree,
-	// below), so the body's length is known before any of it is read.
-	bmLen := pad8((nrows + 7) / 8)
-	body := int64(sr.shape.bodyLen(bmLen, nrows))
-	if bodyLen := int64(binary.LittleEndian.Uint32(head[12:16])); bodyLen != body {
-		return nil, corruptf("storage: segment chunk body is %d bytes, header says %d", body, bodyLen)
+	if z := binary.LittleEndian.Uint32(head[12:16]); z != 0 {
+		return 0, corruptf("storage: segment chunk header reserves %#x, want 0", z)
 	}
-	if sr.size-sr.off-16 < body {
-		return nil, corruptf("storage: truncated segment chunk body")
-	}
-	for c, col := range sr.schema.Columns {
-		var tag uint64
-		if NumericColumn(col) {
-			tag = 1
+	sh := newChunkShape(ncols, nrows)
+	end := int64(sh.blockAt(ncols))
+	for c, tag := range sr.tags {
+		e := binary.LittleEndian.Uint64(head[chunkHead+8*c:])
+		n := e >> 8
+		if e&0xff != tag || n > 0 && tag != laneVarChar || n > uint64(sr.size) {
+			return 0, corruptf("storage: segment column %d has directory entry %#x, its type says tag %d", c, e, tag)
 		}
-		if e := binary.LittleEndian.Uint64(head[16+8*c:]); e != tag {
-			return nil, corruptf("storage: segment column %d has directory entry %#x, its type says tag %d", c, e, tag)
-		}
+		sr.cells.pay[c], sr.cells.payLen[c] = int(end), int(n)
+		end += int64(pad8(int(n)))
 	}
-	// Each numeric block read is bmLen/8 floats of bitmap, then values.
+	body := end - chunkHead
+	if bodyLen := binary.LittleEndian.Uint64(head[16:24]); bodyLen != uint64(body) {
+		return 0, corruptf("storage: segment chunk body is %d bytes, header says %d", body, bodyLen)
+	}
+	if sr.size-sr.off-chunkHead < body {
+		return 0, corruptf("storage: truncated segment chunk body")
+	}
+	sr.sh, sr.body = sh, body
+	return nrows, nil
+}
+
+// skip steps over the chunk head read.
+func (sr *segReader) skip() { sr.off += chunkHead + sr.body }
+
+// block reads the requested numeric columns of the chunk head read into
+// the reader's Block and steps over the chunk.
+func (sr *segReader) block() (*Block, error) {
+	nrows, bmLen := sr.sh.rows, sr.sh.bmLen
+	// Each numeric block read is bmLen/8 floats of bitmap, then lanes.
 	stride := bmLen/8 + nrows
 	run := grow(&sr.buf.run, sr.nreq*stride)
 	for _, rn := range sr.runs {
 		dst := run[:rn.n*stride]
 		run = run[len(dst):]
-		if err := sr.read(floatBytes(dst), sr.off+int64(sr.shape.blockAt(rn.first, bmLen, nrows))); err != nil {
+		if err := sr.read(floatBytes(dst), sr.off+int64(sr.sh.blockAt(rn.first))); err != nil {
 			return nil, err
 		}
 		if !nativeLittleEndian {
 			for k := range rn.n {
-				vals := dst[k*stride+bmLen/8 : (k+1)*stride]
-				for r, v := range vals {
-					vals[r] = math.Float64frombits(bits.ReverseBytes64(math.Float64bits(v)))
+				lanes := dst[k*stride+bmLen/8 : (k+1)*stride]
+				for r, v := range lanes {
+					lanes[r] = math.Float64frombits(bits.ReverseBytes64(math.Float64bits(v)))
 				}
+			}
+		}
+	}
+	run = sr.buf.run
+	for k, big := range sr.bigint {
+		if big {
+			lanes := run[k*stride+bmLen/8 : (k+1)*stride]
+			for r, v := range lanes {
+				lanes[r] = float64(int64(math.Float64bits(v)))
 			}
 		}
 	}
 	blk := &sr.buf.blk
 	blk.Rows = nrows
-	run = sr.buf.run
 	for s, k := range sr.place {
 		if k < 0 {
 			// A requested non-numeric column has no operands: every lane
-			// invalid, whatever its (informational) bitmap says.
+			// invalid, whatever its bitmap says.
 			blk.Cols[s], blk.Valid[s] = noValues[:nrows], noneValid[:nrows]
 			continue
 		}
@@ -419,8 +461,24 @@ func (sr *segReader) next() (*Block, error) {
 		blk.Cols[s] = lane[bmLen/8:]
 		blk.Valid[s] = sr.buf.validity(s, floatBytes(lane)[:(nrows+7)/8], nrows)
 	}
-	sr.off += 16 + body
+	sr.skip()
 	return blk, nil
+}
+
+// chunk reads all of the chunk head read and steps over it.
+func (sr *segReader) chunk() (*chunkCells, error) {
+	head := sr.buf.head[:chunkHead+8*sr.sh.ncols]
+	raw := grow(&sr.buf.raw, chunkHead+int(sr.body))
+	copy(raw, head)
+	if err := sr.read(raw[len(head):], sr.off+int64(len(head))); err != nil {
+		return nil, err
+	}
+	sr.cells.raw, sr.cells.sh = raw, sr.sh
+	for c := range sr.cells.at {
+		sr.cells.at[c] = sr.sh.blockAt(c)
+	}
+	sr.skip()
+	return &sr.cells, nil
 }
 
 // fullBitmap is the bitmap of a full chunk without NULLs.
@@ -445,30 +503,80 @@ func (bb *blockBuf) validity(s int, bm []byte, nrows int) []bool {
 	return dst
 }
 
-// countSegRows walks an existing segment file's chunks, checking
-// structural integrity and returning the total row count. Used to adopt
-// a segment left by a previous process.
-func countSegRows(path string, schema *sqltypes.Schema) (rows, size int64, err error) {
-	f, size, err := openSeg(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	sr := newSegReader(f, size, schema, nil)
-	defer sr.release()
-	for {
-		blk, err := sr.next()
-		if err == io.EOF {
-			return rows, size, nil
-		}
-		if err != nil {
-			return rows, size, err
-		}
-		rows += int64(blk.Rows)
-	}
+// chunkCells is one whole chunk in memory, decoded a cell at a time.
+type chunkCells struct {
+	raw    []byte
+	sh     chunkShape
+	tags   []uint64
+	at     []int // per column, its block's offset in raw
+	pay    []int // per column, its payload's offset in raw
+	payLen []int // and length
 }
 
-// openSeg opens a segment file for positional reads.
+func (cc *chunkCells) lane(c, r int) uint64 {
+	return binary.LittleEndian.Uint64(cc.raw[cc.at[c]+cc.sh.bmLen+8*r:])
+}
+
+// row decodes row r into dst (reused when it has capacity) as the row
+// codec would.
+func (cc *chunkCells) row(r int, dst sqltypes.Row) (sqltypes.Row, error) {
+	if cap(dst) < cc.sh.ncols {
+		dst = make(sqltypes.Row, cc.sh.ncols)
+	}
+	dst = dst[:cc.sh.ncols]
+	byteAt, bit := r/8, byte(1)<<(r%8)
+	for c := range dst {
+		if cc.raw[cc.at[c]+byteAt]&bit == 0 {
+			dst[c] = sqltypes.Null
+			continue
+		}
+		u := cc.lane(c, r)
+		switch cc.tags[c] {
+		case laneDouble:
+			dst[c] = sqltypes.NewDouble(math.Float64frombits(u))
+		case laneBigInt:
+			dst[c] = sqltypes.NewBigInt(int64(u))
+		case laneVarChar:
+			var from uint64
+			if r > 0 {
+				from = cc.lane(c, r-1)
+			}
+			if from > u || u > uint64(cc.payLen[c]) {
+				return nil, corruptf("storage: segment column %d row %d spans bytes %d..%d of a %d-byte payload", c, r, from, u, cc.payLen[c])
+			}
+			dst[c] = sqltypes.NewVarChar(string(cc.raw[cc.pay[c]+int(from) : cc.pay[c]+int(u)]))
+		default:
+			return nil, corruptf("storage: segment column %d row %d is present in a column that stores no values", c, r)
+		}
+	}
+	return dst, nil
+}
+
+// floats is the float decode of row r by nextFloats' rule: false when a
+// requested cell is NULL, VARCHAR or a BIGINT beyond ±2⁵³.
+func (cc *chunkCells) floats(r int, fd *floatDecode) bool {
+	byteAt, bit := r/8, byte(1)<<(r%8)
+	for j, c := range fd.cols {
+		if cc.raw[cc.at[c]+byteAt]&bit == 0 {
+			return false
+		}
+		u := cc.lane(c, r)
+		switch cc.tags[c] {
+		case laneDouble:
+			fd.x[j] = math.Float64frombits(u)
+		case laneBigInt:
+			if !exactFloat(int64(u)) {
+				return false
+			}
+			fd.x[j] = float64(int64(u))
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// openSeg opens a `.seg` file for positional reads.
 func openSeg(path string) (*os.File, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -482,253 +590,262 @@ func openSeg(path string) (*os.File, int64, error) {
 	return f, fi.Size(), nil
 }
 
-// segCover is what a partition's segment file covers: the row log's
-// first Rows rows, which end at Offset in it, held by the file's first
-// bytes bytes. Rows is segUnverified while a file a previous process
-// left awaits its first derivation.
-type segCover struct {
-	Mark
-	bytes int64
+// walkChunks steps sr over the chunks of the first rows rows, handing
+// each that ends after row from to each (nil: none) with its count of
+// rows before from. Chunks that fall short of rows or straddle it fail
+// ErrCorrupt.
+func walkChunks(sr *segReader, rows, from int64, each func(skip int) error) error {
+	for at := int64(0); at < rows; {
+		n, err := sr.head()
+		if err == io.EOF {
+			err = corruptf("storage: chunks hold %d rows, not %d", at, rows)
+		}
+		if err != nil {
+			return err
+		}
+		if each == nil || at+int64(n) <= from {
+			sr.skip()
+		} else if err := each(int(max(0, from-at))); err != nil {
+			return err
+		}
+		if at += int64(n); at > rows {
+			return corruptf("storage: a chunk spans row %d, where the row log starts", rows)
+		}
+	}
+	return nil
 }
 
-// EnsureSegments makes every partition's segment cover all its current
-// rows (ExtendSegments with no chunk to wait for).
-func (t *Table) EnsureSegments() error { return t.deriveSegments(1) }
+// A row log after its partition's first seal starts with a tail header:
+// tailMagic, four zero bytes and the u64 number of its first row. A log
+// without one starts at row 0; its first byte is a value tag, never 'T'.
+const (
+	tailMagic = "TAIL"
+	tailHead  = 16
+)
 
-// ExtendSegments is what the executor calls ahead of a block scan. A
-// partition whose segment covers none of its rows gets one derived from
-// its whole row log; one whose segment covers some gets the rows
-// appended since it was derived encoded onto its end, but only once
-// they fill a chunk: until then ScanPartitionSegment reads them from
-// the row log, since encoding a row costs several times reading it. So
-// every row is encoded once, and a write followed by a scan pays at most
-// the encoding of the rows it added. In-memory tables have no segments.
-func (t *Table) ExtendSegments() error { return t.deriveSegments(ChunkRows) }
+func appendTailHead(buf []byte, first int64) []byte {
+	buf = append(buf, tailMagic...)
+	buf = binary.LittleEndian.AppendUint32(buf, 0)
+	return binary.LittleEndian.AppendUint64(buf, uint64(first))
+}
 
-// deriveSegments extends each partition's segment by the rows it does
-// not cover once there are at least minTail of them, or at once while
-// it covers none. A partition OpenTable attached first adopts the file
-// a previous process left when it is structurally intact and holds
-// exactly the partition's rows. A partition that cannot be derived
-// stays behind — block scans read its row log — and the first failure
-// is returned once the others have been tried. It takes the table lock,
-// so it must not be called from scan callbacks.
-func (t *Table) deriveSegments(minTail int64) error {
+// parseTailHead reads a row log's first bytes (up to tailHead): the row
+// it starts at and its header's length, both 0 without a header.
+func parseTailHead(b []byte) (first int64, n int, err error) {
+	if len(b) == 0 || b[0] != tailMagic[0] {
+		return 0, 0, nil
+	}
+	if len(b) < tailHead || string(b[:4]) != tailMagic || binary.LittleEndian.Uint32(b[4:8]) != 0 {
+		return 0, 0, corruptf("storage: bad row log header %q", b)
+	}
+	first = int64(binary.LittleEndian.Uint64(b[8:16]))
+	if first <= 0 {
+		return 0, 0, corruptf("storage: row log header names first row %d", first)
+	}
+	return first, tailHead, nil
+}
+
+// EnsureSegments seals every partition's tail, a short last chunk
+// included. A partition that fails to seal keeps its rows in the row
+// log; the first failure is returned once all were tried.
+func (t *Table) EnsureSegments() error {
 	if t.dir == "" {
 		return nil
 	}
-	t.segMu.Lock()
-	defer t.segMu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	var first error
-	for p := range t.Partitions() {
-		if err := t.deriveSegment(p, minTail); err != nil && first == nil {
+	for p := range t.parts {
+		if err := t.sealLocked(p, true); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
-// deriveSegment works under the read lock, as a scan does — it reads
-// the row log and writes only past the bytes the segment covers, which
-// no scan reads — so writers wait for it no longer than for a scan. It
-// publishes the new cover under the write lock unless the epoch moved
-// in between (a truncate or drop removed the file).
-func (t *Table) deriveSegment(p int, minTail int64) error {
-	t.mu.RLock()
-	epoch := t.epoch.Load()
-	seg, err := t.deriveSegLocked(p, minTail)
-	t.mu.RUnlock()
-	if err != nil || seg == nil {
+// sealLocked moves partition p's tail into chunks: all of it, or only
+// its whole chunks. It appends the chunks to the `.seg` after its
+// sealed bytes (cutting what an earlier failure left there), then
+// renames over the row log a file of the tail header and the rows left.
+// Nothing is published before the rename, so a failure or crash at any
+// step leaves every row exactly once: in the old log, any new chunks
+// past the sealed bytes, unread and cut by OpenTable. A corrupt
+// partition is not sealed: its scans fail already.
+func (t *Table) sealLocked(p int, all bool) error {
+	part := &t.parts[p]
+	n := part.rows - part.sealed
+	if !all {
+		n -= n % ChunkRows
+	}
+	if n == 0 || part.corrupt != nil {
+		return nil
+	}
+	tr, err := t.openTailLocked(p, part.sealed)
+	if err != nil {
 		return err
 	}
-	t.mu.Lock()
-	if t.epoch.Load() == epoch {
-		t.parts[p].seg = *seg
-	}
-	t.mu.Unlock()
-	return nil
-}
-
-// deriveSegLocked returns partition p's new cover, nil when it stays.
-func (t *Table) deriveSegLocked(p int, minTail int64) (*segCover, error) {
-	part := &t.parts[p]
-	if part.corrupt != nil {
-		return nil, nil // row scans of this partition fail loudly already
-	}
-	seg, adopted := part.seg, false
-	if seg.Rows == segUnverified {
-		n, size, err := countSegRows(t.segPathLocked(p), t.schema)
-		if err == nil && n == part.rows {
-			return &segCover{Mark{Rows: n, Offset: part.size}, size}, nil
-		}
-		seg, adopted = segCover{}, true
-	}
-	if tail := part.rows - seg.Rows; tail == 0 || seg.Rows > 0 && tail < minTail {
-		if adopted {
-			return &seg, nil
-		}
-		return nil, nil
-	}
-	return t.appendSegLocked(p, seg)
-}
-
-// appendSegLocked encodes partition p's rows after seg onto the end of
-// its segment file, the only place a segment file is written. Rows are
-// decoded one at a time from seg's offset in the row log and encoded
-// straight into the chunk being built. Whatever lies past seg's bytes
-// is cut first, and again when the derivation fails — a file with no
-// cover is removed.
-func (t *Table) appendSegLocked(p int, seg segCover) (_ *segCover, err error) {
-	part := &t.parts[p]
-	src, err := os.Open(part.path)
-	if err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
-	}
-	defer src.Close()
-	if _, err := src.Seek(seg.Offset, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
+	defer tr.close()
+	if fi, err := tr.f.Stat(); err != nil || fi.Size() != part.size {
+		return corruptf("storage: table %q partition %d row log is not the %d bytes its rows take (%v)", t.name, p, part.size, err)
 	}
 	dst, err := os.OpenFile(t.segPathLocked(p), os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
+		return fmt.Errorf("storage: %w", err)
 	}
-	defer func() {
-		if err != nil {
-			if seg.bytes == 0 {
-				_ = os.Remove(dst.Name())
-			} else {
-				_ = dst.Truncate(seg.bytes)
-			}
-		}
-		dst.Close()
-	}()
-	if err := dst.Truncate(seg.bytes); err != nil {
-		return nil, fmt.Errorf("storage: %w", err)
+	defer dst.Close()
+	if err := dst.Truncate(part.segSize); err != nil {
+		return fmt.Errorf("storage: %w", err)
 	}
-	rr := newRowReader(src, t.schema.Len())
-	defer rr.release()
-	rows := part.rows - seg.Rows
 	var (
-		scratch []byte
 		row     sqltypes.Row
-		read    int64
-		at      = seg.bytes
+		scratch []byte
+		at      = part.segSize
+		flt     = t.fault
+		enc     = newChunkEncoder(t.schema)
 	)
-	next := func() (_ sqltypes.Row, err error) {
-		if row, err = rr.next(row); err == io.EOF {
-			err = corruptf("storage: table %q partition %d row log decoded %d rows after row %d but accounting says %d",
-				t.name, p, read, seg.Rows, rows)
-		}
-		read++
+	next := func() (sqltypes.Row, error) {
+		row, err = tr.next(row)
 		return row, err
 	}
-	for left := rows; left > 0; left -= ChunkRows {
-		if scratch, err = appendSegChunk(scratch[:0], t.schema, int(min(left, ChunkRows)), next); err != nil {
-			return nil, err
+	for left := n; left > 0; left -= ChunkRows {
+		if scratch, err = enc.append(scratch[:0], int(min(left, ChunkRows)), next); err != nil {
+			return err
 		}
-		if _, err := dst.WriteAt(scratch, at); err != nil {
-			return nil, fmt.Errorf("storage: %w", err)
+		chunk := scratch
+		if flt.matches(p) && flt.SealMidChunk {
+			chunk = chunk[:len(chunk)/2]
 		}
-		at += int64(len(scratch))
+		if _, err := dst.WriteAt(chunk, at); err != nil {
+			return fmt.Errorf("storage: %w", err)
+		}
+		if len(chunk) < len(scratch) {
+			return flt.err()
+		}
+		at += int64(len(chunk))
 	}
-	if _, err := rr.next(row); err != io.EOF {
-		if err == nil {
-			err = corruptf("storage: table %q partition %d row log holds more rows than accounting's %d",
-				t.name, p, part.rows)
-		}
-		return nil, err
+	if flt.matches(p) && flt.SealBeforeTail {
+		return flt.err()
 	}
-	return &segCover{Mark{Rows: part.rows, Offset: part.size}, at}, nil
-}
-
-// blockRead is a segment scan's request: the schema ordinals of its
-// blocks and their consumer. whole refuses a segment that does not
-// cover every row of the partition.
-type blockRead struct {
-	cols  []int
-	fn    func(*Block) error
-	whole bool
-}
-
-func (br *blockRead) check(t *Table) error {
-	for i, c := range br.cols {
-		if c < 0 || c >= t.schema.Len() || slices.Contains(br.cols[:i], c) {
-			return fmt.Errorf("storage: block scan of table %q: column ordinals %v must be distinct and in 0..%d", t.name, br.cols, t.schema.Len()-1)
-		}
+	// The rows left are the log's bytes after the ones just sealed.
+	kept := tr.bytes()
+	img := appendTailHead(make([]byte, 0, tailHead+part.size-kept), part.sealed+n)
+	img = img[:tailHead+part.size-kept]
+	if _, err := tr.f.ReadAt(img[tailHead:], kept); err != nil && len(img) > tailHead {
+		return corruptf("storage: table %q partition %d row log: %w", t.name, p, err)
 	}
+	tmp := part.path + ".tmp"
+	if err := os.WriteFile(tmp, img, 0o644); err != nil {
+		return fmt.Errorf("storage: %w", err)
+	}
+	if err := os.Rename(tmp, part.path); err != nil {
+		return fmt.Errorf("storage: %w", err)
+	}
+	part.sealed += n
+	part.segSize = at
+	part.size = int64(len(img))
 	return nil
 }
 
-// readSegLocked delivers the blocks of partition p's segment to br.fn,
-// adding its rows and bytes to st, and returns the blocks delivered.
-// A segment file gone or cut short under a live cover delivers nothing
-// and reports ErrSegmentStale, as a partition without a cover does.
-func (t *Table) readSegLocked(ctx context.Context, p int, br *blockRead, st *ScanStats) (blocks int64, err error) {
-	seg := t.parts[p].seg
-	f, size, err := openSeg(t.segPathLocked(p))
-	if err == nil && size < seg.bytes {
-		f.Close()
-		err = io.ErrUnexpectedEOF
+// blockRead is a block scan's request: its columns and their consumer.
+type blockRead struct {
+	cols []int
+	fn   func(*Block) error
+}
+
+// tailBlocks delivers tr's rows to br as blocks: each ChunkRows encoded
+// as a chunk in memory and read back, so each lane is what sealing them
+// would store. admit runs before each row is read.
+func (t *Table) tailBlocks(tr *tailRows, br *blockRead, admit func() error, blocks *int64) error {
+	enc := newChunkEncoder(t.schema)
+	var (
+		buf []byte
+		row sqltypes.Row
+	)
+	next := func() (_ sqltypes.Row, err error) {
+		if err = admit(); err == nil {
+			row, err = tr.next(row)
+		}
+		return row, err
 	}
+	for tr.left > 0 {
+		var err error
+		if buf, err = enc.append(buf[:0], int(min(tr.left, ChunkRows)), next); err != nil {
+			return err
+		}
+		sr := newSegReader(bytes.NewReader(buf), int64(len(buf)), t.schema, br.cols)
+		var blk *Block
+		if _, err = sr.head(); err == nil {
+			blk, err = sr.block()
+		}
+		if err == nil {
+			*blocks++
+			err = br.fn(blk)
+		}
+		sr.release()
+		if err != nil {
+			return err
+		}
+	}
+	_, err := tr.next(row)
+	if err == io.EOF {
+		return nil
+	}
+	return err
+}
+
+// scanChunksLocked is walkChunks over partition p's chunks, checking
+// ctx between them and adding the bytes read to st.
+func (t *Table) scanChunksLocked(ctx context.Context, p int, from int64, cols []int, st *ScanStats, each func(sr *segReader, skip int) error) error {
+	part := &t.parts[p]
+	f, err := os.Open(t.segPathLocked(p))
 	if err != nil {
-		return 0, fmt.Errorf("storage: table %q partition %d: %w (%v)", t.name, p, ErrSegmentStale, err)
+		return corruptf("storage: table %q partition %d: %w", t.name, p, err)
 	}
 	defer f.Close()
-	done := ctx.Done()
-	sr := newSegReader(f, seg.bytes, t.schema, br.cols)
+	sr := newSegReader(f, part.segSize, t.schema, cols)
 	defer sr.release()
-	for {
-		blk, err := sr.next()
-		st.Bytes = sr.bytes
-		if err == io.EOF {
-			if st.Rows != seg.Rows {
-				return blocks, corruptf("storage: table %q partition %d segment holds %d rows but accounting says %d",
-					t.name, p, st.Rows, seg.Rows)
-			}
-			return blocks, nil
-		}
-		if err != nil {
-			return blocks, err
-		}
+	defer func() { st.Bytes += sr.bytes }()
+	done := ctx.Done()
+	return walkChunks(sr, part.sealed, from, func(skip int) error {
 		if done != nil {
 			select {
 			case <-done:
-				return blocks, ctx.Err()
+				return ctx.Err()
 			default:
 			}
 		}
-		st.Rows += int64(blk.Rows)
-		blocks++
-		if err := br.fn(blk); err != nil {
-			return blocks, err
-		}
-	}
+		return each(sr, skip)
+	})
 }
 
 // ScanPartitionBlocks iterates partition p column-wise, delivering
-// blocks of the requested schema ordinals to fn. The Block (and its
-// slices) is reused between calls; fn must copy anything it retains.
-// A partition needs a segment covering all its current rows — otherwise,
-// and always for an in-memory table, which has none, ErrSegmentStale is
-// returned before any block is delivered, so callers can fall back to
-// the row path without partial accumulation. Every row of the partition
-// appears in exactly one delivered block (invalid lanes included), so
-// block-path row accounting matches the row path's. cols must be
-// distinct ordinals of the schema.
+// blocks of the requested schema ordinals to fn: one per sealed chunk,
+// then the other rows (the tail, or an in-memory partition's) in blocks
+// of up to ChunkRows, lanes as sealing them would store. The Block and
+// its slices are reused between calls; fn must copy what it retains.
+// Every row appears in exactly one block (invalid lanes included), so
+// row accounting matches the row path's. cols must be distinct
+// ordinals of the schema.
 func (t *Table) ScanPartitionBlocks(ctx context.Context, p int, cols []int, fn func(*Block) error) (ScanStats, error) {
-	return t.scanPartition(ctx, p, Mark{}, &blockRead{cols: cols, fn: fn, whole: true}, nil, nil)
+	return t.ScanPartitionBlocksFrom(ctx, p, Mark{}, cols, fn)
 }
 
-// SegmentInfo describes one partition's segment state; sys.segments
+// ScanPartitionBlocksFrom is ScanPartitionBlocks over the rows after
+// from, which may fall inside a chunk.
+func (t *Table) ScanPartitionBlocksFrom(ctx context.Context, p int, from Mark, cols []int, fn func(*Block) error) (ScanStats, error) {
+	return t.scanPartition(ctx, p, from, &blockRead{cols: cols, fn: fn}, nil, nil)
+}
+
+// SegmentInfo describes where a partition keeps its rows; sys.segments
 // serves it.
 type SegmentInfo struct {
 	Partition int
-	Rows      int64 // rows covered; -1 while unverified after OpenTable
-	Bytes     int64 // on-disk segment size (0 when absent)
+	Rows      int64 // rows sealed in chunks
+	Bytes     int64 // the bytes of the chunks holding them
+	TailRows  int64 // rows in the row log after them
 }
 
-// Segments reports per-partition segment state. In-memory tables report
-// none.
+// Segments reports every on-disk partition's SegmentInfo.
 func (t *Table) Segments() []SegmentInfo {
 	if t.dir == "" {
 		return nil
@@ -736,11 +853,8 @@ func (t *Table) Segments() []SegmentInfo {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	out := make([]SegmentInfo, len(t.parts))
-	for p := range t.parts {
-		out[p] = SegmentInfo{Partition: p, Rows: t.parts[p].seg.Rows}
-		if stt, err := os.Stat(t.segPathLocked(p)); err == nil {
-			out[p].Bytes = stt.Size()
-		}
+	for p, part := range t.parts {
+		out[p] = SegmentInfo{Partition: p, Rows: part.sealed, Bytes: part.segSize, TailRows: part.rows - part.sealed}
 	}
 	return out
 }

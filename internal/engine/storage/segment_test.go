@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -57,20 +59,10 @@ func rowVals(t *testing.T, tab *Table, p int, cols []int) (vals [][]float64, val
 }
 
 // blocksMatchRows checks every partition's block scan of cols against
-// its row scan, bit for bit. An in-memory table has no segments: each of
-// its block scans must be refused as stale before delivering a block.
+// its row scan, bit for bit, in memory and on disk, sealed rows or not.
 func blocksMatchRows(t *testing.T, tab *Table, cols []int) {
 	t.Helper()
-	for p := 0; p < tab.Partitions() && !tab.OnDisk(); p++ {
-		_, err := tab.ScanPartitionBlocks(context.Background(), p, cols, func(*Block) error {
-			t.Fatalf("p%d: an in-memory partition delivered a block", p)
-			return nil
-		})
-		if !errors.Is(err, ErrSegmentStale) {
-			t.Fatalf("p%d: in-memory block scan: err = %v, want ErrSegmentStale", p, err)
-		}
-	}
-	for p := 0; p < tab.Partitions() && tab.OnDisk(); p++ {
+	for p := 0; p < tab.Partitions(); p++ {
 		bv, bok, _ := collectBlocks(t, tab, p, cols)
 		rv, rok := rowVals(t, tab, p, cols)
 		for s := range cols {
@@ -115,9 +107,10 @@ func TestBlockScanMatchesRowScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			insertMixed(t, tab, 500)
-			// Inserts write the row log only; EnsureSegments derives the
-			// segments (and is a no-op for the in-memory table, which
-			// has none).
+			// The rows are all in the row log: block scans gather them.
+			blocksMatchRows(t, tab, []int{0, 1})
+			// EnsureSegments seals them into short chunks (and is a no-op
+			// for the in-memory table, which has none).
 			if err := tab.EnsureSegments(); err != nil {
 				t.Fatal(err)
 			}
@@ -135,61 +128,6 @@ func noSegmentFiles(t *testing.T, dir string) {
 		if m, _ := filepath.Glob(filepath.Join(dir, pat)); len(m) != 0 {
 			t.Fatalf("a write left segment files behind: %v", m)
 		}
-	}
-}
-
-// TestWritesTouchOnlyTheRowLog is the converse of the write-time mirror
-// this package used to keep: Insert and BulkLoader create no segment
-// file and leave segRows behind, and the segments EnsureSegments then
-// derives hold ⌈rows/2048⌉ chunks however the rows arrived.
-func TestWritesTouchOnlyTheRowLog(t *testing.T) {
-	dir := t.TempDir()
-	tab, err := NewTable("x", testSchema(), dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bl, err := tab.NewBulkLoader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 9000 // spans multiple chunks plus a partial tail
-	for i := 0; i < n; i++ {
-		if err := bl.Add(row(int64(i), float64(i), "b")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	insertMixed(t, tab, 300) // one Insert call per row
-	noSegmentFiles(t, dir)
-	for _, si := range tab.Segments() {
-		if si.Rows != 0 || si.Bytes != 0 {
-			t.Fatalf("partition %d has segment state %+v before any EnsureSegments", si.Partition, si)
-		}
-	}
-	if _, err := tab.ScanPartitionBlocks(nil, 0, []int{1}, func(*Block) error { return nil }); !errors.Is(err, ErrSegmentStale) {
-		t.Fatalf("block scan of an unbuilt segment: err = %v, want ErrSegmentStale", err)
-	}
-	if err := tab.EnsureSegments(); err != nil {
-		t.Fatal(err)
-	}
-	counts := tab.PartitionRowCounts()
-	for _, si := range tab.Segments() {
-		if si.Rows != counts[si.Partition] || si.Bytes <= 0 {
-			t.Fatalf("partition %d segment %+v, want %d rows", si.Partition, si, counts[si.Partition])
-		}
-		chunks := int64(0) // one block is delivered per chunk
-		if _, err := tab.ScanPartitionBlocks(nil, si.Partition, []int{0}, func(*Block) error { chunks++; return nil }); err != nil {
-			t.Fatal(err)
-		}
-		if want := (si.Rows + ChunkRows - 1) / ChunkRows; chunks != want {
-			t.Fatalf("partition %d segment has %d chunks, want %d", si.Partition, chunks, want)
-		}
-	}
-	blocksMatchRows(t, tab, []int{0, 1})
-	if m, _ := filepath.Glob(filepath.Join(dir, "*.seg.tmp")); len(m) != 0 {
-		t.Fatalf("rebuild left temporaries behind: %v", m)
 	}
 }
 
@@ -229,50 +167,13 @@ func TestRolledBackLoadNeverReachesBlockScans(t *testing.T) {
 	blocksMatchRows(t, tab, []int{0, 1})
 }
 
-func TestEnsureSegmentsRebuildsAfterInvalidation(t *testing.T) {
-	dir := t.TempDir()
-	tab, err := NewTable("x", testSchema(), dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	insertMixed(t, tab, 100)
-	if err := tab.EnsureSegments(); err != nil {
-		t.Fatal(err)
-	}
-	// A write leaves the segment behind; leave bytes past its cover as
-	// well, as a derivation that failed part-way does.
-	insertMixed(t, tab, 10)
-	tab.mu.RLock()
-	seg0 := tab.segPathLocked(0)
-	tab.mu.RUnlock()
-	f, err := os.OpenFile(seg0, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString("garbage"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Stale segment refuses block scans before rebuild.
-	_, err = tab.ScanPartitionBlocks(nil, 0, []int{1}, func(*Block) error { return nil })
-	if !errors.Is(err, ErrSegmentStale) {
-		t.Fatalf("stale segment scan: err = %v, want ErrSegmentStale", err)
-	}
-	if err := tab.EnsureSegments(); err != nil {
-		t.Fatal(err)
-	}
-	blocksMatchRows(t, tab, []int{0, 1})
-}
-
-// TestEnsureSegmentsRefusesMiscountedRowLog: a rebuild derives exactly
-// the rows the partition's accounting holds, so a row log that ends
-// early — mid-chunk or on a chunk boundary — or runs on past them is
-// corrupt: no segment is written and the partition stays stale.
+// TestEnsureSegmentsRefusesMiscountedRowLog: a seal encodes exactly the
+// rows the partition's accounting holds, so a row log that ends early
+// or runs on past them is corrupt: nothing is sealed, the files stay as
+// they were, and scans of the partition fail ErrCorrupt.
 func TestEnsureSegmentsRefusesMiscountedRowLog(t *testing.T) {
-	const rows = 2*ChunkRows + 50
-	for _, logRows := range []int{ChunkRows + 7, ChunkRows, rows + 3} {
+	const rows = ChunkRows - 50
+	for _, logRows := range []int{rows - 1000, rows - 1, rows + 3} {
 		dir := t.TempDir()
 		tab, err := NewTable("x", testSchema(), dir, 1)
 		if err != nil {
@@ -301,46 +202,16 @@ func TestEnsureSegmentsRefusesMiscountedRowLog(t *testing.T) {
 			t.Fatalf("a row log of %d rows for %d accounted: EnsureSegments = %v, want ErrCorrupt", logRows, rows, err)
 		}
 		noSegmentFiles(t, dir)
-		if _, err := tab.ScanPartitionBlocks(context.Background(), 0, []int{1}, discardBlock); !errors.Is(err, ErrSegmentStale) {
-			t.Fatalf("a row log of %d rows: block scan err = %v, want ErrSegmentStale", logRows, err)
+		if got, err := os.ReadFile(tab.parts[0].path); err != nil || !bytes.Equal(got, log) {
+			t.Fatalf("a row log of %d rows: the failed seal rewrote it (%v)", logRows, err)
+		}
+		if si := tab.Segments()[0]; si.Rows != 0 || si.TailRows != rows {
+			t.Fatalf("a row log of %d rows: partition %+v after the failed seal", logRows, si)
+		}
+		if _, err := tab.ScanPartitionBlocks(context.Background(), 0, []int{1}, discardBlock); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("a row log of %d rows: block scan err = %v, want ErrCorrupt", logRows, err)
 		}
 	}
-}
-
-func TestOpenTableAdoptsOrRebuildsSegments(t *testing.T) {
-	dir := t.TempDir()
-	t1, err := NewTable("x", testSchema(), dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	insertMixed(t, t1, 64)
-	if err := t1.EnsureSegments(); err != nil {
-		t.Fatal(err)
-	}
-	// Reattach: segments on disk are intact, EnsureSegments adopts them.
-	t2, err := OpenTable("x", testSchema(), dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := t2.EnsureSegments(); err != nil {
-		t.Fatal(err)
-	}
-	blocksMatchRows(t, t2, []int{0, 1})
-	// Corrupt one segment file; reattach must rebuild it from the rows.
-	t2.mu.RLock()
-	seg1 := t2.segPathLocked(1)
-	t2.mu.RUnlock()
-	if err := os.WriteFile(seg1, []byte("????bad"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t3, err := OpenTable("x", testSchema(), dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := t3.EnsureSegments(); err != nil {
-		t.Fatal(err)
-	}
-	blocksMatchRows(t, t3, []int{0, 1})
 }
 
 func TestTruncateDropResetSegments(t *testing.T) {
@@ -378,10 +249,10 @@ func TestTruncateDropResetSegments(t *testing.T) {
 	noSegmentFiles(t, dir)
 }
 
-// encodeSegChunk encodes rows as one chunk, as the rebuild does.
+// encodeSegChunk encodes rows as one chunk, as a seal does.
 func encodeSegChunk(buf []byte, schema *sqltypes.Schema, rows []sqltypes.Row) []byte {
 	next := 0
-	buf, _ = appendSegChunk(buf, schema, len(rows), func() (sqltypes.Row, error) {
+	buf, _ = newChunkEncoder(schema).append(buf, len(rows), func() (sqltypes.Row, error) {
 		next++
 		return rows[next-1], nil
 	})
@@ -417,16 +288,29 @@ func TestSegmentDecoderRejectsCorruption(t *testing.T) {
 	bad = append([]byte{}, good...)
 	bad[8] = 9
 	check("ncols", bad)
-	// Body length mismatch.
+	// Reserved header bytes set.
 	bad = append([]byte{}, good...)
 	bad[12]++
+	check("reserved", bad)
+	// Body length mismatch.
+	bad = append([]byte{}, good...)
+	bad[16]++
 	check("bodyLen", bad)
+	// A directory entry whose tag is not its column's type, or that gives
+	// a numeric column a payload.
+	bad = append([]byte{}, good...)
+	bad[chunkHead+8]++
+	check("tag", bad)
+	bad = append([]byte{}, good...)
+	bad[chunkHead+9]++
+	check("payload on a numeric column", bad)
 	// Trailing garbage after a valid chunk.
 	check("trailing", append(append([]byte{}, good...), 'j', 'u', 'n', 'k'))
 }
 
-// FuzzDecodeSegment drives the segment chunk decoder with mutated real
-// segment bytes: it must never panic, and every failure must be typed.
+// FuzzDecodeSegment drives the chunk decoder — to blocks and to rows —
+// and the row log's tail header with mutated real bytes: it must never
+// panic, and every failure must be typed.
 func FuzzDecodeSegment(f *testing.F) {
 	schema := testSchema()
 	var rows []sqltypes.Row
@@ -442,24 +326,57 @@ func FuzzDecodeSegment(f *testing.F) {
 	two := encodeSegChunk(nil, schema, rows[:7])
 	f.Add(encodeSegChunk(two, schema, rows[7:]))
 	f.Add([]byte(segMagic))
-	// A whole segment of the SEG1 layout, which must be refused, and a
-	// full chunk.
+	// A whole SEG2 file, which must be refused, and a full chunk.
 	parent, err := os.ReadFile(filepath.Join("testdata", "seg4096.p000.seg"))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(parent)
 	f.Add(encodeSegChunk(nil, schema, parentSegmentRows()[:ChunkRows]))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		blocks, err := readSegImage(data, schema, []int{0, 1, 2})
-		if err != nil && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("untyped decode error: %v", err)
+	// BIGINTs beyond ±2⁵³, NULL in every column, empty, multi-byte and
+	// long VARCHARs; a tail header and the rows behind it.
+	f.Add(encodeSegChunk(nil, schema, goldenRows()[:300]))
+	tail := appendTailHead(nil, 4096)
+	for _, r := range rows {
+		if tail, err = encodeRow(tail, r); err != nil {
+			f.Fatal(err)
 		}
+	}
+	f.Add(tail)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		typed := func(what string, err error) {
+			if err != nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("untyped %s error: %v", what, err)
+			}
+		}
+		blocks, err := readSegImage(data, schema, []int{0, 1, 2})
+		typed("block decode", err)
 		for _, blk := range blocks {
 			for s := range blk.Cols {
 				if len(blk.Cols[s]) != blk.Rows || len(blk.Valid[s]) != blk.Rows {
 					t.Fatalf("block shape mismatch: rows=%d cols=%d valid=%d", blk.Rows, len(blk.Cols[s]), len(blk.Valid[s]))
 				}
+			}
+		}
+		decoded, err := readSegRows(data, schema)
+		typed("row decode", err)
+		for _, r := range decoded {
+			for c, v := range r {
+				if !v.IsNull() && v.Type() != schema.Columns[c].Type {
+					t.Fatalf("column %d decoded a %v", c, v.Type())
+				}
+			}
+		}
+		_, n, err := parseTailHead(data[:min(len(data), tailHead)])
+		typed("tail header", err)
+		if err == nil {
+			rr := newRowReader(bytes.NewReader(data[n:]), schema.Len())
+			defer rr.release()
+			for err == nil {
+				_, err = rr.next(nil)
+			}
+			if err != io.EOF {
+				typed("tail row", err)
 			}
 		}
 	})

@@ -19,8 +19,8 @@ const DefaultPartitions = 20
 // Table is a horizontally partitioned relation. Rows are distributed
 // round-robin across partitions (the paper: "data sets were
 // horizontally partitioned evenly among threads"). An on-disk partition
-// is one append-only row log, the only thing a write touches; columnar
-// segments are a cache derived from it (segment.go).
+// keeps each row once: its first rows in sealed column chunks, the rest
+// in a row log that writes append to (segment.go).
 //
 // The guards directive below lets statlint's lockreent analyzer prove,
 // over the whole program, that nothing re-enters mu: *Locked methods
@@ -35,9 +35,6 @@ type Table struct {
 
 	mu    sync.RWMutex
 	parts []partition
-	// segMu serializes segment derivations, which read under mu's read
-	// lock (segment.go).
-	segMu sync.Mutex
 	// rows and epoch are written only under mu but read lock-free, so a
 	// summary's freshness check costs no lock (see Epoch).
 	rows  atomic.Int64
@@ -47,26 +44,33 @@ type Table struct {
 	scanned atomic.Int64 // cumulative rows delivered to scan callbacks
 }
 
-// Mark is a position in a partition: after its first Rows rows, which
-// end Offset bytes into its row log (0 in memory). Within one epoch a
-// partition only grows at its end, so a mark stays a position in it,
-// and a float scan resumes from one (ScanPartitionFloats).
-type Mark struct{ Rows, Offset int64 }
+// Mark is a position in a partition: after its first Rows rows. Within
+// an epoch a partition only grows at its end (a seal moves rows between
+// its files, not within it), so a scan resumes from a mark.
+type Mark struct{ Rows int64 }
 
 type partition struct {
-	path string         // on-disk file, when dir != ""
+	path string         // on-disk row log, when dir != ""
 	mem  []sqltypes.Row // in-memory rows otherwise
-	rows int64
-	size int64 // bytes of the row log holding rows (0 in memory)
-	// seg is what the partition's segment file covers: a prefix of this
-	// row log (no file needed while it is empty), the whole of it iff
-	// seg.Rows == rows. Writes never touch it, so it only ever falls
-	// behind; a derivation alone moves it forward (see segment.go).
-	seg segCover
-	// corrupt records why this partition's file can no longer be
-	// trusted (a failed rollback truncate left torn bytes); scans of a
-	// corrupt partition fail loudly instead of decoding garbage.
+	rows int64          // all of them, sealed ones included
+	size int64          // bytes of the row log (0 in memory)
+	// The `.seg` holds the first sealed rows in its first segSize bytes;
+	// the row log the rest, behind a tail header once sealed > 0.
+	sealed  int64
+	segSize int64
+	// corrupt records why this partition can no longer be trusted (a
+	// failed rollback truncate left torn bytes, or its chunks fall short
+	// of its log's first row); its scans fail loudly instead of decoding
+	// garbage.
 	corrupt error
+}
+
+// logStart is the offset of the row log's first row.
+func (part *partition) logStart() int64 {
+	if part.sealed > 0 {
+		return tailHead
+	}
+	return 0
 }
 
 // NewTable creates an empty table with the given partition count. If
@@ -90,17 +94,19 @@ func NewTable(name string, schema *sqltypes.Schema, dir string, partitions int) 
 				return nil, fmt.Errorf("storage: %w", err)
 			}
 			t.parts[i].path = path
-			// A stale segment from an earlier table of the same name must
-			// not shadow the fresh (empty) row log.
-			_ = os.Remove(t.segPathLocked(i))
+			_ = os.Remove(t.segPathLocked(i)) // an earlier table's chunks
 		}
 	}
 	return t, nil
 }
 
 // OpenTable attaches to a table whose partition files already exist
-// under dir (created by a previous process). Row counts are rebuilt by
-// scanning the partitions once.
+// under dir (created by a previous process). Each row log is decoded to
+// count its rows, and the chunks before it walked over their headers;
+// bytes past them — chunks of a seal cut short, or a `.seg` of an
+// earlier layout before a log without a tail header — are cut. A
+// partition whose chunks fall short of its log's first row attaches
+// corrupt: its scans and the table's writes fail until a truncate.
 func OpenTable(name string, schema *sqltypes.Schema, dir string, partitions int) (*Table, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("storage: OpenTable requires a directory")
@@ -120,45 +126,70 @@ func OpenTable(name string, schema *sqltypes.Schema, dir string, partitions int)
 		}
 		t.parts = append(t.parts, partition{path: path})
 	}
-	// Count rows by reading the files directly rather than through
-	// ScanPartition: the scan path cross-checks decoded row counts
-	// against per-partition accounting, which is exactly what attach is
-	// still rebuilding here.
 	for p := range t.parts {
-		count, size, err := countFileRows(t.parts[p].path, schema.Len())
-		if err != nil {
+		if err := t.attach(p); err != nil {
 			return nil, fmt.Errorf("storage: attaching table %q: %w", name, err)
 		}
-		t.parts[p].rows, t.parts[p].size = count, size
-		// A segment left behind by the previous process is unverified
-		// until a derivation walks (and adopts) or rebuilds it.
-		t.parts[p].seg.Rows = segUnverified
-		t.rows.Add(count)
+		t.rows.Add(t.parts[p].rows)
 	}
 	return t, nil
 }
 
-// countFileRows decodes an entire row-log file, returning how many rows
-// it holds and their bytes; any decode failure surfaces as ErrCorrupt.
-func countFileRows(path string, arity int) (count, size int64, err error) {
-	f, err := os.Open(path)
+// attach rebuilds partition p's accounting from its files,
+// directly: a scan would check the decode against that accounting.
+func (t *Table) attach(p int) error {
+	part := &t.parts[p]
+	f, err := os.Open(part.path)
 	if err != nil {
-		return 0, 0, fmt.Errorf("storage: %w", err)
+		return fmt.Errorf("storage: %w", err)
 	}
 	defer f.Close()
-	rr := newRowReader(f, arity)
+	head := make([]byte, tailHead)
+	n, err := io.ReadFull(f, head)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return fmt.Errorf("storage: %w", err)
+	}
+	first, start, err := parseTailHead(head[:n])
+	if err != nil {
+		return err
+	}
+	if _, err := f.Seek(int64(start), io.SeekStart); err != nil {
+		return fmt.Errorf("storage: %w", err)
+	}
+	rr := newRowReader(f, t.schema.Len())
 	defer rr.release()
 	var row sqltypes.Row
 	for {
-		row, err = rr.next(row)
-		if err == io.EOF {
-			return count, rr.bytes(), nil
+		if row, err = rr.next(row); err == io.EOF {
+			break
 		}
 		if err != nil {
-			return count, 0, err
+			return err
 		}
-		count++
+		part.rows++
 	}
+	part.size = int64(start) + rr.bytes()
+	part.rows += first
+	part.sealed = first
+	seg := t.segPathLocked(p)
+	if first == 0 {
+		_ = os.Remove(seg) // best-effort: a seal cuts these bytes before it writes, too
+		return nil
+	}
+	sf, size, err := openSeg(seg)
+	if err == nil {
+		sr := newSegReader(sf, size, t.schema, nil)
+		err = walkChunks(sr, first, 0, nil)
+		part.segSize = sr.off
+		sr.release()
+		sf.Close()
+	}
+	if err != nil {
+		part.corrupt = fmt.Errorf("storage: table %q partition %d: sealed chunks: %w", t.name, p, err)
+		return nil
+	}
+	_ = os.Truncate(seg, part.segSize)
+	return nil
 }
 
 // Name returns the table name.
@@ -263,32 +294,13 @@ func (t *Table) ScanPartitionStats(ctx context.Context, p int, fn func(sqltypes.
 //
 // The scan covers the rows after from: the zero Mark reads the whole
 // partition, the End of an earlier scan of it at the same epoch only
-// the rows appended since (a row log is read from that offset on).
+// the rows appended since, sealed or not.
 func (t *Table) ScanPartitionFloats(ctx context.Context, p int, from Mark, cols []int, floats func(x []float64) error, rows func(sqltypes.Row) error) (ScanStats, error) {
 	fd, err := t.newFloatDecode(cols, floats)
 	if err != nil {
 		return ScanStats{}, err
 	}
 	return t.scanPartition(ctx, p, from, nil, fd, rows)
-}
-
-// ScanPartitionSegment scans partition p from its segment: the rows the
-// segment covers arrive as blocks of cols, as ScanPartitionBlocks
-// delivers them, and the rows appended since it was derived follow in
-// order — decoded to floats of cols when floats is set, as
-// ScanPartitionFloats delivers them, boxed through rows otherwise. A
-// partition whose segment covers none of its rows (never derived, or
-// unverified after OpenTable) and every partition of an in-memory
-// table return ErrSegmentStale before anything is delivered.
-func (t *Table) ScanPartitionSegment(ctx context.Context, p int, cols []int, blocks func(*Block) error, floats func([]float64) error, rows func(sqltypes.Row) error) (ScanStats, error) {
-	var fd *floatDecode
-	if floats != nil {
-		var err error
-		if fd, err = t.newFloatDecode(cols, floats); err != nil {
-			return ScanStats{}, err
-		}
-	}
-	return t.scanPartition(ctx, p, Mark{}, &blockRead{cols: cols, fn: blocks}, fd, rows)
 }
 
 // floatDecode is a float-mode scan's request and buffer.
@@ -307,7 +319,7 @@ func (t *Table) newFloatDecode(cols []int, fn func([]float64) error) (*floatDeco
 	}
 	for j, c := range cols {
 		if c < 0 || c >= len(fd.want) || fd.want[c] >= 0 {
-			return nil, fmt.Errorf("storage: float scan of table %q: column ordinals %v must be distinct and in 0..%d", t.name, cols, len(fd.want)-1)
+			return nil, fmt.Errorf("storage: scan of table %q: column ordinals %v must be distinct and in 0..%d", t.name, cols, len(fd.want)-1)
 		}
 		fd.want[c] = j
 	}
@@ -315,7 +327,7 @@ func (t *Table) newFloatDecode(cols []int, fn func([]float64) error) (*floatDeco
 }
 
 // unbox is the float decode of an in-memory row: the same rule as the
-// row log's nextFloats.
+// row log's nextFloats and a chunk's floats.
 func (fd *floatDecode) unbox(r sqltypes.Row) bool {
 	for j, c := range fd.cols {
 		v := r[c]
@@ -333,12 +345,11 @@ func (fd *floatDecode) unbox(r sqltypes.Row) bool {
 	return true
 }
 
-// scanPartition is the one partition-scan body: the row scan when fd is
-// nil, the float decode mode otherwise, over the rows after from — or,
-// with br set, the segment's rows as blocks and then those after the
-// segment's end.
-func (t *Table) scanPartition(ctx context.Context, p int, from Mark, br *blockRead, fd *floatDecode, fn func(sqltypes.Row) error) (ScanStats, error) {
-	var st ScanStats
+// scanPartition is the one partition-scan body over the rows after
+// from — the sealed chunks, then the tail or an in-memory partition's
+// rows — delivered boxed to fn, through fd's float decode when fd is
+// set, or as blocks when br is.
+func (t *Table) scanPartition(ctx context.Context, p int, from Mark, br *blockRead, fd *floatDecode, fn func(sqltypes.Row) error) (st ScanStats, err error) {
 	var blocks int64
 	// One set of atomic adds per partition scan (not per row: the
 	// partition workers share these cache lines) keeps the table's and
@@ -353,7 +364,7 @@ func (t *Table) scanPartition(ctx context.Context, p int, from Mark, br *blockRe
 		return st, fmt.Errorf("storage: partition %d out of range 0..%d", p, len(t.parts)-1)
 	}
 	if br != nil {
-		if err := br.check(t); err != nil {
+		if _, err := t.newFloatDecode(br.cols, nil); err != nil {
 			return st, err
 		}
 	}
@@ -374,7 +385,7 @@ func (t *Table) scanPartition(ctx context.Context, p int, from Mark, br *blockRe
 	if from.Rows < 0 || from.Rows > part.rows {
 		return st, fmt.Errorf("storage: table %q partition %d holds %d rows; no scan resumes after row %d", t.name, p, part.rows, from.Rows)
 	}
-	st.End = Mark{Rows: part.rows, Offset: part.size}
+	st.End = Mark{Rows: part.rows}
 	flt := t.fault
 	failAfter := int64(-1)
 	if flt.matches(p) {
@@ -384,23 +395,6 @@ func (t *Table) scanPartition(ctx context.Context, p int, from Mark, br *blockRe
 		if flt.ScanAfterRows > 0 {
 			failAfter = flt.ScanAfterRows
 		}
-	}
-	var segBytes int64 // bytes of the segment read ahead of the row log
-	if br != nil {
-		seg := part.seg
-		if t.dir == "" || seg.Rows < 0 || seg.Rows == 0 && part.rows > 0 || br.whole && seg.Rows != part.rows {
-			return st, fmt.Errorf("storage: table %q partition %d: %w", t.name, p, ErrSegmentStale)
-		}
-		if seg.Rows > 0 {
-			var err error
-			if blocks, err = t.readSegLocked(ctx, p, br, &st); err != nil {
-				return st, err
-			}
-		}
-		if seg.Rows == part.rows {
-			return st, nil
-		}
-		from, segBytes = seg.Mark, st.Bytes
 	}
 	// admit runs before each row is handed on, whichever its decode.
 	admit := func() error {
@@ -417,44 +411,63 @@ func (t *Table) scanPartition(ctx context.Context, p int, from Mark, br *blockRe
 		st.Rows++
 		return nil
 	}
-	if t.dir == "" {
-		for _, r := range part.mem[from.Rows:] {
-			if err := admit(); err != nil {
-				return st, err
-			}
-			var err error
-			if fd != nil && fd.unbox(r) {
-				err = fd.fn(fd.x)
-			} else {
-				err = fn(r)
-			}
+	if from.Rows < part.sealed {
+		var row sqltypes.Row
+		each := func(sr *segReader, skip int) error {
+			cc, err := sr.chunk()
 			if err != nil {
-				return st, err
+				return err
+			}
+			for r := skip; r < cc.sh.rows; r++ {
+				if err := admit(); err != nil {
+					return err
+				}
+				if fd != nil && cc.floats(r, fd) {
+					err = fd.fn(fd.x)
+				} else if row, err = cc.row(r, row); err == nil {
+					err = fn(row)
+				}
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		var cols []int
+		if br != nil {
+			cols = br.cols
+			each = func(sr *segReader, skip int) error {
+				blk, err := sr.block()
+				if err != nil {
+					return err
+				}
+				blk.from(skip)
+				st.Rows += int64(blk.Rows)
+				blocks++
+				return br.fn(blk)
 			}
 		}
-		return st, nil
-	}
-	if from.Rows > 0 && from.Rows == part.rows {
-		return st, nil // nothing appended since the mark: the log stays shut
-	}
-	f, err := os.Open(part.path)
-	if err != nil {
-		return st, fmt.Errorf("storage: %w", err)
-	}
-	defer f.Close()
-	if from.Offset > 0 {
-		if _, err := f.Seek(from.Offset, io.SeekStart); err != nil {
-			return st, fmt.Errorf("storage: %w", err)
+		if err := t.scanChunksLocked(ctx, p, from.Rows, cols, &st, each); err != nil {
+			return st, err
 		}
 	}
-	rr := newRowReader(f, t.schema.Len())
-	defer rr.release()
+	after := max(from.Rows, part.sealed) // the first row of the rest
+	if after == part.rows {
+		return st, nil // nothing past the chunks: the log stays shut
+	}
+	tr, err := t.openTailLocked(p, after)
+	if err != nil {
+		return st, err
+	}
+	defer tr.close()
+	chunkBytes := st.Bytes
+	defer func() { st.Bytes = chunkBytes + tr.bytes() }()
+	if br != nil {
+		return st, t.tailBlocks(&tr, br, admit, &blocks)
+	}
 	var row sqltypes.Row
-	var decoded int64
 	for {
-		if fd != nil && rr.nextFloats(fd.want, fd.x) {
-			st.Bytes = segBytes + rr.bytes()
-			decoded++
+		if fd != nil && tr.floats(fd) {
 			if err := admit(); err != nil {
 				return st, err
 			}
@@ -463,30 +476,121 @@ func (t *Table) scanPartition(ctx context.Context, p int, from Mark, br *blockRe
 			}
 			continue
 		}
-		row, err = rr.next(row)
-		st.Bytes = segBytes + rr.bytes()
-		if err == io.EOF {
-			// A file truncated exactly at a row boundary decodes cleanly
-			// but short — without this cross-check against the partition
-			// accounting the scan would silently drop the tail rows.
-			// (Extra rows are equally untrustworthy: a torn append that
-			// never rolled back.)
-			if want := part.rows - from.Rows; decoded != want {
-				return st, corruptf("storage: table %q partition %d decoded %d rows but accounting says %d",
-					t.name, p, decoded, want)
-			}
+		if row, err = tr.next(row); err == io.EOF {
 			return st, nil
 		}
 		if err != nil {
 			return st, err
 		}
-		decoded++
 		if err := admit(); err != nil {
 			return st, err
 		}
 		if err := fn(row); err != nil {
 			return st, err
 		}
+	}
+}
+
+// tailRows reads a partition's rows after its chunks: in memory, or
+// from its row log.
+type tailRows struct {
+	t    *Table
+	p    int
+	mem  []sqltypes.Row
+	f    *os.File
+	rr   *rowReader
+	at   int64 // the log's first byte
+	left int64 // rows the accounting says are still to come
+}
+
+// openTailLocked opens partition p's rows after row at (≥ its sealed
+// rows), stepping over the log's rows before at unread.
+func (t *Table) openTailLocked(p int, at int64) (tailRows, error) {
+	part := &t.parts[p]
+	tr := tailRows{t: t, p: p, left: part.rows - at}
+	if t.dir == "" {
+		tr.mem = part.mem[at:part.rows]
+		return tr, nil
+	}
+	f, err := os.Open(part.path)
+	if err != nil {
+		return tailRows{}, fmt.Errorf("storage: %w", err)
+	}
+	tr.f, tr.at = f, part.logStart()
+	if _, err := f.Seek(tr.at, io.SeekStart); err != nil {
+		f.Close()
+		return tailRows{}, fmt.Errorf("storage: %w", err)
+	}
+	tr.rr = newRowReader(f, t.schema.Len())
+	skip := &floatDecode{want: make([]int, t.schema.Len())}
+	for i := range skip.want {
+		skip.want[i] = -1
+	}
+	tr.left = part.rows - part.sealed
+	for skipped := part.sealed; skipped < at; skipped++ {
+		if !tr.floats(skip) {
+			if _, err := tr.next(nil); err != nil {
+				tr.close()
+				return tailRows{}, err
+			}
+		}
+	}
+	return tr, nil
+}
+
+// next boxes the next row into dst, io.EOF after the last. A log that
+// ends short of the accounting — cut at a row boundary, it decodes
+// cleanly — or runs on past it fails ErrCorrupt.
+func (tr *tailRows) next(dst sqltypes.Row) (sqltypes.Row, error) {
+	if tr.rr == nil {
+		if len(tr.mem) == 0 {
+			return nil, io.EOF
+		}
+		r := tr.mem[0]
+		tr.mem, tr.left = tr.mem[1:], tr.left-1
+		return r, nil
+	}
+	row, err := tr.rr.next(dst)
+	switch {
+	case err == io.EOF && tr.left > 0:
+		return nil, corruptf("storage: table %q partition %d row log ends %d rows short of its accounting", tr.t.name, tr.p, tr.left)
+	case err == nil && tr.left == 0:
+		return nil, corruptf("storage: table %q partition %d row log holds rows past its accounting", tr.t.name, tr.p)
+	case err == nil:
+		tr.left--
+	}
+	return row, err
+}
+
+// floats is next's float decode (nextFloats, unbox): false, nothing
+// consumed, for a row it declines.
+func (tr *tailRows) floats(fd *floatDecode) bool {
+	switch {
+	case tr.rr != nil:
+		if tr.left == 0 || !tr.rr.nextFloats(fd.want, fd.x) {
+			return false
+		}
+	case len(tr.mem) == 0 || !fd.unbox(tr.mem[0]):
+		return false
+	default:
+		tr.mem = tr.mem[1:]
+	}
+	tr.left--
+	return true
+}
+
+// bytes is the log bytes decoded so far, the header included.
+func (tr *tailRows) bytes() int64 {
+	if tr.rr == nil {
+		return 0
+	}
+	return tr.at + tr.rr.bytes()
+}
+
+func (tr *tailRows) close() {
+	if tr.rr != nil {
+		tr.rr.release()
+		tr.f.Close()
 	}
 }
 
@@ -512,11 +616,11 @@ func (t *Table) ScanContext(ctx context.Context, fn func(sqltypes.Row) error) er
 	return nil
 }
 
-// Truncate removes all rows. A partition whose segment cannot be
-// removed or whose file cannot be rewritten keeps its rows (and its
-// count), so per-partition accounting stays consistent even on a
-// partial truncate; rewriting the file empty also clears any corruption
-// marker, since the torn bytes are gone.
+// Truncate removes all rows. A partition whose row log cannot be
+// rewritten empty keeps its rows and count, so accounting survives a
+// partial truncate; an empty log has no tail header, so its chunks are
+// unread whether or not their file is removed. Rewriting the log also
+// clears any corruption marker: the torn bytes are gone.
 func (t *Table) Truncate() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -525,24 +629,16 @@ func (t *Table) Truncate() error {
 	var first error
 	for i := range t.parts {
 		if t.dir != "" {
-			// The segment goes first: a file that outlived its row log
-			// would pass for a snapshot of whatever is inserted next.
-			err := os.Remove(t.segPathLocked(i))
-			if err == nil || os.IsNotExist(err) {
-				t.parts[i].seg = segCover{}
-				err = os.WriteFile(t.parts[i].path, nil, 0o644)
-			}
-			if err != nil {
+			if err := os.WriteFile(t.parts[i].path, nil, 0o644); err != nil {
 				if first == nil {
 					first = fmt.Errorf("storage: %w", err)
 				}
 				continue
 			}
+			_ = os.Remove(t.segPathLocked(i))
 		}
 		removed += t.parts[i].rows
-		t.parts[i].mem = nil
-		t.parts[i].rows, t.parts[i].size = 0, 0
-		t.parts[i].corrupt = nil
+		t.parts[i] = partition{path: t.parts[i].path}
 	}
 	t.rows.Add(-removed)
 	return first
@@ -564,12 +660,13 @@ func (t *Table) Drop() error {
 			first = fmt.Errorf("storage: %w", err)
 		}
 		_ = os.Remove(t.segPathLocked(i))
+		_ = os.Remove(t.parts[i].path + ".tmp")
 	}
 	return first
 }
 
-// SizeBytes returns the total on-disk size (0 for in-memory tables);
-// the ODBC export simulator uses this to model transfer volume.
+// SizeBytes returns the bytes of the partitions' row logs (0 for
+// in-memory tables); Segments reports the bytes of their sealed chunks.
 func (t *Table) SizeBytes() (int64, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

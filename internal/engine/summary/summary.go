@@ -44,9 +44,9 @@ type Catalog struct {
 }
 
 // NewCatalog creates an empty catalog whose scans use the given worker
-// count. A read from the start of an on-disk table runs block-wise over
-// its column segments; the block kernels are bit-identical to the row
-// path, so the summaries are the same either way.
+// count. A read of an on-disk table, from the start or resumed, runs
+// block-wise over its rows; the block kernels are bit-identical to the
+// row path, so the summaries are the same either way.
 func NewCatalog(workers int) *Catalog {
 	return &Catalog{workers: workers, entries: make(map[string]*entry)}
 }

@@ -15,8 +15,9 @@ import (
 // runColumnarScan (a8) measures what the block source buys on disk: a
 // cold n,L,Q model-suite build (every repetition pays a full scan) and
 // a vectorized filter+project scan streamed to a counting sink over one
-// dataset, once with the executor's block source declined, reading the
-// row log, and once as the engine runs them, from column segments. The two build arms run
+// dataset, once with the executor's block source declined, decoding
+// the sealed chunks to rows, and once as the engine runs them, as
+// blocks of the chunks' columns. The two build arms run
 // the same summary scan (what a summary cache rebuild runs) and the two
 // filter arms the same statement, so only the source differs. The
 // source must be purely a performance lever: the summaries and the
@@ -27,12 +28,12 @@ func runColumnarScan(cfg Config) ([]*Table, error) {
 	const dims = 16
 	out := &Table{
 		ID: "a8",
-		Title: fmt.Sprintf("Ablation: row log vs column segments at d=%d (secs)",
+		Title: fmt.Sprintf("Ablation: chunks decoded to rows vs read as column blocks at d=%d (secs)",
 			dims),
 		Header: []string{"n x 1000", "row cold build", "block cold build", "build speedup",
 			"row filter scan", "block filter scan", "scan speedup"},
-		Note: "one on-disk dataset per n. Row arms decline the executor's block source and read the row log; " +
-			"block arms are the engine's default, column segments via block kernels. " +
+		Note: "one on-disk dataset per n, its rows sealed in column chunks as they load. Row arms decline the executor's block source " +
+			"and decode the chunks to rows; block arms are the engine's default, the chunks' columns via block kernels. " +
 			"Both cold builds run the summary scan a cache rebuild runs, then the model suite. " +
 			"Both filter scans stream their rows into a counting sink; the counts are asserted equal. " +
 			"n,L,Q and linear-regression coefficients are asserted bit-identical across the sources.",
@@ -74,7 +75,7 @@ func runColumnarScan(cfg Config) ([]*Table, error) {
 				return err
 			}
 			if rows, blocks := kept[0].Load(), kept[1].Load(); rows != blocks || rows == 0 {
-				return fmt.Errorf("a8: n=%d filter scan streamed %d rows from the row log, %d from blocks", n, rows, blocks)
+				return fmt.Errorf("a8: n=%d filter scan streamed %d rows from decoded rows, %d from blocks", n, rows, blocks)
 			}
 			builds, scans = [2]Timing{ts[0], ts[2]}, [2]Timing{ts[1], ts[3]}
 			for i, blocks := range []bool{false, true} {
@@ -134,7 +135,7 @@ func (e *env) summaryScan(blocks bool) (*core.NLQ, error) {
 
 // declineBlocks plans the SELECT sql over the dataset with the
 // executor's block source declined (exec.Env.Columnar off): the row
-// arm, reading the row log.
+// arm, decoding the sealed chunks to rows.
 func (e *env) declineBlocks(sql string) (*exec.PreparedSelect, error) {
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {

@@ -271,7 +271,7 @@ func All() []Experiment {
 		{"a5", "Ablation: incremental summary cache: cold scan vs warm cache vs incremental model builds", runSummaryCache},
 		{"a6", "High-QPS point scoring over the wire: ad-hoc SQL vs plan cache vs PREPARE/EXECUTE", runPreparedQPS},
 		{"a7", "Distributed scale-out: sharded n,L,Q builds through the cluster coordinator vs one process", runClusterScale},
-		{"a8", "Ablation: row vs columnar scan path: cold n,L,Q builds and vectorized filter scans", runColumnarScan},
+		{"a8", "Ablation: chunks decoded to rows vs read as blocks: cold n,L,Q builds and vectorized filter scans", runColumnarScan},
 	}
 }
 

@@ -47,10 +47,9 @@ var datasetLoads atomic.Int64
 
 // withDataset is the one way an experiment gets data: open a database
 // through the shipped facade (the paper's parallelism, the UDFs
-// installed), load ds into table X once, derive X's column segments
-// where it is on disk — the first block scan would otherwise pay it
-// inside the first timed repetition — hand it to body, and remove
-// whatever was created. Arms timed inside body share the load.
+// installed), load ds into table X once — on disk, the load seals X's
+// chunks as it commits — hand it to body, and remove whatever was
+// created. Arms timed inside body share the load.
 func withDataset(cfg Config, ds dataset, body func(e *env) error) error {
 	scratch, err := os.MkdirTemp("", "statsudf-bench-*")
 	if err != nil {
@@ -71,13 +70,6 @@ func withDataset(cfg Config, ds dataset, body func(e *env) error) error {
 	e := &env{dataset: ds, cfg: cfg, db: d, dir: scratch, cols: sqlgen.Dims(ds.dims)}
 	datasetLoads.Add(1)
 	if err := e.load(); err != nil {
-		return err
-	}
-	x, err := d.Engine().Table("X")
-	if err != nil {
-		return err
-	}
-	if err := x.EnsureSegments(); err != nil {
 		return err
 	}
 	return body(e)

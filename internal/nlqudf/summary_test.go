@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -244,12 +242,11 @@ func TestSummaryRepeatedColumns(t *testing.T) {
 
 // TestAggregateBlockSource: on disk the paper's statements — nlq_list,
 // one column read twice beside a literal, and Table 6's blocked
-// nlq_block calls — fold segment blocks, say so in their scan[pN]
+// nlq_block calls — fold blocks, say so in their scan[pN]
 // spans, in EXPLAIN ANALYZE and in sys.spans, and give byte for byte
-// the results of the same statements with the block source declined. A
-// partition whose segment cannot be built falls back to float rows, with
-// the same results; in memory, where there are no segments, every
-// partition reads float rows and nothing counts as a fallback.
+// the results of the same statements with the block source declined; in
+// memory, where blocks are never offered, every partition reads float
+// rows and nothing counts as a fallback.
 func TestAggregateBlockSource(t *testing.T) {
 	ctx := context.Background()
 	plan, err := core.PlanBlocks(4, 2)
@@ -261,18 +258,6 @@ func TestAggregateBlockSource(t *testing.T) {
 		"SELECT nlq_list(2, 'full', X1, X1), nlq_list(3, 'diag', X3, X2, 0.5) FROM X",
 		sqlgen.NLQBlockQuery("X", []string{"X1", "k", "X2", "X3"}, plan),
 	}
-	// squatted is a directory where partition 1 of X can never build its
-	// segment: non-empty directories hold the segment's path and the
-	// rebuild's temporary path.
-	squatted := func() string {
-		dir := t.TempDir()
-		for _, suffix := range []string{".seg", ".seg.tmp"} {
-			if err := os.MkdirAll(filepath.Join(dir, "x.p001"+suffix, "squat"), 0o755); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return dir
-	}
 	for _, c := range []struct {
 		name    string
 		dir     string
@@ -281,7 +266,6 @@ func TestAggregateBlockSource(t *testing.T) {
 	}{
 		{"mem", "", []string{"float", "float", "float"}, 0},
 		{"disk", t.TempDir(), []string{"block", "block", "block"}, 0},
-		{"disk, partition 1 stale", squatted(), []string{"block", "float", "block"}, 1},
 	} {
 		d := db.Open(db.Options{Partitions: 3, Dir: c.dir, TraceSampleN: 1})
 		if err := Register(d); err != nil {

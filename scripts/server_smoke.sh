@@ -8,15 +8,18 @@
 # ANALYZE output, sys.traces/sys.spans, and the daemon's structured
 # log, then shuts the daemon down with SIGTERM and requires a clean
 # exit. A storage leg then runs a daemon over a data directory twice:
-# writes must never create a segment file, and after a restart the
-# first block scan must derive fresh segments, and a block scan after
-# an insert must read the new rows from the row log, leaving the
-# segments as they were, without a single fallback. The first daemon also takes
+# writes short of a 2048-row chunk per partition stay in the row log
+# and seal nothing, and after a restart block scans read them, and an
+# insert after them, without a single fallback and without writing a
+# chunk. The first daemon also takes
 # the write leg: a self INSERT ... SELECT terminates and doubles the
 # table, and a failing INSERT ... SELECT reports its error and leaves
 # its target exactly as it was. A catalog leg kills the daemon with
 # SIGKILL after DDL and requires the restarted daemon to find exactly
 # the tables and view it had, also with junk appended to catalog.log.
+# A seal leg kills the daemon with SIGKILL after INSERTs that seal
+# chunks, and requires the restarted daemon to serve the same row
+# counts, sys.partitions, sys.segments and sums.
 set -euo pipefail
 
 ADDR="${TWMD_ADDR:-127.0.0.1:7791}"
@@ -113,17 +116,18 @@ kill -TERM "$TWMD_PID"
 wait "$TWMD_PID"
 grep -q '"msg":"bye"' "$LOG"
 
-echo "== storage: writes touch the row log only =="
+echo "== storage: writes short of a chunk stay in the row log =="
 /tmp/smoke-twmd -addr "$ADDR" -dir "$DIR" -partitions 3 2>"$LOG" &
 TWMD_PID=$!
 wait_for_listener
 sql -c "CREATE TABLE S (a DOUBLE, b DOUBLE)"
 sql -c "INSERT INTO S VALUES (1, 2), (3, 4), (5, 6), (7, 8), (9, 10)"
-SEGS="$(sql -c "SELECT partition, seg_bytes FROM sys.segments WHERE table_name = 's'")"
+segments_of() { sql -c "SELECT partition, sealed_rows, sealed_bytes, tail_rows FROM sys.segments WHERE table_name = '$1' ORDER BY partition"; }
+SEGS="$(segments_of s)"
 echo "$SEGS"
-test "$(echo "$SEGS" | grep -c ' | 0$')" -eq 3 # no partition has a built segment
-if ls "$DIR"/*.seg "$DIR"/*.seg.tmp >/dev/null 2>&1; then
-  echo "writes created segment files:"; ls "$DIR"; exit 1
+test "$(echo "$SEGS" | grep -c ' | 0 | 0 | ')" -eq 3 # nothing sealed
+if ls "$DIR"/*.seg >/dev/null 2>&1; then
+  echo "writes short of a chunk created chunk files:"; ls "$DIR"; exit 1
 fi
 
 echo "== writes: a self INSERT ... SELECT terminates and doubles the table =="
@@ -158,31 +162,26 @@ test "$(count W2)" -eq 4101
 kill -TERM "$TWMD_PID"
 wait "$TWMD_PID"
 
-echo "== storage: restarted, block scans derive the segments =="
+echo "== storage: restarted, block scans read the row log without a fallback =="
 /tmp/smoke-twmd -addr "$ADDR" -dir "$DIR" -partitions 3 2>"$LOG" &
 TWMD_PID=$!
 wait_for_listener
-# A system table has no segments: a sys.* read is no block-scan
-# candidate and counts no fallback, so reading the counter does not
-# move it.
+# A system table is never offered blocks: a sys.* read counts no
+# fallback, so reading the counter does not move it.
 fallbacks() { sql -c "SELECT sum(value) FROM sys.metrics WHERE name = 'engine_columnar_fallbacks_total'" | sed -n 3p; }
 block_scan() {
   local before after
   before="$(fallbacks)"
   grep -q "^$1$" <<<"$(sql -c "SELECT a + b FROM S")"
   after="$(fallbacks)"
-  test -n "$before" -a "$before" = "$after" # every partition was served from its segment
+  test -n "$before" -a "$before" = "$after" # every partition was read as blocks
 }
-seg_rows() { sql -c "SELECT sum(seg_rows) FROM sys.segments WHERE table_name = 's'" | sed -n 3p; }
+tail_rows() { sql -c "SELECT sum(tail_rows) FROM sys.segments WHERE table_name = '$1'" | sed -n 3p; }
 block_scan 19
-diff <(sql -c "SELECT partition, seg_rows AS n FROM sys.segments WHERE table_name = 's' ORDER BY partition") \
-     <(sql -c "SELECT partition, num_rows AS n FROM sys.partitions WHERE table_name = 's' ORDER BY partition")
-ls "$DIR"/s.p00{0,1,2}.seg >/dev/null
 sql -c "INSERT INTO S VALUES (11, 12), (13, 14)"
-# Two rows are far short of a chunk: the scan reads them from the row
-# log after the blocks and encodes nothing.
 block_scan 27
-test "$(seg_rows)" = 5
+test "$(tail_rows s)" = 7
+test "$(echo "$(segments_of s)" | grep -c ' | 0 | 0 | ')" -eq 3 # scans seal nothing
 kill -TERM "$TWMD_PID"
 wait "$TWMD_PID"
 
@@ -223,6 +222,29 @@ printf 'junk after the last record' >>"$DIR/catalog.log"
 start_on_dir
 diff <(echo "$WANT") <(k_catalog)
 test "$(count K3)" = 0
+
+echo "== seal: rows sealed into chunks survive kill -9, each exactly once =="
+# W holds 4096 rows, 1365 or so a partition: the second copy carries
+# every partition past 2048 rows, so its commit seals a chunk in each,
+# and the single-row INSERTs after it land in the tails.
+sql -c "CREATE TABLE G (i BIGINT, v DOUBLE)"
+sqlt -c "INSERT INTO G SELECT i, v FROM W" >/dev/null
+sqlt -c "INSERT INTO G SELECT i + 4096, v * 2 FROM W" >/dev/null
+for k in 1 2 3 4; do sql -c "INSERT INTO G VALUES ($((8191 + k)), 0.5)"; done
+g_state() {
+  sql -c "SELECT count(*), sum(i), sum(v) FROM G"
+  sql -c "SELECT partition, num_rows FROM sys.partitions WHERE table_name = 'g' ORDER BY partition"
+  segments_of g
+}
+WANT="$(g_state)"
+echo "$WANT"
+test "$(count G)" -eq 8196
+test "$(echo "$(segments_of g)" | grep -c ' | 2048 | ')" -eq 3 # one chunk sealed in every partition
+test "$(tail_rows g)" -eq $((8196 - 3 * 2048))
+ls "$DIR"/g.p00{0,1,2}.seg >/dev/null
+kill_9
+start_on_dir
+diff <(echo "$WANT") <(g_state)
 kill -TERM "$TWMD_PID"
 wait "$TWMD_PID"
 test ! -s "$DIR/catalog.log" # the open folded the log into the snapshot

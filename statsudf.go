@@ -131,8 +131,8 @@ type Options struct {
 	// TraceCap bounds retained traces per class (error/slow/sampled);
 	// zero selects the engine default (128).
 	TraceCap int
-	// Deprecated: ignored. Scans of an on-disk table read its column
-	// segments wherever they are eligible.
+	// Deprecated: ignored. Scans of an on-disk table read its rows as
+	// blocks of its sealed column chunks wherever they are eligible.
 	Columnar bool
 }
 
