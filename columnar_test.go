@@ -12,6 +12,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/engine/sqltypes"
+	"repro/internal/engine/storage"
 )
 
 // openModePair opens two databases over identical options except for
@@ -43,32 +46,52 @@ func execBothModes(t *testing.T, row, col *DB, sql string) {
 	}
 }
 
-// loadNullMixture creates table name(x1..xD DOUBLE) in both databases
-// with the given fraction of NULL cells, identically seeded.
-func loadNullMixture(t *testing.T, row, col *DB, name string, n, d int, nullFrac float64, seed int64) {
+// loadNullMixture creates table name(x1..xD) in both databases — x1
+// to x(D-1) DOUBLE, xD BIGINT — and loads the same n rows into each,
+// identically seeded: each cell NULL with probability nullFrac, a NaN
+// in every 101st x1 and a BIGINT beyond 2⁵³ in every 97th xD. The
+// first built rows arrive in one commit, the rest in a second.
+func loadNullMixture(t *testing.T, row, col *DB, name string, built, n, d int, nullFrac float64, seed int64) {
 	t.Helper()
 	cols := make([]string, d)
 	for i := range cols {
 		cols[i] = DimColumns(d)[i] + " DOUBLE"
 	}
+	cols[d-1] = DimColumns(d)[d-1] + " BIGINT"
 	execBothModes(t, row, col, "CREATE TABLE "+name+" ("+strings.Join(cols, ", ")+")")
 	rng := rand.New(rand.NewSource(seed))
-	var b strings.Builder
-	for i := 0; i < n; i++ {
-		b.Reset()
-		b.WriteString("INSERT INTO " + name + " VALUES (")
-		for j := 0; j < d; j++ {
-			if j > 0 {
-				b.WriteString(", ")
-			}
-			if rng.Float64() < nullFrac {
-				b.WriteString("NULL")
-			} else {
-				b.WriteString(ftoa(rng.NormFloat64()*10 + float64(j)))
+	rows := make([]sqltypes.Row, n)
+	for i := range rows {
+		r := make(sqltypes.Row, d)
+		for j := range r {
+			switch {
+			case rng.Float64() < nullFrac:
+				r[j] = sqltypes.Null
+			case j < d-1:
+				r[j] = sqltypes.NewDouble(rng.NormFloat64()*10 + float64(j))
+			default:
+				r[j] = sqltypes.NewBigInt(int64(rng.NormFloat64()*10) + int64(j))
 			}
 		}
-		b.WriteString(")")
-		execBothModes(t, row, col, b.String())
+		if i%101 == 3 {
+			r[0] = sqltypes.NewDouble(math.NaN())
+		}
+		if i%97 == 5 {
+			r[d-1] = sqltypes.NewBigInt(1<<53 + 1)
+		}
+		rows[i] = r
+	}
+	for _, db := range []*DB{row, col} {
+		tab, err := db.Engine().Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.Insert(rows[:built]...); err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.Insert(rows[built:]...); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -105,8 +128,9 @@ func requireCloseSlice(t *testing.T, what string, a, b []float64, tol float64) {
 }
 
 // The scan source must be invisible in every result: cached summaries
-// bit-for-bit, and the model builders that consume them within 1e-9 —
-// across NULL densities and partition counts.
+// bit-for-bit, over whole sealed chunks and a tail, and the model
+// builders that consume them within 1e-9 — across NULL densities and
+// partition counts.
 func TestColumnarModesAgreeRandomized(t *testing.T) {
 	const tol = 1e-9
 	cases := []struct {
@@ -123,7 +147,18 @@ func TestColumnarModesAgreeRandomized(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rowDB, colDB := openModePair(t, tc.parts)
-			loadNullMixture(t, rowDB, colDB, "p", 240, 4, tc.nullFrac, tc.seed)
+			// Two whole chunks per partition, then a 40-row tail.
+			built := tc.parts * 2 * storage.ChunkRows
+			loadNullMixture(t, rowDB, colDB, "p", built, built+40, 4, tc.nullFrac, tc.seed)
+			tab, err := colDB.Engine().Table("p")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, si := range tab.Segments() {
+				if si.Rows != 2*storage.ChunkRows || si.TailRows == 0 {
+					t.Fatalf("partition %+v: want two whole chunks and a tail", si)
+				}
+			}
 
 			// Cached summaries rebuild through the aggregate scan — float
 			// rows on one database, blocks on the other — and the merged
@@ -213,7 +248,7 @@ func TestColumnarModesAgreeRandomized(t *testing.T) {
 // seen exactly like the row path's pre-skip increment).
 func TestColumnarSummaryStampsMatch(t *testing.T) {
 	rowDB, colDB := openModePair(t, 3)
-	loadNullMixture(t, rowDB, colDB, "h", 180, 3, 0.5, 77)
+	loadNullMixture(t, rowDB, colDB, "h", 100, 180, 3, 0.5, 77)
 
 	opts := SummaryOptions{Method: ViaCache, Matrix: Triangular}
 	if _, err := rowDB.Summary("h", DimColumns(3), opts); err != nil {

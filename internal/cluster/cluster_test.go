@@ -17,6 +17,7 @@ import (
 	"repro/internal/engine/exec"
 	"repro/internal/engine/expr"
 	"repro/internal/engine/sqltypes"
+	"repro/internal/engine/storage"
 	"repro/internal/server"
 	"repro/internal/server/wire"
 	"repro/pkg/client"
@@ -142,10 +143,16 @@ func requireIdentical(t *testing.T, sql string, got, want *exec.Result) {
 func loadIntTable(t *testing.T, tc *testCluster, name string, rows int) {
 	t.Helper()
 	tc.execBoth(t, fmt.Sprintf("CREATE TABLE %s (a DOUBLE, b DOUBLE, y DOUBLE)", name))
+	insertIntRows(t, tc, name, 0, rows)
+}
+
+// insertIntRows inserts loadIntTable's rows [from, to) in one statement.
+func insertIntRows(t *testing.T, tc *testCluster, name string, from, to int) {
+	t.Helper()
 	var b strings.Builder
 	fmt.Fprintf(&b, "INSERT INTO %s VALUES ", name)
-	for i := 0; i < rows; i++ {
-		if i > 0 {
+	for i := from; i < to; i++ {
+		if i > from {
 			b.WriteString(", ")
 		}
 		fmt.Fprintf(&b, "(%d, %d, %d)", i, 2*i+1, 3*i-5)
@@ -153,11 +160,40 @@ func loadIntTable(t *testing.T, tc *testCluster, name string, rows int) {
 	tc.execBoth(t, b.String())
 }
 
+// chunkedShards is how many rows a columnar test cluster's first
+// insert carries: two whole chunks for every shard partition.
+func chunkedShards(tc *testCluster) int { return len(tc.shardDBs) * 4 * 2 * storage.ChunkRows }
+
+// requireChunksAndTail fails unless every shard partition of table name
+// holds whole sealed chunks and a tail.
+func requireChunksAndTail(t *testing.T, tc *testCluster, name string) {
+	t.Helper()
+	for s, sd := range tc.shardDBs {
+		tab, err := sd.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, si := range tab.Segments() {
+			if si.Rows < 2*storage.ChunkRows || si.TailRows == 0 {
+				t.Fatalf("shard %d partition %+v: want whole chunks and a tail", s, si)
+			}
+		}
+	}
+}
+
 func TestPushdownAggregatesByteIdentical(t *testing.T) {
 	for _, columnar := range []bool{false, true} {
 		t.Run(fmt.Sprintf("columnar=%v", columnar), func(t *testing.T) {
 			tc := newTestClusterColumnar(t, 2, 8, columnar)
-			loadIntTable(t, tc, "z", 97)
+			if columnar {
+				// Whole sealed chunks in every shard partition, then a
+				// tail.
+				loadIntTable(t, tc, "z", chunkedShards(tc))
+				insertIntRows(t, tc, "z", chunkedShards(tc), chunkedShards(tc)+97)
+				requireChunksAndTail(t, tc, "z")
+			} else {
+				loadIntTable(t, tc, "z", 97)
+			}
 
 			for _, sql := range []string{
 				"SELECT count(*), sum(a), min(a), max(b), avg(b) FROM z",
@@ -262,21 +298,40 @@ func TestMergedModelMatchesSingleNodeRandomized(t *testing.T) {
 			rnd := rand.New(rand.NewSource(int64(cfg.seed)))
 			tc := newTestClusterColumnar(t, cfg.shards, cfg.parts, cfg.columnar)
 			tc.execBoth(t, "CREATE TABLE m (x1 DOUBLE, x2 DOUBLE, y DOUBLE)")
-			nRows := 50 + rnd.Intn(150)
-			var b strings.Builder
-			b.WriteString("INSERT INTO m VALUES ")
-			for i := 0; i < nRows; i++ {
-				if i > 0 {
-					b.WriteString(", ")
+			insert := func(nRows int) {
+				var b strings.Builder
+				b.WriteString("INSERT INTO m VALUES ")
+				for i := 0; i < nRows; i++ {
+					if i > 0 {
+						b.WriteString(", ")
+					}
+					x1, x2 := rnd.NormFloat64()*3, rnd.Float64()*10-5
+					y := 2.5*x1 - 1.25*x2 + 4 + rnd.NormFloat64()*0.5
+					fmt.Fprintf(&b, "(%s, %s, %s)",
+						strconv.FormatFloat(x1, 'g', -1, 64),
+						strconv.FormatFloat(x2, 'g', -1, 64),
+						strconv.FormatFloat(y, 'g', -1, 64))
 				}
-				x1, x2 := rnd.NormFloat64()*3, rnd.Float64()*10-5
-				y := 2.5*x1 - 1.25*x2 + 4 + rnd.NormFloat64()*0.5
-				fmt.Fprintf(&b, "(%s, %s, %s)",
-					strconv.FormatFloat(x1, 'g', -1, 64),
-					strconv.FormatFloat(x2, 'g', -1, 64),
-					strconv.FormatFloat(y, 'g', -1, 64))
+				tc.execBoth(t, b.String())
 			}
-			tc.execBoth(t, b.String())
+			if cfg.columnar {
+				// Whole sealed chunks in every shard partition first, of
+				// 0/1 cells: their sums are exact in any order, so the
+				// tolerance below still bounds the random rows' rounding.
+				var b strings.Builder
+				b.WriteString("INSERT INTO m VALUES ")
+				for i := 0; i < chunkedShards(tc); i++ {
+					if i > 0 {
+						b.WriteString(", ")
+					}
+					fmt.Fprintf(&b, "(%d, %d, %d)", i%2, i/2%2, i/4%2)
+				}
+				tc.execBoth(t, b.String())
+			}
+			insert(50 + rnd.Intn(150))
+			if cfg.columnar {
+				requireChunksAndTail(t, tc, "m")
+			}
 
 			ctx := context.Background()
 			got, _, err := tc.coord.SummaryNLQ(ctx, "m", nil, core.Triangular)

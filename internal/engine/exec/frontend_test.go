@@ -184,7 +184,7 @@ func TestFrontEndGolden(t *testing.T) {
 	}
 
 	matrixDB := frontEndDB(t, map[string][]sqltypes.Column{
-		"x": {col("a", sqltypes.TypeDouble), col("b", sqltypes.TypeDouble), col("j", sqltypes.TypeBigInt), col("s", sqltypes.TypeVarChar)},
+		"x": {col("a", sqltypes.TypeDouble), col("b", sqltypes.TypeDouble), col("j", sqltypes.TypeBigInt), col("s", sqltypes.TypeVarChar), col("w", sqltypes.TypeDouble)},
 		"m": {col("j", sqltypes.TypeBigInt), col("v", sqltypes.TypeDouble)},
 	})
 	for _, sql := range exec.PathMatrixStatements() {
