@@ -10,9 +10,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/engine/obs"
 	"repro/internal/engine/sqlparser"
 	"repro/internal/engine/sqltypes"
 	"repro/internal/engine/storage"
+	"repro/internal/engine/udf"
 )
 
 func newTestDB(t *testing.T, opts Options) *DB {
@@ -362,7 +365,8 @@ func httpGet(t *testing.T, url string) string {
 // the partitions in order, so the counts are exact: z's only zero sits at
 // local row 5 of partition 0, where the row source stops after
 // delivering 6 rows and the block source after the partition's one
-// 20-row block; partitions 1 and 2 are never opened.
+// 20-row block, its rows sealed into a chunk; partitions 1 and 2 are
+// never opened.
 func TestFailedScanKeepsPartialStats(t *testing.T) {
 	const divide = "SELECT 1.0 / a FROM z"
 	for _, columnar := range []bool{false, true} {
@@ -379,6 +383,13 @@ func TestFailedScanKeepsPartialStats(t *testing.T) {
 		}
 		vals[15] = "(0.0)"
 		mustExec(t, d, "INSERT INTO z VALUES "+strings.Join(vals, ", "))
+		z, err := d.Table("z")
+		if err == nil {
+			err = z.EnsureSegments()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 		prep, err := d.Prepare(divide)
 		if err != nil {
 			t.Fatal(err)
@@ -476,5 +487,84 @@ func TestSysReadCountsNoColumnarFallback(t *testing.T) {
 	query(t, d, "SELECT name FROM sys.tables WHERE name = 'x'")
 	if second := query(t, d, q); fmt.Sprint(second) != fmt.Sprint(first) {
 		t.Fatalf("engine_columnar_fallbacks_total moved from %v to %v across sys.* reads", first, second)
+	}
+}
+
+// fsum is sum(x) with a float body, so its scans are offered blocks.
+type fsum struct{}
+
+func (fsum) Name() string                        { return "fsum" }
+func (fsum) CheckArgs(int) error                 { return nil }
+func (fsum) LeadArgs() int                       { return 0 }
+func (fsum) Init(h *udf.Heap) (udf.State, error) { return h.AllocFloats(1) }
+func (fsum) Accumulate(s udf.State, args []sqltypes.Value) error {
+	f, _ := args[0].Float()
+	s.([]float64)[0] += f
+	return nil
+}
+func (fsum) AccumulateFloats(s udf.State, _ []sqltypes.Value, tile []float64, _ int) error {
+	for _, x := range tile {
+		s.([]float64)[0] += x
+	}
+	return nil
+}
+func (fsum) Merge(dst, src udf.State) error {
+	dst.([]float64)[0] += src.([]float64)[0]
+	return nil
+}
+func (fsum) Finalize(s udf.State) (sqltypes.Value, error) {
+	return sqltypes.NewDouble(s.([]float64)[0]), nil
+}
+
+// TestBlockCounterCountsSealedChunks: engine_columnar_blocks_scanned_total
+// counts the sealed chunks a scan reads as blocks, not the tail it reads
+// as rows. An aggregate over P partitions of c whole chunks and a tail
+// moves it by exactly P·c, as a summary rebuild does, and its EXPLAIN
+// ANALYZE tree shows source=block for every partition.
+func TestBlockCounterCountsSealedChunks(t *testing.T) {
+	const P, c, tail = 3, 2, 7
+	d := Open(Options{Partitions: P, Dir: t.TempDir()})
+	mustExec(t, d, "CREATE TABLE t (a DOUBLE, b DOUBLE)")
+	if err := d.Aggregates().Register(fsum{}); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := d.Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]sqltypes.Row, P*(c*storage.ChunkRows+tail))
+	for i := range rows {
+		rows[i] = sqltypes.Row{sqltypes.NewDouble(float64(i)), sqltypes.NewDouble(0.5)}
+	}
+	sealed := P * c * storage.ChunkRows
+	if err := tab.Insert(rows[:sealed]...); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Insert(rows[sealed:]...); err != nil {
+		t.Fatal(err)
+	}
+	for _, si := range tab.Segments() {
+		if si.Rows != c*storage.ChunkRows || si.TailRows != tail {
+			t.Fatalf("partition %+v, want %d chunks and a %d-row tail", si, c, tail)
+		}
+	}
+	before := obs.ColumnarBlocksScanned.Value()
+	res, err := d.Exec("SELECT fsum(a) FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.ColumnarBlocksScanned.Value() - before; got != P*c {
+		t.Fatalf("the aggregate moved engine_columnar_blocks_scanned_total by %d, want P·c = %d", got, P*c)
+	}
+	tree := res.Stats.Root.RenderTree()
+	if n := strings.Count(tree, "source=block"); n != P || strings.Contains(tree, "source=row") || strings.Contains(tree, "source=float") {
+		t.Fatalf("EXPLAIN ANALYZE shows source=block %d times, want %d and no other source:\n%s", n, P, tree)
+	}
+	before = obs.ColumnarBlocksScanned.Value()
+	if _, _, err := d.SummaryNLQ(context.Background(), "t", []string{"a", "b"}, core.Triangular); err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.ColumnarBlocksScanned.Value() - before; got != P*c {
+		t.Fatalf("a summary rebuild moved engine_columnar_blocks_scanned_total by %d, want %d", got, P*c)
 	}
 }

@@ -12,9 +12,10 @@ import (
 // The block source (offered to scans of on-disk tables unless
 // Env.Columnar declines it) swaps the row-at-a-time interpreter for
 // block-at-a-time kernels wherever that is provably equivalent:
-// float-row aggregates gather blocks — a partition's sealed chunks, then
-// its row log's rows gathered the same way — into the tiles float rows
-// fill (core.FillTile), and simple projections run vector programs.
+// float-row aggregates gather a partition's sealed chunks into the tiles
+// float rows fill (core.FillTile), and simple projections run vector
+// programs over them; the rows after the chunks reach the same worker
+// as float or boxed rows.
 // Every other statement shape falls back to the row path, counted by
 // engine_columnar_fallbacks_total when it is prepared, so the source
 // can change performance but never results.

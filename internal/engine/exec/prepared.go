@@ -137,7 +137,7 @@ func PrepareSelect(sel *sqlparser.Select, env *Env) (*PreparedSelect, error) {
 		// blocks. A rejected shape counts one fallback here, at prepare.
 		if p.offersBlocks() && p.numParams == 0 && len(p.b.tables) == 1 {
 			if vp, err := planVec(p.exprs, p.tail.residual, p.b); err == nil {
-				p.vec, p.src.block = vp, vp.cols
+				p.vec, p.src = vp, sources{cols: vp.cols, block: true}
 			} else {
 				obs.ColumnarFallbacks.Inc()
 			}
@@ -231,7 +231,7 @@ func (p *PreparedSelect) planRows(w *selectWorker) {
 	if calls == 0 {
 		return
 	}
-	p.rows, p.src.floats = rp, cols
+	p.rows, p.src = rp, sources{cols: cols, floats: true}
 	w.placeRows()
 }
 
@@ -261,11 +261,10 @@ func (p *PreparedSelect) offersBlocks() bool {
 // blocks are offered, one that cannot take them counts a fallback, as
 // projections do.
 func (p *PreparedSelect) planSources() {
-	p.src.floats = p.agg.planFloats(p.b, p.tail.residual, p.env.Funcs)
-	if p.offersBlocks() {
-		if p.src.block = p.src.floats; p.src.block == nil {
-			obs.ColumnarFallbacks.Inc()
-		}
+	if cols := p.agg.planFloats(p.b, p.tail.residual, p.env.Funcs); cols != nil {
+		p.src = sources{cols: cols, floats: true, block: p.offersBlocks()}
+	} else if p.offersBlocks() {
+		obs.ColumnarFallbacks.Inc()
 	}
 }
 
@@ -469,7 +468,7 @@ func (p *PreparedSelect) scan(ctx context.Context, args []sqltypes.Value, filter
 	st.Plan = plan.finish()
 	src := p.src
 	if p.rows != nil && !p.rows.converts(tail) {
-		src.floats = nil
+		src.floats = false
 	}
 	return scanPartitions(ctx, p.b.tables[0], p.env.Workers, src, marks, st, func(part int) (*selectWorker, error) {
 		w, ok := p.workers.Get().(*selectWorker)

@@ -8,11 +8,14 @@ import (
 	"repro/internal/engine/storage"
 )
 
-// sources names the columns a scan's unboxed sources read: block
-// columns, the partition's sealed chunks and the rest of its rows as
-// blocks; float columns, its rows decoded to floats. A scan with
-// neither boxes every row.
-type sources struct{ block, floats []int }
+// sources is what a scan's unboxed sources read: cols, as blocks from
+// a partition's sealed chunks when block is set, and decoded to float
+// rows from its other rows when floats is. Every row neither takes is
+// boxed.
+type sources struct {
+	cols          []int
+	block, floats bool
+}
 
 // scanPartitions is the engine's one partition-scan loop: every SELECT
 // shape and the summary rebuild run through it. It fans the partitions
@@ -20,18 +23,16 @@ type sources struct{ block, floats []int }
 // (RunParallel: first failure cancels the siblings, panics are
 // contained per partition), opens one worker per partition (phases 1-2
 // of the aggregate protocol; merge and finalize are the caller's, after
-// the workers join), feeds it blocks when the plan supplied block
-// columns, else rows — decoded to floats when the plan supplied float
-// columns, boxed otherwise — and records the scan[pN] spans, their
-// source, per-partition rows and the scan totals in st — also when the
-// scan fails part-way, so a failed statement still reports how far it
-// got.
+// the workers join), feeds it the partition's rows from the sources the
+// plan offered, and records the scan[pN] spans, their source,
+// per-partition rows and the scan totals in st — also when the scan
+// fails part-way, so a failed statement still reports how far it got.
 //
 // marks, when set, resume every partition after its mark and are each
 // advanced to where its partition's scan ended.
 func scanPartitions(ctx context.Context, t *storage.Table, workers int, src sources, marks []storage.Mark, st *Stats, open func(p int) (*selectWorker, error)) error {
 	nparts := t.Partitions()
-	if marks != nil && (src.floats == nil || len(marks) != nparts) {
+	if marks != nil && (!src.floats || len(marks) != nparts) {
 		return fmt.Errorf("exec: a resumed scan of table %q needs float rows and one mark per partition", t.Name())
 	}
 	rows := t.NumRows()
@@ -99,16 +100,16 @@ func scanWidth(nparts, workers int, rows int64) int {
 	return int(max(1, min(width, chunks)))
 }
 
-// scanPartition picks partition p's source: "block", "float" or "row".
-func scanPartition(ctx context.Context, t *storage.Table, p int, src sources, from storage.Mark, w *selectWorker) (source string, ps storage.ScanStats, err error) {
-	switch {
-	case src.block != nil:
-		ps, err = t.ScanPartitionBlocksFrom(ctx, p, from, src.block, w.block)
-		return "block", ps, err
-	case src.floats != nil:
-		ps, err = t.ScanPartitionFloats(ctx, p, from, src.floats, w.floatRow, w.row)
-		return "float", ps, err
+// scanPartition reads partition p after from into w and names the best
+// source the plan offered: "block", "float" or "row".
+func scanPartition(ctx context.Context, t *storage.Table, p int, src sources, from storage.Mark, w *selectWorker) (string, storage.ScanStats, error) {
+	r, source := storage.Read{From: from, Cols: src.cols, Rows: w.row}, "row"
+	if src.floats {
+		r.Floats, source = w.floatRow, "float"
 	}
-	ps, err = t.ScanPartitionStats(ctx, p, w.row)
-	return "row", ps, err
+	if src.block {
+		r.Blocks, source = w.block, "block"
+	}
+	ps, err := t.ScanPartitionRead(ctx, p, r)
+	return source, ps, err
 }

@@ -24,11 +24,11 @@ type Env struct {
 	// than a chunk is scanned on the calling goroutine alone.
 	Workers int
 	// Columnar offers eligible scans of on-disk tables the block source:
-	// every row as blocks of its columns — the sealed chunks' lanes, the
-	// row log's rows gathered into the same lanes — for block kernels
-	// and vector programs. What blocks cannot serve, and every scan with
-	// Columnar off, reads rows: the chunks decoded to rows, then the
-	// row log's, with identical results. The db planner always sets it.
+	// the sealed chunks' lanes as blocks, for block kernels and vector
+	// programs, and the row log's tail as rows, as every scan reads it.
+	// What blocks cannot serve, and every scan with Columnar off, reads
+	// rows: the chunks decoded to rows, then the tail, with identical
+	// results. The db planner always sets it.
 	Columnar bool
 }
 

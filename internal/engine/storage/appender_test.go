@@ -123,7 +123,7 @@ func TestWriteFaultMatrix(t *testing.T) {
 						}
 						// Resumed from before the write, the scan reads the
 						// write's rows or, rolled back, none.
-						if _, err := tab.ScanPartitionFloats(nil, p, marks[p], nil, func([]float64) error { c--; return nil }, nil); err != nil || c != beforeParts[p] {
+						if _, err := tab.ScanPartitionRead(nil, p, Read{From: marks[p], Floats: func([]float64) error { c--; return nil }}); err != nil || c != beforeParts[p] {
 							t.Fatalf("partition %d resumed from %+v: %v, %d rows short of the write", p, marks[p], err, c-beforeParts[p])
 						}
 					}

@@ -13,19 +13,19 @@ import (
 	"repro/internal/engine/sqltypes"
 )
 
-// floatScan runs ScanPartitionFloats over partition p and returns what
+// floatScan runs a float-mode scan over partition p and returns what
 // reached each callback in delivery order: a copy of the float row, or
 // the boxed row (a clone), never both.
 func floatScan(ctx context.Context, tab *Table, p int, cols []int) (floats [][]float64, rows []sqltypes.Row, st ScanStats, err error) {
-	st, err = tab.ScanPartitionFloats(ctx, p, Mark{}, cols, func(x []float64) error {
+	st, err = tab.ScanPartitionRead(ctx, p, Read{Cols: cols, Floats: func(x []float64) error {
 		floats = append(floats, append(make([]float64, 0, len(x)), x...))
 		rows = append(rows, nil)
 		return nil
-	}, func(r sqltypes.Row) error {
+	}, Rows: func(r sqltypes.Row) error {
 		floats = append(floats, nil)
 		rows = append(rows, r.Clone())
 		return nil
-	})
+	}})
 	return floats, rows, st, err
 }
 
@@ -208,19 +208,19 @@ func TestScanPartitionFloatsKeepsTheScanChecks(t *testing.T) {
 		// Cancellation mid-scan is seen at the same 64-row check.
 		ctx, cancel := context.WithCancel(bg())
 		n := 0
-		_, err = tab.ScanPartitionFloats(ctx, 0, Mark{}, cols, func([]float64) error {
+		_, err = tab.ScanPartitionRead(ctx, 0, Read{Cols: cols, Floats: func([]float64) error {
 			if n++; n == 10 {
 				cancel()
 			}
 			return nil
-		}, func(sqltypes.Row) error { return nil })
+		}, Rows: func(sqltypes.Row) error { return nil }})
 		if !errors.Is(err, context.Canceled) || n != 64 {
 			t.Fatalf("cancelled after row 10: %v after %d rows, want context.Canceled after 64", err, n)
 		}
-		if _, err := tab.ScanPartitionFloats(bg(), 0, Mark{}, []int{1, 1}, nil, nil); err == nil {
+		if _, err := tab.ScanPartitionRead(bg(), 0, Read{Cols: []int{1, 1}}); err == nil {
 			t.Fatal("a column requested twice was accepted")
 		}
-		if _, err := tab.ScanPartitionFloats(bg(), 0, Mark{}, []int{3}, nil, nil); err == nil {
+		if _, err := tab.ScanPartitionRead(bg(), 0, Read{Cols: []int{3}}); err == nil {
 			t.Fatal("a column out of range was accepted")
 		}
 		if dir == "" {

@@ -107,6 +107,8 @@ func sameRow(a, b sqltypes.Row) bool {
 // row into chunks whose bytes are pinned, and the rows read back from
 // them, boxed, as floats and as blocks, are the same, before and after
 // a reattach: NULL in every column, the float specials, the VARCHARs.
+// (Before the seal the rows are read boxed and as floats: a log is read
+// as rows.)
 func TestParentWrittenTable(t *testing.T) {
 	dir := t.TempDir()
 	files := []string{"golden.p000.dat", "golden.p001.dat"}
@@ -157,7 +159,9 @@ func TestParentWrittenTable(t *testing.T) {
 				t.Fatalf("%s: partition %d: re-encoded rows differ from the parent-written file", what, p)
 			}
 		}
-		blocksMatchRows(t, tab, []int{0, 1})
+		if sealed {
+			blocksMatchRows(t, tab, []int{0, 1})
+		}
 		floatsMatchRows(t, tab, []int{1, 0})
 		floatsMatchRows(t, tab, []int{2, 1})
 	}

@@ -22,13 +22,13 @@ func resume(t *testing.T, tab *Table, from []Mark) (ids [][]int64, ends []Mark) 
 		if from != nil {
 			m = from[p]
 		}
-		st, err := tab.ScanPartitionFloats(context.Background(), p, m, []int{0}, func(x []float64) error {
+		st, err := tab.ScanPartitionRead(context.Background(), p, Read{From: m, Cols: []int{0}, Floats: func(x []float64) error {
 			ids[p] = append(ids[p], int64(x[0]))
 			return nil
-		}, func(r sqltypes.Row) error {
+		}, Rows: func(r sqltypes.Row) error {
 			ids[p] = append(ids[p], r[0].Int())
 			return nil
-		})
+		}})
 		if err != nil {
 			t.Fatalf("partition %d after %+v: %v", p, m, err)
 		}
@@ -114,7 +114,7 @@ func TestScanResumesAfterInsertsAndBulkLoads(t *testing.T) {
 			if tab.Epoch() == epoch {
 				t.Fatal("truncate left the epoch")
 			}
-			_, err = tab.ScanPartitionFloats(context.Background(), 0, marks[0], nil, nil, nil)
+			_, err = tab.ScanPartitionRead(context.Background(), 0, Read{From: marks[0]})
 			if err == nil || !strings.Contains(err.Error(), "no scan resumes") {
 				t.Fatalf("resuming a truncated partition: %v", err)
 			}

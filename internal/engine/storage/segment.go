@@ -21,7 +21,7 @@ import (
 // ChunkRows rows after every commit — in its `.dat` row log. A commit
 // that leaves ChunkRows or more rows in the log seals them
 // (sealLocked); EnsureSegments seals every tail. A scan reads the
-// chunks, then the tail, as blocks, float rows or boxed rows.
+// chunks as blocks or rows, then the tail as rows: float or boxed.
 //
 // Chunk layout (SEG3):
 //
@@ -746,53 +746,6 @@ func (t *Table) sealLocked(p int, all bool) error {
 	return nil
 }
 
-// blockRead is a block scan's request: its columns and their consumer.
-type blockRead struct {
-	cols []int
-	fn   func(*Block) error
-}
-
-// tailBlocks delivers tr's rows to br as blocks: each ChunkRows encoded
-// as a chunk in memory and read back, so each lane is what sealing them
-// would store. admit runs before each row is read.
-func (t *Table) tailBlocks(tr *tailRows, br *blockRead, admit func() error, blocks *int64) error {
-	enc := newChunkEncoder(t.schema)
-	var (
-		buf []byte
-		row sqltypes.Row
-	)
-	next := func() (_ sqltypes.Row, err error) {
-		if err = admit(); err == nil {
-			row, err = tr.next(row)
-		}
-		return row, err
-	}
-	for tr.left > 0 {
-		var err error
-		if buf, err = enc.append(buf[:0], int(min(tr.left, ChunkRows)), next); err != nil {
-			return err
-		}
-		sr := newSegReader(bytes.NewReader(buf), int64(len(buf)), t.schema, br.cols)
-		var blk *Block
-		if _, err = sr.head(); err == nil {
-			blk, err = sr.block()
-		}
-		if err == nil {
-			*blocks++
-			err = br.fn(blk)
-		}
-		sr.release()
-		if err != nil {
-			return err
-		}
-	}
-	_, err := tr.next(row)
-	if err == io.EOF {
-		return nil
-	}
-	return err
-}
-
 // scanChunksLocked is walkChunks over partition p's chunks, checking
 // ctx between them and adding the bytes read to st.
 func (t *Table) scanChunksLocked(ctx context.Context, p int, from int64, cols []int, st *ScanStats, each func(sr *segReader, skip int) error) error {
@@ -820,20 +773,55 @@ func (t *Table) scanChunksLocked(ctx context.Context, p int, from int64, cols []
 
 // ScanPartitionBlocks iterates partition p column-wise, delivering
 // blocks of the requested schema ordinals to fn: one per sealed chunk,
-// then the other rows (the tail, or an in-memory partition's) in blocks
-// of up to ChunkRows, lanes as sealing them would store. The Block and
+// then the rows after them (a tail, or an in-memory partition's rows)
+// gathered boxed into blocks of up to ChunkRows, each lane as
+// Value.Float gives it — what sealing them would store. The Block and
 // its slices are reused between calls; fn must copy what it retains.
 // Every row appears in exactly one block (invalid lanes included), so
 // row accounting matches the row path's. cols must be distinct
 // ordinals of the schema.
 func (t *Table) ScanPartitionBlocks(ctx context.Context, p int, cols []int, fn func(*Block) error) (ScanStats, error) {
-	return t.ScanPartitionBlocksFrom(ctx, p, Mark{}, cols, fn)
+	g := rowBlocks{Block{Cols: make([][]float64, len(cols)), Valid: make([][]bool, len(cols))}, t.schema, cols, fn}
+	st, err := t.ScanPartitionRead(ctx, p, Read{Cols: cols, Blocks: fn, Rows: g.add})
+	if err == nil {
+		err = g.flush()
+	}
+	return st, err
 }
 
-// ScanPartitionBlocksFrom is ScanPartitionBlocks over the rows after
-// from, which may fall inside a chunk.
-func (t *Table) ScanPartitionBlocksFrom(ctx context.Context, p int, from Mark, cols []int, fn func(*Block) error) (ScanStats, error) {
-	return t.scanPartition(ctx, p, from, &blockRead{cols: cols, fn: fn}, nil, nil)
+// rowBlocks gathers boxed rows into a block for fn.
+type rowBlocks struct {
+	Block
+	schema *sqltypes.Schema
+	cols   []int
+	fn     func(*Block) error
+}
+
+func (g *rowBlocks) add(r sqltypes.Row) error {
+	for s, c := range g.cols {
+		f, ok := r[c].Float()
+		if ok = ok && NumericColumn(g.schema.Columns[c]); !ok {
+			f = 0
+		}
+		g.Cols[s], g.Valid[s] = append(g.Cols[s], f), append(g.Valid[s], ok)
+	}
+	if g.Rows++; g.Rows == ChunkRows {
+		return g.flush()
+	}
+	return nil
+}
+
+// flush hands the rows gathered so far to fn as one block.
+func (g *rowBlocks) flush() error {
+	if g.Rows == 0 {
+		return nil
+	}
+	err := g.fn(&g.Block)
+	for s := range g.cols {
+		g.Cols[s], g.Valid[s] = g.Cols[s][:0], g.Valid[s][:0]
+	}
+	g.Rows = 0
+	return err
 }
 
 // SegmentInfo describes where a partition keeps its rows; sys.segments
