@@ -118,8 +118,9 @@ func BenchmarkBlockProjection(b *testing.B) {
 // BenchmarkInsertThenNLQ is write-then-read traffic: each op inserts k
 // rows into a 32 768 × 32 on-disk table of 4 partitions, build_udf's
 // shape, then runs its summary scan from the start — decoding rows
-// (row) or reading blocks (block). An insert's op includes the seal
-// whenever the inserts have filled a chunk in a partition's tail.
+// (row), or reading the sealed chunks as blocks and the tail as float
+// rows (block). An insert's op includes the seal whenever the inserts
+// have filled a chunk in a partition's tail.
 func BenchmarkInsertThenNLQ(b *testing.B) {
 	const dims, n = 32, 32768
 	for _, k := range []int{8, 1024} {
